@@ -6,14 +6,15 @@
 //! * **serial** — [`miso_exec::execute_serial`], the preserved seed
 //!   row-at-a-time interpreter, pinned to one worker;
 //! * **row** — the morsel-parallel engine in row mode
-//!   (`retain_root_only` with `columnar: false`), at 1, 2 and 8 workers;
-//! * **col** — the same engine in its production configuration: root-only
-//!   retention with the columnar batch path following the `MISO_COL`
-//!   toggle (default on), so `MISO_COL=0 execbench` times row mode twice
-//!   and still verifies identity.
+//!   (`Retention::ROOT_ONLY` with `columnar: false`), at 1, 2 and 8 workers;
+//! * **col** — the same engine in its production configuration: a
+//!   retention set (here the empty one, `Retention::ROOT_ONLY`; HV passes
+//!   the nodes it harvests) with the columnar batch path following the
+//!   `MISO_COL` toggle (default on), so `MISO_COL=0 execbench` times row
+//!   mode twice and still verifies identity.
 //!
 //! Every engine run must match the serial oracle row-for-row — the
-//! full-retention run across *all* node outputs, the lean runs at the root
+//! `Retention::All` run across *all* node outputs, the lean runs at the root
 //! plus per-node `rows_out` counts — and identical to itself at every
 //! thread count; any divergence exits non-zero. A counting global
 //! allocator reports bytes allocated by one row-mode vs one columnar run,
@@ -29,7 +30,7 @@ use miso_common::pool;
 use miso_data::json::{parse_json, to_json};
 use miso_data::{DataType, Field, Row, Schema, Value};
 use miso_exec::engine::{execute, execute_subset_opts, MemSource};
-use miso_exec::{execute_serial, ExecOptions, Execution, UdfRegistry};
+use miso_exec::{execute_serial, ExecOptions, Execution, Retention, UdfRegistry};
 use miso_plan::{AggExpr, AggFunc, BinOp, Expr, LogicalPlan, Operator, PlanBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -388,7 +389,7 @@ fn run_lean(p: &Pipeline, udfs: &UdfRegistry, columnar: bool) -> Execution {
         &p.src,
         udfs,
         ExecOptions {
-            retain_root_only: true,
+            retain: Retention::ROOT_ONLY,
             columnar,
         },
     )

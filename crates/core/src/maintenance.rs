@@ -28,6 +28,7 @@
 //! row- and checksum-identical to a freshly recomputed one.
 
 use crate::system::MultistoreSystem;
+use miso_common::guard::QueryGuard;
 use miso_common::{ByteSize, MisoError, Result, SimClock, SimDuration};
 use miso_data::checksum::RowSetDigest;
 use miso_data::logs::LogKind;
@@ -629,7 +630,25 @@ impl MultistoreSystem {
         let name = &def.name;
         let in_dw = self.dw.has_view(name);
         let udfs = self.udf_registry().clone();
-        let run = self.hv.execute(&def.plan, None, &udfs)?;
+        // Interior outputs HV would pipeline away but the fold state is
+        // built from: the join build sides and the aggregate's input.
+        let fold = match mplan {
+            MaintPlan::Aggregate(da) => Some((da, def.plan.node(da.agg).inputs[0])),
+            MaintPlan::Append(_) => None,
+        };
+        let state_nodes: Vec<_> = mplan
+            .builds()
+            .iter()
+            .map(|b| b.node)
+            .chain(fold.map(|(_, input)| input))
+            .collect();
+        let run = self.hv.execute_retaining(
+            &def.plan,
+            None,
+            &udfs,
+            QueryGuard::inert_ref(),
+            &state_nodes,
+        )?;
         let root = def.plan.root();
         let out = run
             .materialized
@@ -638,14 +657,18 @@ impl MultistoreSystem {
             .ok_or_else(|| MisoError::Execution("refresh produced no output".into()))?;
         let mut builds = HashMap::new();
         for b in mplan.builds() {
-            builds.insert(b.name.clone(), run.execution.output(b.node).clone());
+            builds.insert(
+                b.name.clone(),
+                run.execution.retained_output(b.node)?.clone(),
+            );
         }
-        let agg = match mplan {
-            MaintPlan::Aggregate(da) => {
-                let input = def.plan.node(da.agg).inputs[0];
-                AggState::build(run.execution.output(input), &da.group_by, &da.aggs)?
-            }
-            MaintPlan::Append(_) => None,
+        let agg = match fold {
+            Some((da, input)) => AggState::build(
+                run.execution.retained_output(input)?,
+                &da.group_by,
+                &da.aggs,
+            )?,
+            None => None,
         };
         let digest = RowSetDigest::from_rows(&out.rows);
         let checksum = digest.finish();
@@ -1118,6 +1141,48 @@ mod tests {
             .run_workload(Variant::HvOnly, std::slice::from_ref(&q))
             .unwrap();
         assert_eq!(reuse.records[0].result_rows, scratch.records[0].result_rows);
+    }
+
+    /// `rebuild_with_state` names the interior outputs it needs (HV keeps
+    /// only what it harvests): the captured join build sides and aggregate
+    /// fold state must be those a keep-all run of the plan yields.
+    #[test]
+    fn rebuild_captures_state_equal_to_a_keep_all_run() {
+        let (mut sys, _) = system();
+        let udfs = standard_udfs();
+        let workload = miso_workload::compile_workload(&workload_catalog()).unwrap();
+        let (mut with_builds, mut with_agg) = (0, 0);
+        for (label, plan) in workload {
+            let Ok(mplan) = analyze_maintenance(&plan, "twitter") else {
+                continue;
+            };
+            let def = miso_views::ViewDef::from_plan(
+                plan,
+                ByteSize::ZERO,
+                0,
+                miso_common::ids::QueryId(0),
+            );
+            sys.rebuild_with_state(&def, &mplan, &mut SimClock::new())
+                .unwrap();
+            let all = execute(&def.plan, &sys.hv, &udfs).unwrap();
+            let state = &sys.ivm_state[&def.name];
+            assert_eq!(state.builds.len(), mplan.builds().len(), "{label}");
+            for b in mplan.builds() {
+                assert_eq!(&state.builds[&b.name], all.output(b.node), "{label}");
+                with_builds += 1;
+            }
+            if let MaintPlan::Aggregate(da) = &mplan {
+                let input = all.output(def.plan.node(da.agg).inputs[0]);
+                let want = AggState::build(input, &da.group_by, &da.aggs).unwrap();
+                assert_eq!(
+                    state.agg.as_ref().map(AggState::output_rows),
+                    want.as_ref().map(AggState::output_rows),
+                    "{label}"
+                );
+                with_agg += usize::from(want.is_some());
+            }
+        }
+        assert!(with_builds > 0 && with_agg > 0, "{with_builds} {with_agg}");
     }
 
     #[test]

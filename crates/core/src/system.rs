@@ -1069,7 +1069,7 @@ impl MultistoreSystem {
 
             // Ship each cut working set.
             for cut in planned.split.cut_nodes(plan) {
-                let rows = run.execution.output(cut).clone();
+                let rows = run.execution.retained_output(cut)?.clone();
                 let bytes = run.execution.output_bytes(cut);
                 bytes_transferred += bytes;
                 miso_obs::count("system.bytes_transferred", bytes.as_bytes());

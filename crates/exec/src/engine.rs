@@ -1,11 +1,13 @@
 //! The operator interpreter (miso-vex: morsel-parallel, allocation-lean).
 //!
-//! Executes a [`LogicalPlan`] bottom-up over a [`DataSource`], materializing
-//! every node's output as an in-memory row vector. Full materialization is a
-//! modeling choice, not laziness: Hadoop materializes stage boundaries for
-//! fault tolerance, and those materializations are precisely the
-//! opportunistic views MISO tunes with. The HV store decides *which* node
-//! outputs to retain; the engine makes them all observable.
+//! Executes a [`LogicalPlan`] bottom-up over a [`DataSource`], one node at a
+//! time. By default every node's output is kept as an in-memory row vector
+//! ([`Retention::All`]) — what tests and the serial oracle compare. A store
+//! names the outputs it will actually read ([`Retention::Only`]): Hadoop
+//! materializes stage boundaries for fault tolerance, and those
+//! materializations are precisely the opportunistic views MISO tunes with,
+//! so the HV store keeps exactly those and everything in between is
+//! pipelined — run columnar, fused, and released after its last consumer.
 //!
 //! [`execute_subset`] supports split execution: the HV side runs the nodes
 //! below the cut, the working sets cross the wire, and the DW side resumes
@@ -127,30 +129,49 @@ impl DataSource for MemSource {
     }
 }
 
+/// Which node outputs an [`Execution`] still holds when it returns.
+#[derive(Debug, Clone, Copy)]
+pub enum Retention<'a> {
+    /// Every executed node's rows stay observable. The library default: it
+    /// is what tests and the serial oracle compare node by node. Nothing is
+    /// released or stolen, and every operator runs its row body.
+    All,
+    /// Only the listed nodes and the plan root are kept (never-consumed
+    /// outputs also survive: nothing ever releases them). Every other
+    /// output is released as soon as its last in-subset consumer has run,
+    /// which frees memory early, lets single-consumer `Filter`/`Limit`/
+    /// `Sort` *steal* uniquely-owned input rows instead of deep-cloning
+    /// them, and lets a log scan fuse into its SerDe projection. A kept
+    /// node is never released, stolen from or fused away. Row counts stay
+    /// queryable for all executed nodes via [`Execution::rows_out`].
+    Only(&'a [NodeId]),
+}
+
+impl Retention<'_> {
+    /// Keep nothing but the root — what a store that harvests no
+    /// intermediates (DW) asks for.
+    pub const ROOT_ONLY: Retention<'static> = Retention::Only(&[]);
+}
+
 /// Execution knobs orthogonal to *what* is computed.
 #[derive(Debug, Clone, Copy)]
-pub struct ExecOptions {
-    /// Release each node's output as soon as its last in-subset consumer has
-    /// run, keeping only the root (plus never-consumed outputs). This frees
-    /// memory early and lets single-consumer `Filter`/`Limit`/`Sort` *steal*
-    /// uniquely-owned input rows instead of deep-cloning them. The HV store
-    /// must NOT set this: it harvests every materialized node output as an
-    /// opportunistic view candidate. Row counts stay queryable for all
-    /// executed nodes via [`Execution::rows_out`].
-    pub retain_root_only: bool,
+pub struct ExecOptions<'a> {
+    /// Which outputs to keep; see [`Retention`].
+    pub retain: Retention<'a>,
     /// Run eligible operators column-at-a-time over [`ColBatch`]es (see
-    /// [`crate::col`]). Only engages together with `retain_root_only`: full
-    /// retention is the HV harvest contract — every node output must be
-    /// observable as rows — so each node would pay a pivot anyway and the
-    /// row path is strictly cheaper there. Output is bit-identical either
-    /// way; ineligible operators fall back to rows per node.
+    /// [`crate::col`]). Engages whenever `retain` is not [`Retention::All`]:
+    /// under full retention every node must end up as rows, so each would
+    /// pay a pivot and the row bodies are strictly cheaper. Kept nodes that
+    /// finish columnar are pivoted to rows once, when the execution
+    /// returns. Output is bit-identical either way; ineligible operators
+    /// fall back to rows per node.
     pub columnar: bool,
 }
 
-impl Default for ExecOptions {
-    fn default() -> ExecOptions {
+impl Default for ExecOptions<'_> {
+    fn default() -> Self {
         ExecOptions {
-            retain_root_only: false,
+            retain: Retention::All,
             columnar: col::enabled(),
         }
     }
@@ -161,7 +182,7 @@ impl Default for ExecOptions {
 pub struct Execution {
     outputs: HashMap<NodeId, Arc<Vec<Row>>>,
     /// Output row count of every executed or provided node — recorded even
-    /// for outputs released early under `retain_root_only`.
+    /// for outputs released early under [`Retention::Only`].
     rows_out: HashMap<NodeId, u64>,
     /// Malformed log lines skipped by scans (Hive-style lenience).
     pub skipped_lines: u64,
@@ -189,9 +210,18 @@ impl Execution {
     }
 
     /// The output of node `id`; panics if that node was not executed (or its
-    /// rows were released under [`ExecOptions::retain_root_only`]).
+    /// rows were released under [`Retention::Only`]). Callers that cannot
+    /// prove the node was kept use [`Execution::retained_output`].
     pub fn output(&self, id: NodeId) -> &Arc<Vec<Row>> {
         &self.outputs[&id]
+    }
+
+    /// The output of node `id`, or an execution error naming the node when
+    /// its rows are not held (released early, or never executed).
+    pub fn retained_output(&self, id: NodeId) -> Result<&Arc<Vec<Row>>> {
+        self.outputs
+            .get(&id)
+            .ok_or_else(|| MisoError::Execution(format!("node {id} output not retained")))
     }
 
     /// The output of node `id`, if executed and retained.
@@ -272,7 +302,7 @@ pub fn execute_subset_opts(
     provided: HashMap<NodeId, Arc<Vec<Row>>>,
     source: &dyn DataSource,
     udfs: &UdfRegistry,
-    opts: ExecOptions,
+    opts: ExecOptions<'_>,
 ) -> Result<Execution> {
     execute_subset_guarded(
         plan,
@@ -301,21 +331,29 @@ pub fn execute_subset_guarded(
     provided: HashMap<NodeId, Arc<Vec<Row>>>,
     source: &dyn DataSource,
     udfs: &UdfRegistry,
-    opts: ExecOptions,
+    opts: ExecOptions<'_>,
     guard: &QueryGuard,
 ) -> Result<Execution> {
     let root = plan.root();
+    // Keep-sets are a handful of ids: a slice scan beats building a set.
+    let kept = |id: NodeId| match opts.retain {
+        Retention::All => true,
+        Retention::Only(ids) => id == root || ids.contains(&id),
+    };
+    // Whether anything may be released at all.
+    let lean = !matches!(opts.retain, Retention::All);
     let mut outputs: HashMap<NodeId, Arc<Vec<Row>>> = HashMap::with_capacity(plan.len());
     let mut rows_out: HashMap<NodeId, u64> = HashMap::with_capacity(plan.len());
     for (id, rows) in provided {
         rows_out.insert(id, rows.len() as u64);
         outputs.insert(id, rows);
     }
-    // Remaining in-subset consumer edges per node. Once a node's count hits
-    // zero its output can be released (retain_root_only); a count of exactly
-    // one at consumption time means the consumer may steal the rows.
+    // Remaining in-subset consumer edges per node, counted only when some
+    // outputs may go. Once a node's count hits zero its output is released
+    // unless kept; a count of exactly one at consumption time means the
+    // consumer may steal an unkept input's rows.
     let mut pending: HashMap<NodeId, usize> = HashMap::new();
-    if opts.retain_root_only {
+    if lean {
         for node in plan.nodes() {
             let executes =
                 subset.is_none_or(|s| s.contains(&node.id)) && !rows_out.contains_key(&node.id);
@@ -336,9 +374,9 @@ pub fn execute_subset_guarded(
         profiles.reserve(plan.len());
         profile::take_dispatch();
     }
-    // Columnar execution engages only under root-only retention (see
+    // Columnar execution engages only when retention is not "all" (see
     // [`ExecOptions::columnar`]).
-    let columnar = opts.columnar && opts.retain_root_only;
+    let columnar = opts.columnar && lean;
     // Columnar node outputs, kept beside `outputs`. A node normally lives
     // in exactly one map (zero-copy view scans may publish both
     // representations); whatever survives to the end is pivoted to rows.
@@ -346,9 +384,9 @@ pub fn execute_subset_guarded(
     // Scan→project fusion: log scans whose single consumer is a SerDe-shaped
     // projection parse straight into typed column vectors, skipping the
     // intermediate JSON object rows entirely. Because the scan's output is
-    // never materialized, fusion stays off under profiling or an active
-    // guard — both account per-node materializations and must see the same
-    // numbers as the row path.
+    // never materialized, a kept scan cannot fuse, and fusion stays off
+    // under profiling or an active guard — both account per-node
+    // materializations and must see the same numbers as the row path.
     let mut fused: HashMap<NodeId, NodeId> = HashMap::new(); // scan → project
     if columnar && !profiling && !guard.is_active() {
         let executes =
@@ -361,7 +399,7 @@ pub fn execute_subset_guarded(
                 continue;
             }
             let scan = node.inputs[0];
-            if scan != root
+            if !kept(scan)
                 && executes(scan)
                 && pending.get(&scan).copied() == Some(1)
                 && matches!(plan.node(scan).op, Operator::ScanLog { .. })
@@ -510,18 +548,20 @@ pub fn execute_subset_guarded(
                     })?;
                     let parts = collect_ok(parts)?;
                     let sel = concat_rows(parts.iter().map(Vec::len).sum(), parts);
-                    if node.id == root {
-                        // The root's batch would be pivoted to rows at the
-                        // end anyway; materializing straight from the input
-                        // batch + selection skips the gathered intermediate.
+                    if !pending.contains_key(&node.id) {
+                        // An output nobody in the subset reads (the root,
+                        // a cut) survives to the end and would be pivoted
+                        // to rows there anyway; materializing straight
+                        // from the input batch + selection skips the
+                        // gathered intermediate.
                         Produced::Rows(batch.rows_at(&sel))
                     } else {
                         Produced::Cols(batch.gather(&sel))
                     }
                 } else {
                     note_col_fallback(columnar, &rows_out, input_id);
-                    ensure_rows(&mut outputs, &mut col_outputs, &pending, input_id, root);
-                    match take_input(&mut outputs, &pending, node, 0, opts, root)? {
+                    ensure_rows(&mut outputs, &mut col_outputs, &pending, input_id, &kept);
+                    match take_input(&mut outputs, &pending, node, 0, &kept)? {
                         TakenInput::Owned(mut vec) => {
                             // Uniquely owned: evaluate in parallel, then move
                             // the surviving rows out instead of deep-cloning.
@@ -585,7 +625,7 @@ pub fn execute_subset_guarded(
                     Produced::Cols(ColBatch::concat(collect_ok(parts)?))
                 } else {
                     note_col_fallback(columnar, &rows_out, input_id);
-                    ensure_rows(&mut outputs, &mut col_outputs, &pending, input_id, root);
+                    ensure_rows(&mut outputs, &mut col_outputs, &pending, input_id, &kept);
                     let input = input_of(&outputs, plan, node.id, 0)?;
                     let parts = par_chunks(guard, input, |_, chunk| -> Result<Vec<Row>> {
                         let mut rows = Vec::with_capacity(chunk.len());
@@ -608,14 +648,14 @@ pub fn execute_subset_guarded(
                     &mut col_outputs,
                     &pending,
                     node.inputs[0],
-                    root,
+                    &kept,
                 );
                 ensure_rows(
                     &mut outputs,
                     &mut col_outputs,
                     &pending,
                     node.inputs[1],
-                    root,
+                    &kept,
                 );
                 let left = input_of(&outputs, plan, node.id, 0)?;
                 let right = input_of(&outputs, plan, node.id, 1)?;
@@ -661,7 +701,7 @@ pub fn execute_subset_guarded(
                     )?)
                 } else {
                     note_col_fallback(columnar, &rows_out, input_id);
-                    ensure_rows(&mut outputs, &mut col_outputs, &pending, input_id, root);
+                    ensure_rows(&mut outputs, &mut col_outputs, &pending, input_id, &kept);
                     let input = input_of(&outputs, plan, node.id, 0)?;
                     Produced::Rows(aggregate(input, group_by, aggs, guard)?)
                 }
@@ -673,7 +713,7 @@ pub fn execute_subset_guarded(
                     &mut col_outputs,
                     &pending,
                     node.inputs[0],
-                    root,
+                    &kept,
                 );
                 let input = input_of(&outputs, plan, node.id, 0)?;
                 let parts = par_chunks(guard, input, |_, chunk| -> Result<Vec<Row>> {
@@ -691,9 +731,9 @@ pub fn execute_subset_guarded(
                     &mut col_outputs,
                     &pending,
                     node.inputs[0],
-                    root,
+                    &kept,
                 );
-                let input = take_input(&mut outputs, &pending, node, 0, opts, root)?;
+                let input = take_input(&mut outputs, &pending, node, 0, &kept)?;
                 let rows = input.rows();
                 // Extract each row's key values exactly once (in parallel),
                 // then sort (key, index) pairs; the index tiebreak makes the
@@ -739,7 +779,7 @@ pub fn execute_subset_guarded(
                     miso_obs::count("exec.col_batches", batch.len().div_ceil(MORSEL_SIZE) as u64);
                     Produced::Cols(batch.head(*n as usize))
                 } else {
-                    match take_input(&mut outputs, &pending, node, 0, opts, root)? {
+                    match take_input(&mut outputs, &pending, node, 0, &kept)? {
                         TakenInput::Owned(mut vec) => {
                             vec.truncate(*n as usize);
                             Produced::Rows(vec)
@@ -790,11 +830,11 @@ pub fn execute_subset_guarded(
                 col_outputs.insert(node.id, Arc::new(batch));
             }
         }
-        if opts.retain_root_only {
+        if lean {
             for input in &node.inputs {
                 if let Some(p) = pending.get_mut(input) {
                     *p = p.saturating_sub(1);
-                    if *p == 0 && *input != root {
+                    if *p == 0 && !kept(*input) {
                         outputs.remove(input);
                         col_outputs.remove(input);
                         ledger.release(*input);
@@ -803,7 +843,7 @@ pub fn execute_subset_guarded(
             }
         }
     }
-    // Whatever is still columnar — the root, or a never-consumed output —
+    // Whatever is still columnar — a kept node, or a never-consumed output —
     // pivots to rows here: `Execution` speaks rows at every boundary.
     for (id, batch) in col_outputs {
         if outputs.contains_key(&id) {
@@ -861,8 +901,9 @@ fn note_col_fallback(columnar: bool, rows_out: &HashMap<NodeId, u64>, input: Nod
 
 /// Guarantees `outputs` holds a row representation of node `id`, pivoting
 /// its columnar output when that is the only one present. When this node's
-/// consumer is the last one, the batch is consumed so string payloads move;
-/// otherwise it is copied and the batch stays shared for later consumers.
+/// consumer is the last one and the node is not kept, the batch is consumed
+/// so string payloads move; otherwise it is copied and the batch stays
+/// shared for later consumers.
 /// Missing nodes are left missing — the caller's input lookup reports them
 /// with the usual "neither executed nor provided" error.
 fn ensure_rows(
@@ -870,12 +911,12 @@ fn ensure_rows(
     col_outputs: &mut HashMap<NodeId, Arc<ColBatch>>,
     pending: &HashMap<NodeId, usize>,
     id: NodeId,
-    root: NodeId,
+    kept: &dyn Fn(NodeId) -> bool,
 ) {
     if outputs.contains_key(&id) || !col_outputs.contains_key(&id) {
         return;
     }
-    let last = id != root && pending.get(&id).copied() == Some(1);
+    let last = !kept(id) && pending.get(&id).copied() == Some(1);
     let rows = if last {
         let arc = col_outputs.remove(&id).expect("checked above");
         Arc::try_unwrap(arc)
@@ -1023,17 +1064,16 @@ impl TakenInput {
 }
 
 /// Fetches input `idx` of `node` for row-consuming operators. When the
-/// executing subset retains only the root and this node is the input's last
-/// consumer, the entry leaves the output map here — and if the `Arc` is
-/// uniquely owned (nobody `provided` it and holds a copy), the rows
-/// themselves are taken, enabling clone-free `Filter`/`Sort`/`Limit`.
+/// input is not kept and this node is its last consumer, the entry leaves
+/// the output map here — and if the `Arc` is uniquely owned (nobody
+/// `provided` it and holds a copy), the rows themselves are taken,
+/// enabling clone-free `Filter`/`Sort`/`Limit`.
 fn take_input(
     outputs: &mut HashMap<NodeId, Arc<Vec<Row>>>,
     pending: &HashMap<NodeId, usize>,
     node: &miso_plan::PlanNode,
     idx: usize,
-    opts: ExecOptions,
-    root: NodeId,
+    kept: &dyn Fn(NodeId) -> bool,
 ) -> Result<TakenInput> {
     let id = node.inputs[idx];
     let missing = || {
@@ -1042,7 +1082,7 @@ fn take_input(
             node.id, id
         ))
     };
-    let consumable = opts.retain_root_only && id != root && pending.get(&id).copied() == Some(1);
+    let consumable = !kept(id) && pending.get(&id).copied() == Some(1);
     if consumable {
         let arc = outputs.remove(&id).ok_or_else(missing)?;
         Ok(match Arc::try_unwrap(arc) {
@@ -2200,7 +2240,7 @@ mod tests {
     }
 
     #[test]
-    fn retain_root_only_matches_full_retention_at_the_root() {
+    fn root_only_retention_matches_full_retention_at_the_root() {
         let (plan, src) = steal_pipeline();
         let udfs = UdfRegistry::new();
         let full = execute(&plan, &src, &udfs).unwrap();
@@ -2211,7 +2251,7 @@ mod tests {
             &src,
             &udfs,
             ExecOptions {
-                retain_root_only: true,
+                retain: Retention::ROOT_ONLY,
                 ..ExecOptions::default()
             },
         )
@@ -2225,6 +2265,20 @@ mod tests {
         assert_eq!(lean.executed_nodes().count(), full.executed_nodes().count());
         // Full retention keeps everything observable (harvest contract).
         assert!(full.try_output(NodeId(0)).is_some());
+    }
+
+    #[test]
+    fn retained_output_errors_on_a_released_node() {
+        let (plan, src) = steal_pipeline();
+        let lean = run_opts(&plan, &src, lean(false));
+        assert_eq!(
+            lean.retained_output(plan.root()).unwrap().as_slice(),
+            lean.root_rows().unwrap()
+        );
+        let err = lean.retained_output(NodeId(1)).unwrap_err();
+        assert!(matches!(err, MisoError::Execution(_)), "{err:?}");
+        assert!(err.to_string().contains("node n1"), "{err}");
+        assert!(err.to_string().contains("output not retained"), "{err}");
     }
 
     #[test]
@@ -2246,14 +2300,14 @@ mod tests {
     }
 
     /// Root-only retention with `columnar` explicitly set.
-    fn lean(columnar: bool) -> ExecOptions {
+    fn lean(columnar: bool) -> ExecOptions<'static> {
         ExecOptions {
-            retain_root_only: true,
+            retain: Retention::ROOT_ONLY,
             columnar,
         }
     }
 
-    fn run_opts(plan: &LogicalPlan, src: &MemSource, opts: ExecOptions) -> Execution {
+    fn run_opts(plan: &LogicalPlan, src: &MemSource, opts: ExecOptions<'_>) -> Execution {
         execute_subset_opts(plan, None, HashMap::new(), src, &UdfRegistry::new(), opts).unwrap()
     }
 

@@ -14,9 +14,10 @@
 //!   toggle, the morsel-at-a-time expression evaluator over
 //!   [`miso_data::ColBatch`], and the fused scan+project line parser;
 //! * [`engine`] — the morsel-parallel operator interpreter (miso-vex):
-//!   executes a plan DAG over a [`engine::DataSource`], materializing every
-//!   node's output (the materialization behaviour that yields opportunistic
-//!   views) unless the caller opts into root-only retention;
+//!   executes a plan DAG over a [`engine::DataSource`], keeping every
+//!   node's output unless the caller names the set it will read
+//!   ([`Retention`]: HV keeps the stage outputs that become opportunistic
+//!   views, DW only the root);
 //! * [`serial`] — the original row-at-a-time interpreter, preserved as the
 //!   differential-testing oracle and benchmark baseline.
 
@@ -29,7 +30,7 @@ pub mod serial;
 pub mod udf;
 
 pub use engine::{
-    execute_subset_guarded, DataSource, ExecOptions, Execution, MemSource, MORSEL_SIZE,
+    execute_subset_guarded, DataSource, ExecOptions, Execution, MemSource, Retention, MORSEL_SIZE,
 };
 pub use ivm::{apply_projection, AggApplied, AggState, FoldOutcome};
 pub use profile::OpProfile;

@@ -8,7 +8,7 @@ use miso_common::{ByteSize, MisoError, Result, SimDuration};
 use miso_data::checksum::{checksum_rows, corrupt_first_row, Checksum};
 use miso_data::logs::LogFile;
 use miso_data::{Row, Schema};
-use miso_exec::engine::{execute_subset_guarded, DataSource, ExecOptions, Execution};
+use miso_exec::engine::{execute_subset_guarded, DataSource, ExecOptions, Execution, Retention};
 use miso_exec::UdfRegistry;
 use miso_plan::estimate::MapStats;
 use miso_plan::{LogicalPlan, Operator};
@@ -44,7 +44,9 @@ pub struct MaterializedOutput {
 /// The result of executing (part of) a plan in HV.
 #[derive(Debug)]
 pub struct HvRun {
-    /// Row-level results for every executed node.
+    /// Row counts for every executed node; rows only for what HV harvests
+    /// (stage outputs, map-side filter spills) and the caller's extra
+    /// nodes — see [`HvStore::execute_retaining`].
     pub execution: Execution,
     /// Total simulated cost (sum of stage costs).
     pub cost: SimDuration,
@@ -265,6 +267,25 @@ impl HvStore {
         udfs: &UdfRegistry,
         guard: &QueryGuard,
     ) -> Result<HvRun> {
+        self.execute_retaining(plan, subset, udfs, guard, &[])
+    }
+
+    /// [`HvStore::execute_guarded`] that also keeps the rows of the `extra`
+    /// nodes. A Hadoop job writes its output to HDFS and spills its
+    /// map-side filter; every other operator's result is pipelined and gone
+    /// when the job ends. So the run keeps exactly the stage outputs (every
+    /// cut node and the sub-plan result are among them) and the in-subset
+    /// `Filter` outputs — what is charged by size and harvested — and a
+    /// caller that needs an interior output (view maintenance capturing a
+    /// join build side) names it here.
+    pub fn execute_retaining(
+        &self,
+        plan: &LogicalPlan,
+        subset: Option<&HashSet<NodeId>>,
+        udfs: &UdfRegistry,
+        guard: &QueryGuard,
+        extra: &[NodeId],
+    ) -> Result<HvRun> {
         let mut obs = miso_obs::span("hv.execute");
         // Fault injection: one relaxed atomic load when chaos is disabled.
         let mut chaos_slow = 1.0f64;
@@ -299,9 +320,25 @@ impl HvStore {
             }
         }
         let stages = compile_stages(plan, subset, &HashSet::new());
-        // Full retention is load-bearing here: every stage boundary below is
-        // both charged by size and harvested as an opportunistic view, so HV
-        // must keep all node outputs (never `retain_root_only`).
+        // What HV harvests, in `materialized` order: the job outputs, then
+        // the map-phase by-products — a Filter's output is the map output
+        // spilled for the shuffle of its consuming job; Hadoop materializes
+        // these too, and [15] harvests them alongside job outputs.
+        let stage_outputs: Vec<NodeId> = stages.iter().map(|st| st.output).collect();
+        let spills = plan.nodes().iter().filter(|n| {
+            matches!(n.op, Operator::Filter { .. })
+                && subset.is_none_or(|s| s.contains(&n.id))
+                && !stage_outputs.contains(&n.id)
+        });
+        let harvest: Vec<NodeId> = stage_outputs
+            .iter()
+            .copied()
+            .chain(spills.map(|n| n.id))
+            .collect();
+        // The retention set is the harvest: stage costs below read sizes of
+        // stage outputs only and row counts (which survive release) of
+        // everything else, so what is not kept here is never looked at.
+        let keep = [harvest.as_slice(), extra].concat();
         let execution = execute_subset_guarded(
             plan,
             subset,
@@ -309,15 +346,14 @@ impl HvStore {
             self,
             udfs,
             ExecOptions {
-                retain_root_only: false,
+                retain: Retention::Only(&keep),
                 ..ExecOptions::default()
             },
             guard,
         )?;
         let mut cost = SimDuration::ZERO;
         let mut stage_costs = Vec::with_capacity(stages.len());
-        let mut materialized = Vec::with_capacity(stages.len());
-        let mut stage_outputs: HashSet<NodeId> = HashSet::new();
+        let mut materialized = Vec::with_capacity(harvest.len());
         for stage in &stages {
             let mut c = self.charge_stage(plan, stage, &execution)?;
             if chaos_slow != 1.0 {
@@ -326,34 +362,14 @@ impl HvStore {
             }
             stage_costs.push(c);
             cost += c;
-            let node = plan.node(stage.output);
-            stage_outputs.insert(stage.output);
-            materialized.push(MaterializedOutput {
-                node: stage.output,
-                rows: execution.output(stage.output).clone(),
-                schema: node.schema.clone(),
-                size: execution.output_bytes(stage.output),
-            });
         }
-        // Map-phase by-products: a Filter's output is the map output spilled
-        // for the shuffle of its consuming job — Hadoop materializes these
-        // too, and [15] harvests them alongside job outputs.
-        for node in plan.nodes() {
-            let in_subset = subset.is_none_or(|s| s.contains(&node.id));
-            if !in_subset
-                || stage_outputs.contains(&node.id)
-                || !matches!(node.op, Operator::Filter { .. })
-            {
-                continue;
-            }
-            if let Some(rows) = execution.try_output(node.id) {
-                materialized.push(MaterializedOutput {
-                    node: node.id,
-                    rows: rows.clone(),
-                    schema: node.schema.clone(),
-                    size: execution.output_bytes(node.id),
-                });
-            }
+        for &id in &harvest {
+            materialized.push(MaterializedOutput {
+                node: id,
+                rows: execution.retained_output(id)?.clone(),
+                schema: plan.node(id).schema.clone(),
+                size: execution.output_bytes(id),
+            });
         }
         if hog_factor > 1.0 && guard.is_active() {
             // Injected memory hog: transiently charge (factor - 1)× the
@@ -413,10 +429,7 @@ impl HvStore {
                 }
                 _ => {}
             }
-            rows_processed += exec
-                .try_output(id)
-                .map(|rows| rows.len() as u64)
-                .unwrap_or(0);
+            rows_processed += exec.rows_out(id).unwrap_or(0);
         }
         for &up in &stage.upstream {
             bytes_in += exec.output_bytes(up);

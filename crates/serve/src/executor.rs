@@ -202,7 +202,7 @@ impl SnapExecutor {
                 .execute_guarded(plan, Some(&hv_set), &self.udfs, &meter)?;
             hv_cost = run.cost;
             for cut in planned.split.cut_nodes(plan) {
-                let rows = run.execution.output(cut).clone();
+                let rows = run.execution.retained_output(cut)?.clone();
                 let bytes = run.execution.output_bytes(cut);
                 bytes_transferred += bytes;
                 cut_costs.push(

@@ -306,11 +306,27 @@ impl QueryXray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use miso_exec::engine::{execute, MemSource};
+    use miso_exec::engine::{execute, Execution, MemSource};
     use miso_exec::UdfRegistry;
     use miso_lang::{compile, Catalog};
     use miso_optimizer::optimize::{optimize, Design, OptimizerEnv};
     use miso_plan::estimate::{estimate_plan, MapStats};
+    use miso_plan::LogicalPlan;
+    use std::sync::Mutex;
+
+    /// Executes `plan` with per-operator profiling forced on or off.
+    /// `miso_exec::profile::set_enabled` is process-global and the harness
+    /// runs tests on parallel threads, so the flip, the run and the restore
+    /// happen under one lock.
+    fn execute_profiled(on: bool, plan: &LogicalPlan, source: &MemSource) -> Execution {
+        static FLAG: Mutex<()> = Mutex::new(());
+        let _flag = FLAG.lock().unwrap_or_else(|e| e.into_inner());
+        let was = miso_exec::profile::enabled();
+        miso_exec::profile::set_enabled(on);
+        let exec = execute(plan, source, &UdfRegistry::new());
+        miso_exec::profile::set_enabled(was);
+        exec.unwrap()
+    }
 
     fn lines(n: usize) -> Vec<String> {
         (0..n)
@@ -355,10 +371,7 @@ mod tests {
     #[test]
     fn explain_analyze_renders_pred_and_act_per_node() {
         let (planned, est, source) = build();
-        let was = miso_exec::profile::enabled();
-        miso_exec::profile::set_enabled(true);
-        let exec = execute(&planned.plan, &source, &UdfRegistry::new()).unwrap();
-        miso_exec::profile::set_enabled(was);
+        let exec = execute_profiled(true, &planned.plan, &source);
         let x = analyze(
             "q1",
             &planned,
@@ -397,10 +410,7 @@ mod tests {
     #[test]
     fn explain_analyze_without_profiles_still_shows_rows() {
         let (planned, est, source) = build();
-        let was = miso_exec::profile::enabled();
-        miso_exec::profile::set_enabled(false);
-        let exec = execute(&planned.plan, &source, &UdfRegistry::new()).unwrap();
-        miso_exec::profile::set_enabled(was);
+        let exec = execute_profiled(false, &planned.plan, &source);
         assert!(exec.profiles().is_empty());
         let x = analyze(
             "q2",

@@ -131,10 +131,7 @@ fn run_guarded(
         HashMap::new(),
         src,
         &UdfRegistry::new(),
-        ExecOptions {
-            retain_root_only: false,
-            ..ExecOptions::default()
-        },
+        ExecOptions::default(),
         guard,
     )
 }
