@@ -142,11 +142,16 @@ fn main() {
         }
     }
 
-    // --- tunerbench: match configs by (views, queries).
+    // --- tunerbench: match configs by (mode, views, queries).
     if let Some((smoke, base)) = pair("results/tunerbench.report.json", "BENCH_tuner.json") {
         let base_cfgs = configs(&base);
         let key = |c: &Value| -> Option<String> {
-            Some(format!("v{} q{}", num(c, "views")?, num(c, "queries")?))
+            Some(format!(
+                "{} v{} q{}",
+                c.get_field("mode").and_then(Value::as_str)?,
+                num(c, "views")?,
+                num(c, "queries")?
+            ))
         };
         let smoke_keys: BTreeSet<String> = configs(&smoke).iter().filter_map(|c| key(c)).collect();
         // Smoke tuner sweeps are a deliberate subset of the baselined grid,
@@ -158,32 +163,26 @@ fn main() {
             violations += 1;
         }
         for cfg in configs(&smoke) {
-            let (Some(views), Some(queries)) = (num(cfg, "views"), num(cfg, "queries")) else {
-                continue;
-            };
-            let Some(speedup) = num(cfg, "speedup") else {
+            let (Some(name), Some(speedup)) = (key(cfg), num(cfg, "speedup")) else {
                 continue;
             };
             if cfg.get_field("designs_match") == Some(&Value::Bool(false)) {
-                eprintln!("benchguard: tuner v{views} q{queries}: designs diverged");
+                eprintln!("benchguard: tuner {name}: designs diverged");
                 violations += 1;
             }
             let baseline = base_cfgs
                 .iter()
-                .find(|b| num(b, "views") == Some(views) && num(b, "queries") == Some(queries))
+                .find(|b| key(b).as_ref() == Some(&name))
                 .and_then(|b| num(b, "speedup"));
             let Some(baseline) = baseline else {
-                println!(
-                    "benchguard: tuner v{views} q{queries}: no matching baseline config; \
-                         skipping"
-                );
+                println!("benchguard: tuner {name}: no matching baseline config; skipping");
                 continue;
             };
             compared += 1;
             let floor = baseline * tol;
             let ok = speedup >= floor;
             println!(
-                "benchguard: tuner v{views} q{queries}: smoke {speedup:.2}x vs baseline \
+                "benchguard: tuner {name}: smoke {speedup:.2}x vs baseline \
                      {baseline:.2}x (floor {floor:.2}x) {}",
                 if ok { "ok" } else { "REGRESSION" }
             );

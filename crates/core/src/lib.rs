@@ -39,5 +39,5 @@ pub use maintenance::{MaintAction, MaintDecision, MaintenancePolicy, Maintenance
 pub use metrics::{ExperimentResult, QueryFailure, QueryRecord, TtiBreakdown};
 pub use reorg::{JournalEntry, ReorgJournal, ReorgPlan};
 pub use system::{GrowthConfig, GuardConfig, MultistoreSystem, SystemConfig};
-pub use tuner::{MisoTuner, NewDesign, TunerConfig};
+pub use tuner::{MisoTuner, NewDesign, TunerConfig, WhatIfStats, WHATIF_MEMO_CAP};
 pub use variants::Variant;

@@ -245,6 +245,10 @@ pub struct MultistoreSystem {
     /// sides, aggregate fold state). Populated lazily by Refresh-policy
     /// maintenance; views without entries simply rebuild on first refresh.
     pub(crate) ivm_state: HashMap<String, crate::maintenance::IvmViewState>,
+    /// The tuner every reorganization of this system runs — the stream
+    /// driver's and `reorg_now`'s alike — so its what-if memo lives as long
+    /// as the views and logs its entries are keyed by.
+    tuner: MisoTuner,
 }
 
 impl MultistoreSystem {
@@ -272,7 +276,15 @@ impl MultistoreSystem {
         let dw_breaker = CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown);
         let guard_breaker =
             CircuitBreaker::new(config.guard.shed_threshold, config.guard.shed_cooldown);
+        let tuner = MisoTuner::new(TunerConfig {
+            budgets: config.budgets,
+            history_len: config.history_len,
+            epoch_len: config.epoch_len,
+            decay: config.decay,
+            doi_threshold: config.doi_threshold,
+        });
         MultistoreSystem {
+            tuner,
             hv,
             dw: DwStore::new(),
             catalog: ViewCatalog::new(),
@@ -346,14 +358,13 @@ impl MultistoreSystem {
         window: &[LogicalPlan],
         clock: &mut SimClock,
     ) -> Result<ReorgRecord> {
-        let tuner = MisoTuner::new(TunerConfig {
-            budgets: self.config.budgets,
-            history_len: self.config.history_len,
-            epoch_len: self.config.epoch_len,
-            decay: self.config.decay,
-            doi_threshold: self.config.doi_threshold,
-        });
-        self.apply_tuner(&tuner, window, clock)
+        self.apply_tuner(window, clock)
+    }
+
+    /// The tuner this system reorganizes with (its what-if memo statistics
+    /// are how a caller sees whether probes are being reused).
+    pub fn tuner(&self) -> &MisoTuner {
+        &self.tuner
     }
 
     /// The live predicted-vs-actual drift accumulator (since the last
@@ -592,13 +603,6 @@ impl MultistoreSystem {
         clock: &mut SimClock,
         result: &mut ExperimentResult,
     ) -> Result<()> {
-        let tuner = MisoTuner::new(TunerConfig {
-            budgets: self.config.budgets,
-            history_len: self.config.history_len,
-            epoch_len: self.config.epoch_len,
-            decay: self.config.decay,
-            doi_threshold: self.config.doi_threshold,
-        });
         let mut history: Vec<LogicalPlan> = Vec::new();
 
         for (i, (label, raw)) in queries.iter().enumerate() {
@@ -647,7 +651,7 @@ impl MultistoreSystem {
                     self.apply_calibration(&calib);
                 }
                 result.calibrations.push(calib);
-                let reorg = self.apply_tuner(&tuner, &window, clock)?;
+                let reorg = self.apply_tuner(&window, clock)?;
                 result.tti.tune += reorg.duration;
                 result.reorgs.push(reorg);
                 // Between-epoch integrity audit: invariants plus a
@@ -1254,12 +1258,7 @@ impl MultistoreSystem {
 
     /// Runs one reorganization phase: compute the new design and migrate
     /// views accordingly, charging TUNE time.
-    fn apply_tuner(
-        &mut self,
-        tuner: &MisoTuner,
-        window: &[LogicalPlan],
-        clock: &mut SimClock,
-    ) -> Result<ReorgRecord> {
+    fn apply_tuner(&mut self, window: &[LogicalPlan], clock: &mut SimClock) -> Result<ReorgRecord> {
         let mut obs = miso_obs::span("tuner.reorg");
         miso_obs::count("tuner.reorgs", 1);
         let start = clock.now();
@@ -1278,7 +1277,7 @@ impl MultistoreSystem {
         // need full recomputation. Without growth the map is empty and the
         // tuner's arithmetic is untouched.
         let maint_cost = self.maintenance_costs();
-        let mut new_design = tuner.tune_with_maintenance(
+        let mut new_design = self.tuner.tune_with_maintenance(
             &tune_hv,
             &current_dw,
             &self.catalog,

@@ -23,13 +23,17 @@ use miso_common::{Budgets, ByteSize};
 use miso_dw::DwCostModel;
 use miso_hv::HvCostModel;
 use miso_optimizer::cost::TransferModel;
-use miso_optimizer::optimize::{what_if_cost, Design, OptimizerEnv};
-use miso_plan::estimate::MapStats;
-use miso_plan::fingerprint::{fingerprint_plan, fnv1a_str, fnv1a_words, parse_view_fingerprint};
+use miso_optimizer::optimize::{what_if_cost, what_if_plan_cost, Design, OptimizerEnv};
+use miso_plan::estimate::{MapStats, SizeEstimate};
+use miso_plan::fingerprint::{fingerprint_plan, fnv1a_str, fnv1a_words};
 use miso_plan::LogicalPlan;
-use miso_views::{analyze_candidates, decay_weights, AnalysisConfig, ViewCatalog, ViewInfo};
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{Arc, Mutex, OnceLock};
+use miso_views::{
+    analyze_candidates, decay_weights, rewrite_with_catalog, rewrite_with_views, AnalysisConfig,
+    ViewCatalog, ViewInfo,
+};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Tuner parameters.
 #[derive(Debug, Clone)]
@@ -86,62 +90,401 @@ fn tuner_debug() -> bool {
     *DEBUG.get_or_init(|| std::env::var_os("MISO_TUNER_DEBUG").is_some())
 }
 
-/// Cross-epoch memo of what-if probe results.
-///
-/// Keys are `(plan fingerprint, view-set digest)` — both stable semantic
-/// identities (`miso_plan::fingerprint`), so a probe cached in one epoch
-/// serves every later epoch whose sliding window still contains the same
-/// query, regardless of how the candidate universe was renumbered. The
-/// `stamp` folds every input a probe's value depends on (stats, catalog,
-/// cost models, transfer model); when any of them changes the whole memo is
-/// flushed before use, so a stale cost can never be served.
+/// Most entries the what-if memo holds once a `tune` call has returned.
+/// One reorganization of the 32-template stream adds a few hundred, and a
+/// query comes back within a dozen epochs, so half of this is still several
+/// times what the stream can reuse; a memo that outgrows it sheds its
+/// oldest generations (see `WhatIfMemo::evict`).
+pub const WHATIF_MEMO_CAP: usize = 1 << 14;
+
+/// What the what-if memo did, as counts of probes. Every probe asked is
+/// exactly one of: a hit, unused, costed, or answered from a costing that
+/// another view set of the same query had already paid for.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WhatIfStats {
+    /// Probes asked (`tuner.whatif_calls`).
+    pub probes: u64,
+    /// Probes answered from the memo, without rewriting or costing
+    /// (`tuner.whatif_cache_hits`).
+    pub hits: u64,
+    /// Probes whose rewrite used no view of the set, so the answer was the
+    /// query's no-view cost (`tuner.whatif_unused`).
+    pub unused: u64,
+    /// Plans costed: rewritten ones, and each query's no-view base
+    /// (`tuner.whatif_costed`).
+    pub costed: u64,
+    /// Entries evicted to keep the memo under [`WHATIF_MEMO_CAP`].
+    pub evicted: u64,
+}
+
+/// One memoised value. The lock is held to find or create the slot, never
+/// while the value is computed: whoever gets there first fills the
+/// `OnceLock` and concurrent askers of the same key wait for it, so each
+/// distinct key is computed exactly once whatever the thread count.
 #[derive(Debug, Default)]
-struct WhatIfCache {
-    /// Digest of the probe-relevant tuner inputs the memo was filled under.
-    stamp: u64,
-    /// `(plan fingerprint, view-set digest) → what-if cost (secs)`.
-    costs: HashMap<(u64, u64), f64>,
+struct Slot {
+    value: Arc<OnceLock<f64>>,
+    /// The generation (`tune` call) that last asked for this entry.
+    touched: u64,
+}
+
+/// Cross-epoch memo of what-if results, keyed by what a probe reads.
+///
+/// A probe `(q, S)` — the cost of history query `q` under the hypothetical
+/// design holding the views `S` in both stores — equals
+/// `min(cost(q), cost(rewrite(q, S)))`: for such a design the optimizer's
+/// rewrite variants collapse to {no views, `S`} and every split of either
+/// plan is feasible. The memo therefore holds two kinds of entry under one
+/// map (the second word of a key is tagged by kind):
+///
+/// * **costings**, `(query key, ordered used-view list)` → cost of the
+///   cheapest split of `q` rewritten that way; the empty list is `q`'s
+///   no-view base. Each rewrite step is a function of the plan and the view
+///   it consumes, so the ordered list of consumed views pins the rewritten
+///   plan, and every `S` that rewrites `q` the same way shares one costing.
+/// * **probes**, `(query key, view set)` → the probe's value, so a repeat
+///   probe skips the rewrite as well.
+///
+/// A *query key* digests the plan fingerprint, the (rows, bytes) of each
+/// log the plan scans and the version of the models; a view contributes its name, defining fingerprint and
+/// the (rows, bytes) the estimator reads for it. Nothing else varies a
+/// probe's value except the cost and transfer models, which are compared as
+/// a whole: a change there flushes the memo. Registering or dropping an
+/// unrelated view, or growing a log a query does not scan, evicts nothing.
+#[derive(Debug)]
+struct WhatIfMemo {
+    /// The models every entry was computed under.
+    models: Option<(HvCostModel, DwCostModel, TransferModel)>,
+    /// How many times the models have changed. Part of every query key, so
+    /// a prober begun under superseded models (a clone tuning concurrently)
+    /// can neither read nor feed the entries of the current ones.
+    models_version: u64,
+    /// Generation counter, bumped by every prober.
+    generation: u64,
+    slots: HashMap<(u64, u64), Slot>,
+    /// Entry bound enforced by [`WhatIfMemo::evict`].
+    cap: usize,
+    totals: WhatIfStats,
+}
+
+impl Default for WhatIfMemo {
+    fn default() -> Self {
+        WhatIfMemo {
+            models: None,
+            models_version: 0,
+            generation: 0,
+            slots: HashMap::new(),
+            cap: WHATIF_MEMO_CAP,
+            totals: WhatIfStats::default(),
+        }
+    }
+}
+
+impl WhatIfMemo {
+    /// Starts a generation under the given models, flushing every entry if
+    /// any model constant differs from the one the memo was filled under.
+    /// Returns the generation and the models' version.
+    fn begin(
+        &mut self,
+        hv: &HvCostModel,
+        dw: &DwCostModel,
+        transfer: &TransferModel,
+    ) -> (u64, u64) {
+        let same = self
+            .models
+            .as_ref()
+            .is_some_and(|(h, d, t)| h == hv && d == dw && t == transfer);
+        if !same {
+            self.slots.clear();
+            self.models = Some((hv.clone(), dw.clone(), transfer.clone()));
+            self.models_version += 1;
+        }
+        self.generation += 1;
+        (self.generation, self.models_version)
+    }
+
+    /// Once the memo has outgrown its cap, keeps the newest generations
+    /// that together fit in half of it and drops the rest (everything, if
+    /// the newest alone does not fit) — half, so that the scan is paid once
+    /// per `cap / 2` new entries, not once per call. Returns how many
+    /// entries went.
+    fn evict(&mut self) -> u64 {
+        if self.slots.len() <= self.cap {
+            return 0;
+        }
+        let mut per_generation: BTreeMap<u64, usize> = BTreeMap::new();
+        for slot in self.slots.values() {
+            *per_generation.entry(slot.touched).or_default() += 1;
+        }
+        let mut kept = 0usize;
+        let mut cutoff = self.generation + 1;
+        for (&generation, &n) in per_generation.iter().rev() {
+            if kept + n > self.cap / 2 {
+                break;
+            }
+            kept += n;
+            cutoff = generation;
+        }
+        let before = self.slots.len();
+        self.slots.retain(|_, slot| slot.touched >= cutoff);
+        (before - self.slots.len()) as u64
+    }
+}
+
+/// Key tags: a probe entry and a costing entry of one query never collide.
+const PROBE_TAG: u64 = 1;
+const COSTING_TAG: u64 = 2;
+
+/// The key words of one size statistic (absent ≠ any present value).
+fn stat_words(est: Option<SizeEstimate>) -> [u64; 3] {
+    match est {
+        Some(e) => [1, e.rows.to_bits(), e.bytes.to_bits()],
+        None => [0, 0, 0],
+    }
+}
+
+/// The what-if probe of one `tune` call (or one [`MisoTuner::probe`]):
+/// the window's query keys, the optimizer inputs, and a tally of what the
+/// memo did.
+struct Prober<'a> {
+    /// `None` on the reference path (`with_whatif_cache(false)`).
+    memo: Option<&'a Mutex<WhatIfMemo>>,
+    generation: u64,
+    env: &'a OptimizerEnv<'a>,
+    window: &'a [&'a LogicalPlan],
+    /// Per window position; equal plans share a key, hence their entries.
+    query_keys: Vec<u64>,
+    probes: AtomicU64,
+    hits: AtomicU64,
+    unused: AtomicU64,
+    costed: AtomicU64,
+}
+
+impl<'a> Prober<'a> {
+    fn new(tuner: &'a MisoTuner, window: &'a [&'a LogicalPlan], env: &'a OptimizerEnv<'a>) -> Self {
+        let memo = tuner.cache_enabled.then_some(&*tuner.whatif);
+        let (generation, models_version) =
+            memo.map_or((0, 0), |m| lock(m).begin(env.hv, env.dw, env.transfer));
+        // The reference path keys nothing.
+        let key_of = |plan: &&LogicalPlan| {
+            let logs = plan.base_logs();
+            fnv1a_words(
+                [models_version, fingerprint_plan(plan).0]
+                    .into_iter()
+                    .chain(logs.iter().flat_map(|log| {
+                        let [present, rows, bytes] = stat_words(env.stats.log_stats(log));
+                        [fnv1a_str(log), present, rows, bytes]
+                    })),
+            )
+        };
+        let query_keys = match memo {
+            Some(_) => window.iter().map(key_of).collect(),
+            None => Vec::new(),
+        };
+        Prober {
+            memo,
+            generation,
+            env,
+            window,
+            query_keys,
+            probes: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            unused: AtomicU64::new(0),
+            costed: AtomicU64::new(0),
+        }
+    }
+
+    /// Digest of a view list under `tag`: per view its name, defining
+    /// fingerprint and the statistics the estimator reads for it.
+    fn views_key<'v>(&self, tag: u64, views: impl Iterator<Item = &'v String>) -> u64 {
+        fnv1a_words(std::iter::once(tag).chain(views.flat_map(|name| {
+            let def_fp = self
+                .env
+                .catalog
+                .and_then(|c| c.get(name))
+                .map_or(0, |def| def.fingerprint.0);
+            let [present, rows, bytes] = stat_words(self.env.stats.view_stats(name));
+            [fnv1a_str(name), def_fp, present, rows, bytes]
+        })))
+    }
+
+    /// Finds or creates the memo slot for `key`, marking it as used by this
+    /// generation.
+    fn slot(&self, memo: &Mutex<WhatIfMemo>, key: (u64, u64)) -> Arc<OnceLock<f64>> {
+        let mut memo = lock(memo);
+        let slot = memo.slots.entry(key).or_default();
+        slot.touched = self.generation;
+        slot.value.clone()
+    }
+
+    /// The memoised cost of query `q` rewritten by consuming `used` in
+    /// order (`plan` is that rewritten plan; `q` itself when `used` is
+    /// empty). Returns the cost and whether this call paid for it.
+    fn costing(
+        &self,
+        memo: &Mutex<WhatIfMemo>,
+        q: usize,
+        used: &[String],
+        plan: &LogicalPlan,
+        design: &Design,
+    ) -> (f64, bool) {
+        let key = (self.query_keys[q], self.views_key(COSTING_TAG, used.iter()));
+        let mut paid = false;
+        let cost = *self.slot(memo, key).get_or_init(|| {
+            paid = true;
+            self.costed.fetch_add(1, Ordering::Relaxed);
+            what_if_plan_cost(plan, design, self.env).as_secs_f64()
+        });
+        (cost, paid)
+    }
+
+    /// What-if cost (simulated seconds) of window query `q` under the
+    /// hypothetical design holding exactly `set` in both stores.
+    fn cost(&self, q: usize, set: &BTreeSet<String>) -> f64 {
+        self.probes.fetch_add(1, Ordering::Relaxed);
+        let raw = self.window[q];
+        let symmetric = || {
+            let views: HashSet<String> = set.iter().cloned().collect();
+            Design {
+                hv_views: views.clone(),
+                dw_views: views,
+            }
+        };
+        let Some(memo) = self.memo else {
+            return what_if_cost(raw, &symmetric(), self.env).as_secs_f64();
+        };
+        if set.is_empty() {
+            let (base, paid) = self.costing(memo, q, &[], raw, &Design::new());
+            if !paid {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+            }
+            return base;
+        }
+        let key = (self.query_keys[q], self.views_key(PROBE_TAG, set.iter()));
+        let mut asked = false;
+        let value = *self.slot(memo, key).get_or_init(|| {
+            asked = true;
+            let base = self.costing(memo, q, &[], raw, &Design::new()).0;
+            let design = symmetric();
+            let rewrite = match self.env.catalog {
+                Some(catalog) => rewrite_with_catalog(raw, &design.hv_views, catalog),
+                None => rewrite_with_views(raw, &design.hv_views),
+            };
+            if rewrite.used.is_empty() {
+                self.unused.fetch_add(1, Ordering::Relaxed);
+                return base;
+            }
+            let rewritten = self
+                .costing(memo, q, &rewrite.used, &rewrite.plan, &design)
+                .0;
+            base.min(rewritten)
+        });
+        if !asked {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        value
+    }
+
+    /// Closes the generation: bounds the memo, publishes the counters, and
+    /// returns this prober's tally with the memo length after eviction.
+    fn finish(self) -> (WhatIfStats, usize) {
+        let mut stats = WhatIfStats {
+            probes: self.probes.into_inner(),
+            hits: self.hits.into_inner(),
+            unused: self.unused.into_inner(),
+            costed: self.costed.into_inner(),
+            evicted: 0,
+        };
+        let mut memo_len = 0;
+        if let Some(memo) = self.memo {
+            let mut memo = lock(memo);
+            stats.evicted = memo.evict();
+            memo_len = memo.slots.len();
+            let totals = &mut memo.totals;
+            totals.probes += stats.probes;
+            totals.hits += stats.hits;
+            totals.unused += stats.unused;
+            totals.costed += stats.costed;
+            totals.evicted += stats.evicted;
+        }
+        miso_obs::count("tuner.whatif_calls", stats.probes);
+        miso_obs::count("tuner.whatif_cache_hits", stats.hits);
+        miso_obs::count("tuner.whatif_unused", stats.unused);
+        miso_obs::count("tuner.whatif_costed", stats.costed);
+        (stats, memo_len)
+    }
+}
+
+/// Locks the memo. Its values are write-once and its bookkeeping is valid
+/// after every statement, so a poisoned lock still guards a usable memo.
+fn lock(memo: &Mutex<WhatIfMemo>) -> MutexGuard<'_, WhatIfMemo> {
+    memo.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// The MISO tuner.
 ///
-/// Cloning shares the cross-epoch what-if cache (it is a memo of pure
-/// probe results, so sharing is always sound).
+/// Cloning shares the cross-epoch what-if memo (it is a memo of pure probe
+/// results, so sharing is always sound). A tuner is meant to live as long
+/// as the system it tunes: `MultistoreSystem` owns one, and every
+/// reorganization — the stream driver's and the serving layer's alike —
+/// probes through it.
 #[derive(Debug, Clone)]
 pub struct MisoTuner {
     /// Configuration.
     pub config: TunerConfig,
     /// Cross-epoch what-if memo, shared across clones.
-    whatif: Arc<Mutex<WhatIfCache>>,
-    /// Master switch for the cross-epoch memo (the per-epoch memo inside
-    /// `analyze_candidates` is always on).
+    whatif: Arc<Mutex<WhatIfMemo>>,
+    /// Off = the reference path: every probe a plain `what_if_cost` (the
+    /// per-epoch memo inside `analyze_candidates` is always on).
     cache_enabled: bool,
 }
 
 impl MisoTuner {
-    /// Creates a tuner (cross-epoch what-if caching on).
+    /// Creates a tuner (cross-epoch what-if memo on).
     pub fn new(config: TunerConfig) -> Self {
         MisoTuner {
             config,
-            whatif: Arc::new(Mutex::new(WhatIfCache::default())),
+            whatif: Arc::new(Mutex::new(WhatIfMemo::default())),
             cache_enabled: true,
         }
     }
 
-    /// Enables or disables the cross-epoch what-if cache (builder style).
-    /// The serial baseline of `tunerbench` and the equivalence tests use
-    /// this to compare cached and uncached tuning.
+    /// Enables or disables the what-if memo and the delta probe with it
+    /// (builder style). Disabled, every probe is a full
+    /// `what_if_cost(q, design(S))`: the reference the equivalence tests
+    /// and `tunerbench`'s serial side compare against.
     pub fn with_whatif_cache(mut self, enabled: bool) -> Self {
         self.cache_enabled = enabled;
         if !enabled {
-            self.whatif.lock().unwrap().costs.clear();
+            lock(&self.whatif).slots.clear();
         }
         self
     }
 
-    /// Number of cross-epoch cached probe results (for tests and benches).
+    /// Number of memoised what-if results, probes and costings together.
     pub fn whatif_cache_len(&self) -> usize {
-        self.whatif.lock().unwrap().costs.len()
+        lock(&self.whatif).slots.len()
+    }
+
+    /// What the memo has done over this tuner's life (shared by clones).
+    pub fn whatif_stats(&self) -> WhatIfStats {
+        lock(&self.whatif).totals
+    }
+
+    /// One what-if probe as `tune` makes it: the cost in simulated seconds
+    /// of `query` under the hypothetical design holding exactly `views` in
+    /// both stores. Bit-equal to `what_if_cost(query, design(views), env)`.
+    pub fn probe(
+        &self,
+        query: &LogicalPlan,
+        views: &BTreeSet<String>,
+        env: &OptimizerEnv<'_>,
+    ) -> f64 {
+        let window = [query];
+        let prober = Prober::new(self, &window, env);
+        let cost = prober.cost(0, views);
+        prober.finish();
+        cost
     }
 
     /// Computes a new multistore design.
@@ -244,39 +587,8 @@ impl MisoTuner {
             transfer,
             catalog: Some(catalog),
         };
-        // Cross-epoch memo: flush if any probe-relevant input changed, then
-        // serve repeat probes (the sliding window advances by a few queries
-        // per epoch, so most of it was already probed last epoch).
-        let cache_enabled = self.cache_enabled;
-        if cache_enabled {
-            let stamp = inputs_stamp(stats, catalog, hv_cost, dw_cost, transfer);
-            let mut cache = self.whatif.lock().unwrap();
-            if cache.stamp != stamp {
-                cache.costs.clear();
-                cache.stamp = stamp;
-            }
-        }
-        let plan_fps: Vec<u64> = window.iter().map(|p| fingerprint_plan(p).0).collect();
-        let whatif = &self.whatif;
-        let cost_fn = |q: usize, set: &BTreeSet<String>| -> f64 {
-            miso_obs::count("tuner.whatif_calls", 1);
-            let key = (plan_fps[q], view_set_digest(set));
-            if cache_enabled {
-                if let Some(&v) = whatif.lock().unwrap().costs.get(&key) {
-                    miso_obs::count("tuner.whatif_cache_hits", 1);
-                    return v;
-                }
-            }
-            let design = Design {
-                hv_views: set.iter().cloned().collect(),
-                dw_views: set.iter().cloned().collect(),
-            };
-            let v = what_if_cost(window[q], &design, &env).as_secs_f64();
-            if cache_enabled {
-                whatif.lock().unwrap().costs.insert(key, v);
-            }
-            v
-        };
+        let prober = Prober::new(self, &window, &env);
+        let cost_fn = |q: usize, set: &BTreeSet<String>| prober.cost(q, set);
         let analysis_cfg = AnalysisConfig {
             doi_threshold: self.config.doi_threshold,
             max_part_size: Some(4),
@@ -387,7 +699,18 @@ impl MisoTuner {
             .collect();
 
         debug_assert!(hv_new.is_disjoint(&dw_new), "V_h ∩ V_d must be empty");
+        let (whatif, memo_len) = prober.finish();
         if obs.is_active() {
+            for (name, value) in [
+                ("probes", whatif.probes),
+                ("hits", whatif.hits),
+                ("unused", whatif.unused),
+                ("costed", whatif.costed),
+                ("memo_len", memo_len as u64),
+                ("evicted", whatif.evicted),
+            ] {
+                obs.push_field(name, miso_obs::FieldValue::U64(value));
+            }
             obs.push_field("candidates", miso_obs::FieldValue::U64(infos.len() as u64));
             obs.push_field("items", miso_obs::FieldValue::U64(items.len() as u64));
             obs.push_field("dw_views", miso_obs::FieldValue::U64(dw_new.len() as u64));
@@ -399,56 +722,6 @@ impl MisoTuner {
             dw: dw_new,
         }
     }
-}
-
-/// Stable identity of one view for cache keys: canonical `v_<fp>` names
-/// carry their defining fingerprint; anything else (ETL tables, tests)
-/// digests by name.
-fn view_identity(name: &str) -> u64 {
-    parse_view_fingerprint(name).unwrap_or_else(|| fnv1a_str(name))
-}
-
-/// Digest of a hypothetical view set (sorted names → sorted identities).
-fn view_set_digest(set: &BTreeSet<String>) -> u64 {
-    fnv1a_words(std::iter::once(set.len() as u64).chain(set.iter().map(|name| view_identity(name))))
-}
-
-/// Digest of every input a what-if probe's value depends on. The window
-/// itself is *not* part of the stamp — each probe is keyed by its query's
-/// plan fingerprint, so a sliding window reuses overlapping entries.
-fn inputs_stamp(
-    stats: &MapStats,
-    catalog: &ViewCatalog,
-    hv: &HvCostModel,
-    dw: &DwCostModel,
-    transfer: &TransferModel,
-) -> u64 {
-    let mut words: Vec<u64> = Vec::new();
-    words.push(stats.digest());
-    // Catalog: definitions drive containment rewriting; sizes drive
-    // knapsack weights and estimates; quarantine changes which views are
-    // offered at all.
-    words.push(catalog.len() as u64);
-    for def in catalog.defs() {
-        words.push(def.fingerprint.0);
-        words.push(def.size.as_bytes());
-        words.push(def.rows);
-        words.push(u64::from(catalog.is_quarantined(&def.name)));
-    }
-    // Cost and transfer models.
-    words.push(hv.nodes as u64);
-    words.push(hv.job_startup.as_secs_f64().to_bits());
-    words.push(hv.read_secs_per_byte.to_bits());
-    words.push(hv.write_secs_per_byte.to_bits());
-    words.push(hv.cpu_secs_per_row.to_bits());
-    words.push(hv.dump_secs_per_byte.to_bits());
-    words.push(dw.nodes as u64);
-    words.push(dw.query_startup.as_secs_f64().to_bits());
-    words.push(dw.read_secs_per_byte.to_bits());
-    words.push(dw.cpu_secs_per_row.to_bits());
-    words.push(dw.load_secs_per_byte.to_bits());
-    words.push(transfer.network_secs_per_byte.to_bits());
-    fnv1a_words(words)
 }
 
 #[cfg(test)]
@@ -614,5 +887,60 @@ mod tests {
         assert_eq!(design.dw.len(), 1, "storage fits exactly one view");
         assert_eq!(design.hv.len(), 1, "the other stays in HV");
         assert!(design.hv.is_disjoint(&design.dw));
+    }
+
+    /// With a cap so small that every epoch evicts, the memo never holds
+    /// more than the cap after a `tune`, and the designs are the ones a
+    /// memo-free tuner chooses.
+    #[test]
+    fn eviction_bounds_the_memo_and_never_changes_a_design() {
+        let sqls: Vec<String> = (0..6)
+            .map(|i| {
+                format!(
+                    "SELECT t.city AS c, COUNT(*) AS n FROM twitter t \
+                     WHERE t.followers > {} GROUP BY t.city",
+                    1000 + 100 * i
+                )
+            })
+            .collect();
+        let mut catalog = ViewCatalog::new();
+        let mut s = stats();
+        let mut hv = BTreeSet::new();
+        let mut plans = Vec::new();
+        for sql in &sqls {
+            let (plan, view) = plan_and_view(sql, ByteSize::from_kib(200));
+            s.set_view(view.name.clone(), 1_000.0, 200.0 * 1024.0);
+            hv.insert(view.name.clone());
+            catalog.register(view);
+            plans.push(plan);
+        }
+        let config = TunerConfig {
+            history_len: 3,
+            ..TunerConfig::paper_default(budgets(1))
+        };
+        let cap = 16;
+        let tuner = MisoTuner::new(config.clone());
+        lock(&tuner.whatif).cap = cap;
+        let reference = MisoTuner::new(config).with_whatif_cache(false);
+        let tune = |tuner: &MisoTuner, window: &[LogicalPlan]| {
+            tuner.tune(
+                &hv,
+                &BTreeSet::new(),
+                &catalog,
+                window,
+                &s,
+                &HvCostModel::paper_default(),
+                &DwCostModel::paper_default(),
+                &TransferModel::paper_default(),
+            )
+        };
+        for epoch in 0..12 {
+            let window: Vec<LogicalPlan> = (0..3)
+                .map(|k| plans[(epoch + k) % plans.len()].clone())
+                .collect();
+            assert_eq!(tune(&tuner, &window), tune(&reference, &window));
+            assert!(tuner.whatif_cache_len() <= cap, "epoch {epoch}");
+        }
+        assert!(tuner.whatif_stats().evicted > 0, "the cap should bind");
     }
 }

@@ -10,7 +10,7 @@
 use miso_common::{ByteSize, SimDuration};
 
 /// Cost parameters for the DW cluster.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DwCostModel {
     /// Cluster width (the paper's DW cluster has 9 nodes).
     pub nodes: u32,

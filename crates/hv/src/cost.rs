@@ -12,7 +12,7 @@
 use miso_common::{ByteSize, SimDuration};
 
 /// Cost parameters for the HV cluster.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HvCostModel {
     /// Cluster width (the paper's HV cluster has 15 nodes).
     pub nodes: u32,

@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 
 /// Network transfer between the two clusters (adjacent racks, 1 GbE in the
 /// paper's setup), in effective seconds per actual byte at our data scale.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferModel {
     /// Seconds per byte moved across the wire.
     pub network_secs_per_byte: f64,

@@ -92,36 +92,22 @@ pub fn optimize(
             Some(catalog) => rewrite_with_catalog(raw_plan, &available, catalog),
             None => rewrite_with_views(raw_plan, &available),
         };
-        let estimates = estimate_plan(&rewrite.plan, env.stats);
-        for split in enumerate_splits(&rewrite.plan) {
-            splits_seen += 1;
-            if !split_feasible(&rewrite.plan, &split, design) {
-                continue;
-            }
-            cost_evals += 1;
-            let est = estimate_split_cost(
-                &rewrite.plan,
-                &split,
-                &estimates,
-                env.hv,
-                env.dw,
-                env.transfer,
-            );
-            let better = match &best {
-                None => true,
-                Some(b) => est.total() < b.est.total(),
-            };
-            if better {
-                best = Some(PlannedQuery {
-                    plan: rewrite.plan.clone(),
-                    split,
-                    used_views: rewrite.used.clone(),
-                    est,
-                });
-            }
+        let costed = cheapest_split(&rewrite.plan, design, env);
+        splits_seen += costed.splits_seen;
+        cost_evals += costed.cost_evals;
+        let Some((split, est)) = costed.best else {
+            continue;
+        };
+        // Strict `<`: on a tie the earlier variant (fewer views) wins.
+        if best.as_ref().is_none_or(|b| est.total() < b.est.total()) {
+            best = Some(PlannedQuery {
+                plan: rewrite.plan,
+                split,
+                used_views: rewrite.used,
+                est,
+            });
         }
     }
-    miso_obs::count("optimizer.cost_evals", cost_evals);
     if obs.is_active() {
         obs.push_field("variants", miso_obs::FieldValue::U64(n_variants));
         obs.push_field("splits", miso_obs::FieldValue::U64(splits_seen));
@@ -163,6 +149,53 @@ pub fn split_feasible(plan: &LogicalPlan, split: &Split, design: &Design) -> boo
     true
 }
 
+/// The outcome of costing every split of one plan.
+struct CostedSplits {
+    /// The cheapest feasible split and its estimate (the first one on a
+    /// tie); `None` when no split is feasible under the design.
+    best: Option<(Split, CostBreakdown)>,
+    /// Splits enumerated.
+    splits_seen: u64,
+    /// Feasible splits costed.
+    cost_evals: u64,
+}
+
+/// Costs one plan as it stands (no rewriting): estimates its node sizes,
+/// enumerates its splits and keeps the cheapest one that is feasible under
+/// `design`. This is the body of [`optimize`]'s variant loop, and (through
+/// [`what_if_plan_cost`]) what the tuner's delta probe runs on a plan it has
+/// already rewritten.
+fn cheapest_split(plan: &LogicalPlan, design: &Design, env: &OptimizerEnv<'_>) -> CostedSplits {
+    let estimates = estimate_plan(plan, env.stats);
+    let mut costed = CostedSplits {
+        best: None,
+        splits_seen: 0,
+        cost_evals: 0,
+    };
+    for split in enumerate_splits(plan) {
+        costed.splits_seen += 1;
+        if !split_feasible(plan, &split, design) {
+            continue;
+        }
+        costed.cost_evals += 1;
+        let est = estimate_split_cost(plan, &split, &estimates, env.hv, env.dw, env.transfer);
+        if costed
+            .best
+            .as_ref()
+            .is_none_or(|(_, b)| est.total() < b.total())
+        {
+            costed.best = Some((split, est));
+        }
+    }
+    miso_obs::count("optimizer.cost_evals", costed.cost_evals);
+    costed
+}
+
+/// The cost reported for a plan no split of which is feasible.
+fn infeasible_cost() -> SimDuration {
+    SimDuration::from_secs(u64::MAX / 2_000_000)
+}
+
 /// What-if mode: estimated total cost of `raw_plan` under a hypothetical
 /// design. This is the probe the MISO tuner calls while packing knapsacks
 /// ("we have added a what-if mode to the optimizer, which can evaluate the
@@ -175,7 +208,21 @@ pub fn what_if_cost(
     miso_obs::count("optimizer.what_if_calls", 1);
     optimize(raw_plan, design, env)
         .map(|p| p.est.total())
-        .unwrap_or(SimDuration::from_secs(u64::MAX / 2_000_000))
+        .unwrap_or_else(|_| infeasible_cost())
+}
+
+/// What-if cost of one plan taken as it stands: its cheapest feasible split
+/// under `design`. For a design holding the same views in both stores,
+/// `what_if_cost(q, design)` is the smaller of this for `q` itself and for
+/// `q` rewritten over the design's views.
+pub fn what_if_plan_cost(
+    plan: &LogicalPlan,
+    design: &Design,
+    env: &OptimizerEnv<'_>,
+) -> SimDuration {
+    cheapest_split(plan, design, env)
+        .best
+        .map_or_else(infeasible_cost, |(_, est)| est.total())
 }
 
 #[cfg(test)]

@@ -72,27 +72,6 @@ impl MapStats {
     pub fn set_view(&mut self, view: impl Into<String>, rows: f64, bytes: f64) {
         self.views.insert(view.into(), SizeEstimate { rows, bytes });
     }
-
-    /// Stable FNV-1a/64 digest of every registered statistic, in sorted
-    /// name order. The tuner's cross-epoch what-if cache folds this into
-    /// its invalidation stamp: any stats change — new view, refreshed
-    /// size, grown log — produces a new digest and flushes cached probes.
-    pub fn digest(&self) -> u64 {
-        let mut words: Vec<u64> = Vec::with_capacity(2 + 3 * (self.logs.len() + self.views.len()));
-        for (tag, map) in [(1u64, &self.logs), (2u64, &self.views)] {
-            let mut names: Vec<&String> = map.keys().collect();
-            names.sort();
-            words.push(tag);
-            words.push(names.len() as u64);
-            for name in names {
-                let est = &map[name];
-                words.push(crate::fingerprint::fnv1a_str(name));
-                words.push(est.rows.to_bits());
-                words.push(est.bytes.to_bits());
-            }
-        }
-        crate::fingerprint::fnv1a_words(words)
-    }
 }
 
 impl StatsSource for MapStats {

@@ -18,7 +18,7 @@ use miso_plan::{Expr, LogicalPlan, Operator};
 use std::collections::{HashMap, HashSet};
 
 /// A view in "filter over base" normal form.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilterView {
     /// View name.
     pub name: String,
@@ -28,30 +28,40 @@ pub struct FilterView {
     pub conjuncts: HashSet<u64>,
 }
 
-/// Extracts the filter-over-base normal form of every available view.
-pub fn filter_views(catalog: &ViewCatalog, available: &HashSet<String>) -> Vec<FilterView> {
-    let mut out = Vec::new();
-    for def in catalog.defs() {
-        if !available.contains(&def.name) {
-            continue;
-        }
-        let root = def.plan.root_node();
+impl FilterView {
+    /// The normal form of a view named `name` defined by `plan`; `None`
+    /// unless the plan's root is a filter. [`crate::ViewDef::from_plan`]
+    /// computes this once per view, so rewriting never re-fingerprints a
+    /// definition.
+    pub(crate) fn of(name: &str, plan: &LogicalPlan) -> Option<FilterView> {
+        let root = plan.root_node();
         let Operator::Filter { predicate } = &root.op else {
-            continue;
+            return None;
         };
-        let fps = fingerprint_all(&def.plan);
-        let input_fp = fps[&root.inputs[0]].0;
-        let conjuncts: HashSet<u64> = predicate
-            .conjuncts()
-            .iter()
-            .map(|c| expr_digest(c))
-            .collect();
-        out.push(FilterView {
-            name: def.name.clone(),
-            input_fp,
-            conjuncts,
-        });
+        let fps = fingerprint_all(plan);
+        Some(FilterView {
+            name: name.to_string(),
+            input_fp: fps[&root.inputs[0]].0,
+            conjuncts: predicate
+                .conjuncts()
+                .iter()
+                .map(|c| expr_digest(c))
+                .collect(),
+        })
     }
+}
+
+/// The filter-over-base normal form of every available view that has one,
+/// in name order (the order ties between equally subsuming views break in).
+pub fn filter_views<'a>(
+    catalog: &'a ViewCatalog,
+    available: &HashSet<String>,
+) -> Vec<&'a FilterView> {
+    let mut out: Vec<&FilterView> = available
+        .iter()
+        .filter_map(|name| catalog.get(name)?.filter_form.as_ref())
+        .collect();
+    out.sort_by(|a, b| a.name.cmp(&b.name));
     out
 }
 
@@ -73,7 +83,10 @@ pub struct ContainmentMatch {
 
 /// Finds the best containment rewrite for each rewritable filter node of
 /// `plan` (deepest wins when nested; callers apply one at a time).
-pub fn find_containment_matches(plan: &LogicalPlan, views: &[FilterView]) -> Vec<ContainmentMatch> {
+pub fn find_containment_matches(
+    plan: &LogicalPlan,
+    views: &[&FilterView],
+) -> Vec<ContainmentMatch> {
     let fps = fingerprint_all(plan);
     let mut out = Vec::new();
     for node in plan.nodes() {
@@ -81,11 +94,15 @@ pub fn find_containment_matches(plan: &LogicalPlan, views: &[FilterView]) -> Vec
             continue;
         };
         let input_fp = fps[&node.inputs[0]].0;
-        let query_conjuncts: HashMap<u64, &Expr> = predicate
-            .conjuncts()
-            .into_iter()
-            .map(|c| (expr_digest(c), c))
-            .collect();
+        // In predicate order, one entry per distinct conjunct, so the
+        // residual below is a function of the plan and the view alone.
+        let mut query_conjuncts: Vec<(u64, &Expr)> = Vec::new();
+        for c in predicate.conjuncts() {
+            let d = expr_digest(c);
+            if query_conjuncts.iter().all(|(seen, _)| *seen != d) {
+                query_conjuncts.push((d, c));
+            }
+        }
         let mut best: Option<ContainmentMatch> = None;
         for view in views {
             if view.input_fp != input_fp {
@@ -94,13 +111,13 @@ pub fn find_containment_matches(plan: &LogicalPlan, views: &[FilterView]) -> Vec
             if !view
                 .conjuncts
                 .iter()
-                .all(|d| query_conjuncts.contains_key(d))
+                .all(|d| query_conjuncts.iter().any(|(q, _)| q == d))
             {
                 continue; // the view filters *more* than the query: unusable
             }
             let residual: Vec<Expr> = query_conjuncts
                 .iter()
-                .filter(|(d, _)| !view.conjuncts.contains(*d))
+                .filter(|(d, _)| !view.conjuncts.contains(d))
                 .map(|(_, e)| (*e).clone())
                 .collect();
             let subsumed = view.conjuncts.len();

@@ -6,6 +6,7 @@
 //! provenance. The [`ViewCatalog`] is the tuner's registry of every view
 //! that currently exists anywhere in the multistore system.
 
+use crate::containment::FilterView;
 use miso_common::ids::QueryId;
 use miso_common::ByteSize;
 use miso_data::{Checksum, Schema};
@@ -33,6 +34,9 @@ pub struct ViewDef {
     /// authoritative value every stored copy must verify against). `None`
     /// for definitions built before materialization finished.
     pub checksum: Option<Checksum>,
+    /// The view in filter-over-base normal form, when its defining plan is
+    /// rooted at a filter: what containment rewriting matches against.
+    pub filter_form: Option<FilterView>,
 }
 
 impl ViewDef {
@@ -40,8 +44,10 @@ impl ViewDef {
     pub fn from_plan(plan: LogicalPlan, size: ByteSize, rows: u64, created_by: QueryId) -> Self {
         let fingerprint = miso_plan::fingerprint::fingerprint_plan(&plan);
         let schema = plan.schema().clone();
+        let name = fingerprint.view_name();
         ViewDef {
-            name: fingerprint.view_name(),
+            filter_form: FilterView::of(&name, &plan),
+            name,
             fingerprint,
             plan,
             schema,

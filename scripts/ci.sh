@@ -16,15 +16,15 @@ cargo build --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> golden figures (fig3, fig5, maintenance stdout vs results/*.txt; MISO_COL=0 and 1)"
+echo "==> golden figures (fig3, fig5, fig7, maintenance stdout vs results/*.txt; MISO_COL=0 and 1)"
 # Run from a scratch directory: the bins write results/<name>.report.json
 # relative to where they stand, and the committed ones must not move.
 root="$PWD"
 golden="$(mktemp -d)"
 trap 'rm -rf "$golden"' EXIT
-cargo build --release -q -p miso-bench --bin fig3 --bin fig5 --bin maintenance
+cargo build --release -q -p miso-bench --bin fig3 --bin fig5 --bin fig7 --bin maintenance
 for col in 0 1; do
-    for bin in fig3 fig5 maintenance; do
+    for bin in fig3 fig5 fig7 maintenance; do
         (cd "$golden" && MISO_COL=$col "$root/target/release/$bin" >"$bin.txt")
         diff -u "results/$bin.txt" "$golden/$bin.txt"
     done
