@@ -21,6 +21,7 @@
 use crate::value::{cmp_f64, Row, Value};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Null bitmap: bit `i` set ⇒ slot `i` is NULL. An empty word vector means
 /// "no nulls", so all-valid columns pay nothing.
@@ -320,6 +321,8 @@ impl Column {
 
     /// Concatenates parts in order. Parts that classified differently
     /// (possible when producers chunk independently) degrade to `Mixed`.
+    /// The result is the column one builder would have produced from the
+    /// parts' values pushed in order.
     pub fn concat(mut parts: Vec<Column>) -> Column {
         if parts.len() == 1 {
             return parts.pop().expect("one part");
@@ -328,51 +331,35 @@ impl Column {
         let mut b = ColBuilder::new();
         for part in parts {
             b.reserve(total.saturating_sub(b.len()));
-            match part {
-                Column::Int(v, n) => {
-                    for (i, x) in v.into_iter().enumerate() {
-                        if n.is_null(i) {
-                            b.push_null();
-                        } else {
-                            b.push_i64(x);
-                        }
-                    }
-                }
-                Column::Float(v, n) => {
-                    for (i, x) in v.into_iter().enumerate() {
-                        if n.is_null(i) {
-                            b.push_null();
-                        } else {
-                            b.push_f64(x);
-                        }
-                    }
-                }
-                Column::Bool(v, n) => {
-                    for (i, x) in v.into_iter().enumerate() {
-                        if n.is_null(i) {
-                            b.push_null();
-                        } else {
-                            b.push_bool(x);
-                        }
-                    }
-                }
-                Column::Str(v, n) => {
-                    for (i, x) in v.into_iter().enumerate() {
-                        if n.is_null(i) {
-                            b.push_null();
-                        } else {
-                            b.push_str(x);
-                        }
-                    }
-                }
-                Column::Mixed(v) => {
-                    for x in v {
-                        b.push_value(x);
-                    }
-                }
-            }
+            b.push_column(part);
         }
         b.finish()
+    }
+
+    /// Extends this column in place with `part`; the result equals
+    /// `Column::concat(vec![self, part])` without copying the typed prefix.
+    pub fn append(&mut self, part: Column) {
+        let mut b = match std::mem::replace(self, Column::Mixed(Vec::new())) {
+            Column::Int(v, n) => ColBuilder::Int(v, n),
+            Column::Float(v, n) => ColBuilder::Float(v, n),
+            Column::Bool(v, n) => ColBuilder::Bool(v, n),
+            Column::Str(v, n) => ColBuilder::Str(v, n),
+            // `Mixed` also stands for "all NULL so far": re-pushing (moves,
+            // no clones) lets the builder classify it as it would have.
+            mixed => {
+                let mut b = ColBuilder::new();
+                b.push_column(mixed);
+                b
+            }
+        };
+        b.reserve(part.len());
+        b.push_column(part);
+        *self = b.finish();
+    }
+
+    /// Footprint of the column's cells, summing [`Cell::approx_bytes`].
+    pub fn approx_bytes(&self) -> u64 {
+        (0..self.len()).map(|i| self.cell(i).approx_bytes()).sum()
     }
 }
 
@@ -549,6 +536,53 @@ impl ColBuilder {
         }
     }
 
+    /// Pushes every slot of `part`, in order.
+    pub fn push_column(&mut self, part: Column) {
+        match part {
+            Column::Int(v, n) => {
+                for (i, x) in v.into_iter().enumerate() {
+                    if n.is_null(i) {
+                        self.push_null();
+                    } else {
+                        self.push_i64(x);
+                    }
+                }
+            }
+            Column::Float(v, n) => {
+                for (i, x) in v.into_iter().enumerate() {
+                    if n.is_null(i) {
+                        self.push_null();
+                    } else {
+                        self.push_f64(x);
+                    }
+                }
+            }
+            Column::Bool(v, n) => {
+                for (i, x) in v.into_iter().enumerate() {
+                    if n.is_null(i) {
+                        self.push_null();
+                    } else {
+                        self.push_bool(x);
+                    }
+                }
+            }
+            Column::Str(v, n) => {
+                for (i, x) in v.into_iter().enumerate() {
+                    if n.is_null(i) {
+                        self.push_null();
+                    } else {
+                        self.push_str(x);
+                    }
+                }
+            }
+            Column::Mixed(v) => {
+                for x in v {
+                    self.push_value(x);
+                }
+            }
+        }
+    }
+
     pub fn finish(self) -> Column {
         match self {
             // All-null columns have no scalar type; store the nulls verbatim.
@@ -576,16 +610,24 @@ fn materialize<T>(v: Vec<T>, nulls: Nulls, wrap: impl Fn(T) -> Value) -> Vec<Val
 }
 
 /// A columnar batch: one [`Column`] per output column plus an explicit row
-/// count (columns may be absent entirely for arity-0 rows).
+/// count (columns may be absent entirely for arity-0 rows). Columns are
+/// `Arc`-held so a batch can be assembled from columns a store already
+/// owns ([`ColBatch::from_shared`]) without copying them; cloning a batch
+/// is a refcount bump per column.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ColBatch {
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
     len: usize,
 }
 
 impl ColBatch {
     /// Builds a batch from columns; all columns must share `len`.
     pub fn from_columns(columns: Vec<Column>, len: usize) -> ColBatch {
+        ColBatch::from_shared(columns.into_iter().map(Arc::new).collect(), len)
+    }
+
+    /// Builds a batch over columns owned elsewhere; all must share `len`.
+    pub fn from_shared(columns: Vec<Arc<Column>>, len: usize) -> ColBatch {
         debug_assert!(columns.iter().all(|c| c.len() == len));
         ColBatch { columns, len }
     }
@@ -605,8 +647,13 @@ impl ColBatch {
     }
 
     /// The column vectors.
-    pub fn columns(&self) -> &[Column] {
+    pub fn columns(&self) -> &[Arc<Column>] {
         &self.columns
+    }
+
+    /// The column vectors, consuming the batch.
+    pub fn into_columns(self) -> Vec<Arc<Column>> {
+        self.columns
     }
 
     /// Column `c` (panics when out of range — callers gate on arity).
@@ -642,10 +689,10 @@ impl ColBatch {
                 b.push_value(v.clone());
             }
         }
-        Some(ColBatch {
-            columns: builders.into_iter().map(ColBuilder::finish).collect(),
-            len: rows.len(),
-        })
+        Some(ColBatch::from_columns(
+            builders.into_iter().map(ColBuilder::finish).collect(),
+            rows.len(),
+        ))
     }
 
     /// Pivots back to rows, cloning cell payloads.
@@ -656,19 +703,20 @@ impl ColBatch {
     }
 
     /// Pivots back to rows, consuming the batch so string/container
-    /// payloads move instead of cloning.
+    /// payloads of columns it solely owns move instead of cloning.
     pub fn into_rows(self) -> Vec<Row> {
         let len = self.len;
         let mut cols: Vec<std::vec::IntoIter<Value>> = self
             .columns
             .into_iter()
             .map(|c| {
-                let vals: Vec<Value> = match c {
-                    Column::Int(v, n) => materialize(v, n, Value::Int),
-                    Column::Float(v, n) => materialize(v, n, Value::Float),
-                    Column::Bool(v, n) => materialize(v, n, Value::Bool),
-                    Column::Str(v, n) => materialize(v, n, Value::Str),
-                    Column::Mixed(v) => v,
+                let vals: Vec<Value> = match Arc::try_unwrap(c) {
+                    Ok(Column::Int(v, n)) => materialize(v, n, Value::Int),
+                    Ok(Column::Float(v, n)) => materialize(v, n, Value::Float),
+                    Ok(Column::Bool(v, n)) => materialize(v, n, Value::Bool),
+                    Ok(Column::Str(v, n)) => materialize(v, n, Value::Str),
+                    Ok(Column::Mixed(v)) => v,
+                    Err(shared) => (0..len).map(|i| shared.value(i)).collect(),
                 };
                 vals.into_iter()
             })
@@ -686,10 +734,10 @@ impl ColBatch {
 
     /// Copies the rows at `sel` (in order) into a new batch.
     pub fn gather(&self, sel: &[u32]) -> ColBatch {
-        ColBatch {
-            columns: self.columns.iter().map(|c| c.gather(sel)).collect(),
-            len: sel.len(),
-        }
+        ColBatch::from_columns(
+            self.columns.iter().map(|c| c.gather(sel)).collect(),
+            sel.len(),
+        )
     }
 
     /// Pivots the selected row indexes straight to rows — the
@@ -712,10 +760,7 @@ impl ColBatch {
     /// Copies the first `n` rows into a new batch.
     pub fn head(&self, n: usize) -> ColBatch {
         let n = n.min(self.len);
-        ColBatch {
-            columns: self.columns.iter().map(|c| c.head(n)).collect(),
-            len: n,
-        }
+        ColBatch::from_columns(self.columns.iter().map(|c| c.head(n)).collect(), n)
     }
 
     /// Concatenates batches of equal arity in order.
@@ -729,24 +774,17 @@ impl ColBatch {
         let mut per_col: Vec<Vec<Column>> = (0..arity).map(|_| Vec::new()).collect();
         for part in parts {
             for (i, col) in part.columns.into_iter().enumerate() {
-                per_col[i].push(col);
+                per_col[i].push(Arc::unwrap_or_clone(col));
             }
         }
-        ColBatch {
-            columns: per_col.into_iter().map(Column::concat).collect(),
-            len,
-        }
+        ColBatch::from_columns(per_col.into_iter().map(Column::concat).collect(), len)
     }
 
     /// Footprint charge identical to summing [`Row::approx_bytes`] over the
     /// pivoted rows — the guard's ledger must see the same bytes whichever
     /// representation a node produced.
     pub fn row_bytes(&self) -> u64 {
-        let cells: u64 = self
-            .columns
-            .iter()
-            .map(|c| (0..c.len()).map(|i| c.cell(i).approx_bytes()).sum::<u64>())
-            .sum();
+        let cells: u64 = self.columns.iter().map(|c| c.approx_bytes()).sum();
         2 * self.len as u64 + cells
     }
 }
@@ -900,6 +938,64 @@ mod tests {
                 Row::new(vec![Value::str("x")])
             ]
         );
+    }
+
+    /// Extending a column in place gives exactly the column one builder
+    /// pass over all the values gives — same variant, same null bitmap —
+    /// wherever the sequence is cut: an all-NULL prefix takes its type from
+    /// the suffix, a clash degrades at the same value, `Mixed` stays `Mixed`.
+    #[test]
+    fn append_equals_one_pass_over_all_values() {
+        fn build(values: &[Value]) -> Column {
+            let mut b = ColBuilder::new();
+            for v in values {
+                b.push_value(v.clone());
+            }
+            b.finish()
+        }
+        let int = |i: i64| Value::Int(i);
+        let sequences: Vec<Vec<Value>> = vec![
+            vec![Value::Null, Value::Null, int(1), Value::Null, int(2)],
+            vec![int(1), int(2), Value::Null, Value::str("x"), int(3)],
+            vec![
+                Value::Null,
+                Value::Float(1.5),
+                Value::Null,
+                Value::Float(2.5),
+            ],
+            vec![Value::str("a"), Value::Null, Value::str("b")],
+            vec![Value::Bool(true), Value::Null, Value::Bool(false)],
+            vec![Value::Null, Value::Array(vec![int(1)]), Value::Null, int(4)],
+            vec![Value::Null, Value::Null, Value::Null],
+            value_matrix(),
+        ];
+        for values in &sequences {
+            let whole = build(values);
+            for cut in 0..=values.len() {
+                let mut kept = build(&values[..cut]);
+                kept.append(build(&values[cut..]));
+                assert_eq!(kept, whole, "cut at {cut} of {values:?}");
+                let parts = vec![build(&values[..cut]), build(&values[cut..])];
+                assert_eq!(Column::concat(parts), whole, "concat at {cut}");
+            }
+            assert_eq!(
+                whole.approx_bytes(),
+                values.iter().map(Value::approx_bytes).sum::<u64>()
+            );
+        }
+    }
+
+    /// A batch over shared columns pivots to the same rows whether or not
+    /// it is the columns' only owner.
+    #[test]
+    fn shared_columns_pivot_like_owned_ones() {
+        let matrix = value_matrix();
+        let rows: Vec<Row> = matrix.iter().map(|v| Row::new(vec![v.clone()])).collect();
+        let owned = ColBatch::from_rows(&rows).unwrap();
+        let shared = ColBatch::from_shared(owned.columns().to_vec(), owned.len());
+        assert_eq!(shared.clone().into_rows(), rows);
+        assert_eq!(shared.into_columns().len(), 1);
+        assert_eq!(owned.into_rows(), rows);
     }
 
     /// The ledger must charge identical bytes for a batch and its pivoted

@@ -112,7 +112,8 @@ pub struct LogFile {
 }
 
 impl LogFile {
-    fn from_lines(kind: LogKind, lines: Vec<String>) -> Self {
+    /// A log of `lines`, sized as line lengths plus newlines.
+    pub fn from_lines(kind: LogKind, lines: Vec<String>) -> Self {
         let bytes: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
         LogFile {
             kind,

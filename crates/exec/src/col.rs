@@ -19,7 +19,9 @@
 //! right branch would error serially errors columnar-ly in exactly the
 //! same cases.
 
+use crate::engine::par_chunks;
 use crate::eval::{cast, eval_binary, eval_unary, logical_combine};
+use miso_common::guard::QueryGuard;
 use miso_common::{MisoError, Result};
 use miso_data::json::{parse_flat_line, parse_json, FlatVal};
 use miso_data::{Cell, ColBatch, ColBuilder, Column, DataType, Value};
@@ -327,8 +329,11 @@ pub(crate) fn select_true(pred: &VCol, start: usize, n: usize) -> Vec<u32> {
 
 /// One output column of a fused scan+project: a field to pull out of each
 /// log line, with an optional cast to apply.
-pub(crate) struct FusedField<'a> {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FusedField<'a> {
+    /// Top-level key of the JSON object on each line.
     pub key: &'a str,
+    /// `CAST` target, `None` for the bare field.
     pub ty: Option<DataType>,
 }
 
@@ -387,6 +392,31 @@ fn push_cast(b: &mut ColBuilder, tok: FlatVal<'_>, ty: Option<DataType>) {
         (FlatVal::Str(s), DataType::Str) => b.push_str(s.to_string()),
         (tok, ty) => b.push_value(cast(tok.to_value(), ty)),
     }
+}
+
+/// Parses `lines` into one column per field, morsel-parallel on the worker
+/// pool, and returns the batch with the count of malformed lines skipped.
+/// Morsel results are concatenated in line order, so the columns are those
+/// one serial [`ColBuilder`] pass would build, for any thread count — which
+/// is what lets a store extend them later with the parse of appended lines
+/// alone ([`Column::append`]).
+pub fn parse_log_columns(lines: &[String], fields: &[FusedField<'_>]) -> Result<(ColBatch, u64)> {
+    // The caller owns the cancellation boundary: a store may be parsing for
+    // an append, outside any query.
+    let parts = par_chunks(QueryGuard::inert_ref(), lines, |_, chunk| {
+        parse_lines_fused(chunk, fields)
+    })?;
+    let mut batches = Vec::with_capacity(parts.len());
+    let mut skipped = 0u64;
+    for (batch, s) in parts {
+        batches.push(batch);
+        skipped += s as u64;
+    }
+    if batches.is_empty() {
+        // No lines: `ColBatch::concat` of nothing would lose the arity.
+        batches.push(parse_lines_fused(&[], fields).0);
+    }
+    Ok((ColBatch::concat(batches), skipped))
 }
 
 /// Parses a chunk of log lines straight into one column builder per fused

@@ -30,7 +30,7 @@
 //! equality at every probe), replacing the per-row `Vec` key allocations of
 //! the row-at-a-time interpreter preserved in [`crate::serial`].
 
-use crate::col;
+use crate::col::{self, FusedField};
 use crate::eval::{eval, eval_predicate};
 use crate::profile::{self, OpProfile};
 use crate::udf::UdfRegistry;
@@ -70,6 +70,33 @@ pub trait DataSource {
     fn view_cols_shared(&self, _view: &str) -> Option<Arc<ColBatch>> {
         None
     }
+    /// The columns a fused scan→project reads of base log `log`: one per
+    /// field, over the log's well-formed lines in line order. The default
+    /// parses them out of [`DataSource::log_lines`] on every call; a source
+    /// that keeps parsed columns hands those back shared and parses only
+    /// what it is missing. Either way the result is the same batch.
+    fn log_columns(&self, log: &str, fields: &[FusedField<'_>]) -> Result<LogColumns> {
+        let (batch, skipped_lines) = col::parse_log_columns(self.log_lines(log)?, fields)?;
+        Ok(LogColumns {
+            batch,
+            skipped_lines,
+            cols_hit: 0,
+            cols_parsed: fields.len() as u64,
+        })
+    }
+}
+
+/// What [`DataSource::log_columns`] returns.
+#[derive(Debug)]
+pub struct LogColumns {
+    /// One column per requested field, one row per well-formed line.
+    pub batch: ColBatch,
+    /// Malformed lines of the log (the scan's `skipped_lines`).
+    pub skipped_lines: u64,
+    /// Requested columns the source already held.
+    pub cols_hit: u64,
+    /// Requested columns the source had to parse for this call.
+    pub cols_parsed: u64,
 }
 
 /// An in-memory [`DataSource`].
@@ -382,13 +409,15 @@ pub fn execute_subset_guarded(
     // representations); whatever survives to the end is pivoted to rows.
     let mut col_outputs: HashMap<NodeId, Arc<ColBatch>> = HashMap::new();
     // Scan→project fusion: log scans whose single consumer is a SerDe-shaped
-    // projection parse straight into typed column vectors, skipping the
-    // intermediate JSON object rows entirely. Because the scan's output is
-    // never materialized, a kept scan cannot fuse, and fusion stays off
-    // under profiling or an active guard — both account per-node
-    // materializations and must see the same numbers as the row path.
+    // projection take their columns straight from the source
+    // ([`DataSource::log_columns`]), skipping the intermediate JSON object
+    // rows entirely. Because the scan's output is never materialized, a
+    // kept scan cannot fuse, and fusion stays off under profiling, which
+    // reports per-node materializations. An active guard does not stop it:
+    // a fused scan materializes nothing of its own, so — like the zero-copy
+    // `ScanView` — it charges nothing, and its projection charges the batch.
     let mut fused: HashMap<NodeId, NodeId> = HashMap::new(); // scan → project
-    if columnar && !profiling && !guard.is_active() {
+    if columnar && !profiling {
         let executes =
             |id: NodeId| subset.is_none_or(|s| s.contains(&id)) && !rows_out.contains_key(&id);
         for node in plan.nodes() {
@@ -467,7 +496,7 @@ pub fn execute_subset_guarded(
                 continue;
             }
         }
-        // Fused scan+project: parse the lines straight into column vectors
+        // Fused scan+project: take the projection's columns from the source
         // and stash the batch for the projection node. Mirrors the zero-copy
         // scan bookkeeping — the scan's row output never materializes.
         if let Some(&project) = fused.get(&node.id) {
@@ -479,20 +508,18 @@ pub fn execute_subset_guarded(
             };
             let fields = col::fused_fields(exprs.iter().map(|(_, e)| e))
                 .expect("fusion pre-pass verified the projection shape");
-            let lines = source.log_lines(log)?;
-            let parts = par_chunks(guard, lines, |_, chunk| {
-                col::parse_lines_fused(chunk, &fields)
-            })?;
-            let mut batches = Vec::with_capacity(parts.len());
-            for (batch, skipped) in parts {
-                batches.push(batch);
-                skipped_lines += skipped as u64;
-            }
-            let batch = ColBatch::concat(batches);
-            miso_obs::count("exec.col_batches", lines.len().div_ceil(MORSEL_SIZE) as u64);
+            // The dispatch boundary `par_chunks` would have checked.
+            guard.check()?;
+            let cols = source.log_columns(log, &fields)?;
+            let batch = cols.batch;
+            skipped_lines += cols.skipped_lines;
+            let lines = batch.len() as u64 + cols.skipped_lines;
+            miso_obs::count("exec.col_batches", lines.div_ceil(MORSEL_SIZE as u64));
             miso_obs::observe("exec.op_ns", t0.elapsed().as_nanos() as u64);
             if op_span.is_active() {
                 op_span.push_field("rows_out", miso_obs::FieldValue::U64(batch.len() as u64));
+                op_span.push_field("cols_hit", miso_obs::FieldValue::U64(cols.cols_hit));
+                op_span.push_field("cols_parsed", miso_obs::FieldValue::U64(cols.cols_parsed));
                 miso_obs::observe("exec.op_rows_out", batch.len() as u64);
             }
             miso_obs::count("exec.ops_executed", 1);
@@ -1121,7 +1148,7 @@ fn input_of<'a>(
 /// observed cancellation point, and thus the query's outcome, identical for
 /// every `MISO_THREADS` value. A panicking morsel surfaces as
 /// `MisoError::Execution` (see [`pool::run_batch`]).
-fn par_chunks<T, R, F>(guard: &QueryGuard, items: &[T], f: F) -> Result<Vec<R>>
+pub(crate) fn par_chunks<T, R, F>(guard: &QueryGuard, items: &[T], f: F) -> Result<Vec<R>>
 where
     T: Sync,
     R: Send,

@@ -29,8 +29,10 @@ pub mod profile;
 pub mod serial;
 pub mod udf;
 
+pub use col::FusedField;
 pub use engine::{
-    execute_subset_guarded, DataSource, ExecOptions, Execution, MemSource, Retention, MORSEL_SIZE,
+    execute_subset_guarded, DataSource, ExecOptions, Execution, LogColumns, MemSource, Retention,
+    MORSEL_SIZE,
 };
 pub use ivm::{apply_projection, AggApplied, AggState, FoldOutcome};
 pub use profile::OpProfile;

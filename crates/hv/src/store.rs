@@ -7,13 +7,16 @@ use miso_common::ids::NodeId;
 use miso_common::{ByteSize, MisoError, Result, SimDuration};
 use miso_data::checksum::{checksum_rows, corrupt_first_row, Checksum};
 use miso_data::logs::LogFile;
-use miso_data::{Row, Schema};
-use miso_exec::engine::{execute_subset_guarded, DataSource, ExecOptions, Execution, Retention};
-use miso_exec::UdfRegistry;
+use miso_data::{ColBatch, Column, DataType, Row, Schema};
+use miso_exec::col::parse_log_columns;
+use miso_exec::engine::{
+    execute_subset_guarded, DataSource, ExecOptions, Execution, LogColumns, Retention,
+};
+use miso_exec::{FusedField, UdfRegistry};
 use miso_plan::estimate::MapStats;
 use miso_plan::{LogicalPlan, Operator};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// A view's contents as stored in HV.
 #[derive(Debug, Clone)]
@@ -21,10 +24,142 @@ struct StoredView {
     schema: Schema,
     rows: Arc<Vec<Row>>,
     size: ByteSize,
+    /// Lazily pivoted columnar twin of `rows`, as in `DwStore`. `None`
+    /// caches "ragged, not pivotable". A fresh slot comes with every
+    /// install, and [`HvStore::corrupt_view`] resets it, so the twin can
+    /// never diverge from `rows`.
+    cols: OnceLock<Option<Arc<ColBatch>>>,
     /// Content checksum recorded when the view was installed. Deliberately
     /// *not* updated by [`HvStore::corrupt_view`]: it is the install-time
     /// truth that verification compares the bytes against.
     checksum: Checksum,
+}
+
+/// One base log as HV holds it: the raw lines, plus every column a fused
+/// scan has asked for so far, parsed once and kept.
+///
+/// Three invariants make a kept column indistinguishable from a fresh parse:
+///
+/// 1. **Whole-log parse.** A column under `(key, cast)` is exactly what
+///    [`parse_log_columns`] builds for that field over all of `lines`, and
+///    `counts` are that pass's row and skipped-line counts.
+/// 2. **Clones share.** [`HvStore`] holds images behind an `Arc`, so a
+///    cloned store (an epoch snapshot, the serving oracle) reads and warms
+///    the same columns as its original.
+/// 3. **Append extends.** [`HvStore::append_log`] copies the image first if
+///    another store shares it, then parses the appended lines only and
+///    extends every kept column ([`Column::append`]), which restores (1).
+#[derive(Debug)]
+struct LogImage {
+    lines: Vec<String>,
+    size: ByteSize,
+    parsed: Mutex<ParsedColumns>,
+}
+
+/// The lazily filled half of a [`LogImage`].
+#[derive(Debug, Clone, Default)]
+struct ParsedColumns {
+    /// `(well-formed, malformed)` line counts, known once any pass has run.
+    counts: Option<(usize, u64)>,
+    cols: HashMap<ColumnKey, Arc<Column>>,
+}
+
+/// A kept column's identity: the field's key and the cast applied to it.
+type ColumnKey = (String, Option<DataType>);
+
+impl Clone for LogImage {
+    fn clone(&self) -> Self {
+        LogImage {
+            lines: self.lines.clone(),
+            size: self.size,
+            parsed: Mutex::new(self.lock_parsed().clone()),
+        }
+    }
+}
+
+impl LogImage {
+    fn lock_parsed(&self) -> MutexGuard<'_, ParsedColumns> {
+        self.parsed
+            .lock()
+            .expect("no scan panics while it holds the image lock")
+    }
+
+    /// The columns of `fields`, parsing — in one pass over the lines, with
+    /// the lock released — only those no earlier call asked for.
+    fn columns(&self, fields: &[FusedField<'_>]) -> Result<LogColumns> {
+        let key = |f: &FusedField<'_>| (f.key.to_string(), f.ty);
+        let keys: Vec<ColumnKey> = fields.iter().map(key).collect();
+        let (missing, counted) = {
+            let parsed = self.lock_parsed();
+            let mut missing: Vec<FusedField<'_>> = Vec::new();
+            for (f, k) in fields.iter().zip(&keys) {
+                if !parsed.cols.contains_key(k) && !missing.contains(f) {
+                    missing.push(*f);
+                }
+            }
+            (missing, parsed.counts.is_some())
+        };
+        let fresh = if missing.is_empty() && counted {
+            None
+        } else {
+            Some(parse_log_columns(&self.lines, &missing)?)
+        };
+        let mut parsed = self.lock_parsed();
+        if let Some((batch, skipped)) = fresh {
+            parsed.counts = Some((batch.len(), skipped));
+            if miso_obs::enabled() {
+                let bytes = batch.columns().iter().map(|c| c.approx_bytes()).sum();
+                miso_obs::count("hv.log_col_bytes", bytes);
+            }
+            for (f, col) in missing.iter().zip(batch.into_columns()) {
+                // A racing scan may have filled the slot; both parsed the
+                // same lines, so either column will do.
+                parsed.cols.entry(key(f)).or_insert(col);
+            }
+        }
+        let (rows, skipped_lines) = parsed.counts.expect("set by the first pass");
+        let columns = keys.iter().map(|k| parsed.cols[k].clone()).collect();
+        let cols_parsed = fields.iter().filter(|f| missing.contains(f)).count() as u64;
+        let cols_hit = fields.len() as u64 - cols_parsed;
+        miso_obs::count("hv.log_cols_served", cols_hit);
+        miso_obs::count("hv.log_cols_parsed", cols_parsed);
+        Ok(LogColumns {
+            batch: ColBatch::from_shared(columns, rows),
+            skipped_lines,
+            cols_hit,
+            cols_parsed,
+        })
+    }
+
+    /// Appends `lines`, extending every kept column by their parse.
+    fn append(&mut self, lines: Vec<String>) -> Result<ByteSize> {
+        let parsed = self
+            .parsed
+            .get_mut()
+            .expect("no scan panics while it holds the image lock");
+        if let Some((rows, skipped)) = parsed.counts {
+            let keys: Vec<ColumnKey> = parsed.cols.keys().cloned().collect();
+            let fields: Vec<FusedField<'_>> = keys
+                .iter()
+                .map(|(key, ty)| FusedField { key, ty: *ty })
+                .collect();
+            let (batch, more_skipped) = parse_log_columns(&lines, &fields)?;
+            parsed.counts = Some((rows + batch.len(), skipped + more_skipped));
+            miso_obs::count("hv.log_cols_parsed", keys.len() as u64);
+            if miso_obs::enabled() {
+                let bytes = batch.columns().iter().map(|c| c.approx_bytes()).sum();
+                miso_obs::count("hv.log_col_bytes", bytes);
+            }
+            for (key, col) in keys.iter().zip(batch.into_columns()) {
+                let kept = parsed.cols.get_mut(key).expect("key listed from the map");
+                Arc::make_mut(kept).append(Arc::unwrap_or_clone(col));
+            }
+        }
+        let added = ByteSize::from_bytes(lines.iter().map(|l| l.len() as u64 + 1).sum());
+        self.lines.extend(lines);
+        self.size += added;
+        Ok(added)
+    }
 }
 
 /// One stage output captured during execution — an opportunistic view
@@ -60,11 +195,12 @@ pub struct HvRun {
 ///
 /// `Clone` is deliberate: the serving layer snapshots the whole store into an
 /// immutable epoch image, so reorganization can stage changes off to the side
-/// and publish atomically. Row payloads are `Arc`-shared, so a clone is cheap
-/// relative to the data it references.
+/// and publish atomically. Logs and view rows are `Arc`-shared, so a clone
+/// costs one refcount bump per log and per view, whatever their sizes; a log
+/// is copied only when one of two stores sharing it appends to it.
 #[derive(Debug, Default, Clone)]
 pub struct HvStore {
-    logs: HashMap<String, LogFile>,
+    logs: HashMap<String, Arc<LogImage>>,
     views: HashMap<String, StoredView>,
     /// Cost model (public so experiments can recalibrate).
     pub cost_model: HvCostModel,
@@ -80,22 +216,34 @@ impl HvStore {
         }
     }
 
-    /// Registers a base log.
+    /// Registers a base log. Its image starts with no parsed columns,
+    /// whatever other store was built from the same [`LogFile`].
     pub fn add_log(&mut self, log: LogFile) {
-        self.logs.insert(log.kind.table_name().to_string(), log);
+        let image = LogImage {
+            lines: log.lines,
+            size: log.size,
+            parsed: Mutex::default(),
+        };
+        self.logs
+            .insert(log.kind.table_name().to_string(), Arc::new(image));
     }
 
     /// Appends lines to a base log (HDFS-style append-only growth),
-    /// returning the appended byte count.
+    /// returning the appended byte count. Copy-on-write: stores cloned from
+    /// this one keep scanning the log as it was.
     pub fn append_log(&mut self, name: &str, lines: Vec<String>) -> Result<ByteSize> {
-        let log = self
+        let image = self
             .logs
             .get_mut(name)
             .ok_or_else(|| MisoError::Store(format!("HV has no log `{name}`")))?;
-        let added: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
-        log.lines.extend(lines);
-        log.size += ByteSize::from_bytes(added);
-        Ok(ByteSize::from_bytes(added))
+        Arc::make_mut(image).append(lines)
+    }
+
+    /// How many parsed columns the store keeps of `log` (diagnostic hook).
+    pub fn log_columns_kept(&self, log: &str) -> usize {
+        self.logs
+            .get(log)
+            .map_or(0, |image| image.lock_parsed().cols.len())
     }
 
     /// The on-disk size of a base log.
@@ -119,6 +267,7 @@ impl HvStore {
                 schema,
                 rows,
                 size,
+                cols: OnceLock::new(),
                 checksum,
             },
         );
@@ -145,6 +294,7 @@ impl HvStore {
                 schema,
                 rows,
                 size,
+                cols: OnceLock::new(),
                 checksum,
             },
         );
@@ -213,6 +363,7 @@ impl HvStore {
         let Some(view) = self.views.get_mut(name) else {
             return false;
         };
+        view.cols = OnceLock::new();
         corrupt_first_row(&mut view.rows)
     }
 
@@ -231,7 +382,11 @@ impl HvStore {
     /// Registers true log/view sizes into an estimation stats source.
     pub fn fill_stats(&self, stats: &mut MapStats) {
         for (name, log) in &self.logs {
-            stats.set_log(name.clone(), log.len() as f64, log.size.as_bytes() as f64);
+            stats.set_log(
+                name.clone(),
+                log.lines.len() as f64,
+                log.size.as_bytes() as f64,
+            );
         }
         for (name, view) in &self.views {
             stats.set_view(
@@ -464,6 +619,20 @@ impl DataSource for HvStore {
     fn view_rows_shared(&self, view: &str) -> Option<Arc<Vec<Row>>> {
         self.views.get(view).map(|v| v.rows.clone())
     }
+
+    fn view_cols_shared(&self, view: &str) -> Option<Arc<ColBatch>> {
+        let v = self.views.get(view)?;
+        v.cols
+            .get_or_init(|| ColBatch::from_rows(&v.rows).map(Arc::new))
+            .clone()
+    }
+
+    fn log_columns(&self, log: &str, fields: &[FusedField<'_>]) -> Result<LogColumns> {
+        self.logs
+            .get(log)
+            .ok_or_else(|| MisoError::Store(format!("HV has no log `{log}`")))?
+            .columns(fields)
+    }
 }
 
 #[cfg(test)]
@@ -538,6 +707,96 @@ mod tests {
         assert_eq!(s.verify_view("v_test", recorded), Some(false));
         assert_eq!(s.verify_view("v_missing", recorded), None);
         assert!(!s.corrupt_view("v_missing"));
+    }
+
+    /// A clone costs refcounts, not lines: it shares each log's storage and
+    /// parsed columns with its original until one of them appends, and the
+    /// append leaves the other scanning the log as it was.
+    #[test]
+    fn clone_shares_log_storage_and_append_is_copy_on_write() {
+        let mut master = store();
+        let p = plan("SELECT t.city AS city, COUNT(*) AS n FROM twitter t GROUP BY t.city");
+        let udfs = UdfRegistry::new();
+        let rows_of = |s: &HvStore| {
+            let run = s.execute(&p, None, &udfs).unwrap();
+            run.execution.root_rows().unwrap().to_vec()
+        };
+        let snapshot = master.clone();
+        for log in ["twitter", "foursquare", "landmarks"] {
+            assert!(Arc::ptr_eq(&master.logs[log], &snapshot.logs[log]), "{log}");
+        }
+        // A scan through either warms the one image.
+        let before = rows_of(&snapshot);
+        let kept = master.log_columns_kept("twitter");
+        assert!(kept > 0);
+        assert_eq!(snapshot.log_columns_kept("twitter"), kept);
+
+        let lines = snapshot.log_lines("twitter").unwrap().len();
+        let extra = vec![
+            r#"{"tweet_id": 1, "city": "atlantis"}"#.to_string(),
+            "torn line".to_string(),
+        ];
+        master.append_log("twitter", extra).unwrap();
+        assert!(!Arc::ptr_eq(
+            &master.logs["twitter"],
+            &snapshot.logs["twitter"]
+        ));
+        assert!(Arc::ptr_eq(
+            &master.logs["landmarks"],
+            &snapshot.logs["landmarks"]
+        ));
+        assert_eq!(snapshot.log_lines("twitter").unwrap().len(), lines);
+        assert_eq!(master.log_lines("twitter").unwrap().len(), lines + 2);
+        assert_eq!(
+            rows_of(&snapshot),
+            before,
+            "the snapshot's log did not grow"
+        );
+        let grown = rows_of(&master);
+        assert_eq!(grown.len(), before.len() + 1, "atlantis is a new group");
+        // Sole owner again: the next append extends in place.
+        drop(snapshot);
+        let image = Arc::as_ptr(&master.logs["twitter"]);
+        master
+            .append_log("twitter", vec![r#"{"city": "atlantis"}"#.into()])
+            .unwrap();
+        assert_eq!(Arc::as_ptr(&master.logs["twitter"]), image);
+        assert_eq!(master.log_columns_kept("twitter"), kept);
+        assert_eq!(rows_of(&master).len(), grown.len());
+    }
+
+    /// The columnar twin of a view is pivoted once and can never outlive
+    /// the rows it mirrors.
+    #[test]
+    fn view_columns_are_cached_until_the_rows_change() {
+        let mut s = store();
+        let schema = Schema::new(vec![miso_data::Field::new("x", miso_data::DataType::Int)]);
+        let rows = |x: i64| Arc::new(vec![Row::new(vec![miso_data::Value::Int(x)])]);
+        s.install_view("v", schema.clone(), rows(1));
+        let first = s.view_cols_shared("v").unwrap();
+        assert!(Arc::ptr_eq(&first, &s.view_cols_shared("v").unwrap()));
+        assert!(Arc::ptr_eq(
+            &first,
+            &s.clone().view_cols_shared("v").unwrap()
+        ));
+        assert_eq!(first.to_rows(), *rows(1));
+        assert!(s.corrupt_view("v"));
+        let corrupted = s.view_cols_shared("v").unwrap();
+        assert_eq!(corrupted.to_rows(), *s.view_rows("v").unwrap());
+        assert_ne!(corrupted.to_rows(), *rows(1));
+        s.install_view("v", schema.clone(), rows(2));
+        assert_eq!(s.view_cols_shared("v").unwrap().to_rows(), *rows(2));
+        let (_, taken, _) = s.take_view("v").unwrap();
+        assert!(s.view_cols_shared("v").is_none());
+        s.install_view_with_checksum(
+            "v",
+            schema,
+            rows(3),
+            ByteSize::from_bytes(1),
+            checksum_rows(&rows(3)),
+        );
+        assert_eq!(s.view_cols_shared("v").unwrap().to_rows(), *rows(3));
+        assert_eq!(*taken, *rows(2));
     }
 
     #[test]

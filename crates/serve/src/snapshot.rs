@@ -9,9 +9,13 @@
 //! never a mix: the catalog, HV residency, and DW residency travel as one
 //! atomic unit.
 //!
-//! Row payloads inside the stores are `Arc<Vec<Row>>`, so cloning a store
-//! into a snapshot shares data rather than copying it; the clone cost is
-//! proportional to the number of logs/views, not the number of rows.
+//! View rows inside the stores are `Arc<Vec<Row>>` and HV's base logs sit
+//! behind an `Arc` too (lines and parsed columns alike), so cloning a store
+//! into a snapshot shares data rather than copying it: the clone cost is
+//! proportional to the number of logs/views, not the number of rows or
+//! lines, and a snapshot and the master it came from warm one column cache.
+//! A log is copied only when the master appends to it while a snapshot
+//! still reads it (`miso_hv::HvStore::append_log` is copy-on-write).
 
 use std::sync::{Arc, RwLock};
 
