@@ -1,7 +1,8 @@
 //! Incremental view maintenance benchmark (miso-ivm).
 //!
-//! For each maintainable view shape — filter, project, aggregate, and
-//! join+aggregate — two identical systems ingest the same sequence of
+//! For each maintainable view shape — filter, project, aggregate,
+//! join+aggregate, float aggregate (`AVG`, float `SUM`) and a view derived
+//! through another view — two identical systems ingest the same sequence of
 //! append-only tweet batches under the Refresh policy:
 //!
 //! * **delta** — the production configuration: after one warm-up append
@@ -36,28 +37,49 @@ const MIN_SPEEDUP: f64 = 5.0;
 
 struct Shape {
     name: &'static str,
-    sql: &'static str,
+    /// The queries whose opportunistic run leaves the views, in order.
+    sql: &'static [&'static str],
 }
 
-const SHAPES: [Shape; 4] = [
+const SHAPES: [Shape; 6] = [
     Shape {
         name: "filter",
-        sql: "SELECT t.tweet_id AS id, t.city AS city FROM twitter t WHERE t.followers > 10",
+        sql: &["SELECT t.tweet_id AS id, t.city AS city FROM twitter t WHERE t.followers > 10"],
     },
     Shape {
         name: "project",
-        sql: "SELECT t.user_id AS u, t.followers + 1 AS f1 FROM twitter t WHERE t.tweet_id >= 0",
+        sql: &["SELECT t.user_id AS u, t.followers + 1 AS f1 FROM twitter t WHERE t.tweet_id >= 0"],
     },
     Shape {
         name: "aggregate",
-        sql: "SELECT t.city AS c, COUNT(*) AS n, SUM(t.followers) AS s FROM twitter t \
-              WHERE t.followers > 10 GROUP BY t.city",
+        sql: &[
+            "SELECT t.city AS c, COUNT(*) AS n, SUM(t.followers) AS s FROM twitter t \
+                WHERE t.followers > 10 GROUP BY t.city",
+        ],
     },
     Shape {
         name: "join+aggregate",
-        sql: "SELECT f.city AS c, COUNT(*) AS n FROM twitter t \
-              JOIN foursquare f ON t.user_id = f.user_id \
-              WHERE t.followers > 1 GROUP BY f.city",
+        sql: &["SELECT f.city AS c, COUNT(*) AS n FROM twitter t \
+                JOIN foursquare f ON t.user_id = f.user_id \
+                WHERE t.followers > 1 GROUP BY f.city"],
+    },
+    Shape {
+        name: "float-aggregate",
+        sql: &[
+            "SELECT t.city AS c, AVG(t.sentiment) AS mood, SUM(t.sentiment) AS s \
+                FROM twitter t WHERE t.followers > 10 GROUP BY t.city",
+        ],
+    },
+    // The second query is answered from the first one's filter view, so the
+    // aggregate it leaves behind scans that view, not the log.
+    Shape {
+        name: "derived-view",
+        sql: &[
+            "SELECT t.city AS c, COUNT(*) AS n FROM twitter t \
+             WHERE t.followers > 10 GROUP BY t.city",
+            "SELECT t.city AS c, MAX(t.followers) AS top FROM twitter t \
+             WHERE t.followers > 10 GROUP BY t.city",
+        ],
     },
 ];
 
@@ -69,6 +91,14 @@ struct ModeRun {
     sys: MultistoreSystem,
 }
 
+impl ModeRun {
+    /// Whether some maintained view is defined over another view.
+    fn derived_views(&self) -> bool {
+        let defs = self.sys.catalog.defs();
+        defs.iter().any(|d| !d.plan.scanned_views().is_empty())
+    }
+}
+
 /// Builds a fresh system over `corpus`, materializes the shape's views via
 /// one opportunistic-HV run, primes fold state with a warm-up append, then
 /// times `batches` further appends under the Refresh policy.
@@ -76,7 +106,7 @@ struct ModeRun {
 fn run_mode(
     corpus: &Corpus,
     cfg: &LogsConfig,
-    query: &(String, LogicalPlan),
+    queries: &[(String, LogicalPlan)],
     frac: f64,
     batches: u64,
     batch_rows: usize,
@@ -85,8 +115,8 @@ fn run_mode(
     let mut config = SystemConfig::paper_default(budgets);
     config.ivm_max_delta_frac = frac;
     let mut sys = MultistoreSystem::new(corpus, workload_catalog(), standard_udfs(), config);
-    sys.run_workload(Variant::HvOp, std::slice::from_ref(query))
-        .expect("shape query runs");
+    sys.run_workload(Variant::HvOp, queries)
+        .expect("shape queries run");
     assert!(
         !sys.catalog.is_empty(),
         "opportunistic run must leave views"
@@ -157,18 +187,28 @@ fn main() {
     let mut failures = 0u32;
     let mut cfg_values = Vec::new();
     for shape in &SHAPES {
-        let plan = miso_lang::compile(shape.sql, &catalog).expect("shape compiles");
-        let query = (shape.name.to_string(), plan);
+        let queries: Vec<(String, LogicalPlan)> = shape
+            .sql
+            .iter()
+            .map(|sql| {
+                let plan = miso_lang::compile(sql, &catalog).expect("shape compiles");
+                (shape.name.to_string(), plan)
+            })
+            .collect();
         let delta_run = run_mode(
             &corpus,
             &cfg,
-            &query,
+            &queries,
             SystemConfig::paper_default(budgets).ivm_max_delta_frac,
             batches,
             batch_rows,
             budgets,
         );
-        let full_run = run_mode(&corpus, &cfg, &query, 0.0, batches, batch_rows, budgets);
+        let full_run = run_mode(&corpus, &cfg, &queries, 0.0, batches, batch_rows, budgets);
+        if shape.sql.len() > 1 && !delta_run.derived_views() {
+            eprintln!("ivmbench: {}: no view over a view was left", shape.name);
+            failures += 1;
+        }
 
         // The production mode must actually exercise the delta path, and
         // the forced mode must never touch it.

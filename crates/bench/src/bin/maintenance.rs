@@ -48,7 +48,7 @@ fn main() {
             exec += r.tti_total();
             let delta = generate_delta(&cfg, LogKind::Twitter, i as u64, 2000);
             let report = sys
-                .append_log(LogKind::Twitter, delta, policy, &mut clock)
+                .append_log(LogKind::Twitter, &delta, policy, &mut clock)
                 .unwrap();
             maint += report.cost;
         }

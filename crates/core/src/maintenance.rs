@@ -7,25 +7,32 @@
 //! and HDFS updates are **append-only**. This module implements the two
 //! natural policies those observations suggest:
 //!
-//! * [`MaintenancePolicy::Invalidate`] — drop every view over the appended
-//!   log. Zero maintenance cost; the views regrow as by-products of the
-//!   next queries (the "opportunistic" answer).
-//! * [`MaintenancePolicy::Refresh`] — keep the design warm. With IVM on
-//!   (`SystemConfig::ivm`, default; `MISO_IVM` overrides), each affected
-//!   view goes through the delta-maintenance analyzer
-//!   ([`miso_views::analyze_maintenance`]): maintainable views — filters,
-//!   projections, UDFs, joins with the delta on the probe side, and a
-//!   topmost aggregate — fold the appended delta into live state
+//! * [`MaintenancePolicy::Invalidate`] — drop every view derived from the
+//!   appended log. Zero maintenance cost; the views regrow as by-products
+//!   of the next queries (the "opportunistic" answer).
+//! * [`MaintenancePolicy::Refresh`] — keep the design warm, in **one pass
+//!   per batch**. The appended lines become a [`LogBatch`]: HV extends the
+//!   log's kept columns from it, and every view derived from the log —
+//!   directly or through other views ([`ViewCatalog::derived_from`]) — is
+//!   refreshed against it in dependency order, so each field of the batch
+//!   is parsed once, whoever asks. A view the delta-maintenance analyzer
+//!   ([`miso_views::analyze_maintenance`]) accepts — filters, projections,
+//!   UDFs, joins with the delta on the probe side, a topmost aggregate of
+//!   any type — runs its delta plan lean over the batch (or over the Δrows
+//!   of the parent view it scans) and folds the result into live state
 //!   ([`miso_exec::AggState`], stored join build sides) in O(|delta|),
 //!   re-stamping the integrity checksum incrementally through
 //!   [`RowSetDigest`] (bit-identical to a full re-checksum). Everything
 //!   else — and every fallback ([`FullReason`]) — recomputes in full,
-//!   rebuilding the maintenance state as a side effect. With IVM off, the
-//!   original distributive-union path runs unchanged.
+//!   rebuilding the maintenance state as a side effect; a view over a
+//!   patched or rebuilt parent recomputes from the refreshed parent, and a
+//!   view whose parent is gone is dropped with it.
 //!
 //! Either way the system's query results always reflect the appended data
 //! (stale views are never silently served), and a delta-maintained view is
 //! row- and checksum-identical to a freshly recomputed one.
+//!
+//! [`ViewCatalog::derived_from`]: miso_views::ViewCatalog::derived_from
 
 use crate::system::MultistoreSystem;
 use miso_common::guard::QueryGuard;
@@ -33,16 +40,16 @@ use miso_common::{ByteSize, MisoError, Result, SimClock, SimDuration};
 use miso_data::checksum::RowSetDigest;
 use miso_data::logs::LogKind;
 use miso_data::{Delta, Row};
-use miso_dw::{DwActivity, TableSpace};
-use miso_exec::engine::{execute, DataSource};
-use miso_exec::{apply_projection, AggState, FoldOutcome};
-use miso_plan::{LogicalPlan, Operator};
-use miso_views::{analyze_maintenance, FullReason, MaintPlan};
+use miso_dw::DwActivity;
+use miso_exec::engine::{execute_subset_opts, DataSource, ExecOptions, LogColumns, Retention};
+use miso_exec::{apply_projection, AggState, FusedField};
+use miso_hv::LogBatch;
+use miso_views::{analyze_maintenance, FullReason, MaintPlan, ViewChange, ViewDef};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How to treat views over a log that just grew.
+/// How to treat views derived from a log that just grew.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenancePolicy {
     /// Drop affected views; let them regrow opportunistically.
@@ -73,7 +80,7 @@ pub struct MaintDecision {
     pub action: MaintAction,
     /// Why a full rebuild (or invalidation) was chosen instead of a delta
     /// apply. `None` exactly when `action == Delta`, and for
-    /// policy-driven invalidations.
+    /// invalidations.
     pub reason: Option<FullReason>,
     /// Raw delta lines this append carried.
     pub delta_rows: u64,
@@ -113,63 +120,110 @@ pub(crate) struct IvmViewState {
     /// Materialized right (build) inputs of delta-on-probe-side joins,
     /// keyed by their synthetic `§ivm:` view names.
     builds: HashMap<String, Arc<Vec<Row>>>,
-    /// Aggregate fold state, `None` for append-only views and for
-    /// aggregates that resolved to float accumulation.
+    /// Aggregate fold state; `None` for append-only views.
     agg: Option<AggState>,
 }
 
-/// A data source that exposes only the appended lines of one log, the
-/// stored join build sides under their synthetic names, and the HV store's
-/// views (so defining plans over earlier views still resolve).
+/// What one append batch hands every view it reaches.
+struct BatchDelta<'a> {
+    /// The log that grew, its pre-append row count, and the batch's bytes.
+    log: &'a str,
+    base_rows: u64,
+    bytes: ByteSize,
+    /// The appended lines, each field parsed at most once for all views.
+    batch: &'a LogBatch<'a>,
+    /// Views refreshed so far in this batch: the rows appended to them when
+    /// that is all that changed, `None` when patched or rebuilt.
+    refreshed: HashMap<String, Option<Arc<Vec<Row>>>>,
+}
+
+impl BatchDelta<'_> {
+    fn change_of(&self, view: &str) -> ViewChange {
+        match self.refreshed.get(view) {
+            None => ViewChange::Unchanged,
+            Some(Some(_)) => ViewChange::Appended,
+            Some(None) => ViewChange::Rewritten,
+        }
+    }
+}
+
+/// What a view's delta plan reads: of the grown log only the batch, of a
+/// parent appended to in this batch only its Δrows, the stored join build
+/// sides under their synthetic names, and otherwise the HV store's views.
 struct DeltaSource<'a> {
     hv: &'a miso_hv::HvStore,
-    log: &'a str,
-    delta: &'a [String],
+    delta: &'a BatchDelta<'a>,
     builds: &'a HashMap<String, Arc<Vec<Row>>>,
+}
+
+impl DeltaSource<'_> {
+    /// A stored build side, or the Δrows of a parent appended to.
+    fn pinned(&self, view: &str) -> Option<&Arc<Vec<Row>>> {
+        let delta_of = || self.delta.refreshed.get(view)?.as_ref();
+        self.builds.get(view).or_else(delta_of)
+    }
+
+    fn batch_of(&self, log: &str) -> Result<&LogBatch<'_>> {
+        if log == self.delta.log {
+            Ok(self.delta.batch)
+        } else {
+            // Clean inputs are join build sides, which a delta plan reads
+            // from the stored snapshot.
+            Err(MisoError::Execution(format!(
+                "delta plan scans `{log}`, which did not grow"
+            )))
+        }
+    }
 }
 
 impl DataSource for DeltaSource<'_> {
     fn log_lines(&self, log: &str) -> Result<&[String]> {
-        if log == self.log {
-            Ok(self.delta)
-        } else {
-            // Other logs did not change: their contribution to the delta
-            // plan is empty.
-            Ok(&[])
-        }
+        Ok(self.batch_of(log)?.lines())
+    }
+
+    fn log_rows_shared(&self, log: &str) -> Option<(Arc<Vec<Row>>, u64)> {
+        self.batch_of(log).ok().map(LogBatch::rows)
+    }
+
+    fn log_columns(&self, log: &str, fields: &[FusedField<'_>]) -> Result<LogColumns> {
+        self.batch_of(log)?.columns(fields)
     }
 
     fn view_rows(&self, view: &str) -> Result<&[Row]> {
-        if let Some(rows) = self.builds.get(view) {
-            Ok(rows)
-        } else {
-            self.hv.view_rows_slice(view)
+        match self.pinned(view) {
+            Some(rows) => Ok(rows),
+            None => self.hv.view_rows_slice(view),
         }
     }
 
     fn view_rows_shared(&self, view: &str) -> Option<Arc<Vec<Row>>> {
-        self.builds
-            .get(view)
+        self.pinned(view)
             .cloned()
             .or_else(|| self.hv.view_rows(view))
     }
 }
 
-/// True iff `plan` is per-record over its scans: every operator distributes
-/// over unions of the input log (so `P(old ∪ Δ) = P(old) ∪ P(Δ)`).
-pub fn is_distributive(plan: &LogicalPlan) -> bool {
-    plan.nodes().iter().all(|n| {
-        matches!(
-            n.op,
-            Operator::ScanLog { .. }
-                | Operator::ScanView { .. }
-                | Operator::Filter { .. }
-                | Operator::Project { .. }
-                | Operator::Udf { .. }
-        )
-    }) && plan.scanned_views().is_empty()
-    // Views-of-views are conservatively non-distributive here: their base
-    // views refresh in the same pass and ordering is not tracked.
+/// What refreshing one view did.
+struct Refreshed {
+    /// `None` exactly when the delta folded.
+    reason: Option<FullReason>,
+    cost: SimDuration,
+    /// The rows appended to the view, when nothing else about it changed.
+    appended: Option<Arc<Vec<Row>>>,
+}
+
+impl Refreshed {
+    fn full(cost: SimDuration, reason: FullReason) -> Refreshed {
+        Refreshed {
+            reason: Some(reason),
+            cost,
+            appended: None,
+        }
+    }
+}
+
+fn bytes_of(rows: &[Row]) -> ByteSize {
+    ByteSize::from_bytes(rows.iter().map(Row::approx_bytes).sum())
 }
 
 impl MultistoreSystem {
@@ -184,23 +238,26 @@ impl MultistoreSystem {
     ) -> Result<MaintenanceReport> {
         let kind = LogKind::from_table_name(&delta.log)
             .ok_or_else(|| MisoError::Store(format!("no base log `{}`", delta.log)))?;
-        self.append_log(kind, delta.lines.clone(), policy, clock)
+        self.append_log(kind, &delta.lines, policy, clock)
     }
 
-    /// Appends `lines` to the given base log and maintains affected views
-    /// per `policy`. Maintenance time is charged to the TTI `tune` bucket
-    /// (it is physical-design upkeep) and to the background-contention
-    /// timeline as view-transfer activity where DW is touched.
+    /// Appends `lines` to the given base log and maintains, in one pass,
+    /// every view derived from it per `policy`. Maintenance time is charged
+    /// to the TTI `tune` bucket (it is physical-design upkeep) and to the
+    /// background-contention timeline as view-transfer activity where DW is
+    /// touched.
     pub fn append_log(
         &mut self,
         kind: LogKind,
-        lines: Vec<String>,
+        lines: &[String],
         policy: MaintenancePolicy,
         clock: &mut SimClock,
     ) -> Result<MaintenanceReport> {
-        let log_name = kind.table_name();
+        let log = kind.table_name();
+        let mut span = miso_obs::span("maint.batch");
+        let batch = LogBatch::new(lines);
         let mut report = MaintenanceReport {
-            appended: self.hv.append_log(log_name, lines.clone())?,
+            appended: self.hv.append_log(log, &batch)?,
             ..Default::default()
         };
         let delta_rows = lines.len() as u64;
@@ -211,185 +268,109 @@ impl MultistoreSystem {
             let catalog = &self.catalog;
             self.ivm_state.retain(|name, _| catalog.contains(name));
         }
-
-        // Which views are defined (transitively) over this log? Refresh in
-        // dependency order: a view scanning another affected view goes after
-        // its dependency (Kahn-style passes over the small affected set).
-        let mut affected: Vec<String> = self
+        // Parents before children: a view over a view takes its delta from
+        // what this pass just did to the parent.
+        let affected: Vec<ViewDef> = self
             .catalog
-            .defs()
-            .iter()
-            .filter(|def| def.plan.base_logs().iter().any(|l| l == log_name))
-            .map(|def| def.name.clone())
+            .derived_from(log)
+            .into_iter()
+            .cloned()
             .collect();
-        {
-            let affected_set: std::collections::HashSet<String> =
-                affected.iter().cloned().collect();
-            let mut ordered = Vec::with_capacity(affected.len());
-            let mut remaining = affected.clone();
-            while !remaining.is_empty() {
-                let ready: Vec<String> = remaining
-                    .iter()
-                    .filter(|name| {
-                        let def = self.catalog.get(name).expect("affected view");
-                        def.plan
-                            .scanned_views()
-                            .iter()
-                            .all(|dep| !affected_set.contains(dep) || ordered.contains(dep))
-                    })
-                    .cloned()
-                    .collect();
-                if ready.is_empty() {
-                    // Cycle cannot happen (views are DAG-shaped), but guard.
-                    ordered.extend(remaining);
-                    break;
+        let mut delta = BatchDelta {
+            log,
+            base_rows: self.hv.log_lines(log)?.len() as u64 - delta_rows,
+            bytes: report.appended,
+            batch: &batch,
+            refreshed: HashMap::new(),
+        };
+        for def in affected {
+            let wall = Instant::now();
+            let mut view_span = miso_obs::span("maint.refresh");
+            let refreshed = match policy {
+                MaintenancePolicy::Invalidate => None,
+                // An error means the inputs are unavailable (a parent is
+                // gone, or lives only in DW): invalidate rather than serve
+                // stale rows.
+                MaintenancePolicy::Refresh => {
+                    let refreshed = self.refresh_view(&def, &delta, clock).ok();
+                    if refreshed.is_none() {
+                        miso_obs::count("maint.fallbacks", 1);
+                    }
+                    refreshed
                 }
-                remaining.retain(|n| !ready.contains(n));
-                ordered.extend(ready);
-            }
-            affected = ordered;
-        }
-
-        for name in affected {
-            let def = self.catalog.get(&name).expect("listed above").clone();
-            match policy {
-                MaintenancePolicy::Invalidate => {
+            };
+            let name = def.name;
+            let (action, reason, cost) = match refreshed {
+                Some(done) => {
+                    delta.refreshed.insert(name.clone(), done.appended);
+                    report.cost += done.cost;
+                    let action = match &done.reason {
+                        None => {
+                            miso_obs::count("maint.delta_applies", 1);
+                            report.delta_refreshed.push(name.clone());
+                            MaintAction::Delta
+                        }
+                        Some(why) => {
+                            miso_obs::count("maint.full_refreshes", 1);
+                            miso_obs::count(why.counter(), 1);
+                            if why.is_fallback() {
+                                miso_obs::count("maint.fallbacks", 1);
+                            }
+                            report.recomputed.push(name.clone());
+                            MaintAction::Full
+                        }
+                    };
+                    (action, done.reason, done.cost)
+                }
+                None => {
                     self.hv.remove_view(&name);
                     self.dw.evict_view(&name);
                     self.catalog.remove(&name);
                     self.ivm_state.remove(&name);
                     report.invalidated.push(name.clone());
-                    report.decisions.push(MaintDecision {
-                        view: name,
-                        action: MaintAction::Invalidated,
-                        reason: None,
-                        delta_rows,
-                        cost: SimDuration::ZERO,
-                    });
+                    (MaintAction::Invalidated, None, SimDuration::ZERO)
                 }
-                MaintenancePolicy::Refresh => {
-                    let wall = Instant::now();
-                    let outcome = if self.config.ivm {
-                        self.refresh_view_ivm(&def, log_name, &lines, clock)
-                    } else {
-                        // IVM off: the original distributive-union /
-                        // full-recompute path, byte-identical to before.
-                        self.refresh_view(&def, log_name, &lines, clock)
-                            .map(|o| match o {
-                                RefreshOutcome::Delta(cost) => IvmOutcome::Applied {
-                                    cost,
-                                    rows: delta_rows,
-                                },
-                                RefreshOutcome::Full(cost) => IvmOutcome::Fallback {
-                                    cost,
-                                    reason: FullReason::IvmDisabled,
-                                },
-                            })
-                    };
-                    miso_obs::observe("ivm.refresh_ns", wall.elapsed().as_nanos() as u64);
-                    match outcome {
-                        Ok(IvmOutcome::Applied { cost, rows }) => {
-                            miso_obs::count("maint.delta_applies", 1);
-                            report.cost += cost;
-                            report.delta_refreshed.push(name.clone());
-                            report.decisions.push(MaintDecision {
-                                view: name,
-                                action: MaintAction::Delta,
-                                reason: None,
-                                delta_rows: rows,
-                                cost,
-                            });
-                        }
-                        Ok(IvmOutcome::Fallback { cost, reason }) => {
-                            miso_obs::count("maint.full_refreshes", 1);
-                            if reason.is_fallback() {
-                                miso_obs::count("maint.fallbacks", 1);
-                            }
-                            report.cost += cost;
-                            report.recomputed.push(name.clone());
-                            report.decisions.push(MaintDecision {
-                                view: name,
-                                action: MaintAction::Full,
-                                reason: Some(reason),
-                                delta_rows,
-                                cost,
-                            });
-                        }
-                        Err(_) => {
-                            // Inputs unavailable (e.g. defining plan scans a
-                            // view that only lives in DW): fall back to
-                            // invalidation rather than serving stale rows.
-                            self.hv.remove_view(&name);
-                            self.dw.evict_view(&name);
-                            self.catalog.remove(&name);
-                            self.ivm_state.remove(&name);
-                            miso_obs::count("maint.fallbacks", 1);
-                            report.invalidated.push(name.clone());
-                            report.decisions.push(MaintDecision {
-                                view: name,
-                                action: MaintAction::Invalidated,
-                                reason: None,
-                                delta_rows,
-                                cost: SimDuration::ZERO,
-                            });
-                        }
-                    }
-                }
+            };
+            miso_obs::observe("ivm.refresh_ns", wall.elapsed().as_nanos() as u64);
+            if view_span.is_active() {
+                use miso_obs::FieldValue::{Str, U64};
+                view_span.push_field("view", Str(name.clone()));
+                view_span.push_field("action", Str(format!("{action:?}")));
+                let tag = reason.as_ref().map_or("", FullReason::tag);
+                view_span.push_field("reason", Str(tag.into()));
+                view_span.push_field("delta_rows", U64(delta_rows));
+                let rows_out = self.catalog.get(&name).map_or(0, |d| d.rows);
+                view_span.push_field("rows_out", U64(rows_out));
             }
+            report.decisions.push(MaintDecision {
+                view: name,
+                action,
+                reason,
+                delta_rows,
+                cost,
+            });
+        }
+        if span.is_active() {
+            use miso_obs::FieldValue::{Str, U64};
+            span.push_field("log", Str(log.into()));
+            span.push_field("delta_rows", U64(delta_rows));
+            span.push_field("views", U64(report.decisions.len() as u64));
+            span.push_field("cost_us", U64(report.cost.as_micros()));
         }
         Ok(report)
     }
-}
 
-enum RefreshOutcome {
-    Delta(SimDuration),
-    Full(SimDuration),
-}
-
-/// Outcome of the IVM-aware refresh of one view.
-enum IvmOutcome {
-    /// The delta folded into the stored view.
-    Applied { cost: SimDuration, rows: u64 },
-    /// A full recompute ran instead, for the given reason.
-    Fallback {
-        cost: SimDuration,
-        reason: FullReason,
-    },
-}
-
-/// Outcome of one delta-apply attempt against live state.
-enum ApplyResult {
-    Applied(SimDuration),
-    /// The aggregate resolved to float accumulation: fold would not be
-    /// bit-identical to a rebuild, fall back to full.
-    Float,
-}
-
-impl MultistoreSystem {
-    /// The IVM-aware refresh: delta-fold when the view is maintainable and
-    /// its state is warm and verified, full recompute (rebuilding state as
-    /// a side effect) otherwise. Every full path carries its [`FullReason`].
-    fn refresh_view_ivm(
+    /// Refreshes one view against the batch: delta-fold when the view is
+    /// maintainable and its state is warm and verified, full recompute
+    /// (rebuilding state as a side effect) otherwise, with its
+    /// [`FullReason`]. An error leaves the view for the caller to drop.
+    fn refresh_view(
         &mut self,
-        def: &miso_views::ViewDef,
-        log_name: &str,
-        delta: &[String],
+        def: &ViewDef,
+        delta: &BatchDelta<'_>,
         clock: &mut SimClock,
-    ) -> Result<IvmOutcome> {
+    ) -> Result<Refreshed> {
         let name = &def.name;
-        let full_old = |sys: &mut Self, reason: FullReason, clock: &mut SimClock| {
-            // Fall back to the pre-IVM path (distributive union or full
-            // recompute); it does not maintain IVM state, so drop any.
-            sys.ivm_state.remove(name);
-            sys.refresh_view(def, log_name, delta, clock)
-                .map(|o| match o {
-                    RefreshOutcome::Delta(cost) => IvmOutcome::Applied {
-                        cost,
-                        rows: delta.len() as u64,
-                    },
-                    RefreshOutcome::Full(cost) => IvmOutcome::Fallback { cost, reason },
-                })
-        };
         if self.catalog.is_quarantined(name) {
             // A quarantined view has no store copies to refresh (they were
             // dropped at quarantine time), and its eventual repair — the
@@ -397,247 +378,198 @@ impl MultistoreSystem {
             // the already-grown base log. Deferring the rebuild there is
             // safe (nothing stale is servable) and costs nothing now.
             self.ivm_state.remove(name);
-            return Ok(IvmOutcome::Fallback {
-                cost: SimDuration::ZERO,
-                reason: FullReason::Quarantined,
-            });
+            return Ok(Refreshed::full(SimDuration::ZERO, FullReason::Quarantined));
         }
-        let mplan = match analyze_maintenance(&def.plan, log_name) {
-            Ok(p) => p,
-            Err(reason) => return full_old(self, reason, clock),
+        for parent in def.plan.scanned_views() {
+            // A parent that was dropped, or that waits for repair, cannot
+            // say what this batch did to it.
+            if !self.catalog.contains(&parent) || self.catalog.is_quarantined(&parent) {
+                return Err(MisoError::Store(format!(
+                    "`{name}` scans `{parent}`, which is gone"
+                )));
+            }
+        }
+        if !self.config.ivm {
+            let cost = self.rebuild(def, None, clock)?;
+            return Ok(Refreshed::full(cost, FullReason::IvmDisabled));
+        }
+        let mplan = match analyze_maintenance(&def.plan, delta.log, &|v| delta.change_of(v)) {
+            Ok(mplan) => mplan,
+            Err(reason) => return Ok(Refreshed::full(self.rebuild(def, None, clock)?, reason)),
         };
         // Delta-size policy: past the threshold a rebuild is at least as
         // cheap as folding (and resets any state drift), so prefer it.
-        let delta_rows = delta.len() as u64;
-        let base_rows = (self.hv.log_lines(log_name)?.len() as u64).saturating_sub(delta_rows);
+        let delta_rows = delta.batch.lines().len() as u64;
+        let base_rows = delta.base_rows;
         if delta_rows as f64 > self.config.ivm_max_delta_frac * base_rows as f64 {
-            let cost = self.rebuild_with_state(def, &mplan, clock)?;
-            return Ok(IvmOutcome::Fallback {
-                cost,
-                reason: FullReason::DeltaTooLarge {
-                    delta_rows,
-                    base_rows,
-                },
-            });
+            let cost = self.rebuild(def, Some(&mplan), clock)?;
+            let reason = FullReason::DeltaTooLarge {
+                delta_rows,
+                base_rows,
+            };
+            return Ok(Refreshed::full(cost, reason));
         }
         // State check: cold (never built) or stale (the stored view was
         // rebuilt out of band — the digest no longer matches the catalog
         // checksum) forces a rebuild that recaptures fresh state.
-        let mut warm = match self.ivm_state.get(name) {
-            Some(st) => Some(st.digest.finish()) == self.catalog.get(name).and_then(|d| d.checksum),
-            None => false,
-        };
+        let stamp = self.catalog.get(name).and_then(|d| d.checksum);
+        let mut state = self.ivm_state.remove(name);
+        let stale = state.is_some();
+        state = state.filter(|st| Some(st.digest.finish()) == stamp);
         // A pure per-record plan's entire fold state is the running digest,
         // which can be re-seeded from the resident rows without executing
         // the plan — only if the reconstruction matches the catalog stamp
         // (a mismatch means the copy is suspect and the rebuild resets it).
-        if !warm && matches!(mplan, MaintPlan::Append(_)) && mplan.builds().is_empty() {
-            if let Some(rows) = self
-                .hv
-                .view_rows(name)
-                .or_else(|| self.dw.view_rows_arc(name))
-            {
+        if state.is_none() && matches!(mplan, MaintPlan::Append(_)) && mplan.builds().is_empty() {
+            let resident = self.hv.view_rows(name);
+            if let Some(rows) = resident.or_else(|| self.dw.view_rows_arc(name)) {
                 let digest = RowSetDigest::from_rows(&rows);
-                if Some(digest.finish()) == self.catalog.get(name).and_then(|d| d.checksum) {
-                    self.ivm_state.insert(
-                        name.clone(),
-                        IvmViewState {
-                            digest,
-                            builds: HashMap::new(),
-                            agg: None,
-                        },
-                    );
-                    warm = true;
-                }
+                state = (Some(digest.finish()) == stamp).then(|| IvmViewState {
+                    digest,
+                    builds: HashMap::new(),
+                    agg: None,
+                });
             }
         }
-        if !warm {
-            let reason = if self.ivm_state.contains_key(name) {
+        let Some(mut state) = state else {
+            let cost = self.rebuild(def, Some(&mplan), clock)?;
+            let reason = if stale {
                 FullReason::StateStale
             } else {
                 FullReason::StateCold
             };
-            let cost = self.rebuild_with_state(def, &mplan, clock)?;
-            return Ok(IvmOutcome::Fallback { cost, reason });
-        }
-        let mut state = self.ivm_state.remove(name).expect("state verified warm");
-        match self.apply_delta(def, &mplan, &mut state, log_name, delta, clock)? {
-            ApplyResult::Applied(cost) => {
-                self.ivm_state.insert(name.clone(), state);
-                Ok(IvmOutcome::Applied {
-                    cost,
-                    rows: delta_rows,
-                })
-            }
-            ApplyResult::Float => {
-                let cost = self.rebuild_with_state(def, &mplan, clock)?;
-                Ok(IvmOutcome::Fallback {
-                    cost,
-                    reason: FullReason::FloatAggregate,
-                })
-            }
-        }
+            return Ok(Refreshed::full(cost, reason));
+        };
+        let folded = self.fold_delta(def, &mplan, &mut state, delta, clock)?;
+        self.ivm_state.insert(name.clone(), state);
+        Ok(folded)
     }
 
-    /// Folds one delta into warm state: runs the delta plan over just the
-    /// appended lines (stored build sides resolve the join probes), then
-    /// either appends the produced rows or patches the aggregate's changed
-    /// groups — re-stamping the content checksum incrementally in
-    /// O(changed rows).
-    fn apply_delta(
+    /// Folds the batch into warm state: runs the delta plan — lean, fused,
+    /// columnar — over the batch image or the parent's Δrows (stored build
+    /// sides resolve the join probes), then either appends the produced
+    /// rows or patches the aggregate's changed groups, re-stamping the
+    /// content checksum incrementally in O(changed rows). One delta-scale
+    /// stage is charged.
+    fn fold_delta(
         &mut self,
-        def: &miso_views::ViewDef,
+        def: &ViewDef,
         mplan: &MaintPlan,
         state: &mut IvmViewState,
-        log_name: &str,
-        delta: &[String],
+        delta: &BatchDelta<'_>,
         clock: &mut SimClock,
-    ) -> Result<ApplyResult> {
-        let name = &def.name;
+    ) -> Result<Refreshed> {
+        let name = def.name.as_str();
+        let plan = mplan.delta_plan();
+        let src = DeltaSource {
+            hv: &self.hv,
+            delta,
+            builds: &state.builds,
+        };
+        let lean = ExecOptions {
+            retain: Retention::ROOT_ONLY,
+            ..ExecOptions::default()
+        };
+        let udfs = self.udf_registry();
+        let exec = execute_subset_opts(plan, None, HashMap::new(), &src, udfs, lean)?;
+        let new_rows = exec.retained_output(plan.root())?.clone();
+        let scan_bytes = match &mplan.input().parent {
+            None => delta.bytes,
+            Some(parent) => bytes_of(src.view_rows(parent)?),
+        };
         let in_dw = self.dw.has_view(name);
-        let udfs = self.udf_registry().clone();
-        let scan_bytes = ByteSize::from_bytes(delta.iter().map(|l| l.len() as u64 + 1).sum());
-        match mplan {
+        let resident = if in_dw {
+            self.dw.evict_view(name)
+        } else {
+            self.hv.take_view(name)
+        };
+        let (schema, mut stored, old_size) = resident
+            .ok_or_else(|| MisoError::integrity(name, "view resident nowhere at refresh time"))?;
+        // Sole owner of the row `Arc` (the stores gave it up): extending is
+        // in place, not a deep clone.
+        let rows = Arc::make_mut(&mut stored);
+        let (changed, size) = match mplan {
             MaintPlan::Append(_) => {
-                let exec = {
-                    let src = DeltaSource {
-                        hv: &self.hv,
-                        log: log_name,
-                        delta,
-                        builds: &state.builds,
-                    };
-                    execute(mplan.delta_plan(), &src, &udfs)?
-                };
-                let new_rows = exec.root_rows()?.to_vec();
-                let added = ByteSize::from_bytes(new_rows.iter().map(Row::approx_bytes).sum());
-                for r in &new_rows {
-                    state.digest.add_row(r);
+                for row in new_rows.iter() {
+                    state.digest.add_row(row);
                 }
-                let checksum = state.digest.finish();
-                let row_count = state.digest.count();
-                let mut cost =
-                    self.hv
-                        .cost_model
-                        .stage_cost(scan_bytes, added, new_rows.len() as u64);
-                let size = if in_dw {
-                    let (schema, mut rows, size) = self.dw.evict_view(name).ok_or_else(|| {
-                        MisoError::integrity(name.as_str(), "DW copy vanished during refresh")
-                    })?;
-                    Arc::make_mut(&mut rows).extend(new_rows);
-                    let move_cost =
-                        self.transfer_model().transfer_cost(added) + self.dw.load_cost(added);
-                    cost += self.stretch_for_maintenance(move_cost, clock);
-                    self.dw
-                        .load_view_with_checksum(name, schema, rows, size + added, checksum);
-                    size + added
-                } else {
-                    let (schema, mut rows, size) = self.hv.take_view(name).ok_or_else(|| {
-                        MisoError::integrity(name.as_str(), "view resident nowhere at refresh time")
-                    })?;
-                    Arc::make_mut(&mut rows).extend(new_rows);
-                    self.hv
-                        .install_view_with_checksum(name, schema, rows, size + added, checksum);
-                    size + added
-                };
-                self.catalog.set_checksum(name, checksum);
-                self.catalog.update_stats(name, size, row_count);
-                clock.advance(cost);
-                Ok(ApplyResult::Applied(cost))
+                rows.extend(new_rows.iter().cloned());
+                let added = bytes_of(&new_rows);
+                (added, old_size + added)
             }
             MaintPlan::Aggregate(da) => {
-                let Some(agg) = state.agg.as_mut() else {
-                    // Built as non-foldable (float accumulation).
-                    return Ok(ApplyResult::Float);
-                };
-                let exec = {
-                    let src = DeltaSource {
-                        hv: &self.hv,
-                        log: log_name,
-                        delta,
-                        builds: &state.builds,
-                    };
-                    execute(mplan.delta_plan(), &src, &udfs)?
-                };
-                let fold = agg.apply(exec.root_rows()?, &da.group_by, &da.aggs)?;
-                let applied = match fold {
-                    FoldOutcome::Applied(a) => a,
-                    FoldOutcome::FloatSum => return Ok(ApplyResult::Float),
-                };
-                let delta_in = exec.root_rows()?.len() as u64;
-                let (schema, mut rows_arc) = if in_dw {
-                    let (schema, rows, _) = self.dw.evict_view(name).ok_or_else(|| {
-                        MisoError::integrity(name.as_str(), "DW copy vanished during refresh")
-                    })?;
-                    (schema, rows)
-                } else {
-                    let (schema, rows, _) = self.hv.take_view(name).ok_or_else(|| {
-                        MisoError::integrity(name.as_str(), "view resident nowhere at refresh time")
-                    })?;
-                    (schema, rows)
-                };
-                let rows = Arc::make_mut(&mut rows_arc);
-                let mut changed_bytes = 0u64;
+                let agg = state.agg.as_mut().ok_or_else(|| {
+                    MisoError::integrity(name, "aggregate view without fold state")
+                })?;
+                let applied = agg.apply(&new_rows, &da.group_by, &da.aggs)?;
+                let mut changed = 0u64;
                 for (slot, agg_row) in &applied.updated {
                     let new_row = apply_projection(&da.post, agg_row)?;
-                    changed_bytes += new_row.approx_bytes();
-                    let old = &rows[*slot];
-                    if *old != new_row {
-                        state.digest.replace_row(old, &new_row);
+                    changed += new_row.approx_bytes();
+                    if rows[*slot] != new_row {
+                        state.digest.replace_row(&rows[*slot], &new_row);
                         rows[*slot] = new_row;
                     }
                 }
                 for agg_row in &applied.appended {
                     let new_row = apply_projection(&da.post, agg_row)?;
-                    changed_bytes += new_row.approx_bytes();
+                    changed += new_row.approx_bytes();
                     state.digest.add_row(&new_row);
                     rows.push(new_row);
                 }
-                let checksum = state.digest.finish();
-                let row_count = rows.len() as u64;
                 // Aggregate views are group-sized: an O(groups) size rescan
                 // is cheap and exact (updated groups change their width).
-                let size = ByteSize::from_bytes(rows.iter().map(Row::approx_bytes).sum());
-                let changed = ByteSize::from_bytes(changed_bytes);
-                let mut cost = self.hv.cost_model.stage_cost(scan_bytes, changed, delta_in);
-                if in_dw {
-                    let move_cost =
-                        self.transfer_model().transfer_cost(changed) + self.dw.load_cost(changed);
-                    cost += self.stretch_for_maintenance(move_cost, clock);
-                    self.dw
-                        .load_view_with_checksum(name, schema, rows_arc, size, checksum);
-                } else {
-                    self.hv
-                        .install_view_with_checksum(name, schema, rows_arc, size, checksum);
-                }
-                self.catalog.set_checksum(name, checksum);
-                self.catalog.update_stats(name, size, row_count);
-                clock.advance(cost);
-                Ok(ApplyResult::Applied(cost))
+                (ByteSize::from_bytes(changed), bytes_of(rows))
             }
+        };
+        let checksum = state.digest.finish();
+        let row_count = rows.len() as u64;
+        let mut cost = self
+            .hv
+            .cost_model
+            .stage_cost(scan_bytes, changed, new_rows.len() as u64);
+        if in_dw {
+            let move_cost =
+                self.transfer_model().transfer_cost(changed) + self.dw.load_cost(changed);
+            cost += self.stretch_for_maintenance(move_cost, clock);
+            self.dw
+                .load_view_with_checksum(name, schema, stored, size, checksum);
+        } else {
+            self.hv
+                .install_view_with_checksum(name, schema, stored, size, checksum);
         }
+        self.catalog.set_checksum(name, checksum);
+        self.catalog.update_stats(name, size, row_count);
+        clock.advance(cost);
+        Ok(Refreshed {
+            reason: None,
+            cost,
+            appended: matches!(mplan, MaintPlan::Append(_)).then_some(new_rows),
+        })
     }
 
-    /// Recomputes a maintainable view in full — in HV, over the grown
-    /// corpus — and captures fresh maintenance state from the same run:
-    /// the content digest, the materialized join build sides, and the
-    /// aggregate fold state (replayed serially from the aggregate's input).
-    fn rebuild_with_state(
+    /// Recomputes a view in full — in HV, over the grown corpus and the
+    /// already refreshed views — charging its plan's stage costs. With a
+    /// maintenance plan it captures fresh state from the same run: the
+    /// content digest, the materialized join build sides, and the aggregate
+    /// fold state (replayed from the aggregate's input); without one any
+    /// state is dropped.
+    fn rebuild(
         &mut self,
-        def: &miso_views::ViewDef,
-        mplan: &MaintPlan,
+        def: &ViewDef,
+        mplan: Option<&MaintPlan>,
         clock: &mut SimClock,
     ) -> Result<SimDuration> {
         let name = &def.name;
         let in_dw = self.dw.has_view(name);
-        let udfs = self.udf_registry().clone();
         // Interior outputs HV would pipeline away but the fold state is
         // built from: the join build sides and the aggregate's input.
         let fold = match mplan {
-            MaintPlan::Aggregate(da) => Some((da, def.plan.node(da.agg).inputs[0])),
-            MaintPlan::Append(_) => None,
+            Some(MaintPlan::Aggregate(da)) => Some((da, def.plan.node(da.agg).inputs[0])),
+            _ => None,
         };
-        let state_nodes: Vec<_> = mplan
-            .builds()
+        let builds = mplan.map_or(&[][..], MaintPlan::builds);
+        let state_nodes: Vec<_> = builds
             .iter()
             .map(|b| b.node)
             .chain(fold.map(|(_, input)| input))
@@ -645,7 +577,7 @@ impl MultistoreSystem {
         let run = self.hv.execute_retaining(
             &def.plan,
             None,
-            &udfs,
+            self.udf_registry(),
             QueryGuard::inert_ref(),
             &state_nodes,
         )?;
@@ -655,23 +587,25 @@ impl MultistoreSystem {
             .iter()
             .find(|m| m.node == root)
             .ok_or_else(|| MisoError::Execution("refresh produced no output".into()))?;
-        let mut builds = HashMap::new();
-        for b in mplan.builds() {
-            builds.insert(
-                b.name.clone(),
-                run.execution.retained_output(b.node)?.clone(),
-            );
-        }
-        let agg = match fold {
-            Some((da, input)) => AggState::build(
-                run.execution.retained_output(input)?,
-                &da.group_by,
-                &da.aggs,
-            )?,
-            None => None,
-        };
         let digest = RowSetDigest::from_rows(&out.rows);
         let checksum = digest.finish();
+        self.ivm_state.remove(name);
+        if mplan.is_some() {
+            let mut state = IvmViewState {
+                digest,
+                builds: HashMap::new(),
+                agg: None,
+            };
+            for b in builds {
+                let rows = run.execution.retained_output(b.node)?.clone();
+                state.builds.insert(b.name.clone(), rows);
+            }
+            if let Some((da, input)) = fold {
+                let input = run.execution.retained_output(input)?;
+                state.agg = Some(AggState::build(input, &da.group_by, &da.aggs)?);
+            }
+            self.ivm_state.insert(name.clone(), state);
+        }
         let mut cost = run.cost;
         if in_dw {
             self.dw.evict_view(name);
@@ -699,126 +633,7 @@ impl MultistoreSystem {
         self.catalog
             .update_stats(name, out.size, out.rows.len() as u64);
         clock.advance(cost);
-        self.ivm_state.insert(
-            name.clone(),
-            IvmViewState {
-                digest,
-                builds,
-                agg,
-            },
-        );
         Ok(cost)
-    }
-
-    /// The pre-IVM refresh path: distributive plans union a delta-only
-    /// execution, everything else recomputes in full. Kept verbatim as the
-    /// `ivm = false` behavior and as the fallback target for reasons that
-    /// leave no usable state (quarantine, non-maintainable shapes).
-    fn refresh_view(
-        &mut self,
-        def: &miso_views::ViewDef,
-        log_name: &str,
-        delta: &[String],
-        clock: &mut SimClock,
-    ) -> Result<RefreshOutcome> {
-        let in_dw = self.dw.has_view(&def.name);
-        let udfs = self.udf_registry().clone();
-        if is_distributive(&def.plan) {
-            // Run the defining plan over the delta only and union the rows.
-            let empty = HashMap::new();
-            let src = DeltaSource {
-                hv: &self.hv,
-                log: log_name,
-                delta,
-                builds: &empty,
-            };
-            let exec = execute(&def.plan, &src, &udfs)?;
-            let new_rows = exec.root_rows()?.to_vec();
-            let delta_bytes = ByteSize::from_bytes(new_rows.iter().map(Row::approx_bytes).sum());
-            let scan_bytes = ByteSize::from_bytes(delta.iter().map(|l| l.len() as u64 + 1).sum());
-            let mut cost =
-                self.hv
-                    .cost_model
-                    .stage_cost(scan_bytes, delta_bytes, new_rows.len() as u64);
-            // Union into the resident copy.
-            if in_dw {
-                let (schema, rows, _) = self.dw.evict_view(&def.name).ok_or_else(|| {
-                    MisoError::integrity(&def.name, "DW copy vanished during refresh")
-                })?;
-                let mut all = rows.as_ref().clone();
-                all.extend(new_rows);
-                let move_cost = self.transfer_model().transfer_cost(delta_bytes)
-                    + self.dw.load_cost(delta_bytes);
-                cost += self.stretch_for_maintenance(move_cost, clock);
-                self.dw
-                    .load_view(&def.name, schema, Arc::new(all), TableSpace::Permanent);
-            } else if let Some(rows) = self.hv.view_rows(&def.name) {
-                let mut all = rows.as_ref().clone();
-                all.extend(new_rows);
-                self.hv
-                    .install_view(&def.name, def.schema.clone(), Arc::new(all));
-            } else {
-                return Err(MisoError::integrity(
-                    &def.name,
-                    "view resident nowhere at refresh time",
-                ));
-            }
-            self.bump_view_stats(&def.name)?;
-            clock.advance(cost);
-            Ok(RefreshOutcome::Delta(cost))
-        } else {
-            // Full recomputation in HV (the defining plan's scans must be
-            // resolvable there).
-            let run = self.hv.execute(&def.plan, None, &udfs)?;
-            let root = def.plan.root();
-            let out = run
-                .materialized
-                .iter()
-                .find(|m| m.node == root)
-                .ok_or_else(|| MisoError::Execution("refresh produced no output".into()))?;
-            let mut cost = run.cost;
-            if in_dw {
-                self.dw.evict_view(&def.name);
-                let move_cost = self.hv.dump_cost(out.size)
-                    + self.transfer_model().transfer_cost(out.size)
-                    + self.dw.load_cost(out.size);
-                cost += self.stretch_for_maintenance(move_cost, clock);
-                self.dw.load_view(
-                    &def.name,
-                    out.schema.clone(),
-                    out.rows.clone(),
-                    TableSpace::Permanent,
-                );
-            } else {
-                self.hv
-                    .install_view(&def.name, out.schema.clone(), out.rows.clone());
-            }
-            self.bump_view_stats(&def.name)?;
-            clock.advance(cost);
-            Ok(RefreshOutcome::Full(cost))
-        }
-    }
-
-    /// Updates catalog size/rowcount metadata — and the authoritative
-    /// content checksum — after a refresh: the refreshed rows are the new
-    /// materialization-time truth (without the re-stamp, the scrubber and
-    /// read-time verification would falsely quarantine every refreshed
-    /// view).
-    fn bump_view_stats(&mut self, name: &str) -> Result<()> {
-        let rows = self
-            .hv
-            .view_rows(name)
-            .or_else(|| self.dw.view_rows_arc(name))
-            .ok_or_else(|| MisoError::integrity(name, "refreshed view resident nowhere"))?;
-        let size = self
-            .hv
-            .view_size(name)
-            .or_else(|| self.dw.view_size(name))
-            .unwrap_or(ByteSize::ZERO);
-        self.catalog.update_stats(name, size, rows.len() as u64);
-        self.catalog
-            .set_checksum(name, miso_data::checksum_rows(&rows));
-        Ok(())
     }
 
     fn stretch_for_maintenance(&mut self, raw: SimDuration, clock: &SimClock) -> SimDuration {
@@ -828,9 +643,10 @@ impl MultistoreSystem {
     /// Estimated per-window upkeep cost (simulated seconds) of each catalog
     /// view under the configured growth schedule, for the tuner's
     /// maintenance-aware benefit charging: delta-maintainable views cost a
-    /// delta-scale map stage, everything else a full recompute over the
-    /// grown base log. Empty when no growth is configured, which keeps the
-    /// tuner's arithmetic untouched.
+    /// delta-scale map stage, everything else a full recompute over what it
+    /// scans — the grown base log, the views it is derived through. Empty
+    /// when no growth is configured, which keeps the tuner's arithmetic
+    /// untouched.
     pub(crate) fn maintenance_costs(&self) -> HashMap<String, f64> {
         let mut costs = HashMap::new();
         let Some(growth) = &self.config.growth else {
@@ -847,22 +663,35 @@ impl MultistoreSystem {
         let log_bytes: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
         let delta_rows = growth.records_per_epoch as u64;
         let delta_bytes = ByteSize::from_bytes((log_bytes / rows).max(1) * delta_rows);
-        for def in self.catalog.defs() {
-            if !def.plan.base_logs().iter().any(|l| l == log_name) {
-                continue;
-            }
-            let cost = if self.config.ivm && miso_views::is_maintainable(&def.plan, log_name) {
+        // How each view would change, parents before children — as
+        // `append_log` walks them, with every state warm.
+        let mut change: HashMap<&str, ViewChange> = HashMap::new();
+        for def in self.catalog.derived_from(log_name) {
+            let of = |v: &str| change.get(v).copied().unwrap_or(ViewChange::Unchanged);
+            let mplan = if self.config.ivm {
+                analyze_maintenance(&def.plan, log_name, &of).ok()
+            } else {
+                None
+            };
+            let cost = if mplan.is_some() {
                 // Delta fold: scan |Δ| input bytes, write at most |Δ|-scale
                 // output.
                 self.hv
                     .cost_model
                     .stage_cost(delta_bytes, delta_bytes, delta_rows)
             } else {
-                // Full recompute over the grown base log.
+                let scanned = self.catalog.total_size(&def.plan.scanned_views());
+                let scans_log = def.plan.base_logs().iter().any(|l| l == log_name);
+                let log = ByteSize::from_bytes(if scans_log { log_bytes } else { 0 });
                 self.hv
                     .cost_model
-                    .stage_cost(ByteSize::from_bytes(log_bytes), def.size, def.rows)
+                    .stage_cost(log + scanned, def.size, def.rows)
             };
+            let grew = match mplan {
+                Some(MaintPlan::Append(_)) => ViewChange::Appended,
+                _ => ViewChange::Rewritten,
+            };
+            change.insert(&def.name, grew);
             costs.insert(def.name.clone(), cost.as_secs_f64());
         }
         costs
@@ -876,7 +705,9 @@ mod tests {
     use crate::variants::Variant;
     use miso_common::Budgets;
     use miso_data::logs::{generate_delta, Corpus, LogsConfig};
+    use miso_exec::engine::execute;
     use miso_lang::compile;
+    use miso_plan::LogicalPlan;
     use miso_workload::{standard_udfs, workload_catalog};
 
     fn system() -> (MultistoreSystem, LogsConfig) {
@@ -925,7 +756,7 @@ mod tests {
         let mut clock = SimClock::new();
         sys.append_log(
             LogKind::Twitter,
-            delta,
+            &delta,
             MaintenancePolicy::Invalidate,
             &mut clock,
         )
@@ -981,7 +812,7 @@ mod tests {
         let report = sys
             .append_log(
                 LogKind::Twitter,
-                delta,
+                &delta,
                 MaintenancePolicy::Invalidate,
                 &mut clock,
             )
@@ -1023,7 +854,7 @@ mod tests {
         let report = sys
             .append_log(
                 LogKind::Twitter,
-                delta,
+                &delta,
                 MaintenancePolicy::Refresh,
                 &mut clock,
             )
@@ -1090,7 +921,7 @@ mod tests {
         let first = sys
             .append_log(
                 LogKind::Twitter,
-                generate_delta(&cfg, LogKind::Twitter, 1, 100),
+                &generate_delta(&cfg, LogKind::Twitter, 1, 100),
                 MaintenancePolicy::Refresh,
                 &mut clock,
             )
@@ -1103,7 +934,7 @@ mod tests {
         let second = sys
             .append_log(
                 LogKind::Twitter,
-                generate_delta(&cfg, LogKind::Twitter, 2, 100),
+                &generate_delta(&cfg, LogKind::Twitter, 2, 100),
                 MaintenancePolicy::Refresh,
                 &mut clock,
             )
@@ -1143,7 +974,7 @@ mod tests {
         assert_eq!(reuse.records[0].result_rows, scratch.records[0].result_rows);
     }
 
-    /// `rebuild_with_state` names the interior outputs it needs (HV keeps
+    /// `rebuild` names the interior outputs it needs (HV keeps
     /// only what it harvests): the captured join build sides and aggregate
     /// fold state must be those a keep-all run of the plan yields.
     #[test]
@@ -1153,7 +984,8 @@ mod tests {
         let workload = miso_workload::compile_workload(&workload_catalog()).unwrap();
         let (mut with_builds, mut with_agg) = (0, 0);
         for (label, plan) in workload {
-            let Ok(mplan) = analyze_maintenance(&plan, "twitter") else {
+            let Ok(mplan) = analyze_maintenance(&plan, "twitter", &|_| ViewChange::Unchanged)
+            else {
                 continue;
             };
             let def = miso_views::ViewDef::from_plan(
@@ -1162,7 +994,7 @@ mod tests {
                 0,
                 miso_common::ids::QueryId(0),
             );
-            sys.rebuild_with_state(&def, &mplan, &mut SimClock::new())
+            sys.rebuild(&def, Some(&mplan), &mut SimClock::new())
                 .unwrap();
             let all = execute(&def.plan, &sys.hv, &udfs).unwrap();
             let state = &sys.ivm_state[&def.name];
@@ -1176,10 +1008,10 @@ mod tests {
                 let want = AggState::build(input, &da.group_by, &da.aggs).unwrap();
                 assert_eq!(
                     state.agg.as_ref().map(AggState::output_rows),
-                    want.as_ref().map(AggState::output_rows),
+                    Some(want.output_rows()),
                     "{label}"
                 );
-                with_agg += usize::from(want.is_some());
+                with_agg += 1;
             }
         }
         assert!(with_builds > 0 && with_agg > 0, "{with_builds} {with_agg}");
@@ -1206,7 +1038,7 @@ mod tests {
         let report = sys
             .append_log(
                 LogKind::Twitter,
-                generate_delta(&cfg, LogKind::Twitter, 3, 10),
+                &generate_delta(&cfg, LogKind::Twitter, 3, 10),
                 MaintenancePolicy::Refresh,
                 &mut clock,
             )
@@ -1235,44 +1067,20 @@ mod tests {
     }
 
     #[test]
-    fn distributivity_classification() {
-        let catalog = workload_catalog();
-        let spj = compile(
-            "SELECT t.city AS c FROM twitter t WHERE t.followers > 5",
-            &catalog,
-        )
-        .unwrap();
-        assert!(is_distributive(&spj));
-        let agg = compile(
-            "SELECT t.city AS c, COUNT(*) AS n FROM twitter t GROUP BY t.city",
-            &catalog,
-        )
-        .unwrap();
-        assert!(!is_distributive(&agg));
-        let join = compile(
-            "SELECT t.user_id AS u FROM twitter t \
-             JOIN foursquare f ON t.user_id = f.user_id WHERE t.followers > 1",
-            &catalog,
-        )
-        .unwrap();
-        assert!(!is_distributive(&join));
-    }
-
-    #[test]
     fn append_to_unknown_log_errors() {
         let (mut sys, _) = system();
         let mut clock = SimClock::new();
         // Landmarks exists; craft a bogus call via direct store access.
         let err = sys
             .hv
-            .append_log("instagram", vec!["{}".into()])
+            .append_log("instagram", &LogBatch::new(&["{}".into()]))
             .unwrap_err();
         assert!(err.to_string().contains("instagram"));
         // And a legitimate empty append is a no-op.
         let report = sys
             .append_log(
                 LogKind::Landmarks,
-                vec![],
+                &[],
                 MaintenancePolicy::Refresh,
                 &mut clock,
             )

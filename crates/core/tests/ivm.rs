@@ -6,6 +6,10 @@
 //!   from-scratch `checksum_rows` over the stored rows);
 //! * results and checksums are invariant under the `ivm` toggle and under
 //!   the worker-pool thread count;
+//! * over the whole 32-template stream, after every growth batch, every
+//!   catalog view — float aggregates and views over views included — holds
+//!   exactly the rows a from-scratch run over the grown logs computes, in
+//!   every engine mode;
 //! * a corrupted view quarantines through the integrity path, appends
 //!   defer its rebuild (reason `Quarantined`, no resurrection behind the
 //!   auditor's back), the reorg repair path recomputes it over the grown
@@ -13,19 +17,29 @@
 //! * a growth schedule threaded through `run_stream` grows the corpus
 //!   between epochs and surfaces per-batch maintenance reports.
 
+use miso_common::ids::NodeId;
 use miso_common::{pool, Budgets, ByteSize, SimClock};
 use miso_core::{
-    AuditConfig, MaintAction, MaintenancePolicy, MultistoreSystem, SystemConfig, Variant,
+    AuditConfig, GrowthConfig, MaintAction, MaintenancePolicy, MultistoreSystem, SystemConfig,
+    Variant,
 };
 use miso_data::checksum_rows;
 use miso_data::logs::{Corpus, LogKind, LogsConfig};
 use miso_data::Delta;
 use miso_exec::engine::DataSource;
 use miso_lang::compile;
-use miso_plan::LogicalPlan;
-use miso_views::FullReason;
-use miso_workload::{standard_udfs, workload_catalog};
-use std::collections::BTreeMap;
+use miso_plan::{LogicalPlan, Operator, PlanBuilder};
+use miso_views::{FullReason, ViewCatalog};
+use miso_workload::{compile_workload, standard_udfs, workload_catalog};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Mutex, MutexGuard};
+
+/// Pool width and the columnar switch are process-global, and building a
+/// system sets the latter: every test here takes this lock.
+fn globals_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn budgets() -> Budgets {
     Budgets::new(
@@ -90,6 +104,7 @@ fn grow_and_fingerprint(
 
 #[test]
 fn delta_applied_checksum_equals_full_rebuild_checksum() {
+    let _globals = globals_lock();
     let cfg = LogsConfig::tiny();
     let (sys, _) = grow_and_fingerprint(&cfg, SystemConfig::paper_default(budgets()), 3);
     // After warm-state folds, every view's catalog checksum — stamped
@@ -115,6 +130,7 @@ fn delta_applied_checksum_equals_full_rebuild_checksum() {
 
 #[test]
 fn ivm_toggle_does_not_change_results_or_checksums() {
+    let _globals = globals_lock();
     let cfg = LogsConfig::tiny();
     let on = SystemConfig::paper_default(budgets());
     assert!(on.ivm, "IVM defaults on");
@@ -133,6 +149,7 @@ fn ivm_toggle_does_not_change_results_or_checksums() {
 
 #[test]
 fn thread_count_does_not_change_maintained_views() {
+    let _globals = globals_lock();
     let cfg = LogsConfig::tiny();
     pool::set_threads(1);
     let (_, serial) = grow_and_fingerprint(&cfg, SystemConfig::paper_default(budgets()), 3);
@@ -147,6 +164,7 @@ fn thread_count_does_not_change_maintained_views() {
 
 #[test]
 fn corruption_quarantines_then_reorg_repairs_and_folding_resumes() {
+    let _globals = globals_lock();
     let cfg = LogsConfig::tiny();
     let corpus = Corpus::generate(&cfg);
     let mut sys = system_with(&corpus, SystemConfig::paper_default(budgets()));
@@ -226,6 +244,7 @@ fn corruption_quarantines_then_reorg_repairs_and_folding_resumes() {
 
 #[test]
 fn growth_schedule_feeds_the_stream() {
+    let _globals = globals_lock();
     let cfg = LogsConfig::tiny();
     let corpus = Corpus::generate(&cfg);
     let mut config = SystemConfig::paper_default(budgets());
@@ -257,4 +276,133 @@ fn growth_schedule_feeds_the_stream() {
     let base_result = baseline.run_workload(Variant::MsMiso, &qs).unwrap();
     assert!(base_result.maintenance.is_empty());
     assert_eq!(baseline.hv.log_lines("twitter").unwrap().len(), cfg.tweets);
+}
+
+/// `plan` over base logs only: every `ScanView` replaced by the scanned
+/// view's own defining plan, all the way down. `None` when a scanned view
+/// is no longer in the catalog.
+fn inlined(plan: &LogicalPlan, catalog: &ViewCatalog) -> Option<LogicalPlan> {
+    fn copy(plan: &LogicalPlan, catalog: &ViewCatalog, b: &mut PlanBuilder) -> Option<NodeId> {
+        let mut copied: HashMap<NodeId, NodeId> = HashMap::new();
+        for node in plan.nodes() {
+            let id = match &node.op {
+                Operator::ScanView { view, .. } => copy(&catalog.get(view)?.plan, catalog, b)?,
+                op => {
+                    let inputs = node.inputs.iter().map(|i| copied[i]).collect();
+                    b.add(op.clone(), inputs).ok()?
+                }
+            };
+            copied.insert(node.id, id);
+        }
+        Some(copied[&plan.root()])
+    }
+    let mut b = PlanBuilder::new();
+    let root = copy(plan, catalog, &mut b)?;
+    b.finish(root).ok()
+}
+
+/// The 32-template MS-MISO stream under the benchmark's growth schedule
+/// (the twitter log grows 2 % before each of 10 reorganizations, `Refresh`):
+/// after every batch, every view in the catalog — whatever query harvested
+/// it, float aggregates and views over views included — holds exactly the
+/// rows, by float bit pattern, and carries exactly the checksum of its
+/// definition run from scratch over the grown logs. Columnar on and off,
+/// one worker and eight: the first mode is checked against the recompute,
+/// the others must stamp every view, batch by batch, as the first did.
+#[test]
+fn every_view_equals_a_from_scratch_recompute_after_every_batch() {
+    let _globals = globals_lock();
+    let base = LogsConfig::experiment();
+    let logs = LogsConfig {
+        users: base.users / 4,
+        venues: base.venues / 4,
+        tweets: base.tweets / 4,
+        checkins: base.checkins / 4,
+        landmarks: base.landmarks / 4,
+        seed: 7,
+    };
+    let corpus = Corpus::generate(&logs);
+    let size = corpus.total_size();
+    let budgets = Budgets::new(size.scale(2.0), size.scale(0.2), size.scale(0.02))
+        .with_discretization(ByteSize::from_kib(8));
+    let stream = compile_workload(&workload_catalog()).unwrap();
+    let growth = GrowthConfig {
+        kind: LogKind::Twitter,
+        records_per_epoch: logs.tweets / 50,
+        policy: MaintenancePolicy::Refresh,
+        logs: logs.clone(),
+    };
+    let mut per_mode: Vec<Vec<(String, u64)>> = Vec::new();
+    for (threads, columnar) in [(1, false), (8, true), (8, false), (1, true)] {
+        let first = per_mode.is_empty();
+        pool::set_threads(threads);
+        let mut config = SystemConfig::paper_default(budgets);
+        config.columnar = columnar;
+        config.growth = Some(growth.clone());
+        let (every, history_len) = (config.reorg_every, config.history_len);
+        let mut sys = system_with(&corpus, config);
+        let mut history: Vec<LogicalPlan> = Vec::new();
+        let mut stamps: Vec<(String, u64)> = Vec::new();
+        let (mut folded, mut float_views, mut over_views) = (0, 0, 0);
+        for (q, query) in stream.iter().enumerate() {
+            if q > 0 && q % every == 0 {
+                let batch = (q / every) as u64;
+                let delta = Delta::generated(&logs, LogKind::Twitter, batch, logs.tweets / 50);
+                let report = sys
+                    .grow(&delta, MaintenancePolicy::Refresh, &mut SimClock::new())
+                    .unwrap();
+                for d in &report.decisions {
+                    folded += usize::from(d.action == MaintAction::Delta);
+                    let reason = d.reason.as_ref().map_or("", FullReason::tag);
+                    assert!(!reason.contains("float"), "{}: {reason}", d.view);
+                }
+                for def in sys.catalog.defs() {
+                    let what = format!("{} after batch {batch} ({threads}, {columnar})", def.name);
+                    let stored = sys
+                        .hv
+                        .view_rows(&def.name)
+                        .or_else(|| sys.dw.view_rows_arc(&def.name))
+                        .expect("catalog view is resident");
+                    stamps.push((def.name.clone(), def.checksum.expect("stamped").0));
+                    if !first {
+                        continue;
+                    }
+                    let Some(from_logs) = inlined(&def.plan, &sys.catalog) else {
+                        // Only a view the log's growth cannot reach may
+                        // outlive a view it scans.
+                        assert!(!def.lineage.contains("twitter"), "{what}: orphan kept");
+                        continue;
+                    };
+                    let run = sys
+                        .hv
+                        .execute(&from_logs, None, sys.udf_registry())
+                        .unwrap();
+                    let want = run.execution.root_rows().unwrap();
+                    assert_eq!(format!("{stored:?}"), format!("{want:?}"), "{what}: rows");
+                    assert_eq!(def.checksum, Some(checksum_rows(want)), "{what}: stamp");
+                    assert_eq!(def.rows, want.len() as u64, "{what}: row count");
+                    over_views += usize::from(!def.plan.scanned_views().is_empty());
+                    float_views += usize::from(def.plan.nodes().iter().any(|n| {
+                        matches!(&n.op, Operator::Aggregate { aggs, .. }
+                            if aggs.iter().any(|a| a.func == miso_plan::AggFunc::Avg))
+                    }));
+                }
+                let window = &history[history.len().saturating_sub(history_len)..];
+                sys.reorg_now(window, &mut SimClock::new()).unwrap();
+            }
+            sys.run_workload(Variant::MsMiso, std::slice::from_ref(query))
+                .unwrap();
+            history.push(query.1.clone());
+        }
+        assert!(folded > 20, "{folded} delta folds");
+        assert!(
+            !first || (float_views > 0 && over_views > 0),
+            "{float_views} {over_views}"
+        );
+        per_mode.push(stamps);
+    }
+    pool::set_threads(0);
+    for stamps in &per_mode[1..] {
+        assert_eq!(stamps, &per_mode[0], "maintained views depend on the mode");
+    }
 }

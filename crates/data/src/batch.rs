@@ -344,6 +344,9 @@ impl Column {
             Column::Float(v, n) => ColBuilder::Float(v, n),
             Column::Bool(v, n) => ColBuilder::Bool(v, n),
             Column::Str(v, n) => ColBuilder::Str(v, n),
+            // A builder that degraded never leaves `Mixed`: resume it where
+            // it stopped, which keeps the append O(part).
+            Column::Mixed(v) if degrades_builder(&v) => ColBuilder::Mixed(v),
             // `Mixed` also stands for "all NULL so far": re-pushing (moves,
             // no clones) lets the builder classify it as it would have.
             mixed => {
@@ -607,6 +610,27 @@ fn materialize<T>(v: Vec<T>, nulls: Nulls, wrap: impl Fn(T) -> Value) -> Vec<Val
             }
         })
         .collect()
+}
+
+/// Whether a [`ColBuilder`] fed `values` in order ends up `Mixed`: some value
+/// is not a scalar, or two non-null values differ in type. Stops at the
+/// first such value.
+fn degrades_builder(values: &[Value]) -> bool {
+    let mut scalar = None;
+    for v in values {
+        match v {
+            Value::Null => {}
+            Value::Int(_) | Value::Float(_) | Value::Bool(_) | Value::Str(_) => {
+                let kind = std::mem::discriminant(v);
+                if scalar.is_some_and(|s| s != kind) {
+                    return true;
+                }
+                scalar = Some(kind);
+            }
+            _ => return true,
+        }
+    }
+    false
 }
 
 /// A columnar batch: one [`Column`] per output column plus an explicit row
@@ -967,6 +991,21 @@ mod tests {
             vec![Value::Bool(true), Value::Null, Value::Bool(false)],
             vec![Value::Null, Value::Array(vec![int(1)]), Value::Null, int(4)],
             vec![Value::Null, Value::Null, Value::Null],
+            // The `hashtags` shape: arrays from the first value on.
+            vec![
+                Value::Array(vec![Value::str("coffee")]),
+                Value::Array(vec![]),
+                Value::Null,
+                Value::Array(vec![int(1), Value::Null]),
+            ],
+            vec![
+                Value::Null,
+                Value::object(vec![("city".into(), Value::str("nowhere"))]),
+                Value::str("x"),
+                Value::object(vec![]),
+            ],
+            // A late clash: the prefix stays typed until it.
+            vec![int(1), Value::Null, int(2), Value::Float(2.5), int(3)],
             value_matrix(),
         ];
         for values in &sequences {

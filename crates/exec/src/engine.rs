@@ -70,6 +70,13 @@ pub trait DataSource {
     fn view_cols_shared(&self, _view: &str) -> Option<Arc<ColBatch>> {
         None
     }
+    /// The object rows an unfused scan of base log `log` produces — one
+    /// single-column row per well-formed line — with the count of malformed
+    /// lines, for sources that parse a log once for several plans. `None`
+    /// (the default) has the scan parse [`DataSource::log_lines`] itself.
+    fn log_rows_shared(&self, _log: &str) -> Option<(Arc<Vec<Row>>, u64)> {
+        None
+    }
     /// The columns a fused scan→project reads of base log `log`: one per
     /// field, over the log's well-formed lines in line order. The default
     /// parses them out of [`DataSource::log_lines`] on every call; a source
@@ -458,43 +465,50 @@ pub fn execute_subset_guarded(
             op_span.push_field("node", miso_obs::FieldValue::U64(node.id.raw()));
         }
         let t0 = Instant::now();
-        // ScanView is special-cased outside the Vec-producing match: a
-        // shared source hands over its Arc and the scan costs one refcount
-        // bump, no row copies at all.
-        if let Operator::ScanView { view, .. } = &node.op {
-            if let Some(shared) = source.view_rows_shared(view) {
-                miso_obs::observe("exec.op_ns", t0.elapsed().as_nanos() as u64);
-                if op_span.is_active() {
-                    op_span.push_field("rows_out", miso_obs::FieldValue::U64(shared.len() as u64));
-                    miso_obs::observe("exec.op_rows_out", shared.len() as u64);
-                }
-                miso_obs::count("exec.ops_executed", 1);
-                miso_obs::count("exec.zero_copy_scans", 1);
-                if profiling {
-                    profiles.insert(
-                        node.id,
-                        OpProfile {
-                            wall_ns: t0.elapsed().as_nanos() as u64,
-                            rows_in: 0,
-                            rows_out: shared.len() as u64,
-                            bytes_out: shared.iter().map(Row::approx_bytes).sum(),
-                            morsels: 0,
-                            par_rows: 0,
-                        },
-                    );
-                }
-                rows_out.insert(node.id, shared.len() as u64);
-                if columnar {
-                    // Publish the columnar twin alongside the zero-copy
-                    // rows: column-eligible consumers pick up the batch,
-                    // row-wise ones (joins) keep the free Arc handle.
-                    if let Some(cols) = source.view_cols_shared(view) {
-                        col_outputs.insert(node.id, cols);
-                    }
-                }
-                outputs.insert(node.id, shared);
-                continue;
+        // Leaves a shared source hands over are special-cased outside the
+        // Vec-producing match: the scan costs one refcount bump, no row
+        // copies (a view) and no parse (a log the source parsed already).
+        let shared_leaf = match &node.op {
+            Operator::ScanView { view, .. } => source.view_rows_shared(view).map(|rows| {
+                // Publish the columnar twin alongside the zero-copy rows:
+                // column-eligible consumers pick up the batch, row-wise
+                // ones (joins) keep the free Arc handle.
+                let cols = columnar.then(|| source.view_cols_shared(view)).flatten();
+                (rows, 0, cols)
+            }),
+            Operator::ScanLog { log } if !fused.contains_key(&node.id) => source
+                .log_rows_shared(log)
+                .map(|(rows, skipped)| (rows, skipped, None)),
+            _ => None,
+        };
+        if let Some((shared, skipped, cols)) = shared_leaf {
+            miso_obs::observe("exec.op_ns", t0.elapsed().as_nanos() as u64);
+            if op_span.is_active() {
+                op_span.push_field("rows_out", miso_obs::FieldValue::U64(shared.len() as u64));
+                miso_obs::observe("exec.op_rows_out", shared.len() as u64);
             }
+            miso_obs::count("exec.ops_executed", 1);
+            miso_obs::count("exec.zero_copy_scans", 1);
+            if profiling {
+                profiles.insert(
+                    node.id,
+                    OpProfile {
+                        wall_ns: t0.elapsed().as_nanos() as u64,
+                        rows_in: 0,
+                        rows_out: shared.len() as u64,
+                        bytes_out: shared.iter().map(Row::approx_bytes).sum(),
+                        morsels: 0,
+                        par_rows: 0,
+                    },
+                );
+            }
+            skipped_lines += skipped;
+            rows_out.insert(node.id, shared.len() as u64);
+            if let Some(cols) = cols {
+                col_outputs.insert(node.id, cols);
+            }
+            outputs.insert(node.id, shared);
+            continue;
         }
         // Fused scan+project: take the projection's columns from the source
         // and stash the batch for the projection node. Mirrors the zero-copy
@@ -1313,6 +1327,7 @@ pub(crate) fn hash_join_guarded(
 }
 
 /// Streaming accumulator per aggregate function.
+#[derive(Clone)]
 pub(crate) enum Acc {
     Count(i64),
     CountDistinct(HashSet<Value>),
@@ -1623,6 +1638,24 @@ impl GroupTable {
         self.index.entry(hash).or_default().push(slot as u32);
         slot
     }
+
+    /// Merges `later` — the partial table of rows that come after every row
+    /// folded in so far — into this table: a group both know merges its
+    /// accumulators ([`Acc::merge`]), a new group is appended as it stands.
+    pub(crate) fn absorb(&mut self, later: GroupTable) {
+        for (hash, key, accs) in later.slots {
+            match self.find(hash, |k| k == key.as_slice()) {
+                Some(slot) => {
+                    for (acc, partial) in self.slots[slot].2.iter_mut().zip(accs) {
+                        acc.merge(partial);
+                    }
+                }
+                None => {
+                    self.insert(hash, key, accs);
+                }
+            }
+        }
+    }
 }
 
 /// An aggregate's input, pre-classified so the per-row hot loop can borrow
@@ -1656,8 +1689,25 @@ pub(crate) fn aggregate_morsel(
 ) -> Result<GroupTable> {
     let mut table = GroupTable::with_capacity(chunk.len().min(1024));
     for row in chunk {
+        table.fold_row(row, group_by, aggs, srcs, float_sum)?;
+    }
+    Ok(table)
+}
+
+impl GroupTable {
+    /// Folds one input row into its group's accumulators, creating the
+    /// group on first sight; returns the group's slot.
+    #[inline]
+    pub(crate) fn fold_row(
+        &mut self,
+        row: &Row,
+        group_by: &[usize],
+        aggs: &[miso_plan::AggExpr],
+        srcs: &[AggSrc<'_>],
+        float_sum: &[bool],
+    ) -> Result<usize> {
         let hash = group_hash(row, group_by);
-        let slot = match table.find(hash, |key| {
+        let slot = match self.find(hash, |key| {
             group_by.iter().zip(key).all(|(&g, k)| row.get(g) == k)
         }) {
             Some(slot) => slot,
@@ -1668,10 +1718,10 @@ pub(crate) fn aggregate_morsel(
                     .zip(float_sum)
                     .map(|(a, &fs)| Acc::new(a.func, fs))
                     .collect();
-                table.insert(hash, key, accs)
+                self.insert(hash, key, accs)
             }
         };
-        let accs = &mut table.slots[slot].2;
+        let accs = &mut self.slots[slot].2;
         for (acc, src) in accs.iter_mut().zip(srcs) {
             match src {
                 AggSrc::CountAll => acc.update(None),
@@ -1688,8 +1738,8 @@ pub(crate) fn aggregate_morsel(
                 }
             }
         }
+        Ok(slot)
     }
-    Ok(table)
 }
 
 /// Accumulates one columnar morsel `[start, start + n)` into a fresh partial
@@ -1804,18 +1854,7 @@ fn finish_aggregate(
     let total: usize = parts.iter().map(|t| t.slots.len()).sum();
     let mut global = GroupTable::with_capacity(total);
     for part in parts {
-        for (hash, key, accs) in part.slots {
-            match global.find(hash, |k| k == key.as_slice()) {
-                Some(slot) => {
-                    for (acc, partial) in global.slots[slot].2.iter_mut().zip(accs) {
-                        acc.merge(partial);
-                    }
-                }
-                None => {
-                    global.insert(hash, key, accs);
-                }
-            }
-        }
+        global.absorb(part);
     }
     let mut out = Vec::with_capacity(global.slots.len());
     for (_, key, accs) in global.slots {

@@ -1,53 +1,44 @@
 //! Incremental aggregate maintenance state.
 //!
-//! The engine's morsel-parallel aggregation ends in one global
-//! [`GroupTable`](crate::engine): groups in first-seen input order, one
-//! accumulator per aggregate per group. [`AggState`] keeps that table
-//! *alive* between refreshes so an append-only delta folds into it in
-//! O(|delta|), instead of re-aggregating the full input.
+//! The engine aggregates morsel by morsel: every [`MORSEL_SIZE`] input rows
+//! fold into a partial [`GroupTable`], and the partials merge serially, in
+//! morsel order, into one global table ([`GroupTable::absorb`]) — so the
+//! result, float summation grouping included, is a function of the input
+//! rows and the fixed morsel structure only. [`AggState`] keeps that
+//! structure *alive* between refreshes:
 //!
-//! The fold is **bit-identical** to a full rebuild for the accumulator
-//! variants it accepts:
+//! * `closed` — the global table after every **complete** morsel so far;
+//! * `open` — the partial table of the incomplete last morsel, with its row
+//!   count.
 //!
-//! * `COUNT` / `COUNT DISTINCT` — integer adds / set union, associative;
-//! * integer `SUM` — `i64` addition, order-independent;
+//! An append-only delta folds row by row into `open`; when `open` reaches
+//! [`MORSEL_SIZE`] rows it merges into `closed` exactly as the engine merges
+//! that morsel, and a fresh one opens. A group's output row is
+//! `closed ⊕ open` — the merge the engine would do next. The fold therefore
+//! is **bit-identical** to the engine's aggregation of the grown input for
+//! every accumulator, in O(|delta|):
+//!
+//! * `COUNT` / `COUNT DISTINCT` / integer `SUM` — associative anyway;
 //! * `MIN` / `MAX` — strict comparisons keep the first-seen value on ties,
-//!   and appends only ever add later-seen values;
-//! * group order — rebuilds emit groups in first-seen input order, which is
+//!   in the fold as in the merge;
+//! * `AVG` / float `SUM` — IEEE 754 addition is not associative, but the
+//!   state adds the same partial sums in the same order as the engine;
+//! * group order — groups are emitted in first-seen input order, which is
 //!   prefix-stable under appends: existing groups keep their row index, new
 //!   groups append in delta first-seen order.
 //!
-//! Float accumulation (`AVG`, float `SUM`) is rejected at build time and
-//! re-checked per delta: IEEE 754 addition is non-associative, and the
-//! rebuild's morsel grouping (fixed 4096-row boundaries over the *grown*
-//! input) differs from a row-order delta fold, so the low bits could
-//! diverge. Those views fall back to full recomputation.
-//!
-//! The int-vs-float `SUM` decision itself is replayed exactly: the engine
+//! The int-vs-float `SUM` decision is replayed exactly too: the engine
 //! scans the input in row order and decides from the first `Int`/`Float`
-//! value (`float_sum_flags`). [`AggState`] carries a per-aggregate
-//! tri-state — `Int` once some base value decided it, `Undecided` while no
-//! numeric value has appeared — and resolves `Undecided` against each
-//! delta the way the engine would against the grown input.
+//! value (`float_sum_flags`). The state carries `None` per `SUM` while no
+//! numeric value has appeared and settles it against each delta the way
+//! the engine would against the grown input.
 
-use crate::engine::{aggregate_morsel, classify_aggs, group_hash, Acc, AggSrc, GroupTable};
+use crate::engine::{classify_aggs, Acc, GroupTable, MORSEL_SIZE};
 use crate::eval::eval;
 use miso_common::Result;
 use miso_data::{Row, Value};
 use miso_plan::expr::{AggExpr, AggFunc, Expr};
 use std::collections::BTreeSet;
-
-/// Per-aggregate `SUM` typing state (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SumFlag {
-    /// Not a `SUM` (or `COUNT(*)`-style with no input): typing never moves.
-    NotSum,
-    /// Some base-input value decided integer accumulation; appends cannot
-    /// change the engine's first-value decision.
-    Int,
-    /// No numeric input value seen yet — the next delta may still decide.
-    Undecided,
-}
 
 /// The changed rows a delta fold produced: existing groups that were
 /// updated (by slot index == view row index) and brand-new groups, in
@@ -61,85 +52,60 @@ pub struct AggApplied {
     pub appended: Vec<Row>,
 }
 
-/// Outcome of folding one delta into an [`AggState`].
-pub enum FoldOutcome {
-    /// The fold applied; the changed rows are enclosed.
-    Applied(AggApplied),
-    /// A `SUM` resolved to float accumulation mid-stream — the caller must
-    /// fall back to a full recomputation (order-sensitive arithmetic).
-    FloatSum,
-}
-
-/// Live aggregation state for one maintained view: the serial-equivalent
-/// group table plus the per-aggregate `SUM` typing flags.
+/// Live aggregation state for one maintained view (see module docs).
 pub struct AggState {
-    table: GroupTable,
-    flags: Vec<SumFlag>,
+    closed: GroupTable,
+    open: GroupTable,
+    open_rows: usize,
+    /// Output row index of each `open` group: its `closed` slot, or past
+    /// them in `open_only` order.
+    open_out: Vec<usize>,
+    /// `open` slots of the groups `closed` does not know, in slot order.
+    open_only: Vec<usize>,
+    /// Per aggregate: `Some(float?)` once a `SUM`'s typing is decided (and
+    /// for everything that is not a `SUM`), `None` while no numeric input
+    /// value has appeared.
+    sum_float: Vec<Option<bool>>,
 }
 
 impl AggState {
     /// Replays `input` (the aggregate's full input, in row order) into
-    /// fresh state. Returns `None` when the aggregate is not incrementally
-    /// maintainable — `AVG` present, or a `SUM` that resolves to float
-    /// accumulation — in which case the caller keeps no state.
-    pub fn build(input: &[Row], group_by: &[usize], aggs: &[AggExpr]) -> Result<Option<AggState>> {
-        let mut flags = Vec::with_capacity(aggs.len());
-        for agg in aggs {
-            if agg.func == AggFunc::Avg {
-                return Ok(None);
-            }
-            if agg.func != AggFunc::Sum {
-                flags.push(SumFlag::NotSum);
-                continue;
-            }
-            let Some(e) = &agg.input else {
-                flags.push(SumFlag::NotSum);
-                continue;
-            };
-            match first_numeric(input, e) {
-                Some(true) => return Ok(None),
-                Some(false) => flags.push(SumFlag::Int),
-                None => flags.push(SumFlag::Undecided),
-            }
-        }
-        // A single-chunk "morsel" IS the serial replay; for the accepted
-        // accumulator variants it equals the engine's morsel-merged table.
-        let float_sum = vec![false; aggs.len()];
-        let srcs = classify_aggs(aggs);
-        let mut table = aggregate_morsel(input, group_by, aggs, &srcs, &float_sum)?;
-        if group_by.is_empty() && table.slots.is_empty() {
+    /// fresh state.
+    pub fn build(input: &[Row], group_by: &[usize], aggs: &[AggExpr]) -> Result<AggState> {
+        let mut state = AggState {
+            closed: GroupTable::with_capacity(0),
+            open: GroupTable::with_capacity(0),
+            open_rows: 0,
+            open_out: Vec::new(),
+            open_only: Vec::new(),
+            sum_float: aggs
+                .iter()
+                .map(|a| (a.func != AggFunc::Sum || a.input.is_none()).then_some(false))
+                .collect(),
+        };
+        state.apply(input, group_by, aggs)?;
+        if group_by.is_empty() && input.is_empty() {
             // A global aggregate over empty input still has one output row;
             // materialize the implicit group so deltas update slot 0.
-            let hash = group_hash(&Row::new(vec![]), &[]);
-            let accs: Vec<Acc> = aggs.iter().map(|a| Acc::new(a.func, false)).collect();
-            table.insert(hash, Vec::new(), accs);
+            let accs = aggs.iter().map(|a| Acc::new(a.func, false)).collect();
+            let hash = crate::engine::group_hash(&Row::new(vec![]), &[]);
+            state
+                .open_only
+                .push(state.open.insert(hash, Vec::new(), accs));
+            state.open_out.push(0);
         }
-        Ok(Some(AggState { table, flags }))
+        Ok(state)
     }
 
-    /// Number of group slots (== maintained view rows before projection).
+    /// Number of groups (== maintained view rows before projection).
     pub fn groups(&self) -> usize {
-        self.table.slots.len()
+        self.closed.slots.len() + self.open_only.len()
     }
 
-    /// Rough retained bytes, for memory accounting.
-    pub fn approx_bytes(&self) -> u64 {
-        let keys: u64 = self
-            .table
-            .slots
-            .iter()
-            .map(|(_, key, accs)| 32 + 24 * key.len() as u64 + 48 * accs.len() as u64)
-            .sum();
-        keys + 64
-    }
-
-    /// The full output row set in slot order — equals what the engine's
-    /// aggregation emits over the same input. Used to (re)derive the stored
-    /// view when state is first built.
+    /// The full output row set in group order — equals what the engine's
+    /// aggregation emits over the same input.
     pub fn output_rows(&self) -> Vec<Row> {
-        (0..self.table.slots.len())
-            .map(|s| self.row_at(s))
-            .collect()
+        (0..self.groups()).map(|out| self.row_at(out)).collect()
     }
 
     /// Folds one delta (the aggregate's delta-input rows, in order) into
@@ -149,69 +115,104 @@ impl AggState {
         delta: &[Row],
         group_by: &[usize],
         aggs: &[AggExpr],
-    ) -> Result<FoldOutcome> {
-        // Resolve still-undecided SUM typings against the delta, exactly as
-        // the engine's first-value scan over the grown input would: the
-        // base contributed no numeric values, so the delta's first numeric
-        // value is the grown input's first numeric value.
-        for (flag, agg) in self.flags.iter_mut().zip(aggs) {
-            if *flag != SumFlag::Undecided {
-                continue;
-            }
-            let Some(e) = &agg.input else { continue };
-            match first_numeric(delta, e) {
-                Some(true) => return Ok(FoldOutcome::FloatSum),
-                Some(false) => *flag = SumFlag::Int,
-                None => {}
-            }
-        }
+    ) -> Result<AggApplied> {
+        self.settle_sum_types(delta, aggs);
+        let float_sum: Vec<bool> = self.sum_float.iter().map(|f| *f == Some(true)).collect();
         let srcs = classify_aggs(aggs);
-        let before = self.table.slots.len();
+        let before = self.groups();
         let mut touched: BTreeSet<usize> = BTreeSet::new();
         for row in delta {
-            let hash = group_hash(row, group_by);
-            let slot = match self.table.find(hash, |key| {
-                group_by.iter().zip(key).all(|(&g, k)| row.get(g) == k)
-            }) {
-                Some(slot) => slot,
-                None => {
-                    let key: Vec<Value> = group_by.iter().map(|&g| row.get(g).clone()).collect();
-                    let accs: Vec<Acc> = aggs.iter().map(|a| Acc::new(a.func, false)).collect();
-                    self.table.insert(hash, key, accs)
-                }
-            };
-            if slot < before {
-                touched.insert(slot);
-            }
-            let accs = &mut self.table.slots[slot].2;
-            for (acc, src) in accs.iter_mut().zip(&srcs) {
-                match src {
-                    AggSrc::CountAll => acc.update(None),
-                    AggSrc::Col(c) if *c < row.arity() => acc.update(Some(row.get(*c))),
-                    AggSrc::Col(c) => {
-                        let v = eval(&Expr::Column(*c), row)?;
-                        acc.update(Some(&v));
+            let known = self.open.slots.len();
+            let slot = self.open.fold_row(row, group_by, aggs, &srcs, &float_sum)?;
+            if slot == known {
+                let (hash, key, _) = &self.open.slots[slot];
+                let out = match self.closed.find(*hash, |k| k == key.as_slice()) {
+                    Some(closed_slot) => closed_slot,
+                    None => {
+                        self.open_only.push(slot);
+                        self.groups() - 1
                     }
-                    AggSrc::Expr(e) => {
-                        let v = eval(e, row)?;
-                        acc.update(Some(&v));
+                };
+                self.open_out.push(out);
+            }
+            touched.insert(self.open_out[slot]);
+            self.open_rows += 1;
+            if self.open_rows == MORSEL_SIZE {
+                // The morsel is complete: merge it as the engine would.
+                let morsel = std::mem::replace(&mut self.open, GroupTable::with_capacity(0));
+                self.closed.absorb(morsel);
+                self.open_rows = 0;
+                self.open_out.clear();
+                self.open_only.clear();
+            }
+        }
+        Ok(AggApplied {
+            updated: touched
+                .range(..before)
+                .map(|&out| (out, self.row_at(out)))
+                .collect(),
+            appended: (before..self.groups())
+                .map(|out| self.row_at(out))
+                .collect(),
+        })
+    }
+
+    /// Settles still-undecided `SUM` typings against the delta, exactly as
+    /// the engine's first-value scan over the grown input would: the rows
+    /// so far contributed no numeric value, so the delta's first numeric
+    /// value is the grown input's first — and every accumulator of that
+    /// `SUM` is still untouched, so a float decision just re-types them.
+    fn settle_sum_types(&mut self, delta: &[Row], aggs: &[AggExpr]) {
+        for (i, agg) in aggs.iter().enumerate() {
+            let (None, Some(e)) = (self.sum_float[i], &agg.input) else {
+                continue;
+            };
+            self.sum_float[i] = first_numeric(delta, e);
+            if self.sum_float[i] == Some(true) {
+                for table in [&mut self.closed, &mut self.open] {
+                    for (_, _, accs) in &mut table.slots {
+                        accs[i] = Acc::new(AggFunc::Sum, true);
                     }
                 }
             }
         }
-        let updated: Vec<(usize, Row)> = touched.iter().map(|&s| (s, self.row_at(s))).collect();
-        let appended: Vec<Row> = (before..self.table.slots.len())
-            .map(|s| self.row_at(s))
-            .collect();
-        Ok(FoldOutcome::Applied(AggApplied { updated, appended }))
     }
 
-    fn row_at(&self, slot: usize) -> Row {
-        let (_, key, accs) = &self.table.slots[slot];
-        let mut values = key.clone();
-        values.extend(accs.iter().map(Acc::finish_ref));
-        Row::new(values)
+    /// The output row of group `out`: `closed ⊕ open`.
+    fn row_at(&self, out: usize) -> Row {
+        let row = |key: &[Value], aggs: &mut dyn Iterator<Item = Value>| {
+            let mut values = key.to_vec();
+            values.extend(aggs);
+            Row::new(values)
+        };
+        let Some((hash, key, accs)) = self.closed.slots.get(out) else {
+            let slot = self.open_only[out - self.closed.slots.len()];
+            let (_, key, accs) = &self.open.slots[slot];
+            return row(key, &mut accs.iter().map(Acc::finish_ref));
+        };
+        match self.open.find(*hash, |k| k == key.as_slice()) {
+            Some(slot) => {
+                let later = &self.open.slots[slot].2;
+                row(
+                    key,
+                    &mut accs.iter().zip(later).map(|(a, l)| finish_merged(a, l)),
+                )
+            }
+            None => row(key, &mut accs.iter().map(Acc::finish_ref)),
+        }
     }
+}
+
+/// What `acc` finishes to once the open morsel's `later` has merged into it.
+fn finish_merged(acc: &Acc, later: &Acc) -> Value {
+    if let (Acc::CountDistinct(a), Acc::CountDistinct(b)) = (acc, later) {
+        // Same count as the merged set, without copying the closed one.
+        let fresh = b.iter().filter(|v| !a.contains(v)).count();
+        return Value::Int((a.len() + fresh) as i64);
+    }
+    let mut merged = acc.clone();
+    merged.merge(later.clone());
+    merged.finish()
 }
 
 /// First-value SUM typing scan, identical to the engine's
@@ -249,7 +250,12 @@ pub fn apply_projection(layers: &[Vec<(String, Expr)>], row: &Row) -> Result<Row
 #[cfg(test)]
 mod tests {
     use super::*;
-    use miso_plan::expr::AggFunc;
+    use crate::engine::{execute_subset_opts, ExecOptions, MemSource, Retention};
+    use crate::udf::UdfRegistry;
+    use miso_common::{pool, rng::DetRng};
+    use miso_data::{DataType, Field, Schema};
+    use miso_plan::{LogicalPlan, Operator, PlanBuilder};
+    use std::collections::HashMap;
 
     fn rows(spec: &[(&str, i64)]) -> Vec<Row> {
         spec.iter()
@@ -257,7 +263,7 @@ mod tests {
             .collect()
     }
 
-    fn all_aggs() -> Vec<AggExpr> {
+    fn int_aggs() -> Vec<AggExpr> {
         vec![
             AggExpr::new(AggFunc::Count, None, "n"),
             AggExpr::new(AggFunc::CountDistinct, Some(Expr::col(1)), "d"),
@@ -265,6 +271,14 @@ mod tests {
             AggExpr::new(AggFunc::Min, Some(Expr::col(1)), "lo"),
             AggExpr::new(AggFunc::Max, Some(Expr::col(1)), "hi"),
         ]
+    }
+
+    /// Patches `view` the way the maintainer patches a stored view.
+    fn patch(view: &mut Vec<Row>, applied: AggApplied) {
+        for (slot, row) in applied.updated {
+            view[slot] = row;
+        }
+        view.extend(applied.appended);
     }
 
     /// Build-on-base + delta fold must equal build-on-full for every split.
@@ -279,62 +293,179 @@ mod tests {
             ("sf", 7),
             ("austin", 0),
         ]);
-        let aggs = all_aggs();
+        let aggs = int_aggs();
         for split in 0..=full.len() {
-            let mut state = AggState::build(&full[..split], &[0], &aggs)
-                .unwrap()
-                .expect("int aggs are maintainable");
+            let mut state = AggState::build(&full[..split], &[0], &aggs).unwrap();
             let mut view = state.output_rows();
-            match state.apply(&full[split..], &[0], &aggs).unwrap() {
-                FoldOutcome::Applied(applied) => {
-                    for (slot, row) in applied.updated {
-                        view[slot] = row;
-                    }
-                    view.extend(applied.appended);
-                }
-                FoldOutcome::FloatSum => panic!("int sum must not resolve float"),
-            }
-            let oracle = AggState::build(&full, &[0], &aggs).unwrap().unwrap();
+            patch(&mut view, state.apply(&full[split..], &[0], &aggs).unwrap());
+            let oracle = AggState::build(&full, &[0], &aggs).unwrap();
             assert_eq!(view, oracle.output_rows(), "split {split}");
+            assert_eq!(view, state.output_rows(), "split {split}");
         }
     }
 
     #[test]
     fn global_aggregate_over_empty_base_updates_in_place() {
         let aggs = vec![AggExpr::new(AggFunc::Count, None, "n")];
-        let mut state = AggState::build(&[], &[], &aggs).unwrap().unwrap();
+        let mut state = AggState::build(&[], &[], &aggs).unwrap();
         assert_eq!(state.groups(), 1, "implicit global group");
         assert_eq!(state.output_rows(), vec![Row::new(vec![Value::Int(0)])]);
-        let FoldOutcome::Applied(applied) = state
+        let applied = state
             .apply(&rows(&[("sf", 1), ("ny", 2)]), &[], &aggs)
-            .unwrap()
-        else {
-            panic!("count is never float");
-        };
+            .unwrap();
         assert_eq!(applied.appended, vec![]);
         assert_eq!(applied.updated, vec![(0, Row::new(vec![Value::Int(2)]))]);
     }
 
+    /// The aggregate the engine computes over `input`, through a plan:
+    /// the row body under full retention, the columnar body (a view scan
+    /// hands it a batch) when lean.
+    fn engine_aggregate(
+        input: &[Row],
+        group_by: &[usize],
+        aggs: &[AggExpr],
+        columnar: bool,
+    ) -> Vec<Row> {
+        let mut src = MemSource::new();
+        src.add_view("input", input.to_vec());
+        let mut b = PlanBuilder::new();
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Str),
+            Field::new("v", DataType::Float),
+            Field::new("i", DataType::Int),
+            Field::new("late", DataType::Float),
+        ]);
+        let scan = b
+            .add(
+                Operator::ScanView {
+                    view: "input".into(),
+                    schema,
+                },
+                vec![],
+            )
+            .unwrap();
+        let agg = b
+            .add(
+                Operator::Aggregate {
+                    group_by: group_by.to_vec(),
+                    aggs: aggs.to_vec(),
+                },
+                vec![scan],
+            )
+            .unwrap();
+        let plan: LogicalPlan = b.finish(agg).unwrap();
+        let opts = ExecOptions {
+            retain: if columnar {
+                Retention::ROOT_ONLY
+            } else {
+                Retention::All
+            },
+            columnar,
+        };
+        execute_subset_opts(&plan, None, HashMap::new(), &src, &UdfRegistry::new(), opts)
+            .unwrap()
+            .root_rows()
+            .unwrap()
+            .to_vec()
+    }
+
+    /// Rows as text with floats by bit pattern: `Value` equality folds NaNs
+    /// and signed zeros together, the claim here does not.
+    fn bits(rows: &[Row]) -> Vec<String> {
+        let text = |v: &Value| match v {
+            Value::Float(f) => format!("f{:016x}", f.to_bits()),
+            other => format!("{other:?}"),
+        };
+        rows.iter()
+            .map(|r| r.values().iter().map(text).collect::<Vec<_>>().join("|"))
+            .collect()
+    }
+
+    /// `[key, float-ish value, int value, late]`: keys with NULLs and a
+    /// signed-zero pair; values mixing floats of wildly different
+    /// magnitude (so summation order shows), ints, NULLs, -0.0 and NaN; and
+    /// a `late` column that is NULL until row `late_from`.
+    fn float_rows(n: usize, late_from: usize, late_float: bool) -> Vec<Row> {
+        let mut rng = DetRng::new(0x16);
+        (0..n)
+            .map(|i| {
+                let key = match rng.below(9) {
+                    0 => Value::Null,
+                    1 => Value::Float(0.0),
+                    2 => Value::Float(-0.0),
+                    k => Value::str(format!("g{k}")),
+                };
+                let v = match rng.below(12) {
+                    0 => Value::Null,
+                    1 => Value::Float(-0.0),
+                    2 => Value::Int(rng.below(1000) as i64 - 500),
+                    3 if i % 1500 == 7 => Value::Float(f64::NAN),
+                    4 => Value::Float(1e16 * rng.f64()),
+                    _ => Value::Float(rng.f64() - 0.5),
+                };
+                let late = match (i >= late_from && rng.chance(0.5), late_float) {
+                    (false, _) => Value::Null,
+                    (true, true) => Value::Float(rng.f64()),
+                    (true, false) => Value::Int(rng.below(50) as i64),
+                };
+                Row::new(vec![key, v, Value::Int(rng.below(100) as i64), late])
+            })
+            .collect()
+    }
+
+    /// Folding a delta is bit-for-bit the engine's aggregation of the grown
+    /// input — `AVG`, float `SUM`, mixed NULLs, -0.0 and NaN included —
+    /// whatever the base size relative to a morsel, however many morsels the
+    /// delta closes, in the row and the columnar aggregate, at 1 and 8
+    /// threads; and a `SUM` that sees its first number mid-stream types
+    /// itself as the engine does over the grown input.
     #[test]
-    fn float_sum_is_rejected_at_build_and_detected_in_delta() {
-        let aggs = vec![AggExpr::new(AggFunc::Sum, Some(Expr::col(1)), "s")];
-        let floaty = vec![Row::new(vec![Value::str("sf"), Value::Float(1.5)])];
-        assert!(AggState::build(&floaty, &[0], &aggs).unwrap().is_none());
-        let avg = vec![AggExpr::new(AggFunc::Avg, Some(Expr::col(1)), "a")];
-        assert!(AggState::build(&[], &[0], &avg).unwrap().is_none());
-        // All-null base leaves the SUM undecided; a float delta detects.
-        let nullish = vec![Row::new(vec![Value::str("sf"), Value::Null])];
-        let mut state = AggState::build(&nullish, &[0], &aggs).unwrap().unwrap();
-        assert!(matches!(
-            state.apply(&floaty, &[0], &aggs).unwrap(),
-            FoldOutcome::FloatSum
-        ));
-        // ... while an int delta decides int and folds.
-        let mut state = AggState::build(&nullish, &[0], &aggs).unwrap().unwrap();
-        assert!(matches!(
-            state.apply(&rows(&[("sf", 4)]), &[0], &aggs).unwrap(),
-            FoldOutcome::Applied(_)
-        ));
+    fn fold_is_bit_identical_to_engine_aggregation_of_the_grown_input() {
+        let aggs = vec![
+            AggExpr::new(AggFunc::Count, None, "n"),
+            AggExpr::new(AggFunc::Sum, Some(Expr::col(1)), "s"),
+            AggExpr::new(AggFunc::Avg, Some(Expr::col(1)), "a"),
+            AggExpr::new(AggFunc::Min, Some(Expr::col(1)), "lo"),
+            AggExpr::new(AggFunc::Max, Some(Expr::col(1)), "hi"),
+            AggExpr::new(AggFunc::CountDistinct, Some(Expr::col(2)), "d"),
+            AggExpr::new(AggFunc::Sum, Some(Expr::col(2)), "si"),
+            AggExpr::new(AggFunc::Sum, Some(Expr::col(3)), "late"),
+            AggExpr::new(AggFunc::Avg, Some(Expr::col(3)), "late_avg"),
+        ];
+        let before = pool::threads();
+        // Deltas that close no morsel, one, and two.
+        let deltas = [1usize, 5, 4096, 2 * 4096 + 3];
+        for base in [0usize, 1, 4095, 4096, 4097, 8191] {
+            for late_float in [true, false] {
+                let total = base + deltas.iter().sum::<usize>();
+                // `late` turns numeric inside the second delta.
+                let all = float_rows(total, base + 3, late_float);
+                for group_by in [vec![0usize], vec![]] {
+                    let mut state = AggState::build(&all[..base], &group_by, &aggs).unwrap();
+                    let mut view = state.output_rows();
+                    let mut end = base;
+                    for n in deltas {
+                        patch(
+                            &mut view,
+                            state.apply(&all[end..end + n], &group_by, &aggs).unwrap(),
+                        );
+                        end += n;
+                        for (threads, columnar) in [(1, false), (8, true), (8, false), (1, true)] {
+                            pool::set_threads(threads);
+                            let want = engine_aggregate(&all[..end], &group_by, &aggs, columnar);
+                            assert_eq!(
+                                bits(&view),
+                                bits(&want),
+                                "base {base}, grown to {end}, keys {group_by:?}, \
+                                 late_float {late_float}, threads {threads}, columnar {columnar}"
+                            );
+                        }
+                    }
+                    assert_eq!(bits(&view), bits(&state.output_rows()));
+                }
+            }
+        }
+        pool::set_threads(before);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub use engine::{
     execute_subset_guarded, DataSource, ExecOptions, Execution, LogColumns, MemSource, Retention,
     MORSEL_SIZE,
 };
-pub use ivm::{apply_projection, AggApplied, AggState, FoldOutcome};
+pub use ivm::{apply_projection, AggApplied, AggState};
 pub use profile::OpProfile;
 pub use serial::execute_serial;
 pub use udf::{Udf, UdfRegistry};

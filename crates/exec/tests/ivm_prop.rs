@@ -18,7 +18,7 @@
 mod real {
     use miso_data::{DataType, Field, Row, Schema, Value};
     use miso_exec::bench_hooks::hash_join_vex;
-    use miso_exec::{execute_serial, AggState, FoldOutcome, MemSource, UdfRegistry};
+    use miso_exec::{execute_serial, AggState, MemSource, UdfRegistry};
     use miso_plan::{AggExpr, AggFunc, BinOp, Expr, LogicalPlan, Operator, PlanBuilder};
     use proptest::prelude::*;
 
@@ -128,24 +128,16 @@ mod real {
             let (base, delta) = rows.split_at(split);
             let a = aggs();
 
-            let mut state = AggState::build(base, &[0], &a)
-                .unwrap()
-                .expect("integer aggregates fold");
+            let mut state = AggState::build(base, &[0], &a).unwrap();
             let mut patched = state.output_rows();
-            let applied = match state.apply(delta, &[0], &a).unwrap() {
-                FoldOutcome::Applied(applied) => applied,
-                FoldOutcome::FloatSum => unreachable!("no float inputs generated"),
-            };
+            let applied = state.apply(delta, &[0], &a).unwrap();
             for (slot, row) in &applied.updated {
                 patched[*slot] = row.clone();
             }
             patched.extend(applied.appended.iter().cloned());
 
             let folded = state.output_rows();
-            let full = AggState::build(&rows, &[0], &a)
-                .unwrap()
-                .expect("integer aggregates fold")
-                .output_rows();
+            let full = AggState::build(&rows, &[0], &a).unwrap().output_rows();
             prop_assert_eq!(&folded, &full, "fold diverged from full replay");
             prop_assert_eq!(&patched, &full, "patch list diverged from full replay");
             prop_assert_eq!(folded, run_serial(&agg_plan(), &rows), "fold diverged from serial");

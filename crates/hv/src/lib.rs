@@ -26,4 +26,4 @@ pub mod store;
 
 pub use cost::HvCostModel;
 pub use stages::{compile_stages, Stage};
-pub use store::{HvRun, HvStore, MaterializedOutput};
+pub use store::{HvRun, HvStore, LogBatch, MaterializedOutput};

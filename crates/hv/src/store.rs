@@ -6,6 +6,7 @@ use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
 use miso_common::{ByteSize, MisoError, Result, SimDuration};
 use miso_data::checksum::{checksum_rows, corrupt_first_row, Checksum};
+use miso_data::json::parse_json;
 use miso_data::logs::LogFile;
 use miso_data::{ColBatch, Column, DataType, Row, Schema};
 use miso_exec::col::parse_log_columns;
@@ -47,8 +48,10 @@ struct StoredView {
 ///    cloned store (an epoch snapshot, the serving oracle) reads and warms
 ///    the same columns as its original.
 /// 3. **Append extends.** [`HvStore::append_log`] copies the image first if
-///    another store shares it, then parses the appended lines only and
-///    extends every kept column ([`Column::append`]), which restores (1).
+///    another store shares it, then extends every kept column
+///    ([`Column::append`]) by that column of the appended [`LogBatch`] —
+///    the batch's own whole-batch parse, (1) at batch scale — which
+///    restores (1).
 #[derive(Debug)]
 struct LogImage {
     lines: Vec<String>,
@@ -72,67 +75,70 @@ impl Clone for LogImage {
         LogImage {
             lines: self.lines.clone(),
             size: self.size,
-            parsed: Mutex::new(self.lock_parsed().clone()),
+            parsed: Mutex::new(lock_parsed(&self.parsed).clone()),
         }
     }
 }
 
-impl LogImage {
-    fn lock_parsed(&self) -> MutexGuard<'_, ParsedColumns> {
-        self.parsed
-            .lock()
-            .expect("no scan panics while it holds the image lock")
-    }
+fn lock_parsed(parsed: &Mutex<ParsedColumns>) -> MutexGuard<'_, ParsedColumns> {
+    parsed
+        .lock()
+        .expect("no scan panics while it holds the image lock")
+}
 
-    /// The columns of `fields`, parsing — in one pass over the lines, with
-    /// the lock released — only those no earlier call asked for.
-    fn columns(&self, fields: &[FusedField<'_>]) -> Result<LogColumns> {
-        let key = |f: &FusedField<'_>| (f.key.to_string(), f.ty);
-        let keys: Vec<ColumnKey> = fields.iter().map(key).collect();
-        let (missing, counted) = {
-            let parsed = self.lock_parsed();
-            let mut missing: Vec<FusedField<'_>> = Vec::new();
-            for (f, k) in fields.iter().zip(&keys) {
-                if !parsed.cols.contains_key(k) && !missing.contains(f) {
-                    missing.push(*f);
-                }
-            }
-            (missing, parsed.counts.is_some())
-        };
-        let fresh = if missing.is_empty() && counted {
-            None
-        } else {
-            Some(parse_log_columns(&self.lines, &missing)?)
-        };
-        let mut parsed = self.lock_parsed();
-        if let Some((batch, skipped)) = fresh {
-            parsed.counts = Some((batch.len(), skipped));
-            if miso_obs::enabled() {
-                let bytes = batch.columns().iter().map(|c| c.approx_bytes()).sum();
-                miso_obs::count("hv.log_col_bytes", bytes);
-            }
-            for (f, col) in missing.iter().zip(batch.into_columns()) {
-                // A racing scan may have filled the slot; both parsed the
-                // same lines, so either column will do.
-                parsed.cols.entry(key(f)).or_insert(col);
+/// The columns of `fields` over `lines`, taken from `parsed` where an
+/// earlier call asked for them and otherwise parsed — in one pass over the
+/// lines, with the lock released — and kept there.
+fn cached_columns(
+    lines: &[String],
+    parsed: &Mutex<ParsedColumns>,
+    fields: &[FusedField<'_>],
+) -> Result<LogColumns> {
+    let key = |f: &FusedField<'_>| (f.key.to_string(), f.ty);
+    let keys: Vec<ColumnKey> = fields.iter().map(key).collect();
+    let (missing, counted) = {
+        let parsed = lock_parsed(parsed);
+        let mut missing: Vec<FusedField<'_>> = Vec::new();
+        for (f, k) in fields.iter().zip(&keys) {
+            if !parsed.cols.contains_key(k) && !missing.contains(f) {
+                missing.push(*f);
             }
         }
-        let (rows, skipped_lines) = parsed.counts.expect("set by the first pass");
-        let columns = keys.iter().map(|k| parsed.cols[k].clone()).collect();
-        let cols_parsed = fields.iter().filter(|f| missing.contains(f)).count() as u64;
-        let cols_hit = fields.len() as u64 - cols_parsed;
-        miso_obs::count("hv.log_cols_served", cols_hit);
-        miso_obs::count("hv.log_cols_parsed", cols_parsed);
-        Ok(LogColumns {
-            batch: ColBatch::from_shared(columns, rows),
-            skipped_lines,
-            cols_hit,
-            cols_parsed,
-        })
+        (missing, parsed.counts.is_some())
+    };
+    let fresh = if missing.is_empty() && counted {
+        None
+    } else {
+        Some(parse_log_columns(lines, &missing)?)
+    };
+    let mut parsed = lock_parsed(parsed);
+    if let Some((batch, skipped)) = fresh {
+        parsed.counts = Some((batch.len(), skipped));
+        if miso_obs::enabled() {
+            let bytes = batch.columns().iter().map(|c| c.approx_bytes()).sum();
+            miso_obs::count("hv.log_col_bytes", bytes);
+        }
+        for (f, col) in missing.iter().zip(batch.into_columns()) {
+            // A racing scan may have filled the slot; both parsed the
+            // same lines, so either column will do.
+            parsed.cols.entry(key(f)).or_insert(col);
+        }
     }
+    let (rows, skipped_lines) = parsed.counts.expect("set by the first pass");
+    let columns = keys.iter().map(|k| parsed.cols[k].clone()).collect();
+    let cols_parsed = fields.iter().filter(|f| missing.contains(f)).count() as u64;
+    Ok(LogColumns {
+        batch: ColBatch::from_shared(columns, rows),
+        skipped_lines,
+        cols_hit: fields.len() as u64 - cols_parsed,
+        cols_parsed,
+    })
+}
 
-    /// Appends `lines`, extending every kept column by their parse.
-    fn append(&mut self, lines: Vec<String>) -> Result<ByteSize> {
+impl LogImage {
+    /// Appends the batch's lines, extending every kept column by the
+    /// batch's column of the same field.
+    fn append(&mut self, batch: &LogBatch<'_>) -> Result<ByteSize> {
         let parsed = self
             .parsed
             .get_mut()
@@ -143,22 +149,72 @@ impl LogImage {
                 .iter()
                 .map(|(key, ty)| FusedField { key, ty: *ty })
                 .collect();
-            let (batch, more_skipped) = parse_log_columns(&lines, &fields)?;
-            parsed.counts = Some((rows + batch.len(), skipped + more_skipped));
-            miso_obs::count("hv.log_cols_parsed", keys.len() as u64);
-            if miso_obs::enabled() {
-                let bytes = batch.columns().iter().map(|c| c.approx_bytes()).sum();
-                miso_obs::count("hv.log_col_bytes", bytes);
-            }
-            for (key, col) in keys.iter().zip(batch.into_columns()) {
+            let delta = batch.columns(&fields)?;
+            parsed.counts = Some((rows + delta.batch.len(), skipped + delta.skipped_lines));
+            for (key, col) in keys.iter().zip(delta.batch.into_columns()) {
                 let kept = parsed.cols.get_mut(key).expect("key listed from the map");
                 Arc::make_mut(kept).append(Arc::unwrap_or_clone(col));
             }
         }
-        let added = ByteSize::from_bytes(lines.iter().map(|l| l.len() as u64 + 1).sum());
-        self.lines.extend(lines);
+        let added = ByteSize::from_bytes(batch.lines.iter().map(|l| l.len() as u64 + 1).sum());
+        self.lines.extend_from_slice(batch.lines);
         self.size += added;
         Ok(added)
+    }
+}
+
+/// One batch of lines on its way into a base log: a batch-sized image with
+/// the same lazily filled `(field, cast) → column` cache a [`LogImage`]
+/// has, plus the object rows unfused scans read. [`HvStore::append_log`]
+/// extends the log's kept columns from it and every view's delta plan scans
+/// it, so each field of the batch is parsed at most once, whoever asks
+/// first. It borrows the lines and dies with the batch.
+#[derive(Debug)]
+pub struct LogBatch<'a> {
+    lines: &'a [String],
+    parsed: Mutex<ParsedColumns>,
+    rows: OnceLock<(Arc<Vec<Row>>, u64)>,
+}
+
+impl<'a> LogBatch<'a> {
+    /// An image of `lines` with nothing parsed yet.
+    pub fn new(lines: &'a [String]) -> Self {
+        LogBatch {
+            lines,
+            parsed: Mutex::default(),
+            rows: OnceLock::new(),
+        }
+    }
+
+    /// The batch's raw lines.
+    pub fn lines(&self) -> &'a [String] {
+        self.lines
+    }
+
+    /// The columns of `fields` over the batch's well-formed lines — what
+    /// [`DataSource::log_columns`] answers for the whole log, at batch scale.
+    pub fn columns(&self, fields: &[FusedField<'_>]) -> Result<LogColumns> {
+        let cols = cached_columns(self.lines, &self.parsed, fields)?;
+        miso_obs::count("maint.delta_cols_served", cols.cols_hit);
+        miso_obs::count("maint.delta_cols_parsed", cols.cols_parsed);
+        Ok(cols)
+    }
+
+    /// One single-column object row per well-formed line and the count of
+    /// malformed ones — what an unfused scan produces — parsed once.
+    pub fn rows(&self) -> (Arc<Vec<Row>>, u64) {
+        self.rows
+            .get_or_init(|| {
+                let rows: Vec<Row> = self
+                    .lines
+                    .iter()
+                    .filter_map(|line| parse_json(line).ok())
+                    .map(|v| Row::new(vec![v]))
+                    .collect();
+                let skipped = (self.lines.len() - rows.len()) as u64;
+                (Arc::new(rows), skipped)
+            })
+            .clone()
     }
 }
 
@@ -228,22 +284,22 @@ impl HvStore {
             .insert(log.kind.table_name().to_string(), Arc::new(image));
     }
 
-    /// Appends lines to a base log (HDFS-style append-only growth),
-    /// returning the appended byte count. Copy-on-write: stores cloned from
-    /// this one keep scanning the log as it was.
-    pub fn append_log(&mut self, name: &str, lines: Vec<String>) -> Result<ByteSize> {
+    /// Appends a batch of lines to a base log (HDFS-style append-only
+    /// growth), returning the appended byte count. Copy-on-write: stores
+    /// cloned from this one keep scanning the log as it was.
+    pub fn append_log(&mut self, name: &str, batch: &LogBatch<'_>) -> Result<ByteSize> {
         let image = self
             .logs
             .get_mut(name)
             .ok_or_else(|| MisoError::Store(format!("HV has no log `{name}`")))?;
-        Arc::make_mut(image).append(lines)
+        Arc::make_mut(image).append(batch)
     }
 
     /// How many parsed columns the store keeps of `log` (diagnostic hook).
     pub fn log_columns_kept(&self, log: &str) -> usize {
         self.logs
             .get(log)
-            .map_or(0, |image| image.lock_parsed().cols.len())
+            .map_or(0, |image| lock_parsed(&image.parsed).cols.len())
     }
 
     /// The on-disk size of a base log.
@@ -628,10 +684,14 @@ impl DataSource for HvStore {
     }
 
     fn log_columns(&self, log: &str, fields: &[FusedField<'_>]) -> Result<LogColumns> {
-        self.logs
+        let image = self
+            .logs
             .get(log)
-            .ok_or_else(|| MisoError::Store(format!("HV has no log `{log}`")))?
-            .columns(fields)
+            .ok_or_else(|| MisoError::Store(format!("HV has no log `{log}`")))?;
+        let cols = cached_columns(&image.lines, &image.parsed, fields)?;
+        miso_obs::count("hv.log_cols_served", cols.cols_hit);
+        miso_obs::count("hv.log_cols_parsed", cols.cols_parsed);
+        Ok(cols)
     }
 }
 
@@ -736,7 +796,9 @@ mod tests {
             r#"{"tweet_id": 1, "city": "atlantis"}"#.to_string(),
             "torn line".to_string(),
         ];
-        master.append_log("twitter", extra).unwrap();
+        master
+            .append_log("twitter", &LogBatch::new(&extra))
+            .unwrap();
         assert!(!Arc::ptr_eq(
             &master.logs["twitter"],
             &snapshot.logs["twitter"]
@@ -758,7 +820,10 @@ mod tests {
         drop(snapshot);
         let image = Arc::as_ptr(&master.logs["twitter"]);
         master
-            .append_log("twitter", vec![r#"{"city": "atlantis"}"#.into()])
+            .append_log(
+                "twitter",
+                &LogBatch::new(&[r#"{"city": "atlantis"}"#.into()]),
+            )
             .unwrap();
         assert_eq!(Arc::as_ptr(&master.logs["twitter"]), image);
         assert_eq!(master.log_columns_kept("twitter"), kept);

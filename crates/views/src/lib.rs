@@ -30,7 +30,7 @@ pub mod viewset;
 
 pub use benefit::decay_weights;
 pub use interaction::{analyze_candidates, AnalysisConfig, CostFn, KnapsackItem, ViewInfo};
-pub use maint::{analyze_maintenance, is_maintainable, FullReason, MaintPlan};
+pub use maint::{analyze_maintenance, FullReason, MaintPlan, ViewChange};
 pub use rewrite::{rewrite_with_catalog, rewrite_with_views};
 pub use view::{ViewCatalog, ViewDef};
 pub use viewset::ViewSet;

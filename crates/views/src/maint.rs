@@ -1,20 +1,22 @@
 //! Delta maintainability analysis for materialized views.
 //!
-//! Given a view's defining plan and the base log that just grew, this
-//! module decides whether the view can be maintained **incrementally** from
-//! the appended delta — and if so, produces the rewritten *delta plan* the
-//! executor runs over just the new lines. The per-operator algebra (for
+//! Given a view's defining plan and what just grew — the base log, and the
+//! views the plan scans that maintenance already refreshed in this batch —
+//! this module decides whether the view can be maintained **incrementally**
+//! from the appended delta, and if so produces the rewritten *delta plan*
+//! the executor runs over just the new rows. The per-operator algebra (for
 //! append-only deltas; logs never see in-place updates):
 //!
 //! | operator            | delta rule                                       |
 //! |---------------------|--------------------------------------------------|
 //! | `ScanLog` (changed) | Δout = parse(Δlines)                             |
+//! | `ScanView` (parent appended to in this batch) | Δout = the parent's Δrows |
+//! | `ScanView` (parent patched or rebuilt) | **full refresh** from the refreshed parent |
 //! | `Filter`/`Project`/`Udf` | per-record: Δout = op(Δin)                  |
 //! | `Join` (Δ on probe/left side) | Δout = Δleft ⋈ stored build side       |
 //! | `Join` (Δ on build/right side) | **full refresh** (output interleaves) |
-//! | `Aggregate` (topmost, under `Project`s only) | fold Δin into state     |
+//! | `Aggregate` (topmost, under `Project`s only) | fold Δin into the open-morsel state |
 //! | `Aggregate` (mid-plan), `Sort`, `Limit` | **full refresh**             |
-//! | `ScanView` anywhere | **full refresh** (view-over-view chains)         |
 //!
 //! An aggregate may sit under a chain of `Project`s (lowering always adds a
 //! final SELECT-list projection): projects are 1:1 per row, so a group
@@ -31,15 +33,18 @@
 //! A delta on the build side would interleave new matches among old output
 //! rows, and a mid-plan aggregate would feed *changed* (not appended) rows
 //! downstream — both fall back to recomputation, with the reason reported.
+//! For the same reason a view over a parent that was *patched* (an
+//! aggregate) or rebuilt has no Δrows to take and rebuilds from the
+//! refreshed parent.
 //!
-//! Float accumulation (`AVG`, and `SUM` over floats) is excluded even at
-//! the root: IEEE 754 addition is not associative, and the morsel-parallel
-//! rebuild folds partial sums in morsel order while a delta fold would run
-//! in row order. Integer sums wrap, so they stay order-independent.
+//! Every aggregate folds, float accumulation (`AVG`, `SUM` over floats)
+//! included: IEEE 754 addition is not associative, but the fold state
+//! (`miso_exec::AggState`) keeps the engine's own morsel structure — the
+//! merged complete morsels and the open one — and so adds the same partial
+//! sums in the same order as a rebuild over the grown input.
 
 use miso_common::ids::NodeId;
-use miso_data::DataType;
-use miso_plan::expr::{AggExpr, AggFunc, Expr};
+use miso_plan::expr::{AggExpr, Expr};
 use miso_plan::{LogicalPlan, Operator, PlanBuilder};
 use std::collections::HashSet;
 
@@ -61,13 +66,27 @@ pub struct BuildSide {
     pub name: String,
 }
 
-/// A per-record delta pipeline: run `plan` over just the delta lines (join
-/// build sides resolved from stored state) and append its output rows to
-/// the view.
+/// How a view that a plan scans changed in the current append batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ViewChange {
+    /// Not derived from the grown log (or not refreshed): reads as before.
+    Unchanged,
+    /// Rows were appended at its end and nothing else moved.
+    Appended,
+    /// Patched in place or rebuilt: there is no delta to take from it.
+    Rewritten,
+}
+
+/// A per-record delta pipeline: run `plan` over just the delta (join build
+/// sides resolved from stored state) and append its output rows to the
+/// view.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaAppend {
     /// The rewritten delta plan (build sides replaced by `ScanView`s).
     pub plan: LogicalPlan,
+    /// The scanned view whose Δrows of this batch are the delta; `None`
+    /// when the delta is the log's appended lines.
+    pub parent: Option<String>,
     /// Build sides the plan references, in first-use order (deduplicated).
     pub builds: Vec<BuildSide>,
 }
@@ -103,37 +122,39 @@ pub enum MaintPlan {
 impl MaintPlan {
     /// The delta pipeline to execute (the aggregate's input for folds).
     pub fn delta_plan(&self) -> &LogicalPlan {
+        &self.input().plan
+    }
+
+    /// The per-record pipeline under the fold (the whole plan for appends).
+    pub fn input(&self) -> &DeltaAppend {
         match self {
-            MaintPlan::Append(a) => &a.plan,
-            MaintPlan::Aggregate(a) => &a.input.plan,
+            MaintPlan::Append(a) => a,
+            MaintPlan::Aggregate(a) => &a.input,
         }
     }
 
     /// Build sides the delta pipeline references.
     pub fn builds(&self) -> &[BuildSide] {
-        match self {
-            MaintPlan::Append(a) => &a.builds,
-            MaintPlan::Aggregate(a) => &a.input.builds,
-        }
+        &self.input().builds
     }
 }
 
 /// Why a view must be fully recomputed instead of delta-maintained. The
-/// first five are structural (decided from the plan alone); the rest are
+/// first four are structural (decided from the plan and how its scanned
+/// views are maintained); the rest are
 /// runtime policy decisions made by the maintenance layer and carried here
 /// so reports use one vocabulary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FullReason {
     /// The view does not scan the changed log at all.
     Unaffected,
-    /// The view scans another view (view-over-view chains re-snapshot).
+    /// The view scans a view that was patched or rebuilt in this batch, so
+    /// it rebuilds from the refreshed parent.
     ViewOverView,
     /// An operator on the delta path has no append-only delta rule.
     NonMaintainableOp(String),
     /// The changed log feeds a join's build (right) side.
     DeltaOnBuildSide,
-    /// `AVG`/float `SUM`: IEEE 754 accumulation is order-sensitive.
-    FloatAggregate,
     /// Policy: the delta is too large a fraction of the base for the
     /// delta path to win.
     DeltaTooLarge {
@@ -156,10 +177,9 @@ impl std::fmt::Display for FullReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FullReason::Unaffected => write!(f, "view does not scan the changed log"),
-            FullReason::ViewOverView => write!(f, "view scans another view"),
+            FullReason::ViewOverView => write!(f, "view scans a patched or rebuilt view"),
             FullReason::NonMaintainableOp(op) => write!(f, "non-maintainable operator {op}"),
             FullReason::DeltaOnBuildSide => write!(f, "delta reaches a join build side"),
-            FullReason::FloatAggregate => write!(f, "float aggregate is order-sensitive"),
             FullReason::DeltaTooLarge {
                 delta_rows,
                 base_rows,
@@ -173,19 +193,31 @@ impl std::fmt::Display for FullReason {
 }
 
 impl FullReason {
-    /// Short machine-readable tag for counters and reports.
+    /// Short machine-readable tag for reports and trace spans.
     pub fn tag(&self) -> &'static str {
+        self.names().0
+    }
+
+    /// The `maint.full.<tag>` counter that tallies this reason.
+    pub fn counter(&self) -> &'static str {
+        self.names().1
+    }
+
+    fn names(&self) -> (&'static str, &'static str) {
         match self {
-            FullReason::Unaffected => "unaffected",
-            FullReason::ViewOverView => "view_over_view",
-            FullReason::NonMaintainableOp(_) => "non_maintainable_op",
-            FullReason::DeltaOnBuildSide => "delta_on_build_side",
-            FullReason::FloatAggregate => "float_aggregate",
-            FullReason::DeltaTooLarge { .. } => "delta_too_large",
-            FullReason::Quarantined => "quarantined",
-            FullReason::StateCold => "state_cold",
-            FullReason::StateStale => "state_stale",
-            FullReason::IvmDisabled => "ivm_disabled",
+            FullReason::Unaffected => ("unaffected", "maint.full.unaffected"),
+            FullReason::ViewOverView => ("view_over_view", "maint.full.view_over_view"),
+            FullReason::NonMaintainableOp(_) => {
+                ("non_maintainable_op", "maint.full.non_maintainable_op")
+            }
+            FullReason::DeltaOnBuildSide => {
+                ("delta_on_build_side", "maint.full.delta_on_build_side")
+            }
+            FullReason::DeltaTooLarge { .. } => ("delta_too_large", "maint.full.delta_too_large"),
+            FullReason::Quarantined => ("quarantined", "maint.full.quarantined"),
+            FullReason::StateCold => ("state_cold", "maint.full.state_cold"),
+            FullReason::StateStale => ("state_stale", "maint.full.state_stale"),
+            FullReason::IvmDisabled => ("ivm_disabled", "maint.full.ivm_disabled"),
         }
     }
 
@@ -198,19 +230,20 @@ impl FullReason {
                 | FullReason::Quarantined
                 | FullReason::StateCold
                 | FullReason::StateStale
-                | FullReason::FloatAggregate
         )
     }
 }
 
 /// Classifies how (whether) `plan` can be maintained when `changed_log`
-/// grows by an append-only delta. On success, the returned [`MaintPlan`]
-/// carries the rewritten delta pipeline; on failure, the [`FullReason`]
-/// says exactly why a full recomputation is required.
-pub fn analyze_maintenance(plan: &LogicalPlan, changed_log: &str) -> Result<MaintPlan, FullReason> {
-    if !plan.scanned_views().is_empty() {
-        return Err(FullReason::ViewOverView);
-    }
+/// grows by an append-only delta and the views it scans changed as
+/// `view_change` says. On success, the returned [`MaintPlan`] carries the
+/// rewritten delta pipeline; on failure, the [`FullReason`] says exactly
+/// why a full recomputation is required.
+pub fn analyze_maintenance(
+    plan: &LogicalPlan,
+    changed_log: &str,
+    view_change: &dyn Fn(&str) -> ViewChange,
+) -> Result<MaintPlan, FullReason> {
     let reachable = plan.descendants(plan.root());
     // Taint pass: a node is tainted iff its subtree scans the changed log.
     // Arena order is topological, so one forward sweep suffices.
@@ -221,6 +254,11 @@ pub fn analyze_maintenance(plan: &LogicalPlan, changed_log: &str) -> Result<Main
         }
         let t = match &node.op {
             Operator::ScanLog { log } => log == changed_log,
+            Operator::ScanView { view, .. } => match view_change(view) {
+                ViewChange::Unchanged => false,
+                ViewChange::Appended => true,
+                ViewChange::Rewritten => return Err(FullReason::ViewOverView),
+            },
             _ => node.inputs.iter().any(|i| tainted.contains(i)),
         };
         if t {
@@ -239,6 +277,7 @@ pub fn analyze_maintenance(plan: &LogicalPlan, changed_log: &str) -> Result<Main
         }
         match &node.op {
             Operator::ScanLog { .. }
+            | Operator::ScanView { .. }
             | Operator::Filter { .. }
             | Operator::Project { .. }
             | Operator::Udf { .. } => {}
@@ -247,30 +286,10 @@ pub fn analyze_maintenance(plan: &LogicalPlan, changed_log: &str) -> Result<Main
                     return Err(FullReason::DeltaOnBuildSide);
                 }
             }
-            Operator::Aggregate { aggs, .. } => {
-                let input_schema = &plan.node(node.inputs[0]).schema;
-                for agg in aggs {
-                    match agg.func {
-                        AggFunc::Avg => return Err(FullReason::FloatAggregate),
-                        AggFunc::Sum => {
-                            // A statically-Float sum is certainly order-
-                            // sensitive; Int stays int, and dynamically
-                            // typed inputs are re-checked at fold time.
-                            if let Some(e) = &agg.input {
-                                if e.infer_type(input_schema) == DataType::Float {
-                                    return Err(FullReason::FloatAggregate);
-                                }
-                            }
-                        }
-                        AggFunc::Count | AggFunc::CountDistinct | AggFunc::Min | AggFunc::Max => {}
-                    }
-                }
-                tainted_aggs.push(node.id);
-            }
+            Operator::Aggregate { .. } => tainted_aggs.push(node.id),
             op @ (Operator::Sort { .. } | Operator::Limit { .. }) => {
                 return Err(FullReason::NonMaintainableOp(op.label()));
             }
-            Operator::ScanView { .. } => unreachable!("scanned views already rejected"),
         }
     }
     // At most one aggregate, and it must hang off the root through a chain
@@ -331,6 +350,9 @@ pub fn analyze_maintenance(plan: &LogicalPlan, changed_log: &str) -> Result<Main
     let mut b = PlanBuilder::new();
     let mut mapping = std::collections::HashMap::new();
     let mut builds: Vec<BuildSide> = Vec::new();
+    // Joins only ever carry the delta on their left, so the tainted spine
+    // ends in exactly one leaf: the log, or one appended-to view.
+    let mut parent = None;
     let fail = |e: miso_common::MisoError| {
         FullReason::NonMaintainableOp(format!("delta plan construction: {e}"))
     };
@@ -362,6 +384,9 @@ pub fn analyze_maintenance(plan: &LogicalPlan, changed_log: &str) -> Result<Main
                     .map_err(fail)?
             }
             op => {
+                if let Operator::ScanView { view, .. } = op {
+                    parent = Some(view.clone());
+                }
                 let inputs: Vec<NodeId> = node.inputs.iter().map(|i| mapping[i]).collect();
                 b.add(op.clone(), inputs).map_err(fail)?
             }
@@ -371,6 +396,7 @@ pub fn analyze_maintenance(plan: &LogicalPlan, changed_log: &str) -> Result<Main
     let delta_plan = b.finish(mapping[&delta_root]).map_err(fail)?;
     let append = DeltaAppend {
         plan: delta_plan,
+        parent,
         builds,
     };
     Ok(match root_agg {
@@ -385,13 +411,6 @@ pub fn analyze_maintenance(plan: &LogicalPlan, changed_log: &str) -> Result<Main
     })
 }
 
-/// Whether `plan` has an incremental delta rule for appends to `log`
-/// (ignoring runtime policy) — the tuner's cost model uses this to price
-/// per-epoch upkeep.
-pub fn is_maintainable(plan: &LogicalPlan, log: &str) -> bool {
-    analyze_maintenance(plan, log).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,11 +420,16 @@ mod tests {
         compile(sql, &Catalog::standard()).expect("compiles")
     }
 
+    /// Only the log grew; no scanned view changed.
+    fn analyze(plan: &LogicalPlan, log: &str) -> Result<MaintPlan, FullReason> {
+        analyze_maintenance(plan, log, &|_| ViewChange::Unchanged)
+    }
+
     #[test]
     fn per_record_pipeline_is_appendable() {
         let p =
             plan("SELECT t.user_id AS uid, t.city AS city FROM twitter t WHERE t.followers > 10");
-        match analyze_maintenance(&p, "twitter") {
+        match analyze(&p, "twitter") {
             Ok(MaintPlan::Append(a)) => {
                 assert!(a.builds.is_empty());
                 assert_eq!(a.plan.schema().names(), p.schema().names());
@@ -418,10 +442,7 @@ mod tests {
     #[test]
     fn unaffected_log_is_reported() {
         let p = plan("SELECT t.city AS city FROM twitter t");
-        assert_eq!(
-            analyze_maintenance(&p, "landmarks"),
-            Err(FullReason::Unaffected)
-        );
+        assert_eq!(analyze(&p, "landmarks"), Err(FullReason::Unaffected));
     }
 
     #[test]
@@ -430,7 +451,7 @@ mod tests {
             "SELECT t.city AS city, COUNT(*) AS n, MIN(t.followers) AS lo \
              FROM twitter t GROUP BY t.city",
         );
-        match analyze_maintenance(&p, "twitter") {
+        match analyze(&p, "twitter") {
             Ok(MaintPlan::Aggregate(a)) => {
                 assert_eq!(a.group_by, vec![0]);
                 assert_eq!(a.aggs.len(), 2);
@@ -452,7 +473,7 @@ mod tests {
                    JOIN foursquare f ON t.user_id = f.user_id GROUP BY t.city";
         let p = plan(sql);
         // Twitter is the left (probe) side: maintainable with one build.
-        match analyze_maintenance(&p, "twitter") {
+        match analyze(&p, "twitter") {
             Ok(mp @ MaintPlan::Aggregate(_)) => {
                 assert_eq!(mp.builds().len(), 1);
                 let dp = mp.delta_plan();
@@ -462,46 +483,75 @@ mod tests {
             other => panic!("expected Aggregate, got {other:?}"),
         }
         // Foursquare feeds the build side: full refresh.
-        assert_eq!(
-            analyze_maintenance(&p, "foursquare"),
-            Err(FullReason::DeltaOnBuildSide)
-        );
+        assert_eq!(analyze(&p, "foursquare"), Err(FullReason::DeltaOnBuildSide));
     }
 
     #[test]
     fn order_sensitive_shapes_fall_back() {
         let sorted = plan("SELECT t.city AS city FROM twitter t ORDER BY t.city");
         assert!(matches!(
-            analyze_maintenance(&sorted, "twitter"),
+            analyze(&sorted, "twitter"),
             Err(FullReason::NonMaintainableOp(_))
         ));
-        let avg = plan("SELECT AVG(t.followers) AS a FROM twitter t");
-        assert_eq!(
-            analyze_maintenance(&avg, "twitter"),
-            Err(FullReason::FloatAggregate)
-        );
-        let fsum = plan("SELECT SUM(t.sentiment) AS s FROM twitter t");
-        assert_eq!(
-            analyze_maintenance(&fsum, "twitter"),
-            Err(FullReason::FloatAggregate)
-        );
-        let isum = plan("SELECT SUM(t.retweets) AS s FROM twitter t");
-        assert!(analyze_maintenance(&isum, "twitter").is_ok());
     }
 
     #[test]
-    fn view_scans_force_full() {
-        let p = plan("SELECT t.city AS city FROM twitter t WHERE t.followers > 10");
-        let rewritten = p.replace_with_view(p.root(), "v_x").unwrap();
+    fn float_aggregates_fold_like_any_other() {
+        for sql in [
+            "SELECT AVG(t.followers) AS a FROM twitter t",
+            "SELECT SUM(t.sentiment) AS s FROM twitter t",
+            "SELECT SUM(t.retweets) AS s FROM twitter t",
+        ] {
+            assert!(
+                matches!(analyze(&plan(sql), "twitter"), Ok(MaintPlan::Aggregate(_))),
+                "{sql}"
+            );
+        }
+    }
+
+    /// A view over a view takes the parent's Δrows when the parent was
+    /// appended to, rebuilds when it was patched or rebuilt, and is
+    /// untouched when the parent is.
+    #[test]
+    fn a_scanned_view_is_a_delta_source_only_when_appended_to() {
+        let p = plan(
+            "SELECT t.city AS city, COUNT(*) AS n FROM twitter t \
+             WHERE t.followers > 10 GROUP BY t.city",
+        );
+        let filter = p
+            .nodes()
+            .iter()
+            .find(|n| matches!(n.op, Operator::Filter { .. }))
+            .unwrap()
+            .id;
+        let over_view = p.replace_with_view(filter, "v_x").unwrap();
+        assert!(over_view.base_logs().is_empty());
+        let change =
+            |c: ViewChange| move |v: &str| if v == "v_x" { c } else { ViewChange::Unchanged };
+        match analyze_maintenance(&over_view, "twitter", &change(ViewChange::Appended)) {
+            Ok(mp @ MaintPlan::Aggregate(_)) => {
+                assert_eq!(mp.input().parent.as_deref(), Some("v_x"));
+                assert_eq!(mp.delta_plan().scanned_views(), vec!["v_x"]);
+                assert!(mp.builds().is_empty());
+            }
+            other => panic!("expected Aggregate, got {other:?}"),
+        }
         assert_eq!(
-            analyze_maintenance(&rewritten, "twitter"),
+            analyze_maintenance(&over_view, "twitter", &change(ViewChange::Rewritten)),
             Err(FullReason::ViewOverView)
         );
+        assert_eq!(
+            analyze_maintenance(&over_view, "twitter", &change(ViewChange::Unchanged)),
+            Err(FullReason::Unaffected)
+        );
+        // The log's own delta has no parent.
+        assert_eq!(analyze(&p, "twitter").unwrap().input().parent, None);
     }
 
     #[test]
     fn reason_tags_are_stable() {
         assert_eq!(FullReason::DeltaOnBuildSide.tag(), "delta_on_build_side");
+        assert_eq!(FullReason::StateCold.counter(), "maint.full.state_cold");
         assert!(FullReason::StateCold.is_fallback());
         assert!(!FullReason::DeltaOnBuildSide.is_fallback());
         assert!(FullReason::DeltaTooLarge {

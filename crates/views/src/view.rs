@@ -37,6 +37,10 @@ pub struct ViewDef {
     /// The view in filter-over-base normal form, when its defining plan is
     /// rooted at a filter: what containment rewriting matches against.
     pub filter_form: Option<FilterView>,
+    /// The base logs the view's content derives from: those its plan scans
+    /// and, once [`ViewCatalog::register`] has looked them up, those of
+    /// every view it scans. Kept here so that the lineage outlives a parent.
+    pub lineage: BTreeSet<String>,
 }
 
 impl ViewDef {
@@ -47,6 +51,7 @@ impl ViewDef {
         let name = fingerprint.view_name();
         ViewDef {
             filter_form: FilterView::of(&name, &plan),
+            lineage: plan.base_logs().into_iter().collect(),
             name,
             fingerprint,
             plan,
@@ -84,12 +89,42 @@ impl ViewCatalog {
 
     /// Registers a view; a semantically identical view (same name) keeps the
     /// existing entry and returns `false` (dedup under semantic identity).
-    pub fn register(&mut self, def: ViewDef) -> bool {
+    pub fn register(&mut self, mut def: ViewDef) -> bool {
         if self.views.contains_key(&def.name) {
             return false;
         }
+        for parent in def.plan.scanned_views() {
+            if let Some(parent) = self.views.get(&parent) {
+                def.lineage.extend(parent.lineage.iter().cloned());
+            }
+        }
         self.views.insert(def.name.clone(), def);
         true
+    }
+
+    /// The views whose content derives from base log `log`, a view after
+    /// every registered view it scans — the order in which maintenance must
+    /// refresh them when the log grows.
+    pub fn derived_from(&self, log: &str) -> Vec<&ViewDef> {
+        let mut waiting: Vec<&ViewDef> = self.defs();
+        waiting.retain(|def| def.lineage.contains(log));
+        let mut ordered = Vec::with_capacity(waiting.len());
+        while !waiting.is_empty() {
+            let blocked = |def: &ViewDef| {
+                let scanned = def.plan.scanned_views();
+                waiting.iter().any(|w| scanned.contains(&w.name))
+            };
+            let (rest, ready): (Vec<_>, Vec<_>) = waiting.iter().partition(|def| blocked(def));
+            // Views only ever scan views registered before them, so some
+            // view is always ready; were it not so, take the rest as is.
+            if ready.is_empty() {
+                ordered.extend(rest);
+                break;
+            }
+            ordered.extend(ready);
+            waiting = rest;
+        }
+        ordered
     }
 
     /// Removes a view (it no longer exists in any store).
@@ -260,6 +295,45 @@ mod tests {
         assert!(names[0] < names[1]);
         assert_eq!(cat.total_size(&names), ByteSize::from_kib(20));
         assert_eq!(cat.total_size(&["missing".to_string()]), ByteSize::ZERO);
+    }
+
+    /// A view over a view scans no log, yet derives from its parent's: the
+    /// lineage is fixed at registration, survives the parent, and orders
+    /// maintenance parents-first.
+    #[test]
+    fn lineage_follows_scanned_views_and_orders_maintenance() {
+        let over = |plan: &LogicalPlan, view: &str| {
+            let child = plan.replace_with_view(plan.node(plan.root()).inputs[0], view);
+            ViewDef::from_plan(child.unwrap(), ByteSize::from_kib(1), 1, QueryId(2))
+        };
+        let mut cat = ViewCatalog::new();
+        let parent = def(5);
+        // The child's name sorts wherever it likes; build a grandchild too.
+        let child = over(&parent.plan, &parent.name);
+        assert!(child.plan.base_logs().is_empty() && child.lineage.is_empty());
+        let grandchild = over(&sample_plan(6), &child.name);
+        cat.register(parent.clone());
+        cat.register(child.clone());
+        cat.register(grandchild.clone());
+        cat.register(def(7));
+        for name in [&child.name, &grandchild.name] {
+            assert!(cat.get(name).unwrap().lineage.contains("twitter"), "{name}");
+        }
+        let order: Vec<&str> = cat
+            .derived_from("twitter")
+            .iter()
+            .map(|d| d.name.as_str())
+            .collect();
+        assert_eq!(order.len(), 4);
+        let at = |name: &str| order.iter().position(|n| *n == name).unwrap();
+        assert!(at(&parent.name) < at(&child.name) && at(&child.name) < at(&grandchild.name));
+        assert!(cat.derived_from("foursquare").is_empty());
+        cat.remove(&parent.name);
+        assert_eq!(
+            cat.derived_from("twitter").len(),
+            3,
+            "lineage outlives the parent"
+        );
     }
 
     #[test]

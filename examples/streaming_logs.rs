@@ -75,7 +75,7 @@ fn main() {
             // ...and fresh tweets stream in.
             let delta = generate_delta(&cfg, LogKind::Twitter, epoch, 200);
             let report = system
-                .append_log(LogKind::Twitter, delta, policy, &mut clock)
+                .append_log(LogKind::Twitter, &delta, policy, &mut clock)
                 .unwrap();
             println!(
                 "           +{} appended: {} invalidated, {} delta-refreshed, \

@@ -31,13 +31,19 @@ for col in 0 1; do
     diff -u results/fig4.csv "$golden/results/fig4.csv"
 done
 
-echo "==> miso-e2e builds against this tree and answers one workload correctly"
+echo "==> miso-e2e builds against this tree, answers one workload correctly, serves no stale view"
 # benchmark/ is a package of its own, so the workspace build above never
 # compiles it: a changed signature that benchmark/src/adapter.rs calls would
 # otherwise first fail in the benchmark pipeline.
 CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
     --workload stream_growth --seed 7 --seconds 1 --trace 0 | tail -n 1 | tee "$golden/e2e.json"
 grep -q '"correct": *true' "$golden/e2e.json"
+# The traced run replays every query's chosen plan against the oracle by
+# checksum: no answer may come from a view that did not follow the log.
+CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
+    --workload stream_growth --seed 7 --seconds 1 --trace 1 | tail -n 1 >"$golden/e2e-trace.json"
+grep -q '"correct": *true' "$golden/e2e-trace.json"
+grep -q '"views.stale_answers": *{"value": *0,' "$golden/e2e-trace.json"
 
 echo "==> chaos smoke (seeded fault injection)"
 cargo run --release -q -p miso-bench --bin chaos

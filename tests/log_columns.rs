@@ -9,7 +9,7 @@ use miso::core::{MultistoreSystem, SystemConfig, Variant};
 use miso::data::logs::{generate_delta, Corpus, LogFile, LogKind, LogsConfig};
 use miso::data::DataType;
 use miso::exec::{col, execute_serial, DataSource, Execution, FusedField};
-use miso::hv::{HvRun, HvStore};
+use miso::hv::{HvRun, HvStore, LogBatch};
 use miso::plan::split::enumerate_splits;
 use miso::plan::LogicalPlan;
 use miso::workload::{compile_workload, standard_udfs, workload_catalog};
@@ -232,7 +232,9 @@ fn append_extends_columns_like_a_cold_parse() {
                 delta.splice(20..20, odd_lines(batch));
                 all_lines.extend(delta.iter().cloned());
                 let before = grown.log_columns_kept("twitter");
-                grown.append_log("twitter", delta).expect("append");
+                grown
+                    .append_log("twitter", &LogBatch::new(&delta))
+                    .expect("append");
                 assert_eq!(grown.log_columns_kept("twitter"), before);
 
                 let mut cold_corpus = corpus.clone();
@@ -334,5 +336,89 @@ fn a_fresh_system_starts_with_an_empty_image() {
     for log in ["twitter", "foursquare", "landmarks"] {
         assert_eq!(second.hv.log_columns_kept(log), 0, "{log}");
     }
+    col::set_enabled(was_col);
+}
+
+/// One maintenance pass parses a batch once: whoever asks first — the
+/// store extending its image, or any of the N views folding the delta —
+/// every distinct `(field, cast)` of the batch is parsed exactly once and
+/// served from the batch image after that; and the image the append
+/// extended is the image a cold store parses from the grown log.
+#[test]
+fn a_maintained_batch_parses_each_field_once() {
+    use miso::core::{MaintAction, MaintenancePolicy};
+    let _globals = globals_lock();
+    let was_col = col::enabled();
+    let cfg = LogsConfig::tiny();
+    let corpus = corpus();
+    let total = corpus.total_size();
+    let budgets = Budgets::new(total.scale(2.0), total.scale(0.2), total.scale(0.02));
+    let mut sys = MultistoreSystem::new(
+        &corpus,
+        workload_catalog(),
+        standard_udfs(),
+        SystemConfig::paper_default(budgets),
+    );
+    sys.run_workload(Variant::HvOp, &workload()[..8])
+        .expect("stream runs");
+    // Columns no view reads are kept, and extended, all the same.
+    let fields = probe_fields();
+    sys.hv.log_columns("twitter", &fields).expect("probe read");
+    let mut clock = miso::common::SimClock::new();
+    let mut all_lines = corpus.twitter.lines.clone();
+    let mut append = |sys: &mut MultistoreSystem, batch: u64| {
+        let mut delta = generate_delta(&cfg, LogKind::Twitter, batch, 60);
+        delta.splice(30..30, odd_lines(batch));
+        all_lines.extend(delta.iter().cloned());
+        sys.append_log(
+            LogKind::Twitter,
+            &delta,
+            MaintenancePolicy::Refresh,
+            &mut clock,
+        )
+        .expect("append")
+    };
+    // The first batch warms every fold state.
+    append(&mut sys, 1);
+
+    miso_obs::init(miso_obs::ObsConfig::ring(1 << 12));
+    miso_obs::reset_metrics();
+    let report = append(&mut sys, 2);
+    let counters = miso_obs::snapshot().counters;
+    miso_obs::init(miso_obs::ObsConfig::disabled());
+    let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+
+    let folded = report
+        .decisions
+        .iter()
+        .filter(|d| d.action == MaintAction::Delta)
+        .count() as u64;
+    assert!(folded >= 4, "{folded} views folded the batch");
+    assert_eq!(count("maint.delta_applies"), folded);
+    // Every field a view's delta plan reads was read off the log when the
+    // view was harvested, so the distinct fields of the batch are the
+    // log's kept columns — each parsed once, for whoever asked first.
+    let kept = sys.hv.log_columns_kept("twitter") as u64;
+    assert!(kept > 0);
+    assert_eq!(count("maint.delta_cols_parsed"), kept);
+    assert!(
+        count("maint.delta_cols_served") >= folded,
+        "the views' scans were served: {counters:?}"
+    );
+    assert_eq!(
+        count("hv.log_cols_parsed"),
+        0,
+        "the log itself is not re-read"
+    );
+
+    let mut cold_corpus = corpus.clone();
+    cold_corpus.twitter = LogFile::from_lines(LogKind::Twitter, all_lines);
+    let cold = store(&cold_corpus);
+    let kept_cols = sys.hv.log_columns("twitter", &fields).expect("kept read");
+    let fresh = cold.log_columns("twitter", &fields).expect("cold read");
+    assert_eq!(kept_cols.cols_parsed, 0, "both appends extended them");
+    assert_eq!(kept_cols.batch, fresh.batch, "extended image vs cold parse");
+    assert_eq!(kept_cols.skipped_lines, fresh.skipped_lines);
+    assert_eq!(sys.hv.log_size("twitter"), cold.log_size("twitter"));
     col::set_enabled(was_col);
 }
