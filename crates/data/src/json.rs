@@ -7,24 +7,32 @@
 //!
 //! This is a deliberately small, strict-enough recursive-descent parser:
 //! full string escapes, numbers (integers kept exact as `i64` when possible),
-//! nested arrays/objects, and precise error offsets. It is not a general
+//! nested arrays/objects up to [`MAX_DEPTH`] levels, and precise error
+//! offsets. It is not a general
 //! serde backend — the sanctioned offline crate set includes `serde` but not
 //! `serde_json`, and the stores only need `Value` round-trips.
 
 use crate::value::Value;
 use miso_common::{MisoError, Result};
 
+/// Deepest container nesting a document may have: a scalar is depth 0, `[]`
+/// depth 1, `[[]]` depth 2. The parser recurses once per level, so without
+/// a cap a log line of a million `[` overflows the stack and aborts the
+/// process; with it such a line is a classified parse error — one more
+/// malformed line to skip.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document into a [`Value`].
 ///
 /// Trailing non-whitespace input is an error: each log line must be exactly
-/// one JSON value.
+/// one JSON value. So is nesting deeper than [`MAX_DEPTH`].
 pub fn parse_json(input: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let v = p.parse_value()?;
+    let v = p.parse_value::<true>(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.error("trailing characters after JSON value"));
@@ -140,11 +148,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value> {
+    /// One value whose containers sit `depth` levels deep already. With
+    /// `BUILD` off the same grammar is walked and checked but nothing is
+    /// allocated: strings come back empty and containers as `Null`, for a
+    /// caller that only wants to know where a valid value ends.
+    fn parse_value<const BUILD: bool>(&mut self, depth: usize) -> Result<Value> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
+            Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+                Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.parse_object::<BUILD>(depth + 1),
+            Some(b'[') => self.parse_array::<BUILD>(depth + 1),
+            Some(b'"') => Ok(Value::Str(self.parse_string::<BUILD>()?)),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'n') => self.parse_keyword("null", Value::Null),
@@ -163,7 +178,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<Value> {
+    /// The members of an object at nesting level `depth`.
+    fn parse_object<const BUILD: bool>(&mut self, depth: usize) -> Result<Value> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -173,12 +189,14 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            let key = self.parse_string()?;
+            let key = self.parse_string::<BUILD>()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.parse_value()?;
-            fields.push((key, value));
+            let value = self.parse_value::<BUILD>(depth)?;
+            if BUILD {
+                fields.push((key, value));
+            }
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -186,10 +204,15 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.error("expected `,` or `}` in object")),
             }
         }
-        Ok(Value::object(fields))
+        Ok(if BUILD {
+            Value::object(fields)
+        } else {
+            Value::Null
+        })
     }
 
-    fn parse_array(&mut self) -> Result<Value> {
+    /// The items of an array at nesting level `depth`.
+    fn parse_array<const BUILD: bool>(&mut self, depth: usize) -> Result<Value> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -199,7 +222,10 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.parse_value()?);
+            let item = self.parse_value::<BUILD>(depth)?;
+            if BUILD {
+                items.push(item);
+            }
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -207,16 +233,21 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.error("expected `,` or `]` in array")),
             }
         }
-        Ok(Value::Array(items))
+        Ok(if BUILD {
+            Value::Array(items)
+        } else {
+            Value::Null
+        })
     }
 
-    fn parse_string(&mut self) -> Result<String> {
+    fn parse_string<const BUILD: bool>(&mut self) -> Result<String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Every escape is checked either way; only `BUILD` keeps the text.
+        let mut out = Text::<BUILD>(String::new());
         loop {
             match self.bump() {
                 None => return Err(self.error("unterminated string")),
-                Some(b'"') => return Ok(out),
+                Some(b'"') => return Ok(out.0),
                 Some(b'\\') => match self.bump() {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
@@ -338,6 +369,23 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The text of a string literal being parsed, kept only when `BUILD`.
+struct Text<const BUILD: bool>(String);
+
+impl<const BUILD: bool> Text<BUILD> {
+    fn push(&mut self, c: char) {
+        if BUILD {
+            self.0.push(c);
+        }
+    }
+
+    fn push_str(&mut self, s: &str) {
+        if BUILD {
+            self.0.push_str(s);
+        }
+    }
+}
+
 fn utf8_width(first_byte: u8) -> usize {
     match first_byte {
         0xC0..=0xDF => 2,
@@ -346,8 +394,9 @@ fn utf8_width(first_byte: u8) -> usize {
     }
 }
 
-/// A scalar from the zero-copy flat-line fast path: strings borrow from the
-/// input line instead of allocating.
+/// A top-level field value from the zero-copy line fast path: strings
+/// borrow from the input line instead of allocating, and an array or object
+/// is carried as its raw text.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FlatVal<'a> {
     Null,
@@ -355,6 +404,9 @@ pub enum FlatVal<'a> {
     Int(i64),
     Float(f64),
     Str(&'a str),
+    /// The text of an array or object the strict parser accepted where it
+    /// stands in the line; [`FlatVal::to_value`] parses it.
+    Nested(&'a str),
 }
 
 impl FlatVal<'_> {
@@ -366,19 +418,26 @@ impl FlatVal<'_> {
             FlatVal::Int(i) => Value::Int(*i),
             FlatVal::Float(f) => Value::Float(*f),
             FlatVal::Str(s) => Value::Str((*s).to_string()),
+            FlatVal::Nested(raw) => {
+                parse_json(raw).expect("validated when parse_flat_line scanned the line")
+            }
         }
     }
 }
 
-/// Zero-copy fast parse of one **flat** JSON object line — the shape of
-/// every generated log record: `{"key": scalar, ...}` with no nesting and
-/// no string escapes. The columnar scan uses this to feed typed column
-/// vectors without materializing a [`Value`] tree per line.
+/// Zero-copy fast parse of one JSON object line — the shape of every
+/// generated log record: `{"key": value, ...}` with no string escapes at
+/// the top level. The columnar scan uses this to feed typed column vectors
+/// without materializing a [`Value`] tree per line. A nested array or
+/// object is walked by the strict parser in place (escapes, depth cap and
+/// all) but not built: it comes back as [`FlatVal::Nested`], its raw text,
+/// and costs a tree only if that field is asked for.
 ///
-/// Returns `None` as soon as anything outside the subset appears (nested
-/// containers, `\` escapes, a non-object top level, trailing characters…);
-/// the caller must then fall back to [`parse_json`]. The guarantee is
-/// one-sided and exact: `Some(fields)` implies
+/// Returns `None` as soon as anything outside the subset appears (a `\`
+/// escape in a key or top-level string, a non-object top level, trailing
+/// characters, a nested value the strict parser rejects…); the caller must
+/// then fall back to [`parse_json`]. The guarantee is one-sided and exact:
+/// `Some(fields)` implies
 /// `parse_json(line) == Ok(Value::object(fields as owned values))`
 /// with the same duplicate-key (last-wins) and number semantics — the
 /// grammar below is byte-for-byte the strict parser's.
@@ -431,6 +490,15 @@ pub fn parse_flat_line(line: &str) -> Option<Vec<(&str, FlatVal<'_>)>> {
             skip_ws(&mut pos);
             let val = match b.get(pos)? {
                 b'"' => FlatVal::Str(simple_str(&mut pos)?),
+                b'{' | b'[' => {
+                    // This line's object is level 1 already.
+                    let mut p = Parser { bytes: b, pos };
+                    p.parse_value::<false>(1).ok()?;
+                    // ASCII brackets bound the slice: char boundaries.
+                    let raw = &line[pos..p.pos];
+                    pos = p.pos;
+                    FlatVal::Nested(raw)
+                }
                 b't' if b[pos..].starts_with(b"true") => {
                     pos += 4;
                     FlatVal::Bool(true)
@@ -508,10 +576,28 @@ pub fn parse_flat_line(line: &str) -> Option<Vec<(&str, FlatVal<'_>)>> {
 mod tests {
     use super::*;
 
+    /// The fields the fast path found, as the object the strict parser
+    /// would build of them.
+    fn flat_object(line: &str) -> Option<Value> {
+        parse_flat_line(line).map(|flat| {
+            Value::object(
+                flat.iter()
+                    .map(|(k, v)| ((*k).to_string(), v.to_value()))
+                    .collect(),
+            )
+        })
+    }
+
+    /// `levels` arrays inside one another, as the value of field `a`.
+    fn nested_line(levels: usize) -> String {
+        format!("{{\"a\": {}{}}}", "[".repeat(levels), "]".repeat(levels))
+    }
+
     /// The fast path must agree with the strict parser wherever it accepts,
     /// and decline (never mis-accept) everything else.
     #[test]
     fn flat_line_agrees_with_strict_parser() {
+        let at_cap = nested_line(MAX_DEPTH - 1);
         let accepted = [
             r#"{}"#,
             r#"{"a": 1}"#,
@@ -521,37 +607,113 @@ mod tests {
             r#"{"big": 99999999999999999999}"#,
             r#"{"uni": "héllo ✓"}"#,
             r#"{"empty": ""}"#,
+            // Nested values ride along as raw text.
+            r#"{"nested": {"a": 1}}"#,
+            r#"{"arr": [1]}"#,
+            r#"{"e": [], "o": {}, "ws": [ 1 , { "k" : [ ] } ] }"#,
+            r#"{"a": [{"b": {"c": [1, 2.5, "x", null, true]}}], "z": 1}"#,
+            r#"{"tags": ["a\"b", "c\\", "\u00e9\ud83d\ude00", "}", "]", "{["], "n": 2}"#,
+            r#"{"o": {"k}": "]", "dup": 1, "dup": [2]}}"#,
+            r#"{"dup": 1, "dup": {"x": [1]}}"#,
+            r#"{"dup": [1], "dup": 2}"#,
+            r#"{"deep": [[[[[[[[1]]]]]]]]}"#,
+            at_cap.as_str(),
         ];
         for line in accepted {
             let flat =
-                parse_flat_line(line).unwrap_or_else(|| panic!("fast path should accept {line}"));
-            let owned = Value::object(
-                flat.iter()
-                    .map(|(k, v)| ((*k).to_string(), v.to_value()))
-                    .collect(),
-            );
-            assert_eq!(parse_json(line).unwrap(), owned, "disagreement on {line}");
+                flat_object(line).unwrap_or_else(|| panic!("fast path should accept {line}"));
+            assert_eq!(parse_json(line).unwrap(), flat, "disagreement on {line}");
         }
+        let over_cap = nested_line(MAX_DEPTH);
         let declined = [
-            r#"{"nested": {"a": 1}}"#,
-            r#"{"arr": [1]}"#,
             r#"{"esc": "a\"b"}"#,
             r#"{"esc": "a\\b"}"#,
+            r#"{"k\n": [1]}"#,
             r#"{"bad": tru}"#,
             r#"{"bad": 1x}"#,
             r#"{"bad": -}"#,
             r#"{"bad": 1e}"#,
             r#"{"a": 1} trailing"#,
+            r#"{"a": [1]} trailing"#,
             r#"{"a": 1"#,
+            r#"{"a": [1, 2"#,
+            r#"{"a": {"b": 1"#,
+            r#"{"a": [1,]}"#,
+            r#"{"a": [1 2]}"#,
+            r#"{"a": {"b" 1}}"#,
+            r#"{"a": {1: 2}}"#,
+            r#"{"a": ["unterminated]}"#,
+            r#"{"a": ["bad \x escape"]}"#,
+            r#"{"a": ["\ud83d alone"]}"#,
+            r#"{"a": [1e]}"#,
+            r#"{"a": [tru]}"#,
+            r#"{"a": [1]]}"#,
             r#"[1, 2]"#,
             r#"42"#,
             r#"{"a": 1,}"#,
+            "{\"a\": [\"ctl\u{1}\"]}",
             "not json at all",
             "",
+            over_cap.as_str(),
         ];
         for line in declined {
             assert!(parse_flat_line(line).is_none(), "should decline {line}");
         }
+    }
+
+    /// Wherever the fast path answers it equals the strict parser, and it
+    /// never answers for a line the strict parser rejects — over every
+    /// prefix and every one-byte edit of lines that mix nesting, escapes,
+    /// brackets inside strings and duplicate keys.
+    #[test]
+    fn flat_line_never_accepts_what_the_strict_parser_rejects() {
+        let seeds = [
+            r#"{"id": 7, "tags": ["a", "b}"], "geo": {"lat": 1.5, "pt": [1, [2]]}, "t": "x"}"#,
+            r#"{"a": [{"b": "\"]"}, null], "a": {"c": "\\"}, "n": -1e3}"#,
+            r#" { "e" : [ ] , "o" : { } , "s" : "é" } "#,
+        ];
+        let mut checked = 0usize;
+        let mut check = |line: &str| {
+            let strict = parse_json(line);
+            if let Some(flat) = flat_object(line) {
+                assert_eq!(strict.ok(), Some(flat), "fast path disagrees on {line}");
+            }
+            checked += 1;
+        };
+        for seed in seeds {
+            for (end, _) in seed.char_indices() {
+                check(&seed[..end]);
+            }
+            for (at, c) in seed.char_indices() {
+                for edit in ["", "[", "]", "{", "}", "\"", "\\", ",", ":", " ", "1"] {
+                    let line = format!("{}{edit}{}", &seed[..at], &seed[at + c.len_utf8()..]);
+                    check(&line);
+                }
+            }
+            check(seed);
+        }
+        assert!(checked > 2000, "{checked} lines");
+    }
+
+    /// Nesting is capped: a line of a million `[` is a parse error, not a
+    /// stack overflow, and the cap is exact.
+    #[test]
+    fn nesting_is_capped() {
+        let levels = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&levels(MAX_DEPTH)).is_ok());
+        let err = parse_json(&levels(MAX_DEPTH + 1)).unwrap_err();
+        assert!(matches!(err, MisoError::Parse(_)), "{err}");
+        assert!(err.to_string().contains("nesting"), "{err}");
+        assert!(parse_json(&"[".repeat(1_000_000)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(1_000_000)).is_err());
+        assert!(parse_flat_line(&format!("{{\"a\": {}", "[".repeat(1_000_000))).is_none());
+        // Objects and arrays count alike, and the cap is per branch.
+        let mixed = format!("{}1{}", "{\"k\":[".repeat(64), "]}".repeat(64));
+        assert!(parse_json(&mixed).is_ok());
+        let mixed = format!("[{}1{}]", "{\"k\":[".repeat(64), "]}".repeat(64));
+        assert!(parse_json(&mixed).is_err());
+        let wide = format!("[{}]", vec![levels(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse_json(&wide).is_ok());
     }
 
     #[test]

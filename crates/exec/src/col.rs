@@ -373,6 +373,7 @@ fn push_cast(b: &mut ColBuilder, tok: FlatVal<'_>, ty: Option<DataType>) {
             FlatVal::Int(i) => b.push_i64(i),
             FlatVal::Float(f) => b.push_f64(f),
             FlatVal::Str(s) => b.push_str(s.to_string()),
+            FlatVal::Nested(_) => b.push_value(tok.to_value()),
         }
         return;
     };
@@ -421,9 +422,10 @@ pub fn parse_log_columns(lines: &[String], fields: &[FusedField<'_>]) -> Result<
 
 /// Parses a chunk of log lines straight into one column builder per fused
 /// field. Malformed lines are skipped and counted, exactly like the row
-/// scan. The zero-copy flat parser handles the (overwhelmingly common)
-/// flat-object lines; anything it declines falls back to the strict
-/// parser so nested or escaped lines behave identically to the row path.
+/// scan. The zero-copy line parser handles the (overwhelmingly common)
+/// escape-free object lines, building a tree only for a nested value that
+/// is itself asked for; anything it declines falls back to the strict
+/// parser so escaped lines behave identically to the row path.
 /// Duplicate keys resolve to the last occurrence, matching
 /// `Value::object`'s dedup.
 pub(crate) fn parse_lines_fused(lines: &[String], fields: &[FusedField<'_>]) -> (ColBatch, usize) {
@@ -446,20 +448,10 @@ pub(crate) fn parse_lines_fused(lines: &[String], fields: &[FusedField<'_>]) -> 
                 push_cast(b, tok, f.ty);
             }
             parsed += 1;
+        } else if push_strict(line, fields, &mut builders) {
+            parsed += 1;
         } else {
-            match parse_json(line) {
-                Ok(v) => {
-                    for (f, b) in fields.iter().zip(&mut builders) {
-                        let field = v.get_field(f.key).cloned().unwrap_or(Value::Null);
-                        match f.ty {
-                            Some(ty) => b.push_value(cast(field, ty)),
-                            None => b.push_value(field),
-                        }
-                    }
-                    parsed += 1;
-                }
-                Err(_) => skipped += 1,
-            }
+            skipped += 1;
         }
     }
     (
@@ -469,6 +461,22 @@ pub(crate) fn parse_lines_fused(lines: &[String], fields: &[FusedField<'_>]) -> 
         ),
         skipped,
     )
+}
+
+/// The strict-parser path of [`parse_lines_fused`]: pushes the fields of one
+/// line out of its [`parse_json`] tree, or nothing if the line is malformed.
+fn push_strict(line: &str, fields: &[FusedField<'_>], builders: &mut [ColBuilder]) -> bool {
+    let Ok(v) = parse_json(line) else {
+        return false;
+    };
+    for (f, b) in fields.iter().zip(builders) {
+        let field = v.get_field(f.key).cloned().unwrap_or(Value::Null);
+        b.push_value(match f.ty {
+            Some(ty) => cast(field, ty),
+            None => field,
+        });
+    }
+    true
 }
 
 #[cfg(test)]
@@ -688,5 +696,69 @@ mod tests {
             }
         }
         assert_eq!(batch.to_rows(), want);
+    }
+    /// [`parse_lines_fused`] had the fast path declined every line.
+    fn parse_lines_strict(lines: &[String], fields: &[FusedField<'_>]) -> (Vec<Column>, usize) {
+        let mut builders: Vec<ColBuilder> = fields.iter().map(|_| ColBuilder::new()).collect();
+        let skipped = lines
+            .iter()
+            .filter(|line| !push_strict(line, fields, &mut builders))
+            .count();
+        (
+            builders.into_iter().map(ColBuilder::finish).collect(),
+            skipped,
+        )
+    }
+
+    /// Over generated tweets (every one carries a `hashtags` array) and
+    /// hand-made lines, the fused parse equals the strict-parser path
+    /// column for column — and the fast path now answers for every
+    /// generated line, so no tree is built unless a nested field is read.
+    #[test]
+    fn fused_parse_of_nested_lines_matches_the_strict_path() {
+        use miso_data::logs::{Corpus, LogsConfig};
+        let corpus = Corpus::generate(&LogsConfig::tiny());
+        let mut lines = corpus.twitter.lines.clone();
+        assert!(lines.iter().all(|l| l.contains("\"hashtags\":[")));
+        assert!(
+            lines.iter().all(|l| parse_flat_line(l).is_some()),
+            "every generated tweet takes the fast path"
+        );
+        let deep = |n: usize| format!("{{\"city\": {}{}}}", "[".repeat(n), "]".repeat(n));
+        lines.extend(
+            [
+                r#"{"user_id": 1, "hashtags": [{"tag": "a", "pos": [1, 2]}], "city": "x"}"#,
+                r#"{"user_id": 2, "hashtags": ["}", "]", "a\"b", "\\"], "city": "br]ack{et"}"#,
+                r#"{"user_id": 3, "city": "first", "city": {"name": ["nested", "last"]}}"#,
+                r#"{"user_id": 4, "city": ["first"], "city": "scalar last"}"#,
+                r#"{"user_id": "5", "hashtags": {}, "city": null}"#,
+                r#"{"user_id": 6, "hashtags": ["unterminated", "city": "x"}"#,
+                r#"{"user_id": 7, "hashtags": ["x"]} trailing"#,
+                r#"{"user_id": 8, "hashtags": ["x"]]}"#,
+                r#"{"user_id": 9, "text": "esc\"aped", "hashtags": ["y"], "city": "z"}"#,
+                r#"["user_id", 10]"#,
+                "torn {\"user_id\": 11",
+            ]
+            .map(String::from),
+        );
+        lines.push(deep(miso_data::json::MAX_DEPTH - 1));
+        lines.push(deep(miso_data::json::MAX_DEPTH));
+        let field = |key, ty| FusedField { key, ty };
+        let fields = [
+            field("user_id", Some(DataType::Int)),
+            field("hashtags", None),
+            field("city", None),
+            field("city", Some(DataType::Str)),
+            field("hashtags", Some(DataType::Int)),
+            field("absent", None),
+        ];
+        let (batch, skipped) = parse_lines_fused(&lines, &fields);
+        let (want, want_skipped) = parse_lines_strict(&lines, &fields);
+        assert_eq!(skipped, want_skipped);
+        assert_eq!(skipped, 5, "unterminated, 2 × trailing, torn, over the cap");
+        assert_eq!(batch.len() + skipped, lines.len());
+        for ((f, got), want) in fields.iter().zip(batch.columns()).zip(&want) {
+            assert_eq!(got.as_ref(), want, "column {f:?}");
+        }
     }
 }

@@ -33,7 +33,7 @@
 use crate::col::{self, FusedField};
 use crate::eval::{eval, eval_predicate};
 use crate::profile::{self, OpProfile};
-use crate::udf::UdfRegistry;
+use crate::udf::{Udf, UdfRegistry};
 use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
 use miso_common::{pool, ByteSize, MisoError, Result};
@@ -77,8 +77,9 @@ pub trait DataSource {
     fn log_rows_shared(&self, _log: &str) -> Option<(Arc<Vec<Row>>, u64)> {
         None
     }
-    /// The columns a fused scan→project reads of base log `log`: one per
-    /// field, over the log's well-formed lines in line order. The default
+    /// The columns a fused scan reads of base log `log` for its consumer (a
+    /// SerDe projection, a UDF that declared its fields): one per field,
+    /// over the log's well-formed lines in line order. The default
     /// parses them out of [`DataSource::log_lines`] on every call; a source
     /// that keeps parsed columns hands those back shared and parses only
     /// what it is missing. Either way the result is the same batch.
@@ -175,8 +176,9 @@ pub enum Retention<'a> {
     /// output is released as soon as its last in-subset consumer has run,
     /// which frees memory early, lets single-consumer `Filter`/`Limit`/
     /// `Sort` *steal* uniquely-owned input rows instead of deep-cloning
-    /// them, and lets a log scan fuse into its SerDe projection. A kept
-    /// node is never released, stolen from or fused away. Row counts stay
+    /// them, and lets a log scan fuse into a consumer that names the fields
+    /// it reads (a SerDe projection, a declaring UDF). A kept node is never
+    /// released, stolen from or fused away. Row counts stay
     /// queryable for all executed nodes via [`Execution::rows_out`].
     Only(&'a [NodeId]),
 }
@@ -415,37 +417,47 @@ pub fn execute_subset_guarded(
     // in exactly one map (zero-copy view scans may publish both
     // representations); whatever survives to the end is pivoted to rows.
     let mut col_outputs: HashMap<NodeId, Arc<ColBatch>> = HashMap::new();
-    // Scan→project fusion: log scans whose single consumer is a SerDe-shaped
-    // projection take their columns straight from the source
-    // ([`DataSource::log_columns`]), skipping the intermediate JSON object
-    // rows entirely. Because the scan's output is never materialized, a
-    // kept scan cannot fuse, and fusion stays off under profiling, which
+    // Scan fusion: a log scan whose single consumer names the fields it
+    // reads of each line — a SerDe-shaped projection, or a UDF that declared
+    // them ([`crate::Udf::reading`]) — takes those columns straight from the
+    // source ([`DataSource::log_columns`]), skipping the intermediate JSON
+    // object rows entirely. Because the scan's output is never materialized,
+    // a kept scan cannot fuse, and fusion stays off under profiling, which
     // reports per-node materializations. An active guard does not stop it:
     // a fused scan materializes nothing of its own, so — like the zero-copy
-    // `ScanView` — it charges nothing, and its projection charges the batch.
-    let mut fused: HashMap<NodeId, NodeId> = HashMap::new(); // scan → project
+    // `ScanView` — it charges nothing, and its consumer charges its output.
+    // Maps scan → (consumer, the fields it reads).
+    let mut fused: HashMap<NodeId, (NodeId, Vec<FusedField<'_>>)> = HashMap::new();
     if columnar && !profiling {
         let executes =
             |id: NodeId| subset.is_none_or(|s| s.contains(&id)) && !rows_out.contains_key(&id);
         for node in plan.nodes() {
-            let Operator::Project { exprs } = &node.op else {
-                continue;
-            };
             if !executes(node.id) || node.inputs.len() != 1 {
                 continue;
             }
             let scan = node.inputs[0];
-            if !kept(scan)
-                && executes(scan)
-                && pending.get(&scan).copied() == Some(1)
-                && matches!(plan.node(scan).op, Operator::ScanLog { .. })
-                && col::fused_fields(exprs.iter().map(|(_, e)| e)).is_some()
+            if kept(scan)
+                || !executes(scan)
+                || pending.get(&scan).copied() != Some(1)
+                || !matches!(plan.node(scan).op, Operator::ScanLog { .. })
             {
-                fused.insert(scan, node.id);
+                continue;
+            }
+            let fields = match &node.op {
+                Operator::Project { exprs } => col::fused_fields(exprs.iter().map(|(_, e)| e)),
+                Operator::Udf { name, .. } => udfs.get(name).and_then(Udf::reads).map(|keys| {
+                    keys.iter()
+                        .map(|key| FusedField { key, ty: None })
+                        .collect()
+                }),
+                _ => None,
+            };
+            if let Some(fields) = fields {
+                fused.insert(scan, (node.id, fields));
             }
         }
     }
-    // Batches parsed by fused scans, waiting for their projection node.
+    // Batches read by fused scans, waiting for their consumer node.
     let mut fused_ready: HashMap<NodeId, ColBatch> = HashMap::new();
     // Per-node materialization charges; drops (and releases) on any exit.
     let mut ledger = ChargeLedger::new(guard);
@@ -510,21 +522,16 @@ pub fn execute_subset_guarded(
             outputs.insert(node.id, shared);
             continue;
         }
-        // Fused scan+project: take the projection's columns from the source
-        // and stash the batch for the projection node. Mirrors the zero-copy
-        // scan bookkeeping — the scan's row output never materializes.
-        if let Some(&project) = fused.get(&node.id) {
+        // Fused scan: take the consumer's columns from the source and stash
+        // the batch for the consumer node. Mirrors the zero-copy scan
+        // bookkeeping — the scan's row output never materializes.
+        if let Some((consumer, fields)) = fused.get(&node.id) {
             let Operator::ScanLog { log } = &node.op else {
                 unreachable!("fusion pre-pass only maps log scans");
             };
-            let Operator::Project { exprs } = &plan.node(project).op else {
-                unreachable!("fusion pre-pass only maps projections");
-            };
-            let fields = col::fused_fields(exprs.iter().map(|(_, e)| e))
-                .expect("fusion pre-pass verified the projection shape");
             // The dispatch boundary `par_chunks` would have checked.
             guard.check()?;
-            let cols = source.log_columns(log, &fields)?;
+            let cols = source.log_columns(log, fields)?;
             let batch = cols.batch;
             skipped_lines += cols.skipped_lines;
             let lines = batch.len() as u64 + cols.skipped_lines;
@@ -538,7 +545,7 @@ pub fn execute_subset_guarded(
             }
             miso_obs::count("exec.ops_executed", 1);
             rows_out.insert(node.id, batch.len() as u64);
-            fused_ready.insert(project, batch);
+            fused_ready.insert(*consumer, batch);
             continue;
         }
         let produced: Produced = match &node.op {
@@ -749,21 +756,33 @@ pub fn execute_subset_guarded(
             }
             Operator::Udf { name, .. } => {
                 let udf = udfs.require(name)?;
-                ensure_rows(
-                    &mut outputs,
-                    &mut col_outputs,
-                    &pending,
-                    node.inputs[0],
-                    &kept,
-                );
-                let input = input_of(&outputs, plan, node.id, 0)?;
-                let parts = par_chunks(guard, input, |_, chunk| -> Result<Vec<Row>> {
-                    let mut rows = Vec::new();
-                    for row in chunk {
-                        rows.extend(udf.apply(row)?);
-                    }
-                    Ok(rows)
-                })?;
+                let parts = if let Some(batch) = fused_ready.remove(&node.id) {
+                    // The fused scan read exactly the declared fields.
+                    par_ranges(guard, batch.len(), |_, start, n| -> Result<Vec<Row>> {
+                        let mut rows = Vec::new();
+                        for i in start..start + n {
+                            let fields = batch.columns().iter().map(|c| c.value(i)).collect();
+                            rows.extend(udf.apply_fields(&Row::new(fields))?);
+                        }
+                        Ok(rows)
+                    })?
+                } else {
+                    ensure_rows(
+                        &mut outputs,
+                        &mut col_outputs,
+                        &pending,
+                        node.inputs[0],
+                        &kept,
+                    );
+                    let input = input_of(&outputs, plan, node.id, 0)?;
+                    par_chunks(guard, input, |_, chunk| -> Result<Vec<Row>> {
+                        let mut rows = Vec::new();
+                        for row in chunk {
+                            rows.extend(udf.apply(row)?);
+                        }
+                        Ok(rows)
+                    })?
+                };
                 Produced::Rows(flatten_ok(parts)?)
             }
             Operator::Sort { keys } => {

@@ -6,9 +6,14 @@
 //! registered Rust closure mapping one input row to zero-or-more output rows
 //! (covering filters, transformers, and small flat-map extractors), plus its
 //! declared output schema.
+//!
+//! A UDF over log records may also declare which top-level record fields it
+//! reads ([`Udf::reading`]). Its function then receives those fields as a
+//! positional row instead of the record, which lets the engine feed it from
+//! the log's column image and never build the record.
 
 use miso_common::{MisoError, Result};
-use miso_data::{Row, Schema};
+use miso_data::{Row, Schema, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -23,21 +28,60 @@ pub struct Udf {
     pub name: String,
     /// Declared output schema.
     pub output: Schema,
+    /// The record fields the function reads, when declared.
+    reads: Option<Vec<String>>,
     func: UdfFn,
 }
 
 impl Udf {
-    /// Registers a new UDF definition.
+    /// Registers a new UDF definition whose function receives its input
+    /// rows as they are.
     pub fn new(name: impl Into<String>, output: Schema, func: UdfFn) -> Self {
         Udf {
             name: name.into(),
             output,
+            reads: None,
             func,
         }
     }
 
-    /// Applies the UDF to one row.
+    /// Declares that the UDF's input is a record (column 0 of its input row)
+    /// of which the function reads only the top-level `fields`. The function
+    /// then receives one positional row per record: `fields[i]` of the
+    /// record at column `i`, exactly as [`Value::get_field`] finds it, and
+    /// `NULL` where the record has no such field (or is not an object).
+    pub fn reading(mut self, fields: &[&str]) -> Self {
+        self.reads = Some(fields.iter().map(|f| (*f).to_string()).collect());
+        self
+    }
+
+    /// The record fields declared with [`Udf::reading`], if any.
+    pub fn reads(&self) -> Option<&[String]> {
+        self.reads.as_deref()
+    }
+
+    /// Applies the UDF to one input row, first narrowing a record to the
+    /// declared fields when there are any.
     pub fn apply(&self, row: &Row) -> Result<Vec<Row>> {
+        match &self.reads {
+            None => self.apply_fields(row),
+            Some(fields) => {
+                let record = row.values().first();
+                let field = |f: &String| {
+                    record
+                        .and_then(|r| r.get_field(f))
+                        .cloned()
+                        .unwrap_or(Value::Null)
+                };
+                self.apply_fields(&Row::new(fields.iter().map(field).collect()))
+            }
+        }
+    }
+
+    /// Applies the function to a row that already is what it expects: the
+    /// declared fields in order (what a log's column image serves), or the
+    /// input row itself when nothing was declared.
+    pub(crate) fn apply_fields(&self, row: &Row) -> Result<Vec<Row>> {
         let out = (self.func)(row)?;
         for r in &out {
             if r.arity() != self.output.arity() {
@@ -58,6 +102,7 @@ impl fmt::Debug for Udf {
         f.debug_struct("Udf")
             .field("name", &self.name)
             .field("output", &self.output)
+            .field("reads", &self.reads)
             .finish_non_exhaustive()
     }
 }
@@ -119,6 +164,37 @@ mod tests {
         let udf = doubling_udf();
         let out = udf.apply(&Row::new(vec![Value::Int(21)])).unwrap();
         assert_eq!(out, vec![Row::new(vec![Value::Int(42)])]);
+    }
+
+    /// A declaring UDF sees the record's fields by position — `NULL` where
+    /// the record lacks one or is no object — whichever way they arrive.
+    #[test]
+    fn declared_fields_arrive_by_position() {
+        let echo = Udf::new(
+            "echo",
+            Schema::new(vec![
+                Field::new("b", DataType::Json),
+                Field::new("a", DataType::Json),
+            ]),
+            Arc::new(|fields| Ok(vec![fields.clone()])),
+        )
+        .reading(&["b", "a"]);
+        assert_eq!(echo.reads(), Some(&["b".to_string(), "a".to_string()][..]));
+        let record = Value::object(vec![
+            ("a".into(), Value::Int(1)),
+            ("b".into(), Value::Array(vec![Value::Null])),
+            ("c".into(), Value::str("unread")),
+        ]);
+        let narrowed = Row::new(vec![Value::Array(vec![Value::Null]), Value::Int(1)]);
+        assert_eq!(
+            echo.apply(&Row::new(vec![record])).unwrap(),
+            vec![narrowed.clone()]
+        );
+        assert_eq!(echo.apply_fields(&narrowed).unwrap(), vec![narrowed]);
+        let nulls = vec![Row::new(vec![Value::Null, Value::Null])];
+        assert_eq!(echo.apply(&Row::new(vec![Value::Int(7)])).unwrap(), nulls);
+        assert_eq!(echo.apply(&Row::new(vec![])).unwrap(), nulls);
+        assert!(doubling_udf().reads().is_none());
     }
 
     #[test]

@@ -513,8 +513,7 @@ impl ServeEngine {
     /// becomes a classified loss.
     fn execute_dispatch(&mut self, req: &QueryReq, now: SimInstant) -> (SimInstant, Outcome) {
         let snap = self.cell.load();
-        let raw = self.plans[req.plan_idx].1.clone();
-        let label = &self.plans[req.plan_idx].0;
+        let (label, raw) = &self.plans[req.plan_idx];
         let deadline = if self.cfg.guard.enabled {
             self.cfg.guard.deadline.map(|d| now + d)
         } else {
@@ -528,7 +527,6 @@ impl ServeEngine {
         let guard = QueryGuard::new(deadline, budget);
         let retry = self.cfg.retry.clone();
         let mut service = SimDuration::ZERO;
-        let mut banned = self.banned.clone();
 
         macro_rules! loss {
             ($kind:expr, $msg:expr, $guard_kill:expr) => {
@@ -544,7 +542,7 @@ impl ServeEngine {
             };
         }
 
-        let mut base = match self.exec.run(&snap, label, &raw, &banned, false) {
+        let mut base = match self.exec.run(&snap, label, raw, &self.banned, false) {
             Ok(b) => b,
             Err(e) => loss!(e.kind(), e.to_string(), false),
         };
@@ -620,12 +618,9 @@ impl ServeEngine {
             }
         }
         if !corrupted.is_empty() {
-            for v in corrupted {
-                self.banned.insert(v.clone());
-                banned.insert(v);
-            }
+            self.banned.extend(corrupted);
             miso_obs::count("query.view_fallback", 1);
-            match self.exec.run(&snap, label, &raw, &banned, false) {
+            match self.exec.run(&snap, label, raw, &self.banned, false) {
                 Ok(b) => {
                     // The original (partial) work plus the full re-plan.
                     service += b.service();
@@ -731,7 +726,7 @@ impl ServeEngine {
             // serial driver does. Time already spent stays charged.
             miso_obs::count("query.hv_fallback", 1);
             self.hv_fallbacks += 1;
-            match self.exec.run(&snap, label, &raw, &banned, true) {
+            match self.exec.run(&snap, label, raw, &self.banned, true) {
                 Ok(b) => {
                     service += b.service();
                     base = b;

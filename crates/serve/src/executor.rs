@@ -121,7 +121,7 @@ impl SnapExecutor {
         banned: &BTreeSet<String>,
         hv_only: bool,
     ) -> Result<Arc<BaseRun>> {
-        let banned_fp = fnv1a_words(banned.iter().map(|n| fnv1a_str(n)).collect::<Vec<_>>());
+        let banned_fp = fnv1a_words(banned.iter().map(|n| fnv1a_str(n)));
         let key = (snap.epoch, fnv1a_str(label), banned_fp, hv_only);
         if let Some(hit) = self.memo.get(&key) {
             return Ok(hit.clone());

@@ -58,34 +58,37 @@ fn buzz_schema() -> Schema {
 /// `buzz_score` models the paper's opaque user code: it reads raw tweet
 /// records and emits a per-tweet engagement score — something expressible
 /// only as code, not HiveQL (log-scaled retweets damped by follower count,
-/// dropped for non-English or malformed records).
+/// dropped for non-English or malformed records). It declares the five
+/// record fields it reads, so a scan under it is served from the log's
+/// column image.
 pub fn standard_udfs() -> UdfRegistry {
     let mut reg = UdfRegistry::new();
-    reg.register(Udf::new(
-        "buzz_score",
-        buzz_schema(),
-        Arc::new(|row: &Row| {
-            let rec = row.get(0);
-            let lang = rec.get_field("lang").and_then(Value::as_str);
-            if lang != Some("en") {
-                return Ok(vec![]);
-            }
-            let (Some(uid), Some(rts), Some(fol), Some(city)) = (
-                rec.get_field("user_id").and_then(Value::as_i64),
-                rec.get_field("retweets").and_then(Value::as_f64),
-                rec.get_field("followers").and_then(Value::as_f64),
-                rec.get_field("city").and_then(Value::as_str),
-            ) else {
-                return Ok(vec![]);
-            };
-            let buzz = (1.0 + rts).ln() / (1.0 + fol).ln().max(1.0) * 10.0;
-            Ok(vec![Row::new(vec![
-                Value::Int(uid),
-                Value::Float(buzz),
-                Value::Str(city.to_string()),
-            ])])
-        }),
-    ));
+    reg.register(
+        Udf::new(
+            "buzz_score",
+            buzz_schema(),
+            Arc::new(|fields: &Row| {
+                if fields.get(0).as_str() != Some("en") {
+                    return Ok(vec![]);
+                }
+                let (Some(uid), Some(rts), Some(fol), Some(city)) = (
+                    fields.get(1).as_i64(),
+                    fields.get(2).as_f64(),
+                    fields.get(3).as_f64(),
+                    fields.get(4).as_str(),
+                ) else {
+                    return Ok(vec![]);
+                };
+                let buzz = (1.0 + rts).ln() / (1.0 + fol).ln().max(1.0) * 10.0;
+                Ok(vec![Row::new(vec![
+                    Value::Int(uid),
+                    Value::Float(buzz),
+                    Value::Str(city.to_string()),
+                ])])
+            }),
+        )
+        .reading(&["lang", "user_id", "retweets", "followers", "city"]),
+    );
     reg
 }
 

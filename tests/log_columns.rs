@@ -6,15 +6,18 @@
 use miso::common::ids::NodeId;
 use miso::common::{pool, Budgets, QueryGuard};
 use miso::core::{MultistoreSystem, SystemConfig, Variant};
+use miso::data::json::MAX_DEPTH;
 use miso::data::logs::{generate_delta, Corpus, LogFile, LogKind, LogsConfig};
-use miso::data::DataType;
-use miso::exec::{col, execute_serial, DataSource, Execution, FusedField};
+use miso::data::{checksum_rows, DataType, Row, Value};
+use miso::exec::engine::execute;
+use miso::exec::{col, execute_serial, DataSource, Execution, FusedField, Udf, UdfRegistry};
 use miso::hv::{HvRun, HvStore, LogBatch};
 use miso::plan::split::enumerate_splits;
-use miso::plan::LogicalPlan;
+use miso::plan::{LogicalPlan, Operator};
 use miso::workload::{compile_workload, standard_udfs, workload_catalog};
+use miso_obs::{Event, EventKind, FieldValue, RingSink};
 use std::collections::HashSet;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Pool width and the columnar switch are process-global; every test here
 /// reads or sets at least one of them, so every test takes this lock.
@@ -185,6 +188,353 @@ fn warm_cold_and_serial_agree_on_every_hv_side() {
         kept_when_warm,
         "a warm image parses nothing more"
     );
+}
+
+/// Turns observability on with a ring sink the caller can read back.
+fn obs_ring_on() -> Arc<RingSink> {
+    let ring = Arc::new(RingSink::new(1 << 16));
+    miso_obs::init(miso_obs::ObsConfig::ring(16));
+    miso_obs::set_sink(ring.clone());
+    miso_obs::reset_metrics();
+    ring
+}
+
+/// `(log scans served from a column image, log scans that parsed rows)`:
+/// a fused `ScanLog` span says how its columns were come by, a row-path one
+/// has nothing to say.
+fn log_scans(events: &[Event]) -> (usize, usize) {
+    fn field<'e>(e: &'e Event, key: &str) -> Option<&'e FieldValue> {
+        e.fields.iter().find(|(k, _)| *k == key).map(|f| &f.1)
+    }
+    let scans = events.iter().filter(|e| {
+        e.kind == EventKind::SpanEnd
+            && e.name == "exec.op"
+            && matches!(field(e, "op"), Some(FieldValue::Str(op)) if op.starts_with("ScanLog("))
+    });
+    let (fused, rows): (Vec<_>, Vec<_>) = scans.partition(|e| field(e, "cols_parsed").is_some());
+    (fused.len(), rows.len())
+}
+
+/// On a warm store no template of the workload parses a log line or builds
+/// a JSON tree: every one of its log scans — the UDF-fed ones included — is
+/// served from the image.
+#[test]
+fn a_warm_store_serves_every_log_scan_from_the_image() {
+    let _globals = globals_lock();
+    let corpus = corpus();
+    let udfs = standard_udfs();
+    let workload = workload();
+    with_mode(8, true, || {
+        let hv = store(&corpus);
+        for (_, plan) in &workload {
+            hv.execute(plan, None, &udfs).expect("warming run");
+        }
+        let ring = obs_ring_on();
+        for (_, plan) in &workload {
+            hv.execute(plan, None, &udfs).expect("warm run");
+        }
+        let counters = miso_obs::snapshot().counters;
+        miso_obs::init(miso_obs::ObsConfig::disabled());
+        let (fused, row_path) = log_scans(&ring.events());
+        let scans: usize = workload
+            .iter()
+            .flat_map(|(_, plan)| plan.nodes())
+            .filter(|n| matches!(n.op, Operator::ScanLog { .. }))
+            .count();
+        assert!(scans >= workload.len());
+        assert_eq!((fused, row_path), (scans, 0));
+        assert_eq!(counters.get("hv.log_cols_parsed").copied().unwrap_or(0), 0);
+        assert!(counters["hv.log_cols_served"] >= scans as u64);
+    });
+}
+
+/// `buzz_score` as it was written before a UDF could declare its fields: it
+/// takes the record and looks the five fields up itself.
+fn record_reading_udfs() -> UdfRegistry {
+    let output = standard_udfs()
+        .require("buzz_score")
+        .expect("the workload's UDF")
+        .output
+        .clone();
+    let mut reg = UdfRegistry::new();
+    reg.register(Udf::new(
+        "buzz_score",
+        output,
+        Arc::new(|row: &Row| {
+            let rec = row.get(0);
+            let lang = rec.get_field("lang").and_then(Value::as_str);
+            if lang != Some("en") {
+                return Ok(vec![]);
+            }
+            let (Some(uid), Some(rts), Some(fol), Some(city)) = (
+                rec.get_field("user_id").and_then(Value::as_i64),
+                rec.get_field("retweets").and_then(Value::as_f64),
+                rec.get_field("followers").and_then(Value::as_f64),
+                rec.get_field("city").and_then(Value::as_str),
+            ) else {
+                return Ok(vec![]);
+            };
+            let buzz = (1.0 + rts).ln() / (1.0 + fol).ln().max(1.0) * 10.0;
+            Ok(vec![Row::new(vec![
+                Value::Int(uid),
+                Value::Float(buzz),
+                Value::Str(city.to_string()),
+            ])])
+        }),
+    ));
+    reg
+}
+
+/// How many of [`udf_lines`] are malformed.
+const UDF_LINES_MALFORMED: u64 = 3;
+
+/// Lines aimed at a UDF that reads `lang`, `user_id`, `retweets`,
+/// `followers` and `city`: each of them missing, null, of the wrong type,
+/// nested, and duplicated with either occurrence last; an escape in another
+/// field, in a declared one and in a declared field's *key* (which only the
+/// strict parser reads); lines that are JSON but no record; malformed ones.
+fn udf_lines(tag: u64) -> Vec<String> {
+    let id = 8_000_000 + tag * 100;
+    let mut n = 0;
+    let mut tweet = |fields: &str| {
+        n += 1;
+        format!(
+            r#"{{"tweet_id": {}, {fields}, "hashtags": ["t{tag}"]}}"#,
+            id + n
+        )
+    };
+    vec![
+        tweet(r#""lang": "en", "user_id": 1, "retweets": 3, "followers": 10, "city": "austin""#),
+        tweet(r#""lang": "en", "user_id": 2, "retweets": 3, "followers": 10"#),
+        tweet(r#""user_id": 3, "retweets": 3, "followers": 10, "city": "austin""#),
+        tweet(r#""lang": "en", "user_id": 4, "retweets": null, "followers": 10, "city": "reno""#),
+        tweet(r#""lang": "en", "user_id": "5", "retweets": 3, "followers": 10, "city": "reno""#),
+        tweet(r#""lang": "en", "user_id": 6.5, "retweets": 3, "followers": 10, "city": "reno""#),
+        tweet(r#""lang": "en", "user_id": 7, "retweets": "many", "followers": 1, "city": "reno""#),
+        tweet(r#""lang": "en", "user_id": 8, "retweets": 2.5, "followers": 1e2, "city": "reno""#),
+        tweet(r#""lang": 9, "user_id": 9, "retweets": 3, "followers": 10, "city": "reno""#),
+        tweet(r#""lang": "en", "user_id": 10, "retweets": 3, "followers": 10, "city": 42"#),
+        tweet(
+            r#""lang": "en", "user_id": 11, "retweets": 3, "followers": 10, "city": {"name": "reno"}"#,
+        ),
+        tweet(r#""lang": ["en"], "user_id": 12, "retweets": 3, "followers": 10, "city": "reno""#),
+        tweet(r#""lang": "en", "user_id": 13, "retweets": 3, "followers": [10], "city": "reno""#),
+        tweet(
+            r#""lang": "fr", "lang": "en", "user_id": 14, "retweets": 3, "followers": 10, "city": "reno""#,
+        ),
+        tweet(
+            r#""lang": "en", "lang": "fr", "user_id": 15, "retweets": 3, "followers": 10, "city": "reno""#,
+        ),
+        tweet(
+            r#""lang": "en", "user_id": {"n": 16}, "user_id": 16, "retweets": 3, "followers": 10, "city": ["x"], "city": "reno""#,
+        ),
+        tweet(
+            r#""lang": "en", "user_id": 17, "user_id": [17], "retweets": 3, "followers": 10, "city": "reno""#,
+        ),
+        tweet(
+            r#""text": "say \"hi\"\n", "lang": "en", "user_id": 18, "retweets": 3, "followers": 10, "city": "reno""#,
+        ),
+        tweet(
+            r#""lang": "en", "user_id": 19, "retweets": 3, "followers": 10, "city": "new\u0020york""#,
+        ),
+        tweet(
+            r#""la\u006eg": "en", "user_id": 20, "retweets": 3, "followers": 10, "city": "reno""#,
+        ),
+        tweet(
+            r#""lang": "en", "user_id": 21, "retweets": 3, "followers": 10, "city": "reno", "place": {"deep": [[[{"k": "}]"}]]]}"#,
+        ),
+        "42".to_string(),
+        r#"["en", 1, 2, 3, "reno"]"#.to_string(),
+        r#""en""#.to_string(),
+        // Malformed: torn, trailing bytes, nested past the cap.
+        format!(
+            r#"{{"tweet_id": {}, "lang": "en", "user_id": 22, "retweets": 3, "#,
+            id + 90
+        ),
+        format!(
+            r#"{{"lang": "en", "user_id": 23, "retweets": 3, "followers": 10, "city": "reno"}} #{tag}"#
+        ),
+        format!(
+            r#"{{"lang": "en", "user_id": 24, "retweets": 3, "followers": 10, "city": "reno", "deep": {}{}}}"#,
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        ),
+    ]
+}
+
+/// `buzz_score` declaring its fields and `buzz_score` reading the record are
+/// the same function: on the four UDF templates × row / columnar × threads
+/// {1, 8}, the serial interpreter, full retention and HV's keep-set runs
+/// give identical rows, checksums, skip counts, `cost`, `stage_costs` and
+/// `materialized`, on an image that is cold, warm, and extended by three
+/// appends — over the corpus plus [`udf_lines`] and [`odd_lines`].
+#[test]
+fn declared_and_record_reading_udfs_agree() {
+    let _globals = globals_lock();
+    let cfg = LogsConfig::tiny();
+    let mut corpus = corpus();
+    let at = corpus.twitter.lines.len() / 3;
+    let mut lines = std::mem::take(&mut corpus.twitter.lines);
+    lines.splice(at..at, udf_lines(0));
+    corpus.twitter = LogFile::from_lines(LogKind::Twitter, lines);
+
+    let declared = standard_udfs();
+    let record = record_reading_udfs();
+    let reads = |udfs: &UdfRegistry| udfs.require("buzz_score").unwrap().reads().map(<[_]>::len);
+    assert_eq!((reads(&declared), reads(&record)), (Some(5), None));
+    let templates: Vec<_> = workload()
+        .into_iter()
+        .filter(|(_, plan)| {
+            plan.nodes()
+                .iter()
+                .any(|n| matches!(n.op, Operator::Udf { .. }))
+        })
+        .collect();
+    assert_eq!(templates.len(), 4, "the A3 templates");
+
+    for (threads, columnar) in MODES {
+        with_mode(threads, columnar, || {
+            let mut by_fields = store(&corpus);
+            let mut by_record = store(&corpus);
+            let mut all_lines = corpus.twitter.lines.clone();
+            for batch in 0..=3u64 {
+                if batch > 0 {
+                    let mut delta = generate_delta(&cfg, LogKind::Twitter, batch, 40);
+                    delta.splice(25..25, odd_lines(batch));
+                    delta.splice(10..10, udf_lines(batch));
+                    for hv in [&mut by_fields, &mut by_record] {
+                        hv.append_log("twitter", &LogBatch::new(&delta))
+                            .expect("append");
+                    }
+                    all_lines.extend(delta);
+                }
+                let skipped = (2 + UDF_LINES_MALFORMED) * (batch + 1);
+                for (label, plan) in &templates {
+                    let what = format!("{label}, {threads} threads, col={columnar}, batch {batch}");
+                    let serial = execute_serial(plan, &by_record, &record).expect("serial run");
+                    assert_eq!(serial.skipped_lines, skipped, "{what}");
+                    assert!(!serial.root_rows().unwrap().is_empty(), "{what}");
+                    let root_sum = checksum_rows(serial.root_rows().unwrap());
+                    for (udfs, hv, style) in [
+                        (&declared, &by_fields, "declared"),
+                        (&record, &by_record, "record"),
+                    ] {
+                        let what = format!("{what}, {style}");
+                        for full in [
+                            execute_serial(plan, hv, udfs).expect("serial run"),
+                            execute(plan, hv, udfs).expect("full-retention run"),
+                        ] {
+                            assert_matches_serial(&full, &serial, plan, &what);
+                            assert_eq!(full.executed_nodes().count(), plan.len(), "{what}");
+                            assert_eq!(full.skipped_lines, skipped, "{what}");
+                        }
+                    }
+                    // HV's keep-set run, image cold (or just extended), then warm.
+                    for pass in ["first", "again"] {
+                        let what = format!("{what}, {pass} keep-set run");
+                        let by_f = by_fields.execute(plan, None, &declared).expect("declared");
+                        let by_r = by_record.execute(plan, None, &record).expect("record");
+                        assert!(run_facts(&by_f, plan) == run_facts(&by_r, plan), "{what}");
+                        assert_matches_serial(&by_f.execution, &serial, plan, &what);
+                        assert_eq!(by_f.execution.skipped_lines, skipped, "{what}");
+                        assert_eq!(
+                            checksum_rows(by_f.execution.root_rows().unwrap()),
+                            root_sum,
+                            "{what}"
+                        );
+                    }
+                }
+                // Only the declaring UDF's scan reads columns, and an image
+                // the appends extended is the image a cold store parses.
+                let kept = if columnar { 5 } else { 0 };
+                assert_eq!(by_fields.log_columns_kept("twitter"), kept, "batch {batch}");
+                assert_eq!(by_record.log_columns_kept("twitter"), 0, "batch {batch}");
+                let mut cold_corpus = corpus.clone();
+                cold_corpus.twitter = LogFile::from_lines(LogKind::Twitter, all_lines.clone());
+                let cold = store(&cold_corpus);
+                for (label, plan) in &templates {
+                    let a = by_fields.execute(plan, None, &declared).expect("grown run");
+                    let b = cold.execute(plan, None, &declared).expect("cold run");
+                    assert!(
+                        run_facts(&a, plan) == run_facts(&b, plan),
+                        "{label}, batch {batch}: extended vs cold image"
+                    );
+                }
+            }
+        });
+    }
+}
+
+/// A line nested without end is one more malformed line — for the row scan,
+/// the fused scan and an append alike — not a stack overflow.
+#[test]
+fn a_bottomless_line_is_skipped_not_fatal() {
+    let _globals = globals_lock();
+    let corpus = corpus();
+    let udfs = standard_udfs();
+    let workload = workload();
+    let bombs = vec![
+        format!(r#"{{"city": "x", "hashtags": {}"#, "[".repeat(2_000_000)),
+        "[".repeat(2_000_000),
+        r#"{"a":"#.repeat(500_000),
+        format!(
+            r#"{{"city": "x", "hashtags": {}{}}}"#,
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        ),
+    ];
+    let at_cap = format!(
+        r#"{{"city": "capville", "hashtags": {}{}}}"#,
+        "[".repeat(MAX_DEPTH - 1),
+        "]".repeat(MAX_DEPTH - 1)
+    );
+    let mut delta = bombs.clone();
+    delta.push(at_cap);
+    let mut bombed = corpus.clone();
+    let mut lines = corpus.twitter.lines.clone();
+    lines.splice(7..7, delta.iter().cloned());
+    bombed.twitter = LogFile::from_lines(LogKind::Twitter, lines);
+    let skipped = 2 + bombs.len() as u64;
+    let fields = probe_fields();
+    for (threads, columnar) in MODES {
+        with_mode(threads, columnar, || {
+            let what = format!("{threads} threads, col={columnar}");
+            let hv = store(&bombed);
+            for (label, plan) in workload.iter().step_by(5) {
+                let logs = plan.nodes().iter().filter_map(|n| match &n.op {
+                    Operator::ScanLog { log } => Some(log.as_str()),
+                    _ => None,
+                });
+                let want = skipped * logs.filter(|log| *log == "twitter").count() as u64;
+                // The row scan, serial and morsel-parallel; then the fused one.
+                let serial = execute_serial(plan, &hv, &udfs).expect("serial run");
+                let full = execute(plan, &hv, &udfs).expect("full-retention run");
+                let lean = hv.execute(plan, None, &udfs).expect("keep-set run");
+                assert_eq!(serial.skipped_lines, want, "{what}: {label}, serial");
+                assert_eq!(full.skipped_lines, want, "{what}: {label}, row scan");
+                assert_eq!(lean.execution.skipped_lines, want, "{what}: {label}, fused");
+                assert_matches_serial(&lean.execution, &serial, plan, &what);
+            }
+            // Appended to a warm image, the same lines extend it like a
+            // cold parse of the grown log.
+            let mut grown = store(&corpus);
+            grown.log_columns("twitter", &fields).expect("warming read");
+            grown
+                .append_log("twitter", &LogBatch::new(&delta))
+                .expect("append");
+            let mut cold_corpus = corpus.clone();
+            cold_corpus.twitter.lines.extend(delta.iter().cloned());
+            cold_corpus.twitter = LogFile::from_lines(LogKind::Twitter, cold_corpus.twitter.lines);
+            let kept = grown.log_columns("twitter", &fields).expect("kept read");
+            let fresh = store(&cold_corpus)
+                .log_columns("twitter", &fields)
+                .expect("cold read");
+            assert_eq!(kept.cols_parsed, 0, "{what}");
+            assert_eq!(kept.skipped_lines, skipped, "{what}");
+            assert_eq!(kept.skipped_lines, fresh.skipped_lines, "{what}");
+            assert_eq!(kept.batch, fresh.batch, "{what}");
+        });
+    }
 }
 
 /// The fields the append test asks for: typed, bare, re-cast, one that is
@@ -381,20 +731,36 @@ fn a_maintained_batch_parses_each_field_once() {
     // The first batch warms every fold state.
     append(&mut sys, 1);
 
-    miso_obs::init(miso_obs::ObsConfig::ring(1 << 12));
-    miso_obs::reset_metrics();
+    let ring = obs_ring_on();
     let report = append(&mut sys, 2);
     let counters = miso_obs::snapshot().counters;
     miso_obs::init(miso_obs::ObsConfig::disabled());
     let count = |name: &str| counters.get(name).copied().unwrap_or(0);
 
-    let folded = report
+    let folded: Vec<_> = report
         .decisions
         .iter()
         .filter(|d| d.action == MaintAction::Delta)
-        .count() as u64;
+        .collect();
+    let over_udf = |view: &str| {
+        let def = sys
+            .catalog
+            .get(view)
+            .expect("a maintained view is catalogued");
+        let is_udf = |n: &miso::plan::PlanNode| matches!(n.op, Operator::Udf { .. });
+        def.plan.nodes().iter().any(is_udf)
+    };
+    assert!(
+        folded.iter().any(|d| over_udf(&d.view)),
+        "a UDF view folded"
+    );
+    let folded = folded.len() as u64;
     assert!(folded >= 4, "{folded} views folded the batch");
     assert_eq!(count("maint.delta_applies"), folded);
+    // No delta plan — the UDF views' included — parsed the batch into rows.
+    let (fused, row_path) = log_scans(&ring.events());
+    assert!(fused > 0, "delta plans scan the batch");
+    assert_eq!(row_path, 0, "delta scans on the row path");
     // Every field a view's delta plan reads was read off the log when the
     // view was harvested, so the distinct fields of the batch are the
     // log's kept columns — each parsed once, for whoever asked first.
