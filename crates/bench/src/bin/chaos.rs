@@ -37,15 +37,7 @@ fn main() {
     let clean = harness.run(Variant::MsMiso, 2.0);
 
     // Faulted run under the (seeded, deterministic) plan.
-    let spec = std::env::var("MISO_CHAOS").unwrap_or_else(|_| DEFAULT_SPEC.to_string());
-    let plan = match miso_chaos::parse_spec(&spec) {
-        Ok(plan) => plan,
-        Err(e) => {
-            eprintln!("chaos: bad MISO_CHAOS spec: {e}");
-            std::process::exit(2);
-        }
-    };
-    miso_chaos::install(plan);
+    let spec = miso_bench::install_chaos("chaos", DEFAULT_SPEC);
     let mut sys = harness.system(harness.budgets(2.0), None);
     let chaotic = match sys.run_workload(Variant::MsMiso, &harness.workload) {
         Ok(result) => result,

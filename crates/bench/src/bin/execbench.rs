@@ -1,90 +1,36 @@
 //! Execution engine benchmark: seed serial interpreter vs miso-vex.
 //!
 //! Sweeps rows × pipelines (scan, filter, join, aggregate, join+aggregate)
-//! and times each plan under three engines:
+//! and times each plan under two engines:
 //!
 //! * **serial** — [`miso_exec::execute_serial`], the preserved seed
 //!   row-at-a-time interpreter, pinned to one worker;
-//! * **row** — the morsel-parallel engine in row mode
-//!   (`Retention::ROOT_ONLY` with `columnar: false`), at 1, 2 and 8 workers;
-//! * **col** — the same engine in its production configuration: a
-//!   retention set (here the empty one, `Retention::ROOT_ONLY`; HV passes
-//!   the nodes it harvests) with the columnar batch path following the
-//!   `MISO_COL` toggle (default on), so `MISO_COL=0 execbench` times row
-//!   mode twice and still verifies identity.
+//! * **lean** — the morsel-parallel engine as the stores run it, at 1, 2
+//!   and 8 workers: a retention set (here the empty one,
+//!   `Retention::ROOT_ONLY`; HV passes the nodes it harvests), columnar
+//!   wherever the operator allows.
 //!
-//! Every engine run must match the serial oracle row-for-row — the
-//! `Retention::All` run across *all* node outputs, the lean runs at the root
-//! plus per-node `rows_out` counts — and identical to itself at every
-//! thread count; any divergence exits non-zero. A counting global
-//! allocator reports bytes allocated by one row-mode vs one columnar run,
-//! and the `exec.col_batches` / `exec.col_fallback_rows` counter pair is
-//! sampled per pipeline. The full run writes `BENCH_exec.json` at the repo
-//! root plus `results/execbench.report.json` and enforces per-pipeline
-//! minimum speedups at the largest row count; `--smoke` runs one small
-//! configuration, writes the run report only, and leaves the committed
-//! baseline untouched (the CI record-only step).
+//! Every engine run must match the serial oracle row-for-row — an untimed
+//! `Retention::All` run (every operator on its row body) across *all* node
+//! outputs, the lean run at the root plus per-node `rows_out` counts — at
+//! every thread count; any divergence exits non-zero. Timings are printed and land in
+//! `results/execbench.report.json`; nothing gates on them (`benchmark/` is
+//! the performance gate). `--smoke` runs one small configuration (the CI
+//! step).
 
 use miso_bench::row;
+use miso_common::guard::QueryGuard;
 use miso_common::pool;
 use miso_data::json::{parse_json, to_json};
 use miso_data::{DataType, Field, Row, Schema, Value};
-use miso_exec::engine::{execute, execute_subset_opts, MemSource};
-use miso_exec::{execute_serial, ExecOptions, Execution, Retention, UdfRegistry};
+use miso_exec::engine::{execute, MemSource};
+use miso_exec::{execute_serial, execute_subset_guarded, Execution, Retention, UdfRegistry};
 use miso_plan::{AggExpr, AggFunc, BinOp, Expr, LogicalPlan, Operator, PlanBuilder};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
 /// Thread counts every engine configuration is verified (and timed) at.
 const THREADS: [usize; 3] = [1, 2, 8];
-
-/// Per-pipeline minimum speedups (serial / columnar-at-8-workers) enforced
-/// by full runs at the largest row count, when the columnar path is on.
-const MIN_SPEEDUP: [(&str, f64); 5] = [
-    ("scan", 3.0),
-    ("filter", 2.5),
-    ("join", 3.0),
-    ("aggregate", 2.0),
-    ("join+aggregate", 3.0),
-];
-
-/// Counting wrapper around the system allocator so row-mode and columnar
-/// runs can be compared on allocation volume, not just wall time.
-struct CountingAlloc;
-
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates every operation to `System`; the counter is a plain
-// relaxed atomic with no allocation of its own.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(new_size as u64, Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn alloc_bytes() -> u64 {
-    ALLOC_BYTES.load(Relaxed)
-}
 
 struct Pipeline {
     name: &'static str,
@@ -380,53 +326,42 @@ fn lean_matches(serial: &Execution, lean: &Execution) -> bool {
             .all(|id| serial.rows_out(id) == lean.rows_out(id))
 }
 
-/// One root-only-retention run with the columnar path explicitly on or off.
-fn run_lean(p: &Pipeline, udfs: &UdfRegistry, columnar: bool) -> Execution {
-    execute_subset_opts(
+/// One root-only-retention run.
+fn run_lean(p: &Pipeline, udfs: &UdfRegistry) -> Execution {
+    execute_subset_guarded(
         &p.plan,
         None,
         HashMap::new(),
         &p.src,
         udfs,
-        ExecOptions {
-            retain: Retention::ROOT_ONLY,
-            columnar,
-        },
+        Retention::ROOT_ONLY,
+        QueryGuard::inert_ref(),
     )
     .expect("lean run succeeds")
 }
 
 fn main() {
-    if !miso_bench::obs_init() {
-        // Run reports include the exec.* counters, so metrics must flow
-        // even when MISO_OBS is unset.
-        miso_obs::init(miso_obs::ObsConfig::ring(4096));
-    }
+    miso_bench::obs_init();
     let smoke = std::env::args().any(|a| a == "--smoke");
     let env_threads = pool::threads();
-    let col_on = miso_exec::col::enabled();
     let iters = if smoke { 1 } else { 5 };
     let rows_list: &[usize] = if smoke { &[20_000] } else { &[50_000, 200_000] };
-    let max_rows = *rows_list.last().expect("rows_list non-empty");
 
-    let widths = [15usize, 9, 10, 10, 10, 9, 8];
+    let widths = [15usize, 9, 10, 10, 9];
     println!(
-        "=== Execution engines: serial (seed interpreter, 1 thread) vs row/col \
-         (morsel-parallel, columnar {}), best of {iters} ===",
-        if col_on { "on" } else { "off" }
+        "=== Execution engines: serial (seed interpreter, 1 thread) vs lean \
+         (morsel-parallel), best of {iters} ==="
     );
     println!(
         "{}",
         row(
-            &["pipeline", "rows", "serial_s", "row8_s", "col8_s", "speedup", "allocx"]
-                .map(String::from),
+            &["pipeline", "rows", "serial_s", "lean8_s", "speedup"].map(String::from),
             &widths,
         )
     );
 
     let mut failures = 0usize;
     let mut cfg_values = Vec::new();
-    let mut gate: Vec<(&'static str, f64)> = Vec::new();
     for &rows in rows_list {
         let pipelines = [
             scan_pipeline(rows),
@@ -441,13 +376,9 @@ fn main() {
             let (serial_s, serial) = time_best(iters, || {
                 execute_serial(&p.plan, &p.src, &udfs).expect("serial run succeeds")
             });
-            let mut row_s = Vec::with_capacity(THREADS.len());
-            let mut col_s = Vec::with_capacity(THREADS.len());
+            let mut lean_s = Vec::with_capacity(THREADS.len());
             for &t in &THREADS {
                 pool::set_threads(t);
-                // Full retention verifies every node output against serial
-                // (the columnar path pivots intermediates back to rows only
-                // in root-only mode, so this run also covers the row engine).
                 let full = execute(&p.plan, &p.src, &udfs).expect("vex run succeeds");
                 if !executions_match(&serial, &full) {
                     eprintln!(
@@ -457,47 +388,19 @@ fn main() {
                     );
                     failures += 1;
                 }
-                let (rs, row_exec) = time_best(iters, || run_lean(p, &udfs, false));
-                let (cs, col_exec) = time_best(iters, || run_lean(p, &udfs, col_on));
-                if !lean_matches(&serial, &row_exec) {
+                let (ls, lean) = time_best(iters, || run_lean(p, &udfs));
+                if !lean_matches(&serial, &lean) {
                     eprintln!(
-                        "execbench: {} rows={rows} threads={t}: row-mode output diverges \
+                        "execbench: {} rows={rows} threads={t}: lean output diverges \
                          from serial",
                         p.name
                     );
                     failures += 1;
                 }
-                if !lean_matches(&serial, &col_exec) {
-                    eprintln!(
-                        "execbench: {} rows={rows} threads={t}: columnar output diverges \
-                         from serial",
-                        p.name
-                    );
-                    failures += 1;
-                }
-                row_s.push(rs);
-                col_s.push(cs);
+                lean_s.push(ls);
             }
-            // Allocation + columnar-counter sample: one run of each engine
-            // at the widest worker count.
-            miso_obs::reset_metrics();
-            let a0 = alloc_bytes();
-            let _ = run_lean(p, &udfs, false);
-            let alloc_row = alloc_bytes() - a0;
-            let a1 = alloc_bytes();
-            let _ = run_lean(p, &udfs, col_on);
-            let alloc_col = alloc_bytes() - a1;
-            let counters = miso_obs::snapshot().counters;
-            let col_batches = counters.get("exec.col_batches").copied().unwrap_or(0);
-            let col_fallback = counters.get("exec.col_fallback_rows").copied().unwrap_or(0);
-
             let last = THREADS.len() - 1;
-            let speedup = serial_s / col_s[last].max(1e-12);
-            let row_speedup = serial_s / row_s[last].max(1e-12);
-            let allocx = alloc_row as f64 / (alloc_col.max(1)) as f64;
-            if rows == max_rows {
-                gate.push((p.name, speedup));
-            }
+            let speedup = serial_s / lean_s[last].max(1e-12);
             println!(
                 "{}",
                 row(
@@ -505,10 +408,8 @@ fn main() {
                         p.name.to_string(),
                         rows.to_string(),
                         format!("{serial_s:.4}"),
-                        format!("{:.4}", row_s[last]),
-                        format!("{:.4}", col_s[last]),
+                        format!("{:.4}", lean_s[last]),
                         format!("{speedup:.2}x"),
-                        format!("{allocx:.2}x"),
                     ],
                     &widths,
                 )
@@ -519,51 +420,21 @@ fn main() {
                 ("root_rows".into(), {
                     Value::Int(serial.root_rows().map(|r| r.len() as i64).unwrap_or(-1))
                 }),
-                ("columnar".into(), Value::Bool(col_on)),
                 ("serial_s".into(), Value::Float(serial_s)),
                 (
-                    "row_s".into(),
-                    Value::Array(row_s.iter().map(|&s| Value::Float(s)).collect()),
-                ),
-                (
-                    "col_s".into(),
-                    Value::Array(col_s.iter().map(|&s| Value::Float(s)).collect()),
+                    "lean_s".into(),
+                    Value::Array(lean_s.iter().map(|&s| Value::Float(s)).collect()),
                 ),
                 (
                     "vex_threads".into(),
                     Value::Array(THREADS.iter().map(|&t| Value::Int(t as i64)).collect()),
                 ),
                 ("speedup".into(), Value::Float(speedup)),
-                ("row_speedup".into(), Value::Float(row_speedup)),
-                ("alloc_row_bytes".into(), Value::Int(alloc_row as i64)),
-                ("alloc_col_bytes".into(), Value::Int(alloc_col as i64)),
-                ("col_batches".into(), Value::Int(col_batches as i64)),
-                ("col_fallback_rows".into(), Value::Int(col_fallback as i64)),
             ]));
         }
     }
     // Leave the pool as the environment configured it.
     pool::set_threads(env_threads);
-
-    // Acceptance gates (full runs with the columnar path on): every
-    // pipeline must clear its minimum speedup at the largest row count.
-    if !smoke && col_on {
-        for (name, floor) in MIN_SPEEDUP {
-            match gate.iter().find(|(n, _)| *n == name) {
-                Some(&(_, s)) if s >= floor => {}
-                Some(&(_, s)) => {
-                    eprintln!(
-                        "execbench: {name} speedup {s:.2}x below the {floor}x acceptance bar"
-                    );
-                    failures += 1;
-                }
-                None => {
-                    eprintln!("execbench: {name} pipeline never ran");
-                    failures += 1;
-                }
-            }
-        }
-    }
 
     let report = Value::object(vec![
         ("bench".into(), Value::str("execbench")),
@@ -572,20 +443,12 @@ fn main() {
             Value::str(if smoke { "smoke" } else { "full" }),
         ),
         ("env_threads".into(), Value::Int(env_threads as i64)),
-        ("columnar".into(), Value::Bool(col_on)),
         ("iters".into(), Value::Int(iters as i64)),
         ("configs".into(), Value::Array(cfg_values)),
     ]);
-    let text = to_json(&report);
-    if let Err(e) = parse_json(&text) {
+    if let Err(e) = parse_json(&to_json(&report)) {
         eprintln!("execbench: emitted JSON does not round-trip: {e}");
         failures += 1;
-    }
-    if !smoke {
-        if let Err(e) = std::fs::write("BENCH_exec.json", format!("{text}\n")) {
-            eprintln!("execbench: cannot write BENCH_exec.json: {e}");
-            failures += 1;
-        }
     }
     miso_bench::write_report("execbench", report);
 

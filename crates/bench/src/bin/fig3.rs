@@ -174,7 +174,7 @@ fn main() {
         .expect("xray mini-run");
     miso_exec::profile::set_enabled(was_profiling);
     let xrays = sys.take_xrays();
-    if std::env::var_os("MISO_XRAY").is_some() {
+    if was_profiling {
         let snap = miso_obs::snapshot();
         for x in &xrays {
             println!("{}", miso_xray::explain_analyze_with_metrics(x, &snap));

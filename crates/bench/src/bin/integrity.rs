@@ -35,9 +35,9 @@ fn main() {
     // Same integrity posture for both runs: verify every view read and
     // audit (counting mode) between epochs, so the clean run also proves
     // the fault-free overhead does not change any answer.
-    miso_common::integrity::set_verify_on_read(true);
     let config = |harness: &Harness| -> SystemConfig {
         let mut c = SystemConfig::paper_default(harness.budgets(2.0));
+        c.verify_on_read = true;
         c.audit = Some(AuditConfig::counting(harness.hv_base()));
         c
     };
@@ -55,15 +55,7 @@ fn main() {
         .unwrap_or(0);
 
     // Corrupted run under the (seeded, deterministic) plan.
-    let spec = std::env::var("MISO_CHAOS").unwrap_or_else(|_| DEFAULT_SPEC.to_string());
-    let plan = match miso_chaos::parse_spec(&spec) {
-        Ok(plan) => plan,
-        Err(e) => {
-            eprintln!("integrity: bad MISO_CHAOS spec: {e}");
-            std::process::exit(2);
-        }
-    };
-    miso_chaos::install(plan);
+    let spec = miso_bench::install_chaos("integrity", DEFAULT_SPEC);
     let mut sys = harness.system_with(config(&harness));
     let corrupted = match sys.run_workload(Variant::MsMiso, &harness.workload) {
         Ok(result) => result,

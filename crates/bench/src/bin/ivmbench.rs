@@ -16,11 +16,10 @@
 //! every view must be row-count- and **checksum-identical** between the two
 //! systems — the incremental digest re-stamp is verified against the full
 //! rebuild's from-scratch checksum on every shape; any divergence exits
-//! non-zero. Wall-clock speedup (full / delta) is the guarded figure: the
-//! full run asserts ≥5× per shape at |delta| = 2% of the base log and
-//! writes `BENCH_ivm.json` plus `results/ivmbench.report.json`; `--smoke`
-//! runs a tiny corpus, keeps the identity checks, and writes the run
-//! report only (the CI record-only step).
+//! non-zero. The wall-clock speedup (full / delta) at |delta| = 2% of the
+//! base log is printed and lands in `results/ivmbench.report.json`; nothing
+//! gates on it. `--smoke` runs a tiny corpus with the same identity checks
+//! (the CI step).
 
 use miso_common::{Budgets, ByteSize, SimClock};
 use miso_core::{MaintAction, MaintenancePolicy, MultistoreSystem, SystemConfig, Variant};
@@ -30,10 +29,6 @@ use miso_data::{Delta, Value};
 use miso_plan::LogicalPlan;
 use miso_workload::{standard_udfs, workload_catalog};
 use std::time::Instant;
-
-/// Minimum wall-clock speedup (full-recompute / delta-fold) enforced per
-/// shape by full runs.
-const MIN_SPEEDUP: f64 = 5.0;
 
 struct Shape {
     name: &'static str,
@@ -260,13 +255,6 @@ fn main() {
             delta_run.delta_applies,
             full_run.full_refreshes
         );
-        if !smoke && speedup < MIN_SPEEDUP {
-            eprintln!(
-                "ivmbench: {}: speedup {speedup:.2}x below the {MIN_SPEEDUP:.0}x floor",
-                shape.name
-            );
-            failures += 1;
-        }
         cfg_values.push(Value::object(vec![
             ("name".into(), Value::str(shape.name)),
             ("base_rows".into(), Value::Int(cfg.tweets as i64)),
@@ -299,16 +287,9 @@ fn main() {
         ),
         ("configs".into(), Value::Array(cfg_values)),
     ]);
-    let text = to_json(&report);
-    if let Err(e) = parse_json(&text) {
+    if let Err(e) = parse_json(&to_json(&report)) {
         eprintln!("ivmbench: emitted JSON does not round-trip: {e}");
         failures += 1;
-    }
-    if !smoke {
-        if let Err(e) = std::fs::write("BENCH_ivm.json", format!("{text}\n")) {
-            eprintln!("ivmbench: cannot write BENCH_ivm.json: {e}");
-            failures += 1;
-        }
     }
     miso_bench::write_report("ivmbench", report);
 

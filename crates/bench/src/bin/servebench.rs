@@ -19,9 +19,7 @@
 //!    carry `retry_after`).
 //!
 //! `--smoke` shrinks the session counts for CI. Exits non-zero on any
-//! violated invariant; writes `results/servebench.report.json`. The
-//! committed full-run baseline lives in `BENCH_serve.json` and is checked
-//! (warn-only) by `benchguard`.
+//! violated invariant; writes `results/servebench.report.json`.
 
 use miso_bench::Harness;
 use miso_common::{ByteSize, SimDuration};

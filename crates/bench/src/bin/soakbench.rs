@@ -105,7 +105,6 @@ fn main() {
         budget.as_bytes() / 1024,
     );
 
-    miso_common::integrity::set_verify_on_read(true);
     let mut aborts = 0usize;
     let mut mismatches = 0usize;
     let mut unclassified = 0usize;
@@ -120,6 +119,7 @@ fn main() {
         let plan = miso_chaos::parse_spec(&spec).expect("storm spec parses");
         miso_chaos::install(plan);
         let mut cfg = SystemConfig::paper_default(harness.budgets(2.0));
+        cfg.verify_on_read = true;
         cfg.guard = GuardConfig {
             enabled: true,
             deadline: Some(deadline),
@@ -217,7 +217,6 @@ fn main() {
             ("tti".into(), tti_value(&result)),
         ]));
     }
-    miso_common::integrity::set_verify_on_read(false);
 
     let snap = miso_obs::snapshot();
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);

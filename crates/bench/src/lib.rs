@@ -81,17 +81,28 @@ impl Harness {
     }
 }
 
-/// Initializes observability from `MISO_TRACE` / `MISO_OBS`, the integrity
-/// layer's read-verification from `MISO_INTEGRITY`, and per-operator
-/// execution profiling from `MISO_XRAY`; every bench binary calls this
-/// first thing in `main`. Returns whether tracing or metrics ended up
-/// enabled.
+/// Initializes observability from `MISO_TRACE` / `MISO_OBS` and
+/// per-operator execution profiling from `MISO_XRAY`; every bench binary
+/// calls this first thing in `main`. Returns whether tracing or metrics
+/// ended up enabled.
 pub fn obs_init() -> bool {
-    miso_common::integrity::init_from_env();
-    miso_common::guard::init_from_env();
     miso_exec::profile::init_from_env();
-    miso_exec::col::init_from_env();
     miso_obs::init_from_env()
+}
+
+/// Installs the fault plan of bench binary `bin`: the `MISO_CHAOS` spec
+/// when set, `default_spec` otherwise; returns the spec installed. A spec
+/// that does not parse ends the process with status 2.
+pub fn install_chaos(bin: &str, default_spec: &str) -> String {
+    let spec = std::env::var("MISO_CHAOS").unwrap_or_else(|_| default_spec.to_string());
+    match miso_chaos::parse_spec(&spec) {
+        Ok(plan) => miso_chaos::install(plan),
+        Err(e) => {
+            eprintln!("{bin}: bad MISO_CHAOS spec: {e}");
+            std::process::exit(2);
+        }
+    }
+    spec
 }
 
 /// Encodes one experiment's TTI breakdown as a JSON object for run reports.

@@ -33,7 +33,9 @@
 //!
 //! # Enabling
 //!
-//! Programmatically via [`install`], or from the environment:
+//! Programmatically via [`install`] — of a [`FaultPlan`] built in code, or
+//! of one [`parse_spec`] read from text, which is how the `chaos` and
+//! `integrity` bench binaries take theirs from the environment:
 //!
 //! ```text
 //! MISO_CHAOS="seed=42;dw.execute=error@p0.3;transfer.ship=error@p0.25;reorg.step=crash@n4"
@@ -227,29 +229,6 @@ pub fn suspend() -> bool {
 pub fn resume(was_on: bool) {
     if was_on {
         state().enabled.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Reads `MISO_CHAOS` and installs the parsed plan. Returns whether
-/// injection ended up enabled; a malformed spec is reported on stderr and
-/// leaves injection off.
-pub fn init_from_env() -> bool {
-    let Some(spec) = std::env::var_os("MISO_CHAOS") else {
-        return false;
-    };
-    let spec = spec.to_string_lossy();
-    if spec.is_empty() || spec == "0" {
-        return false;
-    }
-    match parse_spec(&spec) {
-        Ok(plan) => {
-            install(plan);
-            true
-        }
-        Err(e) => {
-            eprintln!("miso-chaos: ignoring malformed MISO_CHAOS: {e}");
-            false
-        }
     }
 }
 

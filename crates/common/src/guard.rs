@@ -16,13 +16,10 @@
 //!   [`QueryGuard::try_charge`]; an over-budget charge is refused (so the
 //!   recorded peak never exceeds the budget) and trips the token.
 //!
-//! Two performance rules, matching the chaos/integrity/xray gates:
-//!
-//! 1. the process-global [`enabled`] toggle (`MISO_GUARD`) is one relaxed
-//!    atomic load;
-//! 2. the **inert** guard — what every pre-existing entry point passes —
-//!    short-circuits on a plain `bool` before touching any atomic, so
-//!    guard-free execution costs one predictable branch per check.
+//! Whether a system guards its queries is its own configuration
+//! (`GuardConfig::enabled`); a system that does not passes the **inert**
+//! guard, which short-circuits on a plain `bool` before touching any atomic,
+//! so guard-free execution costs one predictable branch per check.
 //!
 //! State changes (cancel, deadline trip, budget trip) only ever happen at
 //! serial points in the driver or engine — never inside pool workers — so a
@@ -30,33 +27,8 @@
 
 use crate::error::{MisoError, Result};
 use crate::time::SimInstant;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
-
-// ---------------------------------------------------------------------------
-// Global gate
-// ---------------------------------------------------------------------------
-
-/// Whether query guards are globally enabled (`MISO_GUARD`).
-static GUARDS_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Whether the guard layer is enabled. One relaxed atomic load.
-#[inline]
-pub fn enabled() -> bool {
-    GUARDS_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Programmatically toggles the guard layer (tests, benches).
-pub fn set_enabled(on: bool) {
-    GUARDS_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Initializes the gate from `MISO_GUARD`: unset, empty, or `0` disable
-/// guards; anything else enables them.
-pub fn init_from_env() {
-    let on = std::env::var("MISO_GUARD").is_ok_and(|v| !v.is_empty() && v != "0");
-    set_enabled(on);
-}
 
 // ---------------------------------------------------------------------------
 // Guard state
@@ -384,15 +356,5 @@ mod tests {
         let e = g.check().unwrap_err();
         assert_eq!(e.kind(), "cancelled");
         assert!(g.is_cancelled());
-    }
-
-    #[test]
-    fn env_gate_parses_like_the_other_toggles() {
-        let before = enabled();
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(before);
     }
 }

@@ -15,19 +15,18 @@
 //! * [`budget`] — the tuner's storage/transfer budget types.
 //! * [`retry`] — exponential backoff + jitter and per-store circuit
 //!   breakers over simulated time.
-//! * [`integrity`] — the global verify-on-read toggle for view content
-//!   checksums (`MISO_INTEGRITY`).
+//! * [`env`] — the one grammar of the boolean `MISO_*` environment flags.
 //! * [`pool`] — the miso-par scoped worker pool (`MISO_THREADS`) with a
 //!   deterministic-ordering batch primitive for the tuner's what-if probes.
-//! * [`guard`] — the per-query lifecycle guard (`MISO_GUARD`): deadline,
+//! * [`guard`] — the per-query lifecycle guard: deadline,
 //!   cooperative cancellation token, and byte-denominated memory budget.
 
 pub mod budget;
 pub mod bytesize;
+pub mod env;
 pub mod error;
 pub mod guard;
 pub mod ids;
-pub mod integrity;
 pub mod pool;
 pub mod retry;
 pub mod rng;

@@ -79,7 +79,7 @@ fn resolve_from_env() -> usize {
 }
 
 /// The worker count batches run with. One relaxed atomic load after the
-/// first call, matching the chaos/integrity gate convention.
+/// first call, matching the chaos gate convention.
 #[inline]
 pub fn threads() -> usize {
     let t = THREADS.load(Ordering::Relaxed);

@@ -41,7 +41,7 @@ use miso_data::checksum::RowSetDigest;
 use miso_data::logs::LogKind;
 use miso_data::{Delta, Row};
 use miso_dw::DwActivity;
-use miso_exec::engine::{execute_subset_opts, DataSource, ExecOptions, LogColumns, Retention};
+use miso_exec::engine::{execute_subset_guarded, DataSource, LogColumns, Retention};
 use miso_exec::{apply_projection, AggState, FusedField};
 use miso_hv::LogBatch;
 use miso_views::{analyze_maintenance, FullReason, MaintPlan, ViewChange, ViewDef};
@@ -389,10 +389,6 @@ impl MultistoreSystem {
                 )));
             }
         }
-        if !self.config.ivm {
-            let cost = self.rebuild(def, None, clock)?;
-            return Ok(Refreshed::full(cost, FullReason::IvmDisabled));
-        }
         let mplan = match analyze_maintenance(&def.plan, delta.log, &|v| delta.change_of(v)) {
             Ok(mplan) => mplan,
             Err(reason) => return Ok(Refreshed::full(self.rebuild(def, None, clock)?, reason)),
@@ -466,12 +462,15 @@ impl MultistoreSystem {
             delta,
             builds: &state.builds,
         };
-        let lean = ExecOptions {
-            retain: Retention::ROOT_ONLY,
-            ..ExecOptions::default()
-        };
-        let udfs = self.udf_registry();
-        let exec = execute_subset_opts(plan, None, HashMap::new(), &src, udfs, lean)?;
+        let exec = execute_subset_guarded(
+            plan,
+            None,
+            HashMap::new(),
+            &src,
+            self.udf_registry(),
+            Retention::ROOT_ONLY,
+            QueryGuard::inert_ref(),
+        )?;
         let new_rows = exec.retained_output(plan.root())?.clone();
         let scan_bytes = match &mplan.input().parent {
             None => delta.bytes,
@@ -663,15 +662,18 @@ impl MultistoreSystem {
         let log_bytes: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
         let delta_rows = growth.records_per_epoch as u64;
         let delta_bytes = ByteSize::from_bytes((log_bytes / rows).max(1) * delta_rows);
+        // The delta-size policy `refresh_view` applies: past it, everything
+        // rebuilds.
+        let too_large = delta_rows as f64 > self.config.ivm_max_delta_frac * rows as f64;
         // How each view would change, parents before children — as
         // `append_log` walks them, with every state warm.
         let mut change: HashMap<&str, ViewChange> = HashMap::new();
         for def in self.catalog.derived_from(log_name) {
             let of = |v: &str| change.get(v).copied().unwrap_or(ViewChange::Unchanged);
-            let mplan = if self.config.ivm {
-                analyze_maintenance(&def.plan, log_name, &of).ok()
-            } else {
+            let mplan = if too_large {
                 None
+            } else {
+                analyze_maintenance(&def.plan, log_name, &of).ok()
             };
             let cost = if mplan.is_some() {
                 // Delta fold: scan |Δ| input bytes, write at most |Δ|-scale
@@ -901,7 +903,6 @@ mod tests {
     #[test]
     fn second_refresh_takes_the_delta_path() {
         let (mut sys, cfg) = system();
-        assert!(sys.config().ivm, "IVM defaults on");
         let catalog = workload_catalog();
         let q = (
             "filtered".to_string(),

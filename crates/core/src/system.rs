@@ -80,21 +80,17 @@ pub struct SystemConfig {
     /// per-query deadlines, memory budgets, and overload shedding.
     /// Disabled by default, keeping guard-free runs byte-identical.
     pub guard: GuardConfig,
-    /// Columnar batch execution (miso-col) for the engine's hot relational
-    /// core. Default **on**; output is bit-identical either way, so this is
-    /// purely a performance knob. The `MISO_COL` environment variable, when
-    /// set, overrides this at system construction.
-    pub columnar: bool,
-    /// Incremental view maintenance (miso-ivm) for the Refresh policy.
-    /// Default **on**: maintainable views fold appended deltas into live
-    /// state in O(|delta|) instead of recomputing; results and checksums
-    /// are bit-identical to full recomputation either way, so this too is
-    /// a performance knob. The `MISO_IVM` environment variable, when set,
-    /// overrides this at system construction (`0`/`off`/`false` disable).
-    pub ivm: bool,
-    /// Delta-apply size policy: when a delta carries more than this
-    /// fraction of the base log's pre-append rows, maintenance falls back
-    /// to a full rebuild (which also resets fold state).
+    /// Re-verify each view's content checksum whenever a plan is about to
+    /// read it (the integrity layer's read-time defence; checksums are always
+    /// *computed* at materialization and transfer time). Default **off**:
+    /// no checksum is recomputed on the query path.
+    pub verify_on_read: bool,
+    /// Delta-apply size policy of incremental view maintenance (miso-ivm):
+    /// maintainable views fold appended deltas into live state in
+    /// O(|delta|), but when a delta carries more than this fraction of the
+    /// base log's pre-append rows, maintenance falls back to a full rebuild
+    /// (which also resets fold state). `0.0` rebuilds always — the reference
+    /// delta folding is compared against.
     pub ivm_max_delta_frac: f64,
     /// Optional streaming-growth schedule for the online stream: when set,
     /// every reorganization boundary first ingests a generated append-only
@@ -127,9 +123,7 @@ pub struct GrowthConfig {
 /// sheds new arrivals while recent guard kills indicate pressure.
 #[derive(Debug, Clone)]
 pub struct GuardConfig {
-    /// Master switch for this system. Guards are active when this is set
-    /// *or* the process-global `MISO_GUARD` gate
-    /// ([`miso_common::guard::enabled`]) is on.
+    /// Master switch for this system.
     pub enabled: bool,
     /// Default per-query deadline, relative to admission time. `None` =
     /// no deadline.
@@ -163,11 +157,6 @@ impl GuardConfig {
             shed_cooldown: SimDuration::from_secs(60),
         }
     }
-
-    /// Whether the guard layer should be engaged for this system.
-    pub fn active(&self) -> bool {
-        self.enabled || miso_common::guard::enabled()
-    }
 }
 
 impl SystemConfig {
@@ -189,12 +178,28 @@ impl SystemConfig {
             audit: None,
             calibrate_costs: false,
             guard: GuardConfig::disabled(),
-            columnar: true,
-            ivm: true,
+            verify_on_read: false,
             ivm_max_delta_frac: 0.25,
             growth: None,
         }
     }
+}
+
+/// Builds the optimizer's stats source: true log sizes plus every catalog
+/// view's size (views not resident anywhere have been dropped from the
+/// catalog).
+pub fn map_stats(hv: &HvStore, dw: &DwStore, catalog: &ViewCatalog) -> MapStats {
+    let mut stats = MapStats::new();
+    hv.fill_stats(&mut stats);
+    dw.fill_stats(&mut stats);
+    for def in catalog.defs() {
+        stats.set_view(
+            def.name.clone(),
+            def.rows as f64,
+            def.size.as_bytes() as f64,
+        );
+    }
+    stats
 }
 
 /// One workload query: display label plus its raw (un-rewritten) plan.
@@ -259,15 +264,6 @@ impl MultistoreSystem {
         udfs: UdfRegistry,
         config: SystemConfig,
     ) -> Self {
-        // Apply the columnar knob process-wide, then let `MISO_COL` win so
-        // operators can flip the path without touching configs.
-        miso_exec::col::set_enabled(config.columnar);
-        miso_exec::col::init_from_env();
-        // `MISO_IVM` likewise overrides the config knob when set.
-        let mut config = config;
-        if let Ok(v) = std::env::var("MISO_IVM") {
-            config.ivm = !matches!(v.trim(), "0" | "off" | "false" | "OFF" | "FALSE");
-        }
         let mut hv = HvStore::new();
         hv.add_log(corpus.twitter.clone());
         hv.add_log(corpus.foursquare.clone());
@@ -788,7 +784,7 @@ impl MultistoreSystem {
         clock: &SimClock,
         result: &mut ExperimentResult,
     ) -> Option<QueryGuard> {
-        if !self.config.guard.active() {
+        if !self.config.guard.enabled {
             return Some(QueryGuard::inert());
         }
         let now = clock.now();
@@ -1661,8 +1657,7 @@ impl MultistoreSystem {
     /// quarantined names; an empty list means the plan is safe to run.
     ///
     /// With chaos disabled and verify-on-read off this is a store probe
-    /// plus one relaxed atomic load per view — no checksum is recomputed
-    /// on the query path.
+    /// per view — no checksum is recomputed on the query path.
     fn verify_used_views(&mut self, used: &[String]) -> Vec<String> {
         let mut quarantined = Vec::new();
         for name in used {
@@ -1679,7 +1674,7 @@ impl MultistoreSystem {
                     self.hv.corrupt_view(name);
                 }
             }
-            if !miso_common::integrity::verify_on_read() {
+            if !self.config.verify_on_read {
                 continue;
             }
             let Some(expected) = self.catalog.get(name).and_then(|d| d.checksum) else {
@@ -1772,21 +1767,10 @@ impl MultistoreSystem {
         }
     }
 
-    /// Builds the stats source: true log sizes plus every catalog view's
-    /// size (views not resident anywhere have been dropped from the
-    /// catalog).
+    /// The stats source over this system's stores and catalog
+    /// ([`map_stats`]).
     pub fn build_stats(&self) -> MapStats {
-        let mut stats = MapStats::new();
-        self.hv.fill_stats(&mut stats);
-        self.dw.fill_stats(&mut stats);
-        for def in self.catalog.defs() {
-            stats.set_view(
-                def.name.clone(),
-                def.rows as f64,
-                def.size.as_bytes() as f64,
-            );
-        }
-        stats
+        map_stats(&self.hv, &self.dw, &self.catalog)
     }
 
     /// Registers the materialized stage outputs of an HV run as

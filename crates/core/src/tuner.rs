@@ -83,13 +83,6 @@ fn effective_unit(base: ByteSize, budget: ByteSize) -> ByteSize {
     }
 }
 
-/// Whether `MISO_TUNER_DEBUG` is set — read once per process (one
-/// `OnceLock` load per `tune()` call, matching the chaos/integrity gates).
-fn tuner_debug() -> bool {
-    static DEBUG: OnceLock<bool> = OnceLock::new();
-    *DEBUG.get_or_init(|| std::env::var_os("MISO_TUNER_DEBUG").is_some())
-}
-
 /// Most entries the what-if memo holds once a `tune` call has returned.
 /// One reorganization of the 32-template stream adds a few hundred, and a
 /// query comes back within a dozen epochs, so half of this is still several
@@ -594,19 +587,6 @@ impl MisoTuner {
             max_part_size: Some(4),
         };
         let items = analyze_candidates(&infos, &weights, &cost_fn, &analysis_cfg);
-        if tuner_debug() {
-            eprintln!(
-                "[tuner] candidates={} -> items={}",
-                infos.len(),
-                items.len()
-            );
-            for item in &items {
-                eprintln!(
-                    "[tuner]   item {:?} size={} benefit={:.1}",
-                    item.views, item.size, item.benefit
-                );
-            }
-        }
 
         // Phase 1: pack DW. HV-resident members consume B_t (Case 1).
         let size_of =

@@ -4,12 +4,13 @@
 //! * delta-applied views are row- and **checksum-identical** to fully
 //!   rebuilt views (the incrementally re-stamped digest equals a
 //!   from-scratch `checksum_rows` over the stored rows);
-//! * results and checksums are invariant under the `ivm` toggle and under
-//!   the worker-pool thread count;
+//! * results and checksums are the same whether deltas fold or every
+//!   refresh rebuilds (`ivm_max_delta_frac = 0.0`), and under the
+//!   worker-pool thread count;
 //! * over the whole 32-template stream, after every growth batch, every
 //!   catalog view — float aggregates and views over views included — holds
-//!   exactly the rows a from-scratch run over the grown logs computes, in
-//!   every engine mode;
+//!   exactly the rows a from-scratch run over the grown logs computes, at
+//!   one worker and eight;
 //! * a corrupted view quarantines through the integrity path, appends
 //!   defer its rebuild (reason `Quarantined`, no resurrection behind the
 //!   auditor's back), the reorg repair path recomputes it over the grown
@@ -34,8 +35,7 @@ use miso_workload::{compile_workload, standard_udfs, workload_catalog};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, MutexGuard};
 
-/// Pool width and the columnar switch are process-global, and building a
-/// system sets the latter: every test here takes this lock.
+/// The pool width is process-global: every test here takes this lock.
 fn globals_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -133,12 +133,16 @@ fn ivm_toggle_does_not_change_results_or_checksums() {
     let _globals = globals_lock();
     let cfg = LogsConfig::tiny();
     let on = SystemConfig::paper_default(budgets());
-    assert!(on.ivm, "IVM defaults on");
+    assert!(on.ivm_max_delta_frac > 0.0, "delta folding is the default");
+    // The always-rebuild reference: every delta is past the size policy.
     let mut off = SystemConfig::paper_default(budgets());
-    off.ivm = false;
+    off.ivm_max_delta_frac = 0.0;
     let (mut sys_on, sums_on) = grow_and_fingerprint(&cfg, on, 3);
     let (mut sys_off, sums_off) = grow_and_fingerprint(&cfg, off, 3);
-    assert_eq!(sums_on, sums_off, "checksums diverge across the ivm toggle");
+    assert_eq!(
+        sums_on, sums_off,
+        "checksums diverge between fold and rebuild"
+    );
     // And the answers over the maintained views agree.
     let r_on = sys_on.run_workload(Variant::HvOp, &queries()).unwrap();
     let r_off = sys_off.run_workload(Variant::HvOp, &queries()).unwrap();
@@ -306,9 +310,9 @@ fn inlined(plan: &LogicalPlan, catalog: &ViewCatalog) -> Option<LogicalPlan> {
 /// after every batch, every view in the catalog — whatever query harvested
 /// it, float aggregates and views over views included — holds exactly the
 /// rows, by float bit pattern, and carries exactly the checksum of its
-/// definition run from scratch over the grown logs. Columnar on and off,
-/// one worker and eight: the first mode is checked against the recompute,
-/// the others must stamp every view, batch by batch, as the first did.
+/// definition run from scratch over the grown logs. One worker and eight:
+/// the first run is checked against the recompute, the second must stamp
+/// every view, batch by batch, as the first did.
 #[test]
 fn every_view_equals_a_from_scratch_recompute_after_every_batch() {
     let _globals = globals_lock();
@@ -333,11 +337,10 @@ fn every_view_equals_a_from_scratch_recompute_after_every_batch() {
         logs: logs.clone(),
     };
     let mut per_mode: Vec<Vec<(String, u64)>> = Vec::new();
-    for (threads, columnar) in [(1, false), (8, true), (8, false), (1, true)] {
+    for threads in [1, 8] {
         let first = per_mode.is_empty();
         pool::set_threads(threads);
         let mut config = SystemConfig::paper_default(budgets);
-        config.columnar = columnar;
         config.growth = Some(growth.clone());
         let (every, history_len) = (config.reorg_every, config.history_len);
         let mut sys = system_with(&corpus, config);
@@ -357,7 +360,7 @@ fn every_view_equals_a_from_scratch_recompute_after_every_batch() {
                     assert!(!reason.contains("float"), "{}: {reason}", d.view);
                 }
                 for def in sys.catalog.defs() {
-                    let what = format!("{} after batch {batch} ({threads}, {columnar})", def.name);
+                    let what = format!("{} after batch {batch} ({threads} threads)", def.name);
                     let stored = sys
                         .hv
                         .view_rows(&def.name)
@@ -403,6 +406,9 @@ fn every_view_equals_a_from_scratch_recompute_after_every_batch() {
     }
     pool::set_threads(0);
     for stamps in &per_mode[1..] {
-        assert_eq!(stamps, &per_mode[0], "maintained views depend on the mode");
+        assert_eq!(
+            stamps, &per_mode[0],
+            "maintained views depend on the pool width"
+        );
     }
 }

@@ -2,9 +2,9 @@
 //! value matrices, every `Value` variant included (NULLs, NaN, ±0.0,
 //! nested containers, type-clashing columns).
 //!
-//! Gated behind the `extern-deps` marker feature like the criterion
-//! benches: the sanctioned offline crate set has no `proptest`, so the
-//! default build compiles this file to nothing. Enable with
+//! Gated behind the `extern-deps` marker feature: the sanctioned offline
+//! crate set has no `proptest`, so the default build compiles this file
+//! to nothing. Enable with
 //! `cargo test -p miso-data --features extern-deps` after adding
 //! `proptest` as a local dev-dependency. The always-on unit tests in
 //! `src/batch.rs` cover the same property over a hand-built matrix.

@@ -6,7 +6,7 @@ use miso_common::ids::NodeId;
 use miso_common::{ByteSize, MisoError, Result, SimDuration};
 use miso_data::checksum::{checksum_rows, corrupt_first_row, Checksum};
 use miso_data::{ColBatch, Row, Schema};
-use miso_exec::engine::{execute_subset_guarded, DataSource, ExecOptions, Execution, Retention};
+use miso_exec::engine::{execute_subset_guarded, DataSource, Execution, Retention};
 use miso_exec::UdfRegistry;
 use miso_plan::estimate::MapStats;
 use miso_plan::{LogicalPlan, Operator};
@@ -321,10 +321,7 @@ impl DwStore {
             provided,
             self,
             udfs,
-            ExecOptions {
-                retain: Retention::ROOT_ONLY,
-                ..ExecOptions::default()
-            },
+            Retention::ROOT_ONLY,
             guard,
         )?;
         if hog_factor > 1.0 && guard.is_active() {

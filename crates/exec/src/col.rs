@@ -1,8 +1,8 @@
 //! Columnar (vectorized) execution support for the morsel engine.
 //!
-//! This module is the expression half of miso-col: a process-wide toggle
-//! ([`enabled`], `MISO_COL`), a vectorizability check over plan
-//! expressions, a morsel-at-a-time expression evaluator ([`eval_vec`])
+//! This module is the expression half of miso-col: a vectorizability
+//! check over plan expressions, a morsel-at-a-time expression evaluator
+//! ([`eval_vec`])
 //! that produces whole [`Column`] vectors instead of per-row [`Value`]s,
 //! and the fused scan+project line parser that turns raw JSON log lines
 //! straight into typed column vectors. The operator integration (columnar
@@ -26,29 +26,6 @@ use miso_common::{MisoError, Result};
 use miso_data::json::{parse_flat_line, parse_json, FlatVal};
 use miso_data::{Cell, ColBatch, ColBuilder, Column, DataType, Value};
 use miso_plan::{BinOp, Expr, UnaryOp};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static COLUMNAR: AtomicBool = AtomicBool::new(true);
-
-/// Whether the engine runs eligible operators column-at-a-time. One
-/// relaxed load; defaults to **on**.
-#[inline]
-pub fn enabled() -> bool {
-    COLUMNAR.load(Ordering::Relaxed)
-}
-
-/// Turns columnar execution on or off (process-wide).
-pub fn set_enabled(on: bool) {
-    COLUMNAR.store(on, Ordering::Relaxed);
-}
-
-/// Applies `MISO_COL` when set: `0`/`false`/empty disable, anything else
-/// enables. Absent leaves the compiled-in default (on).
-pub fn init_from_env() {
-    if let Ok(v) = std::env::var("MISO_COL") {
-        set_enabled(!matches!(v.as_str(), "" | "0" | "false"));
-    }
-}
 
 /// Can `eval_vec` evaluate this expression? Field access and builtin
 /// functions stay on the row path (they produce/consume nested JSON, where

@@ -189,30 +189,6 @@ impl Retention<'_> {
     pub const ROOT_ONLY: Retention<'static> = Retention::Only(&[]);
 }
 
-/// Execution knobs orthogonal to *what* is computed.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecOptions<'a> {
-    /// Which outputs to keep; see [`Retention`].
-    pub retain: Retention<'a>,
-    /// Run eligible operators column-at-a-time over [`ColBatch`]es (see
-    /// [`crate::col`]). Engages whenever `retain` is not [`Retention::All`]:
-    /// under full retention every node must end up as rows, so each would
-    /// pay a pivot and the row bodies are strictly cheaper. Kept nodes that
-    /// finish columnar are pivoted to rows once, when the execution
-    /// returns. Output is bit-identical either way; ineligible operators
-    /// fall back to rows per node.
-    pub columnar: bool,
-}
-
-impl Default for ExecOptions<'_> {
-    fn default() -> Self {
-        ExecOptions {
-            retain: Retention::All,
-            columnar: col::enabled(),
-        }
-    }
-}
-
 /// The result of executing (part of) a plan.
 #[derive(Debug, Clone)]
 pub struct Execution {
@@ -328,38 +304,36 @@ pub fn execute_subset(
     source: &dyn DataSource,
     udfs: &UdfRegistry,
 ) -> Result<Execution> {
-    execute_subset_opts(plan, subset, provided, source, udfs, ExecOptions::default())
-}
-
-/// [`execute_subset`] with explicit [`ExecOptions`].
-pub fn execute_subset_opts(
-    plan: &LogicalPlan,
-    subset: Option<&HashSet<NodeId>>,
-    provided: HashMap<NodeId, Arc<Vec<Row>>>,
-    source: &dyn DataSource,
-    udfs: &UdfRegistry,
-    opts: ExecOptions<'_>,
-) -> Result<Execution> {
     execute_subset_guarded(
         plan,
         subset,
         provided,
         source,
         udfs,
-        opts,
+        Retention::All,
         QueryGuard::inert_ref(),
     )
 }
 
-/// [`execute_subset_opts`] under a [`QueryGuard`]: the guard's cancellation
+/// [`execute_subset`] keeping only what `retain` names, under a
+/// [`QueryGuard`]: the guard's cancellation
 /// state is checked at every morsel-dispatch boundary (a serial point, so
 /// cancellation outcomes are thread-count-invariant), and the query's large
 /// allocations — node materialization buffers, join build tables, aggregate
 /// accumulator tables — are charged against the guard's memory budget.
 /// Charges are released as outputs are freed and fully unwound when the
-/// execution ends, success or failure. With the shared inert guard every
-/// check is one branch and no bytes are ever charged, so the guarded path
-/// costs nothing when guards are off.
+/// execution ends, success or failure. With the shared inert guard
+/// ([`QueryGuard::inert_ref`]) every check is one branch and no bytes are
+/// ever charged, so an unguarded caller pays nothing for the parameter.
+///
+/// Under [`Retention::Only`] eligible operators run column-at-a-time over
+/// [`ColBatch`]es (see [`crate::col`]); an operator the columnar path
+/// declines — a `FieldGet`/`Func` expression, a join, a sort, an unfused
+/// scan — runs its row body, and kept nodes that finish columnar are pivoted
+/// to rows once, when the execution returns. Under [`Retention::All`] every
+/// node must end up as rows, so each would pay a pivot and the row bodies
+/// are strictly cheaper: every operator runs its row body. Output is
+/// bit-identical either way.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_subset_guarded(
     plan: &LogicalPlan,
@@ -367,17 +341,18 @@ pub fn execute_subset_guarded(
     provided: HashMap<NodeId, Arc<Vec<Row>>>,
     source: &dyn DataSource,
     udfs: &UdfRegistry,
-    opts: ExecOptions<'_>,
+    retain: Retention<'_>,
     guard: &QueryGuard,
 ) -> Result<Execution> {
     let root = plan.root();
     // Keep-sets are a handful of ids: a slice scan beats building a set.
-    let kept = |id: NodeId| match opts.retain {
+    let kept = |id: NodeId| match retain {
         Retention::All => true,
         Retention::Only(ids) => id == root || ids.contains(&id),
     };
-    // Whether anything may be released at all.
-    let lean = !matches!(opts.retain, Retention::All);
+    // Whether anything may be released at all — and with it, whether the
+    // columnar bodies run.
+    let lean = !matches!(retain, Retention::All);
     let mut outputs: HashMap<NodeId, Arc<Vec<Row>>> = HashMap::with_capacity(plan.len());
     let mut rows_out: HashMap<NodeId, u64> = HashMap::with_capacity(plan.len());
     for (id, rows) in provided {
@@ -410,9 +385,6 @@ pub fn execute_subset_guarded(
         profiles.reserve(plan.len());
         profile::take_dispatch();
     }
-    // Columnar execution engages only when retention is not "all" (see
-    // [`ExecOptions::columnar`]).
-    let columnar = opts.columnar && lean;
     // Columnar node outputs, kept beside `outputs`. A node normally lives
     // in exactly one map (zero-copy view scans may publish both
     // representations); whatever survives to the end is pivoted to rows.
@@ -428,7 +400,7 @@ pub fn execute_subset_guarded(
     // `ScanView` — it charges nothing, and its consumer charges its output.
     // Maps scan → (consumer, the fields it reads).
     let mut fused: HashMap<NodeId, (NodeId, Vec<FusedField<'_>>)> = HashMap::new();
-    if columnar && !profiling {
+    if lean && !profiling {
         let executes =
             |id: NodeId| subset.is_none_or(|s| s.contains(&id)) && !rows_out.contains_key(&id);
         for node in plan.nodes() {
@@ -485,7 +457,7 @@ pub fn execute_subset_guarded(
                 // Publish the columnar twin alongside the zero-copy rows:
                 // column-eligible consumers pick up the batch, row-wise
                 // ones (joins) keep the free Arc handle.
-                let cols = columnar.then(|| source.view_cols_shared(view)).flatten();
+                let cols = lean.then(|| source.view_cols_shared(view)).flatten();
                 (rows, 0, cols)
             }),
             Operator::ScanLog { log } if !fused.contains_key(&node.id) => source
@@ -551,7 +523,7 @@ pub fn execute_subset_guarded(
         let produced: Produced = match &node.op {
             Operator::ScanLog { log } => {
                 let lines = source.log_lines(log)?;
-                if columnar {
+                if lean {
                     // A log scan that could not fuse materializes rows.
                     miso_obs::count("exec.col_fallback_rows", lines.len() as u64);
                 }
@@ -582,7 +554,7 @@ pub fn execute_subset_guarded(
             }
             Operator::Filter { predicate } => {
                 let input_id = node.inputs[0];
-                let col_input = if columnar && col::vectorizable(predicate) {
+                let col_input = if lean && col::vectorizable(predicate) {
                     ensure_cols(&outputs, &mut col_outputs, input_id);
                     col_outputs.get(&input_id).cloned()
                 } else {
@@ -607,7 +579,7 @@ pub fn execute_subset_guarded(
                         Produced::Cols(batch.gather(&sel))
                     }
                 } else {
-                    note_col_fallback(columnar, &rows_out, input_id);
+                    note_col_fallback(lean, &rows_out, input_id);
                     ensure_rows(&mut outputs, &mut col_outputs, &pending, input_id, &kept);
                     match take_input(&mut outputs, &pending, node, 0, &kept)? {
                         TakenInput::Owned(mut vec) => {
@@ -648,7 +620,7 @@ pub fn execute_subset_guarded(
             }
             Operator::Project { exprs } => {
                 let input_id = node.inputs[0];
-                let col_input = if columnar && exprs.iter().all(|(_, e)| col::vectorizable(e)) {
+                let col_input = if lean && exprs.iter().all(|(_, e)| col::vectorizable(e)) {
                     ensure_cols(&outputs, &mut col_outputs, input_id);
                     col_outputs.get(&input_id).cloned()
                 } else {
@@ -672,7 +644,7 @@ pub fn execute_subset_guarded(
                         })?;
                     Produced::Cols(ColBatch::concat(collect_ok(parts)?))
                 } else {
-                    note_col_fallback(columnar, &rows_out, input_id);
+                    note_col_fallback(lean, &rows_out, input_id);
                     ensure_rows(&mut outputs, &mut col_outputs, &pending, input_id, &kept);
                     let input = input_of(&outputs, plan, node.id, 0)?;
                     let parts = par_chunks(guard, input, |_, chunk| -> Result<Vec<Row>> {
@@ -719,7 +691,7 @@ pub fn execute_subset_guarded(
                 let shape_ok = aggs
                     .iter()
                     .all(|a| matches!(&a.input, None | Some(miso_plan::Expr::Column(_))));
-                let col_input = if columnar && shape_ok {
+                let col_input = if lean && shape_ok {
                     ensure_cols(&outputs, &mut col_outputs, input_id);
                     col_outputs.get(&input_id).cloned().filter(|b| {
                         group_by.iter().all(|&g| g < b.arity())
@@ -748,7 +720,7 @@ pub fn execute_subset_guarded(
                         guard,
                     )?)
                 } else {
-                    note_col_fallback(columnar, &rows_out, input_id);
+                    note_col_fallback(lean, &rows_out, input_id);
                     ensure_rows(&mut outputs, &mut col_outputs, &pending, input_id, &kept);
                     let input = input_of(&outputs, plan, node.id, 0)?;
                     Produced::Rows(aggregate(input, group_by, aggs, guard)?)
@@ -832,10 +804,7 @@ pub fn execute_subset_guarded(
             }
             Operator::Limit { n } => {
                 let input_id = node.inputs[0];
-                if let Some(batch) = columnar
-                    .then(|| col_outputs.get(&input_id).cloned())
-                    .flatten()
-                {
+                if let Some(batch) = col_outputs.get(&input_id).cloned() {
                     miso_obs::count("exec.col_batches", batch.len().div_ceil(MORSEL_SIZE) as u64);
                     Produced::Cols(batch.head(*n as usize))
                 } else {
@@ -949,10 +918,10 @@ impl Produced {
     }
 }
 
-/// Counts a columnar-mode operator that ran its row path anyway, charging
-/// the input's row count to the `exec.col_fallback_rows` counter.
-fn note_col_fallback(columnar: bool, rows_out: &HashMap<NodeId, u64>, input: NodeId) {
-    if columnar {
+/// Counts an operator of a lean run that ran its row body, charging the
+/// input's row count to the `exec.col_fallback_rows` counter.
+fn note_col_fallback(lean: bool, rows_out: &HashMap<NodeId, u64>, input: NodeId) {
+    if lean {
         if let Some(&n) = rows_out.get(&input) {
             miso_obs::count("exec.col_fallback_rows", n);
         }
@@ -2329,18 +2298,7 @@ mod tests {
         let (plan, src) = steal_pipeline();
         let udfs = UdfRegistry::new();
         let full = execute(&plan, &src, &udfs).unwrap();
-        let lean = execute_subset_opts(
-            &plan,
-            None,
-            HashMap::new(),
-            &src,
-            &udfs,
-            ExecOptions {
-                retain: Retention::ROOT_ONLY,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+        let lean = run_lean(&plan, &src, &[]);
         assert_eq!(lean.root_rows().unwrap(), full.root_rows().unwrap());
         // Intermediates were released but their row counts survive.
         assert!(lean.try_output(NodeId(0)).is_none());
@@ -2355,7 +2313,7 @@ mod tests {
     #[test]
     fn retained_output_errors_on_a_released_node() {
         let (plan, src) = steal_pipeline();
-        let lean = run_opts(&plan, &src, lean(false));
+        let lean = run_lean(&plan, &src, &[]);
         assert_eq!(
             lean.retained_output(plan.root()).unwrap().as_slice(),
             lean.root_rows().unwrap()
@@ -2384,16 +2342,19 @@ mod tests {
         pool::set_threads(before);
     }
 
-    /// Root-only retention with `columnar` explicitly set.
-    fn lean(columnar: bool) -> ExecOptions<'static> {
-        ExecOptions {
-            retain: Retention::ROOT_ONLY,
-            columnar,
-        }
-    }
-
-    fn run_opts(plan: &LogicalPlan, src: &MemSource, opts: ExecOptions<'_>) -> Execution {
-        execute_subset_opts(plan, None, HashMap::new(), src, &UdfRegistry::new(), opts).unwrap()
+    /// The whole plan keeping only `keep` and the root: the columnar bodies
+    /// run wherever they accept the operator.
+    fn run_lean(plan: &LogicalPlan, src: &MemSource, keep: &[NodeId]) -> Execution {
+        execute_subset_guarded(
+            plan,
+            None,
+            HashMap::new(),
+            src,
+            &UdfRegistry::new(),
+            Retention::Only(keep),
+            QueryGuard::inert_ref(),
+        )
+        .unwrap()
     }
 
     /// A multi-morsel log pipeline that hits every columnar operator body:
@@ -2480,8 +2441,8 @@ mod tests {
         let before = pool::threads();
         for t in [1, 8] {
             pool::set_threads(t);
-            let col = run_opts(&plan, &src, lean(true));
-            let row = run_opts(&plan, &src, lean(false));
+            let col = run_lean(&plan, &src, &[]);
+            let row = execute(&plan, &src, &udfs).unwrap();
             assert_eq!(
                 col.root_rows().unwrap(),
                 serial.root_rows().unwrap(),
@@ -2512,7 +2473,7 @@ mod tests {
         let mut reference: Option<Vec<Row>> = None;
         for t in [1, 2, 8] {
             pool::set_threads(t);
-            let exec = run_opts(&plan, &src, lean(true));
+            let exec = run_lean(&plan, &src, &[]);
             let rows = exec.root_rows().unwrap().to_vec();
             match &reference {
                 None => reference = Some(rows),
@@ -2522,18 +2483,7 @@ mod tests {
         pool::set_threads(before);
     }
 
-    /// View scans publish a columnar twin beside the zero-copy rows; the
-    /// filter consumes the batch while sort/limit pivot back — the whole
-    /// steal pipeline must agree with its row-mode run.
-    #[test]
-    fn columnar_view_scan_matches_row_path() {
-        let (plan, src) = steal_pipeline();
-        let col = run_opts(&plan, &src, lean(true));
-        let row = run_opts(&plan, &src, lean(false));
-        assert_eq!(col.root_rows().unwrap(), row.root_rows().unwrap());
-    }
-
-    /// Joins stay row-wise: with columnar on, the join's view inputs use the
+    /// Joins stay row-wise: in a lean run the join's view inputs use the
     /// zero-copy row handles; the downstream aggregate pivots the joined
     /// rows to a batch on demand (`ensure_cols`) and must still agree with
     /// the row path.
@@ -2594,8 +2544,8 @@ mod tests {
             )
             .unwrap();
         let plan = b.finish(agg).unwrap();
-        let col = run_opts(&plan, &src, lean(true));
-        let row = run_opts(&plan, &src, lean(false));
+        let col = run_lean(&plan, &src, &[]);
+        let row = execute(&plan, &src, &UdfRegistry::new()).unwrap();
         assert_eq!(col.root_rows().unwrap(), row.root_rows().unwrap());
     }
 
@@ -2675,21 +2625,120 @@ mod tests {
         let provided: HashMap<NodeId, Arc<Vec<Row>>> =
             [(scan, full.output(scan).clone())].into_iter().collect();
         let dw_set: HashSet<NodeId> = [filter, proj, agg].into_iter().collect();
-        for columnar in [true, false] {
-            let dw = execute_subset_opts(
+        let dw = execute_subset_guarded(
+            &plan,
+            Some(&dw_set),
+            provided,
+            &src,
+            &udfs,
+            Retention::ROOT_ONLY,
+            QueryGuard::inert_ref(),
+        )
+        .unwrap();
+        assert_eq!(dw.root_rows().unwrap(), full.root_rows().unwrap());
+    }
+    /// Every row body a lean run can still reach, reached through an input
+    /// the columnar path declines: an unfused scan (kept, so it may not
+    /// fuse), a `FieldGet` filter over it (shared input) and over an unkept
+    /// scan (stolen input), a `Func` projection, an aggregate over an
+    /// expression, a UDF that declares no fields, a join, and sort → limit.
+    /// Each agrees with the serial oracle node by node at 1 and 8 threads.
+    #[test]
+    fn lean_runs_reach_every_row_body_the_columnar_path_declines() {
+        let (_, src) = columnar_pipeline();
+        let mut udfs = UdfRegistry::new();
+        udfs.register(Udf::new(
+            "city_of",
+            Schema::new(vec![Field::new("city", DataType::Str)]),
+            Arc::new(|row: &Row| {
+                let city = row.get(0).get_field("city").and_then(Value::as_str);
+                Ok(vec![Row::new(vec![Value::str(
+                    city.unwrap_or_default().to_uppercase(),
+                )])])
+            }),
+        ));
+        let by_city = Expr::col(0)
+            .get("city")
+            .cast(DataType::Str)
+            .eq(Expr::lit("c3"));
+        let upper = Expr::Func {
+            name: "upper".into(),
+            args: vec![Expr::col(0).get("city").cast(DataType::Str)],
+        };
+        let plus_one = Expr::Binary {
+            op: miso_plan::BinOp::Add,
+            left: Box::new(Expr::col(1)),
+            right: Box::new(Expr::lit(1i64)),
+        };
+        assert!(!col::vectorizable(&by_city) && !col::vectorizable(&upper));
+
+        let mut b = PlanBuilder::new();
+        let mut add = |op, inputs| b.add(op, inputs).unwrap();
+        let scan_log = || Operator::ScanLog {
+            log: "events".into(),
+        };
+        let filter = |predicate| Operator::Filter { predicate };
+        let kept_scan = add(scan_log(), vec![]);
+        let shared_filter = add(filter(by_city.clone()), vec![kept_scan]);
+        let proj = add(
+            Operator::Project {
+                exprs: vec![
+                    ("city".into(), upper),
+                    ("uid".into(), Expr::col(0).get("uid").cast(DataType::Int)),
+                ],
+            },
+            vec![shared_filter],
+        );
+        let agg = add(
+            Operator::Aggregate {
+                group_by: vec![0],
+                aggs: vec![AggExpr::new(AggFunc::Sum, Some(plus_one), "s")],
+            },
+            vec![proj],
+        );
+        let free_scan = add(scan_log(), vec![]);
+        let stolen_filter = add(filter(by_city), vec![free_scan]);
+        let udf = add(
+            Operator::Udf {
+                name: "city_of".into(),
+                output: Schema::new(vec![Field::new("city", DataType::Str)]),
+            },
+            vec![stolen_filter],
+        );
+        let join = add(Operator::Join { on: vec![(0, 0)] }, vec![udf, agg]);
+        let keys = vec![(2, true)];
+        let sort = add(Operator::Sort { keys }, vec![join]);
+        let limit = add(Operator::Limit { n: 50 }, vec![sort]);
+        let plan = b.finish(limit).unwrap();
+
+        let serial = crate::serial::execute_serial(&plan, &src, &udfs).unwrap();
+        assert!(!serial.root_rows().unwrap().is_empty());
+        let keep = [kept_scan, proj];
+        let before = pool::threads();
+        for t in [1, 8] {
+            pool::set_threads(t);
+            let lean = execute_subset_guarded(
                 &plan,
-                Some(&dw_set),
-                provided.clone(),
+                None,
+                HashMap::new(),
                 &src,
                 &udfs,
-                lean(columnar),
+                Retention::Only(&keep),
+                QueryGuard::inert_ref(),
             )
             .unwrap();
-            assert_eq!(
-                dw.root_rows().unwrap(),
-                full.root_rows().unwrap(),
-                "columnar={columnar}"
-            );
+            assert_eq!(lean.root_rows().unwrap(), serial.root_rows().unwrap());
+            assert_eq!(lean.skipped_lines, serial.skipped_lines);
+            for id in keep {
+                assert_eq!(lean.output(id), serial.output(id), "kept node {id}");
+            }
+            for id in serial.executed_nodes() {
+                assert_eq!(lean.rows_out(id), serial.rows_out(id), "node {id}");
+            }
+            // What was not kept went to its last consumer.
+            assert!(lean.try_output(free_scan).is_none());
+            assert!(lean.try_output(sort).is_none());
         }
+        pool::set_threads(before);
     }
 }

@@ -250,9 +250,9 @@ pub fn apply_projection(layers: &[Vec<(String, Expr)>], row: &Row) -> Result<Row
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{execute_subset_opts, ExecOptions, MemSource, Retention};
+    use crate::engine::{execute_subset_guarded, MemSource, Retention};
     use crate::udf::UdfRegistry;
-    use miso_common::{pool, rng::DetRng};
+    use miso_common::{guard::QueryGuard, pool, rng::DetRng};
     use miso_data::{DataType, Field, Schema};
     use miso_plan::{LogicalPlan, Operator, PlanBuilder};
     use std::collections::HashMap;
@@ -318,13 +318,13 @@ mod tests {
     }
 
     /// The aggregate the engine computes over `input`, through a plan:
-    /// the row body under full retention, the columnar body (a view scan
-    /// hands it a batch) when lean.
+    /// the row body under [`Retention::All`], the columnar body (a view
+    /// scan hands it a batch) under [`Retention::ROOT_ONLY`].
     fn engine_aggregate(
         input: &[Row],
         group_by: &[usize],
         aggs: &[AggExpr],
-        columnar: bool,
+        retain: Retention<'_>,
     ) -> Vec<Row> {
         let mut src = MemSource::new();
         src.add_view("input", input.to_vec());
@@ -354,19 +354,19 @@ mod tests {
             )
             .unwrap();
         let plan: LogicalPlan = b.finish(agg).unwrap();
-        let opts = ExecOptions {
-            retain: if columnar {
-                Retention::ROOT_ONLY
-            } else {
-                Retention::All
-            },
-            columnar,
-        };
-        execute_subset_opts(&plan, None, HashMap::new(), &src, &UdfRegistry::new(), opts)
-            .unwrap()
-            .root_rows()
-            .unwrap()
-            .to_vec()
+        execute_subset_guarded(
+            &plan,
+            None,
+            HashMap::new(),
+            &src,
+            &UdfRegistry::new(),
+            retain,
+            QueryGuard::inert_ref(),
+        )
+        .unwrap()
+        .root_rows()
+        .unwrap()
+        .to_vec()
     }
 
     /// Rows as text with floats by bit pattern: `Value` equality folds NaNs
@@ -450,14 +450,19 @@ mod tests {
                             state.apply(&all[end..end + n], &group_by, &aggs).unwrap(),
                         );
                         end += n;
-                        for (threads, columnar) in [(1, false), (8, true), (8, false), (1, true)] {
+                        for (threads, retain) in [
+                            (1, Retention::All),
+                            (8, Retention::ROOT_ONLY),
+                            (8, Retention::All),
+                            (1, Retention::ROOT_ONLY),
+                        ] {
                             pool::set_threads(threads);
-                            let want = engine_aggregate(&all[..end], &group_by, &aggs, columnar);
+                            let want = engine_aggregate(&all[..end], &group_by, &aggs, retain);
                             assert_eq!(
                                 bits(&view),
                                 bits(&want),
                                 "base {base}, grown to {end}, keys {group_by:?}, \
-                                 late_float {late_float}, threads {threads}, columnar {columnar}"
+                                 late_float {late_float}, threads {threads}, {retain:?}"
                             );
                         }
                     }

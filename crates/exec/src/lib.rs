@@ -10,9 +10,9 @@
 //!   NULL-tolerant operators, scalar builtins);
 //! * [`udf`] — the user-defined-function registry (UDFs are the operators
 //!   that pin plan subtrees to HV);
-//! * [`col`] — columnar (vectorized) execution support: the `MISO_COL`
-//!   toggle, the morsel-at-a-time expression evaluator over
-//!   [`miso_data::ColBatch`], and the fused scan+project line parser;
+//! * [`col`] — columnar (vectorized) execution support: the
+//!   morsel-at-a-time expression evaluator over [`miso_data::ColBatch`]
+//!   and the fused scan+project line parser;
 //! * [`engine`] — the morsel-parallel operator interpreter (miso-vex):
 //!   executes a plan DAG over a [`engine::DataSource`], keeping every
 //!   node's output unless the caller names the set it will read
@@ -31,18 +31,16 @@ pub mod udf;
 
 pub use col::FusedField;
 pub use engine::{
-    execute_subset_guarded, DataSource, ExecOptions, Execution, LogColumns, MemSource, Retention,
-    MORSEL_SIZE,
+    execute_subset_guarded, DataSource, Execution, LogColumns, MemSource, Retention, MORSEL_SIZE,
 };
 pub use ivm::{apply_projection, AggApplied, AggState};
 pub use profile::OpProfile;
 pub use serial::execute_serial;
 pub use udf::{Udf, UdfRegistry};
 
-/// Operator internals exposed for the in-repo micro-benchmarks only; not a
+/// Operator internals exposed for the gated property tests only; not a
 /// stable API.
 #[doc(hidden)]
 pub mod bench_hooks {
     pub use crate::engine::hash_join as hash_join_vex;
-    pub use crate::serial::hash_join_serial;
 }

@@ -28,11 +28,9 @@ pub fn set_enabled(on: bool) {
     PROFILING.store(on, Ordering::Relaxed);
 }
 
-/// Enables profiling when `MISO_XRAY` is set to anything but `0`/`false`.
+/// Sets profiling from the `MISO_XRAY` flag ([`miso_common::env::flag`]).
 pub fn init_from_env() {
-    if let Ok(v) = std::env::var("MISO_XRAY") {
-        set_enabled(!matches!(v.as_str(), "" | "0" | "false"));
-    }
+    set_enabled(miso_common::env::flag("MISO_XRAY"));
 }
 
 /// What one operator did during one execution.

@@ -7,9 +7,9 @@
 //! per-record plans and hash joins over a fixed build side emit
 //! `f(base) ++ f(delta)` for `f(base ++ delta)`.
 //!
-//! Gated behind the `extern-deps` marker feature like the criterion
-//! benches: the sanctioned offline crate set has no `proptest`, so the
-//! default build compiles this file to nothing. Enable with
+//! Gated behind the `extern-deps` marker feature: the sanctioned offline
+//! crate set has no `proptest`, so the default build compiles this file
+//! to nothing. Enable with
 //! `cargo test -p miso-exec --features extern-deps` after adding
 //! `proptest` as a local dev-dependency. The always-on unit tests in
 //! `src/ivm.rs` cover the same properties over hand-built splits.

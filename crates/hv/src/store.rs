@@ -10,9 +10,7 @@ use miso_data::json::parse_json;
 use miso_data::logs::LogFile;
 use miso_data::{ColBatch, Column, DataType, Row, Schema};
 use miso_exec::col::parse_log_columns;
-use miso_exec::engine::{
-    execute_subset_guarded, DataSource, ExecOptions, Execution, LogColumns, Retention,
-};
+use miso_exec::engine::{execute_subset_guarded, DataSource, Execution, LogColumns, Retention};
 use miso_exec::{FusedField, UdfRegistry};
 use miso_plan::estimate::MapStats;
 use miso_plan::{LogicalPlan, Operator};
@@ -556,10 +554,7 @@ impl HvStore {
             HashMap::new(),
             self,
             udfs,
-            ExecOptions {
-                retain: Retention::Only(&keep),
-                ..ExecOptions::default()
-            },
+            Retention::Only(&keep),
             guard,
         )?;
         let mut cost = SimDuration::ZERO;

@@ -147,7 +147,7 @@ pub fn init(config: ObsConfig) {
 /// first thing in `main`.
 pub fn init_from_env() -> bool {
     let trace = std::env::var_os("MISO_TRACE");
-    let obs_on = std::env::var_os("MISO_OBS").is_some_and(|v| v != *"0");
+    let obs_on = miso_common::env::flag("MISO_OBS");
     if trace.is_none() && !obs_on {
         return false;
     }

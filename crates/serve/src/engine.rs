@@ -211,6 +211,103 @@ enum Outcome {
     },
 }
 
+impl Outcome {
+    fn loss(kind: &'static str, message: String, guard_kill: bool) -> Outcome {
+        Outcome::Loss {
+            kind,
+            message,
+            guard_kill,
+            drained: false,
+        }
+    }
+}
+
+/// What running out of transient retries means for a phase.
+#[derive(Clone, Copy)]
+enum Exhausted {
+    /// The query is lost.
+    Lose,
+    /// The query re-runs HV-only.
+    FallBack,
+}
+
+/// The chaos/guard envelope around one dispatched query's phases.
+struct Envelope<'a> {
+    guard: &'a QueryGuard,
+    retry: &'a miso_common::RetryPolicy,
+    rng: &'a mut DetRng,
+    /// Service time the query has cost so far.
+    service: SimDuration,
+}
+
+impl Envelope<'_> {
+    /// Hits `point` until the phase goes through, adding what that cost to
+    /// `service`: the phase itself (stretched by a delay or stall), retry
+    /// backoffs, and — a ship checksums its payload — every ship that
+    /// arrived corrupt. A hog transiently charges `(f − 1) × hog_bytes` to
+    /// the guard. `Ok(false)` is retries run out where that means
+    /// [`Exhausted::FallBack`]; `Err` is the loss that ends the query.
+    fn phase(
+        &mut self,
+        point: &'static str,
+        cost: SimDuration,
+        hog_bytes: u64,
+        exhausted: Exhausted,
+    ) -> Result<bool, Outcome> {
+        use miso_chaos::Action;
+        let ship = point == "transfer.ship";
+        let mut tries = 0u32;
+        loop {
+            let paid = match miso_chaos::hit(point) {
+                Action::Proceed => cost,
+                Action::Corrupt if !ship => cost,
+                Action::Delay(f) => cost * f,
+                Action::Stall => cost * miso_chaos::STALL_FACTOR,
+                Action::Hog(f) => {
+                    let extra = ((f - 1.0).max(0.0) * hog_bytes as f64) as u64;
+                    if let Err(e) = self.guard.try_charge(extra) {
+                        return Err(Outcome::loss(e.kind(), e.to_string(), true));
+                    }
+                    self.guard.release(extra);
+                    cost
+                }
+                Action::Crash => {
+                    let message = format!("injected crash at {point}");
+                    return Err(Outcome::loss("crash", message, false));
+                }
+                again @ (Action::Fail | Action::Corrupt) => {
+                    // A corrupt ship was paid for; it fails verification
+                    // and is re-shipped at once. A failure backs off.
+                    let corrupt = matches!(again, Action::Corrupt);
+                    if corrupt {
+                        miso_obs::count("integrity.checksum_failures", 1);
+                        self.service += cost;
+                    }
+                    if tries >= self.retry.max_retries {
+                        return match exhausted {
+                            Exhausted::FallBack => Ok(false),
+                            Exhausted::Lose => {
+                                let message = format!("{point} retries exhausted");
+                                Err(Outcome::loss("transient", message, false))
+                            }
+                        };
+                    }
+                    tries += 1;
+                    if corrupt {
+                        miso_obs::count("transfer.reshipped", 1);
+                    } else {
+                        self.service += self.retry.backoff(tries, self.rng);
+                        miso_obs::count("store.retries", 1);
+                    }
+                    continue;
+                }
+            };
+            self.service += paid;
+            return Ok(true);
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Inflight {
     req: QueryReq,
@@ -525,20 +622,16 @@ impl ServeEngine {
             0
         };
         let guard = QueryGuard::new(deadline, budget);
-        let retry = self.cfg.retry.clone();
-        let mut service = SimDuration::ZERO;
+        let mut env = Envelope {
+            guard: &guard,
+            retry: &self.cfg.retry,
+            rng: &mut self.backoff_rng,
+            service: SimDuration::ZERO,
+        };
 
         macro_rules! loss {
             ($kind:expr, $msg:expr, $guard_kill:expr) => {
-                return (
-                    now + service,
-                    Outcome::Loss {
-                        kind: $kind,
-                        message: $msg,
-                        guard_kill: $guard_kill,
-                        drained: false,
-                    },
-                )
+                return (now + env.service, Outcome::loss($kind, $msg, $guard_kill))
             };
         }
 
@@ -550,44 +643,10 @@ impl ServeEngine {
             loss!(e.kind(), e.to_string(), true);
         }
 
-        // HV phase.
         if base.hv_cost > SimDuration::ZERO {
-            let mut attempt = 0u32;
-            loop {
-                match miso_chaos::hit("hv.execute") {
-                    miso_chaos::Action::Proceed | miso_chaos::Action::Corrupt => {
-                        service += base.hv_cost;
-                        break;
-                    }
-                    miso_chaos::Action::Fail => {
-                        if attempt >= retry.max_retries {
-                            loss!("transient", "HV retries exhausted".to_string(), false);
-                        }
-                        attempt += 1;
-                        service += retry.backoff(attempt, &mut self.backoff_rng);
-                        miso_obs::count("store.retries", 1);
-                    }
-                    miso_chaos::Action::Crash => {
-                        loss!("crash", "injected crash at hv.execute".to_string(), false)
-                    }
-                    miso_chaos::Action::Delay(f) => {
-                        service += base.hv_cost * f;
-                        break;
-                    }
-                    miso_chaos::Action::Stall => {
-                        service += base.hv_cost * miso_chaos::STALL_FACTOR;
-                        break;
-                    }
-                    miso_chaos::Action::Hog(f) => {
-                        let extra = ((f - 1.0).max(0.0) * base.charged_bytes as f64) as u64;
-                        if let Err(e) = guard.try_charge(extra) {
-                            loss!(e.kind(), e.to_string(), true);
-                        }
-                        guard.release(extra);
-                        service += base.hv_cost;
-                        break;
-                    }
-                }
+            let hog = base.charged_bytes;
+            if let Err(lost) = env.phase("hv.execute", base.hv_cost, hog, Exhausted::Lose) {
+                return (now + env.service, lost);
             }
         }
 
@@ -608,7 +667,7 @@ impl ServeEngine {
                     corrupted.push(view.clone());
                 }
                 miso_chaos::Action::Fail => {
-                    service += retry.backoff(1, &mut self.backoff_rng);
+                    env.service += env.retry.backoff(1, env.rng);
                     miso_obs::count("store.retries", 1);
                 }
                 miso_chaos::Action::Crash => {
@@ -623,7 +682,7 @@ impl ServeEngine {
             match self.exec.run(&snap, label, raw, &self.banned, false) {
                 Ok(b) => {
                     // The original (partial) work plus the full re-plan.
-                    service += b.service();
+                    env.service += b.service();
                     base = b;
                 }
                 Err(e) => loss!(e.kind(), e.to_string(), false),
@@ -631,94 +690,21 @@ impl ServeEngine {
         }
 
         // Transfer + DW phase; transient exhaustion degrades to HV-only.
+        let ships = base.cut_costs.iter().map(|cut| ("transfer.ship", *cut, 0));
+        let dw = (base.dw_cost > SimDuration::ZERO).then_some((
+            "dw.execute",
+            base.dw_cost,
+            base.charged_bytes,
+        ));
         let mut fell_back = false;
-        'split: {
-            for (i, cut_cost) in base.cut_costs.iter().enumerate() {
-                let mut tries = 0u32;
-                loop {
-                    match miso_chaos::hit("transfer.ship") {
-                        miso_chaos::Action::Proceed => {
-                            service += *cut_cost;
-                            break;
-                        }
-                        miso_chaos::Action::Fail => {
-                            if tries >= retry.max_retries {
-                                fell_back = true;
-                                break 'split;
-                            }
-                            tries += 1;
-                            service += retry.backoff(tries, &mut self.backoff_rng);
-                            miso_obs::count("store.retries", 1);
-                        }
-                        miso_chaos::Action::Corrupt => {
-                            // The corrupted ship was paid for; verify fails
-                            // and the working set is re-shipped.
-                            miso_obs::count("integrity.checksum_failures", 1);
-                            service += *cut_cost;
-                            if tries >= retry.max_retries {
-                                fell_back = true;
-                                break 'split;
-                            }
-                            tries += 1;
-                            miso_obs::count("transfer.reshipped", 1);
-                        }
-                        miso_chaos::Action::Crash => {
-                            loss!("crash", format!("injected crash shipping cut {i}"), false)
-                        }
-                        miso_chaos::Action::Delay(f) => {
-                            service += *cut_cost * f;
-                            break;
-                        }
-                        miso_chaos::Action::Stall => {
-                            service += *cut_cost * miso_chaos::STALL_FACTOR;
-                            break;
-                        }
-                        miso_chaos::Action::Hog(_) => {
-                            service += *cut_cost;
-                            break;
-                        }
-                    }
+        for (point, cost, hog) in ships.chain(dw) {
+            match env.phase(point, cost, hog, Exhausted::FallBack) {
+                Ok(true) => {}
+                Ok(false) => {
+                    fell_back = true;
+                    break;
                 }
-            }
-            if base.dw_cost > SimDuration::ZERO {
-                let mut attempt = 0u32;
-                loop {
-                    match miso_chaos::hit("dw.execute") {
-                        miso_chaos::Action::Proceed | miso_chaos::Action::Corrupt => {
-                            service += base.dw_cost;
-                            break;
-                        }
-                        miso_chaos::Action::Fail => {
-                            if attempt >= retry.max_retries {
-                                fell_back = true;
-                                break 'split;
-                            }
-                            attempt += 1;
-                            service += retry.backoff(attempt, &mut self.backoff_rng);
-                            miso_obs::count("store.retries", 1);
-                        }
-                        miso_chaos::Action::Crash => {
-                            loss!("crash", "injected crash at dw.execute".to_string(), false)
-                        }
-                        miso_chaos::Action::Delay(f) => {
-                            service += base.dw_cost * f;
-                            break;
-                        }
-                        miso_chaos::Action::Stall => {
-                            service += base.dw_cost * miso_chaos::STALL_FACTOR;
-                            break;
-                        }
-                        miso_chaos::Action::Hog(f) => {
-                            let extra = ((f - 1.0).max(0.0) * base.charged_bytes as f64) as u64;
-                            if let Err(e) = guard.try_charge(extra) {
-                                loss!(e.kind(), e.to_string(), true);
-                            }
-                            guard.release(extra);
-                            service += base.dw_cost;
-                            break;
-                        }
-                    }
-                }
+                Err(lost) => return (now + env.service, lost),
             }
         }
         if fell_back {
@@ -728,12 +714,13 @@ impl ServeEngine {
             self.hv_fallbacks += 1;
             match self.exec.run(&snap, label, raw, &self.banned, true) {
                 Ok(b) => {
-                    service += b.service();
+                    env.service += b.service();
                     base = b;
                 }
                 Err(e) => loss!(e.kind(), e.to_string(), false),
             }
         }
+        let service = env.service;
 
         // Deadline gate: the query finishes (and frees its worker) exactly
         // at its deadline instant if the envelope pushed it past.

@@ -29,7 +29,6 @@ use miso_data::{checksum_rows, Checksum, Row, Schema};
 use miso_exec::UdfRegistry;
 use miso_optimizer::optimize::OptimizerEnv;
 use miso_optimizer::{optimize, Design};
-use miso_plan::estimate::MapStats;
 use miso_plan::fingerprint::{fingerprint_all, fnv1a_str, fnv1a_words};
 use miso_plan::LogicalPlan;
 use miso_views::ViewDef;
@@ -152,16 +151,7 @@ impl SnapExecutor {
                 snap.dw.view_names().into_iter().filter(usable).collect()
             },
         };
-        let mut stats = MapStats::new();
-        snap.hv.fill_stats(&mut stats);
-        snap.dw.fill_stats(&mut stats);
-        for def in snap.catalog.defs() {
-            stats.set_view(
-                def.name.clone(),
-                def.rows as f64,
-                def.size.as_bytes() as f64,
-            );
-        }
+        let stats = miso_core::system::map_stats(&snap.hv, &snap.dw, &snap.catalog);
         let planned = {
             let env = OptimizerEnv {
                 stats: &stats,

@@ -169,8 +169,6 @@ pub enum FullReason {
     StateCold,
     /// Stored maintenance state disagrees with the catalog checksum.
     StateStale,
-    /// Incremental maintenance is switched off (`MISO_IVM=0`).
-    IvmDisabled,
 }
 
 impl std::fmt::Display for FullReason {
@@ -187,7 +185,6 @@ impl std::fmt::Display for FullReason {
             FullReason::Quarantined => write!(f, "view is quarantined"),
             FullReason::StateCold => write!(f, "no maintenance state yet"),
             FullReason::StateStale => write!(f, "maintenance state out of date"),
-            FullReason::IvmDisabled => write!(f, "incremental maintenance disabled"),
         }
     }
 }
@@ -217,7 +214,6 @@ impl FullReason {
             FullReason::Quarantined => ("quarantined", "maint.full.quarantined"),
             FullReason::StateCold => ("state_cold", "maint.full.state_cold"),
             FullReason::StateStale => ("state_stale", "maint.full.state_stale"),
-            FullReason::IvmDisabled => ("ivm_disabled", "maint.full.ivm_disabled"),
         }
     }
 

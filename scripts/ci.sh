@@ -16,19 +16,22 @@ cargo build --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> golden figures (fig3, fig4, fig5, fig7, maintenance stdout vs results/*.txt; MISO_COL=0 and 1)"
+echo "==> golden figures (all eleven results/*.txt and both .csv, at MISO_THREADS=1 and 8)"
 # Run from a scratch directory: the bins write results/<name>.report.json
-# relative to where they stand, and the committed ones must not move.
+# (and fig4/fig8 a .csv) relative to where they stand, and the committed
+# files must not move.
 root="$PWD"
 golden="$(mktemp -d)"
 trap 'rm -rf "$golden"' EXIT
-cargo build --release -q -p miso-bench --bin fig3 --bin fig4 --bin fig5 --bin fig7 --bin maintenance
-for col in 0 1; do
-    for bin in fig3 fig4 fig5 fig7 maintenance; do
-        (cd "$golden" && MISO_COL=$col "$root/target/release/$bin" >"$bin.txt")
+figures="fig3 fig4 fig5 fig6 fig7 fig8 fig9 table2 fig_motivation ablation maintenance"
+cargo build --release -q -p miso-bench $(printf -- '--bin %s ' $figures)
+for threads in 1 8; do
+    for bin in $figures; do
+        (cd "$golden" && MISO_THREADS=$threads "$root/target/release/$bin" >"$bin.txt")
         diff -u "results/$bin.txt" "$golden/$bin.txt"
     done
     diff -u results/fig4.csv "$golden/results/fig4.csv"
+    diff -u results/fig8.csv "$golden/results/fig8.csv"
 done
 
 echo "==> miso-e2e builds against this tree, answers one workload correctly, serves no stale view"
@@ -59,22 +62,16 @@ cargo run --release -q -p miso-bench --bin integrity
 echo "==> soakbench smoke (guard storm: stalls, hogs, corruption, crashes)"
 cargo run --release -q -p miso-bench --bin soakbench -- --smoke
 
-echo "==> tunerbench perf smoke (record-only)"
+echo "==> tunerbench smoke (designs identical across threading and memoization)"
 cargo run --release -q -p miso-bench --bin tunerbench -- --smoke
 
-echo "==> execbench perf smoke, row mode (MISO_COL=0; output verified against serial)"
-MISO_COL=0 cargo run --release -q -p miso-bench --bin execbench -- --smoke
-
-echo "==> execbench perf smoke, columnar mode (record-only; output verified against serial)"
-MISO_COL=1 cargo run --release -q -p miso-bench --bin execbench -- --smoke
+echo "==> execbench smoke (row and columnar output verified against serial)"
+cargo run --release -q -p miso-bench --bin execbench -- --smoke
 
 echo "==> servebench smoke (concurrent serving: epochs, drain, fairness, storm)"
 cargo run --release -q -p miso-bench --bin servebench -- --smoke
 
 echo "==> ivmbench smoke (delta maintenance vs full recompute; checksum identity)"
 cargo run --release -q -p miso-bench --bin ivmbench -- --smoke
-
-echo "==> benchguard (smoke vs committed BENCH_*.json; warn-only unless MISO_BENCH_STRICT=1)"
-cargo run --release -q -p miso-bench --bin benchguard
 
 echo "ci: all checks passed"

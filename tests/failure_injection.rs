@@ -16,9 +16,9 @@ use miso::exec::MemSource;
 use miso::lang::compile;
 use miso::workload::{standard_udfs, workload_catalog};
 
-/// The chaos registry and verify-on-read switch are process-global, so
-/// the injection tests below serialize on this lock and restore both via
-/// `ChaosGuard` (including on panic).
+/// The chaos registry is process-global, so the injection tests below
+/// serialize on this lock and switch it off via `ChaosGuard` (including on
+/// panic).
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
 struct ChaosGuard;
@@ -26,7 +26,6 @@ struct ChaosGuard;
 impl Drop for ChaosGuard {
     fn drop(&mut self) {
         miso::chaos::disable();
-        miso::common::integrity::set_verify_on_read(false);
     }
 }
 
@@ -307,18 +306,14 @@ fn injected_view_corruption_is_quarantined_and_answers_stay_correct() {
     .unwrap();
     let queries: Vec<_> = (0..3).map(|i| (format!("q{i}"), q.clone())).collect();
     let system = || {
-        MultistoreSystem::new(
-            &corpus,
-            workload_catalog(),
-            standard_udfs(),
-            SystemConfig::paper_default(budgets()),
-        )
+        let mut config = SystemConfig::paper_default(budgets());
+        config.verify_on_read = true;
+        MultistoreSystem::new(&corpus, workload_catalog(), standard_udfs(), config)
     };
     let clean = system().run_workload(Variant::HvOp, &queries).unwrap();
 
     // Corrupt the first stored-view read; q0 harvests the view, q1 trips
     // verification and must fall back to recomputing from the raw logs.
-    miso::common::integrity::set_verify_on_read(true);
     miso::chaos::install(FaultPlan::seeded(5).with_rule(FaultRule::new(
         "hv.view_read",
         FaultKind::Corrupt,

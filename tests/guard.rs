@@ -17,7 +17,7 @@ use miso::core::{ExperimentResult, GuardConfig, MultistoreSystem, SystemConfig, 
 use miso::data::logs::{Corpus, LogsConfig};
 use miso::data::{DataType, Field, Row, Schema, Value};
 use miso::exec::{
-    execute_serial, execute_subset_guarded, ExecOptions, Execution, MemSource, UdfRegistry,
+    execute_serial, execute_subset_guarded, Execution, MemSource, Retention, UdfRegistry,
 };
 use miso::lang::compile;
 use miso::plan::{AggExpr, AggFunc, BinOp, Expr, LogicalPlan, Operator, PlanBuilder};
@@ -131,7 +131,7 @@ fn run_guarded(
         HashMap::new(),
         src,
         &UdfRegistry::new(),
-        ExecOptions::default(),
+        Retention::All,
         guard,
     )
 }

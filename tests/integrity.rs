@@ -2,8 +2,8 @@
 //! must be detected, quarantined, re-planned around, and eventually
 //! repaired — without ever changing a query answer.
 //!
-//! The chaos registry and the verify-on-read switch are process-global, so
-//! every test serializes on `INTEGRITY_LOCK` and restores both before
+//! The chaos registry and the obs counters are process-global, so every
+//! test serializes on `INTEGRITY_LOCK` and switches chaos off before
 //! releasing it (including on panic, via `IntegrityGuard`).
 
 use std::sync::Mutex;
@@ -18,14 +18,13 @@ use miso::workload::{standard_udfs, workload_catalog};
 
 static INTEGRITY_LOCK: Mutex<()> = Mutex::new(());
 
-/// Restores the global integrity/chaos switches when dropped, so a
-/// panicking test cannot leak state into the next one.
+/// Switches chaos off when dropped, so a panicking test cannot leak its
+/// fault plan into the next one.
 struct IntegrityGuard;
 
 impl Drop for IntegrityGuard {
     fn drop(&mut self) {
         miso::chaos::disable();
-        miso::common::integrity::set_verify_on_read(false);
     }
 }
 
@@ -57,12 +56,18 @@ fn budgets() -> Budgets {
 }
 
 fn system(corpus: &Corpus) -> MultistoreSystem {
-    MultistoreSystem::new(
-        corpus,
-        workload_catalog(),
-        standard_udfs(),
-        SystemConfig::paper_default(budgets()),
-    )
+    system_with(corpus, SystemConfig::paper_default(budgets()))
+}
+
+/// A system that re-verifies every view's checksum on read.
+fn verifying_system(corpus: &Corpus) -> MultistoreSystem {
+    let mut config = SystemConfig::paper_default(budgets());
+    config.verify_on_read = true;
+    system_with(corpus, config)
+}
+
+fn system_with(corpus: &Corpus, config: SystemConfig) -> MultistoreSystem {
+    MultistoreSystem::new(corpus, workload_catalog(), standard_udfs(), config)
 }
 
 /// The same evolving stream the chaos tests drive — enough reuse to
@@ -197,7 +202,6 @@ fn injected_read_corruption_never_changes_answers() {
         "clean run must not report corruption"
     );
 
-    miso::common::integrity::set_verify_on_read(true);
     miso::chaos::install(
         FaultPlan::seeded(23)
             .with_rule(FaultRule::new(
@@ -211,12 +215,11 @@ fn injected_read_corruption_never_changes_answers() {
                 Trigger::Prob(0.4),
             )),
     );
-    let mut sys = system(&corpus);
+    let mut sys = verifying_system(&corpus);
     let faulted = sys
         .run_workload(Variant::MsMiso, &queries)
         .expect("corruption must be quarantined, not fatal");
     miso::chaos::disable();
-    miso::common::integrity::set_verify_on_read(false);
 
     assert_eq!(
         result_rows(&clean),
@@ -260,13 +263,12 @@ fn quarantine_repair_serve_survives_crash_mid_reorg() {
     };
     let baseline_rows = result_rows(&baseline);
 
-    miso::common::integrity::set_verify_on_read(true);
     let audit = AuditConfig::counting(ByteSize::from_mib(64));
     let mut steps_swept = 0u64;
     for step in 1..=64u64 {
         // Phase 1: populate views, then corrupt one and let the auditor
         // quarantine it.
-        let mut sys = system(&corpus);
+        let mut sys = verifying_system(&corpus);
         sys.run_workload(Variant::MsMiso, &queries).unwrap();
         // Corrupt a DW-resident view: its subplan is hot enough that the
         // replay rematerializes it, exercising repair rather than drop.
@@ -313,7 +315,6 @@ fn quarantine_repair_serve_survives_crash_mid_reorg() {
         }
         steps_swept = step;
     }
-    miso::common::integrity::set_verify_on_read(false);
 
     assert!(
         steps_swept >= 3,

@@ -10,7 +10,7 @@ use miso::data::json::MAX_DEPTH;
 use miso::data::logs::{generate_delta, Corpus, LogFile, LogKind, LogsConfig};
 use miso::data::{checksum_rows, DataType, Row, Value};
 use miso::exec::engine::execute;
-use miso::exec::{col, execute_serial, DataSource, Execution, FusedField, Udf, UdfRegistry};
+use miso::exec::{execute_serial, DataSource, Execution, FusedField, Udf, UdfRegistry};
 use miso::hv::{HvRun, HvStore, LogBatch};
 use miso::plan::split::enumerate_splits;
 use miso::plan::{LogicalPlan, Operator};
@@ -19,25 +19,23 @@ use miso_obs::{Event, EventKind, FieldValue, RingSink};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Pool width and the columnar switch are process-global; every test here
-/// reads or sets at least one of them, so every test takes this lock.
+/// The pool width is process-global; every test here reads or sets it, so
+/// every test takes this lock.
 fn globals_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs `f` at the given pool width and columnar setting, then restores both.
-fn with_mode<R>(threads: usize, columnar: bool, f: impl FnOnce() -> R) -> R {
-    let (was_threads, was_col) = (pool::threads(), col::enabled());
+/// Runs `f` at the given pool width, then restores it.
+fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let was = pool::threads();
     pool::set_threads(threads);
-    col::set_enabled(columnar);
     let out = f();
-    pool::set_threads(was_threads);
-    col::set_enabled(was_col);
+    pool::set_threads(was);
     out
 }
 
-const MODES: [(usize, bool); 4] = [(1, false), (1, true), (8, false), (8, true)];
+const THREADS: [usize; 2] = [1, 8];
 
 /// Twitter-shaped lines that stress the SerDe: two malformed, a duplicate
 /// key, a nested object, one with nearly every field missing, and one whose
@@ -139,8 +137,7 @@ fn assert_matches_serial(run: &Execution, serial: &Execution, plan: &LogicalPlan
     }
 }
 
-/// 32 templates × every split's HV side × threads {1, 8} × columnar on/off:
-/// a store whose image is warm, a store that has never been scanned and the
+/// 32 templates × every split's HV side × threads {1, 8}: a store whose image is warm, a store that has never been scanned and the
 /// serial interpreter agree on rows and every `rows_out`; cost, stage costs
 /// and harvested outputs are identical warm vs cold.
 #[test]
@@ -151,7 +148,7 @@ fn warm_cold_and_serial_agree_on_every_hv_side() {
     let workload = workload();
     let warm = store(&corpus);
     // Warm the image with every field set the workload reads.
-    with_mode(8, true, || {
+    with_threads(8, || {
         for (_, plan) in &workload {
             warm.execute(plan, None, &udfs).expect("warming run");
         }
@@ -163,9 +160,9 @@ fn warm_cold_and_serial_agree_on_every_hv_side() {
         let serial = execute_serial(plan, &warm, &udfs).expect("serial run");
         for side in hv_sides(plan) {
             sides += 1;
-            for (threads, columnar) in MODES {
-                let what = format!("{label}, HV side {side:?}, {threads} threads, col={columnar}");
-                with_mode(threads, columnar, || {
+            for threads in THREADS {
+                let what = format!("{label}, HV side {side:?}, {threads} threads");
+                with_threads(threads, || {
                     let cold = store(&corpus);
                     let cold_run = cold.execute(plan, Some(&side), &udfs).expect("cold run");
                     let warm_run = warm.execute(plan, Some(&side), &udfs).expect("warm run");
@@ -175,9 +172,6 @@ fn warm_cold_and_serial_agree_on_every_hv_side() {
                     );
                     assert_matches_serial(&warm_run.execution, &serial, plan, &what);
                     assert_matches_serial(&cold_run.execution, &serial, plan, &what);
-                    if !columnar {
-                        assert_eq!(cold.log_columns_kept("twitter"), 0, "{what}: row path");
-                    }
                 });
             }
         }
@@ -224,7 +218,7 @@ fn a_warm_store_serves_every_log_scan_from_the_image() {
     let corpus = corpus();
     let udfs = standard_udfs();
     let workload = workload();
-    with_mode(8, true, || {
+    with_threads(8, || {
         let hv = store(&corpus);
         for (_, plan) in &workload {
             hv.execute(plan, None, &udfs).expect("warming run");
@@ -363,8 +357,8 @@ fn udf_lines(tag: u64) -> Vec<String> {
 }
 
 /// `buzz_score` declaring its fields and `buzz_score` reading the record are
-/// the same function: on the four UDF templates × row / columnar × threads
-/// {1, 8}, the serial interpreter, full retention and HV's keep-set runs
+/// the same function: on the four UDF templates × threads {1, 8}, the
+/// serial interpreter, full retention and HV's keep-set runs
 /// give identical rows, checksums, skip counts, `cost`, `stage_costs` and
 /// `materialized`, on an image that is cold, warm, and extended by three
 /// appends — over the corpus plus [`udf_lines`] and [`odd_lines`].
@@ -392,8 +386,8 @@ fn declared_and_record_reading_udfs_agree() {
         .collect();
     assert_eq!(templates.len(), 4, "the A3 templates");
 
-    for (threads, columnar) in MODES {
-        with_mode(threads, columnar, || {
+    for threads in THREADS {
+        with_threads(threads, || {
             let mut by_fields = store(&corpus);
             let mut by_record = store(&corpus);
             let mut all_lines = corpus.twitter.lines.clone();
@@ -410,7 +404,7 @@ fn declared_and_record_reading_udfs_agree() {
                 }
                 let skipped = (2 + UDF_LINES_MALFORMED) * (batch + 1);
                 for (label, plan) in &templates {
-                    let what = format!("{label}, {threads} threads, col={columnar}, batch {batch}");
+                    let what = format!("{label}, {threads} threads, batch {batch}");
                     let serial = execute_serial(plan, &by_record, &record).expect("serial run");
                     assert_eq!(serial.skipped_lines, skipped, "{what}");
                     assert!(!serial.root_rows().unwrap().is_empty(), "{what}");
@@ -446,8 +440,7 @@ fn declared_and_record_reading_udfs_agree() {
                 }
                 // Only the declaring UDF's scan reads columns, and an image
                 // the appends extended is the image a cold store parses.
-                let kept = if columnar { 5 } else { 0 };
-                assert_eq!(by_fields.log_columns_kept("twitter"), kept, "batch {batch}");
+                assert_eq!(by_fields.log_columns_kept("twitter"), 5, "batch {batch}");
                 assert_eq!(by_record.log_columns_kept("twitter"), 0, "batch {batch}");
                 let mut cold_corpus = corpus.clone();
                 cold_corpus.twitter = LogFile::from_lines(LogKind::Twitter, all_lines.clone());
@@ -496,9 +489,9 @@ fn a_bottomless_line_is_skipped_not_fatal() {
     bombed.twitter = LogFile::from_lines(LogKind::Twitter, lines);
     let skipped = 2 + bombs.len() as u64;
     let fields = probe_fields();
-    for (threads, columnar) in MODES {
-        with_mode(threads, columnar, || {
-            let what = format!("{threads} threads, col={columnar}");
+    for threads in THREADS {
+        with_threads(threads, || {
+            let what = format!("{threads} threads");
             let hv = store(&bombed);
             for (label, plan) in workload.iter().step_by(5) {
                 let logs = plan.nodes().iter().filter_map(|n| match &n.op {
@@ -569,8 +562,8 @@ fn append_extends_columns_like_a_cold_parse() {
     let udfs = standard_udfs();
     let workload = workload();
     let fields = probe_fields();
-    for threads in [1usize, 8] {
-        with_mode(threads, true, || {
+    for threads in THREADS {
+        with_threads(threads, || {
             let mut grown = store(&corpus);
             let first = grown.log_columns("twitter", &fields).expect("first read");
             assert_eq!(first.cols_hit, 0);
@@ -614,35 +607,42 @@ fn append_extends_columns_like_a_cold_parse() {
 
 /// Under an active guard a fused scan charges nothing of its own: answers
 /// are those of the unguarded run, the peak charged does not depend on
-/// whether the image was warm, and it never exceeds the unfused peak.
+/// whether the image was warm, and it never exceeds the peak of the run
+/// whose log scans are kept — a kept scan cannot fuse, so it parses rows
+/// and charges them.
 #[test]
 fn guarded_scans_fuse_and_charge_no_more_than_unfused() {
     let _globals = globals_lock();
     let corpus = corpus();
     let udfs = standard_udfs();
     let warm = store(&corpus);
-    let metered = |hv: &HvStore, plan: &LogicalPlan| {
+    let metered = |hv: &HvStore, plan: &LogicalPlan, keep: &[NodeId]| {
         let meter = QueryGuard::new(None, 0);
         let run = hv
-            .execute_guarded(plan, None, &udfs, &meter)
+            .execute_retaining(plan, None, &udfs, &meter, keep)
             .expect("metered run");
         assert_eq!(meter.used(), 0, "charges unwind");
         (run_facts(&run, plan), meter.peak())
     };
     let mut lower = 0usize;
     for (label, plan) in &workload() {
-        let (unfused_facts, unfused_peak) = with_mode(8, false, || metered(&store(&corpus), plan));
-        with_mode(8, true, || {
+        let log_scans: Vec<NodeId> = plan
+            .nodes()
+            .iter()
+            .filter(|n| matches!(n.op, Operator::ScanLog { .. }))
+            .map(|n| n.id)
+            .collect();
+        with_threads(8, || {
+            let (_, unfused_peak) = metered(&store(&corpus), plan, &log_scans);
             let cold = store(&corpus);
             let plain = cold.execute(plan, None, &udfs).expect("unguarded run");
-            let (cold_facts, cold_peak) = metered(&store(&corpus), plan);
-            let (warm_facts, warm_peak) = metered(&warm, plan);
-            let (again_facts, again_peak) = metered(&warm, plan);
+            let (cold_facts, cold_peak) = metered(&store(&corpus), plan, &[]);
+            let (warm_facts, warm_peak) = metered(&warm, plan, &[]);
+            let (again_facts, again_peak) = metered(&warm, plan, &[]);
             let plain_facts = run_facts(&plain, plan);
             assert!(cold_facts == plain_facts, "{label}: guarded vs unguarded");
             assert!(warm_facts == plain_facts, "{label}: warm guarded");
             assert!(again_facts == plain_facts, "{label}: warm guarded, again");
-            assert!(unfused_facts == plain_facts, "{label}: row path");
             assert_eq!(cold_peak, warm_peak, "{label}: peak, cold vs warm");
             assert_eq!(warm_peak, again_peak, "{label}: peak, warm twice");
             assert!(
@@ -661,7 +661,6 @@ fn guarded_scans_fuse_and_charge_no_more_than_unfused() {
 #[test]
 fn a_fresh_system_starts_with_an_empty_image() {
     let _globals = globals_lock();
-    let was_col = col::enabled();
     let corpus = Corpus::generate(&LogsConfig::tiny());
     let total = corpus.total_size();
     let budgets = Budgets::new(total.scale(2.0), total.scale(0.2), total.scale(0.02));
@@ -686,7 +685,6 @@ fn a_fresh_system_starts_with_an_empty_image() {
     for log in ["twitter", "foursquare", "landmarks"] {
         assert_eq!(second.hv.log_columns_kept(log), 0, "{log}");
     }
-    col::set_enabled(was_col);
 }
 
 /// One maintenance pass parses a batch once: whoever asks first — the
@@ -698,7 +696,6 @@ fn a_fresh_system_starts_with_an_empty_image() {
 fn a_maintained_batch_parses_each_field_once() {
     use miso::core::{MaintAction, MaintenancePolicy};
     let _globals = globals_lock();
-    let was_col = col::enabled();
     let cfg = LogsConfig::tiny();
     let corpus = corpus();
     let total = corpus.total_size();
@@ -786,5 +783,4 @@ fn a_maintained_batch_parses_each_field_once() {
     assert_eq!(kept_cols.batch, fresh.batch, "extended image vs cold parse");
     assert_eq!(kept_cols.skipped_lines, fresh.skipped_lines);
     assert_eq!(sys.hv.log_size("twitter"), cold.log_size("twitter"));
-    col::set_enabled(was_col);
 }

@@ -4,11 +4,14 @@
 //! and materialize exactly what a keep-all run would.
 
 use miso::common::ids::NodeId;
+use miso::common::QueryGuard;
 use miso::common::{pool, ByteSize, SimDuration};
 use miso::data::logs::{Corpus, LogsConfig};
 use miso::data::{DataType, Field, Row, Schema, Value};
-use miso::exec::engine::{execute, execute_subset, execute_subset_opts};
-use miso::exec::{execute_serial, ExecOptions, Execution, MemSource, Retention, UdfRegistry};
+use miso::exec::engine::{execute, execute_subset};
+use miso::exec::{
+    execute_serial, execute_subset_guarded, Execution, MemSource, Retention, UdfRegistry,
+};
 use miso::hv::stages::is_boundary;
 use miso::hv::{compile_stages, HvStore};
 use miso::plan::split::enumerate_splits;
@@ -31,8 +34,27 @@ fn mem_source(corpus: &Corpus) -> MemSource {
     src
 }
 
+/// `subset` of `plan` (`None` = all of it), keeping only `keep` and the root.
+fn run_keeping(
+    plan: &LogicalPlan,
+    subset: Option<&HashSet<NodeId>>,
+    src: &MemSource,
+    udfs: &UdfRegistry,
+    keep: &[NodeId],
+) -> miso::common::Result<Execution> {
+    execute_subset_guarded(
+        plan,
+        subset,
+        HashMap::new(),
+        src,
+        udfs,
+        Retention::Only(keep),
+        QueryGuard::inert_ref(),
+    )
+}
+
 /// Runs `plan` once per keep-set, keeping only that set (+ root), at 1 and
-/// 8 threads, columnar on and off, and checks every run against the
+/// 8 threads, and checks every run against the
 /// keep-all run and the serial oracle: the rows of every kept node,
 /// whatever else is still held, the `rows_out` of every node, and the skip
 /// count.
@@ -47,21 +69,11 @@ fn assert_keep_sets_agree(
     let all = execute(plan, src, udfs).expect("keep-all run succeeds");
     let before = pool::threads();
     for keep in keep_sets {
-        for (threads, columnar) in [(1usize, false), (1, true), (8, false), (8, true)] {
+        for threads in [1usize, 8] {
             pool::set_threads(threads);
-            let what = format!("{what}, keep {keep:?}, {threads} threads, columnar={columnar}");
-            let run = execute_subset_opts(
-                plan,
-                None,
-                HashMap::new(),
-                src,
-                udfs,
-                ExecOptions {
-                    retain: Retention::Only(keep),
-                    columnar,
-                },
-            )
-            .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let what = format!("{what}, keep {keep:?}, {threads} threads");
+            let run =
+                run_keeping(plan, None, src, udfs, keep).unwrap_or_else(|e| panic!("{what}: {e}"));
             assert_eq!(run.skipped_lines, serial.skipped_lines, "{what}: skips");
             for node in plan.nodes() {
                 let id = node.id;
@@ -213,32 +225,10 @@ fn a_kept_log_scan_is_not_fused_away() {
     assert_keep_sets_agree(&scan_plan, &src, &udfs, &[vec![]], "scan as root");
     let serial = execute_serial(&plan, &src, &udfs).unwrap();
     let hv_side: HashSet<NodeId> = [scan].into_iter().collect();
-    let cut = execute_subset_opts(
-        &plan,
-        Some(&hv_side),
-        HashMap::new(),
-        &src,
-        &udfs,
-        ExecOptions {
-            retain: Retention::Only(&[scan]),
-            columnar: true,
-        },
-    )
-    .unwrap();
+    let cut = run_keeping(&plan, Some(&hv_side), &src, &udfs, &[scan]).unwrap();
     assert_eq!(cut.retained_output(scan).unwrap(), serial.output(scan));
     // Unkept and consumed once, the same scan does go (fused or released).
-    let lean = execute_subset_opts(
-        &plan,
-        None,
-        HashMap::new(),
-        &src,
-        &udfs,
-        ExecOptions {
-            retain: Retention::ROOT_ONLY,
-            columnar: true,
-        },
-    )
-    .unwrap();
+    let lean = run_keeping(&plan, None, &src, &udfs, &[]).unwrap();
     assert!(lean.try_output(scan).is_none());
     assert_eq!(lean.rows_out(scan), serial.rows_out(scan));
 }
