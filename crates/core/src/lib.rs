@@ -11,7 +11,10 @@
 //! **The multistore system** (paper §3): [`system`] drives a query stream
 //! through the two stores — optimizing each query against the current
 //! design, executing split plans, migrating working sets, harvesting
-//! opportunistic views, and periodically invoking a tuner. [`variants`]
+//! opportunistic views, and periodically invoking a tuner. [`split`] owns
+//! what each step of that pipeline decides (placement, cuts, ship cost,
+//! harvest rule, answer), so the stream driver and the serving layer's
+//! snapshot executor compose one definition of it. [`variants`]
 //! configures the system as each of the paper's eight evaluated variants
 //! (HV-ONLY, DW-ONLY, MS-BASIC, HV-OP, MS-LRU, MS-OFF, MS-MISO, MS-ORA);
 //! [`metrics`] records the TTI breakdown (HV-EXE / DW-EXE / TRANSFER /
@@ -28,6 +31,7 @@ pub mod knapsack;
 pub mod maintenance;
 pub mod metrics;
 pub mod reorg;
+pub mod split;
 pub mod system;
 pub mod tuner;
 pub mod variants;
@@ -38,6 +42,7 @@ pub use knapsack::{m_knapsack, PackItem, PackResult};
 pub use maintenance::{MaintAction, MaintDecision, MaintenancePolicy, MaintenanceReport};
 pub use metrics::{ExperimentResult, QueryFailure, QueryRecord, TtiBreakdown};
 pub use reorg::{JournalEntry, ReorgJournal, ReorgPlan};
+pub use split::{HarvestCandidate, Stores};
 pub use system::{GrowthConfig, GuardConfig, MultistoreSystem, SystemConfig};
 pub use tuner::{MisoTuner, NewDesign, TunerConfig, WhatIfStats, WHATIF_MEMO_CAP};
 pub use variants::Variant;

@@ -608,9 +608,7 @@ impl MultistoreSystem {
         let mut cost = run.cost;
         if in_dw {
             self.dw.evict_view(name);
-            let move_cost = self.hv.dump_cost(out.size)
-                + self.transfer_model().transfer_cost(out.size)
-                + self.dw.load_cost(out.size);
+            let move_cost = self.stores().ship_cost(out.size);
             cost += self.stretch_for_maintenance(move_cost, clock);
             self.dw.load_view_with_checksum(
                 name,

@@ -107,6 +107,47 @@ pub struct QueryFailure {
     pub session: Option<u64>,
 }
 
+impl QueryFailure {
+    /// A query killed mid-flight with the classified `kind`. The serving
+    /// layer adds its tenant/session attribution.
+    pub fn killed(
+        query: QueryId,
+        label: &str,
+        kind: &'static str,
+        message: String,
+        at: SimInstant,
+    ) -> Self {
+        QueryFailure {
+            query,
+            label: label.to_string(),
+            kind,
+            message,
+            shed: false,
+            retry_after: None,
+            at,
+            tenant: None,
+            session: None,
+        }
+    }
+
+    /// A query shed at admission for `reason`; `retry_after` is the hint
+    /// handed back to the client.
+    pub fn shed(
+        query: QueryId,
+        label: &str,
+        reason: &str,
+        retry_after: SimDuration,
+        at: SimInstant,
+    ) -> Self {
+        let message = format!("query shed at admission ({reason})");
+        QueryFailure {
+            shed: true,
+            retry_after: Some(retry_after),
+            ..Self::killed(query, label, "resource_exhausted", message, at)
+        }
+    }
+}
+
 /// One reorganization phase.
 #[derive(Debug, Clone)]
 pub struct ReorgRecord {

@@ -16,6 +16,7 @@ use crate::calibration::{op_class, CalibrationAccumulator, CalibrationReport};
 use crate::etl::{rewrite_for_dw, run_etl, DEFAULT_ETL_OVERHEAD};
 use crate::metrics::{ExperimentResult, QueryFailure, QueryRecord, ReorgRecord, TtiBreakdown};
 use crate::reorg::{stage_name, JournalEntry, ReorgJournal, ReorgPlan, MAX_REORG_RECOVERIES};
+use crate::split::{self, HarvestCandidate, Stores};
 use crate::tuner::{MisoTuner, NewDesign, TunerConfig};
 use crate::variants::Variant;
 use miso_common::guard::QueryGuard;
@@ -31,11 +32,10 @@ use miso_dw::{BackgroundSim, DwActivity, DwStore, TableSpace};
 use miso_exec::UdfRegistry;
 use miso_hv::HvStore;
 use miso_optimizer::cost::{CostBreakdown, TransferModel};
-use miso_optimizer::optimize::{optimize, Design, OptimizerEnv, PlannedQuery};
+use miso_optimizer::optimize::Design;
 use miso_plan::estimate::{estimate_plan, MapStats};
-use miso_plan::fingerprint::fingerprint_all;
 use miso_plan::LogicalPlan;
-use miso_views::{ViewCatalog, ViewDef};
+use miso_views::ViewCatalog;
 use miso_xray::QueryXray;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -183,23 +183,6 @@ impl SystemConfig {
             growth: None,
         }
     }
-}
-
-/// Builds the optimizer's stats source: true log sizes plus every catalog
-/// view's size (views not resident anywhere have been dropped from the
-/// catalog).
-pub fn map_stats(hv: &HvStore, dw: &DwStore, catalog: &ViewCatalog) -> MapStats {
-    let mut stats = MapStats::new();
-    hv.fill_stats(&mut stats);
-    dw.fill_stats(&mut stats);
-    for def in catalog.defs() {
-        stats.set_view(
-            def.name.clone(),
-            def.rows as f64,
-            def.size.as_bytes() as f64,
-        );
-    }
-    stats
 }
 
 /// One workload query: display label plus its raw (un-rewritten) plan.
@@ -496,11 +479,9 @@ impl MultistoreSystem {
         // discover the candidate views the workload would create — this is
         // the "workload known up-front" premise of an offline design tool.
         for (i, (_, raw)) in queries.iter().enumerate() {
-            let design = self.current_design();
-            let available: HashSet<String> = design.hv_views.clone();
-            let rewrite = miso_views::rewrite_with_catalog(raw, &available, &self.catalog);
-            let run = self.hv.execute(&rewrite.plan, None, &self.udfs)?;
-            self.harvest_views(&rewrite.plan, &run, QueryId(i as u64), usize::MAX);
+            let plan = split::place(self.stores(), raw, |_| true, true)?.0.plan;
+            let run = self.hv.execute(&plan, None, &self.udfs)?;
+            self.harvest_views(&plan, &run, QueryId(i as u64));
         }
         // One-shot tune over the whole workload with uniform weights: the
         // chosen sets become the *static retention policy*.
@@ -552,7 +533,8 @@ impl MultistoreSystem {
             .cloned()
             .collect();
         for (i, (label, raw)) in queries.iter().enumerate() {
-            let record = self.execute_one(QueryId(i as u64), label, raw, clock, &mut result.tti)?;
+            let record =
+                self.execute_one(QueryId(i as u64), label, raw, clock, &mut result.tti, false)?;
             // Enforce the static design: drop non-selected views, migrate
             // DW-designated ones.
             for name in self.hv.view_names() {
@@ -574,9 +556,7 @@ impl MultistoreSystem {
                             )))
                         }
                     };
-                    let raw_cost = self.hv.dump_cost(size)
-                        + self.transfer.transfer_cost(size)
-                        + self.dw.load_cost(size);
+                    let raw_cost = self.stores().ship_cost(size);
                     let stretched = self.stretch(raw_cost, DwActivity::ViewTransfer, clock);
                     result.tti.tune += stretched;
                     clock.advance(stretched);
@@ -674,17 +654,14 @@ impl MultistoreSystem {
                 }
             };
             self.active_guard = guard.clone();
+            let tti = &mut result.tti;
             let outcome = match variant {
-                Variant::HvOnly => {
-                    self.execute_hv_only(qid, label, raw, clock, &mut result.tti, false)
+                // HV-ONLY harvests like HV-OP and retains nothing (below),
+                // as MS-BASIC does beside MS-MISO.
+                Variant::HvOnly | Variant::HvOp => {
+                    self.execute_placed(qid, label, raw, clock, tti, true, false)
                 }
-                Variant::HvOp => {
-                    self.execute_hv_only(qid, label, raw, clock, &mut result.tti, true)
-                }
-                Variant::MsLru => {
-                    self.execute_one_with_retention(qid, label, raw, clock, &mut result.tti, true)
-                }
-                _ => self.execute_one(qid, label, raw, clock, &mut result.tti),
+                _ => self.execute_one(qid, label, raw, clock, tti, variant == Variant::MsLru),
             };
             self.active_guard = QueryGuard::inert();
             let record = match self.settle(qid, label, &guard, outcome, clock, result) {
@@ -797,17 +774,13 @@ impl MultistoreSystem {
             } else {
                 "overload shedding"
             };
-            result.failures.push(QueryFailure {
-                query: qid,
-                label: label.to_string(),
-                kind: "resource_exhausted",
-                message: format!("query shed at admission ({what})"),
-                shed: true,
-                retry_after: Some(self.config.guard.shed_cooldown),
-                at: now,
-                tenant: None,
-                session: None,
-            });
+            result.failures.push(QueryFailure::shed(
+                qid,
+                label,
+                what,
+                self.config.guard.shed_cooldown,
+                now,
+            ));
             return None;
         }
         self.inflight += 1;
@@ -861,17 +834,13 @@ impl MultistoreSystem {
                 if self.guard_breaker.record_failure(clock.now()) {
                     miso_obs::count("guard.overload_opened", 1);
                 }
-                result.failures.push(QueryFailure {
-                    query: qid,
-                    label: label.to_string(),
-                    kind: e.kind(),
-                    message: e.to_string(),
-                    shed: false,
-                    retry_after: None,
-                    at: clock.now(),
-                    tenant: None,
-                    session: None,
-                });
+                result.failures.push(QueryFailure::killed(
+                    qid,
+                    label,
+                    e.kind(),
+                    e.to_string(),
+                    clock.now(),
+                ));
                 Ok(None)
             }
             Err(e) => Err(e),
@@ -879,81 +848,6 @@ impl MultistoreSystem {
     }
 
     // ---- Execution paths -------------------------------------------------
-
-    /// Executes a query entirely in HV (HV-ONLY / HV-OP).
-    fn execute_hv_only(
-        &mut self,
-        qid: QueryId,
-        label: &str,
-        raw: &LogicalPlan,
-        clock: &mut SimClock,
-        tti: &mut TtiBreakdown,
-        with_views: bool,
-    ) -> Result<QueryRecord> {
-        let mut obs = miso_obs::span("query");
-        if obs.is_active() {
-            obs.push_field("label", miso_obs::FieldValue::Str(label.to_string()));
-            obs.push_field("qid", miso_obs::FieldValue::U64(qid.raw()));
-        }
-        let rewrite = loop {
-            let available: HashSet<String> = if with_views {
-                self.hv.view_names().into_iter().collect()
-            } else {
-                HashSet::new()
-            };
-            let rewrite = miso_views::rewrite_with_catalog(raw, &available, &self.catalog);
-            if self.verify_used_views(&rewrite.used).is_empty() {
-                break rewrite;
-            }
-            // A used view failed verification and was quarantined: re-plan
-            // without it. Each pass removes at least one view from the
-            // store, so this terminates.
-            miso_obs::count("query.view_fallback", 1);
-        };
-        let run = self.hv_execute_retry(&rewrite.plan, None, clock, &mut tti.hv_exe)?;
-        self.record_bg(DwActivity::Idle, run.cost, clock);
-        tti.hv_exe += run.cost;
-        clock.advance(run.cost);
-        // Deadline gate *before* any view is published: a stalled run that
-        // blew its deadline leaves no trace in the catalog or stores.
-        self.active_guard.check_deadline(clock.now())?;
-        if with_views {
-            self.harvest_views(&rewrite.plan, &run, qid, usize::MAX);
-            for v in &rewrite.used {
-                self.lru_touch(v);
-            }
-        }
-        if obs.is_active() {
-            obs.set_sim_us(clock.now().elapsed_since_epoch().as_micros());
-            obs.push_field("hv_us", miso_obs::FieldValue::U64(run.cost.as_micros()));
-        }
-        Ok(QueryRecord {
-            query: qid,
-            label: label.to_string(),
-            hv: run.cost,
-            dw: SimDuration::ZERO,
-            transfer: SimDuration::ZERO,
-            result_rows: run.execution.root_rows()?.len() as u64,
-            used_views: rewrite.used,
-            hv_ops: rewrite.plan.len(),
-            dw_ops: 0,
-            bytes_transferred: ByteSize::ZERO,
-            finished_at: clock.now(),
-        })
-    }
-
-    /// Executes a query as a multistore split plan against the current
-    /// design, harvesting opportunistic views.
-    fn execute_one(
-        &mut self,
-        qid: QueryId,
-        label: &str,
-        raw: &LogicalPlan,
-        clock: &mut SimClock,
-        tti: &mut TtiBreakdown,
-    ) -> Result<QueryRecord> {
-        self.execute_one_with_retention(qid, label, raw, clock, tti, false)
-    }
 
     /// Executes a multistore query; with `retain_ws`, transferred working
     /// sets are kept as permanent DW views (MS-LRU's passive tuning).
@@ -963,7 +857,7 @@ impl MultistoreSystem {
     /// exhausts its DW/transfer retries, the failure is recorded against the
     /// breaker, partial DW state is discarded, and the query re-runs
     /// HV-only. Queries never error out because DW is unhealthy.
-    fn execute_one_with_retention(
+    fn execute_one(
         &mut self,
         qid: QueryId,
         label: &str,
@@ -976,9 +870,9 @@ impl MultistoreSystem {
             // DW is unhealthy and still cooling down: don't even plan a
             // split. The first allowed call after the cooldown is the probe.
             miso_obs::count("query.hv_fallback", 1);
-            return self.execute_hv_only(qid, label, raw, clock, tti, true);
+            return self.execute_placed(qid, label, raw, clock, tti, true, false);
         }
-        match self.execute_split_attempt(qid, label, raw, clock, tti, retain_ws) {
+        match self.execute_placed(qid, label, raw, clock, tti, false, retain_ws) {
             Ok(record) => Ok(record),
             Err(e) if e.is_transient() && matches!(e.source(), Some("dw") | Some("transfer")) => {
                 // DW-side retries exhausted: mark the store unhealthy,
@@ -990,22 +884,27 @@ impl MultistoreSystem {
                 }
                 self.dw.clear_temp();
                 miso_obs::count("query.hv_fallback", 1);
-                self.execute_hv_only(qid, label, raw, clock, tti, true)
+                self.execute_placed(qid, label, raw, clock, tti, true, false)
             }
             Err(e) => Err(e),
         }
     }
 
-    /// One split-plan attempt (the pre-chaos execution path). DW-side
-    /// transient errors escape to [`Self::execute_one_with_retention`],
-    /// which degrades to HV-only.
-    fn execute_split_attempt(
+    /// Walks one query down the split pipeline: place it ([`split::place`]),
+    /// run the HV side, ship each cut, finish in DW, publish the by-products.
+    /// With `hv_only` every node is placed in HV (HV-ONLY, HV-OP and the
+    /// degradation above), so the walk has no cuts and no DW side. DW-side
+    /// transient errors escape to [`Self::execute_one`], which degrades to
+    /// HV-only.
+    #[allow(clippy::too_many_arguments)]
+    fn execute_placed(
         &mut self,
         qid: QueryId,
         label: &str,
         raw: &LogicalPlan,
         clock: &mut SimClock,
         tti: &mut TtiBreakdown,
+        hv_only: bool,
         retain_ws: bool,
     ) -> Result<QueryRecord> {
         let mut obs = miso_obs::span("query");
@@ -1013,41 +912,24 @@ impl MultistoreSystem {
             obs.push_field("label", miso_obs::FieldValue::Str(label.to_string()));
             obs.push_field("qid", miso_obs::FieldValue::U64(qid.raw()));
         }
-        let (planned, stats): (PlannedQuery, MapStats) = loop {
-            let design = self.current_design();
-            let stats = self.build_stats();
-            let planned = {
-                let env = OptimizerEnv {
-                    stats: &stats,
-                    hv: &self.hv.cost_model,
-                    dw: &self.dw.cost_model,
-                    transfer: &self.transfer,
-                    catalog: Some(&self.catalog),
-                };
-                optimize(raw, &design, &env)?
-            };
+        let (planned, stats) = loop {
+            let (planned, stats) = split::place(self.stores(), raw, |_| true, hv_only)?;
             if self.verify_used_views(&planned.used_views).is_empty() {
                 break (planned, stats);
             }
             // A planned view failed verification and was quarantined:
-            // re-plan against the shrunken design.
+            // re-plan against the shrunken design. Each pass removes at
+            // least one view from the stores, so this terminates.
             miso_obs::count("query.view_fallback", 1);
         };
+        let (hv_set, dw_set) = split::node_sets(&planned);
         let plan = &planned.plan;
-        let hv_set: HashSet<_> = planned.split.hv_nodes().iter().copied().collect();
-        let dw_set: HashSet<_> = plan
-            .nodes()
-            .iter()
-            .map(|n| n.id)
-            .filter(|id| !hv_set.contains(id))
-            .collect();
 
         let mut hv_time = SimDuration::ZERO;
         let mut transfer_time = SimDuration::ZERO;
         let mut dw_time = SimDuration::ZERO;
         let mut bytes_transferred = ByteSize::ZERO;
         let mut provided: HashMap<miso_common::ids::NodeId, Arc<Vec<Row>>> = HashMap::new();
-        let mut result_rows = 0u64;
         let profiling = miso_exec::profile::enabled();
         let mut node_profiles: HashMap<miso_common::ids::NodeId, miso_exec::OpProfile> =
             HashMap::new();
@@ -1058,7 +940,6 @@ impl MultistoreSystem {
         // fallible step — a query the guard kills mid-flight must not
         // half-publish catalog or view state.
         let mut hv_run: Option<miso_hv::HvRun> = None;
-        let mut retained_cuts: Vec<miso_common::ids::NodeId> = Vec::new();
         if !hv_set.is_empty() {
             let run = self.hv_execute_retry(plan, Some(&hv_set), clock, &mut tti.hv_exe)?;
             hv_time = run.cost;
@@ -1068,31 +949,27 @@ impl MultistoreSystem {
             self.active_guard.check_deadline(clock.now())?;
 
             // Ship each cut working set.
-            for cut in planned.split.cut_nodes(plan) {
-                let rows = run.execution.retained_output(cut)?.clone();
-                let bytes = run.execution.output_bytes(cut);
+            for cut in split::cuts(self.stores(), &planned, &run)? {
+                let (id, bytes) = (cut.node, cut.bytes);
                 bytes_transferred += bytes;
                 miso_obs::count("system.bytes_transferred", bytes.as_bytes());
                 miso_obs::instant(
                     "query.transfer",
                     vec![
-                        ("cut", miso_obs::FieldValue::U64(cut.raw())),
+                        ("cut", miso_obs::FieldValue::U64(id.raw())),
                         ("bytes", miso_obs::FieldValue::U64(bytes.as_bytes())),
                     ],
                 );
-                let base_cost = self.hv.dump_cost(bytes)
-                    + self.transfer.transfer_cost(bytes)
-                    + self.dw.load_cost(bytes);
-                let node = plan.node(cut);
-                let ws_name = format!("ws_{qid}_{cut}");
+                let node = plan.node(id);
+                let ws_name = format!("ws_{qid}_{id}");
                 // The shipment checksum comes free with materialization;
                 // the DW copy is verified after every (re-)load so a
                 // corrupted wire transfer is re-shipped — and re-charged —
                 // rather than silently computed on.
-                let expected = checksum_rows(&rows);
+                let expected = checksum_rows(&cut.rows);
                 let mut ship_tries = 0u32;
                 loop {
-                    let (raw_cost, waited, corrupted) = self.ship_attempt(base_cost, clock)?;
+                    let (raw_cost, waited, corrupted) = self.ship_attempt(cut.ship_cost, clock)?;
                     transfer_time += waited;
                     tti.transfer += waited;
                     let stretched = self.stretch(raw_cost, DwActivity::WorkingSetTransfer, clock);
@@ -1105,7 +982,7 @@ impl MultistoreSystem {
                     self.dw.load_view(
                         &ws_name,
                         node.schema.clone(),
-                        rows.clone(),
+                        cut.rows.clone(),
                         TableSpace::Temporary,
                     );
                     if corrupted {
@@ -1124,13 +1001,7 @@ impl MultistoreSystem {
                     ship_tries += 1;
                     miso_obs::count("transfer.reshipped", 1);
                 }
-                if retain_ws {
-                    retained_cuts.push(cut);
-                }
-                provided.insert(cut, rows);
-            }
-            if planned.split.is_hv_only(plan) {
-                result_rows = run.execution.root_rows()?.len() as u64;
+                provided.insert(id, cut.rows);
             }
             for id in run.execution.executed_nodes() {
                 if let Some(rows) = run.execution.rows_out(id) {
@@ -1144,6 +1015,7 @@ impl MultistoreSystem {
         }
 
         // DW side.
+        let mut dw_run: Option<miso_dw::DwRun> = None;
         if !dw_set.is_empty() {
             let run =
                 self.dw_execute_retry(plan, Some(&dw_set), &provided, clock, &mut tti.dw_exe)?;
@@ -1152,7 +1024,6 @@ impl MultistoreSystem {
             tti.dw_exe += stretched;
             clock.advance(stretched);
             self.active_guard.check_deadline(clock.now())?;
-            result_rows = run.execution.root_rows()?.len() as u64;
             // DW answered: the store is healthy again.
             self.dw_breaker.record_success();
             for id in run.execution.executed_nodes() {
@@ -1165,7 +1036,9 @@ impl MultistoreSystem {
             if profiling {
                 node_profiles.extend(run.execution.profiles().iter().map(|(&k, &v)| (k, v)));
             }
+            dw_run = Some(run);
         }
+        let result_rows = split::root_rows(hv_run.as_ref(), dw_run.as_ref())?.len() as u64;
         self.dw.clear_temp();
 
         // Publish by-products. Every fallible step is behind us: retained
@@ -1173,45 +1046,51 @@ impl MultistoreSystem {
         // become opportunistic views, exactly as they would have mid-flight
         // in the guard-free ordering (same LRU touch order, no charges).
         if let Some(run) = &hv_run {
-            for cut in &retained_cuts {
-                // A cut that was never shipped (defensive: retained_cuts is
-                // built from `provided` keys) is skipped, not a panic.
-                if let Some(rows) = provided.get(cut) {
-                    self.retain_working_set(plan, *cut, rows.clone(), qid);
+            if retain_ws {
+                for cut in planned.split.cut_nodes(plan) {
+                    // Every cut is a stage output of the HV side.
+                    if let Some(out) = run.materialized.iter().find(|m| m.node == cut) {
+                        self.retain_working_set(plan, out, qid);
+                    }
                 }
             }
-            self.harvest_views(plan, run, qid, usize::MAX);
+            self.harvest_views(plan, run, qid);
         }
 
-        // Predicted-vs-actual drift. "Actual" store times are the simulated
-        // costs charged over real executed sizes, so this comparison
-        // isolates estimation error and stays deterministic.
-        let actual_cost = CostBreakdown {
-            hv: hv_time,
-            transfer: transfer_time,
-            dw: dw_time,
-        };
-        self.calibration.record_query(&planned.est, &actual_cost);
-        let estimates = estimate_plan(plan, &stats);
-        for node in plan.nodes() {
-            if let (Some(&act), Some(est)) = (actual_rows.get(&node.id), estimates.get(&node.id)) {
-                self.calibration
-                    .record_rows(op_class(&node.op), est.rows, act);
+        // Predicted-vs-actual drift, where the optimizer predicted (an
+        // HV-only placement has no estimate). "Actual" store times are the
+        // simulated costs charged over real executed sizes, so this
+        // comparison isolates estimation error and stays deterministic.
+        if let Some(stats) = &stats {
+            let actual_cost = CostBreakdown {
+                hv: hv_time,
+                transfer: transfer_time,
+                dw: dw_time,
+            };
+            self.calibration.record_query(&planned.est, &actual_cost);
+            let estimates = estimate_plan(plan, stats);
+            for node in plan.nodes() {
+                if let (Some(&act), Some(est)) =
+                    (actual_rows.get(&node.id), estimates.get(&node.id))
+                {
+                    self.calibration
+                        .record_rows(op_class(&node.op), est.rows, act);
+                }
             }
-        }
-        if profiling {
-            self.xrays.push(miso_xray::analyze(
-                label,
-                &planned,
-                &estimates,
-                &node_profiles,
-                &actual_rows,
-                &miso_xray::CostModels {
-                    hv: &self.hv.cost_model,
-                    dw: &self.dw.cost_model,
-                    transfer: &self.transfer,
-                },
-            ));
+            if profiling {
+                self.xrays.push(miso_xray::analyze(
+                    label,
+                    &planned,
+                    &estimates,
+                    &node_profiles,
+                    &actual_rows,
+                    &miso_xray::CostModels {
+                        hv: &self.hv.cost_model,
+                        dw: &self.dw.cost_model,
+                        transfer: &self.transfer,
+                    },
+                ));
+            }
         }
 
         for v in &planned.used_views {
@@ -1242,9 +1121,9 @@ impl MultistoreSystem {
             dw: dw_time,
             transfer: transfer_time,
             result_rows,
-            used_views: planned.used_views,
             hv_ops: hv_set.len(),
             dw_ops: dw_set.len(),
+            used_views: planned.used_views,
             bytes_transferred,
             finished_at: clock.now(),
         })
@@ -1447,9 +1326,7 @@ impl MultistoreSystem {
                     "HV holds rows for the view but lost its schema/size metadata",
                 ));
             };
-            let mut raw_cost = self.hv.dump_cost(size)
-                + self.transfer.transfer_cost(size)
-                + self.dw.load_cost(size);
+            let mut raw_cost = self.stores().ship_cost(size);
             if slow != 1.0 {
                 raw_cost = raw_cost * slow;
             }
@@ -1759,42 +1636,30 @@ impl MultistoreSystem {
 
     // ---- Shared plumbing ---------------------------------------------------
 
-    /// The design implied by what the stores actually hold.
-    pub fn current_design(&self) -> Design {
-        Design {
-            hv_views: self.hv.view_names().into_iter().collect(),
-            dw_views: self.dw.view_names().into_iter().collect(),
+    /// This system's stores, borrowed for the [`crate::split`] functions.
+    pub fn stores(&self) -> Stores<'_> {
+        Stores {
+            hv: &self.hv,
+            dw: &self.dw,
+            catalog: &self.catalog,
+            transfer: &self.transfer,
         }
     }
 
-    /// The stats source over this system's stores and catalog
-    /// ([`map_stats`]).
+    /// The design implied by what the stores actually hold.
+    pub fn current_design(&self) -> Design {
+        self.stores().design(|_| true)
+    }
+
+    /// The stats source over this system's stores and catalog.
     pub fn build_stats(&self) -> MapStats {
-        map_stats(&self.hv, &self.dw, &self.catalog)
+        self.stores().stats()
     }
 
     /// Registers the materialized stage outputs of an HV run as
-    /// opportunistic views (up to `limit` of them, largest-subtree first).
-    fn harvest_views(
-        &mut self,
-        plan: &LogicalPlan,
-        run: &miso_hv::HvRun,
-        qid: QueryId,
-        limit: usize,
-    ) {
-        let fps = fingerprint_all(plan);
-        for m in run.materialized.iter().take(limit) {
-            // A view over a bare scan is just the base log — skip.
-            if plan.node(m.node).op.is_scan() {
-                continue;
-            }
-            // Materialized output for a node the fingerprint map doesn't know
-            // (can't happen for a well-formed plan, but a poisoned plan must
-            // kill one harvest, never the process).
-            let Some(fp) = fps.get(&m.node) else {
-                continue;
-            };
-            let name = fp.view_name();
+    /// opportunistic views.
+    fn harvest_views(&mut self, plan: &LogicalPlan, run: &miso_hv::HvRun, qid: QueryId) {
+        for (name, m) in split::harvestable(plan, run) {
             if self.catalog.contains(&name) {
                 // Same semantics already known; refresh HV residency if the
                 // contents were dropped from both stores — which happens
@@ -1814,14 +1679,20 @@ impl MultistoreSystem {
                 }
                 continue;
             }
-            let def = ViewDef::from_plan(plan.subplan(m.node), m.size, m.rows.len() as u64, qid)
-                .with_checksum(checksum_rows(&m.rows));
-            debug_assert_eq!(def.name, name, "fingerprint consistency");
-            self.catalog.register(def);
-            self.hv
-                .install_view(&name, m.schema.clone(), m.rows.clone());
+            let cand = HarvestCandidate::of(plan, m, qid);
+            debug_assert_eq!(cand.def.name, name, "fingerprint consistency");
+            self.install_harvest(cand);
             self.lru_touch(&name);
         }
+    }
+
+    /// Publishes a harvested by-product as an opportunistic view: its
+    /// definition enters the catalog and its rows become HV-resident. The
+    /// caller has checked the catalog does not know the name yet.
+    pub fn install_harvest(&mut self, cand: HarvestCandidate) {
+        let name = cand.def.name.clone();
+        self.catalog.register(cand.def);
+        self.hv.install_view(&name, cand.schema, cand.rows);
     }
 
     fn lru_touch(&mut self, name: &str) {
@@ -1871,32 +1742,22 @@ impl MultistoreSystem {
 
     /// MS-LRU's passive DW tuning: retain a transferred working set as a
     /// permanent DW view.
-    pub fn retain_working_set(
+    fn retain_working_set(
         &mut self,
         plan: &LogicalPlan,
-        node: miso_common::ids::NodeId,
-        rows: Arc<Vec<Row>>,
+        out: &miso_hv::MaterializedOutput,
         qid: QueryId,
     ) {
-        let fps = fingerprint_all(plan);
-        // An unknown node means the caller handed us a cut that isn't part of
-        // this plan; dropping the retention is safe (it is an optimization).
-        let Some(fp) = fps.get(&node) else {
-            return;
-        };
-        let name = fp.view_name();
+        let cand = HarvestCandidate::of(plan, out, qid);
+        let name = cand.def.name.clone();
         if self.dw.has_view(&name) {
             return;
         }
-        let schema = plan.node(node).schema.clone();
-        let size = ByteSize::from_bytes(rows.iter().map(Row::approx_bytes).sum());
         if !self.catalog.contains(&name) {
-            let def = ViewDef::from_plan(plan.subplan(node), size, rows.len() as u64, qid)
-                .with_checksum(checksum_rows(&rows));
-            self.catalog.register(def);
+            self.catalog.register(cand.def);
         }
         self.dw
-            .load_view(&name, schema, rows, TableSpace::Permanent);
+            .load_view(&name, cand.schema, cand.rows, TableSpace::Permanent);
         self.lru_touch(&name);
     }
 

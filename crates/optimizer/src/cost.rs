@@ -1,10 +1,11 @@
 //! Split costing in normalized units.
 //!
-//! [`estimate_split_cost`] mirrors exactly what the execution layer will
-//! charge — HV staged execution, dump/transfer/load of every cut working
-//! set, DW execution — but over size *estimates* instead of actual row
-//! counts, so the optimizer can compare splits (and the tuner can probe
-//! hypothetical designs) without running anything.
+//! [`estimate_split_cost`] charges what the execution layer will — HV
+//! staged execution, the HV→DW move of every cut working set
+//! ([`TransferModel::ship_cost`], the one formula both sides call), DW
+//! execution — but over size *estimates* instead of actual row counts, so
+//! the optimizer can compare splits (and the tuner can probe hypothetical
+//! designs) without running anything.
 
 use miso_common::ids::NodeId;
 use miso_common::{ByteSize, SimDuration};
@@ -39,6 +40,13 @@ impl TransferModel {
     /// Wire time for `bytes`.
     pub fn transfer_cost(&self, bytes: ByteSize) -> SimDuration {
         SimDuration::from_secs_f64(bytes.as_bytes() as f64 * self.network_secs_per_byte)
+    }
+
+    /// Moving `bytes` from HV into DW: dump out of HV, cross the wire, load
+    /// into DW. Every HV→DW move — a cut working set, a view migration, a
+    /// refreshed DW view — is estimated and charged by this one sum.
+    pub fn ship_cost(&self, hv: &HvCostModel, dw: &DwCostModel, bytes: ByteSize) -> SimDuration {
+        hv.dump_cost(bytes) + self.transfer_cost(bytes) + dw.load_cost(bytes)
     }
 }
 
@@ -106,8 +114,7 @@ pub fn estimate_split_cost(
     // --- Transfer: every cut node's output crosses the wire.
     for cut in split.cut_nodes(plan) {
         let bytes = ByteSize::from_bytes(estimates[&cut].bytes as u64);
-        breakdown.transfer +=
-            hv.dump_cost(bytes) + transfer.transfer_cost(bytes) + dw.load_cost(bytes);
+        breakdown.transfer += transfer.ship_cost(hv, dw, bytes);
     }
 
     // --- DW side: remaining nodes.

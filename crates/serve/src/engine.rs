@@ -39,6 +39,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::sync::Arc;
 
+use miso_common::ids::QueryId;
 use miso_common::{
     CircuitBreaker, DetRng, QueryGuard, RetryPolicy, SimClock, SimDuration, SimInstant,
 };
@@ -348,7 +349,7 @@ pub struct ServeEngine {
     banned: BTreeSet<String>,
     oracle: HashMap<String, (u64, Checksum)>,
     history: Vec<LogicalPlan>,
-    harvest: Vec<crate::executor::HarvestCandidate>,
+    harvest: Vec<miso_core::HarvestCandidate>,
     harvest_seen: BTreeSet<String>,
     staged: Option<EpochSnapshot>,
     reorg_inflight: bool,
@@ -381,13 +382,7 @@ impl ServeEngine {
     ) -> Self {
         assert!(cfg.workers > 0, "need at least one worker slot");
         assert!(!plans.is_empty(), "need a workload");
-        let snap0 = EpochSnapshot {
-            epoch: 0,
-            hv: master.hv.clone(),
-            dw: master.dw.clone(),
-            catalog: master.catalog.clone(),
-            transfer: master.transfer_model().clone(),
-        };
+        let snap0 = EpochSnapshot::of(&master, 0);
         let sched = FairScheduler::new(
             cfg.queue_cap,
             cfg.tenant_inflight_cap,
@@ -564,15 +559,9 @@ impl ServeEngine {
                 self.shed += 1;
                 self.tenant_stats.get_mut(&req.tenant).expect("tenant").shed += 1;
                 self.failures.push(QueryFailure {
-                    query: miso_common::ids::QueryId(req.seq),
-                    label: req.label.clone(),
-                    kind: "resource_exhausted",
-                    message: format!("query shed at admission ({reason})"),
-                    shed: true,
-                    retry_after: Some(retry_after),
-                    at: now,
                     tenant: Some(req.tenant.clone()),
                     session: Some(req.session),
+                    ..QueryFailure::shed(QueryId(req.seq), &req.label, reason, retry_after, now)
                 });
             }
         }
@@ -813,16 +802,11 @@ impl ServeEngine {
                 if guard_kill && self.breaker.record_failure(now) {
                     miso_obs::count("guard.overload_opened", 1);
                 }
+                let req = &inf.req;
                 self.failures.push(QueryFailure {
-                    query: miso_common::ids::QueryId(inf.req.seq),
-                    label: inf.req.label.clone(),
-                    kind,
-                    message,
-                    shed: false,
-                    retry_after: None,
-                    at: now,
-                    tenant: Some(inf.req.tenant.clone()),
-                    session: Some(inf.req.session),
+                    tenant: Some(req.tenant.clone()),
+                    session: Some(req.session),
+                    ..QueryFailure::killed(QueryId(req.seq), &req.label, kind, message, now)
                 });
             }
         }
@@ -843,10 +827,7 @@ impl ServeEngine {
             .hv
             .execute(&self.plans[plan_idx].1, None, &self.udfs);
         miso_chaos::resume(was_on);
-        let entry = match run.and_then(|r| {
-            let rows = r.execution.root_rows()?;
-            Ok((rows.len() as u64, miso_data::checksum_rows(rows)))
-        }) {
+        let entry = match run.and_then(|r| miso_core::split::answer(Some(&r), None)) {
             Ok(pair) => pair,
             // An oracle failure would itself be a bug; make it impossible to
             // confuse with a real match by using an empty sentinel.
@@ -871,9 +852,7 @@ impl ServeEngine {
         // them; queries keep reading the published snapshot meanwhile.
         for cand in self.harvest.drain(..) {
             if !self.master.catalog.contains(&cand.def.name) {
-                let name = cand.def.name.clone();
-                self.master.catalog.register(cand.def);
-                self.master.hv.install_view(&name, cand.schema, cand.rows);
+                self.master.install_harvest(cand);
             }
         }
         let delta = now.duration_since(self.master_clock.now());
@@ -881,13 +860,7 @@ impl ServeEngine {
         let window = self.history.clone();
         match self.master.reorg_now(&window, &mut self.master_clock) {
             Ok(rec) => {
-                self.staged = Some(EpochSnapshot {
-                    epoch: self.epoch + 1,
-                    hv: self.master.hv.clone(),
-                    dw: self.master.dw.clone(),
-                    catalog: self.master.catalog.clone(),
-                    transfer: self.master.transfer_model().clone(),
-                });
+                self.staged = Some(EpochSnapshot::of(&self.master, self.epoch + 1));
                 self.push_event(now + rec.duration, EvKind::Publish);
             }
             Err(e) => {

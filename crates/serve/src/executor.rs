@@ -1,51 +1,32 @@
 //! Read-only split-plan execution against an epoch snapshot.
 //!
-//! [`SnapExecutor`] replays the serial driver's split-execution pipeline
-//! (optimize → HV stages → ship cuts → DW finish) against an immutable
-//! [`EpochSnapshot`], with two differences that make it safe to run from
-//! many concurrent sessions:
+//! [`SnapExecutor`] walks the one split pipeline — place the query, run the
+//! HV side, hand each cut to DW, finish there — against an immutable
+//! [`EpochSnapshot`]. Every decision on that path is [`miso_core::split`]'s,
+//! the functions the serial driver composes too; this module adds what lets
+//! many concurrent sessions share the walk:
 //!
-//! 1. **No mutation.** Working sets are handed to DW through the engine's
-//!    `provided` map instead of temp-table loads, and harvesting/retention
-//!    come back as *candidates* for the engine to apply to the master copy —
-//!    the snapshot is never written.
-//! 2. **No fault handling.** Base runs are computed with chaos suspended
-//!    ([`miso_chaos::suspend`] preserves the storm's RNG stream); the engine
-//!    polls the fail points itself per dispatch and applies the resulting
-//!    cost/kill envelope on top of the cached base run.
-//!
-//! Because a snapshot is immutable, a (label, banned-view set) pair always
-//! produces the same base run within an epoch. The executor memoizes on
-//! exactly that key, so a thousand sessions issuing the same 32 workload
-//! templates cost one real execution each per epoch — the discrete-event
-//! serving loop then scales to large session counts.
+//! * **No mutation.** Working sets reach DW through its `provided` map, not
+//!   temp tables, and harvests come back as *candidates* for the engine to
+//!   install in the master copy — the snapshot is never written.
+//! * **No faults.** Base runs are computed with chaos suspended; the engine
+//!   polls the fail points per dispatch and lays the resulting cost/kill
+//!   envelope over the cached base run.
+//! * **A memo.** A snapshot is immutable, so (label, banned views, hv-only)
+//!   fixes the base run: 32 templates cost 32 real executions per epoch.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use miso_common::ids::{NodeId, QueryId};
-use miso_common::{ByteSize, MisoError, QueryGuard, Result, SimDuration};
-use miso_data::{checksum_rows, Checksum, Row, Schema};
+use miso_common::ids::QueryId;
+use miso_common::{ByteSize, QueryGuard, Result, SimDuration};
+use miso_core::split::{self, HarvestCandidate};
+use miso_data::Checksum;
 use miso_exec::UdfRegistry;
-use miso_optimizer::optimize::OptimizerEnv;
-use miso_optimizer::{optimize, Design};
-use miso_plan::fingerprint::{fingerprint_all, fnv1a_str, fnv1a_words};
+use miso_plan::fingerprint::{fnv1a_str, fnv1a_words};
 use miso_plan::LogicalPlan;
-use miso_views::ViewDef;
 
 use crate::snapshot::EpochSnapshot;
-
-/// A materialized HV by-product the engine may install into the master
-/// catalog (the concurrent analogue of the serial driver's view harvest).
-#[derive(Debug, Clone)]
-pub struct HarvestCandidate {
-    /// Catalog definition (fingerprint name, size, rows, checksum).
-    pub def: ViewDef,
-    /// Output schema.
-    pub schema: Schema,
-    /// Materialized rows (shared with the execution that produced them).
-    pub rows: Arc<Vec<Row>>,
-}
 
 /// One fault-free execution of a query against a snapshot: the costs,
 /// result identity, and by-products the engine needs to serve dispatches.
@@ -59,16 +40,13 @@ pub struct BaseRun {
     pub dw_cost: SimDuration,
     /// Total bytes shipped HV→DW.
     pub bytes_transferred: ByteSize,
-    /// Peak bytes a guard charges for this run (join/aggregate scratch +
-    /// materializations), measured with an unlimited-budget guard.
+    /// Peak bytes a guard is charged (scratch + materializations), metered.
     pub charged_bytes: u64,
     /// Root row count.
     pub result_rows: u64,
-    /// Order-insensitive multiset checksum of the root rows — compared
-    /// against the serial oracle on delivery.
+    /// Multiset checksum of the root rows (checked against the oracle).
     pub checksum: Checksum,
-    /// Views the chosen plan reads, tagged with whether the HV copy is the
-    /// one read (`true`) or the DW copy (`false`).
+    /// Views the plan reads; `true` when the HV copy is the one read.
     pub used_views: Vec<(String, bool)>,
     /// Harvestable HV stage outputs not already in the snapshot catalog.
     pub harvest: Vec<HarvestCandidate>,
@@ -109,9 +87,8 @@ impl SnapExecutor {
         self.memo.retain(|(e, _, _, _), _| *e >= epoch);
     }
 
-    /// The fault-free run of `raw` against `snap`, excluding `banned` views
-    /// from planning. With `hv_only`, DW is out of the design entirely (the
-    /// concurrent analogue of the serial driver's HV fallback).
+    /// The fault-free run of `raw` against `snap`, planned without `banned`
+    /// views; `hv_only` places it as the driver's HV fallback is placed.
     pub fn run(
         &mut self,
         snap: &EpochSnapshot,
@@ -142,125 +119,47 @@ impl SnapExecutor {
         banned: &BTreeSet<String>,
         hv_only: bool,
     ) -> Result<BaseRun> {
+        let stores = snap.stores();
         let usable = |name: &String| !banned.contains(name) && !snap.catalog.is_quarantined(name);
-        let design = Design {
-            hv_views: snap.hv.view_names().into_iter().filter(usable).collect(),
-            dw_views: if hv_only {
-                HashSet::new()
-            } else {
-                snap.dw.view_names().into_iter().filter(usable).collect()
-            },
-        };
-        let stats = miso_core::system::map_stats(&snap.hv, &snap.dw, &snap.catalog);
-        let planned = {
-            let env = OptimizerEnv {
-                stats: &stats,
-                hv: &snap.hv.cost_model,
-                dw: &snap.dw.cost_model,
-                transfer: &snap.transfer,
-                catalog: Some(&snap.catalog),
-            };
-            optimize(raw, &design, &env)?
-        };
+        let (planned, _) = split::place(stores, raw, usable, hv_only)?;
         let plan = &planned.plan;
-        let hv_set: HashSet<NodeId> = planned.split.hv_nodes().iter().copied().collect();
-        let dw_set: HashSet<NodeId> = plan
-            .nodes()
-            .iter()
-            .map(|n| n.id)
-            .filter(|id| !hv_set.contains(id))
-            .collect();
-        if hv_only && !dw_set.is_empty() {
-            return Err(MisoError::Plan(
-                "hv_only planning produced DW-side nodes".to_string(),
-            ));
-        }
-
         // Unlimited budget: this guard only *measures* what a real per-query
         // guard would charge, so the engine can replay the charge cheaply.
         let meter = QueryGuard::new(None, 0);
-        let mut hv_cost = SimDuration::ZERO;
-        let mut cut_costs = Vec::new();
-        let mut bytes_transferred = ByteSize::ZERO;
-        let mut provided: HashMap<NodeId, Arc<Vec<Row>>> = HashMap::new();
-        let mut harvest = Vec::new();
-        let mut root: Option<(u64, Checksum)> = None;
-
-        if !hv_set.is_empty() {
-            let run = snap
-                .hv
-                .execute_guarded(plan, Some(&hv_set), &self.udfs, &meter)?;
-            hv_cost = run.cost;
-            for cut in planned.split.cut_nodes(plan) {
-                let rows = run.execution.retained_output(cut)?.clone();
-                let bytes = run.execution.output_bytes(cut);
-                bytes_transferred += bytes;
-                cut_costs.push(
-                    snap.hv.dump_cost(bytes)
-                        + snap.transfer.transfer_cost(bytes)
-                        + snap.dw.load_cost(bytes),
-                );
-                provided.insert(cut, rows);
-            }
-            if planned.split.is_hv_only(plan) {
-                let rows = run.execution.root_rows()?;
-                root = Some((rows.len() as u64, checksum_rows(rows)));
-            }
-            let fps = fingerprint_all(plan);
-            for m in &run.materialized {
-                if plan.node(m.node).op.is_scan() {
-                    continue;
-                }
-                let Some(fp) = fps.get(&m.node) else { continue };
-                let name = fp.view_name();
-                if snap.catalog.contains(&name) {
-                    continue;
-                }
-                let def = ViewDef::from_plan(
-                    plan.subplan(m.node),
-                    m.size,
-                    m.rows.len() as u64,
-                    QueryId(0),
-                )
-                .with_checksum(checksum_rows(&m.rows));
-                harvest.push(HarvestCandidate {
-                    def,
-                    schema: m.schema.clone(),
-                    rows: m.rows.clone(),
-                });
-            }
-        }
-
-        let mut dw_cost = SimDuration::ZERO;
-        if !dw_set.is_empty() {
-            let run = snap.dw.execute_guarded(
-                plan,
-                Some(&dw_set),
-                provided.clone(),
-                &self.udfs,
-                &meter,
-            )?;
-            dw_cost = run.cost;
-            let rows = run.execution.root_rows()?;
-            root = Some((rows.len() as u64, checksum_rows(rows)));
-        }
-        let (result_rows, checksum) = root
-            .ok_or_else(|| MisoError::Plan("split produced neither HV nor DW root".to_string()))?;
-
-        let used_views = planned
-            .used_views
+        let (hv_set, dw_set) = split::node_sets(&planned);
+        let (hv, dw) = (&snap.hv, &snap.dw);
+        let hv_run = if hv_set.is_empty() {
+            None
+        } else {
+            Some(hv.execute_guarded(plan, Some(&hv_set), &self.udfs, &meter)?)
+        };
+        let cuts = match &hv_run {
+            Some(run) => split::cuts(stores, &planned, run)?,
+            None => Vec::new(),
+        };
+        let shipped = cuts.iter().map(|c| (c.node, c.rows.clone())).collect();
+        let dw_run = if dw_set.is_empty() {
+            None
+        } else {
+            Some(dw.execute_guarded(plan, Some(&dw_set), shipped, &self.udfs, &meter)?)
+        };
+        let (result_rows, checksum) = split::answer(hv_run.as_ref(), dw_run.as_ref())?;
+        let harvest = hv_run
             .iter()
-            .map(|v| (v.clone(), snap.hv.has_view(v)))
+            .flat_map(|run| split::harvestable(plan, run))
+            .filter(|(name, _)| !snap.catalog.contains(name))
+            .map(|(_, out)| HarvestCandidate::of(plan, out, QueryId(0)))
             .collect();
+        let used = planned.used_views.iter();
         Ok(BaseRun {
-            hv_cost,
-            cut_costs,
-            dw_cost,
-            bytes_transferred,
+            hv_cost: hv_run.as_ref().map_or(SimDuration::ZERO, |run| run.cost),
+            cut_costs: cuts.iter().map(|c| c.ship_cost).collect(),
+            dw_cost: dw_run.as_ref().map_or(SimDuration::ZERO, |run| run.cost),
+            bytes_transferred: cuts.iter().map(|c| c.bytes).sum(),
             charged_bytes: meter.peak(),
             result_rows,
             checksum,
-            used_views,
+            used_views: used.map(|v| (v.clone(), hv.has_view(v))).collect(),
             harvest,
         })
     }

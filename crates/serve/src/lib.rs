@@ -8,8 +8,9 @@
 //!   thousand concurrent readers and an in-progress reorganization can never
 //!   observe (or cause) a half-updated design.
 //! * **Read-only split execution** ([`executor`]) — the optimizer → HV →
-//!   ship → DW pipeline replayed against a snapshot, memoized per epoch so
-//!   repeated workload templates cost one real execution each.
+//!   ship → DW pipeline of `miso_core::split`, composed over a snapshot and
+//!   memoized per epoch so repeated workload templates cost one real
+//!   execution each.
 //! * **Fair admission** ([`scheduler`]) — priority lanes and per-tenant
 //!   quotas in front of the guard layer's admission/overload breaker: a hog
 //!   tenant is shed with `retry_after`, everyone else keeps flowing.
@@ -23,6 +24,7 @@ pub mod scheduler;
 pub mod snapshot;
 
 pub use engine::{ServeConfig, ServeEngine, ServeReport, TenantReport};
-pub use executor::{BaseRun, HarvestCandidate, SnapExecutor};
+pub use executor::{BaseRun, SnapExecutor};
+pub use miso_core::HarvestCandidate;
 pub use scheduler::{Admission, FairScheduler, Lane, QueryReq};
 pub use snapshot::{EpochSnapshot, SnapshotCell};

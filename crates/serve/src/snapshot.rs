@@ -19,6 +19,7 @@
 
 use std::sync::{Arc, RwLock};
 
+use miso_core::{MultistoreSystem, Stores};
 use miso_dw::DwStore;
 use miso_hv::HvStore;
 use miso_optimizer::TransferModel;
@@ -37,6 +38,30 @@ pub struct EpochSnapshot {
     pub catalog: ViewCatalog,
     /// The inter-store transfer model.
     pub transfer: TransferModel,
+}
+
+impl EpochSnapshot {
+    /// The image of `sys` as it stands, published as `epoch`. Logs and view
+    /// rows are shared, not copied (see the module docs).
+    pub fn of(sys: &MultistoreSystem, epoch: u64) -> Self {
+        EpochSnapshot {
+            epoch,
+            hv: sys.hv.clone(),
+            dw: sys.dw.clone(),
+            catalog: sys.catalog.clone(),
+            transfer: sys.transfer_model().clone(),
+        }
+    }
+
+    /// This image's stores, borrowed for the [`miso_core::split`] functions.
+    pub fn stores(&self) -> Stores<'_> {
+        Stores {
+            hv: &self.hv,
+            dw: &self.dw,
+            catalog: &self.catalog,
+            transfer: &self.transfer,
+        }
+    }
 }
 
 /// The single publication point: readers load, the tuner publishes.

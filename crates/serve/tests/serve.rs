@@ -10,7 +10,10 @@
 //! * in-flight queries finish against their admission-time snapshot;
 //! * queries killed at the drain deadline are classified losses;
 //! * a crash mid-commit recovers through the reorg journal and converges to
-//!   the same design a crash-free run commits.
+//!   the same design a crash-free run commits;
+//! * the snapshot executor and the serial driver are one split pipeline:
+//!   same costs, bytes, answer, views read and views harvested per query,
+//!   and the same HV-only degradation when DW is down.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,16 +74,6 @@ fn queries() -> Vec<(String, LogicalPlan)> {
     .enumerate()
     .map(|(i, sql)| (format!("q{i}"), compile(sql, &c).unwrap()))
     .collect()
-}
-
-fn snapshot_of(sys: &MultistoreSystem, epoch: u64) -> EpochSnapshot {
-    EpochSnapshot {
-        epoch,
-        hv: sys.hv.clone(),
-        dw: sys.dw.clone(),
-        catalog: sys.catalog.clone(),
-        transfer: sys.transfer_model().clone(),
-    }
 }
 
 /// A reader racing reorg commits never observes a half-updated image: the
@@ -178,7 +171,7 @@ fn drained_inflight_work_uses_admission_snapshot() {
     let _chaos = chaos_guard();
     let mut sys = tiny_system(100_000);
     let workload = queries();
-    let snap0 = Arc::new(snapshot_of(&sys, 0));
+    let snap0 = Arc::new(EpochSnapshot::of(&sys, 0));
     let none = BTreeSet::new();
 
     let mut exec = SnapExecutor::new(UdfRegistry::new());
@@ -193,7 +186,7 @@ fn drained_inflight_work_uses_admission_snapshot() {
         ..(*snap0).clone()
     });
     let held = cell.load();
-    cell.publish(snapshot_of(&sys, 1));
+    cell.publish(EpochSnapshot::of(&sys, 1));
     assert_eq!(cell.epoch(), 1);
     assert_eq!(held.epoch, 0, "in-flight query keeps its admission image");
 
@@ -420,9 +413,9 @@ fn crashed_commit_recovers_to_the_crash_free_design() {
     // Whichever side of the commit the crash landed on, the recovered image
     // is a publishable epoch serving the same answers as the control's.
     let none = BTreeSet::new();
-    let snap_control = snapshot_of(&control, 1);
+    let snap_control = EpochSnapshot::of(&control, 1);
     for sys in [&pre_commit, &post_commit] {
-        let snap = snapshot_of(sys, 1);
+        let snap = EpochSnapshot::of(sys, 1);
         let mut exec_a = SnapExecutor::new(UdfRegistry::new());
         let mut exec_b = SnapExecutor::new(UdfRegistry::new());
         for (label, plan) in &workload {
@@ -464,7 +457,7 @@ fn growth_publishes_new_epoch_old_snapshots_keep_old_answers() {
     )
     .unwrap();
     let none = BTreeSet::new();
-    let cell = SnapshotCell::new(snapshot_of(&sys, 0));
+    let cell = SnapshotCell::new(EpochSnapshot::of(&sys, 0));
     let held = cell.load();
     let mut exec = SnapExecutor::new(UdfRegistry::new());
     let before = exec
@@ -477,7 +470,7 @@ fn growth_publishes_new_epoch_old_snapshots_keep_old_answers() {
     let delta = Delta::generated(&LogsConfig::tiny(), LogKind::Twitter, 0, 150);
     sys.grow(&delta, MaintenancePolicy::Refresh, &mut clock)
         .unwrap();
-    cell.publish(snapshot_of(&sys, 1));
+    cell.publish(EpochSnapshot::of(&sys, 1));
     assert_eq!(cell.epoch(), 1);
 
     // The held pre-growth snapshot still answers over the old corpus.
@@ -500,4 +493,137 @@ fn growth_publishes_new_epoch_old_snapshots_keep_old_answers() {
     for (label, plan) in &workload {
         fresh.run(&cell.load(), label, plan, &none, false).unwrap();
     }
+}
+
+/// A `tiny` system over the standard 32-template workload (its catalog and
+/// UDFs), and the templates.
+fn workload_system(corpus: &Corpus) -> MultistoreSystem {
+    let kib = ByteSize::from_kib(100_000);
+    let budgets = Budgets::new(kib, kib, kib).with_discretization(ByteSize::from_kib(16));
+    MultistoreSystem::new(
+        corpus,
+        miso_workload::workload_catalog(),
+        miso_workload::standard_udfs(),
+        SystemConfig::paper_default(budgets),
+    )
+}
+
+fn templates() -> Vec<(String, LogicalPlan)> {
+    miso_workload::compile_workload(&miso_workload::workload_catalog()).unwrap()
+}
+
+/// Cold, and warmed by one full MS-MISO stream over the 32 templates.
+fn cold_and_warm(corpus: &Corpus, workload: &[(String, LogicalPlan)]) -> [MultistoreSystem; 2] {
+    let mut warm = workload_system(corpus);
+    warm.run_workload(Variant::MsMiso, workload).unwrap();
+    [workload_system(corpus), warm]
+}
+
+/// The refactor's premise, pinned: the snapshot executor and the serial
+/// driver walk one pipeline. For every template, on a cold and on a warm
+/// design, a base run over a snapshot and the driver's record for the same
+/// query over a copy of the same stores agree on every cost, the bytes
+/// shipped, the answer size and the views read — and the executor's harvest
+/// candidates are exactly the views the driver newly registers.
+#[test]
+fn snapshot_run_and_serial_driver_agree_on_every_template() {
+    let _chaos = chaos_guard();
+    miso_chaos::disable();
+    let corpus = Corpus::generate(&LogsConfig::tiny());
+    let workload = templates();
+    assert_eq!(workload.len(), 32);
+    let none = BTreeSet::new();
+    for (state, sys) in ["cold", "warm"]
+        .iter()
+        .zip(cold_and_warm(&corpus, &workload))
+    {
+        let snap = EpochSnapshot::of(&sys, 0);
+        let mut exec = SnapExecutor::new(miso_workload::standard_udfs());
+        for (label, plan) in &workload {
+            let base = exec.run(&snap, label, plan, &none, false).unwrap();
+
+            let mut twin = workload_system(&corpus);
+            twin.hv = sys.hv.clone();
+            twin.dw = sys.dw.clone();
+            twin.catalog = sys.catalog.clone();
+            let known: BTreeSet<String> = twin.catalog.names().into_iter().collect();
+            let one = [(label.clone(), plan.clone())];
+            let result = twin.run_workload(Variant::MsMiso, &one).unwrap();
+            let rec = &result.records[0];
+
+            let at = format!("{label} ({state})");
+            assert_eq!(base.hv_cost, rec.hv, "{at}: hv");
+            let shipped: SimDuration = base.cut_costs.iter().copied().sum();
+            assert_eq!(shipped, rec.transfer, "{at}: transfer");
+            assert_eq!(base.dw_cost, rec.dw, "{at}: dw");
+            assert_eq!(base.bytes_transferred, rec.bytes_transferred, "{at}: bytes");
+            assert_eq!(base.result_rows, rec.result_rows, "{at}: rows");
+            let read: Vec<&String> = base.used_views.iter().map(|(v, _)| v).collect();
+            assert_eq!(
+                read,
+                rec.used_views.iter().collect::<Vec<_>>(),
+                "{at}: views"
+            );
+            let harvested: BTreeSet<String> =
+                base.harvest.iter().map(|c| c.def.name.clone()).collect();
+            let registered: BTreeSet<String> = (twin.catalog.names().into_iter())
+                .filter(|n| !known.contains(n))
+                .collect();
+            assert_eq!(harvested, registered, "{at}: harvest");
+        }
+    }
+}
+
+/// DW down hard (`dw.execute` fails on every hit): the serving engine
+/// degrades exactly as the serial driver does — every query it admits is
+/// answered by an HV-only base run, correctly. The HV-only placement itself
+/// is a rewrite over HV-resident views with every node in HV, so it can
+/// neither fail to plan nor cost a transfer, on a cold or a warm design.
+#[test]
+fn dw_down_serving_degrades_to_hv_only_like_the_driver() {
+    let _chaos = chaos_guard();
+    miso_chaos::disable();
+    let corpus = Corpus::generate(&LogsConfig::tiny());
+    let workload = templates();
+    let none = BTreeSet::new();
+    for (state, sys) in ["cold", "warm"]
+        .iter()
+        .zip(cold_and_warm(&corpus, &workload))
+    {
+        let snap = EpochSnapshot::of(&sys, 0);
+        let mut exec = SnapExecutor::new(miso_workload::standard_udfs());
+        for (label, plan) in &workload {
+            let oracle = sys
+                .hv
+                .execute(plan, None, sys.udf_registry())
+                .and_then(|run| miso_core::split::answer(Some(&run), None))
+                .unwrap();
+            let base = exec
+                .run(&snap, label, plan, &none, true)
+                .unwrap_or_else(|e| panic!("{label} ({state}) has no HV-only run: {e}"));
+            assert_eq!(base.dw_cost, SimDuration::ZERO, "{label} ({state})");
+            assert!(base.cut_costs.is_empty(), "{label} ({state})");
+            assert_eq!(
+                (base.result_rows, base.checksum),
+                oracle,
+                "{label} ({state})"
+            );
+        }
+    }
+
+    let plan = miso_chaos::parse_spec("seed=1;dw.execute=error").expect("spec parses");
+    miso_chaos::install(plan);
+    let report = ServeEngine::new(
+        ServeConfig::standard(),
+        workload_system(&corpus),
+        workload,
+        miso_workload::standard_udfs(),
+    )
+    .run();
+    miso_chaos::disable();
+    assert_eq!(report.submitted, 64, "32 sessions x 2 queries");
+    assert_eq!(report.delivered, report.submitted, "{:?}", report.failures);
+    assert_eq!(report.wrong_answers, 0);
+    assert!(report.failures.iter().all(|f| f.kind != "plan"));
+    assert_eq!(report.hv_fallbacks, report.delivered);
 }

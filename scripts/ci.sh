@@ -16,7 +16,7 @@ cargo build --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> golden figures (all eleven results/*.txt and both .csv, at MISO_THREADS=1 and 8)"
+echo "==> goldens (eleven figures, both .csv and the four fault-path smokes, at MISO_THREADS=1 and 8)"
 # Run from a scratch directory: the bins write results/<name>.report.json
 # (and fig4/fig8 a .csv) relative to where they stand, and the committed
 # files must not move.
@@ -24,7 +24,8 @@ root="$PWD"
 golden="$(mktemp -d)"
 trap 'rm -rf "$golden"' EXIT
 figures="fig3 fig4 fig5 fig6 fig7 fig8 fig9 table2 fig_motivation ablation maintenance"
-cargo build --release -q -p miso-bench $(printf -- '--bin %s ' $figures)
+cargo build --release -q -p miso-bench \
+    $(printf -- '--bin %s ' $figures chaos integrity soakbench servebench)
 for threads in 1 8; do
     for bin in $figures; do
         (cd "$golden" && MISO_THREADS=$threads "$root/target/release/$bin" >"$bin.txt")
@@ -32,6 +33,14 @@ for threads in 1 8; do
     done
     diff -u results/fig4.csv "$golden/results/fig4.csv"
     diff -u results/fig8.csv "$golden/results/fig8.csv"
+    # The fault paths: seeded chaos, silent corruption, the guard storm and
+    # the serving storm print the same lines on every run, so a retry, a
+    # fallback, a kill or a quarantine that moves shows up as a diff.
+    for smoke in "chaos" "integrity" "soakbench --smoke" "servebench --smoke"; do
+        name="${smoke/ --/.}" # $smoke stays unquoted below: "bin --flag" is two words
+        (cd "$golden" && MISO_THREADS=$threads "$root/target/release/"$smoke >"$name.txt")
+        diff -u "results/$name.txt" "$golden/$name.txt"
+    done
 done
 
 echo "==> miso-e2e builds against this tree, answers one workload correctly, serves no stale view"
@@ -53,23 +62,11 @@ CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
     --workload serve_warm --seed 7 --seconds 1 --trace 1 | tail -n 1 >"$golden/e2e-serve.json"
 grep -q '"correct": *true' "$golden/e2e-serve.json"
 
-echo "==> chaos smoke (seeded fault injection)"
-cargo run --release -q -p miso-bench --bin chaos
-
-echo "==> integrity smoke (seeded silent corruption)"
-cargo run --release -q -p miso-bench --bin integrity
-
-echo "==> soakbench smoke (guard storm: stalls, hogs, corruption, crashes)"
-cargo run --release -q -p miso-bench --bin soakbench -- --smoke
-
 echo "==> tunerbench smoke (designs identical across threading and memoization)"
 cargo run --release -q -p miso-bench --bin tunerbench -- --smoke
 
 echo "==> execbench smoke (row and columnar output verified against serial)"
 cargo run --release -q -p miso-bench --bin execbench -- --smoke
-
-echo "==> servebench smoke (concurrent serving: epochs, drain, fairness, storm)"
-cargo run --release -q -p miso-bench --bin servebench -- --smoke
 
 echo "==> ivmbench smoke (delta maintenance vs full recompute; checksum identity)"
 cargo run --release -q -p miso-bench --bin ivmbench -- --smoke
