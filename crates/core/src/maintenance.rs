@@ -878,7 +878,7 @@ mod tests {
             .unwrap();
         let mut fresh_corpus = Corpus::generate(&cfg);
         let delta_again = generate_delta(&cfg, LogKind::Twitter, 1, 200);
-        fresh_corpus.twitter.lines.extend(delta_again);
+        Arc::make_mut(&mut fresh_corpus.twitter.lines).extend(delta_again);
         let budgets = Budgets::new(
             ByteSize::from_mib(64),
             ByteSize::from_mib(8),
@@ -947,14 +947,9 @@ mod tests {
             .run_workload(Variant::MsMiso, std::slice::from_ref(&q))
             .unwrap();
         let mut fresh_corpus = Corpus::generate(&cfg);
-        fresh_corpus
-            .twitter
-            .lines
-            .extend(generate_delta(&cfg, LogKind::Twitter, 1, 100));
-        fresh_corpus
-            .twitter
-            .lines
-            .extend(generate_delta(&cfg, LogKind::Twitter, 2, 100));
+        let lines = Arc::make_mut(&mut fresh_corpus.twitter.lines);
+        lines.extend(generate_delta(&cfg, LogKind::Twitter, 1, 100));
+        lines.extend(generate_delta(&cfg, LogKind::Twitter, 2, 100));
         let budgets = Budgets::new(
             ByteSize::from_mib(64),
             ByteSize::from_mib(8),

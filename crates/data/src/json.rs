@@ -11,6 +11,12 @@
 //! offsets. It is not a general
 //! serde backend — the sanctioned offline crate set includes `serde` but not
 //! `serde_json`, and the stores only need `Value` round-trips.
+//!
+//! Beside it sits the fast path the columnar scan reads logs with: one walk
+//! over an object line's top-level members ([`parse_flat_line`]) that builds
+//! no tree, one lexer for a member's value, and a [`LineIndex`] that records
+//! where each value starts so that a log is walked once and read, field by
+//! field, at those offsets afterwards.
 
 use crate::value::Value;
 use miso_common::{MisoError, Result};
@@ -425,23 +431,116 @@ impl FlatVal<'_> {
     }
 }
 
-/// Zero-copy fast parse of one JSON object line — the shape of every
-/// generated log record: `{"key": value, ...}` with no string escapes at
-/// the top level. The columnar scan uses this to feed typed column vectors
-/// without materializing a [`Value`] tree per line. A nested array or
-/// object is walked by the strict parser in place (escapes, depth cap and
-/// all) but not built: it comes back as [`FlatVal::Nested`], its raw text,
-/// and costs a tree only if that field is asked for.
-///
-/// Returns `None` as soon as anything outside the subset appears (a `\`
-/// escape in a key or top-level string, a non-object top level, trailing
-/// characters, a nested value the strict parser rejects…); the caller must
-/// then fall back to [`parse_json`]. The guarantee is one-sided and exact:
-/// `Some(fields)` implies
-/// `parse_json(line) == Ok(Value::object(fields as owned values))`
-/// with the same duplicate-key (last-wins) and number semantics — the
-/// grammar below is byte-for-byte the strict parser's.
-pub fn parse_flat_line(line: &str) -> Option<Vec<(&str, FlatVal<'_>)>> {
+/// A `"`-delimited run at `pos` with no escapes and no control bytes, and
+/// the offset just past its closing quote; multi-byte UTF-8 passes through
+/// untouched (its bytes are all >= 0x80).
+fn lex_simple_str(line: &str, pos: usize) -> Option<(&str, usize)> {
+    let b = line.as_bytes();
+    if b.get(pos) != Some(&b'"') {
+        return None;
+    }
+    let start = pos + 1;
+    let mut i = start;
+    loop {
+        match b.get(i)? {
+            b'"' => break,
+            b'\\' => return None,
+            c if *c < 0x20 => return None,
+            _ => i += 1,
+        }
+    }
+    // `start..i` is bounded by ASCII quotes, so it is a char boundary.
+    Some((&line[start..i], i + 1))
+}
+
+/// The one value lexer of the fast path: the top-level field value that
+/// starts at byte `pos` of an object line, and the offset just past it.
+/// [`parse_flat_line`] lexes every value of a line with it and
+/// [`LineIndex::for_each_line`] only the values it is asked for, at the
+/// offsets the index recorded — so a value means the same whichever way it
+/// was reached. `None` for anything outside the fast subset.
+fn lex_value(line: &str, mut pos: usize) -> Option<(FlatVal<'_>, usize)> {
+    let b = line.as_bytes();
+    let val = match b.get(pos)? {
+        b'"' => {
+            let (s, end) = lex_simple_str(line, pos)?;
+            pos = end;
+            FlatVal::Str(s)
+        }
+        b'{' | b'[' => {
+            // This line's object is level 1 already.
+            let mut p = Parser { bytes: b, pos };
+            p.parse_value::<false>(1).ok()?;
+            // ASCII brackets bound the slice: char boundaries.
+            let raw = &line[pos..p.pos];
+            pos = p.pos;
+            FlatVal::Nested(raw)
+        }
+        b't' if b[pos..].starts_with(b"true") => {
+            pos += 4;
+            FlatVal::Bool(true)
+        }
+        b'f' if b[pos..].starts_with(b"false") => {
+            pos += 5;
+            FlatVal::Bool(false)
+        }
+        b'n' if b[pos..].starts_with(b"null") => {
+            pos += 4;
+            FlatVal::Null
+        }
+        c if *c == b'-' || c.is_ascii_digit() => {
+            // Same number grammar as `Parser::parse_number`.
+            let start = pos;
+            if b.get(pos) == Some(&b'-') {
+                pos += 1;
+            }
+            while matches!(b.get(pos), Some(c) if c.is_ascii_digit()) {
+                pos += 1;
+            }
+            let mut is_float = false;
+            if b.get(pos) == Some(&b'.') {
+                is_float = true;
+                pos += 1;
+                while matches!(b.get(pos), Some(c) if c.is_ascii_digit()) {
+                    pos += 1;
+                }
+            }
+            if matches!(b.get(pos), Some(b'e' | b'E')) {
+                is_float = true;
+                pos += 1;
+                if matches!(b.get(pos), Some(b'+' | b'-')) {
+                    pos += 1;
+                }
+                while matches!(b.get(pos), Some(c) if c.is_ascii_digit()) {
+                    pos += 1;
+                }
+            }
+            let text = &line[start..pos];
+            if text.is_empty() || text == "-" {
+                return None;
+            }
+            if is_float {
+                FlatVal::Float(text.parse::<f64>().ok()?)
+            } else {
+                match text.parse::<i64>() {
+                    Ok(i) => FlatVal::Int(i),
+                    Err(_) => FlatVal::Float(text.parse::<f64>().ok()?),
+                }
+            }
+        }
+        _ => return None,
+    };
+    Some((val, pos))
+}
+
+/// The one walk over an object line's top-level members, in line order:
+/// `member(key, offset of the value, value)`. `None` — possibly after some
+/// members were reported — as soon as anything outside the fast subset
+/// appears; see [`parse_flat_line`] for the subset and the guarantee.
+fn walk_flat_line<'a>(
+    line: &'a str,
+    mut member: impl FnMut(&'a str, usize, FlatVal<'a>),
+) -> Option<()> {
     let b = line.as_bytes();
     let mut pos = 0usize;
     let skip_ws = |pos: &mut usize| {
@@ -449,111 +548,28 @@ pub fn parse_flat_line(line: &str) -> Option<Vec<(&str, FlatVal<'_>)>> {
             *pos += 1;
         }
     };
-    // A `"`-delimited run with no escapes and no control bytes; multi-byte
-    // UTF-8 passes through untouched (its bytes are all >= 0x80).
-    let simple_str = |pos: &mut usize| -> Option<&str> {
-        if b.get(*pos) != Some(&b'"') {
-            return None;
-        }
-        let start = *pos + 1;
-        let mut i = start;
-        loop {
-            match b.get(i)? {
-                b'"' => break,
-                b'\\' => return None,
-                c if *c < 0x20 => return None,
-                _ => i += 1,
-            }
-        }
-        *pos = i + 1;
-        // `start..i` is bounded by ASCII quotes, so it is a char boundary.
-        Some(&line[start..i])
-    };
     skip_ws(&mut pos);
     if b.get(pos) != Some(&b'{') {
         return None;
     }
     pos += 1;
-    let mut fields = Vec::new();
     skip_ws(&mut pos);
     if b.get(pos) == Some(&b'}') {
         pos += 1;
     } else {
         loop {
             skip_ws(&mut pos);
-            let key = simple_str(&mut pos)?;
+            let (key, end) = lex_simple_str(line, pos)?;
+            pos = end;
             skip_ws(&mut pos);
             if b.get(pos) != Some(&b':') {
                 return None;
             }
             pos += 1;
             skip_ws(&mut pos);
-            let val = match b.get(pos)? {
-                b'"' => FlatVal::Str(simple_str(&mut pos)?),
-                b'{' | b'[' => {
-                    // This line's object is level 1 already.
-                    let mut p = Parser { bytes: b, pos };
-                    p.parse_value::<false>(1).ok()?;
-                    // ASCII brackets bound the slice: char boundaries.
-                    let raw = &line[pos..p.pos];
-                    pos = p.pos;
-                    FlatVal::Nested(raw)
-                }
-                b't' if b[pos..].starts_with(b"true") => {
-                    pos += 4;
-                    FlatVal::Bool(true)
-                }
-                b'f' if b[pos..].starts_with(b"false") => {
-                    pos += 5;
-                    FlatVal::Bool(false)
-                }
-                b'n' if b[pos..].starts_with(b"null") => {
-                    pos += 4;
-                    FlatVal::Null
-                }
-                c if *c == b'-' || c.is_ascii_digit() => {
-                    // Same number grammar as `Parser::parse_number`.
-                    let start = pos;
-                    if b.get(pos) == Some(&b'-') {
-                        pos += 1;
-                    }
-                    while matches!(b.get(pos), Some(c) if c.is_ascii_digit()) {
-                        pos += 1;
-                    }
-                    let mut is_float = false;
-                    if b.get(pos) == Some(&b'.') {
-                        is_float = true;
-                        pos += 1;
-                        while matches!(b.get(pos), Some(c) if c.is_ascii_digit()) {
-                            pos += 1;
-                        }
-                    }
-                    if matches!(b.get(pos), Some(b'e' | b'E')) {
-                        is_float = true;
-                        pos += 1;
-                        if matches!(b.get(pos), Some(b'+' | b'-')) {
-                            pos += 1;
-                        }
-                        while matches!(b.get(pos), Some(c) if c.is_ascii_digit()) {
-                            pos += 1;
-                        }
-                    }
-                    let text = &line[start..pos];
-                    if text.is_empty() || text == "-" {
-                        return None;
-                    }
-                    if is_float {
-                        FlatVal::Float(text.parse::<f64>().ok()?)
-                    } else {
-                        match text.parse::<i64>() {
-                            Ok(i) => FlatVal::Int(i),
-                            Err(_) => FlatVal::Float(text.parse::<f64>().ok()?),
-                        }
-                    }
-                }
-                _ => return None,
-            };
-            fields.push((key, val));
+            let (val, end) = lex_value(line, pos)?;
+            member(key, pos, val);
+            pos = end;
             skip_ws(&mut pos);
             match b.get(pos) {
                 Some(b',') => pos += 1,
@@ -566,10 +582,185 @@ pub fn parse_flat_line(line: &str) -> Option<Vec<(&str, FlatVal<'_>)>> {
         }
     }
     skip_ws(&mut pos);
-    if pos != b.len() {
-        return None;
-    }
+    (pos == b.len()).then_some(())
+}
+
+/// Zero-copy fast parse of one JSON object line — the shape of every
+/// generated log record: `{"key": value, ...}` with no string escapes at
+/// the top level. A nested array or object is walked by the strict parser
+/// in place (escapes, depth cap and all) but not built: it comes back as
+/// [`FlatVal::Nested`], its raw text, and costs a tree only if that field
+/// is asked for.
+///
+/// Returns `None` as soon as anything outside the subset appears (a `\`
+/// escape in a key or top-level string, a non-object top level, trailing
+/// characters, a nested value the strict parser rejects…); the caller must
+/// then fall back to [`parse_json`]. The guarantee is one-sided and exact:
+/// `Some(fields)` implies
+/// `parse_json(line) == Ok(Value::object(fields as owned values))`
+/// with the same duplicate-key (last-wins) and number semantics — the
+/// grammar is byte-for-byte the strict parser's.
+pub fn parse_flat_line(line: &str) -> Option<Vec<(&str, FlatVal<'_>)>> {
+    let mut fields = Vec::new();
+    walk_flat_line(line, |key, _, val| fields.push((key, val)))?;
     Some(fields)
+}
+
+/// How a [`LineIndex`] hands one well-formed line to its reader.
+#[derive(Debug)]
+pub enum IndexedLine<'a, 's> {
+    /// A fast-path line: the value under each requested key, in request
+    /// order ([`FlatVal::Null`] for a key the line lacks).
+    Flat(&'s [FlatVal<'a>]),
+    /// A line only the strict parser reads (an escape at the top level, a
+    /// non-object document): [`parse_json`] accepts it.
+    Strict(&'a str),
+}
+
+/// Where the top-level values of a run of log lines start, recorded by one
+/// tokenizing pass so that a later reader lexes only the values it wants.
+///
+/// Per line: a *layout* — the line's top-level key sequence; a lookup
+/// resolves duplicate keys to the last occurrence, as `Value::object` does —
+/// and one `u32` value offset per member; or one of two marks, for a line
+/// that only the strict parser accepts and for a malformed one. Generated
+/// logs have one layout each, so a line costs `4 + 4 × members` bytes.
+/// The index describes exactly the lines it was built from: reading it
+/// against any other slice is a bug, and [`LineIndex::for_each_line`]
+/// checks the length.
+#[derive(Debug)]
+pub struct LineIndex {
+    /// Per line, an index into `layouts`, or [`STRICT`] / [`MALFORMED`].
+    line_layout: Vec<u32>,
+    /// Value offsets of the fast-path lines, concatenated in line order: a
+    /// line of layout `l` owns the next `layouts[l].len()` of them.
+    offsets: Vec<u32>,
+    layouts: Vec<Vec<String>>,
+    malformed: usize,
+}
+
+/// `line_layout` mark: well-formed, but outside the fast subset.
+const STRICT: u32 = u32::MAX - 1;
+/// `line_layout` mark: not JSON; every reader skips the line.
+const MALFORMED: u32 = u32::MAX;
+
+impl LineIndex {
+    /// Tokenizes `lines`: every byte of every line is lexed here, once.
+    pub fn build(lines: &[String]) -> LineIndex {
+        let mut index = LineIndex {
+            line_layout: Vec::with_capacity(lines.len()),
+            offsets: Vec::new(),
+            layouts: Vec::new(),
+            malformed: 0,
+        };
+        let mut keys: Vec<&str> = Vec::new();
+        // The layout of the previous fast-path line: the next one has it
+        // too, nearly always.
+        let mut last = 0usize;
+        for line in lines {
+            keys.clear();
+            let first = index.offsets.len();
+            let mut fits = true;
+            let flat = walk_flat_line(line, |key, at, _| {
+                keys.push(key);
+                match u32::try_from(at) {
+                    Ok(at) => index.offsets.push(at),
+                    Err(_) => fits = false,
+                }
+            });
+            if flat.is_some() && fits {
+                let same = |layout: &Vec<String>| {
+                    layout.iter().map(String::as_str).eq(keys.iter().copied())
+                };
+                if !index.layouts.get(last).is_some_and(same) {
+                    last = index.layouts.iter().position(same).unwrap_or_else(|| {
+                        index
+                            .layouts
+                            .push(keys.iter().map(|k| k.to_string()).collect());
+                        index.layouts.len() - 1
+                    });
+                }
+                // Far fewer layouts than `STRICT` fit in memory.
+                index.line_layout.push(last as u32);
+                continue;
+            }
+            index.offsets.truncate(first);
+            if parse_json(line).is_ok() {
+                index.line_layout.push(STRICT);
+            } else {
+                index.line_layout.push(MALFORMED);
+                index.malformed += 1;
+            }
+        }
+        index
+    }
+
+    /// Lines indexed, malformed ones included.
+    pub fn len(&self) -> usize {
+        self.line_layout.len()
+    }
+
+    /// True iff no line is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.line_layout.is_empty()
+    }
+
+    /// Malformed lines among them — what a scan reports as skipped.
+    pub fn malformed(&self) -> usize {
+        self.malformed
+    }
+
+    /// Heap footprint of the index.
+    pub fn approx_bytes(&self) -> u64 {
+        let keys: usize = self.layouts.iter().flatten().map(|k| 24 + k.len()).sum();
+        (4 * (self.line_layout.len() + self.offsets.len()) + keys) as u64
+    }
+
+    /// Calls `row` once per well-formed line of `lines`, in line order,
+    /// with the values under `keys` lexed at the recorded offsets; no other
+    /// byte of a fast-path line is read. `lines` must be the slice the
+    /// index was built from.
+    pub fn for_each_line<'a>(
+        &self,
+        lines: &'a [String],
+        keys: &[&str],
+        mut row: impl for<'s> FnMut(IndexedLine<'a, 's>),
+    ) {
+        assert_eq!(lines.len(), self.len(), "the index describes these lines");
+        // Per layout, the member each key reads: its last occurrence.
+        let slots: Vec<Vec<Option<usize>>> = self
+            .layouts
+            .iter()
+            .map(|layout| {
+                keys.iter()
+                    .map(|key| layout.iter().rposition(|k| k == key))
+                    .collect()
+            })
+            .collect();
+        let mut vals: Vec<FlatVal<'a>> = Vec::with_capacity(keys.len());
+        let mut first = 0usize;
+        for (line, &layout) in lines.iter().zip(&self.line_layout) {
+            match layout {
+                MALFORMED => {}
+                STRICT => row(IndexedLine::Strict(line)),
+                layout => {
+                    let layout = layout as usize;
+                    vals.clear();
+                    vals.extend(slots[layout].iter().map(|slot| match slot {
+                        None => FlatVal::Null,
+                        Some(member) => {
+                            let at = self.offsets[first + member] as usize;
+                            lex_value(line, at)
+                                .expect("lexed at this offset when the index was built")
+                                .0
+                        }
+                    }));
+                    first += self.layouts[layout].len();
+                    row(IndexedLine::Flat(&vals));
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -693,6 +884,105 @@ mod tests {
             check(seed);
         }
         assert!(checked > 2000, "{checked} lines");
+    }
+
+    /// What a reader of `lines`' index gets under `keys`: one row of
+    /// values per well-formed line.
+    fn indexed_rows(lines: &[String], keys: &[&str]) -> Vec<Vec<Value>> {
+        let index = LineIndex::build(lines);
+        assert_eq!(index.len(), lines.len());
+        let mut rows = Vec::new();
+        index.for_each_line(lines, keys, |line| {
+            rows.push(match line {
+                IndexedLine::Flat(vals) => vals.iter().map(FlatVal::to_value).collect(),
+                IndexedLine::Strict(line) => {
+                    let doc = parse_json(line).expect("strict lines are well-formed");
+                    let field = |k: &&str| doc.get_field(k).cloned().unwrap_or(Value::Null);
+                    keys.iter().map(field).collect()
+                }
+            })
+        });
+        assert_eq!(rows.len() + index.malformed(), lines.len());
+        rows
+    }
+
+    /// The same rows off the strict parser alone.
+    fn strict_rows(lines: &[String], keys: &[&str]) -> Vec<Vec<Value>> {
+        let docs = lines.iter().filter_map(|line| parse_json(line).ok());
+        docs.map(|doc| {
+            let field = |k: &&str| doc.get_field(k).cloned().unwrap_or(Value::Null);
+            keys.iter().map(field).collect()
+        })
+        .collect()
+    }
+
+    /// Values read through the index are the fields of the strict parser's
+    /// object — last duplicate wins, absent is NULL, a nested value is its
+    /// tree — over every prefix and every one-byte edit of the seed lines,
+    /// indexed together so that layouts, strict and malformed lines mix.
+    #[test]
+    fn indexed_reads_agree_with_the_strict_parser() {
+        let seeds = [
+            r#"{"id": 7, "tags": ["a", "b}"], "geo": {"lat": 1.5, "pt": [1, [2]]}, "t": "x"}"#,
+            r#"{"a": [{"b": "\"]"}, null], "a": {"c": "\\"}, "n": -1e3}"#,
+            r#" { "e" : [ ] , "o" : { } , "s" : "é" } "#,
+            r#"{"t": "esc\"aped", "id": 8, "n": 99999999999999999999}"#,
+            r#"{"id": 1, "id": 2.5, "t": null, "t": true}"#,
+        ];
+        let mut lines: Vec<String> = Vec::new();
+        for seed in seeds {
+            lines.push(seed.to_string());
+            lines.extend(seed.char_indices().map(|(end, _)| seed[..end].to_string()));
+            for (at, c) in seed.char_indices() {
+                for edit in ["", "[", "}", "\"", "\\", ",", ":", "1"] {
+                    lines.push(format!(
+                        "{}{edit}{}",
+                        &seed[..at],
+                        &seed[at + c.len_utf8()..]
+                    ));
+                }
+            }
+        }
+        lines.extend(["42", "[1]", "\"id\"", "{}", "", "null"].map(String::from));
+        assert!(lines.len() > 2000, "{} lines", lines.len());
+        let keys = ["id", "t", "a", "geo", "tags", "n", "absent", "id"];
+        let index = LineIndex::build(&lines);
+        assert!(index.layouts.len() > 20 && index.malformed() > 500);
+        assert!(index.line_layout.contains(&STRICT));
+        assert_eq!(indexed_rows(&lines, &keys), strict_rows(&lines, &keys));
+        assert_eq!(indexed_rows(&lines, &[]), strict_rows(&lines, &[]));
+        for key in keys {
+            assert_eq!(indexed_rows(&lines, &[key]), strict_rows(&lines, &[key]));
+        }
+    }
+
+    /// One layout per key sequence, found again wherever it recurs; a line
+    /// costs one mark and one offset per member.
+    #[test]
+    fn index_layouts_and_footprint() {
+        let lines: Vec<String> = [
+            r#"{"a": 1, "b": "x"}"#,
+            r#"{"a": 2, "b": "y"}"#,
+            r#"{"b": "z", "a": 3}"#,
+            "not json",
+            r#"{"a": 4, "b": "w"}"#,
+            r#"{"a": "\n"}"#,
+            r#"{"a": 5, "a": 6}"#,
+        ]
+        .map(String::from)
+        .to_vec();
+        let index = LineIndex::build(&lines);
+        assert_eq!(index.line_layout, [0, 0, 1, MALFORMED, 0, STRICT, 2]);
+        assert_eq!(index.layouts.len(), 3);
+        assert_eq!(index.offsets.len(), 2 * 4 + 2);
+        assert_eq!((index.len(), index.malformed()), (7, 1));
+        let rows = indexed_rows(&lines, &["a"]);
+        let ints = [1, 2, 3, 4].map(|i| vec![Value::Int(i)]);
+        assert_eq!(rows[..4], ints);
+        assert_eq!(rows[4..], [vec![Value::str("\n")], vec![Value::Int(6)]]);
+        let empty = LineIndex::build(&[]);
+        assert!(empty.is_empty() && empty.approx_bytes() == 0);
+        empty.for_each_line(&[], &["a"], |_| panic!("no line"));
     }
 
     /// Nesting is capped: a line of a million `[` is a parse error, not a

@@ -21,6 +21,7 @@ use crate::json::to_json;
 use crate::value::Value;
 use miso_common::rng::{DetRng, ZipfSampler};
 use miso_common::ByteSize;
+use std::sync::Arc;
 
 /// Identifies one of the three generated data sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,8 +106,10 @@ impl LogsConfig {
 pub struct LogFile {
     /// Which data set this is.
     pub kind: LogKind,
-    /// One JSON document per line.
-    pub lines: Vec<String>,
+    /// One JSON document per line. Shared: a clone of the file, and a store
+    /// the file is registered with, hold the same lines until one of them
+    /// changes its copy ([`Arc::make_mut`]).
+    pub lines: Arc<Vec<String>>,
     /// Total size (sum of line lengths + newlines).
     pub size: ByteSize,
 }
@@ -117,7 +120,7 @@ impl LogFile {
         let bytes: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
         LogFile {
             kind,
-            lines,
+            lines: Arc::new(lines),
             size: ByteSize::from_bytes(bytes),
         }
     }
@@ -173,24 +176,24 @@ impl Corpus {
 pub fn generate_delta(cfg: &LogsConfig, kind: LogKind, batch: u64, count: usize) -> Vec<String> {
     let root = DetRng::new(cfg.seed ^ 0xDE17A);
     match kind {
-        LogKind::Twitter => {
+        LogKind::Twitter => Arc::unwrap_or_clone(
             generate_twitter_batch(
                 cfg,
                 root.fork(batch * 4 + 1),
                 cfg.tweets + batch as usize * count,
                 count,
             )
-            .lines
-        }
-        LogKind::Foursquare => {
+            .lines,
+        ),
+        LogKind::Foursquare => Arc::unwrap_or_clone(
             generate_foursquare_batch(
                 cfg,
                 root.fork(batch * 4 + 2),
                 cfg.checkins + batch as usize * count,
                 count,
             )
-            .lines
-        }
+            .lines,
+        ),
         // Landmarks is static reference data; an appended batch models newly
         // listed venues beyond the base id range.
         LogKind::Landmarks => {
@@ -450,7 +453,7 @@ mod tests {
     fn popularity_is_skewed() {
         let c = Corpus::generate(&LogsConfig::tiny());
         let mut user0 = 0usize;
-        for line in &c.twitter.lines {
+        for line in c.twitter.lines.iter() {
             let v = parse_json(line).unwrap();
             if v.get_field("user_id").unwrap() == &Value::Int(0) {
                 user0 += 1;

@@ -1,10 +1,9 @@
 //! Columnar (vectorized) execution support for the morsel engine.
 //!
-//! This module is the expression half of miso-col: a vectorizability
-//! check over plan expressions, a morsel-at-a-time expression evaluator
-//! ([`eval_vec`])
-//! that produces whole [`Column`] vectors instead of per-row [`Value`]s,
-//! and the fused scan+project line parser that turns raw JSON log lines
+//! This module is the expression half of miso-col: a morsel-at-a-time
+//! expression evaluator ([`eval_vec`]) that covers the whole [`Expr`] enum
+//! and produces [`Column`] vectors instead of per-row [`Value`]s, and the
+//! fused scan+project reader ([`LogIndex`]) that turns raw JSON log lines
 //! straight into typed column vectors. The operator integration (columnar
 //! filter/project/aggregate bodies) lives in [`crate::engine`], which owns
 //! morsel dispatch, the guard seam and the accumulator machinery.
@@ -13,32 +12,27 @@
 //! scalar evaluator in [`crate::eval`]. Fast paths are only taken where
 //! the scalar semantics are reproduced exactly (Int/Int comparisons are
 //! `i64::cmp`, Str/Str comparisons are `str::cmp`, everything else routes
-//! through the shared scalar kernels `eval_binary`/`eval_unary`/`cast`).
-//! AND/OR reproduce the scalar short-circuit: the right side is evaluated
-//! only at positions where the left side did not decide, so a plan whose
-//! right branch would error serially errors columnar-ly in exactly the
-//! same cases.
+//! through the shared scalar kernels `eval_binary`/`eval_unary`/`cast`);
+//! a builtin has one body, [`eval_func`], which both evaluators call on
+//! borrowed cells. AND/OR reproduce the scalar short-circuit: the right
+//! side is evaluated only at positions where the left side did not decide,
+//! so a plan whose right branch would error serially — a bad column, an
+//! unknown builtin, a wrong argument count — errors columnar-ly in exactly
+//! the same cases.
+//!
+//! **A line is tokenized once**: a [`LogIndex`] records, in one pass over a
+//! log's lines, where each top-level value starts; every column read of
+//! that log afterwards lexes only the values it asks for, with the lexer
+//! the tokenizing pass used.
 
 use crate::engine::par_chunks;
-use crate::eval::{cast, eval_binary, eval_unary, logical_combine};
+use crate::eval::{cast, eval_binary, eval_func, eval_unary, logical_combine};
 use miso_common::guard::QueryGuard;
-use miso_common::{MisoError, Result};
-use miso_data::json::{parse_flat_line, parse_json, FlatVal};
+use miso_common::{pool, MisoError, Result};
+use miso_data::json::{parse_json, FlatVal, IndexedLine, LineIndex};
 use miso_data::{Cell, ColBatch, ColBuilder, Column, DataType, Value};
 use miso_plan::{BinOp, Expr, UnaryOp};
-
-/// Can `eval_vec` evaluate this expression? Field access and builtin
-/// functions stay on the row path (they produce/consume nested JSON, where
-/// a columnar layout buys nothing), which makes the whole operator fall
-/// back to rows.
-pub(crate) fn vectorizable(e: &Expr) -> bool {
-    match e {
-        Expr::Column(_) | Expr::Literal(_) => true,
-        Expr::Cast { input, .. } | Expr::Unary { input, .. } => vectorizable(input),
-        Expr::Binary { left, right, .. } => vectorizable(left) && vectorizable(right),
-        Expr::FieldGet { .. } | Expr::Func { .. } => false,
-    }
-}
+use std::sync::Arc;
 
 /// One evaluated vector over a morsel `[start, start + n)` of a batch.
 #[derive(Debug)]
@@ -196,10 +190,11 @@ fn cast_cell(c: Cell, ty: DataType) -> Value {
 /// `mask` (morsel-local positions, sorted ascending) restricts evaluation
 /// to a subset — used for the right side of AND/OR so short-circuited
 /// positions are genuinely not evaluated, exactly like the scalar path.
-/// The only possible error is a static out-of-range column reference,
-/// raised with the scalar evaluator's exact message — and only when at
-/// least one unmasked position exists, since the scalar path would not
-/// have touched the expression otherwise.
+/// Every possible error is static — an out-of-range column reference, an
+/// unknown builtin, a wrong argument count — and is raised with the scalar
+/// evaluator's exact message, and only when at least one unmasked position
+/// exists, since the scalar path would not have touched the expression
+/// otherwise.
 pub(crate) fn eval_vec<'a>(
     expr: &Expr,
     batch: &'a ColBatch,
@@ -282,9 +277,39 @@ pub(crate) fn eval_vec<'a>(
                 binary_cells(*op, l.cell(j), r.cell(j))
             })))
         }
-        Expr::FieldGet { .. } | Expr::Func { .. } => Err(MisoError::Execution(
-            "internal: non-vectorizable expression reached eval_vec".into(),
-        )),
+        Expr::FieldGet { input, key } => {
+            let v = eval_vec(input, batch, start, n, mask)?;
+            Ok(VCol::Owned(build_masked(n, mask, |j| match v.cell(j) {
+                Cell::Val(object) => object.get_field(key).cloned().unwrap_or(Value::Null),
+                _ => Value::Null,
+            })))
+        }
+        Expr::Func { name, args } => {
+            let args = args
+                .iter()
+                .map(|a| eval_vec(a, batch, start, n, mask))
+                .collect::<Result<Vec<_>>>()?;
+            // The builtin runs at evaluated positions only, so its static
+            // errors need no check of their own: they arise at the first
+            // such position, or not at all.
+            let mut cells = Vec::with_capacity(args.len());
+            let mut failed = None;
+            let col = build_masked(n, mask, |j| {
+                if failed.is_some() {
+                    return Value::Null;
+                }
+                cells.clear();
+                cells.extend(args.iter().map(|a| a.cell(j)));
+                eval_func(name, &cells).unwrap_or_else(|e| {
+                    failed = Some(e);
+                    Value::Null
+                })
+            });
+            match failed {
+                Some(e) => Err(e),
+                None => Ok(VCol::Owned(col)),
+            }
+        }
     }
 }
 
@@ -372,80 +397,115 @@ fn push_cast(b: &mut ColBuilder, tok: FlatVal<'_>, ty: Option<DataType>) {
     }
 }
 
-/// Parses `lines` into one column per field, morsel-parallel on the worker
-/// pool, and returns the batch with the count of malformed lines skipped.
-/// Morsel results are concatenated in line order, so the columns are those
-/// one serial [`ColBuilder`] pass would build, for any thread count — which
-/// is what lets a store extend them later with the parse of appended lines
-/// alone ([`Column::append`]).
-pub fn parse_log_columns(lines: &[String], fields: &[FusedField<'_>]) -> Result<(ColBatch, u64)> {
-    // The caller owns the cancellation boundary: a store may be parsing for
-    // an append, outside any query.
-    let parts = par_chunks(QueryGuard::inert_ref(), lines, |_, chunk| {
-        parse_lines_fused(chunk, fields)
-    })?;
-    let mut batches = Vec::with_capacity(parts.len());
-    let mut skipped = 0u64;
-    for (batch, s) in parts {
-        batches.push(batch);
-        skipped += s as u64;
-    }
-    if batches.is_empty() {
-        // No lines: `ColBatch::concat` of nothing would lose the arity.
-        batches.push(parse_lines_fused(&[], fields).0);
-    }
-    Ok((ColBatch::concat(batches), skipped))
+/// The token index of a whole log, or of one appended batch: one
+/// [`LineIndex`] per run of lines, in line order — a morsel of the pass that
+/// built it, or a batch appended since. Cheap to clone (the runs are
+/// shared), which is how a store's clones and its lock-free readers each
+/// hold one.
+#[derive(Debug, Clone, Default)]
+pub struct LogIndex {
+    runs: Vec<Arc<LineIndex>>,
 }
 
-/// Parses a chunk of log lines straight into one column builder per fused
-/// field. Malformed lines are skipped and counted, exactly like the row
-/// scan. The zero-copy line parser handles the (overwhelmingly common)
-/// escape-free object lines, building a tree only for a nested value that
-/// is itself asked for; anything it declines falls back to the strict
-/// parser so escaped lines behave identically to the row path.
-/// Duplicate keys resolve to the last occurrence, matching
-/// `Value::object`'s dedup.
-pub(crate) fn parse_lines_fused(lines: &[String], fields: &[FusedField<'_>]) -> (ColBatch, usize) {
+impl LogIndex {
+    /// Tokenizes `lines`, morsel-parallel on the worker pool.
+    pub fn build(lines: &[String]) -> Result<LogIndex> {
+        // The caller owns the cancellation boundary: a store may be
+        // indexing for an append, outside any query.
+        let runs = par_chunks(QueryGuard::inert_ref(), lines, |_, chunk| {
+            Arc::new(LineIndex::build(chunk))
+        })?;
+        Ok(LogIndex { runs })
+    }
+
+    /// Extends the index over the lines `tail` describes, appended to the
+    /// log after those this index covers.
+    pub fn append(&mut self, tail: &LogIndex) {
+        self.runs.extend(tail.runs.iter().cloned());
+    }
+
+    /// `(well-formed, malformed)` line counts: a scan's row and skip counts.
+    pub fn counts(&self) -> (usize, u64) {
+        let lines: usize = self.runs.iter().map(|run| run.len()).sum();
+        let malformed: usize = self.runs.iter().map(|run| run.malformed()).sum();
+        (lines - malformed, malformed as u64)
+    }
+
+    /// Heap footprint of the index.
+    pub fn approx_bytes(&self) -> u64 {
+        self.runs.iter().map(|run| run.approx_bytes()).sum()
+    }
+
+    /// One column per field over the well-formed lines of `lines` — the
+    /// slice this index was built from — in line order. Runs are read in
+    /// parallel and concatenated in order, so the columns are those one
+    /// serial [`ColBuilder`] pass would build, for any thread count and
+    /// however the lines were split into runs — which is what lets a store
+    /// extend them later with the columns of appended lines alone
+    /// ([`Column::append`]).
+    pub fn columns(&self, lines: &[String], fields: &[FusedField<'_>]) -> Result<ColBatch> {
+        let mut ranges = Vec::with_capacity(self.runs.len());
+        let mut first = 0usize;
+        for run in &self.runs {
+            ranges.push(first..first + run.len());
+            first += run.len();
+        }
+        if first != lines.len() {
+            return Err(MisoError::Execution(format!(
+                "log index covers {first} lines, the log has {}",
+                lines.len()
+            )));
+        }
+        miso_obs::count("exec.morsels", self.runs.len() as u64);
+        miso_obs::count("exec.par_rows", lines.len() as u64);
+        let mut parts = pool::run_batch(self.runs.len(), |i| {
+            read_run(&self.runs[i], &lines[ranges[i].clone()], fields)
+        })?;
+        if parts.is_empty() {
+            // No lines: `ColBatch::concat` of nothing would lose the arity.
+            parts.push(read_run(&LineIndex::build(&[]), &[], fields));
+        }
+        Ok(ColBatch::concat(parts))
+    }
+}
+
+/// Parses `lines` into one column per field and returns the batch with the
+/// count of malformed lines skipped: tokenize, then read the fields at the
+/// recorded offsets. A caller that reads the same lines again keeps the
+/// [`LogIndex`] and skips the first step.
+pub fn parse_log_columns(lines: &[String], fields: &[FusedField<'_>]) -> Result<(ColBatch, u64)> {
+    let index = LogIndex::build(lines)?;
+    Ok((index.columns(lines, fields)?, index.counts().1))
+}
+
+/// Reads one run of indexed lines straight into one column builder per
+/// fused field. Malformed lines are skipped, exactly like the row scan. A
+/// fast-path line is lexed at the requested values only, building a tree
+/// only for a nested value that is itself asked for; a line the index marks
+/// strict goes through the strict parser so escaped lines behave
+/// identically to the row path.
+fn read_run(index: &LineIndex, lines: &[String], fields: &[FusedField<'_>]) -> ColBatch {
+    let rows = index.len() - index.malformed();
     let mut builders: Vec<ColBuilder> = (0..fields.len()).map(|_| ColBuilder::new()).collect();
     for b in &mut builders {
-        b.reserve(lines.len());
+        b.reserve(rows);
     }
-    let mut skipped = 0usize;
-    let mut parsed = 0usize;
-    for line in lines {
-        if let Some(flat) = parse_flat_line(line) {
-            for (f, b) in fields.iter().zip(&mut builders) {
-                // Last occurrence wins, as in Value::object's dedup.
-                let tok = flat
-                    .iter()
-                    .rev()
-                    .find(|(k, _)| *k == f.key)
-                    .map(|(_, v)| *v)
-                    .unwrap_or(FlatVal::Null);
-                push_cast(b, tok, f.ty);
+    let keys: Vec<&str> = fields.iter().map(|f| f.key).collect();
+    index.for_each_line(lines, &keys, |line| match line {
+        IndexedLine::Flat(toks) => {
+            for ((f, b), tok) in fields.iter().zip(&mut builders).zip(toks) {
+                push_cast(b, *tok, f.ty);
             }
-            parsed += 1;
-        } else if push_strict(line, fields, &mut builders) {
-            parsed += 1;
-        } else {
-            skipped += 1;
         }
-    }
-    (
-        ColBatch::from_columns(
-            builders.into_iter().map(ColBuilder::finish).collect(),
-            parsed,
-        ),
-        skipped,
-    )
+        IndexedLine::Strict(line) => push_strict(line, fields, &mut builders),
+    });
+    ColBatch::from_columns(builders.into_iter().map(ColBuilder::finish).collect(), rows)
 }
 
-/// The strict-parser path of [`parse_lines_fused`]: pushes the fields of one
-/// line out of its [`parse_json`] tree, or nothing if the line is malformed.
-fn push_strict(line: &str, fields: &[FusedField<'_>], builders: &mut [ColBuilder]) -> bool {
-    let Ok(v) = parse_json(line) else {
-        return false;
-    };
+/// The strict-parser path of [`read_run`]: pushes the fields of one line
+/// out of its [`parse_json`] tree.
+fn push_strict(line: &str, fields: &[FusedField<'_>], builders: &mut [ColBuilder]) {
+    let v = parse_json(line).expect("the index marks only well-formed lines strict");
     for (f, b) in fields.iter().zip(builders) {
         let field = v.get_field(f.key).cloned().unwrap_or(Value::Null);
         b.push_value(match f.ty {
@@ -453,13 +513,13 @@ fn push_strict(line: &str, fields: &[FusedField<'_>], builders: &mut [ColBuilder
             None => field,
         });
     }
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::eval;
+    use miso_data::json::parse_flat_line;
     use miso_data::Row;
 
     fn bin(op: BinOp, l: Expr, r: Expr) -> Expr {
@@ -470,35 +530,99 @@ mod tests {
         }
     }
 
-    fn batch() -> ColBatch {
-        let rows: Vec<Row> = vec![
-            Row::new(vec![Value::Int(1), Value::str("a"), Value::Float(0.5)]),
-            Row::new(vec![Value::Null, Value::str("b"), Value::Int(2)]),
-            Row::new(vec![Value::Int(3), Value::Null, Value::Float(f64::NAN)]),
-            Row::new(vec![Value::Int(-4), Value::str("a"), Value::Bool(true)]),
-        ]
-        .into_iter()
-        .collect();
-        ColBatch::from_rows(&rows).unwrap()
+    fn func(name: &str, args: Vec<Expr>) -> Expr {
+        Expr::Func {
+            name: name.into(),
+            args,
+        }
     }
 
-    /// Evaluates `e` both ways over every row and asserts identical values
-    /// (or identical error messages).
-    fn assert_parity(e: &Expr) {
+    /// `$0` Int, `$1` Str, `$4` Float — each with a NULL; `$2` a `Mixed`
+    /// column of scalars, `$3` a `Mixed` column of arrays, an object, a
+    /// string and a NULL.
+    fn batch() -> ColBatch {
+        let tags = Value::Array(vec![Value::str("pizza"), Value::Int(1), Value::Null]);
+        let user = Value::object(vec![
+            ("uid".into(), Value::Int(7)),
+            ("tags".into(), Value::Array(vec![Value::str("pizza")])),
+        ]);
+        let row = |vals: [Value; 5]| Row::new(vals.to_vec());
+        let rows: Vec<Row> = vec![
+            row([
+                Value::Int(1),
+                Value::str("a"),
+                Value::Float(0.5),
+                tags,
+                Value::Float(2.25),
+            ]),
+            row([
+                Value::Null,
+                Value::str("b"),
+                Value::Int(2),
+                user,
+                Value::Float(-1.0),
+            ]),
+            row([
+                Value::Int(3),
+                Value::Null,
+                Value::Float(f64::NAN),
+                Value::str("Hello World"),
+                Value::Null,
+            ]),
+            row([
+                Value::Int(-4),
+                Value::str("a"),
+                Value::Bool(true),
+                Value::Null,
+                Value::Float(90_000.7),
+            ]),
+            row([
+                Value::Int(90_000),
+                Value::str("Hello"),
+                Value::str("x"),
+                Value::Array(vec![]),
+                Value::Float(0.0),
+            ]),
+        ];
+        let b = ColBatch::from_rows(&rows).unwrap();
+        assert!(matches!(b.col(0), Column::Int(..)) && matches!(b.col(1), Column::Str(..)));
+        assert!(matches!(b.col(2), Column::Mixed(..)) && matches!(b.col(3), Column::Mixed(..)));
+        b
+    }
+
+    /// Evaluates `e` both ways over the rows `[start, start + n)` and
+    /// asserts identical values — or, where the scalar evaluator fails on
+    /// some row, its first error's message.
+    fn assert_parity_over(e: &Expr, start: usize, n: usize) {
         let b = batch();
         let rows = b.to_rows();
-        let vec_result = eval_vec(e, &b, 0, b.len(), None);
-        for (i, row) in rows.iter().enumerate() {
-            match (&vec_result, eval(e, row)) {
-                (Ok(v), Ok(want)) => {
-                    assert_eq!(v.cell(i).to_value(), want, "row {i} of {e:?}");
+        let want: Result<Vec<Value>> = rows[start..start + n].iter().map(|r| eval(e, r)).collect();
+        match (eval_vec(e, &b, start, n, None), want) {
+            (Ok(v), Ok(want)) => {
+                for (j, want) in want.iter().enumerate() {
+                    assert_eq!(&v.cell(j).to_value(), want, "row {} of {e:?}", start + j);
                 }
-                (Err(ve), Err(se)) => {
-                    assert_eq!(ve.to_string(), se.to_string(), "error parity for {e:?}");
-                    return;
-                }
-                (v, s) => panic!("parity split at row {i} of {e:?}: vec={v:?} serial={s:?}"),
             }
+            (Err(ve), Err(se)) => {
+                assert_eq!(ve.to_string(), se.to_string(), "error parity for {e:?}")
+            }
+            (v, s) => panic!("parity split on {e:?}: vec={v:?} serial={s:?}"),
+        }
+    }
+
+    fn assert_parity(e: &Expr) {
+        assert_parity_over(e, 0, batch().len());
+    }
+
+    /// `e` alone, and on the right of an AND / OR whose left side decides
+    /// at every row, at some rows, and at none.
+    fn assert_parity_guarded(e: &Expr) {
+        use miso_plan::Expr as E;
+        assert_parity(e);
+        let some = bin(BinOp::Lt, E::col(0), E::lit(2i64));
+        for left in [E::lit(false), E::lit(true), some, E::lit(Value::Null)] {
+            assert_parity(&left.clone().and(e.clone()));
+            assert_parity(&bin(BinOp::Or, left, e.clone()));
         }
     }
 
@@ -568,6 +692,197 @@ mod tests {
         }
     }
 
+    /// Every builtin of `eval_func`, at its own argument count, over every
+    /// combination of argument shapes — typed columns with a NULL, both
+    /// `Mixed` columns, literals of each type, an out-of-range column — and
+    /// each also behind a short-circuit.
+    #[test]
+    fn builtin_parity_matrix() {
+        use miso_plan::Expr as E;
+        let pool = || {
+            vec![
+                E::col(0),
+                E::col(1),
+                E::col(2),
+                E::col(3),
+                E::col(4),
+                E::lit("a"),
+                E::lit(2i64),
+                E::lit(Value::Null),
+                E::lit(Value::Array(vec![Value::str("a"), Value::Int(2)])),
+                E::col(3).get("tags"),
+                E::col(9),
+            ]
+        };
+        let builtins: [(&str, usize); 13] = [
+            ("lower", 1),
+            ("upper", 1),
+            ("length", 1),
+            ("abs", 1),
+            ("round", 1),
+            ("sqrt", 1),
+            ("ln", 1),
+            ("day", 1),
+            ("hour", 1),
+            ("contains", 2),
+            ("array_contains", 2),
+            ("concat", 2),
+            ("substr", 3),
+        ];
+        let mut checked = 0usize;
+        for (name, arity) in builtins {
+            // Every `arity`-tuple over the pool, odometer-style.
+            let pool = pool();
+            let mut at = vec![0usize; arity];
+            'tuples: loop {
+                let args: Vec<Expr> = at.iter().map(|&i| pool[i].clone()).collect();
+                let e = func(name, args);
+                if arity < 3 {
+                    assert_parity_guarded(&e);
+                } else {
+                    assert_parity(&e);
+                }
+                checked += 1;
+                for slot in at.iter_mut().rev() {
+                    *slot += 1;
+                    if *slot < pool.len() {
+                        continue 'tuples;
+                    }
+                    *slot = 0;
+                }
+                break;
+            }
+        }
+        assert_eq!(checked, 9 * 11 + 3 * 121 + 1331);
+        // Spot values, so that parity is not two evaluators agreeing on NULL.
+        let b = batch();
+        let at = |e: &Expr, j: usize| {
+            eval_vec(e, &b, 0, b.len(), None)
+                .unwrap()
+                .cell(j)
+                .to_value()
+        };
+        let pizza = func("array_contains", vec![E::col(3), E::lit("pizza")]);
+        assert_eq!(at(&pizza, 0), Value::Bool(true));
+        assert_eq!(at(&pizza, 4), Value::Bool(false));
+        assert_eq!(at(&pizza, 2), Value::Null, "a string is no array");
+        let nested = func(
+            "array_contains",
+            vec![E::col(3).get("tags"), E::lit("pizza")],
+        );
+        assert_eq!(at(&nested, 1), Value::Bool(true));
+        let hello = func("contains", vec![E::col(1), E::lit("ell")]);
+        assert_eq!(at(&hello, 4), Value::Bool(true));
+        assert_eq!(at(&hello, 2), Value::Null);
+        assert_eq!(at(&func("day", vec![E::col(0)]), 4), Value::Int(1));
+        assert_eq!(at(&func("hour", vec![E::col(0)]), 4), Value::Int(1));
+        assert_eq!(at(&func("length", vec![E::col(3)]), 0), Value::Int(3));
+        assert_eq!(at(&func("length", vec![E::col(1)]), 4), Value::Int(5));
+        assert_eq!(at(&func("upper", vec![E::col(1)]), 4), Value::str("HELLO"));
+    }
+
+    /// A builtin called with the wrong number of arguments, or one that
+    /// does not exist, is a static error: raised with the scalar message
+    /// when some position evaluates it, and not at all when none does.
+    #[test]
+    fn static_builtin_errors_surface_only_where_evaluated() {
+        use miso_plan::Expr as E;
+        let names = [
+            "lower",
+            "upper",
+            "length",
+            "concat",
+            "substr",
+            "contains",
+            "array_contains",
+            "abs",
+            "round",
+            "sqrt",
+            "ln",
+            "day",
+            "hour",
+            "nope",
+        ];
+        let b = batch();
+        let mut errors = 0usize;
+        for name in names {
+            for arity in 0..=4 {
+                let e = func(name, vec![E::col(1); arity]);
+                assert_parity_guarded(&e);
+                if eval_vec(&e, &b, 0, b.len(), None).is_err() {
+                    errors += 1;
+                    // Nobody evaluates it: no error, as in the scalar path.
+                    let never = E::lit(false).and(e.clone());
+                    let v = eval_vec(&never, &b, 0, b.len(), None).expect("short-circuited");
+                    assert_eq!(v.cell(0).to_value(), Value::Bool(false));
+                    assert!(eval_vec(&e, &b, 0, 0, None).is_ok(), "an empty morsel");
+                    // Somebody does: the scalar evaluator's message.
+                    let some = bin(BinOp::Lt, E::col(0), E::lit(2i64)).and(e.clone());
+                    let got = eval_vec(&some, &b, 0, b.len(), None).unwrap_err();
+                    let want = eval(&e, &b.to_rows()[0]).unwrap_err();
+                    assert_eq!(got.to_string(), want.to_string());
+                }
+            }
+        }
+        // 12 fixed-arity builtins × 4 wrong counts, `nope` × 5; `concat`
+        // takes any number.
+        assert_eq!(errors, 12 * 4 + 5);
+        // A bad argument is reported before the call that takes it.
+        assert_parity(&func("nope", vec![E::col(9)]));
+        assert_parity(&func("lower", vec![func("nope", vec![])]));
+    }
+
+    #[test]
+    fn field_get_parity() {
+        use miso_plan::Expr as E;
+        let object = Value::object(vec![("k".into(), Value::Int(1))]);
+        let exprs = [
+            E::col(3).get("uid"),
+            E::col(3).get("tags"),
+            E::col(3).get("absent"),
+            E::col(3).get("tags").get("deeper"),
+            E::col(0).get("uid"),
+            E::col(1).get("uid"),
+            E::col(2).get("uid"),
+            E::lit(object.clone()).get("k"),
+            E::lit(object).get("absent"),
+            E::lit(5i64).get("k"),
+            E::col(9).get("k"),
+            E::col(3).get("uid").cast(DataType::Str),
+            E::col(3).get("uid").eq(E::lit(7i64)),
+        ];
+        for e in &exprs {
+            assert_parity_guarded(e);
+        }
+        let b = batch();
+        let uid = eval_vec(&exprs[0], &b, 0, b.len(), None).unwrap();
+        assert_eq!(uid.cell(1).to_value(), Value::Int(7));
+        assert_eq!(
+            uid.cell(0).to_value(),
+            Value::Null,
+            "an array has no fields"
+        );
+    }
+
+    /// A morsel that starts mid-batch reads its own rows, through every
+    /// kind of vector a builtin can be handed.
+    #[test]
+    fn builtins_honour_the_morsel_offset() {
+        use miso_plan::Expr as E;
+        let exprs = [
+            func("contains", vec![E::col(1), E::lit("a")]),
+            func("array_contains", vec![E::col(3), E::col(1)]),
+            func("length", vec![func("upper", vec![E::col(1)])]),
+            func("day", vec![E::col(0)]),
+            E::col(3).get("uid"),
+        ];
+        for e in &exprs {
+            for (start, n) in [(1, 3), (2, 3), (4, 1), (5, 0)] {
+                assert_parity_over(e, start, n);
+            }
+        }
+    }
+
     /// `false AND $bad` never evaluates `$bad`, even when every row
     /// short-circuits — same as the scalar evaluator.
     #[test]
@@ -590,22 +905,16 @@ mod tests {
         let b = batch();
         // All pass.
         let v = eval_vec(&E::lit(true), &b, 0, b.len(), None).unwrap();
-        assert_eq!(select_true(&v, 0, b.len()), vec![0, 1, 2, 3]);
+        assert_eq!(select_true(&v, 0, b.len()), vec![0, 1, 2, 3, 4]);
         // None pass.
         let v = eval_vec(&E::lit(false), &b, 0, b.len(), None).unwrap();
         assert!(select_true(&v, 0, b.len()).is_empty());
         // NULL comparisons do not select (row 1 has NULL in column 0).
-        let v = eval_vec(
-            &bin(BinOp::Lt, E::col(0), E::lit(10i64)),
-            &b,
-            0,
-            b.len(),
-            None,
-        )
-        .unwrap();
+        let lt = bin(BinOp::Lt, E::col(0), E::lit(10i64));
+        let v = eval_vec(&lt, &b, 0, b.len(), None).unwrap();
         assert_eq!(select_true(&v, 0, b.len()), vec![0, 2, 3]);
         // Morsel offset shifts the selection to batch-global indexes.
-        let v = eval_vec(&bin(BinOp::Lt, E::col(0), E::lit(10i64)), &b, 2, 2, None).unwrap();
+        let v = eval_vec(&lt, &b, 2, 2, None).unwrap();
         assert_eq!(select_true(&v, 2, 2), vec![2, 3]);
     }
 
@@ -627,11 +936,7 @@ mod tests {
         // Non-serde shapes are declined.
         assert!(fused_fields(&[E::col(1).get("uid")]).is_none());
         assert!(fused_fields(&[E::col(0)]).is_none());
-        assert!(fused_fields(&[E::Func {
-            name: "lower".into(),
-            args: vec![E::col(0).get("text")],
-        }])
-        .is_none());
+        assert!(fused_fields(&[func("lower", vec![E::col(0).get("text")])]).is_none());
     }
 
     /// The fused parser agrees with parse-then-project row execution on
@@ -660,7 +965,7 @@ mod tests {
                 ty: None,
             },
         ];
-        let (batch, skipped) = parse_lines_fused(&lines, &fields);
+        let (batch, skipped) = parse_log_columns(&lines, &fields).unwrap();
         assert_eq!(skipped, 1);
         assert_eq!(batch.len(), 6);
         // Row-path oracle: parse, project field, cast.
@@ -674,13 +979,19 @@ mod tests {
         }
         assert_eq!(batch.to_rows(), want);
     }
-    /// [`parse_lines_fused`] had the fast path declined every line.
-    fn parse_lines_strict(lines: &[String], fields: &[FusedField<'_>]) -> (Vec<Column>, usize) {
+
+    /// What the fused reader builds had the index marked every well-formed
+    /// line strict.
+    fn parse_lines_strict(lines: &[String], fields: &[FusedField<'_>]) -> (Vec<Column>, u64) {
         let mut builders: Vec<ColBuilder> = fields.iter().map(|_| ColBuilder::new()).collect();
-        let skipped = lines
-            .iter()
-            .filter(|line| !push_strict(line, fields, &mut builders))
-            .count();
+        let mut skipped = 0u64;
+        for line in lines {
+            if parse_json(line).is_ok() {
+                push_strict(line, fields, &mut builders);
+            } else {
+                skipped += 1;
+            }
+        }
         (
             builders.into_iter().map(ColBuilder::finish).collect(),
             skipped,
@@ -689,13 +1000,13 @@ mod tests {
 
     /// Over generated tweets (every one carries a `hashtags` array) and
     /// hand-made lines, the fused parse equals the strict-parser path
-    /// column for column — and the fast path now answers for every
-    /// generated line, so no tree is built unless a nested field is read.
+    /// column for column — and the fast path answers for every generated
+    /// line, so no tree is built unless a nested field is read.
     #[test]
     fn fused_parse_of_nested_lines_matches_the_strict_path() {
         use miso_data::logs::{Corpus, LogsConfig};
         let corpus = Corpus::generate(&LogsConfig::tiny());
-        let mut lines = corpus.twitter.lines.clone();
+        let mut lines = Arc::unwrap_or_clone(corpus.twitter.lines);
         assert!(lines.iter().all(|l| l.contains("\"hashtags\":[")));
         assert!(
             lines.iter().all(|l| parse_flat_line(l).is_some()),
@@ -729,11 +1040,11 @@ mod tests {
             field("hashtags", Some(DataType::Int)),
             field("absent", None),
         ];
-        let (batch, skipped) = parse_lines_fused(&lines, &fields);
+        let (batch, skipped) = parse_log_columns(&lines, &fields).unwrap();
         let (want, want_skipped) = parse_lines_strict(&lines, &fields);
         assert_eq!(skipped, want_skipped);
         assert_eq!(skipped, 5, "unterminated, 2 × trailing, torn, over the cap");
-        assert_eq!(batch.len() + skipped, lines.len());
+        assert_eq!(batch.len() as u64 + skipped, lines.len() as u64);
         for ((f, got), want) in fields.iter().zip(batch.columns()).zip(&want) {
             assert_eq!(got.as_ref(), want, "column {f:?}");
         }

@@ -328,8 +328,9 @@ pub fn execute_subset(
 ///
 /// Under [`Retention::Only`] eligible operators run column-at-a-time over
 /// [`ColBatch`]es (see [`crate::col`]); an operator the columnar path
-/// declines — a `FieldGet`/`Func` expression, a join, a sort, an unfused
-/// scan — runs its row body, and kept nodes that finish columnar are pivoted
+/// declines — a join, a sort, an unfused scan, an aggregate over an
+/// expression, a filter or projection of a ragged row set — runs its row
+/// body, and kept nodes that finish columnar are pivoted
 /// to rows once, when the execution returns. Under [`Retention::All`] every
 /// node must end up as rows, so each would pay a pivot and the row bodies
 /// are strictly cheaper: every operator runs its row body. Output is
@@ -554,12 +555,7 @@ pub fn execute_subset_guarded(
             }
             Operator::Filter { predicate } => {
                 let input_id = node.inputs[0];
-                let col_input = if lean && col::vectorizable(predicate) {
-                    ensure_cols(&outputs, &mut col_outputs, input_id);
-                    col_outputs.get(&input_id).cloned()
-                } else {
-                    None
-                };
+                let col_input = col_input(lean, &outputs, &mut col_outputs, input_id);
                 if let Some(batch) = col_input {
                     miso_obs::count("exec.col_batches", batch.len().div_ceil(MORSEL_SIZE) as u64);
                     let parts = par_ranges(guard, batch.len(), |_, start, n| {
@@ -620,16 +616,10 @@ pub fn execute_subset_guarded(
             }
             Operator::Project { exprs } => {
                 let input_id = node.inputs[0];
-                let col_input = if lean && exprs.iter().all(|(_, e)| col::vectorizable(e)) {
-                    ensure_cols(&outputs, &mut col_outputs, input_id);
-                    col_outputs.get(&input_id).cloned()
-                } else {
-                    None
-                };
                 if let Some(batch) = fused_ready.remove(&node.id) {
                     // The fused scan already produced this projection.
                     Produced::Cols(batch)
-                } else if let Some(batch) = col_input {
+                } else if let Some(batch) = col_input(lean, &outputs, &mut col_outputs, input_id) {
                     miso_obs::count("exec.col_batches", batch.len().div_ceil(MORSEL_SIZE) as u64);
                     let parts =
                         par_ranges(guard, batch.len(), |_, start, n| -> Result<ColBatch> {
@@ -957,13 +947,30 @@ fn ensure_rows(
     outputs.insert(id, Arc::new(rows));
 }
 
-/// The inverse of [`ensure_rows`]: a vectorizable consumer wants node `id`
+/// The batch a `Filter` / `Project` of a lean run reads node `id` as: every
+/// expression evaluates columnar ([`col::eval_vec`]), so the operator leaves
+/// the column path only when its input has no columnar form — a ragged row
+/// set.
+fn col_input(
+    lean: bool,
+    outputs: &HashMap<NodeId, Arc<Vec<Row>>>,
+    col_outputs: &mut HashMap<NodeId, Arc<ColBatch>>,
+    id: NodeId,
+) -> Option<Arc<ColBatch>> {
+    if !lean {
+        return None;
+    }
+    ensure_cols(outputs, col_outputs, id);
+    col_outputs.get(&id).cloned()
+}
+
+/// The inverse of [`ensure_rows`]: a columnar consumer wants node `id`
 /// as a batch, but only a row representation exists — a provided seed (the
 /// shipped working set at the DataSource boundary) or a row-producing
 /// upstream operator such as a join. Pivots once and caches the batch
 /// beside the rows for any later consumer; ragged row sets stay row-only
-/// and the consumer falls back. Callers gate on consumer eligibility first
-/// so ineligible operators never pay a speculative pivot.
+/// and the consumer falls back. An aggregate gates on its own shape first,
+/// so one over an expression never pays a speculative pivot.
 fn ensure_cols(
     outputs: &HashMap<NodeId, Arc<Vec<Row>>>,
     col_outputs: &mut HashMap<NodeId, Arc<ColBatch>>,
@@ -2550,7 +2557,7 @@ mod tests {
     }
 
     /// The production DW shape: a working set shipped from HV arrives as a
-    /// *provided* row seed (not a view scan), and the vectorizable consumers
+    /// *provided* row seed (not a view scan), and the columnar consumers
     /// above it — filter, project, aggregate — must pivot it on demand
     /// (`ensure_cols`) and agree with the row path and the full execution.
     #[test]
@@ -2637,15 +2644,30 @@ mod tests {
         .unwrap();
         assert_eq!(dw.root_rows().unwrap(), full.root_rows().unwrap());
     }
-    /// Every row body a lean run can still reach, reached through an input
-    /// the columnar path declines: an unfused scan (kept, so it may not
-    /// fuse), a `FieldGet` filter over it (shared input) and over an unkept
-    /// scan (stolen input), a `Func` projection, an aggregate over an
-    /// expression, a UDF that declares no fields, a join, and sort → limit.
-    /// Each agrees with the serial oracle node by node at 1 and 8 threads.
+    /// Every row body a lean run can still reach: an unfused scan (kept, so
+    /// it may not fuse), an aggregate over an expression, a UDF that
+    /// declares no fields, a join, sort → limit — and a filter (shared
+    /// input, then stolen input) and a projection whose input is ragged,
+    /// the one thing that takes those two off the column path. The
+    /// `FieldGet` filters and the `Func` projection over the unfused scans
+    /// run columnar. Each node agrees with the serial oracle at 1 and 8
+    /// threads.
     #[test]
     fn lean_runs_reach_every_row_body_the_columnar_path_declines() {
-        let (_, src) = columnar_pipeline();
+        let (_, mut src) = columnar_pipeline();
+        src.add_view(
+            "ragged",
+            (0..70i64)
+                .map(|i| {
+                    let mut vals = vec![Value::Int(i), Value::str(format!("c{}", i % 7))];
+                    if i % 10 == 0 {
+                        vals.push(Value::Bool(true));
+                    }
+                    Row::new(vals)
+                })
+                .collect(),
+        );
+        assert!(src.view_cols_shared("ragged").is_none());
         let mut udfs = UdfRegistry::new();
         udfs.register(Udf::new(
             "city_of",
@@ -2661,16 +2683,15 @@ mod tests {
             .get("city")
             .cast(DataType::Str)
             .eq(Expr::lit("c3"));
-        let upper = Expr::Func {
+        let upper = |city: Expr| Expr::Func {
             name: "upper".into(),
-            args: vec![Expr::col(0).get("city").cast(DataType::Str)],
+            args: vec![city],
         };
         let plus_one = Expr::Binary {
             op: miso_plan::BinOp::Add,
             left: Box::new(Expr::col(1)),
             right: Box::new(Expr::lit(1i64)),
         };
-        assert!(!col::vectorizable(&by_city) && !col::vectorizable(&upper));
 
         let mut b = PlanBuilder::new();
         let mut add = |op, inputs| b.add(op, inputs).unwrap();
@@ -2683,7 +2704,10 @@ mod tests {
         let proj = add(
             Operator::Project {
                 exprs: vec![
-                    ("city".into(), upper),
+                    (
+                        "city".into(),
+                        upper(Expr::col(0).get("city").cast(DataType::Str)),
+                    ),
                     ("uid".into(), Expr::col(0).get("uid").cast(DataType::Int)),
                 ],
             },
@@ -2706,13 +2730,43 @@ mod tests {
             vec![stolen_filter],
         );
         let join = add(Operator::Join { on: vec![(0, 0)] }, vec![udf, agg]);
-        let keys = vec![(2, true)];
-        let sort = add(Operator::Sort { keys }, vec![join]);
+        let ragged = add(
+            Operator::ScanView {
+                view: "ragged".into(),
+                schema: Schema::new(vec![
+                    Field::new("i", DataType::Int),
+                    Field::new("city", DataType::Str),
+                ]),
+            },
+            vec![],
+        );
+        let ragged_shared = add(filter(Expr::col(1).eq(Expr::lit("c3"))), vec![ragged]);
+        let non_negative = Expr::Binary {
+            op: miso_plan::BinOp::Ge,
+            left: Box::new(Expr::col(0)),
+            right: Box::new(Expr::lit(0i64)),
+        };
+        let ragged_stolen = add(filter(non_negative), vec![ragged_shared]);
+        let ragged_proj = add(
+            Operator::Project {
+                exprs: vec![
+                    ("place".into(), upper(Expr::col(1))),
+                    ("i".into(), Expr::col(0)),
+                ],
+            },
+            vec![ragged_stolen],
+        );
+        let both = add(Operator::Join { on: vec![(0, 0)] }, vec![join, ragged_proj]);
+        let keys = vec![(4, true), (2, true)];
+        let sort = add(Operator::Sort { keys }, vec![both]);
         let limit = add(Operator::Limit { n: 50 }, vec![sort]);
         let plan = b.finish(limit).unwrap();
 
         let serial = crate::serial::execute_serial(&plan, &src, &udfs).unwrap();
         assert!(!serial.root_rows().unwrap().is_empty());
+        let still_ragged = serial.output(ragged_stolen);
+        assert!(still_ragged.iter().any(|r| r.arity() == 3));
+        assert!(still_ragged.iter().any(|r| r.arity() == 2));
         let keep = [kept_scan, proj];
         let before = pool::threads();
         for t in [1, 8] {
@@ -2737,6 +2791,7 @@ mod tests {
             }
             // What was not kept went to its last consumer.
             assert!(lean.try_output(free_scan).is_none());
+            assert!(lean.try_output(ragged_shared).is_none());
             assert!(lean.try_output(sort).is_none());
         }
         pool::set_threads(before);

@@ -10,7 +10,7 @@
 //!   the above so queries silently drop malformed records.
 
 use miso_common::{MisoError, Result};
-use miso_data::{DataType, Row, Value};
+use miso_data::{Cell, DataType, Row, Value};
 use miso_plan::{BinOp, Expr, UnaryOp};
 
 /// Evaluates `expr` against `row`.
@@ -43,7 +43,8 @@ pub fn eval(expr: &Expr, row: &Row) -> Result<Value> {
         }
         Expr::Func { name, args } => {
             let vals: Vec<Value> = args.iter().map(|a| eval(a, row)).collect::<Result<_>>()?;
-            eval_func(name, &vals)
+            let cells: Vec<Cell<'_>> = vals.iter().map(Cell::of).collect();
+            eval_func(name, &cells)
         }
     }
 }
@@ -237,7 +238,13 @@ pub fn cast(v: Value, ty: DataType) -> Value {
     }
 }
 
-fn eval_func(name: &str, args: &[Value]) -> Result<Value> {
+/// The builtins — the one body both evaluators call, on borrowed cells so
+/// that the vectorized one ([`crate::col::eval_vec`]) clones no string or
+/// array to ask a question of it. A container argument arrives as
+/// [`Cell::Val`]; every scalar, whatever column it sat in, as its typed
+/// cell. The only errors are static: an unknown name, a wrong argument
+/// count.
+pub(crate) fn eval_func(name: &str, args: &[Cell<'_>]) -> Result<Value> {
     let arity_err = || {
         Err(MisoError::Execution(format!(
             "builtin `{name}` called with {} arguments",
@@ -246,18 +253,18 @@ fn eval_func(name: &str, args: &[Value]) -> Result<Value> {
     };
     match name {
         "lower" => match args {
-            [Value::Str(s)] => Ok(Value::Str(s.to_lowercase())),
+            [Cell::Str(s)] => Ok(Value::Str(s.to_lowercase())),
             [_] => Ok(Value::Null),
             _ => arity_err(),
         },
         "upper" => match args {
-            [Value::Str(s)] => Ok(Value::Str(s.to_uppercase())),
+            [Cell::Str(s)] => Ok(Value::Str(s.to_uppercase())),
             [_] => Ok(Value::Null),
             _ => arity_err(),
         },
         "length" => match args {
-            [Value::Str(s)] => Ok(Value::Int(s.chars().count() as i64)),
-            [Value::Array(a)] => Ok(Value::Int(a.len() as i64)),
+            [Cell::Str(s)] => Ok(Value::Int(s.chars().count() as i64)),
+            [Cell::Val(Value::Array(a))] => Ok(Value::Int(a.len() as i64)),
             [_] => Ok(Value::Null),
             _ => arity_err(),
         },
@@ -265,14 +272,15 @@ fn eval_func(name: &str, args: &[Value]) -> Result<Value> {
             let mut out = String::new();
             for a in args {
                 match a {
-                    Value::Null => return Ok(Value::Null),
-                    other => out.push_str(&other.to_string()),
+                    Cell::Null => return Ok(Value::Null),
+                    Cell::Str(s) => out.push_str(s),
+                    other => out.push_str(&other.to_value().to_string()),
                 }
             }
             Ok(Value::Str(out))
         }
         "substr" => match args {
-            [Value::Str(s), Value::Int(start), Value::Int(len)] => {
+            [Cell::Str(s), Cell::Int(start), Cell::Int(len)] => {
                 let start = (*start).max(0) as usize;
                 let len = (*len).max(0) as usize;
                 Ok(Value::Str(s.chars().skip(start).take(len).collect()))
@@ -281,24 +289,26 @@ fn eval_func(name: &str, args: &[Value]) -> Result<Value> {
             _ => arity_err(),
         },
         "contains" => match args {
-            [Value::Str(hay), Value::Str(needle)] => Ok(Value::Bool(hay.contains(needle.as_str()))),
+            [Cell::Str(hay), Cell::Str(needle)] => Ok(Value::Bool(hay.contains(needle))),
             [_, _] => Ok(Value::Null),
             _ => arity_err(),
         },
         "array_contains" => match args {
-            [Value::Array(items), needle] => Ok(Value::Bool(items.contains(needle))),
+            [Cell::Val(Value::Array(items)), needle] => {
+                Ok(Value::Bool(items.iter().any(|item| needle.eq_value(item))))
+            }
             [_, _] => Ok(Value::Null),
             _ => arity_err(),
         },
         "abs" => match args {
-            [Value::Int(i)] => Ok(Value::Int(i.abs())),
-            [Value::Float(f)] => Ok(Value::Float(f.abs())),
+            [Cell::Int(i)] => Ok(Value::Int(i.abs())),
+            [Cell::Float(f)] => Ok(Value::Float(f.abs())),
             [_] => Ok(Value::Null),
             _ => arity_err(),
         },
         "round" => match args {
-            [Value::Float(f)] => Ok(Value::Int(f.round() as i64)),
-            [Value::Int(i)] => Ok(Value::Int(*i)),
+            [Cell::Float(f)] => Ok(Value::Int(f.round() as i64)),
+            [Cell::Int(i)] => Ok(Value::Int(*i)),
             [_] => Ok(Value::Null),
             _ => arity_err(),
         },

@@ -9,7 +9,7 @@ use miso_data::checksum::{checksum_rows, corrupt_first_row, Checksum};
 use miso_data::json::parse_json;
 use miso_data::logs::LogFile;
 use miso_data::{ColBatch, Column, DataType, Row, Schema};
-use miso_exec::col::parse_log_columns;
+use miso_exec::col::LogIndex;
 use miso_exec::engine::{execute_subset_guarded, DataSource, Execution, LogColumns, Retention};
 use miso_exec::{FusedField, UdfRegistry};
 use miso_plan::estimate::MapStats;
@@ -34,25 +34,32 @@ struct StoredView {
     checksum: Checksum,
 }
 
-/// One base log as HV holds it: the raw lines, plus every column a fused
-/// scan has asked for so far, parsed once and kept.
+/// One base log as HV holds it: the raw lines, a token index of them, and
+/// every column a fused scan has asked for so far, read once and kept.
 ///
-/// Three invariants make a kept column indistinguishable from a fresh parse:
+/// Four invariants make a kept column indistinguishable from a fresh parse:
 ///
 /// 1. **Whole-log parse.** A column under `(key, cast)` is exactly what
-///    [`parse_log_columns`] builds for that field over all of `lines`, and
-///    `counts` are that pass's row and skipped-line counts.
+///    [`miso_exec::col::parse_log_columns`] builds for that field over all
+///    of `lines`, and the index's counts are that pass's row and
+///    skipped-line counts.
 /// 2. **Clones share.** [`HvStore`] holds images behind an `Arc`, so a
 ///    cloned store (an epoch snapshot, the serving oracle) reads and warms
-///    the same columns as its original.
+///    the same index and columns as its original.
 /// 3. **Append extends.** [`HvStore::append_log`] copies the image first if
-///    another store shares it, then extends every kept column
-///    ([`Column::append`]) by that column of the appended [`LogBatch`] —
-///    the batch's own whole-batch parse, (1) at batch scale — which
-///    restores (1).
+///    another store shares it — and the lines, if whoever registered the
+///    log still holds them — then extends the index by the appended
+///    [`LogBatch`]'s own and every kept column ([`Column::append`]) by that
+///    column of the batch — the batch's own whole-batch parse, (1) at batch
+///    scale — which restores (1).
+/// 4. **The index describes exactly `lines`.** It is built from them by the
+///    first fused scan ([`LogIndex::build`]: the one pass that lexes every
+///    line end to end), only ever extended together with them, and charged
+///    to no guard, like the columns; every column is read through it, at
+///    the offsets it recorded, with the lexer that recorded them.
 #[derive(Debug)]
 struct LogImage {
-    lines: Vec<String>,
+    lines: Arc<Vec<String>>,
     size: ByteSize,
     parsed: Mutex<ParsedColumns>,
 }
@@ -60,8 +67,9 @@ struct LogImage {
 /// The lazily filled half of a [`LogImage`].
 #[derive(Debug, Clone, Default)]
 struct ParsedColumns {
-    /// `(well-formed, malformed)` line counts, known once any pass has run.
-    counts: Option<(usize, u64)>,
+    /// Where each line's values start, and how many lines are well-formed
+    /// and malformed; known once any pass has run.
+    index: Option<LogIndex>,
     cols: HashMap<ColumnKey, Arc<Column>>,
 }
 
@@ -85,8 +93,9 @@ fn lock_parsed(parsed: &Mutex<ParsedColumns>) -> MutexGuard<'_, ParsedColumns> {
 }
 
 /// The columns of `fields` over `lines`, taken from `parsed` where an
-/// earlier call asked for them and otherwise parsed — in one pass over the
-/// lines, with the lock released — and kept there.
+/// earlier call asked for them and otherwise read through the index —
+/// built first if this is the first call — in one pass over the lines, with
+/// the lock released, and kept there.
 fn cached_columns(
     lines: &[String],
     parsed: &Mutex<ParsedColumns>,
@@ -94,7 +103,7 @@ fn cached_columns(
 ) -> Result<LogColumns> {
     let key = |f: &FusedField<'_>| (f.key.to_string(), f.ty);
     let keys: Vec<ColumnKey> = fields.iter().map(key).collect();
-    let (missing, counted) = {
+    let (missing, index) = {
         let parsed = lock_parsed(parsed);
         let mut missing: Vec<FusedField<'_>> = Vec::new();
         for (f, k) in fields.iter().zip(&keys) {
@@ -102,27 +111,38 @@ fn cached_columns(
                 missing.push(*f);
             }
         }
-        (missing, parsed.counts.is_some())
+        (missing, parsed.index.clone())
     };
-    let fresh = if missing.is_empty() && counted {
+    let fresh = if missing.is_empty() && index.is_some() {
         None
     } else {
-        Some(parse_log_columns(lines, &missing)?)
+        let index = match index {
+            Some(index) => index,
+            None => {
+                let index = LogIndex::build(lines)?;
+                miso_obs::count("hv.log_lines_tokenized", lines.len() as u64);
+                miso_obs::count("hv.log_index_bytes", index.approx_bytes());
+                index
+            }
+        };
+        let batch = index.columns(lines, &missing)?;
+        Some((index, batch))
     };
     let mut parsed = lock_parsed(parsed);
-    if let Some((batch, skipped)) = fresh {
-        parsed.counts = Some((batch.len(), skipped));
+    if let Some((index, batch)) = fresh {
+        // A racing scan may have filled a slot; both read the same lines,
+        // so either index, and either column, will do.
+        parsed.index.get_or_insert(index);
         if miso_obs::enabled() {
             let bytes = batch.columns().iter().map(|c| c.approx_bytes()).sum();
             miso_obs::count("hv.log_col_bytes", bytes);
         }
         for (f, col) in missing.iter().zip(batch.into_columns()) {
-            // A racing scan may have filled the slot; both parsed the
-            // same lines, so either column will do.
             parsed.cols.entry(key(f)).or_insert(col);
         }
     }
-    let (rows, skipped_lines) = parsed.counts.expect("set by the first pass");
+    let index = parsed.index.as_ref().expect("set by the first pass");
+    let (rows, skipped_lines) = index.counts();
     let columns = keys.iter().map(|k| parsed.cols[k].clone()).collect();
     let cols_parsed = fields.iter().filter(|f| missing.contains(f)).count() as u64;
     Ok(LogColumns {
@@ -134,39 +154,41 @@ fn cached_columns(
 }
 
 impl LogImage {
-    /// Appends the batch's lines, extending every kept column by the
-    /// batch's column of the same field.
+    /// Appends the batch's lines, extending the index by the batch's and
+    /// every kept column by the batch's column of the same field.
     fn append(&mut self, batch: &LogBatch<'_>) -> Result<ByteSize> {
         let parsed = self
             .parsed
             .get_mut()
             .expect("no scan panics while it holds the image lock");
-        if let Some((rows, skipped)) = parsed.counts {
+        if let Some(index) = &mut parsed.index {
             let keys: Vec<ColumnKey> = parsed.cols.keys().cloned().collect();
             let fields: Vec<FusedField<'_>> = keys
                 .iter()
                 .map(|(key, ty)| FusedField { key, ty: *ty })
                 .collect();
             let delta = batch.columns(&fields)?;
-            parsed.counts = Some((rows + delta.batch.len(), skipped + delta.skipped_lines));
+            let tail = lock_parsed(&batch.parsed).index.clone();
+            index.append(&tail.expect("the read above indexed the batch"));
             for (key, col) in keys.iter().zip(delta.batch.into_columns()) {
                 let kept = parsed.cols.get_mut(key).expect("key listed from the map");
                 Arc::make_mut(kept).append(Arc::unwrap_or_clone(col));
             }
         }
         let added = ByteSize::from_bytes(batch.lines.iter().map(|l| l.len() as u64 + 1).sum());
-        self.lines.extend_from_slice(batch.lines);
+        Arc::make_mut(&mut self.lines).extend_from_slice(batch.lines);
         self.size += added;
         Ok(added)
     }
 }
 
 /// One batch of lines on its way into a base log: a batch-sized image with
-/// the same lazily filled `(field, cast) → column` cache a [`LogImage`]
-/// has, plus the object rows unfused scans read. [`HvStore::append_log`]
-/// extends the log's kept columns from it and every view's delta plan scans
-/// it, so each field of the batch is parsed at most once, whoever asks
-/// first. It borrows the lines and dies with the batch.
+/// the same lazily filled token index and `(field, cast) → column` cache a
+/// [`LogImage`] has, plus the object rows unfused scans read.
+/// [`HvStore::append_log`] extends the log's index and kept columns from it
+/// and every view's delta plan scans it, so the batch is tokenized once and
+/// each field of it read at most once, whoever asks first. It borrows the
+/// lines and dies with the batch.
 #[derive(Debug)]
 pub struct LogBatch<'a> {
     lines: &'a [String],
@@ -270,8 +292,9 @@ impl HvStore {
         }
     }
 
-    /// Registers a base log. Its image starts with no parsed columns,
-    /// whatever other store was built from the same [`LogFile`].
+    /// Registers a base log, sharing its lines with the caller's
+    /// [`LogFile`]. Its image starts with no index and no parsed columns,
+    /// whatever other store was built from the same file.
     pub fn add_log(&mut self, log: LogFile) {
         let image = LogImage {
             lines: log.lines,
@@ -284,7 +307,8 @@ impl HvStore {
 
     /// Appends a batch of lines to a base log (HDFS-style append-only
     /// growth), returning the appended byte count. Copy-on-write: stores
-    /// cloned from this one keep scanning the log as it was.
+    /// cloned from this one, and the [`LogFile`] the log was registered
+    /// from, keep the log as it was.
     pub fn append_log(&mut self, name: &str, batch: &LogBatch<'_>) -> Result<ByteSize> {
         let image = self
             .logs

@@ -524,7 +524,7 @@ mod tests {
         use miso_exec::engine::{execute, MemSource};
         let corpus = Corpus::generate(&LogsConfig::tiny());
         let mut src = MemSource::new();
-        src.add_log("twitter", corpus.twitter.lines.clone());
+        src.add_log("twitter", corpus.twitter.lines.to_vec());
         let catalog = workload_catalog();
         let plan = compile(
             "SELECT b.city AS city, AVG(b.buzz) AS avg_buzz \

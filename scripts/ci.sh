@@ -56,6 +56,10 @@ CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
     --workload stream_growth --seed 7 --seconds 1 --trace 1 | tail -n 1 >"$golden/e2e-trace.json"
 grep -q '"correct": *true' "$golden/e2e-trace.json"
 grep -q '"views.stale_answers": *{"value": *0,' "$golden/e2e-trace.json"
+# Every expression of the workload evaluates columnar: a builtin or a field
+# access that sends its operator back to the row body fails here, not in a
+# later benchmark.
+grep -q '"exec.col_fallback_rows": *{"value": *0,' "$golden/e2e-trace.json"
 # The serving loop over a warm master: its UDF templates scan through the
 # log image, and every delivered answer is checked against the oracle.
 CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \

@@ -18,9 +18,9 @@ fn corpus() -> Corpus {
 
 fn mem_source(corpus: &Corpus) -> MemSource {
     let mut src = MemSource::new();
-    src.add_log("twitter", corpus.twitter.lines.clone());
-    src.add_log("foursquare", corpus.foursquare.lines.clone());
-    src.add_log("landmarks", corpus.landmarks.lines.clone());
+    src.add_log("twitter", corpus.twitter.lines.to_vec());
+    src.add_log("foursquare", corpus.foursquare.lines.to_vec());
+    src.add_log("landmarks", corpus.landmarks.lines.to_vec());
     src
 }
 
@@ -129,7 +129,7 @@ fn aggregates_agree_with_manual_computation() {
     .unwrap();
     let exec = execute(&plan, &src, &standard_udfs()).unwrap();
     let mut expected: std::collections::HashMap<String, i64> = std::collections::HashMap::new();
-    for line in &corpus.twitter.lines {
+    for line in corpus.twitter.lines.iter() {
         let v = miso::data::json::parse_json(line).unwrap();
         let followers = v
             .get_field("followers")
@@ -174,7 +174,7 @@ fn join_agrees_with_manual_computation() {
 
     // Manual: count check-ins whose venue is listed with rating > 3.
     let mut good_venues = std::collections::HashSet::new();
-    for line in &corpus.landmarks.lines {
+    for line in corpus.landmarks.lines.iter() {
         let v = miso::data::json::parse_json(line).unwrap();
         let rating = v
             .get_field("rating")

@@ -42,7 +42,7 @@ fn budgets() -> Budgets {
 fn corrupted_log_lines_are_skipped_not_fatal() {
     let mut corpus = Corpus::generate(&LogsConfig::tiny());
     // Corrupt a third of the tweet log in assorted ways.
-    let mut lines = corpus.twitter.lines.clone();
+    let mut lines = corpus.twitter.lines.to_vec();
     for (i, line) in lines.iter_mut().enumerate() {
         match i % 9 {
             0 => *line = "totally not json".to_string(),
@@ -58,7 +58,7 @@ fn corrupted_log_lines_are_skipped_not_fatal() {
     corpus.twitter = LogFile {
         kind: LogKind::Twitter,
         size: corpus.twitter.size,
-        lines,
+        lines: lines.into(),
     };
 
     let catalog = workload_catalog();
@@ -157,17 +157,17 @@ fn queries_over_empty_logs_work() {
     let empty = Corpus {
         twitter: LogFile {
             kind: LogKind::Twitter,
-            lines: vec![],
+            lines: Default::default(),
             size: ByteSize::ZERO,
         },
         foursquare: LogFile {
             kind: LogKind::Foursquare,
-            lines: vec![],
+            lines: Default::default(),
             size: ByteSize::ZERO,
         },
         landmarks: LogFile {
             kind: LogKind::Landmarks,
-            lines: vec![],
+            lines: Default::default(),
             size: ByteSize::ZERO,
         },
     };
@@ -209,7 +209,7 @@ fn udf_errors_propagate_with_context() {
     )
     .unwrap();
     let mut src = MemSource::new();
-    src.add_log("twitter", corpus.twitter.lines.clone());
+    src.add_log("twitter", corpus.twitter.lines.to_vec());
     let err = execute(&q, &src, &udfs).unwrap_err();
     assert!(err.to_string().contains("boom"));
 }

@@ -64,7 +64,7 @@ fn odd_lines(tag: u64) -> Vec<String> {
 /// The tiny corpus with the odd lines mixed into the twitter log.
 fn corpus() -> Corpus {
     let mut corpus = Corpus::generate(&LogsConfig::tiny());
-    let mut lines = std::mem::take(&mut corpus.twitter.lines);
+    let mut lines = corpus.twitter.lines.to_vec();
     let tail = lines.split_off(lines.len() / 2);
     lines.extend(odd_lines(0));
     lines.extend(tail);
@@ -368,7 +368,7 @@ fn declared_and_record_reading_udfs_agree() {
     let cfg = LogsConfig::tiny();
     let mut corpus = corpus();
     let at = corpus.twitter.lines.len() / 3;
-    let mut lines = std::mem::take(&mut corpus.twitter.lines);
+    let mut lines = corpus.twitter.lines.to_vec();
     lines.splice(at..at, udf_lines(0));
     corpus.twitter = LogFile::from_lines(LogKind::Twitter, lines);
 
@@ -390,7 +390,7 @@ fn declared_and_record_reading_udfs_agree() {
         with_threads(threads, || {
             let mut by_fields = store(&corpus);
             let mut by_record = store(&corpus);
-            let mut all_lines = corpus.twitter.lines.clone();
+            let mut all_lines = corpus.twitter.lines.to_vec();
             for batch in 0..=3u64 {
                 if batch > 0 {
                     let mut delta = generate_delta(&cfg, LogKind::Twitter, batch, 40);
@@ -484,7 +484,7 @@ fn a_bottomless_line_is_skipped_not_fatal() {
     let mut delta = bombs.clone();
     delta.push(at_cap);
     let mut bombed = corpus.clone();
-    let mut lines = corpus.twitter.lines.clone();
+    let mut lines = corpus.twitter.lines.to_vec();
     lines.splice(7..7, delta.iter().cloned());
     bombed.twitter = LogFile::from_lines(LogKind::Twitter, lines);
     let skipped = 2 + bombs.len() as u64;
@@ -516,8 +516,9 @@ fn a_bottomless_line_is_skipped_not_fatal() {
                 .append_log("twitter", &LogBatch::new(&delta))
                 .expect("append");
             let mut cold_corpus = corpus.clone();
-            cold_corpus.twitter.lines.extend(delta.iter().cloned());
-            cold_corpus.twitter = LogFile::from_lines(LogKind::Twitter, cold_corpus.twitter.lines);
+            let mut all_lines = corpus.twitter.lines.to_vec();
+            all_lines.extend(delta.iter().cloned());
+            cold_corpus.twitter = LogFile::from_lines(LogKind::Twitter, all_lines);
             let kept = grown.log_columns("twitter", &fields).expect("kept read");
             let fresh = store(&cold_corpus)
                 .log_columns("twitter", &fields)
@@ -569,7 +570,7 @@ fn append_extends_columns_like_a_cold_parse() {
             assert_eq!(first.cols_hit, 0);
             assert_eq!(first.cols_parsed, fields.len() as u64);
             assert_eq!(first.skipped_lines, 2);
-            let mut all_lines = corpus.twitter.lines.clone();
+            let mut all_lines = corpus.twitter.lines.to_vec();
             for batch in 1..=3u64 {
                 let mut delta = generate_delta(&cfg, LogKind::Twitter, batch, 40);
                 delta.splice(20..20, odd_lines(batch));
@@ -712,7 +713,7 @@ fn a_maintained_batch_parses_each_field_once() {
     let fields = probe_fields();
     sys.hv.log_columns("twitter", &fields).expect("probe read");
     let mut clock = miso::common::SimClock::new();
-    let mut all_lines = corpus.twitter.lines.clone();
+    let mut all_lines = corpus.twitter.lines.to_vec();
     let mut append = |sys: &mut MultistoreSystem, batch: u64| {
         let mut delta = generate_delta(&cfg, LogKind::Twitter, batch, 60);
         delta.splice(30..30, odd_lines(batch));
@@ -783,4 +784,274 @@ fn a_maintained_batch_parses_each_field_once() {
     assert_eq!(kept_cols.batch, fresh.batch, "extended image vs cold parse");
     assert_eq!(kept_cols.skipped_lines, fresh.skipped_lines);
     assert_eq!(sys.hv.log_size("twitter"), cold.log_size("twitter"));
+}
+
+/// Lines that exercise the token index: an escape in a value, in a key and
+/// in a nested value (the first two are read by the strict parser only), a
+/// key order no other line has, missing and extra keys, duplicate keys with
+/// a scalar or a nested value last, nested values, documents that are no
+/// object, odd whitespace; three malformed lines.
+fn index_lines(tag: u64) -> Vec<String> {
+    let id = 7_000_000 + tag * 100;
+    vec![
+        format!(
+            r#"{{"tweet_id": {id}, "user_id": 1, "text": "say \"hi\"\n", "city": "reno", "followers": 5}}"#
+        ),
+        format!(r#"{{"tweet_id": {id}, "user_id": 2, "city": "reno"}}"#),
+        format!(
+            r#"{{"tweet_id": {id}, "user_id": 3, "hashtags": ["a\"b", "\\"], "city": "reno", "place": {{"k": "é"}}}}"#
+        ),
+        format!(
+            r#"{{"city": "elko", "followers": 2.5, "user_id": 4, "tweet_id": {id}, "extra": {tag}}}"#
+        ),
+        r#"{"user_id": 5}"#.to_string(),
+        "{}".to_string(),
+        r#"{"user_id": 6, "user_id": "six", "city": ["nested first"], "city": "scalar last", "retweets": 1, "retweets": 2.0}"#.to_string(),
+        r#"{"user_id": {"n": 7}, "user_id": 7, "city": "scalar first", "city": {"name": "nested last"}}"#.to_string(),
+        format!(
+            r#"{{"tweet_id": {id}, "user_id": 8, "place": {{"deep": [[[{{"k": "}}]"}}]]]}}, "hashtags": [], "city": "x"}}"#
+        ),
+        "42".to_string(),
+        r#"["user_id", 9]"#.to_string(),
+        r#""user_id""#.to_string(),
+        "  { \"user_id\" :\t10 , \"city\" : \"spaced\" }  ".to_string(),
+        format!(r#"{{"tweet_id": {id}, "user_id": 11, "#),
+        format!(r#"{{"user_id": 12, "city": "reno"}} #{tag}"#),
+        format!("torn #{tag}"),
+    ]
+}
+
+/// How many of [`index_lines`] are malformed.
+const INDEX_LINES_MALFORMED: u64 = 3;
+
+/// A twitter log of several morsels with [`index_lines`] and [`odd_lines`]
+/// in the middle of each copy of the corpus, so that a second key layout
+/// starts mid-log and mid-morsel.
+fn indexed_log(corpus: &Corpus) -> Vec<String> {
+    let mut lines = Vec::new();
+    for tag in 0..5 {
+        let at = lines.len() + 300 + 7 * tag as usize;
+        lines.extend(corpus.twitter.lines.iter().cloned());
+        lines.splice(at..at, index_lines(tag));
+        lines.splice(at + 5..at + 5, odd_lines(tag));
+    }
+    assert!(lines.len() > 4096, "more than one morsel");
+    lines
+}
+
+fn store_of(lines: Vec<String>) -> HvStore {
+    let mut hv = HvStore::new();
+    hv.add_log(LogFile::from_lines(LogKind::Twitter, lines));
+    hv
+}
+
+/// The fields [`reads_one_by_one`] asks for: [`probe_fields`], a nested
+/// field asked for bare and cast, and a field with an escaped key.
+fn index_fields() -> Vec<FusedField<'static>> {
+    let f = |key, ty| FusedField { key, ty };
+    let mut fields = probe_fields();
+    fields.extend([
+        f("place", Some(DataType::Str)),
+        f("city", None),
+        f("user_id", Some(DataType::Str)),
+        f("tweet_id", Some(DataType::Int)),
+    ]);
+    fields
+}
+
+/// Asks `source` for each of `fields` alone, in the given order, and checks
+/// each answer against that column of `whole` — one `parse_log_columns` of
+/// all of them over the same lines.
+fn reads_one_by_one(
+    source: &dyn Fn(&[FusedField<'_>]) -> miso::exec::LogColumns,
+    fields: &[FusedField<'static>],
+    order: &[usize],
+    whole: &(miso::data::ColBatch, u64),
+    what: &str,
+) {
+    for &i in order {
+        let one = source(&fields[i..=i]);
+        let what = format!("{what}: {:?} alone", fields[i]);
+        assert_eq!(one.batch.len(), whole.0.len(), "{what}: rows");
+        assert_eq!(one.skipped_lines, whole.1, "{what}: skipped");
+        assert_eq!(one.batch.col(0), whole.0.col(i), "{what}: column");
+    }
+}
+
+/// Three orders over `n` fields: forward, backward, and a stride walk.
+fn orders(n: usize) -> [Vec<usize>; 3] {
+    [
+        (0..n).collect(),
+        (0..n).rev().collect(),
+        (0..n).map(|i| (i * 7 + 3) % n).collect(),
+    ]
+}
+
+/// Once the index exists, a column asked for alone — any column, in any
+/// order — is that column of one whole parse of all of them: over escapes
+/// (strict fallback), malformed lines, duplicate keys, a second key layout
+/// mid-log, a nested value asked for or not, and an empty log. A log is
+/// tokenized once, whatever is asked of it afterwards.
+#[test]
+fn columns_asked_one_at_a_time_equal_one_whole_parse() {
+    use miso::exec::col::parse_log_columns;
+    let _globals = globals_lock();
+    let corpus = corpus();
+    let lines = indexed_log(&corpus);
+    let fields = index_fields();
+    assert_eq!(
+        orders(fields.len())[2].iter().collect::<HashSet<_>>().len(),
+        fields.len()
+    );
+    for threads in THREADS {
+        with_threads(threads, || {
+            let whole = parse_log_columns(&lines, &fields).expect("whole parse");
+            // Per copy: the corpus's own odd lines, this log's, the index lines'.
+            assert_eq!(whole.1, 5 * (2 + 2 + INDEX_LINES_MALFORMED), "skipped");
+            assert_eq!(whole.0.len() as u64 + whole.1, lines.len() as u64);
+            for order in orders(fields.len()) {
+                let what = format!("{threads} threads, order {:?}", &order[..3]);
+                let hv = store_of(lines.clone());
+                let ring = obs_ring_on();
+                // The first read of anything builds the index.
+                let first = hv.log_columns("twitter", &[]).expect("indexing read");
+                assert_eq!((first.batch.len(), first.batch.arity()), (whole.0.len(), 0));
+                reads_one_by_one(
+                    &|f| hv.log_columns("twitter", f).expect("one column"),
+                    &fields,
+                    &order,
+                    &whole,
+                    &what,
+                );
+                let again = hv.log_columns("twitter", &fields).expect("all, kept");
+                let counters = miso_obs::snapshot().counters;
+                miso_obs::init(miso_obs::ObsConfig::disabled());
+                drop(ring);
+                assert_eq!(again.cols_parsed, 0, "{what}");
+                assert_eq!(again.batch, whole.0, "{what}");
+                assert_eq!(
+                    counters["hv.log_lines_tokenized"],
+                    lines.len() as u64,
+                    "{what}"
+                );
+                assert!(
+                    counters["hv.log_index_bytes"] > 4 * lines.len() as u64,
+                    "{what}"
+                );
+                let distinct = fields.iter().collect::<HashSet<_>>().len() as u64;
+                assert_eq!(counters["hv.log_cols_parsed"], distinct, "{what}");
+            }
+            // Nothing to index is no special case.
+            let empty = store_of(Vec::new());
+            let whole = parse_log_columns(&[], &fields).expect("empty parse");
+            assert_eq!(
+                (whole.0.len(), whole.0.arity(), whole.1),
+                (0, fields.len(), 0)
+            );
+            reads_one_by_one(
+                &|f| empty.log_columns("twitter", f).expect("one column"),
+                &fields,
+                &orders(fields.len())[2],
+                &whole,
+                "empty log",
+            );
+        });
+    }
+}
+
+/// The same after `append_log`: the grown store, a store cloned from it
+/// after the append and one cloned before it each read — one column at a
+/// time, kept before the append or not — what a whole parse of the lines
+/// they hold builds; the store cloned before keeps the log as it was. And
+/// a `LogBatch` read by several delta plans, in any order, is tokenized
+/// once and hands each of them the whole-batch parse.
+#[test]
+fn indexed_reads_survive_append_clone_and_batch_sharing() {
+    use miso::exec::col::parse_log_columns;
+    let _globals = globals_lock();
+    let cfg = LogsConfig::tiny();
+    let corpus = corpus();
+    let base = indexed_log(&corpus);
+    let fields = index_fields();
+    let mut delta = generate_delta(&cfg, LogKind::Twitter, 1, 60);
+    delta.splice(20..20, index_lines(9));
+    delta.splice(45..45, odd_lines(9));
+    let grown_lines = [base.as_slice(), delta.as_slice()].concat();
+    for threads in THREADS {
+        with_threads(threads, || {
+            let whole_base = parse_log_columns(&base, &fields).expect("base parse");
+            let whole_grown = parse_log_columns(&grown_lines, &fields).expect("grown parse");
+            let whole_delta = parse_log_columns(&delta, &fields).expect("delta parse");
+            assert_eq!(whole_grown.1, whole_base.1 + 2 + INDEX_LINES_MALFORMED);
+
+            // Several delta plans read one batch: overlapping field sets,
+            // then every field alone, backwards.
+            let ring = obs_ring_on();
+            let batch = LogBatch::new(&delta);
+            for window in [&fields[2..6], &fields[4..9], &fields[..3]] {
+                let got = batch.columns(window).expect("a delta plan's scan");
+                let want = parse_log_columns(&delta, window).expect("its own parse");
+                assert_eq!((got.batch, got.skipped_lines), want, "{threads} threads");
+            }
+            reads_one_by_one(
+                &|f| batch.columns(f).expect("one column"),
+                &fields,
+                &orders(fields.len())[1],
+                &whole_delta,
+                &format!("{threads} threads, batch"),
+            );
+            let counters = miso_obs::snapshot().counters;
+            miso_obs::init(miso_obs::ObsConfig::disabled());
+            drop(ring);
+            assert_eq!(counters["hv.log_lines_tokenized"], delta.len() as u64);
+            let distinct = fields.iter().collect::<HashSet<_>>().len() as u64;
+            assert_eq!(counters["maint.delta_cols_parsed"], distinct);
+
+            for order in orders(fields.len()) {
+                let what = format!("{threads} threads, order {:?}", &order[..3]);
+                let mut grown = store_of(base.clone());
+                // Index the log and keep some of the columns, not all.
+                grown
+                    .log_columns("twitter", &fields[3..7])
+                    .expect("warming read");
+                let before = grown.clone();
+                let ring = obs_ring_on();
+                grown
+                    .append_log("twitter", &LogBatch::new(&delta))
+                    .expect("append");
+                let after = grown.clone();
+                for (hv, whole, who) in [
+                    (&grown, &whole_grown, "grown"),
+                    (&after, &whole_grown, "cloned after"),
+                    (&before, &whole_base, "cloned before"),
+                ] {
+                    reads_one_by_one(
+                        &|f| hv.log_columns("twitter", f).expect("one column"),
+                        &fields,
+                        &order,
+                        whole,
+                        &format!("{what}, {who}"),
+                    );
+                    let all = hv.log_columns("twitter", &fields).expect("all, kept");
+                    assert_eq!(all.cols_parsed, 0, "{what}, {who}");
+                    assert_eq!(&(all.batch, all.skipped_lines), whole, "{what}, {who}");
+                }
+                let counters = miso_obs::snapshot().counters;
+                miso_obs::init(miso_obs::ObsConfig::disabled());
+                drop(ring);
+                // Only the appended lines were lexed end to end: the base
+                // log's index served every later read, on all three stores.
+                assert_eq!(
+                    counters["hv.log_lines_tokenized"],
+                    delta.len() as u64,
+                    "{what}"
+                );
+                assert_eq!(before.log_lines("twitter").expect("log").len(), base.len());
+                assert_eq!(
+                    after.log_lines("twitter").expect("log").len(),
+                    grown_lines.len()
+                );
+            }
+        });
+    }
 }

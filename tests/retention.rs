@@ -28,9 +28,9 @@ fn pool_lock() -> MutexGuard<'static, ()> {
 
 fn mem_source(corpus: &Corpus) -> MemSource {
     let mut src = MemSource::new();
-    src.add_log("twitter", corpus.twitter.lines.clone());
-    src.add_log("foursquare", corpus.foursquare.lines.clone());
-    src.add_log("landmarks", corpus.landmarks.lines.clone());
+    src.add_log("twitter", corpus.twitter.lines.to_vec());
+    src.add_log("foursquare", corpus.foursquare.lines.to_vec());
+    src.add_log("landmarks", corpus.landmarks.lines.to_vec());
     src
 }
 
