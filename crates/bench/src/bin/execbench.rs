@@ -7,13 +7,13 @@
 //!   row-at-a-time interpreter, pinned to one worker;
 //! * **lean** — the morsel-parallel engine as the stores run it, at 1, 2
 //!   and 8 workers: a retention set (here the empty one,
-//!   `Retention::ROOT_ONLY`; HV passes the nodes it harvests), columnar
-//!   wherever the operator allows.
+//!   `Retention::ROOT_ONLY`; HV passes the nodes it harvests), so scans
+//!   fuse and intermediates are released.
 //!
 //! Every engine run must match the serial oracle row-for-row — an untimed
-//! `Retention::All` run (every operator on its row body) across *all* node
-//! outputs, the lean run at the root plus per-node `rows_out` counts — at
-//! every thread count; any divergence exits non-zero. Timings are printed and land in
+//! `Retention::All` run across *all* node outputs, the lean run at the root
+//! plus per-node `rows_out` counts — at every thread count; any divergence
+//! exits non-zero. Timings are printed and land in
 //! `results/execbench.report.json`; nothing gates on them (`benchmark/` is
 //! the performance gate). `--smoke` runs one small configuration (the CI
 //! step).
@@ -455,5 +455,5 @@ fn main() {
     if failures > 0 {
         std::process::exit(1);
     }
-    println!("execbench: row and columnar output identical to serial at every thread count");
+    println!("execbench: keep-all and root-only output identical to serial at every thread count");
 }

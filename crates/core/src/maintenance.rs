@@ -181,10 +181,6 @@ impl DataSource for DeltaSource<'_> {
         Ok(self.batch_of(log)?.lines())
     }
 
-    fn log_rows_shared(&self, log: &str) -> Option<(Arc<Vec<Row>>, u64)> {
-        self.batch_of(log).ok().map(LogBatch::rows)
-    }
-
     fn log_columns(&self, log: &str, fields: &[FusedField<'_>]) -> Result<LogColumns> {
         self.batch_of(log)?.columns(fields)
     }

@@ -9,7 +9,7 @@
 //! hold arrays/objects — fall back to a [`Column::Mixed`] vector of boxed
 //! [`Value`]s, so **every** row set pivots losslessly:
 //! `rows → ColBatch → rows` is an identity (see the round-trip tests and
-//! the extern-deps proptest in `tests/batch_prop.rs`).
+//! the generated matrices of `tests/batch_prop.rs`).
 //!
 //! Reads go through [`Cell`], a borrowed scalar view that reproduces
 //! `Value`'s cross-type equality, ordering and hashing (Int/Float compare
@@ -149,19 +149,24 @@ impl<'a> Cell<'a> {
         }
     }
 
-    /// Total order identical to `Value::cmp` on the equivalent owned value.
-    pub fn cmp_value(&self, other: &Value) -> Ordering {
+    /// Total order identical to `Value::cmp` on the equivalent owned values.
+    pub fn cmp_cell(&self, other: &Cell<'_>) -> Ordering {
         match (self, other) {
-            (Cell::Null, Value::Null) => Ordering::Equal,
-            (Cell::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (Cell::Int(a), Value::Int(b)) => a.cmp(b),
-            (Cell::Int(a), Value::Float(b)) => cmp_f64(*a as f64, *b),
-            (Cell::Float(a), Value::Int(b)) => cmp_f64(*a, *b as f64),
-            (Cell::Float(a), Value::Float(b)) => cmp_f64(*a, *b),
-            (Cell::Str(a), Value::Str(b)) => (*a).cmp(b.as_str()),
-            (Cell::Val(v), o) => (*v).cmp(o),
+            (Cell::Null, Cell::Null) => Ordering::Equal,
+            (Cell::Bool(a), Cell::Bool(b)) => a.cmp(b),
+            (Cell::Int(a), Cell::Int(b)) => a.cmp(b),
+            (Cell::Int(a), Cell::Float(b)) => cmp_f64(*a as f64, *b),
+            (Cell::Float(a), Cell::Int(b)) => cmp_f64(*a, *b as f64),
+            (Cell::Float(a), Cell::Float(b)) => cmp_f64(*a, *b),
+            (Cell::Str(a), Cell::Str(b)) => a.cmp(b),
+            (Cell::Val(a), Cell::Val(b)) => a.cmp(b),
             (a, b) => a.type_rank().cmp(&b.type_rank()),
         }
+    }
+
+    /// Total order identical to `Value::cmp` on the equivalent owned value.
+    pub fn cmp_value(&self, other: &Value) -> Ordering {
+        self.cmp_cell(&Cell::of(other))
     }
 
     /// Equality identical to `Value::eq` on the equivalent owned value.
@@ -178,6 +183,13 @@ impl<'a> Cell<'a> {
             Cell::Str(s) => 4 + s.len() as u64,
             Cell::Val(v) => v.approx_bytes(),
         }
+    }
+}
+
+/// Equality identical to `Value::eq` on the equivalent owned values.
+impl PartialEq for Cell<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp_cell(other) == Ordering::Equal
     }
 }
 
@@ -656,6 +668,12 @@ impl ColBatch {
         ColBatch { columns, len }
     }
 
+    /// A batch of `arity` columns and no rows — what an empty row set of a
+    /// known schema pivots to ([`ColBatch::from_rows`] cannot know the arity).
+    pub fn empty(arity: usize) -> ColBatch {
+        ColBatch::from_columns(vec![Column::Mixed(Vec::new()); arity], 0)
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
@@ -762,23 +780,6 @@ impl ColBatch {
             self.columns.iter().map(|c| c.gather(sel)).collect(),
             sel.len(),
         )
-    }
-
-    /// Pivots the selected row indexes straight to rows — the
-    /// late-materialization shortcut for a filter whose output is about to
-    /// be materialized anyway, skipping the intermediate gathered batch.
-    /// Equivalent to `self.gather(sel).to_rows()`.
-    pub fn rows_at(&self, sel: &[u32]) -> Vec<Row> {
-        sel.iter()
-            .map(|&i| {
-                Row::new(
-                    self.columns
-                        .iter()
-                        .map(|c| c.value(i as usize))
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect()
     }
 
     /// Copies the first `n` rows into a new batch.
@@ -938,8 +939,6 @@ mod tests {
             picked.to_rows(),
             vec![rows[9].clone(), rows[0].clone(), rows[3].clone()]
         );
-        assert_eq!(batch.rows_at(&[9, 0, 3]), picked.to_rows());
-        assert_eq!(batch.rows_at(&[]), Vec::<Row>::new());
         assert_eq!(batch.head(3).to_rows(), rows[..3].to_vec());
         let joined = ColBatch::concat(vec![batch.head(2), batch.gather(&[5])]);
         assert_eq!(
@@ -1077,6 +1076,8 @@ mod tests {
                     "cmp parity {owned:?} vs {other:?}"
                 );
                 assert_eq!(cell.eq_value(other), &owned == other);
+                assert_eq!(cell.cmp_cell(&Cell::of(other)), owned.cmp(other));
+                assert_eq!(cell == Cell::of(other), &owned == other);
             }
         }
         // Cross-type numeric equality survives the cell view.

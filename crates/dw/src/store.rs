@@ -313,8 +313,8 @@ impl DwStore {
             .sum();
         let provided_ids: HashSet<NodeId> = provided.keys().copied().collect();
         // DW only ever reads the root rows and per-node row counts, so let
-        // the engine release intermediate outputs eagerly (and steal
-        // uniquely-owned inputs) instead of retaining every materialization.
+        // the engine release intermediate outputs eagerly instead of
+        // retaining every materialization.
         let execution = execute_subset_guarded(
             plan,
             subset,

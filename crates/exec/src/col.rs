@@ -4,9 +4,9 @@
 //! expression evaluator ([`eval_vec`]) that covers the whole [`Expr`] enum
 //! and produces [`Column`] vectors instead of per-row [`Value`]s, and the
 //! fused scan+project reader ([`LogIndex`]) that turns raw JSON log lines
-//! straight into typed column vectors. The operator integration (columnar
-//! filter/project/aggregate bodies) lives in [`crate::engine`], which owns
-//! morsel dispatch, the guard seam and the accumulator machinery.
+//! straight into typed column vectors. The operator bodies live in
+//! [`crate::engine`], which owns morsel dispatch, the guard seam and the
+//! accumulator machinery.
 //!
 //! **Semantics contract**: every path here must agree bit-for-bit with the
 //! scalar evaluator in [`crate::eval`]. Fast paths are only taken where
@@ -27,11 +27,12 @@
 
 use crate::engine::par_chunks;
 use crate::eval::{cast, eval_binary, eval_func, eval_unary, logical_combine};
+use crate::udf::UdfRegistry;
 use miso_common::guard::QueryGuard;
 use miso_common::{pool, MisoError, Result};
 use miso_data::json::{parse_json, FlatVal, IndexedLine, LineIndex};
 use miso_data::{Cell, ColBatch, ColBuilder, Column, DataType, Value};
-use miso_plan::{BinOp, Expr, UnaryOp};
+use miso_plan::{BinOp, Expr, Operator, UnaryOp};
 use std::sync::Arc;
 
 /// One evaluated vector over a morsel `[start, start + n)` of a batch.
@@ -339,29 +340,41 @@ pub struct FusedField<'a> {
     pub ty: Option<DataType>,
 }
 
-/// Recognizes a projection whose every output is
-/// `CAST(input->'key' AS ty)` or bare `input->'key'` over the scanned
-/// line — the SerDe shape every log query in the workload starts with.
-/// Such a projection can be fused into the scan and parsed straight into
-/// typed column vectors, skipping the intermediate JSON object rows.
+/// The fields `op` reads of each line of the log scan beneath it, when it
+/// reads nothing else of the line: a projection whose every output is
+/// `CAST(input->'key' AS ty)` or bare `input->'key'` — the SerDe shape every
+/// log query in the workload starts with — or a UDF that declared its fields
+/// ([`crate::Udf::reading`]). Such a consumer can be fused into the scan,
+/// which then parses straight into typed column vectors and skips the
+/// intermediate JSON records.
 pub(crate) fn fused_fields<'a>(
-    exprs: impl IntoIterator<Item = &'a Expr>,
+    op: &'a Operator,
+    udfs: &'a UdfRegistry,
 ) -> Option<Vec<FusedField<'a>>> {
-    exprs
-        .into_iter()
-        .map(|e| {
-            let (inner, ty) = match e {
-                Expr::Cast { input, ty } => (input.as_ref(), Some(*ty)),
-                other => (other, None),
-            };
-            match inner {
-                Expr::FieldGet { input, key } if matches!(input.as_ref(), Expr::Column(0)) => {
-                    Some(FusedField { key, ty })
-                }
-                _ => None,
+    let serde_field = |e: &'a Expr| {
+        let (inner, ty) = match e {
+            Expr::Cast { input, ty } => (input.as_ref(), Some(*ty)),
+            other => (other, None),
+        };
+        match inner {
+            Expr::FieldGet { input, key } if matches!(input.as_ref(), Expr::Column(0)) => {
+                Some(FusedField { key, ty })
             }
-        })
-        .collect()
+            _ => None,
+        }
+    };
+    match op {
+        Operator::Project { exprs } => exprs.iter().map(|(_, e)| serde_field(e)).collect(),
+        Operator::Udf { name, .. } => {
+            let keys = udfs.get(name)?.reads()?;
+            Some(
+                keys.iter()
+                    .map(|key| FusedField { key, ty: None })
+                    .collect(),
+            )
+        }
+        _ => None,
+    }
 }
 
 /// Pushes `field cast to ty` for one parsed token. Fast arms avoid
@@ -479,11 +492,11 @@ pub fn parse_log_columns(lines: &[String], fields: &[FusedField<'_>]) -> Result<
 }
 
 /// Reads one run of indexed lines straight into one column builder per
-/// fused field. Malformed lines are skipped, exactly like the row scan. A
+/// fused field. Malformed lines are skipped, exactly like the unfused scan. A
 /// fast-path line is lexed at the requested values only, building a tree
 /// only for a nested value that is itself asked for; a line the index marks
 /// strict goes through the strict parser so escaped lines behave
-/// identically to the row path.
+/// identically to a scan that parses whole records.
 fn read_run(index: &LineIndex, lines: &[String], fields: &[FusedField<'_>]) -> ColBatch {
     let rows = index.len() - index.malformed();
     let mut builders: Vec<ColBuilder> = (0..fields.len()).map(|_| ColBuilder::new()).collect();
@@ -919,24 +932,48 @@ mod tests {
     }
 
     #[test]
-    fn fused_fields_recognizes_serde_projections() {
+    fn fused_fields_recognizes_serde_projections_and_declaring_udfs() {
         use miso_plan::Expr as E;
-        let exprs = vec![
+        let project = |exprs: Vec<Expr>| Operator::Project {
+            exprs: exprs.into_iter().map(|e| ("c".to_string(), e)).collect(),
+        };
+        let mut udfs = UdfRegistry::new();
+        let schema = miso_data::Schema::new(vec![]);
+        let noop: crate::udf::UdfFn = Arc::new(|_| Ok(vec![]));
+        udfs.register(crate::Udf::new("opaque", schema.clone(), noop.clone()));
+        udfs.register(crate::Udf::new("declaring", schema.clone(), noop).reading(&["a", "b"]));
+        let serde = project(vec![
             E::Cast {
                 input: Box::new(E::col(0).get("uid")),
                 ty: DataType::Int,
             },
             E::col(0).get("text"),
-        ];
-        let fields = fused_fields(&exprs).expect("serde shape");
+        ]);
+        let fields = fused_fields(&serde, &udfs).expect("serde shape");
         assert_eq!(fields[0].key, "uid");
         assert_eq!(fields[0].ty, Some(DataType::Int));
         assert_eq!(fields[1].key, "text");
         assert_eq!(fields[1].ty, None);
-        // Non-serde shapes are declined.
-        assert!(fused_fields(&[E::col(1).get("uid")]).is_none());
-        assert!(fused_fields(&[E::col(0)]).is_none());
-        assert!(fused_fields(&[func("lower", vec![E::col(0).get("text")])]).is_none());
+        let udf = |name: &str| Operator::Udf {
+            name: name.into(),
+            output: schema.clone(),
+        };
+        let declaring = udf("declaring");
+        let fields = fused_fields(&declaring, &udfs).expect("declared fields");
+        let keys: Vec<&str> = fields.iter().map(|f| f.key).collect();
+        assert_eq!(keys, ["a", "b"]);
+        assert!(fields.iter().all(|f| f.ty.is_none()));
+        // Everything else is declined.
+        for op in [
+            project(vec![E::col(1).get("uid")]),
+            project(vec![E::col(0)]),
+            project(vec![func("lower", vec![E::col(0).get("text")])]),
+            udf("opaque"),
+            udf("unregistered"),
+            Operator::Limit { n: 1 },
+        ] {
+            assert!(fused_fields(&op, &udfs).is_none(), "{op:?}");
+        }
     }
 
     /// The fused parser agrees with parse-then-project row execution on

@@ -1,13 +1,21 @@
-//! The operator interpreter (miso-vex: morsel-parallel, allocation-lean).
+//! The operator interpreter (miso-vex: morsel-parallel, column-at-a-time).
 //!
 //! Executes a [`LogicalPlan`] bottom-up over a [`DataSource`], one node at a
-//! time. By default every node's output is kept as an in-memory row vector
-//! ([`Retention::All`]) — what tests and the serial oracle compare. A store
-//! names the outputs it will actually read ([`Retention::Only`]): Hadoop
-//! materializes stage boundaries for fault tolerance, and those
-//! materializations are precisely the opportunistic views MISO tunes with,
-//! so the HV store keeps exactly those and everything in between is
-//! pipelined — run columnar, fused, and released after its last consumer.
+//! time. Inside the engine a node's output is a [`ColBatch`] and each
+//! operator has one body, a function over batches whose expressions
+//! [`crate::col`] evaluates. Rows exist at the boundaries only: a UDF that
+//! declares no fields is called with rows and answers in rows, and when the
+//! run ends the outputs still held become the `Arc<Vec<Row>>` that
+//! [`Execution`] speaks — a view scan handing out the source's own rows, a
+//! `provided` working set passing through as it came, everything else
+//! pivoted once.
+//!
+//! What is still held is the caller's choice ([`Retention`]). By default it
+//! is every node — what tests and the serial oracle compare. A store names
+//! the outputs it will read: Hadoop materializes stage boundaries for fault
+//! tolerance, and those materializations are precisely the opportunistic
+//! views MISO tunes with, so the HV store keeps exactly those and everything
+//! in between is released after its last consumer.
 //!
 //! [`execute_subset`] supports split execution: the HV side runs the nodes
 //! below the cut, the working sets cross the wire, and the DW side resumes
@@ -15,32 +23,32 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Row-at-a-time operator bodies run **morsel-parallel** on the
-//! `miso_common::pool` scoped worker pool (Leis et al., SIGMOD 2014): inputs
-//! are chunked into fixed [`MORSEL_SIZE`] morsels, morsels fan out across
-//! `MISO_THREADS` workers, and per-morsel results are reassembled in morsel
-//! index order. Morsel boundaries depend only on the constant, never on the
-//! worker count, so every operator's output — including `skipped_lines`
-//! accounting and the first error surfaced — is byte-identical for any
-//! thread count. Aggregations fold per-morsel partial accumulators and merge
-//! them serially in morsel order ([`Acc::merge`]), which pins even
-//! float-summation grouping to the morsel structure rather than the
-//! schedule. Join keys and group keys are hashed once per row to a `u64`
-//! (FNV-1a via `miso_plan::fingerprint`, collision-checked by real key
-//! equality at every probe), replacing the per-row `Vec` key allocations of
-//! the row-at-a-time interpreter preserved in [`crate::serial`].
+//! Operator bodies run **morsel-parallel** on the `miso_common::pool` scoped
+//! worker pool (Leis et al., SIGMOD 2014): a batch is cut into fixed
+//! [`MORSEL_SIZE`] index ranges, morsels fan out across `MISO_THREADS`
+//! workers, and per-morsel results are reassembled in morsel index order.
+//! Morsel boundaries depend only on the constant, never on the worker count,
+//! so every operator's output — including `skipped_lines` accounting and the
+//! first error surfaced — is byte-identical for any thread count.
+//! Aggregations fold per-morsel partial accumulators and merge them serially
+//! in morsel order ([`Acc::merge`]), which pins even float-summation
+//! grouping to the morsel structure rather than the schedule. Join keys and
+//! group keys are hashed once per row to a `u64` (FNV-1a via
+//! `miso_plan::fingerprint`, collision-checked by real key equality at every
+//! probe). The row-at-a-time interpreter all of this must agree with is
+//! preserved in [`crate::serial`].
 
 use crate::col::{self, FusedField};
-use crate::eval::{eval, eval_predicate};
+use crate::eval::eval;
 use crate::profile::{self, OpProfile};
 use crate::udf::{Udf, UdfRegistry};
 use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
 use miso_common::{pool, ByteSize, MisoError, Result};
 use miso_data::json::parse_json;
-use miso_data::{Cell, ColBatch, Row, Value};
+use miso_data::{Cell, ColBatch, ColBuilder, Column, Row, Value};
 use miso_plan::fingerprint::{fnv1a_hash_one, FnvHasher};
-use miso_plan::{AggFunc, LogicalPlan, Operator};
+use miso_plan::{AggExpr, AggFunc, Expr, LogicalPlan, Operator, PlanNode};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -58,23 +66,16 @@ pub trait DataSource {
     /// The rows of materialized view `view`.
     fn view_rows(&self, view: &str) -> Result<&[Row]>;
     /// Shared-ownership variant of [`DataSource::view_rows`]: sources that
-    /// keep view rows in an `Arc<Vec<Row>>` can hand the engine a zero-copy
-    /// handle, turning `ScanView` into a refcount bump instead of a
-    /// full-table deep clone. `None` (the default) falls back to copying.
+    /// keep view rows in an `Arc<Vec<Row>>` hand the engine a zero-copy
+    /// handle, which is what a held `ScanView` leaves the run as. `None`
+    /// (the default) has the run pivot its own copy, and charge for it.
     fn view_rows_shared(&self, _view: &str) -> Option<Arc<Vec<Row>>> {
         None
     }
     /// Columnar companion to [`DataSource::view_rows_shared`]: a shared
-    /// [`ColBatch`] pivot of the view, for sources that can serve one.
-    /// `None` (the default) keeps downstream operators on the row path.
+    /// [`ColBatch`] pivot of the view, for sources that keep one. `None`
+    /// (the default) has the scan pivot the view's rows itself.
     fn view_cols_shared(&self, _view: &str) -> Option<Arc<ColBatch>> {
-        None
-    }
-    /// The object rows an unfused scan of base log `log` produces — one
-    /// single-column row per well-formed line — with the count of malformed
-    /// lines, for sources that parse a log once for several plans. `None`
-    /// (the default) has the scan parse [`DataSource::log_lines`] itself.
-    fn log_rows_shared(&self, _log: &str) -> Option<(Arc<Vec<Row>>, u64)> {
         None
     }
     /// The columns a fused scan reads of base log `log` for its consumer (a
@@ -112,9 +113,9 @@ pub struct LogColumns {
 pub struct MemSource {
     logs: HashMap<String, Vec<String>>,
     views: HashMap<String, Arc<Vec<Row>>>,
-    /// Lazily pivoted columnar twins of `views`, built on first columnar
-    /// scan and shared thereafter (`None` caches "not pivotable", i.e. a
-    /// ragged-arity view). Re-registering a view resets its slot.
+    /// Lazily pivoted columnar twins of `views`, built on first scan and
+    /// shared thereafter (`None` caches "not pivotable", i.e. a ragged-arity
+    /// view). Re-registering a view resets its slot.
     cols: HashMap<String, OnceLock<Option<Arc<ColBatch>>>>,
 }
 
@@ -169,16 +170,14 @@ impl DataSource for MemSource {
 pub enum Retention<'a> {
     /// Every executed node's rows stay observable. The library default: it
     /// is what tests and the serial oracle compare node by node. Nothing is
-    /// released or stolen, and every operator runs its row body.
+    /// released.
     All,
     /// Only the listed nodes and the plan root are kept (never-consumed
     /// outputs also survive: nothing ever releases them). Every other
     /// output is released as soon as its last in-subset consumer has run,
-    /// which frees memory early, lets single-consumer `Filter`/`Limit`/
-    /// `Sort` *steal* uniquely-owned input rows instead of deep-cloning
-    /// them, and lets a log scan fuse into a consumer that names the fields
-    /// it reads (a SerDe projection, a declaring UDF). A kept node is never
-    /// released, stolen from or fused away. Row counts stay
+    /// which frees memory early and lets a log scan fuse into a consumer
+    /// that names the fields it reads (a SerDe projection, a declaring UDF).
+    /// A kept node is never released or fused away. Row counts stay
     /// queryable for all executed nodes via [`Execution::rows_out`].
     Only(&'a [NodeId]),
 }
@@ -326,16 +325,10 @@ pub fn execute_subset(
 /// ([`QueryGuard::inert_ref`]) every check is one branch and no bytes are
 /// ever charged, so an unguarded caller pays nothing for the parameter.
 ///
-/// Under [`Retention::Only`] eligible operators run column-at-a-time over
-/// [`ColBatch`]es (see [`crate::col`]); an operator the columnar path
-/// declines — a join, a sort, an unfused scan, an aggregate over an
-/// expression, a filter or projection of a ragged row set — runs its row
-/// body, and kept nodes that finish columnar are pivoted
-/// to rows once, when the execution returns. Under [`Retention::All`] every
-/// node must end up as rows, so each would pay a pivot and the row bodies
-/// are strictly cheaper: every operator runs its row body. Output is
-/// bit-identical either way.
-#[allow(clippy::too_many_arguments)]
+/// This is the driver loop: per node of the subset a guard check, a span and
+/// a profile around the operator's one body, the ledger charge for its
+/// output, and the release of each input this node was the last to read.
+/// `retain` decides nothing but that release and what survives to the end.
 pub fn execute_subset_guarded(
     plan: &LogicalPlan,
     subset: Option<&HashSet<NodeId>>,
@@ -351,98 +344,39 @@ pub fn execute_subset_guarded(
         Retention::All => true,
         Retention::Only(ids) => id == root || ids.contains(&id),
     };
-    // Whether anything may be released at all — and with it, whether the
-    // columnar bodies run.
-    let lean = !matches!(retain, Retention::All);
-    let mut outputs: HashMap<NodeId, Arc<Vec<Row>>> = HashMap::with_capacity(plan.len());
+    let seeds: HashSet<NodeId> = provided.keys().copied().collect();
+    let executes = |id: NodeId| subset.is_none_or(|s| s.contains(&id)) && !seeds.contains(&id);
+    // Every node's output; the working sets shipped in enter here.
+    let mut batches: HashMap<NodeId, Arc<ColBatch>> = HashMap::with_capacity(plan.len());
     let mut rows_out: HashMap<NodeId, u64> = HashMap::with_capacity(plan.len());
-    for (id, rows) in provided {
-        rows_out.insert(id, rows.len() as u64);
-        outputs.insert(id, rows);
+    for node in plan.nodes().iter().filter(|n| seeds.contains(&n.id)) {
+        rows_out.insert(node.id, provided[&node.id].len() as u64);
+        batches.insert(node.id, Arc::new(pivot(node, &provided[&node.id])?));
     }
-    // Remaining in-subset consumer edges per node, counted only when some
-    // outputs may go. Once a node's count hits zero its output is released
-    // unless kept; a count of exactly one at consumption time means the
-    // consumer may steal an unkept input's rows.
+    // The row forms that exist without a pivot — the seeds, and every view
+    // its source shares — for whichever of them is still held at the end.
+    let mut rows = provided;
+    // Remaining in-subset consumer edges per node. Once a node's count hits
+    // zero its output is released unless kept.
     let mut pending: HashMap<NodeId, usize> = HashMap::new();
-    if lean {
-        for node in plan.nodes() {
-            let executes =
-                subset.is_none_or(|s| s.contains(&node.id)) && !rows_out.contains_key(&node.id);
-            if !executes {
-                continue;
-            }
-            for input in &node.inputs {
-                *pending.entry(*input).or_insert(0) += 1;
-            }
+    for node in plan.nodes().iter().filter(|n| executes(n.id)) {
+        for input in &node.inputs {
+            *pending.entry(*input).or_insert(0) += 1;
         }
     }
+    // Log scans whose batch holds the columns their one consumer reads.
+    let mut fused: HashSet<NodeId> = HashSet::new();
     let mut skipped_lines = 0u64;
     // One relaxed load per plan; everything profile-related below is behind
     // this flag so the off path does no extra work.
     let profiling = profile::enabled();
     let mut profiles: HashMap<NodeId, OpProfile> = HashMap::new();
     if profiling {
-        profiles.reserve(plan.len());
         profile::take_dispatch();
     }
-    // Columnar node outputs, kept beside `outputs`. A node normally lives
-    // in exactly one map (zero-copy view scans may publish both
-    // representations); whatever survives to the end is pivoted to rows.
-    let mut col_outputs: HashMap<NodeId, Arc<ColBatch>> = HashMap::new();
-    // Scan fusion: a log scan whose single consumer names the fields it
-    // reads of each line — a SerDe-shaped projection, or a UDF that declared
-    // them ([`crate::Udf::reading`]) — takes those columns straight from the
-    // source ([`DataSource::log_columns`]), skipping the intermediate JSON
-    // object rows entirely. Because the scan's output is never materialized,
-    // a kept scan cannot fuse, and fusion stays off under profiling, which
-    // reports per-node materializations. An active guard does not stop it:
-    // a fused scan materializes nothing of its own, so — like the zero-copy
-    // `ScanView` — it charges nothing, and its consumer charges its output.
-    // Maps scan → (consumer, the fields it reads).
-    let mut fused: HashMap<NodeId, (NodeId, Vec<FusedField<'_>>)> = HashMap::new();
-    if lean && !profiling {
-        let executes =
-            |id: NodeId| subset.is_none_or(|s| s.contains(&id)) && !rows_out.contains_key(&id);
-        for node in plan.nodes() {
-            if !executes(node.id) || node.inputs.len() != 1 {
-                continue;
-            }
-            let scan = node.inputs[0];
-            if kept(scan)
-                || !executes(scan)
-                || pending.get(&scan).copied() != Some(1)
-                || !matches!(plan.node(scan).op, Operator::ScanLog { .. })
-            {
-                continue;
-            }
-            let fields = match &node.op {
-                Operator::Project { exprs } => col::fused_fields(exprs.iter().map(|(_, e)| e)),
-                Operator::Udf { name, .. } => udfs.get(name).and_then(Udf::reads).map(|keys| {
-                    keys.iter()
-                        .map(|key| FusedField { key, ty: None })
-                        .collect()
-                }),
-                _ => None,
-            };
-            if let Some(fields) = fields {
-                fused.insert(scan, (node.id, fields));
-            }
-        }
-    }
-    // Batches read by fused scans, waiting for their consumer node.
-    let mut fused_ready: HashMap<NodeId, ColBatch> = HashMap::new();
     // Per-node materialization charges; drops (and releases) on any exit.
     let mut ledger = ChargeLedger::new(guard);
-    for node in plan.nodes() {
-        if rows_out.contains_key(&node.id) {
-            continue; // provided
-        }
-        if let Some(set) = subset {
-            if !set.contains(&node.id) {
-                continue;
-            }
-        }
+    for node in plan.nodes().iter().filter(|n| executes(n.id)) {
         guard.check()?;
         let mut op_span = miso_obs::span("exec.op");
         if op_span.is_active() {
@@ -450,429 +384,86 @@ pub fn execute_subset_guarded(
             op_span.push_field("node", miso_obs::FieldValue::U64(node.id.raw()));
         }
         let t0 = Instant::now();
-        // Leaves a shared source hands over are special-cased outside the
-        // Vec-producing match: the scan costs one refcount bump, no row
-        // copies (a view) and no parse (a log the source parsed already).
-        let shared_leaf = match &node.op {
-            Operator::ScanView { view, .. } => source.view_rows_shared(view).map(|rows| {
-                // Publish the columnar twin alongside the zero-copy rows:
-                // column-eligible consumers pick up the batch, row-wise
-                // ones (joins) keep the free Arc handle.
-                let cols = lean.then(|| source.view_cols_shared(view)).flatten();
-                (rows, 0, cols)
-            }),
-            Operator::ScanLog { log } if !fused.contains_key(&node.id) => source
-                .log_rows_shared(log)
-                .map(|(rows, skipped)| (rows, skipped, None)),
-            _ => None,
-        };
-        if let Some((shared, skipped, cols)) = shared_leaf {
-            miso_obs::observe("exec.op_ns", t0.elapsed().as_nanos() as u64);
-            if op_span.is_active() {
-                op_span.push_field("rows_out", miso_obs::FieldValue::U64(shared.len() as u64));
-                miso_obs::observe("exec.op_rows_out", shared.len() as u64);
-            }
-            miso_obs::count("exec.ops_executed", 1);
-            miso_obs::count("exec.zero_copy_scans", 1);
-            if profiling {
-                profiles.insert(
-                    node.id,
-                    OpProfile {
-                        wall_ns: t0.elapsed().as_nanos() as u64,
-                        rows_in: 0,
-                        rows_out: shared.len() as u64,
-                        bytes_out: shared.iter().map(Row::approx_bytes).sum(),
-                        morsels: 0,
-                        par_rows: 0,
-                    },
-                );
-            }
-            skipped_lines += skipped;
-            rows_out.insert(node.id, shared.len() as u64);
-            if let Some(cols) = cols {
-                col_outputs.insert(node.id, cols);
-            }
-            outputs.insert(node.id, shared);
-            continue;
-        }
-        // Fused scan: take the consumer's columns from the source and stash
-        // the batch for the consumer node. Mirrors the zero-copy scan
-        // bookkeeping — the scan's row output never materializes.
-        if let Some((consumer, fields)) = fused.get(&node.id) {
-            let Operator::ScanLog { log } = &node.op else {
-                unreachable!("fusion pre-pass only maps log scans");
-            };
-            // The dispatch boundary `par_chunks` would have checked.
-            guard.check()?;
-            let cols = source.log_columns(log, fields)?;
-            let batch = cols.batch;
-            skipped_lines += cols.skipped_lines;
-            let lines = batch.len() as u64 + cols.skipped_lines;
-            miso_obs::count("exec.col_batches", lines.div_ceil(MORSEL_SIZE as u64));
-            miso_obs::observe("exec.op_ns", t0.elapsed().as_nanos() as u64);
-            if op_span.is_active() {
-                op_span.push_field("rows_out", miso_obs::FieldValue::U64(batch.len() as u64));
-                op_span.push_field("cols_hit", miso_obs::FieldValue::U64(cols.cols_hit));
-                op_span.push_field("cols_parsed", miso_obs::FieldValue::U64(cols.cols_parsed));
-                miso_obs::observe("exec.op_rows_out", batch.len() as u64);
-            }
-            miso_obs::count("exec.ops_executed", 1);
-            rows_out.insert(node.id, batch.len() as u64);
-            fused_ready.insert(*consumer, batch);
-            continue;
-        }
-        let produced: Produced = match &node.op {
+        let input = |i: usize| input_of(&batches, node, i);
+        let batch = match &node.op {
             Operator::ScanLog { log } => {
-                let lines = source.log_lines(log)?;
-                if lean {
-                    // A log scan that could not fuse materializes rows.
-                    miso_obs::count("exec.col_fallback_rows", lines.len() as u64);
-                }
-                let parts = par_chunks(guard, lines, |_, chunk| {
-                    let mut rows = Vec::with_capacity(chunk.len());
-                    let mut skipped = 0u64;
-                    for line in chunk {
-                        match parse_json(line) {
-                            Ok(v) => rows.push(Row::new(vec![v])),
-                            Err(_) => skipped += 1,
-                        }
-                    }
-                    (rows, skipped)
-                })?;
-                let mut rows = Vec::with_capacity(lines.len());
-                for (part, skipped) in parts {
-                    rows.extend(part);
-                    skipped_lines += skipped;
-                }
-                Produced::Rows(rows)
+                // A kept scan's own output is wanted, and profiling reports
+                // per-node materializations: neither may fuse.
+                let fields = (!profiling && !kept(node.id))
+                    .then(|| fused_reader(plan, node.id, executes, udfs))
+                    .flatten();
+                fused.extend(fields.is_some().then_some(node.id));
+                let (batch, skipped) =
+                    scan_log(source, guard, log, fields.as_deref(), &mut op_span)?;
+                skipped_lines += skipped;
+                Arc::new(batch)
             }
-            Operator::ScanView { view, .. } => {
-                let src_rows = source.view_rows(view)?;
-                Produced::Rows(concat_rows(
-                    src_rows.len(),
-                    par_chunks(guard, src_rows, |_, chunk| chunk.to_vec())?,
-                ))
-            }
-            Operator::Filter { predicate } => {
-                let input_id = node.inputs[0];
-                let col_input = col_input(lean, &outputs, &mut col_outputs, input_id);
-                if let Some(batch) = col_input {
-                    miso_obs::count("exec.col_batches", batch.len().div_ceil(MORSEL_SIZE) as u64);
-                    let parts = par_ranges(guard, batch.len(), |_, start, n| {
-                        col::eval_vec(predicate, &batch, start, n, None)
-                            .map(|pred| col::select_true(&pred, start, n))
-                    })?;
-                    let parts = collect_ok(parts)?;
-                    let sel = concat_rows(parts.iter().map(Vec::len).sum(), parts);
-                    if !pending.contains_key(&node.id) {
-                        // An output nobody in the subset reads (the root,
-                        // a cut) survives to the end and would be pivoted
-                        // to rows there anyway; materializing straight
-                        // from the input batch + selection skips the
-                        // gathered intermediate.
-                        Produced::Rows(batch.rows_at(&sel))
-                    } else {
-                        Produced::Cols(batch.gather(&sel))
-                    }
-                } else {
-                    note_col_fallback(lean, &rows_out, input_id);
-                    ensure_rows(&mut outputs, &mut col_outputs, &pending, input_id, &kept);
-                    match take_input(&mut outputs, &pending, node, 0, &kept)? {
-                        TakenInput::Owned(mut vec) => {
-                            // Uniquely owned: evaluate in parallel, then move
-                            // the surviving rows out instead of deep-cloning.
-                            let parts =
-                                par_chunks(guard, &vec, |i, chunk| -> Result<Vec<usize>> {
-                                    let base = i * MORSEL_SIZE;
-                                    let mut keep = Vec::new();
-                                    for (j, row) in chunk.iter().enumerate() {
-                                        if eval_predicate(predicate, row)? {
-                                            keep.push(base + j);
-                                        }
-                                    }
-                                    Ok(keep)
-                                })?;
-                            let keep = collect_ok(parts)?;
-                            let mut out = Vec::with_capacity(keep.iter().map(Vec::len).sum());
-                            for idx in keep.into_iter().flatten() {
-                                out.push(std::mem::take(&mut vec[idx]));
-                            }
-                            Produced::Rows(out)
-                        }
-                        TakenInput::Shared(arc) => {
-                            let parts = par_chunks(guard, &arc, |_, chunk| -> Result<Vec<Row>> {
-                                let mut keep = Vec::new();
-                                for row in chunk {
-                                    if eval_predicate(predicate, row)? {
-                                        keep.push(row.clone());
-                                    }
-                                }
-                                Ok(keep)
-                            })?;
-                            Produced::Rows(flatten_ok(parts)?)
-                        }
-                    }
-                }
-            }
-            Operator::Project { exprs } => {
-                let input_id = node.inputs[0];
-                if let Some(batch) = fused_ready.remove(&node.id) {
-                    // The fused scan already produced this projection.
-                    Produced::Cols(batch)
-                } else if let Some(batch) = col_input(lean, &outputs, &mut col_outputs, input_id) {
-                    miso_obs::count("exec.col_batches", batch.len().div_ceil(MORSEL_SIZE) as u64);
-                    let parts =
-                        par_ranges(guard, batch.len(), |_, start, n| -> Result<ColBatch> {
-                            let cols = exprs
-                                .iter()
-                                .map(|(_, e)| {
-                                    col::eval_vec(e, &batch, start, n, None)
-                                        .map(|v| v.into_column(n))
-                                })
-                                .collect::<Result<Vec<_>>>()?;
-                            Ok(ColBatch::from_columns(cols, n))
-                        })?;
-                    Produced::Cols(ColBatch::concat(collect_ok(parts)?))
-                } else {
-                    note_col_fallback(lean, &rows_out, input_id);
-                    ensure_rows(&mut outputs, &mut col_outputs, &pending, input_id, &kept);
-                    let input = input_of(&outputs, plan, node.id, 0)?;
-                    let parts = par_chunks(guard, input, |_, chunk| -> Result<Vec<Row>> {
-                        let mut rows = Vec::with_capacity(chunk.len());
-                        for row in chunk {
-                            let values: Vec<Value> = exprs
-                                .iter()
-                                .map(|(_, e)| eval(e, row))
-                                .collect::<Result<_>>()?;
-                            rows.push(Row::new(values));
-                        }
-                        Ok(rows)
-                    })?;
-                    Produced::Rows(flatten_ok(parts)?)
-                }
-            }
-            Operator::Join { on } => {
-                // Joins stay row-wise by design (see DESIGN.md §16).
-                ensure_rows(
-                    &mut outputs,
-                    &mut col_outputs,
-                    &pending,
-                    node.inputs[0],
-                    &kept,
-                );
-                ensure_rows(
-                    &mut outputs,
-                    &mut col_outputs,
-                    &pending,
-                    node.inputs[1],
-                    &kept,
-                );
-                let left = input_of(&outputs, plan, node.id, 0)?;
-                let right = input_of(&outputs, plan, node.id, 1)?;
-                Produced::Rows(hash_join_guarded(left, right, on, guard)?)
-            }
+            Operator::ScanView { view, .. } => scan_view(source, node, view, &mut rows)?,
+            Operator::Filter { predicate } => filter(guard, input(0)?, predicate)?,
+            // A fused scan already read this projection.
+            Operator::Project { .. } if fused.contains(&node.inputs[0]) => Arc::clone(input(0)?),
+            Operator::Project { exprs } => Arc::new(project(guard, input(0)?, exprs)?),
+            Operator::Join { on } => Arc::new(join(guard, input(0)?, input(1)?, on)?),
             Operator::Aggregate { group_by, aggs } => {
-                let input_id = node.inputs[0];
-                // Columnar-eligible: every key and aggregate source is an
-                // in-range bare column (or COUNT(*)); general expressions
-                // keep the row path so error behaviour matches exactly.
-                // The shape check comes first so ineligible aggregates
-                // (UDF/expression inputs) never pay a speculative pivot.
-                let shape_ok = aggs
-                    .iter()
-                    .all(|a| matches!(&a.input, None | Some(miso_plan::Expr::Column(_))));
-                let col_input = if lean && shape_ok {
-                    ensure_cols(&outputs, &mut col_outputs, input_id);
-                    col_outputs.get(&input_id).cloned().filter(|b| {
-                        group_by.iter().all(|&g| g < b.arity())
-                            && aggs.iter().all(|a| match &a.input {
-                                None => true,
-                                Some(miso_plan::Expr::Column(c)) => *c < b.arity(),
-                                Some(_) => false,
-                            })
-                    })
-                } else {
-                    None
-                };
-                if let Some(batch) = col_input {
-                    miso_obs::count("exec.col_batches", batch.len().div_ceil(MORSEL_SIZE) as u64);
-                    let float_sum = col_float_sum_flags(&batch, aggs);
-                    let srcs = classify_aggs(aggs);
-                    let parts = par_ranges(guard, batch.len(), |_, start, n| {
-                        aggregate_morsel_cols(&batch, start, n, group_by, aggs, &srcs, &float_sum)
-                    })?;
-                    Produced::Rows(finish_aggregate(
-                        parts,
-                        group_by,
-                        aggs,
-                        &float_sum,
-                        batch.is_empty(),
-                        guard,
-                    )?)
-                } else {
-                    note_col_fallback(lean, &rows_out, input_id);
-                    ensure_rows(&mut outputs, &mut col_outputs, &pending, input_id, &kept);
-                    let input = input_of(&outputs, plan, node.id, 0)?;
-                    Produced::Rows(aggregate(input, group_by, aggs, guard)?)
-                }
+                Arc::new(aggregate(guard, input(0)?, group_by, aggs)?)
             }
             Operator::Udf { name, .. } => {
-                let udf = udfs.require(name)?;
-                let parts = if let Some(batch) = fused_ready.remove(&node.id) {
-                    // The fused scan read exactly the declared fields.
-                    par_ranges(guard, batch.len(), |_, start, n| -> Result<Vec<Row>> {
-                        let mut rows = Vec::new();
-                        for i in start..start + n {
-                            let fields = batch.columns().iter().map(|c| c.value(i)).collect();
-                            rows.extend(udf.apply_fields(&Row::new(fields))?);
-                        }
-                        Ok(rows)
-                    })?
-                } else {
-                    ensure_rows(
-                        &mut outputs,
-                        &mut col_outputs,
-                        &pending,
-                        node.inputs[0],
-                        &kept,
-                    );
-                    let input = input_of(&outputs, plan, node.id, 0)?;
-                    par_chunks(guard, input, |_, chunk| -> Result<Vec<Row>> {
-                        let mut rows = Vec::new();
-                        for row in chunk {
-                            rows.extend(udf.apply(row)?);
-                        }
-                        Ok(rows)
-                    })?
-                };
-                Produced::Rows(flatten_ok(parts)?)
+                let declared = fused.contains(&node.inputs[0]);
+                Arc::new(udf(guard, udfs.require(name)?, input(0)?, declared, node)?)
             }
-            Operator::Sort { keys } => {
-                ensure_rows(
-                    &mut outputs,
-                    &mut col_outputs,
-                    &pending,
-                    node.inputs[0],
-                    &kept,
-                );
-                let input = take_input(&mut outputs, &pending, node, 0, &kept)?;
-                let rows = input.rows();
-                // Extract each row's key values exactly once (in parallel),
-                // then sort (key, index) pairs; the index tiebreak makes the
-                // unstable sort reproduce stable-sort output.
-                let keyed: Vec<Vec<Value>> = concat_rows(
-                    rows.len(),
-                    par_chunks(guard, rows, |_, chunk| {
-                        chunk
-                            .iter()
-                            .map(|row| keys.iter().map(|&(col, _)| row.get(col).clone()).collect())
-                            .collect::<Vec<Vec<Value>>>()
-                    })?,
-                );
-                let mut order: Vec<usize> = (0..rows.len()).collect();
-                order.sort_unstable_by(|&a, &b| {
-                    for (j, &(_, desc)) in keys.iter().enumerate() {
-                        let ord = keyed[a][j].cmp(&keyed[b][j]);
-                        let ord = if desc { ord.reverse() } else { ord };
-                        if !ord.is_eq() {
-                            return ord;
-                        }
-                    }
-                    a.cmp(&b)
-                });
-                match input {
-                    TakenInput::Owned(mut vec) => Produced::Rows(
-                        order
-                            .into_iter()
-                            .map(|i| std::mem::take(&mut vec[i]))
-                            .collect(),
-                    ),
-                    TakenInput::Shared(arc) => {
-                        Produced::Rows(order.into_iter().map(|i| arc[i].clone()).collect())
-                    }
-                }
-            }
-            Operator::Limit { n } => {
-                let input_id = node.inputs[0];
-                if let Some(batch) = col_outputs.get(&input_id).cloned() {
-                    miso_obs::count("exec.col_batches", batch.len().div_ceil(MORSEL_SIZE) as u64);
-                    Produced::Cols(batch.head(*n as usize))
-                } else {
-                    match take_input(&mut outputs, &pending, node, 0, &kept)? {
-                        TakenInput::Owned(mut vec) => {
-                            vec.truncate(*n as usize);
-                            Produced::Rows(vec)
-                        }
-                        TakenInput::Shared(arc) => {
-                            Produced::Rows(arc.iter().take(*n as usize).cloned().collect())
-                        }
-                    }
-                }
-            }
+            Operator::Sort { keys } => Arc::new(sort(input(0)?, keys)),
+            Operator::Limit { n } => limit(input(0)?, *n as usize),
         };
-        let n_out = produced.len() as u64;
-        miso_obs::observe("exec.op_ns", t0.elapsed().as_nanos() as u64);
+        let n_out = batch.len() as u64;
+        // Inputs ran (or were provided) before this node, so their row counts
+        // are in `rows_out` even if the batches themselves were released.
+        let rows_in: u64 = node.inputs.iter().filter_map(|i| rows_out.get(i)).sum();
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        miso_obs::observe("exec.op_ns", wall_ns);
         if op_span.is_active() {
             op_span.push_field("rows_out", miso_obs::FieldValue::U64(n_out));
             miso_obs::observe("exec.op_rows_out", n_out);
         }
         miso_obs::count("exec.ops_executed", 1);
+        miso_obs::count("exec.col_batches", rows_in.div_ceil(MORSEL_SIZE as u64));
         if profiling {
             let (morsels, par_rows) = profile::take_dispatch();
-            // Inputs ran (or were provided) before this node, so their row
-            // counts are already in `rows_out` even if the rows themselves
-            // were stolen or released.
-            let rows_in = node
-                .inputs
-                .iter()
-                .filter_map(|i| rows_out.get(i))
-                .sum::<u64>();
             profiles.insert(
                 node.id,
                 OpProfile {
-                    wall_ns: t0.elapsed().as_nanos() as u64,
+                    wall_ns,
                     rows_in,
                     rows_out: n_out,
-                    bytes_out: produced.bytes(),
+                    bytes_out: batch.row_bytes(),
                     morsels,
                     par_rows,
                 },
             );
         }
-        ledger.charge(node.id, &produced)?;
-        rows_out.insert(node.id, n_out);
-        match produced {
-            Produced::Rows(rows) => {
-                outputs.insert(node.id, Arc::new(rows));
-            }
-            Produced::Cols(batch) => {
-                col_outputs.insert(node.id, Arc::new(batch));
-            }
+        // Columns that are the source's own — a log's column image, a view
+        // it shares — are not the query's to charge.
+        if !fused.contains(&node.id) && !rows.contains_key(&node.id) {
+            ledger.charge(node.id, &batch)?;
         }
-        if lean {
-            for input in &node.inputs {
-                if let Some(p) = pending.get_mut(input) {
-                    *p = p.saturating_sub(1);
-                    if *p == 0 && !kept(*input) {
-                        outputs.remove(input);
-                        col_outputs.remove(input);
-                        ledger.release(*input);
-                    }
+        rows_out.insert(node.id, n_out);
+        batches.insert(node.id, batch);
+        for input in &node.inputs {
+            if let Some(p) = pending.get_mut(input) {
+                *p = p.saturating_sub(1);
+                if *p == 0 && !kept(*input) {
+                    batches.remove(input);
+                    rows.remove(input);
+                    ledger.release(*input);
                 }
             }
         }
     }
-    // Whatever is still columnar — a kept node, or a never-consumed output —
-    // pivots to rows here: `Execution` speaks rows at every boundary.
-    for (id, batch) in col_outputs {
-        if outputs.contains_key(&id) {
-            continue;
-        }
-        let rows = Arc::try_unwrap(batch)
-            .map(ColBatch::into_rows)
-            .unwrap_or_else(|arc| arc.to_rows());
-        outputs.insert(id, Arc::new(rows));
-    }
+    // `Execution` speaks rows: what is still held is pivoted, once, unless
+    // its rows exist already.
+    let outputs = batches
+        .into_iter()
+        .map(|(id, batch)| (id, rows.remove(&id).unwrap_or_else(|| into_rows(batch))))
+        .collect();
     Ok(Execution {
         outputs,
         rows_out,
@@ -882,114 +473,229 @@ pub fn execute_subset_guarded(
     })
 }
 
-/// One operator's materialized output, in whichever representation the
-/// operator body produced.
-enum Produced {
-    Rows(Vec<Row>),
-    Cols(ColBatch),
+/// Input `i` of `node`: an output of this run, or a working set shipped in.
+fn input_of<'a>(
+    batches: &'a HashMap<NodeId, Arc<ColBatch>>,
+    node: &PlanNode,
+    i: usize,
+) -> Result<&'a Arc<ColBatch>> {
+    batches.get(&node.inputs[i]).ok_or_else(|| {
+        MisoError::Execution(format!(
+            "node {} input {} neither executed nor provided",
+            node.id, node.inputs[i]
+        ))
+    })
 }
 
-impl Produced {
-    fn len(&self) -> usize {
-        match self {
-            Produced::Rows(rows) => rows.len(),
-            Produced::Cols(batch) => batch.len(),
-        }
-    }
-
-    /// Guard/profile byte size — identical whichever representation was
-    /// produced ([`ColBatch::row_bytes`] matches summed
-    /// [`Row::approx_bytes`] by construction).
-    fn bytes(&self) -> u64 {
-        match self {
-            Produced::Rows(rows) => rows.iter().map(Row::approx_bytes).sum(),
-            Produced::Cols(batch) => batch.row_bytes(),
-        }
-    }
-}
-
-/// Counts an operator of a lean run that ran its row body, charging the
-/// input's row count to the `exec.col_fallback_rows` counter.
-fn note_col_fallback(lean: bool, rows_out: &HashMap<NodeId, u64>, input: NodeId) {
-    if lean {
-        if let Some(&n) = rows_out.get(&input) {
-            miso_obs::count("exec.col_fallback_rows", n);
-        }
-    }
-}
-
-/// Guarantees `outputs` holds a row representation of node `id`, pivoting
-/// its columnar output when that is the only one present. When this node's
-/// consumer is the last one and the node is not kept, the batch is consumed
-/// so string payloads move; otherwise it is copied and the batch stays
-/// shared for later consumers.
-/// Missing nodes are left missing — the caller's input lookup reports them
-/// with the usual "neither executed nor provided" error.
-fn ensure_rows(
-    outputs: &mut HashMap<NodeId, Arc<Vec<Row>>>,
-    col_outputs: &mut HashMap<NodeId, Arc<ColBatch>>,
-    pending: &HashMap<NodeId, usize>,
-    id: NodeId,
-    kept: &dyn Fn(NodeId) -> bool,
-) {
-    if outputs.contains_key(&id) || !col_outputs.contains_key(&id) {
-        return;
-    }
-    let last = !kept(id) && pending.get(&id).copied() == Some(1);
-    let rows = if last {
-        let arc = col_outputs.remove(&id).expect("checked above");
-        Arc::try_unwrap(arc)
+/// The rows of a batch, moving its payloads out when nobody else holds it.
+fn into_rows(batch: Arc<ColBatch>) -> Arc<Vec<Row>> {
+    Arc::new(
+        Arc::try_unwrap(batch)
             .map(ColBatch::into_rows)
-            .unwrap_or_else(|arc| arc.to_rows())
-    } else {
-        col_outputs[&id].to_rows()
-    };
-    outputs.insert(id, Arc::new(rows));
+            .unwrap_or_else(|shared| shared.to_rows()),
+    )
 }
 
-/// The batch a `Filter` / `Project` of a lean run reads node `id` as: every
-/// expression evaluates columnar ([`col::eval_vec`]), so the operator leaves
-/// the column path only when its input has no columnar form — a ragged row
-/// set.
-fn col_input(
-    lean: bool,
-    outputs: &HashMap<NodeId, Arc<Vec<Row>>>,
-    col_outputs: &mut HashMap<NodeId, Arc<ColBatch>>,
-    id: NodeId,
-) -> Option<Arc<ColBatch>> {
-    if !lean {
-        return None;
+/// Scan fusion: a log scan whose single consumer names the fields it reads of
+/// each line — a SerDe-shaped projection, a UDF that declared them — takes
+/// those columns straight from the source ([`DataSource::log_columns`]) and
+/// never builds the JSON records. Returns the fields that consumer reads. An
+/// active guard does not stop it: a fused scan materializes nothing of its
+/// own, so — like the zero-copy `ScanView` — it charges nothing, and its
+/// consumer charges its output.
+fn fused_reader<'a>(
+    plan: &'a LogicalPlan,
+    scan: NodeId,
+    executes: impl Fn(NodeId) -> bool,
+    udfs: &'a UdfRegistry,
+) -> Option<Vec<FusedField<'a>>> {
+    let mut readers = plan
+        .nodes()
+        .iter()
+        .filter(|n| executes(n.id) && n.inputs.contains(&scan));
+    match (readers.next(), readers.next()) {
+        (Some(reader), None) if reader.inputs.len() == 1 => col::fused_fields(&reader.op, udfs),
+        _ => None,
     }
-    ensure_cols(outputs, col_outputs, id);
-    col_outputs.get(&id).cloned()
 }
 
-/// The inverse of [`ensure_rows`]: a columnar consumer wants node `id`
-/// as a batch, but only a row representation exists — a provided seed (the
-/// shipped working set at the DataSource boundary) or a row-producing
-/// upstream operator such as a join. Pivots once and caches the batch
-/// beside the rows for any later consumer; ragged row sets stay row-only
-/// and the consumer falls back. An aggregate gates on its own shape first,
-/// so one over an expression never pays a speculative pivot.
-fn ensure_cols(
-    outputs: &HashMap<NodeId, Arc<Vec<Row>>>,
-    col_outputs: &mut HashMap<NodeId, Arc<ColBatch>>,
-    id: NodeId,
-) {
-    if col_outputs.contains_key(&id) {
-        return;
+/// Rows entering the engine — a view, a shipped working set, a UDF's output
+/// — as a batch of `node`'s arity. No plan produces rows of differing arity
+/// (`PlanBuilder` derives every schema, [`Udf::apply`] checks its output);
+/// a row set installed by hand that has them has no batch, and fails here.
+fn pivot(node: &PlanNode, rows: &[Row]) -> Result<ColBatch> {
+    if rows.is_empty() {
+        // `from_rows` cannot know the arity of no rows.
+        return Ok(ColBatch::empty(node.schema.arity()));
     }
-    if let Some(rows) = outputs.get(&id) {
-        if let Some(batch) = ColBatch::from_rows(rows) {
-            col_outputs.insert(id, Arc::new(batch));
+    ColBatch::from_rows(rows).ok_or_else(|| {
+        MisoError::Execution(format!(
+            "node {} ({}): rows of differing arity have no columnar form",
+            node.id,
+            node.op.label()
+        ))
+    })
+}
+
+/// A log scan's batch and the count of malformed lines it skipped (Hive-style
+/// lenience). With `fields` — what the scan's one consumer reads of each line
+/// — the batch is those columns, from [`DataSource::log_columns`]; without,
+/// one column of parsed JSON records.
+fn scan_log(
+    source: &dyn DataSource,
+    guard: &QueryGuard,
+    log: &str,
+    fields: Option<&[FusedField<'_>]>,
+    op_span: &mut miso_obs::Span,
+) -> Result<(ColBatch, u64)> {
+    if let Some(fields) = fields {
+        // The dispatch boundary `par_chunks` would have checked.
+        guard.check()?;
+        let cols = source.log_columns(log, fields)?;
+        if op_span.is_active() {
+            op_span.push_field("cols_hit", miso_obs::FieldValue::U64(cols.cols_hit));
+            op_span.push_field("cols_parsed", miso_obs::FieldValue::U64(cols.cols_parsed));
         }
+        return Ok((cols.batch, cols.skipped_lines));
+    }
+    let lines = source.log_lines(log)?;
+    miso_obs::count("exec.col_fallback_rows", lines.len() as u64);
+    let parts = par_chunks(guard, lines, |_, chunk| {
+        let mut records = ColBuilder::new();
+        let mut skipped = 0u64;
+        for line in chunk {
+            match parse_json(line) {
+                Ok(record) => records.push_value(record),
+                Err(_) => skipped += 1,
+            }
+        }
+        (records.finish(), skipped)
+    })?;
+    let skipped = parts.iter().map(|(_, skipped)| skipped).sum();
+    let records = Column::concat(parts.into_iter().map(|(records, _)| records).collect());
+    let len = records.len();
+    Ok((ColBatch::from_columns(vec![records], len), skipped))
+}
+
+/// A view as a batch: the source's own columnar twin when it keeps one, a
+/// pivot of the view's rows otherwise. A source that shares those rows has
+/// them noted in `rows` — should the scan still be held at the end, they are
+/// its output as they stand — and the scan then costs two refcount bumps and
+/// copies nothing (`exec.zero_copy_scans`).
+fn scan_view(
+    source: &dyn DataSource,
+    node: &PlanNode,
+    view: &str,
+    rows: &mut HashMap<NodeId, Arc<Vec<Row>>>,
+) -> Result<Arc<ColBatch>> {
+    if let Some(shared) = source.view_rows_shared(view) {
+        miso_obs::count("exec.zero_copy_scans", 1);
+        rows.insert(node.id, shared);
+    }
+    // An empty twin is pivoted again: it may not know its arity.
+    if let Some(twin) = source.view_cols_shared(view).filter(|b| !b.is_empty()) {
+        return Ok(twin);
+    }
+    Ok(Arc::new(match rows.get(&node.id) {
+        Some(shared) => pivot(node, shared)?,
+        None => pivot(node, source.view_rows(view)?)?,
+    }))
+}
+
+/// The rows `predicate` is `TRUE` on (SQL `WHERE`: NULL does not select).
+fn filter(guard: &QueryGuard, batch: &Arc<ColBatch>, predicate: &Expr) -> Result<Arc<ColBatch>> {
+    let parts = par_ranges(guard, batch.len(), |_, start, n| {
+        col::eval_vec(predicate, batch, start, n, None)
+            .map(|pred| col::select_true(&pred, start, n))
+    })?;
+    let selected = concat(collect_ok(parts)?);
+    Ok(if selected.len() == batch.len() {
+        Arc::clone(batch)
+    } else {
+        Arc::new(batch.gather(&selected))
+    })
+}
+
+/// One output column per expression.
+fn project(guard: &QueryGuard, batch: &ColBatch, exprs: &[(String, Expr)]) -> Result<ColBatch> {
+    let parts = par_ranges(guard, batch.len(), |_, start, n| -> Result<ColBatch> {
+        let cols = exprs
+            .iter()
+            .map(|(_, e)| col::eval_vec(e, batch, start, n, None).map(|v| v.into_column(n)))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(ColBatch::from_columns(cols, n))
+    })?;
+    let parts = collect_ok(parts)?;
+    Ok(if parts.is_empty() {
+        ColBatch::empty(exprs.len())
+    } else {
+        ColBatch::concat(parts)
+    })
+}
+
+/// The first `n` rows.
+fn limit(batch: &Arc<ColBatch>, n: usize) -> Arc<ColBatch> {
+    if n >= batch.len() {
+        Arc::clone(batch)
+    } else {
+        Arc::new(batch.head(n))
     }
 }
 
-/// Columnar twin of [`par_chunks`]: morsel dispatch over index ranges of a
-/// batch instead of row slices. `f` receives `(morsel index, start, len)`.
-/// Counter and guard behaviour match `par_chunks` exactly so profiles and
-/// cancellation outcomes are representation-independent.
+/// A permutation of the rows by `keys` (`(column, descending)`), ties in
+/// input order: the index tiebreak makes the unstable sort reproduce the
+/// serial interpreter's stable one.
+fn sort(batch: &ColBatch, keys: &[(usize, bool)]) -> ColBatch {
+    let keys: Vec<(&Column, bool)> = keys.iter().map(|&(c, desc)| (batch.col(c), desc)).collect();
+    let mut order: Vec<u32> = (0..batch.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
+        for &(col, desc) in &keys {
+            let ord = col.cell(a as usize).cmp_cell(&col.cell(b as usize));
+            let ord = if desc { ord.reverse() } else { ord };
+            if !ord.is_eq() {
+                return ord;
+            }
+        }
+        a.cmp(&b)
+    });
+    batch.gather(&order)
+}
+
+/// Calls `udf` once per row. A UDF that declared the fields it reads gets
+/// them as `batch` holds them (a fused scan read exactly those); any other
+/// gets its input row — the one place an operator pivots — and both answer
+/// in rows.
+fn udf(
+    guard: &QueryGuard,
+    udf: &Udf,
+    batch: &ColBatch,
+    declared: bool,
+    node: &PlanNode,
+) -> Result<ColBatch> {
+    let parts = par_ranges(guard, batch.len(), |_, start, n| -> Result<Vec<Row>> {
+        let mut out = Vec::new();
+        for i in start..start + n {
+            let row = Row::new(batch.columns().iter().map(|c| c.value(i)).collect());
+            out.extend(if declared {
+                udf.apply_fields(&row)?
+            } else {
+                udf.apply(&row)?
+            });
+        }
+        Ok(out)
+    })?;
+    pivot(node, &concat(collect_ok(parts)?))
+}
+
+/// Morsel dispatch over index ranges of a batch: runs `f(morsel index,
+/// start, len)` on the worker pool and returns per-morsel results in morsel
+/// order.
+///
+/// The guard is checked once, serially, before the fan-out — the engine's
+/// cancellation boundary. Checking here (never inside workers) keeps the
+/// observed cancellation point, and thus the query's outcome, identical for
+/// every `MISO_THREADS` value. A panicking morsel surfaces as
+/// `MisoError::Execution` (see [`pool::run_batch`]).
 fn par_ranges<R, F>(guard: &QueryGuard, len: usize, f: F) -> Result<Vec<R>>
 where
     R: Send,
@@ -1002,13 +708,37 @@ where
     if profile::enabled() {
         profile::note_dispatch(morsels as u64, len as u64);
     }
-    if morsels == 0 {
-        return Ok(Vec::new());
-    }
     pool::run_batch(morsels, |i| {
         let start = i * MORSEL_SIZE;
         f(i, start, MORSEL_SIZE.min(len - start))
     })
+}
+
+/// [`par_ranges`] over fixed-size chunks of a slice (log lines).
+pub(crate) fn par_chunks<T, R, F>(guard: &QueryGuard, items: &[T], f: F) -> Result<Vec<R>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &[T]) -> R + Sync,
+{
+    par_ranges(guard, items.len(), |i, start, n| {
+        f(i, &items[start..start + n])
+    })
+}
+
+/// Sequences per-morsel results, surfacing the error of the lowest-indexed
+/// failing morsel — the same error a serial left-to-right pass would hit.
+fn collect_ok<R>(parts: Vec<Result<R>>) -> Result<Vec<R>> {
+    parts.into_iter().collect()
+}
+
+/// Concatenation in morsel order.
+fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        out.extend(part);
+    }
+    out
 }
 
 /// Tracks the bytes charged against a [`QueryGuard`] for each retained node
@@ -1028,15 +758,14 @@ impl<'a> ChargeLedger<'a> {
         }
     }
 
-    /// Charges the output's approximate bytes to the guard on behalf of
-    /// node `id`; fails with `ResourceExhausted` when the budget is blown.
-    /// [`Produced::bytes`] is representation-independent, so the guard sees
-    /// the same charge whichever path an operator ran.
-    fn charge(&mut self, id: NodeId, produced: &Produced) -> Result<()> {
+    /// Charges the output's approximate bytes — [`ColBatch::row_bytes`], what
+    /// its rows would sum to — to the guard on behalf of node `id`; fails
+    /// with `ResourceExhausted` when the budget is blown.
+    fn charge(&mut self, id: NodeId, output: &ColBatch) -> Result<()> {
         if !self.guard.is_active() {
             return Ok(());
         }
-        let bytes = produced.bytes();
+        let bytes = output.row_bytes();
         self.guard.try_charge(bytes)?;
         *self.charged.entry(id).or_insert(0) += bytes;
         Ok(())
@@ -1083,119 +812,6 @@ impl Drop for TempCharge<'_> {
     }
 }
 
-/// A single-consumer operator's input: owned when the rows could be stolen,
-/// shared otherwise.
-enum TakenInput {
-    Owned(Vec<Row>),
-    Shared(Arc<Vec<Row>>),
-}
-
-impl TakenInput {
-    fn rows(&self) -> &[Row] {
-        match self {
-            TakenInput::Owned(v) => v,
-            TakenInput::Shared(a) => a,
-        }
-    }
-}
-
-/// Fetches input `idx` of `node` for row-consuming operators. When the
-/// input is not kept and this node is its last consumer, the entry leaves
-/// the output map here — and if the `Arc` is uniquely owned (nobody
-/// `provided` it and holds a copy), the rows themselves are taken,
-/// enabling clone-free `Filter`/`Sort`/`Limit`.
-fn take_input(
-    outputs: &mut HashMap<NodeId, Arc<Vec<Row>>>,
-    pending: &HashMap<NodeId, usize>,
-    node: &miso_plan::PlanNode,
-    idx: usize,
-    kept: &dyn Fn(NodeId) -> bool,
-) -> Result<TakenInput> {
-    let id = node.inputs[idx];
-    let missing = || {
-        MisoError::Execution(format!(
-            "node {} input {} neither executed nor provided",
-            node.id, id
-        ))
-    };
-    let consumable = !kept(id) && pending.get(&id).copied() == Some(1);
-    if consumable {
-        let arc = outputs.remove(&id).ok_or_else(missing)?;
-        Ok(match Arc::try_unwrap(arc) {
-            Ok(vec) => TakenInput::Owned(vec),
-            Err(arc) => TakenInput::Shared(arc),
-        })
-    } else {
-        outputs
-            .get(&id)
-            .cloned()
-            .map(TakenInput::Shared)
-            .ok_or_else(missing)
-    }
-}
-
-/// Borrows input `idx` of the node owning `id` from the output map.
-fn input_of<'a>(
-    outputs: &'a HashMap<NodeId, Arc<Vec<Row>>>,
-    plan: &LogicalPlan,
-    id: NodeId,
-    idx: usize,
-) -> Result<&'a Arc<Vec<Row>>> {
-    let input = plan.node(id).inputs[idx];
-    outputs.get(&input).ok_or_else(|| {
-        MisoError::Execution(format!(
-            "node {id} input {input} neither executed nor provided"
-        ))
-    })
-}
-
-/// Morsel dispatch: runs `f` over fixed-size chunks of `items` on the worker
-/// pool and returns per-morsel results in morsel order.
-///
-/// The guard is checked once, serially, before the fan-out — the engine's
-/// cancellation boundary. Checking here (never inside workers) keeps the
-/// observed cancellation point, and thus the query's outcome, identical for
-/// every `MISO_THREADS` value. A panicking morsel surfaces as
-/// `MisoError::Execution` (see [`pool::run_batch`]).
-pub(crate) fn par_chunks<T, R, F>(guard: &QueryGuard, items: &[T], f: F) -> Result<Vec<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    guard.check()?;
-    miso_obs::count("exec.morsels", items.len().div_ceil(MORSEL_SIZE) as u64);
-    miso_obs::count("exec.par_rows", items.len() as u64);
-    if profile::enabled() {
-        profile::note_dispatch(items.len().div_ceil(MORSEL_SIZE) as u64, items.len() as u64);
-    }
-    pool::run_chunks(items, MORSEL_SIZE, f)
-}
-
-/// Sequences per-morsel results, surfacing the error of the lowest-indexed
-/// failing morsel — the same error a serial left-to-right pass would hit.
-fn collect_ok<R>(parts: Vec<Result<R>>) -> Result<Vec<R>> {
-    let mut ok = Vec::with_capacity(parts.len());
-    for part in parts {
-        ok.push(part?);
-    }
-    Ok(ok)
-}
-
-/// [`collect_ok`] + concatenation in morsel order.
-fn flatten_ok(parts: Vec<Result<Vec<Row>>>) -> Result<Vec<Row>> {
-    let parts = collect_ok(parts)?;
-    Ok(concat_rows(parts.iter().map(Vec::len).sum(), parts))
-}
-
-fn concat_rows<T>(capacity: usize, parts: Vec<Vec<T>>) -> Vec<T> {
-    let mut out = Vec::with_capacity(capacity);
-    for part in parts {
-        out.extend(part);
-    }
-    out
-}
-
 /// Pass-through hasher for keys that are already well-mixed u64 hashes; a
 /// splitmix64 finalizer spreads FNV's weaker low bits across the table.
 #[derive(Clone, Copy, Default)]
@@ -1224,38 +840,24 @@ fn prehashed_map<V>(capacity: usize) -> PrehashedMap<V> {
     HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default())
 }
 
-/// FNV-1a hash of a row's join-key columns; `None` if any key is NULL (NULL
+/// FNV-1a hash of row `i`'s join-key columns; `None` if any key is NULL (NULL
 /// never joins). `right` selects which side of each `on` pair to read. The
 /// single-column fast path skips the hasher-state plumbing entirely.
 #[inline]
-fn join_key_hash(row: &Row, on: &[(usize, usize)], right: bool) -> Option<u64> {
+fn join_key_hash(batch: &ColBatch, i: usize, on: &[(usize, usize)], right: bool) -> Option<u64> {
     if let [(l, r)] = on {
-        let v = row.get(if right { *r } else { *l });
-        if v.is_null() {
-            return None;
-        }
-        return Some(fnv1a_hash_one(v));
+        let key = batch.cell(i, if right { *r } else { *l });
+        return (!key.is_null()).then(|| fnv1a_hash_one(&key));
     }
     let mut h = FnvHasher::default();
     for &(l, r) in on {
-        let v = row.get(if right { r } else { l });
-        if v.is_null() {
+        let key = batch.cell(i, if right { r } else { l });
+        if key.is_null() {
             return None;
         }
-        v.hash(&mut h);
+        key.hash(&mut h);
     }
     Some(h.finish())
-}
-
-/// Inner hash equijoin; NULL keys never match (SQL semantics).
-///
-/// Keys are hashed once per row to a `u64` (no per-row key `Vec`); the build
-/// side is partitioned by hash so partitions build in parallel, and probes
-/// run morsel-parallel over the left side, emitting matches in left-row ×
-/// right-insertion order — exactly the serial interpreter's output order.
-/// Hash collisions are disambiguated by comparing the actual key columns.
-pub fn hash_join(left: &[Row], right: &[Row], on: &[(usize, usize)]) -> Result<Vec<Row>> {
-    hash_join_guarded(left, right, on, QueryGuard::inert_ref())
 }
 
 /// Bytes the build side costs per right row: the prehashed key vector
@@ -1264,28 +866,31 @@ pub fn hash_join(left: &[Row], right: &[Row], on: &[(usize, usize)]) -> Result<V
 /// not an allocator.
 const JOIN_BUILD_BYTES_PER_ROW: u64 = 28;
 
-/// [`hash_join`] under a [`QueryGuard`]: the build-side hash table is
-/// charged against the memory budget for the duration of the join.
-pub(crate) fn hash_join_guarded(
-    left: &[Row],
-    right: &[Row],
-    on: &[(usize, usize)],
+/// Inner hash equijoin; NULL keys never match (SQL semantics).
+///
+/// Keys are hashed once per row to a `u64`; the build side is partitioned by
+/// hash so partitions build in parallel, and probes run morsel-parallel over
+/// the left side, emitting `(left, right)` index pairs in left-row ×
+/// right-insertion order — exactly the serial interpreter's output order —
+/// from which each side is gathered once. Hash collisions are disambiguated
+/// by comparing the actual key columns. The build-side hash table is charged
+/// against the guard's memory budget for the duration of the join.
+fn join(
     guard: &QueryGuard,
-) -> Result<Vec<Row>> {
+    left: &ColBatch,
+    right: &ColBatch,
+    on: &[(usize, usize)],
+) -> Result<ColBatch> {
     assert!(
-        right.len() <= u32::MAX as usize,
-        "build side exceeds u32 rows"
+        left.len().max(right.len()) <= u32::MAX as usize,
+        "join side exceeds u32 rows"
     );
     let _build = TempCharge::new(guard, right.len() as u64 * JOIN_BUILD_BYTES_PER_ROW)?;
-    let rhash: Vec<Option<u64>> = concat_rows(
-        right.len(),
-        par_chunks(guard, right, |_, chunk| {
-            chunk
-                .iter()
-                .map(|row| join_key_hash(row, on, true))
-                .collect::<Vec<_>>()
-        })?,
-    );
+    let rhash: Vec<Option<u64>> = concat(par_ranges(guard, right.len(), |_, start, n| {
+        (start..start + n)
+            .map(|i| join_key_hash(right, i, on, true))
+            .collect()
+    })?);
     // Partitioned build: table layout is internal, so the partition count
     // may track the worker count without affecting any output.
     let partitions = pool::threads().next_power_of_two().min(64);
@@ -1301,24 +906,29 @@ pub(crate) fn hash_join_guarded(
         }
         table
     })?;
-    let parts = par_chunks(guard, left, |_, chunk| {
-        let mut out = Vec::new();
-        for lrow in chunk {
-            let Some(h) = join_key_hash(lrow, on, false) else {
+    let pairs = par_ranges(guard, left.len(), |_, start, n| {
+        let (mut ls, mut rs) = (Vec::new(), Vec::new());
+        for li in start..start + n {
+            let Some(h) = join_key_hash(left, li, on, false) else {
                 continue;
             };
-            if let Some(candidates) = tables[(h & mask) as usize].get(&h) {
-                for &ri in candidates {
-                    let rrow = &right[ri as usize];
-                    if on.iter().all(|&(l, r)| lrow.get(l) == rrow.get(r)) {
-                        out.push(lrow.concat(rrow));
-                    }
+            for &ri in tables[(h & mask) as usize].get(&h).into_iter().flatten() {
+                if on
+                    .iter()
+                    .all(|&(l, r)| left.cell(li, l) == right.cell(ri as usize, r))
+                {
+                    ls.push(li as u32);
+                    rs.push(ri);
                 }
             }
         }
-        out
+        (ls, rs)
     })?;
-    Ok(concat_rows(parts.iter().map(Vec::len).sum(), parts))
+    let (ls, rs): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
+    let (ls, rs) = (concat(ls), concat(rs));
+    let mut columns = left.gather(&ls).into_columns();
+    columns.extend(right.gather(&rs).into_columns());
+    Ok(ColBatch::from_shared(columns, ls.len()))
 }
 
 /// Streaming accumulator per aggregate function.
@@ -1326,11 +936,16 @@ pub(crate) fn hash_join_guarded(
 pub(crate) enum Acc {
     Count(i64),
     CountDistinct(HashSet<Value>),
-    SumInt(i64, bool),
+    /// The exact total: `i64` inputs cannot overflow it, so every order of
+    /// adding and merging agrees.
+    SumInt(i128, bool),
     SumFloat(f64, bool),
     Min(Option<Value>),
     Max(Option<Value>),
-    Avg { sum: f64, n: i64 },
+    Avg {
+        sum: f64,
+        n: i64,
+    },
 }
 
 impl Acc {
@@ -1366,12 +981,12 @@ impl Acc {
             Acc::SumInt(acc, seen) => {
                 if let Some(val) = v {
                     if let Some(i) = val.as_i64() {
-                        *acc += i;
+                        *acc += i128::from(i);
                         *seen = true;
                     } else if let Some(f) = val.as_f64() {
                         // Mixed input: fall back via float path; keep integer
                         // accumulation best-effort.
-                        *acc += f as i64;
+                        *acc += i128::from(f as i64);
                         *seen = true;
                     }
                 }
@@ -1422,10 +1037,10 @@ impl Acc {
             }
             Acc::SumInt(acc, seen) => {
                 if let Some(i) = c.as_i64() {
-                    *acc += i;
+                    *acc += i128::from(i);
                     *seen = true;
                 } else if let Some(f) = c.as_f64() {
-                    *acc += f as i64;
+                    *acc += i128::from(f as i64);
                     *seen = true;
                 }
             }
@@ -1511,13 +1126,9 @@ impl Acc {
         match self {
             Acc::Count(n) => Value::Int(*n),
             Acc::CountDistinct(set) => Value::Int(set.len() as i64),
-            Acc::SumInt(acc, seen) => {
-                if *seen {
-                    Value::Int(*acc)
-                } else {
-                    Value::Null
-                }
-            }
+            // A total outside `i64` is NULL, as scalar `a + b` is.
+            Acc::SumInt(acc, true) => i64::try_from(*acc).map_or(Value::Null, Value::Int),
+            Acc::SumInt(_, false) => Value::Null,
             Acc::SumFloat(acc, seen) => {
                 if *seen {
                     Value::Float(*acc)
@@ -1537,52 +1148,148 @@ impl Acc {
     }
 }
 
-/// Decides int-vs-float SUM from the first non-null input per aggregate —
-/// shared with the serial reference interpreter so both agree.
-pub(crate) fn float_sum_flags(input: &[Row], aggs: &[miso_plan::AggExpr]) -> Vec<bool> {
-    aggs.iter()
-        .map(|agg| {
-            if agg.func != AggFunc::Sum {
-                return false;
-            }
-            let Some(e) = &agg.input else { return false };
-            for row in input {
-                if let Ok(v) = eval(e, row) {
-                    match v {
-                        Value::Float(_) => return true,
-                        Value::Int(_) => return false,
-                        _ => continue,
-                    }
-                }
-            }
-            false
-        })
-        .collect()
-}
-
-/// [`float_sum_flags`] over a columnar batch. Only consulted when every SUM
-/// source is an in-range bare column — where scalar evaluation cannot fail —
-/// so scanning cells in row order reproduces the row-path scan exactly.
-fn col_float_sum_flags(batch: &ColBatch, aggs: &[miso_plan::AggExpr]) -> Vec<bool> {
-    aggs.iter()
-        .map(|agg| {
-            if agg.func != AggFunc::Sum {
-                return false;
-            }
-            let Some(miso_plan::Expr::Column(c)) = &agg.input else {
+/// Decides int-vs-float `SUM` as the serial interpreter does: from the first
+/// `Int` or `Float` its input expression yields, in row order. The
+/// expression's errors are static ([`col::eval_vec`]), so one that fails
+/// fails on every row and decides nothing — the aggregate then fails too.
+fn float_sum_flags(batch: &ColBatch, aggs: &[AggExpr]) -> Vec<bool> {
+    let first_numeric_is_float = |e: &Expr| {
+        for start in (0..batch.len()).step_by(MORSEL_SIZE) {
+            let n = MORSEL_SIZE.min(batch.len() - start);
+            let Ok(values) = col::eval_vec(e, batch, start, n, None) else {
                 return false;
             };
-            let col = batch.col(*c);
-            for i in 0..col.len() {
-                match col.cell(i) {
+            for j in 0..n {
+                match values.cell(j) {
                     Cell::Float(_) => return true,
                     Cell::Int(_) => return false,
                     _ => {}
                 }
             }
-            false
+        }
+        false
+    };
+    aggs.iter()
+        .map(|agg| match (&agg.func, &agg.input) {
+            (AggFunc::Sum, Some(e)) => first_numeric_is_float(e),
+            _ => false,
         })
         .collect()
+}
+
+/// Accumulates the morsel `[start, start + n)` into a fresh partial
+/// [`GroupTable`]: each aggregate's input expression is evaluated over the
+/// morsel, then the columns fold row by row. Group hashes go through
+/// [`Cell`]'s `Hash`, which streams identically to [`Value`]'s, so partial
+/// tables merge with [`GroupTable::fold_row`]'s semantics bit-for-bit.
+fn aggregate_morsel(
+    batch: &ColBatch,
+    start: usize,
+    n: usize,
+    group_by: &[usize],
+    aggs: &[AggExpr],
+    float_sum: &[bool],
+) -> Result<GroupTable> {
+    // `None` is `COUNT(*)`.
+    let inputs = aggs
+        .iter()
+        .map(|agg| match &agg.input {
+            Some(e) => col::eval_vec(e, batch, start, n, None).map(Some),
+            None => Ok(None),
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let mut table = GroupTable::with_capacity(n.min(1024));
+    for j in 0..n {
+        let i = start + j;
+        let hash = if let [g] = group_by {
+            fnv1a_hash_one(&batch.cell(i, *g))
+        } else {
+            let mut h = FnvHasher::default();
+            for &g in group_by {
+                batch.cell(i, g).hash(&mut h);
+            }
+            h.finish()
+        };
+        let slot = match table.find(hash, |key| {
+            group_by
+                .iter()
+                .zip(key)
+                .all(|(&g, k)| batch.cell(i, g).eq_value(k))
+        }) {
+            Some(slot) => slot,
+            None => {
+                let key: Vec<Value> = group_by
+                    .iter()
+                    .map(|&g| batch.cell(i, g).to_value())
+                    .collect();
+                table.insert(hash, key, new_accs(aggs, float_sum))
+            }
+        };
+        for (acc, input) in table.slots[slot].2.iter_mut().zip(&inputs) {
+            match input {
+                Some(values) => acc.update_cell(&values.cell(j)),
+                None => acc.update(None),
+            }
+        }
+    }
+    Ok(table)
+}
+
+/// A new group's accumulators, one per aggregate.
+fn new_accs(aggs: &[AggExpr], float_sum: &[bool]) -> Vec<Acc> {
+    aggs.iter()
+        .zip(float_sum)
+        .map(|(a, &fs)| Acc::new(a.func, fs))
+        .collect()
+}
+
+/// Per-group-slot byte estimate for accumulator charging: slot bookkeeping
+/// plus one accumulator's state per aggregate. Depends only on the data and
+/// the fixed morsel structure, so the charge is thread-count-invariant.
+const AGG_SLOT_BYTES: u64 = 48;
+const AGG_ACC_BYTES: u64 = 16;
+
+/// Morsel-parallel grouped aggregation: each morsel folds into a partial
+/// table, partials merge serially in morsel order. The global first-seen
+/// group order equals the serial row-order first-seen order because earlier
+/// morsels cover earlier rows. The partial accumulator tables are charged
+/// against `guard`'s memory budget while they are alive.
+fn aggregate(
+    guard: &QueryGuard,
+    batch: &ColBatch,
+    group_by: &[usize],
+    aggs: &[AggExpr],
+) -> Result<ColBatch> {
+    let float_sum = float_sum_flags(batch, aggs);
+    let parts = par_ranges(guard, batch.len(), |_, start, n| {
+        aggregate_morsel(batch, start, n, group_by, aggs, &float_sum)
+    })?;
+    let parts = collect_ok(parts)?;
+    let slot_count: usize = parts.iter().map(|t| t.slots.len()).sum();
+    let _accs = TempCharge::new(
+        guard,
+        slot_count as u64 * (AGG_SLOT_BYTES + aggs.len() as u64 * AGG_ACC_BYTES),
+    )?;
+    let mut global = GroupTable::with_capacity(slot_count);
+    for part in parts {
+        global.absorb(part);
+    }
+    if group_by.is_empty() && batch.is_empty() {
+        // Global aggregate over empty input still yields one row.
+        global.insert(0, Vec::new(), new_accs(aggs, &float_sum));
+    }
+    let mut columns: Vec<ColBuilder> = (0..group_by.len() + aggs.len())
+        .map(|_| ColBuilder::new())
+        .collect();
+    let groups = global.slots.len();
+    for (_, key, accs) in global.slots {
+        let values = key.into_iter().chain(accs.into_iter().map(Acc::finish));
+        for (column, value) in columns.iter_mut().zip(values) {
+            column.push_value(value);
+        }
+    }
+    let columns = columns.into_iter().map(ColBuilder::finish).collect();
+    Ok(ColBatch::from_columns(columns, groups))
 }
 
 /// FNV-1a hash of a row's group-by columns (equal key tuples collide by the
@@ -1661,32 +1368,17 @@ pub(crate) enum AggSrc<'a> {
     /// A bare column reference: borrow the value in place.
     Col(usize),
     /// A general expression: evaluate per row.
-    Expr(&'a miso_plan::Expr),
+    Expr(&'a Expr),
 }
 
-pub(crate) fn classify_aggs(aggs: &[miso_plan::AggExpr]) -> Vec<AggSrc<'_>> {
+pub(crate) fn classify_aggs(aggs: &[AggExpr]) -> Vec<AggSrc<'_>> {
     aggs.iter()
         .map(|a| match &a.input {
             None => AggSrc::CountAll,
-            Some(miso_plan::Expr::Column(c)) => AggSrc::Col(*c),
+            Some(Expr::Column(c)) => AggSrc::Col(*c),
             Some(e) => AggSrc::Expr(e),
         })
         .collect()
-}
-
-/// Accumulates one morsel into a fresh partial [`GroupTable`].
-pub(crate) fn aggregate_morsel(
-    chunk: &[Row],
-    group_by: &[usize],
-    aggs: &[miso_plan::AggExpr],
-    srcs: &[AggSrc<'_>],
-    float_sum: &[bool],
-) -> Result<GroupTable> {
-    let mut table = GroupTable::with_capacity(chunk.len().min(1024));
-    for row in chunk {
-        table.fold_row(row, group_by, aggs, srcs, float_sum)?;
-    }
-    Ok(table)
 }
 
 impl GroupTable {
@@ -1697,7 +1389,7 @@ impl GroupTable {
         &mut self,
         row: &Row,
         group_by: &[usize],
-        aggs: &[miso_plan::AggExpr],
+        aggs: &[AggExpr],
         srcs: &[AggSrc<'_>],
         float_sum: &[bool],
     ) -> Result<usize> {
@@ -1708,12 +1400,7 @@ impl GroupTable {
             Some(slot) => slot,
             None => {
                 let key: Vec<Value> = group_by.iter().map(|&g| row.get(g).clone()).collect();
-                let accs: Vec<Acc> = aggs
-                    .iter()
-                    .zip(float_sum)
-                    .map(|(a, &fs)| Acc::new(a.func, fs))
-                    .collect();
-                self.insert(hash, key, accs)
+                self.insert(hash, key, new_accs(aggs, float_sum))
             }
         };
         let accs = &mut self.slots[slot].2;
@@ -1724,7 +1411,7 @@ impl GroupTable {
                 // Out-of-range column: route through eval so the error text
                 // matches the serial interpreter exactly.
                 AggSrc::Col(c) => {
-                    let v = eval(&miso_plan::Expr::Column(*c), row)?;
+                    let v = eval(&Expr::Column(*c), row)?;
                     acc.update(Some(&v));
                 }
                 AggSrc::Expr(e) => {
@@ -1735,129 +1422,6 @@ impl GroupTable {
         }
         Ok(slot)
     }
-}
-
-/// Accumulates one columnar morsel `[start, start + n)` into a fresh partial
-/// [`GroupTable`]. Only reached for batch-eligible aggregates (every source
-/// is `COUNT(*)` or an in-range bare column), so unlike [`aggregate_morsel`]
-/// nothing here can fail. Group hashes go through [`Cell`]'s `Hash`, which
-/// streams identically to [`Value`]'s, so partial tables merge with row-path
-/// partials' semantics bit-for-bit.
-fn aggregate_morsel_cols(
-    batch: &ColBatch,
-    start: usize,
-    n: usize,
-    group_by: &[usize],
-    aggs: &[miso_plan::AggExpr],
-    srcs: &[AggSrc<'_>],
-    float_sum: &[bool],
-) -> GroupTable {
-    let mut table = GroupTable::with_capacity(n.min(1024));
-    for i in start..start + n {
-        let hash = if let [g] = group_by {
-            fnv1a_hash_one(&batch.cell(i, *g))
-        } else {
-            let mut h = FnvHasher::default();
-            for &g in group_by {
-                batch.cell(i, g).hash(&mut h);
-            }
-            h.finish()
-        };
-        let slot = match table.find(hash, |key| {
-            group_by
-                .iter()
-                .zip(key)
-                .all(|(&g, k)| batch.cell(i, g).eq_value(k))
-        }) {
-            Some(slot) => slot,
-            None => {
-                let key: Vec<Value> = group_by
-                    .iter()
-                    .map(|&g| batch.cell(i, g).to_value())
-                    .collect();
-                let accs: Vec<Acc> = aggs
-                    .iter()
-                    .zip(float_sum)
-                    .map(|(a, &fs)| Acc::new(a.func, fs))
-                    .collect();
-                table.insert(hash, key, accs)
-            }
-        };
-        let accs = &mut table.slots[slot].2;
-        for (acc, src) in accs.iter_mut().zip(srcs) {
-            match src {
-                AggSrc::CountAll => acc.update(None),
-                AggSrc::Col(c) => acc.update_cell(&batch.cell(i, *c)),
-                AggSrc::Expr(_) => unreachable!("columnar aggregate requires column sources"),
-            }
-        }
-    }
-    table
-}
-
-/// Per-group-slot byte estimate for accumulator charging: slot bookkeeping
-/// plus one accumulator's state per aggregate. Depends only on the data and
-/// the fixed morsel structure, so the charge is thread-count-invariant.
-const AGG_SLOT_BYTES: u64 = 48;
-const AGG_ACC_BYTES: u64 = 16;
-
-/// Morsel-parallel grouped aggregation: each morsel folds into a partial
-/// table, partials merge serially in morsel order. The global first-seen
-/// group order equals the serial row-order first-seen order because earlier
-/// morsels cover earlier rows. The partial accumulator tables are charged
-/// against `guard`'s memory budget while they are alive.
-fn aggregate(
-    input: &[Row],
-    group_by: &[usize],
-    aggs: &[miso_plan::AggExpr],
-    guard: &QueryGuard,
-) -> Result<Vec<Row>> {
-    let float_sum = float_sum_flags(input, aggs);
-    let srcs = classify_aggs(aggs);
-    let parts = par_chunks(guard, input, |_, chunk| {
-        aggregate_morsel(chunk, group_by, aggs, &srcs, &float_sum)
-    })?;
-    let parts = collect_ok(parts)?;
-    finish_aggregate(parts, group_by, aggs, &float_sum, input.is_empty(), guard)
-}
-
-/// Shared tail of row and columnar aggregation: charges the partial tables,
-/// merges them serially in morsel order, and emits the grouped output rows.
-fn finish_aggregate(
-    parts: Vec<GroupTable>,
-    group_by: &[usize],
-    aggs: &[miso_plan::AggExpr],
-    float_sum: &[bool],
-    input_empty: bool,
-    guard: &QueryGuard,
-) -> Result<Vec<Row>> {
-    let slot_count: u64 = parts.iter().map(|t| t.slots.len() as u64).sum();
-    let _accs = TempCharge::new(
-        guard,
-        slot_count * (AGG_SLOT_BYTES + aggs.len() as u64 * AGG_ACC_BYTES),
-    )?;
-    // Global aggregate over empty input still yields one row.
-    if group_by.is_empty() && input_empty {
-        let accs: Vec<Acc> = aggs
-            .iter()
-            .zip(float_sum)
-            .map(|(a, &fs)| Acc::new(a.func, fs))
-            .collect();
-        let values: Vec<Value> = accs.into_iter().map(Acc::finish).collect();
-        return Ok(vec![Row::new(values)]);
-    }
-    let total: usize = parts.iter().map(|t| t.slots.len()).sum();
-    let mut global = GroupTable::with_capacity(total);
-    for part in parts {
-        global.absorb(part);
-    }
-    let mut out = Vec::with_capacity(global.slots.len());
-    for (_, key, accs) in global.slots {
-        let mut values = key;
-        values.extend(accs.into_iter().map(Acc::finish));
-        out.push(Row::new(values));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -2056,39 +1620,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_matches_and_skips_nulls() {
-        let left = vec![
-            Row::new(vec![Value::Int(1), Value::str("a")]),
-            Row::new(vec![Value::Int(2), Value::str("b")]),
-            Row::new(vec![Value::Null, Value::str("n")]),
-        ];
-        let right = vec![
-            Row::new(vec![Value::Int(1), Value::str("x")]),
-            Row::new(vec![Value::Int(1), Value::str("y")]),
-            Row::new(vec![Value::Null, Value::str("z")]),
-        ];
-        let out = hash_join(&left, &right, &[(0, 0)]).unwrap();
-        assert_eq!(out.len(), 2, "uid 1 matches twice; NULLs never join");
-        assert!(out.iter().all(|r| r.get(0) == &Value::Int(1)));
-        assert_eq!(out[0].arity(), 4);
-    }
-
-    #[test]
-    fn hash_join_multi_column_and_cross_type_keys() {
-        // Int/Float keys that compare equal must join (hash consistency).
-        let left = vec![
-            Row::new(vec![Value::Int(1), Value::str("a"), Value::Int(7)]),
-            Row::new(vec![Value::Float(1.0), Value::str("a"), Value::Int(8)]),
-            Row::new(vec![Value::Int(1), Value::str("b"), Value::Int(9)]),
-        ];
-        let right = vec![Row::new(vec![Value::Int(1), Value::str("a")])];
-        let out = hash_join(&left, &right, &[(0, 0), (1, 1)]).unwrap();
-        assert_eq!(out.len(), 2, "both (1,a) variants match; (1,b) does not");
-        assert_eq!(out[0].get(2), &Value::Int(7));
-        assert_eq!(out[1].get(2), &Value::Int(8));
-    }
-
-    #[test]
     fn sort_and_limit() {
         let mut b = PlanBuilder::new();
         let scan = b
@@ -2212,6 +1743,45 @@ mod tests {
         assert_eq!(exec.root_rows().unwrap().len(), 2); // uids 2 and 3
     }
 
+    fn batch_of(rows: &[Row]) -> ColBatch {
+        ColBatch::from_rows(rows).unwrap()
+    }
+
+    #[test]
+    fn join_matches_and_skips_nulls() {
+        let left = batch_of(&[
+            Row::new(vec![Value::Int(1), Value::str("a")]),
+            Row::new(vec![Value::Int(2), Value::str("b")]),
+            Row::new(vec![Value::Null, Value::str("n")]),
+        ]);
+        let right = batch_of(&[
+            Row::new(vec![Value::Int(1), Value::str("x")]),
+            Row::new(vec![Value::Int(1), Value::str("y")]),
+            Row::new(vec![Value::Null, Value::str("z")]),
+        ]);
+        let out = join(QueryGuard::inert_ref(), &left, &right, &[(0, 0)]).unwrap();
+        assert_eq!(out.len(), 2, "uid 1 matches twice; NULLs never join");
+        assert_eq!(out.arity(), 4);
+        let tags: Vec<Value> = out.to_rows().iter().map(|r| r.get(3).clone()).collect();
+        assert_eq!(tags, [Value::str("x"), Value::str("y")], "build order");
+    }
+
+    #[test]
+    fn join_multi_column_and_cross_type_keys() {
+        // Int/Float keys that compare equal must join (hash consistency).
+        let left = batch_of(&[
+            Row::new(vec![Value::Int(1), Value::str("a"), Value::Int(7)]),
+            Row::new(vec![Value::Float(1.0), Value::str("a"), Value::Int(8)]),
+            Row::new(vec![Value::Int(1), Value::str("b"), Value::Int(9)]),
+        ]);
+        let right = batch_of(&[Row::new(vec![Value::Int(1), Value::str("a")])]);
+        let out = join(QueryGuard::inert_ref(), &left, &right, &[(0, 0), (1, 1)]).unwrap();
+        let out = out.to_rows();
+        assert_eq!(out.len(), 2, "both (1,a) variants match; (1,b) does not");
+        assert_eq!(out[0].get(2), &Value::Int(7));
+        assert_eq!(out[1].get(2), &Value::Int(8));
+    }
+
     #[test]
     fn split_execution_equals_full_execution() {
         let plan = extract_plan();
@@ -2254,8 +1824,8 @@ mod tests {
     }
 
     /// A scan → filter → sort → limit pipeline over enough rows to span
-    /// several morsels, used by the retention/steal and threading tests.
-    fn steal_pipeline() -> (LogicalPlan, MemSource) {
+    /// several morsels, used by the retention and threading tests.
+    fn filter_sort_limit_pipeline() -> (LogicalPlan, MemSource) {
         let mut src = MemSource::new();
         src.add_view(
             "big",
@@ -2302,30 +1872,30 @@ mod tests {
 
     #[test]
     fn root_only_retention_matches_full_retention_at_the_root() {
-        let (plan, src) = steal_pipeline();
+        let (plan, src) = filter_sort_limit_pipeline();
         let udfs = UdfRegistry::new();
         let full = execute(&plan, &src, &udfs).unwrap();
-        let lean = run_lean(&plan, &src, &[]);
-        assert_eq!(lean.root_rows().unwrap(), full.root_rows().unwrap());
+        let run = run_keeping(&plan, &src, &UdfRegistry::new(), &[]);
+        assert_eq!(run.root_rows().unwrap(), full.root_rows().unwrap());
         // Intermediates were released but their row counts survive.
-        assert!(lean.try_output(NodeId(0)).is_none());
-        assert!(lean.try_output(NodeId(1)).is_none());
-        assert_eq!(lean.rows_out(NodeId(0)), full.rows_out(NodeId(0)));
-        assert_eq!(lean.rows_out(NodeId(1)), full.rows_out(NodeId(1)));
-        assert_eq!(lean.executed_nodes().count(), full.executed_nodes().count());
+        assert!(run.try_output(NodeId(0)).is_none());
+        assert!(run.try_output(NodeId(1)).is_none());
+        assert_eq!(run.rows_out(NodeId(0)), full.rows_out(NodeId(0)));
+        assert_eq!(run.rows_out(NodeId(1)), full.rows_out(NodeId(1)));
+        assert_eq!(run.executed_nodes().count(), full.executed_nodes().count());
         // Full retention keeps everything observable (harvest contract).
         assert!(full.try_output(NodeId(0)).is_some());
     }
 
     #[test]
     fn retained_output_errors_on_a_released_node() {
-        let (plan, src) = steal_pipeline();
-        let lean = run_lean(&plan, &src, &[]);
+        let (plan, src) = filter_sort_limit_pipeline();
+        let run = run_keeping(&plan, &src, &UdfRegistry::new(), &[]);
         assert_eq!(
-            lean.retained_output(plan.root()).unwrap().as_slice(),
-            lean.root_rows().unwrap()
+            run.retained_output(plan.root()).unwrap().as_slice(),
+            run.root_rows().unwrap()
         );
-        let err = lean.retained_output(NodeId(1)).unwrap_err();
+        let err = run.retained_output(NodeId(1)).unwrap_err();
         assert!(matches!(err, MisoError::Execution(_)), "{err:?}");
         assert!(err.to_string().contains("node n1"), "{err}");
         assert!(err.to_string().contains("output not retained"), "{err}");
@@ -2333,7 +1903,7 @@ mod tests {
 
     #[test]
     fn outputs_are_thread_count_invariant() {
-        let (plan, src) = steal_pipeline();
+        let (plan, src) = filter_sort_limit_pipeline();
         let udfs = UdfRegistry::new();
         let before = pool::threads();
         let mut reference: Option<Vec<Row>> = None;
@@ -2349,26 +1919,80 @@ mod tests {
         pool::set_threads(before);
     }
 
-    /// The whole plan keeping only `keep` and the root: the columnar bodies
-    /// run wherever they accept the operator.
-    fn run_lean(plan: &LogicalPlan, src: &MemSource, keep: &[NodeId]) -> Execution {
+    /// The whole plan keeping only `keep` and the root.
+    fn run_keeping(
+        plan: &LogicalPlan,
+        src: &MemSource,
+        udfs: &UdfRegistry,
+        keep: &[NodeId],
+    ) -> Execution {
         execute_subset_guarded(
             plan,
             None,
             HashMap::new(),
             src,
-            &UdfRegistry::new(),
+            udfs,
             Retention::Only(keep),
             QueryGuard::inert_ref(),
         )
         .unwrap()
     }
 
-    /// A multi-morsel log pipeline that hits every columnar operator body:
-    /// fused scan+project, vectorized filter, columnar grouped aggregation.
-    fn columnar_pipeline() -> (LogicalPlan, MemSource) {
+    /// Every subset of the plan's nodes when it has at most five, else
+    /// none of them and each alone.
+    fn keep_sets(plan: &LogicalPlan) -> Vec<Vec<NodeId>> {
+        let ids: Vec<NodeId> = plan.nodes().iter().map(|n| n.id).collect();
+        if ids.len() > 5 {
+            return std::iter::once(Vec::new())
+                .chain(ids.iter().map(|&id| vec![id]))
+                .collect();
+        }
+        (0u32..1 << ids.len())
+            .map(|mask| {
+                let picked = ids.iter().enumerate().filter(|(i, _)| mask & (1 << i) != 0);
+                picked.map(|(_, &id)| id).collect()
+            })
+            .collect()
+    }
+
+    /// The engine is the serial interpreter, node by node: at 1, 2 and 8
+    /// threads, keeping everything and keeping each of [`keep_sets`], every
+    /// output a run still holds, every row count and the skip count are the
+    /// oracle's — and a run holds at least what it was asked to keep.
+    fn assert_engine_is_serial(plan: &LogicalPlan, src: &MemSource, udfs: &UdfRegistry) {
+        let serial = crate::serial::execute_serial(plan, src, udfs).unwrap();
+        let check = |run: &Execution, keep: &[NodeId], what: &str| {
+            assert_eq!(run.skipped_lines, serial.skipped_lines, "{what}");
+            for node in plan.nodes() {
+                let id = node.id;
+                assert_eq!(run.rows_out(id), serial.rows_out(id), "{what}: node {id}");
+                if keep.contains(&id) || id == plan.root() {
+                    assert!(run.try_output(id).is_some(), "{what}: node {id} kept");
+                }
+                if let Some(rows) = run.try_output(id) {
+                    assert_eq!(rows, serial.output(id), "{what}: node {id}");
+                }
+            }
+        };
+        let all: Vec<NodeId> = plan.nodes().iter().map(|n| n.id).collect();
+        let before = pool::threads();
+        for t in [1, 2, 8] {
+            pool::set_threads(t);
+            let run = execute(plan, src, udfs).unwrap();
+            check(&run, &all, &format!("keep-all, {t} threads"));
+            for keep in keep_sets(plan) {
+                let run = run_keeping(plan, src, udfs, &keep);
+                check(&run, &keep, &format!("keep {keep:?}, {t} threads"));
+            }
+        }
+        pool::set_threads(before);
+    }
+
+    /// A multi-morsel log pipeline: scan (fused into its projection when
+    /// neither is kept) → project → filter → grouped aggregation.
+    fn log_pipeline() -> (LogicalPlan, MemSource) {
         let mut src = MemSource::new();
-        let lines: Vec<String> = (0..12_000)
+        let lines: Vec<String> = (0..9_000)
             .map(|i| {
                 if i % 97 == 13 {
                     "oops not json".to_string()
@@ -2441,100 +2065,57 @@ mod tests {
     }
 
     #[test]
-    fn columnar_lean_matches_row_path_and_serial_oracle() {
-        let (plan, src) = columnar_pipeline();
-        let udfs = UdfRegistry::new();
-        let serial = crate::serial::execute_serial(&plan, &src, &udfs).unwrap();
-        let before = pool::threads();
-        for t in [1, 8] {
-            pool::set_threads(t);
-            let col = run_lean(&plan, &src, &[]);
-            let row = execute(&plan, &src, &udfs).unwrap();
-            assert_eq!(
-                col.root_rows().unwrap(),
-                serial.root_rows().unwrap(),
-                "columnar vs serial, threads={t}"
-            );
-            assert_eq!(
-                row.root_rows().unwrap(),
-                serial.root_rows().unwrap(),
-                "row vs serial, threads={t}"
-            );
-            assert_eq!(col.skipped_lines, serial.skipped_lines);
-            // The fused scan still reports per-node row counts.
-            for id in serial.executed_nodes() {
-                assert_eq!(
-                    col.rows_out(id),
-                    serial.rows_out(id),
-                    "node {id} threads={t}"
-                );
-            }
-        }
-        pool::set_threads(before);
+    fn log_pipeline_is_serial_under_every_keep_set() {
+        let (plan, src) = log_pipeline();
+        assert_engine_is_serial(&plan, &src, &UdfRegistry::new());
     }
 
-    #[test]
-    fn columnar_outputs_are_thread_count_invariant() {
-        let (plan, src) = columnar_pipeline();
-        let before = pool::threads();
-        let mut reference: Option<Vec<Row>> = None;
-        for t in [1, 2, 8] {
-            pool::set_threads(t);
-            let exec = run_lean(&plan, &src, &[]);
-            let rows = exec.root_rows().unwrap().to_vec();
-            match &reference {
-                None => reference = Some(rows),
-                Some(want) => assert_eq!(&rows, want, "threads={t}"),
-            }
-        }
-        pool::set_threads(before);
+    fn view_scan(b: &mut PlanBuilder, view: &str, fields: Vec<Field>) -> NodeId {
+        let op = Operator::ScanView {
+            view: view.into(),
+            schema: Schema::new(fields),
+        };
+        b.add(op, vec![]).unwrap()
     }
 
-    /// Joins stay row-wise: in a lean run the join's view inputs use the
-    /// zero-copy row handles; the downstream aggregate pivots the joined
-    /// rows to a batch on demand (`ensure_cols`) and must still agree with
-    /// the row path.
+    /// Two view scans → join → aggregate: the join's output is gathered
+    /// from the two views' batches and the aggregate groups by a string
+    /// that came from the build side.
     #[test]
-    fn columnar_join_pipeline_matches_row_path() {
+    fn join_pipeline_is_serial_under_every_keep_set() {
         let mut src = MemSource::new();
         src.add_view(
             "facts",
             (0..5_000)
-                .map(|i| Row::new(vec![Value::Int(i % 400), Value::Int(i)]))
+                .map(|i| {
+                    let key = if i % 11 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(i % 400)
+                    };
+                    Row::new(vec![key, Value::Int(i)])
+                })
                 .collect(),
         );
         src.add_view(
             "dims",
-            (0..400)
-                .map(|i| Row::new(vec![Value::Int(i), Value::str(format!("seg-{}", i % 13))]))
+            (0..420)
+                .map(|i| {
+                    Row::new(vec![
+                        Value::Int(i % 410),
+                        Value::str(format!("seg-{}", i % 13)),
+                    ])
+                })
                 .collect(),
         );
-        let schema = |fields: Vec<Field>| Schema::new(fields);
+        let int = |name| Field::new(name, DataType::Int);
         let mut b = PlanBuilder::new();
-        let facts = b
-            .add(
-                Operator::ScanView {
-                    view: "facts".into(),
-                    schema: schema(vec![
-                        Field::new("k", DataType::Int),
-                        Field::new("v", DataType::Int),
-                    ]),
-                },
-                vec![],
-            )
-            .unwrap();
-        let dims = b
-            .add(
-                Operator::ScanView {
-                    view: "dims".into(),
-                    schema: schema(vec![
-                        Field::new("k", DataType::Int),
-                        Field::new("seg", DataType::Str),
-                    ]),
-                },
-                vec![],
-            )
-            .unwrap();
+        let facts = view_scan(&mut b, "facts", vec![int("k"), int("v")]);
+        let dims = view_scan(
+            &mut b,
+            "dims",
+            vec![int("k"), Field::new("seg", DataType::Str)],
+        );
         let join = b
             .add(Operator::Join { on: vec![(0, 0)] }, vec![facts, dims])
             .unwrap();
@@ -2551,17 +2132,14 @@ mod tests {
             )
             .unwrap();
         let plan = b.finish(agg).unwrap();
-        let col = run_lean(&plan, &src, &[]);
-        let row = execute(&plan, &src, &UdfRegistry::new()).unwrap();
-        assert_eq!(col.root_rows().unwrap(), row.root_rows().unwrap());
+        assert_engine_is_serial(&plan, &src, &UdfRegistry::new());
     }
 
     /// The production DW shape: a working set shipped from HV arrives as a
-    /// *provided* row seed (not a view scan), and the columnar consumers
-    /// above it — filter, project, aggregate — must pivot it on demand
-    /// (`ensure_cols`) and agree with the row path and the full execution.
+    /// *provided* row seed (not a view scan); the operators above it read
+    /// it as they would the scan, and a kept seed leaves as it came.
     #[test]
-    fn columnar_provided_seed_matches_row_path() {
+    fn a_provided_seed_is_read_like_the_scan_it_replaces() {
         let mut src = MemSource::new();
         src.add_view(
             "ws",
@@ -2576,19 +2154,15 @@ mod tests {
                 .collect(),
         );
         let mut b = PlanBuilder::new();
-        let scan = b
-            .add(
-                Operator::ScanView {
-                    view: "ws".into(),
-                    schema: Schema::new(vec![
-                        Field::new("city", DataType::Str),
-                        Field::new("n", DataType::Int),
-                        Field::new("score", DataType::Float),
-                    ]),
-                },
-                vec![],
-            )
-            .unwrap();
+        let scan = view_scan(
+            &mut b,
+            "ws",
+            vec![
+                Field::new("city", DataType::Str),
+                Field::new("n", DataType::Int),
+                Field::new("score", DataType::Float),
+            ],
+        );
         let filter = b
             .add(
                 Operator::Filter {
@@ -2626,59 +2200,62 @@ mod tests {
             .unwrap();
         let plan = b.finish(agg).unwrap();
         let udfs = UdfRegistry::new();
+        // The float sums span morsels: the whole-plan run is the reference.
         let full = execute(&plan, &src, &udfs).unwrap();
         // Ship the scan's output as a provided seed, DW-style: the consumer
         // subset never sees the view, only the pre-staged rows.
-        let provided: HashMap<NodeId, Arc<Vec<Row>>> =
-            [(scan, full.output(scan).clone())].into_iter().collect();
+        let seed = full.output(scan).clone();
         let dw_set: HashSet<NodeId> = [filter, proj, agg].into_iter().collect();
-        let dw = execute_subset_guarded(
-            &plan,
-            Some(&dw_set),
-            provided,
-            &src,
-            &udfs,
-            Retention::ROOT_ONLY,
-            QueryGuard::inert_ref(),
-        )
-        .unwrap();
-        assert_eq!(dw.root_rows().unwrap(), full.root_rows().unwrap());
+        for keep in [vec![], vec![scan]] {
+            let dw = execute_subset_guarded(
+                &plan,
+                Some(&dw_set),
+                [(scan, seed.clone())].into_iter().collect(),
+                &src,
+                &udfs,
+                Retention::Only(&keep),
+                QueryGuard::inert_ref(),
+            )
+            .unwrap();
+            assert_eq!(dw.root_rows().unwrap(), full.root_rows().unwrap());
+            assert_eq!(dw.rows_out(scan), full.rows_out(scan));
+            match dw.try_output(scan) {
+                Some(held) => assert!(Arc::ptr_eq(held, &seed), "the seed itself"),
+                None => assert!(keep.is_empty(), "a kept seed is held"),
+            }
+        }
     }
-    /// Every row body a lean run can still reach: an unfused scan (kept, so
-    /// it may not fuse), an aggregate over an expression, a UDF that
-    /// declares no fields, a join, sort → limit — and a filter (shared
-    /// input, then stolen input) and a projection whose input is ragged,
-    /// the one thing that takes those two off the column path. The
-    /// `FieldGet` filters and the `Func` projection over the unfused scans
-    /// run columnar. Each node agrees with the serial oracle at 1 and 8
-    /// threads.
+
+    /// One plan through every operator body, each shape it takes: a kept
+    /// scan (which may not fuse) read twice, `FieldGet` filters and a
+    /// builtin projection over its records, an aggregate over an
+    /// expression, a UDF that declares no fields and one that declares
+    /// them (fused), joins, sort → limit.
     #[test]
-    fn lean_runs_reach_every_row_body_the_columnar_path_declines() {
-        let (_, mut src) = columnar_pipeline();
-        src.add_view(
-            "ragged",
-            (0..70i64)
-                .map(|i| {
-                    let mut vals = vec![Value::Int(i), Value::str(format!("c{}", i % 7))];
-                    if i % 10 == 0 {
-                        vals.push(Value::Bool(true));
-                    }
-                    Row::new(vals)
-                })
-                .collect(),
-        );
-        assert!(src.view_cols_shared("ragged").is_none());
+    fn every_operator_body_is_serial() {
+        let (_, src) = log_pipeline();
         let mut udfs = UdfRegistry::new();
+        let city = Schema::new(vec![Field::new("city", DataType::Str)]);
+        let upper_city = |city: Option<&str>| {
+            Ok(vec![Row::new(vec![Value::str(
+                city.unwrap_or_default().to_uppercase(),
+            )])])
+        };
         udfs.register(Udf::new(
             "city_of",
-            Schema::new(vec![Field::new("city", DataType::Str)]),
-            Arc::new(|row: &Row| {
-                let city = row.get(0).get_field("city").and_then(Value::as_str);
-                Ok(vec![Row::new(vec![Value::str(
-                    city.unwrap_or_default().to_uppercase(),
-                )])])
+            city.clone(),
+            Arc::new(move |row: &Row| {
+                upper_city(row.get(0).get_field("city").and_then(Value::as_str))
             }),
         ));
+        udfs.register(
+            Udf::new(
+                "city_field",
+                city.clone(),
+                Arc::new(move |row: &Row| upper_city(row.get(0).as_str())),
+            )
+            .reading(&["city"]),
+        );
         let by_city = Expr::col(0)
             .get("city")
             .cast(DataType::Str)
@@ -2699,8 +2276,12 @@ mod tests {
             log: "events".into(),
         };
         let filter = |predicate| Operator::Filter { predicate };
+        let udf = |name: &str| Operator::Udf {
+            name: name.into(),
+            output: city.clone(),
+        };
         let kept_scan = add(scan_log(), vec![]);
-        let shared_filter = add(filter(by_city.clone()), vec![kept_scan]);
+        let filtered = add(filter(by_city.clone()), vec![kept_scan]);
         let proj = add(
             Operator::Project {
                 exprs: vec![
@@ -2711,7 +2292,7 @@ mod tests {
                     ("uid".into(), Expr::col(0).get("uid").cast(DataType::Int)),
                 ],
             },
-            vec![shared_filter],
+            vec![filtered],
         );
         let agg = add(
             Operator::Aggregate {
@@ -2721,79 +2302,234 @@ mod tests {
             vec![proj],
         );
         let free_scan = add(scan_log(), vec![]);
-        let stolen_filter = add(filter(by_city), vec![free_scan]);
-        let udf = add(
-            Operator::Udf {
-                name: "city_of".into(),
-                output: Schema::new(vec![Field::new("city", DataType::Str)]),
-            },
-            vec![stolen_filter],
-        );
-        let join = add(Operator::Join { on: vec![(0, 0)] }, vec![udf, agg]);
-        let ragged = add(
-            Operator::ScanView {
-                view: "ragged".into(),
-                schema: Schema::new(vec![
-                    Field::new("i", DataType::Int),
-                    Field::new("city", DataType::Str),
-                ]),
-            },
-            vec![],
-        );
-        let ragged_shared = add(filter(Expr::col(1).eq(Expr::lit("c3"))), vec![ragged]);
-        let non_negative = Expr::Binary {
-            op: miso_plan::BinOp::Ge,
-            left: Box::new(Expr::col(0)),
-            right: Box::new(Expr::lit(0i64)),
-        };
-        let ragged_stolen = add(filter(non_negative), vec![ragged_shared]);
-        let ragged_proj = add(
+        let refiltered = add(filter(by_city), vec![free_scan]);
+        let undeclared = add(udf("city_of"), vec![refiltered]);
+        let join = add(Operator::Join { on: vec![(0, 0)] }, vec![undeclared, agg]);
+        let fused_scan = add(scan_log(), vec![]);
+        let declared = add(udf("city_field"), vec![fused_scan]);
+        let place = add(
             Operator::Project {
-                exprs: vec![
-                    ("place".into(), upper(Expr::col(1))),
-                    ("i".into(), Expr::col(0)),
-                ],
+                exprs: vec![("place".into(), Expr::col(0))],
             },
-            vec![ragged_stolen],
+            vec![declared],
         );
-        let both = add(Operator::Join { on: vec![(0, 0)] }, vec![join, ragged_proj]);
-        let keys = vec![(4, true), (2, true)];
+        // Lines 3 and 10 are the two of the first twelve in city c3.
+        let few = add(Operator::Limit { n: 12 }, vec![place]);
+        let both = add(Operator::Join { on: vec![(0, 0)] }, vec![join, few]);
+        let keys = vec![(2, true), (0, false)];
         let sort = add(Operator::Sort { keys }, vec![both]);
         let limit = add(Operator::Limit { n: 50 }, vec![sort]);
         let plan = b.finish(limit).unwrap();
+        assert_engine_is_serial(&plan, &src, &udfs);
 
         let serial = crate::serial::execute_serial(&plan, &src, &udfs).unwrap();
-        assert!(!serial.root_rows().unwrap().is_empty());
-        let still_ragged = serial.output(ragged_stolen);
-        assert!(still_ragged.iter().any(|r| r.arity() == 3));
-        assert!(still_ragged.iter().any(|r| r.arity() == 2));
-        let keep = [kept_scan, proj];
-        let before = pool::threads();
-        for t in [1, 8] {
-            pool::set_threads(t);
-            let lean = execute_subset_guarded(
-                &plan,
-                None,
-                HashMap::new(),
-                &src,
-                &udfs,
-                Retention::Only(&keep),
-                QueryGuard::inert_ref(),
+        assert_eq!(serial.root_rows().unwrap().len(), 50);
+        // What was not kept went with its last consumer.
+        let run = run_keeping(&plan, &src, &udfs, &[kept_scan, proj]);
+        for id in [free_scan, fused_scan, undeclared, sort] {
+            assert!(run.try_output(id).is_none(), "node {id}");
+        }
+    }
+
+    /// A kept view scan — and a plan that is nothing but one — hands out
+    /// the source's own rows: no copy, no pivot.
+    #[test]
+    fn a_kept_view_scan_hands_out_the_sources_rows() {
+        let (plan, src) = filter_sort_limit_pipeline();
+        let scan = NodeId(0);
+        let theirs = src.view_rows_shared("big").unwrap();
+        let all = execute(&plan, &src, &UdfRegistry::new()).unwrap();
+        assert!(Arc::ptr_eq(all.output(scan), &theirs));
+        let kept = run_keeping(&plan, &src, &UdfRegistry::new(), &[scan]);
+        assert!(Arc::ptr_eq(kept.output(scan), &theirs));
+        let mut b = PlanBuilder::new();
+        let int = |name| Field::new(name, DataType::Int);
+        let only = view_scan(&mut b, "big", vec![int("id"), int("x")]);
+        let scan_plan = b.finish(only).unwrap();
+        let root = run_keeping(&scan_plan, &src, &UdfRegistry::new(), &[]);
+        assert!(Arc::ptr_eq(root.output(only), &theirs));
+    }
+
+    /// Rows of differing arity have no batch. No plan produces them; they
+    /// can only be installed by hand, as a view or a `provided` seed, and
+    /// the run fails there with an error that names the node.
+    #[test]
+    fn ragged_rows_fail_at_the_boundary_naming_the_node() {
+        let ragged: Vec<Row> = (0..70i64)
+            .map(|i| {
+                let mut vals = vec![Value::Int(i), Value::str(format!("c{}", i % 7))];
+                if i % 10 == 0 {
+                    vals.push(Value::Bool(true));
+                }
+                Row::new(vals)
+            })
+            .collect();
+        let mut src = MemSource::new();
+        src.add_view("ragged", ragged.clone());
+        let mut b = PlanBuilder::new();
+        let fields = vec![
+            Field::new("i", DataType::Int),
+            Field::new("city", DataType::Str),
+        ];
+        let scan = view_scan(&mut b, "ragged", fields);
+        let top = b.add(Operator::Limit { n: 5 }, vec![scan]).unwrap();
+        let plan = b.finish(top).unwrap();
+        let udfs = UdfRegistry::new();
+        // The reference interpreter has no batches and does not mind.
+        assert_eq!(
+            crate::serial::execute_serial(&plan, &src, &udfs)
+                .unwrap()
+                .root_rows()
+                .unwrap(),
+            &ragged[..5]
+        );
+        let as_view = execute(&plan, &src, &udfs).unwrap_err();
+        let seed = [(scan, Arc::new(ragged))].into_iter().collect();
+        let above: HashSet<NodeId> = [top].into_iter().collect();
+        let as_seed = execute_subset(&plan, Some(&above), seed, &src, &udfs).unwrap_err();
+        for err in [as_view, as_seed] {
+            assert!(matches!(err, MisoError::Execution(_)), "{err:?}");
+            assert!(err.to_string().contains(&format!("node {scan}")), "{err}");
+            assert!(err.to_string().contains("differing arity"), "{err}");
+        }
+    }
+
+    /// Aggregates over nothing — an empty view, an empty filtered input, an
+    /// empty `provided` seed, an empty UDF output — grouped (no rows) and
+    /// global (one row), over bare columns and over an expression.
+    #[test]
+    fn aggregates_over_empty_inputs_are_serial() {
+        let mut src = MemSource::new();
+        src.add_view("none", Vec::new());
+        src.add_view(
+            "some",
+            (0..10)
+                .map(|i| Row::new(vec![Value::str("k"), Value::Int(i)]))
+                .collect(),
+        );
+        let mut udfs = UdfRegistry::new();
+        let kv = Schema::new(vec![
+            Field::new("k", DataType::Str),
+            Field::new("v", DataType::Int),
+        ]);
+        udfs.register(Udf::new(
+            "nothing",
+            kv.clone(),
+            Arc::new(|_| Ok(Vec::new())),
+        ));
+        let never = Expr::Binary {
+            op: miso_plan::BinOp::Lt,
+            left: Box::new(Expr::col(1)),
+            right: Box::new(Expr::lit(0i64)),
+        };
+        let doubled = Expr::Binary {
+            op: miso_plan::BinOp::Mul,
+            left: Box::new(Expr::col(1)),
+            right: Box::new(Expr::lit(2i64)),
+        };
+        for group_by in [vec![0], vec![]] {
+            for view in ["none", "some"] {
+                let mut b = PlanBuilder::new();
+                let scan = view_scan(&mut b, view, kv.fields().to_vec());
+                let filt = b
+                    .add(
+                        Operator::Filter {
+                            predicate: never.clone(),
+                        },
+                        vec![scan],
+                    )
+                    .unwrap();
+                let udf = b
+                    .add(
+                        Operator::Udf {
+                            name: "nothing".into(),
+                            output: kv.clone(),
+                        },
+                        vec![scan],
+                    )
+                    .unwrap();
+                let mut agg = |input| {
+                    let op = Operator::Aggregate {
+                        group_by: group_by.clone(),
+                        aggs: vec![
+                            AggExpr::new(AggFunc::Count, None, "n"),
+                            AggExpr::new(AggFunc::Sum, Some(Expr::col(1)), "s"),
+                            AggExpr::new(AggFunc::Max, Some(doubled.clone()), "m"),
+                        ],
+                    };
+                    b.add(op, vec![input]).unwrap()
+                };
+                let (over_filter, over_udf) = (agg(filt), agg(udf));
+                let both = b
+                    .add(
+                        Operator::Join { on: vec![(0, 0)] },
+                        vec![over_filter, over_udf],
+                    )
+                    .unwrap();
+                let plan = b.finish(both).unwrap();
+                assert_engine_is_serial(&plan, &src, &udfs);
+                // The same aggregates over an empty seed in the scan's place.
+                let serial = crate::serial::execute_serial(&plan, &src, &udfs).unwrap();
+                let above: HashSet<NodeId> = plan.nodes()[1..].iter().map(|n| n.id).collect();
+                let seed = [(scan, Arc::new(Vec::new()))].into_iter().collect();
+                let run = execute_subset(&plan, Some(&above), seed, &src, &udfs).unwrap();
+                assert_eq!(run.root_rows().unwrap(), serial.root_rows().unwrap());
+                assert_eq!(run.output(over_filter), serial.output(over_filter));
+            }
+        }
+    }
+
+    /// An integer `SUM` whose total leaves `i64` is NULL — as scalar `a + b`
+    /// is — from the serial interpreter and from the engine at any thread
+    /// count, whichever morsel the overflow happens in or between; one that
+    /// overflows on the way and comes back is exact.
+    #[test]
+    fn integer_sum_overflow_is_null_everywhere() {
+        let mut src = MemSource::new();
+        let mut rows: Vec<Row> = (0..2 * MORSEL_SIZE as i64)
+            .map(|i| Row::new(vec![Value::str("back"), Value::Int(i % 3 - 1)]))
+            .collect();
+        rows[1] = Row::new(vec![Value::str("back"), Value::Int(i64::MAX)]);
+        rows[2] = Row::new(vec![Value::str("back"), Value::Int(i64::MAX)]);
+        rows[MORSEL_SIZE + 5] = Row::new(vec![Value::str("back"), Value::Int(-i64::MAX)]);
+        rows.push(Row::new(vec![Value::str("over"), Value::Int(i64::MAX)]));
+        rows.push(Row::new(vec![Value::str("over"), Value::Int(1)]));
+        rows.push(Row::new(vec![Value::str("under"), Value::Int(i64::MIN)]));
+        rows.push(Row::new(vec![Value::str("under"), Value::Int(-1)]));
+        let back: i128 = rows[..2 * MORSEL_SIZE]
+            .iter()
+            .map(|r| i128::from(r.get(1).as_i64().unwrap()))
+            .sum();
+        src.add_view("v", rows);
+        let mut b = PlanBuilder::new();
+        let scan = view_scan(
+            &mut b,
+            "v",
+            vec![
+                Field::new("k", DataType::Str),
+                Field::new("v", DataType::Int),
+            ],
+        );
+        let agg = b
+            .add(
+                Operator::Aggregate {
+                    group_by: vec![0],
+                    aggs: vec![AggExpr::new(AggFunc::Sum, Some(Expr::col(1)), "s")],
+                },
+                vec![scan],
             )
             .unwrap();
-            assert_eq!(lean.root_rows().unwrap(), serial.root_rows().unwrap());
-            assert_eq!(lean.skipped_lines, serial.skipped_lines);
-            for id in keep {
-                assert_eq!(lean.output(id), serial.output(id), "kept node {id}");
-            }
-            for id in serial.executed_nodes() {
-                assert_eq!(lean.rows_out(id), serial.rows_out(id), "node {id}");
-            }
-            // What was not kept went to its last consumer.
-            assert!(lean.try_output(free_scan).is_none());
-            assert!(lean.try_output(ragged_shared).is_none());
-            assert!(lean.try_output(sort).is_none());
-        }
-        pool::set_threads(before);
+        let plan = b.finish(agg).unwrap();
+        let udfs = UdfRegistry::new();
+        let serial = crate::serial::execute_serial(&plan, &src, &udfs).unwrap();
+        let sums: Vec<&Value> = serial
+            .root_rows()
+            .unwrap()
+            .iter()
+            .map(|r| r.get(1))
+            .collect();
+        let back = Value::Int(i64::try_from(back).expect("comes back into range"));
+        assert_eq!(sums, [&back, &Value::Null, &Value::Null]);
+        assert_engine_is_serial(&plan, &src, &udfs);
     }
 }

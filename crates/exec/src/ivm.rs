@@ -215,10 +215,11 @@ fn finish_merged(acc: &Acc, later: &Acc) -> Value {
     merged.finish()
 }
 
-/// First-value SUM typing scan, identical to the engine's
-/// `float_sum_flags`: `Some(true)` = float, `Some(false)` = int, `None` =
-/// no numeric value in `input`.
-fn first_numeric(input: &[Row], e: &Expr) -> Option<bool> {
+/// First-value SUM typing scan over rows, as the serial interpreter decides
+/// it and the engine replays it over columns (`float_sum_flags`):
+/// `Some(true)` = float, `Some(false)` = int, `None` = no numeric value in
+/// `input`.
+pub(crate) fn first_numeric(input: &[Row], e: &Expr) -> Option<bool> {
     for row in input {
         if let Ok(v) = eval(e, row) {
             match v {
@@ -317,9 +318,7 @@ mod tests {
         assert_eq!(applied.updated, vec![(0, Row::new(vec![Value::Int(2)]))]);
     }
 
-    /// The aggregate the engine computes over `input`, through a plan:
-    /// the row body under [`Retention::All`], the columnar body (a view
-    /// scan hands it a batch) under [`Retention::ROOT_ONLY`].
+    /// The aggregate the engine computes over `input`, through a plan.
     fn engine_aggregate(
         input: &[Row],
         group_by: &[usize],
@@ -416,9 +415,9 @@ mod tests {
     /// Folding a delta is bit-for-bit the engine's aggregation of the grown
     /// input — `AVG`, float `SUM`, mixed NULLs, -0.0 and NaN included —
     /// whatever the base size relative to a morsel, however many morsels the
-    /// delta closes, in the row and the columnar aggregate, at 1 and 8
-    /// threads; and a `SUM` that sees its first number mid-stream types
-    /// itself as the engine does over the grown input.
+    /// delta closes, whatever the run keeps, at 1 and 8 threads; and a `SUM`
+    /// that sees its first number mid-stream types itself as the engine does
+    /// over the grown input.
     #[test]
     fn fold_is_bit_identical_to_engine_aggregation_of_the_grown_input() {
         let aggs = vec![
@@ -471,6 +470,46 @@ mod tests {
             }
         }
         pool::set_threads(before);
+    }
+
+    /// An integer `SUM` is exact however it is split: a total that leaves
+    /// `i64` is NULL folded as rebuilt, and one that leaves it on the way —
+    /// inside the base, inside a delta, or only once they merge — and comes
+    /// back is the same number either way.
+    #[test]
+    fn integer_sum_overflow_folds_like_a_rebuild() {
+        let int = |k: &str, v: i64| Row::new(vec![Value::str(k), Value::Int(v)]);
+        let all = vec![
+            int("back", i64::MAX),
+            int("over", i64::MAX),
+            int("back", 7),
+            int("under", i64::MIN),
+            int("back", i64::MIN),
+            int("over", 1),
+            int("under", -1),
+            int("late", i64::MAX),
+            int("late", i64::MAX),
+            int("late", -i64::MAX),
+        ];
+        let aggs = vec![AggExpr::new(AggFunc::Sum, Some(Expr::col(1)), "s")];
+        let sums = |rows: &[Row]| -> Vec<Value> { rows.iter().map(|r| r.get(1).clone()).collect() };
+        let rebuilt = AggState::build(&all, &[0], &aggs).unwrap().output_rows();
+        assert_eq!(
+            sums(&rebuilt),
+            [
+                Value::Int(6),
+                Value::Null,
+                Value::Null,
+                Value::Int(i64::MAX)
+            ]
+        );
+        assert_eq!(rebuilt, engine_aggregate(&all, &[0], &aggs, Retention::All));
+        for split in 0..=all.len() {
+            let mut state = AggState::build(&all[..split], &[0], &aggs).unwrap();
+            let mut view = state.output_rows();
+            patch(&mut view, state.apply(&all[split..], &[0], &aggs).unwrap());
+            assert_eq!(view, rebuilt, "split {split}");
+        }
     }
 
     #[test]

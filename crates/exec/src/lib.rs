@@ -1,4 +1,4 @@
-//! Physical row-based execution.
+//! Physical execution.
 //!
 //! Both simulated stores execute logical plans with the same operator
 //! implementations — what differs between HV and DW is *how plans are staged
@@ -10,14 +10,13 @@
 //!   NULL-tolerant operators, scalar builtins);
 //! * [`udf`] — the user-defined-function registry (UDFs are the operators
 //!   that pin plan subtrees to HV);
-//! * [`col`] — columnar (vectorized) execution support: the
-//!   morsel-at-a-time expression evaluator over [`miso_data::ColBatch`]
-//!   and the fused scan+project line parser;
+//! * [`col`] — the morsel-at-a-time expression evaluator over
+//!   [`miso_data::ColBatch`] and the fused scan+project line parser;
 //! * [`engine`] — the morsel-parallel operator interpreter (miso-vex):
-//!   executes a plan DAG over a [`engine::DataSource`], keeping every
-//!   node's output unless the caller names the set it will read
-//!   ([`Retention`]: HV keeps the stage outputs that become opportunistic
-//!   views, DW only the root);
+//!   executes a plan DAG over a [`engine::DataSource`], one body per
+//!   operator over column batches, keeping every node's output unless the
+//!   caller names the set it will read ([`Retention`]: HV keeps the stage
+//!   outputs that become opportunistic views, DW only the root);
 //! * [`serial`] — the original row-at-a-time interpreter, preserved as the
 //!   differential-testing oracle and benchmark baseline.
 
@@ -37,10 +36,3 @@ pub use ivm::{apply_projection, AggApplied, AggState};
 pub use profile::OpProfile;
 pub use serial::execute_serial;
 pub use udf::{Udf, UdfRegistry};
-
-/// Operator internals exposed for the gated property tests only; not a
-/// stable API.
-#[doc(hidden)]
-pub mod bench_hooks {
-    pub use crate::engine::hash_join as hash_join_vex;
-}

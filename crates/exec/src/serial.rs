@@ -10,14 +10,15 @@
 //! aggregate, full-input stable sorts) rather than sharing the reworked
 //! operator bodies.
 
-use crate::engine::{float_sum_flags, Acc, DataSource, Execution};
+use crate::engine::{Acc, DataSource, Execution};
 use crate::eval::{eval, eval_predicate};
+use crate::ivm::first_numeric;
 use crate::udf::UdfRegistry;
 use miso_common::ids::NodeId;
 use miso_common::{MisoError, Result};
 use miso_data::json::parse_json;
 use miso_data::{Row, Value};
-use miso_plan::{LogicalPlan, Operator};
+use miso_plan::{AggFunc, LogicalPlan, Operator};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -163,7 +164,14 @@ fn aggregate_serial(
     group_by: &[usize],
     aggs: &[miso_plan::AggExpr],
 ) -> Result<Vec<Row>> {
-    let float_sum = float_sum_flags(input, aggs);
+    // Int-vs-float SUM is decided by the first numeric value of its input.
+    let float_sum: Vec<bool> = aggs
+        .iter()
+        .map(|agg| match (&agg.func, &agg.input) {
+            (AggFunc::Sum, Some(e)) => first_numeric(input, e) == Some(true),
+            _ => false,
+        })
+        .collect();
     let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
     // Deterministic output: remember first-seen order of groups.
     let mut order: Vec<Vec<Value>> = Vec::new();
@@ -216,7 +224,7 @@ mod tests {
     use super::*;
     use crate::engine::{execute, MemSource};
     use miso_data::{DataType, Field, Schema};
-    use miso_plan::{AggExpr, AggFunc, Expr, PlanBuilder};
+    use miso_plan::{AggExpr, Expr, PlanBuilder};
 
     /// Serial and morsel-parallel engines agree on a join + aggregate plan
     /// big enough to span several morsels.

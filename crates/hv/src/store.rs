@@ -6,7 +6,6 @@ use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
 use miso_common::{ByteSize, MisoError, Result, SimDuration};
 use miso_data::checksum::{checksum_rows, corrupt_first_row, Checksum};
-use miso_data::json::parse_json;
 use miso_data::logs::LogFile;
 use miso_data::{ColBatch, Column, DataType, Row, Schema};
 use miso_exec::col::LogIndex;
@@ -193,7 +192,6 @@ impl LogImage {
 pub struct LogBatch<'a> {
     lines: &'a [String],
     parsed: Mutex<ParsedColumns>,
-    rows: OnceLock<(Arc<Vec<Row>>, u64)>,
 }
 
 impl<'a> LogBatch<'a> {
@@ -202,7 +200,6 @@ impl<'a> LogBatch<'a> {
         LogBatch {
             lines,
             parsed: Mutex::default(),
-            rows: OnceLock::new(),
         }
     }
 
@@ -218,23 +215,6 @@ impl<'a> LogBatch<'a> {
         miso_obs::count("maint.delta_cols_served", cols.cols_hit);
         miso_obs::count("maint.delta_cols_parsed", cols.cols_parsed);
         Ok(cols)
-    }
-
-    /// One single-column object row per well-formed line and the count of
-    /// malformed ones — what an unfused scan produces — parsed once.
-    pub fn rows(&self) -> (Arc<Vec<Row>>, u64) {
-        self.rows
-            .get_or_init(|| {
-                let rows: Vec<Row> = self
-                    .lines
-                    .iter()
-                    .filter_map(|line| parse_json(line).ok())
-                    .map(|v| Row::new(vec![v]))
-                    .collect();
-                let skipped = (self.lines.len() - rows.len()) as u64;
-                (Arc::new(rows), skipped)
-            })
-            .clone()
     }
 }
 

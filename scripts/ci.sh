@@ -13,8 +13,8 @@ cargo clippy --workspace -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+echo "==> cargo test -q (default-members: every crate of the workspace)"
+cargo test -q
 
 echo "==> goldens (eleven figures, both .csv and the four fault-path smokes, at MISO_THREADS=1 and 8)"
 # Run from a scratch directory: the bins write results/<name>.report.json
@@ -56,9 +56,8 @@ CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
     --workload stream_growth --seed 7 --seconds 1 --trace 1 | tail -n 1 >"$golden/e2e-trace.json"
 grep -q '"correct": *true' "$golden/e2e-trace.json"
 grep -q '"views.stale_answers": *{"value": *0,' "$golden/e2e-trace.json"
-# Every expression of the workload evaluates columnar: a builtin or a field
-# access that sends its operator back to the row body fails here, not in a
-# later benchmark.
+# Every log scan of the workload fuses into its consumer: one that goes back
+# to materializing JSON records fails here, not in a later benchmark.
 grep -q '"exec.col_fallback_rows": *{"value": *0,' "$golden/e2e-trace.json"
 # The serving loop over a warm master: its UDF templates scan through the
 # log image, and every delivered answer is checked against the oracle.
@@ -69,7 +68,7 @@ grep -q '"correct": *true' "$golden/e2e-serve.json"
 echo "==> tunerbench smoke (designs identical across threading and memoization)"
 cargo run --release -q -p miso-bench --bin tunerbench -- --smoke
 
-echo "==> execbench smoke (row and columnar output verified against serial)"
+echo "==> execbench smoke (keep-all and root-only runs verified against serial)"
 cargo run --release -q -p miso-bench --bin execbench -- --smoke
 
 echo "==> ivmbench smoke (delta maintenance vs full recompute; checksum identity)"

@@ -331,144 +331,179 @@ fn empty_global_aggregate_is_thread_invariant() {
     assert_thread_invariant(&plan, &src, &UdfRegistry::new(), "empty global aggregate");
 }
 
-/// Property tests: the vex engine agrees with the serial oracle on random
-/// inputs, shapes and thread counts. Needs the crates.io `proptest` crate;
-/// enable the `extern-deps` feature to run.
-#[cfg(feature = "extern-deps")]
+/// Generated plans: the engine agrees with the serial oracle on random
+/// inputs — NULL keys, duplicate keys, empty sides — at a random thread
+/// count and under every kind of keep-set. Cases are seeded [`DetRng`]
+/// streams; a failing assert names the seed.
 mod random_plans {
     use super::*;
-    use proptest::prelude::*;
+    use miso::common::ids::NodeId;
+    use miso::common::rng::DetRng;
+    use miso::common::QueryGuard;
+    use miso::exec::{execute_subset_guarded, Retention};
+    use std::collections::HashMap;
 
-    fn value_strategy() -> impl Strategy<Value = Value> {
-        prop_oneof![
-            3 => (-50i64..50).prop_map(Value::Int),
-            1 => Just(Value::Null),
-            1 => (0i64..8).prop_map(|i| Value::str(format!("s{i}"))),
-        ]
+    const CASES: u64 = 48;
+
+    /// A key from a small domain, so duplicates are the rule: an int three
+    /// times in five, NULL or a string otherwise.
+    fn arb_key(rng: &mut DetRng) -> Value {
+        match rng.below(5) {
+            0 => Value::Null,
+            1 => Value::str(format!("s{}", rng.below(8))),
+            _ => Value::Int(rng.below(100) as i64 - 50),
+        }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+    /// `[key, small int]` rows: usually a few hundred, now and then none,
+    /// now and then enough to span two morsels.
+    fn arb_rows(rng: &mut DetRng, max: u64) -> Vec<Row> {
+        let n = match rng.below(10) {
+            0 => 0,
+            1 => 4096 + rng.below(max),
+            _ => rng.below(max),
+        };
+        (0..n)
+            .map(|_| Row::new(vec![arb_key(rng), Value::Int(rng.below(7) as i64 - 3)]))
+            .collect()
+    }
 
-        /// ScanView → Filter → Aggregate → Sort over random rows matches
-        /// the serial oracle at a random thread count.
-        #[test]
-        fn random_pipeline_matches_serial(
-            rows in proptest::collection::vec((value_strategy(), -100i64..100), 0..600),
-            threshold in -100i64..100,
-            threads in 1usize..=8,
-        ) {
+    fn scan(b: &mut PlanBuilder, view: &str) -> NodeId {
+        let schema = Schema::new(vec![int_field("k"), int_field("v")]);
+        let op = Operator::ScanView {
+            view: view.into(),
+            schema,
+        };
+        b.add(op, vec![]).unwrap()
+    }
+
+    fn binary(op: BinOp, left: Expr, right: Expr) -> Expr {
+        Expr::Binary {
+            op,
+            left: Box::new(left),
+            right: Box::new(right),
+        }
+    }
+
+    /// Runs `plan` serially and then through the engine at a random thread
+    /// count, once keeping everything, once only the root, once the root
+    /// and one random other node: whatever a run still holds is the
+    /// oracle's, and it holds at least what it was asked to keep.
+    fn assert_matches_serial(plan: &LogicalPlan, src: &MemSource, rng: &mut DetRng, what: &str) {
+        let udfs = UdfRegistry::new();
+        let before = pool::threads();
+        pool::set_threads(1);
+        let serial = execute_serial(plan, src, &udfs).expect("serial run succeeds");
+        let threads = 1 + rng.below(8) as usize;
+        pool::set_threads(threads);
+        let what = format!("{what} @ {threads} threads");
+        let vex = execute(plan, src, &udfs).expect("keep-all run succeeds");
+        assert_executions_eq(&serial, &vex, &what);
+        let interior = plan.nodes()[rng.below(plan.len() as u64) as usize].id;
+        for keep in [vec![], vec![interior]] {
+            let what = format!("{what}, keep {keep:?}");
+            let run = execute_subset_guarded(
+                plan,
+                None,
+                HashMap::new(),
+                src,
+                &udfs,
+                Retention::Only(&keep),
+                QueryGuard::inert_ref(),
+            )
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+            for node in plan.nodes() {
+                let id = node.id;
+                assert_eq!(run.rows_out(id), serial.rows_out(id), "{what}: {id}");
+                if keep.contains(&id) || id == plan.root() {
+                    assert_eq!(run.try_output(id), serial.try_output(id), "{what}: {id}");
+                } else if let Some(rows) = run.try_output(id) {
+                    assert_eq!(rows, serial.output(id), "{what}: {id}");
+                }
+            }
+        }
+        pool::set_threads(before);
+    }
+
+    /// An aggregate over bare columns and over expressions — one whose
+    /// values are ints or NULL by the key's type, one that is a float.
+    fn aggregate(b: &mut PlanBuilder, input: NodeId) -> NodeId {
+        let key_plus_v = binary(BinOp::Add, Expr::col(0), Expr::col(1));
+        let half_v = binary(BinOp::Mul, Expr::col(1), Expr::lit(0.5f64));
+        let op = Operator::Aggregate {
+            group_by: vec![0],
+            aggs: vec![
+                AggExpr::new(AggFunc::Count, None, "n"),
+                AggExpr::new(AggFunc::Sum, Some(Expr::col(1)), "total"),
+                AggExpr::new(AggFunc::Min, Some(Expr::col(1)), "lo"),
+                AggExpr::new(AggFunc::Sum, Some(key_plus_v.clone()), "shifted"),
+                AggExpr::new(AggFunc::CountDistinct, Some(key_plus_v), "distinct"),
+                AggExpr::new(AggFunc::Avg, Some(half_v.clone()), "half"),
+                AggExpr::new(AggFunc::Sum, Some(half_v), "halves"),
+            ],
+        };
+        b.add(op, vec![input]).unwrap()
+    }
+
+    /// ScanView → Filter → Aggregate → Sort, and ScanView → Filter → Sort →
+    /// Limit → Aggregate, over the same random rows.
+    #[test]
+    fn random_pipeline_matches_serial() {
+        for seed in 0..CASES {
+            let mut rng = DetRng::new(0x91e1_0000 + seed);
             let mut src = MemSource::new();
-            src.add_view(
-                "t",
-                rows.iter()
-                    .map(|(k, v)| Row::new(vec![k.clone(), Value::Int(*v)]))
-                    .collect(),
-            );
+            src.add_view("t", arb_rows(&mut rng, 600));
+            let predicate = binary(BinOp::Lt, Expr::col(1), Expr::lit(rng.below(9) as i64 - 4));
+            let limit = rng.below(700);
+
             let mut b = PlanBuilder::new();
-            let sv = b
-                .add(
-                    Operator::ScanView {
-                        view: "t".into(),
-                        schema: Schema::new(vec![int_field("k"), int_field("v")]),
-                    },
-                    vec![],
-                )
-                .unwrap();
+            let sv = scan(&mut b, "t");
             let filt = b
                 .add(
                     Operator::Filter {
-                        predicate: Expr::Binary {
-                            op: BinOp::Lt,
-                            left: Box::new(Expr::col(1)),
-                            right: Box::new(Expr::lit(threshold)),
-                        },
+                        predicate: predicate.clone(),
                     },
                     vec![sv],
                 )
                 .unwrap();
-            let agg = b
-                .add(
-                    Operator::Aggregate {
-                        group_by: vec![0],
-                        aggs: vec![
-                            AggExpr::new(AggFunc::Count, None, "n"),
-                            AggExpr::new(AggFunc::Sum, Some(Expr::col(1)), "total"),
-                            AggExpr::new(AggFunc::Min, Some(Expr::col(1)), "lo"),
-                        ],
-                    },
-                    vec![filt],
-                )
-                .unwrap();
-            let sort = b
-                .add(Operator::Sort { keys: vec![(1, true)] }, vec![agg])
-                .unwrap();
+            let agg = aggregate(&mut b, filt);
+            let keys = vec![(1, true)];
+            let sort = b.add(Operator::Sort { keys }, vec![agg]).unwrap();
             let plan = b.finish(sort).unwrap();
-            let udfs = UdfRegistry::new();
+            assert_matches_serial(&plan, &src, &mut rng, &format!("seed {seed}, agg → sort"));
 
-            let before = pool::threads();
-            pool::set_threads(1);
-            let serial = execute_serial(&plan, &src, &udfs).unwrap();
-            pool::set_threads(threads);
-            let vex = execute(&plan, &src, &udfs).unwrap();
-            pool::set_threads(before);
-            assert_executions_eq(&serial, &vex, &format!("random plan @ {threads} threads"));
-        }
-
-        /// Random join inputs (with NULLs mixed in) match the serial oracle.
-        #[test]
-        fn random_join_matches_serial(
-            left in proptest::collection::vec(value_strategy(), 0..400),
-            right in proptest::collection::vec(value_strategy(), 0..100),
-            threads in 1usize..=8,
-        ) {
-            let mut src = MemSource::new();
-            src.add_view(
-                "l",
-                left.iter()
-                    .enumerate()
-                    .map(|(i, k)| Row::new(vec![k.clone(), Value::Int(i as i64)]))
-                    .collect(),
-            );
-            src.add_view(
-                "r",
-                right
-                    .iter()
-                    .enumerate()
-                    .map(|(i, k)| Row::new(vec![k.clone(), Value::Int(-(i as i64))]))
-                    .collect(),
-            );
-            let schema = Schema::new(vec![int_field("k"), int_field("v")]);
             let mut b = PlanBuilder::new();
-            let l = b
-                .add(
-                    Operator::ScanView {
-                        view: "l".into(),
-                        schema: schema.clone(),
-                    },
-                    vec![],
-                )
-                .unwrap();
-            let r = b
-                .add(
-                    Operator::ScanView {
-                        view: "r".into(),
-                        schema,
-                    },
-                    vec![],
-                )
-                .unwrap();
-            let join = b.add(Operator::Join { on: vec![(0, 0)] }, vec![l, r]).unwrap();
-            let plan = b.finish(join).unwrap();
-            let udfs = UdfRegistry::new();
+            let sv = scan(&mut b, "t");
+            let filt = b.add(Operator::Filter { predicate }, vec![sv]).unwrap();
+            // Few distinct sort keys: ties must keep input order.
+            let keys = vec![(1, true), (0, false)];
+            let sort = b.add(Operator::Sort { keys }, vec![filt]).unwrap();
+            let top = b.add(Operator::Limit { n: limit }, vec![sort]).unwrap();
+            let agg = aggregate(&mut b, top);
+            let plan = b.finish(agg).unwrap();
+            assert_matches_serial(&plan, &src, &mut rng, &format!("seed {seed}, sort → agg"));
+        }
+    }
 
-            let before = pool::threads();
-            pool::set_threads(1);
-            let serial = execute_serial(&plan, &src, &udfs).unwrap();
-            pool::set_threads(threads);
-            let vex = execute(&plan, &src, &udfs).unwrap();
-            pool::set_threads(before);
-            assert_executions_eq(&serial, &vex, &format!("random join @ {threads} threads"));
+    /// Random join inputs, on the key alone or on both columns.
+    #[test]
+    fn random_join_matches_serial() {
+        for seed in 0..CASES {
+            let mut rng = DetRng::new(0x101e_0000 + seed);
+            let mut src = MemSource::new();
+            src.add_view("l", arb_rows(&mut rng, 400));
+            src.add_view("r", arb_rows(&mut rng, 100));
+            let mut b = PlanBuilder::new();
+            let (l, r) = (scan(&mut b, "l"), scan(&mut b, "r"));
+            let on = if rng.chance(0.5) {
+                vec![(0, 0)]
+            } else {
+                vec![(0, 0), (1, 1)]
+            };
+            let what = format!("seed {seed}, join on {on:?}");
+            let join = b.add(Operator::Join { on }, vec![l, r]).unwrap();
+            let plan = b.finish(join).unwrap();
+            assert_matches_serial(&plan, &src, &mut rng, &what);
         }
     }
 }

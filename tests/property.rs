@@ -1,10 +1,9 @@
-//! Property-based tests (proptest) over the core data structures and
-//! algorithmic invariants.
+//! Generated-input tests over the core data structures and algorithmic
+//! invariants.
 //!
-//! These need the crates.io `proptest` crate, which the offline build cannot
-//! resolve; enable the `extern-deps` feature (and restore the dependency in
-//! Cargo.toml) to run them.
-#![cfg(feature = "extern-deps")]
+//! Every property runs a fixed number of cases, each from its own
+//! [`DetRng`] seed, so a run replays bit for bit; a failing assert names the
+//! seed. There is no shrinker: rerun the one seed under a debugger.
 
 use miso::common::rng::DetRng;
 use miso::common::ByteSize;
@@ -14,320 +13,327 @@ use miso::data::Value;
 use miso::plan::split::enumerate_splits;
 use miso::plan::{AggExpr, AggFunc, Expr, LogicalPlan, Operator, PlanBuilder};
 use miso::views::decay_weights;
-use proptest::prelude::*;
+
+/// Runs `case` once per seed, `cases` times.
+fn for_seeds(cases: u64, mut case: impl FnMut(u64, &mut DetRng)) {
+    for seed in 0..cases {
+        case(seed, &mut DetRng::new(0x5eed_0000 + seed));
+    }
+}
+
+fn pick_char(rng: &mut DetRng, alphabet: &str) -> char {
+    let chars: Vec<char> = alphabet.chars().collect();
+    *rng.pick(&chars)
+}
+
+/// A string of up to `max_len` characters of `alphabet`.
+fn arb_string(rng: &mut DetRng, alphabet: &str, max_len: u64) -> String {
+    (0..rng.below(max_len + 1))
+        .map(|_| pick_char(rng, alphabet))
+        .collect()
+}
+
+/// Up to 64 printable characters: JSON punctuation and literals mostly, any
+/// non-control scalar value otherwise.
+fn arb_garbage(rng: &mut DetRng) -> String {
+    (0..rng.below(65))
+        .filter_map(|_| {
+            if rng.chance(0.7) {
+                Some(pick_char(rng, "{}[]\",:\\ 0123456789eE.-+truefalsn=;@äö€"))
+            } else {
+                char::from_u32(rng.below(0x11_0000) as u32).filter(|c| !c.is_control())
+            }
+        })
+        .collect()
+}
 
 // ---- JSON round-trips -------------------------------------------------
 
-fn arb_value() -> impl Strategy<Value = Value> {
-    let leaf = prop_oneof![
-        Just(Value::Null),
-        any::<bool>().prop_map(Value::Bool),
-        any::<i64>().prop_map(Value::Int),
+/// A JSON value nested at most `depth` containers deep.
+fn arb_value(rng: &mut DetRng, depth: u32) -> Value {
+    let kinds = if depth == 0 { 5 } else { 7 };
+    match rng.below(kinds) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.chance(0.5)),
+        2 => Value::Int(rng.next_u64() as i64),
         // Finite floats only: non-finite serialize to null by design.
-        (-1e15f64..1e15f64).prop_map(Value::Float),
-        "[a-zA-Z0-9 _äöü€]{0,24}".prop_map(Value::str),
-    ];
-    leaf.prop_recursive(3, 24, 6, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 0..5).prop_map(Value::Array),
-            prop::collection::vec(("[a-z]{1,8}", inner), 0..5)
-                .prop_map(|fields| Value::object(fields.into_iter().collect())),
-        ]
-    })
+        3 => Value::Float((rng.f64() - 0.5) * 2e15),
+        4 => Value::str(arb_string(rng, "abcXYZ019 _äöü€", 24)),
+        5 => Value::Array(
+            (0..rng.below(5))
+                .map(|_| arb_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Value::object(
+            (0..rng.below(5))
+                .map(|_| {
+                    let key = format!("k{}", arb_string(rng, "abcdefgh", 7));
+                    (key, arb_value(rng, depth - 1))
+                })
+                .collect(),
+        ),
+    }
 }
 
-proptest! {
-    #[test]
-    fn json_roundtrip(v in arb_value()) {
-        let text = to_json(&v);
-        let back = parse_json(&text).unwrap();
+#[test]
+fn json_roundtrip() {
+    for_seeds(256, |seed, rng| {
+        let v = arb_value(rng, 3);
+        let back = parse_json(&to_json(&v)).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         // Floats that happen to be integral parse back as Int; Value's
         // cross-type equality makes this comparison still exact.
-        prop_assert_eq!(back, v);
-    }
+        assert_eq!(back, v, "seed {seed}");
+    });
+}
 
-    #[test]
-    fn json_never_panics_on_garbage(s in "\\PC{0,64}") {
-        let _ = parse_json(&s);
-    }
+#[test]
+fn json_never_panics_on_garbage() {
+    for_seeds(512, |_, rng| {
+        let _ = parse_json(&arb_garbage(rng));
+    });
 }
 
 // ---- Value ordering is a total order -----------------------------------
 
-proptest! {
-    #[test]
-    fn value_ordering_is_total_and_antisymmetric(
-        a in arb_value(),
-        b in arb_value(),
-        c in arb_value()
-    ) {
-        use std::cmp::Ordering;
-        // antisymmetry
-        let ab = a.cmp(&b);
-        let ba = b.cmp(&a);
-        prop_assert_eq!(ab, ba.reverse());
-        // transitivity (spot check)
+#[test]
+fn value_ordering_is_total_and_antisymmetric() {
+    use std::cmp::Ordering;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    let hash = |v: &Value| {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    };
+    for_seeds(256, |seed, rng| {
+        // Shallow values collide often enough to reach the equal branches.
+        let depth = rng.below(3) as u32;
+        let (a, b, c) = (
+            arb_value(rng, depth),
+            arb_value(rng, depth),
+            arb_value(rng, depth),
+        );
+        assert_eq!(a.cmp(&b), b.cmp(&a).reverse(), "seed {seed}: antisymmetry");
         if a.cmp(&b) != Ordering::Greater && b.cmp(&c) != Ordering::Greater {
-            prop_assert_ne!(a.cmp(&c), Ordering::Greater);
+            assert_ne!(a.cmp(&c), Ordering::Greater, "seed {seed}: transitivity");
         }
-        // equality consistent with hashing
         if a == b {
-            use std::collections::hash_map::DefaultHasher;
-            use std::hash::{Hash, Hasher};
-            let mut ha = DefaultHasher::new();
-            let mut hb = DefaultHasher::new();
-            a.hash(&mut ha);
-            b.hash(&mut hb);
-            prop_assert_eq!(ha.finish(), hb.finish());
+            assert_eq!(hash(&a), hash(&b), "seed {seed}: equal values hash alike");
         }
-    }
+        assert_eq!(hash(&a), hash(&a.clone()), "seed {seed}");
+    });
 }
 
 // ---- Knapsack optimality vs brute force ---------------------------------
 
-fn arb_items() -> impl Strategy<Value = Vec<PackItem>> {
-    prop::collection::vec((0u64..6, 0u64..4, 0.0f64..100.0), 0..10).prop_map(|specs| {
-        specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (s, t, b))| PackItem {
+#[test]
+fn knapsack_matches_brute_force() {
+    for_seeds(64, |seed, rng| {
+        let items: Vec<PackItem> = (0..rng.below(10))
+            .map(|i| PackItem {
                 views: vec![format!("v{i}")],
-                storage_units: s,
-                transfer_units: t,
-                benefit: b,
+                storage_units: rng.below(6),
+                transfer_units: rng.below(4),
+                benefit: rng.f64() * 100.0,
             })
-            .collect()
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn knapsack_matches_brute_force(
-        items in arb_items(),
-        storage in 0u64..12,
-        transfer in 0u64..8
-    ) {
+            .collect();
+        let (storage, transfer) = (rng.below(12), rng.below(8));
         let dp = m_knapsack(&items, storage, transfer);
         let mut best = 0.0f64;
         for mask in 0u32..(1 << items.len()) {
-            let mut s = 0;
-            let mut t = 0;
-            let mut b = 0.0;
-            for (i, item) in items.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    s += item.storage_units;
-                    t += item.transfer_units;
-                    b += item.benefit;
-                }
-            }
+            let chosen = || {
+                items
+                    .iter()
+                    .enumerate()
+                    .filter(move |(i, _)| mask & (1 << i) != 0)
+                    .map(|(_, item)| item)
+            };
+            let s: u64 = chosen().map(|i| i.storage_units).sum();
+            let t: u64 = chosen().map(|i| i.transfer_units).sum();
             if s <= storage && t <= transfer {
-                best = best.max(b);
+                best = best.max(chosen().map(|i| i.benefit).sum());
             }
         }
-        prop_assert!((dp.benefit - best).abs() < 1e-9,
-            "dp {} vs brute {best}", dp.benefit);
-        prop_assert!(dp.storage_used <= storage);
-        prop_assert!(dp.transfer_used <= transfer);
-    }
+        assert!(
+            (dp.benefit - best).abs() < 1e-9,
+            "seed {seed}: dp {} vs brute {best}",
+            dp.benefit
+        );
+        assert!(dp.storage_used <= storage, "seed {seed}");
+        assert!(dp.transfer_used <= transfer, "seed {seed}");
+    });
 }
 
 // ---- Split enumeration invariants ---------------------------------------
 
-/// Random linear-with-one-join plan shapes.
-fn arb_plan() -> impl Strategy<Value = LogicalPlan> {
-    (1usize..4, 0usize..3, any::<bool>()).prop_map(|(left_len, right_len, join)| {
-        let mut b = PlanBuilder::new();
+/// A random linear-with-one-join plan shape.
+fn arb_plan(rng: &mut DetRng) -> LogicalPlan {
+    let mut b = PlanBuilder::new();
+    let chain = |b: &mut PlanBuilder, log: &str, filters: u64| {
         let mut node = b
-            .add(
-                Operator::ScanLog {
-                    log: "twitter".into(),
-                },
-                vec![],
-            )
+            .add(Operator::ScanLog { log: log.into() }, vec![])
             .unwrap();
-        for i in 0..left_len {
-            node = b
-                .add(
-                    Operator::Filter {
-                        predicate: Expr::col(0).eq(Expr::lit(i as i64)),
-                    },
-                    vec![node],
-                )
-                .unwrap();
+        for i in 0..filters {
+            let predicate = Expr::col(0).eq(Expr::lit(i as i64));
+            node = b.add(Operator::Filter { predicate }, vec![node]).unwrap();
         }
-        if join {
-            let mut right = b
-                .add(
-                    Operator::ScanLog {
-                        log: "foursquare".into(),
-                    },
-                    vec![],
-                )
-                .unwrap();
-            for i in 0..right_len {
-                right = b
-                    .add(
-                        Operator::Filter {
-                            predicate: Expr::col(0).eq(Expr::lit(i as i64)),
-                        },
-                        vec![right],
-                    )
-                    .unwrap();
-            }
-            node = b
-                .add(Operator::Join { on: vec![(0, 0)] }, vec![node, right])
-                .unwrap();
-        }
-        let agg = b
-            .add(
-                Operator::Aggregate {
-                    group_by: vec![],
-                    aggs: vec![AggExpr::new(AggFunc::Count, None, "n")],
-                },
-                vec![node],
-            )
+        node
+    };
+    let mut node = chain(&mut b, "twitter", 1 + rng.below(3));
+    if rng.chance(0.5) {
+        let right = chain(&mut b, "foursquare", rng.below(3));
+        node = b
+            .add(Operator::Join { on: vec![(0, 0)] }, vec![node, right])
             .unwrap();
-        b.finish(agg).unwrap()
-    })
+    }
+    let agg = b
+        .add(
+            Operator::Aggregate {
+                group_by: vec![],
+                aggs: vec![AggExpr::new(AggFunc::Count, None, "n")],
+            },
+            vec![node],
+        )
+        .unwrap();
+    b.finish(agg).unwrap()
 }
 
-proptest! {
-    #[test]
-    fn enumerated_splits_are_valid_unique_and_include_hv_only(p in arb_plan()) {
+#[test]
+fn enumerated_splits_are_valid_unique_and_include_hv_only() {
+    for_seeds(64, |seed, rng| {
+        let p = arb_plan(rng);
         let splits = enumerate_splits(&p);
-        prop_assert!(!splits.is_empty());
-        for s in &splits {
-            prop_assert!(s.validate(&p).is_ok());
-        }
-        // Uniqueness.
-        for i in 0..splits.len() {
-            for j in (i + 1)..splits.len() {
-                prop_assert_ne!(&splits[i], &splits[j]);
-            }
-        }
-        prop_assert!(splits.iter().any(|s| s.is_hv_only(&p)));
-        // Cut working sets are exactly the HV nodes feeding DW nodes.
-        for s in &splits {
+        assert!(!splits.is_empty(), "seed {seed}");
+        for (i, s) in splits.iter().enumerate() {
+            assert!(s.validate(&p).is_ok(), "seed {seed}");
+            assert!(!splits[i + 1..].contains(s), "seed {seed}: duplicate split");
+            // Cut working sets are exactly the HV nodes feeding DW nodes.
             for cut in s.cut_nodes(&p) {
-                prop_assert!(s.in_hv(cut));
+                assert!(s.in_hv(cut), "seed {seed}");
             }
         }
-    }
+        assert!(splits.iter().any(|s| s.is_hv_only(&p)), "seed {seed}");
+    });
 }
 
 // ---- Decay weights -------------------------------------------------------
 
-proptest! {
-    #[test]
-    fn decay_weights_are_monotone_and_bounded(
-        n in 0usize..40,
-        epoch in 1usize..8,
-        decay in 0.05f64..1.0
-    ) {
+#[test]
+fn decay_weights_are_monotone_and_bounded() {
+    for_seeds(256, |seed, rng| {
+        let n = rng.below(40) as usize;
+        let epoch = 1 + rng.below(7) as usize;
+        let decay = 0.05 + rng.f64() * 0.95;
         let w = decay_weights(n, epoch, decay);
-        prop_assert_eq!(w.len(), n);
+        assert_eq!(w.len(), n, "seed {seed}");
         for pair in w.windows(2) {
-            prop_assert!(pair[0] <= pair[1] + 1e-12, "weights increase toward now");
+            assert!(
+                pair[0] <= pair[1] + 1e-12,
+                "seed {seed}: weights increase toward now"
+            );
         }
-        for &x in &w {
-            prop_assert!(x > 0.0 && x <= 1.0);
+        assert!(w.iter().all(|&x| x > 0.0 && x <= 1.0), "seed {seed}");
+        if let Some(last) = w.last() {
+            assert!((last - 1.0).abs() < 1e-12, "seed {seed}");
         }
-        if n > 0 {
-            prop_assert!((w[n - 1] - 1.0).abs() < 1e-12);
-        }
-    }
+    });
 }
 
 // ---- ByteSize discretization ----------------------------------------------
 
-proptest! {
-    #[test]
-    fn units_ceil_overcharges_but_never_undercharges(
-        bytes in 0u64..1_000_000,
-        unit_kib in 1u64..128
-    ) {
-        let size = ByteSize::from_bytes(bytes);
-        let unit = ByteSize::from_kib(unit_kib);
-        let units = size.units_ceil(unit);
-        prop_assert!(units * unit.as_bytes() >= bytes);
-        prop_assert!(units.saturating_sub(1) * unit.as_bytes() < bytes || bytes == 0);
-    }
+#[test]
+fn units_ceil_overcharges_but_never_undercharges() {
+    for_seeds(256, |seed, rng| {
+        let bytes = rng.below(1_000_000);
+        let unit = ByteSize::from_kib(1 + rng.below(127));
+        let units = ByteSize::from_bytes(bytes).units_ceil(unit);
+        assert!(units * unit.as_bytes() >= bytes, "seed {seed}");
+        assert!(
+            units.saturating_sub(1) * unit.as_bytes() < bytes || bytes == 0,
+            "seed {seed}"
+        );
+    });
 }
 
 // ---- Retry backoff --------------------------------------------------------
 
-proptest! {
-    #[test]
-    fn backoff_is_bounded_and_replayable(
-        seed in any::<u64>(),
-        base_ms in 1u64..10_000,
-        multiplier in 1.0f64..4.0,
-        cap_ms in 1u64..600_000,
-        jitter in 0.0f64..1.0,
-        attempt in 1u32..12
-    ) {
-        use miso::common::{RetryPolicy, SimDuration};
+#[test]
+fn backoff_is_bounded_and_replayable() {
+    use miso::common::{RetryPolicy, SimDuration};
+    for_seeds(256, |seed, rng| {
         let policy = RetryPolicy {
             max_retries: 4,
-            base_delay: SimDuration::from_millis(base_ms),
-            multiplier,
-            max_delay: SimDuration::from_millis(cap_ms),
-            jitter,
+            base_delay: SimDuration::from_millis(1 + rng.below(9_999)),
+            multiplier: 1.0 + rng.f64() * 3.0,
+            max_delay: SimDuration::from_millis(1 + rng.below(599_999)),
+            jitter: rng.f64(),
         };
-        let a = policy.backoff(attempt, &mut DetRng::new(seed));
-        let b = policy.backoff(attempt, &mut DetRng::new(seed));
-        prop_assert_eq!(a, b, "same seed must replay the same backoff");
-        let ceiling = policy.max_delay.as_secs_f64() * (1.0 + jitter) + 1e-9;
-        prop_assert!(a.as_secs_f64() <= ceiling, "backoff exceeds jittered cap");
-    }
+        let attempt = 1 + rng.below(11) as u32;
+        let stream = rng.next_u64();
+        let a = policy.backoff(attempt, &mut DetRng::new(stream));
+        let b = policy.backoff(attempt, &mut DetRng::new(stream));
+        assert_eq!(a, b, "seed {seed}: same seed must replay the same backoff");
+        let ceiling = policy.max_delay.as_secs_f64() * (1.0 + policy.jitter) + 1e-9;
+        assert!(
+            a.as_secs_f64() <= ceiling,
+            "seed {seed}: backoff exceeds jittered cap"
+        );
+    });
 }
 
 // ---- Query guard memory accounting ------------------------------------------
 
-proptest! {
-    /// Random charge/release interleavings never drive the recorded peak
-    /// past the budget (refused charges are not recorded) and never let the
-    /// gauge outrun its own high-water mark.
-    #[test]
-    fn guard_peak_never_exceeds_budget(
-        budget in 1u64..10_000,
-        ops in prop::collection::vec((any::<bool>(), 1u64..4_000), 0..64)
-    ) {
-        use miso::common::QueryGuard;
+/// Random charge/release interleavings never drive the recorded peak past
+/// the budget (refused charges are not recorded) and never let the gauge
+/// outrun its own high-water mark.
+#[test]
+fn guard_peak_never_exceeds_budget() {
+    use miso::common::QueryGuard;
+    for_seeds(256, |seed, rng| {
+        let budget = 1 + rng.below(9_999);
         let guard = QueryGuard::new(None, budget);
-        for (charge, n) in ops {
-            if charge {
+        for _ in 0..rng.below(64) {
+            let n = 1 + rng.below(3_999);
+            if rng.chance(0.5) {
                 let _ = guard.try_charge(n);
             } else {
                 guard.release(n);
             }
         }
-        prop_assert!(guard.peak() <= budget, "peak {} > budget {budget}", guard.peak());
-        prop_assert!(guard.used() <= guard.peak());
-    }
+        assert!(
+            guard.peak() <= budget,
+            "seed {seed}: peak {} > budget {budget}",
+            guard.peak()
+        );
+        assert!(guard.used() <= guard.peak(), "seed {seed}");
+    });
 }
 
 // ---- Chaos spec parsing ----------------------------------------------------
 
-proptest! {
-    #[test]
-    fn chaos_spec_parser_never_panics(s in "\\PC{0,64}") {
-        let _ = miso::chaos::parse_spec(&s);
-    }
+#[test]
+fn chaos_spec_parser_never_panics() {
+    for_seeds(512, |_, rng| {
+        let _ = miso::chaos::parse_spec(&arb_garbage(rng));
+    });
+}
 
-    #[test]
-    fn chaos_spec_roundtrips_structured_rules(
-        seed in any::<u64>(),
-        p in 0.01f64..0.99,
-        n in 1u64..100
-    ) {
+#[test]
+fn chaos_spec_roundtrips_structured_rules() {
+    for_seeds(128, |case, rng| {
+        let seed = rng.next_u64();
+        let p = 0.01 + rng.f64() * 0.98;
+        let n = 1 + rng.below(99);
         let spec = format!("seed={seed};dw.execute=error@p{p:.2};reorg.step=crash@n{n}");
-        let plan = miso::chaos::parse_spec(&spec).unwrap();
-        prop_assert_eq!(plan.seed, seed);
-        prop_assert_eq!(plan.rules.len(), 2);
-        prop_assert_eq!(plan.rules[1].trigger, miso::chaos::Trigger::OnHit(n));
-    }
+        let plan = miso::chaos::parse_spec(&spec).unwrap_or_else(|e| panic!("seed {case}: {e}"));
+        assert_eq!(plan.seed, seed, "seed {case}");
+        assert_eq!(plan.rules.len(), 2, "seed {case}");
+        assert_eq!(
+            plan.rules[1].trigger,
+            miso::chaos::Trigger::OnHit(n),
+            "seed {case}"
+        );
+    });
 }
 
 // ---- Content checksums ------------------------------------------------------
@@ -338,97 +344,102 @@ mod checksum_stability {
     use miso::data::Row;
     use std::sync::Arc;
 
-    fn arb_row() -> impl Strategy<Value = Row> {
-        prop::collection::vec(
-            prop_oneof![
-                Just(Value::Null),
-                any::<bool>().prop_map(Value::Bool),
-                any::<i64>().prop_map(Value::Int),
-                (-1e12f64..1e12f64).prop_map(Value::Float),
-                "[a-z0-9 ]{0,12}".prop_map(Value::str),
-            ],
-            0..5,
+    fn arb_row(rng: &mut DetRng) -> Row {
+        Row::new(
+            (0..rng.below(5))
+                .map(|_| match rng.below(5) {
+                    0 => Value::Null,
+                    1 => Value::Bool(rng.chance(0.5)),
+                    2 => Value::Int(rng.next_u64() as i64),
+                    3 => Value::Float((rng.f64() - 0.5) * 2e12),
+                    _ => Value::str(arb_string(rng, "abcxyz019 ", 12)),
+                })
+                .collect(),
         )
-        .prop_map(Row::new)
     }
 
-    fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
-        prop::collection::vec(arb_row(), 0..12)
+    fn arb_rows(rng: &mut DetRng) -> Vec<Row> {
+        (0..rng.below(12)).map(|_| arb_row(rng)).collect()
     }
 
-    proptest! {
-        /// The digest covers the row *multiset*: any emission order (a
-        /// recomputed view, a different engine) produces the same checksum.
-        #[test]
-        fn checksum_is_order_insensitive(rows in arb_rows(), seed in any::<u64>()) {
+    /// The digest covers the row *multiset*: any emission order (a
+    /// recomputed view, a different engine) produces the same checksum.
+    #[test]
+    fn checksum_is_order_insensitive() {
+        for_seeds(256, |seed, rng| {
+            let rows = arb_rows(rng);
             let expected = checksum_rows(&rows);
             let mut shuffled = rows.clone();
-            let mut rng = DetRng::new(seed);
             for i in (1..shuffled.len()).rev() {
                 shuffled.swap(i, rng.below(i as u64 + 1) as usize);
             }
-            prop_assert_eq!(checksum_rows(&shuffled), expected);
+            assert_eq!(checksum_rows(&shuffled), expected, "seed {seed}");
             let mut reversed = rows;
             reversed.reverse();
-            prop_assert_eq!(checksum_rows(&reversed), expected);
-        }
+            assert_eq!(checksum_rows(&reversed), expected, "seed {seed}");
+        });
+    }
 
-        /// The digest depends only on row *content* — rebuilding every row
-        /// from fresh allocations (as a store in another process would)
-        /// replays it exactly. Together with the pinned reference digest in
-        /// the unit tests this is what makes a materialization-time
-        /// checksum comparable after a transfer between stores.
-        #[test]
-        fn checksum_is_content_only(rows in arb_rows()) {
-            let rebuilt: Vec<Row> = rows
-                .iter()
-                .map(|r| Row::new(r.values().to_vec()))
-                .collect();
-            prop_assert_eq!(checksum_rows(&rebuilt), checksum_rows(&rows));
+    /// The digest depends only on row *content* — rebuilding every row
+    /// from fresh allocations (as a store in another process would)
+    /// replays it exactly. Together with the pinned reference digest in
+    /// the unit tests this is what makes a materialization-time
+    /// checksum comparable after a transfer between stores.
+    #[test]
+    fn checksum_is_content_only() {
+        for_seeds(256, |seed, rng| {
+            let rows = arb_rows(rng);
+            let rebuilt: Vec<Row> = rows.iter().map(|r| Row::new(r.values().to_vec())).collect();
+            assert_eq!(checksum_rows(&rebuilt), checksum_rows(&rows), "seed {seed}");
             for (a, b) in rows.iter().zip(&rebuilt) {
-                prop_assert_eq!(checksum_row(a), checksum_row(b));
+                assert_eq!(checksum_row(a), checksum_row(b), "seed {seed}");
             }
-        }
+        });
+    }
 
-        /// The simulated bit-rot helper always changes the multiset digest
-        /// (that is its contract: undetectable corruption injection would
-        /// silently weaken every integrity test built on it), and it must
-        /// not touch other handles to the same shared rows.
-        #[test]
-        fn injected_corruption_always_changes_the_checksum(
-            first in any::<i64>(),
-            rest in arb_rows()
-        ) {
-            let mut rows = vec![Row::new(vec![Value::Int(first)])];
-            rows.extend(rest);
+    /// The simulated bit-rot helper always changes the multiset digest
+    /// (that is its contract: undetectable corruption injection would
+    /// silently weaken every integrity test built on it), and it must
+    /// not touch other handles to the same shared rows.
+    #[test]
+    fn injected_corruption_always_changes_the_checksum() {
+        for_seeds(256, |seed, rng| {
+            let mut rows = vec![Row::new(vec![Value::Int(rng.next_u64() as i64)])];
+            rows.extend(arb_rows(rng));
             let clean = checksum_rows(&rows);
             let shipped = Arc::new(rows);
             let mut replica = Arc::clone(&shipped);
-            prop_assert!(corrupt_first_row(&mut replica));
-            prop_assert_ne!(checksum_rows(&replica), clean);
+            assert!(corrupt_first_row(&mut replica), "seed {seed}");
+            assert_ne!(checksum_rows(&replica), clean, "seed {seed}");
             // Copy-on-write: the already-shipped copy stays pristine.
-            prop_assert_eq!(checksum_rows(&shipped), clean);
-        }
+            assert_eq!(checksum_rows(&shipped), clean, "seed {seed}");
+        });
+    }
 
-        /// Dropped duplicates are detected: the final mix binds the row
-        /// count, so losing one copy of a repeated row changes the digest
-        /// even though a plain XOR/sum of row digests could cancel.
-        #[test]
-        fn checksum_binds_the_row_count(row in arb_row(), copies in 1usize..6) {
-            let rows: Vec<Row> = std::iter::repeat_with(|| row.clone())
-                .take(copies)
-                .collect();
-            let full = checksum_rows(&rows);
-            prop_assert_ne!(checksum_rows(&rows[..copies - 1]), full);
-        }
+    /// Dropped duplicates are detected: the final mix binds the row
+    /// count, so losing one copy of a repeated row changes the digest
+    /// even though a plain XOR/sum of row digests could cancel.
+    #[test]
+    fn checksum_binds_the_row_count() {
+        for_seeds(256, |seed, rng| {
+            let row = arb_row(rng);
+            let copies = 1 + rng.below(5) as usize;
+            let rows = vec![row; copies];
+            assert_ne!(
+                checksum_rows(&rows[..copies - 1]),
+                checksum_rows(&rows),
+                "seed {seed}"
+            );
+        });
     }
 }
 
 // ---- Reorganization crash safety -------------------------------------------
 
 /// Crash injection at a random journal step must never lose a view, break
-/// the DW budget, or change query answers. The chaos registry is global, so
-/// cases serialize on a lock; the clean baseline is computed once.
+/// the DW budget, or change query answers. The chaos registry is global and
+/// this is the one test of this binary that runs a system, so nothing else
+/// here can reach the fail point it arms.
 mod reorg_crash_safety {
     use super::*;
     use miso::chaos::{FaultKind, FaultPlan, FaultRule, Trigger};
@@ -436,10 +447,6 @@ mod reorg_crash_safety {
     use miso::core::{MultistoreSystem, SystemConfig, Variant};
     use miso::data::logs::{Corpus, LogsConfig};
     use miso::workload::{standard_udfs, workload_catalog};
-    use std::sync::{Mutex, OnceLock};
-
-    static CHAOS_LOCK: Mutex<()> = Mutex::new(());
-    static BASELINE: OnceLock<(Corpus, Vec<(String, LogicalPlan)>, Vec<u64>)> = OnceLock::new();
 
     fn budgets() -> Budgets {
         Budgets::new(
@@ -459,78 +466,72 @@ mod reorg_crash_safety {
         )
     }
 
-    fn baseline() -> &'static (Corpus, Vec<(String, LogicalPlan)>, Vec<u64>) {
-        BASELINE.get_or_init(|| {
-            let corpus = Corpus::generate(&LogsConfig::tiny());
-            let catalog = workload_catalog();
-            let queries: Vec<(String, LogicalPlan)> = [
-                "SELECT t.city AS city, COUNT(*) AS n, AVG(t.sentiment) AS mood \
-                 FROM twitter t WHERE t.followers > 50 GROUP BY t.city",
-                "SELECT l.category AS cat, COUNT(*) AS n \
-                 FROM foursquare f JOIN landmarks l ON f.venue_id = l.venue_id \
-                 WHERE f.likes > 1 GROUP BY l.category",
-                "SELECT b.city AS city, MAX(b.buzz) AS peak \
-                 FROM APPLY(buzz_score, twitter) b WHERE b.buzz > 0.1 GROUP BY b.city",
-                "SELECT t.city AS city, COUNT(*) AS n, AVG(t.sentiment) AS mood \
-                 FROM twitter t WHERE t.followers > 50 GROUP BY t.city \
-                 ORDER BY mood DESC LIMIT 3",
-            ]
-            .iter()
-            .enumerate()
-            .map(|(i, sql)| (format!("q{i}"), miso::lang::compile(sql, &catalog).unwrap()))
-            .collect();
-            let mut sys = system(&corpus);
-            let clean = sys.run_workload(Variant::MsMiso, &queries).unwrap();
-            let rows = clean.records.iter().map(|r| r.result_rows).collect();
-            (corpus, queries, rows)
-        })
-    }
+    #[test]
+    fn any_crash_point_recovers() {
+        let corpus = Corpus::generate(&LogsConfig::tiny());
+        let catalog = workload_catalog();
+        let queries: Vec<(String, LogicalPlan)> = [
+            "SELECT t.city AS city, COUNT(*) AS n, AVG(t.sentiment) AS mood \
+             FROM twitter t WHERE t.followers > 50 GROUP BY t.city",
+            "SELECT l.category AS cat, COUNT(*) AS n \
+             FROM foursquare f JOIN landmarks l ON f.venue_id = l.venue_id \
+             WHERE f.likes > 1 GROUP BY l.category",
+            "SELECT b.city AS city, MAX(b.buzz) AS peak \
+             FROM APPLY(buzz_score, twitter) b WHERE b.buzz > 0.1 GROUP BY b.city",
+            "SELECT t.city AS city, COUNT(*) AS n, AVG(t.sentiment) AS mood \
+             FROM twitter t WHERE t.followers > 50 GROUP BY t.city \
+             ORDER BY mood DESC LIMIT 3",
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, sql)| (format!("q{i}"), miso::lang::compile(sql, &catalog).unwrap()))
+        .collect();
+        let clean = system(&corpus)
+            .run_workload(Variant::MsMiso, &queries)
+            .unwrap();
+        let clean_rows: Vec<u64> = clean.records.iter().map(|r| r.result_rows).collect();
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-        #[test]
-        fn any_crash_point_recovers(seed in any::<u64>(), step in 1u64..48) {
-            let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-            let (corpus, queries, clean_rows) = baseline();
-            miso::chaos::install(FaultPlan::seeded(seed).with_rule(FaultRule::new(
+        let mut crashed = 0;
+        for_seeds(16, |seed, rng| {
+            let step = 1 + rng.below(47);
+            miso::chaos::install(FaultPlan::seeded(rng.next_u64()).with_rule(FaultRule::new(
                 "reorg.step",
                 FaultKind::Crash,
                 Trigger::OnHit(step),
             )));
-            let mut sys = system(corpus);
-            let result = sys.run_workload(Variant::MsMiso, queries);
+            let mut sys = system(&corpus);
+            let result = sys.run_workload(Variant::MsMiso, &queries);
             miso::chaos::disable();
-            let faulted = result.expect("crash mid-reorg leaked to the caller");
+            crashed += u64::from(miso::chaos::hit_count("reorg.step") >= step);
+            let what = format!("seed {seed}, crash at step {step}");
+            let faulted = result.unwrap_or_else(|e| panic!("{what} leaked to the caller: {e}"));
             let rows: Vec<u64> = faulted.records.iter().map(|r| r.result_rows).collect();
-            prop_assert_eq!(&rows, clean_rows, "crash at step {} changed answers", step);
+            assert_eq!(rows, clean_rows, "{what} changed answers");
             for name in sys.catalog.names() {
-                prop_assert!(
+                assert!(
                     sys.hv.has_view(&name) || sys.dw.has_view(&name),
-                    "view `{}` lost from both stores", name
+                    "{what}: view `{name}` lost from both stores"
                 );
             }
-            prop_assert!(sys.dw.total_view_bytes() <= budgets().dw_storage);
-        }
+            assert!(sys.dw.total_view_bytes() <= budgets().dw_storage, "{what}");
+        });
+        assert!(crashed > 0, "no case reached its crash step");
     }
 }
 
 // ---- Deterministic RNG -----------------------------------------------------
 
-proptest! {
-    #[test]
-    fn det_rng_streams_replay(seed in any::<u64>()) {
-        let mut a = DetRng::new(seed);
-        let mut b = DetRng::new(seed);
+#[test]
+fn det_rng_streams_replay_and_stay_in_range() {
+    for_seeds(256, |seed, rng| {
+        let stream = rng.next_u64();
+        let (mut a, mut b) = (DetRng::new(stream), DetRng::new(stream));
         for _ in 0..16 {
-            prop_assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn det_rng_below_is_in_range(seed in any::<u64>(), bound in 1u64..1_000_000) {
-        let mut rng = DetRng::new(seed);
+        let bound = 1 + rng.below(999_999);
         for _ in 0..16 {
-            prop_assert!(rng.below(bound) < bound);
+            assert!(a.below(bound) < bound, "seed {seed}");
         }
-    }
+    });
 }

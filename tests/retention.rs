@@ -233,8 +233,8 @@ fn a_kept_log_scan_is_not_fused_away() {
     assert_eq!(lean.rows_out(scan), serial.rows_out(scan));
 }
 
-/// A kept filter feeding a join is read twice — by the join (rows) and by
-/// whoever harvests it afterwards — and must serve both, never be stolen.
+/// A kept filter feeding a join is read twice — by the join and by whoever
+/// harvests it afterwards — and must serve both, never be released.
 #[test]
 fn a_kept_filter_under_a_join_serves_both() {
     let _pool = pool_lock();
@@ -281,8 +281,7 @@ fn a_kept_filter_under_a_join_serves_both() {
     let join = b
         .add(Operator::Join { on: vec![(0, 0)] }, vec![filt, dims])
         .unwrap();
-    // A second, later reader that steals its input when it may: the sort is
-    // the filter's last consumer.
+    // A second, later reader: the sort is the filter's last consumer.
     let sorted = b
         .add(
             Operator::Sort {
@@ -307,6 +306,71 @@ fn a_kept_filter_under_a_join_serves_both() {
     let udfs = UdfRegistry::new();
     let keeps = [vec![filt], vec![filt, join], vec![]];
     assert_keep_sets_agree(&plan, &src, &udfs, &keeps, "filter under join");
+}
+
+/// A kept view scan — or a plan that is nothing but one, which is most of a
+/// steady stream's answers — hands out the source's own rows: the engine
+/// copies and pivots nothing, whichever source it reads.
+#[test]
+fn a_kept_view_scan_is_the_sources_own_rows() {
+    use miso::dw::{DwStore, TableSpace};
+    use miso::exec::DataSource;
+    let schema = Schema::new(vec![int_field("k"), int_field("v")]);
+    let rows = std::sync::Arc::new(
+        (0..5_000)
+            .map(|i| Row::new(vec![Value::Int(i % 7), Value::Int(i)]))
+            .collect::<Vec<Row>>(),
+    );
+    let scan_of = |b: &mut PlanBuilder| {
+        let op = Operator::ScanView {
+            view: "v".into(),
+            schema: schema.clone(),
+        };
+        b.add(op, vec![]).unwrap()
+    };
+    let mut b = PlanBuilder::new();
+    let scan = scan_of(&mut b);
+    let scan_plan = b.finish(scan).unwrap();
+    let mut b = PlanBuilder::new();
+    let scan = scan_of(&mut b);
+    let filt = b
+        .add(
+            Operator::Filter {
+                predicate: lt(1, 100),
+            },
+            vec![scan],
+        )
+        .unwrap();
+    let plan = b.finish(filt).unwrap();
+    let udfs = UdfRegistry::new();
+    let same = |held: &std::sync::Arc<Vec<Row>>, source: &dyn DataSource, what: &str| {
+        let theirs = source.view_rows_shared("v").expect("the source shares");
+        assert!(std::sync::Arc::ptr_eq(held, &theirs), "{what}");
+    };
+
+    let mut mem = MemSource::new();
+    mem.add_view("v", rows.to_vec());
+    let kept = run_keeping(&plan, None, &mem, &udfs, &[scan]).unwrap();
+    same(kept.output(scan), &mem, "MemSource, kept");
+    let root = run_keeping(&scan_plan, None, &mem, &udfs, &[]).unwrap();
+    same(root.output(scan), &mem, "MemSource, root");
+
+    let mut hv = HvStore::new();
+    hv.install_view("v", schema.clone(), rows.clone());
+    let guard = QueryGuard::inert_ref();
+    let kept = hv
+        .execute_retaining(&plan, None, &udfs, guard, &[scan])
+        .unwrap();
+    same(kept.execution.output(scan), &hv, "HvStore, kept");
+    let root = hv.execute(&scan_plan, None, &udfs).unwrap();
+    same(root.execution.output(scan), &hv, "HvStore, root");
+    assert!(std::sync::Arc::ptr_eq(root.execution.output(scan), &rows));
+
+    let mut dw = DwStore::new();
+    dw.load_view("v", schema, rows.clone(), TableSpace::Permanent);
+    let root = dw.execute(&scan_plan, None, HashMap::new(), &udfs).unwrap();
+    same(root.execution.output(scan), &dw, "DwStore, root");
+    assert!(std::sync::Arc::ptr_eq(root.execution.output(scan), &rows));
 }
 
 /// What `HvStore::execute` charged and materialized before retention sets:
