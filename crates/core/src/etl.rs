@@ -93,13 +93,7 @@ pub fn run_etl(
             .find(|m| m.node == root)
             .ok_or_else(|| MisoError::Execution("ETL produced no output".into()))?;
         let table = format!("etl_{log}");
-        let (_, load) = dw.load_view(
-            &table,
-            out.schema.clone(),
-            out.rows.clone(),
-            TableSpace::Permanent,
-        );
-        raw_cost += load;
+        raw_cost += dw.load(&table, out.stored(), TableSpace::Permanent);
         manifest.logs.push((log.clone(), table));
     }
 
@@ -128,13 +122,7 @@ pub fn run_etl(
             .find(|m| m.node == root)
             .ok_or_else(|| MisoError::Execution("ETL UDF produced no output".into()))?;
         let table = format!("etl_{udf}_{log}");
-        let (_, load) = dw.load_view(
-            &table,
-            out.schema.clone(),
-            out.rows.clone(),
-            TableSpace::Permanent,
-        );
-        raw_cost += load;
+        raw_cost += dw.load(&table, out.stored(), TableSpace::Permanent);
         manifest.udfs.push(((udf.clone(), log.clone()), table));
     }
 

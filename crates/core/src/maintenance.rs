@@ -39,10 +39,10 @@ use miso_common::guard::QueryGuard;
 use miso_common::{ByteSize, MisoError, Result, SimClock, SimDuration};
 use miso_data::checksum::RowSetDigest;
 use miso_data::logs::LogKind;
-use miso_data::{Delta, Row};
-use miso_dw::DwActivity;
+use miso_data::{ColBatch, Delta, StoredView};
+use miso_dw::{DwActivity, TableSpace};
 use miso_exec::engine::{execute_subset_guarded, DataSource, LogColumns, Retention};
-use miso_exec::{apply_projection, AggState, FusedField};
+use miso_exec::{AggState, FusedField};
 use miso_hv::LogBatch;
 use miso_views::{analyze_maintenance, FullReason, MaintPlan, ViewChange, ViewDef};
 use std::collections::HashMap;
@@ -112,14 +112,14 @@ pub struct MaintenanceReport {
 /// the delta plan probes, and the aggregate fold state when the view ends
 /// in an aggregate.
 pub(crate) struct IvmViewState {
-    /// Incremental multiset digest of the stored rows. Checked against the
+    /// Incremental multiset digest of the stored batch. Checked against the
     /// catalog checksum before every delta apply: any out-of-band rebuild
     /// (reorg repair, harvest refresh) makes the state read as stale and
     /// forces a rebuild instead of a wrong fold.
     digest: RowSetDigest,
     /// Materialized right (build) inputs of delta-on-probe-side joins,
     /// keyed by their synthetic `§ivm:` view names.
-    builds: HashMap<String, Arc<Vec<Row>>>,
+    builds: HashMap<String, Arc<ColBatch>>,
     /// Aggregate fold state; `None` for append-only views.
     agg: Option<AggState>,
 }
@@ -134,7 +134,7 @@ struct BatchDelta<'a> {
     batch: &'a LogBatch<'a>,
     /// Views refreshed so far in this batch: the rows appended to them when
     /// that is all that changed, `None` when patched or rebuilt.
-    refreshed: HashMap<String, Option<Arc<Vec<Row>>>>,
+    refreshed: HashMap<String, Option<Arc<ColBatch>>>,
 }
 
 impl BatchDelta<'_> {
@@ -153,12 +153,12 @@ impl BatchDelta<'_> {
 struct DeltaSource<'a> {
     hv: &'a miso_hv::HvStore,
     delta: &'a BatchDelta<'a>,
-    builds: &'a HashMap<String, Arc<Vec<Row>>>,
+    builds: &'a HashMap<String, Arc<ColBatch>>,
 }
 
 impl DeltaSource<'_> {
     /// A stored build side, or the Δrows of a parent appended to.
-    fn pinned(&self, view: &str) -> Option<&Arc<Vec<Row>>> {
+    fn pinned(&self, view: &str) -> Option<&Arc<ColBatch>> {
         let delta_of = || self.delta.refreshed.get(view)?.as_ref();
         self.builds.get(view).or_else(delta_of)
     }
@@ -185,17 +185,11 @@ impl DataSource for DeltaSource<'_> {
         self.batch_of(log)?.columns(fields)
     }
 
-    fn view_rows(&self, view: &str) -> Result<&[Row]> {
+    fn view_batch(&self, view: &str) -> Result<Arc<ColBatch>> {
         match self.pinned(view) {
-            Some(rows) => Ok(rows),
-            None => self.hv.view_rows_slice(view),
+            Some(batch) => Ok(batch.clone()),
+            None => self.hv.view_batch(view),
         }
-    }
-
-    fn view_rows_shared(&self, view: &str) -> Option<Arc<Vec<Row>>> {
-        self.pinned(view)
-            .cloned()
-            .or_else(|| self.hv.view_rows(view))
     }
 }
 
@@ -205,7 +199,7 @@ struct Refreshed {
     reason: Option<FullReason>,
     cost: SimDuration,
     /// The rows appended to the view, when nothing else about it changed.
-    appended: Option<Arc<Vec<Row>>>,
+    appended: Option<Arc<ColBatch>>,
 }
 
 impl Refreshed {
@@ -218,8 +212,8 @@ impl Refreshed {
     }
 }
 
-fn bytes_of(rows: &[Row]) -> ByteSize {
-    ByteSize::from_bytes(rows.iter().map(Row::approx_bytes).sum())
+fn bytes_of(batch: &ColBatch) -> ByteSize {
+    ByteSize::from_bytes(batch.row_bytes())
 }
 
 impl MultistoreSystem {
@@ -409,13 +403,12 @@ impl MultistoreSystem {
         let stale = state.is_some();
         state = state.filter(|st| Some(st.digest.finish()) == stamp);
         // A pure per-record plan's entire fold state is the running digest,
-        // which can be re-seeded from the resident rows without executing
+        // which can be re-seeded from the resident cells without executing
         // the plan — only if the reconstruction matches the catalog stamp
         // (a mismatch means the copy is suspect and the rebuild resets it).
         if state.is_none() && matches!(mplan, MaintPlan::Append(_)) && mplan.builds().is_empty() {
-            let resident = self.hv.view_rows(name);
-            if let Some(rows) = resident.or_else(|| self.dw.view_rows_arc(name)) {
-                let digest = RowSetDigest::from_rows(&rows);
+            if let Some(view) = self.hv.view(name).or_else(|| self.dw.view(name)) {
+                let digest = RowSetDigest::from_batch(&view.batch);
                 state = (Some(digest.finish()) == stamp).then(|| IvmViewState {
                     digest,
                     builds: HashMap::new(),
@@ -439,10 +432,10 @@ impl MultistoreSystem {
 
     /// Folds the batch into warm state: runs the delta plan — lean, fused,
     /// columnar — over the batch image or the parent's Δrows (stored build
-    /// sides resolve the join probes), then either appends the produced
-    /// rows or patches the aggregate's changed groups, re-stamping the
-    /// content checksum incrementally in O(changed rows). One delta-scale
-    /// stage is charged.
+    /// sides resolve the join probes), then either extends the stored
+    /// columns by the produced ones or patches the aggregate's changed
+    /// groups, re-stamping the content checksum incrementally in O(changed
+    /// rows). One delta-scale stage is charged.
     fn fold_delta(
         &mut self,
         def: &ViewDef,
@@ -467,10 +460,10 @@ impl MultistoreSystem {
             Retention::ROOT_ONLY,
             QueryGuard::inert_ref(),
         )?;
-        let new_rows = exec.retained_output(plan.root())?.clone();
+        let new_rows = exec.root_batch()?.clone();
         let scan_bytes = match &mplan.input().parent {
             None => delta.bytes,
-            Some(parent) => bytes_of(src.view_rows(parent)?),
+            Some(parent) => bytes_of(src.view_batch(parent)?.as_ref()),
         };
         let in_dw = self.dw.has_view(name);
         let resident = if in_dw {
@@ -478,47 +471,35 @@ impl MultistoreSystem {
         } else {
             self.hv.take_view(name)
         };
-        let (schema, mut stored, old_size) = resident
+        let mut stored = resident
             .ok_or_else(|| MisoError::integrity(name, "view resident nowhere at refresh time"))?;
-        // Sole owner of the row `Arc` (the stores gave it up): extending is
-        // in place, not a deep clone.
-        let rows = Arc::make_mut(&mut stored);
-        let (changed, size) = match mplan {
+        let changed = match mplan {
             MaintPlan::Append(_) => {
-                for row in new_rows.iter() {
-                    state.digest.add_row(row);
-                }
-                rows.extend(new_rows.iter().cloned());
+                state.digest.add_batch(&new_rows);
+                // Sole owner of the batch (the stores gave it up): its
+                // columns are extended in place, O(|delta|).
+                Arc::make_mut(&mut stored.batch).append(ColBatch::clone(&new_rows));
                 let added = bytes_of(&new_rows);
-                (added, old_size + added)
+                stored.size += added;
+                added
             }
             MaintPlan::Aggregate(da) => {
                 let agg = state.agg.as_mut().ok_or_else(|| {
                     MisoError::integrity(name, "aggregate view without fold state")
                 })?;
                 let applied = agg.apply(&new_rows, &da.group_by, &da.aggs)?;
-                let mut changed = 0u64;
-                for (slot, agg_row) in &applied.updated {
-                    let new_row = apply_projection(&da.post, agg_row)?;
-                    changed += new_row.approx_bytes();
-                    if rows[*slot] != new_row {
-                        state.digest.replace_row(&rows[*slot], &new_row);
-                        rows[*slot] = new_row;
-                    }
-                }
-                for agg_row in &applied.appended {
-                    let new_row = apply_projection(&da.post, agg_row)?;
-                    changed += new_row.approx_bytes();
-                    state.digest.add_row(&new_row);
-                    rows.push(new_row);
-                }
+                let (patched, changed) =
+                    applied.patch(&stored.batch, &da.post, &mut state.digest)?;
                 // Aggregate views are group-sized: an O(groups) size rescan
                 // is cheap and exact (updated groups change their width).
-                (ByteSize::from_bytes(changed), bytes_of(rows))
+                stored.size = bytes_of(&patched);
+                stored.batch = Arc::new(patched);
+                ByteSize::from_bytes(changed)
             }
         };
-        let checksum = state.digest.finish();
-        let row_count = rows.len() as u64;
+        stored.checksum = state.digest.finish();
+        let (size, checksum) = (stored.size, stored.checksum);
+        let row_count = stored.batch.len() as u64;
         let mut cost = self
             .hv
             .cost_model
@@ -527,11 +508,9 @@ impl MultistoreSystem {
             let move_cost =
                 self.transfer_model().transfer_cost(changed) + self.dw.load_cost(changed);
             cost += self.stretch_for_maintenance(move_cost, clock);
-            self.dw
-                .load_view_with_checksum(name, schema, stored, size, checksum);
+            self.dw.load(name, stored, TableSpace::Permanent);
         } else {
-            self.hv
-                .install_view_with_checksum(name, schema, stored, size, checksum);
+            self.hv.install(name, stored);
         }
         self.catalog.set_checksum(name, checksum);
         self.catalog.update_stats(name, size, row_count);
@@ -582,8 +561,14 @@ impl MultistoreSystem {
             .iter()
             .find(|m| m.node == root)
             .ok_or_else(|| MisoError::Execution("refresh produced no output".into()))?;
-        let digest = RowSetDigest::from_rows(&out.rows);
+        let digest = RowSetDigest::from_batch(&out.batch);
         let checksum = digest.finish();
+        let view = StoredView {
+            schema: out.schema.clone(),
+            batch: out.batch.clone(),
+            size: out.size,
+            checksum,
+        };
         self.ivm_state.remove(name);
         if mplan.is_some() {
             let mut state = IvmViewState {
@@ -592,11 +577,11 @@ impl MultistoreSystem {
                 agg: None,
             };
             for b in builds {
-                let rows = run.execution.retained_output(b.node)?.clone();
-                state.builds.insert(b.name.clone(), rows);
+                let build = run.execution.retained_batch(b.node)?.clone();
+                state.builds.insert(b.name.clone(), build);
             }
             if let Some((da, input)) = fold {
-                let input = run.execution.retained_output(input)?;
+                let input = run.execution.retained_batch(input)?;
                 state.agg = Some(AggState::build(input, &da.group_by, &da.aggs)?);
             }
             self.ivm_state.insert(name.clone(), state);
@@ -606,25 +591,13 @@ impl MultistoreSystem {
             self.dw.evict_view(name);
             let move_cost = self.stores().ship_cost(out.size);
             cost += self.stretch_for_maintenance(move_cost, clock);
-            self.dw.load_view_with_checksum(
-                name,
-                out.schema.clone(),
-                out.rows.clone(),
-                out.size,
-                checksum,
-            );
+            self.dw.load(name, view, TableSpace::Permanent);
         } else {
-            self.hv.install_view_with_checksum(
-                name,
-                out.schema.clone(),
-                out.rows.clone(),
-                out.size,
-                checksum,
-            );
+            self.hv.install(name, view);
         }
         self.catalog.set_checksum(name, checksum);
         self.catalog
-            .update_stats(name, out.size, out.rows.len() as u64);
+            .update_stats(name, out.size, out.batch.len() as u64);
         clock.advance(cost);
         Ok(cost)
     }
@@ -990,11 +963,15 @@ mod tests {
             let state = &sys.ivm_state[&def.name];
             assert_eq!(state.builds.len(), mplan.builds().len(), "{label}");
             for b in mplan.builds() {
-                assert_eq!(&state.builds[&b.name], all.output(b.node), "{label}");
+                assert_eq!(
+                    state.builds[&b.name].to_rows(),
+                    **all.output(b.node),
+                    "{label}"
+                );
                 with_builds += 1;
             }
             if let MaintPlan::Aggregate(da) = &mplan {
-                let input = all.output(def.plan.node(da.agg).inputs[0]);
+                let input = all.batch(def.plan.node(da.agg).inputs[0]).unwrap();
                 let want = AggState::build(input, &da.group_by, &da.aggs).unwrap();
                 assert_eq!(
                     state.agg.as_ref().map(AggState::output_rows),

@@ -11,14 +11,16 @@
 //! and [`node_sets`] (which store runs what, and the one HV-only
 //! degradation), [`cuts`] (what crosses to DW, at what ship cost),
 //! [`harvestable`] and [`HarvestCandidate::of`] (which by-products are
-//! views), [`root_rows`] and [`answer`] (where the result is).
+//! views), [`root_batch`] and [`answer`] (where the result is). What moves
+//! between the steps is the batch an operator produced, shared: a cut, a
+//! harvest candidate and a stored view hold the same `Arc`.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use miso_common::ids::{NodeId, QueryId};
 use miso_common::{ByteSize, MisoError, Result, SimDuration};
-use miso_data::{checksum_rows, Checksum, Row, Schema};
+use miso_data::{checksum_batch, Checksum, ColBatch, StoredView};
 use miso_dw::{DwRun, DwStore};
 use miso_hv::{HvRun, HvStore, MaterializedOutput};
 use miso_optimizer::optimize::{optimize, Design, OptimizerEnv, PlannedQuery};
@@ -125,9 +127,9 @@ pub fn node_sets(planned: &PlannedQuery) -> (HashSet<NodeId>, HashSet<NodeId>) {
 pub struct Cut {
     /// The HV node whose output crosses.
     pub node: NodeId,
-    /// Its rows.
-    pub rows: Arc<Vec<Row>>,
-    /// Their serialized size.
+    /// Its output, as HV materialized it.
+    pub batch: Arc<ColBatch>,
+    /// Its serialized size.
     pub bytes: ByteSize,
     /// Fault-free dump + wire + load time.
     pub ship_cost: SimDuration,
@@ -143,7 +145,7 @@ pub fn cuts(stores: Stores<'_>, planned: &PlannedQuery, run: &HvRun) -> Result<V
             let bytes = run.execution.output_bytes(node);
             Ok(Cut {
                 node,
-                rows: run.execution.retained_output(node)?.clone(),
+                batch: run.execution.retained_batch(node)?.clone(),
                 bytes,
                 ship_cost: stores.ship_cost(bytes),
             })
@@ -156,23 +158,22 @@ pub fn cuts(stores: Stores<'_>, planned: &PlannedQuery, run: &HvRun) -> Result<V
 pub struct HarvestCandidate {
     /// Catalog definition (fingerprint name, size, rows, checksum).
     pub def: ViewDef,
-    /// Output schema.
-    pub schema: Schema,
-    /// Materialized rows (shared with the execution that produced them).
-    pub rows: Arc<Vec<Row>>,
+    /// The view as HV will store it: the batch shared with the execution
+    /// that produced it, its size and its checksum.
+    pub view: StoredView,
 }
 
 impl HarvestCandidate {
     /// The candidate for `out`, a stage output of `plan` that
-    /// [`harvestable`] named. Checksums the rows — callers filter on the
-    /// name first.
+    /// [`harvestable`] named. Checksums the batch
+    /// ([`MaterializedOutput::stored`]) — callers filter on the name first.
     pub fn of(plan: &LogicalPlan, out: &MaterializedOutput, qid: QueryId) -> Self {
-        let rows = out.rows.len() as u64;
+        let view = out.stored();
+        let rows = out.batch.len() as u64;
         HarvestCandidate {
             def: ViewDef::from_plan(plan.subplan(out.node), out.size, rows, qid)
-                .with_checksum(checksum_rows(&out.rows)),
-            schema: out.schema.clone(),
-            rows: out.rows.clone(),
+                .with_checksum(view.checksum),
+            view,
         }
     }
 }
@@ -193,19 +194,19 @@ pub fn harvestable<'a>(
         .filter_map(move |out| Some((fps.get(&out.node)?.view_name(), out)))
 }
 
-/// The root rows of a split run: DW runs downstream of HV, so it holds the
+/// The root output of a split run: DW runs downstream of HV, so it holds the
 /// root whenever it ran.
-pub fn root_rows<'a>(hv: Option<&'a HvRun>, dw: Option<&'a DwRun>) -> Result<&'a [Row]> {
+pub fn root_batch<'a>(hv: Option<&'a HvRun>, dw: Option<&'a DwRun>) -> Result<&'a Arc<ColBatch>> {
     match (dw, hv) {
-        (Some(run), _) => run.execution.root_rows(),
-        (None, Some(run)) => run.execution.root_rows(),
+        (Some(run), _) => run.execution.root_batch(),
+        (None, Some(run)) => run.execution.root_batch(),
         (None, None) => Err(MisoError::Plan("no store ran the plan".to_string())),
     }
 }
 
 /// A split run's answer: root row count and order-insensitive multiset
-/// checksum.
+/// checksum, read from the root batch.
 pub fn answer(hv: Option<&HvRun>, dw: Option<&DwRun>) -> Result<(u64, Checksum)> {
-    let rows = root_rows(hv, dw)?;
-    Ok((rows.len() as u64, checksum_rows(rows)))
+    let root = root_batch(hv, dw)?;
+    Ok((root.len() as u64, checksum_batch(root)))
 }

@@ -25,9 +25,8 @@ use miso_common::{
     Budgets, ByteSize, CircuitBreaker, DetRng, MisoError, Result, RetryPolicy, SimClock,
     SimDuration,
 };
-use miso_data::checksum::checksum_rows;
 use miso_data::logs::Corpus;
-use miso_data::Row;
+use miso_data::{checksum_batch, ColBatch, StoredView};
 use miso_dw::{BackgroundSim, DwActivity, DwStore, TableSpace};
 use miso_exec::UdfRegistry;
 use miso_hv::HvStore;
@@ -456,7 +455,7 @@ impl MultistoreSystem {
                 hv: SimDuration::ZERO,
                 dw: stretched,
                 transfer: SimDuration::ZERO,
-                result_rows: run.execution.root_rows()?.len() as u64,
+                result_rows: run.execution.root_batch()?.len() as u64,
                 used_views: dw_plan.scanned_views(),
                 hv_ops: 0,
                 dw_ops: dw_plan.len(),
@@ -544,25 +543,14 @@ impl MultistoreSystem {
                         self.catalog.remove(&name);
                     }
                 } else if keep_dw.contains(&name) && !self.dw.has_view(&name) {
-                    let (rows, schema, size) = match (
-                        self.hv.view_rows(&name),
-                        self.hv.view_schema(&name).cloned(),
-                        self.hv.view_size(&name),
-                    ) {
-                        (Some(r), Some(s), Some(z)) => (r, s, z),
-                        _ => {
-                            return Err(MisoError::Store(format!(
-                                "HV lost view `{name}` during MS-OFF retention"
-                            )))
-                        }
-                    };
-                    let raw_cost = self.stores().ship_cost(size);
+                    let view = self.hv.take_view(&name).ok_or_else(|| {
+                        MisoError::Store(format!("HV lost view `{name}` during MS-OFF retention"))
+                    })?;
+                    let raw_cost = self.stores().ship_cost(view.size);
                     let stretched = self.stretch(raw_cost, DwActivity::ViewTransfer, clock);
                     result.tti.tune += stretched;
                     clock.advance(stretched);
-                    self.dw
-                        .load_view(&name, schema, rows, TableSpace::Permanent);
-                    self.hv.remove_view(&name);
+                    self.dw.load(&name, view, TableSpace::Permanent);
                 }
             }
             result.records.push(record);
@@ -929,7 +917,7 @@ impl MultistoreSystem {
         let mut transfer_time = SimDuration::ZERO;
         let mut dw_time = SimDuration::ZERO;
         let mut bytes_transferred = ByteSize::ZERO;
-        let mut provided: HashMap<miso_common::ids::NodeId, Arc<Vec<Row>>> = HashMap::new();
+        let mut provided: HashMap<miso_common::ids::NodeId, Arc<ColBatch>> = HashMap::new();
         let profiling = miso_exec::profile::enabled();
         let mut node_profiles: HashMap<miso_common::ids::NodeId, miso_exec::OpProfile> =
             HashMap::new();
@@ -962,11 +950,17 @@ impl MultistoreSystem {
                 );
                 let node = plan.node(id);
                 let ws_name = format!("ws_{qid}_{id}");
-                // The shipment checksum comes free with materialization;
-                // the DW copy is verified after every (re-)load so a
-                // corrupted wire transfer is re-shipped — and re-charged —
-                // rather than silently computed on.
-                let expected = checksum_rows(&cut.rows);
+                // The shipment checksum is taken once, from the batch HV
+                // materialized, and loaded with it; the DW copy is verified
+                // against it after every (re-)load so a corrupted wire
+                // transfer is re-shipped — and re-charged — rather than
+                // silently computed on.
+                let staged = StoredView {
+                    schema: node.schema.clone(),
+                    batch: cut.batch.clone(),
+                    size: bytes,
+                    checksum: checksum_batch(&cut.batch),
+                };
                 let mut ship_tries = 0u32;
                 loop {
                     let (raw_cost, waited, corrupted) = self.ship_attempt(cut.ship_cost, clock)?;
@@ -979,16 +973,12 @@ impl MultistoreSystem {
                     self.active_guard.check_deadline(clock.now())?;
                     // Working sets live in temp table space for the query
                     // only.
-                    self.dw.load_view(
-                        &ws_name,
-                        node.schema.clone(),
-                        cut.rows.clone(),
-                        TableSpace::Temporary,
-                    );
+                    self.dw
+                        .load(&ws_name, staged.clone(), TableSpace::Temporary);
                     if corrupted {
                         self.dw.corrupt_temp(&ws_name);
                     }
-                    if self.dw.verify_temp(&ws_name, expected) != Some(false) {
+                    if self.dw.verify_temp(&ws_name, staged.checksum) != Some(false) {
                         break;
                     }
                     miso_obs::count("integrity.checksum_failures", 1);
@@ -1001,7 +991,7 @@ impl MultistoreSystem {
                     ship_tries += 1;
                     miso_obs::count("transfer.reshipped", 1);
                 }
-                provided.insert(id, cut.rows);
+                provided.insert(id, cut.batch);
             }
             for id in run.execution.executed_nodes() {
                 if let Some(rows) = run.execution.rows_out(id) {
@@ -1038,7 +1028,7 @@ impl MultistoreSystem {
             }
             dw_run = Some(run);
         }
-        let result_rows = split::root_rows(hv_run.as_ref(), dw_run.as_ref())?.len() as u64;
+        let result_rows = split::root_batch(hv_run.as_ref(), dw_run.as_ref())?.len() as u64;
         self.dw.clear_temp();
 
         // Publish by-products. Every fallible step is behind us: retained
@@ -1310,22 +1300,14 @@ impl MultistoreSystem {
                 continue;
             }
             let (slow, corrupted) = self.reorg_step_poll(poll_chaos, clock, duration)?;
-            let Some(rows) = self.hv.view_rows(name) else {
+            // The staged copy is the HV view itself, shared: the batch, with
+            // the size and checksum recorded when it was materialized.
+            let Some(view) = self.hv.view(name).cloned() else {
                 return Err(MisoError::Tuning(format!(
                     "tuner placed `{name}` in DW but no store holds it"
                 )));
             };
-            // Rows resident imply schema/size metadata; if the store lost
-            // one of them mid-reorg that is an integrity violation, not a
-            // panic.
-            let (Some(schema), Some(size)) =
-                (self.hv.view_schema(name).cloned(), self.hv.view_size(name))
-            else {
-                return Err(MisoError::integrity(
-                    name.as_str(),
-                    "HV holds rows for the view but lost its schema/size metadata",
-                ));
-            };
+            let size = view.size;
             let mut raw_cost = self.stores().ship_cost(size);
             if slow != 1.0 {
                 raw_cost = raw_cost * slow;
@@ -1334,8 +1316,7 @@ impl MultistoreSystem {
             *duration += stretched;
             clock.advance(stretched);
             *bytes_moved += size;
-            self.dw
-                .load_view(&stage_name(name), schema, rows, TableSpace::Temporary);
+            self.dw.load(&stage_name(name), view, TableSpace::Temporary);
             if corrupted {
                 self.dw.corrupt_temp(&stage_name(name));
             }
@@ -1354,15 +1335,12 @@ impl MultistoreSystem {
                 continue;
             }
             let (slow, corrupted) = self.reorg_step_poll(poll_chaos, clock, duration)?;
-            let (Some(schema), Some(rows), Some(size)) = (
-                self.dw.view_schema(name).cloned(),
-                self.dw.view_rows_arc(name),
-                self.dw.view_size(name),
-            ) else {
+            let Some(view) = self.dw.view(name).cloned() else {
                 // The DW source vanished (dropped by an earlier design):
                 // nothing to migrate.
                 continue;
             };
+            let size = view.size;
             let mut raw_cost = self.transfer.transfer_cost(size) + self.hv.dump_cost(size);
             if slow != 1.0 {
                 raw_cost = raw_cost * slow;
@@ -1371,7 +1349,7 @@ impl MultistoreSystem {
             *duration += stretched;
             clock.advance(stretched);
             *bytes_moved += size;
-            self.hv.install_view(name, schema, rows);
+            self.hv.install(name, view);
             if corrupted {
                 self.hv.corrupt_view(name);
             }
@@ -1618,16 +1596,14 @@ impl MultistoreSystem {
                 MisoError::integrity(name, "quarantined view missing from catalog")
             })?;
         let run = self.hv.execute(&def.plan, None, &self.udfs)?;
-        let rows: Arc<Vec<Row>> = Arc::new(run.execution.root_rows()?.to_vec());
+        let view = StoredView::new(def.schema.clone(), run.execution.root_batch()?.clone());
         self.record_bg(DwActivity::Idle, run.cost, clock);
         *duration += run.cost;
         clock.advance(run.cost);
-        let size = ByteSize::from_bytes(rows.iter().map(Row::approx_bytes).sum());
-        let checksum = checksum_rows(&rows);
-        let row_count = rows.len() as u64;
-        self.hv.install_view(name, def.schema.clone(), rows);
-        self.catalog.set_checksum(name, checksum);
-        self.catalog.update_stats(name, size, row_count);
+        self.catalog.set_checksum(name, view.checksum);
+        self.catalog
+            .update_stats(name, view.size, view.batch.len() as u64);
+        self.hv.install(name, view);
         self.catalog.clear_quarantine(name);
         miso_obs::count("integrity.repaired", 1);
         self.lru_touch(name);
@@ -1667,11 +1643,11 @@ impl MultistoreSystem {
                 // query just recomputed it as a by-product: the free
                 // self-healing path.
                 if !self.hv.has_view(&name) && !self.dw.has_view(&name) {
-                    self.hv
-                        .install_view(&name, m.schema.clone(), m.rows.clone());
-                    self.catalog.set_checksum(&name, checksum_rows(&m.rows));
+                    let view = m.stored();
+                    self.catalog.set_checksum(&name, view.checksum);
                     self.catalog
-                        .update_stats(&name, m.size, m.rows.len() as u64);
+                        .update_stats(&name, m.size, m.batch.len() as u64);
+                    self.hv.install(&name, view);
                     if self.catalog.clear_quarantine(&name) {
                         miso_obs::count("integrity.repaired", 1);
                     }
@@ -1687,12 +1663,12 @@ impl MultistoreSystem {
     }
 
     /// Publishes a harvested by-product as an opportunistic view: its
-    /// definition enters the catalog and its rows become HV-resident. The
+    /// definition enters the catalog and its batch becomes HV-resident. The
     /// caller has checked the catalog does not know the name yet.
     pub fn install_harvest(&mut self, cand: HarvestCandidate) {
         let name = cand.def.name.clone();
         self.catalog.register(cand.def);
-        self.hv.install_view(&name, cand.schema, cand.rows);
+        self.hv.install(&name, cand.view);
     }
 
     fn lru_touch(&mut self, name: &str) {
@@ -1756,8 +1732,7 @@ impl MultistoreSystem {
         if !self.catalog.contains(&name) {
             self.catalog.register(cand.def);
         }
-        self.dw
-            .load_view(&name, cand.schema, cand.rows, TableSpace::Permanent);
+        self.dw.load(&name, cand.view, TableSpace::Permanent);
         self.lru_touch(&name);
     }
 
@@ -1792,7 +1767,7 @@ impl MultistoreSystem {
         &mut self,
         plan: &LogicalPlan,
         subset: Option<&HashSet<miso_common::ids::NodeId>>,
-        provided: &HashMap<miso_common::ids::NodeId, Arc<Vec<Row>>>,
+        provided: &HashMap<miso_common::ids::NodeId, Arc<ColBatch>>,
         clock: &mut SimClock,
         bucket: &mut SimDuration,
     ) -> Result<miso_dw::DwRun> {

@@ -57,6 +57,11 @@ impl Nulls {
     pub fn any(&self) -> bool {
         self.words.iter().any(|w| *w != 0)
     }
+
+    /// How many slots are null.
+    pub fn count(&self) -> u64 {
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
 }
 
 /// One typed column vector. Null slots in typed variants hold a default
@@ -372,9 +377,19 @@ impl Column {
         *self = b.finish();
     }
 
-    /// Footprint of the column's cells, summing [`Cell::approx_bytes`].
+    /// Footprint of the column's cells, summing [`Cell::approx_bytes`]: a
+    /// NULL is 1 byte and a typed payload a fixed width (or a length), so a
+    /// typed column is summed from its null count without visiting the cells.
     pub fn approx_bytes(&self) -> u64 {
-        (0..self.len()).map(|i| self.cell(i).approx_bytes()).sum()
+        let fixed = |len: usize, nulls: &Nulls| 8 * len as u64 - 7 * nulls.count();
+        match self {
+            Column::Int(v, n) => fixed(v.len(), n),
+            Column::Float(v, n) => fixed(v.len(), n),
+            Column::Bool(v, _) => v.len() as u64,
+            Column::Str(v, n) if !n.any() => v.iter().map(|s| 4 + s.len() as u64).sum(),
+            Column::Str(..) => (0..self.len()).map(|i| self.cell(i).approx_bytes()).sum(),
+            Column::Mixed(v) => v.iter().map(Value::approx_bytes).sum(),
+        }
     }
 }
 
@@ -709,6 +724,10 @@ impl ColBatch {
         self.columns[col].cell(row)
     }
 
+    /// Why a boundary refuses the rows [`ColBatch::from_rows`] returns `None`
+    /// for.
+    pub const RAGGED: &'static str = "rows of differing arity have no columnar form";
+
     /// Pivots rows into columns. Returns `None` when arities are ragged —
     /// a batch is rectangular by construction, so such inputs stay rows.
     pub fn from_rows(rows: &[Row]) -> Option<ColBatch> {
@@ -737,11 +756,23 @@ impl ColBatch {
         ))
     }
 
+    /// [`ColBatch::from_rows`] for rows of a known arity: no rows pivot to
+    /// the empty batch of `arity` columns, not of none.
+    pub fn of_rows(arity: usize, rows: &[Row]) -> Option<ColBatch> {
+        if rows.is_empty() {
+            return Some(ColBatch::empty(arity));
+        }
+        ColBatch::from_rows(rows)
+    }
+
+    /// Row `i`, cloning cell payloads.
+    pub fn row(&self, i: usize) -> Row {
+        Row::new(self.columns.iter().map(|c| c.value(i)).collect())
+    }
+
     /// Pivots back to rows, cloning cell payloads.
     pub fn to_rows(&self) -> Vec<Row> {
-        (0..self.len)
-            .map(|i| Row::new(self.columns.iter().map(|c| c.value(i)).collect()))
-            .collect()
+        (0..self.len).map(|i| self.row(i)).collect()
     }
 
     /// Pivots back to rows, consuming the batch so string/container
@@ -803,6 +834,37 @@ impl ColBatch {
             }
         }
         ColBatch::from_columns(per_col.into_iter().map(Column::concat).collect(), len)
+    }
+
+    /// Extends every column in place with `part`'s ([`Column::append`]): the
+    /// result is what [`ColBatch::concat`] of the two gives, in O(|part|) for
+    /// every column this batch alone holds (a shared one is copied first).
+    pub fn append(&mut self, part: ColBatch) {
+        assert_eq!(
+            self.arity(),
+            part.arity(),
+            "appending a batch of another arity"
+        );
+        self.len += part.len;
+        for (kept, col) in self.columns.iter_mut().zip(part.columns) {
+            Arc::make_mut(kept).append(Arc::unwrap_or_clone(col));
+        }
+    }
+
+    /// A copy of the batch with the cell at (`row`, `col`) replaced. Only
+    /// column `col` is rebuilt — by one builder pass, so it classifies as its
+    /// new values do — and the others stay shared.
+    pub fn with_cell(&self, row: usize, col: usize, value: Value) -> ColBatch {
+        let mut b = ColBuilder::new();
+        b.reserve(self.len);
+        let mut value = Some(value);
+        for i in 0..self.len {
+            let replaced = if i == row { value.take() } else { None };
+            b.push_value(replaced.unwrap_or_else(|| self.columns[col].value(i)));
+        }
+        let mut columns = self.columns.clone();
+        columns[col] = Arc::new(b.finish());
+        ColBatch::from_shared(columns, self.len)
     }
 
     /// Footprint charge identical to summing [`Row::approx_bytes`] over the

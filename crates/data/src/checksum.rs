@@ -8,12 +8,17 @@
 //! platforms), and the per-row digests are combined with a commutative
 //! wrapping sum before a final mix that binds the row count.
 //!
-//! The checksum is computed once at materialization time, carried next to
-//! the stored rows, and re-verified on demand (view reads, post-transfer,
-//! post-promote, scrubbing). A mismatch means the stored bytes no longer
-//! agree with what was materialized — silent corruption.
+//! The checksum is computed once at materialization time — from the cells
+//! of the batch that was materialized ([`checksum_batch`]) — carried next to
+//! it, and re-verified on demand (view reads, post-transfer, post-promote,
+//! scrubbing). A mismatch means the stored bytes no longer agree with what
+//! was materialized — silent corruption. [`checksum_rows`] is the same digest
+//! over the same multiset in row form.
 
+use crate::batch::{ColBatch, Column, Nulls};
 use crate::value::{Row, Value};
+use miso_common::pool;
+use std::sync::Arc;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
@@ -83,6 +88,61 @@ pub fn checksum_rows(rows: &[Row]) -> Checksum {
     finish_digest(acc, rows.len() as u64)
 }
 
+/// Rows per task of [`batch_sum`]: large enough that a task outweighs the
+/// pool's per-batch thread spawn.
+const DIGEST_MORSEL: usize = 8192;
+
+/// [`checksum_rows`] of the batch's rows, bit for bit, read from its cells.
+pub fn checksum_batch(batch: &ColBatch) -> Checksum {
+    finish_digest(batch_sum(batch), batch.len() as u64)
+}
+
+/// The wrapping sum of the batch's row digests. Each morsel keeps one FNV
+/// state per row and streams the columns through them one at a time, so a
+/// typed column is digested in a tight loop over its vector. The sum is
+/// commutative, so morsels fan out over the pool and the result is the same
+/// at any thread count.
+fn batch_sum(batch: &ColBatch) -> u64 {
+    let mut seed = Fnv::new();
+    seed.u64(batch.arity() as u64);
+    let sums = pool::run_batch(batch.len().div_ceil(DIGEST_MORSEL), |m| {
+        let start = m * DIGEST_MORSEL;
+        let mut rows = vec![seed; DIGEST_MORSEL.min(batch.len() - start)];
+        for col in batch.columns() {
+            digest_column(col, start, &mut rows);
+        }
+        rows.iter()
+            .fold(0u64, |acc, h| acc.wrapping_add(h.finish()))
+    });
+    let sums = sums.expect("digesting cells cannot panic");
+    sums.into_iter().fold(0, u64::wrapping_add)
+}
+
+/// Streams slots `start..start + rows.len()` of `col` into the rows' states,
+/// each slot encoded as [`digest_value`] encodes the value it holds.
+fn digest_column(col: &Column, start: usize, rows: &mut [Fnv]) {
+    fn typed<T>(v: &[T], nulls: &Nulls, start: usize, rows: &mut [Fnv], f: impl Fn(&T, &mut Fnv)) {
+        for (j, h) in rows.iter_mut().enumerate() {
+            if nulls.is_null(start + j) {
+                h.byte(0);
+            } else {
+                f(&v[start + j], h);
+            }
+        }
+    }
+    match col {
+        Column::Int(v, n) => typed(v, n, start, rows, |i, h| digest_int(*i, h)),
+        Column::Float(v, n) => typed(v, n, start, rows, |f, h| digest_float(*f, h)),
+        Column::Bool(v, n) => typed(v, n, start, rows, |b, h| digest_bool(*b, h)),
+        Column::Str(v, n) => typed(v, n, start, rows, |s, h| digest_str(s, h)),
+        Column::Mixed(v) => {
+            for (value, h) in v[start..].iter().zip(rows) {
+                digest_value(value, h);
+            }
+        }
+    }
+}
+
 fn finish_digest(sum: u64, count: u64) -> Checksum {
     let mut h = Fnv::new();
     h.u64(sum);
@@ -118,6 +178,19 @@ impl RowSetDigest {
         let mut d = RowSetDigest::new();
         d.add_rows(rows);
         d
+    }
+
+    /// State for the rows of `batch`.
+    pub fn from_batch(batch: &ColBatch) -> RowSetDigest {
+        let mut d = RowSetDigest::new();
+        d.add_batch(batch);
+        d
+    }
+
+    /// Folds every row of `batch` into the multiset.
+    pub fn add_batch(&mut self, batch: &ColBatch) {
+        self.sum = self.sum.wrapping_add(batch_sum(batch));
+        self.count += batch.len() as u64;
     }
 
     /// Folds one row into the multiset.
@@ -168,22 +241,22 @@ impl RowSetDigest {
     }
 }
 
-/// Silently flips one value in the first non-empty row (simulated bit
-/// rot for chaos testing). The mutation is chosen so the multiset
-/// checksum is guaranteed to change: booleans invert, ints flip their low
-/// bit, strings grow a byte, and every other type degrades to a different
-/// type tag. Returns whether anything changed (no non-empty row → `false`).
+/// Silently flips the first cell of the first row (simulated bit rot for
+/// chaos testing). The mutation is chosen so the multiset checksum is
+/// guaranteed to change: booleans invert, ints flip their low bit, strings
+/// grow a byte, and every other type degrades to a different type tag.
+/// Returns whether anything changed (no row, or no column → `false`).
 ///
-/// Takes the shared `Arc` the stores keep rows behind; copy-on-write via
-/// [`Arc::make_mut`] mirrors a corrupted replica diverging from the copy a
-/// transfer already shipped.
-pub fn corrupt_first_row(rows: &mut std::sync::Arc<Vec<Row>>) -> bool {
-    let Some(idx) = rows.iter().position(|r| r.arity() > 0) else {
+/// Takes the shared `Arc` the stores keep a batch behind and copies one
+/// column, which mirrors a corrupted replica diverging from the copy a
+/// transfer already shipped: whoever else holds the batch keeps reading the
+/// clean cells.
+pub fn corrupt_first_cell(batch: &mut Arc<ColBatch>) -> bool {
+    if batch.is_empty() || batch.arity() == 0 {
         return false;
-    };
-    let mut values = rows[idx].values().to_vec();
-    values[0] = flip_value(&values[0]);
-    std::sync::Arc::make_mut(rows)[idx] = Row::new(values);
+    }
+    let flipped = flip_value(&batch.col(0).value(0));
+    *batch = Arc::new(batch.with_cell(0, 0, flipped));
     true
 }
 
@@ -198,35 +271,42 @@ fn flip_value(v: &Value) -> Value {
     }
 }
 
+fn digest_bool(b: bool, h: &mut Fnv) {
+    h.byte(1);
+    h.byte(b as u8);
+}
+
+fn digest_int(i: i64, h: &mut Fnv) {
+    h.byte(2);
+    h.u64(i as u64);
+}
+
+fn digest_float(f: f64, h: &mut Fnv) {
+    h.byte(3);
+    // Normalize like Value's Hash: signed zero collapses, and NaN (which
+    // equals itself under the total order) gets one bit pattern.
+    let bits = if f == 0.0 {
+        0
+    } else if f.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        f.to_bits()
+    };
+    h.u64(bits);
+}
+
+fn digest_str(s: &str, h: &mut Fnv) {
+    h.byte(4);
+    h.str(s);
+}
+
 fn digest_value(v: &Value, h: &mut Fnv) {
     match v {
         Value::Null => h.byte(0),
-        Value::Bool(b) => {
-            h.byte(1);
-            h.byte(*b as u8);
-        }
-        Value::Int(i) => {
-            h.byte(2);
-            h.u64(*i as u64);
-        }
-        Value::Float(f) => {
-            h.byte(3);
-            // Normalize like Value's Hash: signed zero collapses, and NaN
-            // (which equals itself under the total order) gets one bit
-            // pattern.
-            let bits = if *f == 0.0 {
-                0
-            } else if f.is_nan() {
-                f64::NAN.to_bits()
-            } else {
-                f.to_bits()
-            };
-            h.u64(bits);
-        }
-        Value::Str(s) => {
-            h.byte(4);
-            h.str(s);
-        }
+        Value::Bool(b) => digest_bool(*b, h),
+        Value::Int(i) => digest_int(*i, h),
+        Value::Float(f) => digest_float(*f, h),
+        Value::Str(s) => digest_str(s, h),
         Value::Array(items) => {
             h.byte(5);
             h.u64(items.len() as u64);
@@ -301,8 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_first_row_always_changes_the_checksum() {
-        use std::sync::Arc;
+    fn corrupt_first_cell_always_changes_the_checksum() {
         let cases: Vec<Vec<Row>> = vec![
             vec![row(vec![Value::Null])],
             vec![row(vec![Value::Bool(false)])],
@@ -310,24 +389,31 @@ mod tests {
             vec![row(vec![Value::Float(2.5)])],
             vec![row(vec![Value::str("abc")])],
             vec![row(vec![Value::Array(vec![Value::Int(1)])])],
-            vec![row(vec![]), row(vec![Value::Int(9), Value::str("x")])],
+            vec![
+                row(vec![Value::Int(9), Value::str("x")]),
+                row(vec![Value::Null, Value::str("y")]),
+            ],
         ];
         for rows in cases {
             let before = checksum_rows(&rows);
-            let mut arc = Arc::new(rows);
-            let shared = arc.clone();
-            assert!(corrupt_first_row(&mut arc));
-            assert_ne!(checksum_rows(&arc), before, "flip went undetected: {arc:?}");
+            let mut batch = Arc::new(ColBatch::from_rows(&rows).unwrap());
+            let shared = batch.clone();
+            assert_eq!(checksum_batch(&batch), before);
+            assert!(corrupt_first_cell(&mut batch));
+            let after = batch.to_rows();
+            assert_ne!(checksum_batch(&batch), before, "undetected: {after:?}");
+            assert_eq!(checksum_batch(&batch), checksum_rows(&after));
+            assert_eq!(after[1..], rows[1..], "only the first row changes");
             assert_eq!(
-                checksum_rows(&shared),
+                checksum_batch(&shared),
                 before,
                 "copy-on-write must not touch prior readers"
             );
         }
-        let mut empty: Arc<Vec<Row>> = Arc::new(vec![]);
-        assert!(!corrupt_first_row(&mut empty));
-        let mut zero_arity = Arc::new(vec![row(vec![])]);
-        assert!(!corrupt_first_row(&mut zero_arity));
+        let mut empty = Arc::new(ColBatch::empty(2));
+        assert!(!corrupt_first_cell(&mut empty));
+        let mut zero_arity = Arc::new(ColBatch::from_rows(&[row(vec![])]).unwrap());
+        assert!(!corrupt_first_cell(&mut zero_arity));
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! * [`json`] — a minimal hand-written JSON parser/printer (the sanctioned
 //!   offline dependency set has `serde` but not `serde_json`);
 //! * [`batch`] — typed columnar batches ([`batch::ColBatch`]) for the
-//!   vectorized executor, with lossless row pivots at store boundaries;
+//!   vectorized executor, with lossless row pivots for callers that speak
+//!   rows;
+//! * [`stored`] — a view as both stores hold it: the batch plus the size and
+//!   checksum recorded when it was materialized;
 //! * [`schema`] — field/record schemas for structured intermediates;
 //! * [`logs`] — deterministic synthetic generators for the three data sets
 //!   with shared join keys (user ids across Twitter/Foursquare, venue ids
@@ -25,10 +28,12 @@ pub mod json;
 pub mod logs;
 pub mod schema;
 pub mod stats;
+pub mod stored;
 pub mod value;
 
 pub use batch::{Cell, ColBatch, ColBuilder, Column, Nulls};
-pub use checksum::{checksum_rows, Checksum, RowSetDigest};
+pub use checksum::{checksum_batch, checksum_rows, Checksum, RowSetDigest};
 pub use delta::Delta;
 pub use schema::{DataType, Field, Schema};
+pub use stored::StoredView;
 pub use value::{Row, Value};

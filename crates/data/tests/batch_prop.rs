@@ -1,10 +1,14 @@
-//! Generated-input test: `rows → ColBatch → rows` is an identity for
+//! Generated-input tests: `rows → ColBatch → rows` is an identity for
 //! arbitrary value matrices, every `Value` variant included (NULLs, NaN,
-//! ±0.0, nested containers, type-clashing columns). Cases are seeded
-//! [`DetRng`] streams; a failing assert names the seed.
+//! ±0.0, nested containers, type-clashing columns), and what is recorded
+//! about a stored batch — its size, its content checksum, its incremental
+//! digest — is what its rows would give, at any thread count. Cases are
+//! seeded [`DetRng`] streams; a failing assert names the seed.
 
+use miso_common::pool;
 use miso_common::rng::DetRng;
-use miso_data::{ColBatch, Row, Value};
+use miso_data::checksum::{checksum_batch, checksum_rows, RowSetDigest};
+use miso_data::{ColBatch, Column, Row, Value};
 
 const CASES: u64 = 256;
 
@@ -47,25 +51,30 @@ fn arb_value_of(rng: &mut DetRng, kind: u64, depth: u32) -> Value {
     }
 }
 
+/// Up to `max_rows` rows of up to four columns (now and then none). A column
+/// with a kind of its own stays typed around its NULLs; the others clash
+/// into `Mixed`.
+fn arb_rows(rng: &mut DetRng, max_rows: u64) -> Vec<Row> {
+    let kinds: Vec<Option<u64>> = (0..rng.below(5))
+        .map(|_| rng.chance(0.6).then(|| rng.below(KINDS)))
+        .collect();
+    (0..rng.below(max_rows + 1))
+        .map(|_| {
+            let cell = |kind: &Option<u64>| match kind {
+                _ if rng.chance(0.15) => Value::Null,
+                Some(kind) => arb_value_of(rng, *kind, 2),
+                None => arb_value(rng, 2),
+            };
+            Row::new(kinds.iter().map(cell).collect())
+        })
+        .collect()
+}
+
 #[test]
 fn pivot_round_trip_is_identity() {
     for seed in 0..CASES {
         let mut rng = DetRng::new(0xba7c_0000 + seed);
-        // A column with a kind of its own stays typed around its NULLs; the
-        // others clash into `Mixed`.
-        let kinds: Vec<Option<u64>> = (0..rng.below(5))
-            .map(|_| rng.chance(0.6).then(|| rng.below(KINDS)))
-            .collect();
-        let rows: Vec<Row> = (0..rng.below(64))
-            .map(|_| {
-                let cell = |kind: &Option<u64>| match kind {
-                    _ if rng.chance(0.15) => Value::Null,
-                    Some(kind) => arb_value_of(&mut rng, *kind, 2),
-                    None => arb_value(&mut rng, 2),
-                };
-                Row::new(kinds.iter().map(cell).collect())
-            })
-            .collect();
+        let rows = arb_rows(&mut rng, 63);
         let batch = ColBatch::from_rows(&rows).expect("uniform arity pivots");
         assert_eq!(batch.len(), rows.len(), "seed {seed}");
         // Bit-level identity: Value's PartialEq treats NaN as equal and
@@ -77,4 +86,63 @@ fn pivot_round_trip_is_identity() {
         let bytes: u64 = rows.iter().map(Row::approx_bytes).sum();
         assert_eq!(batch.row_bytes(), bytes, "seed {seed}: row_bytes");
     }
+}
+
+/// The digest a store records for a batch is the digest of its rows, bit for
+/// bit: [`checksum_batch`] against [`checksum_rows`], [`RowSetDigest`] fed
+/// batches against one fed rows — appends, and replacements as aggregate
+/// maintenance makes them — over every column variant, empty batches and
+/// rows of no columns, serial and fanned out over eight workers.
+#[test]
+fn batch_digests_are_the_row_digests() {
+    let before = pool::threads();
+    let mut variants = [0usize; 5];
+    for seed in 0..CASES {
+        let mut rng = DetRng::new(0xd16e_0000 + seed);
+        // Every eighth case spans several digest morsels.
+        let rows = arb_rows(&mut rng, if seed % 8 == 0 { 20_000 } else { 63 });
+        let arity = rows.first().map_or(rng.below(4) as usize, Row::arity);
+        let batch = ColBatch::of_rows(arity, &rows).expect("uniform arity pivots");
+        for col in batch.columns() {
+            variants[match **col {
+                Column::Int(..) => 0,
+                Column::Float(..) => 1,
+                Column::Bool(..) => 2,
+                Column::Str(..) => 3,
+                Column::Mixed(..) => 4,
+            }] += 1;
+        }
+        let cut = rng.below(rows.len() as u64 + 1) as usize;
+        let head = ColBatch::of_rows(arity, &rows[..cut]).unwrap();
+        let tail = ColBatch::of_rows(arity, &rows[cut..]).unwrap();
+        for threads in [1, 8] {
+            pool::set_threads(threads);
+            let what = format!("seed {seed}, {threads} threads");
+            assert_eq!(checksum_batch(&batch), checksum_rows(&rows), "{what}");
+            assert_eq!(checksum_batch(&batch), checksum_rows(&batch.to_rows()));
+            // A view grown by an append: base batch, then the delta batch.
+            let mut grown = RowSetDigest::from_batch(&head);
+            assert_eq!(grown, RowSetDigest::from_rows(&rows[..cut]), "{what}");
+            grown.add_batch(&tail);
+            assert_eq!(grown, RowSetDigest::from_rows(&rows), "{what}");
+            assert_eq!(grown.finish(), checksum_batch(&batch), "{what}");
+            assert_eq!(grown.count(), rows.len() as u64, "{what}");
+        }
+        // A group row replaced in place: the digest follows the patch.
+        if let Some(slot) = (!rows.is_empty()).then(|| rng.below(rows.len() as u64) as usize) {
+            let new_row = Row::new((0..arity).map(|_| arb_value(&mut rng, 2)).collect());
+            let mut digest = RowSetDigest::from_batch(&batch);
+            digest.replace_row(&rows[slot], &new_row);
+            let mut patched = rows.clone();
+            patched[slot] = new_row;
+            let patched = ColBatch::of_rows(arity, &patched).unwrap();
+            assert_eq!(digest.finish(), checksum_batch(&patched), "seed {seed}");
+            assert_eq!(digest, RowSetDigest::from_batch(&patched), "seed {seed}");
+        }
+    }
+    pool::set_threads(before);
+    assert!(
+        variants.iter().all(|&n| n > 0),
+        "variants seen: {variants:?}"
+    );
 }

@@ -4,14 +4,14 @@ use crate::cost::DwCostModel;
 use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
 use miso_common::{ByteSize, MisoError, Result, SimDuration};
-use miso_data::checksum::{checksum_rows, corrupt_first_row, Checksum};
-use miso_data::{ColBatch, Row, Schema};
-use miso_exec::engine::{execute_subset_guarded, DataSource, Execution, Retention};
+use miso_data::checksum::Checksum;
+use miso_data::{ColBatch, Row, Schema, StoredView};
+use miso_exec::engine::{execute_subset_guarded, seed_batches, DataSource, Execution, Retention};
 use miso_exec::UdfRegistry;
 use miso_plan::estimate::MapStats;
 use miso_plan::{LogicalPlan, Operator};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Which table space a relation lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,22 +20,6 @@ pub enum TableSpace {
     Permanent,
     /// Query-lifetime working sets: discarded when the query finishes.
     Temporary,
-}
-
-#[derive(Debug, Clone)]
-struct StoredView {
-    schema: Schema,
-    rows: Arc<Vec<Row>>,
-    size: ByteSize,
-    /// Lazily pivoted columnar twin of `rows`, shared with the engine so
-    /// repeated queries over the same view skip the pivot. `None` caches
-    /// "ragged, not pivotable". Reset whenever `rows` is mutated
-    /// (corruption injection), so the twin can never diverge.
-    cols: OnceLock<Option<Arc<ColBatch>>>,
-    /// Content checksum recorded at load time. Never updated by
-    /// [`DwStore::corrupt_view`]/[`DwStore::corrupt_temp`] — verification
-    /// compares the stored bytes against this load-time truth.
-    checksum: Checksum,
 }
 
 /// The result of executing a (partial) plan in DW.
@@ -51,7 +35,7 @@ pub struct DwRun {
 /// The simulated parallel data warehouse.
 ///
 /// `Clone` is deliberate: the serving layer snapshots the store into an
-/// immutable epoch image (row payloads are `Arc`-shared, so clones are cheap).
+/// immutable epoch image (view batches are `Arc`-shared, so clones are cheap).
 #[derive(Debug, Default, Clone)]
 pub struct DwStore {
     permanent: HashMap<String, StoredView>,
@@ -66,61 +50,37 @@ impl DwStore {
         Self::default()
     }
 
-    /// Loads rows into the given table space, returning `(size, load cost)`.
+    /// Loads a view into the given table space as it stands — the batch
+    /// moves in with the size and checksum recorded when it was materialized
+    /// (a shipped working set, a migration from HV, a maintenance pass that
+    /// re-stamped them incrementally) — returning the load cost. Nothing
+    /// here reads a cell.
+    pub fn load(&mut self, name: &str, view: StoredView, space: TableSpace) -> SimDuration {
+        let cost = self.cost_model.load_cost(view.size);
+        match space {
+            TableSpace::Permanent => self.permanent.insert(name.to_string(), view),
+            TableSpace::Temporary => self.temporary.insert(name.to_string(), view),
+        };
+        cost
+    }
+
+    /// [`DwStore::load`] for a caller that holds rows: pivots them, sizes and
+    /// checksums the result, and returns `(size, load cost)`. Rows of
+    /// differing arity are refused.
     pub fn load_view(
         &mut self,
         name: &str,
         schema: Schema,
         rows: Arc<Vec<Row>>,
         space: TableSpace,
-    ) -> (ByteSize, SimDuration) {
-        let size = ByteSize::from_bytes(rows.iter().map(Row::approx_bytes).sum());
-        let cost = self.cost_model.load_cost(size);
-        let checksum = checksum_rows(&rows);
-        let stored = StoredView {
-            schema,
-            rows,
-            size,
-            checksum,
-            cols: OnceLock::new(),
-        };
-        match space {
-            TableSpace::Permanent => self.permanent.insert(name.to_string(), stored),
-            TableSpace::Temporary => self.temporary.insert(name.to_string(), stored),
-        };
-        (size, cost)
+    ) -> Result<(ByteSize, SimDuration)> {
+        let view = StoredView::from_rows(name, schema, &rows)?;
+        Ok((view.size, self.load(name, view, space)))
     }
 
-    /// Loads a permanent view whose size and content checksum the caller
-    /// computed incrementally (the IVM maintenance path): nothing here
-    /// re-scans the rows, keeping a delta apply O(|delta|). The caller is
-    /// responsible for `checksum` being the exact [`checksum_rows`] value
-    /// of `rows`.
-    pub fn load_view_with_checksum(
-        &mut self,
-        name: &str,
-        schema: Schema,
-        rows: Arc<Vec<Row>>,
-        size: ByteSize,
-        checksum: Checksum,
-    ) {
-        self.permanent.insert(
-            name.to_string(),
-            StoredView {
-                schema,
-                rows,
-                size,
-                cols: OnceLock::new(),
-                checksum,
-            },
-        );
-    }
-
-    /// Removes a permanent view, returning its contents for migration.
-    pub fn evict_view(&mut self, name: &str) -> Option<(Schema, Arc<Vec<Row>>, ByteSize)> {
-        self.permanent
-            .remove(name)
-            .map(|v| (v.schema, v.rows, v.size))
+    /// Removes a permanent view, returning it whole for migration.
+    pub fn evict_view(&mut self, name: &str) -> Option<StoredView> {
+        self.permanent.remove(name)
     }
 
     /// Drops all temporary tables (end of a multistore query).
@@ -156,9 +116,14 @@ impl DwStore {
         self.permanent.get(name).map(|v| v.size)
     }
 
-    /// A permanent view's rows.
+    /// A permanent view: batch, schema, recorded size and checksum.
+    pub fn view(&self, name: &str) -> Option<&StoredView> {
+        self.permanent.get(name)
+    }
+
+    /// A permanent view's rows, pivoted for a caller that speaks rows.
     pub fn view_rows_arc(&self, name: &str) -> Option<Arc<Vec<Row>>> {
-        self.permanent.get(name).map(|v| v.rows.clone())
+        self.permanent.get(name).map(StoredView::rows)
     }
 
     /// A permanent view's schema.
@@ -172,42 +137,34 @@ impl DwStore {
     }
 
     /// Recomputes a permanent view's checksum and compares it to
-    /// `expected`; `None` when absent. Reads every row — callers charge
+    /// `expected`; `None` when absent. Reads every cell — callers charge
     /// scrub/verify cost accordingly.
     pub fn verify_view(&self, name: &str, expected: Checksum) -> Option<bool> {
-        self.permanent
-            .get(name)
-            .map(|v| checksum_rows(&v.rows) == expected)
+        self.permanent.get(name).map(|v| v.verify(expected))
     }
 
     /// Recomputes a temporary table's checksum (staged working set or
     /// reorg staging copy) and compares it to `expected`; `None` when
     /// absent.
     pub fn verify_temp(&self, name: &str, expected: Checksum) -> Option<bool> {
-        self.temporary
-            .get(name)
-            .map(|v| checksum_rows(&v.rows) == expected)
+        self.temporary.get(name).map(|v| v.verify(expected))
     }
 
-    /// Silently flips a value in a permanent view's first row (chaos
-    /// corruption); the recorded checksum is left untouched. Returns
-    /// whether anything changed.
+    /// Silently flips a permanent view's first cell (chaos corruption); the
+    /// recorded checksum is left untouched. Returns whether anything
+    /// changed.
     pub fn corrupt_view(&mut self, name: &str) -> bool {
-        let Some(view) = self.permanent.get_mut(name) else {
-            return false;
-        };
-        view.cols = OnceLock::new();
-        corrupt_first_row(&mut view.rows)
+        self.permanent
+            .get_mut(name)
+            .is_some_and(StoredView::corrupt)
     }
 
-    /// Silently flips a value in a temporary table's first row (a torn
-    /// transfer of a working set or staging copy).
+    /// Silently flips a temporary table's first cell (a torn transfer of a
+    /// working set or staging copy).
     pub fn corrupt_temp(&mut self, name: &str) -> bool {
-        let Some(view) = self.temporary.get_mut(name) else {
-            return false;
-        };
-        view.cols = OnceLock::new();
-        corrupt_first_row(&mut view.rows)
+        self.temporary
+            .get_mut(name)
+            .is_some_and(StoredView::corrupt)
     }
 
     /// Temporary table names (sorted) — must be empty between queries and
@@ -235,7 +192,7 @@ impl DwStore {
         for (name, view) in &self.permanent {
             stats.set_view(
                 name.clone(),
-                view.rows.len() as f64,
+                view.batch.len() as f64,
                 view.size.as_bytes() as f64,
             );
         }
@@ -243,8 +200,10 @@ impl DwStore {
 
     /// Executes `subset` of `plan` in DW with pre-staged working sets.
     ///
-    /// `provided` maps cut-node ids to their transferred rows (already loaded
-    /// into temp space by the execution layer; load cost is charged there).
+    /// `provided` maps cut-node ids to their transferred working sets (already
+    /// loaded into temp space by the execution layer; load cost is charged
+    /// there) — as rows, which [`seed_batches`] pivots for
+    /// [`DwStore::execute_guarded`].
     pub fn execute(
         &self,
         plan: &LogicalPlan,
@@ -252,10 +211,12 @@ impl DwStore {
         provided: HashMap<NodeId, Arc<Vec<Row>>>,
         udfs: &UdfRegistry,
     ) -> Result<DwRun> {
+        let provided = seed_batches(plan, provided)?;
         self.execute_guarded(plan, subset, provided, udfs, QueryGuard::inert_ref())
     }
 
-    /// [`DwStore::execute`] under a [`QueryGuard`]: the engine checks the
+    /// [`DwStore::execute`] over `provided` batches — the working sets as HV
+    /// materialized them — under a [`QueryGuard`]: the engine checks the
     /// guard at every morsel-dispatch boundary and charges materializations
     /// and join/aggregate scratch against its memory budget. Injected
     /// `stall` faults inflate the charged cost past any sane deadline;
@@ -264,7 +225,7 @@ impl DwStore {
         &self,
         plan: &LogicalPlan,
         subset: Option<&HashSet<NodeId>>,
-        provided: HashMap<NodeId, Arc<Vec<Row>>>,
+        provided: HashMap<NodeId, Arc<ColBatch>>,
         udfs: &UdfRegistry,
         guard: &QueryGuard,
     ) -> Result<DwRun> {
@@ -309,7 +270,7 @@ impl DwStore {
         // Bytes of provided working sets are read from temp space.
         let mut bytes_in: ByteSize = provided
             .values()
-            .map(|rows| ByteSize::from_bytes(rows.iter().map(Row::approx_bytes).sum()))
+            .map(|batch| ByteSize::from_bytes(batch.row_bytes()))
             .sum();
         let provided_ids: HashSet<NodeId> = provided.keys().copied().collect();
         // DW only ever reads the root rows and per-node row counts, so let
@@ -407,35 +368,19 @@ impl DataSource for DwStore {
         )))
     }
 
-    fn view_rows(&self, view: &str) -> Result<&[Row]> {
+    fn view_batch(&self, view: &str) -> Result<Arc<ColBatch>> {
         self.permanent
             .get(view)
             .or_else(|| self.temporary.get(view))
-            .map(|v| v.rows.as_slice())
+            .map(|v| v.batch.clone())
             .ok_or_else(|| MisoError::Store(format!("DW has no view `{view}`")))
-    }
-
-    fn view_rows_shared(&self, view: &str) -> Option<Arc<Vec<Row>>> {
-        self.permanent
-            .get(view)
-            .or_else(|| self.temporary.get(view))
-            .map(|v| v.rows.clone())
-    }
-
-    fn view_cols_shared(&self, view: &str) -> Option<Arc<ColBatch>> {
-        let v = self
-            .permanent
-            .get(view)
-            .or_else(|| self.temporary.get(view))?;
-        v.cols
-            .get_or_init(|| ColBatch::from_rows(&v.rows).map(Arc::new))
-            .clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miso_data::checksum::checksum_rows;
     use miso_data::{DataType, Field, Value};
 
     fn rows(n: i64) -> Arc<Vec<Row>> {
@@ -456,7 +401,9 @@ mod tests {
     #[test]
     fn load_and_query_view() {
         let mut dw = DwStore::new();
-        let (size, load_cost) = dw.load_view("v_a", schema(), rows(20_000), TableSpace::Permanent);
+        let (size, load_cost) = dw
+            .load_view("v_a", schema(), rows(20_000), TableSpace::Permanent)
+            .unwrap();
         assert!(size.as_bytes() > 0);
         assert!(load_cost > SimDuration::ZERO);
         assert!(dw.has_view("v_a"));
@@ -493,12 +440,13 @@ mod tests {
     #[test]
     fn temp_space_is_cleared() {
         let mut dw = DwStore::new();
-        dw.load_view("ws", schema(), rows(10), TableSpace::Temporary);
+        dw.load_view("ws", schema(), rows(10), TableSpace::Temporary)
+            .unwrap();
         assert!(!dw.has_view("ws"), "temp tables are not part of the design");
         assert_eq!(dw.total_view_bytes(), ByteSize::ZERO);
-        assert!(dw.view_rows("ws").is_ok());
+        assert!(dw.view_batch("ws").is_ok());
         dw.clear_temp();
-        assert!(dw.view_rows("ws").is_err());
+        assert!(dw.view_batch("ws").is_err());
     }
 
     #[test]
@@ -579,7 +527,8 @@ mod tests {
     #[test]
     fn promote_temp_flips_staged_table_into_design() {
         let mut dw = DwStore::new();
-        dw.load_view("reorg_stage_v", schema(), rows(8), TableSpace::Temporary);
+        dw.load_view("reorg_stage_v", schema(), rows(8), TableSpace::Temporary)
+            .unwrap();
         assert!(dw.has_temp("reorg_stage_v"));
         assert!(!dw.has_view("v"));
         let size = dw.promote_temp("reorg_stage_v", "v").unwrap();
@@ -596,7 +545,8 @@ mod tests {
     #[test]
     fn checksums_survive_promotion_and_catch_corruption() {
         let mut dw = DwStore::new();
-        dw.load_view("reorg_stage_v", schema(), rows(8), TableSpace::Temporary);
+        dw.load_view("reorg_stage_v", schema(), rows(8), TableSpace::Temporary)
+            .unwrap();
         let expected = checksum_rows(&rows(8));
         assert_eq!(dw.verify_temp("reorg_stage_v", expected), Some(true));
         dw.promote_temp("reorg_stage_v", "v").unwrap();
@@ -612,7 +562,8 @@ mod tests {
         assert_eq!(dw.verify_view("v", expected), Some(false));
         assert_eq!(dw.verify_view("missing", expected), None);
 
-        dw.load_view("ws", schema(), rows(3), TableSpace::Temporary);
+        dw.load_view("ws", schema(), rows(3), TableSpace::Temporary)
+            .unwrap();
         assert_eq!(dw.temp_names(), vec!["ws".to_string()]);
         assert!(dw.corrupt_temp("ws"));
         assert_eq!(dw.verify_temp("ws", checksum_rows(&rows(3))), Some(false));
@@ -624,13 +575,67 @@ mod tests {
     #[test]
     fn eviction_returns_contents() {
         let mut dw = DwStore::new();
-        dw.load_view("v_b", schema(), rows(5), TableSpace::Permanent);
-        let (s, r, size) = dw.evict_view("v_b").unwrap();
-        assert_eq!(s, schema());
-        assert_eq!(r.len(), 5);
-        assert!(size.as_bytes() > 0);
+        dw.load_view("v_b", schema(), rows(5), TableSpace::Permanent)
+            .unwrap();
+        let stored = dw.view_batch("v_b").unwrap();
+        let evicted = dw.evict_view("v_b").unwrap();
+        assert_eq!(evicted.schema, schema());
+        assert!(
+            Arc::ptr_eq(&evicted.batch, &stored),
+            "the stored batch moves out"
+        );
+        assert_eq!(evicted.batch.to_rows(), *rows(5));
+        assert!(evicted.size.as_bytes() > 0);
         assert!(!dw.has_view("v_b"));
         assert!(dw.evict_view("v_b").is_none());
+    }
+
+    /// An empty view migrated in from rows has its schema's arity, and a
+    /// ragged row set is refused at the load, naming the view.
+    #[test]
+    fn empty_views_know_their_arity_and_ragged_rows_are_refused() {
+        let mut dw = DwStore::new();
+        let (size, _) = dw
+            .load_view(
+                "none",
+                schema(),
+                Arc::new(Vec::new()),
+                TableSpace::Permanent,
+            )
+            .unwrap();
+        assert_eq!(size, ByteSize::ZERO);
+        let empty = dw.view_batch("none").unwrap();
+        assert_eq!((empty.len(), empty.arity()), (0, 2));
+        assert_eq!(dw.verify_view("none", checksum_rows(&[])), Some(true));
+
+        let ragged = Arc::new(vec![
+            Row::new(vec![Value::Int(1), Value::Int(2)]),
+            Row::new(vec![Value::Int(1)]),
+        ]);
+        for space in [TableSpace::Permanent, TableSpace::Temporary] {
+            let err = dw
+                .load_view("v_ragged", schema(), ragged.clone(), space)
+                .unwrap_err();
+            assert!(matches!(err, MisoError::Store(_)), "{err:?}");
+            assert!(err.to_string().contains("`v_ragged`"), "{err}");
+        }
+        assert!(!dw.has_view("v_ragged") && !dw.has_temp("v_ragged"));
+        // A working set handed over as rows is refused too, naming its node.
+        let mut b = miso_plan::PlanBuilder::new();
+        let op = Operator::ScanView {
+            view: "none".into(),
+            schema: schema(),
+        };
+        let scan = b.add(op, vec![]).unwrap();
+        let top = b.add(Operator::Limit { n: 1 }, vec![scan]).unwrap();
+        let plan = b.finish(top).unwrap();
+        let above: HashSet<NodeId> = [top].into_iter().collect();
+        let seed = [(scan, ragged)].into_iter().collect();
+        let err = dw
+            .execute(&plan, Some(&above), seed, &UdfRegistry::new())
+            .unwrap_err();
+        assert!(matches!(err, MisoError::Store(_)), "{err:?}");
+        assert!(err.to_string().contains(&format!("node {scan}")), "{err}");
     }
 
     #[test]

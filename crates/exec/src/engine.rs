@@ -1,14 +1,15 @@
 //! The operator interpreter (miso-vex: morsel-parallel, column-at-a-time).
 //!
 //! Executes a [`LogicalPlan`] bottom-up over a [`DataSource`], one node at a
-//! time. Inside the engine a node's output is a [`ColBatch`] and each
-//! operator has one body, a function over batches whose expressions
-//! [`crate::col`] evaluates. Rows exist at the boundaries only: a UDF that
-//! declares no fields is called with rows and answers in rows, and when the
-//! run ends the outputs still held become the `Arc<Vec<Row>>` that
-//! [`Execution`] speaks — a view scan handing out the source's own rows, a
-//! `provided` working set passing through as it came, everything else
-//! pivoted once.
+//! time. A node's output is a shared [`ColBatch`] — inside the engine, in the
+//! [`Execution`] a run returns, in the `provided` working sets it is resumed
+//! with and in the views a source hands it ([`DataSource::view_batch`]) — and
+//! each operator has one body, a function over batches whose expressions
+//! [`crate::col`] evaluates. Rows are built for callers that speak them, on
+//! request and from the batch ([`Execution::output`] and its siblings,
+//! [`execute_subset`]'s row seeds), and for a UDF, whose function takes a
+//! row and answers in rows; nothing between operators, or between an
+//! operator and a store, is pivoted.
 //!
 //! What is still held is the caller's choice ([`Retention`]). By default it
 //! is every node — what tests and the serial oracle compare. A store names
@@ -63,21 +64,10 @@ pub const MORSEL_SIZE: usize = 4096;
 pub trait DataSource {
     /// The JSON lines of base log `log`.
     fn log_lines(&self, log: &str) -> Result<&[String]>;
-    /// The rows of materialized view `view`.
-    fn view_rows(&self, view: &str) -> Result<&[Row]>;
-    /// Shared-ownership variant of [`DataSource::view_rows`]: sources that
-    /// keep view rows in an `Arc<Vec<Row>>` hand the engine a zero-copy
-    /// handle, which is what a held `ScanView` leaves the run as. `None`
-    /// (the default) has the run pivot its own copy, and charge for it.
-    fn view_rows_shared(&self, _view: &str) -> Option<Arc<Vec<Row>>> {
-        None
-    }
-    /// Columnar companion to [`DataSource::view_rows_shared`]: a shared
-    /// [`ColBatch`] pivot of the view, for sources that keep one. `None`
-    /// (the default) has the scan pivot the view's rows itself.
-    fn view_cols_shared(&self, _view: &str) -> Option<Arc<ColBatch>> {
-        None
-    }
+    /// Materialized view `view` in the form the source holds it. A scan
+    /// shares the batch: it costs a refcount bump, copies nothing, and is
+    /// charged to no guard (`exec.zero_copy_scans`).
+    fn view_batch(&self, view: &str) -> Result<Arc<ColBatch>>;
     /// The columns a fused scan reads of base log `log` for its consumer (a
     /// SerDe projection, a UDF that declared its fields): one per field,
     /// over the log's well-formed lines in line order. The default
@@ -112,11 +102,9 @@ pub struct LogColumns {
 #[derive(Debug, Clone, Default)]
 pub struct MemSource {
     logs: HashMap<String, Vec<String>>,
-    views: HashMap<String, Arc<Vec<Row>>>,
-    /// Lazily pivoted columnar twins of `views`, built on first scan and
-    /// shared thereafter (`None` caches "not pivotable", i.e. a ragged-arity
-    /// view). Re-registering a view resets its slot.
-    cols: HashMap<String, OnceLock<Option<Arc<ColBatch>>>>,
+    /// A registered view, or why the rows it was registered from have no
+    /// batch.
+    views: HashMap<String, std::result::Result<Arc<ColBatch>, &'static str>>,
 }
 
 impl MemSource {
@@ -130,11 +118,24 @@ impl MemSource {
         self.logs.insert(name.into(), lines);
     }
 
-    /// Registers a view's rows.
+    /// Registers a view from rows. A row set carries no schema, so it must
+    /// say its arity itself: the first scan of a view registered from no
+    /// rows (use [`MemSource::add_batch`]), or from rows of differing arity,
+    /// is refused.
     pub fn add_view(&mut self, name: impl Into<String>, rows: Vec<Row>) {
-        let name = name.into();
-        self.cols.insert(name.clone(), OnceLock::new());
-        self.views.insert(name, Arc::new(rows));
+        let batch = if rows.is_empty() {
+            Err("no rows have no arity")
+        } else {
+            ColBatch::from_rows(&rows)
+                .map(Arc::new)
+                .ok_or(ColBatch::RAGGED)
+        };
+        self.views.insert(name.into(), batch);
+    }
+
+    /// Registers a view.
+    pub fn add_batch(&mut self, name: impl Into<String>, batch: ColBatch) {
+        self.views.insert(name.into(), Ok(Arc::new(batch)));
     }
 }
 
@@ -146,22 +147,12 @@ impl DataSource for MemSource {
             .ok_or_else(|| MisoError::Store(format!("unknown log `{log}`")))
     }
 
-    fn view_rows(&self, view: &str) -> Result<&[Row]> {
-        self.views
-            .get(view)
-            .map(|rows| rows.as_slice())
-            .ok_or_else(|| MisoError::Store(format!("unknown view `{view}`")))
-    }
-
-    fn view_rows_shared(&self, view: &str) -> Option<Arc<Vec<Row>>> {
-        self.views.get(view).cloned()
-    }
-
-    fn view_cols_shared(&self, view: &str) -> Option<Arc<ColBatch>> {
-        let slot = self.cols.get(view)?;
-        let rows = self.views.get(view)?;
-        slot.get_or_init(|| ColBatch::from_rows(rows).map(Arc::new))
-            .clone()
+    fn view_batch(&self, view: &str) -> Result<Arc<ColBatch>> {
+        match self.views.get(view) {
+            Some(Ok(batch)) => Ok(batch.clone()),
+            Some(Err(why)) => Err(MisoError::Store(format!("view `{view}`: {why}"))),
+            None => Err(MisoError::Store(format!("unknown view `{view}`"))),
+        }
     }
 }
 
@@ -188,10 +179,34 @@ impl Retention<'_> {
     pub const ROOT_ONLY: Retention<'static> = Retention::Only(&[]);
 }
 
+/// A node output a run still holds: the batch, and what callers that asked
+/// for its rows or its size were given.
+#[derive(Debug, Clone)]
+struct Held {
+    batch: Arc<ColBatch>,
+    rows: OnceLock<Arc<Vec<Row>>>,
+    bytes: OnceLock<u64>,
+}
+
+impl Held {
+    fn of(batch: Arc<ColBatch>) -> Held {
+        Held {
+            batch,
+            rows: OnceLock::new(),
+            bytes: OnceLock::new(),
+        }
+    }
+
+    /// The batch pivoted to rows, once, for a caller that speaks rows.
+    fn rows(&self) -> &Arc<Vec<Row>> {
+        self.rows.get_or_init(|| Arc::new(self.batch.to_rows()))
+    }
+}
+
 /// The result of executing (part of) a plan.
 #[derive(Debug, Clone)]
 pub struct Execution {
-    outputs: HashMap<NodeId, Arc<Vec<Row>>>,
+    outputs: HashMap<NodeId, Held>,
     /// Output row count of every executed or provided node — recorded even
     /// for outputs released early under [`Retention::Only`].
     rows_out: HashMap<NodeId, u64>,
@@ -204,40 +219,68 @@ pub struct Execution {
 }
 
 impl Execution {
-    /// Assembles an execution result (shared with [`crate::serial`]).
+    /// The result of the row-at-a-time reference interpreter
+    /// ([`crate::serial`]): each output's batch is pivoted from the rows it
+    /// computed, and those rows are what [`Execution::output`] hands back.
     pub(crate) fn from_parts(
+        plan: &LogicalPlan,
         outputs: HashMap<NodeId, Arc<Vec<Row>>>,
         rows_out: HashMap<NodeId, u64>,
         skipped_lines: u64,
-        root: NodeId,
-    ) -> Execution {
-        Execution {
-            outputs,
+    ) -> Result<Execution> {
+        let held = |(id, rows): (NodeId, Arc<Vec<Row>>)| {
+            let batch = Arc::new(pivot(plan.node(id), &rows)?);
+            let rows = OnceLock::from(rows);
+            Ok((
+                id,
+                Held {
+                    rows,
+                    ..Held::of(batch)
+                },
+            ))
+        };
+        Ok(Execution {
+            outputs: outputs.into_iter().map(held).collect::<Result<_>>()?,
             rows_out,
             skipped_lines,
             profiles: HashMap::new(),
-            root,
-        }
-    }
-
-    /// The output of node `id`; panics if that node was not executed (or its
-    /// rows were released under [`Retention::Only`]). Callers that cannot
-    /// prove the node was kept use [`Execution::retained_output`].
-    pub fn output(&self, id: NodeId) -> &Arc<Vec<Row>> {
-        &self.outputs[&id]
-    }
-
-    /// The output of node `id`, or an execution error naming the node when
-    /// its rows are not held (released early, or never executed).
-    pub fn retained_output(&self, id: NodeId) -> Result<&Arc<Vec<Row>>> {
-        self.outputs
-            .get(&id)
-            .ok_or_else(|| MisoError::Execution(format!("node {id} output not retained")))
+            root: plan.root(),
+        })
     }
 
     /// The output of node `id`, if executed and retained.
+    pub fn batch(&self, id: NodeId) -> Option<&Arc<ColBatch>> {
+        self.outputs.get(&id).map(|held| &held.batch)
+    }
+
+    /// The output of node `id`, or an execution error naming the node when
+    /// it is not held (released under [`Retention::Only`], or never
+    /// executed).
+    pub fn retained_batch(&self, id: NodeId) -> Result<&Arc<ColBatch>> {
+        self.batch(id)
+            .ok_or_else(|| MisoError::Execution(format!("node {id} output not retained")))
+    }
+
+    /// The root output; errors if the root was outside the executed subset
+    /// (e.g. an HV-side partial execution).
+    pub fn root_batch(&self) -> Result<&Arc<ColBatch>> {
+        self.batch(self.root)
+            .ok_or_else(|| MisoError::Execution("root was not part of the executed subset".into()))
+    }
+
+    /// [`Execution::batch`] as rows; panics if node `id` is not held.
+    pub fn output(&self, id: NodeId) -> &Arc<Vec<Row>> {
+        self.outputs[&id].rows()
+    }
+
+    /// [`Execution::retained_batch`] as rows.
+    pub fn retained_output(&self, id: NodeId) -> Result<&Arc<Vec<Row>>> {
+        self.retained_batch(id).map(|_| self.output(id))
+    }
+
+    /// [`Execution::batch`] as rows.
     pub fn try_output(&self, id: NodeId) -> Option<&Arc<Vec<Row>>> {
-        self.outputs.get(&id)
+        self.outputs.get(&id).map(Held::rows)
     }
 
     /// Output row count of node `id`, if executed — survives early release.
@@ -245,26 +288,20 @@ impl Execution {
         self.rows_out.get(&id).copied()
     }
 
-    /// The root output rows; errors if the root was outside the executed
-    /// subset (e.g. an HV-side partial execution).
+    /// [`Execution::root_batch`] as rows.
     pub fn root_rows(&self) -> Result<&[Row]> {
-        self.outputs
-            .get(&self.root)
-            .map(|r| r.as_slice())
-            .ok_or_else(|| MisoError::Execution("root was not part of the executed subset".into()))
+        self.root_batch().map(|_| self.output(self.root).as_slice())
     }
 
-    /// Approximate serialized size of node `id`'s output.
+    /// Approximate serialized size of node `id`'s output
+    /// ([`ColBatch::row_bytes`], read from its cells once); zero when it is
+    /// not held.
     pub fn output_bytes(&self, id: NodeId) -> ByteSize {
-        ByteSize::from_bytes(
-            self.outputs
-                .get(&id)
-                .map(|rows| rows.iter().map(Row::approx_bytes).sum())
-                .unwrap_or(0),
-        )
+        let bytes = |held: &Held| *held.bytes.get_or_init(|| held.batch.row_bytes());
+        ByteSize::from_bytes(self.outputs.get(&id).map_or(0, bytes))
     }
 
-    /// Ids of all executed (or provided) nodes, including any whose rows
+    /// Ids of all executed (or provided) nodes, including any whose outputs
     /// were released early.
     pub fn executed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.rows_out.keys().copied()
@@ -295,7 +332,8 @@ pub fn execute(
 /// * `subset` — nodes to execute (`None` = all). Each executed node's inputs
 ///   must be in the subset or in `provided`.
 /// * `provided` — pre-computed node outputs (working sets shipped from the
-///   other store during split execution).
+///   other store during split execution), as rows: [`seed_batches`] pivots
+///   them for [`execute_subset_guarded`].
 pub fn execute_subset(
     plan: &LogicalPlan,
     subset: Option<&HashSet<NodeId>>,
@@ -306,7 +344,7 @@ pub fn execute_subset(
     execute_subset_guarded(
         plan,
         subset,
-        provided,
+        seed_batches(plan, provided)?,
         source,
         udfs,
         Retention::All,
@@ -314,8 +352,19 @@ pub fn execute_subset(
     )
 }
 
-/// [`execute_subset`] keeping only what `retain` names, under a
-/// [`QueryGuard`]: the guard's cancellation
+/// Working sets handed over as rows, as the batches the engine resumes with.
+/// Rows of differing arity are refused here, naming the node they stand for.
+pub fn seed_batches(
+    plan: &LogicalPlan,
+    provided: HashMap<NodeId, Arc<Vec<Row>>>,
+) -> Result<HashMap<NodeId, Arc<ColBatch>>> {
+    let seed =
+        |(id, rows): (NodeId, Arc<Vec<Row>>)| Ok((id, Arc::new(pivot(plan.node(id), &rows)?)));
+    provided.into_iter().map(seed).collect()
+}
+
+/// [`execute_subset`] over `provided` batches, keeping only what `retain`
+/// names, under a [`QueryGuard`]: the guard's cancellation
 /// state is checked at every morsel-dispatch boundary (a serial point, so
 /// cancellation outcomes are thread-count-invariant), and the query's large
 /// allocations — node materialization buffers, join build tables, aggregate
@@ -332,7 +381,7 @@ pub fn execute_subset(
 pub fn execute_subset_guarded(
     plan: &LogicalPlan,
     subset: Option<&HashSet<NodeId>>,
-    provided: HashMap<NodeId, Arc<Vec<Row>>>,
+    provided: HashMap<NodeId, Arc<ColBatch>>,
     source: &dyn DataSource,
     udfs: &UdfRegistry,
     retain: Retention<'_>,
@@ -346,16 +395,11 @@ pub fn execute_subset_guarded(
     };
     let seeds: HashSet<NodeId> = provided.keys().copied().collect();
     let executes = |id: NodeId| subset.is_none_or(|s| s.contains(&id)) && !seeds.contains(&id);
-    // Every node's output; the working sets shipped in enter here.
-    let mut batches: HashMap<NodeId, Arc<ColBatch>> = HashMap::with_capacity(plan.len());
     let mut rows_out: HashMap<NodeId, u64> = HashMap::with_capacity(plan.len());
-    for node in plan.nodes().iter().filter(|n| seeds.contains(&n.id)) {
-        rows_out.insert(node.id, provided[&node.id].len() as u64);
-        batches.insert(node.id, Arc::new(pivot(node, &provided[&node.id])?));
-    }
-    // The row forms that exist without a pivot — the seeds, and every view
-    // its source shares — for whichever of them is still held at the end.
-    let mut rows = provided;
+    rows_out.extend(provided.iter().map(|(id, b)| (*id, b.len() as u64)));
+    // Every node's output; the working sets shipped in enter here.
+    let mut batches = provided;
+    batches.reserve(plan.len());
     // Remaining in-subset consumer edges per node. Once a node's count hits
     // zero its output is released unless kept.
     let mut pending: HashMap<NodeId, usize> = HashMap::new();
@@ -398,7 +442,10 @@ pub fn execute_subset_guarded(
                 skipped_lines += skipped;
                 Arc::new(batch)
             }
-            Operator::ScanView { view, .. } => scan_view(source, node, view, &mut rows)?,
+            Operator::ScanView { view, .. } => {
+                miso_obs::count("exec.zero_copy_scans", 1);
+                source.view_batch(view)?
+            }
             Operator::Filter { predicate } => filter(guard, input(0)?, predicate)?,
             // A fused scan already read this projection.
             Operator::Project { .. } if fused.contains(&node.inputs[0]) => Arc::clone(input(0)?),
@@ -409,7 +456,7 @@ pub fn execute_subset_guarded(
             }
             Operator::Udf { name, .. } => {
                 let declared = fused.contains(&node.inputs[0]);
-                Arc::new(udf(guard, udfs.require(name)?, input(0)?, declared, node)?)
+                Arc::new(udf(guard, udfs.require(name)?, input(0)?, declared)?)
             }
             Operator::Sort { keys } => Arc::new(sort(input(0)?, keys)),
             Operator::Limit { n } => limit(input(0)?, *n as usize),
@@ -442,7 +489,7 @@ pub fn execute_subset_guarded(
         }
         // Columns that are the source's own — a log's column image, a view
         // it shares — are not the query's to charge.
-        if !fused.contains(&node.id) && !rows.contains_key(&node.id) {
+        if !fused.contains(&node.id) && !matches!(node.op, Operator::ScanView { .. }) {
             ledger.charge(node.id, &batch)?;
         }
         rows_out.insert(node.id, n_out);
@@ -452,20 +499,14 @@ pub fn execute_subset_guarded(
                 *p = p.saturating_sub(1);
                 if *p == 0 && !kept(*input) {
                     batches.remove(input);
-                    rows.remove(input);
                     ledger.release(*input);
                 }
             }
         }
     }
-    // `Execution` speaks rows: what is still held is pivoted, once, unless
-    // its rows exist already.
-    let outputs = batches
-        .into_iter()
-        .map(|(id, batch)| (id, rows.remove(&id).unwrap_or_else(|| into_rows(batch))))
-        .collect();
+    let outputs = batches.into_iter().map(|(id, b)| (id, Held::of(b)));
     Ok(Execution {
-        outputs,
+        outputs: outputs.collect(),
         rows_out,
         skipped_lines,
         profiles,
@@ -485,15 +526,6 @@ fn input_of<'a>(
             node.id, node.inputs[i]
         ))
     })
-}
-
-/// The rows of a batch, moving its payloads out when nobody else holds it.
-fn into_rows(batch: Arc<ColBatch>) -> Arc<Vec<Row>> {
-    Arc::new(
-        Arc::try_unwrap(batch)
-            .map(ColBatch::into_rows)
-            .unwrap_or_else(|shared| shared.to_rows()),
-    )
 }
 
 /// Scan fusion: a log scan whose single consumer names the fields it reads of
@@ -519,21 +551,15 @@ fn fused_reader<'a>(
     }
 }
 
-/// Rows entering the engine — a view, a shipped working set, a UDF's output
-/// — as a batch of `node`'s arity. No plan produces rows of differing arity
-/// (`PlanBuilder` derives every schema, [`Udf::apply`] checks its output);
-/// a row set installed by hand that has them has no batch, and fails here.
+/// Rows handed to the engine — a working set, the reference interpreter's
+/// outputs — as a batch of `node`'s arity. No plan produces rows of differing
+/// arity (`PlanBuilder` derives every schema, [`Udf::apply`] checks its
+/// output); a row set built by hand that has them has no batch and is
+/// refused here.
 fn pivot(node: &PlanNode, rows: &[Row]) -> Result<ColBatch> {
-    if rows.is_empty() {
-        // `from_rows` cannot know the arity of no rows.
-        return Ok(ColBatch::empty(node.schema.arity()));
-    }
-    ColBatch::from_rows(rows).ok_or_else(|| {
-        MisoError::Execution(format!(
-            "node {} ({}): rows of differing arity have no columnar form",
-            node.id,
-            node.op.label()
-        ))
+    ColBatch::of_rows(node.schema.arity(), rows).ok_or_else(|| {
+        let what = format!("node {} ({})", node.id, node.op.label());
+        MisoError::Store(format!("{what}: {}", ColBatch::RAGGED))
     })
 }
 
@@ -575,31 +601,6 @@ fn scan_log(
     let records = Column::concat(parts.into_iter().map(|(records, _)| records).collect());
     let len = records.len();
     Ok((ColBatch::from_columns(vec![records], len), skipped))
-}
-
-/// A view as a batch: the source's own columnar twin when it keeps one, a
-/// pivot of the view's rows otherwise. A source that shares those rows has
-/// them noted in `rows` — should the scan still be held at the end, they are
-/// its output as they stand — and the scan then costs two refcount bumps and
-/// copies nothing (`exec.zero_copy_scans`).
-fn scan_view(
-    source: &dyn DataSource,
-    node: &PlanNode,
-    view: &str,
-    rows: &mut HashMap<NodeId, Arc<Vec<Row>>>,
-) -> Result<Arc<ColBatch>> {
-    if let Some(shared) = source.view_rows_shared(view) {
-        miso_obs::count("exec.zero_copy_scans", 1);
-        rows.insert(node.id, shared);
-    }
-    // An empty twin is pivoted again: it may not know its arity.
-    if let Some(twin) = source.view_cols_shared(view).filter(|b| !b.is_empty()) {
-        return Ok(twin);
-    }
-    Ok(Arc::new(match rows.get(&node.id) {
-        Some(shared) => pivot(node, shared)?,
-        None => pivot(node, source.view_rows(view)?)?,
-    }))
 }
 
 /// The rows `predicate` is `TRUE` on (SQL `WHERE`: NULL does not select).
@@ -661,30 +662,39 @@ fn sort(batch: &ColBatch, keys: &[(usize, bool)]) -> ColBatch {
     batch.gather(&order)
 }
 
-/// Calls `udf` once per row. A UDF that declared the fields it reads gets
-/// them as `batch` holds them (a fused scan read exactly those); any other
-/// gets its input row — the one place an operator pivots — and both answer
-/// in rows.
-fn udf(
-    guard: &QueryGuard,
-    udf: &Udf,
-    batch: &ColBatch,
-    declared: bool,
-    node: &PlanNode,
-) -> Result<ColBatch> {
-    let parts = par_ranges(guard, batch.len(), |_, start, n| -> Result<Vec<Row>> {
-        let mut out = Vec::new();
+/// Calls `udf` once per row — the one place an operator builds rows, because
+/// a UDF's function takes one and answers in them. A UDF that declared the
+/// fields it reads gets them as `batch` holds them (a fused scan read exactly
+/// those); any other gets its input row. The answers' values move straight
+/// into the output columns.
+fn udf(guard: &QueryGuard, udf: &Udf, batch: &ColBatch, declared: bool) -> Result<ColBatch> {
+    let arity = udf.output.arity();
+    let parts = par_ranges(guard, batch.len(), |_, start, n| -> Result<ColBatch> {
+        let mut cols: Vec<ColBuilder> = (0..arity).map(|_| ColBuilder::new()).collect();
+        let mut len = 0;
         for i in start..start + n {
-            let row = Row::new(batch.columns().iter().map(|c| c.value(i)).collect());
-            out.extend(if declared {
+            let row = batch.row(i);
+            let out = if declared {
                 udf.apply_fields(&row)?
             } else {
                 udf.apply(&row)?
-            });
+            };
+            len += out.len();
+            for row in out {
+                for (col, value) in cols.iter_mut().zip(row.into_values()) {
+                    col.push_value(value);
+                }
+            }
         }
-        Ok(out)
+        let cols = cols.into_iter().map(ColBuilder::finish).collect();
+        Ok(ColBatch::from_columns(cols, len))
     })?;
-    pivot(node, &concat(collect_ok(parts)?))
+    let parts = collect_ok(parts)?;
+    Ok(if parts.is_empty() {
+        ColBatch::empty(arity)
+    } else {
+        ColBatch::concat(parts)
+    })
 }
 
 /// Morsel dispatch over index ranges of a batch: runs `f(morsel index,
@@ -2136,8 +2146,8 @@ mod tests {
     }
 
     /// The production DW shape: a working set shipped from HV arrives as a
-    /// *provided* row seed (not a view scan); the operators above it read
-    /// it as they would the scan, and a kept seed leaves as it came.
+    /// *provided* seed (not a view scan); the operators above it read it as
+    /// they would the scan, and a kept seed leaves as it came.
     #[test]
     fn a_provided_seed_is_read_like_the_scan_it_replaces() {
         let mut src = MemSource::new();
@@ -2203,8 +2213,8 @@ mod tests {
         // The float sums span morsels: the whole-plan run is the reference.
         let full = execute(&plan, &src, &udfs).unwrap();
         // Ship the scan's output as a provided seed, DW-style: the consumer
-        // subset never sees the view, only the pre-staged rows.
-        let seed = full.output(scan).clone();
+        // subset never sees the view, only the pre-staged batch.
+        let seed = full.batch(scan).unwrap().clone();
         let dw_set: HashSet<NodeId> = [filter, proj, agg].into_iter().collect();
         for keep in [vec![], vec![scan]] {
             let dw = execute_subset_guarded(
@@ -2219,7 +2229,7 @@ mod tests {
             .unwrap();
             assert_eq!(dw.root_rows().unwrap(), full.root_rows().unwrap());
             assert_eq!(dw.rows_out(scan), full.rows_out(scan));
-            match dw.try_output(scan) {
+            match dw.batch(scan) {
                 Some(held) => assert!(Arc::ptr_eq(held, &seed), "the seed itself"),
                 None => assert!(keep.is_empty(), "a kept seed is held"),
             }
@@ -2332,27 +2342,35 @@ mod tests {
     }
 
     /// A kept view scan — and a plan that is nothing but one — hands out
-    /// the source's own rows: no copy, no pivot.
+    /// the source's own batch: no copy, no pivot. Rows are built from it
+    /// only for a caller that asks for them.
     #[test]
     fn a_kept_view_scan_hands_out_the_sources_rows() {
         let (plan, src) = filter_sort_limit_pipeline();
         let scan = NodeId(0);
-        let theirs = src.view_rows_shared("big").unwrap();
+        let theirs = src.view_batch("big").unwrap();
         let all = execute(&plan, &src, &UdfRegistry::new()).unwrap();
-        assert!(Arc::ptr_eq(all.output(scan), &theirs));
+        assert!(Arc::ptr_eq(all.batch(scan).unwrap(), &theirs));
         let kept = run_keeping(&plan, &src, &UdfRegistry::new(), &[scan]);
-        assert!(Arc::ptr_eq(kept.output(scan), &theirs));
+        assert!(Arc::ptr_eq(kept.batch(scan).unwrap(), &theirs));
         let mut b = PlanBuilder::new();
         let int = |name| Field::new(name, DataType::Int);
         let only = view_scan(&mut b, "big", vec![int("id"), int("x")]);
         let scan_plan = b.finish(only).unwrap();
         let root = run_keeping(&scan_plan, &src, &UdfRegistry::new(), &[]);
-        assert!(Arc::ptr_eq(root.output(only), &theirs));
+        assert!(Arc::ptr_eq(root.root_batch().unwrap(), &theirs));
+        assert_eq!(root.root_rows().unwrap(), theirs.to_rows());
+        assert!(
+            Arc::ptr_eq(root.output(only), root.output(only)),
+            "pivoted once"
+        );
     }
 
     /// Rows of differing arity have no batch. No plan produces them; they
-    /// can only be installed by hand, as a view or a `provided` seed, and
-    /// the run fails there with an error that names the node.
+    /// can only be handed over by hand, as a view or a `provided` seed, and
+    /// are refused there — before anything runs — with a store error that
+    /// names the view or the node. (The stores refuse them at `install_view`
+    /// / `load_view`, naming the view: see their tests.)
     #[test]
     fn ragged_rows_fail_at_the_boundary_naming_the_node() {
         let ragged: Vec<Row> = (0..70i64)
@@ -2375,21 +2393,20 @@ mod tests {
         let top = b.add(Operator::Limit { n: 5 }, vec![scan]).unwrap();
         let plan = b.finish(top).unwrap();
         let udfs = UdfRegistry::new();
-        // The reference interpreter has no batches and does not mind.
-        assert_eq!(
-            crate::serial::execute_serial(&plan, &src, &udfs)
-                .unwrap()
-                .root_rows()
-                .unwrap(),
-            &ragged[..5]
-        );
         let as_view = execute(&plan, &src, &udfs).unwrap_err();
+        assert!(as_view.to_string().contains("view `ragged`"), "{as_view}");
+        // The reference interpreter reads the same stored form.
+        let serial = crate::serial::execute_serial(&plan, &src, &udfs).unwrap_err();
+        assert_eq!(serial.to_string(), as_view.to_string());
         let seed = [(scan, Arc::new(ragged))].into_iter().collect();
         let above: HashSet<NodeId> = [top].into_iter().collect();
         let as_seed = execute_subset(&plan, Some(&above), seed, &src, &udfs).unwrap_err();
+        assert!(
+            as_seed.to_string().contains(&format!("node {scan}")),
+            "{as_seed}"
+        );
         for err in [as_view, as_seed] {
-            assert!(matches!(err, MisoError::Execution(_)), "{err:?}");
-            assert!(err.to_string().contains(&format!("node {scan}")), "{err}");
+            assert!(matches!(err, MisoError::Store(_)), "{err:?}");
             assert!(err.to_string().contains("differing arity"), "{err}");
         }
     }
@@ -2400,7 +2417,7 @@ mod tests {
     #[test]
     fn aggregates_over_empty_inputs_are_serial() {
         let mut src = MemSource::new();
-        src.add_view("none", Vec::new());
+        src.add_batch("none", ColBatch::empty(2));
         src.add_view(
             "some",
             (0..10)

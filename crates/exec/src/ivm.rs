@@ -35,9 +35,10 @@
 
 use crate::engine::{classify_aggs, Acc, GroupTable, MORSEL_SIZE};
 use crate::eval::eval;
-use miso_common::Result;
-use miso_data::{Row, Value};
+use miso_common::{MisoError, Result};
+use miso_data::{ColBatch, Row, RowSetDigest, Value};
 use miso_plan::expr::{AggExpr, AggFunc, Expr};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 /// The changed rows a delta fold produced: existing groups that were
@@ -50,6 +51,47 @@ pub struct AggApplied {
     pub updated: Vec<(usize, Row)>,
     /// Output rows of groups first seen in this delta, in insertion order.
     pub appended: Vec<Row>,
+}
+
+impl AggApplied {
+    /// Patches the stored aggregate view the fold belongs to: each changed
+    /// group's row goes through the view's `post` projection layers and
+    /// replaces (or extends) the view's row of the same index, `digest`
+    /// following every change. Returns the patched view and the bytes of the
+    /// rows written. An aggregate view is group-sized, so the view is
+    /// rebuilt whole.
+    pub fn patch(
+        &self,
+        view: &ColBatch,
+        post: &[Vec<(String, Expr)>],
+        digest: &mut RowSetDigest,
+    ) -> Result<(ColBatch, u64)> {
+        let mut rows = view.to_rows();
+        let mut changed = 0u64;
+        for (slot, agg_row) in &self.updated {
+            let new_row = apply_projection(post, agg_row)?;
+            changed += new_row.approx_bytes();
+            if rows[*slot] != new_row {
+                digest.replace_row(&rows[*slot], &new_row);
+                rows[*slot] = new_row;
+            }
+        }
+        for agg_row in &self.appended {
+            let new_row = apply_projection(post, agg_row)?;
+            changed += new_row.approx_bytes();
+            digest.add_row(&new_row);
+            rows.push(new_row);
+        }
+        let patched = ColBatch::of_rows(view.arity(), &rows)
+            .ok_or_else(|| MisoError::Execution("projected groups differ in arity".into()))?;
+        Ok((patched, changed))
+    }
+}
+
+/// The rows of `batch`, one at a time: the fold is row-at-a-time, as the
+/// reference interpreter it must agree with is.
+fn rows_of(batch: &ColBatch) -> impl Iterator<Item = Row> + '_ {
+    (0..batch.len()).map(|i| batch.row(i))
 }
 
 /// Live aggregation state for one maintained view (see module docs).
@@ -71,7 +113,7 @@ pub struct AggState {
 impl AggState {
     /// Replays `input` (the aggregate's full input, in row order) into
     /// fresh state.
-    pub fn build(input: &[Row], group_by: &[usize], aggs: &[AggExpr]) -> Result<AggState> {
+    pub fn build(input: &ColBatch, group_by: &[usize], aggs: &[AggExpr]) -> Result<AggState> {
         let mut state = AggState {
             closed: GroupTable::with_capacity(0),
             open: GroupTable::with_capacity(0),
@@ -112,7 +154,7 @@ impl AggState {
     /// the state and reports exactly which output rows changed.
     pub fn apply(
         &mut self,
-        delta: &[Row],
+        delta: &ColBatch,
         group_by: &[usize],
         aggs: &[AggExpr],
     ) -> Result<AggApplied> {
@@ -121,9 +163,11 @@ impl AggState {
         let srcs = classify_aggs(aggs);
         let before = self.groups();
         let mut touched: BTreeSet<usize> = BTreeSet::new();
-        for row in delta {
+        for row in rows_of(delta) {
             let known = self.open.slots.len();
-            let slot = self.open.fold_row(row, group_by, aggs, &srcs, &float_sum)?;
+            let slot = self
+                .open
+                .fold_row(&row, group_by, aggs, &srcs, &float_sum)?;
             if slot == known {
                 let (hash, key, _) = &self.open.slots[slot];
                 let out = match self.closed.find(*hash, |k| k == key.as_slice()) {
@@ -162,12 +206,12 @@ impl AggState {
     /// so far contributed no numeric value, so the delta's first numeric
     /// value is the grown input's first — and every accumulator of that
     /// `SUM` is still untouched, so a float decision just re-types them.
-    fn settle_sum_types(&mut self, delta: &[Row], aggs: &[AggExpr]) {
+    fn settle_sum_types(&mut self, delta: &ColBatch, aggs: &[AggExpr]) {
         for (i, agg) in aggs.iter().enumerate() {
             let (None, Some(e)) = (self.sum_float[i], &agg.input) else {
                 continue;
             };
-            self.sum_float[i] = first_numeric(delta, e);
+            self.sum_float[i] = first_numeric(rows_of(delta), e);
             if self.sum_float[i] == Some(true) {
                 for table in [&mut self.closed, &mut self.open] {
                     for (_, _, accs) in &mut table.slots {
@@ -219,9 +263,12 @@ fn finish_merged(acc: &Acc, later: &Acc) -> Value {
 /// it and the engine replays it over columns (`float_sum_flags`):
 /// `Some(true)` = float, `Some(false)` = int, `None` = no numeric value in
 /// `input`.
-pub(crate) fn first_numeric(input: &[Row], e: &Expr) -> Option<bool> {
+pub(crate) fn first_numeric<R: Borrow<Row>>(
+    input: impl IntoIterator<Item = R>,
+    e: &Expr,
+) -> Option<bool> {
     for row in input {
-        if let Ok(v) = eval(e, row) {
+        if let Ok(v) = eval(e, row.borrow()) {
             match v {
                 Value::Float(_) => return Some(true),
                 Value::Int(_) => return Some(false),
@@ -274,12 +321,24 @@ mod tests {
         ]
     }
 
-    /// Patches `view` the way the maintainer patches a stored view.
+    fn b(rows: &[Row]) -> ColBatch {
+        ColBatch::from_rows(rows).expect("one arity")
+    }
+
+    /// Patches `view` row by row, and checks that the maintainer's patch of
+    /// the stored batch ([`AggApplied::patch`]) gives those rows and their
+    /// digest.
     fn patch(view: &mut Vec<Row>, applied: AggApplied) {
+        let arity = view.iter().chain(&applied.appended).next();
+        let stored = ColBatch::of_rows(arity.map_or(0, Row::arity), view).unwrap();
+        let mut digest = RowSetDigest::from_rows(view);
+        let (patched, _) = applied.patch(&stored, &[], &mut digest).unwrap();
         for (slot, row) in applied.updated {
             view[slot] = row;
         }
         view.extend(applied.appended);
+        assert_eq!(patched.to_rows(), *view);
+        assert_eq!(digest.finish(), miso_data::checksum_rows(view));
     }
 
     /// Build-on-base + delta fold must equal build-on-full for every split.
@@ -296,10 +355,13 @@ mod tests {
         ]);
         let aggs = int_aggs();
         for split in 0..=full.len() {
-            let mut state = AggState::build(&full[..split], &[0], &aggs).unwrap();
+            let mut state = AggState::build(&b(&full[..split]), &[0], &aggs).unwrap();
             let mut view = state.output_rows();
-            patch(&mut view, state.apply(&full[split..], &[0], &aggs).unwrap());
-            let oracle = AggState::build(&full, &[0], &aggs).unwrap();
+            patch(
+                &mut view,
+                state.apply(&b(&full[split..]), &[0], &aggs).unwrap(),
+            );
+            let oracle = AggState::build(&b(&full), &[0], &aggs).unwrap();
             assert_eq!(view, oracle.output_rows(), "split {split}");
             assert_eq!(view, state.output_rows(), "split {split}");
         }
@@ -308,11 +370,11 @@ mod tests {
     #[test]
     fn global_aggregate_over_empty_base_updates_in_place() {
         let aggs = vec![AggExpr::new(AggFunc::Count, None, "n")];
-        let mut state = AggState::build(&[], &[], &aggs).unwrap();
+        let mut state = AggState::build(&b(&[]), &[], &aggs).unwrap();
         assert_eq!(state.groups(), 1, "implicit global group");
         assert_eq!(state.output_rows(), vec![Row::new(vec![Value::Int(0)])]);
         let applied = state
-            .apply(&rows(&[("sf", 1), ("ny", 2)]), &[], &aggs)
+            .apply(&b(&rows(&[("sf", 1), ("ny", 2)])), &[], &aggs)
             .unwrap();
         assert_eq!(applied.appended, vec![]);
         assert_eq!(applied.updated, vec![(0, Row::new(vec![Value::Int(2)]))]);
@@ -326,7 +388,7 @@ mod tests {
         retain: Retention<'_>,
     ) -> Vec<Row> {
         let mut src = MemSource::new();
-        src.add_view("input", input.to_vec());
+        src.add_batch("input", ColBatch::of_rows(4, input).expect("one arity"));
         let mut b = PlanBuilder::new();
         let schema = Schema::new(vec![
             Field::new("k", DataType::Str),
@@ -440,13 +502,15 @@ mod tests {
                 // `late` turns numeric inside the second delta.
                 let all = float_rows(total, base + 3, late_float);
                 for group_by in [vec![0usize], vec![]] {
-                    let mut state = AggState::build(&all[..base], &group_by, &aggs).unwrap();
+                    let mut state = AggState::build(&b(&all[..base]), &group_by, &aggs).unwrap();
                     let mut view = state.output_rows();
                     let mut end = base;
                     for n in deltas {
                         patch(
                             &mut view,
-                            state.apply(&all[end..end + n], &group_by, &aggs).unwrap(),
+                            state
+                                .apply(&b(&all[end..end + n]), &group_by, &aggs)
+                                .unwrap(),
                         );
                         end += n;
                         for (threads, retain) in [
@@ -493,7 +557,9 @@ mod tests {
         ];
         let aggs = vec![AggExpr::new(AggFunc::Sum, Some(Expr::col(1)), "s")];
         let sums = |rows: &[Row]| -> Vec<Value> { rows.iter().map(|r| r.get(1).clone()).collect() };
-        let rebuilt = AggState::build(&all, &[0], &aggs).unwrap().output_rows();
+        let rebuilt = AggState::build(&b(&all), &[0], &aggs)
+            .unwrap()
+            .output_rows();
         assert_eq!(
             sums(&rebuilt),
             [
@@ -505,9 +571,12 @@ mod tests {
         );
         assert_eq!(rebuilt, engine_aggregate(&all, &[0], &aggs, Retention::All));
         for split in 0..=all.len() {
-            let mut state = AggState::build(&all[..split], &[0], &aggs).unwrap();
+            let mut state = AggState::build(&b(&all[..split]), &[0], &aggs).unwrap();
             let mut view = state.output_rows();
-            patch(&mut view, state.apply(&all[split..], &[0], &aggs).unwrap());
+            patch(
+                &mut view,
+                state.apply(&b(&all[split..]), &[0], &aggs).unwrap(),
+            );
             assert_eq!(view, rebuilt, "split {split}");
         }
     }

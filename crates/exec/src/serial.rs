@@ -52,7 +52,7 @@ pub fn execute_serial(
                 }
                 rows
             }
-            Operator::ScanView { view, .. } => source.view_rows(view)?.to_vec(),
+            Operator::ScanView { view, .. } => source.view_batch(view)?.to_rows(),
             Operator::Filter { predicate } => {
                 let input = get_input(0)?;
                 let mut rows = Vec::new();
@@ -116,12 +116,7 @@ pub fn execute_serial(
         rows_out.insert(node.id, rows.len() as u64);
         outputs.insert(node.id, Arc::new(rows));
     }
-    Ok(Execution::from_parts(
-        outputs,
-        rows_out,
-        skipped_lines,
-        plan.root(),
-    ))
+    Execution::from_parts(plan, outputs, rows_out, skipped_lines)
 }
 
 /// Inner hash equijoin, seed edition: `Vec<&Value>` key per row, SipHash.

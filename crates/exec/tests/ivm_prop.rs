@@ -10,7 +10,7 @@
 //! Cases are seeded [`DetRng`] streams; a failing assert names the seed.
 
 use miso_common::rng::DetRng;
-use miso_data::{DataType, Field, Row, Schema, Value};
+use miso_data::{ColBatch, DataType, Field, Row, Schema, Value};
 use miso_exec::engine::execute;
 use miso_exec::{execute_serial, AggState, MemSource, UdfRegistry};
 use miso_plan::{AggExpr, AggFunc, BinOp, Expr, LogicalPlan, Operator, PlanBuilder};
@@ -101,12 +101,17 @@ fn join_plan() -> LogicalPlan {
 
 fn run_serial(plan: &LogicalPlan, rows: &[Row]) -> Vec<Row> {
     let mut src = MemSource::new();
-    src.add_view("base", rows.to_vec());
+    src.add_batch("base", batch(rows));
     let exec = execute_serial(plan, &src, &UdfRegistry::new()).unwrap();
     exec.root_rows().unwrap().to_vec()
 }
 
 /// `rows` and the split point of its base / delta halves.
+/// `[key, value]` rows as the batch a store would hold them in.
+fn batch(rows: &[Row]) -> ColBatch {
+    ColBatch::of_rows(2, rows).expect("two columns each")
+}
+
 fn arb_split(rng: &mut DetRng, max: u64) -> (Vec<Row>, usize) {
     let rows = arb_rows(rng, max);
     let split = rng.below(rows.len() as u64 + 1) as usize;
@@ -122,9 +127,9 @@ fn delta_fold_matches_full_replay_and_serial() {
     for seed in 0..CASES {
         let (rows, split) = arb_split(&mut DetRng::new(0x1f01d + seed), 60);
         let (base, delta) = rows.split_at(split);
-        let mut state = AggState::build(base, &[0], &a).unwrap();
+        let mut state = AggState::build(&batch(base), &[0], &a).unwrap();
         let mut patched = state.output_rows();
-        let applied = state.apply(delta, &[0], &a).unwrap();
+        let applied = state.apply(&batch(delta), &[0], &a).unwrap();
         for (slot, row) in applied.updated {
             patched[slot] = row;
         }
@@ -132,7 +137,9 @@ fn delta_fold_matches_full_replay_and_serial() {
 
         let what = format!("seed {seed}, split {split}");
         let folded = state.output_rows();
-        let full = AggState::build(&rows, &[0], &a).unwrap().output_rows();
+        let full = AggState::build(&batch(&rows), &[0], &a)
+            .unwrap()
+            .output_rows();
         assert_eq!(folded, full, "{what}: fold diverged from full replay");
         assert_eq!(patched, full, "{what}: patch list diverged from replay");
         assert_eq!(folded, run_serial(&agg_plan(), &rows), "{what}: vs serial");
@@ -170,8 +177,8 @@ fn join_probe_is_prefix_stable_under_append() {
         let right = arb_rows(&mut rng, 30);
         let probe = |left: &[Row]| {
             let mut src = MemSource::new();
-            src.add_view("base", left.to_vec());
-            src.add_view("build", right.clone());
+            src.add_batch("base", batch(left));
+            src.add_batch("build", batch(&right));
             let exec = execute(&plan, &src, &UdfRegistry::new()).unwrap();
             exec.root_rows().unwrap().to_vec()
         };

@@ -5,33 +5,16 @@ use crate::stages::{compile_stages, Stage};
 use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
 use miso_common::{ByteSize, MisoError, Result, SimDuration};
-use miso_data::checksum::{checksum_rows, corrupt_first_row, Checksum};
+use miso_data::checksum::{checksum_batch, Checksum};
 use miso_data::logs::LogFile;
-use miso_data::{ColBatch, Column, DataType, Row, Schema};
+use miso_data::{ColBatch, Column, DataType, Row, Schema, StoredView};
 use miso_exec::col::LogIndex;
 use miso_exec::engine::{execute_subset_guarded, DataSource, Execution, LogColumns, Retention};
 use miso_exec::{FusedField, UdfRegistry};
 use miso_plan::estimate::MapStats;
 use miso_plan::{LogicalPlan, Operator};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-/// A view's contents as stored in HV.
-#[derive(Debug, Clone)]
-struct StoredView {
-    schema: Schema,
-    rows: Arc<Vec<Row>>,
-    size: ByteSize,
-    /// Lazily pivoted columnar twin of `rows`, as in `DwStore`. `None`
-    /// caches "ragged, not pivotable". A fresh slot comes with every
-    /// install, and [`HvStore::corrupt_view`] resets it, so the twin can
-    /// never diverge from `rows`.
-    cols: OnceLock<Option<Arc<ColBatch>>>,
-    /// Content checksum recorded when the view was installed. Deliberately
-    /// *not* updated by [`HvStore::corrupt_view`]: it is the install-time
-    /// truth that verification compares the bytes against.
-    checksum: Checksum,
-}
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One base log as HV holds it: the raw lines, a token index of them, and
 /// every column a fused scan has asked for so far, read once and kept.
@@ -224,18 +207,31 @@ impl<'a> LogBatch<'a> {
 pub struct MaterializedOutput {
     /// The plan node whose output this is.
     pub node: NodeId,
-    /// The materialized rows.
-    pub rows: Arc<Vec<Row>>,
-    /// The rows' schema.
+    /// The materialized output, shared with the execution that produced it.
+    pub batch: Arc<ColBatch>,
+    /// Its schema.
     pub schema: Schema,
-    /// Serialized size.
+    /// Serialized size ([`ColBatch::row_bytes`]).
     pub size: ByteSize,
+}
+
+impl MaterializedOutput {
+    /// The output as a view to store. Checksums the batch — here, once: the
+    /// store it goes to and the catalog entry made for it carry this digest.
+    pub fn stored(&self) -> StoredView {
+        StoredView {
+            schema: self.schema.clone(),
+            batch: self.batch.clone(),
+            size: self.size,
+            checksum: checksum_batch(&self.batch),
+        }
+    }
 }
 
 /// The result of executing (part of) a plan in HV.
 #[derive(Debug)]
 pub struct HvRun {
-    /// Row counts for every executed node; rows only for what HV harvests
+    /// Row counts for every executed node; outputs only for what HV harvests
     /// (stage outputs, map-side filter spills) and the caller's extra
     /// nodes — see [`HvStore::execute_retaining`].
     pub execution: Execution,
@@ -251,7 +247,7 @@ pub struct HvRun {
 ///
 /// `Clone` is deliberate: the serving layer snapshots the whole store into an
 /// immutable epoch image, so reorganization can stage changes off to the side
-/// and publish atomically. Logs and view rows are `Arc`-shared, so a clone
+/// and publish atomically. Logs and view batches are `Arc`-shared, so a clone
 /// costs one refcount bump per log and per view, whatever their sizes; a log
 /// is copied only when one of two stores sharing it appends to it.
 #[derive(Debug, Default, Clone)]
@@ -314,48 +310,26 @@ impl HvStore {
         self.logs.values().map(|l| l.size).sum()
     }
 
-    /// Installs (or replaces) a materialized view, recording its content
-    /// checksum (part of the write cost, like any storage-level CRC).
-    pub fn install_view(&mut self, name: &str, schema: Schema, rows: Arc<Vec<Row>>) -> ByteSize {
-        let size = ByteSize::from_bytes(rows.iter().map(Row::approx_bytes).sum());
-        let checksum = checksum_rows(&rows);
-        self.views.insert(
-            name.to_string(),
-            StoredView {
-                schema,
-                rows,
-                size,
-                cols: OnceLock::new(),
-                checksum,
-            },
-        );
+    /// Installs (or replaces) a materialized view as it stands: the batch
+    /// moves in with the size and checksum recorded when it was materialized
+    /// (harvest, migration from DW, a maintenance pass that re-stamped them
+    /// incrementally). Nothing here reads a cell.
+    pub fn install(&mut self, name: &str, view: StoredView) -> ByteSize {
+        let size = view.size;
+        self.views.insert(name.to_string(), view);
         size
     }
 
-    /// Installs a view whose size and content checksum the caller computed
-    /// incrementally (the IVM maintenance path). Trusting the provided
-    /// metadata keeps a delta apply O(|delta|): nothing here re-scans the
-    /// rows. The caller is responsible for `checksum` being the exact
-    /// [`checksum_rows`] value of `rows` — the incremental
-    /// [`miso_data::RowSetDigest`] guarantees that by construction.
-    pub fn install_view_with_checksum(
+    /// [`HvStore::install`] for a caller that holds rows: pivots them, and
+    /// sizes and checksums the result (part of the write cost, like any
+    /// storage-level CRC). Rows of differing arity are refused.
+    pub fn install_view(
         &mut self,
         name: &str,
         schema: Schema,
         rows: Arc<Vec<Row>>,
-        size: ByteSize,
-        checksum: Checksum,
-    ) {
-        self.views.insert(
-            name.to_string(),
-            StoredView {
-                schema,
-                rows,
-                size,
-                cols: OnceLock::new(),
-                checksum,
-            },
-        );
+    ) -> Result<ByteSize> {
+        Ok(self.install(name, StoredView::from_rows(name, schema, &rows)?))
     }
 
     /// Removes a view, returning its size if it existed.
@@ -363,12 +337,11 @@ impl HvStore {
         self.views.remove(name).map(|v| v.size)
     }
 
-    /// Removes a view and returns its full contents (schema, rows, size).
-    /// The maintenance layer uses this to take sole ownership of the row
-    /// `Arc` before a delta apply, so extending the rows is a cheap
-    /// in-place `Arc::make_mut` instead of a deep clone.
-    pub fn take_view(&mut self, name: &str) -> Option<(Schema, Arc<Vec<Row>>, ByteSize)> {
-        self.views.remove(name).map(|v| (v.schema, v.rows, v.size))
+    /// Removes a view and returns it whole. The maintenance layer uses this
+    /// to take sole ownership of the batch before a delta apply, so extending
+    /// its columns is in place instead of a copy.
+    pub fn take_view(&mut self, name: &str) -> Option<StoredView> {
+        self.views.remove(name)
     }
 
     /// Whether a view is present.
@@ -376,14 +349,19 @@ impl HvStore {
         self.views.contains_key(name)
     }
 
+    /// A stored view: batch, schema, recorded size and checksum.
+    pub fn view(&self, name: &str) -> Option<&StoredView> {
+        self.views.get(name)
+    }
+
     /// A view's stored size.
     pub fn view_size(&self, name: &str) -> Option<ByteSize> {
         self.views.get(name).map(|v| v.size)
     }
 
-    /// A view's stored rows (for migrating it to the other store).
+    /// A view's rows, pivoted for a caller that speaks rows.
     pub fn view_rows(&self, name: &str) -> Option<Arc<Vec<Row>>> {
-        self.views.get(name).map(|v| v.rows.clone())
+        self.views.get(name).map(StoredView::rows)
     }
 
     /// A view's schema.
@@ -391,38 +369,24 @@ impl HvStore {
         self.views.get(name).map(|v| &v.schema)
     }
 
-    /// A view's rows as a slice (store-level error when absent).
-    pub fn view_rows_slice(&self, name: &str) -> Result<&[Row]> {
-        self.views
-            .get(name)
-            .map(|v| v.rows.as_slice())
-            .ok_or_else(|| MisoError::Store(format!("HV has no view `{name}`")))
-    }
-
     /// A view's install-time content checksum.
     pub fn view_checksum(&self, name: &str) -> Option<Checksum> {
         self.views.get(name).map(|v| v.checksum)
     }
 
-    /// Recomputes the stored rows' checksum and compares it to `expected`.
-    /// `None` when the view is absent. This reads every row — callers
+    /// Recomputes the stored cells' checksum and compares it to `expected`.
+    /// `None` when the view is absent. This reads every cell — callers
     /// charge scrub/verify cost accordingly.
     pub fn verify_view(&self, name: &str, expected: Checksum) -> Option<bool> {
-        self.views
-            .get(name)
-            .map(|v| checksum_rows(&v.rows) == expected)
+        self.views.get(name).map(|v| v.verify(expected))
     }
 
-    /// Silently flips a value in the view's first row (chaos corruption).
-    /// The recorded install-time checksum is left untouched — that is the
-    /// point: only re-verification can notice. Returns whether anything
-    /// changed (empty or absent views cannot be corrupted).
+    /// Silently flips the view's first cell (chaos corruption). The recorded
+    /// install-time checksum is left untouched — that is the point: only
+    /// re-verification can notice. Returns whether anything changed (empty
+    /// or absent views cannot be corrupted).
     pub fn corrupt_view(&mut self, name: &str) -> bool {
-        let Some(view) = self.views.get_mut(name) else {
-            return false;
-        };
-        view.cols = OnceLock::new();
-        corrupt_first_row(&mut view.rows)
+        self.views.get_mut(name).is_some_and(StoredView::corrupt)
     }
 
     /// Total bytes of stored views.
@@ -449,7 +413,7 @@ impl HvStore {
         for (name, view) in &self.views {
             stats.set_view(
                 name.clone(),
-                view.rows.len() as f64,
+                view.batch.len() as f64,
                 view.size.as_bytes() as f64,
             );
         }
@@ -483,7 +447,7 @@ impl HvStore {
         self.execute_retaining(plan, subset, udfs, guard, &[])
     }
 
-    /// [`HvStore::execute_guarded`] that also keeps the rows of the `extra`
+    /// [`HvStore::execute_guarded`] that also keeps the outputs of the `extra`
     /// nodes. A Hadoop job writes its output to HDFS and spills its
     /// map-side filter; every other operator's result is pipelined and gone
     /// when the job ends. So the run keeps exactly the stage outputs (every
@@ -576,7 +540,7 @@ impl HvStore {
         for &id in &harvest {
             materialized.push(MaterializedOutput {
                 node: id,
-                rows: execution.retained_output(id)?.clone(),
+                batch: execution.retained_batch(id)?.clone(),
                 schema: plan.node(id).schema.clone(),
                 size: execution.output_bytes(id),
             });
@@ -664,22 +628,11 @@ impl DataSource for HvStore {
             .ok_or_else(|| MisoError::Store(format!("HV has no log `{log}`")))
     }
 
-    fn view_rows(&self, view: &str) -> Result<&[Row]> {
+    fn view_batch(&self, view: &str) -> Result<Arc<ColBatch>> {
         self.views
             .get(view)
-            .map(|v| v.rows.as_slice())
+            .map(|v| v.batch.clone())
             .ok_or_else(|| MisoError::Store(format!("HV has no view `{view}`")))
-    }
-
-    fn view_rows_shared(&self, view: &str) -> Option<Arc<Vec<Row>>> {
-        self.views.get(view).map(|v| v.rows.clone())
-    }
-
-    fn view_cols_shared(&self, view: &str) -> Option<Arc<ColBatch>> {
-        let v = self.views.get(view)?;
-        v.cols
-            .get_or_init(|| ColBatch::from_rows(&v.rows).map(Arc::new))
-            .clone()
     }
 
     fn log_columns(&self, log: &str, fields: &[FusedField<'_>]) -> Result<LogColumns> {
@@ -739,7 +692,7 @@ mod tests {
         let mut s = store();
         let rows = Arc::new(vec![Row::new(vec![miso_data::Value::Int(1)])]);
         let schema = Schema::new(vec![miso_data::Field::new("x", miso_data::DataType::Int)]);
-        let size = s.install_view("v_test", schema, rows);
+        let size = s.install_view("v_test", schema, rows).unwrap();
         assert!(size.as_bytes() > 0);
         assert!(s.has_view("v_test"));
         assert_eq!(s.view_size("v_test"), Some(size));
@@ -754,7 +707,7 @@ mod tests {
         let mut s = store();
         let rows = Arc::new(vec![Row::new(vec![miso_data::Value::Int(1)])]);
         let schema = Schema::new(vec![miso_data::Field::new("x", miso_data::DataType::Int)]);
-        s.install_view("v_test", schema, rows);
+        s.install_view("v_test", schema, rows).unwrap();
         let recorded = s.view_checksum("v_test").unwrap();
         assert_eq!(s.verify_view("v_test", recorded), Some(true));
         assert!(s.corrupt_view("v_test"));
@@ -829,38 +782,99 @@ mod tests {
         assert_eq!(rows_of(&master).len(), grown.len());
     }
 
-    /// The columnar twin of a view is pivoted once and can never outlive
-    /// the rows it mirrors.
+    /// A stored batch is shared — by scans, by clones of the store — until
+    /// the view changes, and a change never reaches whoever holds the old one.
     #[test]
-    fn view_columns_are_cached_until_the_rows_change() {
+    fn a_view_batch_is_shared_until_the_view_changes() {
         let mut s = store();
         let schema = Schema::new(vec![miso_data::Field::new("x", miso_data::DataType::Int)]);
         let rows = |x: i64| Arc::new(vec![Row::new(vec![miso_data::Value::Int(x)])]);
-        s.install_view("v", schema.clone(), rows(1));
-        let first = s.view_cols_shared("v").unwrap();
-        assert!(Arc::ptr_eq(&first, &s.view_cols_shared("v").unwrap()));
-        assert!(Arc::ptr_eq(
-            &first,
-            &s.clone().view_cols_shared("v").unwrap()
-        ));
+        s.install_view("v", schema.clone(), rows(1)).unwrap();
+        let first = s.view_batch("v").unwrap();
+        assert!(Arc::ptr_eq(&first, &s.view_batch("v").unwrap()));
+        let snapshot = s.clone();
+        assert!(Arc::ptr_eq(&first, &snapshot.view_batch("v").unwrap()));
         assert_eq!(first.to_rows(), *rows(1));
+        // Corruption copies on write: the snapshot keeps the clean cells.
         assert!(s.corrupt_view("v"));
-        let corrupted = s.view_cols_shared("v").unwrap();
-        assert_eq!(corrupted.to_rows(), *s.view_rows("v").unwrap());
-        assert_ne!(corrupted.to_rows(), *rows(1));
-        s.install_view("v", schema.clone(), rows(2));
-        assert_eq!(s.view_cols_shared("v").unwrap().to_rows(), *rows(2));
-        let (_, taken, _) = s.take_view("v").unwrap();
-        assert!(s.view_cols_shared("v").is_none());
-        s.install_view_with_checksum(
-            "v",
-            schema,
-            rows(3),
-            ByteSize::from_bytes(1),
-            checksum_rows(&rows(3)),
+        assert_ne!(s.view_batch("v").unwrap().to_rows(), *rows(1));
+        assert_eq!(
+            *s.view_rows("v").unwrap(),
+            s.view_batch("v").unwrap().to_rows()
         );
-        assert_eq!(s.view_cols_shared("v").unwrap().to_rows(), *rows(3));
-        assert_eq!(*taken, *rows(2));
+        assert_eq!(snapshot.view_batch("v").unwrap().to_rows(), *rows(1));
+        s.install_view("v", schema, rows(2)).unwrap();
+        assert_eq!(s.view_batch("v").unwrap().to_rows(), *rows(2));
+        // Taking a view hands over the stored `Arc`, recorded stamps and all.
+        let stored = s.view_batch("v").unwrap();
+        let taken = s.take_view("v").unwrap();
+        assert!(s.view_batch("v").is_err());
+        assert!(Arc::ptr_eq(&taken.batch, &stored));
+        assert!(taken.verify(taken.checksum));
+        assert_eq!(taken.size.as_bytes(), stored.row_bytes());
+        s.install("v", taken);
+        assert!(Arc::ptr_eq(&s.view_batch("v").unwrap(), &stored));
+    }
+
+    /// An empty view has its schema's arity, not none: it scans, joins,
+    /// migrates and takes an append like any other.
+    #[test]
+    fn an_empty_view_knows_its_arity() {
+        let mut s = store();
+        let schema = Schema::new(vec![
+            miso_data::Field::new("k", miso_data::DataType::Int),
+            miso_data::Field::new("v", miso_data::DataType::Str),
+        ]);
+        s.install_view("none", schema.clone(), Arc::new(Vec::new()))
+            .unwrap();
+        let empty = s.view_batch("none").unwrap();
+        assert_eq!((empty.len(), empty.arity()), (0, 2));
+        assert_eq!(s.view_size("none"), Some(ByteSize::ZERO));
+        let mut b = miso_plan::PlanBuilder::new();
+        let scan = |b: &mut miso_plan::PlanBuilder| {
+            let op = Operator::ScanView {
+                view: "none".into(),
+                schema: schema.clone(),
+            };
+            b.add(op, vec![]).unwrap()
+        };
+        let (left, right) = (scan(&mut b), scan(&mut b));
+        let join = b
+            .add(Operator::Join { on: vec![(0, 0)] }, vec![left, right])
+            .unwrap();
+        let keys = vec![(3, true)];
+        let sort = b.add(Operator::Sort { keys }, vec![join]).unwrap();
+        let plan = b.finish(sort).unwrap();
+        let run = s.execute(&plan, None, &UdfRegistry::new()).unwrap();
+        let root = run.execution.root_batch().unwrap();
+        assert_eq!((root.len(), root.arity()), (0, 4));
+        // An append refresh extends the stored columns in place.
+        let mut taken = s.take_view("none").unwrap();
+        let delta = vec![Row::new(vec![
+            miso_data::Value::Int(1),
+            miso_data::Value::str("a"),
+        ])];
+        Arc::make_mut(&mut taken.batch).append(ColBatch::from_rows(&delta).unwrap());
+        assert_eq!(taken.batch.to_rows(), delta);
+        assert!(matches!(taken.batch.col(0), Column::Int(..)));
+        assert!(matches!(taken.batch.col(1), Column::Str(..)));
+    }
+
+    /// Rows of differing arity have no batch: they are refused where they
+    /// enter, naming the view, and nothing is stored.
+    #[test]
+    fn ragged_rows_are_refused_at_install() {
+        let mut s = store();
+        let schema = Schema::new(vec![miso_data::Field::new("x", miso_data::DataType::Int)]);
+        let ragged = Arc::new(vec![
+            Row::new(vec![miso_data::Value::Int(1)]),
+            Row::new(vec![miso_data::Value::Int(1), miso_data::Value::Int(2)]),
+        ]);
+        let err = s.install_view("v_ragged", schema, ragged).unwrap_err();
+        assert!(matches!(err, MisoError::Store(_)), "{err:?}");
+        assert!(err.to_string().contains("`v_ragged`"), "{err}");
+        assert!(err.to_string().contains("differing arity"), "{err}");
+        assert!(!s.has_view("v_ragged"));
     }
 
     #[test]
@@ -870,7 +884,7 @@ mod tests {
         let p = plan("SELECT t.city AS city, COUNT(*) AS n FROM twitter t GROUP BY t.city");
         let run = s.execute(&p, None, &UdfRegistry::new()).unwrap();
         let m = &run.materialized[0];
-        s.install_view("v_agg", m.schema.clone(), m.rows.clone());
+        s.install("v_agg", m.stored());
 
         let mut b = miso_plan::PlanBuilder::new();
         let sv = b
@@ -884,7 +898,7 @@ mod tests {
             .unwrap();
         let p2 = b.finish(sv).unwrap();
         let run2 = s.execute(&p2, None, &UdfRegistry::new()).unwrap();
-        assert_eq!(run2.execution.root_rows().unwrap().len(), m.rows.len());
+        assert_eq!(run2.execution.root_rows().unwrap().len(), m.batch.len());
         // Scanning a small view is far cheaper than scanning the base log.
         assert!(run2.cost < run.cost);
     }
@@ -904,7 +918,7 @@ mod tests {
         let mut s = store();
         let rows = Arc::new(vec![Row::new(vec![miso_data::Value::Int(1)])]);
         let schema = Schema::new(vec![miso_data::Field::new("x", miso_data::DataType::Int)]);
-        s.install_view("v_x", schema, rows);
+        s.install_view("v_x", schema, rows).unwrap();
         let mut stats = MapStats::new();
         s.fill_stats(&mut stats);
         use miso_plan::estimate::StatsSource;

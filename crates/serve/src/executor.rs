@@ -137,7 +137,7 @@ impl SnapExecutor {
             Some(run) => split::cuts(stores, &planned, run)?,
             None => Vec::new(),
         };
-        let shipped = cuts.iter().map(|c| (c.node, c.rows.clone())).collect();
+        let shipped = cuts.iter().map(|c| (c.node, c.batch.clone())).collect();
         let dw_run = if dw_set.is_empty() {
             None
         } else {

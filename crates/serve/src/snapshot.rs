@@ -9,7 +9,7 @@
 //! never a mix: the catalog, HV residency, and DW residency travel as one
 //! atomic unit.
 //!
-//! View rows inside the stores are `Arc<Vec<Row>>` and HV's base logs sit
+//! View batches inside the stores are `Arc`-held and HV's base logs sit
 //! behind an `Arc` too (lines and parsed columns alike), so cloning a store
 //! into a snapshot shares data rather than copying it: the clone cost is
 //! proportional to the number of logs/views, not the number of rows or

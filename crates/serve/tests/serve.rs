@@ -99,7 +99,8 @@ fn racing_reader_never_observes_mixed_snapshot() {
         let def = ViewDef::from_plan(plan, ByteSize::from_kib(1), 0, QueryId(k));
         let name = def.name.clone();
         catalog.register(def);
-        hv.install_view(&name, schema, Arc::new(Vec::new()));
+        hv.install_view(&name, schema, Arc::new(Vec::new()))
+            .unwrap();
         staged.push(EpochSnapshot {
             epoch: k,
             hv: hv.clone(),

@@ -64,6 +64,13 @@ grep -q '"exec.col_fallback_rows": *{"value": *0,' "$golden/e2e-trace.json"
 CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
     --workload serve_warm --seed 7 --seconds 1 --trace 1 | tail -n 1 >"$golden/e2e-serve.json"
 grep -q '"correct": *true' "$golden/e2e-serve.json"
+# The traced steady stream replays each query step by step through the
+# adapter: `hv_execute`, the cuts taken with `output(cut)` as rows, and
+# `dw_execute` resumed from those rows — 192 queries and 63 reorg migrations
+# over the row adaptors, which nothing else in CI reaches.
+CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
+    --workload stream_steady --seed 7 --seconds 1 --trace 1 | tail -n 1 >"$golden/e2e-steady.json"
+grep -q '"correct": *true' "$golden/e2e-steady.json"
 
 echo "==> tunerbench smoke (designs identical across threading and memoization)"
 cargo run --release -q -p miso-bench --bin tunerbench -- --smoke

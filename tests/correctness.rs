@@ -72,7 +72,10 @@ fn view_rewrites_preserve_results_for_every_workload_query() {
             // Materialize this subtree's output as a view.
             let name = fps[&node.id].view_name();
             let mut view_src = mem_source(&corpus);
-            view_src.add_view(name.clone(), baseline.output(node.id).as_ref().clone());
+            view_src.add_batch(
+                name.clone(),
+                baseline.batch(node.id).unwrap().as_ref().clone(),
+            );
             let available: HashSet<String> = [name.clone()].into_iter().collect();
             let rewrite = rewrite_with_views(&plan, &available);
             if rewrite.used.is_empty() {

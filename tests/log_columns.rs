@@ -112,7 +112,7 @@ fn run_facts(run: &HvRun, plan: &LogicalPlan) -> impl PartialEq {
     let materialized: Vec<_> = run
         .materialized
         .iter()
-        .map(|m| (m.node, m.rows.clone(), m.schema.clone(), m.size))
+        .map(|m| (m.node, m.batch.to_rows(), m.schema.clone(), m.size))
         .collect();
     (
         run.cost,

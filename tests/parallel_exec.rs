@@ -9,7 +9,7 @@
 //! variant), UDFs, sort (including ties), and limit.
 
 use miso::common::pool;
-use miso::data::{DataType, Field, Row, Schema, Value};
+use miso::data::{ColBatch, DataType, Field, Row, Schema, Value};
 use miso::exec::engine::execute;
 use miso::exec::{execute_serial, Execution, MemSource, Udf, UdfRegistry};
 use miso::plan::{AggExpr, AggFunc, BinOp, Expr, LogicalPlan, Operator, PlanBuilder};
@@ -302,7 +302,7 @@ fn null_join_keys_never_match() {
 #[test]
 fn empty_global_aggregate_is_thread_invariant() {
     let mut src = MemSource::new();
-    src.add_view("empty", Vec::new());
+    src.add_batch("empty", ColBatch::empty(1));
     let mut b = PlanBuilder::new();
     let sv = b
         .add(
@@ -366,6 +366,11 @@ mod random_plans {
         (0..n)
             .map(|_| Row::new(vec![arb_key(rng), Value::Int(rng.below(7) as i64 - 3)]))
             .collect()
+    }
+
+    /// [`arb_rows`] as a view of two columns, however many rows it has.
+    fn arb_batch(rng: &mut DetRng, max: u64) -> ColBatch {
+        ColBatch::of_rows(2, &arb_rows(rng, max)).expect("two columns each")
     }
 
     fn scan(b: &mut PlanBuilder, view: &str) -> NodeId {
@@ -452,7 +457,7 @@ mod random_plans {
         for seed in 0..CASES {
             let mut rng = DetRng::new(0x91e1_0000 + seed);
             let mut src = MemSource::new();
-            src.add_view("t", arb_rows(&mut rng, 600));
+            src.add_batch("t", arb_batch(&mut rng, 600));
             let predicate = binary(BinOp::Lt, Expr::col(1), Expr::lit(rng.below(9) as i64 - 4));
             let limit = rng.below(700);
 
@@ -491,8 +496,8 @@ mod random_plans {
         for seed in 0..CASES {
             let mut rng = DetRng::new(0x101e_0000 + seed);
             let mut src = MemSource::new();
-            src.add_view("l", arb_rows(&mut rng, 400));
-            src.add_view("r", arb_rows(&mut rng, 100));
+            src.add_batch("l", arb_batch(&mut rng, 400));
+            src.add_batch("r", arb_batch(&mut rng, 100));
             let mut b = PlanBuilder::new();
             let (l, r) = (scan(&mut b, "l"), scan(&mut b, "r"));
             let on = if rng.chance(0.5) {

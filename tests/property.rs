@@ -340,13 +340,18 @@ fn chaos_spec_roundtrips_structured_rules() {
 
 mod checksum_stability {
     use super::*;
-    use miso::data::checksum::{checksum_row, checksum_rows, corrupt_first_row};
-    use miso::data::Row;
+    use miso::data::checksum::{checksum_batch, checksum_row, checksum_rows, corrupt_first_cell};
+    use miso::data::{ColBatch, Row};
     use std::sync::Arc;
 
     fn arb_row(rng: &mut DetRng) -> Row {
+        let arity = rng.below(5);
+        arb_row_of(rng, arity)
+    }
+
+    fn arb_row_of(rng: &mut DetRng, arity: u64) -> Row {
         Row::new(
-            (0..rng.below(5))
+            (0..arity)
                 .map(|_| match rng.below(5) {
                     0 => Value::Null,
                     1 => Value::Bool(rng.chance(0.5)),
@@ -400,19 +405,22 @@ mod checksum_stability {
     /// The simulated bit-rot helper always changes the multiset digest
     /// (that is its contract: undetectable corruption injection would
     /// silently weaken every integrity test built on it), and it must
-    /// not touch other handles to the same shared rows.
+    /// not touch other handles to the same shared batch.
     #[test]
     fn injected_corruption_always_changes_the_checksum() {
         for_seeds(256, |seed, rng| {
-            let mut rows = vec![Row::new(vec![Value::Int(rng.next_u64() as i64)])];
-            rows.extend(arb_rows(rng));
+            let arity = 1 + rng.below(4);
+            let rows: Vec<Row> = (0..1 + rng.below(12))
+                .map(|_| arb_row_of(rng, arity))
+                .collect();
             let clean = checksum_rows(&rows);
-            let shipped = Arc::new(rows);
+            let shipped = Arc::new(ColBatch::from_rows(&rows).expect("one arity"));
             let mut replica = Arc::clone(&shipped);
-            assert!(corrupt_first_row(&mut replica), "seed {seed}");
-            assert_ne!(checksum_rows(&replica), clean, "seed {seed}");
+            assert!(corrupt_first_cell(&mut replica), "seed {seed}");
+            assert_ne!(checksum_batch(&replica), clean, "seed {seed}");
+            assert_ne!(checksum_rows(&replica.to_rows()), clean, "seed {seed}");
             // Copy-on-write: the already-shipped copy stays pristine.
-            assert_eq!(checksum_rows(&shipped), clean, "seed {seed}");
+            assert_eq!(checksum_batch(&shipped), clean, "seed {seed}");
         });
     }
 

@@ -309,18 +309,19 @@ fn a_kept_filter_under_a_join_serves_both() {
 }
 
 /// A kept view scan — or a plan that is nothing but one, which is most of a
-/// steady stream's answers — hands out the source's own rows: the engine
-/// copies and pivots nothing, whichever source it reads.
+/// steady stream's answers — hands out the source's own batch: the engine
+/// copies and pivots nothing, whichever source it reads, and the batch is
+/// the one the view was installed with.
 #[test]
 fn a_kept_view_scan_is_the_sources_own_rows() {
+    use miso::data::{ColBatch, StoredView};
     use miso::dw::{DwStore, TableSpace};
     use miso::exec::DataSource;
     let schema = Schema::new(vec![int_field("k"), int_field("v")]);
-    let rows = std::sync::Arc::new(
-        (0..5_000)
-            .map(|i| Row::new(vec![Value::Int(i % 7), Value::Int(i)]))
-            .collect::<Vec<Row>>(),
-    );
+    let rows: Vec<Row> = (0..5_000)
+        .map(|i| Row::new(vec![Value::Int(i % 7), Value::Int(i)]))
+        .collect();
+    let view = StoredView::from_rows("v", schema.clone(), &rows).unwrap();
     let scan_of = |b: &mut PlanBuilder| {
         let op = Operator::ScanView {
             view: "v".into(),
@@ -343,34 +344,37 @@ fn a_kept_view_scan_is_the_sources_own_rows() {
         .unwrap();
     let plan = b.finish(filt).unwrap();
     let udfs = UdfRegistry::new();
-    let same = |held: &std::sync::Arc<Vec<Row>>, source: &dyn DataSource, what: &str| {
-        let theirs = source.view_rows_shared("v").expect("the source shares");
+    let same = |run: &Execution, source: &dyn DataSource, what: &str| {
+        let held = run.batch(scan).expect("the scan is held");
+        let theirs = source.view_batch("v").expect("the source has the view");
         assert!(std::sync::Arc::ptr_eq(held, &theirs), "{what}");
+        assert_eq!(run.output(scan).as_slice(), rows, "{what}: as rows");
     };
 
     let mut mem = MemSource::new();
-    mem.add_view("v", rows.to_vec());
+    mem.add_batch("v", ColBatch::clone(&view.batch));
     let kept = run_keeping(&plan, None, &mem, &udfs, &[scan]).unwrap();
-    same(kept.output(scan), &mem, "MemSource, kept");
+    same(&kept, &mem, "MemSource, kept");
     let root = run_keeping(&scan_plan, None, &mem, &udfs, &[]).unwrap();
-    same(root.output(scan), &mem, "MemSource, root");
+    same(&root, &mem, "MemSource, root");
 
     let mut hv = HvStore::new();
-    hv.install_view("v", schema.clone(), rows.clone());
+    hv.install("v", view.clone());
     let guard = QueryGuard::inert_ref();
     let kept = hv
         .execute_retaining(&plan, None, &udfs, guard, &[scan])
         .unwrap();
-    same(kept.execution.output(scan), &hv, "HvStore, kept");
+    same(&kept.execution, &hv, "HvStore, kept");
     let root = hv.execute(&scan_plan, None, &udfs).unwrap();
-    same(root.execution.output(scan), &hv, "HvStore, root");
-    assert!(std::sync::Arc::ptr_eq(root.execution.output(scan), &rows));
+    same(&root.execution, &hv, "HvStore, root");
+    let installed = |run: &Execution| std::sync::Arc::ptr_eq(run.batch(scan).unwrap(), &view.batch);
+    assert!(installed(&root.execution));
 
     let mut dw = DwStore::new();
-    dw.load_view("v", schema, rows.clone(), TableSpace::Permanent);
+    dw.load("v", view.clone(), TableSpace::Permanent);
     let root = dw.execute(&scan_plan, None, HashMap::new(), &udfs).unwrap();
-    same(root.execution.output(scan), &dw, "DwStore, root");
-    assert!(std::sync::Arc::ptr_eq(root.execution.output(scan), &rows));
+    same(&root.execution, &dw, "DwStore, root");
+    assert!(installed(&root.execution));
 }
 
 /// What `HvStore::execute` charged and materialized before retention sets:
@@ -455,7 +459,7 @@ fn hv_harvest_is_identical_to_keep_all_retention() {
             let got: Vec<_> = run
                 .materialized
                 .iter()
-                .map(|m| (m.node, m.rows.clone(), m.size))
+                .map(|m| (m.node, std::sync::Arc::new(m.batch.to_rows()), m.size))
                 .collect();
             assert_eq!(got, want.materialized, "{what}: materialized");
             for cut in split.cut_nodes(plan) {

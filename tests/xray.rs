@@ -8,13 +8,13 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use miso::common::{pool, Budgets, ByteSize, Result};
+use miso::common::{pool, Budgets, ByteSize};
 use miso::core::{ExperimentResult, MultistoreSystem, SystemConfig, Variant};
 use miso::data::logs::{Corpus, LogsConfig};
 use miso::data::{DataType, Field, Row, Schema, Value};
 use miso::dw::DwCostModel;
 use miso::exec::engine::execute;
-use miso::exec::{profile, DataSource, MemSource, Udf, UdfRegistry};
+use miso::exec::{profile, MemSource, Udf, UdfRegistry};
 use miso::hv::HvCostModel;
 use miso::lang::compile;
 use miso::plan::{AggExpr, AggFunc, BinOp, Expr, LogicalPlan, Operator, PlanBuilder};
@@ -199,23 +199,9 @@ fn join_plan() -> (LogicalPlan, MemSource) {
     (b.finish(agg).unwrap(), src)
 }
 
-/// A [`DataSource`] that never hands out shared row vectors, forcing the
-/// copying `ScanView` path (the system's stores share; `MemSource` shares;
-/// this covers the other branch).
-struct NoShareSource(MemSource);
-
-impl DataSource for NoShareSource {
-    fn log_lines(&self, log: &str) -> Result<&[String]> {
-        self.0.log_lines(log)
-    }
-    fn view_rows(&self, view: &str) -> Result<&[Row]> {
-        self.0.view_rows(view)
-    }
-}
-
 /// Every executed node gets a profile whose row accounting matches the
 /// execution's own `rows_out`, and whose `rows_in` is the sum of its inputs'
-/// outputs — across every operator kind and both `ScanView` paths.
+/// outputs — across every operator kind.
 #[test]
 fn profiled_rows_match_rows_out_for_every_operator() {
     let _g = lock();
@@ -223,7 +209,6 @@ fn profiled_rows_match_rows_out_for_every_operator() {
 
     let (lplan, lsrc, udfs) = log_plan();
     let (jplan, jsrc) = join_plan();
-    let no_share = NoShareSource(jsrc.clone());
 
     let runs: Vec<(&str, miso::exec::Execution, &LogicalPlan)> = vec![
         (
@@ -232,13 +217,8 @@ fn profiled_rows_match_rows_out_for_every_operator() {
             &lplan,
         ),
         (
-            "join (zero-copy scans)",
+            "join",
             execute(&jplan, &jsrc, &UdfRegistry::new()).unwrap(),
-            &jplan,
-        ),
-        (
-            "join (copying scans)",
-            execute(&jplan, &no_share, &UdfRegistry::new()).unwrap(),
             &jplan,
         ),
     ];
@@ -265,27 +245,12 @@ fn profiled_rows_match_rows_out_for_every_operator() {
             "{what}: one profile per node"
         );
     }
-    // The zero-copy and copying scans must agree on all row/byte accounting;
-    // only the scan nodes' morsel counts legitimately differ (a zero-copy
-    // scan is a refcount bump, not a morsel dispatch).
-    for node in runs[1].2.nodes() {
-        let zc = runs[1].1.profile(node.id).unwrap();
-        let cp = runs[2].1.profile(node.id).unwrap();
+    // A view scan shares the source's batch: a refcount bump, not a morsel
+    // dispatch.
+    for node in jplan.nodes() {
         if matches!(node.op, Operator::ScanView { .. }) {
-            assert_eq!(
-                (zc.rows_in, zc.rows_out, zc.bytes_out),
-                (cp.rows_in, cp.rows_out, cp.bytes_out),
-                "scan-path divergence at node {}",
-                node.id
-            );
-            assert_eq!((zc.morsels, zc.par_rows), (0, 0), "zero-copy scan morsels");
-        } else {
-            assert_eq!(
-                zc.deterministic(),
-                cp.deterministic(),
-                "scan-path divergence at node {}",
-                node.id
-            );
+            let scan = runs[1].1.profile(node.id).unwrap();
+            assert_eq!((scan.morsels, scan.par_rows), (0, 0), "node {}", node.id);
         }
     }
 }
