@@ -18,7 +18,7 @@ use miso_plan::estimate::estimate_plan;
 use miso_plan::split::enumerate_splits;
 
 fn main() {
-    miso_bench::obs_init();
+    let observing = miso_bench::obs_init();
     let harness = Harness::standard();
     let mut profiles = Vec::new();
     // The paper profiles A1v1, a complex query with joins, aggregates and
@@ -156,25 +156,17 @@ fn main() {
     // optimizer/knapsack/tuner counters.
     let stream = harness.run(Variant::MsMiso, 2.0);
 
-    // EXPLAIN ANALYZE: re-run the two profiled queries through a fresh
-    // MS-MISO system with per-operator profiling forced on. The annotated
-    // trees print only under MISO_XRAY=1 — the default figure output above
-    // is byte-identical with profiling off — but the JSON artifacts always
-    // land in the run report.
-    let xray_queries: Vec<_> = harness
+    // EXPLAIN ANALYZE of the two profiled queries on a fresh system. The
+    // trees carry wall times, so they print only beside the other
+    // observability output; the JSON artifacts always land in the run report.
+    let mut sys = harness.system(harness.budgets(2.0), None);
+    let xrays: Vec<_> = harness
         .workload
         .iter()
-        .filter(|(l, _)| l == "A1v1" || l == "A8v1")
-        .cloned()
+        .filter(|(label, _)| label == "A1v1" || label == "A8v1")
+        .map(|(label, raw)| sys.explain_analyze(label, raw).expect("explain analyze").1)
         .collect();
-    let was_profiling = miso_exec::profile::enabled();
-    miso_exec::profile::set_enabled(true);
-    let mut sys = harness.system(harness.budgets(2.0), None);
-    sys.run_workload(Variant::MsMiso, &xray_queries)
-        .expect("xray mini-run");
-    miso_exec::profile::set_enabled(was_profiling);
-    let xrays = sys.take_xrays();
-    if was_profiling {
+    if observing {
         let snap = miso_obs::snapshot();
         for x in &xrays {
             println!("{}", miso_xray::explain_analyze_with_metrics(x, &snap));

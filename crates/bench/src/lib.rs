@@ -81,12 +81,10 @@ impl Harness {
     }
 }
 
-/// Initializes observability from `MISO_TRACE` / `MISO_OBS` and
-/// per-operator execution profiling from `MISO_XRAY`; every bench binary
-/// calls this first thing in `main`. Returns whether tracing or metrics
-/// ended up enabled.
+/// Initializes observability from `MISO_TRACE` / `MISO_OBS`; every bench
+/// binary calls this first thing in `main`. Returns whether tracing or
+/// metrics ended up enabled.
 pub fn obs_init() -> bool {
-    miso_exec::profile::init_from_env();
     miso_obs::init_from_env()
 }
 

@@ -20,7 +20,7 @@ use crate::split::{self, HarvestCandidate, Stores};
 use crate::tuner::{MisoTuner, NewDesign, TunerConfig};
 use crate::variants::Variant;
 use miso_common::guard::QueryGuard;
-use miso_common::ids::QueryId;
+use miso_common::ids::{NodeId, QueryId};
 use miso_common::{
     Budgets, ByteSize, CircuitBreaker, DetRng, MisoError, Result, RetryPolicy, SimClock,
     SimDuration,
@@ -28,16 +28,23 @@ use miso_common::{
 use miso_data::logs::Corpus;
 use miso_data::{checksum_batch, ColBatch, StoredView};
 use miso_dw::{BackgroundSim, DwActivity, DwStore, TableSpace};
-use miso_exec::UdfRegistry;
+use miso_exec::{OpProfile, UdfRegistry};
 use miso_hv::HvStore;
 use miso_optimizer::cost::{CostBreakdown, TransferModel};
-use miso_optimizer::optimize::Design;
-use miso_plan::estimate::{estimate_plan, MapStats};
+use miso_optimizer::optimize::{Design, PlannedQuery};
+use miso_plan::estimate::{estimate_plan, MapStats, SizeEstimate};
 use miso_plan::LogicalPlan;
 use miso_views::ViewCatalog;
 use miso_xray::QueryXray;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
+
+/// Fixed simulated time to compute a new design during a reorg phase.
+const TUNE_COMPUTE: SimDuration = SimDuration::from_secs(5);
+/// Consecutive DW failures before the DW circuit breaker opens.
+const DW_BREAKER_THRESHOLD: u32 = 3;
+/// Cooldown before an open DW breaker lets a probe through.
+const DW_BREAKER_COOLDOWN: SimDuration = SimDuration::from_secs(300);
 
 /// System-level configuration shared by all variants.
 #[derive(Debug, Clone)]
@@ -54,18 +61,10 @@ pub struct SystemConfig {
     pub decay: f64,
     /// doi significance threshold.
     pub doi_threshold: f64,
-    /// Fixed simulated time to compute a new design during a reorg phase.
-    pub tune_compute: SimDuration,
-    /// ETL Extract-Transform overhead multiplier (DW-ONLY).
-    pub etl_overhead: f64,
     /// Optional DW background reporting workload (§5.4).
     pub background: Option<BackgroundSim>,
     /// Retry policy wrapped around store calls and transfers.
     pub retry: RetryPolicy,
-    /// Consecutive DW failures before the circuit breaker opens.
-    pub breaker_threshold: u32,
-    /// Cooldown before an open DW breaker lets a probe through.
-    pub breaker_cooldown: SimDuration,
     /// Optional between-epoch integrity audit (checksum scrubbing +
     /// catalog↔store invariants). `None` (the default) skips the auditor
     /// entirely, keeping fault-free runs byte-identical.
@@ -168,12 +167,8 @@ impl SystemConfig {
             epoch_len: 3,
             decay: 0.5,
             doi_threshold: 1.0,
-            tune_compute: SimDuration::from_secs(5),
-            etl_overhead: DEFAULT_ETL_OVERHEAD,
             background: None,
             retry: RetryPolicy::standard(),
-            breaker_threshold: 3,
-            breaker_cooldown: SimDuration::from_secs(300),
             audit: None,
             calibrate_costs: false,
             guard: GuardConfig::disabled(),
@@ -186,6 +181,20 @@ impl SystemConfig {
 
 /// One workload query: display label plus its raw (un-rewritten) plan.
 pub type WorkloadQuery = (String, LogicalPlan);
+
+/// One walk down the split pipeline: the query's record and — for a caller
+/// that wants to look ([`MultistoreSystem::explain_analyze`]) — what the
+/// walk already held when it finished. Nothing in it is built for looking.
+struct PlacedRun {
+    record: QueryRecord,
+    /// The placement that ran; its `used_views` moved into `record`.
+    planned: PlannedQuery,
+    /// Per-node size estimates from the stats the optimizer saw (empty for
+    /// an HV-only placement, which estimates nothing).
+    estimates: HashMap<NodeId, SizeEstimate>,
+    hv: Option<miso_hv::HvRun>,
+    dw: Option<miso_dw::DwRun>,
+}
 
 /// The multistore system.
 pub struct MultistoreSystem {
@@ -215,8 +224,6 @@ pub struct MultistoreSystem {
     pub(crate) scrub_cursor: usize,
     /// Predicted-vs-actual drift accumulated since the last epoch boundary.
     calibration: CalibrationAccumulator,
-    /// EXPLAIN ANALYZE artifacts collected while exec profiling is on.
-    xrays: Vec<QueryXray>,
     /// The guard of the query currently executing (inert between queries
     /// and whenever the guard layer is off). Store calls clone it — an
     /// `Arc` bump — and pass it down into the vex engine.
@@ -251,7 +258,7 @@ impl MultistoreSystem {
         hv.add_log(corpus.foursquare.clone());
         hv.add_log(corpus.landmarks.clone());
         let background = config.background.clone();
-        let dw_breaker = CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown);
+        let dw_breaker = CircuitBreaker::new(DW_BREAKER_THRESHOLD, DW_BREAKER_COOLDOWN);
         let guard_breaker =
             CircuitBreaker::new(config.guard.shed_threshold, config.guard.shed_cooldown);
         let tuner = MisoTuner::new(TunerConfig {
@@ -277,7 +284,6 @@ impl MultistoreSystem {
             last_reorg_journal: None,
             scrub_cursor: 0,
             calibration: CalibrationAccumulator::new(),
-            xrays: Vec::new(),
             active_guard: QueryGuard::inert(),
             guard_breaker,
             inflight: 0,
@@ -351,15 +357,40 @@ impl MultistoreSystem {
         &self.calibration
     }
 
-    /// EXPLAIN ANALYZE artifacts collected so far. Empty unless
-    /// `miso_exec::profile` was enabled while queries ran.
-    pub fn xrays(&self) -> &[QueryXray] {
-        &self.xrays
-    }
-
-    /// Takes ownership of the collected EXPLAIN ANALYZE artifacts.
-    pub fn take_xrays(&mut self) -> Vec<QueryXray> {
-        std::mem::take(&mut self.xrays)
+    /// EXPLAIN ANALYZE: runs `raw` the way the MS-MISO stream would run it
+    /// next — same placement, same stores, same by-products, so its
+    /// [`QueryRecord`] is the stream's — and joins what the optimizer
+    /// predicted with the per-operator records of what ran
+    /// ([`miso_xray::analyze`]). A call, not an arrival: it passes no
+    /// admission and carries no guard.
+    pub fn explain_analyze(
+        &mut self,
+        label: &str,
+        raw: &LogicalPlan,
+    ) -> Result<(QueryRecord, QueryXray)> {
+        let mut clock = SimClock::new();
+        let mut tti = TtiBreakdown::default();
+        let mut ran = self.execute_one(QueryId(0), label, raw, &mut clock, &mut tti, false)?;
+        ran.planned.used_views.clone_from(&ran.record.used_views);
+        // DW resumes from HV's cuts: where both hold a record of a node,
+        // DW's is of the hand-over and HV's, merged in last, of the run.
+        let dw = ran.dw.iter().flat_map(|run| run.execution.profiles());
+        let hv = ran.hv.iter().flat_map(|run| run.execution.profiles());
+        let mut profiles: HashMap<NodeId, OpProfile> =
+            dw.chain(hv).map(|(id, op)| (*id, *op)).collect();
+        // The sizes the simulated cost was charged on.
+        for out in ran.hv.iter().flat_map(|run| &run.materialized) {
+            if let Some(op) = profiles.get_mut(&out.node) {
+                op.bytes_out = Some(out.size.as_bytes());
+            }
+        }
+        let models = miso_xray::CostModels {
+            hv: &self.hv.cost_model,
+            dw: &self.dw.cost_model,
+            transfer: &self.transfer,
+        };
+        let xray = miso_xray::analyze(label, &ran.planned, &ran.estimates, &profiles, &models);
+        Ok((ran.record, xray))
     }
 
     /// Public wrapper over background-contention stretching (used by the
@@ -423,7 +454,7 @@ impl MultistoreSystem {
                 &self.hv,
                 &mut self.dw,
                 &self.udfs,
-                self.config.etl_overhead,
+                DEFAULT_ETL_OVERHEAD,
             )?;
             if obs.is_active() {
                 obs.push_field(
@@ -532,8 +563,9 @@ impl MultistoreSystem {
             .cloned()
             .collect();
         for (i, (label, raw)) in queries.iter().enumerate() {
-            let record =
-                self.execute_one(QueryId(i as u64), label, raw, clock, &mut result.tti, false)?;
+            let record = self
+                .execute_one(QueryId(i as u64), label, raw, clock, &mut result.tti, false)?
+                .record;
             // Enforce the static design: drop non-selected views, migrate
             // DW-designated ones.
             for name in self.hv.view_names() {
@@ -651,6 +683,7 @@ impl MultistoreSystem {
                 }
                 _ => self.execute_one(qid, label, raw, clock, tti, variant == Variant::MsLru),
             };
+            let outcome = outcome.map(|ran| ran.record);
             self.active_guard = QueryGuard::inert();
             let record = match self.settle(qid, label, &guard, outcome, clock, result) {
                 Ok(Some(record)) => record,
@@ -853,7 +886,7 @@ impl MultistoreSystem {
         clock: &mut SimClock,
         tti: &mut TtiBreakdown,
         retain_ws: bool,
-    ) -> Result<QueryRecord> {
+    ) -> Result<PlacedRun> {
         if !self.dw_breaker.allow(clock.now()) {
             // DW is unhealthy and still cooling down: don't even plan a
             // split. The first allowed call after the cooldown is the probe.
@@ -861,7 +894,7 @@ impl MultistoreSystem {
             return self.execute_placed(qid, label, raw, clock, tti, true, false);
         }
         match self.execute_placed(qid, label, raw, clock, tti, false, retain_ws) {
-            Ok(record) => Ok(record),
+            Ok(ran) => Ok(ran),
             Err(e) if e.is_transient() && matches!(e.source(), Some("dw") | Some("transfer")) => {
                 // DW-side retries exhausted: mark the store unhealthy,
                 // discard any partially staged working sets, and fall back
@@ -894,13 +927,13 @@ impl MultistoreSystem {
         tti: &mut TtiBreakdown,
         hv_only: bool,
         retain_ws: bool,
-    ) -> Result<QueryRecord> {
+    ) -> Result<PlacedRun> {
         let mut obs = miso_obs::span("query");
         if obs.is_active() {
             obs.push_field("label", miso_obs::FieldValue::Str(label.to_string()));
             obs.push_field("qid", miso_obs::FieldValue::U64(qid.raw()));
         }
-        let (planned, stats) = loop {
+        let (mut planned, stats) = loop {
             let (planned, stats) = split::place(self.stores(), raw, |_| true, hv_only)?;
             if self.verify_used_views(&planned.used_views).is_empty() {
                 break (planned, stats);
@@ -917,11 +950,7 @@ impl MultistoreSystem {
         let mut transfer_time = SimDuration::ZERO;
         let mut dw_time = SimDuration::ZERO;
         let mut bytes_transferred = ByteSize::ZERO;
-        let mut provided: HashMap<miso_common::ids::NodeId, Arc<ColBatch>> = HashMap::new();
-        let profiling = miso_exec::profile::enabled();
-        let mut node_profiles: HashMap<miso_common::ids::NodeId, miso_exec::OpProfile> =
-            HashMap::new();
-        let mut actual_rows: HashMap<miso_common::ids::NodeId, u64> = HashMap::new();
+        let mut provided: HashMap<NodeId, Arc<ColBatch>> = HashMap::new();
 
         // HV side. Publishing of by-products (working-set retention, view
         // harvesting) is deferred until the split attempt is past its last
@@ -993,14 +1022,6 @@ impl MultistoreSystem {
                 }
                 provided.insert(id, cut.batch);
             }
-            for id in run.execution.executed_nodes() {
-                if let Some(rows) = run.execution.rows_out(id) {
-                    actual_rows.insert(id, rows);
-                }
-            }
-            if profiling {
-                node_profiles.extend(run.execution.profiles().iter().map(|(&k, &v)| (k, v)));
-            }
             hv_run = Some(run);
         }
 
@@ -1016,16 +1037,6 @@ impl MultistoreSystem {
             self.active_guard.check_deadline(clock.now())?;
             // DW answered: the store is healthy again.
             self.dw_breaker.record_success();
-            for id in run.execution.executed_nodes() {
-                if !provided.contains_key(&id) {
-                    if let Some(rows) = run.execution.rows_out(id) {
-                        actual_rows.insert(id, rows);
-                    }
-                }
-            }
-            if profiling {
-                node_profiles.extend(run.execution.profiles().iter().map(|(&k, &v)| (k, v)));
-            }
             dw_run = Some(run);
         }
         let result_rows = split::root_batch(hv_run.as_ref(), dw_run.as_ref())?.len() as u64;
@@ -1051,6 +1062,7 @@ impl MultistoreSystem {
         // HV-only placement has no estimate). "Actual" store times are the
         // simulated costs charged over real executed sizes, so this
         // comparison isolates estimation error and stays deterministic.
+        let mut estimates = HashMap::new();
         if let Some(stats) = &stats {
             let actual_cost = CostBreakdown {
                 hv: hv_time,
@@ -1058,28 +1070,17 @@ impl MultistoreSystem {
                 dw: dw_time,
             };
             self.calibration.record_query(&planned.est, &actual_cost);
-            let estimates = estimate_plan(plan, stats);
+            estimates = estimate_plan(plan, stats);
+            // A cut node is in both runs, with the one row count.
+            let rows_out = |id| {
+                let hv = hv_run.as_ref().and_then(|run| run.execution.rows_out(id));
+                hv.or_else(|| dw_run.as_ref().and_then(|run| run.execution.rows_out(id)))
+            };
             for node in plan.nodes() {
-                if let (Some(&act), Some(est)) =
-                    (actual_rows.get(&node.id), estimates.get(&node.id))
-                {
+                if let (Some(act), Some(est)) = (rows_out(node.id), estimates.get(&node.id)) {
                     self.calibration
                         .record_rows(op_class(&node.op), est.rows, act);
                 }
-            }
-            if profiling {
-                self.xrays.push(miso_xray::analyze(
-                    label,
-                    &planned,
-                    &estimates,
-                    &node_profiles,
-                    &actual_rows,
-                    &miso_xray::CostModels {
-                        hv: &self.hv.cost_model,
-                        dw: &self.dw.cost_model,
-                        transfer: &self.transfer,
-                    },
-                ));
             }
         }
 
@@ -1104,7 +1105,7 @@ impl MultistoreSystem {
                 miso_obs::FieldValue::U64(planned.used_views.len() as u64),
             );
         }
-        Ok(QueryRecord {
+        let record = QueryRecord {
             query: qid,
             label: label.to_string(),
             hv: hv_time,
@@ -1113,9 +1114,16 @@ impl MultistoreSystem {
             result_rows,
             hv_ops: hv_set.len(),
             dw_ops: dw_set.len(),
-            used_views: planned.used_views,
+            used_views: std::mem::take(&mut planned.used_views),
             bytes_transferred,
             finished_at: clock.now(),
+        };
+        Ok(PlacedRun {
+            record,
+            planned,
+            estimates,
+            hv: hv_run,
+            dw: dw_run,
         })
     }
 
@@ -1153,7 +1161,7 @@ impl MultistoreSystem {
             &self.transfer,
             &maint_cost,
         );
-        let mut duration = self.config.tune_compute;
+        let mut duration = TUNE_COMPUTE;
         let mut repaired = Vec::new();
         let mut dropped_pre = Vec::new();
         for name in &quarantined {
@@ -1224,8 +1232,8 @@ impl MultistoreSystem {
             }
         };
         // The design-computation time itself.
-        self.record_bg(DwActivity::Idle, self.config.tune_compute, clock);
-        clock.advance(self.config.tune_compute);
+        self.record_bg(DwActivity::Idle, TUNE_COMPUTE, clock);
+        clock.advance(TUNE_COMPUTE);
         dropped.extend(dropped_pre);
         miso_obs::count(
             "tuner.views_moved",
@@ -1743,7 +1751,7 @@ impl MultistoreSystem {
     fn hv_execute_retry(
         &mut self,
         plan: &LogicalPlan,
-        subset: Option<&HashSet<miso_common::ids::NodeId>>,
+        subset: Option<&HashSet<NodeId>>,
         clock: &mut SimClock,
         bucket: &mut SimDuration,
     ) -> Result<miso_hv::HvRun> {
@@ -1766,8 +1774,8 @@ impl MultistoreSystem {
     fn dw_execute_retry(
         &mut self,
         plan: &LogicalPlan,
-        subset: Option<&HashSet<miso_common::ids::NodeId>>,
-        provided: &HashMap<miso_common::ids::NodeId, Arc<ColBatch>>,
+        subset: Option<&HashSet<NodeId>>,
+        provided: &HashMap<NodeId, Arc<ColBatch>>,
         clock: &mut SimClock,
         bucket: &mut SimDuration,
     ) -> Result<miso_dw::DwRun> {

@@ -469,8 +469,7 @@ impl LogIndex {
                 lines.len()
             )));
         }
-        miso_obs::count("exec.morsels", self.runs.len() as u64);
-        miso_obs::count("exec.par_rows", lines.len() as u64);
+        crate::profile::note_dispatch(self.runs.len() as u64, lines.len() as u64);
         let mut parts = pool::run_batch(self.runs.len(), |i| {
             read_run(&self.runs[i], &lines[ranges[i].clone()], fields)
         })?;

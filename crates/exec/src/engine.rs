@@ -207,14 +207,11 @@ impl Held {
 #[derive(Debug, Clone)]
 pub struct Execution {
     outputs: HashMap<NodeId, Held>,
-    /// Output row count of every executed or provided node — recorded even
-    /// for outputs released early under [`Retention::Only`].
-    rows_out: HashMap<NodeId, u64>,
+    /// What every executed node did, whether or not its output is still
+    /// held. A provided node's record carries its row count alone.
+    profiles: HashMap<NodeId, OpProfile>,
     /// Malformed log lines skipped by scans (Hive-style lenience).
     pub skipped_lines: u64,
-    /// Per-node [`OpProfile`]s — empty unless [`crate::profile::enabled`]
-    /// was on when the plan ran (the serial oracle never collects them).
-    profiles: HashMap<NodeId, OpProfile>,
     root: NodeId,
 }
 
@@ -222,12 +219,15 @@ impl Execution {
     /// The result of the row-at-a-time reference interpreter
     /// ([`crate::serial`]): each output's batch is pivoted from the rows it
     /// computed, and those rows are what [`Execution::output`] hands back.
+    /// It measures nothing: its records carry row counts alone.
     pub(crate) fn from_parts(
         plan: &LogicalPlan,
         outputs: HashMap<NodeId, Arc<Vec<Row>>>,
-        rows_out: HashMap<NodeId, u64>,
         skipped_lines: u64,
     ) -> Result<Execution> {
+        let counted =
+            |(id, rows): (&NodeId, &Arc<Vec<Row>>)| (*id, OpProfile::rows_only(rows.len()));
+        let profiles = outputs.iter().map(counted).collect();
         let held = |(id, rows): (NodeId, Arc<Vec<Row>>)| {
             let batch = Arc::new(pivot(plan.node(id), &rows)?);
             let rows = OnceLock::from(rows);
@@ -241,9 +241,8 @@ impl Execution {
         };
         Ok(Execution {
             outputs: outputs.into_iter().map(held).collect::<Result<_>>()?,
-            rows_out,
+            profiles,
             skipped_lines,
-            profiles: HashMap::new(),
             root: plan.root(),
         })
     }
@@ -285,7 +284,7 @@ impl Execution {
 
     /// Output row count of node `id`, if executed — survives early release.
     pub fn rows_out(&self, id: NodeId) -> Option<u64> {
-        self.rows_out.get(&id).copied()
+        self.profiles.get(&id).map(|p| p.rows_out)
     }
 
     /// [`Execution::root_batch`] as rows.
@@ -304,15 +303,15 @@ impl Execution {
     /// Ids of all executed (or provided) nodes, including any whose outputs
     /// were released early.
     pub fn executed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.rows_out.keys().copied()
+        self.profiles.keys().copied()
     }
 
-    /// The profile of node `id`, if profiling was enabled when it executed.
+    /// What node `id` did, if it executed (or was provided).
     pub fn profile(&self, id: NodeId) -> Option<&OpProfile> {
         self.profiles.get(&id)
     }
 
-    /// All collected per-node profiles (empty when profiling is off).
+    /// The record of every executed (or provided) node.
     pub fn profiles(&self) -> &HashMap<NodeId, OpProfile> {
         &self.profiles
     }
@@ -374,10 +373,11 @@ pub fn seed_batches(
 /// ([`QueryGuard::inert_ref`]) every check is one branch and no bytes are
 /// ever charged, so an unguarded caller pays nothing for the parameter.
 ///
-/// This is the driver loop: per node of the subset a guard check, a span and
-/// a profile around the operator's one body, the ledger charge for its
-/// output, and the release of each input this node was the last to read.
-/// `retain` decides nothing but that release and what survives to the end.
+/// This is the driver loop: per node of the subset a guard check, the
+/// operator's one body, its [`OpProfile`] — which the `exec.op` span and the
+/// `exec.*` counters are read off — the ledger charge for its output, and the
+/// release of each input this node was the last to read. `retain` decides
+/// that release, whether a log scan may fuse, and what survives to the end.
 pub fn execute_subset_guarded(
     plan: &LogicalPlan,
     subset: Option<&HashSet<NodeId>>,
@@ -395,8 +395,12 @@ pub fn execute_subset_guarded(
     };
     let seeds: HashSet<NodeId> = provided.keys().copied().collect();
     let executes = |id: NodeId| subset.is_none_or(|s| s.contains(&id)) && !seeds.contains(&id);
-    let mut rows_out: HashMap<NodeId, u64> = HashMap::with_capacity(plan.len());
-    rows_out.extend(provided.iter().map(|(id, b)| (*id, b.len() as u64)));
+    let mut profiles: HashMap<NodeId, OpProfile> = HashMap::with_capacity(plan.len());
+    profiles.extend(
+        provided
+            .iter()
+            .map(|(id, b)| (*id, OpProfile::rows_only(b.len()))),
+    );
     // Every node's output; the working sets shipped in enter here.
     let mut batches = provided;
     batches.reserve(plan.len());
@@ -408,16 +412,10 @@ pub fn execute_subset_guarded(
             *pending.entry(*input).or_insert(0) += 1;
         }
     }
-    // Log scans whose batch holds the columns their one consumer reads.
-    let mut fused: HashSet<NodeId> = HashSet::new();
     let mut skipped_lines = 0u64;
-    // One relaxed load per plan; everything profile-related below is behind
-    // this flag so the off path does no extra work.
-    let profiling = profile::enabled();
-    let mut profiles: HashMap<NodeId, OpProfile> = HashMap::new();
-    if profiling {
-        profile::take_dispatch();
-    }
+    // Dispatches made outside a run (a store indexing an append) are no
+    // node's.
+    profile::take_dispatch();
     // Per-node materialization charges; drops (and releases) on any exit.
     let mut ledger = ChargeLedger::new(guard);
     for node in plan.nodes().iter().filter(|n| executes(n.id)) {
@@ -429,16 +427,20 @@ pub fn execute_subset_guarded(
         }
         let t0 = Instant::now();
         let input = |i: usize| input_of(&batches, node, i);
+        // Whether input 0 is a log scan whose batch holds the columns this
+        // node reads.
+        let reads_fused = || {
+            let scan = profiles.get(&node.inputs[0]);
+            scan.is_some_and(|scan| scan.fused.is_some())
+        };
+        let mut fused = None;
         let batch = match &node.op {
             Operator::ScanLog { log } => {
-                // A kept scan's own output is wanted, and profiling reports
-                // per-node materializations: neither may fuse.
-                let fields = (!profiling && !kept(node.id))
+                // A kept scan's own output is wanted: it may not fuse.
+                let fields = (!kept(node.id))
                     .then(|| fused_reader(plan, node.id, executes, udfs))
                     .flatten();
-                fused.extend(fields.is_some().then_some(node.id));
-                let (batch, skipped) =
-                    scan_log(source, guard, log, fields.as_deref(), &mut op_span)?;
+                let (batch, skipped) = scan_log(source, guard, log, fields.as_deref(), &mut fused)?;
                 skipped_lines += skipped;
                 Arc::new(batch)
             }
@@ -448,51 +450,48 @@ pub fn execute_subset_guarded(
             }
             Operator::Filter { predicate } => filter(guard, input(0)?, predicate)?,
             // A fused scan already read this projection.
-            Operator::Project { .. } if fused.contains(&node.inputs[0]) => Arc::clone(input(0)?),
+            Operator::Project { .. } if reads_fused() => Arc::clone(input(0)?),
             Operator::Project { exprs } => Arc::new(project(guard, input(0)?, exprs)?),
             Operator::Join { on } => Arc::new(join(guard, input(0)?, input(1)?, on)?),
             Operator::Aggregate { group_by, aggs } => {
                 Arc::new(aggregate(guard, input(0)?, group_by, aggs)?)
             }
             Operator::Udf { name, .. } => {
-                let declared = fused.contains(&node.inputs[0]);
-                Arc::new(udf(guard, udfs.require(name)?, input(0)?, declared)?)
+                Arc::new(udf(guard, udfs.require(name)?, input(0)?, reads_fused())?)
             }
             Operator::Sort { keys } => Arc::new(sort(input(0)?, keys)),
             Operator::Limit { n } => limit(input(0)?, *n as usize),
         };
-        let n_out = batch.len() as u64;
-        // Inputs ran (or were provided) before this node, so their row counts
-        // are in `rows_out` even if the batches themselves were released.
-        let rows_in: u64 = node.inputs.iter().filter_map(|i| rows_out.get(i)).sum();
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        miso_obs::observe("exec.op_ns", wall_ns);
+        let (morsels, par_rows) = profile::take_dispatch();
+        // Inputs ran (or were provided) before this node, so their records
+        // are in even if the batches themselves were released.
+        let inputs = node.inputs.iter().filter_map(|i| profiles.get(i));
+        let mut op = OpProfile {
+            wall_ns: t0.elapsed().as_nanos() as u64,
+            rows_in: inputs.map(|input| input.rows_out).sum(),
+            rows_out: batch.len() as u64,
+            morsels,
+            par_rows,
+            fused,
+            bytes_out: None,
+        };
+        miso_obs::observe("exec.op_ns", op.wall_ns);
         if op_span.is_active() {
-            op_span.push_field("rows_out", miso_obs::FieldValue::U64(n_out));
-            miso_obs::observe("exec.op_rows_out", n_out);
+            if let Some((hit, parsed)) = op.fused {
+                op_span.push_field("cols_hit", miso_obs::FieldValue::U64(hit));
+                op_span.push_field("cols_parsed", miso_obs::FieldValue::U64(parsed));
+            }
+            op_span.push_field("rows_out", miso_obs::FieldValue::U64(op.rows_out));
+            miso_obs::observe("exec.op_rows_out", op.rows_out);
         }
         miso_obs::count("exec.ops_executed", 1);
-        miso_obs::count("exec.col_batches", rows_in.div_ceil(MORSEL_SIZE as u64));
-        if profiling {
-            let (morsels, par_rows) = profile::take_dispatch();
-            profiles.insert(
-                node.id,
-                OpProfile {
-                    wall_ns,
-                    rows_in,
-                    rows_out: n_out,
-                    bytes_out: batch.row_bytes(),
-                    morsels,
-                    par_rows,
-                },
-            );
-        }
+        miso_obs::count("exec.col_batches", op.rows_in.div_ceil(MORSEL_SIZE as u64));
         // Columns that are the source's own — a log's column image, a view
         // it shares — are not the query's to charge.
-        if !fused.contains(&node.id) && !matches!(node.op, Operator::ScanView { .. }) {
-            ledger.charge(node.id, &batch)?;
+        if op.fused.is_none() && !matches!(node.op, Operator::ScanView { .. }) {
+            op.bytes_out = ledger.charge(node.id, &batch)?;
         }
-        rows_out.insert(node.id, n_out);
+        profiles.insert(node.id, op);
         batches.insert(node.id, batch);
         for input in &node.inputs {
             if let Some(p) = pending.get_mut(input) {
@@ -507,9 +506,8 @@ pub fn execute_subset_guarded(
     let outputs = batches.into_iter().map(|(id, b)| (id, Held::of(b)));
     Ok(Execution {
         outputs: outputs.collect(),
-        rows_out,
-        skipped_lines,
         profiles,
+        skipped_lines,
         root,
     })
 }
@@ -565,23 +563,20 @@ fn pivot(node: &PlanNode, rows: &[Row]) -> Result<ColBatch> {
 
 /// A log scan's batch and the count of malformed lines it skipped (Hive-style
 /// lenience). With `fields` — what the scan's one consumer reads of each line
-/// — the batch is those columns, from [`DataSource::log_columns`]; without,
-/// one column of parsed JSON records.
+/// — the batch is those columns, from [`DataSource::log_columns`], and `fused`
+/// is set ([`OpProfile::fused`]); without, one column of parsed JSON records.
 fn scan_log(
     source: &dyn DataSource,
     guard: &QueryGuard,
     log: &str,
     fields: Option<&[FusedField<'_>]>,
-    op_span: &mut miso_obs::Span,
+    fused: &mut Option<(u64, u64)>,
 ) -> Result<(ColBatch, u64)> {
     if let Some(fields) = fields {
         // The dispatch boundary `par_chunks` would have checked.
         guard.check()?;
         let cols = source.log_columns(log, fields)?;
-        if op_span.is_active() {
-            op_span.push_field("cols_hit", miso_obs::FieldValue::U64(cols.cols_hit));
-            op_span.push_field("cols_parsed", miso_obs::FieldValue::U64(cols.cols_parsed));
-        }
+        *fused = Some((cols.cols_hit, cols.cols_parsed));
         return Ok((cols.batch, cols.skipped_lines));
     }
     let lines = source.log_lines(log)?;
@@ -713,11 +708,7 @@ where
 {
     guard.check()?;
     let morsels = len.div_ceil(MORSEL_SIZE);
-    miso_obs::count("exec.morsels", morsels as u64);
-    miso_obs::count("exec.par_rows", len as u64);
-    if profile::enabled() {
-        profile::note_dispatch(morsels as u64, len as u64);
-    }
+    profile::note_dispatch(morsels as u64, len as u64);
     pool::run_batch(morsels, |i| {
         let start = i * MORSEL_SIZE;
         f(i, start, MORSEL_SIZE.min(len - start))
@@ -769,16 +760,16 @@ impl<'a> ChargeLedger<'a> {
     }
 
     /// Charges the output's approximate bytes — [`ColBatch::row_bytes`], what
-    /// its rows would sum to — to the guard on behalf of node `id`; fails
-    /// with `ResourceExhausted` when the budget is blown.
-    fn charge(&mut self, id: NodeId, output: &ColBatch) -> Result<()> {
+    /// its rows would sum to — to the guard on behalf of node `id` and
+    /// returns them; fails with `ResourceExhausted` when the budget is blown.
+    fn charge(&mut self, id: NodeId, output: &ColBatch) -> Result<Option<u64>> {
         if !self.guard.is_active() {
-            return Ok(());
+            return Ok(None);
         }
         let bytes = output.row_bytes();
         self.guard.try_charge(bytes)?;
         *self.charged.entry(id).or_insert(0) += bytes;
-        Ok(())
+        Ok(Some(bytes))
     }
 
     /// Releases node `id`'s charge (no-op if it never charged).

@@ -1,37 +1,17 @@
-//! Per-operator execution profiles (the raw material for EXPLAIN ANALYZE).
+//! The per-operator record of an execution.
 //!
-//! Profiling is a process-wide switch behind a single relaxed atomic load:
-//! [`enabled`] is checked once per executed plan, and when off the engine
-//! does no extra work — no byte counting, no morsel accounting, no map
-//! inserts — so the profiling-off path stays on the same instruction budget
-//! as before this module existed.
+//! The engine's driver loop fills one [`OpProfile`] per node it runs — always:
+//! the `exec.op` span, the `exec.*` counters and EXPLAIN ANALYZE
+//! (`miso-xray`) all read this one record, and nothing about how a plan
+//! executes depends on whether anyone does.
 //!
-//! Every field of an [`OpProfile`] except `wall_ns` is **deterministic**:
-//! row and byte counts follow from the data, and morsel counts follow from
-//! the fixed [`crate::MORSEL_SIZE`] constant, never from the worker count.
-//! Profiles collected at `MISO_THREADS=1` and `MISO_THREADS=8` therefore
-//! agree on everything but wall time ([`OpProfile::deterministic`]).
+//! Every field except `wall_ns` is **deterministic**: row and byte counts
+//! follow from the data, and morsel counts follow from the fixed
+//! [`crate::MORSEL_SIZE`] constant, never from the worker count. Records
+//! taken at `MISO_THREADS=1` and `MISO_THREADS=8` therefore agree on
+//! everything but wall time ([`OpProfile::deterministic`]).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static PROFILING: AtomicBool = AtomicBool::new(false);
-
-/// Whether per-operator profiling is collected. One relaxed load.
-#[inline]
-pub fn enabled() -> bool {
-    PROFILING.load(Ordering::Relaxed)
-}
-
-/// Turns per-operator profiling on or off (process-wide).
-pub fn set_enabled(on: bool) {
-    PROFILING.store(on, Ordering::Relaxed);
-}
-
-/// Sets profiling from the `MISO_XRAY` flag ([`miso_common::env::flag`]).
-pub fn init_from_env() {
-    set_enabled(miso_common::env::flag("MISO_XRAY"));
-}
 
 /// What one operator did during one execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,24 +24,38 @@ pub struct OpProfile {
     pub rows_in: u64,
     /// Rows produced.
     pub rows_out: u64,
-    /// Approximate serialized bytes of the produced rows.
-    pub bytes_out: u64,
     /// Morsels dispatched to the worker pool while this operator ran.
     pub morsels: u64,
     /// Items (rows or lines) that went through morsel-parallel dispatch.
     pub par_rows: u64,
+    /// `(cols_hit, cols_parsed)` of a log scan that fused into its consumer:
+    /// the columns the source already held and those it parsed for this run
+    /// ([`crate::LogColumns`]). `None` for every other node, and for a scan
+    /// that built whole JSON records.
+    pub fused: Option<(u64, u64)>,
+    /// Approximate serialized bytes of the output, where the run read them
+    /// anyway: the engine records what it charged a guard, and EXPLAIN
+    /// ANALYZE fills in the sizes HV materialized (and was costed on).
+    /// Nothing walks a batch to fill this.
+    pub bytes_out: Option<u64>,
 }
 
 impl OpProfile {
+    /// The record of an output nothing was measured for — a working set
+    /// shipped in, an output of the reference interpreter: its row count.
+    pub(crate) fn rows_only(rows: usize) -> OpProfile {
+        OpProfile {
+            rows_out: rows as u64,
+            ..OpProfile::default()
+        }
+    }
+
     /// The deterministic fields, for cross-thread-count comparison.
-    pub fn deterministic(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.rows_in,
-            self.rows_out,
-            self.bytes_out,
-            self.morsels,
-            self.par_rows,
-        )
+    pub fn deterministic(&self) -> OpProfile {
+        OpProfile {
+            wall_ns: 0,
+            ..*self
+        }
     }
 
     /// Fraction of input items that were processed via morsel-parallel
@@ -82,13 +76,17 @@ impl OpProfile {
 
 thread_local! {
     /// (morsels, par_rows) dispatched on this thread since the last
-    /// [`take_dispatch`]. `par_chunks` coordinates from the calling thread,
+    /// [`take_dispatch`]. Dispatch is coordinated from the calling thread,
     /// so per-node attribution needs no cross-thread aggregation.
     static DISPATCH: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-/// Records a morsel dispatch (called by the engine's `par_chunks`).
+/// Records a morsel dispatch: `items` rows or lines fanned out as `morsels`.
+/// The one place `exec.morsels` / `exec.par_rows` are counted, so the
+/// counters and the running node's record cannot disagree.
 pub(crate) fn note_dispatch(morsels: u64, items: u64) {
+    miso_obs::count("exec.morsels", morsels);
+    miso_obs::count("exec.par_rows", items);
     DISPATCH.with(|d| {
         let (m, r) = d.get();
         d.set((m + morsels, r + items));

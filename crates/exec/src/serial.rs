@@ -30,7 +30,6 @@ pub fn execute_serial(
     udfs: &UdfRegistry,
 ) -> Result<Execution> {
     let mut outputs: HashMap<NodeId, Arc<Vec<Row>>> = HashMap::new();
-    let mut rows_out: HashMap<NodeId, u64> = HashMap::with_capacity(plan.len());
     let mut skipped_lines = 0u64;
     for node in plan.nodes() {
         let get_input = |idx: usize| -> Result<&Arc<Vec<Row>>> {
@@ -113,10 +112,9 @@ pub fn execute_serial(
                 input.iter().take(*n as usize).cloned().collect()
             }
         };
-        rows_out.insert(node.id, rows.len() as u64);
         outputs.insert(node.id, Arc::new(rows));
     }
-    Execution::from_parts(plan, outputs, rows_out, skipped_lines)
+    Execution::from_parts(plan, outputs, skipped_lines)
 }
 
 /// Inner hash equijoin, seed edition: `Vec<&Value>` key per row, SipHash.

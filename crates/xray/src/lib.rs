@@ -5,13 +5,13 @@
 //! * what the optimizer **predicted** — the per-node size estimates and the
 //!   [`CostBreakdown`] from the exact what-if path the tuner costs designs
 //!   with ([`miso_optimizer::optimize`]);
-//! * what the engine **measured** — the per-node [`OpProfile`]s collected by
-//!   `miso_exec` when `miso_exec::profile::enabled()` is on (wall time, rows
-//!   in/out, bytes, morsels, parallel fraction);
-//! * what actually **flowed** — output row counts, which the engine records
-//!   for every node even with profiling off.
+//! * what the engine **measured** — the [`OpProfile`] its driver loop keeps
+//!   of every node of every run (wall time, rows in/out, morsels, parallel
+//!   fraction, whether a log scan fused into its consumer and over which
+//!   columns, and the output's bytes where the run read them anyway).
 //!
-//! [`explain_analyze`] renders the annotated tree (the multistore analogue
+//! Nothing runs differently to produce one: the caller hands [`analyze`] the
+//! records of a run that has already happened. [`explain_analyze`] renders the annotated tree (the multistore analogue
 //! of `EXPLAIN ANALYZE`); [`QueryXray::to_value`] emits the same data as
 //! JSON for `results/<bin>.report.json`. Store-level drift accounting built
 //! on these artifacts lives in `miso_core::calibration`.
@@ -52,9 +52,7 @@ pub struct NodeXray {
     /// are deliberately not re-attributed to single nodes here — the query
     /// header carries the authoritative [`CostBreakdown`].
     pub predicted: SimDuration,
-    /// Measured output rows (recorded even with profiling off).
-    pub actual_rows: Option<u64>,
-    /// Full measured profile, when profiling was on.
+    /// What the node did; `None` if it did not run.
     pub profile: Option<OpProfile>,
 }
 
@@ -115,15 +113,13 @@ fn node_predicted(
 ///
 /// * `estimates` — per-node sizes from `miso_plan::estimate::estimate_plan`
 ///   over the same stats the optimizer used;
-/// * `profiles` — per-node [`OpProfile`]s merged from the HV and DW
-///   executions (empty when profiling was off);
-/// * `rows_out` — per-node output row counts merged the same way.
+/// * `profiles` — the run's per-node [`OpProfile`]s, the HV and the DW
+///   execution's merged to one per plan node.
 pub fn analyze(
     label: impl Into<String>,
     planned: &PlannedQuery,
     estimates: &HashMap<NodeId, SizeEstimate>,
     profiles: &HashMap<NodeId, OpProfile>,
-    rows_out: &HashMap<NodeId, u64>,
     models: &CostModels<'_>,
 ) -> QueryXray {
     let cuts = planned.split.cut_nodes(&planned.plan);
@@ -146,7 +142,6 @@ pub fn analyze(
                 est_rows: est.rows,
                 est_bytes: est.bytes,
                 predicted: node_predicted(planned, node.id, &est, cut, models),
-                actual_rows: rows_out.get(&node.id).copied(),
                 profile: profiles.get(&node.id).copied(),
             }
         })
@@ -222,22 +217,26 @@ fn render_node(by_id: &HashMap<NodeId, &NodeXray>, id: NodeId, depth: usize, out
         n.predicted,
         n.est_rows.round() as u64
     );
-    match n.actual_rows {
-        Some(rows) => {
-            let _ = write!(out, " · act {rows} rows");
+    match &n.profile {
+        Some(p) => {
+            let _ = write!(
+                out,
+                " · act {} rows · {} · {} morsels · par {:.0}%",
+                p.rows_out,
+                fmt_ns(p.wall_ns),
+                p.morsels,
+                p.parallel_fraction() * 100.0
+            );
+            if let Some(bytes) = p.bytes_out {
+                let _ = write!(out, " · {bytes} B");
+            }
+            if let Some((hit, parsed)) = p.fused {
+                let _ = write!(out, " · fused: {hit} cols held, {parsed} parsed");
+            }
         }
         None => {
             let _ = write!(out, " · act -");
         }
-    }
-    if let Some(p) = &n.profile {
-        let _ = write!(
-            out,
-            " · {} · {} morsels · par {:.0}%",
-            fmt_ns(p.wall_ns),
-            p.morsels,
-            p.parallel_fraction() * 100.0
-        );
     }
     if n.cut {
         let _ = write!(out, "  <== working set ships to DW");
@@ -264,13 +263,17 @@ impl QueryXray {
                     ("est_bytes".into(), Value::Float(n.est_bytes)),
                     ("pred_s".into(), Value::Float(n.predicted.as_secs_f64())),
                 ];
-                if let Some(rows) = n.actual_rows {
-                    obj.push(("act_rows".into(), Value::Int(rows as i64)));
-                }
                 if let Some(p) = &n.profile {
+                    obj.push(("act_rows".into(), Value::Int(p.rows_out as i64)));
                     obj.push(("wall_ns".into(), Value::Int(p.wall_ns as i64)));
                     obj.push(("rows_in".into(), Value::Int(p.rows_in as i64)));
-                    obj.push(("bytes_out".into(), Value::Int(p.bytes_out as i64)));
+                    if let Some(bytes) = p.bytes_out {
+                        obj.push(("bytes_out".into(), Value::Int(bytes as i64)));
+                    }
+                    if let Some((hit, parsed)) = p.fused {
+                        obj.push(("cols_hit".into(), Value::Int(hit as i64)));
+                        obj.push(("cols_parsed".into(), Value::Int(parsed as i64)));
+                    }
                     obj.push(("morsels".into(), Value::Int(p.morsels as i64)));
                     obj.push(("par_rows".into(), Value::Int(p.par_rows as i64)));
                     obj.push((
@@ -306,27 +309,12 @@ impl QueryXray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use miso_exec::engine::{execute, Execution, MemSource};
+    use miso_exec::engine::{execute, execute_subset, MemSource};
     use miso_exec::UdfRegistry;
     use miso_lang::{compile, Catalog};
     use miso_optimizer::optimize::{optimize, Design, OptimizerEnv};
     use miso_plan::estimate::{estimate_plan, MapStats};
-    use miso_plan::LogicalPlan;
-    use std::sync::Mutex;
-
-    /// Executes `plan` with per-operator profiling forced on or off.
-    /// `miso_exec::profile::set_enabled` is process-global and the harness
-    /// runs tests on parallel threads, so the flip, the run and the restore
-    /// happen under one lock.
-    fn execute_profiled(on: bool, plan: &LogicalPlan, source: &MemSource) -> Execution {
-        static FLAG: Mutex<()> = Mutex::new(());
-        let _flag = FLAG.lock().unwrap_or_else(|e| e.into_inner());
-        let was = miso_exec::profile::enabled();
-        miso_exec::profile::set_enabled(on);
-        let exec = execute(plan, source, &UdfRegistry::new());
-        miso_exec::profile::set_enabled(was);
-        exec.unwrap()
-    }
+    use std::collections::HashSet;
 
     fn lines(n: usize) -> Vec<String> {
         (0..n)
@@ -368,68 +356,60 @@ mod tests {
         (planned, est, source)
     }
 
-    #[test]
-    fn explain_analyze_renders_pred_and_act_per_node() {
-        let (planned, est, source) = build();
-        let exec = execute_profiled(true, &planned.plan, &source);
-        let x = analyze(
-            "q1",
-            &planned,
-            &est,
-            exec.profiles(),
-            &exec
-                .executed_nodes()
-                .map(|id| (id, exec.rows_out(id).unwrap()))
-                .collect(),
-            &CostModels {
-                hv: &HvCostModel::paper_default(),
-                dw: &DwCostModel::paper_default(),
-                transfer: &TransferModel::paper_default(),
-            },
-        );
-        let text = explain_analyze(&x);
-        assert!(text.contains("explain analyze [q1]"), "{text}");
-        assert!(text.contains("ScanLog(twitter)"), "{text}");
-        // Every node line carries a prediction and a measurement.
-        for line in text.lines().filter(|l| l.contains("pred ")) {
-            assert!(line.contains("act "), "no actuals on: {line}");
-        }
-        assert_eq!(
-            text.lines().filter(|l| l.contains("pred ")).count(),
-            planned.plan.len()
-        );
-        // Profiles annotate morsel structure.
-        assert!(text.contains("morsels"), "{text}");
+    fn xray(
+        label: &str,
+        planned: &PlannedQuery,
+        est: &HashMap<NodeId, SizeEstimate>,
+        profiles: &HashMap<NodeId, OpProfile>,
+    ) -> String {
+        let models = CostModels {
+            hv: &HvCostModel::paper_default(),
+            dw: &DwCostModel::paper_default(),
+            transfer: &TransferModel::paper_default(),
+        };
+        let x = analyze(label, planned, est, profiles, &models);
         // JSON form round-trips through the repo's own JSON.
         let json = miso_data::json::to_json(&x.to_value());
         let v = miso_data::json::parse_json(&json).unwrap();
-        assert_eq!(v.get_field("label"), Some(&Value::str("q1")));
+        assert_eq!(v.get_field("label"), Some(&Value::str(label)));
         assert!(v.get_field("nodes").is_some());
+        explain_analyze(&x)
     }
 
     #[test]
-    fn explain_analyze_without_profiles_still_shows_rows() {
+    fn explain_analyze_renders_pred_and_act_per_node() {
         let (planned, est, source) = build();
-        let exec = execute_profiled(false, &planned.plan, &source);
-        assert!(exec.profiles().is_empty());
-        let x = analyze(
-            "q2",
-            &planned,
-            &est,
-            exec.profiles(),
-            &exec
-                .executed_nodes()
-                .map(|id| (id, exec.rows_out(id).unwrap()))
-                .collect(),
-            &CostModels {
-                hv: &HvCostModel::paper_default(),
-                dw: &DwCostModel::paper_default(),
-                transfer: &TransferModel::paper_default(),
-            },
-        );
-        let text = explain_analyze(&x);
-        assert!(text.contains("act "), "{text}");
-        assert!(!text.contains("morsels"), "{text}");
+        let exec = execute(&planned.plan, &source, &UdfRegistry::new()).unwrap();
+        let text = xray("q1", &planned, &est, exec.profiles());
+        assert!(text.contains("explain analyze [q1]"), "{text}");
+        assert!(text.contains("ScanLog(twitter)"), "{text}");
+        // Every node line carries a prediction, a measurement and the
+        // morsel structure.
+        let nodes: Vec<&str> = text.lines().filter(|l| l.contains("pred ")).collect();
+        assert_eq!(nodes.len(), planned.plan.len());
+        for line in nodes {
+            assert!(
+                line.contains(" rows · ") && line.contains("morsels"),
+                "{line}"
+            );
+        }
+    }
+
+    /// A node no store ran has no record, and says so.
+    #[test]
+    fn explain_analyze_of_a_partial_run_marks_the_nodes_that_did_not_run() {
+        let (planned, est, source) = build();
+        let root = planned.plan.root();
+        let ids = planned.plan.nodes().iter().map(|n| n.id);
+        let below: HashSet<NodeId> = ids.filter(|id| *id != root).collect();
+        let udfs = UdfRegistry::new();
+        let exec =
+            execute_subset(&planned.plan, Some(&below), HashMap::new(), &source, &udfs).unwrap();
+        let text = xray("q2", &planned, &est, exec.profiles());
+        let unrun: Vec<&str> = text.lines().filter(|l| l.contains("act -")).collect();
+        assert_eq!(unrun.len(), 1, "{text}");
+        assert!(!unrun[0].contains("morsels"), "{text}");
+        assert_eq!(text.matches("morsels").count(), below.len(), "{text}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ cargo build --release
 echo "==> cargo test -q (default-members: every crate of the workspace)"
 cargo test -q
 
-echo "==> goldens (eleven figures, both .csv and the four fault-path smokes, at MISO_THREADS=1 and 8)"
+echo "==> goldens (eleven figures, both .csv and the four fault-path smokes, at MISO_THREADS=1 and 8; the smokes once more under MISO_OBS=1)"
 # Run from a scratch directory: the bins write results/<name>.report.json
 # (and fig4/fig8 a .csv) relative to where they stand, and the committed
 # files must not move.
@@ -41,6 +41,13 @@ for threads in 1 8; do
         (cd "$golden" && MISO_THREADS=$threads "$root/target/release/"$smoke >"$name.txt")
         diff -u "results/$name.txt" "$golden/$name.txt"
     done
+done
+# Looking changes nothing: the same retries, kills and guard charges with the
+# metrics sink on.
+for smoke in "chaos" "integrity" "soakbench --smoke" "servebench --smoke"; do
+    name="${smoke/ --/.}"
+    (cd "$golden" && MISO_OBS=1 "$root/target/release/"$smoke >"$name.obs.txt")
+    diff -u "results/$name.txt" "$golden/$name.obs.txt"
 done
 
 echo "==> miso-e2e builds against this tree, answers one workload correctly, serves no stale view"

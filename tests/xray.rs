@@ -1,54 +1,34 @@
-//! miso-xray integration tests: per-operator profiles, their thread-count
-//! invariance, and the calibration feedback loop's determinism contract.
+//! miso-xray integration tests: the per-operator records every run keeps,
+//! their thread-count invariance, EXPLAIN ANALYZE as a call, "looking changes
+//! nothing", and the calibration feedback loop's determinism contract.
 //!
-//! The profiling flag and the worker pool are process-global, so every test
-//! that flips either serializes on one lock (and restores the prior state),
-//! keeping the default parallel test runner race-free.
+//! The worker pool, the obs sink and the chaos plan are process-global, so
+//! every test serializes on one lock, keeping the default parallel test
+//! runner race-free.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use miso::common::{pool, Budgets, ByteSize};
-use miso::core::{ExperimentResult, MultistoreSystem, SystemConfig, Variant};
+use miso::common::{pool, Budgets, ByteSize, SimDuration};
+use miso::core::{ExperimentResult, GuardConfig, MultistoreSystem, SystemConfig, Variant};
 use miso::data::logs::{Corpus, LogsConfig};
 use miso::data::{DataType, Field, Row, Schema, Value};
 use miso::dw::DwCostModel;
 use miso::exec::engine::execute;
-use miso::exec::{profile, MemSource, Udf, UdfRegistry};
+use miso::exec::{execute_serial, MemSource, OpProfile, Udf, UdfRegistry};
 use miso::hv::HvCostModel;
 use miso::lang::compile;
 use miso::plan::{AggExpr, AggFunc, BinOp, Expr, LogicalPlan, Operator, PlanBuilder};
+use miso::workload::{compile_workload, standard_udfs, workload_catalog};
+use miso::xray::QueryXray;
+use miso_obs::ObsConfig;
+use miso_serve::{EpochSnapshot, ServeConfig, ServeEngine, ServeReport, SnapExecutor};
 
 fn lock() -> MutexGuard<'static, ()> {
     static L: OnceLock<Mutex<()>> = OnceLock::new();
     L.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Restores the profiling flag (and optionally the pool width) on drop, so
-/// assertion failures cannot leak state into later tests.
-struct FlagGuard {
-    was_profiling: bool,
-    threads: usize,
-}
-
-impl FlagGuard {
-    fn set(profiling: bool) -> FlagGuard {
-        let g = FlagGuard {
-            was_profiling: profile::enabled(),
-            threads: pool::threads(),
-        };
-        profile::set_enabled(profiling);
-        g
-    }
-}
-
-impl Drop for FlagGuard {
-    fn drop(&mut self) {
-        profile::set_enabled(self.was_profiling);
-        pool::set_threads(self.threads);
-    }
 }
 
 fn int_field(name: &str) -> Field {
@@ -199,50 +179,58 @@ fn join_plan() -> (LogicalPlan, MemSource) {
     (b.finish(agg).unwrap(), src)
 }
 
-/// Every executed node gets a profile whose row accounting matches the
-/// execution's own `rows_out`, and whose `rows_in` is the sum of its inputs'
-/// outputs — across every operator kind.
+/// Every executed node has a record — nothing was switched on — whose row
+/// accounting matches the row-at-a-time oracle's node by node, and whose
+/// `rows_in` is the sum of its inputs' outputs, across every operator kind.
 #[test]
 fn profiled_rows_match_rows_out_for_every_operator() {
     let _g = lock();
-    let _flags = FlagGuard::set(true);
 
     let (lplan, lsrc, udfs) = log_plan();
     let (jplan, jsrc) = join_plan();
+    let none = UdfRegistry::new();
 
-    let runs: Vec<(&str, miso::exec::Execution, &LogicalPlan)> = vec![
+    let runs = [
         (
             "log pipeline",
             execute(&lplan, &lsrc, &udfs).unwrap(),
+            execute_serial(&lplan, &lsrc, &udfs).unwrap(),
             &lplan,
         ),
         (
             "join",
-            execute(&jplan, &jsrc, &UdfRegistry::new()).unwrap(),
+            execute(&jplan, &jsrc, &none).unwrap(),
+            execute_serial(&jplan, &jsrc, &none).unwrap(),
             &jplan,
         ),
     ];
-    for (what, exec, plan) in &runs {
+    for (what, exec, oracle, plan) in &runs {
         for node in plan.nodes() {
             let p = exec
                 .profile(node.id)
-                .unwrap_or_else(|| panic!("{what}: node {} has no profile", node.id));
+                .unwrap_or_else(|| panic!("{what}: node {} has no record", node.id));
             assert_eq!(
-                p.rows_out,
-                exec.rows_out(node.id).unwrap_or(0),
+                Some(p.rows_out),
+                oracle.rows_out(node.id),
                 "{what}: node {} rows_out",
                 node.id
             );
-            let in_sum: u64 = node.inputs.iter().filter_map(|i| exec.rows_out(*i)).sum();
+            assert_eq!(
+                p.rows_out,
+                exec.output(node.id).len() as u64,
+                "{what}: node {}",
+                node.id
+            );
+            let in_sum: u64 = node.inputs.iter().filter_map(|i| oracle.rows_out(*i)).sum();
             assert_eq!(p.rows_in, in_sum, "{what}: node {} rows_in", node.id);
-            if p.rows_out > 0 {
-                assert!(p.bytes_out > 0, "{what}: node {} bytes_out", node.id);
-            }
+            // Every output is kept here, so no scan fused; and no guard
+            // charged, so nothing read an output's bytes.
+            assert_eq!((p.fused, p.bytes_out), (None, None), "node {}", node.id);
         }
         assert_eq!(
             exec.profiles().len(),
             plan.len(),
-            "{what}: one profile per node"
+            "{what}: one record per node"
         );
     }
     // A view scan shares the source's batch: a refcount bump, not a morsel
@@ -255,12 +243,12 @@ fn profiled_rows_match_rows_out_for_every_operator() {
     }
 }
 
-/// All profile fields except wall time are a pure function of the plan and
+/// All record fields except wall time are a pure function of the plan and
 /// data: byte-identical at 1, 2 and 8 workers.
 #[test]
 fn profiles_are_thread_count_invariant() {
     let _g = lock();
-    let _flags = FlagGuard::set(true);
+    let threads = pool::threads();
 
     let (lplan, lsrc, udfs) = log_plan();
     let (jplan, jsrc) = join_plan();
@@ -268,7 +256,7 @@ fn profiles_are_thread_count_invariant() {
         ("log pipeline", &lplan, 0usize),
         ("join pipeline", &jplan, 1),
     ] {
-        let mut baseline: Option<BTreeMap<u64, (u64, u64, u64, u64, u64)>> = None;
+        let mut baseline: Option<BTreeMap<u64, OpProfile>> = None;
         for t in [1usize, 2, 8] {
             pool::set_threads(t);
             let exec = if run == 0 {
@@ -287,6 +275,7 @@ fn profiles_are_thread_count_invariant() {
             }
         }
     }
+    pool::set_threads(threads);
 }
 
 // --- system-level tests over the tiny corpus ---------------------------
@@ -306,8 +295,16 @@ fn config() -> SystemConfig {
     )
 }
 
+fn system(corpus: &Corpus, config: SystemConfig) -> MultistoreSystem {
+    MultistoreSystem::new(corpus, workload_catalog(), standard_udfs(), config)
+}
+
+fn fresh_system(corpus: &Corpus) -> MultistoreSystem {
+    system(corpus, config())
+}
+
 fn stream() -> Vec<(String, LogicalPlan)> {
-    let catalog = miso::workload::workload_catalog();
+    let catalog = workload_catalog();
     [
         "SELECT t.city AS city, COUNT(*) AS n, AVG(t.sentiment) AS mood FROM twitter t \
          WHERE t.followers > 50 GROUP BY t.city",
@@ -330,18 +327,12 @@ fn stream() -> Vec<(String, LogicalPlan)> {
 }
 
 fn run_with(config: SystemConfig, corpus: &Corpus) -> (MultistoreSystem, ExperimentResult) {
-    let mut sys = MultistoreSystem::new(
-        corpus,
-        miso::workload::workload_catalog(),
-        miso::workload::standard_udfs(),
-        config,
-    );
+    let mut sys = system(corpus, config);
     let result = sys.run_workload(Variant::MsMiso, &stream()).unwrap();
     (sys, result)
 }
 
-/// Everything a figure binary prints derives from these fields; equality
-/// here is what makes fig3/fig5 stdout byte-identical across the flag.
+/// Everything a figure binary prints derives from these fields.
 fn assert_results_identical(a: &ExperimentResult, b: &ExperimentResult, what: &str) {
     assert_eq!(a.records.len(), b.records.len(), "{what}: query count");
     for (ra, rb) in a.records.iter().zip(&b.records) {
@@ -396,29 +387,226 @@ fn assert_dw_model_eq(a: &DwCostModel, b: &DwCostModel, what: &str) {
     );
 }
 
-/// Profiling is observation-only: flipping it changes neither query results
-/// nor tuner designs, and off means no xray artifacts at all.
+/// Runs `f` with the in-memory ring sink on, then switches observability
+/// back off.
+fn observed<T>(f: impl FnOnce() -> T) -> T {
+    miso_obs::init(ObsConfig::ring(4096));
+    miso_obs::reset_metrics();
+    let out = f();
+    miso_obs::init(ObsConfig::disabled());
+    out
+}
+
+/// A guarded stream kills the same queries, charges the same bytes and
+/// records the same costs whether or not a sink is attached. The budget is
+/// half of what the stream's hungriest query charges, so the comparison
+/// includes kills.
 #[test]
-fn profiling_flag_does_not_change_results_or_designs() {
+fn looking_changes_no_record_no_kill_and_no_charge_of_a_guarded_stream() {
     let _g = lock();
     let corpus = tiny_corpus();
+    let guarded = |mem_budget: u64| {
+        let mut cfg = config();
+        cfg.guard = GuardConfig {
+            enabled: true,
+            mem_budget: ByteSize::from_bytes(mem_budget),
+            ..GuardConfig::disabled()
+        };
+        run_with(cfg, &corpus)
+    };
+    let metered = guarded(0).0.guard_peak_bytes();
+    assert!(metered > 0, "an unlimited guard still meters");
 
-    let _flags = FlagGuard::set(false);
-    let (sys_off, off) = run_with(config(), &corpus);
-    assert!(
-        sys_off.xrays().is_empty(),
-        "no xray artifacts with profiling off"
-    );
+    let (sys_off, off) = guarded(metered / 2);
+    let (sys_on, on) = observed(|| guarded(metered / 2));
+    assert!(!off.failures.is_empty(), "half the peak kills something");
+    assert!(!off.records.is_empty(), "and spares something");
+    assert_eq!(format!("{:?}", off.records), format!("{:?}", on.records));
+    assert_eq!(format!("{:?}", off.failures), format!("{:?}", on.failures));
+    assert_eq!(sys_off.guard_peak_bytes(), sys_on.guard_peak_bytes());
+    assert_results_identical(&off, &on, "sink off vs on");
+}
 
-    profile::set_enabled(true);
-    let (sys_on, on) = run_with(config(), &corpus);
-    assert!(
-        !sys_on.xrays().is_empty(),
-        "profiling on collects an xray per query"
-    );
-    assert_eq!(sys_on.xrays().len(), on.records.len());
+/// The `servebench --smoke` storm — its session counts, caps, guard
+/// calibrated at twice the metered peak, hog tenant and chaos plan — over
+/// the tiny corpus.
+fn smoke_storm(corpus: &Corpus) -> ServeReport {
+    let workload = compile_workload(&workload_catalog()).unwrap();
+    let sys = fresh_system(corpus);
+    let boot = EpochSnapshot {
+        epoch: 0,
+        hv: sys.hv.clone(),
+        dw: sys.dw.clone(),
+        catalog: sys.catalog.clone(),
+        transfer: sys.transfer_model().clone(),
+    };
+    let mut calib = SnapExecutor::new(standard_udfs());
+    let (mut max_service, mut total_service) = (SimDuration::ZERO, SimDuration::ZERO);
+    let mut base_peak = 1u64;
+    for (label, plan) in &workload {
+        let run = calib
+            .run(&boot, label, plan, &BTreeSet::new(), false)
+            .unwrap();
+        max_service = max_service.max(run.service());
+        total_service += run.service();
+        base_peak = base_peak.max(run.charged_bytes);
+    }
+    let mean_service = total_service / workload.len() as f64;
+    let (workers, sessions) = (8usize, 96u64);
+    let cfg = ServeConfig {
+        workers,
+        sessions,
+        tenants: 8,
+        queries_per_session: 2,
+        seed: 23,
+        mean_think: mean_service * (sessions as f64 / (workers as f64 * 0.7)),
+        reorg_every: 40,
+        drain: max_service * 2.0,
+        queue_cap: 16,
+        tenant_inflight_cap: 6,
+        guard: GuardConfig {
+            enabled: true,
+            deadline: Some(max_service * 10.0),
+            mem_budget: ByteSize::from_bytes(base_peak.saturating_mul(2)),
+            max_inflight: 64,
+            shed_threshold: 5,
+            shed_cooldown: max_service,
+        },
+        hog_factor: 8.0,
+        ..ServeConfig::standard()
+    };
+    let spec = "seed=2000;dw.execute=error@p0.1;dw.execute=stall@p0.05;\
+                dw.execute=hog:4096@p0.1;hv.execute=error@p0.05;hv.execute=delay:1.5@p0.08;\
+                hv.execute=stall@p0.04;hv.execute=hog:4096@p0.08;transfer.ship=error@p0.15;\
+                transfer.ship=corrupt@p0.1;dw.view_read=corrupt@p0.05;\
+                hv.view_read=corrupt@p0.05;reorg.step=crash@p0.1";
+    miso::chaos::install(miso::chaos::parse_spec(spec).unwrap());
+    let report = ServeEngine::new(cfg, fresh_system(corpus), workload, standard_udfs()).run();
+    miso::chaos::disable();
+    report
+}
 
-    assert_results_identical(&off, &on, "profiling off vs on");
+/// The serving storm delivers, sheds and kills the same queries, and makes
+/// the same base runs, whether or not a sink is attached.
+#[test]
+fn looking_changes_no_count_of_the_serving_storm() {
+    let _g = lock();
+    let corpus = tiny_corpus();
+    let off = smoke_storm(&corpus);
+    let on = observed(|| smoke_storm(&corpus));
+    assert!(off.killed > 0 && off.delivered > 0, "a storm: {off:?}");
+    assert_eq!(off.wrong_answers, 0);
+    let counts = |r: &ServeReport| {
+        [
+            r.submitted,
+            r.delivered,
+            r.wrong_answers,
+            r.shed,
+            r.killed,
+            r.drained,
+            r.unclassified,
+            r.hv_fallbacks,
+            r.reorgs,
+            r.reorg_failures,
+            r.final_epoch,
+            r.base_runs as u64,
+            r.makespan.as_micros(),
+        ]
+    };
+    assert_eq!(counts(&off), counts(&on));
+    assert_eq!(format!("{:?}", off.failures), format!("{:?}", on.failures));
+}
+
+/// The workload's `A1v1`: a filtered aggregate over the twitter log.
+fn a1v1() -> (String, LogicalPlan) {
+    let workload = compile_workload(&workload_catalog()).unwrap();
+    let is_a1v1 = |(label, _): &(String, LogicalPlan)| label == "A1v1";
+    workload.into_iter().find(is_a1v1).expect("A1v1 exists")
+}
+
+/// EXPLAIN ANALYZE is the ordinary walk: the record it returns is the one a
+/// stream's first query gets on an identical system, and it leaves the same
+/// views behind.
+#[test]
+fn explain_analyze_returns_the_record_of_a_plain_run() {
+    let _g = lock();
+    let corpus = tiny_corpus();
+    for (label, raw) in stream().into_iter().chain([a1v1()]) {
+        let mut plain = fresh_system(&corpus);
+        let ran = plain
+            .run_workload(Variant::MsMiso, &[(label.clone(), raw.clone())])
+            .unwrap();
+        let mut looked = fresh_system(&corpus);
+        let (record, xray) = looked.explain_analyze(&label, &raw).unwrap();
+        assert_eq!(format!("{:?}", ran.records[0]), format!("{record:?}"));
+        assert_eq!(xray.used_views, record.used_views);
+        assert_eq!(plain.hv.view_names(), looked.hv.view_names(), "{label}");
+        assert_eq!(plain.catalog.len(), looked.catalog.len(), "{label}");
+    }
+}
+
+/// The deterministic half of an xray: every node's record sans wall time.
+fn deterministic(x: &QueryXray) -> Vec<(u64, Option<OpProfile>)> {
+    let node = |n: &miso::xray::NodeXray| (n.id.raw(), n.profile.map(|p| p.deterministic()));
+    x.nodes.iter().map(node).collect()
+}
+
+/// An xray shows what ran. For a log-scan query the scan fused into its
+/// consumer and the tree says so, with its column counts; no line was parsed
+/// into a JSON record to produce it; the HV and the DW run's records merge to
+/// one per plan node, a cut's being HV's; and everything but wall time agrees
+/// at 1 and 8 threads.
+#[test]
+fn xray_shows_what_ran() {
+    let _g = lock();
+    let threads = pool::threads();
+    let corpus = tiny_corpus();
+    let (label, raw) = a1v1();
+
+    let mut per_width = Vec::new();
+    for t in [1usize, 8] {
+        pool::set_threads(t);
+        let mut sys = fresh_system(&corpus);
+        let (record, x) = observed(|| {
+            let out = sys.explain_analyze(&label, &raw).unwrap();
+            let counters = miso_obs::snapshot().counters;
+            let fallback = counters.get("exec.col_fallback_rows").copied();
+            assert_eq!(fallback.unwrap_or(0), 0, "a scan built records");
+            assert!(counters["exec.ops_executed"] > 0, "the sink saw the run");
+            out
+        });
+
+        let text = miso::xray::explain_analyze(&x);
+        let scans: Vec<&str> = text.lines().filter(|l| l.contains("ScanLog(")).collect();
+        assert_eq!(scans.len(), 1, "{text}");
+        assert!(scans[0].contains("fused: 0 cols held, "), "{text}");
+
+        assert_eq!(x.nodes.len(), record.hv_ops + record.dw_ops);
+        let ids: BTreeSet<u64> = x.nodes.iter().map(|n| n.id.raw()).collect();
+        assert_eq!(ids.len(), x.nodes.len(), "one record per plan node");
+        for n in &x.nodes {
+            let p = n
+                .profile
+                .unwrap_or_else(|| panic!("node {} did not run", n.id));
+            let is_scan = n.label.starts_with("ScanLog(");
+            assert_eq!(p.fused.is_some(), is_scan, "{}", n.label);
+            if is_scan {
+                let (hit, parsed) = p.fused.unwrap();
+                assert!(hit == 0 && parsed > 0, "a cold store parses: {p:?}");
+            }
+            if n.cut {
+                // HV ran it and sized what it shipped; DW was only handed it.
+                assert!(n.hv && p.rows_in > 0 && p.bytes_out.is_some(), "{p:?}");
+            }
+            if n.id == x.root {
+                assert_eq!(p.rows_out, record.result_rows);
+            }
+        }
+        assert!(record.dw_ops > 0 && x.nodes.iter().any(|n| n.cut), "{text}");
+        per_width.push(deterministic(&x));
+    }
+    pool::set_threads(threads);
+    assert_eq!(per_width[0], per_width[1], "1 vs 8 threads");
 }
 
 /// With `calibrate_costs` off (the default), a full run — drift accumulation
@@ -427,7 +615,6 @@ fn profiling_flag_does_not_change_results_or_designs() {
 #[test]
 fn calibration_off_leaves_cost_models_untouched() {
     let _g = lock();
-    let _flags = FlagGuard::set(true);
     let corpus = tiny_corpus();
 
     let cfg = config();
@@ -459,7 +646,6 @@ fn calibration_off_leaves_cost_models_untouched() {
 #[test]
 fn calibration_on_adjusts_models_deterministically() {
     let _g = lock();
-    let _flags = FlagGuard::set(true);
     let corpus = tiny_corpus();
 
     let mut cfg = config();
@@ -483,14 +669,13 @@ fn calibration_on_adjusts_models_deterministically() {
 #[test]
 fn drift_gauges_appear_in_metrics_snapshot() {
     let _g = lock();
-    let _flags = FlagGuard::set(true);
     let corpus = tiny_corpus();
 
-    miso_obs::init(miso_obs::ObsConfig::ring(4096));
+    miso_obs::init(ObsConfig::ring(4096));
     miso_obs::reset_metrics();
     let (_sys, result) = run_with(config(), &corpus);
     let snap = miso_obs::snapshot();
-    miso_obs::init(miso_obs::ObsConfig::disabled());
+    miso_obs::init(ObsConfig::disabled());
 
     for gauge in [
         "xray.cost_drift_hv",
