@@ -444,6 +444,7 @@ fn main() {
         ),
         ("env_threads".into(), Value::Int(env_threads as i64)),
         ("iters".into(), Value::Int(iters as i64)),
+        ("pool".into(), miso_bench::pool_value()),
         ("configs".into(), Value::Array(cfg_values)),
     ]);
     if let Err(e) = parse_json(&to_json(&report)) {

@@ -374,6 +374,7 @@ fn main() {
         ),
         ("threads".into(), Value::Int(engine_threads as i64)),
         ("epochs".into(), Value::Int(epochs as i64)),
+        ("pool".into(), miso_bench::pool_value()),
         ("configs".into(), Value::Array(cfg_values)),
     ]);
     if let Err(e) = parse_json(&to_json(&report)) {

@@ -130,6 +130,26 @@ pub fn tti_value(result: &ExperimentResult) -> Value {
     ])
 }
 
+/// What the worker pool did in this process, for a run report: how many
+/// batches were dispatched, how many of them no helper was offered, and how
+/// the work fell between callers and helpers. Scheduling decides all but
+/// `batches`, so this never goes to stdout or a golden.
+pub fn pool_value() -> Value {
+    let stats = miso_common::pool::stats();
+    Value::object(vec![
+        ("batches".into(), Value::Int(stats.batches as i64)),
+        (
+            "inline_batches".into(),
+            Value::Int(stats.inline_batches as i64),
+        ),
+        (
+            "helpers_spawned".into(),
+            Value::Int(stats.helpers_spawned as i64),
+        ),
+        ("helper_tasks".into(), Value::Int(stats.helper_tasks as i64)),
+    ])
+}
+
 /// Writes the versioned run report for `name` under `results/` (metrics
 /// snapshot + benchmark-specific `extra`) and flushes the trace sink.
 /// Failures warn on stderr rather than failing the benchmark.

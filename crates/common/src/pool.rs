@@ -1,4 +1,4 @@
-//! miso-par: a zero-dependency scoped worker pool for batch fan-out.
+//! miso-par: a zero-dependency worker pool for batch fan-out.
 //!
 //! The tuner's what-if probes are embarrassingly parallel — each probe is a
 //! pure re-optimization of one history query under one hypothetical design —
@@ -14,31 +14,38 @@
 //! 2. the `MISO_THREADS` environment variable (read once per process);
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! The pool is *scoped* (`std::thread::scope`): threads are spawned per
-//! batch and joined before `run_batch` returns, so borrowed task closures
-//! need no `'static` bound and no threads outlive their data. Batches on
-//! the tuner hot path are hundreds-to-thousands of optimizer probes, each
-//! orders of magnitude more expensive than a thread spawn.
+//! The count is the caller plus its helpers, and never more than the
+//! machine's cores. Helpers are process-lifetime threads, spawned the first
+//! time a batch has a seat for one and parked on a condvar between batches:
+//! a steady stream dispatches hundreds of batches of a few cheap tasks (probe
+//! misses, morsels of a view-sized input), where a thread spawn per worker
+//! per batch costs more than the batch. Dispatch is a publish and a notify;
+//! the dispatching thread then pulls tasks from the same counter as the
+//! helpers, so a small batch is usually finished by its caller before a
+//! helper has woken, and the caller returns only once the batch is retracted
+//! and every helper that entered it has left — which is what lets task
+//! closures borrow from the caller's stack with no `'static` bound.
 
 use crate::error::{MisoError, Result};
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 thread_local! {
-    /// Whether the current thread *is* a pool worker. A task that itself
-    /// calls [`run_batch`]/[`run_chunks`] (e.g. a serve worker running a
-    /// vex query that morsel-dispatches) must not spawn a second tier of
-    /// workers under the first: nested dispatch runs inline on the worker
-    /// thread instead. Results are position-keyed, so inlining cannot
-    /// change any output.
+    /// Whether the current thread is running a pool task — as a helper, or
+    /// as the caller working on its own batch. A task that itself calls
+    /// [`run_batch`]/[`run_chunks`] (e.g. a serve worker running a vex query
+    /// that morsel-dispatches) runs that batch inline on the thread it is
+    /// on: the outer batch already owns the helpers. Results are
+    /// position-keyed, so inlining cannot change any output.
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether the calling thread is currently inside a pool worker task
-/// (nested dispatch from such a thread runs inline).
+/// Whether the calling thread is currently inside a pool task (nested
+/// dispatch from such a thread runs inline).
 pub fn in_worker() -> bool {
-    IN_POOL_WORKER.with(Cell::get)
+    IN_POOL_WORKER.get()
 }
 
 /// Upper bound on worker threads (a safety clamp for absurd `MISO_THREADS`).
@@ -78,8 +85,9 @@ fn resolve_from_env() -> usize {
         .min(MAX_THREADS)
 }
 
-/// The worker count batches run with. One relaxed atomic load after the
-/// first call, matching the chaos gate convention.
+/// The worker count batches run with: the caller plus `threads() - 1`
+/// helpers (fewer on a machine with fewer cores). One relaxed atomic load
+/// after the first call, matching the chaos gate convention.
 #[inline]
 pub fn threads() -> usize {
     let t = THREADS.load(Ordering::Relaxed);
@@ -94,9 +102,181 @@ pub fn threads() -> usize {
 
 /// Overrides the worker count (clamped to `1..=256`). Benches use this to
 /// compare serial and parallel runs inside one process; the equivalence
-/// tests use it to prove thread count cannot change results.
+/// tests use it to prove thread count cannot change results. Helpers already
+/// spawned stay parked when the count is lowered.
 pub fn set_threads(n: usize) {
     THREADS.store(n.clamp(1, MAX_THREADS), Ordering::Relaxed);
+}
+
+/// What the pool has done since the process started. Everything but
+/// `batches` depends on scheduling, so these belong in reports and tests of
+/// the pool itself, never in a golden.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Calls to [`run_batch`] (and through it [`run_chunks`]).
+    pub batches: u64,
+    /// Batches no helper was offered: one task or one thread, dispatched
+    /// from inside a pool task, or while another thread's batch was in flight.
+    pub inline_batches: u64,
+    /// Helper threads spawned; at most `threads().min(cores) - 1` at its
+    /// highest setting, however many batches run.
+    pub helpers_spawned: u64,
+    /// Tasks a helper ran rather than the batch's caller.
+    pub helper_tasks: u64,
+}
+
+static BATCHES: AtomicU64 = AtomicU64::new(0);
+static INLINE_BATCHES: AtomicU64 = AtomicU64::new(0);
+static HELPERS_SPAWNED: AtomicU64 = AtomicU64::new(0);
+static HELPER_TASKS: AtomicU64 = AtomicU64::new(0);
+
+/// A snapshot of the pool's counters (relaxed loads: statistics only).
+pub fn stats() -> PoolStats {
+    PoolStats {
+        batches: BATCHES.load(Ordering::Relaxed),
+        inline_batches: INLINE_BATCHES.load(Ordering::Relaxed),
+        helpers_spawned: HELPERS_SPAWNED.load(Ordering::Relaxed),
+        helper_tasks: HELPER_TASKS.load(Ordering::Relaxed),
+    }
+}
+
+/// What a helper runs for a batch: pull tasks until the batch's counter runs
+/// out. The `'static` is a lie told in [`with_helpers`], which also keeps it
+/// harmless.
+type Job = &'static (dyn Fn() + Sync);
+
+/// Everything helpers and dispatchers share, behind [`POOL`]. Private to
+/// this module: the `unsafe` in [`with_helpers`] relies on nothing else
+/// being able to copy `job` out or lower `active`.
+struct PoolState {
+    /// The batch in flight: set by its dispatcher, cleared by the same
+    /// thread once `active` is back to zero. `Some` also means "the helpers
+    /// are taken" — another dispatcher runs its batch inline.
+    job: Option<Job>,
+    /// Bumped per published batch, so a helper that ran a batch dry does not
+    /// enter it again while its dispatcher finishes the last task.
+    epoch: u64,
+    /// Helpers that may still enter `job`; zeroed to retract it.
+    seats: usize,
+    /// Helpers inside `job` right now.
+    active: usize,
+    /// Helper threads alive; they never exit.
+    helpers: usize,
+}
+
+static POOL: Mutex<PoolState> = Mutex::new(PoolState {
+    job: None,
+    epoch: 0,
+    seats: 0,
+    active: 0,
+    helpers: 0,
+});
+/// Helpers park here between batches.
+static WAKE: Condvar = Condvar::new();
+/// A retracting dispatcher waits here for the last helper to leave.
+static LEFT: Condvar = Condvar::new();
+
+/// Locks [`POOL`], poisoned or not: every update of [`PoolState`] is a store
+/// to one integer or option that leaves it valid, and a dispatcher must be
+/// able to retract its job while unwinding.
+fn lock_pool() -> MutexGuard<'static, PoolState> {
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn helper_main() {
+    IN_POOL_WORKER.set(true);
+    let mut seen = 0;
+    let mut pool = lock_pool();
+    loop {
+        let job = match pool.job {
+            Some(job) if pool.seats > 0 && pool.epoch != seen => job,
+            _ => {
+                pool = WAKE.wait(pool).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            }
+        };
+        seen = pool.epoch;
+        pool.seats -= 1;
+        pool.active += 1;
+        drop(pool);
+        // Tasks are fenced inside the job; this fence is for the pool's own
+        // code, so that nothing can kill a helper between raising `active`
+        // and lowering it and leave its dispatcher waiting for ever.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
+        pool = lock_pool();
+        pool.active -= 1;
+        if pool.active == 0 {
+            LEFT.notify_one();
+        }
+    }
+}
+
+/// Takes the batch back: no helper may enter it any more, and the ones
+/// inside are waited for. Runs from `Drop`, so an unwinding dispatcher
+/// retracts too.
+struct Retract;
+
+impl Drop for Retract {
+    fn drop(&mut self) {
+        let mut pool = lock_pool();
+        pool.seats = 0;
+        while pool.active > 0 {
+            pool = LEFT.wait(pool).unwrap_or_else(PoisonError::into_inner);
+        }
+        pool.job = None;
+    }
+}
+
+/// Runs `body` while up to `seats` helpers run `job` beside it, and returns
+/// only when no helper is inside `job` or can enter it again. With no seat
+/// to offer, or while another thread's batch is in flight, it just runs
+/// `body`.
+fn with_helpers<R>(job: &(dyn Fn() + Sync), seats: usize, body: impl FnOnce() -> R) -> R {
+    // A batch with no seat to offer does not touch the shared state at all.
+    let free = (seats > 0)
+        .then(lock_pool)
+        .filter(|pool| pool.job.is_none());
+    let Some(mut pool) = free else {
+        INLINE_BATCHES.fetch_add(1, Ordering::Relaxed);
+        return body();
+    };
+    while pool.helpers < seats {
+        let name = format!("miso-pool-{}", pool.helpers + 1);
+        // Detached on purpose: helpers park for the life of the process. If
+        // the OS refuses a thread the caller does the helper's share.
+        if std::thread::Builder::new()
+            .name(name)
+            .spawn(helper_main)
+            .is_err()
+        {
+            break;
+        }
+        pool.helpers += 1;
+        HELPERS_SPAWNED.fetch_add(1, Ordering::Relaxed);
+    }
+    // SAFETY: the transmute only erases the lifetime of `job` (same fat
+    // pointer, same vtable), so what must hold is that no helper calls or
+    // keeps the reference once this function has returned or unwound.
+    // The reference lives in one place, `POOL.job`. A helper copies it out
+    // only under the lock, in the same critical section that takes a seat
+    // and raises `active`, and lowers `active` under the lock only after its
+    // call has returned and the copy is dead. `Retract` exists from the
+    // moment the lock is released (nothing in between can unwind) and is
+    // dropped on return and on unwind alike: it zeroes `seats` (no further
+    // entry), waits under the lock for `active == 0` (every entrant has
+    // left) and only then clears `job`. `job.is_none()` above keeps a second
+    // dispatcher from overwriting a published job. `PoolState` is private to
+    // this module and these are its only writers.
+    let erased = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Job>(job) };
+    pool.job = Some(erased);
+    pool.epoch = pool.epoch.wrapping_add(1);
+    pool.seats = seats;
+    drop(pool);
+    let _retract = Retract;
+    for _ in 0..seats {
+        WAKE.notify_one();
+    }
+    body()
 }
 
 /// Runs one task with a panic fence: a panicking task becomes an `Err`
@@ -117,73 +297,61 @@ fn fenced<T>(i: usize, f: impl FnOnce() -> T) -> std::result::Result<T, String> 
 ///
 /// Tasks are pulled from a shared atomic counter (dynamic load balancing:
 /// probe costs vary wildly between a cached rewrite and a full split
-/// enumeration). A panicking task does **not** unwind through the pool or
-/// poison other workers: remaining tasks still run, and the batch returns
-/// `MisoError::Execution` for the lowest-indexed panicking task — the same
-/// error for every thread count, so one bad morsel kills one query, never
-/// the process.
+/// enumeration) by the calling thread and by up to `threads() - 1` helpers.
+/// A panicking task does **not** unwind through the pool or poison other
+/// workers: every remaining task still runs, whoever runs it, and the batch
+/// returns `MisoError::Execution` for the lowest-indexed panicking task —
+/// the same error and the same side effects for every thread count, so one
+/// bad morsel kills one query, never the process.
 pub fn run_batch<T, F>(n: usize, f: F) -> Result<Vec<T>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    // `threads()` is the configured concurrency ceiling; actually spawning
-    // more workers than the machine has cores only adds context-switch and
-    // cache-thrash overhead (results are position-keyed, so the worker
-    // count can never change the output anyway). Re-entrant dispatch — a
-    // pool task calling back into the pool — runs inline: the outer batch
-    // already owns the worker budget, and blocking a worker on a nested
-    // scope would oversubscribe (or, with a bounded queue, deadlock).
-    let workers = if in_worker() {
-        1
-    } else {
-        threads().min(n).min(cores())
-    };
-    if workers <= 1 {
-        // Same panic fence as the parallel path: thread count must not
-        // change whether a panic surfaces as an error or an unwind.
-        return (0..n)
-            .map(|i| fenced(i, || f(i)).map_err(MisoError::Execution))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
+    BATCHES.fetch_add(1, Ordering::Relaxed);
     type Bucket<T> = Vec<(usize, std::result::Result<T, String>)>;
-    let buckets: Vec<Bucket<T>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    IN_POOL_WORKER.with(|w| w.set(true));
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, fenced(i, || f(i))));
-                    }
-                    // Scoped threads die with the batch, but reset anyway in
-                    // case a runtime ever pools/reuses them.
-                    IN_POOL_WORKER.with(|w| w.set(false));
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(local) => local,
-                // Tasks are fenced, so this is pool infrastructure dying —
-                // nothing sane to report, propagate.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+    // Relaxed: the counter hands out indices and publishes nothing else;
+    // results travel through `helped`'s lock.
+    let next = AtomicUsize::new(0);
+    let pull = || {
+        let mut local: Bucket<T> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break local;
+            }
+            local.push((i, fenced(i, || f(i))));
+        }
+    };
+    let helped: Mutex<Vec<Bucket<T>>> = Mutex::new(Vec::new());
+    let help = || {
+        let local = pull();
+        HELPER_TASKS.fetch_add(local.len() as u64, Ordering::Relaxed);
+        helped
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(local);
+    };
+    // `threads()` is the configured ceiling; more workers than cores only
+    // adds context switches (results are position-keyed, so the count can
+    // never change the output anyway). A pool task dispatching again gets no
+    // seats: the outer batch owns the helpers.
+    let seats = if in_worker() {
+        0
+    } else {
+        threads().min(n).min(cores()).saturating_sub(1)
+    };
+    let mine = with_helpers(&help, seats, || {
+        let nested = IN_POOL_WORKER.replace(true);
+        let mine = pull();
+        IN_POOL_WORKER.set(nested);
+        mine
     });
     // Deterministic ordering: place every result by its task index.
     let mut out: Vec<Option<std::result::Result<T, String>>> = (0..n).map(|_| None).collect();
-    for bucket in buckets {
-        for (i, v) in bucket {
-            out[i] = Some(v);
-        }
+    let helped = helped.into_inner().unwrap_or_else(PoisonError::into_inner);
+    for (i, v) in helped.into_iter().flatten().chain(mine) {
+        out[i] = Some(v);
     }
     out.into_iter()
         .map(|v| {
@@ -282,6 +450,25 @@ mod tests {
                 err.message().contains("task 9"),
                 "threads={t}: reported {err}"
             );
+        }
+        set_threads(before);
+    }
+
+    #[test]
+    fn every_task_runs_after_a_panic_for_every_thread_count() {
+        let before = threads();
+        for t in [1, 8] {
+            set_threads(t);
+            let ran = AtomicUsize::new(0);
+            let err = run_batch(32, |i| {
+                if i == 3 {
+                    panic!("task {i}");
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap_err();
+            assert!(err.message().contains("task 3"), "threads={t}: {err}");
+            assert_eq!(ran.into_inner(), 31, "threads={t}");
         }
         set_threads(before);
     }

@@ -88,8 +88,8 @@ pub fn checksum_rows(rows: &[Row]) -> Checksum {
     finish_digest(acc, rows.len() as u64)
 }
 
-/// Rows per task of [`batch_sum`]: large enough that a task outweighs the
-/// pool's per-batch thread spawn.
+/// Rows per task of [`batch_sum`]: large enough that a task outweighs waking
+/// a parked pool helper to share it.
 const DIGEST_MORSEL: usize = 8192;
 
 /// [`checksum_rows`] of the batch's rows, bit for bit, read from its cells.

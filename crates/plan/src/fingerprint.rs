@@ -46,9 +46,13 @@ impl fmt::Display for Fingerprint {
 }
 
 /// Parses a canonical `v_<16 hex digits>` view name back to its fingerprint.
+/// Only what [`Fingerprint::view_name`] prints is canonical (lowercase
+/// digits, no sign), so `parse_view_fingerprint(n) == Some(f)` exactly when
+/// `n == Fingerprint(f).view_name()`: comparing parsed fingerprints is
+/// comparing names.
 pub fn parse_view_fingerprint(name: &str) -> Option<u64> {
     let hex = name.strip_prefix("v_")?;
-    if hex.len() != 16 {
+    if hex.len() != 16 || !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
         return None;
     }
     u64::from_str_radix(hex, 16).ok()
@@ -148,15 +152,25 @@ impl Fnv {
     }
 }
 
-/// Computes fingerprints for every node of `plan`, memoized bottom-up.
-pub fn fingerprint_all(plan: &LogicalPlan) -> HashMap<NodeId, Fingerprint> {
-    let mut out: HashMap<NodeId, Fingerprint> = HashMap::with_capacity(plan.len());
+/// Fingerprints of every node of `plan` in arena order (a node's id is its
+/// index), memoized bottom-up.
+pub fn fingerprint_nodes(plan: &LogicalPlan) -> Vec<Fingerprint> {
+    let mut out: Vec<Fingerprint> = Vec::with_capacity(plan.len());
     for node in plan.nodes() {
-        let input_fps: Vec<u64> = node.inputs.iter().map(|i| out[i].0).collect();
-        let fp = fingerprint_op(&node.op, &input_fps);
-        out.insert(node.id, Fingerprint(fp));
+        let input_fps: Vec<u64> = node
+            .inputs
+            .iter()
+            .map(|i| out[i.raw() as usize].0)
+            .collect();
+        out.push(Fingerprint(fingerprint_op(&node.op, &input_fps)));
     }
     out
+}
+
+/// [`fingerprint_nodes`] keyed by node id.
+pub fn fingerprint_all(plan: &LogicalPlan) -> HashMap<NodeId, Fingerprint> {
+    let fps = fingerprint_nodes(plan);
+    plan.nodes().iter().map(|n| n.id).zip(fps).collect()
 }
 
 /// Fingerprint of the subtree rooted at `id`.
@@ -598,6 +612,11 @@ mod tests {
         assert_eq!(parse_view_fingerprint("etl_twitter"), None);
         assert_eq!(parse_view_fingerprint("v_00000000000000ff"), Some(255));
         assert_eq!(parse_view_fingerprint("v_short"), None);
+        // Only the spelling `view_name` prints is a name.
+        assert_eq!(parse_view_fingerprint("v_00000000000000FF"), None);
+        assert_eq!(parse_view_fingerprint("v_+0000000000000ff"), None);
+        let fp = Fingerprint(0xdead_beef_0000_00ff);
+        assert_eq!(parse_view_fingerprint(&fp.view_name()), Some(fp.0));
     }
 
     #[test]

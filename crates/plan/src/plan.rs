@@ -12,6 +12,7 @@ use miso_common::{MisoError, Result};
 use miso_data::Schema;
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// One node of a plan DAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,10 +27,12 @@ pub struct PlanNode {
     pub schema: Schema,
 }
 
-/// An immutable logical plan.
+/// An immutable logical plan. The arena is shared, so a clone — the
+/// optimizer's per-variant candidates, a rewrite that found nothing to
+/// replace, the tuner's history window — copies no node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogicalPlan {
-    nodes: Vec<PlanNode>,
+    nodes: Arc<[PlanNode]>,
     root: NodeId,
 }
 
@@ -129,7 +132,7 @@ impl LogicalPlan {
         let mut mapping = std::collections::HashMap::new();
         // Walk the arena in order; only copy nodes in the subtree.
         let keep = self.descendants(id);
-        for node in &self.nodes {
+        for node in self.nodes.iter() {
             if !keep.contains(&node.id) {
                 continue;
             }
@@ -155,7 +158,7 @@ impl LogicalPlan {
             d.remove(&target);
             d
         };
-        for node in &self.nodes {
+        for node in self.nodes.iter() {
             if dropped.contains(&node.id) {
                 continue;
             }
@@ -321,7 +324,7 @@ impl PlanBuilder {
             return Err(MisoError::Plan(format!("root {root} does not exist")));
         }
         Ok(LogicalPlan {
-            nodes: self.nodes,
+            nodes: self.nodes.into(),
             root,
         })
     }

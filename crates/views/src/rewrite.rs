@@ -15,7 +15,7 @@
 
 use crate::containment::{apply_containment, filter_views, find_containment_matches};
 use crate::view::ViewCatalog;
-use miso_plan::fingerprint::fingerprint_all;
+use miso_plan::fingerprint::{fingerprint_nodes, parse_view_fingerprint};
 use miso_plan::{LogicalPlan, Operator};
 use std::collections::HashSet;
 
@@ -70,45 +70,44 @@ pub fn rewrite_with_catalog(
 /// view is always preferred over recomputing the subtree; when nested
 /// matches exist the outermost wins.
 pub fn rewrite_with_views(plan: &LogicalPlan, available: &HashSet<String>) -> Rewrite {
-    let mut current = plan.clone();
+    // A canonical name is its fingerprint, so names are compared as `u64`s;
+    // a name that is not canonical can match no node.
+    let mut wanted: Vec<u64> = available
+        .iter()
+        .filter_map(|name| parse_view_fingerprint(name))
+        .collect();
+    wanted.sort_unstable();
+    // Most calls are what-if probes that match nothing: no plan is built
+    // until a node matches.
+    let mut rewritten: Option<LogicalPlan> = None;
     let mut used = Vec::new();
     // Iterate until fixpoint: after one replacement node ids shift, so
     // recompute fingerprints and scan again. Each iteration strictly shrinks
     // the plan, so this terminates quickly.
-    loop {
-        let fps = fingerprint_all(&current);
-        // Top-down: visit from root; skip subtrees of matched nodes.
-        let mut replaced = false;
-        // Consider nodes in reverse topological order (root last in arena,
-        // so iterate from the end) and pick the first (largest) match not
-        // already a ScanView of the same name.
-        let mut skip: HashSet<miso_common::ids::NodeId> = HashSet::new();
-        for node in current.nodes().iter().rev() {
-            if skip.contains(&node.id) {
-                continue;
-            }
-            let name = fps[&node.id].view_name();
-            let already = matches!(&node.op, Operator::ScanView { view, .. } if *view == name);
-            if !already && available.contains(&name) {
-                current = current
-                    .replace_with_view(node.id, &name)
-                    .expect("replacing a subtree of a valid plan");
-                used.push(name);
-                replaced = true;
-                break;
-            }
-            // Don't descend into a ScanView (nothing below it).
-            if matches!(node.op, Operator::ScanView { .. }) {
-                continue;
-            }
-            let _ = &mut skip; // descendants handled implicitly by restart
-        }
-        if !replaced {
+    while !wanted.is_empty() {
+        let current = rewritten.as_ref().unwrap_or(plan);
+        let fps = fingerprint_nodes(current);
+        // Root last in the arena, so from the end the first match is the
+        // largest. A `ScanView` under its canonical name fingerprints as
+        // that name: it is the match already made, not a new one.
+        let matched = current.nodes().iter().zip(&fps).rev().find(|(node, fp)| {
+            let already = matches!(&node.op, Operator::ScanView { view, .. }
+                if parse_view_fingerprint(view).is_some());
+            !already && wanted.binary_search(&fp.0).is_ok()
+        });
+        let Some((node, fp)) = matched else {
             break;
-        }
+        };
+        let name = fp.view_name();
+        rewritten = Some(
+            current
+                .replace_with_view(node.id, &name)
+                .expect("replacing a subtree of a valid plan"),
+        );
+        used.push(name);
     }
     Rewrite {
-        plan: current,
+        plan: rewritten.unwrap_or_else(|| plan.clone()),
         used,
     }
 }
