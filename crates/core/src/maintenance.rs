@@ -716,7 +716,7 @@ mod tests {
         let (mut sys, cfg) = system();
         let q = count_query();
         let before = sys
-            .run_workload(Variant::HvOnly, &[q.clone()])
+            .run_workload(Variant::HvOnly, std::slice::from_ref(&q))
             .unwrap()
             .records[0]
             .result_rows;

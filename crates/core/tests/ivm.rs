@@ -155,11 +155,12 @@ fn ivm_toggle_does_not_change_results_or_checksums() {
 fn thread_count_does_not_change_maintained_views() {
     let _globals = globals_lock();
     let cfg = LogsConfig::tiny();
+    let before = pool::threads();
     pool::set_threads(1);
     let (_, serial) = grow_and_fingerprint(&cfg, SystemConfig::paper_default(budgets()), 3);
     pool::set_threads(8);
     let (_, parallel) = grow_and_fingerprint(&cfg, SystemConfig::paper_default(budgets()), 3);
-    pool::set_threads(0); // restore default sizing for other tests
+    pool::set_threads(before);
     assert_eq!(
         serial, parallel,
         "maintained view checksums must be thread-count invariant"
@@ -337,6 +338,7 @@ fn every_view_equals_a_from_scratch_recompute_after_every_batch() {
         logs: logs.clone(),
     };
     let mut per_mode: Vec<Vec<(String, u64)>> = Vec::new();
+    let before = pool::threads();
     for threads in [1, 8] {
         let first = per_mode.is_empty();
         pool::set_threads(threads);
@@ -404,7 +406,7 @@ fn every_view_equals_a_from_scratch_recompute_after_every_batch() {
         );
         per_mode.push(stamps);
     }
-    pool::set_threads(0);
+    pool::set_threads(before);
     for stamps in &per_mode[1..] {
         assert_eq!(
             stamps, &per_mode[0],

@@ -62,6 +62,31 @@ impl Nulls {
     pub fn count(&self) -> u64 {
         self.words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
+
+    /// Marks null every slot `other` marks, shifted `offset` slots up: the
+    /// bitmap of a column extended at `offset` by `other`'s column.
+    fn set_shifted(&mut self, other: &Nulls, offset: usize) {
+        for (w, &word) in other.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                self.set(offset + w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// The bitmap of slots `0..n`, as [`Nulls::set`] would have built it
+    /// (no trailing all-valid words).
+    fn head(&self, n: usize) -> Nulls {
+        let mut words = self.words[..n.div_ceil(64).min(self.words.len())].to_vec();
+        if let (Some(last), false) = (words.get_mut(n / 64), n.is_multiple_of(64)) {
+            *last &= (1u64 << (n % 64)) - 1;
+        }
+        while words.last() == Some(&0) {
+            words.pop();
+        }
+        Nulls { words }
+    }
 }
 
 /// One typed column vector. Null slots in typed variants hold a default
@@ -155,6 +180,7 @@ impl<'a> Cell<'a> {
     }
 
     /// Total order identical to `Value::cmp` on the equivalent owned values.
+    #[inline]
     pub fn cmp_cell(&self, other: &Cell<'_>) -> Ordering {
         match (self, other) {
             (Cell::Null, Cell::Null) => Ordering::Equal,
@@ -170,6 +196,7 @@ impl<'a> Cell<'a> {
     }
 
     /// Total order identical to `Value::cmp` on the equivalent owned value.
+    #[inline]
     pub fn cmp_value(&self, other: &Value) -> Ordering {
         self.cmp_cell(&Cell::of(other))
     }
@@ -330,24 +357,51 @@ impl Column {
         }
     }
 
-    /// Copies the first `n` slots into a new column.
+    /// Copies the first `n` slots into a new column: a slice of the payload
+    /// and of the bitmap.
     pub fn head(&self, n: usize) -> Column {
-        let n = n.min(self.len()) as u32;
-        self.gather(&(0..n).collect::<Vec<u32>>())
+        let n = n.min(self.len());
+        match self {
+            Column::Int(v, nulls) => Column::Int(v[..n].to_vec(), nulls.head(n)),
+            Column::Float(v, nulls) => Column::Float(v[..n].to_vec(), nulls.head(n)),
+            Column::Bool(v, nulls) => Column::Bool(v[..n].to_vec(), nulls.head(n)),
+            Column::Str(v, nulls) => Column::Str(v[..n].to_vec(), nulls.head(n)),
+            Column::Mixed(v) => Column::Mixed(v[..n].to_vec()),
+        }
+    }
+
+    /// Whether this is the column a [`ColBuilder`] makes of its own cells: a
+    /// typed column with a non-NULL slot, or a `Mixed` one that is all NULL or
+    /// that a builder would have degraded. (A gather can leave a typed column
+    /// all NULL, or a `Mixed` one of a single scalar type.) A column passed on
+    /// only when this holds is exactly the column rebuilding it would give.
+    pub fn is_canonical(&self) -> bool {
+        let typed = |len: usize, nulls: &Nulls| nulls.count() < len as u64;
+        match self {
+            Column::Int(v, n) => typed(v.len(), n),
+            Column::Float(v, n) => typed(v.len(), n),
+            Column::Bool(v, n) => typed(v.len(), n),
+            Column::Str(v, n) => typed(v.len(), n),
+            Column::Mixed(v) => degrades_builder(v) || v.iter().all(Value::is_null),
+        }
     }
 
     /// Concatenates parts in order. Parts that classified differently
     /// (possible when producers chunk independently) degrade to `Mixed`.
     /// The result is the column one builder would have produced from the
-    /// parts' values pushed in order.
+    /// parts' values pushed in order; parts of the builder's variant extend
+    /// it in bulk.
     pub fn concat(mut parts: Vec<Column>) -> Column {
         if parts.len() == 1 {
             return parts.pop().expect("one part");
         }
         let total: usize = parts.iter().map(Column::len).sum();
-        let mut b = ColBuilder::new();
+        let mut parts = parts.into_iter();
+        let mut b = parts
+            .next()
+            .map_or_else(ColBuilder::new, ColBuilder::resume);
+        b.reserve(total - b.len());
         for part in parts {
-            b.reserve(total.saturating_sub(b.len()));
             b.push_column(part);
         }
         b.finish()
@@ -356,22 +410,7 @@ impl Column {
     /// Extends this column in place with `part`; the result equals
     /// `Column::concat(vec![self, part])` without copying the typed prefix.
     pub fn append(&mut self, part: Column) {
-        let mut b = match std::mem::replace(self, Column::Mixed(Vec::new())) {
-            Column::Int(v, n) => ColBuilder::Int(v, n),
-            Column::Float(v, n) => ColBuilder::Float(v, n),
-            Column::Bool(v, n) => ColBuilder::Bool(v, n),
-            Column::Str(v, n) => ColBuilder::Str(v, n),
-            // A builder that degraded never leaves `Mixed`: resume it where
-            // it stopped, which keeps the append O(part).
-            Column::Mixed(v) if degrades_builder(&v) => ColBuilder::Mixed(v),
-            // `Mixed` also stands for "all NULL so far": re-pushing (moves,
-            // no clones) lets the builder classify it as it would have.
-            mixed => {
-                let mut b = ColBuilder::new();
-                b.push_column(mixed);
-                b
-            }
-        };
+        let mut b = ColBuilder::resume(std::mem::replace(self, Column::Mixed(Vec::new())));
         b.reserve(part.len());
         b.push_column(part);
         *self = b.finish();
@@ -566,8 +605,55 @@ impl ColBuilder {
         }
     }
 
-    /// Pushes every slot of `part`, in order.
+    /// The builder that has been pushed `col`'s slots, in order, taking over
+    /// `col`'s vectors where they are already what it would hold: so resuming
+    /// costs nothing for a typed column or a degraded `Mixed` one.
+    fn resume(col: Column) -> ColBuilder {
+        match col {
+            col if !col.is_canonical() => {
+                // All NULL, or a `Mixed` column of one scalar type: re-pushing
+                // (moves, no clones) classifies it as a builder would have.
+                let mut b = ColBuilder::new();
+                b.push_column(col);
+                b
+            }
+            Column::Int(v, n) => ColBuilder::Int(v, n),
+            Column::Float(v, n) => ColBuilder::Float(v, n),
+            Column::Bool(v, n) => ColBuilder::Bool(v, n),
+            Column::Str(v, n) => ColBuilder::Str(v, n),
+            // What an `Unknown` builder finishes to.
+            Column::Mixed(v) if v.iter().all(Value::is_null) => ColBuilder::Unknown(v.len()),
+            // A builder that degraded never leaves `Mixed`.
+            Column::Mixed(v) => ColBuilder::Mixed(v),
+        }
+    }
+
+    /// Pushes every slot of `part`, in order. A part of the builder's own
+    /// variant extends it in bulk: payload appended, bitmap shifted in.
     pub fn push_column(&mut self, part: Column) {
+        match (&mut *self, part) {
+            (ColBuilder::Int(v, n), Column::Int(pv, pn)) => {
+                n.set_shifted(&pn, v.len());
+                v.extend(pv);
+            }
+            (ColBuilder::Float(v, n), Column::Float(pv, pn)) => {
+                n.set_shifted(&pn, v.len());
+                v.extend(pv);
+            }
+            (ColBuilder::Bool(v, n), Column::Bool(pv, pn)) => {
+                n.set_shifted(&pn, v.len());
+                v.extend(pv);
+            }
+            (ColBuilder::Str(v, n), Column::Str(pv, pn)) => {
+                n.set_shifted(&pn, v.len());
+                v.extend(pv);
+            }
+            (_, part) => self.push_slots(part),
+        }
+    }
+
+    /// [`ColBuilder::push_column`] a slot at a time.
+    fn push_slots(&mut self, part: Column) {
         match part {
             Column::Int(v, n) => {
                 for (i, x) in v.into_iter().enumerate() {

@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn multiplicity_matters() {
         let r = row(vec![Value::Int(7)]);
-        let once = checksum_rows(&[r.clone()]);
+        let once = checksum_rows(std::slice::from_ref(&r));
         let twice = checksum_rows(&[r.clone(), r]);
         assert_ne!(once, twice, "dropped duplicates must be detected");
     }

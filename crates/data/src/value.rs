@@ -143,6 +143,7 @@ impl Value {
     }
 
     /// Canonical NaN-normalized bits for float hashing/equality.
+    #[inline]
     pub(crate) fn float_bits(f: f64) -> u64 {
         if f.is_nan() {
             f64::NAN.to_bits()
@@ -191,6 +192,7 @@ impl Ord for Value {
 
 /// Total order on floats: ordinary order, with NaN greater than everything
 /// and equal to itself.
+#[inline]
 pub(crate) fn cmp_f64(a: f64, b: f64) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
         (true, true) => Ordering::Equal,

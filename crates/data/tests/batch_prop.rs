@@ -8,7 +8,7 @@
 use miso_common::pool;
 use miso_common::rng::DetRng;
 use miso_data::checksum::{checksum_batch, checksum_rows, RowSetDigest};
-use miso_data::{ColBatch, Column, Row, Value};
+use miso_data::{ColBatch, ColBuilder, Column, Row, Value};
 
 const CASES: u64 = 256;
 
@@ -145,4 +145,67 @@ fn batch_digests_are_the_row_digests() {
         variants.iter().all(|&n| n > 0),
         "variants seen: {variants:?}"
     );
+}
+
+/// Column equality with floats by bit pattern: `f64`'s `==` fails on NaN,
+/// and `Value`'s folds NaNs and signed zeros together.
+fn same(a: &Column, b: &Column) -> bool {
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    match (a, b) {
+        (Column::Float(x, xn), Column::Float(y, yn)) => xn == yn && bits(x) == bits(y),
+        (Column::Mixed(x), Column::Mixed(y)) => x == y && format!("{x:?}") == format!("{y:?}"),
+        _ => a == b,
+    }
+}
+
+/// Column assembly in bulk is the builder a slot at a time: parts cut out of
+/// generated columns — gathers of a few rows, which can leave a typed column
+/// all NULL or a `Mixed` one of a single scalar type, and heads — concatenate
+/// and append to the column one builder pass over all their cells gives; a
+/// column is canonical exactly when it is that column; and a head is the
+/// gather of the first rows.
+#[test]
+fn bulk_assembly_is_the_one_pass_builder() {
+    let one_pass = |parts: &[Column]| {
+        let mut b = ColBuilder::new();
+        for part in parts {
+            (0..part.len()).for_each(|i| b.push_value(part.value(i)));
+        }
+        b.finish()
+    };
+    let mut non_canonical = 0;
+    for seed in 0..CASES {
+        let mut rng = DetRng::new(0xc01_0000 + seed);
+        let rows = arb_rows(&mut rng, 63);
+        let arity = rows.first().map_or(0, Row::arity);
+        let batch = ColBatch::of_rows(arity, &rows).expect("uniform arity pivots");
+        for col in batch.columns() {
+            let n = col.len() as u64;
+            let gather = |rng: &mut DetRng| {
+                let picks: Vec<u32> = (0..rng.below(4))
+                    .filter(|_| n > 0)
+                    .map(|_| rng.below(n) as u32)
+                    .collect();
+                col.gather(&picks)
+            };
+            let head = rng.below(n + 1) as usize;
+            let parts = [gather(&mut rng), col.head(head), gather(&mut rng)];
+            let whole = one_pass(&parts);
+            for part in &parts {
+                assert_eq!(
+                    part.is_canonical(),
+                    same(part, &one_pass(std::slice::from_ref(part)))
+                );
+                non_canonical += usize::from(!part.is_canonical());
+            }
+            assert!(same(&Column::concat(parts.to_vec()), &whole), "seed {seed}");
+            let mut appended = parts[0].clone();
+            appended.append(parts[1].clone());
+            appended.append(parts[2].clone());
+            assert!(same(&appended, &whole), "seed {seed}");
+            let first: Vec<u32> = (0..head as u32).collect();
+            assert!(same(&col.head(head), &col.gather(&first)), "seed {seed}");
+        }
+    }
+    assert!(non_canonical > 0, "no gather left a column to re-classify");
 }

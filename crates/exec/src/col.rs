@@ -8,17 +8,24 @@
 //! [`crate::engine`], which owns morsel dispatch, the guard seam and the
 //! accumulator machinery.
 //!
+//! **Typed arms**: a kernel reads the variant of the vectors it is handed
+//! once per morsel ([`Typed`]) and, when they are typed, works on their
+//! payloads — a comparison of Int/Float/Str/Bool vectors or literals writes
+//! a `Bool` column, AND/OR combine two `Bool` vectors, a filter selects off
+//! a `Bool` vector. Everything else — a `Mixed` column, a NULL or container
+//! literal, a cross-type comparison, arithmetic — takes the per-cell arm.
+//!
 //! **Semantics contract**: every path here must agree bit-for-bit with the
-//! scalar evaluator in [`crate::eval`]. Fast paths are only taken where
-//! the scalar semantics are reproduced exactly (Int/Int comparisons are
-//! `i64::cmp`, Str/Str comparisons are `str::cmp`, everything else routes
-//! through the shared scalar kernels `eval_binary`/`eval_unary`/`cast`);
-//! a builtin has one body, [`eval_func`], which both evaluators call on
-//! borrowed cells. AND/OR reproduce the scalar short-circuit: the right
-//! side is evaluated only at positions where the left side did not decide,
-//! so a plan whose right branch would error serially — a bad column, an
-//! unknown builtin, a wrong argument count — errors columnar-ly in exactly
-//! the same cases.
+//! scalar evaluator in [`crate::eval`]. A typed arm compares the [`Cell`]s
+//! its payloads stand for ([`Scalar`]), so it is `Value::cmp` — `cmp_f64`,
+//! `3 = 3.0`, NULL in gives NULL out — by construction; the per-cell arm
+//! routes through the shared scalar kernels `eval_binary`/`eval_unary`/
+//! `cast`, and a builtin has one body, [`Builtin::call`], which both
+//! evaluators call on borrowed cells. AND/OR reproduce the scalar
+//! short-circuit: the right side is evaluated only at positions where the
+//! left side did not decide, so a plan whose right branch would error
+//! serially — a bad column, an unknown builtin, a wrong argument count —
+//! errors columnar-ly in exactly the same cases.
 //!
 //! **A line is tokenized once**: a [`LogIndex`] records, in one pass over a
 //! log's lines, where each top-level value starts; every column read of
@@ -26,13 +33,14 @@
 //! the tokenizing pass used.
 
 use crate::engine::par_chunks;
-use crate::eval::{cast, eval_binary, eval_func, eval_unary, logical_combine};
+use crate::eval::{cast, eval_binary, eval_unary, logical_combine, Builtin};
 use crate::udf::UdfRegistry;
 use miso_common::guard::QueryGuard;
 use miso_common::{pool, MisoError, Result};
 use miso_data::json::{parse_json, FlatVal, IndexedLine, LineIndex};
-use miso_data::{Cell, ColBatch, ColBuilder, Column, DataType, Value};
+use miso_data::{Cell, ColBatch, ColBuilder, Column, DataType, Nulls, Value};
 use miso_plan::{BinOp, Expr, Operator, UnaryOp};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// One evaluated vector over a morsel `[start, start + n)` of a batch.
@@ -67,10 +75,26 @@ impl VCol<'_> {
         }
     }
 
-    /// Materializes morsel-local positions `0..n` as an owned column.
+    /// The vector's typed payload, when it has one: a typed column or a
+    /// scalar literal other than NULL.
+    pub(crate) fn typed(&self) -> Option<Typed<'_>> {
+        match self {
+            VCol::Const(Value::Int(x)) => Some(Typed::Int(Side::Lit(x))),
+            VCol::Const(Value::Float(x)) => Some(Typed::Float(Side::Lit(x))),
+            VCol::Const(Value::Bool(x)) => Some(Typed::Bool(Side::Lit(x))),
+            VCol::Const(Value::Str(x)) => Some(Typed::Str(Side::Lit(x))),
+            VCol::Const(_) => None,
+            VCol::Ref(c, start) => Typed::of(c, *start),
+            VCol::Owned(c) => Typed::of(c, 0),
+        }
+    }
+
+    /// Materializes morsel-local positions `0..n` as an owned column — the
+    /// one a [`ColBuilder`] makes of those cells. A typed arm's output is
+    /// that column already, unless it came out all NULL.
     pub(crate) fn into_column(self, n: usize) -> Column {
         match self {
-            VCol::Owned(c) => c,
+            VCol::Owned(c) if c.is_canonical() => c,
             v => {
                 let mut b = ColBuilder::new();
                 b.reserve(n);
@@ -83,31 +107,139 @@ impl VCol<'_> {
     }
 }
 
+/// One side of a typed kernel: position `j` reads a literal, or slot
+/// `start + j` of a typed column's payload.
+#[derive(Debug)]
+pub(crate) enum Side<'a, T> {
+    Lit(&'a T),
+    Col(&'a [T], &'a Nulls, usize),
+}
+
+// Borrows only, whatever `T` is.
+impl<T> Clone for Side<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Side<'_, T> {}
+
+impl<'a, T> Side<'a, T> {
+    /// The payload at position `j`; `None` where it is NULL.
+    #[inline]
+    pub(crate) fn get(&self, j: usize) -> Option<&'a T> {
+        match *self {
+            Side::Lit(x) => Some(x),
+            Side::Col(v, nulls, start) => (!nulls.is_null(start + j)).then(|| &v[start + j]),
+        }
+    }
+}
+
+/// A vector read on its payload, picked once per morsel from its variant.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Typed<'a> {
+    Int(Side<'a, i64>),
+    Float(Side<'a, f64>),
+    Bool(Side<'a, bool>),
+    Str(Side<'a, String>),
+}
+
+impl<'a> Typed<'a> {
+    /// Column `c` from slot `start` on, unless it is `Mixed`.
+    pub(crate) fn of(c: &'a Column, start: usize) -> Option<Typed<'a>> {
+        Some(match c {
+            Column::Int(v, n) => Typed::Int(Side::Col(v, n, start)),
+            Column::Float(v, n) => Typed::Float(Side::Col(v, n, start)),
+            Column::Bool(v, n) => Typed::Bool(Side::Col(v, n, start)),
+            Column::Str(v, n) => Typed::Str(Side::Col(v, n, start)),
+            Column::Mixed(_) => return None,
+        })
+    }
+}
+
+/// A typed payload, as the [`Cell`] the per-cell arm would read — which is
+/// what makes a typed arm agree with it: both compare and hash cells.
+pub(crate) trait Scalar {
+    fn cell(&self) -> Cell<'_>;
+}
+
+impl Scalar for i64 {
+    #[inline]
+    fn cell(&self) -> Cell<'_> {
+        Cell::Int(*self)
+    }
+}
+
+impl Scalar for f64 {
+    #[inline]
+    fn cell(&self) -> Cell<'_> {
+        Cell::Float(*self)
+    }
+}
+
+impl Scalar for bool {
+    #[inline]
+    fn cell(&self) -> Cell<'_> {
+        Cell::Bool(*self)
+    }
+}
+
+impl Scalar for String {
+    #[inline]
+    fn cell(&self) -> Cell<'_> {
+        Cell::Str(self)
+    }
+}
+
+/// The evaluated positions of a morsel of `n`: `mask`, or every one.
+fn evaluated(n: usize, mask: Option<&[u32]>) -> impl Iterator<Item = usize> + '_ {
+    let all = mask.is_none().then_some(0..n);
+    let some = mask.into_iter().flatten().map(|&j| j as usize);
+    all.into_iter().flatten().chain(some)
+}
+
+/// Visits positions `0..n` in order, each with whether it is evaluated:
+/// in `mask` (sorted ascending), or every one when there is no mask.
+fn walk_masked(n: usize, mask: Option<&[u32]>, mut visit: impl FnMut(usize, bool)) {
+    let mut sel = mask.map(|m| m.iter().map(|&j| j as usize).peekable());
+    for j in 0..n {
+        let evaluated = sel.as_mut().is_none_or(|s| s.next_if_eq(&j).is_some());
+        visit(j, evaluated);
+    }
+}
+
 /// Builds an owned column of length `n` from `at`, evaluated only at the
-/// masked positions (`mask` is sorted ascending); unmasked slots are NULL.
+/// masked positions; unmasked slots are NULL.
 fn build_masked(n: usize, mask: Option<&[u32]>, mut at: impl FnMut(usize) -> Value) -> Column {
     let mut b = ColBuilder::new();
     b.reserve(n);
-    match mask {
-        None => {
-            for j in 0..n {
-                b.push_value(at(j));
-            }
+    walk_masked(n, mask, |j, evaluated| {
+        if evaluated {
+            b.push_value(at(j))
+        } else {
+            b.push_null()
         }
-        Some(sel) => {
-            let mut sel = sel.iter().copied();
-            let mut next = sel.next();
-            for j in 0..n {
-                if next == Some(j as u32) {
-                    b.push_value(at(j));
-                    next = sel.next();
-                } else {
-                    b.push_null();
-                }
-            }
-        }
-    }
+    });
     b.finish()
+}
+
+/// A `Bool` column of length `n` written straight from `at` (`None` is
+/// NULL) at the evaluated positions, NULL elsewhere. It stays `Bool` even
+/// where every slot came out NULL — [`VCol::into_column`] settles that.
+fn bool_masked(
+    n: usize,
+    mask: Option<&[u32]>,
+    mut at: impl FnMut(usize) -> Option<bool>,
+) -> Column {
+    let mut values = vec![false; n];
+    let mut nulls = Nulls::none();
+    walk_masked(n, mask, |j, evaluated| {
+        match evaluated.then(|| at(j)).flatten() {
+            Some(b) => values[j] = b,
+            None => nulls.set(j),
+        }
+    });
+    Column::Bool(values, nulls)
 }
 
 /// Mirror of [`crate::eval::logical_short_circuits`] on a borrowed cell.
@@ -119,11 +251,24 @@ fn cell_short_circuits(op: BinOp, c: &Cell) -> bool {
     )
 }
 
-/// Binary kernel on cells: allocation-free fast arms for the typed pairs
-/// the workload runs hot (Int/Int, Str/Str), the shared scalar kernel for
-/// everything else. Must agree with `eval_binary` on the equivalent owned
-/// values — `Value::cmp` is `i64::cmp` on Int/Int and `str::cmp` on
-/// Str/Str, so the fast arms reproduce it exactly.
+/// AND/OR in three-valued logic on `Bool` payloads: the left value that
+/// decides alone (`decides`: false for AND, true for OR) is the result and
+/// `r` is not read; otherwise NULL on the left gives NULL unless the right
+/// decides. Agrees with `logical_combine` on bools and NULLs.
+#[inline]
+fn kleene(decides: bool, l: Option<bool>, r: impl FnOnce() -> Option<bool>) -> Option<bool> {
+    match l {
+        Some(a) if a == decides => Some(a),
+        Some(_) => r(),
+        None => r().filter(|&b| b == decides),
+    }
+}
+
+/// Binary kernel on cells — the per-cell arm: allocation-free arms for the
+/// typed pairs a `Mixed` column still holds (Int/Int, Str/Str), the shared
+/// scalar kernel for everything else. Must agree with `eval_binary` on the
+/// equivalent owned values — `Value::cmp` is `i64::cmp` on Int/Int and
+/// `str::cmp` on Str/Str, so the fast arms reproduce it exactly.
 #[inline]
 fn binary_cells(op: BinOp, l: Cell, r: Cell) -> Value {
     match (l, r) {
@@ -149,6 +294,48 @@ fn binary_cells(op: BinOp, l: Cell, r: Cell) -> Value {
         },
         (l, r) => eval_binary(op, l.to_value(), r.to_value()),
     }
+}
+
+/// Whether `ord` satisfies the comparison `op`.
+#[inline]
+fn holds(op: BinOp, ord: Ordering) -> bool {
+    match op {
+        BinOp::Eq => ord.is_eq(),
+        BinOp::Ne => ord.is_ne(),
+        BinOp::Lt => ord.is_lt(),
+        BinOp::Le => ord.is_le(),
+        BinOp::Gt => ord.is_gt(),
+        BinOp::Ge => ord.is_ge(),
+        _ => unreachable!("not a comparison"),
+    }
+}
+
+/// The typed arm of a comparison: Int/Float against Int/Float, Str against
+/// Str, Bool against Bool — the pairs `eval_binary` orders rather than calls
+/// incomparable — written into a `Bool` column; `None` for any other pair.
+fn compare_typed(op: BinOp, l: &VCol, r: &VCol, n: usize, mask: Option<&[u32]>) -> Option<Column> {
+    fn compare<A: Scalar, B: Scalar>(
+        op: BinOp,
+        l: Side<A>,
+        r: Side<B>,
+        n: usize,
+        mask: Option<&[u32]>,
+    ) -> Column {
+        bool_masked(n, mask, |j| {
+            let ord = l.get(j)?.cell().cmp_cell(&r.get(j)?.cell());
+            Some(holds(op, ord))
+        })
+    }
+    use Typed::{Bool, Float, Int, Str};
+    Some(match (l.typed()?, r.typed()?) {
+        (Int(a), Int(b)) => compare(op, a, b, n, mask),
+        (Int(a), Float(b)) => compare(op, a, b, n, mask),
+        (Float(a), Int(b)) => compare(op, a, b, n, mask),
+        (Float(a), Float(b)) => compare(op, a, b, n, mask),
+        (Str(a), Str(b)) => compare(op, a, b, n, mask),
+        (Bool(a), Bool(b)) => compare(op, a, b, n, mask),
+        _ => return None,
+    })
 }
 
 /// Unary kernel on cells; shares `eval_unary` for the value-dependent arms.
@@ -249,19 +436,26 @@ pub(crate) fn eval_vec<'a>(
             })))
         }
         Expr::Binary { op, left, right } if matches!(op, BinOp::And | BinOp::Or) => {
+            let decides = *op == BinOp::Or;
             let l = eval_vec(left, batch, start, n, mask)?;
-            // Positions where the left side did not decide the result.
-            let need: Vec<u32> = match mask {
-                None => (0..n as u32)
-                    .filter(|&j| !cell_short_circuits(*op, &l.cell(j as usize)))
-                    .collect(),
-                Some(sel) => sel
-                    .iter()
-                    .copied()
-                    .filter(|&j| !cell_short_circuits(*op, &l.cell(j as usize)))
-                    .collect(),
+            let lb = match l.typed() {
+                Some(Typed::Bool(lb)) => Some(lb),
+                _ => None,
             };
+            // Positions where the left side did not decide the result.
+            let need: Vec<u32> = evaluated(n, mask)
+                .filter(|&j| match lb {
+                    Some(lb) => lb.get(j) != Some(&decides),
+                    None => !cell_short_circuits(*op, &l.cell(j)),
+                })
+                .map(|j| j as u32)
+                .collect();
             let r = eval_vec(right, batch, start, n, Some(&need))?;
+            if let (Some(lb), Some(Typed::Bool(rb))) = (lb, r.typed()) {
+                return Ok(VCol::Owned(bool_masked(n, mask, |j| {
+                    kleene(decides, lb.get(j).copied(), || rb.get(j).copied())
+                })));
+            }
             Ok(VCol::Owned(build_masked(n, mask, |j| {
                 let lc = l.cell(j);
                 if cell_short_circuits(*op, &lc) {
@@ -274,6 +468,16 @@ pub(crate) fn eval_vec<'a>(
         Expr::Binary { op, left, right } => {
             let l = eval_vec(left, batch, start, n, mask)?;
             let r = eval_vec(right, batch, start, n, mask)?;
+            let comparison = matches!(
+                op,
+                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+            );
+            if let Some(col) = comparison
+                .then(|| compare_typed(*op, &l, &r, n, mask))
+                .flatten()
+            {
+                return Ok(VCol::Owned(col));
+            }
             Ok(VCol::Owned(build_masked(n, mask, |j| {
                 binary_cells(*op, l.cell(j), r.cell(j))
             })))
@@ -290,33 +494,26 @@ pub(crate) fn eval_vec<'a>(
                 .iter()
                 .map(|a| eval_vec(a, batch, start, n, mask))
                 .collect::<Result<Vec<_>>>()?;
-            // The builtin runs at evaluated positions only, so its static
-            // errors need no check of their own: they arise at the first
-            // such position, or not at all.
+            // The builtin is resolved once. Its errors are static: they
+            // arise at the first evaluated position, or not at all.
+            let builtin = match Builtin::resolve(name, args.len()) {
+                Ok(builtin) => builtin,
+                Err(_) if masked_empty => return Ok(VCol::Const(Value::Null)),
+                Err(e) => return Err(e),
+            };
             let mut cells = Vec::with_capacity(args.len());
-            let mut failed = None;
-            let col = build_masked(n, mask, |j| {
-                if failed.is_some() {
-                    return Value::Null;
-                }
+            Ok(VCol::Owned(build_masked(n, mask, |j| {
                 cells.clear();
                 cells.extend(args.iter().map(|a| a.cell(j)));
-                eval_func(name, &cells).unwrap_or_else(|e| {
-                    failed = Some(e);
-                    Value::Null
-                })
-            });
-            match failed {
-                Some(e) => Err(e),
-                None => Ok(VCol::Owned(col)),
-            }
+                builtin.call(&cells)
+            })))
         }
     }
 }
 
 /// Batch-global indexes (within the morsel `[start, start + n)`) where the
 /// predicate vector is `TRUE` — SQL WHERE semantics, so NULL and non-bool
-/// results do not select.
+/// results do not select. A `Bool` vector is read on its payload.
 pub(crate) fn select_true(pred: &VCol, start: usize, n: usize) -> Vec<u32> {
     // A constant FALSE/NULL predicate selects nothing without a scan.
     if let VCol::Const(v) = pred {
@@ -324,10 +521,17 @@ pub(crate) fn select_true(pred: &VCol, start: usize, n: usize) -> Vec<u32> {
             return Vec::new();
         }
     }
-    (0..n)
-        .filter(|&j| matches!(pred.cell(j), Cell::Bool(true)))
-        .map(|j| (start + j) as u32)
-        .collect()
+    let global = |j: usize| (start + j) as u32;
+    match pred.typed() {
+        Some(Typed::Bool(b)) => (0..n)
+            .filter(|&j| b.get(j) == Some(&true))
+            .map(global)
+            .collect(),
+        _ => (0..n)
+            .filter(|&j| matches!(pred.cell(j), Cell::Bool(true)))
+            .map(global)
+            .collect(),
+    }
 }
 
 /// One output column of a fused scan+project: a field to pull out of each
@@ -551,54 +755,75 @@ mod tests {
 
     /// `$0` Int, `$1` Str, `$4` Float — each with a NULL; `$2` a `Mixed`
     /// column of scalars, `$3` a `Mixed` column of arrays, an object, a
-    /// string and a NULL.
+    /// string and a NULL. For the typed arms, each with a NULL too: `$5`
+    /// Float with −0.0, NaN, 0.0 and a −4.0 that `$6` (Int) and `$0` equal,
+    /// `$6` Int with 0s that `$5`'s zeros equal, `$7` Bool, `$8` Str.
     fn batch() -> ColBatch {
         let tags = Value::Array(vec![Value::str("pizza"), Value::Int(1), Value::Null]);
         let user = Value::object(vec![
             ("uid".into(), Value::Int(7)),
             ("tags".into(), Value::Array(vec![Value::str("pizza")])),
         ]);
-        let row = |vals: [Value; 5]| Row::new(vals.to_vec());
+        let row =
+            |vals: [Value; 5], typed: [Value; 4]| Row::new(vals.into_iter().chain(typed).collect());
+        let (f, i, t, st) = (Value::Float, Value::Int, Value::Bool, Value::str);
         let rows: Vec<Row> = vec![
-            row([
-                Value::Int(1),
-                Value::str("a"),
-                Value::Float(0.5),
-                tags,
-                Value::Float(2.25),
-            ]),
-            row([
-                Value::Null,
-                Value::str("b"),
-                Value::Int(2),
-                user,
-                Value::Float(-1.0),
-            ]),
-            row([
-                Value::Int(3),
-                Value::Null,
-                Value::Float(f64::NAN),
-                Value::str("Hello World"),
-                Value::Null,
-            ]),
-            row([
-                Value::Int(-4),
-                Value::str("a"),
-                Value::Bool(true),
-                Value::Null,
-                Value::Float(90_000.7),
-            ]),
-            row([
-                Value::Int(90_000),
-                Value::str("Hello"),
-                Value::str("x"),
-                Value::Array(vec![]),
-                Value::Float(0.0),
-            ]),
+            row(
+                [
+                    Value::Int(1),
+                    Value::str("a"),
+                    Value::Float(0.5),
+                    tags,
+                    Value::Float(2.25),
+                ],
+                [f(-0.0), i(0), t(true), st("a")],
+            ),
+            row(
+                [
+                    Value::Null,
+                    Value::str("b"),
+                    Value::Int(2),
+                    user,
+                    Value::Float(-1.0),
+                ],
+                [f(f64::NAN), i(2), Value::Null, st("a")],
+            ),
+            row(
+                [
+                    Value::Int(3),
+                    Value::Null,
+                    Value::Float(f64::NAN),
+                    Value::str("Hello World"),
+                    Value::Null,
+                ],
+                [Value::Null, Value::Null, t(false), st("c")],
+            ),
+            row(
+                [
+                    Value::Int(-4),
+                    Value::str("a"),
+                    Value::Bool(true),
+                    Value::Null,
+                    Value::Float(90_000.7),
+                ],
+                [f(-4.0), i(-4), t(true), Value::Null],
+            ),
+            row(
+                [
+                    Value::Int(90_000),
+                    Value::str("Hello"),
+                    Value::str("x"),
+                    Value::Array(vec![]),
+                    Value::Float(0.0),
+                ],
+                [f(0.0), i(0), t(false), st("Hello World")],
+            ),
         ];
         let b = ColBatch::from_rows(&rows).unwrap();
         assert!(matches!(b.col(0), Column::Int(..)) && matches!(b.col(1), Column::Str(..)));
         assert!(matches!(b.col(2), Column::Mixed(..)) && matches!(b.col(3), Column::Mixed(..)));
+        assert!(matches!(b.col(5), Column::Float(..)) && matches!(b.col(6), Column::Int(..)));
+        assert!(matches!(b.col(7), Column::Bool(..)) && matches!(b.col(8), Column::Str(..)));
         b
     }
 
@@ -638,6 +863,9 @@ mod tests {
         }
     }
 
+    /// `eval_vec` ≡ `eval`: the per-cell arm over the `Expr` enum, then
+    /// every typed arm — comparisons, AND / OR with a NULL on either side,
+    /// the filter's `Bool` selection.
     #[test]
     fn scalar_parity_matrix() {
         use miso_plan::Expr as E;
@@ -702,9 +930,96 @@ mod tests {
         for e in &exprs {
             assert_parity(e);
         }
+        // The typed arms. Every comparison on every typed pair — Int/Int,
+        // Float/Float, Int/Float both ways, Str/Str, Bool/Bool; column
+        // against column, against a literal and a literal against a column;
+        // NaN, −0.0 and NULL among the operands — takes the typed arm and
+        // agrees with `eval`, alone and behind an AND / OR. The pairs the
+        // typed arm declines take the per-cell arm, and agree too.
+        let (c, nan) = (E::col, f64::NAN);
+        let typed = [
+            (c(0), c(6)),
+            (c(6), c(0)),
+            (c(4), c(5)),
+            (c(5), c(5)),
+            (c(6), c(5)),
+            (c(5), c(6)),
+            (c(0), c(4)),
+            (c(1), c(8)),
+            (c(8), c(1)),
+            (c(7), c(7)),
+            (c(0), E::lit(0i64)),
+            (c(6), E::lit(-4.0)),
+            (c(5), E::lit(0i64)),
+            (c(5), E::lit(nan)),
+            (c(5), E::lit(-0.0)),
+            (c(4), E::lit(2.25)),
+            (c(1), E::lit("a")),
+            (c(7), E::lit(true)),
+            (c(7), E::lit(false)),
+            (E::lit(0i64), c(5)),
+            (E::lit("b"), c(8)),
+            (E::lit(false), c(7)),
+            (E::lit(nan), c(4)),
+        ];
+        let declined = [
+            (c(0), c(1)),
+            (c(7), c(0)),
+            (c(5), E::lit(Value::Null)),
+            (c(2), c(0)),
+            (c(3), E::lit("a")),
+        ];
+        let ops = [
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+        ];
+        let b = batch();
+        let n = b.len();
+        let mut predicates = Vec::new();
+        for op in ops {
+            for (pairs, takes_typed) in [(&typed[..], true), (&declined[..], false)] {
+                for (l, r) in pairs {
+                    let (lv, rv) = (eval_vec(l, &b, 0, n, None), eval_vec(r, &b, 0, n, None));
+                    let arm = compare_typed(op, &lv.unwrap(), &rv.unwrap(), n, None);
+                    assert_eq!(arm.is_some(), takes_typed, "{op:?} on {l:?}, {r:?}");
+                    let e = bin(op, l.clone(), r.clone());
+                    assert_parity_guarded(&e);
+                    predicates.push(e);
+                }
+            }
+        }
+        // AND / OR of typed `Bool` vectors, a NULL on either side: a Bool
+        // column with a NULL, comparisons NULL where an operand is, literals.
+        let bools = [
+            c(7),
+            c(5).eq(E::lit(0.0)),
+            bin(BinOp::Gt, c(6), c(0)),
+            E::lit(true),
+            E::lit(false),
+            E::lit(Value::Null),
+        ];
+        for l in &bools {
+            for r in &bools {
+                assert_parity(&l.clone().and(r.clone()));
+                assert_parity(&bin(BinOp::Or, l.clone(), r.clone()));
+            }
+        }
+        // The filter reads a `Bool` vector on its payload.
+        for e in predicates.iter().chain(&bools) {
+            let v = eval_vec(e, &b, 0, n, None).unwrap();
+            let rows = b.to_rows();
+            let want: Vec<u32> = (0..n as u32)
+                .filter(|&i| eval(e, &rows[i as usize]).unwrap().is_true())
+                .collect();
+            assert_eq!(select_true(&v, 0, n), want, "{e:?}");
+        }
     }
 
-    /// Every builtin of `eval_func`, at its own argument count, over every
+    /// Every builtin of [`Builtin`], at its own argument count, over every
     /// combination of argument shapes — typed columns with a NULL, both
     /// `Mixed` columns, literals of each type, an out-of-range column — and
     /// each also behind a short-circuit.

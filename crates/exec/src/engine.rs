@@ -35,19 +35,20 @@
 //! in morsel order ([`Acc::merge`]), which pins even float-summation
 //! grouping to the morsel structure rather than the schedule. Join keys and
 //! group keys are hashed once per row to a `u64` (FNV-1a via
-//! `miso_plan::fingerprint`, collision-checked by real key equality at every
-//! probe). The row-at-a-time interpreter all of this must agree with is
-//! preserved in [`crate::serial`].
+//! `miso_plan::fingerprint`, a typed join key on its payload; collision-checked
+//! by real key equality at every probe). A kernel reads a typed column on its
+//! payload and anything else cell by cell ([`crate::col`]'s typed-arm rule).
+//! The row-at-a-time interpreter all of this must agree with is preserved in
+//! [`crate::serial`].
 
-use crate::col::{self, FusedField};
-use crate::eval::eval;
+use crate::col::{self, FusedField, Scalar, VCol};
 use crate::profile::{self, OpProfile};
 use crate::udf::{Udf, UdfRegistry};
 use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
 use miso_common::{pool, ByteSize, MisoError, Result};
 use miso_data::json::parse_json;
-use miso_data::{Cell, ColBatch, ColBuilder, Column, Row, Value};
+use miso_data::{Cell, ColBatch, ColBuilder, Column, Nulls, Row, Value};
 use miso_plan::fingerprint::{fnv1a_hash_one, FnvHasher};
 use miso_plan::{AggExpr, AggFunc, Expr, LogicalPlan, Operator, PlanNode};
 use std::collections::{HashMap, HashSet};
@@ -612,21 +613,42 @@ fn filter(guard: &QueryGuard, batch: &Arc<ColBatch>, predicate: &Expr) -> Result
     })
 }
 
-/// One output column per expression.
+/// One output column per expression. A bare column reference is the input's
+/// own column, shared — when it is the column rebuilding it would give
+/// ([`Column::is_canonical`]) — so only computed expressions are evaluated,
+/// morsel by morsel. A projection that computes nothing dispatches nothing,
+/// but checks the guard where its dispatch would have.
 fn project(guard: &QueryGuard, batch: &ColBatch, exprs: &[(String, Expr)]) -> Result<ColBatch> {
-    let parts = par_ranges(guard, batch.len(), |_, start, n| -> Result<ColBatch> {
-        let cols = exprs
-            .iter()
-            .map(|(_, e)| col::eval_vec(e, batch, start, n, None).map(|v| v.into_column(n)))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ColBatch::from_columns(cols, n))
-    })?;
-    let parts = collect_ok(parts)?;
-    Ok(if parts.is_empty() {
-        ColBatch::empty(exprs.len())
+    let shared = |e: &Expr| match e {
+        Expr::Column(i) => batch.columns().get(*i).filter(|c| c.is_canonical()),
+        _ => None,
+    };
+    let computed: Vec<&Expr> = exprs
+        .iter()
+        .map(|(_, e)| e)
+        .filter(|e| shared(e).is_none())
+        .collect();
+    let mut per_expr: Vec<Vec<Column>> = vec![Vec::new(); computed.len()];
+    if computed.is_empty() {
+        guard.check()?;
     } else {
-        ColBatch::concat(parts)
-    })
+        let parts = par_ranges(guard, batch.len(), |_, start, n| {
+            let eval =
+                |e: &&Expr| col::eval_vec(e, batch, start, n, None).map(|v| v.into_column(n));
+            computed.iter().map(eval).collect::<Result<Vec<_>>>()
+        })?;
+        for part in collect_ok(parts)? {
+            for (cols, col) in per_expr.iter_mut().zip(part) {
+                cols.push(col);
+            }
+        }
+    }
+    let mut computed = per_expr.into_iter().map(Column::concat);
+    let columns = exprs.iter().map(|(_, e)| match shared(e) {
+        Some(col) => Arc::clone(col),
+        None => Arc::new(computed.next().expect("one column per computed expression")),
+    });
+    Ok(ColBatch::from_shared(columns.collect(), batch.len()))
 }
 
 /// The first `n` rows.
@@ -841,24 +863,58 @@ fn prehashed_map<V>(capacity: usize) -> PrehashedMap<V> {
     HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default())
 }
 
-/// FNV-1a hash of row `i`'s join-key columns; `None` if any key is NULL (NULL
-/// never joins). `right` selects which side of each `on` pair to read. The
-/// single-column fast path skips the hasher-state plumbing entirely.
-#[inline]
-fn join_key_hash(batch: &ColBatch, i: usize, on: &[(usize, usize)], right: bool) -> Option<u64> {
-    if let [(l, r)] = on {
-        let key = batch.cell(i, if right { *r } else { *l });
-        return (!key.is_null()).then(|| fnv1a_hash_one(&key));
+/// A join key, read to hash and to match rows: `hash` is `None` for a row
+/// whose key holds a NULL (it joins nothing).
+trait JoinKey: Sync {
+    fn hash(&self, i: usize) -> Option<u64>;
+    /// Whether row `i`'s key equals row `j`'s of `other`.
+    fn eq(&self, i: usize, other: &Self, j: usize) -> bool;
+}
+
+/// The typed arm: one key column of a typed variant, on both sides, read on
+/// its payload as the cell it stands for ([`Scalar::cell`]) — hashed as the
+/// cell hashes, equal as cells are, so as `Value`s: NaN matches NaN, −0.0
+/// matches 0.0.
+struct PayloadKey<'a, T>(&'a [T], &'a Nulls);
+
+impl<T: Scalar + Sync> JoinKey for PayloadKey<'_, T> {
+    #[inline]
+    fn hash(&self, i: usize) -> Option<u64> {
+        (!self.1.is_null(i)).then(|| fnv1a_hash_one(&self.0[i].cell()))
     }
-    let mut h = FnvHasher::default();
-    for &(l, r) in on {
-        let key = batch.cell(i, if right { r } else { l });
-        if key.is_null() {
-            return None;
+    #[inline]
+    fn eq(&self, i: usize, other: &Self, j: usize) -> bool {
+        self.0[i].cell() == other.0[j].cell()
+    }
+}
+
+/// The per-cell arm: the key columns `cols` of `batch`, hashed as `Value`s
+/// hash, so Int and Float keys that compare equal meet.
+struct CellKey<'a> {
+    batch: &'a ColBatch,
+    cols: Vec<usize>,
+}
+
+impl JoinKey for CellKey<'_> {
+    fn hash(&self, i: usize) -> Option<u64> {
+        if let [c] = self.cols[..] {
+            let key = self.batch.cell(i, c);
+            return (!key.is_null()).then(|| fnv1a_hash_one(&key));
         }
-        key.hash(&mut h);
+        let mut h = FnvHasher::default();
+        for &c in &self.cols {
+            let key = self.batch.cell(i, c);
+            if key.is_null() {
+                return None;
+            }
+            key.hash(&mut h);
+        }
+        Some(h.finish())
     }
-    Some(h.finish())
+    fn eq(&self, i: usize, other: &Self, j: usize) -> bool {
+        let mut pairs = self.cols.iter().zip(&other.cols);
+        pairs.all(|(&a, &b)| self.batch.cell(i, a) == other.batch.cell(j, b))
+    }
 }
 
 /// Bytes the build side costs per right row: the prehashed key vector
@@ -874,8 +930,10 @@ const JOIN_BUILD_BYTES_PER_ROW: u64 = 28;
 /// the left side, emitting `(left, right)` index pairs in left-row ×
 /// right-insertion order — exactly the serial interpreter's output order —
 /// from which each side is gathered once. Hash collisions are disambiguated
-/// by comparing the actual key columns. The build-side hash table is charged
-/// against the guard's memory budget for the duration of the join.
+/// by comparing the actual keys. One key column of the same typed variant on
+/// both sides is hashed and compared on its payload ([`PayloadKey`]); any
+/// other key, cell by cell ([`CellKey`]). The build-side hash table is
+/// charged against the guard's memory budget for the duration of the join.
 fn join(
     guard: &QueryGuard,
     left: &ColBatch,
@@ -887,37 +945,67 @@ fn join(
         "join side exceeds u32 rows"
     );
     let _build = TempCharge::new(guard, right.len() as u64 * JOIN_BUILD_BYTES_PER_ROW)?;
-    let rhash: Vec<Option<u64>> = concat(par_ranges(guard, right.len(), |_, start, n| {
-        (start..start + n)
-            .map(|i| join_key_hash(right, i, on, true))
-            .collect()
+    let sizes = (left.len(), right.len());
+    let typed = match on {
+        [(l, r)] => Some((left.col(*l), right.col(*r))),
+        _ => None,
+    };
+    let (ls, rs) = match typed {
+        Some((Column::Int(a, an), Column::Int(b, bn))) => {
+            join_pairs(guard, &PayloadKey(a, an), &PayloadKey(b, bn), sizes)?
+        }
+        Some((Column::Float(a, an), Column::Float(b, bn))) => {
+            join_pairs(guard, &PayloadKey(a, an), &PayloadKey(b, bn), sizes)?
+        }
+        Some((Column::Bool(a, an), Column::Bool(b, bn))) => {
+            join_pairs(guard, &PayloadKey(a, an), &PayloadKey(b, bn), sizes)?
+        }
+        Some((Column::Str(a, an), Column::Str(b, bn))) => {
+            join_pairs(guard, &PayloadKey(a, an), &PayloadKey(b, bn), sizes)?
+        }
+        _ => {
+            let side = |batch, right: bool| CellKey {
+                batch,
+                cols: on.iter().map(|&(l, r)| if right { r } else { l }).collect(),
+            };
+            join_pairs(guard, &side(left, false), &side(right, true), sizes)?
+        }
+    };
+    let mut columns = left.gather(&ls).into_columns();
+    columns.extend(right.gather(&rs).into_columns());
+    Ok(ColBatch::from_shared(columns, ls.len()))
+}
+
+/// The `(left, right)` row pairs whose keys match, in left-row ×
+/// right-row order, for sides of `sizes` rows.
+fn join_pairs<K: JoinKey>(
+    guard: &QueryGuard,
+    left: &K,
+    right: &K,
+    sizes: (usize, usize),
+) -> Result<(Vec<u32>, Vec<u32>)> {
+    let rhash: Vec<Option<u64>> = concat(par_ranges(guard, sizes.1, |_, start, n| {
+        (start..start + n).map(|i| right.hash(i)).collect()
     })?);
     // Partitioned build: table layout is internal, so the partition count
     // may track the worker count without affecting any output.
     let partitions = pool::threads().next_power_of_two().min(64);
     let mask = (partitions - 1) as u64;
-    let tables: Vec<PrehashedMap<Vec<u32>>> = pool::run_batch(partitions, |p| {
-        let mut table: PrehashedMap<Vec<u32>> = prehashed_map(rhash.len() / partitions + 1);
-        for (i, h) in rhash.iter().enumerate() {
-            if let Some(h) = h {
-                if (h & mask) as usize == p {
-                    table.entry(*h).or_default().push(i as u32);
-                }
-            }
-        }
-        table
+    let parts: Vec<BuildPart> = pool::run_batch(partitions, |p| {
+        BuildPart::new(
+            &rhash,
+            |h| (h & mask) as usize == p,
+            rhash.len() / partitions + 1,
+        )
     })?;
-    let pairs = par_ranges(guard, left.len(), |_, start, n| {
+    let pairs = par_ranges(guard, sizes.0, |_, start, n| {
         let (mut ls, mut rs) = (Vec::new(), Vec::new());
         for li in start..start + n {
-            let Some(h) = join_key_hash(left, li, on, false) else {
+            let Some(h) = left.hash(li) else {
                 continue;
             };
-            for &ri in tables[(h & mask) as usize].get(&h).into_iter().flatten() {
-                if on
-                    .iter()
-                    .all(|&(l, r)| left.cell(li, l) == right.cell(ri as usize, r))
-                {
+            for ri in parts[(h & mask) as usize].rows(h) {
+                if left.eq(li, right, ri as usize) {
                     ls.push(li as u32);
                     rs.push(ri);
                 }
@@ -926,10 +1014,45 @@ fn join(
         (ls, rs)
     })?;
     let (ls, rs): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
-    let (ls, rs) = (concat(ls), concat(rs));
-    let mut columns = left.gather(&ls).into_columns();
-    columns.extend(right.gather(&rs).into_columns());
-    Ok(ColBatch::from_shared(columns, ls.len()))
+    Ok((concat(ls), concat(rs)))
+}
+
+/// One partition of a join's build side: for each key hash, its right rows
+/// as a chain through one entry vector — no allocation per key.
+struct BuildPart {
+    /// The first entry of each hash's chain.
+    heads: PrehashedMap<u32>,
+    /// `(right row, next entry or NO_SLOT)`.
+    entries: Vec<(u32, u32)>,
+}
+
+impl BuildPart {
+    /// The rows whose hash `mine` claims. They are linked last to first, so
+    /// a chain walked from its head meets them in row order.
+    fn new(rhash: &[Option<u64>], mine: impl Fn(u64) -> bool, capacity: usize) -> BuildPart {
+        let mut part = BuildPart {
+            heads: prehashed_map(capacity),
+            entries: Vec::with_capacity(capacity),
+        };
+        for (i, h) in rhash.iter().enumerate().rev() {
+            if let Some(h) = h.filter(|&h| mine(h)) {
+                let entry = part.entries.len() as u32;
+                let next = part.heads.insert(h, entry).unwrap_or(NO_SLOT);
+                part.entries.push((i as u32, next));
+            }
+        }
+        part
+    }
+
+    /// The right rows of hash `h`, in row order.
+    fn rows(&self, h: u64) -> impl Iterator<Item = u32> + '_ {
+        let mut entry = self.heads.get(&h).copied().unwrap_or(NO_SLOT);
+        std::iter::from_fn(move || {
+            let (row, next) = *self.entries.get(entry as usize)?;
+            entry = next;
+            Some(row)
+        })
+    }
 }
 
 /// Streaming accumulator per aggregate function.
@@ -1149,48 +1272,54 @@ impl Acc {
     }
 }
 
-/// Decides int-vs-float `SUM` as the serial interpreter does: from the first
-/// `Int` or `Float` its input expression yields, in row order. The
+/// How the serial interpreter types a `SUM` of `e`: from the first `Int` or
+/// `Float` the expression yields over `batch`, in row order — `Some(true)`
+/// float, `Some(false)` int, `None` when no row yields a number. The
 /// expression's errors are static ([`col::eval_vec`]), so one that fails
-/// fails on every row and decides nothing — the aggregate then fails too.
-fn float_sum_flags(batch: &ColBatch, aggs: &[AggExpr]) -> Vec<bool> {
-    let first_numeric_is_float = |e: &Expr| {
-        for start in (0..batch.len()).step_by(MORSEL_SIZE) {
-            let n = MORSEL_SIZE.min(batch.len() - start);
-            let Ok(values) = col::eval_vec(e, batch, start, n, None) else {
-                return false;
-            };
-            for j in 0..n {
-                match values.cell(j) {
-                    Cell::Float(_) => return true,
-                    Cell::Int(_) => return false,
-                    _ => {}
-                }
+/// fails on every row and decides nothing.
+pub(crate) fn first_numeric_is_float(batch: &ColBatch, e: &Expr) -> Option<bool> {
+    for start in (0..batch.len()).step_by(MORSEL_SIZE) {
+        let n = MORSEL_SIZE.min(batch.len() - start);
+        let values = col::eval_vec(e, batch, start, n, None).ok()?;
+        for j in 0..n {
+            match values.cell(j) {
+                Cell::Float(_) => return Some(true),
+                Cell::Int(_) => return Some(false),
+                _ => {}
             }
         }
-        false
-    };
+    }
+    None
+}
+
+/// Decides int-vs-float `SUM` as the serial interpreter does
+/// ([`first_numeric_is_float`]); no number at all sums as int.
+fn float_sum_flags(batch: &ColBatch, aggs: &[AggExpr]) -> Vec<bool> {
     aggs.iter()
         .map(|agg| match (&agg.func, &agg.input) {
-            (AggFunc::Sum, Some(e)) => first_numeric_is_float(e),
+            (AggFunc::Sum, Some(e)) => first_numeric_is_float(batch, e) == Some(true),
             _ => false,
         })
         .collect()
 }
 
-/// Accumulates the morsel `[start, start + n)` into a fresh partial
-/// [`GroupTable`]: each aggregate's input expression is evaluated over the
-/// morsel, then the columns fold row by row. Group hashes go through
-/// [`Cell`]'s `Hash`, which streams identically to [`Value`]'s, so partial
-/// tables merge with [`GroupTable::fold_row`]'s semantics bit-for-bit.
-fn aggregate_morsel(
+/// Folds the rows `[start, start + n)` of `batch` into `table` and returns
+/// each row's group slot. Each aggregate's input expression is evaluated over
+/// the morsel first; then every row finds or creates its group
+/// ([`group_slots`]), and then each input folds into the groups'
+/// accumulators a column at a time ([`fold_input`]) — per accumulator in row
+/// order, so the result is that of folding row by row. Key hashes stream the
+/// cells as [`Value`]'s `Hash` does, so tables built from columns of any
+/// variant — morsel partials, the incremental maintainer's — merge with one
+/// another bit for bit.
+pub(crate) fn fold_morsel(
+    table: &mut GroupTable,
     batch: &ColBatch,
-    start: usize,
-    n: usize,
+    (start, n): (usize, usize),
     group_by: &[usize],
     aggs: &[AggExpr],
     float_sum: &[bool],
-) -> Result<GroupTable> {
+) -> Result<Vec<u32>> {
     // `None` is `COUNT(*)`.
     let inputs = aggs
         .iter()
@@ -1199,41 +1328,72 @@ fn aggregate_morsel(
             None => Ok(None),
         })
         .collect::<Result<Vec<_>>>()?;
-    let mut table = GroupTable::with_capacity(n.min(1024));
-    for j in 0..n {
-        let i = start + j;
-        let hash = if let [g] = group_by {
-            fnv1a_hash_one(&batch.cell(i, *g))
-        } else {
+    let fresh = new_accs(aggs, float_sum);
+    let slots = group_slots(table, batch, (start, n), group_by, &fresh);
+    for (a, input) in inputs.iter().enumerate() {
+        fold_input(&mut table.accs, aggs.len(), a, &slots, input.as_ref());
+    }
+    Ok(slots)
+}
+
+/// Each row's group slot, a group created — with `fresh` accumulators — the
+/// first time its key is seen. A single key column is hashed as one cell;
+/// several stream their cells into one hash.
+fn group_slots(
+    table: &mut GroupTable,
+    batch: &ColBatch,
+    (start, n): (usize, usize),
+    group_by: &[usize],
+    fresh: &[Acc],
+) -> Vec<u32> {
+    if let [g] = group_by {
+        let col = batch.col(*g);
+        return (start..start + n)
+            .map(|i| {
+                let key = col.cell(i);
+                let hash = fnv1a_hash_one(&key);
+                let slot = match table.find(hash, |k| key.eq_value(&k[0])) {
+                    Some(slot) => slot,
+                    None => table.insert(hash, [key.to_value()], fresh.iter().cloned()),
+                };
+                slot as u32
+            })
+            .collect();
+    }
+    (start..start + n)
+        .map(|i| {
             let mut h = FnvHasher::default();
             for &g in group_by {
                 batch.cell(i, g).hash(&mut h);
             }
-            h.finish()
-        };
-        let slot = match table.find(hash, |key| {
-            group_by
-                .iter()
-                .zip(key)
-                .all(|(&g, k)| batch.cell(i, g).eq_value(k))
-        }) {
-            Some(slot) => slot,
-            None => {
-                let key: Vec<Value> = group_by
-                    .iter()
-                    .map(|&g| batch.cell(i, g).to_value())
-                    .collect();
-                table.insert(hash, key, new_accs(aggs, float_sum))
-            }
-        };
-        for (acc, input) in table.slots[slot].2.iter_mut().zip(&inputs) {
-            match input {
-                Some(values) => acc.update_cell(&values.cell(j)),
-                None => acc.update(None),
-            }
+            let hash = h.finish();
+            let same = |key: &[Value]| {
+                let mut pairs = group_by.iter().zip(key);
+                pairs.all(|(&g, k)| batch.cell(i, g).eq_value(k))
+            };
+            let slot = match table.find(hash, same) {
+                Some(slot) => slot,
+                None => {
+                    let key = group_by.iter().map(|&g| batch.cell(i, g).to_value());
+                    table.insert(hash, key, fresh.iter().cloned())
+                }
+            };
+            slot as u32
+        })
+        .collect()
+}
+
+/// Folds aggregate `a`'s input over a morsel into the accumulator of each
+/// row's group (`accs` holds `width` per slot), a cell at a time; NULL folds
+/// into nothing, and `None` is `COUNT(*)`.
+fn fold_input(accs: &mut [Acc], width: usize, a: usize, slots: &[u32], input: Option<&VCol>) {
+    for (j, &s) in slots.iter().enumerate() {
+        let acc = &mut accs[s as usize * width + a];
+        match input {
+            Some(input) => acc.update_cell(&input.cell(j)),
+            None => acc.update(None),
         }
     }
-    Ok(table)
 }
 
 /// A new group's accumulators, one per aggregate.
@@ -1263,165 +1423,199 @@ fn aggregate(
 ) -> Result<ColBatch> {
     let float_sum = float_sum_flags(batch, aggs);
     let parts = par_ranges(guard, batch.len(), |_, start, n| {
-        aggregate_morsel(batch, start, n, group_by, aggs, &float_sum)
+        let mut table = GroupTable::new(group_by.len(), aggs.len(), n.min(1024));
+        fold_morsel(&mut table, batch, (start, n), group_by, aggs, &float_sum)?;
+        Ok(table)
     })?;
     let parts = collect_ok(parts)?;
-    let slot_count: usize = parts.iter().map(|t| t.slots.len()).sum();
+    let slot_count: usize = parts.iter().map(GroupTable::len).sum();
     let _accs = TempCharge::new(
         guard,
         slot_count as u64 * (AGG_SLOT_BYTES + aggs.len() as u64 * AGG_ACC_BYTES),
     )?;
-    let mut global = GroupTable::with_capacity(slot_count);
+    let mut global = GroupTable::new(group_by.len(), aggs.len(), slot_count);
     for part in parts {
         global.absorb(part);
     }
     if group_by.is_empty() && batch.is_empty() {
         // Global aggregate over empty input still yields one row.
-        global.insert(0, Vec::new(), new_accs(aggs, &float_sum));
+        global.insert(key_hash(&[]), [], new_accs(aggs, &float_sum));
     }
-    let mut columns: Vec<ColBuilder> = (0..group_by.len() + aggs.len())
-        .map(|_| ColBuilder::new())
-        .collect();
-    let groups = global.slots.len();
-    for (_, key, accs) in global.slots {
-        let values = key.into_iter().chain(accs.into_iter().map(Acc::finish));
-        for (column, value) in columns.iter_mut().zip(values) {
-            column.push_value(value);
-        }
-    }
-    let columns = columns.into_iter().map(ColBuilder::finish).collect();
-    Ok(ColBatch::from_columns(columns, groups))
+    let groups = global.len();
+    Ok(ColBatch::from_columns(global.into_columns(), groups))
 }
 
-/// FNV-1a hash of a row's group-by columns (equal key tuples collide by the
-/// `Hash`/`Eq` contract; unequal tuples are verified at the slot).
-#[inline]
-pub(crate) fn group_hash(row: &Row, group_by: &[usize]) -> u64 {
-    if let [g] = group_by {
-        return fnv1a_hash_one(row.get(*g));
-    }
+/// The hash a group key's cells stream to (FNV-1a over `Value`'s `Hash`):
+/// what [`group_slots`] computes from the columns it reads.
+pub(crate) fn key_hash(key: &[Value]) -> u64 {
     let mut h = FnvHasher::default();
-    for &g in group_by {
-        row.get(g).hash(&mut h);
+    for v in key {
+        v.hash(&mut h);
     }
     h.finish()
 }
 
-/// Group slots in first-seen order plus a prehashed index over them. Keys
-/// are only cloned when a *new* group is created; existing groups are found
-/// by hash + in-place column comparison, so steady-state rows allocate
-/// nothing for keying.
+/// No slot: the end of a collision chain.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Group slots in first-seen order, stored flat: slot `s` owns `hashes[s]`,
+/// the key values `keys[s * arity..][..arity]` and the accumulators
+/// `accs[s * width..][..width]`. A bucket array over the hashes heads a `u32`
+/// collision chain through the slots, so a lookup compares hashes before
+/// keys, and a new group whose key is a scalar allocates nothing of its own.
 pub(crate) struct GroupTable {
-    /// `(key hash, key values, accumulators)` in first-seen order.
-    pub(crate) slots: Vec<(u64, Vec<Value>, Vec<Acc>)>,
-    index: PrehashedMap<Vec<u32>>,
+    arity: usize,
+    width: usize,
+    hashes: Vec<u64>,
+    keys: Vec<Value>,
+    accs: Vec<Acc>,
+    /// The next slot of the same bucket, or [`NO_SLOT`].
+    chain: Vec<u32>,
+    /// The latest slot of each bucket, or [`NO_SLOT`]; a power of two long,
+    /// and at least as long as there are slots.
+    buckets: Vec<u32>,
 }
 
 impl GroupTable {
-    pub(crate) fn with_capacity(capacity: usize) -> GroupTable {
+    /// A table for keys of `arity` values and `width` accumulators, sized for
+    /// `capacity` groups.
+    pub(crate) fn new(arity: usize, width: usize, capacity: usize) -> GroupTable {
         GroupTable {
-            slots: Vec::with_capacity(capacity),
-            index: prehashed_map(capacity),
+            arity,
+            width,
+            hashes: Vec::with_capacity(capacity),
+            keys: Vec::with_capacity(capacity * arity),
+            accs: Vec::with_capacity(capacity * width),
+            chain: Vec::with_capacity(capacity),
+            buckets: vec![NO_SLOT; capacity.max(8).next_power_of_two()],
         }
+    }
+
+    /// Number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    pub(crate) fn hash(&self, slot: usize) -> u64 {
+        self.hashes[slot]
+    }
+
+    pub(crate) fn key(&self, slot: usize) -> &[Value] {
+        &self.keys[slot * self.arity..][..self.arity]
+    }
+
+    pub(crate) fn accs(&self, slot: usize) -> &[Acc] {
+        &self.accs[slot * self.width..][..self.width]
+    }
+
+    /// Replaces aggregate `a`'s accumulator in every group with `acc`.
+    pub(crate) fn reset_acc(&mut self, a: usize, acc: &Acc) {
+        for s in 0..self.len() {
+            self.accs[s * self.width + a] = acc.clone();
+        }
+    }
+
+    fn bucket(&self, hash: u64) -> usize {
+        let bits = self.buckets.len().trailing_zeros();
+        (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize
     }
 
     /// Finds the slot whose key satisfies `eq`, if any.
     pub(crate) fn find(&self, hash: u64, eq: impl Fn(&[Value]) -> bool) -> Option<usize> {
-        self.index
-            .get(&hash)?
-            .iter()
-            .map(|&s| s as usize)
-            .find(|&s| eq(&self.slots[s].1))
+        let mut slot = self.buckets[self.bucket(hash)];
+        while slot != NO_SLOT {
+            let s = slot as usize;
+            if self.hashes[s] == hash && eq(self.key(s)) {
+                return Some(s);
+            }
+            slot = self.chain[s];
+        }
+        None
     }
 
-    pub(crate) fn insert(&mut self, hash: u64, key: Vec<Value>, accs: Vec<Acc>) -> usize {
-        let slot = self.slots.len();
-        assert!(slot <= u32::MAX as usize, "group count exceeds u32 slots");
-        self.slots.push((hash, key, accs));
-        self.index.entry(hash).or_default().push(slot as u32);
+    /// Appends a group; returns its slot.
+    pub(crate) fn insert(
+        &mut self,
+        hash: u64,
+        key: impl IntoIterator<Item = Value>,
+        accs: impl IntoIterator<Item = Acc>,
+    ) -> usize {
+        let slot = self.len();
+        assert!(slot < NO_SLOT as usize, "group count exceeds u32 slots");
+        if slot == self.buckets.len() {
+            self.relink(2 * slot);
+        }
+        self.hashes.push(hash);
+        self.keys.extend(key);
+        self.accs.extend(accs);
+        debug_assert_eq!(self.keys.len(), (slot + 1) * self.arity);
+        debug_assert_eq!(self.accs.len(), (slot + 1) * self.width);
+        let bucket = self.bucket(hash);
+        self.chain.push(self.buckets[bucket]);
+        self.buckets[bucket] = slot as u32;
         slot
+    }
+
+    /// Rebuilds the chains over `buckets` buckets.
+    fn relink(&mut self, buckets: usize) {
+        self.buckets = vec![NO_SLOT; buckets];
+        for s in 0..self.len() {
+            let bucket = self.bucket(self.hashes[s]);
+            self.chain[s] = self.buckets[bucket];
+            self.buckets[bucket] = s as u32;
+        }
     }
 
     /// Merges `later` — the partial table of rows that come after every row
     /// folded in so far — into this table: a group both know merges its
     /// accumulators ([`Acc::merge`]), a new group is appended as it stands.
     pub(crate) fn absorb(&mut self, later: GroupTable) {
-        for (hash, key, accs) in later.slots {
-            match self.find(hash, |k| k == key.as_slice()) {
+        let (arity, width) = (later.arity, later.width);
+        let mut keys = later.keys;
+        let mut accs = later.accs.into_iter();
+        for (s, &hash) in later.hashes.iter().enumerate() {
+            let key = &mut keys[s * arity..][..arity];
+            let partial = accs.by_ref().take(width);
+            match self.find(hash, |k| k == &*key) {
                 Some(slot) => {
-                    for (acc, partial) in self.slots[slot].2.iter_mut().zip(accs) {
+                    let mine = &mut self.accs[slot * width..][..width];
+                    for (acc, partial) in mine.iter_mut().zip(partial) {
                         acc.merge(partial);
                     }
                 }
                 None => {
-                    self.insert(hash, key, accs);
+                    let key = key.iter_mut().map(|v| std::mem::replace(v, Value::Null));
+                    self.insert(hash, key, partial);
                 }
             }
         }
     }
-}
 
-/// An aggregate's input, pre-classified so the per-row hot loop can borrow
-/// plain column references instead of paying an owned `eval` clone.
-pub(crate) enum AggSrc<'a> {
-    /// `COUNT(*)` — no input expression.
-    CountAll,
-    /// A bare column reference: borrow the value in place.
-    Col(usize),
-    /// A general expression: evaluate per row.
-    Expr(&'a Expr),
-}
-
-pub(crate) fn classify_aggs(aggs: &[AggExpr]) -> Vec<AggSrc<'_>> {
-    aggs.iter()
-        .map(|a| match &a.input {
-            None => AggSrc::CountAll,
-            Some(Expr::Column(c)) => AggSrc::Col(*c),
-            Some(e) => AggSrc::Expr(e),
-        })
-        .collect()
-}
-
-impl GroupTable {
-    /// Folds one input row into its group's accumulators, creating the
-    /// group on first sight; returns the group's slot.
-    #[inline]
-    pub(crate) fn fold_row(
-        &mut self,
-        row: &Row,
-        group_by: &[usize],
-        aggs: &[AggExpr],
-        srcs: &[AggSrc<'_>],
-        float_sum: &[bool],
-    ) -> Result<usize> {
-        let hash = group_hash(row, group_by);
-        let slot = match self.find(hash, |key| {
-            group_by.iter().zip(key).all(|(&g, k)| row.get(g) == k)
-        }) {
-            Some(slot) => slot,
-            None => {
-                let key: Vec<Value> = group_by.iter().map(|&g| row.get(g).clone()).collect();
-                self.insert(hash, key, new_accs(aggs, float_sum))
+    /// The output columns — each key column, then each aggregate's results —
+    /// with the groups in slot order.
+    pub(crate) fn into_columns(self) -> Vec<Column> {
+        fn column<T>(
+            items: &mut [T],
+            stride: usize,
+            at: usize,
+            push: impl Fn(&mut ColBuilder, &mut T),
+        ) -> Column {
+            let mut b = ColBuilder::new();
+            for item in items.iter_mut().skip(at).step_by(stride) {
+                push(&mut b, item);
             }
-        };
-        let accs = &mut self.slots[slot].2;
-        for (acc, src) in accs.iter_mut().zip(srcs) {
-            match src {
-                AggSrc::CountAll => acc.update(None),
-                AggSrc::Col(c) if *c < row.arity() => acc.update(Some(row.get(*c))),
-                // Out-of-range column: route through eval so the error text
-                // matches the serial interpreter exactly.
-                AggSrc::Col(c) => {
-                    let v = eval(&Expr::Column(*c), row)?;
-                    acc.update(Some(&v));
-                }
-                AggSrc::Expr(e) => {
-                    let v = eval(e, row)?;
-                    acc.update(Some(&v));
-                }
-            }
+            b.finish()
         }
-        Ok(slot)
+        let (mut keys, mut accs) = (self.keys, self.accs);
+        let take_key =
+            |b: &mut ColBuilder, v: &mut Value| b.push_value(std::mem::replace(v, Value::Null));
+        let finish = |b: &mut ColBuilder, acc: &mut Acc| {
+            b.push_value(std::mem::replace(acc, Acc::Count(0)).finish())
+        };
+        let key_cols = (0..self.arity).map(|c| column(&mut keys, self.arity, c, take_key));
+        let mut columns: Vec<Column> = key_cols.collect();
+        columns.extend((0..self.width).map(|a| column(&mut accs, self.width, a, finish)));
+        columns
     }
 }
 
@@ -2539,5 +2733,82 @@ mod tests {
         let back = Value::Int(i64::try_from(back).expect("comes back into range"));
         assert_eq!(sums, [&back, &Value::Null, &Value::Null]);
         assert_engine_is_serial(&plan, &src, &udfs);
+    }
+
+    /// Group keys that are equal without being identical — NaN and −NaN,
+    /// −0.0 and +0.0, and beside them Int 0 in a `Mixed` column — and NULL
+    /// keys group as the serial interpreter groups them, bit for bit: a
+    /// group's key is its first-seen one, and `MIN` / `MAX` keep the first of
+    /// tied values, across morsels whose first-seen variants differ, read
+    /// on a `Float` column's payload, cell by cell from a `Mixed` one, and
+    /// over two key columns, at 1, 2 and 8 threads.
+    #[test]
+    fn nan_signed_zero_and_null_group_keys_are_serial_bit_for_bit() {
+        let f = Value::Float;
+        let keys = [
+            f(-0.0),
+            f(f64::NAN),
+            Value::Null,
+            f(0.0),
+            f(-f64::NAN),
+            f(1.5),
+        ];
+        let values = [f(0.0), f(-0.0), f(-f64::NAN), Value::Null, f(f64::NAN)];
+        let rows: Vec<Row> = (0..3 * MORSEL_SIZE + 17)
+            .map(|i| {
+                // Each morsel meets the keys in another order.
+                let key = keys[(i * 7 + i / MORSEL_SIZE) % keys.len()].clone();
+                let mixed = if i % 5 == 0 {
+                    Value::Int(0)
+                } else {
+                    key.clone()
+                };
+                let value = values[(i * 3 + i / 100) % values.len()].clone();
+                Row::new(vec![key, mixed, value])
+            })
+            .collect();
+        let mut src = MemSource::new();
+        src.add_view("v", rows);
+        assert!(matches!(
+            src.view_batch("v").unwrap().col(0),
+            Column::Float(..)
+        ));
+        assert!(matches!(
+            src.view_batch("v").unwrap().col(1),
+            Column::Mixed(..)
+        ));
+        let udfs = UdfRegistry::new();
+        for group_by in [vec![0], vec![1], vec![0, 1]] {
+            let mut b = PlanBuilder::new();
+            let float = |name| Field::new(name, DataType::Float);
+            let scan = view_scan(&mut b, "v", vec![float("k"), float("m"), float("v")]);
+            let aggs = vec![
+                AggExpr::new(AggFunc::Count, None, "n"),
+                AggExpr::new(AggFunc::Min, Some(Expr::col(2)), "lo"),
+                AggExpr::new(AggFunc::Max, Some(Expr::col(2)), "hi"),
+                AggExpr::new(AggFunc::CountDistinct, Some(Expr::col(2)), "d"),
+            ];
+            let agg = Operator::Aggregate {
+                group_by: group_by.clone(),
+                aggs,
+            };
+            let agg = b.add(agg, vec![scan]).unwrap();
+            let plan = b.finish(agg).unwrap();
+            assert_engine_is_serial(&plan, &src, &udfs);
+            let serial = crate::serial::execute_serial(&plan, &src, &udfs).unwrap();
+            let bits = crate::ivm::tests::bits;
+            let want = bits(serial.root_rows().unwrap());
+            let before = pool::threads();
+            for t in [1, 2, 8] {
+                pool::set_threads(t);
+                let run = execute(&plan, &src, &udfs).unwrap();
+                assert_eq!(
+                    bits(run.root_rows().unwrap()),
+                    want,
+                    "{group_by:?}, {t} threads"
+                );
+            }
+            pool::set_threads(before);
+        }
     }
 }

@@ -44,7 +44,7 @@ pub fn eval(expr: &Expr, row: &Row) -> Result<Value> {
         Expr::Func { name, args } => {
             let vals: Vec<Value> = args.iter().map(|a| eval(a, row)).collect::<Result<_>>()?;
             let cells: Vec<Cell<'_>> = vals.iter().map(Cell::of).collect();
-            eval_func(name, &cells)
+            Ok(Builtin::resolve(name, cells.len())?.call(&cells))
         }
     }
 }
@@ -238,122 +238,106 @@ pub fn cast(v: Value, ty: DataType) -> Value {
     }
 }
 
-/// The builtins — the one body both evaluators call, on borrowed cells so
-/// that the vectorized one ([`crate::col::eval_vec`]) clones no string or
-/// array to ask a question of it. A container argument arrives as
-/// [`Cell::Val`]; every scalar, whatever column it sat in, as its typed
-/// cell. The only errors are static: an unknown name, a wrong argument
-/// count.
-pub(crate) fn eval_func(name: &str, args: &[Cell<'_>]) -> Result<Value> {
-    let arity_err = || {
-        Err(MisoError::Execution(format!(
-            "builtin `{name}` called with {} arguments",
-            args.len()
-        )))
-    };
-    match name {
-        "lower" => match args {
-            [Cell::Str(s)] => Ok(Value::Str(s.to_lowercase())),
-            [_] => Ok(Value::Null),
-            _ => arity_err(),
-        },
-        "upper" => match args {
-            [Cell::Str(s)] => Ok(Value::Str(s.to_uppercase())),
-            [_] => Ok(Value::Null),
-            _ => arity_err(),
-        },
-        "length" => match args {
-            [Cell::Str(s)] => Ok(Value::Int(s.chars().count() as i64)),
-            [Cell::Val(Value::Array(a))] => Ok(Value::Int(a.len() as i64)),
-            [_] => Ok(Value::Null),
-            _ => arity_err(),
-        },
-        "concat" => {
-            let mut out = String::new();
-            for a in args {
-                match a {
-                    Cell::Null => return Ok(Value::Null),
-                    Cell::Str(s) => out.push_str(s),
-                    other => out.push_str(&other.to_value().to_string()),
-                }
-            }
-            Ok(Value::Str(out))
+/// A builtin, resolved from its name once per call site — the one body both
+/// evaluators call, on borrowed cells so that the vectorized one
+/// ([`crate::col::eval_vec`]) clones no string or array to ask a question of
+/// it. A container argument arrives as [`Cell::Val`]; every scalar, whatever
+/// column it sat in, as its typed cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Builtin {
+    Lower,
+    Upper,
+    Length,
+    Concat,
+    Substr,
+    Contains,
+    ArrayContains,
+    Abs,
+    Round,
+    Sqrt,
+    Ln,
+    Day,
+    Hour,
+}
+
+impl Builtin {
+    /// The builtin `name` names, called with `argc` arguments. Its only
+    /// errors are these static ones — an unknown name, a wrong argument
+    /// count — so a resolved builtin cannot fail.
+    pub(crate) fn resolve(name: &str, argc: usize) -> Result<Builtin> {
+        let (builtin, arity) = match name {
+            "lower" => (Builtin::Lower, 1),
+            "upper" => (Builtin::Upper, 1),
+            "length" => (Builtin::Length, 1),
+            // Any number of arguments.
+            "concat" => (Builtin::Concat, argc),
+            "substr" => (Builtin::Substr, 3),
+            "contains" => (Builtin::Contains, 2),
+            "array_contains" => (Builtin::ArrayContains, 2),
+            "abs" => (Builtin::Abs, 1),
+            "round" => (Builtin::Round, 1),
+            "sqrt" => (Builtin::Sqrt, 1),
+            "ln" => (Builtin::Ln, 1),
+            // Time extraction from epoch-seconds timestamps (synthetic 90-day span).
+            "day" => (Builtin::Day, 1),
+            "hour" => (Builtin::Hour, 1),
+            _ => return Err(MisoError::Execution(format!("unknown builtin `{name}`"))),
+        };
+        if arity != argc {
+            return Err(MisoError::Execution(format!(
+                "builtin `{name}` called with {argc} arguments"
+            )));
         }
-        "substr" => match args {
-            [Cell::Str(s), Cell::Int(start), Cell::Int(len)] => {
+        Ok(builtin)
+    }
+
+    /// The builtin on `args`, which are as many as it was resolved for.
+    pub(crate) fn call(self, args: &[Cell<'_>]) -> Value {
+        let float = |v: &Cell<'_>, f: fn(f64) -> Option<f64>| {
+            v.as_f64().and_then(f).map_or(Value::Null, Value::Float)
+        };
+        match (self, args) {
+            (Builtin::Lower, [Cell::Str(s)]) => Value::Str(s.to_lowercase()),
+            (Builtin::Upper, [Cell::Str(s)]) => Value::Str(s.to_uppercase()),
+            (Builtin::Length, [Cell::Str(s)]) => Value::Int(s.chars().count() as i64),
+            (Builtin::Length, [Cell::Val(Value::Array(a))]) => Value::Int(a.len() as i64),
+            (Builtin::Concat, args) => {
+                let mut out = String::new();
+                for a in args {
+                    match a {
+                        Cell::Null => return Value::Null,
+                        Cell::Str(s) => out.push_str(s),
+                        other => out.push_str(&other.to_value().to_string()),
+                    }
+                }
+                Value::Str(out)
+            }
+            (Builtin::Substr, [Cell::Str(s), Cell::Int(start), Cell::Int(len)]) => {
                 let start = (*start).max(0) as usize;
                 let len = (*len).max(0) as usize;
-                Ok(Value::Str(s.chars().skip(start).take(len).collect()))
+                Value::Str(s.chars().skip(start).take(len).collect())
             }
-            [_, _, _] => Ok(Value::Null),
-            _ => arity_err(),
-        },
-        "contains" => match args {
-            [Cell::Str(hay), Cell::Str(needle)] => Ok(Value::Bool(hay.contains(needle))),
-            [_, _] => Ok(Value::Null),
-            _ => arity_err(),
-        },
-        "array_contains" => match args {
-            [Cell::Val(Value::Array(items)), needle] => {
-                Ok(Value::Bool(items.iter().any(|item| needle.eq_value(item))))
+            (Builtin::Contains, [Cell::Str(hay), Cell::Str(needle)]) => {
+                Value::Bool(hay.contains(needle))
             }
-            [_, _] => Ok(Value::Null),
-            _ => arity_err(),
-        },
-        "abs" => match args {
-            [Cell::Int(i)] => Ok(Value::Int(i.abs())),
-            [Cell::Float(f)] => Ok(Value::Float(f.abs())),
-            [_] => Ok(Value::Null),
-            _ => arity_err(),
-        },
-        "round" => match args {
-            [Cell::Float(f)] => Ok(Value::Int(f.round() as i64)),
-            [Cell::Int(i)] => Ok(Value::Int(*i)),
-            [_] => Ok(Value::Null),
-            _ => arity_err(),
-        },
-        "sqrt" => match args {
-            [v] => Ok(v
-                .as_f64()
-                .map(|f| {
-                    if f < 0.0 {
-                        Value::Null
-                    } else {
-                        Value::Float(f.sqrt())
-                    }
-                })
-                .unwrap_or(Value::Null)),
-            _ => arity_err(),
-        },
-        "ln" => match args {
-            [v] => Ok(v
-                .as_f64()
-                .map(|f| {
-                    if f <= 0.0 {
-                        Value::Null
-                    } else {
-                        Value::Float(f.ln())
-                    }
-                })
-                .unwrap_or(Value::Null)),
-            _ => arity_err(),
-        },
-        // Time extraction from epoch-seconds timestamps (synthetic 90-day span).
-        "day" => match args {
-            [v] => Ok(v
+            (Builtin::ArrayContains, [Cell::Val(Value::Array(items)), needle]) => {
+                Value::Bool(items.iter().any(|item| needle.eq_value(item)))
+            }
+            (Builtin::Abs, [Cell::Int(i)]) => Value::Int(i.abs()),
+            (Builtin::Abs, [Cell::Float(f)]) => Value::Float(f.abs()),
+            (Builtin::Round, [Cell::Float(f)]) => Value::Int(f.round() as i64),
+            (Builtin::Round, [Cell::Int(i)]) => Value::Int(*i),
+            // NaN passes both guards: its root and log are NaN.
+            (Builtin::Sqrt, [v]) => float(v, |f| if f < 0.0 { None } else { Some(f.sqrt()) }),
+            (Builtin::Ln, [v]) => float(v, |f| if f <= 0.0 { None } else { Some(f.ln()) }),
+            (Builtin::Day, [v]) => v
                 .as_i64()
-                .map(|ts| Value::Int(ts.div_euclid(86_400)))
-                .unwrap_or(Value::Null)),
-            _ => arity_err(),
-        },
-        "hour" => match args {
-            [v] => Ok(v
+                .map_or(Value::Null, |ts| Value::Int(ts.div_euclid(86_400))),
+            (Builtin::Hour, [v]) => v
                 .as_i64()
-                .map(|ts| Value::Int(ts.rem_euclid(86_400) / 3_600))
-                .unwrap_or(Value::Null)),
-            _ => arity_err(),
-        },
-        _ => Err(MisoError::Execution(format!("unknown builtin `{name}`"))),
+                .map_or(Value::Null, |ts| Value::Int(ts.rem_euclid(86_400) / 3_600)),
+            _ => Value::Null,
+        }
     }
 }
 

@@ -11,9 +11,10 @@
 //! * `open` — the partial table of the incomplete last morsel, with its row
 //!   count.
 //!
-//! An append-only delta folds row by row into `open`; when `open` reaches
-//! [`MORSEL_SIZE`] rows it merges into `closed` exactly as the engine merges
-//! that morsel, and a fresh one opens. A group's output row is
+//! An append-only delta folds into `open` through the engine's own morsel
+//! kernel ([`fold_morsel`]), cut where `open` reaches [`MORSEL_SIZE`] rows;
+//! then it merges into `closed` exactly as the engine merges that morsel,
+//! and a fresh one opens. A group's output row is
 //! `closed ⊕ open` — the merge the engine would do next. The fold therefore
 //! is **bit-identical** to the engine's aggregation of the grown input for
 //! every accumulator, in O(|delta|):
@@ -29,16 +30,15 @@
 //!
 //! The int-vs-float `SUM` decision is replayed exactly too: the engine
 //! scans the input in row order and decides from the first `Int`/`Float`
-//! value (`float_sum_flags`). The state carries `None` per `SUM` while no
+//! value ([`first_numeric_is_float`]). The state carries `None` per `SUM` while no
 //! numeric value has appeared and settles it against each delta the way
 //! the engine would against the grown input.
 
-use crate::engine::{classify_aggs, Acc, GroupTable, MORSEL_SIZE};
+use crate::engine::{first_numeric_is_float, fold_morsel, key_hash, Acc, GroupTable, MORSEL_SIZE};
 use crate::eval::eval;
 use miso_common::{MisoError, Result};
 use miso_data::{ColBatch, Row, RowSetDigest, Value};
 use miso_plan::expr::{AggExpr, AggFunc, Expr};
-use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 /// The changed rows a delta fold produced: existing groups that were
@@ -88,12 +88,6 @@ impl AggApplied {
     }
 }
 
-/// The rows of `batch`, one at a time: the fold is row-at-a-time, as the
-/// reference interpreter it must agree with is.
-fn rows_of(batch: &ColBatch) -> impl Iterator<Item = Row> + '_ {
-    (0..batch.len()).map(|i| batch.row(i))
-}
-
 /// Live aggregation state for one maintained view (see module docs).
 pub struct AggState {
     closed: GroupTable,
@@ -114,9 +108,10 @@ impl AggState {
     /// Replays `input` (the aggregate's full input, in row order) into
     /// fresh state.
     pub fn build(input: &ColBatch, group_by: &[usize], aggs: &[AggExpr]) -> Result<AggState> {
+        let table = || GroupTable::new(group_by.len(), aggs.len(), 0);
         let mut state = AggState {
-            closed: GroupTable::with_capacity(0),
-            open: GroupTable::with_capacity(0),
+            closed: table(),
+            open: table(),
             open_rows: 0,
             open_out: Vec::new(),
             open_only: Vec::new(),
@@ -129,11 +124,10 @@ impl AggState {
         if group_by.is_empty() && input.is_empty() {
             // A global aggregate over empty input still has one output row;
             // materialize the implicit group so deltas update slot 0.
-            let accs = aggs.iter().map(|a| Acc::new(a.func, false)).collect();
-            let hash = crate::engine::group_hash(&Row::new(vec![]), &[]);
+            let accs = aggs.iter().map(|a| Acc::new(a.func, false));
             state
                 .open_only
-                .push(state.open.insert(hash, Vec::new(), accs));
+                .push(state.open.insert(key_hash(&[]), [], accs));
             state.open_out.push(0);
         }
         Ok(state)
@@ -141,7 +135,7 @@ impl AggState {
 
     /// Number of groups (== maintained view rows before projection).
     pub fn groups(&self) -> usize {
-        self.closed.slots.len() + self.open_only.len()
+        self.closed.len() + self.open_only.len()
     }
 
     /// The full output row set in group order — equals what the engine's
@@ -151,7 +145,9 @@ impl AggState {
     }
 
     /// Folds one delta (the aggregate's delta-input rows, in order) into
-    /// the state and reports exactly which output rows changed.
+    /// the state and reports exactly which output rows changed. The delta
+    /// folds through the engine's own kernel ([`fold_morsel`]), in pieces cut
+    /// where the engine's morsels of the grown input end.
     pub fn apply(
         &mut self,
         delta: &ColBatch,
@@ -160,17 +156,24 @@ impl AggState {
     ) -> Result<AggApplied> {
         self.settle_sum_types(delta, aggs);
         let float_sum: Vec<bool> = self.sum_float.iter().map(|f| *f == Some(true)).collect();
-        let srcs = classify_aggs(aggs);
         let before = self.groups();
         let mut touched: BTreeSet<usize> = BTreeSet::new();
-        for row in rows_of(delta) {
-            let known = self.open.slots.len();
-            let slot = self
-                .open
-                .fold_row(&row, group_by, aggs, &srcs, &float_sum)?;
-            if slot == known {
-                let (hash, key, _) = &self.open.slots[slot];
-                let out = match self.closed.find(*hash, |k| k == key.as_slice()) {
+        let mut start = 0;
+        while start < delta.len() {
+            let n = (MORSEL_SIZE - self.open_rows).min(delta.len() - start);
+            let known = self.open.len();
+            let slots = fold_morsel(
+                &mut self.open,
+                delta,
+                (start, n),
+                group_by,
+                aggs,
+                &float_sum,
+            )?;
+            // Groups new to the open morsel, in first-seen order.
+            for slot in known..self.open.len() {
+                let key = self.open.key(slot);
+                let out = match self.closed.find(self.open.hash(slot), |k| k == key) {
                     Some(closed_slot) => closed_slot,
                     None => {
                         self.open_only.push(slot);
@@ -179,12 +182,13 @@ impl AggState {
                 };
                 self.open_out.push(out);
             }
-            touched.insert(self.open_out[slot]);
-            self.open_rows += 1;
+            touched.extend(slots.iter().map(|&slot| self.open_out[slot as usize]));
+            self.open_rows += n;
+            start += n;
             if self.open_rows == MORSEL_SIZE {
                 // The morsel is complete: merge it as the engine would.
-                let morsel = std::mem::replace(&mut self.open, GroupTable::with_capacity(0));
-                self.closed.absorb(morsel);
+                let fresh = GroupTable::new(group_by.len(), aggs.len(), 0);
+                self.closed.absorb(std::mem::replace(&mut self.open, fresh));
                 self.open_rows = 0;
                 self.open_out.clear();
                 self.open_only.clear();
@@ -211,12 +215,10 @@ impl AggState {
             let (None, Some(e)) = (self.sum_float[i], &agg.input) else {
                 continue;
             };
-            self.sum_float[i] = first_numeric(rows_of(delta), e);
+            self.sum_float[i] = first_numeric_is_float(delta, e);
             if self.sum_float[i] == Some(true) {
                 for table in [&mut self.closed, &mut self.open] {
-                    for (_, _, accs) in &mut table.slots {
-                        accs[i] = Acc::new(AggFunc::Sum, true);
-                    }
+                    table.reset_acc(i, &Acc::new(AggFunc::Sum, true));
                 }
             }
         }
@@ -229,14 +231,15 @@ impl AggState {
             values.extend(aggs);
             Row::new(values)
         };
-        let Some((hash, key, accs)) = self.closed.slots.get(out) else {
-            let slot = self.open_only[out - self.closed.slots.len()];
-            let (_, key, accs) = &self.open.slots[slot];
+        if out >= self.closed.len() {
+            let slot = self.open_only[out - self.closed.len()];
+            let (key, accs) = (self.open.key(slot), self.open.accs(slot));
             return row(key, &mut accs.iter().map(Acc::finish_ref));
-        };
-        match self.open.find(*hash, |k| k == key.as_slice()) {
+        }
+        let (key, accs) = (self.closed.key(out), self.closed.accs(out));
+        match self.open.find(self.closed.hash(out), |k| k == key) {
             Some(slot) => {
-                let later = &self.open.slots[slot].2;
+                let later = self.open.accs(slot);
                 row(
                     key,
                     &mut accs.iter().zip(later).map(|(a, l)| finish_merged(a, l)),
@@ -259,26 +262,6 @@ fn finish_merged(acc: &Acc, later: &Acc) -> Value {
     merged.finish()
 }
 
-/// First-value SUM typing scan over rows, as the serial interpreter decides
-/// it and the engine replays it over columns (`float_sum_flags`):
-/// `Some(true)` = float, `Some(false)` = int, `None` = no numeric value in
-/// `input`.
-pub(crate) fn first_numeric<R: Borrow<Row>>(
-    input: impl IntoIterator<Item = R>,
-    e: &Expr,
-) -> Option<bool> {
-    for row in input {
-        if let Ok(v) = eval(e, row.borrow()) {
-            match v {
-                Value::Float(_) => return Some(true),
-                Value::Int(_) => return Some(false),
-                _ => {}
-            }
-        }
-    }
-    None
-}
-
 /// Applies the maintained view's post-aggregate projection layers
 /// (bottom-up) to one changed aggregate row, producing the stored-view row.
 /// Mirrors the engine's `Project`: one output row per input row, evaluation
@@ -296,7 +279,7 @@ pub fn apply_projection(layers: &[Vec<(String, Expr)>], row: &Row) -> Result<Row
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::{execute_subset_guarded, MemSource, Retention};
     use crate::udf::UdfRegistry;
@@ -432,7 +415,7 @@ mod tests {
 
     /// Rows as text with floats by bit pattern: `Value` equality folds NaNs
     /// and signed zeros together, the claim here does not.
-    fn bits(rows: &[Row]) -> Vec<String> {
+    pub(crate) fn bits(rows: &[Row]) -> Vec<String> {
         let text = |v: &Value| match v {
             Value::Float(f) => format!("f{:016x}", f.to_bits()),
             other => format!("{other:?}"),

@@ -12,13 +12,12 @@
 
 use crate::engine::{Acc, DataSource, Execution};
 use crate::eval::{eval, eval_predicate};
-use crate::ivm::first_numeric;
 use crate::udf::UdfRegistry;
 use miso_common::ids::NodeId;
 use miso_common::{MisoError, Result};
 use miso_data::json::parse_json;
 use miso_data::{Row, Value};
-use miso_plan::{AggFunc, LogicalPlan, Operator};
+use miso_plan::{AggFunc, Expr, LogicalPlan, Operator};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -210,6 +209,22 @@ fn aggregate_serial(
         out.push(Row::new(values));
     }
     Ok(out)
+}
+
+/// First-value SUM typing scan over rows, which the engine replays over
+/// columns (`engine::first_numeric_is_float`): `Some(true)` = float,
+/// `Some(false)` = int, `None` = no numeric value in `input`.
+fn first_numeric(input: &[Row], e: &Expr) -> Option<bool> {
+    for row in input {
+        if let Ok(v) = eval(e, row) {
+            match v {
+                Value::Float(_) => return Some(true),
+                Value::Int(_) => return Some(false),
+                _ => {}
+            }
+        }
+    }
+    None
 }
 
 #[cfg(test)]

@@ -146,6 +146,80 @@ fn delta_fold_matches_full_replay_and_serial() {
     }
 }
 
+/// Up to `max` rows `[key, value]` of floats that are equal without being
+/// identical — NaN and −NaN, −0.0 and +0.0 — and NULLs, for keys and for the
+/// values `MIN` / `MAX` tie on.
+fn arb_float_rows(rng: &mut DetRng, max: u64) -> Vec<Row> {
+    let pick = |rng: &mut DetRng| match rng.below(6) {
+        0 => Value::Null,
+        1 => Value::Float(f64::NAN),
+        2 => Value::Float(-f64::NAN),
+        3 => Value::Float(-0.0),
+        4 => Value::Float(0.0),
+        _ => Value::Float(rng.below(3) as f64),
+    };
+    (0..rng.below(max + 1))
+        .map(|_| Row::new(vec![pick(rng), pick(rng)]))
+        .collect()
+}
+
+/// Rows as text with floats by bit pattern: `Value` equality folds NaNs and
+/// signed zeros together, and which one a group keeps is the claim.
+fn bits(rows: &[Row]) -> Vec<String> {
+    let text = |v: &Value| match v {
+        Value::Float(f) => format!("f{:016x}", f.to_bits()),
+        other => format!("{other:?}"),
+    };
+    let row = |r: &Row| r.values().iter().map(text).collect::<Vec<_>>().join("|");
+    rows.iter().map(row).collect()
+}
+
+/// NaN, −0.0 / +0.0 and NULL group keys fold as they replay and as the
+/// serial interpreter groups them, bit for bit: a group keeps its first-seen
+/// key, and `MIN` / `MAX` the first of tied values, whichever side of the
+/// split they were seen on.
+#[test]
+fn nan_signed_zero_and_null_keys_fold_bit_for_bit() {
+    let a = vec![
+        AggExpr::new(AggFunc::Count, None, "n"),
+        AggExpr::new(AggFunc::Min, Some(Expr::col(1)), "lo"),
+        AggExpr::new(AggFunc::Max, Some(Expr::col(1)), "hi"),
+        AggExpr::new(AggFunc::CountDistinct, Some(Expr::col(1)), "d"),
+    ];
+    let mut b = PlanBuilder::new();
+    let sv = scan(&mut b, "base");
+    let group_by = vec![0];
+    let op = Operator::Aggregate {
+        group_by: group_by.clone(),
+        aggs: a.clone(),
+    };
+    let agg = b.add(op, vec![sv]).unwrap();
+    let plan = b.finish(agg).unwrap();
+    for seed in 0..CASES {
+        let mut rng = DetRng::new(0xf1a7 + seed);
+        let rows = arb_float_rows(&mut rng, 60);
+        let split = rng.below(rows.len() as u64 + 1) as usize;
+        let (base, delta) = rows.split_at(split);
+        let mut state = AggState::build(&batch(base), &group_by, &a).unwrap();
+        let mut patched = state.output_rows();
+        let applied = state.apply(&batch(delta), &group_by, &a).unwrap();
+        for (slot, row) in applied.updated {
+            patched[slot] = row;
+        }
+        patched.extend(applied.appended);
+        let what = format!("seed {seed}, split {split}");
+        let full = AggState::build(&batch(&rows), &group_by, &a).unwrap();
+        let serial = bits(&run_serial(&plan, &rows));
+        assert_eq!(bits(&state.output_rows()), serial, "{what}: fold vs serial");
+        assert_eq!(bits(&patched), serial, "{what}: patch list vs serial");
+        assert_eq!(
+            bits(&full.output_rows()),
+            serial,
+            "{what}: replay vs serial"
+        );
+    }
+}
+
 /// Per-record plans distribute over append: running the plan on
 /// `base ++ delta` equals the concatenation of the per-part runs. This is
 /// the invariant the IVM append path (and the stored-view prefix it

@@ -351,7 +351,7 @@ mod tests {
         let s = h.summary();
         // 42 lands in a log-linear bucket; every percentile reports that
         // bucket's midpoint, and all three tail percentiles agree.
-        assert_eq!(bucket_index(s.p50 as u64), bucket_index(42));
+        assert_eq!(bucket_index(s.p50), bucket_index(42));
         assert_eq!(s.tail(), (s.p50, s.p50, s.p50));
         assert_eq!(s.max, 42);
     }

@@ -351,7 +351,7 @@ fn crashed_commit_recovers_to_the_crash_free_design() {
     let workload = queries();
     let window: Vec<LogicalPlan> = workload.iter().map(|(_, p)| p.clone()).collect();
     // Three twin systems with identical workload history.
-    let mut twin = || {
+    let twin = || {
         miso_chaos::disable();
         let mut sys = tiny_system(100_000);
         sys.run_workload(Variant::MsMiso, &workload).unwrap();

@@ -11,7 +11,9 @@
 //! half-publishes catalog or view state.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use miso::common::ids::NodeId;
 use miso::common::{pool, Budgets, ByteSize, MisoError, QueryGuard, SimDuration};
 use miso::core::{ExperimentResult, GuardConfig, MultistoreSystem, SystemConfig, Variant};
 use miso::data::logs::{Corpus, LogsConfig};
@@ -269,6 +271,85 @@ fn tiny_memory_budget_trips_resource_exhausted() {
         "refused charges must not be recorded: peak {} > budget {budget}",
         guard.peak()
     );
+}
+
+/// ScanView ×2 → Filter → Project of bare column references → Aggregate →
+/// Join, over the facts and dims of [`join_agg_fixture`]: one of each kernel
+/// with a typed arm. Returns the plan, the source, and the filter's and the
+/// projection's ids.
+fn typed_kernels_fixture() -> (LogicalPlan, MemSource, NodeId, NodeId) {
+    let (_, src) = join_agg_fixture();
+    let mut b = PlanBuilder::new();
+    let mut scan = |view: &str, fields: Vec<Field>| {
+        let op = Operator::ScanView {
+            view: view.into(),
+            schema: Schema::new(fields),
+        };
+        b.add(op, vec![]).unwrap()
+    };
+    let score = Field::new("score", DataType::Float);
+    let facts = scan("facts", vec![int_field("uid"), int_field("val"), score]);
+    let dims = scan(
+        "dims",
+        vec![int_field("uid"), Field::new("seg", DataType::Str)],
+    );
+    let predicate = Expr::Binary {
+        op: BinOp::Lt,
+        left: Box::new(Expr::col(1)),
+        right: Box::new(Expr::lit(900i64)),
+    };
+    let filt = b.add(Operator::Filter { predicate }, vec![facts]).unwrap();
+    let exprs = vec![("uid".into(), Expr::col(0)), ("score".into(), Expr::col(2))];
+    let proj = b.add(Operator::Project { exprs }, vec![filt]).unwrap();
+    let aggs = vec![
+        AggExpr::new(AggFunc::Count, None, "n"),
+        AggExpr::new(AggFunc::Max, Some(Expr::col(1)), "top"),
+    ];
+    let group_by = vec![0];
+    let agg = b
+        .add(Operator::Aggregate { group_by, aggs }, vec![proj])
+        .unwrap();
+    let join = b
+        .add(Operator::Join { on: vec![(0, 0)] }, vec![agg, dims])
+        .unwrap();
+    (b.finish(join).unwrap(), src, filt, proj)
+}
+
+/// What the typed kernels must not move, pinned to the values recorded
+/// before them (PR 24): a projection of bare references hands on its input's
+/// own columns and charges the guard the same bytes, and the whole plan
+/// peaks at the same charge.
+#[test]
+fn a_bare_reference_projection_shares_its_input_and_charges_as_before() {
+    let (plan, src, filt, proj) = typed_kernels_fixture();
+    let guard = QueryGuard::new(None, 0);
+    let exec = run_guarded(&plan, &src, &guard).unwrap();
+    let (input, output) = (exec.batch(filt).unwrap(), exec.batch(proj).unwrap());
+    assert!(Arc::ptr_eq(&output.columns()[0], &input.columns()[0]));
+    assert!(Arc::ptr_eq(&output.columns()[1], &input.columns()[2]));
+    assert_eq!(exec.profile(proj).unwrap().bytes_out, Some(162_000));
+    assert_eq!(guard.peak(), 515_200);
+    assert_eq!(exec.root_rows().unwrap().len(), 500);
+}
+
+/// The typed kernels check the guard where the per-cell ones did: the
+/// smallest check budget the plan completes in is the one recorded before
+/// them (PR 24), at one thread and at eight.
+#[test]
+fn the_typed_kernels_check_the_guard_as_often_as_before() {
+    let (plan, src, _, _) = typed_kernels_fixture();
+    let before = pool::threads();
+    for threads in [1, 8] {
+        pool::set_threads(threads);
+        let completes = |n: u64| {
+            let guard = QueryGuard::new(None, 0);
+            guard.cancel_after_checks(n);
+            run_guarded(&plan, &src, &guard).is_ok()
+        };
+        let first = (1..1_000).find(|&n| completes(n));
+        assert_eq!(first, Some(12), "{threads} threads");
+    }
+    pool::set_threads(before);
 }
 
 // ---------------------------------------------------------------------------
