@@ -9,27 +9,50 @@
 //!
 //! Design mirrors `miso-obs`: **zero external dependencies**, global state
 //! behind a `OnceLock`, and **off by default** — every disabled-path
-//! [`hit`] costs one relaxed atomic load. Injection decisions draw from the
-//! workspace's own [`DetRng`], so a seeded plan replays bit-identically.
+//! [`strike`] costs one relaxed atomic load. Injection decisions draw from
+//! the workspace's own [`DetRng`], so a seeded plan replays bit-identically.
+//!
+//! # The envelope
+//!
+//! A fail point is polled with [`strike`], which decides what a fired fault
+//! does: `error` comes back as [`MisoError::transient`], `crash` as
+//! [`MisoError::crash`], and every other kind as a [`Strike`] the step
+//! applies itself — a cost factor ([`Strike::slowed`]), a memory spike
+//! ([`Strike::spike`]) or a corrupt copy. How a step that failed is retried
+//! is `miso_common::RetryPolicy::run`'s business, not this crate's.
 //!
 //! # Fail points
 //!
-//! | point           | location                              | meaningful kinds             |
-//! |-----------------|---------------------------------------|------------------------------|
-//! | `hv.execute`    | HV store execution entry              | error, delay, stall, hog     |
-//! | `dw.execute`    | DW store execution entry              | error, delay, stall, hog     |
-//! | `hv.view_read`  | each HV view consulted by a rewrite   | corrupt                      |
-//! | `dw.view_read`  | each DW view consulted by a rewrite   | corrupt                      |
-//! | `transfer.ship` | each working-set cut shipment (HV→DW) | error, delay, stall, corrupt |
-//! | `etl.run`       | each DW-ONLY ETL extraction           | error, delay                 |
-//! | `reorg.step`    | before every reorg journal step       | crash, corrupt               |
+//! [`POINTS`] lists them; [`parse_spec`] rejects any other name. "Retried"
+//! means with backoff, under the standard retry policy; "—" means the kind
+//! is counted as injected and does nothing there.
+//!
+//! | point           | polled                          | error    | crash    | delay, stall         | hog   | corrupt              |
+//! |-----------------|---------------------------------|----------|----------|----------------------|-------|----------------------|
+//! | `hv.execute`    | HV store execution entry        | retried  | escapes  | slows every stage    | spike | —                    |
+//! | `dw.execute`    | DW store execution entry        | retried¹ | escapes  | slows the statement  | spike | —                    |
+//! | `hv.view_read`  | each HV view a plan reads       | —        | —        | —                    | —     | flips the copy       |
+//! | `dw.view_read`  | each DW view a plan reads       | —        | —        | —                    | —     | flips the copy       |
+//! | `transfer.ship` | each working-set cut (HV→DW)    | retried¹ | escapes  | slows the shipment   | —     | re-shipped²          |
+//! | `etl.run`       | each DW-ONLY ETL extraction     | retried  | escapes  | slows the job        | —     | retried as an error  |
+//! | `reorg.step`    | before every reorg journal step | retried  | recovery | slows a staging copy | —     | flips a staging copy |
+//!
+//! ¹ Retries spent, the query runs HV-only instead (the DW breaker counts
+//! it). ² The copy is checksummed on arrival and shipped again at once, with
+//! no backoff; the serial driver gives re-ships a budget of their own,
+//! serving counts them against the query's one retry budget. A crash that
+//! "escapes" is not retried: the call fails with it, and a served query is
+//! lost.
 //!
 //! `reorg.step` is hit once per journal step (stage / commit / apply /
 //! enforce), so an `OnHit(n)` trigger lands a crash before or after the
-//! commit record at will. A `corrupt` action at `reorg.step` silently
-//! flips rows in the staging copy the step just wrote (a torn transfer);
-//! at the `*.view_read` points it flips rows in the resident copy being
-//! read — detection relies entirely on the integrity layer's checksums.
+//! commit record at will; a crash there runs the reorg's recovery (pre-commit
+//! roll back, post-commit replay). Only the staging steps move a copy, so
+//! only they are slowed, or corrupted: a `corrupt` there silently flips rows
+//! in the staging copy the step writes (a torn transfer); at the
+//! `*.view_read` points it flips rows in the resident copy being read —
+//! detection relies entirely on the integrity layer's checksums. A hog spike
+//! needs an active query guard; without one it is a no-op.
 //!
 //! # Enabling
 //!
@@ -45,6 +68,7 @@
 //!
 //! * `seed=<u64>` — RNG seed (default 0);
 //! * `<point>=<kind>[@<trigger>]` where
+//!   * point: one of [`POINTS`];
 //!   * kind: `error` | `delay:<factor>` | `crash` | `corrupt` | `stall` |
 //!     `hog[:<factor>]`;
 //!   * trigger: `p<float>` (probability per hit), `n<int>` (exactly the
@@ -55,56 +79,91 @@
 //! holds the store past any sane query deadline — the guard layer's
 //! deadline checks are what turns it into a contained failure. `hog`
 //! inflates the query's *charged bytes* by the factor (default 8×) at the
-//! stores' guarded entry points, driving the query into its memory budget;
-//! without an active guard it is a no-op.
+//! stores' guarded entry points, driving the query into its memory budget.
 
-use miso_common::DetRng;
+use miso_common::{DetRng, MisoError, QueryGuard, SimDuration};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// What a fail point should do on one particular hit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Action {
-    /// No fault: run the real code.
-    Proceed,
-    /// Fail with a transient error (the retry layer may re-attempt).
-    Fail,
-    /// Latency spike: multiply the operation's simulated cost by the factor.
-    Delay(f64),
-    /// Simulated process crash: volatile state is lost and recovery runs.
-    Crash,
-    /// Silent data corruption: the caller flips rows in the affected copy
-    /// and continues as if nothing happened. Only checksums can tell.
-    Corrupt,
-    /// Pathological stall: multiply the operation's simulated cost by
-    /// [`STALL_FACTOR`] — guaranteed to blow any reasonable deadline, so
-    /// only the guard layer can contain it.
-    Stall,
-    /// Memory hog: inflate the query's charged bytes by this factor at the
-    /// guarded store entry points.
-    Hog(f64),
-}
+/// Every fail point the engine polls.
+pub const POINTS: [&str; 7] = [
+    "hv.execute",
+    "dw.execute",
+    "hv.view_read",
+    "dw.view_read",
+    "transfer.ship",
+    "etl.run",
+    "reorg.step",
+];
 
-/// The cost multiplier a [`Action::Stall`] applies: large enough that one
-/// stalled store call exceeds any deadline a test or bench would configure.
+/// The cost multiplier a `stall` applies: large enough that one stalled
+/// store call exceeds any deadline a test or bench would configure.
 pub const STALL_FACTOR: f64 = 10_000.0;
 
 /// The kind of fault a rule injects.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
-    /// Transient error.
+    /// Transient error (the retry layer may re-attempt).
     Error,
     /// Latency spike with the given cost multiplier (> 1.0 slows down).
     Delay(f64),
-    /// Simulated crash.
+    /// Simulated crash: volatile state is lost and recovery runs.
     Crash,
-    /// Silent row corruption.
+    /// Silent row corruption of the affected copy. Only checksums can tell.
     Corrupt,
     /// Pathological stall (cost × [`STALL_FACTOR`]).
     Stall,
     /// Memory hog with the given charged-bytes multiplier (> 1.0 inflates).
     Hog(f64),
+}
+
+/// What a fired fault leaves the step that polled it to do (see
+/// [`strike`]); [`Strike::NONE`] when nothing fired.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Strike {
+    /// Cost multiplier: a delay's factor, [`STALL_FACTOR`] for a stall.
+    pub slow: f64,
+    /// Charged-bytes multiplier of a memory hog.
+    pub hog: f64,
+    /// The copy the step reads or writes is silently corrupted.
+    pub corrupt: bool,
+}
+
+impl Strike {
+    /// No fault: run the real code.
+    pub const NONE: Strike = Strike {
+        slow: 1.0,
+        hog: 1.0,
+        corrupt: false,
+    };
+
+    /// `cost` under the strike's slowdown.
+    pub fn slowed(&self, cost: SimDuration) -> SimDuration {
+        if self.slow == 1.0 {
+            cost
+        } else {
+            cost * self.slow
+        }
+    }
+
+    /// Charges a hog's spike — `(hog − 1) × bytes()` — to `guard` and
+    /// releases it at once: an over-budget query dies here with
+    /// `ResourceExhausted`, a survivor still moves the peak gauge. `bytes`
+    /// is only asked for when there is a spike to charge.
+    pub fn spike(
+        &self,
+        guard: &QueryGuard,
+        bytes: impl FnOnce() -> u64,
+    ) -> miso_common::Result<()> {
+        if self.hog <= 1.0 || !guard.is_active() {
+            return Ok(());
+        }
+        let extra = ((self.hog - 1.0) * bytes() as f64) as u64;
+        guard.try_charge(extra)?;
+        guard.release(extra);
+        Ok(())
+    }
 }
 
 /// When a rule fires.
@@ -232,18 +291,54 @@ pub fn resume(was_on: bool) {
     }
 }
 
-/// Consults the plan at a named fail point. Returns [`Action::Proceed`]
-/// (after one relaxed atomic load) whenever injection is disabled.
+/// Polls the fail point `point` on behalf of the store or layer `source`
+/// (the tag the driver's fallback and breaker key on) and turns what fired
+/// into its effect: `error` is a transient error, `crash` a simulated
+/// crash, anything else a [`Strike`] for the step to apply. Returns
+/// [`Strike::NONE`] after one relaxed atomic load whenever injection is
+/// disabled.
 #[inline]
-pub fn hit(point: &'static str) -> Action {
+pub fn strike(point: &'static str, source: &'static str) -> miso_common::Result<Strike> {
     if !enabled() {
-        return Action::Proceed;
+        return Ok(Strike::NONE);
     }
-    hit_slow(point)
+    strike_slow(point, source)
 }
 
 #[cold]
-fn hit_slow(point: &'static str) -> Action {
+fn strike_slow(point: &'static str, source: &'static str) -> miso_common::Result<Strike> {
+    let Some(kind) = fire(point) else {
+        return Ok(Strike::NONE);
+    };
+    let effect = match kind {
+        FaultKind::Error => {
+            let message = format!("injected failure at {point}");
+            return Err(MisoError::transient(source, message));
+        }
+        FaultKind::Crash => return Err(MisoError::crash(source, point)),
+        FaultKind::Delay(slow) => Strike {
+            slow,
+            ..Strike::NONE
+        },
+        FaultKind::Stall => Strike {
+            slow: STALL_FACTOR,
+            ..Strike::NONE
+        },
+        FaultKind::Hog(hog) => Strike {
+            hog,
+            ..Strike::NONE
+        },
+        FaultKind::Corrupt => Strike {
+            corrupt: true,
+            ..Strike::NONE
+        },
+    };
+    Ok(effect)
+}
+
+/// Counts a hit of `point` and returns the kind of the first matching rule
+/// that fires (counted as injected), if any.
+fn fire(point: &'static str) -> Option<FaultKind> {
     let mut inner = state().inner.lock().expect("chaos lock");
     let count = inner.hits.entry(point).or_insert(0);
     *count += 1;
@@ -269,35 +364,16 @@ fn hit_slow(point: &'static str) -> Action {
         }
     }
     drop(inner);
-    let Some(kind) = fired else {
-        return Action::Proceed;
+    let counter = match fired? {
+        FaultKind::Error => "chaos.errors_injected",
+        FaultKind::Delay(_) => "chaos.delays_injected",
+        FaultKind::Crash => "chaos.crashes_injected",
+        FaultKind::Corrupt => "chaos.corruptions_injected",
+        FaultKind::Stall => "chaos.stalls_injected",
+        FaultKind::Hog(_) => "chaos.hogs_injected",
     };
-    match kind {
-        FaultKind::Error => {
-            miso_obs::count("chaos.errors_injected", 1);
-            Action::Fail
-        }
-        FaultKind::Delay(f) => {
-            miso_obs::count("chaos.delays_injected", 1);
-            Action::Delay(f)
-        }
-        FaultKind::Crash => {
-            miso_obs::count("chaos.crashes_injected", 1);
-            Action::Crash
-        }
-        FaultKind::Corrupt => {
-            miso_obs::count("chaos.corruptions_injected", 1);
-            Action::Corrupt
-        }
-        FaultKind::Stall => {
-            miso_obs::count("chaos.stalls_injected", 1);
-            Action::Stall
-        }
-        FaultKind::Hog(f) => {
-            miso_obs::count("chaos.hogs_injected", 1);
-            Action::Hog(f)
-        }
-    }
+    miso_obs::count(counter, 1);
+    fired
 }
 
 /// How many times `point` has been hit since the plan was installed.
@@ -331,6 +407,12 @@ pub fn parse_spec(spec: &str) -> Result<FaultPlan, String> {
                 .parse()
                 .map_err(|_| format!("seed `{value}` is not a u64"))?;
             continue;
+        }
+        if !POINTS.contains(&key) {
+            return Err(format!(
+                "unknown fail point `{key}` (expected one of {})",
+                POINTS.join(", ")
+            ));
         }
         let (kind_part, trigger_part) = match value.split_once('@') {
             Some((k, t)) => (k, Some(t)),
@@ -411,11 +493,16 @@ mod tests {
     // Chaos state is process-global; serialize tests touching it.
     static TEST_LOCK: StdMutex<()> = StdMutex::new(());
 
+    /// The kind that fires at `point`, if injection is on.
+    fn hit(point: &'static str) -> Option<FaultKind> {
+        enabled().then(|| fire(point)).flatten()
+    }
+
     #[test]
     fn disabled_is_proceed() {
         let _g = TEST_LOCK.lock().unwrap();
         disable();
-        assert_eq!(hit("hv.execute"), Action::Proceed);
+        assert_eq!(strike("hv.execute", "hv"), Ok(Strike::NONE));
         assert!(!enabled());
     }
 
@@ -427,10 +514,10 @@ mod tests {
             FaultKind::Crash,
             Trigger::OnHit(3),
         )));
-        assert_eq!(hit("reorg.step"), Action::Proceed);
-        assert_eq!(hit("reorg.step"), Action::Proceed);
-        assert_eq!(hit("reorg.step"), Action::Crash);
-        assert_eq!(hit("reorg.step"), Action::Proceed);
+        assert_eq!(hit("reorg.step"), None);
+        assert_eq!(hit("reorg.step"), None);
+        assert_eq!(hit("reorg.step"), Some(FaultKind::Crash));
+        assert_eq!(hit("reorg.step"), None);
         assert_eq!(hit_count("reorg.step"), 4);
         disable();
     }
@@ -443,16 +530,16 @@ mod tests {
             FaultKind::Error,
             Trigger::UpTo(2),
         )));
-        assert_eq!(hit("dw.execute"), Action::Fail);
-        assert_eq!(hit("dw.execute"), Action::Fail);
-        assert_eq!(hit("dw.execute"), Action::Proceed);
+        assert_eq!(hit("dw.execute"), Some(FaultKind::Error));
+        assert_eq!(hit("dw.execute"), Some(FaultKind::Error));
+        assert_eq!(hit("dw.execute"), None);
         disable();
     }
 
     #[test]
     fn probability_is_seeded_and_deterministic() {
         let _g = TEST_LOCK.lock().unwrap();
-        let run = |seed: u64| -> Vec<Action> {
+        let run = |seed: u64| -> Vec<Option<FaultKind>> {
             install(FaultPlan::seeded(seed).with_rule(FaultRule::new(
                 "transfer.ship",
                 FaultKind::Error,
@@ -465,7 +552,7 @@ mod tests {
         let c = run(43);
         assert_eq!(a, b, "same seed replays identically");
         assert_ne!(a, c, "different seeds diverge");
-        assert!(a.contains(&Action::Fail) && a.contains(&Action::Proceed));
+        assert!(a.contains(&Some(FaultKind::Error)) && a.contains(&None));
         disable();
     }
 
@@ -477,9 +564,75 @@ mod tests {
             FaultKind::Error,
             Trigger::Always,
         )));
-        assert_eq!(hit("hv.execute"), Action::Proceed);
-        assert_eq!(hit("dw.execute"), Action::Fail);
+        assert_eq!(hit("hv.execute"), None);
+        assert_eq!(hit("dw.execute"), Some(FaultKind::Error));
         disable();
+    }
+
+    #[test]
+    fn strike_turns_each_kind_into_its_effect() {
+        let _g = TEST_LOCK.lock().unwrap();
+        let struck = |kind: FaultKind| {
+            install(FaultPlan::seeded(1).with_rule(FaultRule::new(
+                "transfer.ship",
+                kind,
+                Trigger::Always,
+            )));
+            strike("transfer.ship", "transfer")
+        };
+        let error = struck(FaultKind::Error).unwrap_err();
+        assert!(error.is_transient() && error.source() == Some("transfer"));
+        assert_eq!(
+            struck(FaultKind::Crash),
+            Err(MisoError::crash("transfer", "transfer.ship"))
+        );
+        let slow = |slow| {
+            Ok(Strike {
+                slow,
+                ..Strike::NONE
+            })
+        };
+        assert_eq!(struck(FaultKind::Delay(1.5)), slow(1.5));
+        assert_eq!(struck(FaultKind::Stall), slow(STALL_FACTOR));
+        let hog = Strike {
+            hog: 4.0,
+            ..Strike::NONE
+        };
+        assert_eq!(struck(FaultKind::Hog(4.0)), Ok(hog));
+        assert!(struck(FaultKind::Corrupt).unwrap().corrupt);
+        disable();
+        assert_eq!(strike("transfer.ship", "transfer"), Ok(Strike::NONE));
+    }
+
+    #[test]
+    fn a_strike_slows_and_spikes_only_when_struck() {
+        let cost = SimDuration::from_secs(3);
+        assert_eq!(Strike::NONE.slowed(cost), cost);
+        let slow = Strike {
+            slow: 2.0,
+            ..Strike::NONE
+        };
+        assert_eq!(slow.slowed(cost), SimDuration::from_secs(6));
+
+        let guard = QueryGuard::new(None, 100);
+        let asked = std::cell::Cell::new(false);
+        let bytes = |n| {
+            asked.set(true);
+            n
+        };
+        Strike::NONE.spike(&guard, || bytes(1_000)).unwrap();
+        assert!(!asked.get(), "no spike, no size asked for");
+        let hog = Strike {
+            hog: 3.0,
+            ..Strike::NONE
+        };
+        hog.spike(QueryGuard::inert_ref(), || bytes(1_000)).unwrap();
+        assert!(!asked.get(), "an inert guard is charged nothing");
+        hog.spike(&guard, || bytes(40)).unwrap();
+        assert_eq!(guard.peak(), 80, "(3 - 1) x 40 charged...");
+        assert_eq!(guard.used(), 0, "...and released");
+        let err = hog.spike(&guard, || bytes(60)).unwrap_err();
+        assert_eq!(err.kind(), "resource_exhausted");
     }
 
     #[test]
@@ -518,9 +671,9 @@ mod tests {
             FaultKind::Corrupt,
             Trigger::OnHit(2),
         )));
-        assert_eq!(hit("dw.view_read"), Action::Proceed);
-        assert_eq!(hit("dw.view_read"), Action::Corrupt);
-        assert_eq!(hit("dw.view_read"), Action::Proceed);
+        assert_eq!(hit("dw.view_read"), None);
+        assert_eq!(hit("dw.view_read"), Some(FaultKind::Corrupt));
+        assert_eq!(hit("dw.view_read"), None);
         disable();
     }
 
@@ -535,6 +688,16 @@ mod tests {
         assert!(parse_spec("dw.execute=hog:0.5").is_err());
         assert!(parse_spec("dw.execute=hog:NaN").is_err());
         assert!(parse_spec("dw.execute=stall:3").is_err());
+    }
+
+    #[test]
+    fn misspelled_fail_points_are_rejected() {
+        let err = parse_spec("seed=1;hv.exec=error").unwrap_err();
+        assert!(err.contains("`hv.exec`"), "{err}");
+        for point in POINTS {
+            assert!(err.contains(point), "the error lists `{point}`: {err}");
+            assert!(parse_spec(&format!("{point}=error")).is_ok());
+        }
     }
 
     #[test]
@@ -559,10 +722,10 @@ mod tests {
                     Trigger::Always,
                 )),
         );
-        assert_eq!(hit("hv.execute"), Action::Proceed);
-        assert_eq!(hit("hv.execute"), Action::Stall);
-        assert_eq!(hit("hv.execute"), Action::Proceed);
-        assert_eq!(hit("dw.execute"), Action::Hog(4.0));
+        assert_eq!(hit("hv.execute"), None);
+        assert_eq!(hit("hv.execute"), Some(FaultKind::Stall));
+        assert_eq!(hit("hv.execute"), None);
+        assert_eq!(hit("dw.execute"), Some(FaultKind::Hog(4.0)));
         disable();
     }
 }

@@ -36,6 +36,6 @@ pub use budget::{Budgets, DiscretizedBudget};
 pub use bytesize::ByteSize;
 pub use error::{MisoError, Result};
 pub use guard::QueryGuard;
-pub use retry::{BreakerState, CircuitBreaker, RetryPolicy};
+pub use retry::{BreakerState, CircuitBreaker, Retry, RetryPolicy, Turn};
 pub use rng::{DetRng, RandomSource};
 pub use time::{SimClock, SimDuration, SimInstant};

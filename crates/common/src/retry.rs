@@ -2,13 +2,16 @@
 //! breaker — the failure-handling vocabulary the execution layer wraps
 //! around store calls and transfers.
 //!
-//! Delays are *simulated* time: a retry charges its backoff to the
-//! [`crate::SimClock`] (and the matching TTI bucket), so time-to-insight
-//! accounting stays correct under injected faults. Jitter draws from the
-//! workspace [`DetRng`], keeping chaos runs bit-replayable; when no fault
-//! ever fires, the RNG is never consulted and runs are byte-identical to a
-//! fault-free build.
+//! Delays are *simulated* time: [`RetryPolicy::run`] hands each backoff to
+//! the retried step, which charges it where its time goes (the
+//! [`crate::SimClock`] and a TTI bucket, a reorganization's duration, ETL
+//! cost, a served query's service time), so time-to-insight accounting
+//! stays correct under injected faults. Jitter draws from the workspace
+//! [`DetRng`], keeping chaos runs bit-replayable; when no fault ever fires,
+//! the RNG is never consulted and runs are byte-identical to a fault-free
+//! build.
 
+use crate::error::MisoError;
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimInstant};
 
@@ -28,29 +31,59 @@ pub struct RetryPolicy {
     pub jitter: f64,
 }
 
-impl RetryPolicy {
-    /// Defaults calibrated for the simulated stores: 4 retries, 2 s base,
-    /// doubling, capped at 60 s, 25% jitter.
-    pub fn standard() -> Self {
-        RetryPolicy {
-            max_retries: 4,
-            base_delay: SimDuration::from_secs(2),
-            multiplier: 2.0,
-            max_delay: SimDuration::from_secs(60),
-            jitter: 0.25,
-        }
-    }
+/// Why a failed attempt under [`RetryPolicy::run`] ended as it did. Each
+/// carries the error `run` answers with when the retries are spent.
+#[derive(Debug)]
+pub enum Retry<E> {
+    /// No retry can fix it: `run` answers with it at once.
+    Fail(E),
+    /// Go again after a backoff the policy draws.
+    Backoff(E),
+    /// Go again at once, with no backoff drawn (a corrupt copy re-sent).
+    Now(E),
+}
 
-    /// No retries: every transient failure is terminal.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            base_delay: SimDuration::ZERO,
-            multiplier: 1.0,
-            max_delay: SimDuration::ZERO,
-            jitter: 0.0,
+impl<E> From<E> for Retry<E> {
+    fn from(e: E) -> Self {
+        Retry::Fail(e)
+    }
+}
+
+impl Retry<MisoError> {
+    /// A store error as a verdict: a transient one backs off and goes
+    /// again, any other fails for good.
+    pub fn transient(e: MisoError) -> Self {
+        if e.is_transient() {
+            Retry::Backoff(e)
+        } else {
+            Retry::Fail(e)
         }
     }
+}
+
+/// What came before an attempt under [`RetryPolicy::run`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Turn {
+    /// Nothing: it is the first attempt.
+    First,
+    /// A backoff of this length, for the attempt to charge where its time
+    /// goes.
+    Waited(SimDuration),
+    /// A [`Retry::Now`]: it goes again at once.
+    Now,
+}
+
+impl RetryPolicy {
+    /// The policy every retried step runs under, calibrated for the
+    /// simulated stores: 4 retries, 2 s base, doubling, capped at 60 s,
+    /// 25% jitter.
+    pub const STANDARD: RetryPolicy = RetryPolicy {
+        max_retries: 4,
+        base_delay: SimDuration::from_secs(2),
+        multiplier: 2.0,
+        max_delay: SimDuration::from_secs(60),
+        jitter: 0.25,
+    };
 
     /// The backoff before retry `attempt` (1-based), jittered through `rng`.
     pub fn backoff(&self, attempt: u32, rng: &mut DetRng) -> SimDuration {
@@ -63,11 +96,35 @@ impl RetryPolicy {
         let factor = 1.0 - j + 2.0 * j * rng.f64();
         raw * factor
     }
-}
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::standard()
+    /// Runs `attempt` until it succeeds, fails for good, or has gone again
+    /// `max_retries` times — after a backoff drawn through `rng` or at once,
+    /// as its [`Retry`] asks; both count against the one budget. Each call
+    /// is told what came before it.
+    pub fn run<T, E>(
+        &self,
+        rng: &mut DetRng,
+        mut attempt: impl FnMut(Turn) -> Result<T, Retry<E>>,
+    ) -> Result<T, E> {
+        let mut turn = Turn::First;
+        let mut retries = 0u32;
+        loop {
+            let (e, backoff) = match attempt(turn) {
+                Ok(v) => return Ok(v),
+                Err(Retry::Fail(e)) => return Err(e),
+                Err(Retry::Backoff(e)) => (e, true),
+                Err(Retry::Now(e)) => (e, false),
+            };
+            if retries >= self.max_retries {
+                return Err(e);
+            }
+            retries += 1;
+            turn = if backoff {
+                Turn::Waited(self.backoff(retries, rng))
+            } else {
+                Turn::Now
+            };
+        }
     }
 }
 
@@ -167,7 +224,7 @@ mod tests {
     fn backoff_grows_exponentially_and_caps() {
         let p = RetryPolicy {
             jitter: 0.0,
-            ..RetryPolicy::standard()
+            ..RetryPolicy::STANDARD
         };
         let mut rng = DetRng::new(1);
         assert_eq!(p.backoff(1, &mut rng), SimDuration::from_secs(2));
@@ -178,7 +235,7 @@ mod tests {
 
     #[test]
     fn jitter_stays_within_band_and_is_deterministic() {
-        let p = RetryPolicy::standard();
+        let p = RetryPolicy::STANDARD;
         let mut a = DetRng::new(7);
         let mut b = DetRng::new(7);
         for attempt in 1..=6 {
@@ -282,10 +339,38 @@ mod tests {
     }
 
     #[test]
-    fn no_retry_policy_has_zero_budget() {
-        let p = RetryPolicy::none();
-        assert_eq!(p.max_retries, 0);
-        let mut rng = DetRng::new(1);
-        assert_eq!(p.backoff(1, &mut rng), SimDuration::ZERO);
+    fn run_goes_again_until_the_one_budget_is_spent() {
+        let p = RetryPolicy::STANDARD;
+        let mut rng = DetRng::new(3);
+        let mut turns = Vec::new();
+        let out: Result<(), &str> = p.run(&mut rng, |turn| {
+            turns.push(turn);
+            // Alternate: back off, then go again at once, ...
+            Err(if turns.len() % 2 == 1 {
+                Retry::Backoff("spent")
+            } else {
+                Retry::Now("spent")
+            })
+        });
+        assert_eq!(out, Err("spent"));
+        assert_eq!(turns.len(), 1 + p.max_retries as usize);
+        assert_eq!(turns[0], Turn::First);
+        assert_eq!(turns[2], Turn::Now);
+        // Backoffs are drawn for the retry they precede: retry 1 and 3.
+        let mut replay = DetRng::new(3);
+        assert_eq!(turns[1], Turn::Waited(p.backoff(1, &mut replay)));
+        assert_eq!(turns[3], Turn::Waited(p.backoff(3, &mut replay)));
+
+        let mut calls = 0;
+        let out = p.run(&mut rng, |_| {
+            calls += 1;
+            match calls {
+                1 => Err(Retry::Backoff("again")),
+                _ => Ok(calls),
+            }
+        });
+        assert_eq!(out, Ok(2));
+        let out: Result<(), _> = p.run(&mut rng, |_| Err(Retry::from("fatal")));
+        assert_eq!(out, Err("fatal"), "a failure for good is not retried");
     }
 }

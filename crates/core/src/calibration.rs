@@ -14,9 +14,7 @@
 //! [`CalibrationReport`] at each reorganization boundary. The live ratios
 //! are exported as `xray.cost_drift_{hv,dw,transfer}` gauges.
 //!
-//! When `SystemConfig::calibrate_costs` is on (default **off**), the system
-//! feeds each epoch's fitted per-store scale factor back into the cost
-//! models. With the flag off the models are never touched, so planning,
+//! Drift is observed only: the cost models are never touched, so planning,
 //! tuning, and every design decision are byte-identical to a build without
 //! this module — the design-identity tests in `tests/xray.rs` pin that.
 
@@ -166,18 +164,6 @@ pub struct CalibrationReport {
 }
 
 impl CalibrationReport {
-    /// Fitted per-store scale factor: the actual/predicted ratio clamped to
-    /// `[0.5, 2.0]` so one bad epoch can never swing the models by more
-    /// than 2× (and repeated epochs converge geometrically). Returns `1.0`
-    /// for components that saw no traffic.
-    pub fn scale(&self, d: &StoreDrift) -> f64 {
-        if d.samples == 0 {
-            1.0
-        } else {
-            d.ratio().clamp(0.5, 2.0)
-        }
-    }
-
     /// JSON form for bench reports.
     pub fn to_value(&self) -> Value {
         let store = |d: &StoreDrift| {
@@ -240,7 +226,7 @@ mod tests {
         let d = StoreDrift::default();
         assert_eq!(d.ratio(), 1.0);
         let report = CalibrationAccumulator::new().epoch_report(0);
-        assert_eq!(report.scale(&report.hv), 1.0);
+        assert_eq!(report.hv.ratio(), 1.0);
     }
 
     #[test]
@@ -256,16 +242,6 @@ mod tests {
         assert!((report.classes[0].1.ratio() - 0.5).abs() < 1e-9);
         let (hv, _, _) = acc.store_drift();
         assert_eq!(hv.samples, 0, "drained");
-    }
-
-    #[test]
-    fn scale_is_clamped() {
-        let mut acc = CalibrationAccumulator::new();
-        acc.record_query(&bd(1.0, 1.0, 1.0), &bd(100.0, 0.1, 1.0));
-        let report = acc.epoch_report(0);
-        assert_eq!(report.scale(&report.hv), 2.0);
-        assert_eq!(report.scale(&report.transfer), 0.5);
-        assert_eq!(report.scale(&report.dw), 1.0);
     }
 
     #[test]

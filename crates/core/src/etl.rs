@@ -15,9 +15,11 @@
 //! multiplier stands in for the full Extract-Transform pipeline the paper's
 //! ETL performs (cleansing, normalization, constraint checks, index builds —
 //! "the high cost of an ETL process"; QoX \[21\]) that our two-step
-//! extract+load does not otherwise model. See DESIGN.md §5.
+//! extract+load does not otherwise model. See DESIGN.md §5. Retry backoffs
+//! after injected failures are waiting, not work: they are charged once, on
+//! top.
 
-use miso_common::{DetRng, MisoError, Result, RetryPolicy, SimDuration};
+use miso_common::{DetRng, MisoError, Result, Retry, RetryPolicy, SimDuration, Turn};
 use miso_data::DataType;
 use miso_dw::{DwStore, TableSpace};
 use miso_exec::UdfRegistry;
@@ -54,8 +56,8 @@ pub fn run_etl(
     // failed extraction with backoff charged to ETL time. The RNG is only
     // consulted when a fault actually fires, so fault-free runs are
     // byte-identical.
-    let retry = RetryPolicy::standard();
     let mut retry_rng = DetRng::new(0xE71_0001);
+    let mut waited = SimDuration::ZERO;
 
     // Which logs and (udf, log) pairs does the workload touch?
     let mut logs: Vec<String> = Vec::new();
@@ -84,7 +86,7 @@ pub fn run_etl(
     // Full-field extraction per log.
     for log in &logs {
         let plan = full_extraction_plan(log, lang_catalog)?;
-        let run = etl_job(hv, &plan, udfs, &retry, &mut retry_rng, &mut raw_cost)?;
+        let run = etl_job(hv, &plan, udfs, &mut retry_rng, &mut waited)?;
         raw_cost += run.cost;
         let root = plan.root();
         let out = run
@@ -113,7 +115,7 @@ pub fn run_etl(
             vec![scan],
         )?;
         let plan = b.finish(u)?;
-        let run = etl_job(hv, &plan, udfs, &retry, &mut retry_rng, &mut raw_cost)?;
+        let run = etl_job(hv, &plan, udfs, &mut retry_rng, &mut waited)?;
         raw_cost += run.cost;
         let root = plan.root();
         let out = run
@@ -126,69 +128,39 @@ pub fn run_etl(
         manifest.udfs.push(((udf.clone(), log.clone()), table));
     }
 
-    manifest.cost = raw_cost * overhead.max(1.0);
+    manifest.cost = raw_cost * overhead.max(1.0) + waited;
     Ok(manifest)
 }
 
 /// Runs one ETL extraction job in HV, polling the `etl.run` fail point and
 /// retrying transient failures (injected there or inside `hv.execute`) with
-/// exponential backoff charged to `raw_cost`. Crashes propagate so the
+/// exponential backoff, which is added to `waited`. Crashes propagate so the
 /// caller's recovery path runs instead.
 fn etl_job(
     hv: &HvStore,
     plan: &LogicalPlan,
     udfs: &UdfRegistry,
-    policy: &RetryPolicy,
     rng: &mut DetRng,
-    raw_cost: &mut SimDuration,
+    waited: &mut SimDuration,
 ) -> Result<HvRun> {
-    let mut attempt = 0u32;
-    loop {
-        let mut slow = 1.0f64;
-        let injected = match miso_chaos::hit("etl.run") {
-            miso_chaos::Action::Proceed => None,
-            miso_chaos::Action::Fail => {
-                Some(MisoError::transient("etl", "injected ETL job failure"))
-            }
-            miso_chaos::Action::Crash => return Err(MisoError::crash("etl", "etl.run")),
-            miso_chaos::Action::Delay(f) => {
-                slow = f;
-                None
-            }
-            // ETL is an offline bulk load with no per-query deadline or
-            // budget: a stall is just an extreme slowdown, a hog a no-op.
-            miso_chaos::Action::Stall => {
-                slow = miso_chaos::STALL_FACTOR;
-                None
-            }
-            miso_chaos::Action::Hog(_) => None,
-            // ETL re-reads the source log on every run, so a corrupt
-            // extraction is indistinguishable from a transient failure:
-            // treat it as one and let the retry loop re-run the job.
-            miso_chaos::Action::Corrupt => Some(MisoError::transient(
-                "etl",
-                "injected ETL output corruption",
-            )),
-        };
-        let result = match injected {
-            Some(e) => Err(e),
-            None => hv.execute(plan, None, udfs),
-        };
-        match result {
-            Ok(mut run) => {
-                if slow != 1.0 {
-                    run.cost = run.cost * slow;
-                }
-                return Ok(run);
-            }
-            Err(e) if e.is_transient() && attempt < policy.max_retries => {
-                attempt += 1;
-                *raw_cost += policy.backoff(attempt, rng);
-                miso_obs::count("store.retries", 1);
-            }
-            Err(e) => return Err(e),
+    RetryPolicy::STANDARD.run(rng, |turn| {
+        if let Turn::Waited(backoff) = turn {
+            *waited += backoff;
+            miso_obs::count("store.retries", 1);
         }
-    }
+        // ETL is an offline bulk load with no per-query deadline or budget:
+        // a stall is just an extreme slowdown, a hog a no-op.
+        let strike = miso_chaos::strike("etl.run", "etl").map_err(Retry::transient)?;
+        if strike.corrupt {
+            // ETL re-reads the source log on every run, so a corrupt
+            // extraction is indistinguishable from a transient failure.
+            let e = MisoError::transient("etl", "injected ETL output corruption");
+            return Err(Retry::Backoff(e));
+        }
+        let mut run = hv.execute(plan, None, udfs).map_err(Retry::transient)?;
+        run.cost = strike.slowed(run.cost);
+        Ok(run)
+    })
 }
 
 /// Builds `scan(log) → project(all cataloged fields)`.

@@ -603,7 +603,7 @@ impl MultistoreSystem {
     }
 
     fn stretch_for_maintenance(&mut self, raw: SimDuration, clock: &SimClock) -> SimDuration {
-        self.stretch_public(raw, DwActivity::ViewTransfer, clock)
+        self.stretch(raw, DwActivity::ViewTransfer, clock)
     }
 
     /// Estimated per-window upkeep cost (simulated seconds) of each catalog

@@ -12,18 +12,19 @@
 //! and tuning policies.
 
 use crate::audit::AuditConfig;
-use crate::calibration::{op_class, CalibrationAccumulator, CalibrationReport};
+use crate::calibration::{op_class, CalibrationAccumulator};
 use crate::etl::{rewrite_for_dw, run_etl, DEFAULT_ETL_OVERHEAD};
 use crate::metrics::{ExperimentResult, QueryFailure, QueryRecord, ReorgRecord, TtiBreakdown};
 use crate::reorg::{stage_name, JournalEntry, ReorgJournal, ReorgPlan, MAX_REORG_RECOVERIES};
 use crate::split::{self, HarvestCandidate, Stores};
 use crate::tuner::{MisoTuner, NewDesign, TunerConfig};
 use crate::variants::Variant;
+use miso_chaos::Strike;
 use miso_common::guard::QueryGuard;
 use miso_common::ids::{NodeId, QueryId};
 use miso_common::{
-    Budgets, ByteSize, CircuitBreaker, DetRng, MisoError, Result, RetryPolicy, SimClock,
-    SimDuration,
+    Budgets, ByteSize, CircuitBreaker, DetRng, MisoError, Result, Retry, RetryPolicy, SimClock,
+    SimDuration, Turn,
 };
 use miso_data::logs::Corpus;
 use miso_data::{checksum_batch, ColBatch, StoredView};
@@ -63,17 +64,10 @@ pub struct SystemConfig {
     pub doi_threshold: f64,
     /// Optional DW background reporting workload (§5.4).
     pub background: Option<BackgroundSim>,
-    /// Retry policy wrapped around store calls and transfers.
-    pub retry: RetryPolicy,
     /// Optional between-epoch integrity audit (checksum scrubbing +
     /// catalog↔store invariants). `None` (the default) skips the auditor
     /// entirely, keeping fault-free runs byte-identical.
     pub audit: Option<AuditConfig>,
-    /// Feed each epoch's fitted predicted-vs-actual scale factors back into
-    /// the store cost models (see [`crate::calibration`]). Default **off**:
-    /// drift is then only *observed* (gauges + reports) and the models —
-    /// and therefore every plan and tuner design — are untouched.
-    pub calibrate_costs: bool,
     /// Query-lifecycle guard settings (miso-guard): admission control,
     /// per-query deadlines, memory budgets, and overload shedding.
     /// Disabled by default, keeping guard-free runs byte-identical.
@@ -168,9 +162,7 @@ impl SystemConfig {
             decay: 0.5,
             doi_threshold: 1.0,
             background: None,
-            retry: RetryPolicy::standard(),
             audit: None,
-            calibrate_costs: false,
             guard: GuardConfig::disabled(),
             verify_on_read: false,
             ivm_max_delta_frac: 0.25,
@@ -240,8 +232,8 @@ pub struct MultistoreSystem {
     /// maintenance; views without entries simply rebuild on first refresh.
     pub(crate) ivm_state: HashMap<String, crate::maintenance::IvmViewState>,
     /// The tuner every reorganization of this system runs — the stream
-    /// driver's and `reorg_now`'s alike — so its what-if memo lives as long
-    /// as the views and logs its entries are keyed by.
+    /// driver's and the serving layer's alike — so its what-if memo lives
+    /// as long as the views and logs its entries are keyed by.
     tuner: MisoTuner,
 }
 
@@ -330,21 +322,6 @@ impl MultistoreSystem {
         &self.config
     }
 
-    /// Runs one reorganization phase right now against the given history
-    /// window, exactly as the streaming driver would at an epoch boundary
-    /// (M-KNAPSACK tune, journaled two-phase migration, quarantine repair).
-    ///
-    /// This is the serving layer's entry point: miso-serve stages a reorg on
-    /// its master copy while queries keep reading a published snapshot, then
-    /// publishes the result atomically.
-    pub fn reorg_now(
-        &mut self,
-        window: &[LogicalPlan],
-        clock: &mut SimClock,
-    ) -> Result<ReorgRecord> {
-        self.apply_tuner(window, clock)
-    }
-
     /// The tuner this system reorganizes with (its what-if memo statistics
     /// are how a caller sees whether probes are being reused).
     pub fn tuner(&self) -> &MisoTuner {
@@ -391,17 +368,6 @@ impl MultistoreSystem {
         };
         let xray = miso_xray::analyze(label, &ran.planned, &ran.estimates, &profiles, &models);
         Ok((ran.record, xray))
-    }
-
-    /// Public wrapper over background-contention stretching (used by the
-    /// maintenance module, which lives in a sibling file).
-    pub(crate) fn stretch_public(
-        &mut self,
-        raw: SimDuration,
-        activity: DwActivity,
-        clock: &SimClock,
-    ) -> SimDuration {
-        self.stretch(raw, activity, clock)
     }
 
     /// Runs a full workload under `variant`, returning all measurements.
@@ -640,14 +606,10 @@ impl MultistoreSystem {
                         .cloned()
                         .collect()
                 };
-                // Close the epoch's calibration window first: the tuner
-                // below should see calibrated models when feedback is on.
+                // Close the epoch's drift window at the boundary.
                 let calib = self.calibration.epoch_report(i / self.config.reorg_every);
-                if self.config.calibrate_costs {
-                    self.apply_calibration(&calib);
-                }
                 result.calibrations.push(calib);
-                let reorg = self.apply_tuner(&window, clock)?;
+                let reorg = self.reorg_now(&window, clock)?;
                 result.tti.tune += reorg.duration;
                 result.reorgs.push(reorg);
                 // Between-epoch integrity audit: invariants plus a
@@ -730,44 +692,6 @@ impl MultistoreSystem {
             result.calibrations.push(tail);
         }
         Ok(())
-    }
-
-    /// Scales the store cost models by `report`'s fitted per-store drift
-    /// ratios (clamped in [`CalibrationReport::scale`]). Mutating the model
-    /// constants changes the tuner's what-if `inputs_stamp`, so memoized
-    /// probe results from the stale models are naturally invalidated.
-    fn apply_calibration(&mut self, report: &CalibrationReport) {
-        let s_hv = report.scale(&report.hv);
-        if s_hv != 1.0 {
-            let m = &mut self.hv.cost_model;
-            m.job_startup = m.job_startup * s_hv;
-            m.read_secs_per_byte *= s_hv;
-            m.write_secs_per_byte *= s_hv;
-            m.cpu_secs_per_row *= s_hv;
-        }
-        let s_tr = report.scale(&report.transfer);
-        if s_tr != 1.0 {
-            self.hv.cost_model.dump_secs_per_byte *= s_tr;
-            self.transfer.network_secs_per_byte *= s_tr;
-            self.dw.cost_model.load_secs_per_byte *= s_tr;
-        }
-        let s_dw = report.scale(&report.dw);
-        if s_dw != 1.0 {
-            let m = &mut self.dw.cost_model;
-            m.query_startup = m.query_startup * s_dw;
-            m.read_secs_per_byte *= s_dw;
-            m.cpu_secs_per_row *= s_dw;
-        }
-        miso_obs::count("xray.calibrations_applied", 1);
-        miso_obs::instant(
-            "xray.calibration",
-            vec![
-                ("epoch", miso_obs::FieldValue::U64(report.epoch as u64)),
-                ("hv_pct", miso_obs::FieldValue::U64((s_hv * 100.0) as u64)),
-                ("tr_pct", miso_obs::FieldValue::U64((s_tr * 100.0) as u64)),
-                ("dw_pct", miso_obs::FieldValue::U64((s_dw * 100.0) as u64)),
-            ],
-        );
     }
 
     // ---- Admission & guard lifecycle --------------------------------------
@@ -990,11 +914,18 @@ impl MultistoreSystem {
                     size: bytes,
                     checksum: checksum_batch(&cut.batch),
                 };
-                let mut ship_tries = 0u32;
-                loop {
-                    let (raw_cost, waited, corrupted) = self.ship_attempt(cut.ship_cost, clock)?;
+                // A copy that arrives corrupt is re-shipped at once, on a
+                // budget of its own: each ship retries its failures afresh.
+                // Re-ships draw no backoff, so their RNG is never consulted.
+                RetryPolicy::STANDARD.run(&mut DetRng::new(0), |turn| {
+                    if turn == Turn::Now {
+                        miso_obs::count("transfer.reshipped", 1);
+                    }
+                    let mut waited = SimDuration::ZERO;
+                    let strike = self.ship_attempt(clock, &mut waited)?;
                     transfer_time += waited;
                     tti.transfer += waited;
+                    let raw_cost = strike.slowed(cut.ship_cost);
                     let stretched = self.stretch(raw_cost, DwActivity::WorkingSetTransfer, clock);
                     transfer_time += stretched;
                     tti.transfer += stretched;
@@ -1004,22 +935,16 @@ impl MultistoreSystem {
                     // only.
                     self.dw
                         .load(&ws_name, staged.clone(), TableSpace::Temporary);
-                    if corrupted {
+                    if strike.corrupt {
                         self.dw.corrupt_temp(&ws_name);
                     }
                     if self.dw.verify_temp(&ws_name, staged.checksum) != Some(false) {
-                        break;
+                        return Ok(());
                     }
                     miso_obs::count("integrity.checksum_failures", 1);
-                    if ship_tries >= self.config.retry.max_retries {
-                        return Err(MisoError::transient(
-                            "transfer",
-                            "working set corrupted after retries",
-                        ));
-                    }
-                    ship_tries += 1;
-                    miso_obs::count("transfer.reshipped", 1);
-                }
+                    let e = MisoError::transient("transfer", "working set corrupted after retries");
+                    Err(Retry::Now(e))
+                })?;
                 provided.insert(id, cut.batch);
             }
             hv_run = Some(run);
@@ -1129,9 +1054,16 @@ impl MultistoreSystem {
 
     // ---- Tuning ----------------------------------------------------------
 
-    /// Runs one reorganization phase: compute the new design and migrate
-    /// views accordingly, charging TUNE time.
-    fn apply_tuner(&mut self, window: &[LogicalPlan], clock: &mut SimClock) -> Result<ReorgRecord> {
+    /// Runs one reorganization phase right now against the given history
+    /// window — M-KNAPSACK tune, journaled two-phase migration, quarantine
+    /// repair — charging TUNE time. The stream driver runs it at every epoch
+    /// boundary; miso-serve stages one on its master copy while queries keep
+    /// reading a published snapshot, then publishes the result atomically.
+    pub fn reorg_now(
+        &mut self,
+        window: &[LogicalPlan],
+        clock: &mut SimClock,
+    ) -> Result<ReorgRecord> {
         let mut obs = miso_obs::span("tuner.reorg");
         miso_obs::count("tuner.reorgs", 1);
         let start = clock.now();
@@ -1278,8 +1210,8 @@ impl MultistoreSystem {
     /// One resumable pass over the journaled reorganization. Steps already
     /// recorded in the journal are skipped; volatile staging copies lost to
     /// a crash are re-staged (and re-charged — recovery work is real work).
-    /// A `Crash` action escapes as [`MisoError::Crash`] for the recovery
-    /// loop in [`Self::apply_tuner`].
+    /// An injected crash escapes as [`MisoError::Crash`] for the recovery
+    /// loop in [`Self::reorg_now`].
     #[allow(clippy::too_many_arguments)]
     fn reorg_pass(
         &mut self,
@@ -1307,7 +1239,7 @@ impl MultistoreSystem {
             {
                 continue;
             }
-            let (slow, corrupted) = self.reorg_step_poll(poll_chaos, clock, duration)?;
+            let strike = self.reorg_step_poll(poll_chaos, clock, duration)?;
             // The staged copy is the HV view itself, shared: the batch, with
             // the size and checksum recorded when it was materialized.
             let Some(view) = self.hv.view(name).cloned() else {
@@ -1316,16 +1248,13 @@ impl MultistoreSystem {
                 )));
             };
             let size = view.size;
-            let mut raw_cost = self.stores().ship_cost(size);
-            if slow != 1.0 {
-                raw_cost = raw_cost * slow;
-            }
+            let raw_cost = strike.slowed(self.stores().ship_cost(size));
             let stretched = self.stretch(raw_cost, DwActivity::ViewTransfer, clock);
             *duration += stretched;
             clock.advance(stretched);
             *bytes_moved += size;
             self.dw.load(&stage_name(name), view, TableSpace::Temporary);
-            if corrupted {
+            if strike.corrupt {
                 self.dw.corrupt_temp(&stage_name(name));
             }
             if !journal.staged(name) {
@@ -1342,23 +1271,21 @@ impl MultistoreSystem {
             if journal.applied(name) || (journal.staged(name) && self.hv.has_view(name)) {
                 continue;
             }
-            let (slow, corrupted) = self.reorg_step_poll(poll_chaos, clock, duration)?;
+            let strike = self.reorg_step_poll(poll_chaos, clock, duration)?;
             let Some(view) = self.dw.view(name).cloned() else {
                 // The DW source vanished (dropped by an earlier design):
                 // nothing to migrate.
                 continue;
             };
             let size = view.size;
-            let mut raw_cost = self.transfer.transfer_cost(size) + self.hv.dump_cost(size);
-            if slow != 1.0 {
-                raw_cost = raw_cost * slow;
-            }
+            let raw_cost =
+                strike.slowed(self.transfer.transfer_cost(size) + self.hv.dump_cost(size));
             let stretched = self.stretch(raw_cost, DwActivity::ViewTransfer, clock);
             *duration += stretched;
             clock.advance(stretched);
             *bytes_moved += size;
             self.hv.install(name, view);
-            if corrupted {
+            if strike.corrupt {
                 self.hv.corrupt_view(name);
             }
             journal.append(JournalEntry::Staged {
@@ -1459,43 +1386,24 @@ impl MultistoreSystem {
         Ok((moved_to_dw, moved_to_hv, dropped))
     }
 
-    /// Polls the `reorg.step` fail point between journal steps. `Fail` is
-    /// retried with backoff (charged to the phase duration); `Delay`
-    /// returns a cost factor for the next movement; `Corrupt` sets the
-    /// flag so the caller corrupts the copy it is about to stage; `Crash`
-    /// escapes to the recovery loop.
+    /// Polls the `reorg.step` fail point between journal steps. An injected
+    /// failure is retried with backoff (charged to the phase duration) and a
+    /// crash escapes to the recovery loop; whatever else fired comes back
+    /// for the step to apply. Reorg work has no per-query deadline, so a
+    /// stall is just a very slow movement, a hog a no-op.
     fn reorg_step_poll(
         &mut self,
         poll: bool,
         clock: &mut SimClock,
         duration: &mut SimDuration,
-    ) -> Result<(f64, bool)> {
+    ) -> Result<Strike> {
         if !poll {
-            return Ok((1.0, false));
+            return Ok(Strike::NONE);
         }
-        let mut attempt = 0u32;
-        loop {
-            match miso_chaos::hit("reorg.step") {
-                miso_chaos::Action::Proceed => return Ok((1.0, false)),
-                miso_chaos::Action::Delay(f) => return Ok((f, false)),
-                // Reorg work has no per-query deadline; a stall is just a
-                // very slow movement, a hog a no-op (nothing is charged).
-                miso_chaos::Action::Stall => return Ok((miso_chaos::STALL_FACTOR, false)),
-                miso_chaos::Action::Hog(_) => return Ok((1.0, false)),
-                miso_chaos::Action::Corrupt => return Ok((1.0, true)),
-                miso_chaos::Action::Crash => return Err(MisoError::crash("tuner", "reorg.step")),
-                miso_chaos::Action::Fail if attempt < self.config.retry.max_retries => {
-                    attempt += 1;
-                    let backoff = self.config.retry.backoff(attempt, &mut self.retry_rng);
-                    *duration += backoff;
-                    clock.advance(backoff);
-                    miso_obs::count("store.retries", 1);
-                }
-                miso_chaos::Action::Fail => {
-                    return Err(MisoError::transient("tuner", "injected reorg step failure"))
-                }
-            }
-        }
+        RetryPolicy::STANDARD.run(&mut self.retry_rng, |turn| {
+            charge_wait(turn, clock, duration);
+            miso_chaos::strike("reorg.step", "tuner").map_err(Retry::transient)
+        })
     }
 
     /// Undoes a pre-commit reorganization: staged DW→HV copies are removed
@@ -1512,12 +1420,13 @@ impl MultistoreSystem {
 
     // ---- Integrity ---------------------------------------------------------
 
-    /// Polls the per-store `*.view_read` corruption points for every view a
-    /// plan is about to serve and — when verify-on-read is enabled — checks
-    /// each stored copy against its materialization-time checksum. Corrupt
-    /// copies are dropped from their store and the view is quarantined in
-    /// the catalog, never to be served again until repaired. Returns the
-    /// quarantined names; an empty list means the plan is safe to run.
+    /// Polls the per-store `*.view_read` fail points for every view a plan
+    /// is about to serve — `corrupt` is the one kind a read honours — and,
+    /// when verify-on-read is enabled, checks each stored copy against its
+    /// materialization-time checksum. Corrupt copies are dropped from their
+    /// store and the view is quarantined in the catalog, never to be served
+    /// again until repaired. Returns the quarantined names; an empty list
+    /// means the plan is safe to run.
     ///
     /// With chaos disabled and verify-on-read off this is a store probe
     /// per view — no checksum is recomputed on the query path.
@@ -1525,12 +1434,12 @@ impl MultistoreSystem {
         let mut quarantined = Vec::new();
         for name in used {
             let in_dw = self.dw.has_view(name);
-            let point = if in_dw {
-                "dw.view_read"
+            let read = if in_dw {
+                miso_chaos::strike("dw.view_read", "dw")
             } else {
-                "hv.view_read"
+                miso_chaos::strike("hv.view_read", "hv")
             };
-            if let miso_chaos::Action::Corrupt = miso_chaos::hit(point) {
+            if read.is_ok_and(|strike| strike.corrupt) {
                 if in_dw {
                     self.dw.corrupt_view(name);
                 } else {
@@ -1758,14 +1667,9 @@ impl MultistoreSystem {
         let hv = &self.hv;
         let udfs = &self.udfs;
         let guard = &self.active_guard;
-        retry_loop(
-            &self.config.retry,
-            &mut self.retry_rng,
-            guard,
-            clock,
-            bucket,
-            || hv.execute_guarded(plan, subset, udfs, guard),
-        )
+        retry_store(&mut self.retry_rng, guard, clock, bucket, || {
+            hv.execute_guarded(plan, subset, udfs, guard)
+        })
     }
 
     /// Runs a DW call under the retry policy; backoff waits are charged to
@@ -1782,66 +1686,31 @@ impl MultistoreSystem {
         let dw = &self.dw;
         let udfs = &self.udfs;
         let guard = &self.active_guard;
-        retry_loop(
-            &self.config.retry,
-            &mut self.retry_rng,
-            guard,
-            clock,
-            bucket,
-            || dw.execute_guarded(plan, subset, provided.clone(), udfs, guard),
-        )
+        retry_store(&mut self.retry_rng, guard, clock, bucket, || {
+            dw.execute_guarded(plan, subset, provided.clone(), udfs, guard)
+        })
     }
 
     /// Polls the `transfer.ship` fail point, retrying injected transient
-    /// failures with backoff. Returns `(transfer cost to charge, backoff
-    /// time already waited, corrupted-in-flight flag)`; the caller charges
-    /// the first two and verifies/re-ships when the flag is set.
-    fn ship_attempt(
-        &mut self,
-        base: SimDuration,
-        clock: &mut SimClock,
-    ) -> Result<(SimDuration, SimDuration, bool)> {
-        let mut attempt = 0u32;
-        let mut waited = SimDuration::ZERO;
-        loop {
-            match miso_chaos::hit("transfer.ship") {
-                miso_chaos::Action::Proceed => return Ok((base, waited, false)),
-                miso_chaos::Action::Delay(f) => return Ok((base * f, waited, false)),
-                // A stall is an extreme delay: the shipped bytes arrive,
-                // but far past any sane deadline (the caller's guard
-                // converts the blown clock into a cancellation).
-                miso_chaos::Action::Stall => {
-                    return Ok((base * miso_chaos::STALL_FACTOR, waited, false))
-                }
-                // Memory hogs target query execution; a transfer has no
-                // charged buffers to inflate.
-                miso_chaos::Action::Hog(_) => return Ok((base, waited, false)),
-                miso_chaos::Action::Corrupt => return Ok((base, waited, true)),
-                miso_chaos::Action::Crash => {
-                    return Err(MisoError::crash("transfer", "transfer.ship"))
-                }
-                miso_chaos::Action::Fail if attempt < self.config.retry.max_retries => {
-                    attempt += 1;
-                    let backoff = self.config.retry.backoff(attempt, &mut self.retry_rng);
-                    waited += backoff;
-                    clock.advance(backoff);
-                    miso_obs::count("store.retries", 1);
-                }
-                miso_chaos::Action::Fail => {
-                    return Err(MisoError::transient(
-                        "transfer",
-                        "injected transfer failure",
-                    ))
-                }
-            }
-        }
+    /// failures with backoff charged to the clock and `waited`; the caller
+    /// applies whatever else fired to the shipment.
+    fn ship_attempt(&mut self, clock: &mut SimClock, waited: &mut SimDuration) -> Result<Strike> {
+        RetryPolicy::STANDARD.run(&mut self.retry_rng, |turn| {
+            charge_wait(turn, clock, waited);
+            miso_chaos::strike("transfer.ship", "transfer").map_err(Retry::transient)
+        })
     }
 
     // ---- Background interference ------------------------------------------
 
     /// Stretches a DW-side duration under background contention and records
     /// the interval.
-    fn stretch(&mut self, raw: SimDuration, activity: DwActivity, clock: &SimClock) -> SimDuration {
+    pub(crate) fn stretch(
+        &mut self,
+        raw: SimDuration,
+        activity: DwActivity,
+        clock: &SimClock,
+    ) -> SimDuration {
         match &mut self.background {
             Some(bg) => {
                 let stretched = raw * bg.stretch_factor(activity);
@@ -1859,33 +1728,30 @@ impl MultistoreSystem {
     }
 }
 
-/// Runs `op` until it succeeds, a permanent error surfaces, or the retry
-/// budget is spent. Each backoff is simulated wait: it advances the clock
-/// and is charged to `bucket` so TTI accounting stays truthful.
-fn retry_loop<T>(
-    policy: &RetryPolicy,
+/// Runs a store call under the standard retry policy: a transient failure
+/// goes again after a backoff charged to the clock and `bucket`, unless the
+/// query is past its deadline (or already cancelled) — backoff waits count
+/// against the deadline like any other time.
+fn retry_store<T>(
     rng: &mut DetRng,
     guard: &QueryGuard,
     clock: &mut SimClock,
     bucket: &mut SimDuration,
     mut op: impl FnMut() -> Result<T>,
 ) -> Result<T> {
-    let mut attempt = 0u32;
-    loop {
-        // A query past its deadline (or already cancelled) stops retrying:
-        // backoff waits count against the deadline like any other time.
+    RetryPolicy::STANDARD.run(rng, |turn| {
+        charge_wait(turn, clock, bucket);
         guard.check_deadline(clock.now())?;
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_transient() && attempt < policy.max_retries => {
-                attempt += 1;
-                let backoff = policy.backoff(attempt, rng);
-                *bucket += backoff;
-                clock.advance(backoff);
-                miso_obs::count("store.retries", 1);
-            }
-            Err(e) => return Err(e),
-        }
+        op().map_err(Retry::transient)
+    })
+}
+
+/// Charges the backoff a retry waited, if it did, to the clock and `bucket`.
+fn charge_wait(turn: Turn, clock: &mut SimClock, bucket: &mut SimDuration) {
+    if let Turn::Waited(backoff) = turn {
+        *bucket += backoff;
+        clock.advance(backoff);
+        miso_obs::count("store.retries", 1);
     }
 }
 

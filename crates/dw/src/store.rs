@@ -231,21 +231,7 @@ impl DwStore {
     ) -> Result<DwRun> {
         let mut obs = miso_obs::span("dw.execute");
         // Fault injection: one relaxed atomic load when chaos is disabled.
-        let mut chaos_slow = 1.0f64;
-        let mut hog_factor = 1.0f64;
-        match miso_chaos::hit("dw.execute") {
-            miso_chaos::Action::Proceed => {}
-            miso_chaos::Action::Fail => {
-                return Err(MisoError::transient("dw", "injected DW outage"));
-            }
-            miso_chaos::Action::Crash => return Err(MisoError::crash("dw", "dw.execute")),
-            miso_chaos::Action::Delay(f) => chaos_slow = f,
-            miso_chaos::Action::Stall => chaos_slow = miso_chaos::STALL_FACTOR,
-            miso_chaos::Action::Hog(f) => hog_factor = f,
-            // Corruption targets stored copies (view_read points), not
-            // execution: a corrupt action here is a no-op.
-            miso_chaos::Action::Corrupt => {}
-        }
+        let strike = miso_chaos::strike("dw.execute", "dw")?;
         // DW cannot scan raw logs or run UDFs.
         for node in plan.nodes() {
             let in_subset = subset.is_none_or(|s| s.contains(&node.id));
@@ -285,18 +271,11 @@ impl DwStore {
             Retention::ROOT_ONLY,
             guard,
         )?;
-        if hog_factor > 1.0 && guard.is_active() {
-            // Injected memory hog: transiently charge (factor - 1)× the root
-            // output bytes. Over-budget queries die with `ResourceExhausted`;
-            // surviving hogs still move the peak gauge before releasing.
-            let real = execution
-                .executed_nodes()
-                .map(|id| execution.output_bytes(id).as_bytes())
-                .sum::<u64>();
-            let extra = ((hog_factor - 1.0) * real as f64) as u64;
-            guard.try_charge(extra)?;
-            guard.release(extra);
-        }
+        // An injected memory hog balloons the executed nodes' output bytes.
+        strike.spike(guard, || {
+            let nodes = execution.executed_nodes();
+            nodes.map(|id| execution.output_bytes(id).as_bytes()).sum()
+        })?;
         let mut rows_processed = 0u64;
         for node in plan.nodes() {
             let in_subset = subset.is_none_or(|s| s.contains(&node.id));
@@ -314,11 +293,8 @@ impl DwStore {
             }
             rows_processed += execution.rows_out(node.id).unwrap_or(0);
         }
-        let mut cost = self.cost_model.exec_cost(bytes_in, rows_processed);
-        if chaos_slow != 1.0 {
-            // Injected contention spike: the whole statement runs slower.
-            cost = cost * chaos_slow;
-        }
+        // An injected contention spike runs the whole statement slower.
+        let cost = strike.slowed(self.cost_model.exec_cost(bytes_in, rows_processed));
         if obs.is_active() {
             obs.push_field("bytes_in", miso_obs::FieldValue::U64(bytes_in.as_bytes()));
             obs.push_field("rows", miso_obs::FieldValue::U64(rows_processed));

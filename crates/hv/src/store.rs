@@ -465,21 +465,7 @@ impl HvStore {
     ) -> Result<HvRun> {
         let mut obs = miso_obs::span("hv.execute");
         // Fault injection: one relaxed atomic load when chaos is disabled.
-        let mut chaos_slow = 1.0f64;
-        let mut hog_factor = 1.0f64;
-        match miso_chaos::hit("hv.execute") {
-            miso_chaos::Action::Proceed => {}
-            miso_chaos::Action::Fail => {
-                return Err(MisoError::transient("hv", "injected HV job failure"));
-            }
-            miso_chaos::Action::Crash => return Err(MisoError::crash("hv", "hv.execute")),
-            miso_chaos::Action::Delay(f) => chaos_slow = f,
-            miso_chaos::Action::Stall => chaos_slow = miso_chaos::STALL_FACTOR,
-            miso_chaos::Action::Hog(f) => hog_factor = f,
-            // Corruption targets stored copies (view_read points), not
-            // execution: a corrupt action here is a no-op.
-            miso_chaos::Action::Corrupt => {}
-        }
+        let strike = miso_chaos::strike("hv.execute", "hv")?;
         // Validate scans up-front for a clean store-level error.
         for node in plan.nodes() {
             let in_subset = subset.is_none_or(|s| s.contains(&node.id));
@@ -529,11 +515,8 @@ impl HvStore {
         let mut stage_costs = Vec::with_capacity(stages.len());
         let mut materialized = Vec::with_capacity(harvest.len());
         for stage in &stages {
-            let mut c = self.charge_stage(plan, stage, &execution)?;
-            if chaos_slow != 1.0 {
-                // Injected straggler: every stage runs slower by the factor.
-                c = c * chaos_slow;
-            }
+            // An injected straggler runs every stage slower by its factor.
+            let c = strike.slowed(self.charge_stage(plan, stage, &execution)?);
             stage_costs.push(c);
             cost += c;
         }
@@ -545,16 +528,10 @@ impl HvStore {
                 size: execution.output_bytes(id),
             });
         }
-        if hog_factor > 1.0 && guard.is_active() {
-            // Injected memory hog: transiently charge (factor - 1)× the
-            // materialized bytes, as if the query ballooned. Over-budget
-            // queries die here with `ResourceExhausted`; surviving hogs
-            // still move the peak gauge before releasing.
-            let real: u64 = materialized.iter().map(|m| m.size.as_bytes()).sum();
-            let extra = ((hog_factor - 1.0) * real as f64) as u64;
-            guard.try_charge(extra)?;
-            guard.release(extra);
-        }
+        // An injected memory hog balloons the materialized bytes.
+        strike.spike(guard, || {
+            materialized.iter().map(|m| m.size.as_bytes()).sum()
+        })?;
         if obs.is_active() {
             let bytes: u64 = materialized.iter().map(|m| m.size.as_bytes()).sum();
             obs.push_field("stages", miso_obs::FieldValue::U64(stages.len() as u64));

@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use miso_common::ids::QueryId;
 use miso_common::{
-    CircuitBreaker, DetRng, QueryGuard, RetryPolicy, SimClock, SimDuration, SimInstant,
+    CircuitBreaker, DetRng, QueryGuard, Retry, RetryPolicy, SimClock, SimDuration, SimInstant, Turn,
 };
 use miso_core::{GuardConfig, MultistoreSystem, QueryFailure};
 use miso_data::Checksum;
@@ -79,8 +79,6 @@ pub struct ServeConfig {
     /// Guard knobs: deadline, memory budget, admission capacity, overload
     /// breaker. `max_inflight` bounds queued + running queries.
     pub guard: GuardConfig,
-    /// Retry/backoff policy for injected transient faults.
-    pub retry: RetryPolicy,
     /// Arrival-rate multiplier for tenant 0 (the "hog"); 1.0 = no hog.
     pub hog_factor: f64,
     /// History window length for the tuner (plans of recent completions).
@@ -102,7 +100,6 @@ impl ServeConfig {
             queue_cap: 1_000_000,
             tenant_inflight_cap: 1_000_000,
             guard: GuardConfig::disabled(),
-            retry: RetryPolicy::standard(),
             hog_factor: 1.0,
             history_len: 6,
         }
@@ -223,89 +220,73 @@ impl Outcome {
     }
 }
 
-/// What running out of transient retries means for a phase.
-#[derive(Clone, Copy)]
-enum Exhausted {
-    /// The query is lost.
-    Lose,
-    /// The query re-runs HV-only.
-    FallBack,
-}
-
 /// The chaos/guard envelope around one dispatched query's phases.
 struct Envelope<'a> {
     guard: &'a QueryGuard,
-    retry: &'a miso_common::RetryPolicy,
     rng: &'a mut DetRng,
     /// Service time the query has cost so far.
     service: SimDuration,
 }
 
 impl Envelope<'_> {
-    /// Hits `point` until the phase goes through, adding what that cost to
-    /// `service`: the phase itself (stretched by a delay or stall), retry
-    /// backoffs, and — a ship checksums its payload — every ship that
-    /// arrived corrupt. A hog transiently charges `(f − 1) × hog_bytes` to
-    /// the guard. `Ok(false)` is retries run out where that means
-    /// [`Exhausted::FallBack`]; `Err` is the loss that ends the query.
+    /// Strikes `point` (on behalf of `source`) until the phase goes
+    /// through, adding what that cost to `service`: the phase itself
+    /// (stretched by a delay or stall), retry backoffs, and — a ship
+    /// checksums its payload — every ship that arrived corrupt, which goes
+    /// again at once. Failures and re-ships count against one retry budget.
+    /// A hog transiently charges `(f − 1) × hog_bytes` to the guard.
+    /// `Err(None)` is the retry budget spent, which the caller gives its
+    /// meaning; `Err(Some(..))` is the loss that ends the query.
     fn phase(
         &mut self,
         point: &'static str,
+        source: &'static str,
         cost: SimDuration,
         hog_bytes: u64,
-        exhausted: Exhausted,
-    ) -> Result<bool, Outcome> {
-        use miso_chaos::Action;
+    ) -> Result<(), Option<Outcome>> {
         let ship = point == "transfer.ship";
-        let mut tries = 0u32;
-        loop {
-            let paid = match miso_chaos::hit(point) {
-                Action::Proceed => cost,
-                Action::Corrupt if !ship => cost,
-                Action::Delay(f) => cost * f,
-                Action::Stall => cost * miso_chaos::STALL_FACTOR,
-                Action::Hog(f) => {
-                    let extra = ((f - 1.0).max(0.0) * hog_bytes as f64) as u64;
-                    if let Err(e) = self.guard.try_charge(extra) {
-                        return Err(Outcome::loss(e.kind(), e.to_string(), true));
-                    }
-                    self.guard.release(extra);
-                    cost
+        let (guard, service) = (self.guard, &mut self.service);
+        RetryPolicy::STANDARD.run(self.rng, |turn| {
+            match turn {
+                Turn::First => {}
+                Turn::Waited(backoff) => {
+                    *service += backoff;
+                    miso_obs::count("store.retries", 1);
                 }
-                Action::Crash => {
-                    let message = format!("injected crash at {point}");
-                    return Err(Outcome::loss("crash", message, false));
+                Turn::Now => miso_obs::count("transfer.reshipped", 1),
+            }
+            let strike = miso_chaos::strike(point, source).map_err(|e| {
+                if e.is_transient() {
+                    Retry::Backoff(None)
+                } else {
+                    Retry::Fail(Some(Outcome::loss(e.kind(), e.to_string(), false)))
                 }
-                again @ (Action::Fail | Action::Corrupt) => {
-                    // A corrupt ship was paid for; it fails verification
-                    // and is re-shipped at once. A failure backs off.
-                    let corrupt = matches!(again, Action::Corrupt);
-                    if corrupt {
-                        miso_obs::count("integrity.checksum_failures", 1);
-                        self.service += cost;
-                    }
-                    if tries >= self.retry.max_retries {
-                        return match exhausted {
-                            Exhausted::FallBack => Ok(false),
-                            Exhausted::Lose => {
-                                let message = format!("{point} retries exhausted");
-                                Err(Outcome::loss("transient", message, false))
-                            }
-                        };
-                    }
-                    tries += 1;
-                    if corrupt {
-                        miso_obs::count("transfer.reshipped", 1);
-                    } else {
-                        self.service += self.retry.backoff(tries, self.rng);
-                        miso_obs::count("store.retries", 1);
-                    }
-                    continue;
-                }
-            };
-            self.service += paid;
-            return Ok(true);
+            })?;
+            if ship && strike.corrupt {
+                // Paid for, then caught by the checksum on arrival.
+                miso_obs::count("integrity.checksum_failures", 1);
+                *service += cost;
+                return Err(Retry::Now(None));
+            }
+            strike
+                .spike(guard, || hog_bytes)
+                .map_err(|e| Some(Outcome::loss(e.kind(), e.to_string(), true)))?;
+            *service += strike.slowed(cost);
+            Ok(())
+        })
+    }
+
+    /// Ships `base`'s cuts and runs its DW statement, phase by phase, as
+    /// [`Envelope::phase`] reports.
+    fn dw_side(&mut self, base: &BaseRun) -> Result<(), Option<Outcome>> {
+        for &cut in &base.cut_costs {
+            self.phase("transfer.ship", "transfer", cut, 0)?;
         }
+        if base.dw_cost > SimDuration::ZERO {
+            let hog = base.charged_bytes;
+            self.phase("dw.execute", "dw", base.dw_cost, hog)?;
+        }
+        Ok(())
     }
 }
 
@@ -613,7 +594,6 @@ impl ServeEngine {
         let guard = QueryGuard::new(deadline, budget);
         let mut env = Envelope {
             guard: &guard,
-            retry: &self.cfg.retry,
             rng: &mut self.backoff_rng,
             service: SimDuration::ZERO,
         };
@@ -634,35 +614,30 @@ impl ServeEngine {
 
         if base.hv_cost > SimDuration::ZERO {
             let hog = base.charged_bytes;
-            if let Err(lost) = env.phase("hv.execute", base.hv_cost, hog, Exhausted::Lose) {
-                return (now + env.service, lost);
+            match env.phase("hv.execute", "hv", base.hv_cost, hog) {
+                Ok(()) => {}
+                Err(Some(lost)) => return (now + env.service, lost),
+                Err(None) => {
+                    let message = "hv.execute retries exhausted".to_string();
+                    loss!("transient", message, false)
+                }
             }
         }
 
-        // View reads: a detected corruption quarantines the copy for the
-        // rest of the epoch and transparently re-plans without it — the
-        // query pays for both the torn read and the recomputation, but the
-        // answer stays right.
+        // View reads honour `corrupt` only, as in the serial driver: a
+        // detected corruption quarantines the copy for the rest of the epoch
+        // and transparently re-plans without it — the query pays for both
+        // the torn read and the recomputation, but the answer stays right.
         let mut corrupted = Vec::new();
         for (view, is_hv) in &base.used_views {
-            let point = if *is_hv {
-                "hv.view_read"
+            let read = if *is_hv {
+                miso_chaos::strike("hv.view_read", "hv")
             } else {
-                "dw.view_read"
+                miso_chaos::strike("dw.view_read", "dw")
             };
-            match miso_chaos::hit(point) {
-                miso_chaos::Action::Corrupt => {
-                    miso_obs::count("integrity.checksum_failures", 1);
-                    corrupted.push(view.clone());
-                }
-                miso_chaos::Action::Fail => {
-                    env.service += env.retry.backoff(1, env.rng);
-                    miso_obs::count("store.retries", 1);
-                }
-                miso_chaos::Action::Crash => {
-                    loss!("crash", format!("injected crash at {point}"), false)
-                }
-                _ => {}
+            if read.is_ok_and(|strike| strike.corrupt) {
+                miso_obs::count("integrity.checksum_failures", 1);
+                corrupted.push(view.clone());
             }
         }
         if !corrupted.is_empty() {
@@ -679,23 +654,11 @@ impl ServeEngine {
         }
 
         // Transfer + DW phase; transient exhaustion degrades to HV-only.
-        let ships = base.cut_costs.iter().map(|cut| ("transfer.ship", *cut, 0));
-        let dw = (base.dw_cost > SimDuration::ZERO).then_some((
-            "dw.execute",
-            base.dw_cost,
-            base.charged_bytes,
-        ));
-        let mut fell_back = false;
-        for (point, cost, hog) in ships.chain(dw) {
-            match env.phase(point, cost, hog, Exhausted::FallBack) {
-                Ok(true) => {}
-                Ok(false) => {
-                    fell_back = true;
-                    break;
-                }
-                Err(lost) => return (now + env.service, lost),
-            }
-        }
+        let fell_back = match env.dw_side(&base) {
+            Ok(()) => false,
+            Err(None) => true,
+            Err(Some(lost)) => return (now + env.service, lost),
+        };
         if fell_back {
             // DW-side faults exhausted: transparently re-run HV-only, as the
             // serial driver does. Time already spent stays charged.

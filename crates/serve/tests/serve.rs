@@ -628,3 +628,46 @@ fn dw_down_serving_degrades_to_hv_only_like_the_driver() {
     assert!(report.failures.iter().all(|f| f.kind != "plan"));
     assert_eq!(report.hv_fallbacks, report.delivered);
 }
+
+/// A view read honours `corrupt` only, in serving as in the serial driver:
+/// an `error` or a `crash` fired at a `*.view_read` point is counted as
+/// injected and changes nothing — no backoff is charged, no query is lost.
+#[test]
+fn view_reads_honour_corruption_only() {
+    let _chaos = chaos_guard();
+    miso_chaos::disable();
+    let corpus = Corpus::generate(&LogsConfig::tiny());
+    let workload = templates();
+    let warm = || {
+        cold_and_warm(&corpus, &workload)
+            .into_iter()
+            .nth(1)
+            .unwrap()
+    };
+    let serve = |master| {
+        let udfs = miso_workload::standard_udfs();
+        ServeEngine::new(ServeConfig::standard(), master, workload.clone(), udfs).run()
+    };
+    let clean = serve(warm());
+
+    let master = warm();
+    miso_obs::init(miso_obs::ObsConfig::ring(4096));
+    miso_obs::reset_metrics();
+    let plan = miso_chaos::parse_spec("seed=1;hv.view_read=error;dw.view_read=crash");
+    miso_chaos::install(plan.expect("spec parses"));
+    let faulted = serve(master);
+    let reads = ["hv.view_read", "dw.view_read"].map(miso_chaos::hit_count);
+    miso_chaos::disable();
+    let counters = miso_obs::snapshot().counters;
+    miso_obs::init(miso_obs::ObsConfig::disabled());
+
+    assert!(
+        reads.iter().all(|&n| n > 0),
+        "both stores' views read: {reads:?}"
+    );
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    assert!(counter("chaos.errors_injected") > 0 && counter("chaos.crashes_injected") > 0);
+    let outcome = |r: &miso_serve::ServeReport| (r.delivered, r.killed, r.p50, r.p99);
+    assert_eq!(outcome(&faulted), outcome(&clean), "{:?}", faulted.failures);
+    assert_eq!(counter("store.retries"), 0);
+}

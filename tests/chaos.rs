@@ -8,7 +8,7 @@
 use std::sync::Mutex;
 
 use miso::chaos::{FaultKind, FaultPlan, FaultRule, Trigger};
-use miso::common::{Budgets, ByteSize};
+use miso::common::{Budgets, ByteSize, SimDuration};
 use miso::core::{ExperimentResult, MultistoreSystem, SystemConfig, Variant};
 use miso::data::logs::{Corpus, LogsConfig};
 use miso::lang::compile;
@@ -244,7 +244,8 @@ fn etl_retries_transient_failures_transparently() {
         sys.run_workload(Variant::DwOnly, &queries).unwrap()
     };
 
-    // The first two ETL jobs fail once each before succeeding on retry.
+    // `UpTo(2)` fails the first two hits of `etl.run`: the first ETL job
+    // fails twice, then succeeds on its second retry.
     miso::chaos::install(FaultPlan::seeded(11).with_rule(FaultRule::new(
         "etl.run",
         FaultKind::Error,
@@ -262,6 +263,14 @@ fn etl_retries_transient_failures_transparently() {
     assert!(
         faulted.tti.etl > clean.tti.etl,
         "retry backoff must be charged to the ETL bucket"
+    );
+    // Waiting is charged once, not as Extract-Transform work: the two
+    // backoffs are 2 s and 4 s before jitter, at most 25 % longer after it.
+    let ceiling = SimDuration::from_millis(2_500 + 5_000);
+    assert!(
+        faulted.tti.etl - clean.tti.etl <= ceiling,
+        "ETL grew by {}, more than the two backoffs",
+        faulted.tti.etl - clean.tti.etl
     );
     assert_eq!(
         clean.tti.dw_exe, faulted.tti.dw_exe,

@@ -277,7 +277,7 @@ fn injected_hv_outage_is_a_transient_error_not_a_panic() {
         .unwrap_err();
     let attempts = miso::chaos::hit_count("hv.execute");
     assert_eq!(err.layer(), "transient");
-    assert!(err.to_string().contains("HV"), "{err}");
+    assert_eq!(err.source(), Some("hv"), "{err}");
     assert!(
         attempts > 1,
         "a hard outage must be retried before surfacing ({attempts} attempts)"
