@@ -5,8 +5,11 @@
 //! explicit row count, so empty-arity batches still know their length.
 //! Typed columns (`Int`/`Float`/`Bool`/`Str`) carry a null bitmap
 //! ([`Nulls`]); null slots hold a default payload (`0`, `0.0`, `false`,
-//! `""`) and are masked out on read. Columns whose values mix types — or
-//! hold arrays/objects — fall back to a [`Column::Mixed`] vector of boxed
+//! `""`) and are masked out on read. A string column's payload is one UTF-8
+//! buffer plus a `u32` end offset per slot ([`Strs`], the Arrow layout), so
+//! gathering, slicing or appending strings copies bytes and allocates per
+//! column, not per cell. Columns whose values mix types — or hold
+//! arrays/objects — fall back to a [`Column::Mixed`] vector of boxed
 //! [`Value`]s, so **every** row set pivots losslessly:
 //! `rows → ColBatch → rows` is an identity (see the round-trip tests and
 //! the generated matrices of `tests/batch_prop.rs`).
@@ -15,8 +18,8 @@
 //! `Value`'s cross-type equality, ordering and hashing (Int/Float compare
 //! numerically, NaN is self-equal and sorts last, ±0.0 coincide) without
 //! materializing a `Value`. The engine's columnar operators consume cells
-//! for the generic path and reach into the typed vectors for the fast
-//! paths.
+//! for the generic path and reach into the typed payloads ([`Slots`]) for
+//! the fast paths.
 
 use crate::value::{cmp_f64, Row, Value};
 use std::cmp::Ordering;
@@ -89,6 +92,96 @@ impl Nulls {
     }
 }
 
+/// The payload of a string column: every slot's bytes in one UTF-8 buffer,
+/// and where each slot ends in it. Slot `i` is `bytes[end(i − 1)..end(i)]`,
+/// with `end(−1) = 0`; a NULL slot is empty. Offsets are `u32`, so a column
+/// holds at most 4 GiB of text: past that, a push panics with a message
+/// instead of wrapping.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Strs {
+    bytes: String,
+    ends: Vec<u32>,
+}
+
+/// The end offset of a slot that ends `len` bytes into the buffer.
+fn end_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a string column holds at most 4 GiB of text")
+}
+
+impl Strs {
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True iff there are no slots.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Slot `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start as usize..self.ends[i] as usize]
+    }
+
+    /// The slots in order.
+    fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Appends a slot holding `s`.
+    #[inline]
+    fn push(&mut self, s: &str) {
+        self.bytes.push_str(s);
+        self.ends.push(end_offset(self.bytes.len()));
+    }
+
+    /// Appends every slot of `other`: its text, and its offsets shifted by
+    /// the text already held.
+    fn extend(&mut self, other: &Strs) {
+        let base = end_offset(self.bytes.len());
+        self.bytes.push_str(&other.bytes);
+        // The last shifted offset is the largest: checking it checks them all.
+        end_offset(self.bytes.len());
+        self.ends.extend(other.ends.iter().map(|end| base + end));
+    }
+
+    /// The first `n` slots.
+    fn head(&self, n: usize) -> Strs {
+        let end = if n == 0 { 0 } else { self.ends[n - 1] };
+        Strs {
+            bytes: self.bytes[..end as usize].to_string(),
+            ends: self.ends[..n].to_vec(),
+        }
+    }
+}
+
+/// A typed column's payload, read slot by slot: a vector for the
+/// fixed-width variants, [`Strs`] for strings. What lets one typed kernel
+/// read any variant's slots by reference, as `&i64` or `&str`.
+pub trait Slots {
+    type Slot: ?Sized;
+    fn slot(&self, i: usize) -> &Self::Slot;
+}
+
+impl<T> Slots for Vec<T> {
+    type Slot = T;
+    #[inline]
+    fn slot(&self, i: usize) -> &T {
+        &self[i]
+    }
+}
+
+impl Slots for Strs {
+    type Slot = str;
+    #[inline]
+    fn slot(&self, i: usize) -> &str {
+        self.get(i)
+    }
+}
+
 /// One typed column vector. Null slots in typed variants hold a default
 /// payload and are masked by the bitmap; `Mixed` stores `Value`s verbatim
 /// (including `Value::Null`) for columns that don't fit a single scalar
@@ -98,7 +191,7 @@ pub enum Column {
     Int(Vec<i64>, Nulls),
     Float(Vec<f64>, Nulls),
     Bool(Vec<bool>, Nulls),
-    Str(Vec<String>, Nulls),
+    Str(Strs, Nulls),
     Mixed(Vec<Value>),
 }
 
@@ -309,7 +402,7 @@ impl Column {
                 if n.is_null(i) {
                     Cell::Null
                 } else {
-                    Cell::Str(&v[i])
+                    Cell::Str(v.get(i))
                 }
             }
             Column::Mixed(v) => Cell::of(&v[i]),
@@ -350,7 +443,18 @@ impl Column {
                 Column::Bool(out, nulls)
             }
             Column::Str(v, n) => {
-                let (out, nulls) = pick(v, n, sel);
+                let mut out = Strs {
+                    bytes: String::with_capacity(v.bytes.len() / v.len().max(1) * sel.len()),
+                    ends: Vec::with_capacity(sel.len()),
+                };
+                let mut nulls = Nulls::none();
+                for (j, &i) in sel.iter().enumerate() {
+                    if n.is_null(i as usize) {
+                        nulls.set(j);
+                    }
+                    // A NULL slot holds no text: copying it copies nothing.
+                    out.push(v.get(i as usize));
+                }
                 Column::Str(out, nulls)
             }
             Column::Mixed(v) => Column::Mixed(sel.iter().map(|&i| v[i as usize].clone()).collect()),
@@ -365,7 +469,7 @@ impl Column {
             Column::Int(v, nulls) => Column::Int(v[..n].to_vec(), nulls.head(n)),
             Column::Float(v, nulls) => Column::Float(v[..n].to_vec(), nulls.head(n)),
             Column::Bool(v, nulls) => Column::Bool(v[..n].to_vec(), nulls.head(n)),
-            Column::Str(v, nulls) => Column::Str(v[..n].to_vec(), nulls.head(n)),
+            Column::Str(v, nulls) => Column::Str(v.head(n), nulls.head(n)),
             Column::Mixed(v) => Column::Mixed(v[..n].to_vec()),
         }
     }
@@ -417,16 +521,16 @@ impl Column {
     }
 
     /// Footprint of the column's cells, summing [`Cell::approx_bytes`]: a
-    /// NULL is 1 byte and a typed payload a fixed width (or a length), so a
-    /// typed column is summed from its null count without visiting the cells.
+    /// NULL is 1 byte and a typed payload a fixed width (a string 4 bytes
+    /// plus its text, and a NULL slot holds none), so a typed column is
+    /// summed from its null count without visiting the cells.
     pub fn approx_bytes(&self) -> u64 {
         let fixed = |len: usize, nulls: &Nulls| 8 * len as u64 - 7 * nulls.count();
         match self {
             Column::Int(v, n) => fixed(v.len(), n),
             Column::Float(v, n) => fixed(v.len(), n),
             Column::Bool(v, _) => v.len() as u64,
-            Column::Str(v, n) if !n.any() => v.iter().map(|s| 4 + s.len() as u64).sum(),
-            Column::Str(..) => (0..self.len()).map(|i| self.cell(i).approx_bytes()).sum(),
+            Column::Str(v, n) => 4 * v.len() as u64 + v.bytes.len() as u64 - 3 * n.count(),
             Column::Mixed(v) => v.iter().map(Value::approx_bytes).sum(),
         }
     }
@@ -442,7 +546,7 @@ pub enum ColBuilder {
     Int(Vec<i64>, Nulls),
     Float(Vec<f64>, Nulls),
     Bool(Vec<bool>, Nulls),
-    Str(Vec<String>, Nulls),
+    Str(Strs, Nulls),
     Mixed(Vec<Value>),
 }
 
@@ -480,7 +584,7 @@ impl ColBuilder {
             ColBuilder::Int(v, _) => v.reserve(extra),
             ColBuilder::Float(v, _) => v.reserve(extra),
             ColBuilder::Bool(v, _) => v.reserve(extra),
-            ColBuilder::Str(v, _) => v.reserve(extra),
+            ColBuilder::Str(v, _) => v.ends.reserve(extra),
             ColBuilder::Mixed(v) => v.reserve(extra),
         }
     }
@@ -492,7 +596,7 @@ impl ColBuilder {
             ColBuilder::Int(v, n) => materialize(v, n, Value::Int),
             ColBuilder::Float(v, n) => materialize(v, n, Value::Float),
             ColBuilder::Bool(v, n) => materialize(v, n, Value::Bool),
-            ColBuilder::Str(v, n) => materialize(v, n, Value::Str),
+            ColBuilder::Str(v, n) => materialize(v.iter(), n, Value::str),
             ColBuilder::Mixed(v) => v,
         };
         *self = ColBuilder::Mixed(values);
@@ -519,7 +623,7 @@ impl ColBuilder {
             }
             ColBuilder::Str(v, n) => {
                 n.set(v.len());
-                v.push(String::new());
+                v.push("");
             }
             ColBuilder::Mixed(v) => v.push(Value::Null),
         }
@@ -576,20 +680,23 @@ impl ColBuilder {
         }
     }
 
-    pub fn push_str(&mut self, x: String) {
+    /// Copies `x` into the column's text buffer.
+    pub fn push_str(&mut self, x: &str) {
         match self {
             ColBuilder::Unknown(n) => {
-                let mut v = Vec::with_capacity(*n + 1);
+                let mut v = Strs {
+                    bytes: String::new(),
+                    ends: vec![0; *n],
+                };
                 let mut nulls = Nulls::none();
                 for i in 0..*n {
                     nulls.set(i);
-                    v.push(String::new());
                 }
                 v.push(x);
                 *self = ColBuilder::Str(v, nulls);
             }
             ColBuilder::Str(v, _) => v.push(x),
-            _ => self.degrade().push(Value::Str(x)),
+            _ => self.degrade().push(Value::str(x)),
         }
     }
 
@@ -600,7 +707,11 @@ impl ColBuilder {
             Value::Int(i) => self.push_i64(i),
             Value::Float(f) => self.push_f64(f),
             Value::Bool(b) => self.push_bool(b),
-            Value::Str(s) => self.push_str(s),
+            // Copied into a text buffer; moved into the `Mixed` column any
+            // other builder is, or degrades to.
+            Value::Str(s) if matches!(self, ColBuilder::Unknown(_) | ColBuilder::Str(..)) => {
+                self.push_str(&s)
+            }
             other => self.degrade().push(other),
         }
     }
@@ -608,7 +719,7 @@ impl ColBuilder {
     /// The builder that has been pushed `col`'s slots, in order, taking over
     /// `col`'s vectors where they are already what it would hold: so resuming
     /// costs nothing for a typed column or a degraded `Mixed` one.
-    fn resume(col: Column) -> ColBuilder {
+    pub fn resume(col: Column) -> ColBuilder {
         match col {
             col if !col.is_canonical() => {
                 // All NULL, or a `Mixed` column of one scalar type: re-pushing
@@ -646,7 +757,7 @@ impl ColBuilder {
             }
             (ColBuilder::Str(v, n), Column::Str(pv, pn)) => {
                 n.set_shifted(&pn, v.len());
-                v.extend(pv);
+                v.extend(&pv);
             }
             (_, part) => self.push_slots(part),
         }
@@ -683,7 +794,7 @@ impl ColBuilder {
                 }
             }
             Column::Str(v, n) => {
-                for (i, x) in v.into_iter().enumerate() {
+                for (i, x) in v.iter().enumerate() {
                     if n.is_null(i) {
                         self.push_null();
                     } else {
@@ -712,7 +823,11 @@ impl ColBuilder {
     }
 }
 
-fn materialize<T>(v: Vec<T>, nulls: Nulls, wrap: impl Fn(T) -> Value) -> Vec<Value> {
+fn materialize<T>(
+    v: impl IntoIterator<Item = T>,
+    nulls: Nulls,
+    wrap: impl Fn(T) -> Value,
+) -> Vec<Value> {
     v.into_iter()
         .enumerate()
         .map(|(i, x)| {
@@ -856,13 +971,29 @@ impl ColBatch {
         Row::new(self.columns.iter().map(|c| c.value(i)).collect())
     }
 
+    /// Overwrites `row`, which has this batch's arity, with [`ColBatch::row`]
+    /// `i` in the row's own allocations: a string slot that receives a string
+    /// keeps its capacity, and any other slot is overwritten.
+    pub fn fill_row(&self, i: usize, row: &mut Row) {
+        assert_eq!(row.arity(), self.arity(), "filling a row of another arity");
+        for (slot, col) in row.values_mut().iter_mut().zip(&self.columns) {
+            match (slot, col.cell(i)) {
+                (Value::Str(s), Cell::Str(x)) => {
+                    s.clear();
+                    s.push_str(x);
+                }
+                (slot, cell) => *slot = cell.to_value(),
+            }
+        }
+    }
+
     /// Pivots back to rows, cloning cell payloads.
     pub fn to_rows(&self) -> Vec<Row> {
         (0..self.len).map(|i| self.row(i)).collect()
     }
 
-    /// Pivots back to rows, consuming the batch so string/container
-    /// payloads of columns it solely owns move instead of cloning.
+    /// Pivots back to rows, consuming the batch so container payloads of
+    /// `Mixed` columns it solely owns move instead of cloning.
     pub fn into_rows(self) -> Vec<Row> {
         let len = self.len;
         let mut cols: Vec<std::vec::IntoIter<Value>> = self
@@ -873,7 +1004,7 @@ impl ColBatch {
                     Ok(Column::Int(v, n)) => materialize(v, n, Value::Int),
                     Ok(Column::Float(v, n)) => materialize(v, n, Value::Float),
                     Ok(Column::Bool(v, n)) => materialize(v, n, Value::Bool),
-                    Ok(Column::Str(v, n)) => materialize(v, n, Value::Str),
+                    Ok(Column::Str(v, n)) => materialize(v.iter(), n, Value::str),
                     Ok(Column::Mixed(v)) => v,
                     Err(shared) => (0..len).map(|i| shared.value(i)).collect(),
                 };

@@ -15,7 +15,7 @@
 //! was materialized — silent corruption. [`checksum_rows`] is the same digest
 //! over the same multiset in row form.
 
-use crate::batch::{ColBatch, Column, Nulls};
+use crate::batch::{ColBatch, Column, Nulls, Slots};
 use crate::value::{Row, Value};
 use miso_common::pool;
 use std::sync::Arc;
@@ -121,12 +121,18 @@ fn batch_sum(batch: &ColBatch) -> u64 {
 /// Streams slots `start..start + rows.len()` of `col` into the rows' states,
 /// each slot encoded as [`digest_value`] encodes the value it holds.
 fn digest_column(col: &Column, start: usize, rows: &mut [Fnv]) {
-    fn typed<T>(v: &[T], nulls: &Nulls, start: usize, rows: &mut [Fnv], f: impl Fn(&T, &mut Fnv)) {
+    fn typed<P: Slots>(
+        v: &P,
+        nulls: &Nulls,
+        start: usize,
+        rows: &mut [Fnv],
+        f: impl Fn(&P::Slot, &mut Fnv),
+    ) {
         for (j, h) in rows.iter_mut().enumerate() {
             if nulls.is_null(start + j) {
                 h.byte(0);
             } else {
-                f(&v[start + j], h);
+                f(v.slot(start + j), h);
             }
         }
     }
@@ -134,7 +140,7 @@ fn digest_column(col: &Column, start: usize, rows: &mut [Fnv]) {
         Column::Int(v, n) => typed(v, n, start, rows, |i, h| digest_int(*i, h)),
         Column::Float(v, n) => typed(v, n, start, rows, |f, h| digest_float(*f, h)),
         Column::Bool(v, n) => typed(v, n, start, rows, |b, h| digest_bool(*b, h)),
-        Column::Str(v, n) => typed(v, n, start, rows, |s, h| digest_str(s, h)),
+        Column::Str(v, n) => typed(v, n, start, rows, digest_str),
         Column::Mixed(v) => {
             for (value, h) in v[start..].iter().zip(rows) {
                 digest_value(value, h);

@@ -310,6 +310,11 @@ impl Row {
         &self.values
     }
 
+    /// All values, to overwrite in place (the arity is fixed).
+    pub(crate) fn values_mut(&mut self) -> &mut [Value] {
+        &mut self.values
+    }
+
     /// Consumes the row, yielding its values.
     pub fn into_values(self) -> Vec<Value> {
         self.values

@@ -147,6 +147,135 @@ fn batch_digests_are_the_row_digests() {
     );
 }
 
+/// Empty, ASCII and multi-byte UTF-8 text: 2-, 3- and 4-byte characters.
+fn arb_str(rng: &mut DetRng) -> String {
+    const PIECES: [&str; 7] = ["", "a", "Zürich", "é", "漢字", "🦀", " "];
+    (0..rng.below(4)).map(|_| *rng.pick(&PIECES)).collect()
+}
+
+/// Up to `max` string slots with NULLs in runs, some longer than a 64-slot
+/// word of the null bitmap, so runs start and end anywhere in a word.
+fn arb_strings(rng: &mut DetRng, max: u64) -> Vec<Value> {
+    let n = rng.below(max + 1) as usize;
+    let mut values = Vec::with_capacity(n);
+    while values.len() < n {
+        let longest = if rng.chance(0.2) { 150 } else { 6 };
+        let run = 1 + rng.below(longest) as usize;
+        let null = rng.chance(0.4);
+        for _ in 0..run.min(n - values.len()) {
+            values.push(if null {
+                Value::Null
+            } else {
+                Value::Str(arb_str(rng))
+            });
+        }
+    }
+    values
+}
+
+fn one_pass(values: &[Value]) -> Column {
+    let mut b = ColBuilder::new();
+    values.iter().for_each(|v| b.push_value(v.clone()));
+    b.finish()
+}
+
+fn values_of(col: &Column) -> Vec<Value> {
+    (0..col.len()).map(|i| col.value(i)).collect()
+}
+
+/// A string column is one text buffer plus end offsets, and every way of
+/// making one out of another — gathers in sorted, shuffled and repeating
+/// order, heads, concatenation and in-place appends of parts with other
+/// NULL patterns, a builder resumed from a column — reads back as the row
+/// path says: same values, same byte charge, same checksum, same rows.
+#[test]
+fn string_buffer_is_the_row_path() {
+    let mut typed = 0;
+    for seed in 0..CASES {
+        let mut rng = DetRng::new(0x57a1_0000 + seed);
+        let values = arb_strings(&mut rng, 300);
+        let col = one_pass(&values);
+        typed += usize::from(matches!(col, Column::Str(..)));
+        let n = values.len();
+        let what = format!("seed {seed}");
+        assert_eq!(values_of(&col), values, "{what}");
+        let charge: u64 = values.iter().map(Value::approx_bytes).sum();
+        assert_eq!(col.approx_bytes(), charge, "{what}");
+
+        // A second string column beside it, with its own NULLs.
+        let other: Vec<Value> = (0..n)
+            .map(|_| {
+                if rng.chance(0.3) {
+                    Value::Null
+                } else {
+                    Value::Str(arb_str(&mut rng))
+                }
+            })
+            .collect();
+        let rows: Vec<Row> = values
+            .iter()
+            .zip(&other)
+            .map(|(a, b)| Row::new(vec![a.clone(), b.clone()]))
+            .collect();
+        let batch = ColBatch::of_rows(2, &rows).unwrap();
+        assert_eq!(batch.col(0), &col, "{what}");
+        assert_eq!(checksum_batch(&batch), checksum_rows(&rows), "{what}");
+        let bytes: u64 = rows.iter().map(Row::approx_bytes).sum();
+        assert_eq!(batch.row_bytes(), bytes, "{what}");
+        assert_eq!(batch.to_rows(), rows, "{what}");
+        assert_eq!(batch.clone().into_rows(), rows, "{what}");
+
+        // Gathers: ascending, shuffled, and with repeats.
+        let sorted: Vec<u32> = (0..n as u32).filter(|_| rng.chance(0.5)).collect();
+        let mut shuffled: Vec<u32> = (0..n as u32).collect();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let repeated: Vec<u32> = (0..rng.below(2 * n as u64 + 1))
+            .map(|_| rng.below(n as u64) as u32)
+            .collect();
+        for sel in [&sorted, &shuffled, &repeated] {
+            let picked = batch.gather(sel);
+            let want: Vec<Row> = sel.iter().map(|&i| rows[i as usize].clone()).collect();
+            assert_eq!(picked.to_rows(), want, "{what}: gather {sel:?}");
+            assert_eq!(checksum_batch(&picked), checksum_rows(&want), "{what}");
+            let bytes: u64 = want.iter().map(Row::approx_bytes).sum();
+            assert_eq!(picked.row_bytes(), bytes, "{what}");
+        }
+
+        // Parts cut anywhere, each built on its own, put back together.
+        let mut cuts = [rng.below(n as u64 + 1), rng.below(n as u64 + 1)].map(|c| c as usize);
+        cuts.sort_unstable();
+        let pieces = [
+            &values[..cuts[0]],
+            &values[cuts[0]..cuts[1]],
+            &values[cuts[1]..],
+        ];
+        let parts: Vec<Column> = pieces.iter().map(|p| one_pass(p)).collect();
+        assert_eq!(Column::concat(parts.clone()), col, "{what}: concat");
+        let mut appended = parts[0].clone();
+        appended.append(parts[1].clone());
+        appended.append(parts[2].clone());
+        assert_eq!(appended, col, "{what}: append");
+        let mut resumed = ColBuilder::resume(parts[0].clone());
+        for v in &values[cuts[0]..] {
+            resumed.push_value(v.clone());
+        }
+        assert_eq!(resumed.finish(), col, "{what}: resume");
+        let head = col.head(cuts[1]);
+        assert_eq!(values_of(&head), values[..cuts[1]], "{what}: head");
+        assert_eq!(
+            head.approx_bytes(),
+            values[..cuts[1]]
+                .iter()
+                .map(Value::approx_bytes)
+                .sum::<u64>(),
+            "{what}: head"
+        );
+    }
+    assert!(typed > CASES as usize / 2, "{typed} string columns");
+}
+
 /// Column equality with floats by bit pattern: `f64`'s `==` fails on NaN,
 /// and `Value`'s folds NaNs and signed zeros together.
 fn same(a: &Column, b: &Column) -> bool {

@@ -38,7 +38,7 @@ use crate::udf::UdfRegistry;
 use miso_common::guard::QueryGuard;
 use miso_common::{pool, MisoError, Result};
 use miso_data::json::{parse_json, FlatVal, IndexedLine, LineIndex};
-use miso_data::{Cell, ColBatch, ColBuilder, Column, DataType, Nulls, Value};
+use miso_data::{Cell, ColBatch, ColBuilder, Column, DataType, Nulls, Slots, Strs, Value};
 use miso_plan::{BinOp, Expr, Operator, UnaryOp};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -82,7 +82,7 @@ impl VCol<'_> {
             VCol::Const(Value::Int(x)) => Some(Typed::Int(Side::Lit(x))),
             VCol::Const(Value::Float(x)) => Some(Typed::Float(Side::Lit(x))),
             VCol::Const(Value::Bool(x)) => Some(Typed::Bool(Side::Lit(x))),
-            VCol::Const(Value::Str(x)) => Some(Typed::Str(Side::Lit(x))),
+            VCol::Const(Value::Str(x)) => Some(Typed::Str(Side::Lit(x.as_str()))),
             VCol::Const(_) => None,
             VCol::Ref(c, start) => Typed::of(c, *start),
             VCol::Owned(c) => Typed::of(c, 0),
@@ -108,40 +108,39 @@ impl VCol<'_> {
 }
 
 /// One side of a typed kernel: position `j` reads a literal, or slot
-/// `start + j` of a typed column's payload.
-#[derive(Debug)]
-pub(crate) enum Side<'a, T> {
-    Lit(&'a T),
-    Col(&'a [T], &'a Nulls, usize),
+/// `start + j` of a typed column's payload `P`.
+pub(crate) enum Side<'a, P: Slots> {
+    Lit(&'a P::Slot),
+    Col(&'a P, &'a Nulls, usize),
 }
 
-// Borrows only, whatever `T` is.
-impl<T> Clone for Side<'_, T> {
+// Borrows only, whatever `P` is.
+impl<P: Slots> Clone for Side<'_, P> {
     fn clone(&self) -> Self {
         *self
     }
 }
 
-impl<T> Copy for Side<'_, T> {}
+impl<P: Slots> Copy for Side<'_, P> {}
 
-impl<'a, T> Side<'a, T> {
+impl<'a, P: Slots> Side<'a, P> {
     /// The payload at position `j`; `None` where it is NULL.
     #[inline]
-    pub(crate) fn get(&self, j: usize) -> Option<&'a T> {
+    pub(crate) fn get(&self, j: usize) -> Option<&'a P::Slot> {
         match *self {
             Side::Lit(x) => Some(x),
-            Side::Col(v, nulls, start) => (!nulls.is_null(start + j)).then(|| &v[start + j]),
+            Side::Col(v, nulls, start) => (!nulls.is_null(start + j)).then(|| v.slot(start + j)),
         }
     }
 }
 
 /// A vector read on its payload, picked once per morsel from its variant.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub(crate) enum Typed<'a> {
-    Int(Side<'a, i64>),
-    Float(Side<'a, f64>),
-    Bool(Side<'a, bool>),
-    Str(Side<'a, String>),
+    Int(Side<'a, Vec<i64>>),
+    Float(Side<'a, Vec<f64>>),
+    Bool(Side<'a, Vec<bool>>),
+    Str(Side<'a, Strs>),
 }
 
 impl<'a> Typed<'a> {
@@ -184,7 +183,7 @@ impl Scalar for bool {
     }
 }
 
-impl Scalar for String {
+impl Scalar for str {
     #[inline]
     fn cell(&self) -> Cell<'_> {
         Cell::Str(self)
@@ -314,13 +313,17 @@ fn holds(op: BinOp, ord: Ordering) -> bool {
 /// Str, Bool against Bool — the pairs `eval_binary` orders rather than calls
 /// incomparable — written into a `Bool` column; `None` for any other pair.
 fn compare_typed(op: BinOp, l: &VCol, r: &VCol, n: usize, mask: Option<&[u32]>) -> Option<Column> {
-    fn compare<A: Scalar, B: Scalar>(
+    fn compare<A: Slots, B: Slots>(
         op: BinOp,
         l: Side<A>,
         r: Side<B>,
         n: usize,
         mask: Option<&[u32]>,
-    ) -> Column {
+    ) -> Column
+    where
+        A::Slot: Scalar,
+        B::Slot: Scalar,
+    {
         bool_masked(n, mask, |j| {
             let ord = l.get(j)?.cell().cmp_cell(&r.get(j)?.cell());
             Some(holds(op, ord))
@@ -522,16 +525,19 @@ pub(crate) fn select_true(pred: &VCol, start: usize, n: usize) -> Vec<u32> {
         }
     }
     let global = |j: usize| (start + j) as u32;
+    // Room for every position: one allocation, however many are selected.
+    let mut selected = Vec::with_capacity(n);
     match pred.typed() {
-        Some(Typed::Bool(b)) => (0..n)
-            .filter(|&j| b.get(j) == Some(&true))
-            .map(global)
-            .collect(),
-        _ => (0..n)
-            .filter(|&j| matches!(pred.cell(j), Cell::Bool(true)))
-            .map(global)
-            .collect(),
+        Some(Typed::Bool(b)) => {
+            selected.extend((0..n).filter(|&j| b.get(j) == Some(&true)).map(global))
+        }
+        _ => selected.extend(
+            (0..n)
+                .filter(|&j| matches!(pred.cell(j), Cell::Bool(true)))
+                .map(global),
+        ),
     }
+    selected
 }
 
 /// One output column of a fused scan+project: a field to pull out of each
@@ -591,7 +597,7 @@ fn push_cast(b: &mut ColBuilder, tok: FlatVal<'_>, ty: Option<DataType>) {
             FlatVal::Bool(x) => b.push_bool(x),
             FlatVal::Int(i) => b.push_i64(i),
             FlatVal::Float(f) => b.push_f64(f),
-            FlatVal::Str(s) => b.push_str(s.to_string()),
+            FlatVal::Str(s) => b.push_str(s),
             FlatVal::Nested(_) => b.push_value(tok.to_value()),
         }
         return;
@@ -609,7 +615,7 @@ fn push_cast(b: &mut ColBuilder, tok: FlatVal<'_>, ty: Option<DataType>) {
             Ok(f) => b.push_f64(f),
             Err(_) => b.push_null(),
         },
-        (FlatVal::Str(s), DataType::Str) => b.push_str(s.to_string()),
+        (FlatVal::Str(s), DataType::Str) => b.push_str(s),
         (tok, ty) => b.push_value(cast(tok.to_value(), ty)),
     }
 }
@@ -753,11 +759,20 @@ mod tests {
         }
     }
 
+    fn neg(e: Expr) -> Expr {
+        Expr::Unary {
+            op: UnaryOp::Neg,
+            input: Box::new(e),
+        }
+    }
+
     /// `$0` Int, `$1` Str, `$4` Float — each with a NULL; `$2` a `Mixed`
     /// column of scalars, `$3` a `Mixed` column of arrays, an object, a
     /// string and a NULL. For the typed arms, each with a NULL too: `$5`
     /// Float with −0.0, NaN, 0.0 and a −4.0 that `$6` (Int) and `$0` equal,
-    /// `$6` Int with 0s that `$5`'s zeros equal, `$7` Bool, `$8` Str.
+    /// `$6` Int with 0s that `$5`'s zeros equal, `$7` Bool, `$8` Str (one
+    /// of them not ASCII). `$9` Int holds `i64::MIN`, whose negation,
+    /// absolute value and remainder by −1 leave `i64`. `$10` is out of range.
     fn batch() -> ColBatch {
         let tags = Value::Array(vec![Value::str("pizza"), Value::Int(1), Value::Null]);
         let user = Value::object(vec![
@@ -765,7 +780,7 @@ mod tests {
             ("tags".into(), Value::Array(vec![Value::str("pizza")])),
         ]);
         let row =
-            |vals: [Value; 5], typed: [Value; 4]| Row::new(vals.into_iter().chain(typed).collect());
+            |vals: [Value; 5], typed: [Value; 5]| Row::new(vals.into_iter().chain(typed).collect());
         let (f, i, t, st) = (Value::Float, Value::Int, Value::Bool, Value::str);
         let rows: Vec<Row> = vec![
             row(
@@ -776,7 +791,7 @@ mod tests {
                     tags,
                     Value::Float(2.25),
                 ],
-                [f(-0.0), i(0), t(true), st("a")],
+                [f(-0.0), i(0), t(true), st("a"), i(i64::MIN)],
             ),
             row(
                 [
@@ -786,7 +801,7 @@ mod tests {
                     user,
                     Value::Float(-1.0),
                 ],
-                [f(f64::NAN), i(2), Value::Null, st("a")],
+                [f(f64::NAN), i(2), Value::Null, st("a"), i(-1)],
             ),
             row(
                 [
@@ -796,7 +811,7 @@ mod tests {
                     Value::str("Hello World"),
                     Value::Null,
                 ],
-                [Value::Null, Value::Null, t(false), st("c")],
+                [Value::Null, Value::Null, t(false), st("漢字"), Value::Null],
             ),
             row(
                 [
@@ -806,7 +821,7 @@ mod tests {
                     Value::Null,
                     Value::Float(90_000.7),
                 ],
-                [f(-4.0), i(-4), t(true), Value::Null],
+                [f(-4.0), i(-4), t(true), Value::Null, i(i64::MAX)],
             ),
             row(
                 [
@@ -816,7 +831,7 @@ mod tests {
                     Value::Array(vec![]),
                     Value::Float(0.0),
                 ],
-                [f(0.0), i(0), t(false), st("Hello World")],
+                [f(0.0), i(0), t(false), st("Hello World"), i(7)],
             ),
         ];
         let b = ColBatch::from_rows(&rows).unwrap();
@@ -824,6 +839,7 @@ mod tests {
         assert!(matches!(b.col(2), Column::Mixed(..)) && matches!(b.col(3), Column::Mixed(..)));
         assert!(matches!(b.col(5), Column::Float(..)) && matches!(b.col(6), Column::Int(..)));
         assert!(matches!(b.col(7), Column::Bool(..)) && matches!(b.col(8), Column::Str(..)));
+        assert!(matches!(b.col(9), Column::Int(..)) && b.arity() == 10);
         b
     }
 
@@ -925,11 +941,34 @@ mod tests {
             bin(BinOp::Lt, E::col(1), E::col(0)),
             E::col(1).eq(E::col(0)),
             // Out-of-range column must reproduce the scalar error.
-            bin(BinOp::Lt, E::col(9), E::lit(1i64)),
+            bin(BinOp::Lt, E::col(10), E::lit(1i64)),
+            // Integer results outside `i64` are NULL, as `a + b` is.
+            neg(E::col(9)),
+            bin(BinOp::Mod, E::col(9), E::lit(-1i64)),
+            bin(BinOp::Mod, E::col(9), E::col(9)),
+            bin(BinOp::Sub, E::lit(0i64), E::col(9)),
+            neg(E::lit(f64::NAN)),
+            bin(BinOp::Mod, E::lit(f64::NAN), E::col(9)),
+            E::lit(f64::NAN).cast(DataType::Int),
         ];
         for e in &exprs {
             assert_parity(e);
         }
+        let b = batch();
+        let at = |e: &Expr, j: usize| {
+            eval_vec(e, &b, 0, b.len(), None)
+                .unwrap()
+                .cell(j)
+                .to_value()
+        };
+        assert_eq!(at(&neg(E::col(9)), 0), Value::Null, "-i64::MIN");
+        assert_eq!(at(&neg(E::col(9)), 1), Value::Int(1));
+        assert_eq!(at(&neg(E::col(9)), 3), Value::Int(-i64::MAX));
+        let rem = |r: i64| bin(BinOp::Mod, E::col(9), E::lit(r));
+        assert_eq!(at(&rem(-1), 0), Value::Null, "i64::MIN % -1");
+        assert_eq!(at(&rem(-1), 4), Value::Int(0));
+        assert_eq!(at(&rem(0), 4), Value::Null);
+        assert_eq!(at(&rem(-3), 1), Value::Int(2));
         // The typed arms. Every comparison on every typed pair — Int/Int,
         // Float/Float, Int/Float both ways, Str/Str, Bool/Bool; column
         // against column, against a literal and a literal against a column;
@@ -1039,6 +1078,8 @@ mod tests {
                 E::lit(Value::Array(vec![Value::str("a"), Value::Int(2)])),
                 E::col(3).get("tags"),
                 E::col(9),
+                E::lit(f64::NAN),
+                E::col(10),
             ]
         };
         let builtins: [(&str, usize); 13] = [
@@ -1080,7 +1121,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(checked, 9 * 11 + 3 * 121 + 1331);
+        assert_eq!(checked, 9 * 13 + 3 * 169 + 2197);
         // Spot values, so that parity is not two evaluators agreeing on NULL.
         let b = batch();
         let at = |e: &Expr, j: usize| {
@@ -1106,6 +1147,13 @@ mod tests {
         assert_eq!(at(&func("length", vec![E::col(3)]), 0), Value::Int(3));
         assert_eq!(at(&func("length", vec![E::col(1)]), 4), Value::Int(5));
         assert_eq!(at(&func("upper", vec![E::col(1)]), 4), Value::str("HELLO"));
+        let abs = func("abs", vec![E::col(9)]);
+        assert_eq!(at(&abs, 0), Value::Null, "abs(i64::MIN)");
+        assert_eq!(at(&abs, 1), Value::Int(1));
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(at(&func("round", vec![E::lit(x)]), 0), Value::Null, "{x}");
+        }
+        assert_eq!(at(&func("round", vec![E::lit(-2.5)]), 0), Value::Int(-3));
     }
 
     /// A builtin called with the wrong number of arguments, or one that
@@ -1155,7 +1203,7 @@ mod tests {
         // takes any number.
         assert_eq!(errors, 12 * 4 + 5);
         // A bad argument is reported before the call that takes it.
-        assert_parity(&func("nope", vec![E::col(9)]));
+        assert_parity(&func("nope", vec![E::col(10)]));
         assert_parity(&func("lower", vec![func("nope", vec![])]));
     }
 
@@ -1174,7 +1222,7 @@ mod tests {
             E::lit(object.clone()).get("k"),
             E::lit(object).get("absent"),
             E::lit(5i64).get("k"),
-            E::col(9).get("k"),
+            E::col(10).get("k"),
             E::col(3).get("uid").cast(DataType::Str),
             E::col(3).get("uid").eq(E::lit(7i64)),
         ];

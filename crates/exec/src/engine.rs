@@ -48,7 +48,7 @@ use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
 use miso_common::{pool, ByteSize, MisoError, Result};
 use miso_data::json::parse_json;
-use miso_data::{Cell, ColBatch, ColBuilder, Column, Nulls, Row, Value};
+use miso_data::{Cell, ColBatch, ColBuilder, Column, Nulls, Row, Slots, Value};
 use miso_plan::fingerprint::{fnv1a_hash_one, FnvHasher};
 use miso_plan::{AggExpr, AggFunc, Expr, LogicalPlan, Operator, PlanNode};
 use std::collections::{HashMap, HashSet};
@@ -682,15 +682,18 @@ fn sort(batch: &ColBatch, keys: &[(usize, bool)]) -> ColBatch {
 /// Calls `udf` once per row — the one place an operator builds rows, because
 /// a UDF's function takes one and answers in them. A UDF that declared the
 /// fields it reads gets them as `batch` holds them (a fused scan read exactly
-/// those); any other gets its input row. The answers' values move straight
-/// into the output columns.
+/// those); any other gets its input row. Each morsel refills one input row
+/// in place ([`ColBatch::fill_row`]), so reading a row allocates nothing
+/// once its strings have grown to fit. The answers' values go straight into
+/// the output columns.
 fn udf(guard: &QueryGuard, udf: &Udf, batch: &ColBatch, declared: bool) -> Result<ColBatch> {
     let arity = udf.output.arity();
     let parts = par_ranges(guard, batch.len(), |_, start, n| -> Result<ColBatch> {
         let mut cols: Vec<ColBuilder> = (0..arity).map(|_| ColBuilder::new()).collect();
         let mut len = 0;
+        let mut row = Row::new(vec![Value::Null; batch.arity()]);
         for i in start..start + n {
-            let row = batch.row(i);
+            batch.fill_row(i, &mut row);
             let out = if declared {
                 udf.apply_fields(&row)?
             } else {
@@ -875,16 +878,19 @@ trait JoinKey: Sync {
 /// its payload as the cell it stands for ([`Scalar::cell`]) — hashed as the
 /// cell hashes, equal as cells are, so as `Value`s: NaN matches NaN, −0.0
 /// matches 0.0.
-struct PayloadKey<'a, T>(&'a [T], &'a Nulls);
+struct PayloadKey<'a, P>(&'a P, &'a Nulls);
 
-impl<T: Scalar + Sync> JoinKey for PayloadKey<'_, T> {
+impl<P: Slots + Sync> JoinKey for PayloadKey<'_, P>
+where
+    P::Slot: Scalar,
+{
     #[inline]
     fn hash(&self, i: usize) -> Option<u64> {
-        (!self.1.is_null(i)).then(|| fnv1a_hash_one(&self.0[i].cell()))
+        (!self.1.is_null(i)).then(|| fnv1a_hash_one(&self.0.slot(i).cell()))
     }
     #[inline]
     fn eq(&self, i: usize, other: &Self, j: usize) -> bool {
-        self.0[i].cell() == other.0[j].cell()
+        self.0.slot(i).cell() == other.0.slot(j).cell()
     }
 }
 
@@ -999,7 +1005,8 @@ fn join_pairs<K: JoinKey>(
         )
     })?;
     let pairs = par_ranges(guard, sizes.0, |_, start, n| {
-        let (mut ls, mut rs) = (Vec::new(), Vec::new());
+        // Room for a match per left row, the common case of a key join.
+        let (mut ls, mut rs) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for li in start..start + n {
             let Some(h) = left.hash(li) else {
                 continue;
@@ -2184,21 +2191,23 @@ mod tests {
     }
 
     /// A multi-morsel log pipeline: scan (fused into its projection when
-    /// neither is kept) → project → filter → grouped aggregation.
+    /// neither is kept) → project → filter → grouped aggregation. Line `i`
+    /// is in city `CITIES[i % 7]`; most of those are not ASCII.
     fn log_pipeline() -> (LogicalPlan, MemSource) {
+        const CITIES: [&str; 7] = ["c0", "Zürich", "東京", "c3", "São Paulo", "🦀ville", ""];
         let mut src = MemSource::new();
         let lines: Vec<String> = (0..9_000)
             .map(|i| {
+                let city = CITIES[i % 7];
                 if i % 97 == 13 {
                     "oops not json".to_string()
                 } else if i % 53 == 0 {
                     // Missing score: NULL after projection.
-                    format!(r#"{{"uid": {}, "city": "c{}"}}"#, i % 50, i % 7)
+                    format!(r#"{{"uid": {}, "city": "{city}"}}"#, i % 50)
                 } else {
                     format!(
-                        r#"{{"uid": {}, "city": "c{}", "score": {}}}"#,
+                        r#"{{"uid": {}, "city": "{city}", "score": {}}}"#,
                         i % 50,
-                        i % 7,
                         (i * 31) % 1000
                     )
                 }
@@ -2425,7 +2434,9 @@ mod tests {
     /// scan (which may not fuse) read twice, `FieldGet` filters and a
     /// builtin projection over its records, an aggregate over an
     /// expression, a UDF that declares no fields and one that declares
-    /// them (fused), joins, sort → limit.
+    /// them (fused), joins, sort → limit. Two cities pass the filters, one
+    /// of them not ASCII, so string join keys, group keys, sort keys and
+    /// `contains` all read multi-byte text.
     #[test]
     fn every_operator_body_is_serial() {
         let (_, src) = log_pipeline();
@@ -2451,10 +2462,15 @@ mod tests {
             )
             .reading(&["city"]),
         );
-        let by_city = Expr::col(0)
-            .get("city")
-            .cast(DataType::Str)
-            .eq(Expr::lit("c3"));
+        let city_of = || Expr::col(0).get("city").cast(DataType::Str);
+        let by_city = Expr::Binary {
+            op: miso_plan::BinOp::Or,
+            left: Box::new(city_of().eq(Expr::lit("c3"))),
+            right: Box::new(Expr::Func {
+                name: "contains".into(),
+                args: vec![city_of(), Expr::lit("京")],
+            }),
+        };
         let upper = |city: Expr| Expr::Func {
             name: "upper".into(),
             args: vec![city],
@@ -2508,7 +2524,8 @@ mod tests {
             },
             vec![declared],
         );
-        // Lines 3 and 10 are the two of the first twelve in city c3.
+        // Lines 2, 3, 9 and 10 are the four of the first twelve in the two
+        // cities.
         let few = add(Operator::Limit { n: 12 }, vec![place]);
         let both = add(Operator::Join { on: vec![(0, 0)] }, vec![join, few]);
         let keys = vec![(2, true), (0, false)];
@@ -2523,6 +2540,77 @@ mod tests {
         let run = run_keeping(&plan, &src, &udfs, &[kept_scan, proj]);
         for id in [free_scan, fused_scan, undeclared, sort] {
             assert!(run.try_output(id).is_none(), "node {id}");
+        }
+    }
+
+    /// The UDF operator refills one input row per morsel. An echoing UDF
+    /// still sees each row as the serial interpreter builds it, over three
+    /// morsels of strings that grow and shrink from row to row with NULLs
+    /// between them, beside a `Mixed` column whose type changes every row:
+    /// reading a view's columns, a log's records, and a log's declared
+    /// fields (fused, or from the records of a kept scan).
+    #[test]
+    fn a_refilled_udf_row_is_the_row_serial_builds() {
+        let text = |i: usize| match i % 4 {
+            0 => Value::Null,
+            1 => Value::str("漢é".repeat(i % 29)),
+            2 => Value::str(""),
+            _ => Value::str(format!("{i}🦀")),
+        };
+        let mixed = |i: usize| match i % 5 {
+            0 => Value::Int(i as i64),
+            1 => Value::str(format!("m{i}")),
+            2 => Value::Null,
+            3 => Value::Array(vec![Value::str("ü"), Value::Int(3)]),
+            _ => Value::Float(i as f64 / 2.0),
+        };
+        let n = 2 * MORSEL_SIZE + 123;
+        let rows: Vec<Row> = (0..n).map(|i| Row::new(vec![text(i), mixed(i)])).collect();
+        let lines = rows.iter().map(|r| {
+            let fields = vec![
+                ("s".into(), r.get(0).clone()),
+                ("m".into(), r.get(1).clone()),
+            ];
+            miso_data::json::to_json(&Value::object(fields))
+        });
+        let mut src = MemSource::new();
+        src.add_log("l", lines.collect());
+        src.add_view("v", rows.clone());
+        let view = src.view_batch("v").unwrap();
+        assert!(matches!(view.col(0), Column::Str(..)));
+        assert!(matches!(view.col(1), Column::Mixed(..)));
+
+        let json = |name| Field::new(name, DataType::Json);
+        let out = Schema::new(vec![json("s"), json("m")]);
+        let record = Schema::new(vec![json("record")]);
+        let echo: crate::udf::UdfFn = Arc::new(|row: &Row| Ok(vec![row.clone()]));
+        let mut udfs = UdfRegistry::new();
+        udfs.register(Udf::new("echo", out.clone(), echo.clone()));
+        udfs.register(Udf::new("echo_record", record.clone(), echo.clone()));
+        udfs.register(Udf::new("echo_fields", out.clone(), echo).reading(&["s", "m"]));
+        let scan_log = Operator::ScanLog { log: "l".into() };
+        let scan_view = Operator::ScanView {
+            view: "v".into(),
+            schema: out.clone(),
+        };
+        for (scan, name, output) in [
+            (scan_view, "echo", &out),
+            (scan_log.clone(), "echo_record", &record),
+            (scan_log, "echo_fields", &out),
+        ] {
+            let mut b = PlanBuilder::new();
+            let leaf = b.add(scan, vec![]).unwrap();
+            let op = Operator::Udf {
+                name: name.into(),
+                output: output.clone(),
+            };
+            let udf = b.add(op, vec![leaf]).unwrap();
+            let plan = b.finish(udf).unwrap();
+            assert_engine_is_serial(&plan, &src, &udfs);
+            if name == "echo_fields" {
+                let serial = crate::serial::execute_serial(&plan, &src, &udfs).unwrap();
+                assert_eq!(serial.root_rows().unwrap(), rows, "the echo");
+            }
         }
     }
 

@@ -65,7 +65,7 @@ pub(crate) fn eval_unary(op: UnaryOp, v: Value) -> Value {
             _ => Value::Null,
         },
         UnaryOp::Neg => match v {
-            Value::Int(i) => Value::Int(-i),
+            Value::Int(i) => i.checked_neg().map_or(Value::Null, Value::Int),
             Value::Float(f) => Value::Float(-f),
             _ => Value::Null,
         },
@@ -156,13 +156,8 @@ fn arithmetic(op: BinOp, l: Value, r: Value) -> Value {
                     Value::Float(*a as f64 / *b as f64)
                 }
             }
-            BinOp::Mod => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(a.rem_euclid(*b))
-                }
-            }
+            // `None` for a zero divisor and for `i64::MIN % -1`.
+            BinOp::Mod => a.checked_rem_euclid(*b).map_or(Value::Null, Value::Int),
             _ => unreachable!(),
         },
         _ => {
@@ -323,9 +318,10 @@ impl Builtin {
             (Builtin::ArrayContains, [Cell::Val(Value::Array(items)), needle]) => {
                 Value::Bool(items.iter().any(|item| needle.eq_value(item)))
             }
-            (Builtin::Abs, [Cell::Int(i)]) => Value::Int(i.abs()),
+            (Builtin::Abs, [Cell::Int(i)]) => i.checked_abs().map_or(Value::Null, Value::Int),
             (Builtin::Abs, [Cell::Float(f)]) => Value::Float(f.abs()),
-            (Builtin::Round, [Cell::Float(f)]) => Value::Int(f.round() as i64),
+            // NaN and ±∞ have no integer, as in `CAST(… AS INT)`.
+            (Builtin::Round, [Cell::Float(f)]) if f.is_finite() => Value::Int(f.round() as i64),
             (Builtin::Round, [Cell::Int(i)]) => Value::Int(*i),
             // NaN passes both guards: its root and log are NaN.
             (Builtin::Sqrt, [v]) => float(v, |f| if f < 0.0 { None } else { Some(f.sqrt()) }),
