@@ -1,19 +1,21 @@
 //! Shared harness for the evaluation reproductions.
 //!
-//! Every `fig*`/`table*` binary builds its systems through this module so
-//! that all experiments run against the same corpus, workload, budgets, and
-//! cost models. Budgets follow the paper's convention: `B_h`/`B_d` are
-//! multiples of each store's "base data" size (§5.1) — all logs for HV, the
-//! queries' relevant subset (we use 10%, matching the paper's 200 GB of
-//! 2 TB) for DW.
+//! Every figure in [`figures`] and every bench binary builds its systems
+//! through this module so that all experiments run against the same corpus,
+//! workload, budgets, and cost models. Budgets follow the paper's
+//! convention: `B_h`/`B_d` are multiples of each store's "base data" size
+//! (§5.1) — all logs for HV, the queries' relevant subset (we use 10%,
+//! matching the paper's 200 GB of 2 TB) for DW.
 
-use miso_common::{Budgets, ByteSize};
+use miso_common::{Budgets, ByteSize, SimDuration};
 use miso_core::{ExperimentResult, MultistoreSystem, SystemConfig, Variant};
 use miso_data::logs::{Corpus, LogsConfig};
 use miso_data::Value;
 use miso_dw::BackgroundSim;
 use miso_plan::LogicalPlan;
 use miso_workload::{compile_workload, standard_udfs, workload_catalog};
+
+pub mod figures;
 
 /// One prepared experiment context (corpus + workload).
 pub struct Harness {
@@ -63,7 +65,7 @@ impl Harness {
     pub fn system(&self, budgets: Budgets, background: Option<BackgroundSim>) -> MultistoreSystem {
         let mut config = SystemConfig::paper_default(budgets);
         config.background = background;
-        MultistoreSystem::new(&self.corpus, workload_catalog(), standard_udfs(), config)
+        self.system_with(config)
     }
 
     /// A fresh system from a fully custom [`SystemConfig`] (budgets
@@ -103,30 +105,25 @@ pub fn install_chaos(bin: &str, default_spec: &str) -> String {
     spec
 }
 
+/// A report object from `(key, value)` pairs.
+pub(crate) fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::object(fields.map(|(k, v)| (k.to_string(), v)).into())
+}
+
 /// Encodes one experiment's TTI breakdown as a JSON object for run reports.
 pub fn tti_value(result: &ExperimentResult) -> Value {
-    Value::object(vec![
-        ("variant".into(), Value::str(result.variant.as_str())),
-        ("queries".into(), Value::Int(result.records.len() as i64)),
-        (
-            "hv_exe_s".into(),
-            Value::Float(result.tti.hv_exe.as_secs_f64()),
-        ),
-        (
-            "dw_exe_s".into(),
-            Value::Float(result.tti.dw_exe.as_secs_f64()),
-        ),
-        (
-            "transfer_s".into(),
-            Value::Float(result.tti.transfer.as_secs_f64()),
-        ),
-        ("tune_s".into(), Value::Float(result.tti.tune.as_secs_f64())),
-        ("etl_s".into(), Value::Float(result.tti.etl.as_secs_f64())),
-        (
-            "total_s".into(),
-            Value::Float(result.tti_total().as_secs_f64()),
-        ),
-        ("reorgs".into(), Value::Int(result.reorgs.len() as i64)),
+    let secs = |d: SimDuration| Value::Float(d.as_secs_f64());
+    let tti = &result.tti;
+    obj([
+        ("variant", Value::str(result.variant.as_str())),
+        ("queries", Value::Int(result.records.len() as i64)),
+        ("hv_exe_s", secs(tti.hv_exe)),
+        ("dw_exe_s", secs(tti.dw_exe)),
+        ("transfer_s", secs(tti.transfer)),
+        ("tune_s", secs(tti.tune)),
+        ("etl_s", secs(tti.etl)),
+        ("total_s", secs(result.tti_total())),
+        ("reorgs", Value::Int(result.reorgs.len() as i64)),
     ])
 }
 
@@ -136,17 +133,12 @@ pub fn tti_value(result: &ExperimentResult) -> Value {
 /// `batches`, so this never goes to stdout or a golden.
 pub fn pool_value() -> Value {
     let stats = miso_common::pool::stats();
-    Value::object(vec![
-        ("batches".into(), Value::Int(stats.batches as i64)),
-        (
-            "inline_batches".into(),
-            Value::Int(stats.inline_batches as i64),
-        ),
-        (
-            "helpers_spawned".into(),
-            Value::Int(stats.helpers_spawned as i64),
-        ),
-        ("helper_tasks".into(), Value::Int(stats.helper_tasks as i64)),
+    let int = |n: u64| Value::Int(n as i64);
+    obj([
+        ("batches", int(stats.batches)),
+        ("inline_batches", int(stats.inline_batches)),
+        ("helpers_spawned", int(stats.helpers_spawned)),
+        ("helper_tasks", int(stats.helper_tasks)),
     ])
 }
 
@@ -161,43 +153,18 @@ pub fn write_report(name: &str, extra: Value) {
 }
 
 /// Formats a simulated-seconds quantity the way the paper's axes do (10³ s).
-pub fn ks(d: miso_common::SimDuration) -> f64 {
+pub fn ks(d: SimDuration) -> f64 {
     d.as_secs_f64() / 1000.0
 }
 
 /// Renders a simple fixed-width table row.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
+pub fn row(cells: &[impl AsRef<str>], widths: &[usize]) -> String {
     cells
         .iter()
         .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
+        .map(|(c, w)| format!("{:>w$}", c.as_ref()))
         .collect::<Vec<_>>()
         .join("  ")
-}
-
-/// Writes a CSV file under `results/` (created on demand) so the figure
-/// data can be re-plotted outside this harness. Fields containing commas or
-/// quotes are quoted per RFC 4180.
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
-    use std::io::Write;
-    std::fs::create_dir_all("results")?;
-    let mut f = std::fs::File::create(format!("results/{name}.csv"))?;
-    let escape = |s: &str| -> String {
-        if s.contains(',') || s.contains('"') || s.contains('\n') {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_string()
-        }
-    };
-    writeln!(f, "{}", header.join(","))?;
-    for r in rows {
-        writeln!(
-            f,
-            "{}",
-            r.iter().map(|c| escape(c)).collect::<Vec<_>>().join(",")
-        )?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -256,11 +256,13 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                     None => tokens.push(Token::Ident(word.to_string())),
                 }
             }
-            other => {
+            _ => {
+                // Every arm above steps over whole characters, so `pos` is
+                // on a boundary.
+                let c = input[pos..].chars().next().expect("char boundary");
                 return Err(MisoError::Parse(format!(
-                    "unexpected character `{}` at byte {pos}",
-                    other as char
-                )))
+                    "unexpected character `{c}` at byte {pos}"
+                )));
             }
         }
     }
@@ -389,6 +391,19 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert!(lex("SELECT ~ 1").is_err());
+    }
+
+    #[test]
+    fn unexpected_non_ascii_is_reported_whole() {
+        for (sql, want) in [
+            ("SELECT é", "unexpected character `é` at byte 7"),
+            ("SELECT 'a' 好", "unexpected character `好` at byte 11"),
+        ] {
+            match lex(sql) {
+                Err(MisoError::Parse(msg)) => assert_eq!(msg, want),
+                other => panic!("{sql}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -174,4 +174,46 @@ mod tests {
         assert_eq!(plan.schema().names(), vec!["city", "n"]);
         assert_eq!(plan.base_logs(), vec!["twitter"]);
     }
+
+    /// Queries whose tree is `n` levels deep, in the forms lowering recurses
+    /// over.
+    fn deep_queries(n: usize) -> Vec<String> {
+        vec![
+            format!(
+                "SELECT {}t.user_id{} AS u FROM twitter t",
+                "(".repeat(n),
+                ")".repeat(n)
+            ),
+            format!(
+                "SELECT t.user_id FROM twitter t WHERE {}t.followers > 1",
+                "NOT ".repeat(n)
+            ),
+            format!(
+                "SELECT t.user_id FROM twitter t WHERE t.followers > 1{}",
+                " AND t.followers > 1".repeat(n)
+            ),
+            format!("SELECT t.user_id{} AS u FROM twitter t", " + 1".repeat(n)),
+            format!(
+                "SELECT t.u FROM {}(SELECT t.user_id AS u FROM twitter t) t{}",
+                "(SELECT t.u AS u FROM ".repeat(n - 1),
+                ") t".repeat(n - 1)
+            ),
+        ]
+    }
+
+    #[test]
+    fn compiles_at_the_depth_limit_and_refuses_past_it() {
+        let catalog = Catalog::standard();
+        for sql in deep_queries(parser::MAX_DEPTH) {
+            if let Err(e) = compile(&sql, &catalog) {
+                panic!("{e} in {}…", &sql[..80]);
+            }
+        }
+        for n in [parser::MAX_DEPTH + 1, 100_000] {
+            for sql in deep_queries(n) {
+                let err = compile(&sql, &catalog).expect_err("too deep");
+                assert!(matches!(err, miso_common::MisoError::Parse(_)), "{err}");
+            }
+        }
+    }
 }

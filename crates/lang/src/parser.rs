@@ -8,10 +8,21 @@ use crate::lexer::{lex, Keyword, Token};
 use miso_common::{MisoError, Result};
 use miso_data::DataType;
 
+/// How deep a query may nest. Each parenthesis, `CAST` or call argument
+/// list, unary `NOT` / `-`, derived table or `APPLY`, and each operator of
+/// an `AND` / `OR` / arithmetic chain or `JOIN` list is one level of the
+/// tree that parsing, lowering and dropping walk recursively; past this the
+/// query is a [`MisoError::Parse`] instead of a stack overflow.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one SELECT query; trailing tokens are an error.
 pub fn parse(sql: &str) -> Result<Query> {
     let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let q = p.parse_query()?;
     p.expect_eof()?;
     Ok(q)
@@ -20,9 +31,31 @@ pub fn parse(sql: &str) -> Result<Query> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of nesting open at `pos` (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Opens one more level of nesting; the caller closes it by restoring
+    /// `depth`.
+    fn descend(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(MisoError::Parse(format!(
+                "query nests deeper than the limit of {MAX_DEPTH} levels"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Runs `f` one level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.descend()?;
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }
@@ -176,20 +209,23 @@ impl Parser {
     }
 
     fn parse_from(&mut self) -> Result<FromClause> {
+        let base = self.depth;
         let first = self.parse_table_ref()?;
         let mut joins = Vec::new();
         while self.eat_kw(Keyword::Join) {
+            self.descend()?;
             let table = self.parse_table_ref()?;
             self.expect_kw(Keyword::On)?;
             let on = self.parse_expr()?;
             joins.push(JoinItem { table, on });
         }
+        self.depth = base;
         Ok(FromClause { first, joins })
     }
 
     fn parse_table_ref(&mut self) -> Result<TableRef> {
         if self.eat(&Token::LParen) {
-            let query = self.parse_query()?;
+            let query = self.nested(Self::parse_query)?;
             self.expect(&Token::RParen)?;
             let alias = self.parse_alias(true, "derived table")?;
             Ok(TableRef::Derived {
@@ -200,7 +236,7 @@ impl Parser {
             self.expect(&Token::LParen)?;
             let udf = self.expect_ident()?;
             self.expect(&Token::Comma)?;
-            let input = self.parse_table_ref()?;
+            let input = self.nested(Self::parse_table_ref)?;
             self.expect(&Token::RParen)?;
             let alias = self.parse_alias(true, "APPLY")?;
             Ok(TableRef::Apply {
@@ -242,35 +278,44 @@ impl Parser {
         self.parse_or()
     }
 
-    fn parse_or(&mut self) -> Result<SqlExpr> {
-        let mut left = self.parse_and()?;
-        while self.eat_kw(Keyword::Or) {
-            let right = self.parse_and()?;
+    /// A left-associative chain `operand (op operand)*`, where `op_of` names
+    /// the operator a token stands for; each operator is one level deeper.
+    fn parse_chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<SqlExpr>,
+        op_of: fn(&Token) -> Option<SqlBinOp>,
+    ) -> Result<SqlExpr> {
+        let base = self.depth;
+        let mut left = operand(self)?;
+        while let Some(op) = op_of(self.peek()) {
+            self.bump();
+            self.descend()?;
+            let right = operand(self)?;
             left = SqlExpr::Binary {
-                op: SqlBinOp::Or,
+                op,
                 left: Box::new(left),
                 right: Box::new(right),
             };
         }
+        self.depth = base;
         Ok(left)
     }
 
+    fn parse_or(&mut self) -> Result<SqlExpr> {
+        self.parse_chain(Self::parse_and, |t| {
+            (*t == Token::Keyword(Keyword::Or)).then_some(SqlBinOp::Or)
+        })
+    }
+
     fn parse_and(&mut self) -> Result<SqlExpr> {
-        let mut left = self.parse_not()?;
-        while self.eat_kw(Keyword::And) {
-            let right = self.parse_not()?;
-            left = SqlExpr::Binary {
-                op: SqlBinOp::And,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_not, |t| {
+            (*t == Token::Keyword(Keyword::And)).then_some(SqlBinOp::And)
+        })
     }
 
     fn parse_not(&mut self) -> Result<SqlExpr> {
         if self.eat_kw(Keyword::Not) {
-            Ok(SqlExpr::Not(Box::new(self.parse_not()?)))
+            Ok(SqlExpr::Not(Box::new(self.nested(Self::parse_not)?)))
         } else {
             self.parse_comparison()
         }
@@ -309,47 +354,25 @@ impl Parser {
     }
 
     fn parse_additive(&mut self) -> Result<SqlExpr> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Token::Plus => SqlBinOp::Add,
-                Token::Minus => SqlBinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let right = self.parse_multiplicative()?;
-            left = SqlExpr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_multiplicative, |t| match t {
+            Token::Plus => Some(SqlBinOp::Add),
+            Token::Minus => Some(SqlBinOp::Sub),
+            _ => None,
+        })
     }
 
     fn parse_multiplicative(&mut self) -> Result<SqlExpr> {
-        let mut left = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Token::Star => SqlBinOp::Mul,
-                Token::Slash => SqlBinOp::Div,
-                Token::Percent => SqlBinOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let right = self.parse_unary()?;
-            left = SqlExpr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_unary, |t| match t {
+            Token::Star => Some(SqlBinOp::Mul),
+            Token::Slash => Some(SqlBinOp::Div),
+            Token::Percent => Some(SqlBinOp::Mod),
+            _ => None,
+        })
     }
 
     fn parse_unary(&mut self) -> Result<SqlExpr> {
         if self.eat(&Token::Minus) {
-            Ok(SqlExpr::Neg(Box::new(self.parse_unary()?)))
+            Ok(SqlExpr::Neg(Box::new(self.nested(Self::parse_unary)?)))
         } else {
             self.parse_primary()
         }
@@ -364,13 +387,13 @@ impl Parser {
             Token::Keyword(Keyword::False) => Ok(SqlExpr::Bool(false)),
             Token::Keyword(Keyword::Null) => Ok(SqlExpr::Null),
             Token::LParen => {
-                let e = self.parse_expr()?;
+                let e = self.nested(Self::parse_expr)?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
             Token::Keyword(Keyword::Cast) => {
                 self.expect(&Token::LParen)?;
-                let e = self.parse_expr()?;
+                let e = self.nested(Self::parse_expr)?;
                 self.expect_kw(Keyword::As)?;
                 let ty = match self.bump() {
                     Token::Keyword(Keyword::Int) => DataType::Int,
@@ -398,7 +421,7 @@ impl Parser {
                         name: field,
                     })
                 } else if self.eat(&Token::LParen) {
-                    self.parse_call(name.to_lowercase())
+                    self.nested(|p| p.parse_call(name.to_lowercase()))
                 } else {
                     Ok(SqlExpr::Column {
                         qualifier: None,
@@ -598,6 +621,83 @@ mod tests {
             "derived needs alias"
         );
         assert!(parse("SELECT a FROM t t LIMIT x").is_err());
+    }
+
+    /// One query per form of nesting, each `n` levels deep.
+    fn nested_queries(n: usize) -> Vec<(&'static str, String)> {
+        vec![
+            (
+                "parentheses",
+                format!("SELECT {}1{} FROM t t", "(".repeat(n), ")".repeat(n)),
+            ),
+            (
+                "calls",
+                format!("SELECT {}1{} FROM t t", "abs(".repeat(n), ")".repeat(n)),
+            ),
+            (
+                "casts",
+                format!(
+                    "SELECT {}1{} FROM t t",
+                    "CAST(".repeat(n),
+                    " AS INT)".repeat(n)
+                ),
+            ),
+            (
+                "NOT",
+                format!("SELECT a FROM t t WHERE {}a", "NOT ".repeat(n)),
+            ),
+            (
+                "unary minus",
+                format!("SELECT {}1 FROM t t", "- ".repeat(n)),
+            ),
+            (
+                "derived tables",
+                format!(
+                    "SELECT a FROM {}t t{}",
+                    "(SELECT a FROM ".repeat(n),
+                    ") d".repeat(n)
+                ),
+            ),
+            (
+                "APPLY",
+                format!(
+                    "SELECT a FROM {}t{}",
+                    "APPLY(u, ".repeat(n),
+                    ") x".repeat(n)
+                ),
+            ),
+            (
+                "AND chain",
+                format!("SELECT a FROM t t WHERE a{}", " AND a".repeat(n)),
+            ),
+            ("+ chain", format!("SELECT 1{} FROM t t", " + 1".repeat(n))),
+            ("* chain", format!("SELECT 1{} FROM t t", " * 1".repeat(n))),
+            (
+                "JOIN list",
+                format!("SELECT a FROM t t{}", " JOIN t u ON a".repeat(n)),
+            ),
+        ]
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses() {
+        for (form, sql) in nested_queries(MAX_DEPTH) {
+            assert!(parse(&sql).is_ok(), "{form}: {:?}", parse(&sql).err());
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_parse_error() {
+        for n in [MAX_DEPTH + 1, 100_000] {
+            for (form, sql) in nested_queries(n) {
+                match parse(&sql) {
+                    Err(MisoError::Parse(msg)) => {
+                        assert!(msg.contains(&MAX_DEPTH.to_string()), "{form}: {msg}")
+                    }
+                    other => panic!("{form} at depth {n}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

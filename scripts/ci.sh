@@ -22,17 +22,19 @@ cargo test --release -q -p miso-common
 echo "==> goldens (eleven figures, both .csv and the four fault-path smokes, at MISO_THREADS=1 and 8; the smokes once more under MISO_OBS=1)"
 # Run from a scratch directory: the bins write results/<name>.report.json
 # (and fig4/fig8 a .csv) relative to where they stand, and the committed
-# files must not move.
+# files must not move. `cargo test` above already diffed every figure
+# in-process (crates/bench/tests/golden.rs); this is the binary itself, at
+# both thread counts.
 root="$PWD"
 golden="$(mktemp -d)"
 trap 'rm -rf "$golden"' EXIT
 figures="fig3 fig4 fig5 fig6 fig7 fig8 fig9 table2 fig_motivation ablation maintenance"
 cargo build --release -q -p miso-bench \
-    $(printf -- '--bin %s ' $figures chaos integrity soakbench servebench)
+    --bin figures --bin chaos --bin integrity --bin soakbench --bin servebench
 for threads in 1 8; do
-    for bin in $figures; do
-        (cd "$golden" && MISO_THREADS=$threads "$root/target/release/$bin" >"$bin.txt")
-        diff -u "results/$bin.txt" "$golden/$bin.txt"
+    for fig in $figures; do
+        (cd "$golden" && MISO_THREADS=$threads "$root/target/release/figures" "$fig" >"$fig.txt")
+        diff -u "results/$fig.txt" "$golden/$fig.txt"
     done
     diff -u results/fig4.csv "$golden/results/fig4.csv"
     diff -u results/fig8.csv "$golden/results/fig8.csv"
