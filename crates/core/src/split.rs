@@ -26,7 +26,6 @@ use miso_hv::{HvRun, HvStore, MaterializedOutput};
 use miso_optimizer::optimize::{optimize, Design, OptimizerEnv, PlannedQuery};
 use miso_optimizer::{CostBreakdown, TransferModel};
 use miso_plan::estimate::MapStats;
-use miso_plan::fingerprint::fingerprint_all;
 use miso_plan::{LogicalPlan, Split};
 use miso_views::{rewrite_with_catalog, ViewCatalog, ViewDef};
 
@@ -94,9 +93,10 @@ pub fn place(
     if hv_only {
         let available = stores.hv.view_names().into_iter().filter(usable).collect();
         let rewrite = rewrite_with_catalog(raw, &available, stores.catalog);
+        let plan = rewrite.plan();
         let planned = PlannedQuery {
-            split: Split::all_hv(&rewrite.plan),
-            plan: rewrite.plan,
+            split: Split::all_hv(&plan),
+            plan,
             used_views: rewrite.used,
             est: CostBreakdown::default(),
         };
@@ -187,11 +187,11 @@ pub fn harvestable<'a>(
     plan: &'a LogicalPlan,
     run: &'a HvRun,
 ) -> impl Iterator<Item = (String, &'a MaterializedOutput)> + 'a {
-    let fps = fingerprint_all(plan);
+    let fps = plan.fingerprints();
     run.materialized
         .iter()
         .filter(|out| !plan.node(out.node).op.is_scan())
-        .filter_map(move |out| Some((fps.get(&out.node)?.view_name(), out)))
+        .filter_map(move |out| Some((fps.get(out.node.raw() as usize)?.view_name(), out)))
 }
 
 /// The root output of a split run: DW runs downstream of HV, so it holds the

@@ -25,11 +25,12 @@ use miso_hv::HvCostModel;
 use miso_optimizer::cost::TransferModel;
 use miso_optimizer::optimize::{what_if_cost, what_if_plan_cost, Design, OptimizerEnv};
 use miso_plan::estimate::{MapStats, SizeEstimate};
-use miso_plan::fingerprint::{fingerprint_plan, fnv1a_str, fnv1a_words};
+use miso_plan::fingerprint::{fingerprint_plan, fnv1a_str, fnv1a_words, parse_view_fingerprint};
 use miso_plan::LogicalPlan;
+use miso_views::containment::FilterView;
+use miso_views::rewrite::rewrite_over;
 use miso_views::{
-    analyze_candidates, decay_weights, rewrite_with_catalog, rewrite_with_views, AnalysisConfig,
-    ViewCatalog, ViewInfo,
+    analyze_candidates, decay_weights, AnalysisConfig, ViewCatalog, ViewInfo, ViewSet,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -236,9 +237,21 @@ fn stat_words(est: Option<SizeEstimate>) -> [u64; 3] {
     }
 }
 
+/// What a probe reads of one candidate view, looked up once per `tune`.
+struct Candidate<'a> {
+    name: &'a str,
+    /// Its memo-key words: name digest, defining fingerprint, and the
+    /// statistics the estimator reads for it.
+    key: [u64; 5],
+    /// The fingerprint its name spells, if canonical.
+    fp: Option<u64>,
+    /// Its filter-over-base form, for containment rewriting.
+    filter: Option<&'a FilterView>,
+}
+
 /// The what-if probe of one `tune` call (or one [`MisoTuner::probe`]):
-/// the window's query keys, the optimizer inputs, and a tally of what the
-/// memo did.
+/// the window's query keys, the candidate views, the optimizer inputs, and
+/// a tally of what the memo did.
 struct Prober<'a> {
     /// `None` on the reference path (`with_whatif_cache(false)`).
     memo: Option<&'a Mutex<WhatIfMemo>>,
@@ -247,6 +260,9 @@ struct Prober<'a> {
     window: &'a [&'a LogicalPlan],
     /// Per window position; equal plans share a key, hence their entries.
     query_keys: Vec<u64>,
+    /// The candidate universe, sorted by name: bit `i` of a probed
+    /// [`ViewSet`] is `candidates[i]`.
+    candidates: Vec<Candidate<'a>>,
     probes: AtomicU64,
     hits: AtomicU64,
     unused: AtomicU64,
@@ -254,7 +270,12 @@ struct Prober<'a> {
 }
 
 impl<'a> Prober<'a> {
-    fn new(tuner: &'a MisoTuner, window: &'a [&'a LogicalPlan], env: &'a OptimizerEnv<'a>) -> Self {
+    fn new(
+        tuner: &'a MisoTuner,
+        window: &'a [&'a LogicalPlan],
+        names: &'a [String],
+        env: &'a OptimizerEnv<'a>,
+    ) -> Self {
         let memo = tuner.cache_enabled.then_some(&*tuner.whatif);
         let (generation, models_version) =
             memo.map_or((0, 0), |m| lock(m).begin(env.hv, env.dw, env.transfer));
@@ -274,12 +295,32 @@ impl<'a> Prober<'a> {
             Some(_) => window.iter().map(key_of).collect(),
             None => Vec::new(),
         };
+        let candidates = names
+            .iter()
+            .map(|name| {
+                let def = env.catalog.and_then(|c| c.get(name));
+                let [present, rows, bytes] = stat_words(env.stats.view_stats(name));
+                Candidate {
+                    name,
+                    key: [
+                        fnv1a_str(name),
+                        def.map_or(0, |def| def.fingerprint.0),
+                        present,
+                        rows,
+                        bytes,
+                    ],
+                    fp: parse_view_fingerprint(name),
+                    filter: def.and_then(|def| def.filter_form.as_ref()),
+                }
+            })
+            .collect();
         Prober {
             memo,
             generation,
             env,
             window,
             query_keys,
+            candidates,
             probes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             unused: AtomicU64::new(0),
@@ -287,18 +328,21 @@ impl<'a> Prober<'a> {
         }
     }
 
-    /// Digest of a view list under `tag`: per view its name, defining
-    /// fingerprint and the statistics the estimator reads for it.
-    fn views_key<'v>(&self, tag: u64, views: impl Iterator<Item = &'v String>) -> u64 {
-        fnv1a_words(std::iter::once(tag).chain(views.flat_map(|name| {
-            let def_fp = self
-                .env
-                .catalog
-                .and_then(|c| c.get(name))
-                .map_or(0, |def| def.fingerprint.0);
-            let [present, rows, bytes] = stat_words(self.env.stats.view_stats(name));
-            [fnv1a_str(name), def_fp, present, rows, bytes]
-        })))
+    /// Digest of a view list under `tag`: per view its key words.
+    fn views_key(&self, tag: u64, views: impl Iterator<Item = [u64; 5]>) -> u64 {
+        fnv1a_words(std::iter::once(tag).chain(views.flatten()))
+    }
+
+    /// The index of candidate `name`.
+    fn candidate(&self, name: &str) -> Option<usize> {
+        self.candidates.binary_search_by(|c| c.name.cmp(name)).ok()
+    }
+
+    /// The names of a candidate subset.
+    fn names_of(&self, set: &ViewSet) -> HashSet<String> {
+        set.iter()
+            .map(|i| self.candidates[i].name.to_string())
+            .collect()
     }
 
     /// Finds or creates the memo slot for `key`, marking it as used by this
@@ -311,64 +355,91 @@ impl<'a> Prober<'a> {
     }
 
     /// The memoised cost of query `q` rewritten by consuming `used` in
-    /// order (`plan` is that rewritten plan; `q` itself when `used` is
-    /// empty). Returns the cost and whether this call paid for it.
+    /// order (`q` itself when `used` is empty), under the design holding
+    /// `set` in both stores (no view when `None`). `plan` builds that
+    /// rewritten plan; it runs only when this call pays for the costing.
+    /// Returns the cost and whether it paid.
     fn costing(
         &self,
         memo: &Mutex<WhatIfMemo>,
         q: usize,
         used: &[String],
-        plan: &LogicalPlan,
-        design: &Design,
+        set: Option<&ViewSet>,
+        plan: impl FnOnce() -> LogicalPlan,
     ) -> (f64, bool) {
-        let key = (self.query_keys[q], self.views_key(COSTING_TAG, used.iter()));
+        // A rewrite consumes views of the probed set only.
+        let used_keys = used.iter().map(|name| {
+            let i = self
+                .candidate(name)
+                .expect("a consumed view is a candidate");
+            self.candidates[i].key
+        });
+        let key = (self.query_keys[q], self.views_key(COSTING_TAG, used_keys));
         let mut paid = false;
         let cost = *self.slot(memo, key).get_or_init(|| {
             paid = true;
             self.costed.fetch_add(1, Ordering::Relaxed);
-            what_if_plan_cost(plan, design, self.env).as_secs_f64()
+            let plan = plan();
+            // Splits are feasible by where the plan's view scans may run,
+            // so the design need only hold the scanned views of `set`.
+            let scanned: HashSet<String> = plan
+                .scanned_views()
+                .into_iter()
+                .filter(|v| {
+                    set.is_some_and(|set| self.candidate(v).is_some_and(|i| set.contains(i)))
+                })
+                .collect();
+            let design = Design {
+                hv_views: scanned.clone(),
+                dw_views: scanned,
+            };
+            what_if_plan_cost(&plan, &design, self.env).as_secs_f64()
         });
         (cost, paid)
     }
 
     /// What-if cost (simulated seconds) of window query `q` under the
-    /// hypothetical design holding exactly `set` in both stores.
-    fn cost(&self, q: usize, set: &BTreeSet<String>) -> f64 {
+    /// hypothetical design holding exactly the candidates in `set` in both
+    /// stores.
+    fn cost(&self, q: usize, set: &ViewSet) -> f64 {
         self.probes.fetch_add(1, Ordering::Relaxed);
         let raw = self.window[q];
-        let symmetric = || {
-            let views: HashSet<String> = set.iter().cloned().collect();
-            Design {
+        let Some(memo) = self.memo else {
+            let views = self.names_of(set);
+            let design = Design {
                 hv_views: views.clone(),
                 dw_views: views,
-            }
-        };
-        let Some(memo) = self.memo else {
-            return what_if_cost(raw, &symmetric(), self.env).as_secs_f64();
+            };
+            return what_if_cost(raw, &design, self.env).as_secs_f64();
         };
         if set.is_empty() {
-            let (base, paid) = self.costing(memo, q, &[], raw, &Design::new());
+            let (base, paid) = self.costing(memo, q, &[], None, || raw.clone());
             if !paid {
                 self.hits.fetch_add(1, Ordering::Relaxed);
             }
             return base;
         }
-        let key = (self.query_keys[q], self.views_key(PROBE_TAG, set.iter()));
+        let members = || set.iter().map(|i| &self.candidates[i]);
+        let key = (
+            self.query_keys[q],
+            self.views_key(PROBE_TAG, members().map(|c| c.key)),
+        );
         let mut asked = false;
         let value = *self.slot(memo, key).get_or_init(|| {
             asked = true;
-            let base = self.costing(memo, q, &[], raw, &Design::new()).0;
-            let design = symmetric();
-            let rewrite = match self.env.catalog {
-                Some(catalog) => rewrite_with_catalog(raw, &design.hv_views, catalog),
-                None => rewrite_with_views(raw, &design.hv_views),
-            };
+            let base = self.costing(memo, q, &[], None, || raw.clone()).0;
+            // What `rewrite_with_catalog` derives from the names, kept per
+            // candidate: sorted fingerprints, filter forms in name order.
+            let mut wanted: Vec<u64> = members().filter_map(|c| c.fp).collect();
+            wanted.sort_unstable();
+            let fviews: Vec<&FilterView> = members().filter_map(|c| c.filter).collect();
+            let rewrite = rewrite_over(raw, &wanted, &fviews);
             if rewrite.used.is_empty() {
                 self.unused.fetch_add(1, Ordering::Relaxed);
                 return base;
             }
             let rewritten = self
-                .costing(memo, q, &rewrite.used, &rewrite.plan, &design)
+                .costing(memo, q, &rewrite.used, Some(set), || rewrite.plan())
                 .0;
             base.min(rewritten)
         });
@@ -474,8 +545,11 @@ impl MisoTuner {
         env: &OptimizerEnv<'_>,
     ) -> f64 {
         let window = [query];
-        let prober = Prober::new(self, &window, env);
-        let cost = prober.cost(0, views);
+        let names: Vec<String> = views.iter().cloned().collect();
+        let prober = Prober::new(self, &window, &names, env);
+        let mut all = ViewSet::empty(names.len());
+        (0..names.len()).for_each(|i| all.insert(i));
+        let cost = prober.cost(0, &all);
         prober.finish();
         cost
     }
@@ -580,8 +654,8 @@ impl MisoTuner {
             transfer,
             catalog: Some(catalog),
         };
-        let prober = Prober::new(self, &window, &env);
-        let cost_fn = |q: usize, set: &BTreeSet<String>| prober.cost(q, set);
+        let prober = Prober::new(self, &window, &names, &env);
+        let cost_fn = |q: usize, set: &ViewSet| prober.cost(q, set);
         let analysis_cfg = AnalysisConfig {
             doi_threshold: self.config.doi_threshold,
             max_part_size: Some(4),

@@ -1,19 +1,24 @@
 //! Split costing in normalized units.
 //!
-//! [`estimate_split_cost`] charges what the execution layer will — HV
+//! [`SplitCoster::cost`] charges what the execution layer will — HV
 //! staged execution, the HV→DW move of every cut working set
 //! ([`TransferModel::ship_cost`], the one formula both sides call), DW
 //! execution — but over size *estimates* instead of actual row counts, so
 //! the optimizer can compare splits (and the tuner can probe hypothetical
-//! designs) without running anything.
+//! designs) without running anything. A split is a node mask
+//! (`miso_plan::split::mask`); what every split of a plan reads is derived
+//! once per plan, and [`estimate_split_cost`] is the same body for one
+//! [`Split`].
 
 use miso_common::ids::NodeId;
 use miso_common::{ByteSize, SimDuration};
 use miso_dw::DwCostModel;
-use miso_hv::{compile_stages, HvCostModel};
+use miso_hv::stages::is_boundary;
+use miso_hv::HvCostModel;
 use miso_plan::estimate::SizeEstimate;
+use miso_plan::split::{mask, NodeMasks};
 use miso_plan::{LogicalPlan, Operator, Split};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Network transfer between the two clusters (adjacent racks, 1 GbE in the
 /// paper's setup), in effective seconds per actual byte at our data scale.
@@ -80,71 +85,167 @@ pub fn estimate_split_cost(
     dw: &DwCostModel,
     transfer: &TransferModel,
 ) -> CostBreakdown {
-    let mut breakdown = CostBreakdown::default();
+    SplitCoster::new(plan, estimates, hv, dw, transfer).cost(&split.mask(plan.len()))
+}
 
-    // --- HV side: staged execution over the HV node set.
-    let hv_set: HashSet<NodeId> = split.hv_nodes().iter().copied().collect();
-    if !hv_set.is_empty() {
-        let stages = compile_stages(plan, Some(&hv_set), &HashSet::new());
-        for stage in &stages {
+/// What costing a split reads of one plan, derived once: its node masks,
+/// which operators end a stage in any split, which nodes are scans, and
+/// each node's estimate as an array.
+pub struct SplitCoster<'a> {
+    plan: &'a LogicalPlan,
+    masks: NodeMasks,
+    /// Joins, aggregates, sorts and UDFs: they end a stage wherever they run.
+    boundary: Vec<u64>,
+    /// Log and view scans: a stage reads their bytes from storage.
+    scans: Vec<u64>,
+    /// View scans: DW reads their bytes from its own tables.
+    views: Vec<u64>,
+    rows: Vec<f64>,
+    bytes: Vec<f64>,
+    hv_model: &'a HvCostModel,
+    dw_model: &'a DwCostModel,
+    transfer: &'a TransferModel,
+    /// Scratch masks: the split's stage outputs, one stage's nodes, and the
+    /// stage outputs that stage reads.
+    outputs: Vec<u64>,
+    stage: Vec<u64>,
+    upstream: Vec<u64>,
+}
+
+impl<'a> SplitCoster<'a> {
+    /// The coster of `plan`; `estimates` must cover every node.
+    pub fn new(
+        plan: &'a LogicalPlan,
+        estimates: &HashMap<NodeId, SizeEstimate>,
+        hv_model: &'a HvCostModel,
+        dw_model: &'a DwCostModel,
+        transfer: &'a TransferModel,
+    ) -> Self {
+        let masks = NodeMasks::of(plan);
+        let words = masks.words();
+        let (mut boundary, mut scans, mut views) = (vec![0; words], vec![0; words], vec![0; words]);
+        for (i, node) in plan.nodes().iter().enumerate() {
+            if is_boundary(&node.op) {
+                mask::insert(&mut boundary, i);
+            }
+            if node.op.is_scan() {
+                mask::insert(&mut scans, i);
+            }
+            if matches!(node.op, Operator::ScanView { .. }) {
+                mask::insert(&mut views, i);
+            }
+        }
+        let estimate = |n: &miso_plan::PlanNode| estimates[&n.id];
+        SplitCoster {
+            plan,
+            boundary,
+            scans,
+            views,
+            rows: plan.nodes().iter().map(|n| estimate(n).rows).collect(),
+            bytes: plan.nodes().iter().map(|n| estimate(n).bytes).collect(),
+            hv_model,
+            dw_model,
+            transfer,
+            outputs: vec![0; words],
+            stage: vec![0; words],
+            upstream: vec![0; words],
+            masks,
+        }
+    }
+
+    /// The plan's node masks.
+    pub fn masks(&self) -> &NodeMasks {
+        &self.masks
+    }
+
+    /// Estimates the cost of the split whose HV side is the mask `hv`.
+    /// Every sum runs over nodes in ascending order, as staged execution
+    /// meets them.
+    pub fn cost(&mut self, hv: &[u64]) -> CostBreakdown {
+        let mut breakdown = CostBreakdown::default();
+
+        // --- HV side: staged execution (`miso_hv::compile_stages`'s rule).
+        // An HV node's output is materialized — a stage ends there — if its
+        // operator is a boundary, it feeds nothing in HV, or it feeds DW.
+        self.outputs.fill(0);
+        for i in mask::ones(hv) {
+            let consumers = self.masks.consumers(i);
+            if mask::has(&self.boundary, i)
+                || !mask::meets(consumers, hv)
+                || !mask::within(consumers, hv)
+            {
+                mask::insert(&mut self.outputs, i);
+            }
+        }
+        for b in mask::ones(&self.outputs) {
+            // The stage ending at `b`: every node it reaches through inputs
+            // short of another stage output, which it reads as upstream.
+            self.stage.fill(0);
+            self.upstream.fill(0);
+            mask::insert(&mut self.stage, b);
+            for j in (0..b).rev() {
+                if !mask::meets(self.masks.consumers(j), &self.stage) {
+                    continue;
+                }
+                if mask::has(&self.outputs, j) {
+                    mask::insert(&mut self.upstream, j);
+                } else {
+                    mask::insert(&mut self.stage, j);
+                }
+            }
             let mut bytes_in = 0.0f64;
             let mut rows = 0.0f64;
-            for &id in &stage.nodes {
-                let node = plan.node(id);
-                if matches!(
-                    node.op,
-                    Operator::ScanLog { .. } | Operator::ScanView { .. }
-                ) {
-                    bytes_in += estimates[&id].bytes;
+            for j in mask::ones(&self.stage) {
+                if mask::has(&self.scans, j) {
+                    bytes_in += self.bytes[j];
                 }
-                rows += estimates[&id].rows;
+                rows += self.rows[j];
             }
-            for &up in &stage.upstream {
-                bytes_in += estimates[&up].bytes;
+            for j in mask::ones(&self.upstream) {
+                bytes_in += self.bytes[j];
             }
-            let bytes_out = estimates[&stage.output].bytes;
-            breakdown.hv += hv.stage_cost(
+            breakdown.hv += self.hv_model.stage_cost(
                 ByteSize::from_bytes(bytes_in as u64),
-                ByteSize::from_bytes(bytes_out as u64),
+                ByteSize::from_bytes(self.bytes[b] as u64),
                 rows as u64,
             );
         }
-    }
 
-    // --- Transfer: every cut node's output crosses the wire.
-    for cut in split.cut_nodes(plan) {
-        let bytes = ByteSize::from_bytes(estimates[&cut].bytes as u64);
-        breakdown.transfer += transfer.ship_cost(hv, dw, bytes);
-    }
-
-    // --- DW side: remaining nodes.
-    let mut dw_bytes_in = 0.0f64;
-    let mut dw_rows = 0.0f64;
-    let mut any_dw = false;
-    for node in plan.nodes() {
-        if split.in_hv(node.id) {
-            continue;
+        // --- Transfer: every cut node's output crosses the wire.
+        for cut in self.masks.cut(hv) {
+            let bytes = ByteSize::from_bytes(self.bytes[cut] as u64);
+            breakdown.transfer += self.transfer.ship_cost(self.hv_model, self.dw_model, bytes);
         }
-        any_dw = true;
-        match &node.op {
-            Operator::ScanView { .. } => {
-                dw_bytes_in += estimates[&node.id].bytes;
+
+        // --- DW side: remaining nodes.
+        let mut dw_bytes_in = 0.0f64;
+        let mut dw_rows = 0.0f64;
+        let mut any_dw = false;
+        for (i, node) in self.plan.nodes().iter().enumerate() {
+            if mask::has(hv, i) {
+                continue;
             }
-            _ => {
+            any_dw = true;
+            if mask::has(&self.views, i) {
+                dw_bytes_in += self.bytes[i];
+            } else {
                 // Working sets read from temp space.
                 for input in &node.inputs {
-                    if split.in_hv(*input) {
-                        dw_bytes_in += estimates[input].bytes;
+                    let j = input.raw() as usize;
+                    if mask::has(hv, j) {
+                        dw_bytes_in += self.bytes[j];
                     }
                 }
             }
+            dw_rows += self.rows[i];
         }
-        dw_rows += estimates[&node.id].rows;
+        if any_dw {
+            breakdown.dw += self
+                .dw_model
+                .exec_cost(ByteSize::from_bytes(dw_bytes_in as u64), dw_rows as u64);
+        }
+        breakdown
     }
-    if any_dw {
-        breakdown.dw += dw.exec_cost(ByteSize::from_bytes(dw_bytes_in as u64), dw_rows as u64);
-    }
-    breakdown
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Plan selection: rewrite variants × split enumeration → cheapest feasible.
 
-use crate::cost::{estimate_split_cost, CostBreakdown, TransferModel};
+use crate::cost::{CostBreakdown, SplitCoster, TransferModel};
 use miso_common::{MisoError, Result, SimDuration};
 use miso_dw::DwCostModel;
 use miso_hv::HvCostModel;
 use miso_plan::estimate::{estimate_plan, StatsSource};
-use miso_plan::split::enumerate_splits;
+use miso_plan::split::mask;
 use miso_plan::{LogicalPlan, Operator, Split};
 use miso_views::{rewrite_with_catalog, rewrite_with_views, ViewCatalog};
 use std::collections::HashSet;
@@ -92,7 +92,8 @@ pub fn optimize(
             Some(catalog) => rewrite_with_catalog(raw_plan, &available, catalog),
             None => rewrite_with_views(raw_plan, &available),
         };
-        let costed = cheapest_split(&rewrite.plan, design, env);
+        let plan = rewrite.plan();
+        let costed = cheapest_split(&plan, design, env);
         splits_seen += costed.splits_seen;
         cost_evals += costed.cost_evals;
         let Some((split, est)) = costed.best else {
@@ -101,7 +102,7 @@ pub fn optimize(
         // Strict `<`: on a tie the earlier variant (fewer views) wins.
         if best.as_ref().is_none_or(|b| est.total() < b.est.total()) {
             best = Some(PlannedQuery {
-                plan: rewrite.plan,
+                plan,
                 split,
                 used_views: rewrite.used,
                 est,
@@ -134,61 +135,88 @@ pub fn optimize(
 /// A split is feasible under a design iff every view scan runs in a store
 /// that actually holds the view.
 pub fn split_feasible(plan: &LogicalPlan, split: &Split, design: &Design) -> bool {
-    for node in plan.nodes() {
-        if let Operator::ScanView { view, .. } = &node.op {
-            let available = if split.in_hv(node.id) {
-                design.hv_views.contains(view)
-            } else {
-                design.dw_views.contains(view)
-            };
-            if !available {
-                return false;
+    Placement::of(plan, design).admits(&split.mask(plan.len()))
+}
+
+/// A plan's view scans, and the ones each store of a design holds the view
+/// of, as node masks.
+struct Placement {
+    views: Vec<u64>,
+    in_hv: Vec<u64>,
+    in_dw: Vec<u64>,
+}
+
+impl Placement {
+    fn of(plan: &LogicalPlan, design: &Design) -> Self {
+        let words = mask::words(plan.len());
+        let mut placement = Placement {
+            views: vec![0; words],
+            in_hv: vec![0; words],
+            in_dw: vec![0; words],
+        };
+        for (i, node) in plan.nodes().iter().enumerate() {
+            if let Operator::ScanView { view, .. } = &node.op {
+                mask::insert(&mut placement.views, i);
+                if design.hv_views.contains(view) {
+                    mask::insert(&mut placement.in_hv, i);
+                }
+                if design.dw_views.contains(view) {
+                    mask::insert(&mut placement.in_dw, i);
+                }
             }
         }
+        placement
     }
-    true
+
+    /// Whether the split whose HV side is `hv` scans every view in a store
+    /// that holds it.
+    fn admits(&self, hv: &[u64]) -> bool {
+        (0..self.views.len()).all(|w| {
+            let (views, hv) = (self.views[w], hv[w]);
+            views & hv & !self.in_hv[w] == 0 && views & !hv & !self.in_dw[w] == 0
+        })
+    }
 }
 
 /// The outcome of costing every split of one plan.
-struct CostedSplits {
+pub struct CostedSplits {
     /// The cheapest feasible split and its estimate (the first one on a
     /// tie); `None` when no split is feasible under the design.
-    best: Option<(Split, CostBreakdown)>,
+    pub best: Option<(Split, CostBreakdown)>,
     /// Splits enumerated.
-    splits_seen: u64,
+    pub splits_seen: u64,
     /// Feasible splits costed.
-    cost_evals: u64,
+    pub cost_evals: u64,
 }
 
 /// Costs one plan as it stands (no rewriting): estimates its node sizes,
-/// enumerates its splits and keeps the cheapest one that is feasible under
-/// `design`. This is the body of [`optimize`]'s variant loop, and (through
-/// [`what_if_plan_cost`]) what the tuner's delta probe runs on a plan it has
-/// already rewritten.
-fn cheapest_split(plan: &LogicalPlan, design: &Design, env: &OptimizerEnv<'_>) -> CostedSplits {
+/// enumerates its splits as node masks and keeps the cheapest one that is
+/// feasible under `design`, built as a [`Split`] once. This is the body of
+/// [`optimize`]'s variant loop, and (through [`what_if_plan_cost`]) what
+/// the tuner's delta probe runs on a plan it has already rewritten.
+pub fn cheapest_split(plan: &LogicalPlan, design: &Design, env: &OptimizerEnv<'_>) -> CostedSplits {
     let estimates = estimate_plan(plan, env.stats);
-    let mut costed = CostedSplits {
-        best: None,
-        splits_seen: 0,
-        cost_evals: 0,
-    };
-    for split in enumerate_splits(plan) {
-        costed.splits_seen += 1;
-        if !split_feasible(plan, &split, design) {
-            continue;
+    let mut coster = SplitCoster::new(plan, &estimates, env.hv, env.dw, env.transfer);
+    let placement = Placement::of(plan, design);
+    let (mut splits_seen, mut cost_evals) = (0u64, 0u64);
+    let mut best: Option<(Vec<u64>, CostBreakdown)> = None;
+    coster.masks().splits().visit(|hv| {
+        splits_seen += 1;
+        if !placement.admits(hv) {
+            return;
         }
-        costed.cost_evals += 1;
-        let est = estimate_split_cost(plan, &split, &estimates, env.hv, env.dw, env.transfer);
-        if costed
-            .best
-            .as_ref()
-            .is_none_or(|(_, b)| est.total() < b.total())
-        {
-            costed.best = Some((split, est));
+        cost_evals += 1;
+        let est = coster.cost(hv);
+        if best.as_ref().is_none_or(|(_, b)| est.total() < b.total()) {
+            best = Some((hv.to_vec(), est));
         }
+    });
+    miso_obs::count("optimizer.cost_evals", cost_evals);
+    CostedSplits {
+        best: best.map(|(hv, est)| (Split::from_mask(&hv), est)),
+        splits_seen,
+        cost_evals,
     }
-    miso_obs::count("optimizer.cost_evals", costed.cost_evals);
-    costed
 }
 
 /// The cost reported for a plan no split of which is feasible.
@@ -324,7 +352,8 @@ mod tests {
             .unwrap()
             .id;
         let vname = fingerprint_subtree(&p, filt).view_name();
-        let rewrite = miso_views::rewrite_with_views(&p, &[vname.clone()].into_iter().collect());
+        let rewrite =
+            miso_views::rewrite_with_views(&p, &[vname.clone()].into_iter().collect()).plan();
         let design_hv = Design {
             hv_views: [vname.clone()].into_iter().collect(),
             dw_views: HashSet::new(),
@@ -332,12 +361,12 @@ mod tests {
         // A DW-only split over the rewritten plan is infeasible when the view
         // lives only in HV.
         let dw_split = Split::all_dw();
-        assert!(!split_feasible(&rewrite.plan, &dw_split, &design_hv));
+        assert!(!split_feasible(&rewrite, &dw_split, &design_hv));
         let design_dw = Design {
             hv_views: HashSet::new(),
             dw_views: [vname].into_iter().collect(),
         };
-        assert!(split_feasible(&rewrite.plan, &dw_split, &design_dw));
+        assert!(split_feasible(&rewrite, &dw_split, &design_dw));
     }
 
     #[test]

@@ -19,10 +19,14 @@
 //!
 //! The digest is FNV-1a/64 folded over a tagged pre-order encoding — stable
 //! across processes and platforms, which keeps view names reproducible.
+//!
+//! A [`LogicalPlan`] digests its arena once, when it is built, and carries
+//! the result ([`Digests`]) to every plan derived from it whose nodes keep
+//! their meaning; [`fingerprint_nodes`] recomputes from scratch.
 
 use crate::expr::{AggExpr, BinOp, Expr};
 use crate::op::Operator;
-use crate::plan::LogicalPlan;
+use crate::plan::{LogicalPlan, PlanNode};
 use miso_common::ids::NodeId;
 use miso_data::{Schema, Value};
 use std::collections::HashMap;
@@ -152,38 +156,81 @@ impl Fnv {
     }
 }
 
-/// Fingerprints of every node of `plan` in arena order (a node's id is its
-/// index), memoized bottom-up.
-pub fn fingerprint_nodes(plan: &LogicalPlan) -> Vec<Fingerprint> {
-    let mut out: Vec<Fingerprint> = Vec::with_capacity(plan.len());
-    for node in plan.nodes() {
-        let input_fps: Vec<u64> = node
-            .inputs
-            .iter()
-            .map(|i| out[i.raw() as usize].0)
-            .collect();
-        out.push(Fingerprint(fingerprint_op(&node.op, &input_fps)));
-    }
-    out
+/// What a plan's arena digests to: each node's fingerprint and each
+/// filter's conjunct digests. A function of the nodes alone.
+#[derive(Default)]
+pub(crate) struct Digests {
+    /// Each node's fingerprint, in arena order.
+    pub(crate) fps: Vec<Fingerprint>,
+    /// Every filter's conjunct digests in predicate order, node after node.
+    pub(crate) conjuncts: Vec<u64>,
+    /// `ends[i]`: where node `i`'s conjunct digests end in `conjuncts`.
+    pub(crate) ends: Vec<u32>,
 }
 
-/// [`fingerprint_nodes`] keyed by node id.
+impl Digests {
+    /// Node `i`'s conjunct digests (empty unless it is a filter).
+    pub(crate) fn conjuncts(&self, i: usize) -> &[u64] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.conjuncts[start as usize..self.ends[i] as usize]
+    }
+
+    /// Appends a node whose digests are already known.
+    pub(crate) fn push(&mut self, fp: Fingerprint, conjuncts: &[u64]) {
+        self.fps.push(fp);
+        self.conjuncts.extend_from_slice(conjuncts);
+        self.ends.push(self.conjuncts.len() as u32);
+    }
+}
+
+/// Digests an arena bottom-up, each expression hashed once.
+pub(crate) fn digest_arena(nodes: &[PlanNode]) -> Digests {
+    let mut d = Digests {
+        fps: Vec::with_capacity(nodes.len()),
+        conjuncts: Vec::new(),
+        ends: Vec::with_capacity(nodes.len()),
+    };
+    let mut inputs: Vec<u64> = Vec::new();
+    let mut conjuncts: Vec<u64> = Vec::new();
+    for node in nodes {
+        conjuncts.clear();
+        if let Operator::Filter { predicate } = &node.op {
+            conjuncts.extend(predicate.conjuncts().into_iter().map(expr_digest));
+        }
+        inputs.clear();
+        inputs.extend(node.inputs.iter().map(|i| d.fps[i.raw() as usize].0));
+        let fp = Fingerprint(fingerprint_op(&node.op, &inputs, &conjuncts));
+        d.push(fp, &conjuncts);
+    }
+    d
+}
+
+/// Fingerprints of every node of `plan` in arena order (a node's id is its
+/// index), computed afresh — the reference for the ones the plan carries
+/// ([`LogicalPlan::fingerprints`]).
+pub fn fingerprint_nodes(plan: &LogicalPlan) -> Vec<Fingerprint> {
+    digest_arena(plan.nodes()).fps
+}
+
+/// The plan's fingerprints keyed by node id.
 pub fn fingerprint_all(plan: &LogicalPlan) -> HashMap<NodeId, Fingerprint> {
-    let fps = fingerprint_nodes(plan);
+    let fps = plan.fingerprints().iter().copied();
     plan.nodes().iter().map(|n| n.id).zip(fps).collect()
 }
 
 /// Fingerprint of the subtree rooted at `id`.
 pub fn fingerprint_subtree(plan: &LogicalPlan, id: NodeId) -> Fingerprint {
-    fingerprint_all(plan)[&id]
+    plan.fingerprint(id)
 }
 
 /// Fingerprint of a whole plan.
 pub fn fingerprint_plan(plan: &LogicalPlan) -> Fingerprint {
-    fingerprint_subtree(plan, plan.root())
+    plan.fingerprint(plan.root())
 }
 
-fn fingerprint_op(op: &Operator, inputs: &[u64]) -> u64 {
+/// One node's digest from its inputs' fingerprints and, for a filter, its
+/// conjunct digests in predicate order.
+fn fingerprint_op(op: &Operator, inputs: &[u64], conjuncts: &[u64]) -> u64 {
     let mut h = Fnv::new();
     match op {
         Operator::ScanLog { log } => {
@@ -204,14 +251,10 @@ fn fingerprint_op(op: &Operator, inputs: &[u64]) -> u64 {
             h.byte(2);
             h.str(view);
         }
-        Operator::Filter { predicate } => {
+        Operator::Filter { .. } => {
             h.byte(3);
             // Order-insensitive conjunct multiset.
-            let mut factor_digests: Vec<u64> = predicate
-                .conjuncts()
-                .iter()
-                .map(|e| expr_digest(e))
-                .collect();
+            let mut factor_digests = conjuncts.to_vec();
             factor_digests.sort_unstable();
             h.u64(factor_digests.len() as u64);
             for d in factor_digests {

@@ -6,6 +6,7 @@
 //! view rewriting replaces a subtree with a `ScanView` leaf, and fingerprints
 //! memoize per node.
 
+use crate::fingerprint::{digest_arena, parse_view_fingerprint, Digests, Fingerprint};
 use crate::op::Operator;
 use miso_common::ids::NodeId;
 use miso_common::{MisoError, Result};
@@ -30,10 +31,36 @@ pub struct PlanNode {
 /// An immutable logical plan. The arena is shared, so a clone — the
 /// optimizer's per-variant candidates, a rewrite that found nothing to
 /// replace, the tuner's history window — copies no node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The plan also carries its digests: every node's fingerprint and every
+/// filter's conjunct digests, computed once when the arena is built and
+/// shared by clones. A plan derived from this one keeps the digests of the
+/// nodes it keeps ([`LogicalPlan::subplan`], and
+/// [`LogicalPlan::replace_with_views`] when each new scan is named after the
+/// subtree it replaces, since a scan of `v_X` fingerprints as `X`). The
+/// digests are a function of the nodes, so `==` and `{:?}` ignore them.
+#[derive(Clone)]
 pub struct LogicalPlan {
     nodes: Arc<[PlanNode]>,
     root: NodeId,
+    digests: Arc<Digests>,
+}
+
+impl PartialEq for LogicalPlan {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes && self.root == other.root
+    }
+}
+
+impl Eq for LogicalPlan {}
+
+impl fmt::Debug for LogicalPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LogicalPlan")
+            .field("nodes", &self.nodes)
+            .field("root", &self.root)
+            .finish()
+    }
 }
 
 impl LogicalPlan {
@@ -70,6 +97,23 @@ impl LogicalPlan {
     /// The output schema of the whole plan.
     pub fn schema(&self) -> &Schema {
         &self.root_node().schema
+    }
+
+    /// Every node's fingerprint in arena order (a node's id is its index),
+    /// as computed when the arena was built.
+    pub fn fingerprints(&self) -> &[Fingerprint] {
+        &self.digests.fps
+    }
+
+    /// The fingerprint of the subtree rooted at `id`.
+    pub fn fingerprint(&self, id: NodeId) -> Fingerprint {
+        self.digests.fps[id.raw() as usize]
+    }
+
+    /// The digests of filter `id`'s conjuncts, in predicate order (empty
+    /// for any other operator).
+    pub fn conjunct_digests(&self, id: NodeId) -> &[u64] {
+        self.digests.conjuncts(id.raw() as usize)
     }
 
     /// Ids of all nodes in the subtree rooted at `id` (including `id`).
@@ -128,21 +172,10 @@ impl LogicalPlan {
 
     /// Extracts the subtree rooted at `id` as a standalone plan.
     pub fn subplan(&self, id: NodeId) -> LogicalPlan {
-        let mut builder = PlanBuilder::new();
-        let mut mapping = std::collections::HashMap::new();
-        // Walk the arena in order; only copy nodes in the subtree.
-        let keep = self.descendants(id);
-        for node in self.nodes.iter() {
-            if !keep.contains(&node.id) {
-                continue;
-            }
-            let new_inputs: Vec<NodeId> = node.inputs.iter().map(|i| mapping[i]).collect();
-            let new_id = builder
-                .add(node.op.clone(), new_inputs)
-                .expect("subtree of a valid plan is valid");
-            mapping.insert(node.id, new_id);
-        }
-        builder.finish(mapping[&id]).expect("subtree root exists")
+        let mut keep = self.strictly_below([id]);
+        keep[id.raw() as usize] = true;
+        self.rebuild(&keep, &[], id)
+            .expect("a subtree of a valid plan is closed")
     }
 
     /// Returns a new plan in which the subtree rooted at `target` is replaced
@@ -150,44 +183,100 @@ impl LogicalPlan {
     /// replaced node's schema — the caller, i.e. the rewriter, guarantees
     /// semantic equivalence).
     pub fn replace_with_view(&self, target: NodeId, view_name: &str) -> Result<LogicalPlan> {
-        let target_schema = self.node(target).schema.clone();
-        let mut builder = PlanBuilder::new();
-        let mut mapping = std::collections::HashMap::new();
-        let dropped = {
-            let mut d = self.descendants(target);
-            d.remove(&target);
-            d
-        };
-        for node in self.nodes.iter() {
-            if dropped.contains(&node.id) {
+        self.replace_with_views(&[(target, view_name)])
+    }
+
+    /// [`LogicalPlan::replace_with_view`] for several `(target, view)`
+    /// pairs at once, no target inside another's subtree: the plan that
+    /// replacing them one after another would build.
+    pub fn replace_with_views(&self, targets: &[(NodeId, &str)]) -> Result<LogicalPlan> {
+        let dropped = self.strictly_below(targets.iter().map(|&(target, _)| target));
+        let keep: Vec<bool> = dropped.iter().map(|d| !d).collect();
+        self.rebuild(&keep, targets, self.root)
+    }
+
+    /// Marks, by node index, the nodes strictly inside the subtrees rooted
+    /// at `tops` (the tops themselves unmarked unless below another).
+    pub fn strictly_below(&self, tops: impl IntoIterator<Item = NodeId>) -> Vec<bool> {
+        let mut top = vec![false; self.len()];
+        for t in tops {
+            top[t.raw() as usize] = true;
+        }
+        let mut below = vec![false; self.len()];
+        // Consumers come after their inputs, so one backward pass suffices.
+        for (i, node) in self.nodes.iter().enumerate().rev() {
+            if top[i] || below[i] {
+                for input in &node.inputs {
+                    below[input.raw() as usize] = true;
+                }
+            }
+        }
+        below
+    }
+
+    /// The nodes `keep` marks, renumbered in arena order, each of `scans`
+    /// turned into a scan of the named view under the schema it replaces;
+    /// `root` is the old id of the new root. Kept nodes keep their digests
+    /// unless a scan is named after anything but the subtree it replaces —
+    /// that changes its consumers' fingerprints, so the new arena is then
+    /// digested afresh.
+    fn rebuild(
+        &self,
+        keep: &[bool],
+        scans: &[(NodeId, &str)],
+        root: NodeId,
+    ) -> Result<LogicalPlan> {
+        let mut mapping: Vec<Option<NodeId>> = vec![None; self.len()];
+        let mut nodes: Vec<PlanNode> = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
+        let mut digests = Digests::default();
+        let mut carried = true;
+        for (i, node) in self.nodes.iter().enumerate() {
+            if !keep[i] {
                 continue;
             }
-            let new_id = if node.id == target {
-                builder.add(
-                    Operator::ScanView {
-                        view: view_name.to_string(),
-                        schema: target_schema.clone(),
-                    },
-                    vec![],
-                )?
-            } else {
-                let new_inputs: Vec<NodeId> = node
-                    .inputs
-                    .iter()
-                    .map(|i| {
-                        mapping.get(i).copied().ok_or_else(|| {
-                            MisoError::Plan(format!(
-                                "node {} consumed by multiple branches was dropped",
-                                i
-                            ))
+            let fp = self.digests.fps[i];
+            let (op, inputs, conjuncts) = match scans.iter().find(|(t, _)| *t == node.id) {
+                Some(&(_, view)) => {
+                    carried &= parse_view_fingerprint(view) == Some(fp.0);
+                    let scan = Operator::ScanView {
+                        view: view.to_string(),
+                        schema: node.schema.clone(),
+                    };
+                    (scan, Vec::new(), &[][..])
+                }
+                None => {
+                    let inputs = node
+                        .inputs
+                        .iter()
+                        .map(|input| {
+                            mapping[input.raw() as usize].ok_or_else(|| {
+                                MisoError::Plan(format!(
+                                    "node {input} consumed by multiple branches was dropped"
+                                ))
+                            })
                         })
-                    })
-                    .collect::<Result<_>>()?;
-                builder.add(node.op.clone(), new_inputs)?
+                        .collect::<Result<_>>()?;
+                    (node.op.clone(), inputs, self.digests.conjuncts(i))
+                }
             };
-            mapping.insert(node.id, new_id);
+            let id = NodeId(nodes.len() as u64);
+            mapping[i] = Some(id);
+            digests.push(fp, conjuncts);
+            nodes.push(PlanNode {
+                id,
+                op,
+                inputs,
+                schema: node.schema.clone(),
+            });
         }
-        builder.finish(mapping[&self.root])
+        if !carried {
+            digests = digest_arena(&nodes);
+        }
+        Ok(LogicalPlan {
+            root: mapping[root.raw() as usize].expect("the new root is kept"),
+            nodes: nodes.into(),
+            digests: Arc::new(digests),
+        })
     }
 
     /// Renders the plan as an indented tree (children under parents).
@@ -324,6 +413,7 @@ impl PlanBuilder {
             return Err(MisoError::Plan(format!("root {root} does not exist")));
         }
         Ok(LogicalPlan {
+            digests: Arc::new(digest_arena(&self.nodes)),
             nodes: self.nodes.into(),
             root,
         })

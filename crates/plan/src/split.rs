@@ -16,13 +16,63 @@
 //!   *present* in that store is a placement question the optimizer checks.
 //!
 //! The **cut** of a split is the set of HV nodes with at least one DW
-//! consumer (plus the root when the whole plan runs in HV produces no cut);
-//! their outputs are the working sets dumped, transferred, and loaded into
-//! DW — the green/yellow bars of the paper's Figure 3.
+//! consumer; their outputs are the working sets dumped, transferred, and
+//! loaded into DW — the green/yellow bars of the paper's Figure 3. A plan
+//! run wholly in HV has no cut: its root's output is the answer.
+//!
+//! Splits are enumerated and costed as node masks ([`mask`]): bit `i % 64`
+//! of word `i / 64` is node `i`. [`NodeMasks`] holds what every split of
+//! one plan reads — each node's consumers and the pinned nodes — derived
+//! once per plan; a [`Split`] (a `BTreeSet` of node ids) is built only for
+//! the split a caller keeps.
 
 use crate::plan::LogicalPlan;
 use miso_common::ids::NodeId;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
+use std::ops::RangeInclusive;
+
+/// Node sets as bitmasks: node `i` is bit `i % 64` of word `i / 64`, and a
+/// mask over an `n`-node plan has [`mask::words`]`(n)` words.
+pub mod mask {
+    /// Words in a mask over `n` nodes (at least one).
+    pub fn words(n: usize) -> usize {
+        n.div_ceil(64).max(1)
+    }
+
+    /// Whether node `i` is in `mask`.
+    pub fn has(mask: &[u64], i: usize) -> bool {
+        mask[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    /// Adds node `i` to `mask`.
+    pub fn insert(mask: &mut [u64], i: usize) {
+        mask[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Whether `a` and `b` share a node.
+    pub fn meets(a: &[u64], b: &[u64]) -> bool {
+        a.iter().zip(b).any(|(x, y)| x & y != 0)
+    }
+
+    /// Whether every node of `a` is in `b`.
+    pub fn within(a: &[u64], b: &[u64]) -> bool {
+        a.iter().zip(b).all(|(x, y)| x & !y == 0)
+    }
+
+    /// The nodes of `mask`, ascending.
+    pub fn ones(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+        mask.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+}
 
 /// A candidate multistore split: which nodes execute in HV.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,6 +86,27 @@ impl Split {
     /// [`Split::validate`] to check.
     pub fn new(hv_nodes: BTreeSet<NodeId>) -> Self {
         Split { hv_nodes }
+    }
+
+    /// The split whose HV side is the node mask `hv`.
+    pub fn from_mask(hv: &[u64]) -> Self {
+        Split {
+            hv_nodes: mask::ones(hv).map(|i| NodeId(i as u64)).collect(),
+        }
+    }
+
+    /// The HV side as a mask over a plan of `n` nodes (ids past the plan
+    /// name no node and are left out).
+    pub fn mask(&self, n: usize) -> Vec<u64> {
+        let mut hv = vec![0; mask::words(n)];
+        for id in self
+            .hv_nodes
+            .iter()
+            .take_while(|id| (id.raw() as usize) < n)
+        {
+            mask::insert(&mut hv, id.raw() as usize);
+        }
+        hv
     }
 
     /// The split that executes everything in HV.
@@ -78,17 +149,11 @@ impl Split {
     /// Empty for HV-only plans (nothing crosses) and DW-only plans (nothing
     /// starts in HV).
     pub fn cut_nodes(&self, plan: &LogicalPlan) -> Vec<NodeId> {
-        let mut cut = Vec::new();
-        for node in plan.nodes() {
-            if !self.in_hv(node.id) {
-                continue;
-            }
-            let feeds_dw = consumers_of(plan, node.id).iter().any(|c| !self.in_hv(*c));
-            if feeds_dw {
-                cut.push(node.id);
-            }
-        }
-        cut
+        let hv = self.mask(plan.len());
+        NodeMasks::of(plan)
+            .cut(&hv)
+            .map(|i| NodeId(i as u64))
+            .collect()
     }
 
     /// Validates downward closure and operator pinning against `plan`.
@@ -113,115 +178,162 @@ impl Split {
     }
 }
 
-/// Consumers (parents) of `id` within `plan`.
-pub fn consumers_of(plan: &LogicalPlan, id: NodeId) -> Vec<NodeId> {
-    plan.nodes()
-        .iter()
-        .filter(|n| n.inputs.contains(&id))
-        .map(|n| n.id)
-        .collect()
+/// Plans of at most this many nodes enumerate every valid split; larger
+/// ones the topological prefixes.
+const EXHAUSTIVE_LIMIT: usize = 14;
+
+/// What every split of one plan reads, as node masks: each node's
+/// consumers and the nodes pinned to HV (UDF subtrees and base-log scans).
+#[derive(Debug, Clone)]
+pub struct NodeMasks {
+    n: usize,
+    words: usize,
+    /// Node `i`'s consumers at `[i * words..][..words]`, then the pinned
+    /// nodes.
+    bits: Vec<u64>,
 }
 
-/// Builds the consumer adjacency for all nodes at once.
-pub fn consumer_map(plan: &LogicalPlan) -> HashMap<NodeId, Vec<NodeId>> {
-    let mut map: HashMap<NodeId, Vec<NodeId>> =
-        plan.nodes().iter().map(|n| (n.id, Vec::new())).collect();
-    for node in plan.nodes() {
-        for input in &node.inputs {
-            map.get_mut(input).expect("input exists").push(node.id);
-        }
-    }
-    map
-}
-
-/// Enumerates every valid split of `plan`.
-///
-/// For plans of ≤ `EXHAUSTIVE_LIMIT` nodes this is exhaustive over all
-/// downward-closed node subsets (the paper's Figure 3 profiles "all possible
-/// plans" of a query). Larger plans fall back to the topological-prefix
-/// family, which always contains the HV-only split and the best
-/// "late-single-cut" splits that the paper observes winning in practice.
-pub fn enumerate_splits(plan: &LogicalPlan) -> Vec<Split> {
-    const EXHAUSTIVE_LIMIT: usize = 14;
-    let splits = if plan.len() <= EXHAUSTIVE_LIMIT {
-        enumerate_exhaustive(plan)
-    } else {
-        enumerate_prefixes(plan)
-    };
-    miso_obs::count("plan.split_enumerations", 1);
-    miso_obs::observe("plan.splits_per_plan", splits.len() as u64);
-    splits
-}
-
-fn enumerate_exhaustive(plan: &LogicalPlan) -> Vec<Split> {
-    let n = plan.len();
-    // Bit i corresponds to NodeId(i); required bits = UDF subtrees + log scans.
-    let mut required: u64 = 0;
-    for node in plan.nodes() {
-        if node.op.hv_only() {
-            for d in plan.descendants(node.id) {
-                required |= 1 << d.raw();
+impl NodeMasks {
+    /// The masks of `plan`.
+    pub fn of(plan: &LogicalPlan) -> Self {
+        let n = plan.len();
+        let words = mask::words(n);
+        let mut bits = vec![0; (n + 1) * words];
+        let (consumers, pinned) = bits.split_at_mut(n * words);
+        // Consumers come after their inputs: one backward pass. A pinned
+        // node pins its inputs (a log scan has none, a UDF's subtree is
+        // pinned with it).
+        for (i, node) in plan.nodes().iter().enumerate().rev() {
+            if node.op.hv_only() || matches!(node.op, crate::op::Operator::ScanLog { .. }) {
+                mask::insert(pinned, i);
             }
-        }
-        if matches!(node.op, crate::op::Operator::ScanLog { .. }) {
-            required |= 1 << node.id.raw();
-        }
-    }
-    let mut out = Vec::new();
-    'mask: for mask in 0u64..(1u64 << n) {
-        if mask & required != required {
-            continue;
-        }
-        // Downward closure: every HV node's inputs are HV.
-        for node in plan.nodes() {
-            if mask & (1 << node.id.raw()) != 0 {
-                for input in &node.inputs {
-                    if mask & (1 << input.raw()) == 0 {
-                        continue 'mask;
-                    }
+            let pins = mask::has(pinned, i);
+            for input in &node.inputs {
+                let j = input.raw() as usize;
+                mask::insert(&mut consumers[j * words..(j + 1) * words], i);
+                if pins {
+                    mask::insert(pinned, j);
                 }
             }
         }
-        let hv_nodes: BTreeSet<NodeId> = (0..n)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| NodeId(i as u64))
-            .collect();
-        out.push(Split::new(hv_nodes));
+        NodeMasks { n, words, bits }
     }
-    out
+
+    /// Words per mask.
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
+    /// The nodes reading node `i`.
+    pub fn consumers(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    /// The nodes pinned to HV.
+    fn pinned(&self) -> &[u64] {
+        &self.bits[self.n * self.words..]
+    }
+
+    /// The cut of the split whose HV side is `hv`: its HV nodes with a
+    /// consumer outside it, ascending.
+    pub fn cut<'a>(&'a self, hv: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
+        mask::ones(hv).filter(move |&i| !mask::within(self.consumers(i), hv))
+    }
+
+    /// Every valid split of the plan, in ascending mask order.
+    ///
+    /// For plans of at most 14 nodes this is every
+    /// downward-closed node set holding the pinned nodes (the paper's
+    /// Figure 3 profiles "all possible plans" of a query). Larger plans fall
+    /// back to the topological-prefix family, which always contains the
+    /// HV-only split and the best "late-single-cut" splits that the paper
+    /// observes winning in practice.
+    pub fn splits(&self) -> Splits {
+        let splits = if self.n <= EXHAUSTIVE_LIMIT {
+            let mut masks = Vec::new();
+            self.closed_sets(self.n, 0, &mut masks);
+            Splits::Masks(masks)
+        } else {
+            // Arena order is topological, so every prefix is downward-closed.
+            let min = mask::ones(self.pinned()).last().map_or(0, |i| i + 1);
+            Splits::Prefixes {
+                lens: min..=self.n,
+                words: self.words,
+            }
+        };
+        miso_obs::count("plan.split_enumerations", 1);
+        miso_obs::observe("plan.splits_per_plan", splits.len() as u64);
+        splits
+    }
+
+    /// Pushes every downward-closed, pinned-holding extension of `chosen`
+    /// (a decision on the nodes from `below` up) to `out`, ascending:
+    /// deciding the highest node first and leaving it out first. A node
+    /// must be in when it is pinned or an included node consumes it.
+    fn closed_sets(&self, below: usize, chosen: u64, out: &mut Vec<u64>) {
+        let Some(i) = below.checked_sub(1) else {
+            out.push(chosen);
+            return;
+        };
+        let forced = mask::has(self.pinned(), i) || self.consumers(i)[0] & chosen != 0;
+        if !forced {
+            self.closed_sets(i, chosen, out);
+        }
+        self.closed_sets(i, chosen | 1 << i, out);
+    }
 }
 
-fn enumerate_prefixes(plan: &LogicalPlan) -> Vec<Split> {
-    // Arena order is topological, so every prefix is downward-closed.
-    let ids: Vec<NodeId> = plan.nodes().iter().map(|n| n.id).collect();
-    let min_prefix = minimum_hv_prefix(plan);
-    let mut out = Vec::new();
-    for k in min_prefix..=ids.len() {
-        let hv_nodes: BTreeSet<NodeId> = ids[..k].iter().copied().collect();
-        let split = Split::new(hv_nodes);
-        if split.validate(plan).is_ok() {
-            out.push(split);
-        }
-    }
-    out
+/// The valid splits of one plan ([`NodeMasks::splits`]), in ascending mask
+/// order.
+#[derive(Debug, Clone)]
+pub enum Splits {
+    /// Each split's HV mask, one word (plans of at most 14 nodes).
+    Masks(Vec<u64>),
+    /// Each split's HV prefix length, over masks `words` wide — no width
+    /// limit.
+    Prefixes {
+        /// The prefix lengths, shortest first.
+        lens: RangeInclusive<usize>,
+        /// Words per mask.
+        words: usize,
+    },
 }
 
-/// Smallest prefix length that covers all pinned nodes.
-fn minimum_hv_prefix(plan: &LogicalPlan) -> usize {
-    let mut pinned: HashSet<NodeId> = HashSet::new();
-    for node in plan.nodes() {
-        if node.op.hv_only() {
-            pinned.extend(plan.descendants(node.id));
-        }
-        if matches!(node.op, crate::op::Operator::ScanLog { .. }) {
-            pinned.insert(node.id);
+impl Splits {
+    /// How many splits there are.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Splits::Masks(masks) => masks.len(),
+            Splits::Prefixes { lens, .. } => lens.clone().count(),
         }
     }
-    pinned
-        .iter()
-        .map(|id| id.raw() as usize + 1)
-        .max()
-        .unwrap_or(0)
+
+    /// Calls `f` with each split's HV mask, in order.
+    pub fn visit(&self, mut f: impl FnMut(&[u64])) {
+        match self {
+            Splits::Masks(masks) => masks.iter().for_each(|m| f(std::slice::from_ref(m))),
+            Splits::Prefixes { lens, words } => {
+                let mut hv = vec![0; *words];
+                let mut filled = 0;
+                for len in lens.clone() {
+                    while filled < len {
+                        mask::insert(&mut hv, filled);
+                        filled += 1;
+                    }
+                    f(&hv);
+                }
+            }
+        }
+    }
+}
+
+/// Enumerates every valid split of `plan` ([`NodeMasks::splits`]), each
+/// built as a [`Split`].
+pub fn enumerate_splits(plan: &LogicalPlan) -> Vec<Split> {
+    let splits = NodeMasks::of(plan).splits();
+    let mut out = Vec::with_capacity(splits.len());
+    splits.visit(|hv| out.push(Split::from_mask(hv)));
+    out
 }
 
 #[cfg(test)]
@@ -422,13 +534,52 @@ mod tests {
     }
 
     #[test]
-    fn consumer_map_matches_consumers_of() {
+    fn consumer_masks_invert_the_inputs() {
         let p = linear();
-        let map = consumer_map(&p);
+        let masks = NodeMasks::of(&p);
         for node in p.nodes() {
-            assert_eq!(map[&node.id], consumers_of(&p, node.id));
+            let consumers: Vec<usize> = p
+                .nodes()
+                .iter()
+                .filter(|c| c.inputs.contains(&node.id))
+                .map(|c| c.id.raw() as usize)
+                .collect();
+            let i = node.id.raw() as usize;
+            assert_eq!(
+                mask::ones(masks.consumers(i)).collect::<Vec<_>>(),
+                consumers
+            );
         }
-        assert_eq!(map[&NodeId(3)], Vec::<NodeId>::new());
+        assert_eq!(masks.consumers(3), &[0]);
+        // The scan is pinned; a mask round-trips through a `Split`.
+        let split = Split::from_mask(&[0b0011]);
+        assert_eq!(split.mask(p.len()), vec![0b0011]);
+        assert_eq!(masks.cut(&[0b0011]).collect::<Vec<_>>(), vec![1]);
+    }
+
+    #[test]
+    fn masks_past_one_word_enumerate_and_cut() {
+        // A 70-node chain: prefixes past one mask word.
+        let mut b = PlanBuilder::new();
+        let mut prev = b
+            .add(Operator::ScanLog { log: "t".into() }, vec![])
+            .unwrap();
+        for i in 0..69 {
+            prev = b.add(Operator::Limit { n: 1000 - i }, vec![prev]).unwrap();
+        }
+        let p = b.finish(prev).unwrap();
+        let splits = enumerate_splits(&p);
+        assert_eq!(splits.len(), 70);
+        for (k, s) in splits.iter().enumerate() {
+            assert_eq!(s.hv_nodes().len(), k + 1);
+            assert!(s.validate(&p).is_ok());
+            let expect = if k + 1 < 70 {
+                vec![NodeId(k as u64)]
+            } else {
+                vec![]
+            };
+            assert_eq!(s.cut_nodes(&p), expect);
+        }
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use crate::view::ViewCatalog;
 use miso_common::ids::NodeId;
-use miso_plan::fingerprint::{expr_digest, fingerprint_all};
 use miso_plan::{Expr, LogicalPlan, Operator};
 use std::collections::{HashMap, HashSet};
 
@@ -35,18 +34,13 @@ impl FilterView {
     /// definition.
     pub(crate) fn of(name: &str, plan: &LogicalPlan) -> Option<FilterView> {
         let root = plan.root_node();
-        let Operator::Filter { predicate } = &root.op else {
+        let Operator::Filter { .. } = &root.op else {
             return None;
         };
-        let fps = fingerprint_all(plan);
         Some(FilterView {
             name: name.to_string(),
-            input_fp: fps[&root.inputs[0]].0,
-            conjuncts: predicate
-                .conjuncts()
-                .iter()
-                .map(|c| expr_digest(c))
-                .collect(),
+            input_fp: plan.fingerprint(root.inputs[0]).0,
+            conjuncts: plan.conjunct_digests(root.id).iter().copied().collect(),
         })
     }
 }
@@ -87,18 +81,34 @@ pub fn find_containment_matches(
     plan: &LogicalPlan,
     views: &[&FilterView],
 ) -> Vec<ContainmentMatch> {
-    let fps = fingerprint_all(plan);
-    let mut out = Vec::new();
-    for node in plan.nodes() {
+    containment_matches(plan, views, |_| true).collect()
+}
+
+/// [`find_containment_matches`] over the filter nodes `live` admits, in
+/// plan order, lazily. Reads the fingerprints and conjunct digests the plan
+/// carries; a filter no view shares an input with costs one comparison per
+/// view.
+pub(crate) fn containment_matches<'a>(
+    plan: &'a LogicalPlan,
+    views: &'a [&FilterView],
+    live: impl Fn(NodeId) -> bool + 'a,
+) -> impl Iterator<Item = ContainmentMatch> + 'a {
+    plan.nodes().iter().filter_map(move |node| {
         let Operator::Filter { predicate } = &node.op else {
-            continue;
+            return None;
         };
-        let input_fp = fps[&node.inputs[0]].0;
+        let input_fp = plan.fingerprint(node.inputs[0]).0;
+        if !live(node.id) || views.iter().all(|v| v.input_fp != input_fp) {
+            return None;
+        }
         // In predicate order, one entry per distinct conjunct, so the
         // residual below is a function of the plan and the view alone.
         let mut query_conjuncts: Vec<(u64, &Expr)> = Vec::new();
-        for c in predicate.conjuncts() {
-            let d = expr_digest(c);
+        for (&d, c) in plan
+            .conjunct_digests(node.id)
+            .iter()
+            .zip(predicate.conjuncts())
+        {
             if query_conjuncts.iter().all(|(seen, _)| *seen != d) {
                 query_conjuncts.push((d, c));
             }
@@ -115,15 +125,13 @@ pub fn find_containment_matches(
             {
                 continue; // the view filters *more* than the query: unusable
             }
-            let residual: Vec<Expr> = query_conjuncts
-                .iter()
-                .filter(|(d, _)| !view.conjuncts.contains(d))
-                .map(|(_, e)| (*e).clone())
-                .collect();
             let subsumed = view.conjuncts.len();
-            let better = best.as_ref().is_none_or(|b| subsumed > b.subsumed);
-            if better {
-                out.retain(|m: &ContainmentMatch| m.node != node.id);
+            if best.as_ref().is_none_or(|b| subsumed > b.subsumed) {
+                let residual: Vec<Expr> = query_conjuncts
+                    .iter()
+                    .filter(|(d, _)| !view.conjuncts.contains(d))
+                    .map(|(_, e)| (*e).clone())
+                    .collect();
                 best = Some(ContainmentMatch {
                     node: node.id,
                     view: view.name.clone(),
@@ -132,11 +140,8 @@ pub fn find_containment_matches(
                 });
             }
         }
-        if let Some(m) = best {
-            out.push(m);
-        }
-    }
-    out
+        best
+    })
 }
 
 /// Applies one containment match, producing the rewritten plan.

@@ -76,9 +76,11 @@ pub struct KnapsackItem {
 }
 
 /// The what-if probe signature: cost of history query `q` under a
-/// hypothetical design holding exactly the given views. Must be pure
-/// (same inputs ⇒ same cost) and `Sync` so batches can fan out.
-pub type CostFn<'c> = dyn Fn(usize, &BTreeSet<String>) -> f64 + Sync + 'c;
+/// hypothetical design holding exactly the given views — a subset of the
+/// candidates passed to [`analyze_candidates`], bit `i` naming `views[i]`.
+/// Must be pure (same inputs ⇒ same cost) and `Sync` so batches can fan
+/// out.
+pub type CostFn<'c> = dyn Fn(usize, &ViewSet) -> f64 + Sync + 'c;
 
 /// Batched, memoized front-end over the what-if cost probe.
 ///
@@ -103,7 +105,7 @@ impl<'a> ProbeEngine<'a> {
         }
     }
 
-    /// Materializes a subset's view names for the probe closure.
+    /// Materializes a subset's view names (for the items returned).
     fn names_of(&self, set: &ViewSet) -> BTreeSet<String> {
         set.iter().map(|i| self.names[i].to_string()).collect()
     }
@@ -127,11 +129,10 @@ impl<'a> ProbeEngine<'a> {
             return;
         }
         miso_obs::count("views.cost_probes", misses.len() as u64);
-        let (f, names) = (self.f, &self.names);
+        let f = self.f;
         let costs = pool::run_batch(misses.len(), |k| {
             let (q, set) = &misses[k];
-            let names: BTreeSet<String> = set.iter().map(|i| names[i].to_string()).collect();
-            f(*q, &names)
+            f(*q, set)
         })
         // What-if probes are pure cost evaluations; a panic here is a bug
         // in the cost model, not a recoverable per-query failure.
@@ -147,7 +148,7 @@ impl<'a> ProbeEngine<'a> {
             return v;
         }
         miso_obs::count("views.cost_probes", 1);
-        let v = (self.f)(q, &self.names_of(set));
+        let v = (self.f)(q, set);
         self.memo[q].insert(set.clone(), v);
         v
     }
@@ -479,13 +480,13 @@ mod tests {
     }
 
     /// A cost model where each view independently saves a fixed amount.
-    fn independent_cost(q: usize, set: &BTreeSet<String>) -> f64 {
+    fn independent_cost(q: usize, set: &ViewSet) -> f64 {
         let mut cost = 100.0;
         let _ = q;
-        if set.contains("a") {
+        if set.contains(0) {
             cost -= 10.0;
         }
-        if set.contains("b") {
+        if set.contains(1) {
             cost -= 20.0;
         }
         cost
@@ -509,8 +510,8 @@ mod tests {
     fn positive_interaction_merges() {
         // Super-additive pair (two join inputs): each alone saves 10, both
         // together let the whole join collapse, saving 50.
-        let f = |_q: usize, set: &BTreeSet<String>| -> f64 {
-            match (set.contains("a"), set.contains("b")) {
+        let f = |_q: usize, set: &ViewSet| -> f64 {
+            match (set.contains(0), set.contains(1)) {
                 (true, true) => 50.0,
                 (true, false) | (false, true) => 90.0,
                 (false, false) => 100.0,
@@ -528,8 +529,8 @@ mod tests {
     #[test]
     fn negative_interaction_keeps_representative() {
         // Either view alone answers the query (saves 30); both adds nothing.
-        let f = |_q: usize, set: &BTreeSet<String>| -> f64 {
-            if set.contains("a") || set.contains("b") {
+        let f = |_q: usize, set: &ViewSet| -> f64 {
+            if set.contains(0) || set.contains(1) {
                 70.0
             } else {
                 100.0
@@ -546,15 +547,15 @@ mod tests {
     #[test]
     fn weak_interactions_are_ignored() {
         // Tiny sub-threshold interaction: treated as independent.
-        let f = |_q: usize, set: &BTreeSet<String>| -> f64 {
+        let f = |_q: usize, set: &ViewSet| -> f64 {
             let mut c = 100.0;
-            if set.contains("a") {
+            if set.contains(0) {
                 c -= 10.0;
             }
-            if set.contains("b") {
+            if set.contains(1) {
                 c -= 10.0;
             }
-            if set.contains("a") && set.contains("b") {
+            if set.contains(0) && set.contains(1) {
                 c -= 0.5; // weak positive
             }
             c
@@ -570,7 +571,7 @@ mod tests {
 
     #[test]
     fn zero_benefit_views_are_dropped() {
-        let f = |_q: usize, _set: &BTreeSet<String>| -> f64 { 100.0 };
+        let f = |_q: usize, _set: &ViewSet| -> f64 { 100.0 };
         let v = views(&[("a", 1), ("b", 1)]);
         let items = analyze_candidates(&v, &[1.0], &f, &AnalysisConfig::default());
         assert!(items.is_empty());
@@ -579,12 +580,12 @@ mod tests {
     #[test]
     fn decay_weights_discount_old_benefits() {
         // View a helps only the old query, b only the new one.
-        let f = |q: usize, set: &BTreeSet<String>| -> f64 {
+        let f = |q: usize, set: &ViewSet| -> f64 {
             let mut c = 100.0;
-            if q == 0 && set.contains("a") {
+            if q == 0 && set.contains(0) {
                 c -= 10.0;
             }
-            if q == 1 && set.contains("b") {
+            if q == 1 && set.contains(1) {
                 c -= 10.0;
             }
             c
@@ -604,10 +605,10 @@ mod tests {
     fn three_way_positive_chain_merges_all() {
         // a+b strongly positive; the merged pair then interacts positively
         // with c: recursive merging unites all three.
-        let f = |_q: usize, set: &BTreeSet<String>| -> f64 {
-            let a = set.contains("a");
-            let b = set.contains("b");
-            let c = set.contains("c");
+        let f = |_q: usize, set: &ViewSet| -> f64 {
+            let a = set.contains(0);
+            let b = set.contains(1);
+            let c = set.contains(2);
             let mut cost: f64 = 100.0;
             if a {
                 cost -= 5.0;
@@ -652,17 +653,17 @@ mod tests {
     fn results_identical_across_thread_counts() {
         // The same analysis, serial and fanned out, must produce identical
         // items (the miso-par determinism contract).
-        let f = |q: usize, set: &BTreeSet<String>| -> f64 {
+        let f = |q: usize, set: &ViewSet| -> f64 {
             let mut c = 500.0 + q as f64;
-            for (i, name) in ["a", "b", "c", "d", "e"].iter().enumerate() {
-                if set.contains(*name) {
+            for i in 0..5 {
+                if set.contains(i) {
                     c -= 10.0 + (i as f64) * (1.0 + q as f64 * 0.3);
                 }
             }
-            if set.contains("a") && set.contains("b") {
+            if set.contains(0) && set.contains(1) {
                 c -= 25.0;
             }
-            if set.contains("c") && set.contains("d") {
+            if set.contains(2) && set.contains(3) {
                 c += 8.0;
             }
             c

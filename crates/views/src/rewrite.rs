@@ -13,19 +13,97 @@
 //! considered (the larger the replaced subtree, the more computation is
 //! reused).
 
-use crate::containment::{apply_containment, filter_views, find_containment_matches};
+use crate::containment::{apply_containment, containment_matches, filter_views, FilterView};
 use crate::view::ViewCatalog;
-use miso_plan::fingerprint::{fingerprint_nodes, parse_view_fingerprint};
+use miso_common::ids::NodeId;
+use miso_plan::fingerprint::parse_view_fingerprint;
 use miso_plan::{LogicalPlan, Operator};
 use std::collections::HashSet;
 
-/// The result of a rewrite pass.
+/// The result of a rewrite pass: which views it consumes and, on request,
+/// the rewritten plan.
+///
+/// Finding `used` builds nothing. The exact matches found last stay
+/// pending as nodes of `base`, and [`Rewrite::plan`] builds the rewritten
+/// plan from them on request — a what-if probe whose costing is already
+/// memoised never does.
 #[derive(Debug, Clone)]
 pub struct Rewrite {
-    /// The rewritten plan (equal to the input when `used` is empty).
-    pub plan: LogicalPlan,
     /// Names of the views the rewrite consumed, in use order.
     pub used: Vec<String>,
+    /// The plan the pending matches apply to: the input, or the plan the
+    /// last containment match built.
+    base: LogicalPlan,
+    /// Nodes of `base` each replaced by a scan of its own view, outermost
+    /// first.
+    scans: Vec<NodeId>,
+}
+
+impl Rewrite {
+    /// The rewritten plan (the input itself when `used` is empty), built on
+    /// each call.
+    pub fn plan(&self) -> LogicalPlan {
+        if self.scans.is_empty() {
+            return self.base.clone();
+        }
+        let names: Vec<String> = self
+            .scans
+            .iter()
+            .map(|&id| self.base.fingerprint(id).view_name())
+            .collect();
+        let targets: Vec<(NodeId, &str)> = self
+            .scans
+            .iter()
+            .zip(&names)
+            .map(|(&id, name)| (id, name.as_str()))
+            .collect();
+        self.base
+            .replace_with_views(&targets)
+            .expect("replacing subtrees of a valid plan")
+    }
+
+    /// The exact pass over `base`: one backward pass over the fingerprints
+    /// it carries. Root last in the arena, so from the end the first match
+    /// is the largest; a match hides its subtree, and a `ScanView` under
+    /// its canonical name is a match already made, not a new one. This is
+    /// what replacing the last match and scanning again, to a fixpoint,
+    /// finds: a replaced node's consumers keep their fingerprints.
+    fn match_exact(&mut self, wanted: &[u64]) {
+        let mut hidden: Vec<bool> = Vec::new();
+        for (i, node) in self.base.nodes().iter().enumerate().rev() {
+            if hidden.get(i).copied().unwrap_or(false) {
+                for input in &node.inputs {
+                    hidden[input.raw() as usize] = true;
+                }
+                continue;
+            }
+            let fp = self.base.fingerprints()[i];
+            let already = || {
+                matches!(&node.op, Operator::ScanView { view, .. }
+                    if parse_view_fingerprint(view).is_some())
+            };
+            if wanted.binary_search(&fp.0).is_err() || already() {
+                continue;
+            }
+            self.scans.push(node.id);
+            self.used.push(fp.view_name());
+            hidden.resize(self.base.len(), false);
+            for input in &node.inputs {
+                hidden[input.raw() as usize] = true;
+            }
+        }
+    }
+}
+
+/// The fingerprints canonical view names spell, sorted: a name that is not
+/// canonical can match no node.
+fn wanted_of(available: &HashSet<String>) -> Vec<u64> {
+    let mut wanted: Vec<u64> = available
+        .iter()
+        .filter_map(|name| parse_view_fingerprint(name))
+        .collect();
+    wanted.sort_unstable();
+    wanted
 }
 
 /// Rewrites `plan` over the views in `available`, using both exact semantic
@@ -37,31 +115,11 @@ pub fn rewrite_with_catalog(
     available: &HashSet<String>,
     catalog: &ViewCatalog,
 ) -> Rewrite {
-    let mut rewrite = rewrite_with_views(plan, available);
-    let fviews = filter_views(catalog, available);
-    if fviews.is_empty() {
-        return rewrite;
-    }
-    // Alternate containment and exact passes to fixpoint (each containment
-    // application strictly shrinks the plan or its conjunct count).
-    for _ in 0..32 {
-        let matches = find_containment_matches(&rewrite.plan, &fviews);
-        // Skip "matches" that exact rewriting already declined (a ScanView
-        // of the same name is already in place).
-        let Some(m) = matches.iter().find(|m| m.residual.is_some()) else {
-            break;
-        };
-        let Ok(applied) = apply_containment(&rewrite.plan, m) else {
-            break;
-        };
-        rewrite.plan = applied;
-        rewrite.used.push(m.view.clone());
-        // New exact opportunities may open above the spliced scan.
-        let again = rewrite_with_views(&rewrite.plan, available);
-        rewrite.used.extend(again.used);
-        rewrite.plan = again.plan;
-    }
-    rewrite
+    rewrite_over(
+        plan,
+        &wanted_of(available),
+        &filter_views(catalog, available),
+    )
 }
 
 /// Rewrites `plan` over the views in `available` (canonical view names).
@@ -70,46 +128,55 @@ pub fn rewrite_with_catalog(
 /// view is always preferred over recomputing the subtree; when nested
 /// matches exist the outermost wins.
 pub fn rewrite_with_views(plan: &LogicalPlan, available: &HashSet<String>) -> Rewrite {
-    // A canonical name is its fingerprint, so names are compared as `u64`s;
-    // a name that is not canonical can match no node.
-    let mut wanted: Vec<u64> = available
-        .iter()
-        .filter_map(|name| parse_view_fingerprint(name))
-        .collect();
-    wanted.sort_unstable();
-    // Most calls are what-if probes that match nothing: no plan is built
-    // until a node matches.
-    let mut rewritten: Option<LogicalPlan> = None;
-    let mut used = Vec::new();
-    // Iterate until fixpoint: after one replacement node ids shift, so
-    // recompute fingerprints and scan again. Each iteration strictly shrinks
-    // the plan, so this terminates quickly.
-    while !wanted.is_empty() {
-        let current = rewritten.as_ref().unwrap_or(plan);
-        let fps = fingerprint_nodes(current);
-        // Root last in the arena, so from the end the first match is the
-        // largest. A `ScanView` under its canonical name fingerprints as
-        // that name: it is the match already made, not a new one.
-        let matched = current.nodes().iter().zip(&fps).rev().find(|(node, fp)| {
-            let already = matches!(&node.op, Operator::ScanView { view, .. }
-                if parse_view_fingerprint(view).is_some());
-            !already && wanted.binary_search(&fp.0).is_ok()
-        });
-        let Some((node, fp)) = matched else {
+    rewrite_over(plan, &wanted_of(available), &[])
+}
+
+/// The rewrite both entry points run, over views given as the sorted
+/// fingerprints their canonical names spell (`wanted`) and the
+/// filter-over-base forms of those that have one (`fviews`, in name order;
+/// empty for exact matching only). A caller that probes many view sets —
+/// the tuner — keeps both per view instead of per call.
+pub fn rewrite_over(plan: &LogicalPlan, wanted: &[u64], fviews: &[&FilterView]) -> Rewrite {
+    let mut rewrite = Rewrite {
+        used: Vec::new(),
+        base: plan.clone(),
+        scans: Vec::new(),
+    };
+    rewrite.match_exact(wanted);
+    if fviews.is_empty() {
+        return rewrite;
+    }
+    // Alternate containment and exact passes to fixpoint (each containment
+    // application strictly shrinks the plan or its conjunct count).
+    for _ in 0..32 {
+        // Search the plan the pending scans would build: a node they hide is
+        // gone, a node they replace is a scan, and a surviving filter keeps
+        // its input's fingerprint. Skip "matches" that exact rewriting
+        // already declined (a ScanView of the same name is already in
+        // place).
+        let hidden = rewrite.base.strictly_below(rewrite.scans.iter().copied());
+        let live = |id: NodeId| !hidden[id.raw() as usize] && !rewrite.scans.contains(&id);
+        let Some(mut m) =
+            containment_matches(&rewrite.base, fviews, live).find(|m| m.residual.is_some())
+        else {
             break;
         };
-        let name = fp.view_name();
-        rewritten = Some(
-            current
-                .replace_with_view(node.id, &name)
-                .expect("replacing a subtree of a valid plan"),
-        );
-        used.push(name);
+        // Its id in the built plan: the nodes kept before it.
+        let kept_before = hidden[..m.node.raw() as usize]
+            .iter()
+            .filter(|h| !**h)
+            .count();
+        m.node = NodeId(kept_before as u64);
+        let Ok(applied) = apply_containment(&rewrite.plan(), &m) else {
+            break;
+        };
+        rewrite.used.push(m.view);
+        rewrite.base = applied;
+        rewrite.scans.clear();
+        // New exact opportunities may open above the spliced scan.
+        rewrite.match_exact(wanted);
     }
-    Rewrite {
-        plan: rewritten.unwrap_or_else(|| plan.clone()),
-        used,
-    }
+    rewrite
 }
 
 #[cfg(test)]
@@ -171,7 +238,7 @@ mod tests {
         let p = plan(1);
         let rw = rewrite_with_views(&p, &HashSet::new());
         assert!(rw.used.is_empty());
-        assert_eq!(rw.plan, p);
+        assert_eq!(rw.plan(), p);
     }
 
     #[test]
@@ -181,9 +248,9 @@ mod tests {
         let available: HashSet<String> = [filt_view.clone()].into_iter().collect();
         let rw = rewrite_with_views(&p, &available);
         assert_eq!(rw.used, vec![filt_view.clone()]);
-        assert_eq!(rw.plan.len(), 2, "ScanView + Aggregate");
-        assert_eq!(rw.plan.scanned_views(), vec![filt_view]);
-        assert_eq!(rw.plan.schema(), p.schema());
+        assert_eq!(rw.plan().len(), 2, "ScanView + Aggregate");
+        assert_eq!(rw.plan().scanned_views(), vec![filt_view]);
+        assert_eq!(rw.plan().schema(), p.schema());
     }
 
     #[test]
@@ -194,7 +261,7 @@ mod tests {
         let available: HashSet<String> = [proj_view, filt_view.clone()].into_iter().collect();
         let rw = rewrite_with_views(&p, &available);
         assert_eq!(rw.used, vec![filt_view], "larger subtree preferred");
-        assert_eq!(rw.plan.len(), 2);
+        assert_eq!(rw.plan().len(), 2);
     }
 
     #[test]
@@ -212,8 +279,11 @@ mod tests {
         let root_view = fingerprint_plan(&p).view_name();
         let available: HashSet<String> = [root_view.clone()].into_iter().collect();
         let rw = rewrite_with_views(&p, &available);
-        assert_eq!(rw.plan.len(), 1);
-        assert!(matches!(rw.plan.root_node().op, Operator::ScanView { .. }));
+        assert_eq!(rw.plan().len(), 1);
+        assert!(matches!(
+            rw.plan().root_node().op,
+            Operator::ScanView { .. }
+        ));
         assert_eq!(rw.used, vec![root_view]);
     }
 
@@ -223,9 +293,9 @@ mod tests {
         let root_view = fingerprint_plan(&p).view_name();
         let available: HashSet<String> = [root_view].into_iter().collect();
         let rw1 = rewrite_with_views(&p, &available);
-        let rw2 = rewrite_with_views(&rw1.plan, &available);
+        let rw2 = rewrite_with_views(&rw1.plan(), &available);
         assert!(rw2.used.is_empty(), "no infinite self-replacement");
-        assert_eq!(rw2.plan, rw1.plan);
+        assert_eq!(rw2.plan(), rw1.plan());
     }
 
     #[test]
@@ -279,8 +349,8 @@ mod tests {
         let available: HashSet<String> = [v1.clone(), v2.clone()].into_iter().collect();
         let rw = rewrite_with_views(&p, &available);
         assert_eq!(rw.used.len(), 2);
-        assert_eq!(rw.plan.len(), 3, "two ScanViews + Join");
-        let mut scanned = rw.plan.scanned_views();
+        assert_eq!(rw.plan().len(), 3, "two ScanViews + Join");
+        let mut scanned = rw.plan().scanned_views();
         scanned.sort();
         let mut expect = vec![v1, v2];
         expect.sort();

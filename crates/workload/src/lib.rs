@@ -515,7 +515,7 @@ mod tests {
         );
         // The rewritten v2 has no base-log scans left: with the view in DW
         // the whole query can bypass HV.
-        assert!(rewrite.plan.base_logs().is_empty());
+        assert!(rewrite.plan().base_logs().is_empty());
     }
 
     #[test]

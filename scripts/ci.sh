@@ -83,6 +83,15 @@ grep -q '"correct": *true' "$golden/e2e-serve.json"
 CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
     --workload stream_steady --seed 7 --seconds 1 --trace 1 | tail -n 1 >"$golden/e2e-steady.json"
 grep -q '"correct": *true' "$golden/e2e-steady.json"
+# Planning decides nothing new: the traced steady stream's seed-7 planning
+# counts are pinned, so an enumerator that drops or repeats a split, or a
+# what-if probe that plans differently, fails here and not in a benchmark.
+for count in optimizer.cost_evals=7187 plan.split_enumerations=917 \
+    core.whatif_calls=21693 core.knapsack_dp_cells=545477 \
+    core.views_moved=132 core.views_dropped=126; do
+    grep -q "\"${count%=*}\": *{\"value\": *${count#*=}," "$golden/e2e-steady.json" ||
+        { echo "ci: ${count%=*} is not ${count#*=}"; exit 1; }
+done
 # And once untraced: the timed path is the one the benchmark gate measures,
 # so it is built and its answers checked here before the pipeline does it.
 CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \

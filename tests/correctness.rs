@@ -81,14 +81,14 @@ fn view_rewrites_preserve_results_for_every_workload_query() {
             if rewrite.used.is_empty() {
                 continue; // node sits below a larger replaced subtree sibling
             }
-            let rewritten = execute(&rewrite.plan, &view_src, &udfs).unwrap();
+            let rewritten = execute(&rewrite.plan(), &view_src, &udfs).unwrap();
             assert_eq!(
                 bag(baseline.root_rows().unwrap()),
                 bag(rewritten.root_rows().unwrap()),
                 "{}: rewrite over {} changed results\nplan:\n{}",
                 spec.label,
                 name,
-                rewrite.plan.render()
+                rewrite.plan().render()
             );
         }
     }

@@ -1,32 +1,70 @@
-//! `rewrite_with_views` compares parsed fingerprints and builds no plan until
-//! a node matches; this pins its result — plan and `used`, in order — to the
-//! loop it replaced, which formatted a `v_…` name per node per pass and
-//! looked each up in `available`. The old loop is kept here as the oracle.
+//! The rewriter finds its `used` list in one backward pass over the
+//! fingerprints a plan carries and builds the rewritten plan only on
+//! request; this pins its result — plan and `used`, in order — to the loop
+//! it replaced, which re-fingerprinted and rebuilt the plan after every
+//! match, formatted a `v_…` name per node per pass and looked each up in
+//! `available`. The old loop is kept here as the oracle. Along the way every
+//! plan the stream produces — raw, after each replacement, each subplan,
+//! after each containment rewrite, each view definition — must carry the
+//! digests a fresh pass over its nodes computes.
 
-use miso::common::ids::QueryId;
+use miso::common::ids::{NodeId, QueryId};
 use miso::common::{Budgets, ByteSize, DetRng};
 use miso::core::{MultistoreSystem, SystemConfig, Variant};
 use miso::data::logs::{Corpus, LogsConfig};
-use miso::plan::fingerprint::fingerprint_all;
-use miso::plan::{LogicalPlan, Operator, PlanBuilder};
+use miso::data::DataType;
+use miso::plan::fingerprint::{expr_digest, fingerprint_nodes};
+use miso::plan::{Expr, LogicalPlan, Operator, PlanBuilder};
 use miso::views::containment::{apply_containment, filter_views, find_containment_matches};
 use miso::views::rewrite::Rewrite;
 use miso::views::{rewrite_with_catalog, rewrite_with_views, ViewCatalog, ViewDef};
 use miso::workload::{compile_workload, standard_udfs, workload_catalog};
 use std::collections::HashSet;
 
-/// The rewriter as it stood before fingerprints were compared as integers.
-fn naive_with_views(plan: &LogicalPlan, available: &HashSet<String>) -> Rewrite {
+/// A rewrite as the old loop returned it: the plan built step by step.
+struct Naive {
+    plan: LogicalPlan,
+    used: Vec<String>,
+}
+
+/// `plan` carries what a fresh pass over its nodes computes: each node's
+/// fingerprint and each filter's conjunct digests.
+fn assert_fresh(what: &str, plan: &LogicalPlan) {
+    assert_eq!(
+        plan.fingerprints(),
+        fingerprint_nodes(plan),
+        "{what}: fingerprints of\n{plan}"
+    );
+    for node in plan.nodes() {
+        let fresh: Vec<u64> = match &node.op {
+            Operator::Filter { predicate } => {
+                predicate.conjuncts().into_iter().map(expr_digest).collect()
+            }
+            _ => Vec::new(),
+        };
+        assert_eq!(
+            plan.conjunct_digests(node.id),
+            fresh,
+            "{what}: conjunct digests of {}",
+            node.id
+        );
+    }
+}
+
+/// The rewriter as it stood before fingerprints were compared as integers:
+/// fingerprints recomputed and the plan rebuilt after every match.
+fn naive_with_views(plan: &LogicalPlan, available: &HashSet<String>) -> Naive {
     let mut current = plan.clone();
     let mut used = Vec::new();
     loop {
-        let fps = fingerprint_all(&current);
+        let fps = fingerprint_nodes(&current);
         let mut replaced = false;
         for node in current.nodes().iter().rev() {
-            let name = fps[&node.id].view_name();
+            let name = fps[node.id.raw() as usize].view_name();
             let already = matches!(&node.op, Operator::ScanView { view, .. } if *view == name);
             if !already && available.contains(&name) {
                 current = current.replace_with_view(node.id, &name).unwrap();
+                assert_fresh("after a replacement", &current);
                 used.push(name);
                 replaced = true;
                 break;
@@ -36,7 +74,7 @@ fn naive_with_views(plan: &LogicalPlan, available: &HashSet<String>) -> Rewrite 
             break;
         }
     }
-    Rewrite {
+    Naive {
         plan: current,
         used,
     }
@@ -48,7 +86,7 @@ fn naive_with_catalog(
     plan: &LogicalPlan,
     available: &HashSet<String>,
     catalog: &ViewCatalog,
-) -> Rewrite {
+) -> Naive {
     let mut rewrite = naive_with_views(plan, available);
     let fviews = filter_views(catalog, available);
     for _ in 0..32 {
@@ -59,6 +97,7 @@ fn naive_with_catalog(
         let Ok(applied) = apply_containment(&rewrite.plan, m) else {
             break;
         };
+        assert_fresh("after a containment rewrite", &applied);
         rewrite.plan = applied;
         rewrite.used.push(m.view.clone());
         let again = naive_with_views(&rewrite.plan, available);
@@ -105,9 +144,13 @@ fn looser_views(q: &LogicalPlan) -> Vec<ViewDef> {
     out
 }
 
-fn assert_same(label: &str, set: &HashSet<String>, got: Rewrite, want: Rewrite) {
+/// The `used` list found without building equals the one the step-by-step
+/// rewrite found, and so does the plan built from it.
+fn assert_same(label: &str, set: &HashSet<String>, got: Rewrite, want: Naive) {
     assert_eq!(got.used, want.used, "{label} over {set:?}: views used");
-    assert_eq!(got.plan, want.plan, "{label} over {set:?}: rewritten plan");
+    let plan = got.plan();
+    assert_eq!(plan, want.plan, "{label} over {set:?}: rewritten plan");
+    assert_fresh(label, &plan);
 }
 
 #[test]
@@ -136,14 +179,20 @@ fn rewrite_matches_the_naive_loop_on_every_template() {
         }
     }
     let harvested = catalog.names();
+    for def in catalog.defs() {
+        assert_fresh(&def.name, &def.plan);
+    }
 
     let mut rng = DetRng::new(0x5eed);
     let (mut exact, mut nested, mut contained, mut misses) = (0usize, 0usize, 0usize, 0usize);
     for (label, q) in &queries {
+        assert_fresh(label, q);
+        for node in q.nodes() {
+            assert_fresh(label, &q.subplan(node.id));
+        }
         // Names of the query's own subtrees: putting a node and one of its
         // ancestors in the same set is a nested match.
-        let fps = fingerprint_all(q);
-        let own: Vec<String> = q.nodes().iter().map(|n| fps[&n.id].view_name()).collect();
+        let own: Vec<String> = q.fingerprints().iter().map(|fp| fp.view_name()).collect();
         for round in 0..24 {
             let mut set: HashSet<String> = HashSet::new();
             let pool = if round % 2 == 0 { &design } else { &harvested };
@@ -185,12 +234,12 @@ fn rewrite_matches_the_naive_loop_on_every_template() {
             }
             assert_same(label, &set, rewrite_with_catalog(q, &set, &catalog), want);
             // A rewritten plan rewrites to itself.
-            let once = rewrite_with_views(q, &set);
+            let once = rewrite_with_views(q, &set).plan();
             assert_same(
                 label,
                 &set,
-                rewrite_with_views(&once.plan, &set),
-                naive_with_views(&once.plan, &set),
+                rewrite_with_views(&once, &set),
+                naive_with_views(&once, &set),
             );
         }
     }
@@ -201,4 +250,87 @@ fn rewrite_matches_the_naive_loop_on_every_template() {
         "containment matches exercised: {contained}"
     );
     assert!(misses > 0, "misses exercised: {misses}");
+}
+
+/// The plan a pinned query builds, before and after one replacement.
+fn pinned() -> LogicalPlan {
+    let mut b = PlanBuilder::new();
+    let scan = b
+        .add(
+            Operator::ScanLog {
+                log: "twitter".into(),
+            },
+            vec![],
+        )
+        .unwrap();
+    let uid = Expr::col(0).get("user_id").cast(DataType::Int);
+    let proj = b
+        .add(
+            Operator::Project {
+                exprs: vec![("uid".into(), uid)],
+            },
+            vec![scan],
+        )
+        .unwrap();
+    let filt = b
+        .add(
+            Operator::Filter {
+                predicate: Expr::col(0).eq(Expr::lit(1i64)),
+            },
+            vec![proj],
+        )
+        .unwrap();
+    b.finish(filt).unwrap()
+}
+
+/// The digests a plan carries are invisible to `==` and `{:?}`: both print
+/// and compare what they did before plans carried them, whether a plan's
+/// digests were carried over or computed afresh.
+#[test]
+fn equality_and_debug_ignore_the_digests() {
+    let p = pinned();
+    assert_eq!(
+        format!("{p:?}"),
+        "LogicalPlan { nodes: [\
+         PlanNode { id: NodeId(0), op: ScanLog { log: \"twitter\" }, inputs: [], \
+         schema: Schema { fields: [Field { name: \"record\", ty: Json }] } }, \
+         PlanNode { id: NodeId(1), op: Project { exprs: [(\"uid\", Cast { input: FieldGet { \
+         input: Column(0), key: \"user_id\" }, ty: Int })] }, inputs: [NodeId(0)], \
+         schema: Schema { fields: [Field { name: \"uid\", ty: Int }] } }, \
+         PlanNode { id: NodeId(2), op: Filter { predicate: Binary { op: Eq, left: Column(0), \
+         right: Literal(Int(1)) } }, inputs: [NodeId(1)], \
+         schema: Schema { fields: [Field { name: \"uid\", ty: Int }] } }], root: NodeId(2) }"
+    );
+    // A name that is not the subtree's own: digests recomputed.
+    let other = p
+        .replace_with_view(NodeId(1), "v_00000000000000ff")
+        .unwrap();
+    assert_eq!(
+        format!("{other:?}"),
+        "LogicalPlan { nodes: [\
+         PlanNode { id: NodeId(0), op: ScanView { view: \"v_00000000000000ff\", \
+         schema: Schema { fields: [Field { name: \"uid\", ty: Int }] } }, inputs: [], \
+         schema: Schema { fields: [Field { name: \"uid\", ty: Int }] } }, \
+         PlanNode { id: NodeId(1), op: Filter { predicate: Binary { op: Eq, left: Column(0), \
+         right: Literal(Int(1)) } }, inputs: [NodeId(0)], \
+         schema: Schema { fields: [Field { name: \"uid\", ty: Int }] } }], root: NodeId(1) }"
+    );
+    assert_fresh("renamed", &other);
+    // The subtree's own name: digests carried. Either way the plan equals
+    // the one a builder makes from the same nodes.
+    let own = p.fingerprint(NodeId(1)).view_name();
+    let carried = p.replace_with_view(NodeId(1), &own).unwrap();
+    assert_fresh("carried", &carried);
+    assert_eq!(carried.fingerprint(carried.root()), p.fingerprint(p.root()));
+    for rewritten in [&other, &carried] {
+        let mut b = PlanBuilder::new();
+        for node in rewritten.nodes() {
+            b.add(node.op.clone(), node.inputs.clone()).unwrap();
+        }
+        let built = b.finish(rewritten.root()).unwrap();
+        assert_eq!(&built, rewritten);
+        assert_eq!(format!("{built:?}"), format!("{rewritten:?}"));
+    }
+    assert_ne!(other, carried);
+    assert_eq!(p, pinned());
 }
