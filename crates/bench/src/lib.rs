@@ -1,11 +1,11 @@
 //! Shared harness for the evaluation reproductions.
 //!
-//! Every figure in [`figures`] and every bench binary builds its systems
+//! Every figure in [`figures`] and every fault-path binary builds its systems
 //! through this module so that all experiments run against the same corpus,
-//! workload, budgets, and cost models. Budgets follow the paper's
-//! convention: `B_h`/`B_d` are multiples of each store's "base data" size
-//! (§5.1) — all logs for HV, the queries' relevant subset (we use 10%,
-//! matching the paper's 200 GB of 2 TB) for DW.
+//! workload, budgets, and cost models; wall-clock time is `benchmark/`'s to
+//! measure. Budgets follow the paper's convention: `B_h`/`B_d` are multiples
+//! of each store's "base data" size (§5.1) — all logs for HV, the queries'
+//! relevant subset (we use 10%, matching the paper's 200 GB of 2 TB) for DW.
 
 use miso_common::{Budgets, ByteSize, SimDuration};
 use miso_core::{ExperimentResult, MultistoreSystem, SystemConfig, Variant};
@@ -124,21 +124,6 @@ pub fn tti_value(result: &ExperimentResult) -> Value {
         ("etl_s", secs(tti.etl)),
         ("total_s", secs(result.tti_total())),
         ("reorgs", Value::Int(result.reorgs.len() as i64)),
-    ])
-}
-
-/// What the worker pool did in this process, for a run report: how many
-/// batches were dispatched, how many of them no helper was offered, and how
-/// the work fell between callers and helpers. Scheduling decides all but
-/// `batches`, so this never goes to stdout or a golden.
-pub fn pool_value() -> Value {
-    let stats = miso_common::pool::stats();
-    let int = |n: u64| Value::Int(n as i64);
-    obj([
-        ("batches", int(stats.batches)),
-        ("inline_batches", int(stats.inline_batches)),
-        ("helpers_spawned", int(stats.helpers_spawned)),
-        ("helper_tasks", int(stats.helper_tasks)),
     ])
 }
 

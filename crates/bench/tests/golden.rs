@@ -4,6 +4,7 @@
 //! harness; nothing is written.
 
 use miso_bench::{figures, Harness};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::LazyLock;
 
@@ -38,6 +39,41 @@ macro_rules! golden_tests {
             assert_eq!(names, [$(stringify!($name)),*]);
         }
     };
+}
+
+/// `scripts/ci.sh` builds exactly the binaries in `src/bin/` and runs each
+/// of them: a bin that CI never runs, or a `--bin` that no longer exists,
+/// fails here rather than rotting unseen.
+#[test]
+fn ci_runs_every_bench_bin() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let ci = std::fs::read_to_string(root.join("../../scripts/ci.sh")).expect("scripts/ci.sh");
+    let bins: BTreeSet<String> = std::fs::read_dir(root.join("src/bin"))
+        .expect("src/bin")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            path.file_stem().expect("a file").to_string_lossy().into()
+        })
+        .collect();
+    let words: Vec<&str> = ci.split_whitespace().collect();
+    let built: BTreeSet<String> = words
+        .windows(2)
+        .filter(|w| w[0] == "--bin")
+        .map(|w| w[1].to_string())
+        .collect();
+    assert_eq!(built, bins, "the bins ci.sh builds vs src/bin/");
+    for bin in &bins {
+        // Run as `.../release/figures "$fig"`, or named in a smoke list.
+        let runs = [
+            format!("release/{bin}\""),
+            format!("\"{bin}\""),
+            format!("\"{bin} --"),
+        ];
+        assert!(
+            runs.iter().any(|site| ci.contains(site.as_str())),
+            "ci.sh builds {bin} but never runs it"
+        );
+    }
 }
 
 golden_tests!(

@@ -516,7 +516,7 @@ impl MisoTuner {
     /// Enables or disables the what-if memo and the delta probe with it
     /// (builder style). Disabled, every probe is a full
     /// `what_if_cost(q, design(S))`: the reference the equivalence tests
-    /// and `tunerbench`'s serial side compare against.
+    /// compare against.
     pub fn with_whatif_cache(mut self, enabled: bool) -> Self {
         self.cache_enabled = enabled;
         if !enabled {

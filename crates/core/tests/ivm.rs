@@ -5,8 +5,9 @@
 //!   rebuilt views (the incrementally re-stamped digest equals a
 //!   from-scratch `checksum_rows` over the stored rows);
 //! * results and checksums are the same whether deltas fold or every
-//!   refresh rebuilds (`ivm_max_delta_frac = 0.0`), and under the
-//!   worker-pool thread count;
+//!   refresh rebuilds (`ivm_max_delta_frac = 0.0`) — on every maintainable
+//!   shape, a view over a view included, the one side folding and the
+//!   other not — and under the worker-pool thread count;
 //! * over the whole 32-template stream, after every growth batch, every
 //!   catalog view — float aggregates and views over views included — holds
 //!   exactly the rows a from-scratch run over the grown logs computes, at
@@ -54,44 +55,83 @@ fn system_with(corpus: &Corpus, config: SystemConfig) -> MultistoreSystem {
     MultistoreSystem::new(corpus, workload_catalog(), standard_udfs(), config)
 }
 
-fn queries() -> Vec<(String, LogicalPlan)> {
+const FILTERED: &str =
+    "SELECT t.tweet_id AS id, t.city AS city FROM twitter t WHERE t.followers > 10";
+const GROUPED: &str = "SELECT t.city AS c, COUNT(*) AS n, SUM(t.followers) AS s FROM twitter t \
+                       WHERE t.followers > 10 GROUP BY t.city";
+
+/// Each maintainable view shape, as the queries whose opportunistic run
+/// leaves its views.
+const SHAPES: [(&str, &[&str]); 6] = [
+    ("filter", &[FILTERED]),
+    (
+        "project",
+        &["SELECT t.user_id AS u, t.followers + 1 AS f1 FROM twitter t WHERE t.tweet_id >= 0"],
+    ),
+    ("aggregate", &[GROUPED]),
+    (
+        "join+aggregate",
+        &["SELECT f.city AS c, COUNT(*) AS n FROM twitter t \
+           JOIN foursquare f ON t.user_id = f.user_id WHERE t.followers > 1 GROUP BY f.city"],
+    ),
+    (
+        "float-aggregate",
+        &[
+            "SELECT t.city AS c, AVG(t.sentiment) AS mood, SUM(t.sentiment) AS s \
+           FROM twitter t WHERE t.followers > 10 GROUP BY t.city",
+        ],
+    ),
+    // The second query is answered from the first one's filter view, so the
+    // aggregate it leaves behind scans that view, not the log.
+    (
+        "derived-view",
+        &[
+            "SELECT t.city AS c, COUNT(*) AS n FROM twitter t \
+             WHERE t.followers > 10 GROUP BY t.city",
+            "SELECT t.city AS c, MAX(t.followers) AS top FROM twitter t \
+             WHERE t.followers > 10 GROUP BY t.city",
+        ],
+    ),
+];
+
+fn compiled<'a>(
+    labelled: impl IntoIterator<Item = (&'a str, &'a str)>,
+) -> Vec<(String, LogicalPlan)> {
     let catalog = workload_catalog();
-    vec![
-        (
-            "filtered".to_string(),
-            compile(
-                "SELECT t.tweet_id AS id, t.city AS city FROM twitter t WHERE t.followers > 10",
-                &catalog,
-            )
-            .unwrap(),
-        ),
-        (
-            "grouped".to_string(),
-            compile(
-                "SELECT t.city AS c, COUNT(*) AS n, SUM(t.followers) AS s FROM twitter t \
-                 WHERE t.followers > 10 GROUP BY t.city",
-                &catalog,
-            )
-            .unwrap(),
-        ),
-    ]
+    labelled
+        .into_iter()
+        .map(|(label, sql)| (label.to_string(), compile(sql, &catalog).unwrap()))
+        .collect()
 }
 
-/// Creates views, appends `batches` delta batches under Refresh, and
-/// returns the per-view catalog checksums afterwards.
+fn queries() -> Vec<(String, LogicalPlan)> {
+    compiled([("filtered", FILTERED), ("grouped", GROUPED)])
+}
+
+/// Creates views with `queries`, appends `batches` delta batches under
+/// Refresh, and returns the per-view catalog checksums afterwards and how
+/// many refreshes folded a delta.
 fn grow_and_fingerprint(
     cfg: &LogsConfig,
     config: SystemConfig,
+    queries: &[(String, LogicalPlan)],
     batches: u64,
-) -> (MultistoreSystem, BTreeMap<String, u64>) {
+) -> (MultistoreSystem, BTreeMap<String, u64>, usize) {
     let corpus = Corpus::generate(cfg);
     let mut sys = system_with(&corpus, config);
-    sys.run_workload(Variant::HvOp, &queries()).unwrap();
+    sys.run_workload(Variant::HvOp, queries).unwrap();
     let mut clock = SimClock::new();
+    let mut folds = 0;
     for batch in 0..batches {
         let delta = Delta::generated(cfg, LogKind::Twitter, batch, 80);
-        sys.grow(&delta, MaintenancePolicy::Refresh, &mut clock)
+        let report = sys
+            .grow(&delta, MaintenancePolicy::Refresh, &mut clock)
             .unwrap();
+        let folded = report
+            .decisions
+            .iter()
+            .filter(|d| d.action == MaintAction::Delta);
+        folds += folded.count();
     }
     let sums = sys
         .catalog
@@ -99,14 +139,15 @@ fn grow_and_fingerprint(
         .iter()
         .filter_map(|d| d.checksum.map(|c| (d.name.clone(), c.0)))
         .collect();
-    (sys, sums)
+    (sys, sums, folds)
 }
 
 #[test]
 fn delta_applied_checksum_equals_full_rebuild_checksum() {
     let _globals = globals_lock();
     let cfg = LogsConfig::tiny();
-    let (sys, _) = grow_and_fingerprint(&cfg, SystemConfig::paper_default(budgets()), 3);
+    let config = SystemConfig::paper_default(budgets());
+    let (sys, _, _) = grow_and_fingerprint(&cfg, config, &queries(), 3);
     // After warm-state folds, every view's catalog checksum — stamped
     // incrementally through the running digest — must equal a from-scratch
     // checksum of the rows actually stored.
@@ -128,6 +169,9 @@ fn delta_applied_checksum_equals_full_rebuild_checksum() {
     assert!(checked > 0, "no views were maintained");
 }
 
+/// Per view shape, and for the filter and aggregate queries together: the
+/// folding side applies deltas, the rebuild side none, and both end with
+/// the same views, checksums and answers.
 #[test]
 fn ivm_toggle_does_not_change_results_or_checksums() {
     let _globals = globals_lock();
@@ -135,19 +179,31 @@ fn ivm_toggle_does_not_change_results_or_checksums() {
     let on = SystemConfig::paper_default(budgets());
     assert!(on.ivm_max_delta_frac > 0.0, "delta folding is the default");
     // The always-rebuild reference: every delta is past the size policy.
-    let mut off = SystemConfig::paper_default(budgets());
+    let mut off = on.clone();
     off.ivm_max_delta_frac = 0.0;
-    let (mut sys_on, sums_on) = grow_and_fingerprint(&cfg, on, 3);
-    let (mut sys_off, sums_off) = grow_and_fingerprint(&cfg, off, 3);
-    assert_eq!(
-        sums_on, sums_off,
-        "checksums diverge between fold and rebuild"
-    );
-    // And the answers over the maintained views agree.
-    let r_on = sys_on.run_workload(Variant::HvOp, &queries()).unwrap();
-    let r_off = sys_off.run_workload(Variant::HvOp, &queries()).unwrap();
-    for (a, b) in r_on.records.iter().zip(&r_off.records) {
-        assert_eq!(a.result_rows, b.result_rows, "{}", a.label);
+    let shapes =
+        SHAPES.map(|(shape, sqls)| (shape, compiled(sqls.iter().map(|sql| (shape, *sql)))));
+    for (shape, qs) in [("filter, aggregate", queries())].into_iter().chain(shapes) {
+        let (mut sys_on, sums_on, folds_on) = grow_and_fingerprint(&cfg, on.clone(), &qs, 3);
+        let (mut sys_off, sums_off, folds_off) = grow_and_fingerprint(&cfg, off.clone(), &qs, 3);
+        assert!(!sums_on.is_empty(), "{shape}: no views were maintained");
+        assert_eq!(
+            sums_on, sums_off,
+            "{shape}: checksums diverge between fold and rebuild"
+        );
+        assert!(folds_on > 0, "{shape}: the folding side applied no delta");
+        assert_eq!(folds_off, 0, "{shape}: the rebuild side folded a delta");
+        if shape == "derived-view" {
+            let defs = sys_on.catalog.defs();
+            let over_views = defs.iter().any(|d| !d.plan.scanned_views().is_empty());
+            assert!(over_views, "{shape}: no view over a view was left");
+        }
+        // And the answers over the maintained views agree.
+        let r_on = sys_on.run_workload(Variant::HvOp, &qs).unwrap();
+        let r_off = sys_off.run_workload(Variant::HvOp, &qs).unwrap();
+        for (a, b) in r_on.records.iter().zip(&r_off.records) {
+            assert_eq!(a.result_rows, b.result_rows, "{shape}: {}", a.label);
+        }
     }
 }
 
@@ -155,11 +211,12 @@ fn ivm_toggle_does_not_change_results_or_checksums() {
 fn thread_count_does_not_change_maintained_views() {
     let _globals = globals_lock();
     let cfg = LogsConfig::tiny();
+    let config = SystemConfig::paper_default(budgets());
     let before = pool::threads();
     pool::set_threads(1);
-    let (_, serial) = grow_and_fingerprint(&cfg, SystemConfig::paper_default(budgets()), 3);
+    let (_, serial, _) = grow_and_fingerprint(&cfg, config.clone(), &queries(), 3);
     pool::set_threads(8);
-    let (_, parallel) = grow_and_fingerprint(&cfg, SystemConfig::paper_default(budgets()), 3);
+    let (_, parallel, _) = grow_and_fingerprint(&cfg, config, &queries(), 3);
     pool::set_threads(before);
     assert_eq!(
         serial, parallel,

@@ -2,13 +2,12 @@
 //! reference implementation.
 //!
 //! [`execute_serial`] is the semantic oracle for the morsel-parallel engine
-//! in [`crate::engine`]: differential tests and `execbench` run both over
-//! the same plans and assert row-for-row identical output. It is also the
-//! benchmark baseline — the "before" in the engine's speedup numbers — so
-//! it intentionally keeps the seed implementation's allocation behaviour
-//! (per-probe key `Vec`s in the join, per-row group-key clones in the
-//! aggregate, full-input stable sorts) rather than sharing the reworked
-//! operator bodies.
+//! in [`crate::engine`]: differential tests run both over the same plans and
+//! assert row-for-row identical output. It intentionally keeps the seed
+//! implementation's operator bodies (per-probe key `Vec`s in the join,
+//! per-row group-key clones in the aggregate, full-input stable sorts)
+//! rather than sharing the reworked ones, so a bug in those cannot hide in
+//! both.
 
 use crate::engine::{Acc, DataSource, Execution};
 use crate::eval::{eval, eval_predicate};

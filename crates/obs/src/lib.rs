@@ -144,9 +144,10 @@ pub fn init(config: ObsConfig) {
 
 /// Reads `MISO_TRACE` / `MISO_OBS` and initializes accordingly. Returns
 /// whether observability ended up enabled. Every bench binary calls this
-/// first thing in `main`.
+/// first thing in `main`. An empty `MISO_TRACE` is unset, as an empty flag
+/// is off.
 pub fn init_from_env() -> bool {
-    let trace = std::env::var_os("MISO_TRACE");
+    let trace = std::env::var_os("MISO_TRACE").filter(|path| !path.is_empty());
     let obs_on = miso_common::env::flag("MISO_OBS");
     if trace.is_none() && !obs_on {
         return false;

@@ -98,13 +98,4 @@ CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
     --workload stream_steady --seed 7 --seconds 1 --trace 0 | tail -n 1 >"$golden/e2e-steady-timed.json"
 grep -q '"correct": *true' "$golden/e2e-steady-timed.json"
 
-echo "==> tunerbench smoke (designs identical across threading and memoization)"
-cargo run --release -q -p miso-bench --bin tunerbench -- --smoke
-
-echo "==> execbench smoke (keep-all and root-only runs verified against serial)"
-cargo run --release -q -p miso-bench --bin execbench -- --smoke
-
-echo "==> ivmbench smoke (delta maintenance vs full recompute; checksum identity)"
-cargo run --release -q -p miso-bench --bin ivmbench -- --smoke
-
 echo "ci: all checks passed"

@@ -1,5 +1,6 @@
-//! The boolean `MISO_*` flag has one grammar (`miso::common::env::flag`).
-//! One test, alone in its binary: it rewrites the process environment.
+//! The boolean `MISO_*` flag has one grammar (`miso::common::env::flag`),
+//! and an empty `MISO_TRACE` reads as unset. One test, alone in its binary:
+//! it rewrites the process environment.
 
 use miso_obs::ObsConfig;
 
@@ -27,4 +28,10 @@ fn every_boolean_flag_reads_off_as_off() {
         assert_eq!(obs_on, miso_obs::enabled());
         assert_eq!(obs_on, want, "MISO_OBS={value:?}");
     }
+    // An empty trace path is no trace path: nothing to open, nothing on.
+    std::env::remove_var("MISO_OBS");
+    std::env::set_var("MISO_TRACE", "");
+    miso_obs::init(ObsConfig::disabled());
+    assert!(!miso_obs::init_from_env(), "MISO_TRACE=\"\"");
+    assert!(!miso_obs::enabled(), "MISO_TRACE=\"\"");
 }

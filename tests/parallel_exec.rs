@@ -8,11 +8,14 @@
 //! join (including NULL-key semantics), aggregate (every accumulator
 //! variant), UDFs, sort (including ties), and limit.
 
-use miso::common::pool;
+use miso::common::{pool, QueryGuard};
 use miso::data::{ColBatch, DataType, Field, Row, Schema, Value};
 use miso::exec::engine::execute;
-use miso::exec::{execute_serial, Execution, MemSource, Udf, UdfRegistry};
+use miso::exec::{
+    execute_serial, execute_subset_guarded, Execution, MemSource, Retention, Udf, UdfRegistry,
+};
 use miso::plan::{AggExpr, AggFunc, BinOp, Expr, LogicalPlan, Operator, PlanBuilder};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Asserts two executions retained the same nodes with identical rows and
@@ -31,15 +34,40 @@ fn assert_executions_eq(a: &Execution, b: &Execution, what: &str) {
 }
 
 /// Runs a plan serially and under the vex engine at 1, 2 and 8 workers,
-/// asserting all four executions are byte-identical.
+/// asserting all four executions are byte-identical; and at each width a
+/// root-only run (scans fused, intermediates released, as DW runs a plan)
+/// must match the serial run at the root, on every `rows_out` and on the
+/// skip count.
 fn assert_thread_invariant(plan: &LogicalPlan, src: &MemSource, udfs: &UdfRegistry, what: &str) {
     let before = pool::threads();
     pool::set_threads(1);
     let serial = execute_serial(plan, src, udfs).expect("serial run succeeds");
     for t in [1usize, 2, 8] {
         pool::set_threads(t);
+        let what = format!("{what} @ {t} threads");
         let vex = execute(plan, src, udfs).expect("vex run succeeds");
-        assert_executions_eq(&serial, &vex, &format!("{what} @ {t} threads"));
+        assert_executions_eq(&serial, &vex, &what);
+        let root_only = execute_subset_guarded(
+            plan,
+            None,
+            HashMap::new(),
+            src,
+            udfs,
+            Retention::ROOT_ONLY,
+            QueryGuard::inert_ref(),
+        )
+        .expect("root-only run succeeds");
+        let root = plan.root();
+        assert_eq!(root_only.skipped_lines, serial.skipped_lines, "{what}");
+        assert_eq!(
+            root_only.try_output(root),
+            serial.try_output(root),
+            "{what}"
+        );
+        for node in plan.nodes() {
+            let id = node.id;
+            assert_eq!(root_only.rows_out(id), serial.rows_out(id), "{what}: {id}");
+        }
     }
     pool::set_threads(before);
 }
@@ -131,6 +159,21 @@ fn log_pipeline_is_thread_invariant() {
     let plan = b.finish(limit).unwrap();
 
     assert_thread_invariant(&plan, &src, &udfs, "log pipeline");
+
+    // The scan under a projection of its fields: the root-only run fuses
+    // the two, the keep-all run cannot.
+    let mut b = PlanBuilder::new();
+    let scan = b.add(
+        Operator::ScanLog {
+            log: "events".into(),
+        },
+        vec![],
+    );
+    let field = |name: &str| (name.to_string(), Expr::col(0).get(name).cast(DataType::Int));
+    let exprs = vec![field("uid"), field("score")];
+    let proj = b.add(Operator::Project { exprs }, vec![scan.unwrap()]);
+    let fused = b.finish(proj.unwrap()).unwrap();
+    assert_thread_invariant(&fused, &src, &udfs, "fused log scan");
 
     // The malformed-line count itself is part of the contract.
     pool::set_threads(8);
@@ -227,6 +270,71 @@ fn join_aggregate_pipeline_is_thread_invariant() {
         .unwrap();
     let plan = b.finish(agg).unwrap();
     assert_thread_invariant(&plan, &src, &UdfRegistry::new(), "join+aggregate");
+
+    // Twelve-column facts, filtered, then a selective join (one uid in 32
+    // has a segment, so probe misses dominate), grouped by the string label.
+    let wide = (0..20_000i64).map(|i| {
+        let cell = |c: i64| match c {
+            0 => i % 10_000,
+            1 => (i * 31) % 10_000,
+            c => (i * c) % (50 + c),
+        };
+        Row::new((0..12).map(|c| Value::Int(cell(c))).collect())
+    });
+    src.add_view("wide", wide.collect());
+    let labels = (0..313i64).map(|i| {
+        Row::new(vec![
+            Value::Int(i * 32),
+            Value::str(format!("segment-{:03}", i % 200)),
+        ])
+    });
+    src.add_view("segments", labels.collect());
+    let mut b = PlanBuilder::new();
+    let [facts, segments] = [
+        (
+            "wide",
+            (0..12).map(|c| int_field(&format!("c{c}"))).collect(),
+        ),
+        (
+            "segments",
+            vec![int_field("uid"), Field::new("segment", DataType::Str)],
+        ),
+    ]
+    .map(|(view, fields)| {
+        let op = Operator::ScanView {
+            view: view.into(),
+            schema: Schema::new(fields),
+        };
+        b.add(op, vec![]).unwrap()
+    });
+    let (left, right) = (Box::new(Expr::col(1)), Box::new(Expr::lit(5000i64)));
+    let predicate = Expr::Binary {
+        op: BinOp::Lt,
+        left,
+        right,
+    };
+    let filt = b.add(Operator::Filter { predicate }, vec![facts]);
+    let join = b.add(
+        Operator::Join { on: vec![(0, 0)] },
+        vec![filt.unwrap(), segments],
+    );
+    let col1 = |func, name| AggExpr::new(func, Some(Expr::col(1)), name);
+    let aggs = vec![
+        AggExpr::new(AggFunc::Count, None, "n"),
+        col1(AggFunc::Sum, "total"),
+        col1(AggFunc::Min, "lo"),
+        col1(AggFunc::Max, "hi"),
+    ];
+    let agg = b.add(
+        Operator::Aggregate {
+            group_by: vec![13],
+            aggs,
+        },
+        vec![join.unwrap()],
+    );
+    let plan = b.finish(agg.unwrap()).unwrap();
+    let what = "wide selective join+aggregate";
+    assert_thread_invariant(&plan, &src, &UdfRegistry::new(), what);
 }
 
 /// NULL join keys never match — on either side, at any thread count.
@@ -339,9 +447,6 @@ mod random_plans {
     use super::*;
     use miso::common::ids::NodeId;
     use miso::common::rng::DetRng;
-    use miso::common::QueryGuard;
-    use miso::exec::{execute_subset_guarded, Retention};
-    use std::collections::HashMap;
 
     const CASES: u64 = 48;
 

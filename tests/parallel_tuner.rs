@@ -111,7 +111,12 @@ fn tune_once(
 }
 
 /// The same workload tuned under every (thread count, cache) combination
-/// must yield one design.
+/// must yield one design, in a first epoch over a window that repeats each
+/// query (the memo answers a repeat, a memo-off tuner costs it again) and in
+/// a second one after churn: one view dropped, one registered, and the
+/// window slid by `epoch_len`. The memo-on tuner carries into the second
+/// epoch the probes whose query and views both stayed, so it hits more than
+/// a memo-on tuner that starts there.
 #[test]
 fn designs_identical_across_threads_and_caching() {
     let _pool = pool_lock();
@@ -124,30 +129,64 @@ fn designs_identical_across_threads_and_caching() {
         decay: 0.5,
         doi_threshold: 1.0,
     };
+    // Three unseen queries enter the slid window; the first brings a view.
+    let entering = [500, 700, 900].map(|n| {
+        let sql = format!(
+            "SELECT t.lang AS l, COUNT(*) AS n FROM twitter t \
+             WHERE t.retweets > {n} GROUP BY t.lang"
+        );
+        plan_and_view(&sql, ByteSize::from_kib(120))
+    });
+    let stream: Vec<LogicalPlan> = history
+        .iter()
+        .chain(entering.iter().map(|(plan, _)| plan))
+        .cloned()
+        .collect();
+    let (mut catalog2, mut s2, mut hv2) = (catalog.clone(), s.clone(), hv.clone());
+    let dropped = hv.iter().next().unwrap();
+    catalog2.remove(dropped).expect("a registered view");
+    hv2.remove(dropped);
+    let added = entering[0].1.clone();
+    s2.set_view(added.name.clone(), 1_000.0, added.size.as_bytes() as f64);
+    hv2.insert(added.name.clone());
+    assert!(catalog2.register(added));
+    let slid = &stream[config.epoch_len..config.epoch_len + history.len()];
 
     let mut designs = Vec::new();
     for threads in [1usize, 4] {
         for cache in [false, true] {
             pool::set_threads(threads);
             let tuner = MisoTuner::new(config.clone()).with_whatif_cache(cache);
-            designs.push(tune_once(&tuner, &hv, &catalog, &history, &s));
+            let first = tune_once(&tuner, &hv, &catalog, &history, &s);
+            let mut second = None;
+            let churned = tally(&tuner, |t| {
+                second = Some(tune_once(t, &hv2, &catalog2, slid, &s2))
+            });
             if cache {
                 assert!(
                     tuner.whatif_cache_len() > 0,
                     "cache-enabled tuning should memoize probes"
                 );
+                let cold = tally(&MisoTuner::new(config.clone()), |t| {
+                    tune_once(t, &hv2, &catalog2, slid, &s2);
+                });
+                assert!(
+                    churned.hits > cold.hits,
+                    "{threads} threads: carried {churned:?}, cold {cold:?}"
+                );
             } else {
                 assert_eq!(tuner.whatif_cache_len(), 0);
             }
+            designs.push([first, second.unwrap()]);
         }
     }
     pool::set_threads(1);
     assert!(
-        !designs[0].hv.is_empty() || !designs[0].dw.is_empty(),
+        !designs[0][0].hv.is_empty() || !designs[0][0].dw.is_empty(),
         "universe should produce a non-trivial design"
     );
     for d in &designs[1..] {
-        assert_eq!(*d, designs[0], "threading/caching changed the design");
+        assert_eq!(*d, designs[0], "threading/caching changed a design");
     }
 }
 
