@@ -16,7 +16,7 @@ fn main() {
         },
         _ => usage(),
     };
-    miso_bench::obs_init();
+    miso_obs::init_from_env();
     let figure = render(&Harness::standard());
     print!("{}{}", figure.text, figure.observed);
     if let Some(csv) = &figure.csv {
@@ -31,7 +31,7 @@ fn main() {
 }
 
 fn usage() -> ! {
-    let names: Vec<_> = figures::FIGURES.iter().map(|(name, _)| *name).collect();
+    let names: Vec<_> = figures::all().map(|(name, _)| name).collect();
     eprintln!(
         "usage: figures NAME, where NAME is one of: {}",
         names.join(" ")

@@ -2,11 +2,12 @@
 //!
 //! Each entry renders one result from a [`Harness`]: the paper's Figures
 //! 3–9, Table 2 and §3.2 figure, then the ablation and the maintenance table
-//! this reproduction adds. A [`Figure`] holds the text the `figures` binary
-//! prints (byte-identical to `results/NAME.txt`), the CSV of the figures that
-//! have one and the figure's part of the run report. Nothing here prints or
-//! writes a file, so `tests/golden.rs` diffs every figure against `results/`
-//! in-process.
+//! this reproduction adds; [`FAULTS`] holds the fault-path figures. A
+//! [`Figure`] holds the text the `figures` binary prints (byte-identical to
+//! `results/NAME.txt`), the CSV of the figures that have one and the
+//! figure's part of the run report. Nothing here prints or writes a file, so
+//! `tests/golden.rs` and `tests/faults.rs` diff every figure against
+//! `results/` in-process.
 
 use crate::{ks, obj, row, tti_value, Harness};
 use miso_common::{ByteSize, SimClock, SimDuration};
@@ -20,6 +21,8 @@ use miso_plan::estimate::{estimate_plan, MapStats};
 use miso_plan::split::enumerate_splits;
 use miso_workload::background::{paper_profiles, BackgroundProfile};
 use Variant::*;
+
+mod faults;
 
 /// One rendered figure.
 pub struct Figure {
@@ -63,9 +66,23 @@ pub const FIGURES: [(&str, Render); 11] = [
     ("maintenance", maintenance),
 ];
 
-/// The figure called `name`.
+/// The fault-path figures. They install the process's fault plan and zero
+/// its counters, so no other render may run beside them.
+pub const FAULTS: [(&str, Render); 4] = [
+    ("chaos", faults::chaos),
+    ("integrity", faults::integrity),
+    ("soakbench", faults::soakbench),
+    ("servebench", faults::servebench),
+];
+
+/// Every entry of both tables, [`FIGURES`] first.
+pub fn all() -> impl Iterator<Item = (&'static str, Render)> {
+    FIGURES.iter().chain(&FAULTS).copied()
+}
+
+/// The figure called `name`, from either table.
 pub fn find(name: &str) -> Option<Render> {
-    FIGURES.iter().find(|(n, _)| *n == name).map(|&(_, f)| f)
+    all().find(|(n, _)| *n == name).map(|(_, f)| f)
 }
 
 /// A figure's text, written with `write!` / `writeln!`, which cannot fail.

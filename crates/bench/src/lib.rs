@@ -1,9 +1,9 @@
 //! Shared harness for the evaluation reproductions.
 //!
-//! Every figure in [`figures`] and every fault-path binary builds its systems
-//! through this module so that all experiments run against the same corpus,
-//! workload, budgets, and cost models; wall-clock time is `benchmark/`'s to
-//! measure. Budgets follow the paper's convention: `B_h`/`B_d` are multiples
+//! Every figure in [`figures`] builds its systems through this module so
+//! that all experiments run against the same corpus, workload, budgets, and
+//! cost models; wall-clock time is `benchmark/`'s to measure. Budgets follow
+//! the paper's convention: `B_h`/`B_d` are multiples
 //! of each store's "base data" size (§5.1) — all logs for HV, the queries'
 //! relevant subset (we use 10%, matching the paper's 200 GB of 2 TB) for DW.
 
@@ -81,28 +81,6 @@ impl Harness {
         sys.run_workload(variant, &self.workload)
             .expect("experiment runs")
     }
-}
-
-/// Initializes observability from `MISO_TRACE` / `MISO_OBS`; every bench
-/// binary calls this first thing in `main`. Returns whether tracing or
-/// metrics ended up enabled.
-pub fn obs_init() -> bool {
-    miso_obs::init_from_env()
-}
-
-/// Installs the fault plan of bench binary `bin`: the `MISO_CHAOS` spec
-/// when set, `default_spec` otherwise; returns the spec installed. A spec
-/// that does not parse ends the process with status 2.
-pub fn install_chaos(bin: &str, default_spec: &str) -> String {
-    let spec = std::env::var("MISO_CHAOS").unwrap_or_else(|_| default_spec.to_string());
-    match miso_chaos::parse_spec(&spec) {
-        Ok(plan) => miso_chaos::install(plan),
-        Err(e) => {
-            eprintln!("{bin}: bad MISO_CHAOS spec: {e}");
-            std::process::exit(2);
-        }
-    }
-    spec
 }
 
 /// A report object from `(key, value)` pairs.

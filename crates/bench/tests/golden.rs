@@ -1,10 +1,9 @@
 //! Every figure of the evaluation against its committed golden: the text
 //! `figures NAME` prints must equal `results/NAME.txt`, and a figure's CSV
 //! `results/NAME.csv`. One test per figure, all rendered from one shared
-//! harness; nothing is written.
+//! harness; nothing is written. The fault-path figures are `tests/faults.rs`'s.
 
 use miso_bench::{figures, Harness};
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::LazyLock;
 
@@ -41,37 +40,48 @@ macro_rules! golden_tests {
     };
 }
 
-/// `scripts/ci.sh` builds exactly the binaries in `src/bin/` and runs each
-/// of them: a bin that CI never runs, or a `--bin` that no longer exists,
-/// fails here rather than rotting unseen.
+/// `src/bin/` is the one `figures` binary, and `scripts/ci.sh` runs it over
+/// every paper figure at both thread counts: a figure added to `FIGURES`
+/// but not to that loop fails here.
 #[test]
 fn ci_runs_every_bench_bin() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let ci = std::fs::read_to_string(root.join("../../scripts/ci.sh")).expect("scripts/ci.sh");
-    let bins: BTreeSet<String> = std::fs::read_dir(root.join("src/bin"))
+    let bins: Vec<_> = std::fs::read_dir(root.join("src/bin"))
         .expect("src/bin")
-        .map(|entry| {
-            let path = entry.expect("dir entry").path();
-            path.file_stem().expect("a file").to_string_lossy().into()
-        })
+        .map(|entry| entry.expect("dir entry").file_name())
         .collect();
-    let words: Vec<&str> = ci.split_whitespace().collect();
-    let built: BTreeSet<String> = words
-        .windows(2)
-        .filter(|w| w[0] == "--bin")
-        .map(|w| w[1].to_string())
-        .collect();
-    assert_eq!(built, bins, "the bins ci.sh builds vs src/bin/");
-    for bin in &bins {
-        // Run as `.../release/figures "$fig"`, or named in a smoke list.
-        let runs = [
-            format!("release/{bin}\""),
-            format!("\"{bin}\""),
-            format!("\"{bin} --"),
-        ];
+    assert_eq!(bins, ["figures.rs"], "src/bin/");
+    let ci = std::fs::read_to_string(root.join("../../scripts/ci.sh")).expect("scripts/ci.sh");
+    let looped = ci
+        .lines()
+        .find_map(|line| line.strip_prefix("figures=\"")?.strip_suffix('"'))
+        .expect("ci.sh's figures=\"…\" list");
+    let names: Vec<_> = figures::FIGURES.iter().map(|(name, _)| *name).collect();
+    assert_eq!(looped.split_whitespace().collect::<Vec<_>>(), names);
+}
+
+/// Every committed `results/*.txt` and `*.csv` is the golden of exactly one
+/// entry of `FIGURES` or `FAULTS`, and every entry has its `.txt`.
+#[test]
+fn every_golden_belongs_to_one_figure() {
+    let names: Vec<_> = figures::all().map(|(name, _)| name).collect();
+    let results = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for entry in std::fs::read_dir(&results).expect("results/") {
+        let path = entry.expect("dir entry").path();
+        if !matches!(
+            path.extension().and_then(|e| e.to_str()),
+            Some("txt" | "csv")
+        ) {
+            continue;
+        }
+        let stem = path.file_stem().expect("a file").to_string_lossy();
+        let owners = names.iter().filter(|name| **name == stem).count();
+        assert_eq!(owners, 1, "entries owning {}", path.display());
+    }
+    for name in names {
         assert!(
-            runs.iter().any(|site| ci.contains(site.as_str())),
-            "ci.sh builds {bin} but never runs it"
+            results.join(format!("{name}.txt")).is_file(),
+            "results/{name}.txt"
         );
     }
 }

@@ -56,12 +56,12 @@
 //!
 //! # Enabling
 //!
-//! Programmatically via [`install`] — of a [`FaultPlan`] built in code, or
-//! of one [`parse_spec`] read from text, which is how the `chaos` and
-//! `integrity` bench binaries take theirs from the environment:
+//! Via [`install`] — of a [`FaultPlan`] built in code, or of one
+//! [`parse_spec`] read from a fault spec, as the fault-path figures of
+//! `miso-bench` do:
 //!
 //! ```text
-//! MISO_CHAOS="seed=42;dw.execute=error@p0.3;transfer.ship=error@p0.25;reorg.step=crash@n4"
+//! seed=42;dw.execute=error@p0.3;transfer.ship=error@p0.25;reorg.step=crash@n4
 //! ```
 //!
 //! Spec grammar (entries separated by `;`):
@@ -388,9 +388,9 @@ pub fn hit_count(point: &str) -> u64 {
         .unwrap_or(0)
 }
 
-// ---- MISO_CHAOS spec parsing --------------------------------------------
+// ---- Fault spec parsing -------------------------------------------------
 
-/// Parses a `MISO_CHAOS` specification (see crate docs for the grammar).
+/// Parses a fault spec (see crate docs for the grammar).
 pub fn parse_spec(spec: &str) -> Result<FaultPlan, String> {
     let mut plan = FaultPlan::default();
     for entry in spec.split(';') {
@@ -462,9 +462,11 @@ fn parse_kind(s: &str) -> Result<FaultKind, String> {
 }
 
 fn parse_trigger(s: &str) -> Result<Trigger, String> {
-    let (tag, rest) = s.split_at(1.min(s.len()));
+    let mut chars = s.chars();
+    let tag = chars.next();
+    let rest = chars.as_str();
     match tag {
-        "p" => {
+        Some('p') => {
             let p: f64 = rest
                 .parse()
                 .map_err(|_| format!("probability `{rest}` is not a float"))?;
@@ -473,11 +475,11 @@ fn parse_trigger(s: &str) -> Result<Trigger, String> {
             }
             Ok(Trigger::Prob(p))
         }
-        "n" => rest
+        Some('n') => rest
             .parse()
             .map(Trigger::OnHit)
             .map_err(|_| format!("hit index `{rest}` is not a u64")),
-        "u" => rest
+        Some('u') => rest
             .parse()
             .map(Trigger::UpTo)
             .map_err(|_| format!("hit bound `{rest}` is not a u64")),
@@ -648,6 +650,20 @@ mod tests {
         assert_eq!(plan.rules[1].kind, FaultKind::Delay(1.5));
         assert_eq!(plan.rules[2].kind, FaultKind::Crash);
         assert_eq!(plan.rules[2].trigger, Trigger::OnHit(4));
+    }
+
+    #[test]
+    fn junk_specs_are_errors_not_panics() {
+        for junk in [
+            "hv.execute=error@é0.5",
+            "hv.execute=error@",
+            "hv.execute=error@p",
+            "hv.execute=",
+            "x=error",
+            "=error",
+        ] {
+            assert!(parse_spec(junk).is_err(), "{junk:?} parsed");
+        }
     }
 
     #[test]

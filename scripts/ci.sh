@@ -19,18 +19,17 @@ cargo test -q
 echo "==> cargo test --release -q -p miso-common (the pool's one unsafe block, exercised with optimisations on)"
 cargo test --release -q -p miso-common
 
-echo "==> goldens (eleven figures, both .csv and the four fault-path smokes, at MISO_THREADS=1 and 8; the smokes once more under MISO_OBS=1)"
-# Run from a scratch directory: the bins write results/<name>.report.json
-# (and fig4/fig8 a .csv) relative to where they stand, and the committed
+echo "==> goldens (the eleven paper figures and both .csv through the figures binary, at MISO_THREADS=1 and 8; cargo test diffed the fault-path figures)"
+# Run from a scratch directory: the binary writes results/<name>.report.json
+# (and fig4/fig8 a .csv) relative to where it stands, and the committed
 # files must not move. `cargo test` above already diffed every figure
-# in-process (crates/bench/tests/golden.rs); this is the binary itself, at
-# both thread counts.
+# in-process (crates/bench/tests/{golden,faults}.rs); this is the binary
+# itself, at both thread counts.
 root="$PWD"
 golden="$(mktemp -d)"
 trap 'rm -rf "$golden"' EXIT
 figures="fig3 fig4 fig5 fig6 fig7 fig8 fig9 table2 fig_motivation ablation maintenance"
-cargo build --release -q -p miso-bench \
-    --bin figures --bin chaos --bin integrity --bin soakbench --bin servebench
+cargo build --release -q -p miso-bench --bin figures
 for threads in 1 8; do
     for fig in $figures; do
         (cd "$golden" && MISO_THREADS=$threads "$root/target/release/figures" "$fig" >"$fig.txt")
@@ -38,21 +37,6 @@ for threads in 1 8; do
     done
     diff -u results/fig4.csv "$golden/results/fig4.csv"
     diff -u results/fig8.csv "$golden/results/fig8.csv"
-    # The fault paths: seeded chaos, silent corruption, the guard storm and
-    # the serving storm print the same lines on every run, so a retry, a
-    # fallback, a kill or a quarantine that moves shows up as a diff.
-    for smoke in "chaos" "integrity" "soakbench --smoke" "servebench --smoke"; do
-        name="${smoke/ --/.}" # $smoke stays unquoted below: "bin --flag" is two words
-        (cd "$golden" && MISO_THREADS=$threads "$root/target/release/"$smoke >"$name.txt")
-        diff -u "results/$name.txt" "$golden/$name.txt"
-    done
-done
-# Looking changes nothing: the same retries, kills and guard charges with the
-# metrics sink on.
-for smoke in "chaos" "integrity" "soakbench --smoke" "servebench --smoke"; do
-    name="${smoke/ --/.}"
-    (cd "$golden" && MISO_OBS=1 "$root/target/release/"$smoke >"$name.obs.txt")
-    diff -u "results/$name.txt" "$golden/$name.obs.txt"
 done
 
 echo "==> miso-e2e builds against this tree, answers one workload correctly, serves no stale view"

@@ -1,4 +1,4 @@
-//! Every switch has one owner. The process-level ones are the four `MISO_*`
+//! Every switch has one owner. The process-level ones are the three `MISO_*`
 //! environment names README's knob table lists and nothing else in the tree;
 //! everything else is a field of the configuration a system is built with,
 //! so differently configured systems share a process without seeing each
@@ -44,16 +44,16 @@ fn scan(dir: &Path, into: &mut BTreeSet<String>) {
 }
 
 #[test]
-fn the_tree_and_the_readme_name_the_same_four_switches() {
+fn the_tree_and_the_readme_name_the_same_switches() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut in_tree = BTreeSet::new();
     for dir in ["crates", "src", "tests", "examples", "scripts"] {
         scan(&root.join(dir), &mut in_tree);
     }
-    let four: BTreeSet<String> = ["MISO_CHAOS", "MISO_OBS", "MISO_THREADS", "MISO_TRACE"]
+    let three: BTreeSet<String> = ["MISO_OBS", "MISO_THREADS", "MISO_TRACE"]
         .map(String::from)
         .into();
-    assert_eq!(in_tree, four, "switches named in the tree");
+    assert_eq!(in_tree, three, "switches named in the tree");
 
     let readme = std::fs::read_to_string(root.join("README.md")).expect("README reads");
     let mut in_table = BTreeSet::new();
@@ -61,7 +61,7 @@ fn the_tree_and_the_readme_name_the_same_four_switches() {
         let first_cell = row.split('|').nth(1).expect("a table row has cells");
         switch_names(first_cell, &mut in_table);
     }
-    assert_eq!(in_table, four, "rows of README's knob table");
+    assert_eq!(in_table, three, "rows of README's knob table");
 }
 
 fn system(corpus: &Corpus, verify_on_read: bool, guard: GuardConfig) -> MultistoreSystem {

@@ -427,9 +427,9 @@ fn looking_changes_no_record_no_kill_and_no_charge_of_a_guarded_stream() {
     assert_results_identical(&off, &on, "sink off vs on");
 }
 
-/// The `servebench --smoke` storm — its session counts, caps, guard
-/// calibrated at twice the metered peak, hog tenant and chaos plan — over
-/// the tiny corpus.
+/// The storm of the `servebench` figure (`figures::faults::servebench` in
+/// `crates/bench`) — its session counts, caps, guard calibrated at twice
+/// the metered peak, hog tenant and chaos plan — over the tiny corpus.
 fn smoke_storm(corpus: &Corpus) -> ServeReport {
     let workload = compile_workload(&workload_catalog()).unwrap();
     let sys = fresh_system(corpus);
