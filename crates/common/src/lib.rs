@@ -16,6 +16,7 @@
 //! * [`retry`] — exponential backoff + jitter and per-store circuit
 //!   breakers over simulated time.
 //! * [`env`] — the one grammar of the boolean `MISO_*` environment flags.
+//! * [`prehash`] — hash maps keyed by digests, which need no SipHash.
 //! * [`pool`] — the miso-par scoped worker pool (`MISO_THREADS`) with a
 //!   deterministic-ordering batch primitive for the tuner's what-if probes.
 //! * [`guard`] — the per-query lifecycle guard: deadline,
@@ -28,6 +29,7 @@ pub mod error;
 pub mod guard;
 pub mod ids;
 pub mod pool;
+pub mod prehash;
 pub mod retry;
 pub mod rng;
 pub mod time;

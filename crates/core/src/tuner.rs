@@ -19,6 +19,8 @@
 //! decay-weighted over the recent history window (see `miso_views`).
 
 use crate::knapsack::{m_knapsack, PackItem};
+use miso_common::pool;
+use miso_common::prehash::PrehashedMap;
 use miso_common::{Budgets, ByteSize};
 use miso_dw::DwCostModel;
 use miso_hv::HvCostModel;
@@ -28,13 +30,14 @@ use miso_plan::estimate::{MapStats, SizeEstimate};
 use miso_plan::fingerprint::{fingerprint_plan, fnv1a_str, fnv1a_words, parse_view_fingerprint};
 use miso_plan::LogicalPlan;
 use miso_views::containment::FilterView;
-use miso_views::rewrite::rewrite_over;
+use miso_views::rewrite::{rewrite_over, Rewrite};
 use miso_views::{
     analyze_candidates, decay_weights, AnalysisConfig, ViewCatalog, ViewInfo, ViewSet,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Tuner parameters.
 #[derive(Debug, Clone)]
@@ -111,13 +114,10 @@ pub struct WhatIfStats {
     pub evicted: u64,
 }
 
-/// One memoised value. The lock is held to find or create the slot, never
-/// while the value is computed: whoever gets there first fills the
-/// `OnceLock` and concurrent askers of the same key wait for it, so each
-/// distinct key is computed exactly once whatever the thread count.
-#[derive(Debug, Default)]
+/// One memoised value.
+#[derive(Debug, Clone, Copy)]
 struct Slot {
-    value: Arc<OnceLock<f64>>,
+    value: f64,
     /// The generation (`tune` call) that last asked for this entry.
     touched: u64,
 }
@@ -155,7 +155,7 @@ struct WhatIfMemo {
     models_version: u64,
     /// Generation counter, bumped by every prober.
     generation: u64,
-    slots: HashMap<(u64, u64), Slot>,
+    slots: PrehashedMap<(u64, u64), Slot>,
     /// Entry bound enforced by [`WhatIfMemo::evict`].
     cap: usize,
     totals: WhatIfStats,
@@ -167,7 +167,7 @@ impl Default for WhatIfMemo {
             models: None,
             models_version: 0,
             generation: 0,
-            slots: HashMap::new(),
+            slots: PrehashedMap::default(),
             cap: WHATIF_MEMO_CAP,
             totals: WhatIfStats::default(),
         }
@@ -195,6 +195,13 @@ impl WhatIfMemo {
         }
         self.generation += 1;
         (self.generation, self.models_version)
+    }
+
+    /// The value under `key`, if any, marking it as used by `generation`.
+    fn get(&mut self, key: (u64, u64), generation: u64) -> Option<f64> {
+        let slot = self.slots.get_mut(&key)?;
+        slot.touched = generation;
+        Some(slot.value)
     }
 
     /// Once the memo has outgrown its cap, keeps the newest generations
@@ -240,13 +247,77 @@ fn stat_words(est: Option<SizeEstimate>) -> [u64; 3] {
 /// What a probe reads of one candidate view, looked up once per `tune`.
 struct Candidate<'a> {
     name: &'a str,
-    /// Its memo-key words: name digest, defining fingerprint, and the
-    /// statistics the estimator reads for it.
-    key: [u64; 5],
+    /// Its memo-key word: a digest of its name, defining fingerprint, and
+    /// the statistics the estimator reads for it.
+    key: u64,
     /// The fingerprint its name spells, if canonical.
     fp: Option<u64>,
     /// Its filter-over-base form, for containment rewriting.
     filter: Option<&'a FilterView>,
+}
+
+/// Where one probe of a batch finds its value.
+#[derive(Clone, Copy)]
+enum Answer {
+    /// In the memo before the batch.
+    Known(f64),
+    /// The batch's `c`-th costing.
+    Costing(usize),
+    /// The batch's `m`-th missed probe.
+    Probe(usize),
+}
+
+/// A probe of a batch whose key the memo lacked, asked first by
+/// `probes[k] = (q, s)`.
+struct Miss {
+    key: (u64, u64),
+    q: usize,
+    s: usize,
+    /// The no-view cost of `q`.
+    base: Answer,
+}
+
+/// The distinct costings a batch lacks, in first-asked order. Each is the
+/// plan of window query `q`, rewritten as miss `m` rewrote it (`Some(m)`)
+/// or not at all (`None`).
+#[derive(Default)]
+struct Costings {
+    missing: Vec<((u64, u64), usize, Option<usize>)>,
+    index: PrehashedMap<(u64, u64), usize>,
+}
+
+impl Costings {
+    /// Finds costing `key` in the memo or among this batch's, adding it to
+    /// the batch's when it is in neither. Also returns whether this call
+    /// added it, that is, pays for it.
+    fn resolve(
+        &mut self,
+        memo: &mut WhatIfMemo,
+        generation: u64,
+        key: (u64, u64),
+        q: usize,
+        rewrite: Option<usize>,
+    ) -> (Answer, bool) {
+        if let Some(value) = memo.get(key, generation) {
+            return (Answer::Known(value), false);
+        }
+        match self.index.entry(key) {
+            Entry::Occupied(c) => (Answer::Costing(*c.get()), false),
+            Entry::Vacant(slot) => {
+                slot.insert(self.missing.len());
+                self.missing.push((key, q, rewrite));
+                (Answer::Costing(self.missing.len() - 1), true)
+            }
+        }
+    }
+}
+
+/// Runs `f(0..n)` on the worker pool.
+fn fan_out<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    pool::run_batch(n, f)
+        // What-if probes are pure cost evaluations; a panic here is a bug
+        // in the cost model, not a recoverable per-query failure.
+        .unwrap_or_else(|e| panic!("what-if probe batch failed: {e}"))
 }
 
 /// The what-if probe of one `tune` call (or one [`MisoTuner::probe`]):
@@ -263,6 +334,8 @@ struct Prober<'a> {
     /// The candidate universe, sorted by name: bit `i` of a probed
     /// [`ViewSet`] is `candidates[i]`.
     candidates: Vec<Candidate<'a>>,
+    /// The second key word of every query's no-view costing.
+    base_key: u64,
     probes: AtomicU64,
     hits: AtomicU64,
     unused: AtomicU64,
@@ -302,13 +375,13 @@ impl<'a> Prober<'a> {
                 let [present, rows, bytes] = stat_words(env.stats.view_stats(name));
                 Candidate {
                     name,
-                    key: [
+                    key: fnv1a_words([
                         fnv1a_str(name),
                         def.map_or(0, |def| def.fingerprint.0),
                         present,
                         rows,
                         bytes,
-                    ],
+                    ]),
                     fp: parse_view_fingerprint(name),
                     filter: def.and_then(|def| def.filter_form.as_ref()),
                 }
@@ -321,16 +394,12 @@ impl<'a> Prober<'a> {
             window,
             query_keys,
             candidates,
+            base_key: views_key(COSTING_TAG, std::iter::empty()),
             probes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             unused: AtomicU64::new(0),
             costed: AtomicU64::new(0),
         }
-    }
-
-    /// Digest of a view list under `tag`: per view its key words.
-    fn views_key(&self, tag: u64, views: impl Iterator<Item = [u64; 5]>) -> u64 {
-        fnv1a_words(std::iter::once(tag).chain(views.flatten()))
     }
 
     /// The index of candidate `name`.
@@ -345,49 +414,130 @@ impl<'a> Prober<'a> {
             .collect()
     }
 
-    /// Finds or creates the memo slot for `key`, marking it as used by this
-    /// generation.
-    fn slot(&self, memo: &Mutex<WhatIfMemo>, key: (u64, u64)) -> Arc<OnceLock<f64>> {
-        let mut memo = lock(memo);
-        let slot = memo.slots.entry(key).or_default();
-        slot.touched = self.generation;
-        slot.value.clone()
-    }
+    /// What-if costs (simulated seconds) of one batch of probes, as
+    /// [`miso_views::CostFn`] asks them: `probes[k] = (q, s)` is window
+    /// query `q` under the hypothetical design holding exactly the
+    /// candidates in `sets[s]` in both stores.
+    ///
+    /// With the memo, one lock resolves every probe key; the misses are
+    /// rewritten on the pool; a second lock resolves the costing keys their
+    /// rewrites name, each distinct one once; the costings neither lock
+    /// found run on the pool; and a third lock stores what was computed. A
+    /// probe that repeats an earlier one of the batch (a duplicated window
+    /// query) counts as a hit, as it would have one probe later.
+    fn cost(&self, sets: &[ViewSet], probes: &[(usize, usize)]) -> Vec<f64> {
+        self.probes
+            .fetch_add(probes.len() as u64, Ordering::Relaxed);
+        let Some(memo) = self.memo else {
+            return fan_out(probes.len(), |k| {
+                let (q, s) = probes[k];
+                let views = self.names_of(&sets[s]);
+                let design = Design {
+                    hv_views: views.clone(),
+                    dw_views: views,
+                };
+                what_if_cost(self.window[q], &design, self.env).as_secs_f64()
+            });
+        };
+        let generation = self.generation;
+        let members = |s: usize| sets[s].iter().map(|i| &self.candidates[i]);
+        let set_keys: Vec<u64> = (0..sets.len())
+            .map(|s| {
+                if sets[s].is_empty() {
+                    self.base_key
+                } else {
+                    views_key(PROBE_TAG, members(s).map(|c| c.key))
+                }
+            })
+            .collect();
 
-    /// The memoised cost of query `q` rewritten by consuming `used` in
-    /// order (`q` itself when `used` is empty), under the design holding
-    /// `set` in both stores (no view when `None`). `plan` builds that
-    /// rewritten plan; it runs only when this call pays for the costing.
-    /// Returns the cost and whether it paid.
-    fn costing(
-        &self,
-        memo: &Mutex<WhatIfMemo>,
-        q: usize,
-        used: &[String],
-        set: Option<&ViewSet>,
-        plan: impl FnOnce() -> LogicalPlan,
-    ) -> (f64, bool) {
-        // A rewrite consumes views of the probed set only.
-        let used_keys = used.iter().map(|name| {
-            let i = self
-                .candidate(name)
-                .expect("a consumed view is a candidate");
-            self.candidates[i].key
+        // 1. Every probe key, under one lock.
+        let mut costings = Costings::default();
+        let mut misses: Vec<Miss> = Vec::new();
+        let mut miss_of: PrehashedMap<(u64, u64), usize> = PrehashedMap::default();
+        let mut hits = 0u64;
+        let answers: Vec<Answer> = {
+            let mut memo = lock(memo);
+            let mut answers = Vec::with_capacity(probes.len());
+            for &(q, s) in probes {
+                let key = (self.query_keys[q], set_keys[s]);
+                let answer = if sets[s].is_empty() {
+                    let (answer, pays) = costings.resolve(&mut memo, generation, key, q, None);
+                    hits += u64::from(!pays);
+                    answer
+                } else if let Some(value) = memo.get(key, generation) {
+                    hits += 1;
+                    Answer::Known(value)
+                } else if let Some(&m) = miss_of.get(&key) {
+                    hits += 1;
+                    Answer::Probe(m)
+                } else {
+                    let base_key = (self.query_keys[q], self.base_key);
+                    let base = costings.resolve(&mut memo, generation, base_key, q, None).0;
+                    miss_of.insert(key, misses.len());
+                    misses.push(Miss { key, q, s, base });
+                    Answer::Probe(misses.len() - 1)
+                };
+                answers.push(answer);
+            }
+            answers
+        };
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+
+        // 2. The misses' rewrites, on the pool. What `rewrite_with_catalog`
+        // derives from the names is kept per candidate: sorted
+        // fingerprints, filter forms in name order.
+        let rewrites: Vec<Rewrite> = fan_out(misses.len(), |m| {
+            let Miss { q, s, .. } = misses[m];
+            let mut wanted: Vec<u64> = members(s).filter_map(|c| c.fp).collect();
+            wanted.sort_unstable();
+            let fviews: Vec<&FilterView> = members(s).filter_map(|c| c.filter).collect();
+            rewrite_over(self.window[q], &wanted, &fviews)
         });
-        let key = (self.query_keys[q], self.views_key(COSTING_TAG, used_keys));
-        let mut paid = false;
-        let cost = *self.slot(memo, key).get_or_init(|| {
-            paid = true;
-            self.costed.fetch_add(1, Ordering::Relaxed);
-            let plan = plan();
+
+        // 3. The costings the rewrites name, each distinct key once.
+        let rewritten: Vec<Option<Answer>> = if misses.is_empty() {
+            Vec::new()
+        } else {
+            let mut memo = lock(memo);
+            rewrites
+                .iter()
+                .enumerate()
+                .map(|(m, rewrite)| {
+                    if rewrite.used.is_empty() {
+                        return None;
+                    }
+                    // A rewrite consumes views of the probed set only.
+                    let used = rewrite.used.iter().map(|name| {
+                        let i = self
+                            .candidate(name)
+                            .expect("a consumed view is a candidate");
+                        self.candidates[i].key
+                    });
+                    let q = misses[m].q;
+                    let key = (self.query_keys[q], views_key(COSTING_TAG, used));
+                    Some(costings.resolve(&mut memo, generation, key, q, Some(m)).0)
+                })
+                .collect()
+        };
+        let unused = rewritten.iter().filter(|r| r.is_none()).count();
+        self.unused.fetch_add(unused as u64, Ordering::Relaxed);
+
+        // 4. The missing costings, on the pool.
+        let computed: Vec<f64> = fan_out(costings.missing.len(), |c| {
+            let (_, q, rewrite) = costings.missing[c];
+            let Some(m) = rewrite else {
+                return what_if_plan_cost(self.window[q], &Design::default(), self.env)
+                    .as_secs_f64();
+            };
+            let plan = rewrites[m].plan();
             // Splits are feasible by where the plan's view scans may run,
-            // so the design need only hold the scanned views of `set`.
+            // so the design need only hold the scanned views of the set.
+            let set = &sets[misses[m].s];
             let scanned: HashSet<String> = plan
                 .scanned_views()
                 .into_iter()
-                .filter(|v| {
-                    set.is_some_and(|set| self.candidate(v).is_some_and(|i| set.contains(i)))
-                })
+                .filter(|v| self.candidate(v).is_some_and(|i| set.contains(i)))
                 .collect();
             let design = Design {
                 hv_views: scanned.clone(),
@@ -395,58 +545,43 @@ impl<'a> Prober<'a> {
             };
             what_if_plan_cost(&plan, &design, self.env).as_secs_f64()
         });
-        (cost, paid)
-    }
-
-    /// What-if cost (simulated seconds) of window query `q` under the
-    /// hypothetical design holding exactly the candidates in `set` in both
-    /// stores.
-    fn cost(&self, q: usize, set: &ViewSet) -> f64 {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        let raw = self.window[q];
-        let Some(memo) = self.memo else {
-            let views = self.names_of(set);
-            let design = Design {
-                hv_views: views.clone(),
-                dw_views: views,
-            };
-            return what_if_cost(raw, &design, self.env).as_secs_f64();
+        self.costed
+            .fetch_add(computed.len() as u64, Ordering::Relaxed);
+        let known = |answer: Answer| match answer {
+            Answer::Known(value) => value,
+            Answer::Costing(c) => computed[c],
+            Answer::Probe(_) => unreachable!("a costing is never a probe"),
         };
-        if set.is_empty() {
-            let (base, paid) = self.costing(memo, q, &[], None, || raw.clone());
-            if !paid {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+        let values: Vec<f64> = misses
+            .iter()
+            .zip(&rewritten)
+            .map(|(miss, rewritten)| match rewritten {
+                None => known(miss.base),
+                Some(cost) => known(miss.base).min(known(*cost)),
+            })
+            .collect();
+
+        // 5. What was computed, under one more lock.
+        if !misses.is_empty() || !computed.is_empty() {
+            let mut memo = lock(memo);
+            let entries = costings
+                .missing
+                .iter()
+                .map(|(key, ..)| *key)
+                .zip(&computed)
+                .chain(misses.iter().map(|miss| miss.key).zip(&values));
+            for (key, &value) in entries {
+                let touched = generation;
+                memo.slots.insert(key, Slot { value, touched });
             }
-            return base;
         }
-        let members = || set.iter().map(|i| &self.candidates[i]);
-        let key = (
-            self.query_keys[q],
-            self.views_key(PROBE_TAG, members().map(|c| c.key)),
-        );
-        let mut asked = false;
-        let value = *self.slot(memo, key).get_or_init(|| {
-            asked = true;
-            let base = self.costing(memo, q, &[], None, || raw.clone()).0;
-            // What `rewrite_with_catalog` derives from the names, kept per
-            // candidate: sorted fingerprints, filter forms in name order.
-            let mut wanted: Vec<u64> = members().filter_map(|c| c.fp).collect();
-            wanted.sort_unstable();
-            let fviews: Vec<&FilterView> = members().filter_map(|c| c.filter).collect();
-            let rewrite = rewrite_over(raw, &wanted, &fviews);
-            if rewrite.used.is_empty() {
-                self.unused.fetch_add(1, Ordering::Relaxed);
-                return base;
-            }
-            let rewritten = self
-                .costing(memo, q, &rewrite.used, Some(set), || rewrite.plan())
-                .0;
-            base.min(rewritten)
-        });
-        if !asked {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        value
+        answers
+            .into_iter()
+            .map(|answer| match answer {
+                Answer::Probe(m) => values[m],
+                other => known(other),
+            })
+            .collect()
     }
 
     /// Closes the generation: bounds the memo, publishes the counters, and
@@ -479,6 +614,11 @@ impl<'a> Prober<'a> {
     }
 }
 
+/// Digest of a view list under `tag`: per view its key word.
+fn views_key(tag: u64, views: impl Iterator<Item = u64>) -> u64 {
+    fnv1a_words(std::iter::once(tag).chain(views))
+}
+
 /// Locks the memo. Its values are write-once and its bookkeeping is valid
 /// after every statement, so a poisoned lock still guards a usable memo.
 fn lock(memo: &Mutex<WhatIfMemo>) -> MutexGuard<'_, WhatIfMemo> {
@@ -499,7 +639,7 @@ pub struct MisoTuner {
     /// Cross-epoch what-if memo, shared across clones.
     whatif: Arc<Mutex<WhatIfMemo>>,
     /// Off = the reference path: every probe a plain `what_if_cost` (the
-    /// per-epoch memo inside `analyze_candidates` is always on).
+    /// per-analysis table inside `analyze_candidates` is always on).
     cache_enabled: bool,
 }
 
@@ -549,7 +689,7 @@ impl MisoTuner {
         let prober = Prober::new(self, &window, &names, env);
         let mut all = ViewSet::empty(names.len());
         (0..names.len()).for_each(|i| all.insert(i));
-        let cost = prober.cost(0, &all);
+        let cost = prober.cost(&[all], &[(0, 0)])[0];
         prober.finish();
         cost
     }
@@ -655,7 +795,7 @@ impl MisoTuner {
             catalog: Some(catalog),
         };
         let prober = Prober::new(self, &window, &names, &env);
-        let cost_fn = |q: usize, set: &ViewSet| prober.cost(q, set);
+        let cost_fn = |sets: &[ViewSet], probes: &[(usize, usize)]| prober.cost(sets, probes);
         let analysis_cfg = AnalysisConfig {
             doi_threshold: self.config.doi_threshold,
             max_part_size: Some(4),

@@ -138,17 +138,17 @@ impl Schema {
         &self.fields[idx]
     }
 
-    /// Concatenates two schemas (join output); disambiguates duplicate names
-    /// from the right side with a `r_` prefix, matching common SQL engines'
-    /// pragmatics for unqualified collisions.
+    /// Concatenates two schemas (join output); disambiguates a right-side
+    /// name that is taken by prefixing `r_` until it is not, matching common
+    /// SQL engines' pragmatics for unqualified collisions (a two-way join's
+    /// collision becomes `r_name`, a third side's `r_r_name`).
     pub fn join(&self, right: &Schema) -> Schema {
         let mut fields = self.fields.clone();
         for f in &right.fields {
-            let name = if fields.iter().any(|existing| existing.name == f.name) {
-                format!("r_{}", f.name)
-            } else {
-                f.name.clone()
-            };
+            let mut name = f.name.clone();
+            while fields.iter().any(|existing| existing.name == name) {
+                name.insert_str(0, "r_");
+            }
             fields.push(Field::new(name, f.ty));
         }
         Schema::new(fields)
@@ -220,6 +220,13 @@ mod tests {
             joined.names(),
             vec!["uid", "text", "score", "r_uid", "venue"]
         );
+    }
+
+    #[test]
+    fn join_prefixes_until_unique() {
+        let uid = || Schema::new(vec![Field::new("uid", DataType::Int)]);
+        let three = uid().join(&uid()).join(&uid());
+        assert_eq!(three.names(), vec!["uid", "r_uid", "r_r_uid"]);
     }
 
     #[test]

@@ -46,13 +46,14 @@ use crate::profile::{self, OpProfile};
 use crate::udf::{Udf, UdfRegistry};
 use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
+use miso_common::prehash::PrehashedMap;
 use miso_common::{pool, ByteSize, MisoError, Result};
 use miso_data::json::parse_json;
 use miso_data::{Cell, ColBatch, ColBuilder, Column, Nulls, Row, Slots, Value};
 use miso_plan::fingerprint::{fnv1a_hash_one, FnvHasher};
 use miso_plan::{AggExpr, AggFunc, Expr, LogicalPlan, Operator, PlanNode};
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -838,32 +839,8 @@ impl Drop for TempCharge<'_> {
     }
 }
 
-/// Pass-through hasher for keys that are already well-mixed u64 hashes; a
-/// splitmix64 finalizer spreads FNV's weaker low bits across the table.
-#[derive(Clone, Copy, Default)]
-struct PrehashedU64(u64);
-
-impl Hasher for PrehashedU64 {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("prehashed maps are keyed by u64 only");
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        let mut z = v.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.0 = z ^ (z >> 31);
-    }
-}
-
-type PrehashedMap<V> = HashMap<u64, V, BuildHasherDefault<PrehashedU64>>;
-
-fn prehashed_map<V>(capacity: usize) -> PrehashedMap<V> {
-    HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default())
+fn prehashed_map<V>(capacity: usize) -> PrehashedMap<u64, V> {
+    PrehashedMap::with_capacity_and_hasher(capacity, Default::default())
 }
 
 /// A join key, read to hash and to match rows: `hash` is `None` for a row
@@ -1028,7 +1005,7 @@ fn join_pairs<K: JoinKey>(
 /// as a chain through one entry vector — no allocation per key.
 struct BuildPart {
     /// The first entry of each hash's chain.
-    heads: PrehashedMap<u32>,
+    heads: PrehashedMap<u64, u32>,
     /// `(right row, next entry or NO_SLOT)`.
     entries: Vec<(u32, u32)>,
 }

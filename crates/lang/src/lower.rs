@@ -103,6 +103,15 @@ impl Scope {
 }
 
 fn lower_query(query: &Query, catalog: &Catalog, b: &mut PlanBuilder) -> Result<NodeId> {
+    // 0. A table alias names one FROM item, an output alias one column.
+    let tables =
+        std::iter::once(&query.from.first).chain(query.from.joins.iter().map(|j| &j.table));
+    unique("table alias", tables.map(TableRef::alias))?;
+    unique(
+        "column alias",
+        query.select.iter().filter_map(|item| item.alias.as_deref()),
+    )?;
+
     // 1. Which fields does each base-log alias need extracted?
     let fields_by_alias = collect_fields(query)?;
 
@@ -180,6 +189,19 @@ fn lower_query(query: &Query, catalog: &Catalog, b: &mut PlanBuilder) -> Result<
         node = b.add(Operator::Limit { n }, vec![node])?;
     }
     Ok(node)
+}
+
+/// Fails with `MisoError::Analysis` on the first name `names` repeats.
+fn unique<'n>(what: &str, names: impl Iterator<Item = &'n str>) -> Result<()> {
+    let mut seen = HashSet::new();
+    for name in names {
+        if !seen.insert(name) {
+            return Err(MisoError::Analysis(format!(
+                "{what} `{name}` is bound twice"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Collects, per base-log alias, the set of fields the query extracts.
@@ -1084,6 +1106,29 @@ mod tests {
     fn order_by_unknown_column_errors() {
         let q = parse("SELECT t.city FROM twitter t ORDER BY nope").unwrap();
         assert!(lower(&q, &catalog()).is_err());
+    }
+
+    /// Inputs that once reached `Schema::new`'s duplicate-name assertion.
+    #[test]
+    fn duplicate_names_are_analysis_errors_not_panics() {
+        let self_join = "SELECT a.city AS c FROM twitter a \
+             JOIN twitter b ON a.user_id = b.user_id \
+             JOIN twitter c ON a.user_id = c.user_id";
+        assert!(lower(&parse(self_join).unwrap(), &catalog()).is_ok());
+        for sql in [
+            "SELECT t.city AS c, COUNT(*) AS c FROM twitter t GROUP BY t.city",
+            "SELECT t.city AS c, t.lang AS c FROM twitter t",
+            "SELECT l.name AS n FROM twitter t \
+             JOIN landmarks l ON t.city = l.city \
+             JOIN landmarks l ON t.city = l.city",
+            "SELECT t.city AS c FROM twitter t JOIN twitter t ON t.user_id = t.user_id",
+        ] {
+            let err = lower(&parse(sql).unwrap(), &catalog()).unwrap_err();
+            assert!(
+                matches!(&err, MisoError::Analysis(m) if m.contains("bound twice")),
+                "{sql}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,39 +1,33 @@
-//! Interned view subsets: bitsets over a per-analysis candidate universe.
+//! View subsets as bitsets over one analysis' candidate universe.
 //!
 //! The interaction analysis probes the what-if optimizer with *subsets* of
-//! the candidate views. Keying its memo tables by `(usize, Vec<String>)`
-//! meant cloning every view name on every lookup — even on a hit — and made
-//! the probe closure impossible to share across worker threads. A
-//! [`ViewSet`] replaces that: candidates are numbered `0..V` once per
-//! analysis, and a subset is a bitset over those indexes — one `u64` word
-//! for the common `V ≤ 64` case (everything the benches exercise), spilling
-//! to additional words for larger universes. Set algebra (union, member
-//! iteration) is word arithmetic, equality/hash cost a few words, and the
-//! type is `Send + Sync` for free.
-//!
-//! Iteration order is always ascending candidate index, which keeps every
-//! consumer deterministic by construction.
+//! the candidate views. Candidates are numbered `0..V` once per analysis,
+//! and a [`ViewSet`] is a bitset over those indexes: the first 64
+//! candidates live in an inline word, so a set over at most 64 candidates
+//! (every universe the benches reach) owns no heap, and larger universes
+//! spill the rest into a boxed tail. Set algebra is word arithmetic and
+//! iteration is in ascending candidate index, which keeps every consumer
+//! deterministic by construction.
 
 /// A subset of a candidate universe, as a fixed-width bitset.
 ///
-/// All sets produced for one universe have the same word count; mixing sets
+/// All sets produced for one universe have the same width; mixing sets
 /// from different universes is a logic error (debug-asserted).
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct ViewSet {
-    words: Box<[u64]>,
-}
-
-/// Words needed for a universe of `n` candidates (at least one, so the
-/// empty universe still has a well-formed empty set).
-fn words_for(n: usize) -> usize {
-    n.div_ceil(64).max(1)
+    /// Candidates `0..64`.
+    first: u64,
+    /// Candidates `64..`, one word per 64; empty (no allocation) for a
+    /// universe of at most 64.
+    rest: Box<[u64]>,
 }
 
 impl ViewSet {
     /// The empty subset of an `n`-candidate universe.
     pub fn empty(n: usize) -> Self {
         ViewSet {
-            words: vec![0u64; words_for(n)].into_boxed_slice(),
+            first: 0,
+            rest: vec![0u64; n.div_ceil(64).saturating_sub(1)].into_boxed_slice(),
         }
     }
 
@@ -52,25 +46,40 @@ impl ViewSet {
         s
     }
 
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+
     /// Adds candidate `i`.
     pub fn insert(&mut self, i: usize) {
-        debug_assert!(i / 64 < self.words.len(), "index {i} outside universe");
-        self.words[i / 64] |= 1u64 << (i % 64);
+        let bit = 1u64 << (i % 64);
+        match i / 64 {
+            0 => self.first |= bit,
+            w => {
+                debug_assert!(w <= self.rest.len(), "index {i} outside universe");
+                self.rest[w - 1] |= bit;
+            }
+        }
     }
 
     /// Whether candidate `i` is a member.
     pub fn contains(&self, i: usize) -> bool {
-        i / 64 < self.words.len() && self.words[i / 64] & (1u64 << (i % 64)) != 0
+        let word = match i / 64 {
+            0 => self.first,
+            w => self.rest.get(w - 1).copied().unwrap_or(0),
+        };
+        word & (1u64 << (i % 64)) != 0
     }
 
     /// Set union (both operands must come from the same universe).
     pub fn union(&self, other: &ViewSet) -> ViewSet {
-        debug_assert_eq!(self.words.len(), other.words.len(), "universe mismatch");
+        debug_assert_eq!(self.rest.len(), other.rest.len(), "universe mismatch");
         ViewSet {
-            words: self
-                .words
+            first: self.first | other.first,
+            rest: self
+                .rest
                 .iter()
-                .zip(other.words.iter())
+                .zip(other.rest.iter())
                 .map(|(a, b)| a | b)
                 .collect(),
         }
@@ -78,18 +87,17 @@ impl ViewSet {
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True iff no members.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().all(|w| w == 0)
     }
 
     /// Member indexes in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            let mut w = word;
+        self.words().enumerate().flat_map(|(wi, mut w)| {
             std::iter::from_fn(move || {
                 if w == 0 {
                     return None;
@@ -100,28 +108,6 @@ impl ViewSet {
             })
         })
     }
-
-    /// Stable FNV-1a/64 digest of the member set *by content*, independent
-    /// of universe numbering: folds the provided per-member identities (the
-    /// caller supplies each member's own stable fingerprint) in ascending
-    /// index order. Used for cross-epoch cache keys, where candidate
-    /// numbering changes between analyses but view identity does not.
-    pub fn digest_with(&self, member_id: impl Fn(usize) -> u64) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x1000_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        fold(self.len() as u64);
-        for i in self.iter() {
-            fold(member_id(i));
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -130,12 +116,9 @@ mod tests {
 
     #[test]
     fn small_universe_is_one_word() {
-        let s = ViewSet::empty(64);
-        assert_eq!(s.words.len(), 1);
-        let s = ViewSet::empty(65);
-        assert_eq!(s.words.len(), 2);
-        let s = ViewSet::empty(0);
-        assert_eq!(s.words.len(), 1);
+        assert!(ViewSet::empty(64).rest.is_empty());
+        assert_eq!(ViewSet::empty(65).rest.len(), 1);
+        assert!(ViewSet::empty(0).rest.is_empty());
     }
 
     #[test]
@@ -147,6 +130,7 @@ mod tests {
         assert_eq!(s.len(), 4);
         assert!(!s.is_empty());
         assert!(s.contains(63) && s.contains(64) && !s.contains(65));
+        assert!(!s.contains(1000), "outside the universe is not a member");
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 129]);
     }
 
@@ -159,29 +143,5 @@ mod tests {
         assert_eq!(a.union(&a), a);
         assert_ne!(a, b);
         assert_eq!(ViewSet::pair(100, 70, 3), a, "insertion order irrelevant");
-    }
-
-    #[test]
-    fn digest_is_order_stable_and_numbering_free() {
-        // Same member identities under different universe numberings must
-        // digest identically.
-        let ids_a = [111u64, 222, 333];
-        let a = ViewSet::pair(10, 0, 2);
-        let b = ViewSet::pair(200, 150, 199);
-        let ids_b = |i: usize| match i {
-            150 => 111u64,
-            199 => 333,
-            _ => unreachable!(),
-        };
-        let da = ViewSet::singleton(10, 0)
-            .union(&ViewSet::singleton(10, 2))
-            .digest_with(|i| ids_a[i]);
-        assert_eq!(da, a.digest_with(|i| ids_a[i]));
-        assert_eq!(da, b.digest_with(ids_b));
-        // Different membership digests differently.
-        assert_ne!(
-            a.digest_with(|i| ids_a[i]),
-            ViewSet::singleton(10, 0).digest_with(|i| ids_a[i])
-        );
     }
 }

@@ -71,7 +71,7 @@ grep -q '"correct": *true' "$golden/e2e-steady.json"
 # counts are pinned, so an enumerator that drops or repeats a split, or a
 # what-if probe that plans differently, fails here and not in a benchmark.
 for count in optimizer.cost_evals=7187 plan.split_enumerations=917 \
-    core.whatif_calls=21693 core.knapsack_dp_cells=545477 \
+    core.whatif_calls=21693 views.cost_probes=21693 core.knapsack_dp_cells=545477 \
     core.views_moved=132 core.views_dropped=126; do
     grep -q "\"${count%=*}\": *{\"value\": *${count#*=}," "$golden/e2e-steady.json" ||
         { echo "ci: ${count%=*} is not ${count#*=}"; exit 1; }

@@ -421,7 +421,8 @@ fn filter_view_summary_matches_recomputation() {
 /// `reorg_now(window)` at every boundary, then the query, whose execution
 /// harvests new views — and at every boundary tunes the live state with a
 /// cache-free reference tuner and two long-lived memoising tuners, at 1 and
-/// at 8 threads. Returns how many boundaries were compared.
+/// at 8 threads; the two memoising tuners end with equal counters. Returns
+/// how many boundaries were compared.
 fn assert_stream_designs_match(loops: usize) -> usize {
     let corpus = Corpus::generate(&LogsConfig::tiny());
     let templates = templates();
@@ -486,6 +487,11 @@ fn assert_stream_designs_match(loops: usize) -> usize {
             "{threads} threads: a looping stream should mostly hit, got {stats:?}"
         );
     }
+    assert_eq!(
+        memoising[0].1.whatif_stats(),
+        memoising[1].1.whatif_stats(),
+        "1 and 8 threads probed, hit, rewrote or costed differently"
+    );
     boundaries
 }
 
