@@ -8,9 +8,11 @@
 //! `""`) and are masked out on read. A string column's payload is one UTF-8
 //! buffer plus a `u32` end offset per slot ([`Strs`], the Arrow layout), so
 //! gathering, slicing or appending strings copies bytes and allocates per
-//! column, not per cell. Columns whose values mix types — or hold
-//! arrays/objects — fall back to a [`Column::Mixed`] vector of boxed
-//! [`Value`]s, so **every** row set pivots losslessly:
+//! column, not per cell. A column of string arrays (a log's `hashtags`) is
+//! a list column ([`StrLists`]): every item in one child [`Strs`], plus an
+//! end offset per slot into its items. Columns whose values mix types — or
+//! hold any other array, or objects — fall back to a [`Column::Mixed`]
+//! vector of boxed [`Value`]s, so **every** row set pivots losslessly:
 //! `rows → ColBatch → rows` is an identity (see the round-trip tests and
 //! the generated matrices of `tests/batch_prop.rs`).
 //!
@@ -158,6 +160,107 @@ impl Strs {
     }
 }
 
+/// The payload of a list column: every slot's strings, in order, in one
+/// child [`Strs`], and where each slot's items end in it. Slot `i` is items
+/// `end(i − 1)..end(i)`, with `end(−1) = 0`; a NULL slot holds none.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct StrLists {
+    items: Strs,
+    ends: Vec<u32>,
+}
+
+impl StrLists {
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True iff there are no slots.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Slot `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> StrList<'_> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        StrList {
+            items: &self.items,
+            start: start as usize,
+            end: self.ends[i] as usize,
+        }
+    }
+
+    /// The slots in order.
+    fn iter(&self) -> impl Iterator<Item = StrList<'_>> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Appends a slot holding `items`.
+    fn push<'a>(&mut self, items: impl IntoIterator<Item = &'a str>) {
+        for item in items {
+            self.items.push(item);
+        }
+        self.ends.push(item_offset(self.items.len()));
+    }
+
+    /// Appends every slot of `other`: its items, and its ends shifted by the
+    /// items already held.
+    fn extend(&mut self, other: &StrLists) {
+        let base = item_offset(self.items.len());
+        self.items.extend(&other.items);
+        // The last shifted end is the largest: checking it checks them all.
+        item_offset(self.items.len());
+        self.ends.extend(other.ends.iter().map(|end| base + end));
+    }
+
+    /// The first `n` slots.
+    fn head(&self, n: usize) -> StrLists {
+        let end = if n == 0 { 0 } else { self.ends[n - 1] };
+        StrLists {
+            items: self.items.head(end as usize),
+            ends: self.ends[..n].to_vec(),
+        }
+    }
+}
+
+/// The end offset of a list slot that ends `n` items into the child.
+fn item_offset(n: usize) -> u32 {
+    u32::try_from(n).expect("a list column holds at most 2^32 items")
+}
+
+/// One slot of a list column, borrowed: the equivalent of a `Value::Array`
+/// of `Value::Str`s, read in place.
+#[derive(Clone, Copy, Debug)]
+pub struct StrList<'a> {
+    items: &'a Strs,
+    start: usize,
+    end: usize,
+}
+
+impl<'a> StrList<'a> {
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// True iff the list has no items.
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// The items in order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a str> + 'a {
+        let items = self.items;
+        (self.start..self.end).map(move |k| items.get(k))
+    }
+
+    /// The equivalent owned `Value::Array`.
+    pub fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(Value::str).collect())
+    }
+}
+
 /// A typed column's payload, read slot by slot: a vector for the
 /// fixed-width variants, [`Strs`] for strings. What lets one typed kernel
 /// read any variant's slots by reference, as `&i64` or `&str`.
@@ -183,22 +286,24 @@ impl Slots for Strs {
 }
 
 /// One typed column vector. Null slots in typed variants hold a default
-/// payload and are masked by the bitmap; `Mixed` stores `Value`s verbatim
-/// (including `Value::Null`) for columns that don't fit a single scalar
-/// type.
+/// payload and are masked by the bitmap; `StrList` holds arrays of strings;
+/// `Mixed` stores `Value`s verbatim (including `Value::Null`) for columns
+/// that fit neither a single scalar type nor a list of strings.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Column {
     Int(Vec<i64>, Nulls),
     Float(Vec<f64>, Nulls),
     Bool(Vec<bool>, Nulls),
     Str(Strs, Nulls),
+    StrList(StrLists, Nulls),
     Mixed(Vec<Value>),
 }
 
 /// A borrowed scalar view of one slot. `Val` only ever carries the
 /// container types (`Array`/`Object`); scalar `Value`s in a `Mixed` column
 /// are unwrapped into the typed variants so every consumer handles one
-/// shape per type.
+/// shape per type. `StrList` is a list column's slot — an array of strings
+/// that a `Mixed` column would carry as `Val` — and behaves as that array.
 #[derive(Clone, Copy, Debug)]
 pub enum Cell<'a> {
     Null,
@@ -206,7 +311,26 @@ pub enum Cell<'a> {
     Int(i64),
     Float(f64),
     Str(&'a str),
+    StrList(StrList<'a>),
     Val(&'a Value),
+}
+
+/// `Vec<Value>`'s lexicographic order over two item sequences.
+fn cmp_items<'x, 'y>(
+    mut a: impl Iterator<Item = Cell<'x>>,
+    mut b: impl Iterator<Item = Cell<'y>>,
+) -> Ordering {
+    loop {
+        match (a.next(), b.next()) {
+            (None, None) => return Ordering::Equal,
+            (None, Some(_)) => return Ordering::Less,
+            (Some(_), None) => return Ordering::Greater,
+            (Some(x), Some(y)) => match x.cmp_cell(&y) {
+                Ordering::Equal => {}
+                ord => return ord,
+            },
+        }
+    }
 }
 
 impl<'a> Cell<'a> {
@@ -237,6 +361,7 @@ impl<'a> Cell<'a> {
             Cell::Int(i) => Value::Int(*i),
             Cell::Float(f) => Value::Float(*f),
             Cell::Str(s) => Value::Str((*s).to_string()),
+            Cell::StrList(l) => l.to_value(),
             Cell::Val(v) => (*v).clone(),
         }
     }
@@ -268,6 +393,7 @@ impl<'a> Cell<'a> {
             Cell::Bool(_) => 1,
             Cell::Int(_) | Cell::Float(_) => 2,
             Cell::Str(_) => 3,
+            Cell::StrList(_) => 4,
             Cell::Val(v) => v.type_rank(),
         }
     }
@@ -283,6 +409,13 @@ impl<'a> Cell<'a> {
             (Cell::Float(a), Cell::Int(b)) => cmp_f64(*a, *b as f64),
             (Cell::Float(a), Cell::Float(b)) => cmp_f64(*a, *b),
             (Cell::Str(a), Cell::Str(b)) => a.cmp(b),
+            (Cell::StrList(a), Cell::StrList(b)) => a.iter().cmp(b.iter()),
+            (Cell::StrList(a), Cell::Val(Value::Array(b))) => {
+                cmp_items(a.iter().map(Cell::Str), b.iter().map(Cell::of))
+            }
+            (Cell::Val(Value::Array(a)), Cell::StrList(b)) => {
+                cmp_items(a.iter().map(Cell::of), b.iter().map(Cell::Str))
+            }
             (Cell::Val(a), Cell::Val(b)) => a.cmp(b),
             (a, b) => a.type_rank().cmp(&b.type_rank()),
         }
@@ -306,6 +439,7 @@ impl<'a> Cell<'a> {
             Cell::Null | Cell::Bool(_) => 1,
             Cell::Int(_) | Cell::Float(_) => 8,
             Cell::Str(s) => 4 + s.len() as u64,
+            Cell::StrList(l) => 4 + l.iter().map(|s| 4 + s.len() as u64).sum::<u64>(),
             Cell::Val(v) => v.approx_bytes(),
         }
     }
@@ -340,6 +474,12 @@ impl Hash for Cell<'_> {
                 3u8.hash(state);
                 s.hash(state);
             }
+            // `Vec<Value>`'s stream: its length, then each item's.
+            Cell::StrList(l) => {
+                4u8.hash(state);
+                state.write_usize(l.len());
+                l.iter().for_each(|s| Cell::Str(s).hash(state));
+            }
             Cell::Val(v) => v.hash(state),
         }
     }
@@ -353,6 +493,7 @@ impl Column {
             Column::Float(v, _) => v.len(),
             Column::Bool(v, _) => v.len(),
             Column::Str(v, _) => v.len(),
+            Column::StrList(v, _) => v.len(),
             Column::Mixed(v) => v.len(),
         }
     }
@@ -366,9 +507,11 @@ impl Column {
     #[inline]
     pub fn is_null(&self, i: usize) -> bool {
         match self {
-            Column::Int(_, n) | Column::Float(_, n) | Column::Bool(_, n) | Column::Str(_, n) => {
-                n.is_null(i)
-            }
+            Column::Int(_, n)
+            | Column::Float(_, n)
+            | Column::Bool(_, n)
+            | Column::Str(_, n)
+            | Column::StrList(_, n) => n.is_null(i),
             Column::Mixed(v) => v[i].is_null(),
         }
     }
@@ -403,6 +546,13 @@ impl Column {
                     Cell::Null
                 } else {
                     Cell::Str(v.get(i))
+                }
+            }
+            Column::StrList(v, n) => {
+                if n.is_null(i) {
+                    Cell::Null
+                } else {
+                    Cell::StrList(v.get(i))
                 }
             }
             Column::Mixed(v) => Cell::of(&v[i]),
@@ -457,6 +607,26 @@ impl Column {
                 }
                 Column::Str(out, nulls)
             }
+            Column::StrList(v, n) => {
+                // Room for the picked slots at the column's average sizes.
+                let slots = v.len().max(1);
+                let items = Strs {
+                    bytes: String::with_capacity(v.items.bytes.len() / slots * sel.len()),
+                    ends: Vec::with_capacity(v.items.len().div_ceil(slots) * sel.len()),
+                };
+                let mut out = StrLists {
+                    items,
+                    ends: Vec::with_capacity(sel.len()),
+                };
+                let mut nulls = Nulls::none();
+                for (j, &i) in sel.iter().enumerate() {
+                    if n.is_null(i as usize) {
+                        nulls.set(j);
+                    }
+                    out.push(v.get(i as usize).iter());
+                }
+                Column::StrList(out, nulls)
+            }
             Column::Mixed(v) => Column::Mixed(sel.iter().map(|&i| v[i as usize].clone()).collect()),
         }
     }
@@ -470,6 +640,7 @@ impl Column {
             Column::Float(v, nulls) => Column::Float(v[..n].to_vec(), nulls.head(n)),
             Column::Bool(v, nulls) => Column::Bool(v[..n].to_vec(), nulls.head(n)),
             Column::Str(v, nulls) => Column::Str(v.head(n), nulls.head(n)),
+            Column::StrList(v, nulls) => Column::StrList(v.head(n), nulls.head(n)),
             Column::Mixed(v) => Column::Mixed(v[..n].to_vec()),
         }
     }
@@ -486,6 +657,7 @@ impl Column {
             Column::Float(v, n) => typed(v.len(), n),
             Column::Bool(v, n) => typed(v.len(), n),
             Column::Str(v, n) => typed(v.len(), n),
+            Column::StrList(v, n) => typed(v.len(), n),
             Column::Mixed(v) => degrades_builder(v) || v.iter().all(Value::is_null),
         }
     }
@@ -522,8 +694,9 @@ impl Column {
 
     /// Footprint of the column's cells, summing [`Cell::approx_bytes`]: a
     /// NULL is 1 byte and a typed payload a fixed width (a string 4 bytes
-    /// plus its text, and a NULL slot holds none), so a typed column is
-    /// summed from its null count without visiting the cells.
+    /// plus its text, a list 4 bytes plus its strings', and a NULL slot
+    /// holds none), so a typed column is summed from its null count and its
+    /// buffers' sizes without visiting the cells.
     pub fn approx_bytes(&self) -> u64 {
         let fixed = |len: usize, nulls: &Nulls| 8 * len as u64 - 7 * nulls.count();
         match self {
@@ -531,14 +704,19 @@ impl Column {
             Column::Float(v, n) => fixed(v.len(), n),
             Column::Bool(v, _) => v.len() as u64,
             Column::Str(v, n) => 4 * v.len() as u64 + v.bytes.len() as u64 - 3 * n.count(),
+            Column::StrList(v, n) => {
+                let items = 4 * v.items.len() as u64 + v.items.bytes.len() as u64;
+                4 * v.len() as u64 + items - 3 * n.count()
+            }
             Column::Mixed(v) => v.iter().map(Value::approx_bytes).sum(),
         }
     }
 }
 
 /// Incremental column builder. Starts untyped, commits to the variant of
-/// the first non-null push, and degrades to `Mixed` on a type clash —
-/// never lossy.
+/// the first non-null push — `StrList` for an array whose items are all
+/// strings — and degrades to `Mixed` on a type clash or any other container
+/// — never lossy.
 #[derive(Debug)]
 pub enum ColBuilder {
     /// Only nulls pushed so far.
@@ -547,6 +725,7 @@ pub enum ColBuilder {
     Float(Vec<f64>, Nulls),
     Bool(Vec<bool>, Nulls),
     Str(Strs, Nulls),
+    StrList(StrLists, Nulls),
     Mixed(Vec<Value>),
 }
 
@@ -569,6 +748,7 @@ impl ColBuilder {
             ColBuilder::Float(v, _) => v.len(),
             ColBuilder::Bool(v, _) => v.len(),
             ColBuilder::Str(v, _) => v.len(),
+            ColBuilder::StrList(v, _) => v.len(),
             ColBuilder::Mixed(v) => v.len(),
         }
     }
@@ -585,6 +765,7 @@ impl ColBuilder {
             ColBuilder::Float(v, _) => v.reserve(extra),
             ColBuilder::Bool(v, _) => v.reserve(extra),
             ColBuilder::Str(v, _) => v.ends.reserve(extra),
+            ColBuilder::StrList(v, _) => v.ends.reserve(extra),
             ColBuilder::Mixed(v) => v.reserve(extra),
         }
     }
@@ -597,6 +778,7 @@ impl ColBuilder {
             ColBuilder::Float(v, n) => materialize(v, n, Value::Float),
             ColBuilder::Bool(v, n) => materialize(v, n, Value::Bool),
             ColBuilder::Str(v, n) => materialize(v.iter(), n, Value::str),
+            ColBuilder::StrList(v, n) => materialize(v.iter(), n, |l| l.to_value()),
             ColBuilder::Mixed(v) => v,
         };
         *self = ColBuilder::Mixed(values);
@@ -624,6 +806,10 @@ impl ColBuilder {
             ColBuilder::Str(v, n) => {
                 n.set(v.len());
                 v.push("");
+            }
+            ColBuilder::StrList(v, n) => {
+                n.set(v.len());
+                v.push([]);
             }
             ColBuilder::Mixed(v) => v.push(Value::Null),
         }
@@ -700,6 +886,30 @@ impl ColBuilder {
         }
     }
 
+    /// Copies `items` into the column's child buffer: the slot an array of
+    /// these strings is.
+    pub fn push_strs<'a>(&mut self, items: impl IntoIterator<Item = &'a str>) {
+        match self {
+            ColBuilder::Unknown(n) => {
+                let mut v = StrLists {
+                    items: Strs::default(),
+                    ends: vec![0; *n],
+                };
+                let mut nulls = Nulls::none();
+                for i in 0..*n {
+                    nulls.set(i);
+                }
+                v.push(items);
+                *self = ColBuilder::StrList(v, nulls);
+            }
+            ColBuilder::StrList(v, _) => v.push(items),
+            _ => {
+                let array = Value::Array(items.into_iter().map(Value::str).collect());
+                self.degrade().push(array)
+            }
+        }
+    }
+
     /// Pushes any `Value`, classifying or degrading as needed.
     pub fn push_value(&mut self, x: Value) {
         match x {
@@ -711,6 +921,12 @@ impl ColBuilder {
             // other builder is, or degrades to.
             Value::Str(s) if matches!(self, ColBuilder::Unknown(_) | ColBuilder::Str(..)) => {
                 self.push_str(&s)
+            }
+            Value::Array(items)
+                if matches!(self, ColBuilder::Unknown(_) | ColBuilder::StrList(..))
+                    && all_strs(&items) =>
+            {
+                self.push_strs(items.iter().filter_map(Value::as_str))
             }
             other => self.degrade().push(other),
         }
@@ -732,6 +948,7 @@ impl ColBuilder {
             Column::Float(v, n) => ColBuilder::Float(v, n),
             Column::Bool(v, n) => ColBuilder::Bool(v, n),
             Column::Str(v, n) => ColBuilder::Str(v, n),
+            Column::StrList(v, n) => ColBuilder::StrList(v, n),
             // What an `Unknown` builder finishes to.
             Column::Mixed(v) if v.iter().all(Value::is_null) => ColBuilder::Unknown(v.len()),
             // A builder that degraded never leaves `Mixed`.
@@ -756,6 +973,10 @@ impl ColBuilder {
                 v.extend(pv);
             }
             (ColBuilder::Str(v, n), Column::Str(pv, pn)) => {
+                n.set_shifted(&pn, v.len());
+                v.extend(&pv);
+            }
+            (ColBuilder::StrList(v, n), Column::StrList(pv, pn)) => {
                 n.set_shifted(&pn, v.len());
                 v.extend(&pv);
             }
@@ -802,6 +1023,15 @@ impl ColBuilder {
                     }
                 }
             }
+            Column::StrList(v, n) => {
+                for (i, x) in v.iter().enumerate() {
+                    if n.is_null(i) {
+                        self.push_null();
+                    } else {
+                        self.push_strs(x.iter());
+                    }
+                }
+            }
             Column::Mixed(v) => {
                 for x in v {
                     self.push_value(x);
@@ -818,6 +1048,7 @@ impl ColBuilder {
             ColBuilder::Float(v, n) => Column::Float(v, n),
             ColBuilder::Bool(v, n) => Column::Bool(v, n),
             ColBuilder::Str(v, n) => Column::Str(v, n),
+            ColBuilder::StrList(v, n) => Column::StrList(v, n),
             ColBuilder::Mixed(v) => Column::Mixed(v),
         }
     }
@@ -840,23 +1071,28 @@ fn materialize<T>(
         .collect()
 }
 
+/// Whether an array of `items` is a list column's slot: all strings.
+fn all_strs(items: &[Value]) -> bool {
+    items.iter().all(|v| matches!(v, Value::Str(_)))
+}
+
 /// Whether a [`ColBuilder`] fed `values` in order ends up `Mixed`: some value
-/// is not a scalar, or two non-null values differ in type. Stops at the
-/// first such value.
+/// is neither a scalar nor an array of strings, or two non-null values
+/// differ in kind. Stops at the first such value.
 fn degrades_builder(values: &[Value]) -> bool {
-    let mut scalar = None;
+    let mut seen = None;
     for v in values {
-        match v {
-            Value::Null => {}
-            Value::Int(_) | Value::Float(_) | Value::Bool(_) | Value::Str(_) => {
-                let kind = std::mem::discriminant(v);
-                if scalar.is_some_and(|s| s != kind) {
-                    return true;
-                }
-                scalar = Some(kind);
-            }
-            _ => return true,
+        let typed = match v {
+            Value::Null => continue,
+            Value::Array(items) => all_strs(items),
+            Value::Object(_) => false,
+            _ => true,
+        };
+        let kind = std::mem::discriminant(v);
+        if !typed || seen.is_some_and(|s| s != kind) {
+            return true;
         }
+        seen = Some(kind);
     }
     false
 }
@@ -1005,6 +1241,7 @@ impl ColBatch {
                     Ok(Column::Float(v, n)) => materialize(v, n, Value::Float),
                     Ok(Column::Bool(v, n)) => materialize(v, n, Value::Bool),
                     Ok(Column::Str(v, n)) => materialize(v.iter(), n, Value::str),
+                    Ok(Column::StrList(v, n)) => materialize(v.iter(), n, |l| l.to_value()),
                     Ok(Column::Mixed(v)) => v,
                     Err(shared) => (0..len).map(|i| shared.value(i)).collect(),
                 };
@@ -1114,6 +1351,11 @@ mod tests {
             Value::str(""),
             Value::str("héllo"),
             Value::Array(vec![Value::Int(1), Value::Null]),
+            Value::Array(vec![]),
+            Value::Array(vec![Value::str("a")]),
+            Value::Array(vec![Value::str("a"), Value::str("héllo")]),
+            Value::Array(vec![Value::str("a"), Value::Int(1)]),
+            Value::Array(vec![Value::str("b")]),
             Value::object(vec![("k".into(), Value::str("v"))]),
         ]
     }
@@ -1269,7 +1511,15 @@ mod tests {
             vec![Value::Bool(true), Value::Null, Value::Bool(false)],
             vec![Value::Null, Value::Array(vec![int(1)]), Value::Null, int(4)],
             vec![Value::Null, Value::Null, Value::Null],
-            // The `hashtags` shape: arrays from the first value on.
+            // The `hashtags` shape: lists of strings, NULLs among them.
+            vec![
+                Value::Null,
+                Value::Array(vec![Value::str("coffee"), Value::str("é")]),
+                Value::Array(vec![]),
+                Value::Null,
+                Value::Array(vec![Value::str("pizza")]),
+            ],
+            // A list column that meets another array degrades there.
             vec![
                 Value::Array(vec![Value::str("coffee")]),
                 Value::Array(vec![]),
@@ -1363,5 +1613,45 @@ mod tests {
         let b = ColBatch::from_rows(&[Row::new(vec![Value::Int(3)])]).unwrap();
         assert!(b.cell(0, 0).eq_value(&Value::Float(3.0)));
         assert_eq!(hash_of(&b.cell(0, 0)), hash_of(&Value::Float(3.0)));
+    }
+
+    /// A list column's cells are the arrays of strings they stand for:
+    /// same value, hash, byte charge, and order against every value of the
+    /// matrix — `Mixed` arrays included, from either side.
+    #[test]
+    fn list_cells_match_array_values() {
+        let matrix = value_matrix();
+        let is_list = |v: &&Value| match v {
+            Value::Null => true,
+            Value::Array(items) => items.iter().all(|i| matches!(i, Value::Str(_))),
+            _ => false,
+        };
+        let lists: Vec<Value> = matrix.iter().filter(is_list).cloned().collect();
+        let rows: Vec<Row> = lists.iter().map(|v| Row::new(vec![v.clone()])).collect();
+        let batch = ColBatch::from_rows(&rows).unwrap();
+        assert!(matches!(batch.col(0), Column::StrList(..)));
+        assert_eq!(batch.to_rows(), rows);
+        assert_eq!(
+            batch.row_bytes(),
+            rows.iter().map(Row::approx_bytes).sum::<u64>()
+        );
+        for (i, want) in lists.iter().enumerate() {
+            let cell = batch.cell(i, 0);
+            assert_eq!(&cell.to_value(), want);
+            assert_eq!(hash_of(&cell), hash_of(want), "hash parity at {i}");
+            assert_eq!(cell.approx_bytes(), want.approx_bytes());
+            for other in &matrix {
+                assert_eq!(
+                    cell.cmp_value(other),
+                    want.cmp(other),
+                    "{want:?} vs {other:?}"
+                );
+                assert_eq!(Cell::of(other).cmp_cell(&cell), other.cmp(want));
+                assert_eq!(cell == Cell::of(other), want == other);
+            }
+            for (j, other) in lists.iter().enumerate() {
+                assert_eq!(cell.cmp_cell(&batch.cell(j, 0)), want.cmp(other));
+            }
+        }
     }
 }

@@ -141,6 +141,17 @@ fn digest_column(col: &Column, start: usize, rows: &mut [Fnv]) {
         Column::Float(v, n) => typed(v, n, start, rows, |f, h| digest_float(*f, h)),
         Column::Bool(v, n) => typed(v, n, start, rows, |b, h| digest_bool(*b, h)),
         Column::Str(v, n) => typed(v, n, start, rows, digest_str),
+        Column::StrList(v, n) => {
+            for (j, h) in rows.iter_mut().enumerate() {
+                if n.is_null(start + j) {
+                    h.byte(0);
+                } else {
+                    let list = v.get(start + j);
+                    digest_array_head(list.len(), h);
+                    list.iter().for_each(|s| digest_str(s, h));
+                }
+            }
+        }
         Column::Mixed(v) => {
             for (value, h) in v[start..].iter().zip(rows) {
                 digest_value(value, h);
@@ -306,6 +317,12 @@ fn digest_str(s: &str, h: &mut Fnv) {
     h.str(s);
 }
 
+/// What an array's items follow: its tag and length.
+fn digest_array_head(len: usize, h: &mut Fnv) {
+    h.byte(5);
+    h.u64(len as u64);
+}
+
 fn digest_value(v: &Value, h: &mut Fnv) {
     match v {
         Value::Null => h.byte(0),
@@ -314,8 +331,7 @@ fn digest_value(v: &Value, h: &mut Fnv) {
         Value::Float(f) => digest_float(*f, h),
         Value::Str(s) => digest_str(s, h),
         Value::Array(items) => {
-            h.byte(5);
-            h.u64(items.len() as u64);
+            digest_array_head(items.len(), h);
             for item in items {
                 digest_value(item, h);
             }

@@ -453,6 +453,59 @@ fn lex_simple_str(line: &str, pos: usize) -> Option<(&str, usize)> {
     Some((&line[start..i], i + 1))
 }
 
+/// Moves `pos` past JSON whitespace.
+fn skip_ws(b: &[u8], pos: &mut usize) {
+    while matches!(b.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        *pos += 1;
+    }
+}
+
+/// The array of plain strings — items [`lex_simple_str`] reads — that
+/// starts at byte `pos` of `text`: each item handed to `item` in order, and
+/// the offset just past the closing `]`. The strict parser accepts such an
+/// array and ends it at the same byte, so where this answers there is no
+/// need to ask it. `None` for any other value, after some items may have
+/// been handed over.
+fn lex_str_items<'a>(
+    text: &'a str,
+    mut pos: usize,
+    mut item: impl FnMut(&'a str),
+) -> Option<usize> {
+    let b = text.as_bytes();
+    if b.get(pos) != Some(&b'[') {
+        return None;
+    }
+    pos += 1;
+    skip_ws(b, &mut pos);
+    if b.get(pos) == Some(&b']') {
+        return Some(pos + 1);
+    }
+    loop {
+        skip_ws(b, &mut pos);
+        let (s, end) = lex_simple_str(text, pos)?;
+        item(s);
+        pos = end;
+        skip_ws(b, &mut pos);
+        match b.get(pos) {
+            Some(b',') => pos += 1,
+            Some(b']') => return Some(pos + 1),
+            _ => return None,
+        }
+    }
+}
+
+/// The items of `raw`, an array's text, into `items` when every item is a
+/// string [`lex_simple_str`] reads: what lets a reader keep such an array as
+/// strings instead of building its tree. `Some` implies
+/// `parse_json(raw) == Ok(Value::Array(items as Value::Str))`. `None` for
+/// anything else — an escape, a number, a `null`, a nested container — with
+/// `items` holding what was read before it.
+pub fn lex_str_array<'a>(raw: &'a str, items: &mut Vec<&'a str>) -> Option<()> {
+    items.clear();
+    let end = lex_str_items(raw, 0, |s| items.push(s))?;
+    (end == raw.len()).then_some(())
+}
+
 /// The one value lexer of the fast path: the top-level field value that
 /// starts at byte `pos` of an object line, and the offset just past it.
 /// [`parse_flat_line`] lexes every value of a line with it and
@@ -468,12 +521,18 @@ fn lex_value(line: &str, mut pos: usize) -> Option<(FlatVal<'_>, usize)> {
             FlatVal::Str(s)
         }
         b'{' | b'[' => {
-            // This line's object is level 1 already.
-            let mut p = Parser { bytes: b, pos };
-            p.parse_value::<false>(1).ok()?;
+            let end = match lex_str_items(line, pos, |_| {}) {
+                Some(end) => end,
+                None => {
+                    // This line's object is level 1 already.
+                    let mut p = Parser { bytes: b, pos };
+                    p.parse_value::<false>(1).ok()?;
+                    p.pos
+                }
+            };
             // ASCII brackets bound the slice: char boundaries.
-            let raw = &line[pos..p.pos];
-            pos = p.pos;
+            let raw = &line[pos..end];
+            pos = end;
             FlatVal::Nested(raw)
         }
         b't' if b[pos..].starts_with(b"true") => {
@@ -543,11 +602,7 @@ fn walk_flat_line<'a>(
 ) -> Option<()> {
     let b = line.as_bytes();
     let mut pos = 0usize;
-    let skip_ws = |pos: &mut usize| {
-        while matches!(b.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            *pos += 1;
-        }
-    };
+    let skip_ws = |pos: &mut usize| skip_ws(b, pos);
     skip_ws(&mut pos);
     if b.get(pos) != Some(&b'{') {
         return None;
@@ -587,10 +642,11 @@ fn walk_flat_line<'a>(
 
 /// Zero-copy fast parse of one JSON object line — the shape of every
 /// generated log record: `{"key": value, ...}` with no string escapes at
-/// the top level. A nested array or object is walked by the strict parser
-/// in place (escapes, depth cap and all) but not built: it comes back as
+/// the top level. A nested array or object is walked in place but not
+/// built — an array of plain strings by [`lex_str_items`], anything else by
+/// the strict parser (escapes, depth cap and all): it comes back as
 /// [`FlatVal::Nested`], its raw text, and costs a tree only if that field
-/// is asked for.
+/// is asked for and is not such an array.
 ///
 /// Returns `None` as soon as anything outside the subset appears (a `\`
 /// escape in a key or top-level string, a non-object top level, trailing
@@ -983,6 +1039,45 @@ mod tests {
         let empty = LineIndex::build(&[]);
         assert!(empty.is_empty() && empty.approx_bytes() == 0);
         empty.for_each_line(&[], &["a"], |_| panic!("no line"));
+    }
+
+    /// An array lexed as strings is the strict parser's array, and every
+    /// array outside that subset is declined.
+    #[test]
+    fn str_arrays_agree_with_the_strict_parser() {
+        let accepted = [
+            "[]",
+            "[ ]",
+            r#"["coffee"]"#,
+            r#"[ "a" , "" ,"é ✓", "}", "]", "[{" ]"#,
+        ];
+        let mut items = Vec::new();
+        for raw in accepted {
+            lex_str_array(raw, &mut items).unwrap_or_else(|| panic!("should accept {raw}"));
+            let strs = items.iter().map(|s| Value::str(*s)).collect();
+            assert_eq!(parse_json(raw).unwrap(), Value::Array(strs), "{raw}");
+        }
+        let declined = [
+            r#"["a\"b"]"#,
+            r#"["a\\b"]"#,
+            r#"["a"b"]"#,
+            r#"["a", 1]"#,
+            "[null]",
+            r#"[["pizza"]]"#,
+            r#"[{"k": "v"}]"#,
+            r#"{"k": "v"}"#,
+            r#""bare""#,
+            r#"["a",]"#,
+            r#"["a"] "#,
+            r#"["a""#,
+            "",
+        ];
+        for raw in declined {
+            assert!(
+                lex_str_array(raw, &mut items).is_none(),
+                "should decline {raw}"
+            );
+        }
     }
 
     /// Nesting is capped: a line of a million `[` is a parse error, not a

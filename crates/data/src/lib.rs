@@ -31,7 +31,7 @@ pub mod stats;
 pub mod stored;
 pub mod value;
 
-pub use batch::{Cell, ColBatch, ColBuilder, Column, Nulls, Slots, Strs};
+pub use batch::{Cell, ColBatch, ColBuilder, Column, Nulls, Slots, StrList, StrLists, Strs};
 pub use checksum::{checksum_batch, checksum_rows, Checksum, RowSetDigest};
 pub use delta::Delta;
 pub use schema::{DataType, Field, Schema};

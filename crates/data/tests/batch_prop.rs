@@ -1,6 +1,7 @@
 //! Generated-input tests: `rows → ColBatch → rows` is an identity for
 //! arbitrary value matrices, every `Value` variant included (NULLs, NaN,
-//! ±0.0, nested containers, type-clashing columns), and what is recorded
+//! ±0.0, arrays of strings, nested containers, type-clashing columns), and
+//! what is recorded
 //! about a stored batch — its size, its content checksum, its incremental
 //! digest — is what its rows would give, at any thread count. Cases are
 //! seeded [`DetRng`] streams; a failing assert names the seed.
@@ -13,7 +14,10 @@ use miso_data::{ColBatch, ColBuilder, Column, Row, Value};
 const CASES: u64 = 256;
 
 /// Kinds of value [`arb_value_of`] draws; the last two nest.
-const KINDS: u64 = 10;
+const KINDS: u64 = 11;
+
+/// The kind that is an array of strings: a list column's slot.
+const STR_LIST: u64 = 8;
 
 fn arb_value(rng: &mut DetRng, depth: u32) -> Value {
     let kind = rng.below(if depth == 0 { KINDS - 2 } else { KINDS });
@@ -35,7 +39,13 @@ fn arb_value_of(rng: &mut DetRng, kind: u64, depth: u32) -> Value {
                 .filter_map(|_| char::from_u32(rng.below(0x3000) as u32))
                 .collect::<String>(),
         ),
-        8 => Value::Array(
+        // Empty now and then; items empty, ASCII or multi-byte.
+        STR_LIST => Value::Array(
+            (0..rng.below(4))
+                .map(|_| Value::Str(arb_str(rng)))
+                .collect(),
+        ),
+        9 => Value::Array(
             (0..rng.below(4))
                 .map(|_| arb_value(rng, depth - 1))
                 .collect(),
@@ -53,15 +63,29 @@ fn arb_value_of(rng: &mut DetRng, kind: u64, depth: u32) -> Value {
 
 /// Up to `max_rows` rows of up to four columns (now and then none). A column
 /// with a kind of its own stays typed around its NULLs; the others clash
-/// into `Mixed`.
+/// into `Mixed`. A column of string arrays is often one, and now and then
+/// meets, mid-column, an array holding a number, which degrades it there.
 fn arb_rows(rng: &mut DetRng, max_rows: u64) -> Vec<Row> {
     let kinds: Vec<Option<u64>> = (0..rng.below(5))
-        .map(|_| rng.chance(0.6).then(|| rng.below(KINDS)))
-        .collect();
-    (0..rng.below(max_rows + 1))
         .map(|_| {
+            rng.chance(0.6).then(|| {
+                if rng.chance(0.2) {
+                    STR_LIST
+                } else {
+                    rng.below(KINDS)
+                }
+            })
+        })
+        .collect();
+    let n = rng.below(max_rows + 1);
+    let clash = rng.chance(0.3).then(|| rng.below(n.max(1)));
+    (0..n)
+        .map(|i| {
             let cell = |kind: &Option<u64>| match kind {
                 _ if rng.chance(0.15) => Value::Null,
+                Some(STR_LIST) if clash == Some(i) => {
+                    Value::Array(vec![Value::str("x"), Value::Int(1)])
+                }
                 Some(kind) => arb_value_of(rng, *kind, 2),
                 None => arb_value(rng, 2),
             };
@@ -70,8 +94,21 @@ fn arb_rows(rng: &mut DetRng, max_rows: u64) -> Vec<Row> {
         .collect()
 }
 
+/// Which variant `col` is: what the tests count to show each was reached.
+fn variant(col: &Column) -> usize {
+    match col {
+        Column::Int(..) => 0,
+        Column::Float(..) => 1,
+        Column::Bool(..) => 2,
+        Column::Str(..) => 3,
+        Column::StrList(..) => 4,
+        Column::Mixed(..) => 5,
+    }
+}
+
 #[test]
 fn pivot_round_trip_is_identity() {
+    let mut variants = [0usize; 6];
     for seed in 0..CASES {
         let mut rng = DetRng::new(0xba7c_0000 + seed);
         let rows = arb_rows(&mut rng, 63);
@@ -85,7 +122,15 @@ fn pivot_round_trip_is_identity() {
         assert_eq!(batch.to_rows(), rows, "seed {seed}");
         let bytes: u64 = rows.iter().map(Row::approx_bytes).sum();
         assert_eq!(batch.row_bytes(), bytes, "seed {seed}: row_bytes");
+        batch
+            .columns()
+            .iter()
+            .for_each(|c| variants[variant(c)] += 1);
     }
+    assert!(
+        variants.iter().all(|&n| n > 0),
+        "variants seen: {variants:?}"
+    );
 }
 
 /// The digest a store records for a batch is the digest of its rows, bit for
@@ -96,22 +141,17 @@ fn pivot_round_trip_is_identity() {
 #[test]
 fn batch_digests_are_the_row_digests() {
     let before = pool::threads();
-    let mut variants = [0usize; 5];
+    let mut variants = [0usize; 6];
     for seed in 0..CASES {
         let mut rng = DetRng::new(0xd16e_0000 + seed);
         // Every eighth case spans several digest morsels.
         let rows = arb_rows(&mut rng, if seed % 8 == 0 { 20_000 } else { 63 });
         let arity = rows.first().map_or(rng.below(4) as usize, Row::arity);
         let batch = ColBatch::of_rows(arity, &rows).expect("uniform arity pivots");
-        for col in batch.columns() {
-            variants[match **col {
-                Column::Int(..) => 0,
-                Column::Float(..) => 1,
-                Column::Bool(..) => 2,
-                Column::Str(..) => 3,
-                Column::Mixed(..) => 4,
-            }] += 1;
-        }
+        batch
+            .columns()
+            .iter()
+            .for_each(|c| variants[variant(c)] += 1);
         let cut = rng.below(rows.len() as u64 + 1) as usize;
         let head = ColBatch::of_rows(arity, &rows[..cut]).unwrap();
         let tail = ColBatch::of_rows(arity, &rows[cut..]).unwrap();
@@ -303,12 +343,14 @@ fn bulk_assembly_is_the_one_pass_builder() {
         b.finish()
     };
     let mut non_canonical = 0;
+    let mut lists = 0;
     for seed in 0..CASES {
         let mut rng = DetRng::new(0xc01_0000 + seed);
         let rows = arb_rows(&mut rng, 63);
         let arity = rows.first().map_or(0, Row::arity);
         let batch = ColBatch::of_rows(arity, &rows).expect("uniform arity pivots");
         for col in batch.columns() {
+            lists += usize::from(matches!(**col, Column::StrList(..)));
             let n = col.len() as u64;
             let gather = |rng: &mut DetRng| {
                 let picks: Vec<u32> = (0..rng.below(4))
@@ -337,4 +379,5 @@ fn bulk_assembly_is_the_one_pass_builder() {
         }
     }
     assert!(non_canonical > 0, "no gather left a column to re-classify");
+    assert!(lists > 0, "no list column assembled");
 }

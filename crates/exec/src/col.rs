@@ -12,7 +12,8 @@
 //! once per morsel ([`Typed`]) and, when they are typed, works on their
 //! payloads — a comparison of Int/Float/Str/Bool vectors or literals writes
 //! a `Bool` column, AND/OR combine two `Bool` vectors, a filter selects off
-//! a `Bool` vector. Everything else — a `Mixed` column, a NULL or container
+//! a `Bool` vector, and `array_contains` of a literal reads a list column's
+//! items in place. Everything else — a `Mixed` column, a NULL or container
 //! literal, a cross-type comparison, arithmetic — takes the per-cell arm.
 //!
 //! **Semantics contract**: every path here must agree bit-for-bit with the
@@ -37,7 +38,7 @@ use crate::eval::{cast, eval_binary, eval_unary, logical_combine, Builtin};
 use crate::udf::UdfRegistry;
 use miso_common::guard::QueryGuard;
 use miso_common::{pool, MisoError, Result};
-use miso_data::json::{parse_json, FlatVal, IndexedLine, LineIndex};
+use miso_data::json::{lex_str_array, parse_json, FlatVal, IndexedLine, LineIndex};
 use miso_data::{Cell, ColBatch, ColBuilder, Column, DataType, Nulls, Slots, Strs, Value};
 use miso_plan::{BinOp, Expr, Operator, UnaryOp};
 use std::cmp::Ordering;
@@ -68,9 +69,14 @@ impl VCol<'_> {
 
     /// The underlying column vector, when there is one.
     fn column(&self) -> Option<&Column> {
+        self.column_from().map(|(c, _)| c)
+    }
+
+    /// The underlying column vector and the slot position `0` reads.
+    fn column_from(&self) -> Option<(&Column, usize)> {
         match self {
-            VCol::Ref(c, _) => Some(c),
-            VCol::Owned(c) => Some(c),
+            VCol::Ref(c, start) => Some((c, *start)),
+            VCol::Owned(c) => Some((c, 0)),
             VCol::Const(_) => None,
         }
     }
@@ -144,14 +150,14 @@ pub(crate) enum Typed<'a> {
 }
 
 impl<'a> Typed<'a> {
-    /// Column `c` from slot `start` on, unless it is `Mixed`.
+    /// Column `c` from slot `start` on, when it holds scalars.
     pub(crate) fn of(c: &'a Column, start: usize) -> Option<Typed<'a>> {
         Some(match c {
             Column::Int(v, n) => Typed::Int(Side::Col(v, n, start)),
             Column::Float(v, n) => Typed::Float(Side::Col(v, n, start)),
             Column::Bool(v, n) => Typed::Bool(Side::Col(v, n, start)),
             Column::Str(v, n) => Typed::Str(Side::Col(v, n, start)),
-            Column::Mixed(_) => return None,
+            Column::StrList(..) | Column::Mixed(_) => return None,
         })
     }
 }
@@ -341,6 +347,29 @@ fn compare_typed(op: BinOp, l: &VCol, r: &VCol, n: usize, mask: Option<&[u32]>) 
     })
 }
 
+/// The typed arm of `array_contains(list, literal)`: each slot of a list
+/// column asked in place whether an item equals the needle — which only a
+/// string literal can — written into a `Bool` column; `None` for any other
+/// pair of arguments.
+fn array_contains_typed(
+    list: &VCol,
+    needle: &VCol,
+    n: usize,
+    mask: Option<&[u32]>,
+) -> Option<Column> {
+    let (Column::StrList(lists, nulls), start) = list.column_from()? else {
+        return None;
+    };
+    let VCol::Const(needle) = needle else {
+        return None;
+    };
+    let needle = needle.as_str();
+    Some(bool_masked(n, mask, |j| {
+        let i = start + j;
+        (!nulls.is_null(i)).then(|| needle.is_some_and(|x| lists.get(i).iter().any(|s| s == x)))
+    }))
+}
+
 /// Unary kernel on cells; shares `eval_unary` for the value-dependent arms.
 #[inline]
 fn unary_cell(op: UnaryOp, c: Cell) -> Value {
@@ -349,7 +378,7 @@ fn unary_cell(op: UnaryOp, c: Cell) -> Value {
         UnaryOp::IsNotNull => Value::Bool(!c.is_null()),
         // Not/Neg on strings and containers are NULL; skip the clone.
         _ => match c {
-            Cell::Str(_) | Cell::Val(_) => Value::Null,
+            Cell::Str(_) | Cell::StrList(_) | Cell::Val(_) => Value::Null,
             c => eval_unary(op, c.to_value()),
         },
     }
@@ -504,6 +533,11 @@ pub(crate) fn eval_vec<'a>(
                 Err(_) if masked_empty => return Ok(VCol::Const(Value::Null)),
                 Err(e) => return Err(e),
             };
+            if let (Builtin::ArrayContains, [list, needle]) = (builtin, &args[..]) {
+                if let Some(col) = array_contains_typed(list, needle, n, mask) {
+                    return Ok(VCol::Owned(col));
+                }
+            }
             let mut cells = Vec::with_capacity(args.len());
             Ok(VCol::Owned(build_masked(n, mask, |j| {
                 cells.clear();
@@ -588,9 +622,16 @@ pub(crate) fn fused_fields<'a>(
 }
 
 /// Pushes `field cast to ty` for one parsed token. Fast arms avoid
-/// `Value` round-trips for the common shapes; everything else goes
-/// through the shared scalar [`cast`] for exact semantics.
-fn push_cast(b: &mut ColBuilder, tok: FlatVal<'_>, ty: Option<DataType>) {
+/// `Value` round-trips for the common shapes — an array of plain strings
+/// is lexed straight into a list column, `items` being the lexer's scratch
+/// — and everything else goes through the shared scalar [`cast`] for exact
+/// semantics.
+fn push_cast<'a>(
+    b: &mut ColBuilder,
+    tok: FlatVal<'a>,
+    ty: Option<DataType>,
+    items: &mut Vec<&'a str>,
+) {
     let Some(ty) = ty else {
         match tok {
             FlatVal::Null => b.push_null(),
@@ -598,7 +639,10 @@ fn push_cast(b: &mut ColBuilder, tok: FlatVal<'_>, ty: Option<DataType>) {
             FlatVal::Int(i) => b.push_i64(i),
             FlatVal::Float(f) => b.push_f64(f),
             FlatVal::Str(s) => b.push_str(s),
-            FlatVal::Nested(_) => b.push_value(tok.to_value()),
+            FlatVal::Nested(raw) => match lex_str_array(raw, items) {
+                Some(()) => b.push_strs(items.iter().copied()),
+                None => b.push_value(tok.to_value()),
+            },
         }
         return;
     };
@@ -713,10 +757,11 @@ fn read_run(index: &LineIndex, lines: &[String], fields: &[FusedField<'_>]) -> C
         b.reserve(rows);
     }
     let keys: Vec<&str> = fields.iter().map(|f| f.key).collect();
+    let mut items = Vec::new();
     index.for_each_line(lines, &keys, |line| match line {
         IndexedLine::Flat(toks) => {
             for ((f, b), tok) in fields.iter().zip(&mut builders).zip(toks) {
-                push_cast(b, *tok, f.ty);
+                push_cast(b, *tok, f.ty, &mut items);
             }
         }
         IndexedLine::Strict(line) => push_strict(line, fields, &mut builders),
@@ -772,15 +817,28 @@ mod tests {
     /// Float with −0.0, NaN, 0.0 and a −4.0 that `$6` (Int) and `$0` equal,
     /// `$6` Int with 0s that `$5`'s zeros equal, `$7` Bool, `$8` Str (one
     /// of them not ASCII). `$9` Int holds `i64::MIN`, whose negation,
-    /// absolute value and remainder by −1 leave `i64`. `$10` is out of range.
+    /// absolute value and remainder by −1 leave `i64`. `$10` is a list
+    /// column (a NULL, an empty list, a non-ASCII item). `$11` is out of
+    /// range.
     fn batch() -> ColBatch {
         let tags = Value::Array(vec![Value::str("pizza"), Value::Int(1), Value::Null]);
         let user = Value::object(vec![
             ("uid".into(), Value::Int(7)),
             ("tags".into(), Value::Array(vec![Value::str("pizza")])),
         ]);
-        let row =
-            |vals: [Value; 5], typed: [Value; 5]| Row::new(vals.into_iter().chain(typed).collect());
+        let list = |items: &[&str]| Value::Array(items.iter().map(|s| Value::str(*s)).collect());
+        let lists = [
+            list(&["pizza", "coffee"]),
+            list(&[]),
+            Value::Null,
+            list(&["é", "pizza"]),
+            list(&["Hello"]),
+        ];
+        let mut lists = lists.into_iter();
+        let mut row = |vals: [Value; 5], typed: [Value; 5]| {
+            let list = lists.next().expect("one list per row");
+            Row::new(vals.into_iter().chain(typed).chain([list]).collect())
+        };
         let (f, i, t, st) = (Value::Float, Value::Int, Value::Bool, Value::str);
         let rows: Vec<Row> = vec![
             row(
@@ -839,7 +897,8 @@ mod tests {
         assert!(matches!(b.col(2), Column::Mixed(..)) && matches!(b.col(3), Column::Mixed(..)));
         assert!(matches!(b.col(5), Column::Float(..)) && matches!(b.col(6), Column::Int(..)));
         assert!(matches!(b.col(7), Column::Bool(..)) && matches!(b.col(8), Column::Str(..)));
-        assert!(matches!(b.col(9), Column::Int(..)) && b.arity() == 10);
+        assert!(matches!(b.col(9), Column::Int(..)) && matches!(b.col(10), Column::StrList(..)));
+        assert_eq!(b.arity(), 11);
         b
     }
 
@@ -941,7 +1000,7 @@ mod tests {
             bin(BinOp::Lt, E::col(1), E::col(0)),
             E::col(1).eq(E::col(0)),
             // Out-of-range column must reproduce the scalar error.
-            bin(BinOp::Lt, E::col(10), E::lit(1i64)),
+            bin(BinOp::Lt, E::col(11), E::lit(1i64)),
             // Integer results outside `i64` are NULL, as `a + b` is.
             neg(E::col(9)),
             bin(BinOp::Mod, E::col(9), E::lit(-1i64)),
@@ -1007,6 +1066,9 @@ mod tests {
             (c(5), E::lit(Value::Null)),
             (c(2), c(0)),
             (c(3), E::lit("a")),
+            (c(10), c(10)),
+            (c(10), c(3)),
+            (c(3), c(10)),
         ];
         let ops = [
             BinOp::Eq,
@@ -1080,6 +1142,7 @@ mod tests {
                 E::col(9),
                 E::lit(f64::NAN),
                 E::col(10),
+                E::col(11),
             ]
         };
         let builtins: [(&str, usize); 13] = [
@@ -1121,7 +1184,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(checked, 9 * 13 + 3 * 169 + 2197);
+        assert_eq!(checked, 9 * 14 + 3 * 196 + 2744);
         // Spot values, so that parity is not two evaluators agreeing on NULL.
         let b = batch();
         let at = |e: &Expr, j: usize| {
@@ -1203,7 +1266,7 @@ mod tests {
         // takes any number.
         assert_eq!(errors, 12 * 4 + 5);
         // A bad argument is reported before the call that takes it.
-        assert_parity(&func("nope", vec![E::col(10)]));
+        assert_parity(&func("nope", vec![E::col(11)]));
         assert_parity(&func("lower", vec![func("nope", vec![])]));
     }
 
@@ -1222,6 +1285,7 @@ mod tests {
             E::lit(object.clone()).get("k"),
             E::lit(object).get("absent"),
             E::lit(5i64).get("k"),
+            E::col(11).get("k"),
             E::col(10).get("k"),
             E::col(3).get("uid").cast(DataType::Str),
             E::col(3).get("uid").eq(E::lit(7i64)),
@@ -1237,6 +1301,46 @@ mod tests {
             Value::Null,
             "an array has no fields"
         );
+    }
+
+    /// `array_contains` over a list column reads the items in place when the
+    /// needle is a literal, and agrees with `eval` whatever the needle — a
+    /// string present or absent, NULL, a number, an array, a column — alone,
+    /// behind a short-circuit, and from any morsel offset.
+    #[test]
+    fn array_contains_reads_list_columns_in_place() {
+        use miso_plan::Expr as E;
+        let b = batch();
+        let n = b.len();
+        let needles = [
+            (E::lit("pizza"), true),
+            (E::lit("é"), true),
+            (E::lit("nope"), true),
+            (E::lit(Value::Null), true),
+            (E::lit(1i64), true),
+            (E::lit(Value::Array(vec![Value::str("pizza")])), true),
+            (E::col(1), false),
+        ];
+        for (needle, typed) in needles {
+            let (list, v) = (
+                eval_vec(&E::col(10), &b, 0, n, None),
+                eval_vec(&needle, &b, 0, n, None),
+            );
+            let arm = array_contains_typed(&list.unwrap(), &v.unwrap(), n, None);
+            assert_eq!(arm.is_some(), typed, "{needle:?}");
+            let e = func("array_contains", vec![E::col(10), needle]);
+            assert_parity_guarded(&e);
+            for (start, n) in [(1, 3), (2, 3), (4, 1), (5, 0)] {
+                assert_parity_over(&e, start, n);
+            }
+        }
+        let at = |e: &Expr, j: usize| eval_vec(e, &b, 0, n, None).unwrap().cell(j).to_value();
+        let pizza = func("array_contains", vec![E::col(10), E::lit("pizza")]);
+        let got: Vec<Value> = (0..n).map(|j| at(&pizza, j)).collect();
+        let (t, f) = (Value::Bool(true), Value::Bool(false));
+        assert_eq!(got, [t.clone(), f.clone(), Value::Null, t, f]);
+        assert_eq!(at(&func("length", vec![E::col(10)]), 0), Value::Int(2));
+        assert_eq!(at(&func("length", vec![E::col(10)]), 2), Value::Null);
     }
 
     /// A morsel that starts mid-batch reads its own rows, through every

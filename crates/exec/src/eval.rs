@@ -236,8 +236,9 @@ pub fn cast(v: Value, ty: DataType) -> Value {
 /// A builtin, resolved from its name once per call site — the one body both
 /// evaluators call, on borrowed cells so that the vectorized one
 /// ([`crate::col::eval_vec`]) clones no string or array to ask a question of
-/// it. A container argument arrives as [`Cell::Val`]; every scalar, whatever
-/// column it sat in, as its typed cell.
+/// it. A container argument arrives as [`Cell::Val`], or as
+/// [`Cell::StrList`] from a list column; every scalar, whatever column it
+/// sat in, as its typed cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Builtin {
     Lower,
@@ -296,6 +297,7 @@ impl Builtin {
             (Builtin::Upper, [Cell::Str(s)]) => Value::Str(s.to_uppercase()),
             (Builtin::Length, [Cell::Str(s)]) => Value::Int(s.chars().count() as i64),
             (Builtin::Length, [Cell::Val(Value::Array(a))]) => Value::Int(a.len() as i64),
+            (Builtin::Length, [Cell::StrList(l)]) => Value::Int(l.len() as i64),
             (Builtin::Concat, args) => {
                 let mut out = String::new();
                 for a in args {
@@ -317,6 +319,9 @@ impl Builtin {
             }
             (Builtin::ArrayContains, [Cell::Val(Value::Array(items)), needle]) => {
                 Value::Bool(items.iter().any(|item| needle.eq_value(item)))
+            }
+            (Builtin::ArrayContains, [Cell::StrList(items), needle]) => {
+                Value::Bool(items.iter().any(|item| *needle == Cell::Str(item)))
             }
             (Builtin::Abs, [Cell::Int(i)]) => i.checked_abs().map_or(Value::Null, Value::Int),
             (Builtin::Abs, [Cell::Float(f)]) => Value::Float(f.abs()),

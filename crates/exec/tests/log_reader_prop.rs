@@ -1,0 +1,205 @@
+//! Differential test of the fused log reader: over generated tweets mutated
+//! byte by byte, member by member, and in their `hashtags` value,
+//! [`parse_log_columns`] builds exactly the columns a reader that parses
+//! each line whole ([`parse_json`]), takes the field and casts it would —
+//! every field, every cast, the same skip count — and so does an index of
+//! the lines in two runs. Cases are seeded
+//! [`DetRng`] streams; a failing assert names the seed.
+
+use miso_common::rng::DetRng;
+use miso_data::json::{parse_flat_line, parse_json, to_json};
+use miso_data::logs::{Corpus, LogsConfig};
+use miso_data::{ColBuilder, Column, DataType, Value};
+use miso_exec::col::{parse_log_columns, LogIndex};
+use miso_exec::eval::cast;
+use miso_exec::FusedField;
+
+const CASES: u64 = 3_000;
+
+/// Keys of a tweet, and one no line has.
+const KEYS: [&str; 11] = [
+    "tweet_id",
+    "user_id",
+    "ts",
+    "text",
+    "hashtags",
+    "retweets",
+    "followers",
+    "lang",
+    "city",
+    "sentiment",
+    "absent",
+];
+
+const CASTS: [Option<DataType>; 6] = [
+    None,
+    Some(DataType::Int),
+    Some(DataType::Float),
+    Some(DataType::Str),
+    Some(DataType::Bool),
+    Some(DataType::Json),
+];
+
+/// What a `hashtags` value is replaced with: lists a list column holds,
+/// and every shape that keeps it out of one.
+const HASHTAGS: [&str; 11] = [
+    "[]",
+    r#"["x", "é ✓"]"#,
+    "[null]",
+    r#"["a",1]"#,
+    r#"[["pizza"]]"#,
+    r#"["a\"b", "c"]"#,
+    r#"["café"]"#,
+    r#"{"tag": "pizza"}"#,
+    r#""pizza""#,
+    r#""esc\"aped""#,
+    "null",
+];
+
+/// Bytes a byte edit writes.
+const EDITS: [&str; 13] = [
+    "", "[", "]", "{", "}", "\"", "\\", ",", ":", " ", "1", "n", "é",
+];
+
+/// The members of a fast-path line, in line order, each value as JSON.
+fn members(line: &str) -> Option<Vec<(String, String)>> {
+    let flat = parse_flat_line(line)?;
+    let members = flat
+        .iter()
+        .map(|(k, v)| (k.to_string(), to_json(&v.to_value())));
+    Some(members.collect()).filter(|m: &Vec<_>| !m.is_empty())
+}
+
+fn object(members: &[(String, String)]) -> String {
+    let body: Vec<String> = members
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    format!("{{{}}}", body.join(", "))
+}
+
+/// `line` with one mutation applied: a byte edit, or — on a line whose
+/// members the fast path reads — a member duplicated, the members
+/// shuffled, one dropped, or `hashtags` replaced.
+fn mutate(rng: &mut DetRng, line: &str) -> String {
+    let kind = rng.below(5);
+    let Some(mut m) = members(line).filter(|_| kind > 0) else {
+        let at: Vec<usize> = line.char_indices().map(|(i, _)| i).collect();
+        let Some(&i) = at.get(rng.below(at.len().max(1) as u64) as usize) else {
+            return rng.pick(&EDITS).to_string();
+        };
+        let width = line[i..].chars().next().map_or(0, char::len_utf8);
+        let keep = if rng.chance(0.5) { width } else { 0 };
+        let edit = rng.pick(&EDITS);
+        return format!("{}{edit}{}", &line[..i + keep], &line[i + width..]);
+    };
+    match kind {
+        1 => {
+            let dup = m[rng.below(m.len() as u64) as usize].clone();
+            let at = rng.below(m.len() as u64 + 1) as usize;
+            m.insert(at, dup);
+            object(&m)
+        }
+        2 => {
+            for i in (1..m.len()).rev() {
+                m.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            object(&m)
+        }
+        3 => {
+            m.remove(rng.below(m.len() as u64) as usize);
+            object(&m)
+        }
+        _ => {
+            let tags = rng.pick(&HASHTAGS).to_string();
+            for (k, v) in &mut m {
+                if k == "hashtags" {
+                    *v = tags.clone();
+                }
+            }
+            object(&m)
+        }
+    }
+}
+
+/// The columns, and the skip count, of a reader that parses every line
+/// whole.
+fn parse_whole(lines: &[String], fields: &[FusedField<'_>]) -> (Vec<Column>, u64) {
+    let mut builders: Vec<ColBuilder> = fields.iter().map(|_| ColBuilder::new()).collect();
+    let mut skipped = 0;
+    for line in lines {
+        let Ok(doc) = parse_json(line) else {
+            skipped += 1;
+            continue;
+        };
+        for (f, b) in fields.iter().zip(&mut builders) {
+            let field = doc.get_field(f.key).cloned().unwrap_or(Value::Null);
+            b.push_value(match f.ty {
+                Some(ty) => cast(field, ty),
+                None => field,
+            });
+        }
+    }
+    (
+        builders.into_iter().map(ColBuilder::finish).collect(),
+        skipped,
+    )
+}
+
+#[test]
+fn fused_reader_is_parse_then_cast() {
+    let corpus = Corpus::generate(&LogsConfig::tiny());
+    let tweets = &corpus.twitter.lines[..64];
+    let fields: Vec<FusedField<'_>> = KEYS
+        .iter()
+        .flat_map(|key| CASTS.map(|ty| FusedField { key, ty }))
+        .collect();
+    let (mut lists, mut skipped_total) = (0, 0);
+    for seed in 0..CASES {
+        let mut rng = DetRng::new(0x10c5_0000 + seed);
+        let lines: Vec<String> = (0..1 + rng.below(6))
+            .map(|_| {
+                let line = rng.pick(tweets);
+                match rng.below(3) {
+                    0 => line.clone(),
+                    1 => mutate(&mut rng, line),
+                    _ => {
+                        let once = mutate(&mut rng, line);
+                        mutate(&mut rng, &once)
+                    }
+                }
+            })
+            .collect();
+        let (batch, skipped) = parse_log_columns(&lines, &fields).expect("the lines parse");
+        let (want, want_skipped) = parse_whole(&lines, &fields);
+        assert_eq!(skipped, want_skipped, "seed {seed}: {lines:?}");
+        assert_eq!(batch.len() as u64 + skipped, lines.len() as u64);
+        for ((f, got), want) in fields.iter().zip(batch.columns()).zip(&want) {
+            // Debug forms tell NaN payloads and signed zeros apart.
+            let same = **got == *want || format!("{got:?}") == format!("{want:?}");
+            assert!(
+                same,
+                "seed {seed}, {f:?}: {got:?} vs {want:?} over {lines:?}"
+            );
+        }
+        // Indexed as two runs, cut anywhere: the same columns.
+        let cut = rng.below(lines.len() as u64 + 1) as usize;
+        let mut runs = LogIndex::build(&lines[..cut]).expect("the head indexes");
+        runs.append(&LogIndex::build(&lines[cut..]).expect("the tail indexes"));
+        let split = runs.columns(&lines, &fields).expect("the runs read");
+        assert!(
+            split == batch || format!("{split:?}") == format!("{batch:?}"),
+            "seed {seed}"
+        );
+        lists += usize::from(matches!(
+            *batch.columns()[4 * CASTS.len()],
+            Column::StrList(..)
+        ));
+        skipped_total += skipped;
+    }
+    // The mutations reach both the list column and malformed lines.
+    assert!(
+        lists > 0 && skipped_total > 0,
+        "{lists} lists, {skipped_total} skipped"
+    );
+}

@@ -328,7 +328,8 @@ pub struct ServeEngine {
     breaker: CircuitBreaker,
     backoff_rng: DetRng,
     banned: BTreeSet<String>,
-    oracle: HashMap<String, (u64, Checksum)>,
+    /// Per plan index: the serial answer's row count and checksum.
+    oracle: HashMap<usize, (u64, Checksum)>,
     history: Vec<LogicalPlan>,
     harvest: Vec<miso_core::HarvestCandidate>,
     harvest_seen: BTreeSet<String>,
@@ -778,8 +779,7 @@ impl ServeEngine {
     }
 
     fn oracle_for(&mut self, plan_idx: usize) -> (u64, Checksum) {
-        let label = self.plans[plan_idx].0.clone();
-        if let Some(hit) = self.oracle.get(&label) {
+        if let Some(hit) = self.oracle.get(&plan_idx) {
             return *hit;
         }
         // The oracle is the raw plan over base logs only — no views, no
@@ -796,7 +796,7 @@ impl ServeEngine {
             // confuse with a real match by using an empty sentinel.
             Err(_) => (u64::MAX, Checksum(0)),
         };
-        self.oracle.insert(label, entry);
+        self.oracle.insert(plan_idx, entry);
         entry
     }
 

@@ -12,8 +12,10 @@
 //! * **No faults.** Base runs are computed with chaos suspended; the engine
 //!   polls the fail points per dispatch and lays the resulting cost/kill
 //!   envelope over the cached base run.
-//! * **A memo.** A snapshot is immutable, so (label, banned views, hv-only)
+//! * **A memo.** A snapshot is immutable, so (plan, banned views, hv-only)
 //!   fixes the base run: 32 templates cost 32 real executions per epoch.
+//!   The plan is keyed by its fingerprint beside the caller's label, so two
+//!   templates that share a label never share a run.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -98,7 +100,8 @@ impl SnapExecutor {
         hv_only: bool,
     ) -> Result<Arc<BaseRun>> {
         let banned_fp = fnv1a_words(banned.iter().map(|n| fnv1a_str(n)));
-        let key = (snap.epoch, fnv1a_str(label), banned_fp, hv_only);
+        let plan_fp = fnv1a_words([fnv1a_str(label), raw.fingerprint(raw.root()).0]);
+        let key = (snap.epoch, plan_fp, banned_fp, hv_only);
         if let Some(hit) = self.memo.get(&key) {
             return Ok(hit.clone());
         }

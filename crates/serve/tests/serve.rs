@@ -226,6 +226,27 @@ fn sweep_engine() -> ServeEngine {
     ServeEngine::new(sweep_config(), sys, queries(), UdfRegistry::new())
 }
 
+/// Templates that share a label are still distinct templates: each has its
+/// own base runs and its own oracle, so giving all four one label serves
+/// exactly what distinct labels do — and a shared answer would show as a
+/// wrong one.
+#[test]
+fn templates_sharing_a_label_keep_their_own_answers() {
+    let _chaos = chaos_guard();
+    miso_chaos::disable();
+    let control = sweep_engine().run();
+    let relabelled = queries()
+        .into_iter()
+        .map(|(_, plan)| ("q".to_string(), plan));
+    let relabelled = relabelled.collect();
+    let sys = tiny_system(100_000);
+    let report = ServeEngine::new(sweep_config(), sys, relabelled, UdfRegistry::new()).run();
+    assert_eq!(control.wrong_answers, 0);
+    assert_eq!(report.wrong_answers, 0);
+    assert_eq!(report.base_runs, control.base_runs);
+    assert_eq!(report.delivered, control.delivered);
+}
+
 /// Deterministic interleaving sweep: crash the reorg at every individual
 /// step (chaos `reorg.step=crash@n{k}` fires on exactly the k-th step) while
 /// the engine is serving. Whatever the interleaving, every delivered answer

@@ -1,16 +1,17 @@
 //! Allocation budget: running a plan allocates per morsel and per column,
 //! never per cell. A counting global allocator measures one execution at
 //! 2 000 and at 20 000 input rows; the larger may allocate at most
-//! [`SLACK`] more times. Both cases would allocate once or more per string
-//! cell or per row if a string column held one heap string per slot, or if
-//! a UDF's input row were built afresh for every call.
+//! [`SLACK`] more times. The cases would allocate once or more per string
+//! cell or per row if a string column held one heap string per slot, if a
+//! UDF's input row were built afresh for every call, or if a JSON array of
+//! strings were kept as a tree per line.
 //!
 //! The test binary holds this one test, and the engine runs on one thread,
 //! so every allocation counted is the execution's own.
 
 use miso::common::ids::NodeId;
 use miso::common::{pool, MisoError, QueryGuard};
-use miso::data::{ColBatch, DataType, Field, Row, Schema, Value};
+use miso::data::{ColBatch, Column, DataType, Field, Row, Schema, Value};
 use miso::exec::col::parse_log_columns;
 use miso::exec::{
     execute_subset_guarded, DataSource, FusedField, LogColumns, MemSource, Retention, Udf,
@@ -125,10 +126,27 @@ fn filter_join(rows: usize) -> (LogicalPlan, MemSource) {
 }
 
 /// A log whose columns were parsed once, as a store's warm log image serves
-/// them: a fused scan of it copies nothing and parses nothing.
+/// them: a fused scan of its `keys` copies nothing and parses nothing.
 struct Image {
     lines: Vec<String>,
+    keys: &'static [&'static str],
     columns: ColBatch,
+}
+
+impl Image {
+    /// The image of `lines`' bare `keys`, parsed by the fused reader.
+    fn parse(lines: Vec<String>, keys: &'static [&'static str]) -> Image {
+        let fields: Vec<FusedField> = keys
+            .iter()
+            .map(|key| FusedField { key, ty: None })
+            .collect();
+        let (columns, _) = parse_log_columns(&lines, &fields).expect("the lines parse");
+        Image {
+            lines,
+            keys,
+            columns,
+        }
+    }
 }
 
 impl DataSource for Image {
@@ -141,7 +159,9 @@ impl DataSource for Image {
     }
 
     fn log_columns(&self, _: &str, fields: &[FusedField<'_>]) -> miso::common::Result<LogColumns> {
-        assert_eq!(fields, DECLARED.map(|key| FusedField { key, ty: None }));
+        let keys: Vec<&str> = fields.iter().map(|f| f.key).collect();
+        assert_eq!(keys, self.keys);
+        assert!(fields.iter().all(|f| f.ty.is_none()));
         Ok(LogColumns {
             batch: self.columns.clone(),
             skipped_lines: 0,
@@ -167,9 +187,7 @@ fn fused_udf(rows: usize) -> (LogicalPlan, Image, UdfRegistry) {
             )
         })
         .collect();
-    let fields = DECLARED.map(|key| FusedField { key, ty: None });
-    let (columns, _) = parse_log_columns(&lines, &fields).expect("the lines parse");
-    let src = Image { lines, columns };
+    let src = Image::parse(lines, &DECLARED);
     let output = Schema::new(vec![field("score", DataType::Int)]);
     let mut udfs = UdfRegistry::new();
     let nothing = Arc::new(|_: &Row| Ok(Vec::new()));
@@ -187,6 +205,37 @@ fn fused_udf(rows: usize) -> (LogicalPlan, Image, UdfRegistry) {
     (b.finish(udf).unwrap(), src, udfs)
 }
 
+/// Case 3: a fused scan of a log whose `tags` field is a JSON array of
+/// strings — empty now and then, non-ASCII now and then — filtered on
+/// `array_contains(tags, 'pizza')`: the reader keeps the arrays as one list
+/// column, the filter asks it in place and gathers half its rows.
+fn list_filter(rows: usize) -> (LogicalPlan, Image) {
+    let tags = [
+        r#"["pizza", "café"]"#,
+        "[]",
+        r#"["coffee"]"#,
+        r#"["東京", "x", "pizza"]"#,
+    ];
+    let lines = (0..rows).map(|i| format!(r#"{{"id": {i}, "tags": {}}}"#, tags[i % 4]));
+    let src = Image::parse(lines.collect(), &["tags"]);
+    assert!(matches!(src.columns.col(0), Column::StrList(..)));
+    let mut b = PlanBuilder::new();
+    let scan = Operator::ScanLog {
+        log: "tweets".into(),
+    };
+    let scan = b.add(scan, vec![]).unwrap();
+    let project = Operator::Project {
+        exprs: vec![("tags".into(), Expr::col(0).get("tags"))],
+    };
+    let project = b.add(project, vec![scan]).unwrap();
+    let pizza = Expr::Func {
+        name: "array_contains".into(),
+        args: vec![Expr::col(0), Expr::lit("pizza")],
+    };
+    let filter = b.add(Operator::Filter { predicate: pizza }, vec![project]);
+    (b.finish(filter.unwrap()).unwrap(), src)
+}
+
 #[test]
 fn allocations_do_not_grow_with_rows() {
     pool::set_threads(1);
@@ -200,7 +249,15 @@ fn allocations_do_not_grow_with_rows() {
         let (plan, src, udfs) = fused_udf(rows);
         allocations(&plan, &src, &udfs)
     };
-    let cases: [(&str, &dyn Fn(usize) -> u64); 2] = [("filter → join", &join), ("fused UDF", &udf)];
+    let lists = |rows| {
+        let (plan, src) = list_filter(rows);
+        allocations(&plan, &src, &none)
+    };
+    let cases: [(&str, &dyn Fn(usize) -> u64); 3] = [
+        ("filter → join", &join),
+        ("fused UDF", &udf),
+        ("list filter", &lists),
+    ];
     for (what, count) in cases {
         let (small, large) = (count(2_000), count(20_000));
         assert!(
