@@ -278,12 +278,10 @@ fn fig3(h: &Harness) -> Figure {
         }
     }
     let explained = xrays.iter().map(|x| x.to_value()).collect();
-    let calibration = stream.calibrations.iter().map(|c| c.to_value()).collect();
     let report = obj([
         ("profiles", Value::Array(profiles)),
         ("ms_miso_stream", tti_value(&stream)),
         ("explain_analyze", Value::Array(explained)),
-        ("calibration", Value::Array(calibration)),
     ]);
     Figure {
         observed: observed.0,

@@ -15,7 +15,7 @@
 //! * [`budget`] — the tuner's storage/transfer budget types.
 //! * [`retry`] — exponential backoff + jitter and per-store circuit
 //!   breakers over simulated time.
-//! * [`env`] — the one grammar of the boolean `MISO_*` environment flags.
+//! * [`mod@env`] — the one grammar of the boolean `MISO_*` environment flags.
 //! * [`prehash`] — hash maps keyed by digests, which need no SipHash.
 //! * [`pool`] — the miso-par scoped worker pool (`MISO_THREADS`) with a
 //!   deterministic-ordering batch primitive for the tuner's what-if probes.

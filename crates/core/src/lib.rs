@@ -25,7 +25,6 @@
 //! quarantine/repair loop in [`system`].
 
 pub mod audit;
-pub mod calibration;
 pub mod etl;
 pub mod knapsack;
 pub mod maintenance;
@@ -37,7 +36,6 @@ pub mod tuner;
 pub mod variants;
 
 pub use audit::{AuditConfig, AuditMode, AuditReport};
-pub use calibration::{CalibrationAccumulator, CalibrationReport};
 pub use knapsack::{m_knapsack, PackItem, PackResult};
 pub use maintenance::{MaintAction, MaintDecision, MaintenancePolicy, MaintenanceReport};
 pub use metrics::{ExperimentResult, QueryFailure, QueryRecord, TtiBreakdown};

@@ -183,10 +183,6 @@ pub struct ExperimentResult {
     pub reorgs: Vec<ReorgRecord>,
     /// Accumulated TTI breakdown.
     pub tti: TtiBreakdown,
-    /// Per-epoch predicted-vs-actual calibration reports (one per
-    /// reorganization boundary plus one for the tail of the stream; empty
-    /// for variants that never execute split plans).
-    pub calibrations: Vec<crate::calibration::CalibrationReport>,
     /// Queries the guard layer terminated (always empty when guards are
     /// disabled).
     pub failures: Vec<QueryFailure>,

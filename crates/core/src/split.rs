@@ -79,8 +79,8 @@ impl Stores<'_> {
 
 /// Places `raw` across the stores, reading only the views `usable` admits.
 /// Normally the optimizer chooses, against the design of the usable views,
-/// and the stats it saw come back too (the driver's calibration compares
-/// them with what ran). With `hv_only` — DW is unhealthy, or the variant
+/// and the stats it saw come back too (EXPLAIN ANALYZE estimates the plan's
+/// node sizes over them). With `hv_only` — DW is unhealthy, or the variant
 /// never uses it — `raw` is rewritten over the usable HV-resident views and
 /// every node placed in HV, nothing estimated. That cannot fail: HV holds
 /// the base logs, so even the un-rewritten plan is feasible.

@@ -12,7 +12,6 @@
 //! and tuning policies.
 
 use crate::audit::AuditConfig;
-use crate::calibration::{op_class, CalibrationAccumulator};
 use crate::etl::{rewrite_for_dw, run_etl, DEFAULT_ETL_OVERHEAD};
 use crate::metrics::{ExperimentResult, QueryFailure, QueryRecord, ReorgRecord, TtiBreakdown};
 use crate::reorg::{stage_name, JournalEntry, ReorgJournal, ReorgPlan, MAX_REORG_RECOVERIES};
@@ -31,9 +30,9 @@ use miso_data::{checksum_batch, ColBatch, StoredView};
 use miso_dw::{BackgroundSim, DwActivity, DwStore, TableSpace};
 use miso_exec::{OpProfile, UdfRegistry};
 use miso_hv::HvStore;
-use miso_optimizer::cost::{CostBreakdown, TransferModel};
+use miso_optimizer::cost::TransferModel;
 use miso_optimizer::optimize::{Design, PlannedQuery};
-use miso_plan::estimate::{estimate_plan, MapStats, SizeEstimate};
+use miso_plan::estimate::{estimate_plan, MapStats};
 use miso_plan::LogicalPlan;
 use miso_views::ViewCatalog;
 use miso_xray::QueryXray;
@@ -92,7 +91,7 @@ pub struct SystemConfig {
     pub growth: Option<GrowthConfig>,
 }
 
-/// Streaming-growth schedule for [`MultistoreSystem::run_stream`].
+/// Streaming-growth schedule for `MultistoreSystem::run_stream`.
 #[derive(Debug, Clone)]
 pub struct GrowthConfig {
     /// Which base log grows.
@@ -181,9 +180,9 @@ struct PlacedRun {
     record: QueryRecord,
     /// The placement that ran; its `used_views` moved into `record`.
     planned: PlannedQuery,
-    /// Per-node size estimates from the stats the optimizer saw (empty for
-    /// an HV-only placement, which estimates nothing).
-    estimates: HashMap<NodeId, SizeEstimate>,
+    /// The stats the optimizer placed it with (`None` for an HV-only
+    /// placement, which estimates nothing).
+    stats: Option<MapStats>,
     hv: Option<miso_hv::HvRun>,
     dw: Option<miso_dw::DwRun>,
 }
@@ -214,8 +213,6 @@ pub struct MultistoreSystem {
     /// Rotating scrub position over the sorted catalog (the auditor
     /// resumes where the previous epoch's scrub budget ran out).
     pub(crate) scrub_cursor: usize,
-    /// Predicted-vs-actual drift accumulated since the last epoch boundary.
-    calibration: CalibrationAccumulator,
     /// The guard of the query currently executing (inert between queries
     /// and whenever the guard layer is off). Store calls clone it — an
     /// `Arc` bump — and pass it down into the vex engine.
@@ -275,7 +272,6 @@ impl MultistoreSystem {
             retry_rng: DetRng::new(0x5245_5452),
             last_reorg_journal: None,
             scrub_cursor: 0,
-            calibration: CalibrationAccumulator::new(),
             active_guard: QueryGuard::inert(),
             guard_breaker,
             inflight: 0,
@@ -328,12 +324,6 @@ impl MultistoreSystem {
         &self.tuner
     }
 
-    /// The live predicted-vs-actual drift accumulator (since the last
-    /// epoch boundary).
-    pub fn calibration(&self) -> &CalibrationAccumulator {
-        &self.calibration
-    }
-
     /// EXPLAIN ANALYZE: runs `raw` the way the MS-MISO stream would run it
     /// next — same placement, same stores, same by-products, so its
     /// [`QueryRecord`] is the stream's — and joins what the optimizer
@@ -366,7 +356,9 @@ impl MultistoreSystem {
             dw: &self.dw.cost_model,
             transfer: &self.transfer,
         };
-        let xray = miso_xray::analyze(label, &ran.planned, &ran.estimates, &profiles, &models);
+        let estimate = |stats: &MapStats| estimate_plan(&ran.planned.plan, stats);
+        let estimates = ran.stats.as_ref().map(estimate).unwrap_or_default();
+        let xray = miso_xray::analyze(label, &ran.planned, &estimates, &profiles, &models);
         Ok((ran.record, xray))
     }
 
@@ -606,9 +598,6 @@ impl MultistoreSystem {
                         .cloned()
                         .collect()
                 };
-                // Close the epoch's drift window at the boundary.
-                let calib = self.calibration.epoch_report(i / self.config.reorg_every);
-                result.calibrations.push(calib);
                 let reorg = self.reorg_now(&window, clock)?;
                 result.tti.tune += reorg.duration;
                 result.reorgs.push(reorg);
@@ -682,14 +671,6 @@ impl MultistoreSystem {
 
             history.push(raw.clone());
             result.records.push(record);
-        }
-        // Drain the tail-of-stream window (also the only window for
-        // variants that never reorganize).
-        let tail = self
-            .calibration
-            .epoch_report(queries.len().div_ceil(self.config.reorg_every.max(1)));
-        if tail.hv.samples > 0 || tail.transfer.samples > 0 || tail.dw.samples > 0 {
-            result.calibrations.push(tail);
         }
         Ok(())
     }
@@ -983,32 +964,6 @@ impl MultistoreSystem {
             self.harvest_views(plan, run, qid);
         }
 
-        // Predicted-vs-actual drift, where the optimizer predicted (an
-        // HV-only placement has no estimate). "Actual" store times are the
-        // simulated costs charged over real executed sizes, so this
-        // comparison isolates estimation error and stays deterministic.
-        let mut estimates = HashMap::new();
-        if let Some(stats) = &stats {
-            let actual_cost = CostBreakdown {
-                hv: hv_time,
-                transfer: transfer_time,
-                dw: dw_time,
-            };
-            self.calibration.record_query(&planned.est, &actual_cost);
-            estimates = estimate_plan(plan, stats);
-            // A cut node is in both runs, with the one row count.
-            let rows_out = |id| {
-                let hv = hv_run.as_ref().and_then(|run| run.execution.rows_out(id));
-                hv.or_else(|| dw_run.as_ref().and_then(|run| run.execution.rows_out(id)))
-            };
-            for node in plan.nodes() {
-                if let (Some(act), Some(est)) = (rows_out(node.id), estimates.get(&node.id)) {
-                    self.calibration
-                        .record_rows(op_class(&node.op), est.rows, act);
-                }
-            }
-        }
-
         for v in &planned.used_views {
             self.lru_touch(v);
         }
@@ -1046,7 +1001,7 @@ impl MultistoreSystem {
         Ok(PlacedRun {
             record,
             planned,
-            estimates,
+            stats,
             hv: hv_run,
             dw: dw_run,
         })

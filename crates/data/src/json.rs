@@ -495,7 +495,7 @@ fn lex_str_items<'a>(
 }
 
 /// The items of `raw`, an array's text, into `items` when every item is a
-/// string [`lex_simple_str`] reads: what lets a reader keep such an array as
+/// string `lex_simple_str` reads: what lets a reader keep such an array as
 /// strings instead of building its tree. `Some` implies
 /// `parse_json(raw) == Ok(Value::Array(items as Value::Str))`. `None` for
 /// anything else — an escape, a number, a `null`, a nested container — with
@@ -643,7 +643,7 @@ fn walk_flat_line<'a>(
 /// Zero-copy fast parse of one JSON object line — the shape of every
 /// generated log record: `{"key": value, ...}` with no string escapes at
 /// the top level. A nested array or object is walked in place but not
-/// built — an array of plain strings by [`lex_str_items`], anything else by
+/// built — an array of plain strings by `lex_str_items`, anything else by
 /// the strict parser (escapes, depth cap and all): it comes back as
 /// [`FlatVal::Nested`], its raw text, and costs a tree only if that field
 /// is asked for and is not such an array.

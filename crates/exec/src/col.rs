@@ -1,7 +1,7 @@
 //! Columnar (vectorized) execution support for the morsel engine.
 //!
 //! This module is the expression half of miso-col: a morsel-at-a-time
-//! expression evaluator ([`eval_vec`]) that covers the whole [`Expr`] enum
+//! expression evaluator (`eval_vec`) that covers the whole [`Expr`] enum
 //! and produces [`Column`] vectors instead of per-row [`Value`]s, and the
 //! fused scan+project reader ([`LogIndex`]) that turns raw JSON log lines
 //! straight into typed column vectors. The operator bodies live in
@@ -9,7 +9,7 @@
 //! accumulator machinery.
 //!
 //! **Typed arms**: a kernel reads the variant of the vectors it is handed
-//! once per morsel ([`Typed`]) and, when they are typed, works on their
+//! once per morsel (`Typed`) and, when they are typed, works on their
 //! payloads — a comparison of Int/Float/Str/Bool vectors or literals writes
 //! a `Bool` column, AND/OR combine two `Bool` vectors, a filter selects off
 //! a `Bool` vector, and `array_contains` of a literal reads a list column's
@@ -18,10 +18,10 @@
 //!
 //! **Semantics contract**: every path here must agree bit-for-bit with the
 //! scalar evaluator in [`crate::eval`]. A typed arm compares the [`Cell`]s
-//! its payloads stand for ([`Scalar`]), so it is `Value::cmp` — `cmp_f64`,
+//! its payloads stand for (`Scalar`), so it is `Value::cmp` — `cmp_f64`,
 //! `3 = 3.0`, NULL in gives NULL out — by construction; the per-cell arm
 //! routes through the shared scalar kernels `eval_binary`/`eval_unary`/
-//! `cast`, and a builtin has one body, [`Builtin::call`], which both
+//! `cast`, and a builtin has one body, `Builtin::call`, which both
 //! evaluators call on borrowed cells. AND/OR reproduce the scalar
 //! short-circuit: the right side is evaluated only at positions where the
 //! left side did not decide, so a plan whose right branch would error

@@ -32,7 +32,7 @@
 //! so every operator's output — including `skipped_lines` accounting and the
 //! first error surfaced — is byte-identical for any thread count.
 //! Aggregations fold per-morsel partial accumulators and merge them serially
-//! in morsel order ([`Acc::merge`]), which pins even float-summation
+//! in morsel order (`Acc::merge`), which pins even float-summation
 //! grouping to the morsel structure rather than the schedule. Join keys and
 //! group keys are hashed once per row to a `u64` (FNV-1a via
 //! `miso_plan::fingerprint`, a typed join key on its payload; collision-checked

@@ -1,8 +1,8 @@
 //! Incremental aggregate maintenance state.
 //!
 //! The engine aggregates morsel by morsel: every [`MORSEL_SIZE`] input rows
-//! fold into a partial [`GroupTable`], and the partials merge serially, in
-//! morsel order, into one global table ([`GroupTable::absorb`]) — so the
+//! fold into a partial `GroupTable`, and the partials merge serially, in
+//! morsel order, into one global table (`GroupTable::absorb`) — so the
 //! result, float summation grouping included, is a function of the input
 //! rows and the fixed morsel structure only. [`AggState`] keeps that
 //! structure *alive* between refreshes:
@@ -12,7 +12,7 @@
 //!   count.
 //!
 //! An append-only delta folds into `open` through the engine's own morsel
-//! kernel ([`fold_morsel`]), cut where `open` reaches [`MORSEL_SIZE`] rows;
+//! kernel (`fold_morsel`), cut where `open` reaches [`MORSEL_SIZE`] rows;
 //! then it merges into `closed` exactly as the engine merges that morsel,
 //! and a fresh one opens. A group's output row is
 //! `closed ⊕ open` — the merge the engine would do next. The fold therefore
@@ -30,7 +30,7 @@
 //!
 //! The int-vs-float `SUM` decision is replayed exactly too: the engine
 //! scans the input in row order and decides from the first `Int`/`Float`
-//! value ([`first_numeric_is_float`]). The state carries `None` per `SUM` while no
+//! value (`first_numeric_is_float`). The state carries `None` per `SUM` while no
 //! numeric value has appeared and settles it against each delta the way
 //! the engine would against the grown input.
 
@@ -146,7 +146,7 @@ impl AggState {
 
     /// Folds one delta (the aggregate's delta-input rows, in order) into
     /// the state and reports exactly which output rows changed. The delta
-    /// folds through the engine's own kernel ([`fold_morsel`]), in pieces cut
+    /// folds through the engine's own kernel (`fold_morsel`), in pieces cut
     /// where the engine's morsels of the grown input end.
     pub fn apply(
         &mut self,

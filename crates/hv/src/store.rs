@@ -166,7 +166,7 @@ impl LogImage {
 
 /// One batch of lines on its way into a base log: a batch-sized image with
 /// the same lazily filled token index and `(field, cast) → column` cache a
-/// [`LogImage`] has, plus the object rows unfused scans read.
+/// `LogImage` has, plus the object rows unfused scans read.
 /// [`HvStore::append_log`] extends the log's index and kept columns from it
 /// and every view's delta plan scans it, so the batch is tokenized once and
 /// each field of it read at most once, whoever asks first. It borrows the

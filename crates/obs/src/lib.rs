@@ -9,7 +9,7 @@
 //!
 //! Three pillars:
 //!
-//! 1. **Span/event tracing** ([`span`], [`instant`], [`sink`]): RAII
+//! 1. **Span/event tracing** ([`fn@span`], [`instant`], [`sink`]): RAII
 //!    [`Span`] guards carrying monotonic wall timestamps plus optional
 //!    *simulated* timestamps, emitted to a pluggable [`Sink`] — a
 //!    lock-free-ish in-memory [`RingSink`], a [`JsonlSink`] writing one JSON

@@ -21,7 +21,7 @@
 //! across processes and platforms, which keeps view names reproducible.
 //!
 //! A [`LogicalPlan`] digests its arena once, when it is built, and carries
-//! the result ([`Digests`]) to every plan derived from it whose nodes keep
+//! the result (`Digests`) to every plan derived from it whose nodes keep
 //! their meaning; [`fingerprint_nodes`] recomputes from scratch.
 
 use crate::expr::{AggExpr, BinOp, Expr};

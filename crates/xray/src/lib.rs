@@ -4,7 +4,7 @@
 //!
 //! * what the optimizer **predicted** — the per-node size estimates and the
 //!   [`CostBreakdown`] from the exact what-if path the tuner costs designs
-//!   with ([`miso_optimizer::optimize`]);
+//!   with ([`fn@miso_optimizer::optimize`]);
 //! * what the engine **measured** — the [`OpProfile`] its driver loop keeps
 //!   of every node of every run (wall time, rows in/out, morsels, parallel
 //!   fraction, whether a log scan fused into its consumer and over which
@@ -13,8 +13,7 @@
 //! Nothing runs differently to produce one: the caller hands [`analyze`] the
 //! records of a run that has already happened. [`explain_analyze`] renders the annotated tree (the multistore analogue
 //! of `EXPLAIN ANALYZE`); [`QueryXray::to_value`] emits the same data as
-//! JSON for `results/<bin>.report.json`. Store-level drift accounting built
-//! on these artifacts lives in `miso_core::calibration`.
+//! JSON for `results/<bin>.report.json`.
 
 use miso_common::ids::NodeId;
 use miso_common::SimDuration;

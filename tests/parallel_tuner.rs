@@ -649,8 +649,8 @@ fn memo_entries_live_exactly_as_long_as_their_inputs() {
     assert!(on_foursquare.costed > 0, "{on_foursquare:?}");
 }
 
-/// Every constant of the HV, DW and transfer models — the ones cost
-/// calibration rescales included — flushes the memo when it changes.
+/// Every constant of the HV, DW and transfer models flushes the memo when
+/// it changes.
 #[test]
 fn any_model_constant_change_flushes_the_memo() {
     let (plans, catalog, s, hv) = universe();

@@ -1,6 +1,6 @@
 //! miso-xray integration tests: the per-operator records every run keeps,
 //! their thread-count invariance, EXPLAIN ANALYZE as a call, "looking changes
-//! nothing", and drift calibration that observes without touching a model.
+//! nothing", the estimates an xray shows, and a run that writes no model.
 //!
 //! The worker pool, the obs sink and the chaos plan are process-global, so
 //! every test serializes on one lock, keeping the default parallel test
@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use miso::common::{pool, Budgets, ByteSize, SimDuration};
-use miso::core::{ExperimentResult, GuardConfig, MultistoreSystem, SystemConfig, Variant};
+use miso::core::{split, ExperimentResult, GuardConfig, MultistoreSystem, SystemConfig, Variant};
 use miso::data::logs::{Corpus, LogsConfig};
 use miso::data::{DataType, Field, Row, Schema, Value};
 use miso::dw::DwCostModel;
@@ -18,6 +18,7 @@ use miso::exec::engine::execute;
 use miso::exec::{execute_serial, MemSource, OpProfile, Udf, UdfRegistry};
 use miso::hv::HvCostModel;
 use miso::lang::compile;
+use miso::plan::estimate::estimate_plan;
 use miso::plan::{AggExpr, AggFunc, BinOp, Expr, LogicalPlan, Operator, PlanBuilder};
 use miso::workload::{compile_workload, standard_udfs, workload_catalog};
 use miso::xray::QueryXray;
@@ -609,15 +610,14 @@ fn xray_shows_what_ran() {
     assert_eq!(per_width[0], per_width[1], "1 vs 8 threads");
 }
 
-/// A full run — drift accumulation included — leaves the cost models
-/// bit-identical to `paper_default`, and per-epoch calibration reports are
-/// emitted.
+/// A full run leaves the cost models bit-identical to `paper_default`:
+/// nothing a run measures is written back into a model.
 #[test]
-fn calibration_off_leaves_cost_models_untouched() {
+fn a_run_leaves_cost_models_untouched() {
     let _g = lock();
     let corpus = tiny_corpus();
 
-    let (sys, result) = run_with(config(), &corpus);
+    let (sys, _) = run_with(config(), &corpus);
 
     assert_hv_model_eq(
         &sys.hv.cost_model,
@@ -629,38 +629,29 @@ fn calibration_off_leaves_cost_models_untouched() {
         &DwCostModel::paper_default(),
         "after a run",
     );
-    assert!(!result.calibrations.is_empty(), "drift reports are emitted");
-    for report in &result.calibrations {
-        assert!(report.hv.samples > 0 || report.dw.samples > 0);
-    }
 }
 
-/// The drift gauges land in metrics snapshots when observability is on.
+/// The estimates an xray shows are `estimate_plan` over the stats the
+/// placement saw: a fresh system's `split::place` of `A1v1`, estimated by
+/// hand, gives every node of another fresh system's EXPLAIN ANALYZE tree its
+/// `est_rows` and `est_bytes`, bit for bit.
 #[test]
-fn drift_gauges_appear_in_metrics_snapshot() {
+fn xray_estimates_are_those_of_the_placement() {
     let _g = lock();
     let corpus = tiny_corpus();
+    let (label, raw) = a1v1();
 
-    miso_obs::init(ObsConfig::ring(4096));
-    miso_obs::reset_metrics();
-    let (_sys, result) = run_with(config(), &corpus);
-    let snap = miso_obs::snapshot();
-    miso_obs::init(ObsConfig::disabled());
+    let placer = fresh_system(&corpus);
+    let (planned, stats) = split::place(placer.stores(), &raw, |_| true, false).unwrap();
+    let stats = stats.expect("a split placement estimates");
+    let want = estimate_plan(&planned.plan, &stats);
 
-    for gauge in [
-        "xray.cost_drift_hv",
-        "xray.cost_drift_transfer",
-        "xray.cost_drift_dw",
-    ] {
-        assert!(
-            snap.gauges.contains_key(gauge),
-            "missing gauge {gauge}; have {:?}",
-            snap.gauges.keys().collect::<Vec<_>>()
-        );
+    let mut sys = fresh_system(&corpus);
+    let (_, x) = sys.explain_analyze(&label, &raw).unwrap();
+    assert_eq!(x.nodes.len(), want.len());
+    for n in &x.nodes {
+        let est = want[&n.id];
+        assert_eq!(n.est_rows.to_bits(), est.rows.to_bits(), "{}", n.label);
+        assert_eq!(n.est_bytes.to_bits(), est.bytes.to_bits(), "{}", n.label);
     }
-    assert!(!result.calibrations.is_empty());
-    let report = &result.calibrations[0];
-    let v = report.to_value();
-    assert!(v.get_field("hv").is_some());
-    assert!(v.get_field("classes").is_some());
 }
