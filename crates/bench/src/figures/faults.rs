@@ -631,7 +631,6 @@ pub(super) fn servebench(h: &Harness) -> Figure {
             shed_cooldown: max_service,
         },
         hog_factor: 8.0,
-        ..ServeConfig::standard()
     };
     let storm = under(&storm_spec(2_000, true), || engine(h, storm_cfg).run());
     writeln!(

@@ -54,70 +54,9 @@ impl Budgets {
         Ok(())
     }
 
-    /// `B_h` in discrete units (rounded down — capacity never rounds up).
-    pub fn hv_units(&self) -> u64 {
-        self.hv_storage.as_bytes() / self.discretization.as_bytes()
-    }
-
-    /// `B_d` in discrete units.
-    pub fn dw_units(&self) -> u64 {
-        self.dw_storage.as_bytes() / self.discretization.as_bytes()
-    }
-
-    /// `B_t` in discrete units.
+    /// `B_t` in discrete units (rounded down — capacity never rounds up).
     pub fn transfer_units(&self) -> u64 {
         self.transfer.as_bytes() / self.discretization.as_bytes()
-    }
-}
-
-/// A mutable budget that tracks remaining capacity in discrete units.
-///
-/// Used while *applying* a computed design: the execution layer debits
-/// transferred view sizes against the reorganization's transfer budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiscretizedBudget {
-    unit: ByteSize,
-    remaining_units: u64,
-}
-
-impl DiscretizedBudget {
-    /// A budget of `total` bytes discretized at `unit` (capacity rounds down).
-    pub fn new(total: ByteSize, unit: ByteSize) -> Self {
-        assert!(!unit.is_zero(), "discretization unit must be non-zero");
-        DiscretizedBudget {
-            unit,
-            remaining_units: total.as_bytes() / unit.as_bytes(),
-        }
-    }
-
-    /// Remaining capacity in units.
-    pub fn remaining_units(&self) -> u64 {
-        self.remaining_units
-    }
-
-    /// Remaining capacity in bytes.
-    pub fn remaining_bytes(&self) -> ByteSize {
-        ByteSize::from_bytes(self.remaining_units * self.unit.as_bytes())
-    }
-
-    /// Whether an item of `size` bytes fits.
-    pub fn fits(&self, size: ByteSize) -> bool {
-        size.units_ceil(self.unit) <= self.remaining_units
-    }
-
-    /// Debits an item; returns `false` (and debits nothing) if it doesn't fit.
-    pub fn debit(&mut self, size: ByteSize) -> bool {
-        let units = size.units_ceil(self.unit);
-        if units > self.remaining_units {
-            return false;
-        }
-        self.remaining_units -= units;
-        true
-    }
-
-    /// Credits capacity back (e.g. a view evicted mid-application).
-    pub fn credit(&mut self, size: ByteSize) {
-        self.remaining_units += size.units_ceil(self.unit);
     }
 }
 
@@ -131,10 +70,8 @@ mod tests {
 
     #[test]
     fn budgets_units_round_down() {
-        let b = Budgets::new(gib(3) + ByteSize::from_mib(512), gib(2), gib(1));
-        assert_eq!(b.hv_units(), 3);
-        assert_eq!(b.dw_units(), 2);
-        assert_eq!(b.transfer_units(), 1);
+        let b = Budgets::new(gib(2), gib(2), gib(3) + ByteSize::from_mib(512));
+        assert_eq!(b.transfer_units(), 3);
     }
 
     #[test]
@@ -142,33 +79,5 @@ mod tests {
         let b = Budgets::new(gib(1), gib(1), gib(1)).with_discretization(ByteSize::ZERO);
         assert!(b.validate().is_err());
         assert!(Budgets::new(gib(1), gib(1), gib(1)).validate().is_ok());
-    }
-
-    #[test]
-    fn debit_and_credit_roundtrip() {
-        let mut b = DiscretizedBudget::new(gib(4), gib(1));
-        assert_eq!(b.remaining_units(), 4);
-        assert!(b.debit(ByteSize::from_mib(1500))); // ceil -> 2 units
-        assert_eq!(b.remaining_units(), 2);
-        assert!(!b.debit(gib(3)));
-        assert_eq!(b.remaining_units(), 2, "failed debit must not consume");
-        b.credit(ByteSize::from_mib(1500));
-        assert_eq!(b.remaining_units(), 4);
-    }
-
-    #[test]
-    fn fits_matches_debit() {
-        let mut b = DiscretizedBudget::new(gib(1), gib(1));
-        assert!(b.fits(gib(1)));
-        assert!(!b.fits(gib(1) + ByteSize::from_bytes(1)));
-        assert!(b.debit(gib(1)));
-        assert!(!b.fits(ByteSize::from_bytes(1)));
-    }
-
-    #[test]
-    fn remaining_bytes_reflects_units() {
-        let b = DiscretizedBudget::new(ByteSize::from_mib(2560), ByteSize::from_mib(1024));
-        assert_eq!(b.remaining_units(), 2);
-        assert_eq!(b.remaining_bytes(), ByteSize::from_mib(2048));
     }
 }

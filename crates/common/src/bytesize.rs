@@ -44,29 +44,9 @@ impl ByteSize {
         ByteSize { bytes: gib * GIB }
     }
 
-    /// Fractional gibibytes, rounding to the nearest byte; saturates at zero.
-    pub fn from_gib_f64(gib: f64) -> Self {
-        if !gib.is_finite() || gib <= 0.0 {
-            return ByteSize::ZERO;
-        }
-        ByteSize {
-            bytes: (gib * GIB as f64).round() as u64,
-        }
-    }
-
     /// Exact bytes.
     pub fn as_bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Fractional mebibytes.
-    pub fn as_mib_f64(&self) -> f64 {
-        self.bytes as f64 / MIB as f64
-    }
-
-    /// Fractional gibibytes.
-    pub fn as_gib_f64(&self) -> f64 {
-        self.bytes as f64 / GIB as f64
     }
 
     /// True iff zero bytes.
@@ -169,23 +149,16 @@ mod tests {
         assert_eq!(ByteSize::from_kib(1).as_bytes(), 1024);
         assert_eq!(ByteSize::from_mib(1).as_bytes(), 1024 * 1024);
         assert_eq!(ByteSize::from_gib(2), ByteSize::from_mib(2048));
-        assert_eq!(ByteSize::from_gib_f64(0.5), ByteSize::from_mib(512));
-    }
-
-    #[test]
-    fn fractional_gib_saturates() {
-        assert_eq!(ByteSize::from_gib_f64(-1.0), ByteSize::ZERO);
-        assert_eq!(ByteSize::from_gib_f64(f64::NAN), ByteSize::ZERO);
     }
 
     #[test]
     fn arithmetic() {
         let a = ByteSize::from_mib(10);
         let b = ByteSize::from_mib(4);
-        assert_eq!((a + b).as_mib_f64(), 14.0);
-        assert_eq!((a - b).as_mib_f64(), 6.0);
+        assert_eq!(a + b, ByteSize::from_mib(14));
+        assert_eq!(a - b, ByteSize::from_mib(6));
         assert_eq!(b.saturating_sub(a), ByteSize::ZERO);
-        assert_eq!((a * 3).as_mib_f64(), 30.0);
+        assert_eq!(a * 3, ByteSize::from_mib(30));
         assert_eq!(a.scale(0.5), ByteSize::from_mib(5));
     }
 

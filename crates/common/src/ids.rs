@@ -1,9 +1,8 @@
 //! Strongly-typed identifiers.
 //!
-//! Queries, views, plan nodes, analysts, and reorganization phases each get
-//! their own id type so they can't be confused at call sites. All ids are
-//! plain `u64` newtypes; allocation is the responsibility of whichever
-//! component mints them (e.g. the plan builder mints [`NodeId`]s).
+//! Queries and plan nodes each get their own id type so they can't be
+//! confused at call sites. Both are plain `u64` newtypes, minted by whichever
+//! component owns them (e.g. the plan builder mints [`NodeId`]s).
 
 use std::fmt;
 
@@ -39,57 +38,9 @@ define_id!(
     QueryId, "q"
 );
 define_id!(
-    /// A materialized view (opportunistic or migrated).
-    ViewId, "v"
-);
-define_id!(
     /// A node within a logical plan DAG.
     NodeId, "n"
 );
-define_id!(
-    /// An analyst in the evolutionary workload (paper: A1..A8).
-    AnalystId, "A"
-);
-define_id!(
-    /// A reorganization phase (tuning invocation).
-    ReorgId, "R"
-);
-define_id!(
-    /// A MapReduce-style stage within an HV job.
-    StageId, "s"
-);
-define_id!(
-    /// A table registered in the DW catalog.
-    TableId, "t"
-);
-
-/// A monotonically increasing id allocator.
-///
-/// Not thread-safe by design: each component owns its own allocator. Use an
-/// atomic wrapper if a component ever shares one across threads.
-#[derive(Debug, Clone, Default)]
-pub struct IdGen {
-    next: u64,
-}
-
-impl IdGen {
-    /// An allocator starting at zero.
-    pub fn new() -> Self {
-        IdGen { next: 0 }
-    }
-
-    /// Allocates the next raw id.
-    pub fn next_raw(&mut self) -> u64 {
-        let id = self.next;
-        self.next += 1;
-        id
-    }
-
-    /// Allocates the next id of type `T`.
-    pub fn next_id<T: From<u64>>(&mut self) -> T {
-        T::from(self.next_raw())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -98,19 +49,7 @@ mod tests {
     #[test]
     fn ids_display_with_prefix() {
         assert_eq!(QueryId(7).to_string(), "q7");
-        assert_eq!(ViewId(3).to_string(), "v3");
-        assert_eq!(AnalystId(1).to_string(), "A1");
-        assert_eq!(ReorgId(2).to_string(), "R2");
-    }
-
-    #[test]
-    fn idgen_is_monotonic_and_typed() {
-        let mut gen = IdGen::new();
-        let a: ViewId = gen.next_id();
-        let b: ViewId = gen.next_id();
-        assert_eq!(a, ViewId(0));
-        assert_eq!(b, ViewId(1));
-        assert!(a < b);
+        assert_eq!(NodeId(3).to_string(), "n3");
     }
 
     #[test]

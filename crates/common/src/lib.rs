@@ -34,7 +34,7 @@ pub mod retry;
 pub mod rng;
 pub mod time;
 
-pub use budget::{Budgets, DiscretizedBudget};
+pub use budget::Budgets;
 pub use bytesize::ByteSize;
 pub use error::{MisoError, Result};
 pub use guard::QueryGuard;

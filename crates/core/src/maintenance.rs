@@ -974,8 +974,8 @@ mod tests {
                 let input = all.batch(def.plan.node(da.agg).inputs[0]).unwrap();
                 let want = AggState::build(input, &da.group_by, &da.aggs).unwrap();
                 assert_eq!(
-                    state.agg.as_ref().map(AggState::output_rows),
-                    Some(want.output_rows()),
+                    state.agg.as_ref().map(|agg| agg.output().to_rows()),
+                    Some(want.output().to_rows()),
                     "{label}"
                 );
                 with_agg += 1;

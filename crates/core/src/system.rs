@@ -280,22 +280,11 @@ impl MultistoreSystem {
         }
     }
 
-    /// The overload (guard) breaker's current state (for tests and
-    /// reports).
-    pub fn guard_breaker_state(&self) -> miso_common::BreakerState {
-        self.guard_breaker.state()
-    }
-
     /// High-water mark of guard-charged bytes across all queries so far.
     /// Never exceeds the configured per-query budget: over-budget charges
     /// are refused before they are recorded.
     pub fn guard_peak_bytes(&self) -> u64 {
         self.guard_peak_bytes
-    }
-
-    /// The DW circuit breaker's current state (for tests and reports).
-    pub fn dw_breaker_state(&self) -> miso_common::BreakerState {
-        self.dw_breaker.state()
     }
 
     /// The background simulator's recorded timeline, if §5.4 mode is on.

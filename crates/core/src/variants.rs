@@ -55,24 +55,6 @@ impl Variant {
         }
     }
 
-    /// Whether queries may split across both stores.
-    pub fn is_multistore(&self) -> bool {
-        !matches!(self, Variant::HvOnly | Variant::DwOnly | Variant::HvOp)
-    }
-
-    /// Whether HV retains opportunistic views between queries.
-    pub fn retains_hv_views(&self) -> bool {
-        matches!(
-            self,
-            Variant::HvOp | Variant::MsLru | Variant::MsMiso | Variant::MsOra
-        )
-    }
-
-    /// Whether LRU eviction (rather than a tuner) bounds retained views.
-    pub fn lru_managed(&self) -> bool {
-        matches!(self, Variant::HvOp | Variant::MsLru)
-    }
-
     /// Whether the MISO tuner runs reorganization phases.
     pub fn uses_miso_tuner(&self) -> bool {
         matches!(self, Variant::MsMiso | Variant::MsOra)
@@ -97,12 +79,8 @@ mod tests {
 
     #[test]
     fn flags_are_consistent() {
-        assert!(!Variant::HvOnly.is_multistore());
-        assert!(!Variant::HvOp.is_multistore());
-        assert!(Variant::MsBasic.is_multistore());
-        assert!(!Variant::MsBasic.retains_hv_views());
-        assert!(Variant::HvOp.retains_hv_views() && Variant::HvOp.lru_managed());
-        assert!(Variant::MsMiso.uses_miso_tuner() && !Variant::MsMiso.lru_managed());
+        assert!(!Variant::HvOp.uses_miso_tuner());
+        assert!(Variant::MsMiso.uses_miso_tuner());
         assert!(Variant::MsOra.uses_miso_tuner());
         assert_eq!(Variant::ALL.len(), 8);
     }

@@ -210,6 +210,19 @@ impl RowSetDigest {
         self.count += batch.len() as u64;
     }
 
+    /// Removes every row of `batch` from the multiset (the caller asserts
+    /// they are present; removing an absent row silently corrupts the
+    /// digest, which the maintainer's verify-against-catalog check would
+    /// then catch).
+    pub fn remove_batch(&mut self, batch: &ColBatch) {
+        debug_assert!(
+            self.count >= batch.len() as u64,
+            "removing more rows than the multiset digest holds"
+        );
+        self.sum = self.sum.wrapping_sub(batch_sum(batch));
+        self.count = self.count.wrapping_sub(batch.len() as u64);
+    }
+
     /// Folds one row into the multiset.
     pub fn add_row(&mut self, row: &Row) {
         self.sum = self.sum.wrapping_add(checksum_row(row));
@@ -221,23 +234,6 @@ impl RowSetDigest {
         for row in rows {
             self.add_row(row);
         }
-    }
-
-    /// Removes one row from the multiset (the caller asserts it is
-    /// present; removing an absent row silently corrupts the digest, which
-    /// the maintainer's verify-against-catalog check would then catch).
-    pub fn remove_row(&mut self, row: &Row) {
-        debug_assert!(self.count > 0, "removing from an empty multiset digest");
-        self.sum = self.sum.wrapping_sub(checksum_row(row));
-        self.count = self.count.wrapping_sub(1);
-    }
-
-    /// Swaps `old` for `new` in one step (aggregate group update).
-    pub fn replace_row(&mut self, old: &Row, new: &Row) {
-        self.sum = self
-            .sum
-            .wrapping_sub(checksum_row(old))
-            .wrapping_add(checksum_row(new));
     }
 
     /// Merges another digest's multiset into this one.
@@ -474,19 +470,21 @@ mod tests {
         let a = row(vec![Value::str("austin"), Value::Int(3)]);
         let b = row(vec![Value::str("boston"), Value::Int(5)]);
         let c = row(vec![Value::str("boston"), Value::Int(9)]);
+        let batch = |rows: &[Row]| ColBatch::of_rows(2, rows).unwrap();
         let mut d = RowSetDigest::from_rows(&[a.clone(), b.clone()]);
         // Replace b -> c: must equal a fresh digest of {a, c}.
-        d.replace_row(&b, &c);
+        d.remove_batch(&batch(std::slice::from_ref(&b)));
+        d.add_batch(&batch(std::slice::from_ref(&c)));
         assert_eq!(d.finish(), checksum_rows(&[a.clone(), c.clone()]));
         // Remove c: back to just {a}.
-        d.remove_row(&c);
+        d.remove_batch(&batch(std::slice::from_ref(&c)));
         assert_eq!(d.finish(), checksum_rows(std::slice::from_ref(&a)));
         // Add/remove in a different order than the rebuild would see.
         let mut e = RowSetDigest::new();
-        e.add_row(&c);
-        e.add_row(&a);
-        e.remove_row(&c);
+        e.add_batch(&batch(&[c.clone(), a.clone()]));
+        e.remove_batch(&batch(&[c]));
         assert_eq!(e.finish(), checksum_rows(&[a]));
+        assert_eq!(e.count(), 1);
     }
 
     #[test]

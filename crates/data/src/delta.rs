@@ -6,20 +6,11 @@
 //! unit the maintenance layer propagates through view definitions
 //! (`miso-views`/`miso-exec`) instead of recomputing from the full base.
 //!
-//! Two parse paths mirror the execution engine's scan:
-//!
-//! * [`Delta::parse_rows`] — one single-column [`Row`] per well-formed JSON
-//!   line, exactly what `ScanLog` produces (malformed lines are skipped and
-//!   counted, same contract as the scan's `skipped_lines`);
-//! * [`Delta::parse_columns`] — straight to a typed [`ColBatch`] through
-//!   the columnar [`ColBuilder`]s, for column-eligible ingestion: named
-//!   top-level fields are extracted per line without materializing the
-//!   intermediate object rows.
+//! A delta carries raw lines only: maintenance appends them to the store and
+//! reads their fields through `miso_hv::LogBatch::columns`, the same fused
+//! reader a log scan uses.
 
-use crate::batch::{ColBatch, ColBuilder};
-use crate::json::parse_json;
 use crate::logs::{generate_delta, LogKind, LogsConfig};
-use crate::value::Row;
 use miso_common::ByteSize;
 
 /// One append-only batch of raw log lines bound for a single base log.
@@ -62,54 +53,12 @@ impl Delta {
     pub fn size(&self) -> ByteSize {
         ByteSize::from_bytes(self.lines.iter().map(|l| l.len() as u64 + 1).sum())
     }
-
-    /// Parses the batch the way `ScanLog` does: one single-column row per
-    /// well-formed line. Returns the rows and the count of malformed lines
-    /// skipped.
-    pub fn parse_rows(&self) -> (Vec<Row>, usize) {
-        let mut rows = Vec::with_capacity(self.lines.len());
-        let mut skipped = 0usize;
-        for line in &self.lines {
-            match parse_json(line) {
-                Ok(v) => rows.push(Row::new(vec![v])),
-                Err(_) => skipped += 1,
-            }
-        }
-        (rows, skipped)
-    }
-
-    /// Parses the batch straight into a typed columnar batch: one column
-    /// per requested top-level field (absent fields become NULL cells).
-    /// Returns the batch and the count of malformed lines skipped.
-    pub fn parse_columns(&self, fields: &[&str]) -> (ColBatch, usize) {
-        let mut builders: Vec<ColBuilder> = fields.iter().map(|_| ColBuilder::new()).collect();
-        for b in &mut builders {
-            b.reserve(self.lines.len());
-        }
-        let mut rows = 0usize;
-        let mut skipped = 0usize;
-        for line in &self.lines {
-            let Ok(v) = parse_json(line) else {
-                skipped += 1;
-                continue;
-            };
-            rows += 1;
-            for (field, b) in fields.iter().zip(&mut builders) {
-                match v.get_field(field) {
-                    Some(cell) => b.push_value(cell.clone()),
-                    None => b.push_null(),
-                }
-            }
-        }
-        let columns = builders.into_iter().map(ColBuilder::finish).collect();
-        (ColBatch::from_columns(columns, rows), skipped)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::Cell;
+    use crate::json::parse_json;
     use crate::value::Value;
 
     #[test]
@@ -119,53 +68,13 @@ mod tests {
         assert_eq!(d.log, "twitter");
         assert_eq!(d.len(), 50);
         assert!(d.size().as_bytes() > 0);
-        let (rows, skipped) = d.parse_rows();
-        assert_eq!(rows.len(), 50);
-        assert_eq!(skipped, 0);
-        for row in &rows {
-            assert_eq!(row.arity(), 1, "scan rows are single JSON records");
-            assert!(matches!(row.values()[0], Value::Object(_)));
+        for line in &d.lines {
+            let record = parse_json(line).expect("generated lines are well-formed JSON");
+            assert!(matches!(record, Value::Object(_)));
         }
         // Deterministic: same batch number reproduces the same lines.
         assert_eq!(d, Delta::generated(&cfg, LogKind::Twitter, 1, 50));
         // Distinct batch numbers produce distinct lines.
         assert_ne!(d, Delta::generated(&cfg, LogKind::Twitter, 2, 50));
-    }
-
-    #[test]
-    fn malformed_lines_are_skipped_and_counted() {
-        let d = Delta::new(
-            "twitter",
-            vec![
-                r#"{"user_id": 1, "city": "austin"}"#.to_string(),
-                "{not json".to_string(),
-                r#"{"user_id": 2}"#.to_string(),
-            ],
-        );
-        let (rows, skipped) = d.parse_rows();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(skipped, 1);
-        let (batch, col_skipped) = d.parse_columns(&["user_id", "city"]);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(col_skipped, 1);
-    }
-
-    #[test]
-    fn parse_columns_extracts_typed_fields() {
-        let d = Delta::new(
-            "twitter",
-            vec![
-                r#"{"user_id": 7, "city": "austin", "score": 0.5}"#.to_string(),
-                r#"{"user_id": 8}"#.to_string(),
-            ],
-        );
-        let (batch, skipped) = d.parse_columns(&["user_id", "city"]);
-        assert_eq!(skipped, 0);
-        assert_eq!(batch.arity(), 2);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch.columns()[0].cell(0).as_i64(), Some(7));
-        assert_eq!(batch.columns()[0].cell(1).as_i64(), Some(8));
-        assert!(matches!(batch.columns()[1].cell(0), Cell::Str("austin")));
-        assert!(batch.columns()[1].cell(1).is_null(), "absent field is NULL");
     }
 }

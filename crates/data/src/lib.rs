@@ -17,9 +17,7 @@
 //! * [`schema`] — field/record schemas for structured intermediates;
 //! * [`logs`] — deterministic synthetic generators for the three data sets
 //!   with shared join keys (user ids across Twitter/Foursquare, venue ids
-//!   across Foursquare/Landmarks);
-//! * [`stats`] — lightweight column statistics feeding cardinality
-//!   estimation in `miso-plan`.
+//!   across Foursquare/Landmarks).
 
 pub mod batch;
 pub mod checksum;
@@ -27,7 +25,6 @@ pub mod delta;
 pub mod json;
 pub mod logs;
 pub mod schema;
-pub mod stats;
 pub mod stored;
 pub mod value;
 

@@ -24,23 +24,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// Whether a value of type `self` can be used where `target` is expected
-    /// without an explicit cast. `Json` accepts everything; `Int` widens to
-    /// `Float`.
-    pub fn coercible_to(&self, target: DataType) -> bool {
-        use DataType::*;
-        matches!(
-            (self, target),
-            (Bool, Bool)
-                | (Int, Int)
-                | (Int, Float)
-                | (Float, Float)
-                | (Str, Str)
-                | (_, Json)
-                | (Json, _)
-        )
-    }
-
     /// The common type of two numeric operands, if any.
     pub fn numeric_join(&self, other: DataType) -> Option<DataType> {
         use DataType::*;
@@ -123,11 +106,6 @@ impl Schema {
         self.fields.len()
     }
 
-    /// Index of a column by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
-    }
-
     /// Field lookup by name.
     pub fn field(&self, name: &str) -> Option<&Field> {
         self.fields.iter().find(|f| f.name == name)
@@ -193,8 +171,7 @@ mod tests {
     #[test]
     fn index_and_field_lookup() {
         let s = sample();
-        assert_eq!(s.index_of("text"), Some(1));
-        assert_eq!(s.index_of("missing"), None);
+        assert!(s.field("missing").is_none());
         assert_eq!(s.field("score").unwrap().ty, DataType::Float);
         assert_eq!(s.arity(), 3);
     }
@@ -233,15 +210,6 @@ mod tests {
     fn project_keeps_order() {
         let s = sample().project(&[2, 0]);
         assert_eq!(s.names(), vec!["score", "uid"]);
-    }
-
-    #[test]
-    fn coercion_rules() {
-        assert!(DataType::Int.coercible_to(DataType::Float));
-        assert!(!DataType::Float.coercible_to(DataType::Int));
-        assert!(DataType::Str.coercible_to(DataType::Json));
-        assert!(DataType::Json.coercible_to(DataType::Int));
-        assert!(!DataType::Bool.coercible_to(DataType::Str));
     }
 
     #[test]

@@ -172,7 +172,8 @@ fn batch_digests_are_the_row_digests() {
         if let Some(slot) = (!rows.is_empty()).then(|| rng.below(rows.len() as u64) as usize) {
             let new_row = Row::new((0..arity).map(|_| arb_value(&mut rng, 2)).collect());
             let mut digest = RowSetDigest::from_batch(&batch);
-            digest.replace_row(&rows[slot], &new_row);
+            digest.remove_batch(&batch.gather(&[slot as u32]));
+            digest.add_batch(&ColBatch::of_rows(arity, std::slice::from_ref(&new_row)).unwrap());
             let mut patched = rows.clone();
             patched[slot] = new_row;
             let patched = ColBatch::of_rows(arity, &patched).unwrap();

@@ -1480,6 +1480,11 @@ impl GroupTable {
         self.hashes.len()
     }
 
+    /// Columns of an output row: the key values, then the aggregates.
+    pub(crate) fn out_arity(&self) -> usize {
+        self.arity + self.width
+    }
+
     pub(crate) fn hash(&self, slot: usize) -> u64 {
         self.hashes[slot]
     }

@@ -34,57 +34,64 @@
 //! numeric value has appeared and settles it against each delta the way
 //! the engine would against the grown input.
 
+use crate::col;
 use crate::engine::{first_numeric_is_float, fold_morsel, key_hash, Acc, GroupTable, MORSEL_SIZE};
-use crate::eval::eval;
 use miso_common::{MisoError, Result};
-use miso_data::{ColBatch, Row, RowSetDigest, Value};
+use miso_data::{ColBatch, ColBuilder, RowSetDigest, Value};
 use miso_plan::expr::{AggExpr, AggFunc, Expr};
 use std::collections::BTreeSet;
 
-/// The changed rows a delta fold produced: existing groups that were
-/// updated (by slot index == view row index) and brand-new groups, in
-/// first-seen delta order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The groups a delta fold changed: existing groups it updated and groups
+/// it created, with their new output rows.
+#[derive(Debug, Clone)]
 pub struct AggApplied {
-    /// `(slot, new aggregate output row)` for every touched existing group,
-    /// in ascending slot order.
-    pub updated: Vec<(usize, Row)>,
-    /// Output rows of groups first seen in this delta, in insertion order.
-    pub appended: Vec<Row>,
+    /// Output slot (== view row index) of every changed group, ascending:
+    /// the updated groups, then the new ones.
+    pub slots: Vec<u32>,
+    /// The aggregate output row of each slot, in the same order.
+    pub rows: ColBatch,
 }
 
 impl AggApplied {
-    /// Patches the stored aggregate view the fold belongs to: each changed
-    /// group's row goes through the view's `post` projection layers and
-    /// replaces (or extends) the view's row of the same index, `digest`
-    /// following every change. Returns the patched view and the bytes of the
-    /// rows written. An aggregate view is group-sized, so the view is
-    /// rebuilt whole.
+    /// Patches the stored aggregate view the fold belongs to: the changed
+    /// groups' rows go through the view's `post` projection layers and
+    /// replace (or extend) the view's rows of the same index; every other
+    /// row is the stored one. `digest` follows the change. Returns the
+    /// patched view and the bytes of the rows written.
     pub fn patch(
         &self,
         view: &ColBatch,
         post: &[Vec<(String, Expr)>],
         digest: &mut RowSetDigest,
     ) -> Result<(ColBatch, u64)> {
-        let mut rows = view.to_rows();
-        let mut changed = 0u64;
-        for (slot, agg_row) in &self.updated {
-            let new_row = apply_projection(post, agg_row)?;
-            changed += new_row.approx_bytes();
-            if rows[*slot] != new_row {
-                digest.replace_row(&rows[*slot], &new_row);
-                rows[*slot] = new_row;
-            }
+        let mut changed = self.rows.clone();
+        for layer in post {
+            // Serial, as the fold is: the engine's `Project` would fan out.
+            let n = changed.len();
+            let eval = |(_, e): &(String, Expr)| {
+                col::eval_vec(e, &changed, 0, n, None).map(|v| v.into_column(n))
+            };
+            let columns = layer.iter().map(eval).collect::<Result<Vec<_>>>()?;
+            changed = ColBatch::from_columns(columns, n);
         }
-        for agg_row in &self.appended {
-            let new_row = apply_projection(post, agg_row)?;
-            changed += new_row.approx_bytes();
-            digest.add_row(&new_row);
-            rows.push(new_row);
+        let kept = view.len();
+        let updated = self.slots.partition_point(|&s| (s as usize) < kept);
+        let len = kept + self.slots.len() - updated;
+        if changed.arity() != view.arity() || self.slots.last().is_some_and(|&s| s as usize >= len)
+        {
+            return Err(MisoError::Execution(
+                "changed groups do not fit the stored aggregate view".into(),
+            ));
         }
-        let patched = ColBatch::of_rows(view.arity(), &rows)
-            .ok_or_else(|| MisoError::Execution("projected groups differ in arity".into()))?;
-        Ok((patched, changed))
+        digest.remove_batch(&view.gather(&self.slots[..updated]));
+        digest.add_batch(&changed);
+        let mut sel: Vec<u32> = (0..len as u32).collect();
+        for (j, &slot) in self.slots.iter().enumerate() {
+            sel[slot as usize] = (kept + j) as u32;
+        }
+        let bytes = changed.row_bytes();
+        let patched = ColBatch::concat(vec![view.clone(), changed]).gather(&sel);
+        Ok((patched, bytes))
     }
 }
 
@@ -138,10 +145,10 @@ impl AggState {
         self.closed.len() + self.open_only.len()
     }
 
-    /// The full output row set in group order — equals what the engine's
+    /// The full output in group order — equals what the engine's
     /// aggregation emits over the same input.
-    pub fn output_rows(&self) -> Vec<Row> {
-        (0..self.groups()).map(|out| self.row_at(out)).collect()
+    pub fn output(&self) -> ColBatch {
+        self.rows_at(0..self.groups())
     }
 
     /// Folds one delta (the aggregate's delta-input rows, in order) into
@@ -194,14 +201,15 @@ impl AggState {
                 self.open_only.clear();
             }
         }
+        let slots: Vec<u32> = touched
+            .range(..before)
+            .copied()
+            .chain(before..self.groups())
+            .map(|out| out as u32)
+            .collect();
         Ok(AggApplied {
-            updated: touched
-                .range(..before)
-                .map(|&out| (out, self.row_at(out)))
-                .collect(),
-            appended: (before..self.groups())
-                .map(|out| self.row_at(out))
-                .collect(),
+            rows: self.rows_at(slots.iter().map(|&out| out as usize)),
+            slots,
         })
     }
 
@@ -224,29 +232,39 @@ impl AggState {
         }
     }
 
-    /// The output row of group `out`: `closed ⊕ open`.
-    fn row_at(&self, out: usize) -> Row {
-        let row = |key: &[Value], aggs: &mut dyn Iterator<Item = Value>| {
-            let mut values = key.to_vec();
-            values.extend(aggs);
-            Row::new(values)
-        };
-        if out >= self.closed.len() {
-            let slot = self.open_only[out - self.closed.len()];
-            let (key, accs) = (self.open.key(slot), self.open.accs(slot));
-            return row(key, &mut accs.iter().map(Acc::finish_ref));
-        }
-        let (key, accs) = (self.closed.key(out), self.closed.accs(out));
-        match self.open.find(self.closed.hash(out), |k| k == key) {
-            Some(slot) => {
-                let later = self.open.accs(slot);
-                row(
+    /// The output rows of groups `outs`, in that order: each `closed ⊕
+    /// open`, pushed straight into columns.
+    fn rows_at(&self, outs: impl Iterator<Item = usize>) -> ColBatch {
+        let mut cols: Vec<ColBuilder> = (0..self.closed.out_arity())
+            .map(|_| ColBuilder::new())
+            .collect();
+        let mut len = 0;
+        for out in outs {
+            let (key, accs, later) = if out < self.closed.len() {
+                let key = self.closed.key(out);
+                let later = self.open.find(self.closed.hash(out), |k| k == key);
+                (
                     key,
-                    &mut accs.iter().zip(later).map(|(a, l)| finish_merged(a, l)),
+                    self.closed.accs(out),
+                    later.map(|slot| self.open.accs(slot)),
                 )
+            } else {
+                let slot = self.open_only[out - self.closed.len()];
+                (self.open.key(slot), self.open.accs(slot), None)
+            };
+            let (key_cols, agg_cols) = cols.split_at_mut(key.len());
+            for (b, v) in key_cols.iter_mut().zip(key) {
+                b.push_value(v.clone());
             }
-            None => row(key, &mut accs.iter().map(Acc::finish_ref)),
+            for (a, (b, acc)) in agg_cols.iter_mut().zip(accs).enumerate() {
+                b.push_value(match later {
+                    Some(later) => finish_merged(acc, &later[a]),
+                    None => acc.finish_ref(),
+                });
+            }
+            len += 1;
         }
+        ColBatch::from_columns(cols.into_iter().map(ColBuilder::finish).collect(), len)
     }
 }
 
@@ -262,30 +280,14 @@ fn finish_merged(acc: &Acc, later: &Acc) -> Value {
     merged.finish()
 }
 
-/// Applies the maintained view's post-aggregate projection layers
-/// (bottom-up) to one changed aggregate row, producing the stored-view row.
-/// Mirrors the engine's `Project`: one output row per input row, evaluation
-/// errors propagate.
-pub fn apply_projection(layers: &[Vec<(String, Expr)>], row: &Row) -> Result<Row> {
-    let mut cur = row.clone();
-    for layer in layers {
-        let values: Vec<Value> = layer
-            .iter()
-            .map(|(_, e)| eval(e, &cur))
-            .collect::<Result<_>>()?;
-        cur = Row::new(values);
-    }
-    Ok(cur)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::engine::{execute_subset_guarded, MemSource, Retention};
     use crate::udf::UdfRegistry;
     use miso_common::{guard::QueryGuard, pool, rng::DetRng};
-    use miso_data::{DataType, Field, Schema};
-    use miso_plan::{LogicalPlan, Operator, PlanBuilder};
+    use miso_data::{checksum, checksum_batch, DataType, Field, Row, Schema};
+    use miso_plan::{BinOp, LogicalPlan, Operator, PlanBuilder};
     use std::collections::HashMap;
 
     fn rows(spec: &[(&str, i64)]) -> Vec<Row> {
@@ -308,20 +310,13 @@ pub(crate) mod tests {
         ColBatch::from_rows(rows).expect("one arity")
     }
 
-    /// Patches `view` row by row, and checks that the maintainer's patch of
-    /// the stored batch ([`AggApplied::patch`]) gives those rows and their
-    /// digest.
-    fn patch(view: &mut Vec<Row>, applied: AggApplied) {
-        let arity = view.iter().chain(&applied.appended).next();
-        let stored = ColBatch::of_rows(arity.map_or(0, Row::arity), view).unwrap();
-        let mut digest = RowSetDigest::from_rows(view);
-        let (patched, _) = applied.patch(&stored, &[], &mut digest).unwrap();
-        for (slot, row) in applied.updated {
-            view[slot] = row;
-        }
-        view.extend(applied.appended);
-        assert_eq!(patched.to_rows(), *view);
-        assert_eq!(digest.finish(), miso_data::checksum_rows(view));
+    /// Patches the stored `view` with the fold's changed groups and checks
+    /// that the digest follows: it stays the checksum of the patched rows.
+    fn patch(view: &mut ColBatch, applied: AggApplied) {
+        let mut digest = RowSetDigest::from_batch(view);
+        let (patched, _) = applied.patch(view, &[], &mut digest).unwrap();
+        assert_eq!(digest.finish(), checksum_batch(&patched));
+        *view = patched;
     }
 
     /// Build-on-base + delta fold must equal build-on-full for every split.
@@ -339,14 +334,14 @@ pub(crate) mod tests {
         let aggs = int_aggs();
         for split in 0..=full.len() {
             let mut state = AggState::build(&b(&full[..split]), &[0], &aggs).unwrap();
-            let mut view = state.output_rows();
+            let mut view = state.output();
             patch(
                 &mut view,
                 state.apply(&b(&full[split..]), &[0], &aggs).unwrap(),
             );
             let oracle = AggState::build(&b(&full), &[0], &aggs).unwrap();
-            assert_eq!(view, oracle.output_rows(), "split {split}");
-            assert_eq!(view, state.output_rows(), "split {split}");
+            assert_eq!(view.to_rows(), oracle.output().to_rows(), "split {split}");
+            assert_eq!(view.to_rows(), state.output().to_rows(), "split {split}");
         }
     }
 
@@ -355,12 +350,15 @@ pub(crate) mod tests {
         let aggs = vec![AggExpr::new(AggFunc::Count, None, "n")];
         let mut state = AggState::build(&b(&[]), &[], &aggs).unwrap();
         assert_eq!(state.groups(), 1, "implicit global group");
-        assert_eq!(state.output_rows(), vec![Row::new(vec![Value::Int(0)])]);
+        assert_eq!(
+            state.output().to_rows(),
+            vec![Row::new(vec![Value::Int(0)])]
+        );
         let applied = state
             .apply(&b(&rows(&[("sf", 1), ("ny", 2)])), &[], &aggs)
             .unwrap();
-        assert_eq!(applied.appended, vec![]);
-        assert_eq!(applied.updated, vec![(0, Row::new(vec![Value::Int(2)]))]);
+        assert_eq!(applied.slots, vec![0]);
+        assert_eq!(applied.rows.to_rows(), vec![Row::new(vec![Value::Int(2)])]);
     }
 
     /// The aggregate the engine computes over `input`, through a plan.
@@ -486,7 +484,7 @@ pub(crate) mod tests {
                 let all = float_rows(total, base + 3, late_float);
                 for group_by in [vec![0usize], vec![]] {
                     let mut state = AggState::build(&b(&all[..base]), &group_by, &aggs).unwrap();
-                    let mut view = state.output_rows();
+                    let mut view = state.output();
                     let mut end = base;
                     for n in deltas {
                         patch(
@@ -505,14 +503,14 @@ pub(crate) mod tests {
                             pool::set_threads(threads);
                             let want = engine_aggregate(&all[..end], &group_by, &aggs, retain);
                             assert_eq!(
-                                bits(&view),
+                                bits(&view.to_rows()),
                                 bits(&want),
                                 "base {base}, grown to {end}, keys {group_by:?}, \
                                  late_float {late_float}, threads {threads}, {retain:?}"
                             );
                         }
                     }
-                    assert_eq!(bits(&view), bits(&state.output_rows()));
+                    assert_eq!(bits(&view.to_rows()), bits(&state.output().to_rows()));
                 }
             }
         }
@@ -542,7 +540,8 @@ pub(crate) mod tests {
         let sums = |rows: &[Row]| -> Vec<Value> { rows.iter().map(|r| r.get(1).clone()).collect() };
         let rebuilt = AggState::build(&b(&all), &[0], &aggs)
             .unwrap()
-            .output_rows();
+            .output()
+            .to_rows();
         assert_eq!(
             sums(&rebuilt),
             [
@@ -555,29 +554,76 @@ pub(crate) mod tests {
         assert_eq!(rebuilt, engine_aggregate(&all, &[0], &aggs, Retention::All));
         for split in 0..=all.len() {
             let mut state = AggState::build(&b(&all[..split]), &[0], &aggs).unwrap();
-            let mut view = state.output_rows();
+            let mut view = state.output();
             patch(
                 &mut view,
                 state.apply(&b(&all[split..]), &[0], &aggs).unwrap(),
             );
-            assert_eq!(view, rebuilt, "split {split}");
+            assert_eq!(view.to_rows(), rebuilt, "split {split}");
         }
     }
 
+    /// The view's `post` layers run bottom-up over the changed groups only:
+    /// `[city, n, s]` → `[s, city]` → `[city, s + 1]`.
     #[test]
-    fn projection_layers_compose() {
-        let layers = vec![
-            vec![
-                ("b".to_string(), Expr::col(1)),
-                ("a".to_string(), Expr::col(0)),
-            ],
-            vec![("a2".to_string(), Expr::col(1))],
+    fn post_layers_compose_over_the_changed_groups() {
+        let aggs = vec![
+            AggExpr::new(AggFunc::Count, None, "n"),
+            AggExpr::new(AggFunc::Sum, Some(Expr::col(1)), "s"),
         ];
-        let row = Row::new(vec![Value::Int(1), Value::Int(2)]);
+        let post = vec![
+            vec![
+                ("s".to_string(), Expr::col(2)),
+                ("city".to_string(), Expr::col(0)),
+            ],
+            vec![
+                ("city".to_string(), Expr::col(1)),
+                (
+                    "s1".to_string(),
+                    Expr::Binary {
+                        op: BinOp::Add,
+                        left: Box::new(Expr::col(0)),
+                        right: Box::new(Expr::lit(1i64)),
+                    },
+                ),
+            ],
+        ];
+        let projected = |spec: &[(&str, i64)]| b(&rows(spec));
+        let mut state = AggState::build(&b(&rows(&[("sf", 1), ("ny", 2)])), &[0], &aggs).unwrap();
+        let view = projected(&[("sf", 2), ("ny", 3)]);
+        let mut digest = RowSetDigest::from_batch(&view);
+        let applied = state
+            .apply(&b(&rows(&[("la", 5), ("sf", 10)])), &[0], &aggs)
+            .unwrap();
+        assert_eq!(applied.slots, vec![0, 2]);
+        let (patched, bytes) = applied.patch(&view, &post, &mut digest).unwrap();
+        let want = projected(&[("sf", 12), ("ny", 3), ("la", 6)]);
+        assert_eq!(patched.to_rows(), want.to_rows());
+        assert_eq!(digest.finish(), checksum_batch(&want));
+        assert_eq!(bytes, projected(&[("sf", 12), ("la", 6)]).row_bytes());
+    }
+
+    /// A fold patches the stored copy and never regenerates it from fold
+    /// state: a corrupt row the delta does not touch stays corrupt, so the
+    /// digest (which followed the clean rows) still disagrees with the view
+    /// and verify-on-read catches it.
+    #[test]
+    fn a_fold_does_not_launder_a_corrupt_copy() {
+        let aggs = int_aggs();
+        let mut state = AggState::build(&b(&rows(&[("sf", 1), ("ny", 2)])), &[0], &aggs).unwrap();
+        let clean = state.output();
+        let mut digest = RowSetDigest::from_batch(&clean);
+        let mut stored = std::sync::Arc::new(clean.clone());
+        assert!(checksum::corrupt_first_cell(&mut stored));
+        let applied = state.apply(&b(&rows(&[("ny", 3)])), &[0], &aggs).unwrap();
+        assert_eq!(applied.slots, vec![1], "only ny changed");
+        let (patched, _) = applied.patch(&stored, &[], &mut digest).unwrap();
         assert_eq!(
-            apply_projection(&layers, &row).unwrap(),
-            Row::new(vec![Value::Int(1)])
+            patched.row(0),
+            stored.row(0),
+            "the stored (corrupt) row stays"
         );
-        assert_eq!(apply_projection(&[], &row).unwrap(), row);
+        assert_ne!(patched.row(0), clean.row(0));
+        assert_ne!(checksum_batch(&patched), digest.finish());
     }
 }

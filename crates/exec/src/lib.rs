@@ -32,7 +32,7 @@ pub use col::FusedField;
 pub use engine::{
     execute_subset_guarded, DataSource, Execution, LogColumns, MemSource, Retention, MORSEL_SIZE,
 };
-pub use ivm::{apply_projection, AggApplied, AggState};
+pub use ivm::{AggApplied, AggState};
 pub use profile::OpProfile;
 pub use serial::execute_serial;
 pub use udf::{Udf, UdfRegistry};

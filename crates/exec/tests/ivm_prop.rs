@@ -10,9 +10,9 @@
 //! Cases are seeded [`DetRng`] streams; a failing assert names the seed.
 
 use miso_common::rng::DetRng;
-use miso_data::{ColBatch, DataType, Field, Row, Schema, Value};
+use miso_data::{checksum_batch, ColBatch, DataType, Field, Row, RowSetDigest, Schema, Value};
 use miso_exec::engine::execute;
-use miso_exec::{execute_serial, AggState, MemSource, UdfRegistry};
+use miso_exec::{execute_serial, AggApplied, AggState, MemSource, UdfRegistry};
 use miso_plan::{AggExpr, AggFunc, BinOp, Expr, LogicalPlan, Operator, PlanBuilder};
 
 const CASES: u64 = 128;
@@ -112,6 +112,15 @@ fn batch(rows: &[Row]) -> ColBatch {
     ColBatch::of_rows(2, rows).expect("two columns each")
 }
 
+/// The stored view `view` patched with a fold's changed groups, as rows;
+/// the digest must follow the patch.
+fn patch(view: ColBatch, applied: AggApplied) -> Vec<Row> {
+    let mut digest = RowSetDigest::from_batch(&view);
+    let (patched, _) = applied.patch(&view, &[], &mut digest).unwrap();
+    assert_eq!(digest.finish(), checksum_batch(&patched));
+    patched.to_rows()
+}
+
 fn arb_split(rng: &mut DetRng, max: u64) -> (Vec<Row>, usize) {
     let rows = arb_rows(rng, max);
     let split = rng.below(rows.len() as u64 + 1) as usize;
@@ -128,18 +137,17 @@ fn delta_fold_matches_full_replay_and_serial() {
         let (rows, split) = arb_split(&mut DetRng::new(0x1f01d + seed), 60);
         let (base, delta) = rows.split_at(split);
         let mut state = AggState::build(&batch(base), &[0], &a).unwrap();
-        let mut patched = state.output_rows();
-        let applied = state.apply(&batch(delta), &[0], &a).unwrap();
-        for (slot, row) in applied.updated {
-            patched[slot] = row;
-        }
-        patched.extend(applied.appended);
+        let patched = patch(
+            state.output(),
+            state.apply(&batch(delta), &[0], &a).unwrap(),
+        );
 
         let what = format!("seed {seed}, split {split}");
-        let folded = state.output_rows();
+        let folded = state.output().to_rows();
         let full = AggState::build(&batch(&rows), &[0], &a)
             .unwrap()
-            .output_rows();
+            .output()
+            .to_rows();
         assert_eq!(folded, full, "{what}: fold diverged from full replay");
         assert_eq!(patched, full, "{what}: patch list diverged from replay");
         assert_eq!(folded, run_serial(&agg_plan(), &rows), "{what}: vs serial");
@@ -201,19 +209,21 @@ fn nan_signed_zero_and_null_keys_fold_bit_for_bit() {
         let split = rng.below(rows.len() as u64 + 1) as usize;
         let (base, delta) = rows.split_at(split);
         let mut state = AggState::build(&batch(base), &group_by, &a).unwrap();
-        let mut patched = state.output_rows();
-        let applied = state.apply(&batch(delta), &group_by, &a).unwrap();
-        for (slot, row) in applied.updated {
-            patched[slot] = row;
-        }
-        patched.extend(applied.appended);
+        let patched = patch(
+            state.output(),
+            state.apply(&batch(delta), &group_by, &a).unwrap(),
+        );
         let what = format!("seed {seed}, split {split}");
         let full = AggState::build(&batch(&rows), &group_by, &a).unwrap();
         let serial = bits(&run_serial(&plan, &rows));
-        assert_eq!(bits(&state.output_rows()), serial, "{what}: fold vs serial");
+        assert_eq!(
+            bits(&state.output().to_rows()),
+            serial,
+            "{what}: fold vs serial"
+        );
         assert_eq!(bits(&patched), serial, "{what}: patch list vs serial");
         assert_eq!(
-            bits(&full.output_rows()),
+            bits(&full.output().to_rows()),
             serial,
             "{what}: replay vs serial"
         );

@@ -305,11 +305,6 @@ impl HvStore {
         self.logs.get(name).map(|l| l.size)
     }
 
-    /// Total size of all base logs.
-    pub fn total_log_bytes(&self) -> ByteSize {
-        self.logs.values().map(|l| l.size).sum()
-    }
-
     /// Installs (or replaces) a materialized view as it stands: the batch
     /// moves in with the size and checksum recorded when it was materialized
     /// (harvest, migration from DW, a maintenance pass that re-stamped them

@@ -98,12 +98,6 @@ impl Span {
         self
     }
 
-    /// Attaches a float field.
-    pub fn field_f64(mut self, key: &'static str, value: f64) -> Self {
-        self.push_field(key, FieldValue::F64(value));
-        self
-    }
-
     /// Attaches a string field.
     pub fn field_str(mut self, key: &'static str, value: impl Into<String>) -> Self {
         if self.active {

@@ -81,8 +81,6 @@ pub struct ServeConfig {
     pub guard: GuardConfig,
     /// Arrival-rate multiplier for tenant 0 (the "hog"); 1.0 = no hog.
     pub hog_factor: f64,
-    /// History window length for the tuner (plans of recent completions).
-    pub history_len: usize,
 }
 
 impl ServeConfig {
@@ -101,7 +99,6 @@ impl ServeConfig {
             tenant_inflight_cap: 1_000_000,
             guard: GuardConfig::disabled(),
             hog_factor: 1.0,
-            history_len: 6,
         }
     }
 }
@@ -414,11 +411,6 @@ impl ServeEngine {
             last_settle: SimInstant::EPOCH,
             cfg,
         }
-    }
-
-    /// The currently published epoch (test hook).
-    pub fn published_epoch(&self) -> u64 {
-        self.cell.epoch()
     }
 
     fn push_event(&mut self, at: SimInstant, kind: EvKind) {
@@ -745,8 +737,9 @@ impl ServeEngine {
                     }
                 }
                 self.history.push(self.plans[inf.req.plan_idx].1.clone());
-                if self.history.len() > self.cfg.history_len.max(1) {
-                    let excess = self.history.len() - self.cfg.history_len.max(1);
+                let window = self.master.config().history_len.max(1);
+                if self.history.len() > window {
+                    let excess = self.history.len() - window;
                     self.history.drain(..excess);
                 }
                 self.completions_since_reorg += 1;

@@ -474,7 +474,6 @@ fn smoke_storm(corpus: &Corpus) -> ServeReport {
             shed_cooldown: max_service,
         },
         hog_factor: 8.0,
-        ..ServeConfig::standard()
     };
     let spec = "seed=2000;dw.execute=error@p0.1;dw.execute=stall@p0.05;\
                 dw.execute=hog:4096@p0.1;hv.execute=error@p0.05;hv.execute=delay:1.5@p0.08;\
