@@ -23,6 +23,7 @@
 //! *expected* faults with a recovery path; they never trip strict mode.
 
 use crate::reorg::stage_name;
+use crate::split::Site;
 use crate::system::MultistoreSystem;
 use miso_common::{ByteSize, MisoError, Result, SimDuration};
 
@@ -108,7 +109,7 @@ impl MultistoreSystem {
     /// only, no row content is touched.
     fn check_invariants(&self, violations: &mut Vec<String>) {
         for name in self.catalog.names() {
-            let resident = self.hv.has_view(&name) || self.dw.has_view(&name);
+            let resident = self.resident(&name);
             if self.catalog.is_quarantined(&name) {
                 if resident {
                     violations.push(format!(
@@ -119,32 +120,24 @@ impl MultistoreSystem {
                 violations.push(format!("catalog view `{name}` is resident in no store"));
             }
         }
-        for name in self.hv.view_names() {
-            if !self.catalog.contains(&name) {
-                violations.push(format!("HV holds unregistered view `{name}`"));
+        for site in Site::ALL {
+            for name in self.shelf(site).names() {
+                if !self.catalog.contains(&name) {
+                    violations.push(format!("{site} holds unregistered view `{name}`"));
+                }
             }
         }
-        for name in self.dw.view_names() {
-            if !self.catalog.contains(&name) {
-                violations.push(format!("DW holds unregistered view `{name}`"));
+        for site in Site::ALL {
+            let (total, budget) = (self.shelf(site).total_bytes(), self.storage_budget(site));
+            if total > budget {
+                let bound = match site {
+                    Site::Hv => "B_h",
+                    Site::Dw => "B_d",
+                };
+                violations.push(format!("{site} views exceed {bound}: {total} > {budget}"));
             }
         }
-        let budgets = self.config.budgets;
-        if self.hv.total_view_bytes() > budgets.hv_storage {
-            violations.push(format!(
-                "HV views exceed B_h: {} > {}",
-                self.hv.total_view_bytes(),
-                budgets.hv_storage
-            ));
-        }
-        if self.dw.total_view_bytes() > budgets.dw_storage {
-            violations.push(format!(
-                "DW views exceed B_d: {} > {}",
-                self.dw.total_view_bytes(),
-                budgets.dw_storage
-            ));
-        }
-        for name in self.dw.temp_names() {
+        for name in self.dw.temp.names() {
             violations.push(format!(
                 "DW temp table `{name}` leaked across an epoch boundary"
             ));
@@ -156,7 +149,7 @@ impl MultistoreSystem {
                 violations.push("last reorg journal committed but never drained".into());
             }
             for view in journal.staged_views(true) {
-                if !journal.done() && self.dw.has_temp(&stage_name(view)) {
+                if !journal.done() && self.dw.temp.contains(&stage_name(view)) {
                     violations.push(format!(
                         "reorg staging copy `{}` left behind",
                         stage_name(view)
@@ -190,17 +183,14 @@ impl MultistoreSystem {
             let Some(expected) = self.catalog.get(name).and_then(|d| d.checksum) else {
                 continue;
             };
-            let size = self
-                .hv
-                .view_size(name)
-                .or_else(|| self.dw.view_size(name))
-                .unwrap_or(ByteSize::ZERO);
+            let size = Site::ALL
+                .iter()
+                .find_map(|&site| self.shelf(site).size(name));
+            let size = size.unwrap_or(ByteSize::ZERO);
             report.scrubbed_views += 1;
             report.scrubbed_bytes += size;
             miso_obs::count("audit.views_scrubbed", 1);
-            let bad = self.hv.verify_view(name, expected) == Some(false)
-                || self.dw.verify_view(name, expected) == Some(false);
-            if bad {
+            if self.fails_verify(name, expected) {
                 self.quarantine_view(name);
                 report.quarantined.push(name.clone());
             }
@@ -271,14 +261,17 @@ mod tests {
     fn scrub_detects_corruption_and_quarantines() {
         let mut sys = audited_system(AuditMode::Strict);
         sys.run_workload(Variant::HvOp, &queries()).unwrap();
-        let victim = sys.hv.view_names().pop().expect("HV-OP retains views");
-        assert!(sys.hv.corrupt_view(&victim));
+        let victim = sys.hv.views.names().pop().expect("HV-OP retains views");
+        assert!(sys.hv.views.corrupt(&victim));
         let report = sys
             .audit_pass(&AuditConfig::strict(ByteSize::from_kib(1_000_000)))
             .unwrap();
         assert_eq!(report.quarantined, vec![victim.clone()]);
         assert!(sys.catalog.is_quarantined(&victim));
-        assert!(!sys.hv.has_view(&victim), "corrupt copy must be dropped");
+        assert!(
+            !sys.hv.views.contains(&victim),
+            "corrupt copy must be dropped"
+        );
         // A second pass sees a consistent (quarantined) state.
         let again = sys
             .audit_pass(&AuditConfig::strict(ByteSize::from_kib(1_000_000)))
@@ -291,10 +284,10 @@ mod tests {
     fn dangling_catalog_entry_trips_strict_and_counts_in_prod() {
         let mut sys = audited_system(AuditMode::Strict);
         sys.run_workload(Variant::HvOp, &queries()).unwrap();
-        let victim = sys.hv.view_names().pop().expect("HV-OP retains views");
+        let victim = sys.hv.views.names().pop().expect("HV-OP retains views");
         // Simulate an operator dropping the store copy behind the
         // catalog's back (not a modeled fault — an invariant breach).
-        sys.hv.remove_view(&victim);
+        sys.hv.views.take(&victim);
         let err = sys
             .audit_pass(&AuditConfig::strict(ByteSize::ZERO))
             .unwrap_err();

@@ -21,7 +21,7 @@
 
 use miso_common::{DetRng, MisoError, Result, Retry, RetryPolicy, SimDuration, Turn};
 use miso_data::DataType;
-use miso_dw::{DwStore, TableSpace};
+use miso_dw::DwStore;
 use miso_exec::UdfRegistry;
 use miso_hv::{HvRun, HvStore};
 use miso_lang::Catalog;
@@ -95,7 +95,8 @@ pub fn run_etl(
             .find(|m| m.node == root)
             .ok_or_else(|| MisoError::Execution("ETL produced no output".into()))?;
         let table = format!("etl_{log}");
-        raw_cost += dw.load(&table, out.stored(), TableSpace::Permanent);
+        let size = dw.views.put(&table, out.stored());
+        raw_cost += dw.load_cost(size);
         manifest.logs.push((log.clone(), table));
     }
 
@@ -124,7 +125,8 @@ pub fn run_etl(
             .find(|m| m.node == root)
             .ok_or_else(|| MisoError::Execution("ETL UDF produced no output".into()))?;
         let table = format!("etl_{udf}_{log}");
-        raw_cost += dw.load(&table, out.stored(), TableSpace::Permanent);
+        let size = dw.views.put(&table, out.stored());
+        raw_cost += dw.load_cost(size);
         manifest.udfs.push(((udf.clone(), log.clone()), table));
     }
 
@@ -243,6 +245,14 @@ fn catalog_fields(log: &str, catalog: &Catalog) -> Result<Vec<(String, DataType)
         .collect())
 }
 
+/// The schema of ETL table `table` as DW holds it.
+fn etl_schema(dw: &DwStore, table: &str) -> Result<miso_data::Schema> {
+    dw.views
+        .get(table)
+        .map(|v| v.schema.clone())
+        .ok_or_else(|| MisoError::Store(format!("ETL table `{table}` missing")))
+}
+
 /// Rewrites a query plan to run entirely in DW over the ETL relations:
 /// every extraction `Project` over a `ScanLog` becomes a `Project` over the
 /// corresponding `etl_<log>` view; every `Udf` over a `ScanLog` becomes a
@@ -267,10 +277,7 @@ pub fn rewrite_for_dw(
                     unreachable!()
                 };
                 let table = format!("etl_{name}_{log}");
-                let schema = dw
-                    .view_schema(&table)
-                    .ok_or_else(|| MisoError::Store(format!("ETL table `{table}` missing")))?
-                    .clone();
+                let schema = etl_schema(dw, &table)?;
                 b.add(
                     Operator::ScanView {
                         view: table,
@@ -286,10 +293,7 @@ pub fn rewrite_for_dw(
                     unreachable!()
                 };
                 let table = format!("etl_{log}");
-                let schema = dw
-                    .view_schema(&table)
-                    .ok_or_else(|| MisoError::Store(format!("ETL table `{table}` missing")))?
-                    .clone();
+                let schema = etl_schema(dw, &table)?;
                 let fields = catalog_fields(log, lang_catalog)?;
                 let sv = b.add(
                     Operator::ScanView {
@@ -372,8 +376,8 @@ mod tests {
         .unwrap();
         let manifest = run_etl(&[q], &catalog, &hv, &mut dw, &udfs, 1.0).unwrap();
         assert_eq!(manifest.logs.len(), 1);
-        assert!(dw.has_view("etl_twitter"));
-        assert!(!dw.has_view("etl_foursquare"));
+        assert!(dw.views.contains("etl_twitter"));
+        assert!(!dw.views.contains("etl_foursquare"));
         assert!(manifest.cost > SimDuration::ZERO);
     }
 
@@ -472,7 +476,7 @@ mod tests {
         let manifest =
             run_etl(std::slice::from_ref(&q), &catalog, &hv, &mut dw, &udfs, 1.0).unwrap();
         assert_eq!(manifest.udfs.len(), 1);
-        assert!(dw.has_view("etl_buzz_score_twitter"));
+        assert!(dw.views.contains("etl_buzz_score_twitter"));
         let dw_plan = rewrite_for_dw(&q, &catalog, &dw).unwrap();
         let hv_run = hv.execute(&q, None, &udfs).unwrap();
         let dw_run = dw

@@ -40,7 +40,7 @@ pub use knapsack::{m_knapsack, PackItem, PackResult};
 pub use maintenance::{MaintAction, MaintDecision, MaintenancePolicy, MaintenanceReport};
 pub use metrics::{ExperimentResult, QueryFailure, QueryRecord, TtiBreakdown};
 pub use reorg::{JournalEntry, ReorgJournal, ReorgPlan};
-pub use split::{HarvestCandidate, Stores};
+pub use split::{HarvestCandidate, Site, Stores};
 pub use system::{GrowthConfig, GuardConfig, MultistoreSystem, SystemConfig};
 pub use tuner::{MisoTuner, NewDesign, TunerConfig, WhatIfStats, WHATIF_MEMO_CAP};
 pub use variants::Variant;

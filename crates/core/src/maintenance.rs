@@ -34,13 +34,14 @@
 //!
 //! [`ViewCatalog::derived_from`]: miso_views::ViewCatalog::derived_from
 
+use crate::split::Site;
 use crate::system::MultistoreSystem;
 use miso_common::guard::QueryGuard;
 use miso_common::{ByteSize, MisoError, Result, SimClock, SimDuration};
 use miso_data::checksum::RowSetDigest;
 use miso_data::logs::LogKind;
 use miso_data::{ColBatch, Delta, StoredView};
-use miso_dw::{DwActivity, TableSpace};
+use miso_dw::DwActivity;
 use miso_exec::engine::{execute_subset_guarded, DataSource, LogColumns, Retention};
 use miso_exec::{AggState, FusedField};
 use miso_hv::LogBatch;
@@ -313,8 +314,9 @@ impl MultistoreSystem {
                     (action, done.reason, done.cost)
                 }
                 None => {
-                    self.hv.remove_view(&name);
-                    self.dw.evict_view(&name);
+                    for site in Site::ALL {
+                        self.shelf_mut(site).take(&name);
+                    }
                     self.catalog.remove(&name);
                     self.ivm_state.remove(&name);
                     report.invalidated.push(name.clone());
@@ -407,7 +409,10 @@ impl MultistoreSystem {
         // the plan — only if the reconstruction matches the catalog stamp
         // (a mismatch means the copy is suspect and the rebuild resets it).
         if state.is_none() && matches!(mplan, MaintPlan::Append(_)) && mplan.builds().is_empty() {
-            if let Some(view) = self.hv.view(name).or_else(|| self.dw.view(name)) {
+            if let Some(view) = Site::ALL
+                .iter()
+                .find_map(|&site| self.shelf(site).get(name))
+            {
                 let digest = RowSetDigest::from_batch(&view.batch);
                 state = (Some(digest.finish()) == stamp).then(|| IvmViewState {
                     digest,
@@ -465,13 +470,10 @@ impl MultistoreSystem {
             None => delta.bytes,
             Some(parent) => bytes_of(src.view_batch(parent)?.as_ref()),
         };
-        let in_dw = self.dw.has_view(name);
-        let resident = if in_dw {
-            self.dw.evict_view(name)
-        } else {
-            self.hv.take_view(name)
-        };
-        let mut stored = resident
+        let site = self.holder(name);
+        let mut stored = self
+            .shelf_mut(site)
+            .take(name)
             .ok_or_else(|| MisoError::integrity(name, "view resident nowhere at refresh time"))?;
         let changed = match mplan {
             MaintPlan::Append(_) => {
@@ -504,14 +506,12 @@ impl MultistoreSystem {
             .hv
             .cost_model
             .stage_cost(scan_bytes, changed, new_rows.len() as u64);
-        if in_dw {
+        if site == Site::Dw {
             let move_cost =
                 self.transfer_model().transfer_cost(changed) + self.dw.load_cost(changed);
             cost += self.stretch_for_maintenance(move_cost, clock);
-            self.dw.load(name, stored, TableSpace::Permanent);
-        } else {
-            self.hv.install(name, stored);
         }
+        self.shelf_mut(site).put(name, stored);
         self.catalog.set_checksum(name, checksum);
         self.catalog.update_stats(name, size, row_count);
         clock.advance(cost);
@@ -535,7 +535,7 @@ impl MultistoreSystem {
         clock: &mut SimClock,
     ) -> Result<SimDuration> {
         let name = &def.name;
-        let in_dw = self.dw.has_view(name);
+        let site = self.holder(name);
         // Interior outputs HV would pipeline away but the fold state is
         // built from: the join build sides and the aggregate's input.
         let fold = match mplan {
@@ -548,7 +548,7 @@ impl MultistoreSystem {
             .map(|b| b.node)
             .chain(fold.map(|(_, input)| input))
             .collect();
-        let run = self.hv.execute_retaining(
+        let run = self.hv.execute_guarded(
             &def.plan,
             None,
             self.udf_registry(),
@@ -587,14 +587,11 @@ impl MultistoreSystem {
             self.ivm_state.insert(name.clone(), state);
         }
         let mut cost = run.cost;
-        if in_dw {
-            self.dw.evict_view(name);
+        if site == Site::Dw {
             let move_cost = self.stores().ship_cost(out.size);
             cost += self.stretch_for_maintenance(move_cost, clock);
-            self.dw.load(name, view, TableSpace::Permanent);
-        } else {
-            self.hv.install(name, view);
         }
+        self.shelf_mut(site).put(name, view);
         self.catalog.set_checksum(name, checksum);
         self.catalog
             .update_stats(name, out.size, out.batch.len() as u64);

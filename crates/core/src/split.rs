@@ -16,6 +16,7 @@
 //! harvest candidate and a stored view hold the same `Arc`.
 
 use std::collections::HashSet;
+use std::fmt;
 use std::sync::Arc;
 
 use miso_common::ids::{NodeId, QueryId};
@@ -28,6 +29,37 @@ use miso_optimizer::{CostBreakdown, TransferModel};
 use miso_plan::estimate::MapStats;
 use miso_plan::{LogicalPlan, Split};
 use miso_views::{rewrite_with_catalog, ViewCatalog, ViewDef};
+
+/// One of the two stores, as an index: where a view copy sits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Site {
+    /// The Hive-like store.
+    Hv,
+    /// The warehouse store.
+    Dw,
+}
+
+impl Site {
+    /// Both sites, HV first.
+    pub const ALL: [Site; 2] = [Site::Hv, Site::Dw];
+
+    /// The site that is not this one.
+    pub fn other(self) -> Site {
+        match self {
+            Site::Hv => Site::Dw,
+            Site::Dw => Site::Hv,
+        }
+    }
+}
+
+impl fmt::Display for Site {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Site::Hv => "HV",
+            Site::Dw => "DW",
+        })
+    }
+}
 
 /// What a split plan is planned and costed against, borrowed: a live
 /// [`crate::MultistoreSystem`]'s stores or an immutable snapshot of them.
@@ -65,8 +97,8 @@ impl Stores<'_> {
     /// `usable` admits.
     pub fn design(&self, usable: impl Fn(&String) -> bool) -> Design {
         Design {
-            hv_views: self.hv.view_names().into_iter().filter(&usable).collect(),
-            dw_views: self.dw.view_names().into_iter().filter(&usable).collect(),
+            hv_views: self.hv.views.names().into_iter().filter(&usable).collect(),
+            dw_views: self.dw.views.names().into_iter().filter(&usable).collect(),
         }
     }
 
@@ -91,7 +123,7 @@ pub fn place(
     hv_only: bool,
 ) -> Result<(PlannedQuery, Option<MapStats>)> {
     if hv_only {
-        let available = stores.hv.view_names().into_iter().filter(usable).collect();
+        let available = stores.hv.views.names().into_iter().filter(usable).collect();
         let rewrite = rewrite_with_catalog(raw, &available, stores.catalog);
         let plan = rewrite.plan();
         let planned = PlannedQuery {

@@ -15,7 +15,7 @@ use crate::audit::AuditConfig;
 use crate::etl::{rewrite_for_dw, run_etl, DEFAULT_ETL_OVERHEAD};
 use crate::metrics::{ExperimentResult, QueryFailure, QueryRecord, ReorgRecord, TtiBreakdown};
 use crate::reorg::{stage_name, JournalEntry, ReorgJournal, ReorgPlan, MAX_REORG_RECOVERIES};
-use crate::split::{self, HarvestCandidate, Stores};
+use crate::split::{self, HarvestCandidate, Site, Stores};
 use crate::tuner::{MisoTuner, NewDesign, TunerConfig};
 use crate::variants::Variant;
 use miso_chaos::Strike;
@@ -26,8 +26,8 @@ use miso_common::{
     SimDuration, Turn,
 };
 use miso_data::logs::Corpus;
-use miso_data::{checksum_batch, ColBatch, StoredView};
-use miso_dw::{BackgroundSim, DwActivity, DwStore, TableSpace};
+use miso_data::{checksum_batch, Checksum, ColBatch, Shelf, StoredView};
+use miso_dw::{BackgroundSim, DwActivity, DwStore};
 use miso_exec::{OpProfile, UdfRegistry};
 use miso_hv::HvStore;
 use miso_optimizer::cost::TransferModel;
@@ -478,8 +478,8 @@ impl MultistoreSystem {
         };
         let tuner = MisoTuner::new(tuner_cfg);
         let plans: Vec<LogicalPlan> = queries.iter().map(|(_, p)| p.clone()).collect();
-        let current_hv: BTreeSet<String> = self.hv.view_names().into_iter().collect();
-        let current_dw: BTreeSet<String> = self.dw.view_names().into_iter().collect();
+        let current_hv: BTreeSet<String> = self.hv.views.names().into_iter().collect();
+        let current_dw: BTreeSet<String> = self.dw.views.names().into_iter().collect();
         let stats = self.build_stats();
         let offline_design = tuner.tune(
             &current_hv,
@@ -496,12 +496,8 @@ impl MultistoreSystem {
         // workload runs. Reset the stores; pass 2 retains exactly the views
         // the static design selected, as they are (re)created, moving
         // DW-designated ones at creation time (charged as TUNE).
-        for name in self.hv.view_names() {
-            self.hv.remove_view(&name);
-        }
-        for name in self.dw.view_names() {
-            self.dw.evict_view(&name);
-        }
+        self.hv.views.clear();
+        self.dw.views.clear();
         let keep_dw = offline_design.dw.clone();
         let keep_any: BTreeSet<String> = offline_design
             .hv
@@ -515,21 +511,18 @@ impl MultistoreSystem {
                 .record;
             // Enforce the static design: drop non-selected views, migrate
             // DW-designated ones.
-            for name in self.hv.view_names() {
+            for name in self.hv.views.names() {
                 if !keep_any.contains(&name) {
-                    self.hv.remove_view(&name);
-                    if !self.dw.has_view(&name) {
-                        self.catalog.remove(&name);
-                    }
-                } else if keep_dw.contains(&name) && !self.dw.has_view(&name) {
-                    let view = self.hv.take_view(&name).ok_or_else(|| {
+                    self.drop_copy(Site::Hv, &name);
+                } else if keep_dw.contains(&name) && !self.dw.views.contains(&name) {
+                    let view = self.hv.views.take(&name).ok_or_else(|| {
                         MisoError::Store(format!("HV lost view `{name}` during MS-OFF retention"))
                     })?;
                     let raw_cost = self.stores().ship_cost(view.size);
                     let stretched = self.stretch(raw_cost, DwActivity::ViewTransfer, clock);
                     result.tti.tune += stretched;
                     clock.advance(stretched);
-                    self.dw.load(&name, view, TableSpace::Permanent);
+                    self.dw.views.put(&name, view);
                 }
             }
             result.records.push(record);
@@ -642,20 +635,19 @@ impl MultistoreSystem {
                 Variant::MsMiso | Variant::MsOra => {
                     // Opportunistic views accumulate until the next reorg.
                 }
-                Variant::HvOp | Variant::MsLru => {
-                    self.lru_evict_hv();
-                    if variant == Variant::MsLru {
-                        self.lru_evict_dw();
-                    }
+                Variant::HvOp => self.lru_evict(Site::Hv),
+                Variant::MsLru => {
+                    self.lru_evict(Site::Hv);
+                    self.lru_evict(Site::Dw);
                 }
                 _ => {}
             }
             if variant == Variant::MsBasic || variant == Variant::HvOnly {
                 // Nothing retained.
-                for name in self.hv.view_names() {
-                    self.hv.remove_view(&name);
+                for name in self.hv.views.names() {
                     self.catalog.remove(&name);
                 }
+                self.hv.views.clear();
             }
 
             history.push(raw.clone());
@@ -738,7 +730,7 @@ impl MultistoreSystem {
                 // working-set retention are deferred past the last fallible
                 // step of a split attempt, so catalog and stores hold no
                 // trace of the dead query.
-                self.dw.clear_temp();
+                self.dw.temp.clear();
                 match &e {
                     MisoError::Cancelled {
                         reason: "deadline", ..
@@ -797,7 +789,7 @@ impl MultistoreSystem {
                 if self.dw_breaker.record_failure(clock.now()) {
                     miso_obs::count("store.circuit_open", 1);
                 }
-                self.dw.clear_temp();
+                self.dw.temp.clear();
                 miso_obs::count("query.hv_fallback", 1);
                 self.execute_placed(qid, label, raw, clock, tti, true, false)
             }
@@ -903,12 +895,11 @@ impl MultistoreSystem {
                     self.active_guard.check_deadline(clock.now())?;
                     // Working sets live in temp table space for the query
                     // only.
-                    self.dw
-                        .load(&ws_name, staged.clone(), TableSpace::Temporary);
+                    self.dw.temp.put(&ws_name, staged.clone());
                     if strike.corrupt {
-                        self.dw.corrupt_temp(&ws_name);
+                        self.dw.temp.corrupt(&ws_name);
                     }
-                    if self.dw.verify_temp(&ws_name, staged.checksum) != Some(false) {
+                    if self.dw.temp.verify(&ws_name, staged.checksum) != Some(false) {
                         return Ok(());
                     }
                     miso_obs::count("integrity.checksum_failures", 1);
@@ -935,7 +926,7 @@ impl MultistoreSystem {
             dw_run = Some(run);
         }
         let result_rows = split::root_batch(hv_run.as_ref(), dw_run.as_ref())?.len() as u64;
-        self.dw.clear_temp();
+        self.dw.temp.clear();
 
         // Publish by-products. Every fallible step is behind us: retained
         // working sets become permanent DW views and HV-side stage outputs
@@ -1011,8 +1002,8 @@ impl MultistoreSystem {
         let mut obs = miso_obs::span("tuner.reorg");
         miso_obs::count("tuner.reorgs", 1);
         let start = clock.now();
-        let mut current_hv: BTreeSet<String> = self.hv.view_names().into_iter().collect();
-        let current_dw: BTreeSet<String> = self.dw.view_names().into_iter().collect();
+        let mut current_hv: BTreeSet<String> = self.hv.views.names().into_iter().collect();
+        let current_dw: BTreeSet<String> = self.dw.views.names().into_iter().collect();
         // Self-healing: quarantined views are offered to the tuner as if
         // they were still HV-resident, so M-KNAPSACK decides whether each
         // one earns its recompute cost in the new design.
@@ -1090,7 +1081,7 @@ impl MultistoreSystem {
                     // The reorg "process" died: volatile DW temp space is
                     // gone; the journal, HV, and DW permanent space
                     // survive.
-                    self.dw.clear_temp();
+                    self.dw.temp.clear();
                     recoveries += 1;
                     miso_obs::count("tuner.reorg_recovered", 1);
                     if !journal.committed() {
@@ -1179,14 +1170,14 @@ impl MultistoreSystem {
         // Stage HV → DW: copy into DW temp space; the HV source stays.
         for name in &plan.to_dw {
             if journal.applied(name)
-                || (journal.staged(name) && self.dw.has_temp(&stage_name(name)))
+                || (journal.staged(name) && self.dw.temp.contains(&stage_name(name)))
             {
                 continue;
             }
             let strike = self.reorg_step_poll(poll_chaos, clock, duration)?;
             // The staged copy is the HV view itself, shared: the batch, with
             // the size and checksum recorded when it was materialized.
-            let Some(view) = self.hv.view(name).cloned() else {
+            let Some(view) = self.hv.views.get(name).cloned() else {
                 return Err(MisoError::Tuning(format!(
                     "tuner placed `{name}` in DW but no store holds it"
                 )));
@@ -1197,9 +1188,9 @@ impl MultistoreSystem {
             *duration += stretched;
             clock.advance(stretched);
             *bytes_moved += size;
-            self.dw.load(&stage_name(name), view, TableSpace::Temporary);
+            self.dw.temp.put(&stage_name(name), view);
             if strike.corrupt {
-                self.dw.corrupt_temp(&stage_name(name));
+                self.dw.temp.corrupt(&stage_name(name));
             }
             if !journal.staged(name) {
                 journal.append(JournalEntry::Staged {
@@ -1212,11 +1203,11 @@ impl MultistoreSystem {
         // Stage DW → HV: install under the final name in (durable) HV; the
         // DW source stays until the flip.
         for name in &plan.to_hv {
-            if journal.applied(name) || (journal.staged(name) && self.hv.has_view(name)) {
+            if journal.applied(name) || (journal.staged(name) && self.hv.views.contains(name)) {
                 continue;
             }
             let strike = self.reorg_step_poll(poll_chaos, clock, duration)?;
-            let Some(view) = self.dw.view(name).cloned() else {
+            let Some(view) = self.dw.views.get(name).cloned() else {
                 // The DW source vanished (dropped by an earlier design):
                 // nothing to migrate.
                 continue;
@@ -1228,9 +1219,9 @@ impl MultistoreSystem {
             *duration += stretched;
             clock.advance(stretched);
             *bytes_moved += size;
-            self.hv.install(name, view);
+            self.hv.views.put(name, view);
             if strike.corrupt {
-                self.hv.corrupt_view(name);
+                self.hv.views.corrupt(name);
             }
             journal.append(JournalEntry::Staged {
                 view: name.clone(),
@@ -1250,24 +1241,25 @@ impl MultistoreSystem {
         for name in &plan.to_dw {
             if !journal.applied(name) {
                 self.reorg_step_poll(poll_chaos, clock, duration)?;
-                if self.dw.promote_temp(&stage_name(name), name).is_none() {
+                let Some(staged) = self.dw.temp.take(&stage_name(name)) else {
                     return Err(MisoError::integrity(
                         name.as_str(),
                         "reorg staging copy vanished before apply",
                     ));
-                }
+                };
+                self.dw.views.put(name, staged);
                 // Verify the promoted copy against its materialization-time
                 // checksum before dropping the HV source; a torn copy is
                 // evicted and the view simply does not move this phase.
-                if self.verify_moved_copy(name, true) {
-                    self.hv.remove_view(name);
+                if self.verify_moved_copy(name, Site::Dw) {
+                    self.hv.views.take(name);
                 }
                 journal.append(JournalEntry::Applied {
                     view: name.clone(),
                     to_dw: true,
                 });
             }
-            if self.dw.has_view(name) {
+            if self.dw.views.contains(name) {
                 moved_to_dw.push(name.clone());
             }
         }
@@ -1277,15 +1269,15 @@ impl MultistoreSystem {
                 // The copy already sits in HV under the final name; verify
                 // it survived the wire before dropping the DW source (a
                 // no-op when there was nothing to stage).
-                if self.verify_moved_copy(name, false) {
-                    self.dw.evict_view(name);
+                if self.verify_moved_copy(name, Site::Hv) {
+                    self.dw.views.take(name);
                 }
                 journal.append(JournalEntry::Applied {
                     view: name.clone(),
                     to_dw: false,
                 });
             }
-            if self.hv.has_view(name) {
+            if self.hv.views.contains(name) {
                 moved_to_hv.push(name.clone());
             }
         }
@@ -1297,32 +1289,28 @@ impl MultistoreSystem {
         let mut dropped = Vec::new();
         if !journal.done() {
             self.reorg_step_poll(poll_chaos, clock, duration)?;
-            let hv_budget = self.config.budgets.hv_storage;
+            let hv_budget = self.storage_budget(Site::Hv);
             let mut extras: Vec<String> = self
                 .hv
-                .view_names()
+                .views
+                .names()
                 .into_iter()
                 .filter(|n| !design.hv.contains(n) && !design.dw.contains(n))
                 .collect();
             // LRU order: least-recently-used extras go first.
             extras.sort_by_key(|n| self.lru.iter().position(|x| x == n).unwrap_or(0));
             let mut i = 0;
-            while self.hv.total_view_bytes() > hv_budget && i < extras.len() {
+            while self.hv.views.total_bytes() > hv_budget && i < extras.len() {
                 let name = &extras[i];
-                self.hv.remove_view(name);
-                if !self.dw.has_view(name) {
-                    self.catalog.remove(name);
+                if self.drop_copy(Site::Hv, name) {
                     dropped.push(name.clone());
                 }
                 i += 1;
             }
-            for name in self.dw.view_names() {
-                if !design.dw.contains(&name) {
-                    self.dw.evict_view(&name);
-                    if !self.hv.has_view(&name) {
-                        self.catalog.remove(&name);
-                        dropped.push(name);
-                    }
+            // No budget test: an off-design view leaves however small it is.
+            for name in self.dw.views.names() {
+                if !design.dw.contains(&name) && self.drop_copy(Site::Dw, &name) {
+                    dropped.push(name);
                 }
             }
             journal.append(JournalEntry::Done);
@@ -1356,8 +1344,8 @@ impl MultistoreSystem {
     /// every source is still in place.
     fn reorg_rollback(&mut self, journal: &ReorgJournal) {
         for view in journal.staged_views(false) {
-            if self.dw.has_view(view) {
-                self.hv.remove_view(view);
+            if self.dw.views.contains(view) {
+                self.hv.views.take(view);
             }
         }
     }
@@ -1377,18 +1365,13 @@ impl MultistoreSystem {
     fn verify_used_views(&mut self, used: &[String]) -> Vec<String> {
         let mut quarantined = Vec::new();
         for name in used {
-            let in_dw = self.dw.has_view(name);
-            let read = if in_dw {
-                miso_chaos::strike("dw.view_read", "dw")
-            } else {
-                miso_chaos::strike("hv.view_read", "hv")
+            let site = self.holder(name);
+            let read = match site {
+                Site::Hv => miso_chaos::strike("hv.view_read", "hv"),
+                Site::Dw => miso_chaos::strike("dw.view_read", "dw"),
             };
             if read.is_ok_and(|strike| strike.corrupt) {
-                if in_dw {
-                    self.dw.corrupt_view(name);
-                } else {
-                    self.hv.corrupt_view(name);
-                }
+                self.shelf_mut(site).corrupt(name);
             }
             if !self.config.verify_on_read {
                 continue;
@@ -1396,9 +1379,7 @@ impl MultistoreSystem {
             let Some(expected) = self.catalog.get(name).and_then(|d| d.checksum) else {
                 continue;
             };
-            let bad = self.hv.verify_view(name, expected) == Some(false)
-                || self.dw.verify_view(name, expected) == Some(false);
-            if bad {
+            if self.fails_verify(name, expected) {
                 self.quarantine_view(name);
                 quarantined.push(name.clone());
             }
@@ -1410,8 +1391,9 @@ impl MultistoreSystem {
     /// catalog (shared by read-time verification and the scrubber).
     pub(crate) fn quarantine_view(&mut self, name: &str) {
         miso_obs::count("integrity.checksum_failures", 1);
-        self.hv.remove_view(name);
-        self.dw.evict_view(name);
+        for site in Site::ALL {
+            self.shelf_mut(site).take(name);
+        }
         if self.catalog.quarantine(name) {
             miso_obs::count("integrity.quarantined", 1);
         }
@@ -1421,31 +1403,30 @@ impl MultistoreSystem {
     /// materialization-time checksum. On mismatch the torn copy is dropped
     /// (the counter ticks) and `false` comes back so the caller keeps the
     /// surviving source in place. Views without a recorded checksum pass.
-    fn verify_moved_copy(&mut self, name: &str, in_dw: bool) -> bool {
+    fn verify_moved_copy(&mut self, name: &str, site: Site) -> bool {
         let Some(expected) = self.catalog.get(name).and_then(|d| d.checksum) else {
             return true;
         };
-        let ok = if in_dw {
-            self.dw.verify_view(name, expected)
-        } else {
-            self.hv.verify_view(name, expected)
-        };
-        if ok == Some(false) {
+        if self.shelf(site).verify(name, expected) == Some(false) {
             miso_obs::count("integrity.checksum_failures", 1);
-            if in_dw {
-                self.dw.evict_view(name);
-            } else {
-                self.hv.remove_view(name);
-            }
+            self.shelf_mut(site).take(name);
             return false;
         }
         true
     }
 
-    /// Recomputes a quarantined view from its defining plan in HV,
-    /// reinstalls the fresh copy with a fresh checksum, and lifts the
-    /// quarantine. The HV compute cost is charged to the reorganization
-    /// phase (`duration`) and the simulated clock.
+    /// Whether a stored copy of `name`, in either store, no longer matches
+    /// `expected`. Reads every cell of each copy it checks.
+    pub(crate) fn fails_verify(&self, name: &str, expected: Checksum) -> bool {
+        Site::ALL
+            .iter()
+            .any(|&site| self.shelf(site).verify(name, expected) == Some(false))
+    }
+
+    /// Recomputes a quarantined view from its defining plan in HV and
+    /// restores the fresh copy there ([`Self::restore`]). The HV compute
+    /// cost is charged to the reorganization phase (`duration`) and the
+    /// simulated clock.
     fn recompute_quarantined(
         &mut self,
         name: &str,
@@ -1461,17 +1442,78 @@ impl MultistoreSystem {
         self.record_bg(DwActivity::Idle, run.cost, clock);
         *duration += run.cost;
         clock.advance(run.cost);
-        self.catalog.set_checksum(name, view.checksum);
-        self.catalog
-            .update_stats(name, view.size, view.batch.len() as u64);
-        self.hv.install(name, view);
-        self.catalog.clear_quarantine(name);
-        miso_obs::count("integrity.repaired", 1);
-        self.lru_touch(name);
+        self.restore(Site::Hv, name, view);
         Ok(())
     }
 
+    /// Puts a fresh copy of a catalog view that no store held back on
+    /// `site`'s shelf: the catalog takes its checksum and stats, a
+    /// quarantine on it is lifted (counted as a repair), and it counts as
+    /// just used.
+    fn restore(&mut self, site: Site, name: &str, view: StoredView) {
+        self.catalog.set_checksum(name, view.checksum);
+        self.catalog
+            .update_stats(name, view.size, view.batch.len() as u64);
+        self.shelf_mut(site).put(name, view);
+        if self.catalog.clear_quarantine(name) {
+            miso_obs::count("integrity.repaired", 1);
+        }
+        self.lru_touch(name);
+    }
+
     // ---- Shared plumbing ---------------------------------------------------
+
+    /// The views `site` holds (DW's permanent design, not its temp space).
+    pub fn shelf(&self, site: Site) -> &Shelf {
+        match site {
+            Site::Hv => &self.hv.views,
+            Site::Dw => &self.dw.views,
+        }
+    }
+
+    /// [`Self::shelf`], to change.
+    pub fn shelf_mut(&mut self, site: Site) -> &mut Shelf {
+        match site {
+            Site::Hv => &mut self.hv.views,
+            Site::Dw => &mut self.dw.views,
+        }
+    }
+
+    /// Whether either store holds a copy of `name`.
+    pub fn resident(&self, name: &str) -> bool {
+        Site::ALL
+            .iter()
+            .any(|&site| self.shelf(site).contains(name))
+    }
+
+    /// The store a read of `name` goes to: DW when it holds the view, HV
+    /// otherwise.
+    pub fn holder(&self, name: &str) -> Site {
+        if self.dw.views.contains(name) {
+            Site::Dw
+        } else {
+            Site::Hv
+        }
+    }
+
+    /// Drops `site`'s copy of `name`; when the other store holds none
+    /// either, the view leaves the catalog too, and `true` comes back.
+    pub fn drop_copy(&mut self, site: Site, name: &str) -> bool {
+        self.shelf_mut(site).take(name);
+        let gone = !self.shelf(site.other()).contains(name);
+        if gone {
+            self.catalog.remove(name);
+        }
+        gone
+    }
+
+    /// The storage budget of `site`'s views (`B_h` or `B_d`).
+    pub(crate) fn storage_budget(&self, site: Site) -> ByteSize {
+        match site {
+            Site::Hv => self.config.budgets.hv_storage,
+            Site::Dw => self.config.budgets.dw_storage,
+        }
+    }
 
     /// This system's stores, borrowed for the [`crate::split`] functions.
     pub fn stores(&self) -> Stores<'_> {
@@ -1503,16 +1545,8 @@ impl MultistoreSystem {
                 // exactly when the view was quarantined (or lost) and this
                 // query just recomputed it as a by-product: the free
                 // self-healing path.
-                if !self.hv.has_view(&name) && !self.dw.has_view(&name) {
-                    let view = m.stored();
-                    self.catalog.set_checksum(&name, view.checksum);
-                    self.catalog
-                        .update_stats(&name, m.size, m.batch.len() as u64);
-                    self.hv.install(&name, view);
-                    if self.catalog.clear_quarantine(&name) {
-                        miso_obs::count("integrity.repaired", 1);
-                    }
-                    self.lru_touch(&name);
+                if !self.resident(&name) {
+                    self.restore(Site::Hv, &name, m.stored());
                 }
                 continue;
             }
@@ -1529,7 +1563,7 @@ impl MultistoreSystem {
     pub fn install_harvest(&mut self, cand: HarvestCandidate) {
         let name = cand.def.name.clone();
         self.catalog.register(cand.def);
-        self.hv.install(&name, cand.view);
+        self.hv.views.put(&name, cand.view);
     }
 
     fn lru_touch(&mut self, name: &str) {
@@ -1537,48 +1571,25 @@ impl MultistoreSystem {
         self.lru.push(name.to_string());
     }
 
-    /// Evicts least-recently-used HV views until within `B_h`.
-    fn lru_evict_hv(&mut self) {
-        let budget = self.config.budgets.hv_storage;
+    /// Evicts least-recently-used views from `site` until its views fit
+    /// its storage budget, then forgets the recency of views no store holds.
+    fn lru_evict(&mut self, site: Site) {
+        let budget = self.storage_budget(site);
         let mut i = 0;
-        while self.hv.total_view_bytes() > budget && i < self.lru.len() {
+        while self.shelf(site).total_bytes() > budget && i < self.lru.len() {
             let name = self.lru[i].clone();
-            if self.hv.has_view(&name) {
-                self.hv.remove_view(&name);
-                if !self.dw.has_view(&name) {
-                    self.catalog.remove(&name);
-                }
+            if self.shelf(site).contains(&name) {
+                self.drop_copy(site, &name);
             }
             i += 1;
         }
-        self.gc_lru();
-    }
-
-    /// Evicts least-recently-used DW views until within `B_d` (MS-LRU).
-    fn lru_evict_dw(&mut self) {
-        let budget = self.config.budgets.dw_storage;
-        let mut i = 0;
-        while self.dw.total_view_bytes() > budget && i < self.lru.len() {
-            let name = self.lru[i].clone();
-            if self.dw.has_view(&name) {
-                self.dw.evict_view(&name);
-                if !self.hv.has_view(&name) {
-                    self.catalog.remove(&name);
-                }
-            }
-            i += 1;
-        }
-        self.gc_lru();
-    }
-
-    fn gc_lru(&mut self) {
-        let hv = &self.hv;
-        let dw = &self.dw;
-        self.lru.retain(|n| hv.has_view(n) || dw.has_view(n));
+        let (hv, dw) = (&self.hv.views, &self.dw.views);
+        self.lru.retain(|n| hv.contains(n) || dw.contains(n));
     }
 
     /// MS-LRU's passive DW tuning: retain a transferred working set as a
-    /// permanent DW view.
+    /// permanent DW view. A view the catalog knows but no store holds — a
+    /// quarantined one — is restored by the fresh copy.
     fn retain_working_set(
         &mut self,
         plan: &LogicalPlan,
@@ -1587,13 +1598,16 @@ impl MultistoreSystem {
     ) {
         let cand = HarvestCandidate::of(plan, out, qid);
         let name = cand.def.name.clone();
-        if self.dw.has_view(&name) {
+        if self.dw.views.contains(&name) {
             return;
         }
         if !self.catalog.contains(&name) {
             self.catalog.register(cand.def);
+        } else if !self.resident(&name) {
+            self.restore(Site::Dw, &name, cand.view);
+            return;
         }
-        self.dw.load(&name, cand.view, TableSpace::Permanent);
+        self.dw.views.put(&name, cand.view);
         self.lru_touch(&name);
     }
 
@@ -1612,7 +1626,7 @@ impl MultistoreSystem {
         let udfs = &self.udfs;
         let guard = &self.active_guard;
         retry_store(&mut self.retry_rng, guard, clock, bucket, || {
-            hv.execute_guarded(plan, subset, udfs, guard)
+            hv.execute_guarded(plan, subset, udfs, guard, &[])
         })
     }
 
@@ -1746,7 +1760,7 @@ mod tests {
         assert_eq!(result.records.len(), 4);
         assert!(result.tti.hv_exe > SimDuration::ZERO);
         assert_eq!(result.tti.dw_exe, SimDuration::ZERO);
-        assert!(sys.hv.view_names().is_empty());
+        assert!(sys.hv.views.names().is_empty());
         assert!(sys.catalog.is_empty());
     }
 
@@ -1755,7 +1769,7 @@ mod tests {
         let mut sys = tiny_system(100_000);
         let result = sys.run_workload(Variant::HvOp, &queries()).unwrap();
         assert!(
-            !sys.hv.view_names().is_empty(),
+            !sys.hv.views.names().is_empty(),
             "opportunistic views retained"
         );
         // q2 (same prefix as q0/q1) should reuse a view and be much cheaper
@@ -1774,7 +1788,7 @@ mod tests {
         assert!(result.tti.tune > SimDuration::ZERO);
         // After the reorg (before q3), beneficial views should be in DW.
         assert!(
-            !sys.dw.view_names().is_empty(),
+            !sys.dw.views.names().is_empty(),
             "tuner moved views into DW: {:?}",
             result.reorgs
         );
@@ -1820,8 +1834,8 @@ mod tests {
     fn ms_basic_never_keeps_views() {
         let mut sys = tiny_system(100_000);
         sys.run_workload(Variant::MsBasic, &queries()).unwrap();
-        assert!(sys.hv.view_names().is_empty());
-        assert!(sys.dw.view_names().is_empty());
+        assert!(sys.hv.views.names().is_empty());
+        assert!(sys.dw.views.names().is_empty());
     }
 
     #[test]

@@ -247,7 +247,7 @@ fn corruption_quarantines_then_reorg_repairs_and_folding_resumes() {
         .into_iter()
         .find(|v| sys.catalog.contains(v))
         .expect("an HV-resident catalog view exists");
-    assert!(sys.hv.corrupt_view(&victim));
+    assert!(sys.hv.views.corrupt(&victim));
     let report = sys
         .audit_pass(&AuditConfig::strict(ByteSize::from_mib(64)))
         .unwrap();
@@ -266,7 +266,10 @@ fn corruption_quarantines_then_reorg_repairs_and_folding_resumes() {
         .find(|d| d.view == victim)
         .expect("quarantined view is still an affected view");
     assert_eq!(decision.reason, Some(FullReason::Quarantined));
-    assert!(!sys.hv.has_view(&victim), "must not resurrect behind audit");
+    assert!(
+        !sys.hv.views.contains(&victim),
+        "must not resurrect behind audit"
+    );
     let audit_again = sys
         .audit_pass(&AuditConfig::strict(ByteSize::from_mib(64)))
         .unwrap();

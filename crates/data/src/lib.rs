@@ -32,5 +32,5 @@ pub use batch::{Cell, ColBatch, ColBuilder, Column, Nulls, Slots, StrList, StrLi
 pub use checksum::{checksum_batch, checksum_rows, Checksum, RowSetDigest};
 pub use delta::Delta;
 pub use schema::{DataType, Field, Schema};
-pub use stored::StoredView;
+pub use stored::{Shelf, StoredView};
 pub use value::{Row, Value};

@@ -27,4 +27,4 @@ pub mod store;
 
 pub use background::{BackgroundSim, DwActivity, Resource};
 pub use cost::DwCostModel;
-pub use store::{DwRun, DwStore, TableSpace};
+pub use store::{DwRun, DwStore};

@@ -1,26 +1,16 @@
-//! The DW store: permanent/temporary table spaces and costed execution.
+//! The DW store: permanent and temporary table spaces, costed execution.
 
 use crate::cost::DwCostModel;
 use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
 use miso_common::{ByteSize, MisoError, Result, SimDuration};
-use miso_data::checksum::Checksum;
-use miso_data::{ColBatch, Row, Schema, StoredView};
+use miso_data::{ColBatch, Row, Shelf, StoredView};
 use miso_exec::engine::{execute_subset_guarded, seed_batches, DataSource, Execution, Retention};
 use miso_exec::UdfRegistry;
 use miso_plan::estimate::MapStats;
 use miso_plan::{LogicalPlan, Operator};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-/// Which table space a relation lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableSpace {
-    /// Tuner-managed views: part of the physical design, survive queries.
-    Permanent,
-    /// Query-lifetime working sets: discarded when the query finishes.
-    Temporary,
-}
 
 /// The result of executing a (partial) plan in DW.
 #[derive(Debug)]
@@ -38,8 +28,11 @@ pub struct DwRun {
 /// immutable epoch image (view batches are `Arc`-shared, so clones are cheap).
 #[derive(Debug, Default, Clone)]
 pub struct DwStore {
-    permanent: HashMap<String, StoredView>,
-    temporary: HashMap<String, StoredView>,
+    /// Permanent table space: tuner-managed views, the physical design.
+    pub views: Shelf,
+    /// Temporary table space: a query's working sets and a reorganization's
+    /// staging copies, discarded when the query or the reorganization ends.
+    pub temp: Shelf,
     /// Cost model (public so experiments can recalibrate).
     pub cost_model: DwCostModel,
 }
@@ -50,146 +43,26 @@ impl DwStore {
         Self::default()
     }
 
-    /// Loads a view into the given table space as it stands — the batch
-    /// moves in with the size and checksum recorded when it was materialized
-    /// (a shipped working set, a migration from HV, a maintenance pass that
-    /// re-stamped them incrementally) — returning the load cost. Nothing
-    /// here reads a cell.
-    pub fn load(&mut self, name: &str, view: StoredView, space: TableSpace) -> SimDuration {
-        let cost = self.cost_model.load_cost(view.size);
-        match space {
-            TableSpace::Permanent => self.permanent.insert(name.to_string(), view),
-            TableSpace::Temporary => self.temporary.insert(name.to_string(), view),
-        };
-        cost
-    }
-
-    /// [`DwStore::load`] for a caller that holds rows: pivots them, sizes and
-    /// checksums the result, and returns `(size, load cost)`. Rows of
-    /// differing arity are refused.
-    pub fn load_view(
-        &mut self,
-        name: &str,
-        schema: Schema,
-        rows: Arc<Vec<Row>>,
-        space: TableSpace,
-    ) -> Result<(ByteSize, SimDuration)> {
-        let view = StoredView::from_rows(name, schema, &rows)?;
-        Ok((view.size, self.load(name, view, space)))
-    }
-
-    /// Removes a permanent view, returning it whole for migration.
-    pub fn evict_view(&mut self, name: &str) -> Option<StoredView> {
-        self.permanent.remove(name)
-    }
-
-    /// Drops all temporary tables (end of a multistore query).
-    pub fn clear_temp(&mut self) {
-        self.temporary.clear();
-    }
-
-    /// Promotes a staged temporary table into the permanent space under
-    /// `name`, returning its size. Crash-safe reorganization stages incoming
-    /// views into temp space and flips them to permanent only at commit; a
-    /// crash before the flip loses only the (volatile) staged copy. Returns
-    /// `None` when the staged table is missing (e.g. wiped by a crash).
-    pub fn promote_temp(&mut self, staged: &str, name: &str) -> Option<ByteSize> {
-        let v = self.temporary.remove(staged)?;
-        let size = v.size;
-        self.permanent.insert(name.to_string(), v);
-        Some(size)
-    }
-
-    /// Whether a temporary table is present (staged working set or reorg
-    /// staging copy).
-    pub fn has_temp(&self, name: &str) -> bool {
-        self.temporary.contains_key(name)
-    }
-
-    /// Whether a *permanent* view is present (the physical design).
-    pub fn has_view(&self, name: &str) -> bool {
-        self.permanent.contains_key(name)
-    }
-
-    /// A permanent view's size.
+    /// A permanent view's size. The benchmark adapter calls this; program
+    /// code reads [`DwStore::views`].
     pub fn view_size(&self, name: &str) -> Option<ByteSize> {
-        self.permanent.get(name).map(|v| v.size)
+        self.views.size(name)
     }
 
-    /// A permanent view: batch, schema, recorded size and checksum.
-    pub fn view(&self, name: &str) -> Option<&StoredView> {
-        self.permanent.get(name)
-    }
-
-    /// A permanent view's rows, pivoted for a caller that speaks rows.
+    /// A permanent view's rows, pivoted for a caller that speaks rows. The
+    /// benchmark adapter calls this.
     pub fn view_rows_arc(&self, name: &str) -> Option<Arc<Vec<Row>>> {
-        self.permanent.get(name).map(StoredView::rows)
+        self.views.get(name).map(StoredView::rows)
     }
 
-    /// A permanent view's schema.
-    pub fn view_schema(&self, name: &str) -> Option<&Schema> {
-        self.permanent.get(name).map(|v| &v.schema)
-    }
-
-    /// A permanent view's load-time content checksum.
-    pub fn view_checksum(&self, name: &str) -> Option<Checksum> {
-        self.permanent.get(name).map(|v| v.checksum)
-    }
-
-    /// Recomputes a permanent view's checksum and compares it to
-    /// `expected`; `None` when absent. Reads every cell — callers charge
-    /// scrub/verify cost accordingly.
-    pub fn verify_view(&self, name: &str, expected: Checksum) -> Option<bool> {
-        self.permanent.get(name).map(|v| v.verify(expected))
-    }
-
-    /// Recomputes a temporary table's checksum (staged working set or
-    /// reorg staging copy) and compares it to `expected`; `None` when
-    /// absent.
-    pub fn verify_temp(&self, name: &str, expected: Checksum) -> Option<bool> {
-        self.temporary.get(name).map(|v| v.verify(expected))
-    }
-
-    /// Silently flips a permanent view's first cell (chaos corruption); the
-    /// recorded checksum is left untouched. Returns whether anything
-    /// changed.
-    pub fn corrupt_view(&mut self, name: &str) -> bool {
-        self.permanent
-            .get_mut(name)
-            .is_some_and(StoredView::corrupt)
-    }
-
-    /// Silently flips a temporary table's first cell (a torn transfer of a
-    /// working set or staging copy).
-    pub fn corrupt_temp(&mut self, name: &str) -> bool {
-        self.temporary
-            .get_mut(name)
-            .is_some_and(StoredView::corrupt)
-    }
-
-    /// Temporary table names (sorted) — must be empty between queries and
-    /// outside reorganizations; the auditor checks for dangling entries.
-    pub fn temp_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.temporary.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Total permanent view bytes (checked against `B_d` by the tuner).
-    pub fn total_view_bytes(&self) -> ByteSize {
-        self.permanent.values().map(|v| v.size).sum()
-    }
-
-    /// Permanent view names (sorted).
+    /// Permanent view names (sorted). The benchmark adapter calls this.
     pub fn view_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.permanent.keys().cloned().collect();
-        names.sort();
-        names
+        self.views.names()
     }
 
     /// Registers permanent view sizes into an estimation stats source.
     pub fn fill_stats(&self, stats: &mut MapStats) {
-        for (name, view) in &self.permanent {
+        for (name, view) in self.views.iter() {
             stats.set_view(
                 name.clone(),
                 view.batch.len() as f64,
@@ -246,7 +119,7 @@ impl DwStore {
                     return Err(MisoError::Store(format!("DW cannot execute UDF `{name}`")));
                 }
                 Operator::ScanView { view, .. }
-                    if !self.permanent.contains_key(view) && !self.temporary.contains_key(view) =>
+                    if !self.views.contains(view) && !self.temp.contains(view) =>
                 {
                     return Err(MisoError::Store(format!("DW has no view `{view}`")));
                 }
@@ -283,13 +156,8 @@ impl DwStore {
                 continue;
             }
             if let Operator::ScanView { view, .. } = &node.op {
-                let size = self
-                    .permanent
-                    .get(view)
-                    .or_else(|| self.temporary.get(view))
-                    .map(|v| v.size)
-                    .unwrap_or(ByteSize::ZERO);
-                bytes_in += size;
+                let size = self.views.size(view).or_else(|| self.temp.size(view));
+                bytes_in += size.unwrap_or(ByteSize::ZERO);
             }
             rows_processed += execution.rows_out(node.id).unwrap_or(0);
         }
@@ -331,7 +199,8 @@ impl DwStore {
             .exec_cost(ByteSize::from_bytes(bytes_in as u64), rows as u64)
     }
 
-    /// Load cost helper (used by the execution layer for working sets).
+    /// What loading `bytes` into either table space costs; whoever loads
+    /// charges it.
     pub fn load_cost(&self, bytes: ByteSize) -> SimDuration {
         self.cost_model.load_cost(bytes)
     }
@@ -345,9 +214,9 @@ impl DataSource for DwStore {
     }
 
     fn view_batch(&self, view: &str) -> Result<Arc<ColBatch>> {
-        self.permanent
+        self.views
             .get(view)
-            .or_else(|| self.temporary.get(view))
+            .or_else(|| self.temp.get(view))
             .map(|v| v.batch.clone())
             .ok_or_else(|| MisoError::Store(format!("DW has no view `{view}`")))
     }
@@ -357,7 +226,7 @@ impl DataSource for DwStore {
 mod tests {
     use super::*;
     use miso_data::checksum::checksum_rows;
-    use miso_data::{DataType, Field, Value};
+    use miso_data::{DataType, Field, Schema, Value};
 
     fn rows(n: i64) -> Arc<Vec<Row>> {
         Arc::new(
@@ -374,15 +243,17 @@ mod tests {
         ])
     }
 
+    fn stored(name: &str, n: i64) -> StoredView {
+        StoredView::from_rows(name, schema(), &rows(n)).unwrap()
+    }
+
     #[test]
     fn load_and_query_view() {
         let mut dw = DwStore::new();
-        let (size, load_cost) = dw
-            .load_view("v_a", schema(), rows(20_000), TableSpace::Permanent)
-            .unwrap();
+        let size = dw.views.put("v_a", stored("v_a", 20_000));
+        let load_cost = dw.load_cost(size);
         assert!(size.as_bytes() > 0);
         assert!(load_cost > SimDuration::ZERO);
-        assert!(dw.has_view("v_a"));
 
         let mut b = miso_plan::PlanBuilder::new();
         let sv = b
@@ -416,12 +287,14 @@ mod tests {
     #[test]
     fn temp_space_is_cleared() {
         let mut dw = DwStore::new();
-        dw.load_view("ws", schema(), rows(10), TableSpace::Temporary)
-            .unwrap();
-        assert!(!dw.has_view("ws"), "temp tables are not part of the design");
-        assert_eq!(dw.total_view_bytes(), ByteSize::ZERO);
+        dw.temp.put("ws", stored("ws", 10));
+        assert!(
+            !dw.views.contains("ws"),
+            "temp tables are not part of the design"
+        );
+        assert_eq!(dw.views.total_bytes(), ByteSize::ZERO);
         assert!(dw.view_batch("ws").is_ok());
-        dw.clear_temp();
+        dw.temp.clear();
         assert!(dw.view_batch("ws").is_err());
     }
 
@@ -500,70 +373,73 @@ mod tests {
         assert_eq!(run.execution.root_rows().unwrap().len(), 1);
     }
 
+    /// A reorganization stages a view in temp space, then flips it into
+    /// the design: taken from `temp`, put on `views` under its own name.
     #[test]
     fn promote_temp_flips_staged_table_into_design() {
         let mut dw = DwStore::new();
-        dw.load_view("reorg_stage_v", schema(), rows(8), TableSpace::Temporary)
-            .unwrap();
-        assert!(dw.has_temp("reorg_stage_v"));
-        assert!(!dw.has_view("v"));
-        let size = dw.promote_temp("reorg_stage_v", "v").unwrap();
-        assert!(size.as_bytes() > 0);
-        assert!(dw.has_view("v"), "promoted into the permanent design");
-        assert!(!dw.has_temp("reorg_stage_v"));
-        assert_eq!(dw.total_view_bytes(), size);
-        // A crash-wiped staging table promotes to nothing.
-        dw.clear_temp();
-        assert!(dw.promote_temp("missing", "w").is_none());
-        assert!(!dw.has_view("w"));
+        dw.temp.put("reorg_stage_v", stored("reorg_stage_v", 8));
+        assert!(dw.view_batch("reorg_stage_v").is_ok());
+        assert!(!dw.views.contains("v"));
+        let staged = dw.temp.take("reorg_stage_v").unwrap();
+        let size = dw.views.put("v", staged);
+        assert!(dw.views.contains("v"), "promoted into the permanent design");
+        assert!(dw.view_batch("reorg_stage_v").is_err());
+        assert!(dw.view_batch("v").is_ok());
+        assert_eq!(dw.views.total_bytes(), size);
+        // A crash-wiped staging table has nothing to promote.
+        dw.temp.clear();
+        assert!(dw.temp.take("missing").is_none());
     }
 
+    /// A view's load-time checksum moves with it from temp space into the
+    /// design, and silent corruption in either space is caught only by
+    /// re-verification.
     #[test]
     fn checksums_survive_promotion_and_catch_corruption() {
         let mut dw = DwStore::new();
-        dw.load_view("reorg_stage_v", schema(), rows(8), TableSpace::Temporary)
-            .unwrap();
+        dw.temp.put("reorg_stage_v", stored("reorg_stage_v", 8));
         let expected = checksum_rows(&rows(8));
-        assert_eq!(dw.verify_temp("reorg_stage_v", expected), Some(true));
-        dw.promote_temp("reorg_stage_v", "v").unwrap();
-        assert_eq!(dw.view_checksum("v"), Some(expected));
-        assert_eq!(dw.verify_view("v", expected), Some(true));
+        assert_eq!(dw.temp.verify("reorg_stage_v", expected), Some(true));
+        let staged = dw.temp.take("reorg_stage_v").unwrap();
+        dw.views.put("v", staged);
+        assert_eq!(dw.views.get("v").unwrap().checksum, expected);
+        assert_eq!(dw.views.verify("v", expected), Some(true));
 
-        assert!(dw.corrupt_view("v"));
+        assert!(dw.views.corrupt("v"));
         assert_eq!(
-            dw.view_checksum("v"),
-            Some(expected),
+            dw.views.get("v").unwrap().checksum,
+            expected,
             "corruption is silent"
         );
-        assert_eq!(dw.verify_view("v", expected), Some(false));
-        assert_eq!(dw.verify_view("missing", expected), None);
+        assert_eq!(dw.views.verify("v", expected), Some(false));
+        assert_eq!(dw.views.verify("missing", expected), None);
 
-        dw.load_view("ws", schema(), rows(3), TableSpace::Temporary)
-            .unwrap();
-        assert_eq!(dw.temp_names(), vec!["ws".to_string()]);
-        assert!(dw.corrupt_temp("ws"));
-        assert_eq!(dw.verify_temp("ws", checksum_rows(&rows(3))), Some(false));
-        assert!(!dw.corrupt_temp("missing"));
-        dw.clear_temp();
-        assert!(dw.temp_names().is_empty());
+        dw.temp.put("ws", stored("ws", 3));
+        assert_eq!(dw.temp.names(), vec!["ws".to_string()]);
+        assert!(dw.temp.corrupt("ws"));
+        assert_eq!(dw.temp.verify("ws", checksum_rows(&rows(3))), Some(false));
+        assert!(!dw.temp.corrupt("missing"));
+        dw.temp.clear();
+        assert!(dw.temp.names().is_empty());
     }
 
     #[test]
     fn eviction_returns_contents() {
         let mut dw = DwStore::new();
-        dw.load_view("v_b", schema(), rows(5), TableSpace::Permanent)
-            .unwrap();
-        let stored = dw.view_batch("v_b").unwrap();
-        let evicted = dw.evict_view("v_b").unwrap();
+        dw.views.put("v_b", stored("v_b", 5));
+        let batch = dw.view_batch("v_b").unwrap();
+        let evicted = dw.views.take("v_b").unwrap();
         assert_eq!(evicted.schema, schema());
         assert!(
-            Arc::ptr_eq(&evicted.batch, &stored),
+            Arc::ptr_eq(&evicted.batch, &batch),
             "the stored batch moves out"
         );
         assert_eq!(evicted.batch.to_rows(), *rows(5));
         assert!(evicted.size.as_bytes() > 0);
-        assert!(!dw.has_view("v_b"));
-        assert!(dw.evict_view("v_b").is_none());
+        assert!(!dw.views.contains("v_b"));
+        assert!(dw.view_batch("v_b").is_err());
+        assert!(dw.views.take("v_b").is_none());
     }
 
     /// An empty view migrated in from rows has its schema's arity, and a
@@ -571,31 +447,19 @@ mod tests {
     #[test]
     fn empty_views_know_their_arity_and_ragged_rows_are_refused() {
         let mut dw = DwStore::new();
-        let (size, _) = dw
-            .load_view(
-                "none",
-                schema(),
-                Arc::new(Vec::new()),
-                TableSpace::Permanent,
-            )
-            .unwrap();
+        let size = dw.views.put("none", stored("none", 0));
         assert_eq!(size, ByteSize::ZERO);
         let empty = dw.view_batch("none").unwrap();
         assert_eq!((empty.len(), empty.arity()), (0, 2));
-        assert_eq!(dw.verify_view("none", checksum_rows(&[])), Some(true));
 
         let ragged = Arc::new(vec![
             Row::new(vec![Value::Int(1), Value::Int(2)]),
             Row::new(vec![Value::Int(1)]),
         ]);
-        for space in [TableSpace::Permanent, TableSpace::Temporary] {
-            let err = dw
-                .load_view("v_ragged", schema(), ragged.clone(), space)
-                .unwrap_err();
-            assert!(matches!(err, MisoError::Store(_)), "{err:?}");
-            assert!(err.to_string().contains("`v_ragged`"), "{err}");
-        }
-        assert!(!dw.has_view("v_ragged") && !dw.has_temp("v_ragged"));
+        let err = StoredView::from_rows("v_ragged", schema(), &ragged).unwrap_err();
+        assert!(matches!(err, MisoError::Store(_)), "{err:?}");
+        assert!(err.to_string().contains("`v_ragged`"), "{err}");
+        assert!(!dw.views.contains("v_ragged") && !dw.temp.contains("v_ragged"));
         // A working set handed over as rows is refused too, naming its node.
         let mut b = miso_plan::PlanBuilder::new();
         let op = Operator::ScanView {

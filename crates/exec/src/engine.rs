@@ -2624,8 +2624,8 @@ mod tests {
     /// Rows of differing arity have no batch. No plan produces them; they
     /// can only be handed over by hand, as a view or a `provided` seed, and
     /// are refused there — before anything runs — with a store error that
-    /// names the view or the node. (The stores refuse them at `install_view`
-    /// / `load_view`, naming the view: see their tests.)
+    /// names the view or the node. (`StoredView::from_rows` refuses them
+    /// before a store is handed the view, naming it: see the stores' tests.)
     #[test]
     fn ragged_rows_fail_at_the_boundary_naming_the_node() {
         let ragged: Vec<Row> = (0..70i64)

@@ -5,9 +5,9 @@ use crate::stages::{compile_stages, Stage};
 use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
 use miso_common::{ByteSize, MisoError, Result, SimDuration};
-use miso_data::checksum::{checksum_batch, Checksum};
+use miso_data::checksum::checksum_batch;
 use miso_data::logs::LogFile;
-use miso_data::{ColBatch, Column, DataType, Row, Schema, StoredView};
+use miso_data::{ColBatch, Column, DataType, Row, Schema, Shelf, StoredView};
 use miso_exec::col::LogIndex;
 use miso_exec::engine::{execute_subset_guarded, DataSource, Execution, LogColumns, Retention};
 use miso_exec::{FusedField, UdfRegistry};
@@ -233,7 +233,7 @@ impl MaterializedOutput {
 pub struct HvRun {
     /// Row counts for every executed node; outputs only for what HV harvests
     /// (stage outputs, map-side filter spills) and the caller's extra
-    /// nodes — see [`HvStore::execute_retaining`].
+    /// nodes — see [`HvStore::execute_guarded`].
     pub execution: Execution,
     /// Total simulated cost (sum of stage costs).
     pub cost: SimDuration,
@@ -253,7 +253,8 @@ pub struct HvRun {
 #[derive(Debug, Default, Clone)]
 pub struct HvStore {
     logs: HashMap<String, Arc<LogImage>>,
-    views: HashMap<String, StoredView>,
+    /// The materialized views HV holds, each as it was materialized.
+    pub views: Shelf,
     /// Cost model (public so experiments can recalibrate).
     pub cost_model: HvCostModel,
 }
@@ -261,11 +262,7 @@ pub struct HvStore {
 impl HvStore {
     /// An empty store with the default cost model.
     pub fn new() -> Self {
-        HvStore {
-            logs: HashMap::new(),
-            views: HashMap::new(),
-            cost_model: HvCostModel::default(),
-        }
+        Self::default()
     }
 
     /// Registers a base log, sharing its lines with the caller's
@@ -305,95 +302,21 @@ impl HvStore {
         self.logs.get(name).map(|l| l.size)
     }
 
-    /// Installs (or replaces) a materialized view as it stands: the batch
-    /// moves in with the size and checksum recorded when it was materialized
-    /// (harvest, migration from DW, a maintenance pass that re-stamped them
-    /// incrementally). Nothing here reads a cell.
-    pub fn install(&mut self, name: &str, view: StoredView) -> ByteSize {
-        let size = view.size;
-        self.views.insert(name.to_string(), view);
-        size
-    }
-
-    /// [`HvStore::install`] for a caller that holds rows: pivots them, and
-    /// sizes and checksums the result (part of the write cost, like any
-    /// storage-level CRC). Rows of differing arity are refused.
-    pub fn install_view(
-        &mut self,
-        name: &str,
-        schema: Schema,
-        rows: Arc<Vec<Row>>,
-    ) -> Result<ByteSize> {
-        Ok(self.install(name, StoredView::from_rows(name, schema, &rows)?))
-    }
-
-    /// Removes a view, returning its size if it existed.
-    pub fn remove_view(&mut self, name: &str) -> Option<ByteSize> {
-        self.views.remove(name).map(|v| v.size)
-    }
-
-    /// Removes a view and returns it whole. The maintenance layer uses this
-    /// to take sole ownership of the batch before a delta apply, so extending
-    /// its columns is in place instead of a copy.
-    pub fn take_view(&mut self, name: &str) -> Option<StoredView> {
-        self.views.remove(name)
-    }
-
-    /// Whether a view is present.
-    pub fn has_view(&self, name: &str) -> bool {
-        self.views.contains_key(name)
-    }
-
-    /// A stored view: batch, schema, recorded size and checksum.
-    pub fn view(&self, name: &str) -> Option<&StoredView> {
-        self.views.get(name)
-    }
-
-    /// A view's stored size.
+    /// A view's stored size. The benchmark adapter calls this; program
+    /// code reads [`HvStore::views`].
     pub fn view_size(&self, name: &str) -> Option<ByteSize> {
-        self.views.get(name).map(|v| v.size)
+        self.views.size(name)
     }
 
-    /// A view's rows, pivoted for a caller that speaks rows.
+    /// A view's rows, pivoted for a caller that speaks rows. The benchmark
+    /// adapter calls this.
     pub fn view_rows(&self, name: &str) -> Option<Arc<Vec<Row>>> {
         self.views.get(name).map(StoredView::rows)
     }
 
-    /// A view's schema.
-    pub fn view_schema(&self, name: &str) -> Option<&Schema> {
-        self.views.get(name).map(|v| &v.schema)
-    }
-
-    /// A view's install-time content checksum.
-    pub fn view_checksum(&self, name: &str) -> Option<Checksum> {
-        self.views.get(name).map(|v| v.checksum)
-    }
-
-    /// Recomputes the stored cells' checksum and compares it to `expected`.
-    /// `None` when the view is absent. This reads every cell — callers
-    /// charge scrub/verify cost accordingly.
-    pub fn verify_view(&self, name: &str, expected: Checksum) -> Option<bool> {
-        self.views.get(name).map(|v| v.verify(expected))
-    }
-
-    /// Silently flips the view's first cell (chaos corruption). The recorded
-    /// install-time checksum is left untouched — that is the point: only
-    /// re-verification can notice. Returns whether anything changed (empty
-    /// or absent views cannot be corrupted).
-    pub fn corrupt_view(&mut self, name: &str) -> bool {
-        self.views.get_mut(name).is_some_and(StoredView::corrupt)
-    }
-
-    /// Total bytes of stored views.
-    pub fn total_view_bytes(&self) -> ByteSize {
-        self.views.values().map(|v| v.size).sum()
-    }
-
-    /// Names of stored views (sorted).
+    /// Names of stored views (sorted). The benchmark adapter calls this.
     pub fn view_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.views.keys().cloned().collect();
-        names.sort();
-        names
+        self.views.names()
     }
 
     /// Registers true log/view sizes into an estimation stats source.
@@ -405,7 +328,7 @@ impl HvStore {
                 log.size.as_bytes() as f64,
             );
         }
-        for (name, view) in &self.views {
+        for (name, view) in self.views.iter() {
             stats.set_view(
                 name.clone(),
                 view.batch.len() as f64,
@@ -423,34 +346,25 @@ impl HvStore {
         subset: Option<&HashSet<NodeId>>,
         udfs: &UdfRegistry,
     ) -> Result<HvRun> {
-        self.execute_guarded(plan, subset, udfs, QueryGuard::inert_ref())
+        self.execute_guarded(plan, subset, udfs, QueryGuard::inert_ref(), &[])
     }
 
-    /// [`HvStore::execute`] under a [`QueryGuard`]: the engine checks the
-    /// guard at every morsel-dispatch boundary and charges materializations
-    /// against its memory budget. An injected `stall` inflates the charged
-    /// cost so far past any sane deadline that the driver's next deadline
-    /// check kills the query; an injected `hog` inflates the query's charged
-    /// bytes by its factor (a no-op under an inactive guard).
+    /// [`HvStore::execute`] under a [`QueryGuard`], also keeping the outputs
+    /// of the `extra` nodes. The engine checks the guard at every
+    /// morsel-dispatch boundary and charges materializations against its
+    /// memory budget. An injected `stall` inflates the charged cost so far
+    /// past any sane deadline that the driver's next deadline check kills
+    /// the query; an injected `hog` inflates the query's charged bytes by
+    /// its factor (a no-op under an inactive guard).
+    ///
+    /// A Hadoop job writes its output to HDFS and spills its map-side
+    /// filter; every other operator's result is pipelined and gone when the
+    /// job ends. So the run keeps exactly the stage outputs (every cut node
+    /// and the sub-plan result are among them) and the in-subset `Filter`
+    /// outputs — what is charged by size and harvested — and a caller that
+    /// needs an interior output (view maintenance capturing a join build
+    /// side) names it in `extra`.
     pub fn execute_guarded(
-        &self,
-        plan: &LogicalPlan,
-        subset: Option<&HashSet<NodeId>>,
-        udfs: &UdfRegistry,
-        guard: &QueryGuard,
-    ) -> Result<HvRun> {
-        self.execute_retaining(plan, subset, udfs, guard, &[])
-    }
-
-    /// [`HvStore::execute_guarded`] that also keeps the outputs of the `extra`
-    /// nodes. A Hadoop job writes its output to HDFS and spills its
-    /// map-side filter; every other operator's result is pipelined and gone
-    /// when the job ends. So the run keeps exactly the stage outputs (every
-    /// cut node and the sub-plan result are among them) and the in-subset
-    /// `Filter` outputs — what is charged by size and harvested — and a
-    /// caller that needs an interior output (view maintenance capturing a
-    /// join build side) names it here.
-    pub fn execute_retaining(
         &self,
         plan: &LogicalPlan,
         subset: Option<&HashSet<NodeId>>,
@@ -471,7 +385,7 @@ impl HvStore {
                 Operator::ScanLog { log } if !self.logs.contains_key(log) => {
                     return Err(MisoError::Store(format!("HV has no log `{log}`")));
                 }
-                Operator::ScanView { view, .. } if !self.views.contains_key(view) => {
+                Operator::ScanView { view, .. } if !self.views.contains(view) => {
                     return Err(MisoError::Store(format!("HV has no view `{view}`")));
                 }
                 _ => {}
@@ -567,11 +481,10 @@ impl HvStore {
                     bytes_in += f.size;
                 }
                 Operator::ScanView { view, .. } => {
-                    let v = self
+                    bytes_in += self
                         .views
-                        .get(view)
+                        .size(view)
                         .ok_or_else(|| MisoError::Store(format!("HV has no view `{view}`")))?;
-                    bytes_in += v.size;
                 }
                 _ => {}
             }
@@ -638,6 +551,12 @@ mod tests {
         compile(sql, &Catalog::standard()).unwrap()
     }
 
+    /// Puts `rows` on the store's shelf as view `name`.
+    fn put_rows(s: &mut HvStore, name: &str, schema: Schema, rows: &[Row]) -> ByteSize {
+        s.views
+            .put(name, StoredView::from_rows(name, schema, rows).unwrap())
+    }
+
     #[test]
     fn execute_simple_aggregate() {
         let s = store();
@@ -662,35 +581,37 @@ mod tests {
     #[test]
     fn view_roundtrip_and_budget_accounting() {
         let mut s = store();
-        let rows = Arc::new(vec![Row::new(vec![miso_data::Value::Int(1)])]);
+        let rows = vec![Row::new(vec![miso_data::Value::Int(1)])];
         let schema = Schema::new(vec![miso_data::Field::new("x", miso_data::DataType::Int)]);
-        let size = s.install_view("v_test", schema, rows).unwrap();
+        let size = put_rows(&mut s, "v_test", schema, &rows);
         assert!(size.as_bytes() > 0);
-        assert!(s.has_view("v_test"));
+        assert!(s.views.contains("v_test"));
         assert_eq!(s.view_size("v_test"), Some(size));
-        assert_eq!(s.total_view_bytes(), size);
-        assert_eq!(s.remove_view("v_test"), Some(size));
-        assert!(!s.has_view("v_test"));
-        assert_eq!(s.total_view_bytes(), ByteSize::ZERO);
+        assert_eq!(s.view_names(), vec!["v_test".to_string()]);
+        assert_eq!(s.views.total_bytes(), size);
+        assert_eq!(s.views.take("v_test").map(|v| v.size), Some(size));
+        assert!(!s.views.contains("v_test"));
+        assert!(s.view_batch("v_test").is_err());
+        assert_eq!(s.views.total_bytes(), ByteSize::ZERO);
     }
 
     #[test]
     fn checksum_recorded_and_corruption_detected() {
         let mut s = store();
-        let rows = Arc::new(vec![Row::new(vec![miso_data::Value::Int(1)])]);
+        let rows = vec![Row::new(vec![miso_data::Value::Int(1)])];
         let schema = Schema::new(vec![miso_data::Field::new("x", miso_data::DataType::Int)]);
-        s.install_view("v_test", schema, rows).unwrap();
-        let recorded = s.view_checksum("v_test").unwrap();
-        assert_eq!(s.verify_view("v_test", recorded), Some(true));
-        assert!(s.corrupt_view("v_test"));
+        put_rows(&mut s, "v_test", schema, &rows);
+        let recorded = s.views.get("v_test").unwrap().checksum;
+        assert_eq!(s.views.verify("v_test", recorded), Some(true));
+        assert!(s.views.corrupt("v_test"));
         assert_eq!(
-            s.view_checksum("v_test"),
-            Some(recorded),
+            s.views.get("v_test").unwrap().checksum,
+            recorded,
             "corruption is silent: the recorded checksum must not move"
         );
-        assert_eq!(s.verify_view("v_test", recorded), Some(false));
-        assert_eq!(s.verify_view("v_missing", recorded), None);
-        assert!(!s.corrupt_view("v_missing"));
+        assert_eq!(s.views.verify("v_test", recorded), Some(false));
+        assert_eq!(s.views.verify("v_missing", recorded), None);
+        assert!(!s.views.corrupt("v_missing"));
     }
 
     /// A clone costs refcounts, not lines: it shares each log's storage and
@@ -761,30 +682,30 @@ mod tests {
         let mut s = store();
         let schema = Schema::new(vec![miso_data::Field::new("x", miso_data::DataType::Int)]);
         let rows = |x: i64| Arc::new(vec![Row::new(vec![miso_data::Value::Int(x)])]);
-        s.install_view("v", schema.clone(), rows(1)).unwrap();
+        put_rows(&mut s, "v", schema.clone(), &rows(1));
         let first = s.view_batch("v").unwrap();
         assert!(Arc::ptr_eq(&first, &s.view_batch("v").unwrap()));
         let snapshot = s.clone();
         assert!(Arc::ptr_eq(&first, &snapshot.view_batch("v").unwrap()));
         assert_eq!(first.to_rows(), *rows(1));
         // Corruption copies on write: the snapshot keeps the clean cells.
-        assert!(s.corrupt_view("v"));
+        assert!(s.views.corrupt("v"));
         assert_ne!(s.view_batch("v").unwrap().to_rows(), *rows(1));
         assert_eq!(
             *s.view_rows("v").unwrap(),
             s.view_batch("v").unwrap().to_rows()
         );
         assert_eq!(snapshot.view_batch("v").unwrap().to_rows(), *rows(1));
-        s.install_view("v", schema, rows(2)).unwrap();
+        put_rows(&mut s, "v", schema, &rows(2));
         assert_eq!(s.view_batch("v").unwrap().to_rows(), *rows(2));
         // Taking a view hands over the stored `Arc`, recorded stamps and all.
         let stored = s.view_batch("v").unwrap();
-        let taken = s.take_view("v").unwrap();
+        let taken = s.views.take("v").unwrap();
         assert!(s.view_batch("v").is_err());
         assert!(Arc::ptr_eq(&taken.batch, &stored));
         assert!(taken.verify(taken.checksum));
         assert_eq!(taken.size.as_bytes(), stored.row_bytes());
-        s.install("v", taken);
+        s.views.put("v", taken);
         assert!(Arc::ptr_eq(&s.view_batch("v").unwrap(), &stored));
     }
 
@@ -797,11 +718,10 @@ mod tests {
             miso_data::Field::new("k", miso_data::DataType::Int),
             miso_data::Field::new("v", miso_data::DataType::Str),
         ]);
-        s.install_view("none", schema.clone(), Arc::new(Vec::new()))
-            .unwrap();
+        put_rows(&mut s, "none", schema.clone(), &[]);
         let empty = s.view_batch("none").unwrap();
         assert_eq!((empty.len(), empty.arity()), (0, 2));
-        assert_eq!(s.view_size("none"), Some(ByteSize::ZERO));
+        assert_eq!(s.views.size("none"), Some(ByteSize::ZERO));
         let mut b = miso_plan::PlanBuilder::new();
         let scan = |b: &mut miso_plan::PlanBuilder| {
             let op = Operator::ScanView {
@@ -821,7 +741,7 @@ mod tests {
         let root = run.execution.root_batch().unwrap();
         assert_eq!((root.len(), root.arity()), (0, 4));
         // An append refresh extends the stored columns in place.
-        let mut taken = s.take_view("none").unwrap();
+        let mut taken = s.views.take("none").unwrap();
         let delta = vec![Row::new(vec![
             miso_data::Value::Int(1),
             miso_data::Value::str("a"),
@@ -836,17 +756,17 @@ mod tests {
     /// enter, naming the view, and nothing is stored.
     #[test]
     fn ragged_rows_are_refused_at_install() {
-        let mut s = store();
+        let s = store();
         let schema = Schema::new(vec![miso_data::Field::new("x", miso_data::DataType::Int)]);
         let ragged = Arc::new(vec![
             Row::new(vec![miso_data::Value::Int(1)]),
             Row::new(vec![miso_data::Value::Int(1), miso_data::Value::Int(2)]),
         ]);
-        let err = s.install_view("v_ragged", schema, ragged).unwrap_err();
+        let err = StoredView::from_rows("v_ragged", schema, &ragged).unwrap_err();
         assert!(matches!(err, MisoError::Store(_)), "{err:?}");
         assert!(err.to_string().contains("`v_ragged`"), "{err}");
         assert!(err.to_string().contains("differing arity"), "{err}");
-        assert!(!s.has_view("v_ragged"));
+        assert!(!s.views.contains("v_ragged"));
     }
 
     #[test]
@@ -856,7 +776,7 @@ mod tests {
         let p = plan("SELECT t.city AS city, COUNT(*) AS n FROM twitter t GROUP BY t.city");
         let run = s.execute(&p, None, &UdfRegistry::new()).unwrap();
         let m = &run.materialized[0];
-        s.install("v_agg", m.stored());
+        s.views.put("v_agg", m.stored());
 
         let mut b = miso_plan::PlanBuilder::new();
         let sv = b
@@ -888,9 +808,9 @@ mod tests {
     #[test]
     fn fill_stats_registers_logs_and_views() {
         let mut s = store();
-        let rows = Arc::new(vec![Row::new(vec![miso_data::Value::Int(1)])]);
+        let rows = vec![Row::new(vec![miso_data::Value::Int(1)])];
         let schema = Schema::new(vec![miso_data::Field::new("x", miso_data::DataType::Int)]);
-        s.install_view("v_x", schema, rows).unwrap();
+        put_rows(&mut s, "v_x", schema, &rows);
         let mut stats = MapStats::new();
         s.fill_stats(&mut stats);
         use miso_plan::estimate::StatsSource;

@@ -134,7 +134,7 @@ impl SnapExecutor {
         let hv_run = if hv_set.is_empty() {
             None
         } else {
-            Some(hv.execute_guarded(plan, Some(&hv_set), &self.udfs, &meter)?)
+            Some(hv.execute_guarded(plan, Some(&hv_set), &self.udfs, &meter, &[])?)
         };
         let cuts = match &hv_run {
             Some(run) => split::cuts(stores, &planned, run)?,
@@ -162,7 +162,7 @@ impl SnapExecutor {
             charged_bytes: meter.peak(),
             result_rows,
             checksum,
-            used_views: used.map(|v| (v.clone(), hv.has_view(v))).collect(),
+            used_views: used.map(|v| (v.clone(), hv.views.contains(v))).collect(),
             harvest,
         })
     }

@@ -23,6 +23,7 @@ use miso_common::ids::QueryId;
 use miso_common::{Budgets, ByteSize, SimClock, SimDuration};
 use miso_core::{MultistoreSystem, SystemConfig, Variant};
 use miso_data::logs::{Corpus, LogsConfig};
+use miso_data::StoredView;
 use miso_dw::DwStore;
 use miso_exec::UdfRegistry;
 use miso_hv::HvStore;
@@ -99,8 +100,8 @@ fn racing_reader_never_observes_mixed_snapshot() {
         let def = ViewDef::from_plan(plan, ByteSize::from_kib(1), 0, QueryId(k));
         let name = def.name.clone();
         catalog.register(def);
-        hv.install_view(&name, schema, Arc::new(Vec::new()))
-            .unwrap();
+        hv.views
+            .put(&name, StoredView::from_rows(&name, schema, &[]).unwrap());
         staged.push(EpochSnapshot {
             epoch: k,
             hv: hv.clone(),
@@ -141,7 +142,7 @@ fn racing_reader_never_observes_mixed_snapshot() {
                     );
                     for def in snap.catalog.defs() {
                         assert!(
-                            snap.hv.has_view(&def.name),
+                            snap.hv.views.contains(&def.name),
                             "catalog lists {} but HV does not carry it",
                             def.name
                         );

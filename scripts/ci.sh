@@ -78,12 +78,14 @@ grep -q '"correct": *true' "$golden/e2e-serve.json"
 CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
     --workload stream_steady --seed 7 --seconds 1 --trace 1 | tail -n 1 >"$golden/e2e-steady.json"
 grep -q '"correct": *true' "$golden/e2e-steady.json"
-# Planning decides nothing new: the traced steady stream's seed-7 planning
-# counts are pinned, so an enumerator that drops or repeats a split, or a
-# what-if probe that plans differently, fails here and not in a benchmark.
+# Planning and reorganization decide nothing new: the traced steady
+# stream's seed-7 planning counts and reorg decisions are pinned, so an
+# enumerator that drops or repeats a split, a what-if probe that plans
+# differently, or a reorg that moves or drops views differently, fails here
+# and not in a benchmark.
 for count in optimizer.cost_evals=7187 plan.split_enumerations=917 \
     core.whatif_calls=21693 views.cost_probes=21693 core.knapsack_dp_cells=545477 \
-    core.views_moved=132 core.views_dropped=126; do
+    core.reorgs=63 core.views_moved=132 core.views_dropped=126; do
     grep -q "\"${count%=*}\": *{\"value\": *${count#*=}," "$golden/e2e-steady.json" ||
         { echo "ci: ${count%=*} is not ${count#*=}"; exit 1; }
 done

@@ -84,14 +84,14 @@ fn result_rows(result: &ExperimentResult) -> Vec<u64> {
 fn assert_design_consistent(sys: &MultistoreSystem, context: &str) {
     for name in sys.catalog.names() {
         assert!(
-            sys.hv.has_view(&name) || sys.dw.has_view(&name),
+            sys.resident(&name),
             "{context}: catalog view `{name}` lost from both stores"
         );
     }
     assert!(
-        sys.dw.total_view_bytes() <= budgets().dw_storage,
+        sys.dw.views.total_bytes() <= budgets().dw_storage,
         "{context}: DW design exceeds B_d: {}",
-        sys.dw.total_view_bytes()
+        sys.dw.views.total_bytes()
     );
 }
 

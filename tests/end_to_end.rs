@@ -115,9 +115,9 @@ fn dw_storage_budget_is_respected_after_every_reorg() {
     );
     sys.run_workload(Variant::MsMiso, &queries).unwrap();
     assert!(
-        sys.dw.total_view_bytes() <= ByteSize::from_kib(64),
+        sys.dw.views.total_bytes() <= ByteSize::from_kib(64),
         "DW design exceeds B_d: {}",
-        sys.dw.total_view_bytes()
+        sys.dw.views.total_bytes()
     );
 }
 
@@ -141,10 +141,7 @@ fn designs_stay_disjoint_and_catalog_consistent() {
         );
     }
     for name in sys.catalog.names() {
-        assert!(
-            sys.hv.has_view(&name) || sys.dw.has_view(&name),
-            "catalog entry {name} resident nowhere"
-        );
+        assert!(sys.resident(&name), "catalog entry {name} resident nowhere");
     }
 }
 
@@ -250,6 +247,6 @@ fn lru_variants_respect_budgets_between_queries() {
         SystemConfig::paper_default(tight),
     );
     sys.run_workload(Variant::MsLru, &queries).unwrap();
-    assert!(sys.hv.total_view_bytes() <= ByteSize::from_kib(256));
-    assert!(sys.dw.total_view_bytes() <= ByteSize::from_kib(64));
+    assert!(sys.hv.views.total_bytes() <= ByteSize::from_kib(256));
+    assert!(sys.dw.views.total_bytes() <= ByteSize::from_kib(64));
 }

@@ -475,7 +475,7 @@ fn zero_deadline_kills_are_classified_and_publish_nothing() {
         "killed queries must not publish views"
     );
     assert!(
-        sys.dw.total_view_bytes() <= budgets().dw_storage,
+        sys.dw.views.total_bytes() <= budgets().dw_storage,
         "DW design within budget after kills"
     );
 }

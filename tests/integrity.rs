@@ -104,7 +104,7 @@ fn result_rows(result: &ExperimentResult) -> Vec<u64> {
 /// resident somewhere, quarantined views resident nowhere, B_d holds.
 fn assert_design_consistent(sys: &MultistoreSystem, context: &str) {
     for name in sys.catalog.names() {
-        let resident = sys.hv.has_view(&name) || sys.dw.has_view(&name);
+        let resident = sys.resident(&name);
         if sys.catalog.is_quarantined(&name) {
             assert!(
                 !resident,
@@ -118,7 +118,7 @@ fn assert_design_consistent(sys: &MultistoreSystem, context: &str) {
         }
     }
     assert!(
-        sys.dw.total_view_bytes() <= budgets().dw_storage,
+        sys.dw.views.total_bytes() <= budgets().dw_storage,
         "{context}: DW design exceeds B_d"
     );
 }
@@ -127,12 +127,12 @@ fn assert_design_consistent(sys: &MultistoreSystem, context: &str) {
 /// sorted order) in whichever store holds it; returns its name.
 fn corrupt_one_view(sys: &mut MultistoreSystem) -> String {
     for name in sys.catalog.names() {
-        if sys.hv.has_view(&name) {
-            assert!(sys.hv.corrupt_view(&name));
+        if sys.hv.views.contains(&name) {
+            assert!(sys.hv.views.corrupt(&name));
             return name;
         }
-        if sys.dw.has_view(&name) {
-            assert!(sys.dw.corrupt_view(&name));
+        if sys.dw.views.contains(&name) {
+            assert!(sys.dw.views.corrupt(&name));
             return name;
         }
     }
@@ -176,7 +176,7 @@ fn checksums_are_stable_across_system_instances() {
     for (name, sum) in sums_a {
         let expected = miso::data::Checksum(sum.unwrap());
         assert_eq!(
-            a.hv.verify_view(&name, expected),
+            a.hv.views.verify(&name, expected),
             Some(true),
             "stored copy of `{name}` disagrees with its catalog checksum"
         );
@@ -276,9 +276,9 @@ fn quarantine_repair_serve_survives_crash_mid_reorg() {
             .catalog
             .names()
             .into_iter()
-            .find(|n| sys.dw.has_view(n))
+            .find(|n| sys.dw.views.contains(n))
             .expect("MS-MISO keeps views in DW");
-        assert!(sys.dw.corrupt_view(&victim));
+        assert!(sys.dw.views.corrupt(&victim));
         let report = sys.audit_pass(&audit).unwrap();
         assert_eq!(
             report.quarantined,
@@ -359,6 +359,39 @@ fn tuner_drops_quarantined_views_not_worth_recomputing() {
         !sys.catalog.contains(&victim),
         "worthless quarantined view must be dropped from the catalog"
     );
-    assert!(!sys.hv.has_view(&victim) && !sys.dw.has_view(&victim));
+    assert!(!sys.hv.views.contains(&victim) && !sys.dw.views.contains(&victim));
     assert_design_consistent(&sys, "tuner drop");
+}
+
+/// Under MS-LRU a working set shipped to DW is kept there as a view. When
+/// that view was quarantined, the next shipment of the same working set
+/// restores it: resident again, no longer quarantined, counted as a repair.
+#[test]
+fn a_reshipped_working_set_restores_its_quarantined_view() {
+    let _lock = INTEGRITY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = IntegrityGuard;
+    miso::chaos::disable();
+    obs();
+
+    let corpus = tiny_corpus();
+    let queries = stream();
+    let mut sys = verifying_system(&corpus);
+    sys.run_workload(Variant::MsLru, &queries).unwrap();
+    let victims = sys.dw.views.names();
+    assert!(!victims.is_empty(), "MS-LRU keeps working sets in DW");
+    for name in &victims {
+        assert!(sys.dw.views.corrupt(name));
+    }
+    sys.run_workload(Variant::MsLru, &queries).unwrap();
+    assert!(
+        counter("integrity.quarantined") > 0,
+        "reads of the corrupt copies must quarantine them"
+    );
+    assert!(
+        counter("integrity.repaired") > 0,
+        "a re-shipped working set must lift its view's quarantine"
+    );
+    assert_design_consistent(&sys, "re-shipped working sets");
+    sys.audit_pass(&AuditConfig::strict(ByteSize::ZERO))
+        .expect("no quarantined view is resident");
 }

@@ -620,7 +620,7 @@ fn guarded_scans_fuse_and_charge_no_more_than_unfused() {
     let metered = |hv: &HvStore, plan: &LogicalPlan, keep: &[NodeId]| {
         let meter = QueryGuard::new(None, 0);
         let run = hv
-            .execute_retaining(plan, None, &udfs, &meter, keep)
+            .execute_guarded(plan, None, &udfs, &meter, keep)
             .expect("metered run");
         assert_eq!(meter.used(), 0, "charges unwind");
         (run_facts(&run, plan), meter.peak())

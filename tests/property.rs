@@ -517,11 +517,11 @@ mod reorg_crash_safety {
             assert_eq!(rows, clean_rows, "{what} changed answers");
             for name in sys.catalog.names() {
                 assert!(
-                    sys.hv.has_view(&name) || sys.dw.has_view(&name),
+                    sys.resident(&name),
                     "{what}: view `{name}` lost from both stores"
                 );
             }
-            assert!(sys.dw.total_view_bytes() <= budgets().dw_storage, "{what}");
+            assert!(sys.dw.views.total_bytes() <= budgets().dw_storage, "{what}");
         });
         assert!(crashed > 0, "no case reached its crash step");
     }

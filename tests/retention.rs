@@ -315,7 +315,7 @@ fn a_kept_filter_under_a_join_serves_both() {
 #[test]
 fn a_kept_view_scan_is_the_sources_own_rows() {
     use miso::data::{ColBatch, StoredView};
-    use miso::dw::{DwStore, TableSpace};
+    use miso::dw::DwStore;
     use miso::exec::DataSource;
     let schema = Schema::new(vec![int_field("k"), int_field("v")]);
     let rows: Vec<Row> = (0..5_000)
@@ -359,10 +359,10 @@ fn a_kept_view_scan_is_the_sources_own_rows() {
     same(&root, &mem, "MemSource, root");
 
     let mut hv = HvStore::new();
-    hv.install("v", view.clone());
+    hv.views.put("v", view.clone());
     let guard = QueryGuard::inert_ref();
     let kept = hv
-        .execute_retaining(&plan, None, &udfs, guard, &[scan])
+        .execute_guarded(&plan, None, &udfs, guard, &[scan])
         .unwrap();
     same(&kept.execution, &hv, "HvStore, kept");
     let root = hv.execute(&scan_plan, None, &udfs).unwrap();
@@ -371,7 +371,7 @@ fn a_kept_view_scan_is_the_sources_own_rows() {
     assert!(installed(&root.execution));
 
     let mut dw = DwStore::new();
-    dw.load("v", view.clone(), TableSpace::Permanent);
+    dw.views.put("v", view.clone());
     let root = dw.execute(&scan_plan, None, HashMap::new(), &udfs).unwrap();
     same(&root.execution, &dw, "DwStore, root");
     assert!(installed(&root.execution));

@@ -21,7 +21,7 @@ const ROW_FORMS: [&str; 5] = [
 /// `(file, item)` pairs allowed to hold one. `exec/src/{serial,udf}.rs` —
 /// the row-at-a-time reference interpreter and the UDF ABI — are not
 /// scanned.
-const ADAPTORS: [(&str, &str); 15] = [
+const ADAPTORS: [(&str, &str); 13] = [
     // A run's outputs as rows, pivoted on request.
     ("crates/exec/src/engine.rs", "struct Held"),
     ("crates/exec/src/engine.rs", "fn rows"),
@@ -36,10 +36,8 @@ const ADAPTORS: [(&str, &str); 15] = [
     ("crates/exec/src/engine.rs", "fn pivot"),
     // The test fixture registers views from rows.
     ("crates/exec/src/engine.rs", "fn add_view"),
-    // Views in and out of the stores as rows.
-    ("crates/hv/src/store.rs", "fn install_view"),
+    // Views out of the stores as rows, and working sets into DW as rows.
     ("crates/hv/src/store.rs", "fn view_rows"),
-    ("crates/dw/src/store.rs", "fn load_view"),
     ("crates/dw/src/store.rs", "fn view_rows_arc"),
     ("crates/dw/src/store.rs", "fn execute"),
 ];

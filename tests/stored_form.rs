@@ -11,7 +11,6 @@ use miso::core::{
     AuditConfig, GrowthConfig, MaintenancePolicy, MultistoreSystem, SystemConfig, Variant,
 };
 use miso::data::logs::{generate_delta, Corpus, LogKind, LogsConfig};
-use miso::dw::TableSpace;
 use miso::lang::compile;
 use miso::plan::fingerprint::fnv1a_str;
 use miso::workload::{compile_workload, standard_udfs, workload_catalog};
@@ -36,10 +35,10 @@ fn record(sys: &MultistoreSystem) -> Vec<String> {
     let mut lines = Vec::new();
     for def in sys.catalog.defs() {
         let name = &def.name;
-        let hv = sys.hv.view_checksum(name).zip(sys.hv.view_size(name));
-        let dw = sys.dw.view_checksum(name).zip(sys.dw.view_size(name));
-        let copy = |c: Option<(miso::data::Checksum, ByteSize)>| match c {
-            Some((sum, size)) => format!("{sum}/{}", size.as_bytes()),
+        let hv = sys.hv.views.get(name);
+        let dw = sys.dw.views.get(name);
+        let copy = |c: Option<&miso::data::StoredView>| match c {
+            Some(v) => format!("{}/{}", v.checksum, v.size.as_bytes()),
             None => "-".to_string(),
         };
         lines.push(format!(
@@ -59,7 +58,7 @@ fn record(sys: &MultistoreSystem) -> Vec<String> {
 /// `(views, views resident in DW, total recorded bytes, digest of every line)`.
 fn summary(sys: &MultistoreSystem) -> (usize, usize, u64, u64) {
     let lines = record(sys);
-    let bytes = sys.hv.total_view_bytes() + sys.dw.total_view_bytes();
+    let bytes = sys.hv.views.total_bytes() + sys.dw.views.total_bytes();
     (
         lines.len(),
         sys.dw.view_names().len(),
@@ -109,21 +108,19 @@ fn recorded_checksums_sizes_and_stats_are_those_of_the_row_stored_parent() {
         let sum = def.checksum.expect("harvested views carry a checksum");
         let ok = sys
             .hv
-            .verify_view(&def.name, sum)
-            .or(sys.dw.verify_view(&def.name, sum));
+            .views
+            .verify(&def.name, sum)
+            .or(sys.dw.views.verify(&def.name, sum));
         assert_eq!(ok, Some(true), "{}", def.name);
     }
 
     // Corrupt a DW-resident copy; the scrub quarantines it, and a second
     // pass of the stream repairs (or drops) it.
     let victim = sys.dw.view_names().into_iter().next().expect("a DW view");
-    let recorded = sys.dw.view_checksum(&victim);
-    assert!(sys.dw.corrupt_view(&victim));
-    assert_eq!(
-        sys.dw.view_checksum(&victim),
-        recorded,
-        "corruption is silent"
-    );
+    let checksum = |sys: &MultistoreSystem| sys.dw.views.get(&victim).map(|v| v.checksum);
+    let recorded = checksum(&sys);
+    assert!(sys.dw.views.corrupt(&victim));
+    assert_eq!(checksum(&sys), recorded, "corruption is silent");
     let report = sys
         .audit_pass(&AuditConfig::counting(ByteSize::from_mib(64)))
         .unwrap();
@@ -189,15 +186,15 @@ fn an_empty_view_scans_joins_migrates_and_takes_an_append() {
         .hv
         .view_names()
         .into_iter()
-        .filter(|n| sys.hv.view(n).unwrap().batch.is_empty())
+        .filter(|n| sys.hv.views.get(n).unwrap().batch.is_empty())
         .collect();
     assert!(!empties.is_empty(), "nothing qualifies: empty views");
     for name in &empties {
-        let view = sys.hv.view(name).unwrap();
+        let view = sys.hv.views.get(name).unwrap();
         assert!(view.schema.arity() > 0, "{name}");
         assert_eq!(view.batch.arity(), view.schema.arity(), "{name}");
         assert_eq!(view.size, ByteSize::ZERO, "{name}");
-        assert_eq!(sys.hv.verify_view(name, view.checksum), Some(true));
+        assert_eq!(sys.hv.views.verify(name, view.checksum), Some(true));
     }
     // Scanned and joined against, again, now all from views.
     let again = sys.run_workload(Variant::HvOp, &queries).unwrap();
@@ -205,11 +202,10 @@ fn an_empty_view_scans_joins_migrates_and_takes_an_append() {
     assert!(again.records.iter().all(|r| !r.used_views.is_empty()));
     // Migrated HV→DW: the stored view moves as it is.
     for name in &empties {
-        let view = sys.hv.take_view(name).unwrap();
-        sys.dw.load(name, view, TableSpace::Permanent);
-        assert_eq!(sys.dw.view(name).unwrap().batch.arity(), {
-            sys.dw.view_schema(name).unwrap().arity()
-        });
+        let view = sys.hv.views.take(name).unwrap();
+        sys.dw.views.put(name, view);
+        let moved = sys.dw.views.get(name).unwrap();
+        assert_eq!(moved.batch.arity(), moved.schema.arity());
     }
     let split = sys.run_workload(Variant::MsMiso, &queries).unwrap();
     assert!(split.records.iter().all(|r| r.result_rows == 0));
@@ -233,13 +229,13 @@ fn an_empty_view_scans_joins_migrates_and_takes_an_append() {
     assert!(!report.delta_refreshed.is_empty(), "{report:?}");
     let grown: Vec<&String> = empties
         .iter()
-        .filter(|n| sys.dw.view(n).is_some_and(|v| !v.batch.is_empty()))
+        .filter(|n| sys.dw.views.get(n).is_some_and(|v| !v.batch.is_empty()))
         .collect();
     assert!(!grown.is_empty(), "an empty view took the append");
     for name in grown {
-        let view = sys.dw.view(name).unwrap();
+        let view = sys.dw.views.get(name).unwrap();
         assert_eq!(view.batch.arity(), view.schema.arity(), "{name}");
-        assert_eq!(sys.dw.verify_view(name, view.checksum), Some(true));
+        assert_eq!(sys.dw.views.verify(name, view.checksum), Some(true));
         assert_eq!(sys.catalog.get(name).unwrap().checksum, Some(view.checksum));
     }
     let after = sys.run_workload(Variant::MsMiso, &queries).unwrap();

@@ -81,7 +81,7 @@ fn system(corpus: &Corpus, verify_on_read: bool, guard: GuardConfig) -> Multisto
 fn corrupt_copies(sys: &MultistoreSystem) -> usize {
     let bad = |d: &&miso::views::ViewDef| {
         d.checksum
-            .is_some_and(|sum| sys.hv.verify_view(&d.name, sum) == Some(false))
+            .is_some_and(|sum| sys.hv.views.verify(&d.name, sum) == Some(false))
     };
     sys.catalog.defs().into_iter().filter(bad).count()
 }
@@ -117,7 +117,7 @@ fn two_systems_in_one_process_each_follow_their_own_config() {
         let names = sys.hv.view_names();
         assert!(!names.is_empty(), "q0 left views behind");
         for name in &names {
-            assert!(sys.hv.corrupt_view(name));
+            assert!(sys.hv.views.corrupt(name));
         }
     }
     let corrupted = corrupt_copies(&verifying);
