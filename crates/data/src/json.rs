@@ -20,6 +20,7 @@
 
 use crate::value::Value;
 use miso_common::{MisoError, Result};
+use std::fmt::Write;
 
 /// Deepest container nesting a document may have: a scalar is depth 0, `[]`
 /// depth 1, `[[]]` depth 2. The parser recurses once per level, so without
@@ -60,21 +61,9 @@ pub fn to_json(value: &Value) -> String {
 fn write_value(value: &Value, out: &mut String) {
     match value {
         Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // Ensure floats round-trip as floats (append .0 if integral).
-                let s = f.to_string();
-                out.push_str(&s);
-                if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-                    out.push_str(".0");
-                }
-            } else {
-                out.push_str("null");
-            }
-        }
+        Value::Bool(b) => write_bool(*b, out),
+        Value::Int(i) => write_int(*i, out),
+        Value::Float(f) => write_float(*f, out),
         Value::Str(s) => write_string(s, out),
         Value::Array(items) => {
             out.push('[');
@@ -101,22 +90,115 @@ fn write_value(value: &Value, out: &mut String) {
     }
 }
 
+fn write_bool(b: bool, out: &mut String) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+fn write_int(i: i64, out: &mut String) {
+    let _ = write!(out, "{i}");
+}
+
+/// A float in its shortest round-trip digits, with `.0` appended when they
+/// read as an integer so it parses back as a float; `null` when not finite.
+fn write_float(f: f64, out: &mut String) {
+    if f.is_finite() {
+        let start = out.len();
+        let _ = write!(out, "{f}");
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
+        }
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// A quoted string. Only ASCII bytes are escaped, so the text between them
+/// is copied in runs.
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..0x20 => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escaped);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Writes one JSON object member by member, straight to text, with no
+/// [`Value`] in between: the bytes [`to_json`] gives the object of the same
+/// members. Members must come in strictly ascending key order, the order
+/// [`Value::object`] sorts them into (a debug build asserts it).
+pub(crate) struct ObjectWriter<'a> {
+    out: &'a mut String,
+    last: Option<&'static str>,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub(crate) fn new(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, last: None }
+    }
+
+    fn key(&mut self, key: &'static str) -> &mut String {
+        if let Some(last) = self.last {
+            debug_assert!(last < key, "member `{key}` written after `{last}`");
+            self.out.push(',');
+        }
+        self.last = Some(key);
+        write_string(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    pub(crate) fn int(&mut self, key: &'static str, v: i64) {
+        write_int(v, self.key(key));
+    }
+
+    pub(crate) fn float(&mut self, key: &'static str, v: f64) {
+        write_float(v, self.key(key));
+    }
+
+    pub(crate) fn bool(&mut self, key: &'static str, v: bool) {
+        write_bool(v, self.key(key));
+    }
+
+    pub(crate) fn str(&mut self, key: &'static str, v: &str) {
+        write_string(v, self.key(key));
+    }
+
+    /// An array of strings.
+    pub(crate) fn strs(&mut self, key: &'static str, items: &[&str]) {
+        let out = self.key(key);
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_string(item, out);
+        }
+        out.push(']');
+    }
+
+    /// Closes the object.
+    pub(crate) fn finish(self) {
+        self.out.push('}');
+    }
 }
 
 struct Parser<'a> {
@@ -1216,6 +1298,48 @@ mod tests {
     fn nonfinite_floats_serialize_as_null() {
         assert_eq!(to_json(&Value::Float(f64::NAN)), "null");
         assert_eq!(to_json(&Value::Float(f64::INFINITY)), "null");
+    }
+
+    #[test]
+    fn object_writer_matches_to_json() {
+        let mut out = String::new();
+        let mut w = ObjectWriter::new(&mut out);
+        w.bool("a", false);
+        w.float("b", 2.0);
+        w.float("c", f64::NAN);
+        w.float("d", -0.25);
+        w.int("e", -17);
+        w.str("f", "q\"u\\o\nte\u{1}é 好");
+        w.strs("g", &[]);
+        w.strs("h", &["x", "y\t"]);
+        w.finish();
+        let value = Value::object(vec![
+            (
+                "h".into(),
+                Value::Array(vec![Value::str("x"), Value::str("y\t")]),
+            ),
+            ("g".into(), Value::Array(vec![])),
+            ("f".into(), Value::str("q\"u\\o\nte\u{1}é 好")),
+            ("e".into(), Value::Int(-17)),
+            ("d".into(), Value::Float(-0.25)),
+            ("c".into(), Value::Float(f64::NAN)),
+            ("b".into(), Value::Float(2.0)),
+            ("a".into(), Value::Bool(false)),
+        ]);
+        assert_eq!(out, to_json(&value));
+        let mut empty = String::new();
+        ObjectWriter::new(&mut empty).finish();
+        assert_eq!(empty, to_json(&Value::object(vec![])));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "member `a` written after `b`")]
+    fn object_writer_rejects_keys_out_of_order() {
+        let mut out = String::new();
+        let mut w = ObjectWriter::new(&mut out);
+        w.int("b", 1);
+        w.int("a", 2);
     }
 
     #[test]

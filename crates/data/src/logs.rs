@@ -16,12 +16,20 @@
 //!
 //! Sizes are scaled down (MBs instead of TBs); the store cost models scale
 //! charged bytes back to paper magnitudes (see `miso-hv`/`miso-dw`).
+//!
+//! Each record's line is written directly, with no [`crate::Value`] in
+//! between, in the canonical form [`crate::json::to_json`] gives the parsed
+//! record: members in ascending key order, floats in shortest round-trip
+//! digits. A record's values are drawn first, in a fixed order, and written
+//! after; that order is part of the bytes a seed yields, and so of every
+//! figure and simulated time (`generated_bytes_are_pinned` holds both). The
+//! Zipf tables whose parameters are constants are built once per process.
 
-use crate::json::to_json;
-use crate::value::Value;
+use crate::json::ObjectWriter;
 use miso_common::rng::{DetRng, ZipfSampler};
 use miso_common::ByteSize;
-use std::sync::Arc;
+use std::fmt::Write;
+use std::sync::{Arc, LazyLock};
 
 /// Identifies one of the three generated data sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,10 +159,14 @@ impl Corpus {
     /// Generates the corpus deterministically from `cfg`.
     pub fn generate(cfg: &LogsConfig) -> Corpus {
         let root = DetRng::new(cfg.seed);
+        let twitter = generate_twitter_batch(cfg, root.fork(1), 0, cfg.tweets);
+        let foursquare = generate_foursquare_batch(cfg, root.fork(2), 0, cfg.checkins);
+        let landmarks = cfg.landmarks.min(cfg.venues as usize);
+        let landmarks = generate_landmarks_batch(root.fork(3), 0, landmarks);
         Corpus {
-            twitter: generate_twitter(cfg, root.fork(1)),
-            foursquare: generate_foursquare(cfg, root.fork(2)),
-            landmarks: generate_landmarks(cfg, root.fork(3)),
+            twitter: LogFile::from_lines(LogKind::Twitter, twitter),
+            foursquare: LogFile::from_lines(LogKind::Foursquare, foursquare),
+            landmarks: LogFile::from_lines(LogKind::Landmarks, landmarks),
         }
     }
 
@@ -172,35 +184,27 @@ impl Corpus {
 /// Generates an **append batch** for a streaming log (the paper's §6 notes
 /// that HDFS updates are append-only). Batch `b` of size `count` is
 /// deterministic in `(cfg.seed, kind, b)` and carries record ids disjoint
-/// from the base corpus and from other batches.
+/// from the base corpus and from other batches of the same size: ids
+/// `base + b·count ..`, where `base` is the base file's record count.
+///
+/// Landmarks is reference data over the venue id space `0..cfg.venues`; its
+/// batch `b` lists the next unlisted venues, `cfg.landmarks + b·count ..`.
+/// A batch that reaches `cfg.venues` stops there, so once every venue is
+/// listed a landmarks batch is short or empty.
 pub fn generate_delta(cfg: &LogsConfig, kind: LogKind, batch: u64, count: usize) -> Vec<String> {
     let root = DetRng::new(cfg.seed ^ 0xDE17A);
+    let skip = batch as usize * count;
     match kind {
-        LogKind::Twitter => Arc::unwrap_or_clone(
-            generate_twitter_batch(
-                cfg,
-                root.fork(batch * 4 + 1),
-                cfg.tweets + batch as usize * count,
-                count,
-            )
-            .lines,
-        ),
-        LogKind::Foursquare => Arc::unwrap_or_clone(
-            generate_foursquare_batch(
-                cfg,
-                root.fork(batch * 4 + 2),
-                cfg.checkins + batch as usize * count,
-                count,
-            )
-            .lines,
-        ),
-        // Landmarks is static reference data; an appended batch models newly
-        // listed venues beyond the base id range.
+        LogKind::Twitter => {
+            generate_twitter_batch(cfg, root.fork(batch * 4 + 1), cfg.tweets + skip, count)
+        }
+        LogKind::Foursquare => {
+            generate_foursquare_batch(cfg, root.fork(batch * 4 + 2), cfg.checkins + skip, count)
+        }
         LogKind::Landmarks => {
-            let mut extended = cfg.clone();
-            extended.landmarks = (cfg.landmarks + count).min(cfg.venues as usize);
-            let full = generate_landmarks(&extended, root.fork(batch * 4 + 3));
-            full.lines[cfg.landmarks.min(full.lines.len())..].to_vec()
+            let venues = cfg.venues as usize;
+            let first = (cfg.landmarks + skip).min(venues);
+            generate_landmarks_batch(root.fork(batch * 4 + 3), first, count.min(venues - first))
         }
     }
 }
@@ -263,30 +267,29 @@ const WORDS: &[&str] = &[
 /// Timestamps span 90 synthetic days, seconds resolution.
 const TIME_SPAN_SECS: u64 = 90 * 24 * 3600;
 
-fn generate_twitter(cfg: &LogsConfig, rng: DetRng) -> LogFile {
-    generate_twitter_batch(cfg, rng, 0, cfg.tweets)
-}
+/// Zipf tables whose parameters are constants, built once per process; the
+/// user and venue tables depend on the config and are built per call.
+static RETWEETS: LazyLock<ZipfSampler> = LazyLock::new(|| ZipfSampler::new(1000, 1.3));
+static FOLLOWERS: LazyLock<ZipfSampler> = LazyLock::new(|| ZipfSampler::new(100_000, 1.2));
+static LIKES: LazyLock<ZipfSampler> = LazyLock::new(|| ZipfSampler::new(200, 1.4));
 
 fn generate_twitter_batch(
     cfg: &LogsConfig,
     mut rng: DetRng,
     id_offset: usize,
     count: usize,
-) -> LogFile {
+) -> Vec<String> {
     let users = ZipfSampler::new(cfg.users as usize, 0.35);
-    let retweets = ZipfSampler::new(1000, 1.3);
-    let followers = ZipfSampler::new(100_000, 1.2);
     let mut lines = Vec::with_capacity(count);
+    let (mut line, mut text, mut tags) = (String::new(), String::new(), Vec::new());
     for i in id_offset..id_offset + count {
-        let user = users.sample(&mut rng) as i64;
-        let n_tags = rng.range_inclusive(0, 3);
-        let mut tags = Vec::new();
-        for _ in 0..n_tags {
-            tags.push(Value::str(*rng.pick(TOPICS)));
+        let user = users.sample(&mut rng);
+        tags.clear();
+        for _ in 0..rng.range_inclusive(0, 3) {
+            tags.push(*rng.pick(TOPICS));
         }
-        let n_words = rng.range_inclusive(4, 14);
-        let mut text = String::new();
-        for w in 0..n_words {
+        text.clear();
+        for w in 0..rng.range_inclusive(4, 14) {
             if w > 0 {
                 text.push(' ');
             }
@@ -298,34 +301,28 @@ fn generate_twitter_batch(
             text.push(' ');
             text.push_str(rng.pick(TOPICS) as &str);
         }
-        let record = Value::object(vec![
-            ("tweet_id".into(), Value::Int(i as i64)),
-            ("user_id".into(), Value::Int(user)),
-            ("ts".into(), Value::Int(rng.below(TIME_SPAN_SECS) as i64)),
-            ("text".into(), Value::Str(text)),
-            ("hashtags".into(), Value::Array(tags)),
-            (
-                "retweets".into(),
-                Value::Int(retweets.sample(&mut rng) as i64),
-            ),
-            (
-                "followers".into(),
-                Value::Int(followers.sample(&mut rng) as i64),
-            ),
-            ("lang".into(), Value::str(*rng.pick(LANGS))),
-            ("city".into(), Value::str(*rng.pick(CITIES))),
-            (
-                "sentiment".into(),
-                Value::Float((rng.f64() * 2.0 - 1.0 + rng.f64() * 0.2).clamp(-1.0, 1.0)),
-            ),
-        ]);
-        lines.push(to_json(&record));
+        let ts = rng.below(TIME_SPAN_SECS);
+        let retweets = RETWEETS.sample(&mut rng);
+        let followers = FOLLOWERS.sample(&mut rng);
+        let lang = *rng.pick(LANGS);
+        let city = *rng.pick(CITIES);
+        let sentiment = (rng.f64() * 2.0 - 1.0 + rng.f64() * 0.2).clamp(-1.0, 1.0);
+        line.clear();
+        let mut record = ObjectWriter::new(&mut line);
+        record.str("city", city);
+        record.int("followers", followers as i64);
+        record.strs("hashtags", &tags);
+        record.str("lang", lang);
+        record.int("retweets", retweets as i64);
+        record.float("sentiment", sentiment);
+        record.str("text", &text);
+        record.int("ts", ts as i64);
+        record.int("tweet_id", i as i64);
+        record.int("user_id", user as i64);
+        record.finish();
+        lines.push(line.clone());
     }
-    LogFile::from_lines(LogKind::Twitter, lines)
-}
-
-fn generate_foursquare(cfg: &LogsConfig, rng: DetRng) -> LogFile {
-    generate_foursquare_batch(cfg, rng, 0, cfg.checkins)
+    lines
 }
 
 fn generate_foursquare_batch(
@@ -333,60 +330,68 @@ fn generate_foursquare_batch(
     mut rng: DetRng,
     id_offset: usize,
     count: usize,
-) -> LogFile {
+) -> Vec<String> {
     let users = ZipfSampler::new(cfg.users as usize, 0.35);
     let venues = ZipfSampler::new(cfg.venues as usize, 0.7);
-    let likes = ZipfSampler::new(200, 1.4);
     let mut lines = Vec::with_capacity(count);
+    let mut line = String::new();
     for i in id_offset..id_offset + count {
-        let user = users.sample(&mut rng) as i64;
-        let venue = venues.sample(&mut rng) as i64;
-        let record = Value::object(vec![
-            ("checkin_id".into(), Value::Int(i as i64)),
-            ("user_id".into(), Value::Int(user)),
-            ("venue_id".into(), Value::Int(venue)),
-            ("ts".into(), Value::Int(rng.below(TIME_SPAN_SECS) as i64)),
-            ("likes".into(), Value::Int(likes.sample(&mut rng) as i64)),
-            ("with_friends".into(), Value::Bool(rng.chance(0.35))),
-            ("city".into(), Value::str(*rng.pick(CITIES))),
-        ]);
-        lines.push(to_json(&record));
+        let user = users.sample(&mut rng);
+        let venue = venues.sample(&mut rng);
+        let ts = rng.below(TIME_SPAN_SECS);
+        let likes = LIKES.sample(&mut rng);
+        let with_friends = rng.chance(0.35);
+        let city = *rng.pick(CITIES);
+        line.clear();
+        let mut record = ObjectWriter::new(&mut line);
+        record.int("checkin_id", i as i64);
+        record.str("city", city);
+        record.int("likes", likes as i64);
+        record.int("ts", ts as i64);
+        record.int("user_id", user as i64);
+        record.int("venue_id", venue as i64);
+        record.bool("with_friends", with_friends);
+        record.finish();
+        lines.push(line.clone());
     }
-    LogFile::from_lines(LogKind::Foursquare, lines)
+    lines
 }
 
-fn generate_landmarks(cfg: &LogsConfig, mut rng: DetRng) -> LogFile {
-    let count = cfg.landmarks.min(cfg.venues as usize);
+/// Landmarks for the venues `first_venue..first_venue + count`.
+fn generate_landmarks_batch(mut rng: DetRng, first_venue: usize, count: usize) -> Vec<String> {
     let mut lines = Vec::with_capacity(count);
-    for venue in 0..count {
-        let record = Value::object(vec![
-            ("venue_id".into(), Value::Int(venue as i64)),
-            (
-                "name".into(),
-                Value::Str(format!("{}_{}", rng.pick(WORDS), venue)),
-            ),
-            ("category".into(), Value::str(*rng.pick(CATEGORIES))),
-            ("city".into(), Value::str(*rng.pick(CITIES))),
-            ("lat".into(), Value::Float(25.0 + rng.f64() * 24.0)),
-            ("lon".into(), Value::Float(-124.0 + rng.f64() * 54.0)),
-            (
-                "rating".into(),
-                Value::Float((rng.f64() * 4.0 + 1.0 * rng.f64()).clamp(0.5, 5.0)),
-            ),
-            (
-                "price_tier".into(),
-                Value::Int(rng.range_inclusive(1, 4) as i64),
-            ),
-        ]);
-        lines.push(to_json(&record));
+    let (mut line, mut name) = (String::new(), String::new());
+    for venue in first_venue..first_venue + count {
+        let word = *rng.pick(WORDS);
+        let category = *rng.pick(CATEGORIES);
+        let city = *rng.pick(CITIES);
+        let lat = 25.0 + rng.f64() * 24.0;
+        let lon = -124.0 + rng.f64() * 54.0;
+        let rating = (rng.f64() * 4.0 + rng.f64()).clamp(0.5, 5.0);
+        let price_tier = rng.range_inclusive(1, 4);
+        name.clear();
+        let _ = write!(name, "{word}_{venue}");
+        line.clear();
+        let mut record = ObjectWriter::new(&mut line);
+        record.str("category", category);
+        record.str("city", city);
+        record.float("lat", lat);
+        record.float("lon", lon);
+        record.str("name", &name);
+        record.int("price_tier", price_tier as i64);
+        record.float("rating", rating);
+        record.int("venue_id", venue as i64);
+        record.finish();
+        lines.push(line.clone());
     }
-    LogFile::from_lines(LogKind::Landmarks, lines)
+    lines
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse_json;
+    use crate::json::{parse_json, to_json};
+    use crate::value::Value;
 
     #[test]
     fn generation_is_deterministic() {
@@ -462,6 +467,93 @@ mod tests {
         // Zipf rank 0 must appear far more than the uniform expectation.
         let uniform = c.twitter.len() / 200;
         assert!(user0 > uniform * 3, "user0={user0}, uniform={uniform}");
+    }
+
+    /// FNV-1a over each line and a newline after it.
+    fn digest<'a>(lines: impl IntoIterator<Item = &'a String>, mut h: u64) -> u64 {
+        for line in lines {
+            for b in line.bytes().chain([b'\n']) {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn generated_bytes_are_pinned() {
+        // Every figure, golden and benchmark `sim_s` is a function of these
+        // bytes, which depend on the order of the draws as well as on the
+        // writer.
+        let pins = [
+            (LogsConfig::tiny(), 0xC0FFEE, 0x3ddc_d106_4fd4_2046),
+            (LogsConfig::tiny(), 7, 0x37be_1c19_8be8_7edc),
+            (LogsConfig::experiment(), 0x5EED_2014, 0xcab9_7d58_3ceb_1ab9),
+            (LogsConfig::experiment(), 7, 0xc43e_d183_1109_bf80),
+        ];
+        for (mut cfg, seed, pin) in pins {
+            cfg.seed = seed;
+            let corpus = Corpus::generate(&cfg);
+            let mut h = 0xcbf2_9ce4_8422_2325;
+            for file in corpus.files() {
+                h = digest(file.lines.iter(), h);
+            }
+            for kind in [LogKind::Twitter, LogKind::Foursquare] {
+                for batch in 0..3 {
+                    h = digest(&generate_delta(&cfg, kind, batch, 100), h);
+                }
+            }
+            assert_eq!(h, pin, "{} tweets at seed {seed:#x}", cfg.tweets);
+        }
+    }
+
+    #[test]
+    fn lines_are_in_canonical_form() {
+        // The lines are written directly, with no `Value` in between: each
+        // must be exactly what `to_json` prints for the record it parses to.
+        let cfg = LogsConfig::tiny();
+        let corpus = Corpus::generate(&cfg);
+        let deltas = [LogKind::Twitter, LogKind::Foursquare, LogKind::Landmarks]
+            .map(|kind| generate_delta(&cfg, kind, 0, 8));
+        let lines = corpus.files().into_iter().flat_map(|f| f.lines.iter());
+        for line in lines.chain(deltas.iter().flatten()) {
+            assert_eq!(&to_json(&parse_json(line).unwrap()), line);
+        }
+    }
+
+    #[test]
+    fn landmark_batches_list_new_venues() {
+        let cfg = LogsConfig::tiny();
+        let venue_ids = |lines: &[String]| -> Vec<i64> {
+            lines
+                .iter()
+                .map(|l| {
+                    let v = parse_json(l).unwrap();
+                    v.get_field("venue_id").unwrap().as_i64().unwrap()
+                })
+                .collect()
+        };
+        let base = Corpus::generate(&cfg);
+        let mut seen = venue_ids(&base.landmarks.lines);
+        assert_eq!(seen, (0..cfg.landmarks as i64).collect::<Vec<_>>());
+        // Batches of 6 take the next ids after the base file's 64, until the
+        // 80 venues run out: 6, 6, then the last 4, then nothing.
+        for (batch, len) in [(0, 6), (1, 6), (2, 4), (3, 0)] {
+            let delta = generate_delta(&cfg, LogKind::Landmarks, batch, 6);
+            assert_eq!(delta, generate_delta(&cfg, LogKind::Landmarks, batch, 6));
+            let ids = venue_ids(&delta);
+            assert_eq!(ids.len(), len, "batch {batch}");
+            let first = (cfg.landmarks + batch as usize * 6) as i64;
+            assert_eq!(ids, (first..first + len as i64).collect::<Vec<_>>());
+            seen.extend(ids);
+        }
+        assert_eq!(seen, (0..cfg.venues as i64).collect::<Vec<_>>());
+        // A large request is not silently cut to a fixed size.
+        let mut roomy = cfg.clone();
+        roomy.venues = 1_000;
+        assert_eq!(
+            generate_delta(&roomy, LogKind::Landmarks, 0, 500).len(),
+            500
+        );
     }
 
     #[test]

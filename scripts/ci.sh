@@ -49,6 +49,11 @@ echo "==> miso-e2e builds against this tree, answers one workload correctly, ser
 CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
     --workload stream_growth --seed 7 --seconds 1 --trace 0 | tail -n 1 | tee "$golden/e2e.json"
 grep -q '"correct": *true' "$golden/e2e.json"
+# Simulated time is a function of the generated logs' sizes: a generator
+# that writes one byte differently, or draws in another order, fails here
+# and not in a benchmark.
+grep -q '"sim_s": *{"value": *48646.903895,' "$golden/e2e.json" ||
+    { echo "ci: stream_growth sim_s is not 48646.903895"; exit 1; }
 # The traced run replays every query's chosen plan against the oracle by
 # checksum: no answer may come from a view that did not follow the log.
 CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
