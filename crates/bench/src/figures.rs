@@ -17,7 +17,7 @@ use miso_data::Value;
 use miso_dw::{BackgroundSim, DwActivity, DwStore, Resource};
 use miso_hv::HvStore;
 use miso_optimizer::cost::{estimate_split_cost, TransferModel};
-use miso_plan::estimate::{estimate_plan, MapStats};
+use miso_plan::estimate::estimate_plan;
 use miso_plan::split::enumerate_splits;
 use miso_workload::background::{paper_profiles, BackgroundProfile};
 use Variant::*;
@@ -172,11 +172,7 @@ fn fig3(h: &Harness) -> Figure {
     let mut t = Text::default();
     let (hv_cost, dw_cost) = (HvStore::new().cost_model, DwStore::new().cost_model);
     let transfer = TransferModel::paper_default();
-    let mut stats = MapStats::new();
-    for log in h.corpus.files() {
-        let (rows, bytes) = (log.len() as f64, log.size.as_bytes() as f64);
-        stats.set_log(log.kind.table_name(), rows, bytes);
-    }
+    let stats = h.system(h.budgets(2.0), None).build_stats();
     let mut profiles = Vec::new();
     // The paper profiles A1v1, a complex query with joins, aggregates and
     // UDF-free structure; we use A8v1 (the three-way join) as the profiled

@@ -78,11 +78,10 @@ pub struct Stores<'a> {
 impl Stores<'_> {
     /// The optimizer's stats source: true log sizes plus every catalog
     /// view's size (views not resident anywhere have been dropped from the
-    /// catalog).
+    /// catalog, and a view no catalog holds is never rewritten into a plan).
     pub fn stats(&self) -> MapStats {
         let mut stats = MapStats::new();
         self.hv.fill_stats(&mut stats);
-        self.dw.fill_stats(&mut stats);
         for def in self.catalog.defs() {
             stats.set_view(
                 def.name.clone(),

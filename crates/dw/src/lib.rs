@@ -14,9 +14,10 @@
 //!    land in *temporary* table space and are discarded at query end; views
 //!    migrated by the tuner land in *permanent* table space and become part
 //!    of the physical design (paper §3.1).
-//! 4. **A what-if interface.** [`store::DwStore::what_if_cost`] costs a plan
-//!    against a hypothetical design, which the MISO tuner probes during
-//!    reorganization.
+//! 4. **A what-if interface.** The optimizer's what-if mode, which the MISO
+//!    tuner probes during reorganization, prices a plan's DW side against a
+//!    hypothetical design with [`cost::DwCostModel`] over size estimates,
+//!    running nothing.
 //! 5. **Limited spare capacity.** [`background`] models a resident reporting
 //!    workload consuming a fixed share of IO or CPU, the mutual-interference
 //!    setting of the paper's §5.4 (Figure 9, Table 2).

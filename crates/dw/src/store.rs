@@ -7,7 +7,6 @@ use miso_common::{ByteSize, MisoError, Result, SimDuration};
 use miso_data::{ColBatch, Row, Shelf, StoredView};
 use miso_exec::engine::{execute_subset_guarded, seed_batches, DataSource, Execution, Retention};
 use miso_exec::UdfRegistry;
-use miso_plan::estimate::MapStats;
 use miso_plan::{LogicalPlan, Operator};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -58,17 +57,6 @@ impl DwStore {
     /// Permanent view names (sorted). The benchmark adapter calls this.
     pub fn view_names(&self) -> Vec<String> {
         self.views.names()
-    }
-
-    /// Registers permanent view sizes into an estimation stats source.
-    pub fn fill_stats(&self, stats: &mut MapStats) {
-        for (name, view) in self.views.iter() {
-            stats.set_view(
-                name.clone(),
-                view.batch.len() as f64,
-                view.size.as_bytes() as f64,
-            );
-        }
     }
 
     /// Executes `subset` of `plan` in DW with pre-staged working sets.
@@ -170,33 +158,6 @@ impl DwStore {
             miso_obs::count("dw.bytes_scanned", bytes_in.as_bytes());
         }
         Ok(DwRun { execution, cost })
-    }
-
-    /// What-if cost probe: estimated DW execution cost of a plan given
-    /// hypothetical resident view sizes (no execution). Mirrors the paper's
-    /// use of the DW's what-if optimizer interface.
-    pub fn what_if_cost(
-        &self,
-        plan: &LogicalPlan,
-        subset: Option<&HashSet<NodeId>>,
-        estimates: &HashMap<NodeId, miso_plan::estimate::SizeEstimate>,
-    ) -> SimDuration {
-        let mut bytes_in = 0.0f64;
-        let mut rows = 0.0f64;
-        for node in plan.nodes() {
-            let in_subset = subset.is_none_or(|s| s.contains(&node.id));
-            if !in_subset {
-                continue;
-            }
-            if let Some(est) = estimates.get(&node.id) {
-                if matches!(node.op, Operator::ScanView { .. }) {
-                    bytes_in += est.bytes;
-                }
-                rows += est.rows;
-            }
-        }
-        self.cost_model
-            .exec_cost(ByteSize::from_bytes(bytes_in as u64), rows as u64)
     }
 
     /// What loading `bytes` into either table space costs; whoever loads
@@ -476,39 +437,5 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, MisoError::Store(_)), "{err:?}");
         assert!(err.to_string().contains(&format!("node {scan}")), "{err}");
-    }
-
-    #[test]
-    fn what_if_uses_estimates_not_contents() {
-        let dw = DwStore::new();
-        let mut b = miso_plan::PlanBuilder::new();
-        let sv = b
-            .add(
-                Operator::ScanView {
-                    view: "v_hyp".into(),
-                    schema: schema(),
-                },
-                vec![],
-            )
-            .unwrap();
-        let plan = b.finish(sv).unwrap();
-        let mut est = HashMap::new();
-        est.insert(
-            NodeId(0),
-            miso_plan::estimate::SizeEstimate {
-                rows: 1000.0,
-                bytes: 64_000.0,
-            },
-        );
-        let small = dw.what_if_cost(&plan, None, &est);
-        est.insert(
-            NodeId(0),
-            miso_plan::estimate::SizeEstimate {
-                rows: 1e6,
-                bytes: 64e6,
-            },
-        );
-        let big = dw.what_if_cost(&plan, None, &est);
-        assert!(big > small);
     }
 }

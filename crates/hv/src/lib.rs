@@ -7,8 +7,10 @@
 //!    MapReduce jobs; every job writes its output to HDFS for fault
 //!    tolerance. Those by-products are the *opportunistic views*. Our
 //!    [`stages`] module performs the same compilation (map-side chains fuse;
-//!    joins, aggregates, sorts, and UDF jobs end stages), and
-//!    [`store::HvStore::execute`] captures each stage output.
+//!    joins, aggregates, sorts, and UDF jobs end stages): [`Stages`] is the
+//!    one stage rule, which the optimizer prices a split through and
+//!    [`store::HvStore::execute`] charges a run through, capturing each
+//!    stage output.
 //! 2. **Cost asymmetry.** HV pays a fixed job-startup latency per stage plus
 //!    scan/shuffle/write I/O at modest effective bandwidth — fast enough to
 //!    sift TBs, but orders of magnitude slower per byte than the DW. The
@@ -25,5 +27,5 @@ pub mod stages;
 pub mod store;
 
 pub use cost::HvCostModel;
-pub use stages::{compile_stages, Stage};
+pub use stages::Stages;
 pub use store::{HvRun, HvStore, LogBatch, MaterializedOutput};

@@ -1,7 +1,7 @@
 //! The HV store: HDFS-like log storage, view storage, staged execution.
 
 use crate::cost::HvCostModel;
-use crate::stages::{compile_stages, Stage};
+use crate::stages::Stages;
 use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
 use miso_common::{ByteSize, MisoError, Result, SimDuration};
@@ -12,6 +12,7 @@ use miso_exec::col::LogIndex;
 use miso_exec::engine::{execute_subset_guarded, DataSource, Execution, LogColumns, Retention};
 use miso_exec::{FusedField, UdfRegistry};
 use miso_plan::estimate::MapStats;
+use miso_plan::split::mask;
 use miso_plan::{LogicalPlan, Operator};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -319,20 +320,14 @@ impl HvStore {
         self.views.names()
     }
 
-    /// Registers true log/view sizes into an estimation stats source.
+    /// Registers true log sizes into an estimation stats source (view
+    /// sizes come from the catalog).
     pub fn fill_stats(&self, stats: &mut MapStats) {
         for (name, log) in &self.logs {
             stats.set_log(
                 name.clone(),
                 log.lines.len() as f64,
                 log.size.as_bytes() as f64,
-            );
-        }
-        for (name, view) in self.views.iter() {
-            stats.set_view(
-                name.clone(),
-                view.batch.len() as f64,
-                view.size.as_bytes() as f64,
             );
         }
     }
@@ -375,37 +370,39 @@ impl HvStore {
         let mut obs = miso_obs::span("hv.execute");
         // Fault injection: one relaxed atomic load when chaos is disabled.
         let strike = miso_chaos::strike("hv.execute", "hv")?;
-        // Validate scans up-front for a clean store-level error.
-        for node in plan.nodes() {
-            let in_subset = subset.is_none_or(|s| s.contains(&node.id));
-            if !in_subset {
+        // The HV side as a mask, and what each of its scans reads from
+        // storage — checked up-front for a clean store-level error.
+        let mut hv = vec![0; mask::words(plan.len())];
+        let mut read = vec![0.0f64; plan.len()];
+        for (i, node) in plan.nodes().iter().enumerate() {
+            if !subset.is_none_or(|s| s.contains(&node.id)) {
                 continue;
             }
-            match &node.op {
-                Operator::ScanLog { log } if !self.logs.contains_key(log) => {
-                    return Err(MisoError::Store(format!("HV has no log `{log}`")));
-                }
-                Operator::ScanView { view, .. } if !self.views.contains(view) => {
-                    return Err(MisoError::Store(format!("HV has no view `{view}`")));
-                }
-                _ => {}
-            }
+            mask::insert(&mut hv, i);
+            let size = match &node.op {
+                Operator::ScanLog { log } => self
+                    .log_size(log)
+                    .ok_or_else(|| MisoError::Store(format!("HV has no log `{log}`")))?,
+                Operator::ScanView { view, .. } => self
+                    .views
+                    .size(view)
+                    .ok_or_else(|| MisoError::Store(format!("HV has no view `{view}`")))?,
+                _ => continue,
+            };
+            read[i] = size.as_bytes() as f64;
         }
-        let stages = compile_stages(plan, subset, &HashSet::new());
+        let mut stages = Stages::of(plan);
         // What HV harvests, in `materialized` order: the job outputs, then
         // the map-phase by-products — a Filter's output is the map output
         // spilled for the shuffle of its consuming job; Hadoop materializes
         // these too, and [15] harvests them alongside job outputs.
-        let stage_outputs: Vec<NodeId> = stages.iter().map(|st| st.output).collect();
-        let spills = plan.nodes().iter().filter(|n| {
-            matches!(n.op, Operator::Filter { .. })
-                && subset.is_none_or(|s| s.contains(&n.id))
-                && !stage_outputs.contains(&n.id)
+        let outputs = stages.outputs(&hv);
+        let spills = plan.nodes().iter().enumerate().filter(|&(i, n)| {
+            matches!(n.op, Operator::Filter { .. }) && mask::has(&hv, i) && !mask::has(outputs, i)
         });
-        let harvest: Vec<NodeId> = stage_outputs
-            .iter()
-            .copied()
-            .chain(spills.map(|n| n.id))
+        let harvest: Vec<NodeId> = mask::ones(outputs)
+            .chain(spills.map(|(i, _)| i))
+            .map(|i| NodeId(i as u64))
             .collect();
         // The retention set is the harvest: stage costs below read sizes of
         // stage outputs only and row counts (which survive release) of
@@ -421,14 +418,22 @@ impl HvStore {
             guard,
         )?;
         let mut cost = SimDuration::ZERO;
-        let mut stage_costs = Vec::with_capacity(stages.len());
+        let mut stage_costs = Vec::new();
         let mut materialized = Vec::with_capacity(harvest.len());
-        for stage in &stages {
-            // An injected straggler runs every stage slower by its factor.
-            let c = strike.slowed(self.charge_stage(plan, stage, &execution)?);
-            stage_costs.push(c);
-            cost += c;
-        }
+        let node = |j: usize| NodeId(j as u64);
+        stages.price(
+            &hv,
+            &self.cost_model,
+            |j| execution.rows_out(node(j)).unwrap_or(0) as f64,
+            |j| read[j],
+            |j| execution.output_bytes(node(j)).as_bytes() as f64,
+            |c| {
+                // An injected straggler runs every stage slower by its factor.
+                let c = strike.slowed(c);
+                stage_costs.push(c);
+                cost += c;
+            },
+        );
         for &id in &harvest {
             materialized.push(MaterializedOutput {
                 node: id,
@@ -443,14 +448,17 @@ impl HvStore {
         })?;
         if obs.is_active() {
             let bytes: u64 = materialized.iter().map(|m| m.size.as_bytes()).sum();
-            obs.push_field("stages", miso_obs::FieldValue::U64(stages.len() as u64));
+            obs.push_field(
+                "stages",
+                miso_obs::FieldValue::U64(stage_costs.len() as u64),
+            );
             obs.push_field("cost_us", miso_obs::FieldValue::U64(cost.as_micros()));
             obs.push_field(
                 "materialized",
                 miso_obs::FieldValue::U64(materialized.len() as u64),
             );
             obs.push_field("materialized_bytes", miso_obs::FieldValue::U64(bytes));
-            miso_obs::count("hv.stages_run", stages.len() as u64);
+            miso_obs::count("hv.stages_run", stage_costs.len() as u64);
             miso_obs::count("hv.bytes_materialized", bytes);
         }
         Ok(HvRun {
@@ -459,44 +467,6 @@ impl HvStore {
             stage_costs,
             materialized,
         })
-    }
-
-    /// Stage cost: leaf reads (log file bytes / view bytes) + upstream stage
-    /// output reads + per-row processing + materialized output write.
-    fn charge_stage(
-        &self,
-        plan: &LogicalPlan,
-        stage: &Stage,
-        exec: &Execution,
-    ) -> Result<SimDuration> {
-        let mut bytes_in = ByteSize::ZERO;
-        let mut rows_processed = 0u64;
-        for &id in &stage.nodes {
-            match &plan.node(id).op {
-                Operator::ScanLog { log } => {
-                    let f = self
-                        .logs
-                        .get(log)
-                        .ok_or_else(|| MisoError::Store(format!("HV has no log `{log}`")))?;
-                    bytes_in += f.size;
-                }
-                Operator::ScanView { view, .. } => {
-                    bytes_in += self
-                        .views
-                        .size(view)
-                        .ok_or_else(|| MisoError::Store(format!("HV has no view `{view}`")))?;
-                }
-                _ => {}
-            }
-            rows_processed += exec.rows_out(id).unwrap_or(0);
-        }
-        for &up in &stage.upstream {
-            bytes_in += exec.output_bytes(up);
-        }
-        let bytes_out = exec.output_bytes(stage.output);
-        Ok(self
-            .cost_model
-            .stage_cost(bytes_in, bytes_out, rows_processed))
     }
 
     /// Cost of dumping a working set for transfer to DW.
@@ -807,15 +777,11 @@ mod tests {
 
     #[test]
     fn fill_stats_registers_logs_and_views() {
-        let mut s = store();
-        let rows = vec![Row::new(vec![miso_data::Value::Int(1)])];
-        let schema = Schema::new(vec![miso_data::Field::new("x", miso_data::DataType::Int)]);
-        put_rows(&mut s, "v_x", schema, &rows);
+        let s = store();
         let mut stats = MapStats::new();
         s.fill_stats(&mut stats);
         use miso_plan::estimate::StatsSource;
         assert!(stats.log_stats("twitter").unwrap().rows > 0.0);
-        assert_eq!(stats.view_stats("v_x").unwrap().rows, 1.0);
     }
 
     #[test]

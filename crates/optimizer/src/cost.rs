@@ -13,8 +13,7 @@
 use miso_common::ids::NodeId;
 use miso_common::{ByteSize, SimDuration};
 use miso_dw::DwCostModel;
-use miso_hv::stages::is_boundary;
-use miso_hv::HvCostModel;
+use miso_hv::{HvCostModel, Stages};
 use miso_plan::estimate::SizeEstimate;
 use miso_plan::split::{mask, NodeMasks};
 use miso_plan::{LogicalPlan, Operator, Split};
@@ -88,16 +87,12 @@ pub fn estimate_split_cost(
     SplitCoster::new(plan, estimates, hv, dw, transfer).cost(&split.mask(plan.len()))
 }
 
-/// What costing a split reads of one plan, derived once: its node masks,
-/// which operators end a stage in any split, which nodes are scans, and
-/// each node's estimate as an array.
+/// What costing a split reads of one plan, derived once: its stage rule
+/// ([`Stages`], node masks included), which nodes are view scans, and each
+/// node's estimate as an array.
 pub struct SplitCoster<'a> {
     plan: &'a LogicalPlan,
-    masks: NodeMasks,
-    /// Joins, aggregates, sorts and UDFs: they end a stage wherever they run.
-    boundary: Vec<u64>,
-    /// Log and view scans: a stage reads their bytes from storage.
-    scans: Vec<u64>,
+    stages: Stages,
     /// View scans: DW reads their bytes from its own tables.
     views: Vec<u64>,
     rows: Vec<f64>,
@@ -105,11 +100,6 @@ pub struct SplitCoster<'a> {
     hv_model: &'a HvCostModel,
     dw_model: &'a DwCostModel,
     transfer: &'a TransferModel,
-    /// Scratch masks: the split's stage outputs, one stage's nodes, and the
-    /// stage outputs that stage reads.
-    outputs: Vec<u64>,
-    stage: Vec<u64>,
-    upstream: Vec<u64>,
 }
 
 impl<'a> SplitCoster<'a> {
@@ -121,16 +111,9 @@ impl<'a> SplitCoster<'a> {
         dw_model: &'a DwCostModel,
         transfer: &'a TransferModel,
     ) -> Self {
-        let masks = NodeMasks::of(plan);
-        let words = masks.words();
-        let (mut boundary, mut scans, mut views) = (vec![0; words], vec![0; words], vec![0; words]);
+        let stages = Stages::of(plan);
+        let mut views = vec![0; stages.masks().words()];
         for (i, node) in plan.nodes().iter().enumerate() {
-            if is_boundary(&node.op) {
-                mask::insert(&mut boundary, i);
-            }
-            if node.op.is_scan() {
-                mask::insert(&mut scans, i);
-            }
             if matches!(node.op, Operator::ScanView { .. }) {
                 mask::insert(&mut views, i);
             }
@@ -138,24 +121,19 @@ impl<'a> SplitCoster<'a> {
         let estimate = |n: &miso_plan::PlanNode| estimates[&n.id];
         SplitCoster {
             plan,
-            boundary,
-            scans,
+            stages,
             views,
             rows: plan.nodes().iter().map(|n| estimate(n).rows).collect(),
             bytes: plan.nodes().iter().map(|n| estimate(n).bytes).collect(),
             hv_model,
             dw_model,
             transfer,
-            outputs: vec![0; words],
-            stage: vec![0; words],
-            upstream: vec![0; words],
-            masks,
         }
     }
 
     /// The plan's node masks.
     pub fn masks(&self) -> &NodeMasks {
-        &self.masks
+        self.stages.masks()
     }
 
     /// Estimates the cost of the split whose HV side is the mask `hv`.
@@ -164,55 +142,20 @@ impl<'a> SplitCoster<'a> {
     pub fn cost(&mut self, hv: &[u64]) -> CostBreakdown {
         let mut breakdown = CostBreakdown::default();
 
-        // --- HV side: staged execution (`miso_hv::compile_stages`'s rule).
-        // An HV node's output is materialized — a stage ends there — if its
-        // operator is a boundary, it feeds nothing in HV, or it feeds DW.
-        self.outputs.fill(0);
-        for i in mask::ones(hv) {
-            let consumers = self.masks.consumers(i);
-            if mask::has(&self.boundary, i)
-                || !mask::meets(consumers, hv)
-                || !mask::within(consumers, hv)
-            {
-                mask::insert(&mut self.outputs, i);
-            }
-        }
-        for b in mask::ones(&self.outputs) {
-            // The stage ending at `b`: every node it reaches through inputs
-            // short of another stage output, which it reads as upstream.
-            self.stage.fill(0);
-            self.upstream.fill(0);
-            mask::insert(&mut self.stage, b);
-            for j in (0..b).rev() {
-                if !mask::meets(self.masks.consumers(j), &self.stage) {
-                    continue;
-                }
-                if mask::has(&self.outputs, j) {
-                    mask::insert(&mut self.upstream, j);
-                } else {
-                    mask::insert(&mut self.stage, j);
-                }
-            }
-            let mut bytes_in = 0.0f64;
-            let mut rows = 0.0f64;
-            for j in mask::ones(&self.stage) {
-                if mask::has(&self.scans, j) {
-                    bytes_in += self.bytes[j];
-                }
-                rows += self.rows[j];
-            }
-            for j in mask::ones(&self.upstream) {
-                bytes_in += self.bytes[j];
-            }
-            breakdown.hv += self.hv_model.stage_cost(
-                ByteSize::from_bytes(bytes_in as u64),
-                ByteSize::from_bytes(self.bytes[b] as u64),
-                rows as u64,
-            );
-        }
+        // --- HV side: staged execution, each stage reading and writing its
+        // nodes' estimated bytes.
+        let (rows, bytes) = (&self.rows, &self.bytes);
+        self.stages.price(
+            hv,
+            self.hv_model,
+            |j| rows[j],
+            |j| bytes[j],
+            |j| bytes[j],
+            |c| breakdown.hv += c,
+        );
 
         // --- Transfer: every cut node's output crosses the wire.
-        for cut in self.masks.cut(hv) {
+        for cut in self.stages.masks().cut(hv) {
             let bytes = ByteSize::from_bytes(self.bytes[cut] as u64);
             breakdown.transfer += self.transfer.ship_cost(self.hv_model, self.dw_model, bytes);
         }

@@ -260,6 +260,7 @@ mod tests {
     use miso_lang::{compile, Catalog};
     use miso_plan::estimate::MapStats;
     use miso_plan::fingerprint::fingerprint_subtree;
+    use std::collections::BTreeSet;
 
     fn stats() -> MapStats {
         let mut s = MapStats::new();
@@ -360,7 +361,7 @@ mod tests {
         };
         // A DW-only split over the rewritten plan is infeasible when the view
         // lives only in HV.
-        let dw_split = Split::all_dw();
+        let dw_split = Split::new(BTreeSet::new());
         assert!(!split_feasible(&rewrite, &dw_split, &design_hv));
         let design_dw = Design {
             hv_views: HashSet::new(),

@@ -116,14 +116,6 @@ impl Split {
         }
     }
 
-    /// The split that executes everything in DW (valid only for plans with
-    /// no base-log scans or UDFs).
-    pub fn all_dw() -> Self {
-        Split {
-            hv_nodes: BTreeSet::new(),
-        }
-    }
-
     /// Nodes executing in HV.
     pub fn hv_nodes(&self) -> &BTreeSet<NodeId> {
         &self.hv_nodes

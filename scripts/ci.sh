@@ -65,9 +65,11 @@ grep -q '"views.stale_answers": *{"value": *0,' "$golden/e2e-trace.json"
 grep -q '"exec.col_fallback_rows": *{"value": *0,' "$golden/e2e-trace.json"
 # Maintenance decides nothing new: the traced growth stream's seed-7 counts
 # are pinned, so a fold that falls back, moves or drops a view differently,
-# or materializes other bytes, fails here and not in a benchmark.
+# or materializes other bytes, fails here and not in a benchmark. The stage
+# rule (`miso_hv::Stages`) is pinned by the stages HV runs.
 for count in core.maint_fallbacks=9 core.views_moved=24 core.views_dropped=16 \
-    exec.morsels=466 hv.bytes_materialized=2619673 core.maint_delta_frac=0.8596491228070176; do
+    exec.morsels=466 hv.bytes_materialized=2619673 core.maint_delta_frac=0.8596491228070176 \
+    hv.stages_run=28; do
     grep -q "\"${count%=*}\": *{\"value\": *${count#*=}," "$golden/e2e-trace.json" ||
         { echo "ci: ${count%=*} is not ${count#*=}"; exit 1; }
 done
@@ -86,11 +88,12 @@ grep -q '"correct": *true' "$golden/e2e-steady.json"
 # Planning and reorganization decide nothing new: the traced steady
 # stream's seed-7 planning counts and reorg decisions are pinned, so an
 # enumerator that drops or repeats a split, a what-if probe that plans
-# differently, or a reorg that moves or drops views differently, fails here
-# and not in a benchmark.
+# differently, a reorg that moves or drops views differently, or a stage
+# rule that ends or writes other jobs, fails here and not in a benchmark.
 for count in optimizer.cost_evals=7187 plan.split_enumerations=917 \
     core.whatif_calls=21693 views.cost_probes=21693 core.knapsack_dp_cells=545477 \
-    core.reorgs=63 core.views_moved=132 core.views_dropped=126; do
+    core.reorgs=63 core.views_moved=132 core.views_dropped=126 \
+    hv.stages_run=117 hv.bytes_materialized=3264511; do
     grep -q "\"${count%=*}\": *{\"value\": *${count#*=}," "$golden/e2e-steady.json" ||
         { echo "ci: ${count%=*} is not ${count#*=}"; exit 1; }
 done

@@ -6,6 +6,7 @@ use miso::common::{Budgets, ByteSize};
 use miso::core::{MultistoreSystem, SystemConfig, Variant};
 use miso::data::logs::{Corpus, LogsConfig};
 use miso::lang::compile;
+use miso::plan::estimate::StatsSource;
 use miso::plan::LogicalPlan;
 use miso::workload::{standard_udfs, workload_catalog};
 
@@ -142,6 +143,45 @@ fn designs_stay_disjoint_and_catalog_consistent() {
     }
     for name in sys.catalog.names() {
         assert!(sys.resident(&name), "catalog entry {name} resident nowhere");
+    }
+}
+
+/// The optimizer reads view sizes from the catalog alone: on a played
+/// stream every view either store holds has the rows and size its catalog
+/// entry records, and the stats carry exactly those.
+#[test]
+fn resident_view_stats_equal_their_catalog_entries() {
+    let corpus = tiny_corpus();
+    let queries = stream();
+    for variant in [Variant::MsMiso, Variant::MsLru] {
+        let mut sys = system(&corpus);
+        sys.run_workload(variant, &queries).unwrap();
+        let stats = sys.build_stats();
+        let mut resident = 0;
+        for (store, shelf) in [("HV", &sys.hv.views), ("DW", &sys.dw.views)] {
+            for (name, view) in shelf.iter() {
+                resident += 1;
+                let what = format!("{variant}: {store} view {name}");
+                let def = sys
+                    .catalog
+                    .get(name)
+                    .unwrap_or_else(|| panic!("{what}: no entry"));
+                assert_eq!(
+                    (view.batch.len() as u64, view.size),
+                    (def.rows, def.size),
+                    "{what}"
+                );
+                let est = stats
+                    .view_stats(name)
+                    .unwrap_or_else(|| panic!("{what}: no stats"));
+                assert_eq!(
+                    (est.rows, est.bytes),
+                    (view.batch.len() as f64, view.size.as_bytes() as f64),
+                    "{what}"
+                );
+            }
+        }
+        assert!(resident > 0, "{variant}: the stream leaves views resident");
     }
 }
 

@@ -5,7 +5,8 @@
 
 use miso::common::ids::NodeId;
 use miso::common::QueryGuard;
-use miso::common::{pool, ByteSize, SimDuration};
+use miso::common::{pool, Budgets, ByteSize, SimDuration};
+use miso::core::{MultistoreSystem, SystemConfig, Variant};
 use miso::data::logs::{Corpus, LogsConfig};
 use miso::data::{DataType, Field, Row, Schema, Value};
 use miso::exec::engine::{execute, execute_subset};
@@ -13,12 +14,17 @@ use miso::exec::{
     execute_serial, execute_subset_guarded, Execution, MemSource, Retention, UdfRegistry,
 };
 use miso::hv::stages::is_boundary;
-use miso::hv::{compile_stages, HvStore};
+use miso::hv::HvStore;
 use miso::plan::split::enumerate_splits;
 use miso::plan::{AggExpr, AggFunc, BinOp, Expr, LogicalPlan, Operator, PlanBuilder};
+use miso::views::rewrite_with_catalog;
 use miso::workload::{compile_workload, standard_udfs, workload_catalog};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, MutexGuard};
+
+#[path = "support/stages.rs"]
+mod stages;
+use stages::compile_stages;
 
 /// The pool width is process-global; tests that set it take this lock.
 fn pool_lock() -> MutexGuard<'static, ()> {
@@ -399,8 +405,12 @@ fn keep_all_harvest(
         let mut bytes_in = ByteSize::ZERO;
         let mut rows = 0u64;
         for &id in &stage.nodes {
-            if let Operator::ScanLog { log } = &plan.node(id).op {
-                bytes_in += hv.log_size(log).expect("log exists");
+            match &plan.node(id).op {
+                Operator::ScanLog { log } => bytes_in += hv.log_size(log).expect("log exists"),
+                Operator::ScanView { view, .. } => {
+                    bytes_in += hv.views.size(view).expect("view exists")
+                }
+                _ => {}
             }
             rows += exec.output(id).len() as u64;
         }
@@ -431,29 +441,31 @@ fn keep_all_harvest(
     (harvest, exec)
 }
 
-/// Over the 32 templates × the HV side of every enumerated split, the HV
-/// store's cost, per-stage costs and harvested outputs are those of a
-/// keep-all run — which is what pins simulated time and view checksums.
-#[test]
-fn hv_harvest_is_identical_to_keep_all_retention() {
-    let corpus = Corpus::generate(&LogsConfig::tiny());
-    let mut hv = HvStore::new();
-    hv.add_log(corpus.twitter.clone());
-    hv.add_log(corpus.foursquare.clone());
-    hv.add_log(corpus.landmarks.clone());
-    let udfs = standard_udfs();
-    let workload = compile_workload(&workload_catalog()).expect("workload compiles");
-    let mut subsets = 0usize;
-    for (label, plan) in &workload {
+/// Runs the HV side of every enumerated split of each plan in `hv` and
+/// checks its cost, per-stage costs and harvested outputs against a
+/// keep-all run's. Returns how many HV sides ran and how many of them
+/// scanned a view.
+fn assert_harvests_match(
+    hv: &HvStore,
+    plans: &[(String, LogicalPlan)],
+    udfs: &UdfRegistry,
+) -> (usize, usize) {
+    let (mut subsets, mut view_scans) = (0usize, 0usize);
+    for (label, plan) in plans {
         for split in enumerate_splits(plan) {
             let subset: HashSet<NodeId> = split.hv_nodes().iter().copied().collect();
             if subset.is_empty() {
                 continue;
             }
             subsets += 1;
+            view_scans += usize::from(
+                subset
+                    .iter()
+                    .any(|&id| matches!(plan.node(id).op, Operator::ScanView { .. })),
+            );
             let what = format!("{label}, HV side {:?}", split.hv_nodes());
-            let (want, all) = keep_all_harvest(&hv, plan, &subset, &udfs);
-            let run = hv.execute(plan, Some(&subset), &udfs).unwrap();
+            let (want, all) = keep_all_harvest(hv, plan, &subset, udfs);
+            let run = hv.execute(plan, Some(&subset), udfs).unwrap();
             assert_eq!(run.cost, want.cost, "{what}: cost");
             assert_eq!(run.stage_costs, want.stage_costs, "{what}: stage costs");
             let got: Vec<_> = run
@@ -474,5 +486,52 @@ fn hv_harvest_is_identical_to_keep_all_retention() {
             }
         }
     }
+    (subsets, view_scans)
+}
+
+/// Over the 32 templates × the HV side of every enumerated split, the HV
+/// store's cost, per-stage costs and harvested outputs are those of a
+/// keep-all run — which is what pins simulated time and view checksums.
+/// The templates are run raw against a fresh store, then rewritten over the
+/// HV views a played MS-MISO stream harvested against that system's store,
+/// which pins what a stage scanning a view is charged.
+#[test]
+fn hv_harvest_is_identical_to_keep_all_retention() {
+    let corpus = Corpus::generate(&LogsConfig::tiny());
+    let mut hv = HvStore::new();
+    hv.add_log(corpus.twitter.clone());
+    hv.add_log(corpus.foursquare.clone());
+    hv.add_log(corpus.landmarks.clone());
+    let udfs = standard_udfs();
+    let workload = compile_workload(&workload_catalog()).expect("workload compiles");
+    let (subsets, _) = assert_harvests_match(&hv, &workload, &udfs);
     assert!(subsets > workload.len(), "splits were enumerated");
+
+    let budgets = Budgets::new(
+        ByteSize::from_mib(32),
+        ByteSize::from_mib(4),
+        ByteSize::from_mib(2),
+    )
+    .with_discretization(ByteSize::from_kib(16));
+    let mut sys = MultistoreSystem::new(
+        &corpus,
+        workload_catalog(),
+        standard_udfs(),
+        SystemConfig::paper_default(budgets),
+    );
+    sys.run_workload(Variant::MsMiso, &workload).unwrap();
+    let views: HashSet<String> = sys.hv.views.names().into_iter().collect();
+    let rewritten: Vec<(String, LogicalPlan)> = workload
+        .iter()
+        .filter_map(|(label, raw)| {
+            let rewrite = rewrite_with_catalog(raw, &views, &sys.catalog);
+            (!rewrite.used.is_empty()).then(|| (format!("{label} over HV views"), rewrite.plan()))
+        })
+        .collect();
+    let (subsets, view_scans) = assert_harvests_match(&sys.hv, &rewritten, &udfs);
+    assert!(
+        rewritten.len() >= 8 && view_scans >= rewritten.len(),
+        "HV views answer templates: {} rewritten, {view_scans} of {subsets} HV sides scan a view",
+        rewritten.len()
+    );
 }

@@ -15,7 +15,7 @@ use miso::core::{MultistoreSystem, SystemConfig, Variant};
 use miso::data::logs::{Corpus, LogsConfig};
 use miso::data::{DataType, Field, Schema};
 use miso::dw::DwCostModel;
-use miso::hv::{compile_stages, HvCostModel};
+use miso::hv::HvCostModel;
 use miso::optimizer::cost::{estimate_split_cost, CostBreakdown, TransferModel};
 use miso::optimizer::optimize::{cheapest_split, split_feasible, Design, OptimizerEnv};
 use miso::plan::estimate::{estimate_plan, MapStats, SizeEstimate};
@@ -24,6 +24,10 @@ use miso::plan::{AggExpr, AggFunc, Expr, LogicalPlan, Operator, PlanBuilder, Spl
 use miso::views::rewrite_with_catalog;
 use miso::workload::{compile_workload, standard_udfs, workload_catalog};
 use std::collections::{BTreeSet, HashMap, HashSet};
+
+#[path = "support/stages.rs"]
+mod stages;
+use stages::compile_stages;
 
 /// Every valid split as the set-based enumerator listed them: all
 /// downward-closed supersets of the pinned nodes in ascending mask order up
