@@ -5,22 +5,25 @@
 //! text-based format such as JSON"). The HV scan operator plays the role of
 //! Hive's SerDe by parsing each line through [`parse_json`].
 //!
-//! This is a deliberately small, strict-enough recursive-descent parser:
-//! full string escapes, numbers (integers kept exact as `i64` when possible),
-//! nested arrays/objects up to [`MAX_DEPTH`] levels, and precise error
-//! offsets. It is not a general
+//! This is a deliberately small, strict recursive-descent parser: full
+//! string escapes, RFC 8259 numbers (integers kept exact as `i64` when
+//! possible), nested arrays/objects up to [`MAX_DEPTH`] levels, and precise
+//! error offsets. It is not a general
 //! serde backend — the sanctioned offline crate set includes `serde` but not
 //! `serde_json`, and the stores only need `Value` round-trips.
 //!
 //! Beside it sits the fast path the columnar scan reads logs with: one walk
-//! over an object line's top-level members ([`parse_flat_line`]) that builds
-//! no tree, one lexer for a member's value, and a [`LineIndex`] that records
-//! where each value starts so that a log is walked once and read, field by
-//! field, at those offsets afterwards.
+//! over an object line's top-level members (`walk_flat_line`) that builds
+//! no tree, one lexer for a member's value, and [`RawColumns`], which keeps
+//! every member of every line of a log as a raw column in that one walk, so
+//! that no later read of the log lexes a line again. A number means the
+//! same on either path: both read it with one lexer.
 
+use crate::batch::{ColBuilder, Column};
 use crate::value::Value;
 use miso_common::{MisoError, Result};
 use std::fmt::Write;
+use std::sync::Arc;
 
 /// Deepest container nesting a document may have: a scalar is depth 0, `[]`
 /// depth 1, `[[]]` depth 2. The parser recurses once per level, so without
@@ -410,51 +413,68 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number slice is ASCII");
-        if text.is_empty() || text == "-" {
-            return Err(self.error("invalid number"));
-        }
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| self.error("invalid float literal"))
-        } else {
-            // Keep integers exact when they fit; overflow falls back to f64.
-            match text.parse::<i64>() {
-                Ok(i) => Ok(Value::Int(i)),
-                Err(_) => text
-                    .parse::<f64>()
-                    .map(Value::Float)
-                    .map_err(|_| self.error("invalid integer literal")),
-            }
-        }
+        let (num, end) =
+            lex_number(self.bytes, self.pos).ok_or_else(|| self.error("invalid number literal"))?;
+        self.pos = end;
+        Ok(num.to_value())
     }
+}
+
+/// The one number lexer, RFC 8259's grammar exactly —
+/// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?` — for the strict
+/// parser and the fast path alike: the number that starts at byte `pos` and
+/// the offset just past it, an integer kept exact as `Int` when it fits
+/// `i64` and anything else a `Float`. `None` where no number of the grammar
+/// starts there (`-.5`, `1.`, `1.e5`). What follows is the caller's to
+/// check, so `01` lexes as `0` and leaves the `1` to be refused.
+fn lex_number(b: &[u8], mut pos: usize) -> Option<(FlatVal<'static>, usize)> {
+    let start = pos;
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
+            *pos += 1;
+        }
+        *pos > from
+    };
+    let negative = b.get(pos) == Some(&b'-');
+    if negative {
+        pos += 1;
+    }
+    // The integer part, summed as it is read — negated, so that `i64::MIN`
+    // fits — and `None` once it leaves `i64`.
+    let mut int = Some(0i64);
+    match b.get(pos)? {
+        b'0' => pos += 1,
+        b'1'..=b'9' => {
+            while let Some(&c @ b'0'..=b'9') = b.get(pos) {
+                int = int.and_then(|v| v.checked_mul(10)?.checked_sub(i64::from(c - b'0')));
+                pos += 1;
+            }
+        }
+        _ => return None,
+    }
+    let integral = pos;
+    if b.get(pos) == Some(&b'.') {
+        pos += 1;
+        digits(&mut pos).then_some(())?;
+    }
+    if matches!(b.get(pos), Some(b'e' | b'E')) {
+        pos += 1;
+        if matches!(b.get(pos), Some(b'+' | b'-')) {
+            pos += 1;
+        }
+        digits(&mut pos).then_some(())?;
+    }
+    let int = int.filter(|_| pos == integral);
+    let num = match int.and_then(|v| if negative { Some(v) } else { v.checked_neg() }) {
+        Some(i) => FlatVal::Int(i),
+        // A fraction, an exponent or an integer past `i64`: a float.
+        None => {
+            let text = std::str::from_utf8(&b[start..pos]).expect("a number is ASCII");
+            FlatVal::Float(text.parse::<f64>().ok()?)
+        }
+    };
+    Some((num, pos))
 }
 
 /// The text of a string literal being parsed, kept only when `BUILD`.
@@ -523,6 +543,13 @@ fn lex_simple_str(line: &str, pos: usize) -> Option<(&str, usize)> {
     }
     let start = pos + 1;
     let mut i = start;
+    // Eight bytes at a time while none of them ends the run.
+    while let Some(word) = b.get(i..i + 8) {
+        if ends_simple_str(u64::from_le_bytes(word.try_into().expect("eight bytes"))) {
+            break;
+        }
+        i += 8;
+    }
     loop {
         match b.get(i)? {
             b'"' => break,
@@ -533,6 +560,16 @@ fn lex_simple_str(line: &str, pos: usize) -> Option<(&str, usize)> {
     }
     // `start..i` is bounded by ASCII quotes, so it is a char boundary.
     Some((&line[start..i], i + 1))
+}
+
+/// Whether one of the eight bytes of `word` is a `"`, a `\\` or a control
+/// byte: the exact zero-byte and less-than tests on a word.
+fn ends_simple_str(word: u64) -> bool {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let zero = |x: u64| x.wrapping_sub(ONES) & !x & HIGH;
+    let control = word.wrapping_sub(ONES * 0x20) & !word & HIGH;
+    (zero(word ^ (ONES * u64::from(b'"'))) | zero(word ^ (ONES * u64::from(b'\\'))) | control) != 0
 }
 
 /// Moves `pos` past JSON whitespace.
@@ -582,7 +619,7 @@ fn lex_str_items<'a>(
 /// `parse_json(raw) == Ok(Value::Array(items as Value::Str))`. `None` for
 /// anything else — an escape, a number, a `null`, a nested container — with
 /// `items` holding what was read before it.
-pub fn lex_str_array<'a>(raw: &'a str, items: &mut Vec<&'a str>) -> Option<()> {
+fn lex_str_array<'a>(raw: &'a str, items: &mut Vec<&'a str>) -> Option<()> {
     items.clear();
     let end = lex_str_items(raw, 0, |s| items.push(s))?;
     (end == raw.len()).then_some(())
@@ -590,10 +627,7 @@ pub fn lex_str_array<'a>(raw: &'a str, items: &mut Vec<&'a str>) -> Option<()> {
 
 /// The one value lexer of the fast path: the top-level field value that
 /// starts at byte `pos` of an object line, and the offset just past it.
-/// [`parse_flat_line`] lexes every value of a line with it and
-/// [`LineIndex::for_each_line`] only the values it is asked for, at the
-/// offsets the index recorded — so a value means the same whichever way it
-/// was reached. `None` for anything outside the fast subset.
+/// `None` for anything outside the fast subset.
 fn lex_value(line: &str, mut pos: usize) -> Option<(FlatVal<'_>, usize)> {
     let b = line.as_bytes();
     let val = match b.get(pos)? {
@@ -629,45 +663,10 @@ fn lex_value(line: &str, mut pos: usize) -> Option<(FlatVal<'_>, usize)> {
             pos += 4;
             FlatVal::Null
         }
-        c if *c == b'-' || c.is_ascii_digit() => {
-            // Same number grammar as `Parser::parse_number`.
-            let start = pos;
-            if b.get(pos) == Some(&b'-') {
-                pos += 1;
-            }
-            while matches!(b.get(pos), Some(c) if c.is_ascii_digit()) {
-                pos += 1;
-            }
-            let mut is_float = false;
-            if b.get(pos) == Some(&b'.') {
-                is_float = true;
-                pos += 1;
-                while matches!(b.get(pos), Some(c) if c.is_ascii_digit()) {
-                    pos += 1;
-                }
-            }
-            if matches!(b.get(pos), Some(b'e' | b'E')) {
-                is_float = true;
-                pos += 1;
-                if matches!(b.get(pos), Some(b'+' | b'-')) {
-                    pos += 1;
-                }
-                while matches!(b.get(pos), Some(c) if c.is_ascii_digit()) {
-                    pos += 1;
-                }
-            }
-            let text = &line[start..pos];
-            if text.is_empty() || text == "-" {
-                return None;
-            }
-            if is_float {
-                FlatVal::Float(text.parse::<f64>().ok()?)
-            } else {
-                match text.parse::<i64>() {
-                    Ok(i) => FlatVal::Int(i),
-                    Err(_) => FlatVal::Float(text.parse::<f64>().ok()?),
-                }
-            }
+        b'-' | b'0'..=b'9' => {
+            let (num, end) = lex_number(b, pos)?;
+            pos = end;
+            num
         }
         _ => return None,
     };
@@ -675,13 +674,10 @@ fn lex_value(line: &str, mut pos: usize) -> Option<(FlatVal<'_>, usize)> {
 }
 
 /// The one walk over an object line's top-level members, in line order:
-/// `member(key, offset of the value, value)`. `None` — possibly after some
-/// members were reported — as soon as anything outside the fast subset
-/// appears; see [`parse_flat_line`] for the subset and the guarantee.
-fn walk_flat_line<'a>(
-    line: &'a str,
-    mut member: impl FnMut(&'a str, usize, FlatVal<'a>),
-) -> Option<()> {
+/// `member(key, value)`. `None` — possibly after some members were
+/// reported — as soon as anything outside the fast subset appears; see
+/// [`parse_flat_line`] for the subset and the guarantee.
+fn walk_flat_line<'a>(line: &'a str, mut member: impl FnMut(&'a str, FlatVal<'a>)) -> Option<()> {
     let b = line.as_bytes();
     let mut pos = 0usize;
     let skip_ws = |pos: &mut usize| skip_ws(b, pos);
@@ -705,7 +701,7 @@ fn walk_flat_line<'a>(
             pos += 1;
             skip_ws(&mut pos);
             let (val, end) = lex_value(line, pos)?;
-            member(key, pos, val);
+            member(key, val);
             pos = end;
             skip_ws(&mut pos);
             match b.get(pos) {
@@ -740,164 +736,190 @@ fn walk_flat_line<'a>(
 /// grammar is byte-for-byte the strict parser's.
 pub fn parse_flat_line(line: &str) -> Option<Vec<(&str, FlatVal<'_>)>> {
     let mut fields = Vec::new();
-    walk_flat_line(line, |key, _, val| fields.push((key, val)))?;
+    walk_flat_line(line, |key, val| fields.push((key, val)))?;
     Some(fields)
 }
 
-/// How a [`LineIndex`] hands one well-formed line to its reader.
-#[derive(Debug)]
-pub enum IndexedLine<'a, 's> {
-    /// A fast-path line: the value under each requested key, in request
-    /// order ([`FlatVal::Null`] for a key the line lacks).
-    Flat(&'s [FlatVal<'a>]),
-    /// A line only the strict parser reads (an escape at the top level, a
-    /// non-object document): [`parse_json`] accepts it.
-    Strict(&'a str),
-}
-
-/// Where the top-level values of a run of log lines start, recorded by one
-/// tokenizing pass so that a later reader lexes only the values it wants.
+/// Every top-level field of a run of log lines, one raw column per key:
+/// what one lexing pass over the lines keeps, so that no line is lexed
+/// again, however many fields are read later and under whatever cast.
 ///
-/// Per line: a *layout* — the line's top-level key sequence; a lookup
-/// resolves duplicate keys to the last occurrence, as `Value::object` does —
-/// and one `u32` value offset per member; or one of two marks, for a line
-/// that only the strict parser accepts and for a malformed one. Generated
-/// logs have one layout each, so a line costs `4 + 4 × members` bytes.
-/// The index describes exactly the lines it was built from: reading it
-/// against any other slice is a bug, and [`LineIndex::for_each_line`]
-/// checks the length.
-#[derive(Debug)]
-pub struct LineIndex {
-    /// Per line, an index into `layouts`, or [`STRICT`] / [`MALFORMED`].
-    line_layout: Vec<u32>,
-    /// Value offsets of the fast-path lines, concatenated in line order: a
-    /// line of layout `l` owns the next `layouts[l].len()` of them.
-    offsets: Vec<u32>,
-    layouts: Vec<Vec<String>>,
-    malformed: usize,
+/// A row per well-formed line, in line order; a malformed line is counted
+/// and skipped. Each column is the one a [`ColBuilder`] makes of the values
+/// [`parse_json`] gives the line's object under that key — the last
+/// duplicate wins, a key the line lacks (or a document that is no object)
+/// is NULL — with an array of plain strings kept as a list slot and not
+/// built as a tree. Keys are held in order of first sight, which no reader
+/// depends on.
+#[derive(Debug, Clone, Default)]
+pub struct RawColumns {
+    keys: Vec<String>,
+    cols: Vec<Arc<Column>>,
+    rows: usize,
+    skipped: u64,
 }
 
-/// `line_layout` mark: well-formed, but outside the fast subset.
-const STRICT: u32 = u32::MAX - 1;
-/// `line_layout` mark: not JSON; every reader skips the line.
-const MALFORMED: u32 = u32::MAX;
-
-impl LineIndex {
-    /// Tokenizes `lines`: every byte of every line is lexed here, once.
-    pub fn build(lines: &[String]) -> LineIndex {
-        let mut index = LineIndex {
-            line_layout: Vec::with_capacity(lines.len()),
-            offsets: Vec::new(),
-            layouts: Vec::new(),
-            malformed: 0,
+impl RawColumns {
+    /// One serial pass over `lines`: each is walked by `walk_flat_line`
+    /// and its members pushed straight into their columns; a line outside
+    /// the fast subset is parsed once by [`parse_json`], and dropped if
+    /// that fails too. A key first seen mid-run is NULL on every row before.
+    pub fn lex(lines: &[String]) -> RawColumns {
+        let mut keys: Vec<String> = Vec::new();
+        let mut builders: Vec<ColBuilder> = Vec::new();
+        let (mut rows, mut skipped) = (0usize, 0u64);
+        // Per line: its members, the value under each key, and the key each
+        // member was found under — the next line's guess, nearly always
+        // right, since a log's lines share a layout.
+        let mut members: Vec<(&str, FlatVal<'_>)> = Vec::new();
+        let mut vals: Vec<FlatVal<'_>> = Vec::new();
+        let mut layout: Vec<usize> = Vec::new();
+        let mut items = Vec::new();
+        // The column of `key`, opened NULL on the rows so far if it is new.
+        let slot_of = |key: &str, keys: &mut Vec<String>, builders: &mut Vec<ColBuilder>, rows| {
+            keys.iter().position(|k| k == key).unwrap_or_else(|| {
+                keys.push(key.to_string());
+                builders.push(ColBuilder::Unknown(rows));
+                keys.len() - 1
+            })
         };
-        let mut keys: Vec<&str> = Vec::new();
-        // The layout of the previous fast-path line: the next one has it
-        // too, nearly always.
-        let mut last = 0usize;
         for line in lines {
-            keys.clear();
-            let first = index.offsets.len();
-            let mut fits = true;
-            let flat = walk_flat_line(line, |key, at, _| {
-                keys.push(key);
-                match u32::try_from(at) {
-                    Ok(at) => index.offsets.push(at),
-                    Err(_) => fits = false,
+            members.clear();
+            if walk_flat_line(line, |key, val| members.push((key, val))).is_some() {
+                vals.clear();
+                for (m, &(key, val)) in members.iter().enumerate() {
+                    let slot = match layout.get(m) {
+                        Some(&slot) if keys[slot] == key => slot,
+                        _ => {
+                            let slot = slot_of(key, &mut keys, &mut builders, rows);
+                            layout.resize(layout.len().max(m + 1), 0);
+                            layout[m] = slot;
+                            slot
+                        }
+                    };
+                    vals.resize(keys.len(), FlatVal::Null);
+                    vals[slot] = val;
                 }
-            });
-            if flat.is_some() && fits {
-                let same = |layout: &Vec<String>| {
-                    layout.iter().map(String::as_str).eq(keys.iter().copied())
-                };
-                if !index.layouts.get(last).is_some_and(same) {
-                    last = index.layouts.iter().position(same).unwrap_or_else(|| {
-                        index
-                            .layouts
-                            .push(keys.iter().map(|k| k.to_string()).collect());
-                        index.layouts.len() - 1
-                    });
+                vals.resize(keys.len(), FlatVal::Null);
+                for (b, &val) in builders.iter_mut().zip(&vals) {
+                    push_raw(b, val, &mut items);
                 }
-                // Far fewer layouts than `STRICT` fit in memory.
-                index.line_layout.push(last as u32);
+            } else if let Ok(doc) = parse_json(line) {
+                if let Value::Object(fields) = &doc {
+                    for (key, _) in fields {
+                        slot_of(key, &mut keys, &mut builders, rows);
+                    }
+                }
+                for (key, b) in keys.iter().zip(&mut builders) {
+                    b.push_value(doc.get_field(key).cloned().unwrap_or(Value::Null));
+                }
+            } else {
+                skipped += 1;
                 continue;
             }
-            index.offsets.truncate(first);
-            if parse_json(line).is_ok() {
-                index.line_layout.push(STRICT);
-            } else {
-                index.line_layout.push(MALFORMED);
-                index.malformed += 1;
-            }
-        }
-        index
-    }
-
-    /// Lines indexed, malformed ones included.
-    pub fn len(&self) -> usize {
-        self.line_layout.len()
-    }
-
-    /// True iff no line is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.line_layout.is_empty()
-    }
-
-    /// Malformed lines among them — what a scan reports as skipped.
-    pub fn malformed(&self) -> usize {
-        self.malformed
-    }
-
-    /// Heap footprint of the index.
-    pub fn approx_bytes(&self) -> u64 {
-        let keys: usize = self.layouts.iter().flatten().map(|k| 24 + k.len()).sum();
-        (4 * (self.line_layout.len() + self.offsets.len()) + keys) as u64
-    }
-
-    /// Calls `row` once per well-formed line of `lines`, in line order,
-    /// with the values under `keys` lexed at the recorded offsets; no other
-    /// byte of a fast-path line is read. `lines` must be the slice the
-    /// index was built from.
-    pub fn for_each_line<'a>(
-        &self,
-        lines: &'a [String],
-        keys: &[&str],
-        mut row: impl for<'s> FnMut(IndexedLine<'a, 's>),
-    ) {
-        assert_eq!(lines.len(), self.len(), "the index describes these lines");
-        // Per layout, the member each key reads: its last occurrence.
-        let slots: Vec<Vec<Option<usize>>> = self
-            .layouts
-            .iter()
-            .map(|layout| {
-                keys.iter()
-                    .map(|key| layout.iter().rposition(|k| k == key))
-                    .collect()
-            })
-            .collect();
-        let mut vals: Vec<FlatVal<'a>> = Vec::with_capacity(keys.len());
-        let mut first = 0usize;
-        for (line, &layout) in lines.iter().zip(&self.line_layout) {
-            match layout {
-                MALFORMED => {}
-                STRICT => row(IndexedLine::Strict(line)),
-                layout => {
-                    let layout = layout as usize;
-                    vals.clear();
-                    vals.extend(slots[layout].iter().map(|slot| match slot {
-                        None => FlatVal::Null,
-                        Some(member) => {
-                            let at = self.offsets[first + member] as usize;
-                            lex_value(line, at)
-                                .expect("lexed at this offset when the index was built")
-                                .0
-                        }
-                    }));
-                    first += self.layouts[layout].len();
-                    row(IndexedLine::Flat(&vals));
+            rows += 1;
+            // The first line names nearly every key: room for all the rows.
+            if rows == 1 {
+                for b in &mut builders {
+                    b.reserve(lines.len());
                 }
             }
         }
+        let cols = builders.into_iter().map(|b| Arc::new(b.finish())).collect();
+        RawColumns {
+            keys,
+            cols,
+            rows,
+            skipped,
+        }
+    }
+
+    /// Joins runs of consecutive lines, in order: the columns one pass over
+    /// all of their lines keeps. Each key's parts are joined by
+    /// [`Column::concat`], a run that lacks the key giving NULLs.
+    pub fn concat(runs: Vec<RawColumns>) -> RawColumns {
+        let mut keys: Vec<String> = Vec::new();
+        for key in runs.iter().flat_map(|run| &run.keys) {
+            if !keys.contains(key) {
+                keys.push(key.clone());
+            }
+        }
+        let mut parts: Vec<Vec<Column>> = keys.iter().map(|_| Vec::new()).collect();
+        let (mut rows, mut skipped) = (0, 0);
+        for run in runs {
+            let mut cols: Vec<Option<Arc<Column>>> = run.cols.into_iter().map(Some).collect();
+            for (key, parts) in keys.iter().zip(&mut parts) {
+                let col = run.keys.iter().position(|k| k == key);
+                let col = col.and_then(|slot| cols[slot].take());
+                parts.push(col.map_or_else(|| nulls(run.rows), Arc::unwrap_or_clone));
+            }
+            rows += run.rows;
+            skipped += run.skipped;
+        }
+        let cols = parts
+            .into_iter()
+            .map(|parts| Arc::new(Column::concat(parts)))
+            .collect();
+        RawColumns {
+            keys,
+            cols,
+            rows,
+            skipped,
+        }
+    }
+
+    /// Extends every column by `tail`'s, the columns of the lines that
+    /// follow these: [`RawColumns::concat`] of the two.
+    pub fn append(&mut self, tail: RawColumns) {
+        *self = RawColumns::concat(vec![std::mem::take(self), tail]);
+    }
+
+    /// The raw column under `key`; `None` when no line has the key.
+    pub fn column(&self, key: &str) -> Option<&Arc<Column>> {
+        let slot = self.keys.iter().position(|k| k == key)?;
+        Some(&self.cols[slot])
+    }
+
+    /// Distinct keys, one column each.
+    pub fn width(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Well-formed lines: every column's length.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Malformed lines, skipped.
+    pub fn skipped(&self) -> u64 {
+        self.skipped
+    }
+
+    /// Footprint of the columns' cells ([`Column::approx_bytes`]).
+    pub fn approx_bytes(&self) -> u64 {
+        self.cols.iter().map(|c| c.approx_bytes()).sum()
+    }
+}
+
+/// `n` NULL slots: the column a builder makes of them.
+fn nulls(n: usize) -> Column {
+    ColBuilder::Unknown(n).finish()
+}
+
+/// Pushes a fast-path value as is: a scalar onto its typed arm, an array of
+/// plain strings lexed straight into a list slot (`items` being the lexer's
+/// scratch), any other nested value as its tree.
+fn push_raw<'a>(b: &mut ColBuilder, val: FlatVal<'a>, items: &mut Vec<&'a str>) {
+    match val {
+        FlatVal::Null => b.push_null(),
+        FlatVal::Bool(x) => b.push_bool(x),
+        FlatVal::Int(i) => b.push_i64(i),
+        FlatVal::Float(f) => b.push_f64(f),
+        FlatVal::Str(s) => b.push_str(s),
+        FlatVal::Nested(raw) => match lex_str_array(raw, items) {
+            Some(()) => b.push_strs(items.iter().copied()),
+            None => b.push_value(val.to_value()),
+        },
     }
 }
 
@@ -931,7 +953,7 @@ mod tests {
             r#"{}"#,
             r#"{"a": 1}"#,
             r#"  { "a" : -12 , "b" : "x y" , "c" : true , "d" : null }  "#,
-            r#"{"f": 3.5, "g": 1e3, "h": -0.0, "i": 1., "j": 1E+2}"#,
+            r#"{"f": 3.5, "g": 1e3, "h": -0.0, "i": 1.25, "j": 1E+2}"#,
             r#"{"dup": 1, "dup": 2}"#,
             r#"{"big": 99999999999999999999}"#,
             r#"{"uni": "héllo ✓"}"#,
@@ -962,6 +984,8 @@ mod tests {
             r#"{"bad": 1x}"#,
             r#"{"bad": -}"#,
             r#"{"bad": 1e}"#,
+            r#"{"bad": 1.}"#,
+            r#"{"bad": 01}"#,
             r#"{"a": 1} trailing"#,
             r#"{"a": [1]} trailing"#,
             r#"{"a": 1"#,
@@ -1024,42 +1048,55 @@ mod tests {
         assert!(checked > 2000, "{checked} lines");
     }
 
-    /// What a reader of `lines`' index gets under `keys`: one row of
-    /// values per well-formed line.
-    fn indexed_rows(lines: &[String], keys: &[&str]) -> Vec<Vec<Value>> {
-        let index = LineIndex::build(lines);
-        assert_eq!(index.len(), lines.len());
-        let mut rows = Vec::new();
-        index.for_each_line(lines, keys, |line| {
-            rows.push(match line {
-                IndexedLine::Flat(vals) => vals.iter().map(FlatVal::to_value).collect(),
-                IndexedLine::Strict(line) => {
-                    let doc = parse_json(line).expect("strict lines are well-formed");
-                    let field = |k: &&str| doc.get_field(k).cloned().unwrap_or(Value::Null);
-                    keys.iter().map(field).collect()
-                }
-            })
-        });
-        assert_eq!(rows.len() + index.malformed(), lines.len());
-        rows
+    /// The column the strict parser gives `key` over `lines`: one builder
+    /// fed each well-formed line's field, NULL where it is absent.
+    fn strict_column(lines: &[String], key: &str) -> Column {
+        let mut b = ColBuilder::new();
+        for doc in lines.iter().filter_map(|line| parse_json(line).ok()) {
+            b.push_value(doc.get_field(key).cloned().unwrap_or(Value::Null));
+        }
+        b.finish()
     }
 
-    /// The same rows off the strict parser alone.
-    fn strict_rows(lines: &[String], keys: &[&str]) -> Vec<Vec<Value>> {
-        let docs = lines.iter().filter_map(|line| parse_json(line).ok());
-        docs.map(|doc| {
-            let field = |k: &&str| doc.get_field(k).cloned().unwrap_or(Value::Null);
-            keys.iter().map(field).collect()
-        })
-        .collect()
+    /// Every key any well-formed line of `lines` has, per the strict parser.
+    fn strict_keys(lines: &[String]) -> Vec<String> {
+        let mut keys: Vec<String> = Vec::new();
+        for doc in lines.iter().filter_map(|line| parse_json(line).ok()) {
+            if let Value::Object(fields) = doc {
+                keys.extend(fields.into_iter().map(|(k, _)| k));
+            }
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        keys
     }
 
-    /// Values read through the index are the fields of the strict parser's
-    /// object — last duplicate wins, absent is NULL, a nested value is its
-    /// tree — over every prefix and every one-byte edit of the seed lines,
-    /// indexed together so that layouts, strict and malformed lines mix.
+    /// `raw` holds exactly the strict parser's columns of `lines`: one per
+    /// key, equal to [`strict_column`] (in `Debug` form, which tells signed
+    /// zeros apart), with its row and skip counts.
+    fn assert_strict(raw: &RawColumns, lines: &[String], what: &str) {
+        let well_formed = lines.iter().filter(|l| parse_json(l).is_ok()).count();
+        assert_eq!(raw.rows(), well_formed, "{what}: rows");
+        assert_eq!(raw.skipped() as usize, lines.len() - well_formed, "{what}");
+        let keys = strict_keys(lines);
+        assert_eq!(raw.width(), keys.len(), "{what}: keys {keys:?}");
+        for key in &keys {
+            let got = raw
+                .column(key)
+                .unwrap_or_else(|| panic!("{what}: no `{key}`"));
+            let want = strict_column(lines, key);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}: `{key}`");
+        }
+        assert!(raw.column("absent").is_none(), "{what}");
+    }
+
+    /// The raw columns of one pass are the strict parser's fields — last
+    /// duplicate wins, absent is NULL, a nested value is its tree or its
+    /// list — over every prefix and every one-byte edit of the seed lines,
+    /// lexed together so that layouts, strict and malformed lines mix; and
+    /// so are the columns of the same lines lexed in runs and joined.
     #[test]
-    fn indexed_reads_agree_with_the_strict_parser() {
+    fn raw_columns_agree_with_the_strict_parser() {
         let seeds = [
             r#"{"id": 7, "tags": ["a", "b}"], "geo": {"lat": 1.5, "pt": [1, [2]]}, "t": "x"}"#,
             r#"{"a": [{"b": "\"]"}, null], "a": {"c": "\\"}, "n": -1e3}"#,
@@ -1083,44 +1120,117 @@ mod tests {
         }
         lines.extend(["42", "[1]", "\"id\"", "{}", "", "null"].map(String::from));
         assert!(lines.len() > 2000, "{} lines", lines.len());
-        let keys = ["id", "t", "a", "geo", "tags", "n", "absent", "id"];
-        let index = LineIndex::build(&lines);
-        assert!(index.layouts.len() > 20 && index.malformed() > 500);
-        assert!(index.line_layout.contains(&STRICT));
-        assert_eq!(indexed_rows(&lines, &keys), strict_rows(&lines, &keys));
-        assert_eq!(indexed_rows(&lines, &[]), strict_rows(&lines, &[]));
-        for key in keys {
-            assert_eq!(indexed_rows(&lines, &[key]), strict_rows(&lines, &[key]));
+        let raw = RawColumns::lex(&lines);
+        assert!(raw.width() > 20 && raw.skipped() > 500);
+        assert_strict(&raw, &lines, "one run");
+        for run in [1, 7, 500, lines.len()] {
+            let runs = lines.chunks(run).map(RawColumns::lex).collect();
+            assert_strict(&RawColumns::concat(runs), &lines, &format!("runs of {run}"));
         }
     }
 
-    /// One layout per key sequence, found again wherever it recurs; a line
-    /// costs one mark and one offset per member.
+    /// A key is found again wherever it recurs in another layout, opened
+    /// NULL on the rows before it is first seen — on a fast-path line or only
+    /// on a strict one — and closed NULL on the rows after its run ends; a
+    /// duplicate's last value wins; a type clash degrades the column. An
+    /// append is the pass over both runs, and nothing lexes to nothing.
     #[test]
-    fn index_layouts_and_footprint() {
+    fn raw_columns_keep_every_key_and_layout() {
         let lines: Vec<String> = [
             r#"{"a": 1, "b": "x"}"#,
             r#"{"a": 2, "b": "y"}"#,
             r#"{"b": "z", "a": 3}"#,
             "not json",
-            r#"{"a": 4, "b": "w"}"#,
-            r#"{"a": "\n"}"#,
+            r#"{"a": 4, "b": "w", "c": true}"#,
+            r#"{"a": "\n", "e\u0073c": 0.5}"#,
             r#"{"a": 5, "a": 6}"#,
+            r#"[1, 2]"#,
         ]
         .map(String::from)
         .to_vec();
-        let index = LineIndex::build(&lines);
-        assert_eq!(index.line_layout, [0, 0, 1, MALFORMED, 0, STRICT, 2]);
-        assert_eq!(index.layouts.len(), 3);
-        assert_eq!(index.offsets.len(), 2 * 4 + 2);
-        assert_eq!((index.len(), index.malformed()), (7, 1));
-        let rows = indexed_rows(&lines, &["a"]);
-        let ints = [1, 2, 3, 4].map(|i| vec![Value::Int(i)]);
-        assert_eq!(rows[..4], ints);
-        assert_eq!(rows[4..], [vec![Value::str("\n")], vec![Value::Int(6)]]);
-        let empty = LineIndex::build(&[]);
-        assert!(empty.is_empty() && empty.approx_bytes() == 0);
-        empty.for_each_line(&[], &["a"], |_| panic!("no line"));
+        let raw = RawColumns::lex(&lines);
+        assert_eq!((raw.width(), raw.rows(), raw.skipped()), (4, 7, 1));
+        let ints = [1, 2, 3, 4].map(Value::Int);
+        let a: Vec<Value> = ints
+            .into_iter()
+            .chain([Value::str("\n"), Value::Int(6), Value::Null])
+            .collect();
+        assert_eq!(**raw.column("a").unwrap(), Column::Mixed(a));
+        let c = raw.column("c").unwrap();
+        assert!(matches!(**c, Column::Bool(..)) && c.is_null(2) && !c.is_null(3));
+        let esc = raw.column("esc").unwrap();
+        assert_eq!(
+            esc.value(4),
+            Value::Float(0.5),
+            "a key only a strict line has"
+        );
+        assert!((0..7).filter(|&i| i != 4).all(|i| esc.is_null(i)));
+        assert_strict(&raw, &lines, "hand-made lines");
+        let bytes: u64 = ["a", "b", "c", "esc"]
+            .map(|k| raw.column(k).unwrap().approx_bytes())
+            .iter()
+            .sum();
+        assert_eq!(raw.approx_bytes(), bytes);
+        for cut in 0..=lines.len() {
+            let mut grown = RawColumns::lex(&lines[..cut]);
+            grown.append(RawColumns::lex(&lines[cut..]));
+            assert_strict(&grown, &lines, &format!("cut at {cut}"));
+        }
+        let empty = RawColumns::lex(&[]);
+        assert_eq!((empty.width(), empty.rows(), empty.skipped()), (0, 0, 0));
+        assert_eq!(empty.approx_bytes(), 0);
+    }
+
+    /// Numbers follow RFC 8259 on both paths: a table of literals is read
+    /// alike by the strict parser, as a fast-path member and inside a nested
+    /// array, and the forbidden ones are refused by all three.
+    #[test]
+    fn numbers_follow_rfc_8259_on_both_paths() {
+        let accepted = [
+            ("0", Value::Int(0)),
+            ("-0", Value::Int(0)),
+            ("7", Value::Int(7)),
+            ("-12", Value::Int(-12)),
+            ("10", Value::Int(10)),
+            ("9223372036854775807", Value::Int(i64::MAX)),
+            ("-9223372036854775808", Value::Int(i64::MIN)),
+            ("9223372036854775808", Value::Float(9223372036854775808.0)),
+            ("-9223372036854775809", Value::Float(-9223372036854775809.0)),
+            ("99999999999999999999", Value::Float(1e20)),
+            ("0.5", Value::Float(0.5)),
+            ("-0.0", Value::Float(-0.0)),
+            ("10.25", Value::Float(10.25)),
+            ("1e5", Value::Float(1e5)),
+            ("1E+2", Value::Float(100.0)),
+            ("25e-2", Value::Float(0.25)),
+            ("0e0", Value::Float(0.0)),
+            ("-2.5E-3", Value::Float(-0.0025)),
+        ];
+        for (lit, want) in accepted {
+            let strict = parse_json(lit).unwrap_or_else(|e| panic!("{lit}: {e}"));
+            assert_eq!(format!("{strict:?}"), format!("{want:?}"), "{lit}");
+            let line = format!(r#"{{"a": {lit}}}"#);
+            let flat = parse_flat_line(&line).unwrap_or_else(|| panic!("{line}"));
+            assert_eq!(format!("{:?}", flat[0].1.to_value()), format!("{want:?}"));
+            let nested = format!(r#"{{"a": [{lit}]}}"#);
+            let flat = parse_flat_line(&nested).unwrap_or_else(|| panic!("{nested}"));
+            assert_eq!(flat[0].1.to_value(), Value::Array(vec![want]), "{nested}");
+        }
+        let rejected = [
+            "01", "-01", "00", "1.", "-.5", ".5", "1.e5", "+1", "-", "--1", "1e", "1e+", "1E-",
+            "0x10", "1.5.2", "1e5.0", "0.", "01.5", "-0.e1", "Infinity", "NaN", "1_000", "- 1",
+        ];
+        for lit in rejected {
+            assert!(parse_json(lit).is_err(), "strict parser accepts {lit}");
+            let line = format!(r#"{{"a": {lit}}}"#);
+            assert!(parse_flat_line(&line).is_none(), "fast path accepts {line}");
+            assert!(parse_json(&line).is_err(), "strict parser accepts {line}");
+            let nested = format!(r#"{{"a": [{lit}]}}"#);
+            assert!(
+                parse_flat_line(&nested).is_none(),
+                "fast path accepts {nested}"
+            );
+        }
     }
 
     /// An array lexed as strings is the strict parser's array, and every

@@ -3,10 +3,10 @@
 //! This module is the expression half of miso-col: a morsel-at-a-time
 //! expression evaluator (`eval_vec`) that covers the whole [`Expr`] enum
 //! and produces [`Column`] vectors instead of per-row [`Value`]s, and the
-//! fused scan+project reader ([`LogIndex`]) that turns raw JSON log lines
-//! straight into typed column vectors. The operator bodies live in
-//! [`crate::engine`], which owns morsel dispatch, the guard seam and the
-//! accumulator machinery.
+//! fused scan+project reader ([`columnize`], [`field_columns`]) that turns
+//! raw JSON log lines straight into typed column vectors. The operator
+//! bodies live in [`crate::engine`], which owns morsel dispatch, the guard
+//! seam and the accumulator machinery.
 //!
 //! **Typed arms**: a kernel reads the variant of the vectors it is handed
 //! once per morsel (`Typed`) and, when they are typed, works on their
@@ -28,17 +28,17 @@
 //! serially — a bad column, an unknown builtin, a wrong argument count —
 //! errors columnar-ly in exactly the same cases.
 //!
-//! **A line is tokenized once**: a [`LogIndex`] records, in one pass over a
-//! log's lines, where each top-level value starts; every column read of
-//! that log afterwards lexes only the values it asks for, with the lexer
-//! the tokenizing pass used.
+//! **A line is tokenized once**: [`columnize`] keeps every top-level field
+//! of a log's lines as a raw column ([`RawColumns`]) in one pass; every
+//! column read of that log afterwards is one of those columns, shared, or
+//! a cast of it — no line is lexed again.
 
 use crate::engine::par_chunks;
 use crate::eval::{cast, eval_binary, eval_unary, logical_combine, Builtin};
 use crate::udf::UdfRegistry;
 use miso_common::guard::QueryGuard;
-use miso_common::{pool, MisoError, Result};
-use miso_data::json::{lex_str_array, parse_json, FlatVal, IndexedLine, LineIndex};
+use miso_common::{MisoError, Result};
+use miso_data::json::RawColumns;
 use miso_data::{Cell, ColBatch, ColBuilder, Column, DataType, Nulls, Slots, Strs, Value};
 use miso_plan::{BinOp, Expr, Operator, UnaryOp};
 use std::cmp::Ordering;
@@ -621,172 +621,67 @@ pub(crate) fn fused_fields<'a>(
     }
 }
 
-/// Pushes `field cast to ty` for one parsed token. Fast arms avoid
-/// `Value` round-trips for the common shapes — an array of plain strings
-/// is lexed straight into a list column, `items` being the lexer's scratch
-/// — and everything else goes through the shared scalar [`cast`] for exact
-/// semantics.
-fn push_cast<'a>(
-    b: &mut ColBuilder,
-    tok: FlatVal<'a>,
-    ty: Option<DataType>,
-    items: &mut Vec<&'a str>,
-) {
-    let Some(ty) = ty else {
-        match tok {
-            FlatVal::Null => b.push_null(),
-            FlatVal::Bool(x) => b.push_bool(x),
-            FlatVal::Int(i) => b.push_i64(i),
-            FlatVal::Float(f) => b.push_f64(f),
-            FlatVal::Str(s) => b.push_str(s),
-            FlatVal::Nested(raw) => match lex_str_array(raw, items) {
-                Some(()) => b.push_strs(items.iter().copied()),
-                None => b.push_value(tok.to_value()),
-            },
+/// The one lexing pass over a log's lines, morsel-parallel on the worker
+/// pool: each morsel is lexed by [`RawColumns::lex`] and the runs joined in
+/// order, so the columns are those one serial pass builds, for any thread
+/// count.
+pub fn columnize(lines: &[String]) -> Result<RawColumns> {
+    // The caller owns the cancellation boundary: a store may be reading an
+    // appended batch, outside any query.
+    let runs = par_chunks(QueryGuard::inert_ref(), lines, |_, chunk| {
+        RawColumns::lex(chunk)
+    })?;
+    Ok(RawColumns::concat(runs))
+}
+
+/// One column per field over `raw`'s rows: the raw column itself, shared,
+/// for a bare field or a cast that keeps every cell as it is; otherwise the
+/// raw column cast cell by cell with [`cast`] — what parsing each line,
+/// taking the field and casting it builds. A key no line has is all NULL.
+pub fn field_columns(raw: &RawColumns, fields: &[FusedField<'_>]) -> ColBatch {
+    let column = |f: &FusedField<'_>| {
+        let Some(col) = raw.column(f.key) else {
+            return Arc::new(ColBuilder::Unknown(raw.rows()).finish());
+        };
+        match f.ty {
+            Some(ty) if !cast_keeps(col, ty) => {
+                let mut b = ColBuilder::new();
+                for i in 0..col.len() {
+                    b.push_value(cast(col.value(i), ty));
+                }
+                Arc::new(b.finish())
+            }
+            _ => col.clone(),
         }
-        return;
     };
-    match (tok, ty) {
-        (FlatVal::Null, _) => b.push_null(),
-        (FlatVal::Int(i), DataType::Int) => b.push_i64(i),
-        (FlatVal::Int(i), DataType::Float) => b.push_f64(i as f64),
-        (FlatVal::Float(f), DataType::Float) => b.push_f64(f),
-        (FlatVal::Str(s), DataType::Int) => match s.trim().parse::<i64>() {
-            Ok(i) => b.push_i64(i),
-            Err(_) => b.push_null(),
-        },
-        (FlatVal::Str(s), DataType::Float) => match s.trim().parse::<f64>() {
-            Ok(f) => b.push_f64(f),
-            Err(_) => b.push_null(),
-        },
-        (FlatVal::Str(s), DataType::Str) => b.push_str(s),
-        (tok, ty) => b.push_value(cast(tok.to_value(), ty)),
-    }
+    ColBatch::from_shared(fields.iter().map(column).collect(), raw.rows())
 }
 
-/// The token index of a whole log, or of one appended batch: one
-/// [`LineIndex`] per run of lines, in line order — a morsel of the pass that
-/// built it, or a batch appended since. Cheap to clone (the runs are
-/// shared), which is how a store's clones and its lock-free readers each
-/// hold one.
-#[derive(Debug, Clone, Default)]
-pub struct LogIndex {
-    runs: Vec<Arc<LineIndex>>,
-}
-
-impl LogIndex {
-    /// Tokenizes `lines`, morsel-parallel on the worker pool.
-    pub fn build(lines: &[String]) -> Result<LogIndex> {
-        // The caller owns the cancellation boundary: a store may be
-        // indexing for an append, outside any query.
-        let runs = par_chunks(QueryGuard::inert_ref(), lines, |_, chunk| {
-            Arc::new(LineIndex::build(chunk))
-        })?;
-        Ok(LogIndex { runs })
-    }
-
-    /// Extends the index over the lines `tail` describes, appended to the
-    /// log after those this index covers.
-    pub fn append(&mut self, tail: &LogIndex) {
-        self.runs.extend(tail.runs.iter().cloned());
-    }
-
-    /// `(well-formed, malformed)` line counts: a scan's row and skip counts.
-    pub fn counts(&self) -> (usize, u64) {
-        let lines: usize = self.runs.iter().map(|run| run.len()).sum();
-        let malformed: usize = self.runs.iter().map(|run| run.malformed()).sum();
-        (lines - malformed, malformed as u64)
-    }
-
-    /// Heap footprint of the index.
-    pub fn approx_bytes(&self) -> u64 {
-        self.runs.iter().map(|run| run.approx_bytes()).sum()
-    }
-
-    /// One column per field over the well-formed lines of `lines` — the
-    /// slice this index was built from — in line order. Runs are read in
-    /// parallel and concatenated in order, so the columns are those one
-    /// serial [`ColBuilder`] pass would build, for any thread count and
-    /// however the lines were split into runs — which is what lets a store
-    /// extend them later with the columns of appended lines alone
-    /// ([`Column::append`]).
-    pub fn columns(&self, lines: &[String], fields: &[FusedField<'_>]) -> Result<ColBatch> {
-        let mut ranges = Vec::with_capacity(self.runs.len());
-        let mut first = 0usize;
-        for run in &self.runs {
-            ranges.push(first..first + run.len());
-            first += run.len();
-        }
-        if first != lines.len() {
-            return Err(MisoError::Execution(format!(
-                "log index covers {first} lines, the log has {}",
-                lines.len()
-            )));
-        }
-        crate::profile::note_dispatch(self.runs.len() as u64, lines.len() as u64);
-        let mut parts = pool::run_batch(self.runs.len(), |i| {
-            read_run(&self.runs[i], &lines[ranges[i].clone()], fields)
-        })?;
-        if parts.is_empty() {
-            // No lines: `ColBatch::concat` of nothing would lose the arity.
-            parts.push(read_run(&LineIndex::build(&[]), &[], fields));
-        }
-        Ok(ColBatch::concat(parts))
-    }
+/// Whether [`cast`] to `ty` returns every cell of `col` unchanged.
+fn cast_keeps(col: &Column, ty: DataType) -> bool {
+    matches!(
+        (ty, col),
+        (DataType::Json, _)
+            | (DataType::Int, Column::Int(..))
+            | (DataType::Float, Column::Float(..))
+            | (DataType::Str, Column::Str(..))
+            | (DataType::Bool, Column::Bool(..))
+    )
 }
 
 /// Parses `lines` into one column per field and returns the batch with the
-/// count of malformed lines skipped: tokenize, then read the fields at the
-/// recorded offsets. A caller that reads the same lines again keeps the
-/// [`LogIndex`] and skips the first step.
+/// count of malformed lines skipped: [`columnize`], then [`field_columns`].
+/// A caller that reads the same lines again keeps the [`RawColumns`].
 pub fn parse_log_columns(lines: &[String], fields: &[FusedField<'_>]) -> Result<(ColBatch, u64)> {
-    let index = LogIndex::build(lines)?;
-    Ok((index.columns(lines, fields)?, index.counts().1))
-}
-
-/// Reads one run of indexed lines straight into one column builder per
-/// fused field. Malformed lines are skipped, exactly like the unfused scan. A
-/// fast-path line is lexed at the requested values only, building a tree
-/// only for a nested value that is itself asked for; a line the index marks
-/// strict goes through the strict parser so escaped lines behave
-/// identically to a scan that parses whole records.
-fn read_run(index: &LineIndex, lines: &[String], fields: &[FusedField<'_>]) -> ColBatch {
-    let rows = index.len() - index.malformed();
-    let mut builders: Vec<ColBuilder> = (0..fields.len()).map(|_| ColBuilder::new()).collect();
-    for b in &mut builders {
-        b.reserve(rows);
-    }
-    let keys: Vec<&str> = fields.iter().map(|f| f.key).collect();
-    let mut items = Vec::new();
-    index.for_each_line(lines, &keys, |line| match line {
-        IndexedLine::Flat(toks) => {
-            for ((f, b), tok) in fields.iter().zip(&mut builders).zip(toks) {
-                push_cast(b, *tok, f.ty, &mut items);
-            }
-        }
-        IndexedLine::Strict(line) => push_strict(line, fields, &mut builders),
-    });
-    ColBatch::from_columns(builders.into_iter().map(ColBuilder::finish).collect(), rows)
-}
-
-/// The strict-parser path of [`read_run`]: pushes the fields of one line
-/// out of its [`parse_json`] tree.
-fn push_strict(line: &str, fields: &[FusedField<'_>], builders: &mut [ColBuilder]) {
-    let v = parse_json(line).expect("the index marks only well-formed lines strict");
-    for (f, b) in fields.iter().zip(builders) {
-        let field = v.get_field(f.key).cloned().unwrap_or(Value::Null);
-        b.push_value(match f.ty {
-            Some(ty) => cast(field, ty),
-            None => field,
-        });
-    }
+    let raw = columnize(lines)?;
+    Ok((field_columns(&raw, fields), raw.skipped()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::eval;
-    use miso_data::json::parse_flat_line;
+    use miso_data::json::{parse_flat_line, parse_json};
     use miso_data::Row;
 
     fn bin(op: BinOp, l: Expr, r: Expr) -> Expr {
@@ -1483,16 +1378,22 @@ mod tests {
         assert_eq!(batch.to_rows(), want);
     }
 
-    /// What the fused reader builds had the index marked every well-formed
-    /// line strict.
+    /// What the fused reader builds had every well-formed line gone through
+    /// the strict parser.
     fn parse_lines_strict(lines: &[String], fields: &[FusedField<'_>]) -> (Vec<Column>, u64) {
         let mut builders: Vec<ColBuilder> = fields.iter().map(|_| ColBuilder::new()).collect();
         let mut skipped = 0u64;
         for line in lines {
-            if parse_json(line).is_ok() {
-                push_strict(line, fields, &mut builders);
-            } else {
+            let Ok(doc) = parse_json(line) else {
                 skipped += 1;
+                continue;
+            };
+            for (f, b) in fields.iter().zip(&mut builders) {
+                let field = doc.get_field(f.key).cloned().unwrap_or(Value::Null);
+                b.push_value(match f.ty {
+                    Some(ty) => cast(field, ty),
+                    None => field,
+                });
             }
         }
         (

@@ -2,15 +2,18 @@
 //! byte by byte, member by member, and in their `hashtags` value,
 //! [`parse_log_columns`] builds exactly the columns a reader that parses
 //! each line whole ([`parse_json`]), takes the field and casts it would —
-//! every field, every cast, the same skip count — and so does an index of
-//! the lines in two runs. Cases are seeded
-//! [`DetRng`] streams; a failing assert names the seed.
+//! every field, every cast, the same skip count — and so do the raw
+//! columns of the lines lexed in two runs and appended, and those of a log
+//! of several morsels at any pool width. Cases are seeded [`DetRng`]
+//! streams; a failing assert names the seed.
 
+use miso_common::pool;
 use miso_common::rng::DetRng;
-use miso_data::json::{parse_flat_line, parse_json, to_json};
+use miso_data::json::{parse_flat_line, parse_json, to_json, RawColumns};
 use miso_data::logs::{Corpus, LogsConfig};
 use miso_data::{ColBuilder, Column, DataType, Value};
-use miso_exec::col::{parse_log_columns, LogIndex};
+use miso_exec::col::{columnize, field_columns, parse_log_columns};
+use miso_exec::engine::MORSEL_SIZE;
 use miso_exec::eval::cast;
 use miso_exec::FusedField;
 
@@ -182,11 +185,11 @@ fn fused_reader_is_parse_then_cast() {
                 "seed {seed}, {f:?}: {got:?} vs {want:?} over {lines:?}"
             );
         }
-        // Indexed as two runs, cut anywhere: the same columns.
+        // Lexed as two runs, cut anywhere, and appended: the same columns.
         let cut = rng.below(lines.len() as u64 + 1) as usize;
-        let mut runs = LogIndex::build(&lines[..cut]).expect("the head indexes");
-        runs.append(&LogIndex::build(&lines[cut..]).expect("the tail indexes"));
-        let split = runs.columns(&lines, &fields).expect("the runs read");
+        let mut runs = columnize(&lines[..cut]).expect("the head lexes");
+        runs.append(columnize(&lines[cut..]).expect("the tail lexes"));
+        let split = field_columns(&runs, &fields);
         assert!(
             split == batch || format!("{split:?}") == format!("{batch:?}"),
             "seed {seed}"
@@ -202,4 +205,138 @@ fn fused_reader_is_parse_then_cast() {
         lists > 0 && skipped_total > 0,
         "{lists} lists, {skipped_total} skipped"
     );
+}
+
+/// The keys any well-formed line of `lines` has, per the strict parser.
+fn strict_keys(lines: &[String]) -> Vec<String> {
+    let mut keys: Vec<String> = Vec::new();
+    for doc in lines.iter().filter_map(|line| parse_json(line).ok()) {
+        if let Value::Object(members) = doc {
+            keys.extend(members.into_iter().map(|(k, _)| k));
+        }
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// `line`, an object, with `members` added at its end.
+fn with(line: &str, members: &str) -> String {
+    let body = line.trim_end().strip_suffix('}').expect("an object line");
+    format!("{body}, {members}}}")
+}
+
+/// Two and a half morsels of tweets, one in fifty mutated, with members
+/// planted that the one pass must place: a key first seen mid-log, a key
+/// only a strict line has (its name escaped), a key only the last morsel
+/// has, duplicate keys, and fields whose type changes across a morsel
+/// boundary — a new key turning Float then Str, and a typed `retweets`
+/// turned Str by a duplicate.
+fn planted_log(tweets: &[String]) -> Vec<String> {
+    let mut rng = DetRng::new(0x10c5_f00d);
+    let n = 2 * MORSEL_SIZE + MORSEL_SIZE / 2;
+    let mut lines: Vec<String> = (0..n)
+        .map(|i| {
+            let line = &tweets[i % tweets.len()];
+            if rng.chance(0.02) {
+                mutate(&mut rng, line)
+            } else {
+                line.clone()
+            }
+        })
+        .collect();
+    let plants: [(usize, &str); 12] = [
+        (100, r#""mid_key": 1"#),
+        (3000, r#""mid_key": 2"#),
+        (200, r#""str\u0069ct_key": "x\"y""#),
+        (300, r#""dup": 1, "dup": "two""#),
+        (301, r#""dup": [1], "dup": null"#),
+        (2 * MORSEL_SIZE + 50, r#""late_key": ["a"]"#),
+        (2 * MORSEL_SIZE + 60, r#""late_key": true"#),
+        (MORSEL_SIZE - 2, r#""shift": 7"#),
+        (MORSEL_SIZE + 2, r#""shift": 7.5"#),
+        (2 * MORSEL_SIZE - 1, r#""shift": "seven""#),
+        (MORSEL_SIZE + 5, r#""retweets": "many""#),
+        (2 * MORSEL_SIZE + 3, r#""retweets": 2.5"#),
+    ];
+    for (at, members) in plants {
+        lines[at] = with(&tweets[at % tweets.len()], members);
+    }
+    lines
+}
+
+/// The one pass over a log of several morsels, at pool widths 1 and 8:
+/// for every key of the log (and one it lacks) under every cast, the column
+/// served is the strict path's — each line parsed whole, the field taken
+/// and cast through one builder — with the strict path's skip count; and
+/// the log lexed as a head and a tail, cut anywhere and appended, keeps the
+/// same raw columns.
+#[test]
+fn one_pass_across_morsels_is_parse_then_cast() {
+    let corpus = Corpus::generate(&LogsConfig::tiny());
+    let lines = planted_log(&corpus.twitter.lines);
+    let mut keys = strict_keys(&lines);
+    for key in [
+        "mid_key",
+        "strict_key",
+        "late_key",
+        "dup",
+        "shift",
+        "tweet_id",
+    ] {
+        assert!(keys.iter().any(|k| k == key), "`{key}` planted");
+    }
+    let width = keys.len();
+    keys.push("absent".to_string());
+    let fields: Vec<FusedField<'_>> = keys
+        .iter()
+        .flat_map(|key| CASTS.map(|ty| FusedField { key, ty }))
+        .collect();
+    let (want, want_skipped) = parse_whole(&lines, &fields);
+    assert!(want_skipped > 0, "the mutations reach malformed lines");
+    let was = pool::threads();
+    for threads in [1, 8] {
+        pool::set_threads(threads);
+        let raw = columnize(&lines).expect("the log lexes");
+        assert_eq!((raw.width(), raw.skipped()), (width, want_skipped));
+        let got = field_columns(&raw, &fields);
+        assert_eq!(got.len() as u64 + want_skipped, lines.len() as u64);
+        for ((f, got), want) in fields.iter().zip(got.columns()).zip(&want) {
+            let same = **got == *want || format!("{got:?}") == format!("{want:?}");
+            assert!(same, "{threads} threads, {f:?}");
+        }
+        let shift = raw.column("shift").expect("planted");
+        assert!(matches!(**shift, Column::Mixed(..)), "Int, Float, Str");
+        let cuts = [
+            0,
+            1,
+            250,
+            MORSEL_SIZE,
+            MORSEL_SIZE + 3,
+            2 * MORSEL_SIZE + 55,
+        ];
+        for cut in cuts.into_iter().chain([lines.len()]) {
+            let mut grown = columnize(&lines[..cut]).expect("the head lexes");
+            grown.append(columnize(&lines[cut..]).expect("the tail lexes"));
+            assert_same_raw(
+                &grown,
+                &raw,
+                &keys,
+                &format!("{threads} threads, cut {cut}"),
+            );
+        }
+    }
+    pool::set_threads(was);
+}
+
+/// `a` and `b` hold the same rows, skips and columns under `keys`.
+fn assert_same_raw(a: &RawColumns, b: &RawColumns, keys: &[String], what: &str) {
+    assert_eq!(
+        (a.width(), a.rows(), a.skipped()),
+        (b.width(), b.rows(), b.skipped())
+    );
+    for key in keys {
+        let (x, y) = (a.column(key), b.column(key));
+        assert_eq!(format!("{x:?}"), format!("{y:?}"), "{what}: `{key}`");
+    }
 }

@@ -6,9 +6,10 @@ use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
 use miso_common::{ByteSize, MisoError, Result, SimDuration};
 use miso_data::checksum::checksum_batch;
+use miso_data::json::RawColumns;
 use miso_data::logs::LogFile;
-use miso_data::{ColBatch, Column, DataType, Row, Schema, Shelf, StoredView};
-use miso_exec::col::LogIndex;
+use miso_data::{ColBatch, Row, Schema, Shelf, StoredView};
+use miso_exec::col::{columnize, field_columns};
 use miso_exec::engine::{execute_subset_guarded, DataSource, Execution, LogColumns, Retention};
 use miso_exec::{FusedField, UdfRegistry};
 use miso_plan::estimate::MapStats;
@@ -17,146 +18,99 @@ use miso_plan::{LogicalPlan, Operator};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// One base log as HV holds it: the raw lines, a token index of them, and
-/// every column a fused scan has asked for so far, read once and kept.
+/// One base log as HV holds it: the raw lines and, once a fused scan has
+/// read the log, every top-level field of them as a raw column
+/// ([`RawColumns`]), lexed once and kept.
 ///
-/// Four invariants make a kept column indistinguishable from a fresh parse:
+/// Three invariants make a column served from the image indistinguishable
+/// from a fresh parse:
 ///
-/// 1. **Whole-log parse.** A column under `(key, cast)` is exactly what
-///    [`miso_exec::col::parse_log_columns`] builds for that field over all
-///    of `lines`, and the index's counts are that pass's row and
-///    skipped-line counts.
+/// 1. **One pass.** The raw columns are what [`columnize`] builds over all
+///    of `lines` — the first fused scan builds them, charged to no guard —
+///    so a scan's columns are [`field_columns`] of them, exactly what
+///    [`miso_exec::col::parse_log_columns`] gives, with its skip count.
 /// 2. **Clones share.** [`HvStore`] holds images behind an `Arc`, so a
 ///    cloned store (an epoch snapshot, the serving oracle) reads and warms
-///    the same index and columns as its original.
+///    the same columns as its original.
 /// 3. **Append extends.** [`HvStore::append_log`] copies the image first if
 ///    another store shares it — and the lines, if whoever registered the
-///    log still holds them — then extends the index by the appended
-///    [`LogBatch`]'s own and every kept column ([`Column::append`]) by that
-///    column of the batch — the batch's own whole-batch parse, (1) at batch
-///    scale — which restores (1).
-/// 4. **The index describes exactly `lines`.** It is built from them by the
-///    first fused scan ([`LogIndex::build`]: the one pass that lexes every
-///    line end to end), only ever extended together with them, and charged
-///    to no guard, like the columns; every column is read through it, at
-///    the offsets it recorded, with the lexer that recorded them.
+///    log still holds them — then extends every raw column by the appended
+///    [`LogBatch`]'s own ([`RawColumns::append`]), which restores (1).
 #[derive(Debug)]
 struct LogImage {
     lines: Arc<Vec<String>>,
     size: ByteSize,
-    parsed: Mutex<ParsedColumns>,
+    raw: RawSlot,
 }
-
-/// The lazily filled half of a [`LogImage`].
-#[derive(Debug, Clone, Default)]
-struct ParsedColumns {
-    /// Where each line's values start, and how many lines are well-formed
-    /// and malformed; known once any pass has run.
-    index: Option<LogIndex>,
-    cols: HashMap<ColumnKey, Arc<Column>>,
-}
-
-/// A kept column's identity: the field's key and the cast applied to it.
-type ColumnKey = (String, Option<DataType>);
 
 impl Clone for LogImage {
     fn clone(&self) -> Self {
         LogImage {
             lines: self.lines.clone(),
             size: self.size,
-            parsed: Mutex::new(lock_parsed(&self.parsed).clone()),
+            raw: RawSlot(Mutex::new(self.raw.get())),
         }
     }
 }
 
-fn lock_parsed(parsed: &Mutex<ParsedColumns>) -> MutexGuard<'_, ParsedColumns> {
-    parsed
-        .lock()
-        .expect("no scan panics while it holds the image lock")
-}
+/// The raw columns of some lines, built by the first reader that asks.
+#[derive(Debug, Default)]
+struct RawSlot(Mutex<Option<Arc<RawColumns>>>);
 
-/// The columns of `fields` over `lines`, taken from `parsed` where an
-/// earlier call asked for them and otherwise read through the index —
-/// built first if this is the first call — in one pass over the lines, with
-/// the lock released, and kept there.
-fn cached_columns(
-    lines: &[String],
-    parsed: &Mutex<ParsedColumns>,
-    fields: &[FusedField<'_>],
-) -> Result<LogColumns> {
-    let key = |f: &FusedField<'_>| (f.key.to_string(), f.ty);
-    let keys: Vec<ColumnKey> = fields.iter().map(key).collect();
-    let (missing, index) = {
-        let parsed = lock_parsed(parsed);
-        let mut missing: Vec<FusedField<'_>> = Vec::new();
-        for (f, k) in fields.iter().zip(&keys) {
-            if !parsed.cols.contains_key(k) && !missing.contains(f) {
-                missing.push(*f);
-            }
+impl RawSlot {
+    fn lock(&self) -> MutexGuard<'_, Option<Arc<RawColumns>>> {
+        self.0
+            .lock()
+            .expect("no scan panics while it holds the image lock")
+    }
+
+    /// The columns, if any reader has built them.
+    fn get(&self) -> Option<Arc<RawColumns>> {
+        self.lock().clone()
+    }
+
+    /// The raw columns of `lines`, and whether this call lexed them. They
+    /// are built with the lock released; a racing reader lexes the same
+    /// lines, so either result will do.
+    fn read(&self, lines: &[String]) -> Result<(Arc<RawColumns>, bool)> {
+        if let Some(raw) = self.get() {
+            return Ok((raw, false));
         }
-        (missing, parsed.index.clone())
-    };
-    let fresh = if missing.is_empty() && index.is_some() {
-        None
-    } else {
-        let index = match index {
-            Some(index) => index,
-            None => {
-                let index = LogIndex::build(lines)?;
-                miso_obs::count("hv.log_lines_tokenized", lines.len() as u64);
-                miso_obs::count("hv.log_index_bytes", index.approx_bytes());
-                index
-            }
-        };
-        let batch = index.columns(lines, &missing)?;
-        Some((index, batch))
-    };
-    let mut parsed = lock_parsed(parsed);
-    if let Some((index, batch)) = fresh {
-        // A racing scan may have filled a slot; both read the same lines,
-        // so either index, and either column, will do.
-        parsed.index.get_or_insert(index);
+        let raw = Arc::new(columnize(lines)?);
+        miso_obs::count("hv.log_lines_tokenized", lines.len() as u64);
         if miso_obs::enabled() {
-            let bytes = batch.columns().iter().map(|c| c.approx_bytes()).sum();
-            miso_obs::count("hv.log_col_bytes", bytes);
+            miso_obs::count("hv.log_col_bytes", raw.approx_bytes());
         }
-        for (f, col) in missing.iter().zip(batch.into_columns()) {
-            parsed.cols.entry(key(f)).or_insert(col);
-        }
+        Ok((self.lock().get_or_insert(raw).clone(), true))
     }
-    let index = parsed.index.as_ref().expect("set by the first pass");
-    let (rows, skipped_lines) = index.counts();
-    let columns = keys.iter().map(|k| parsed.cols[k].clone()).collect();
-    let cols_parsed = fields.iter().filter(|f| missing.contains(f)).count() as u64;
-    Ok(LogColumns {
-        batch: ColBatch::from_shared(columns, rows),
-        skipped_lines,
-        cols_hit: fields.len() as u64 - cols_parsed,
-        cols_parsed,
-    })
+
+    /// The columns of `fields` over `lines`: every one counted as parsed
+    /// when this call lexed the lines, as served when they were lexed
+    /// before.
+    fn columns(&self, lines: &[String], fields: &[FusedField<'_>]) -> Result<LogColumns> {
+        let (raw, lexed) = self.read(lines)?;
+        let n = fields.len() as u64;
+        Ok(LogColumns {
+            batch: field_columns(&raw, fields),
+            skipped_lines: raw.skipped(),
+            cols_hit: if lexed { 0 } else { n },
+            cols_parsed: if lexed { n } else { 0 },
+        })
+    }
 }
 
 impl LogImage {
-    /// Appends the batch's lines, extending the index by the batch's and
-    /// every kept column by the batch's column of the same field.
+    /// Appends the batch's lines, extending the raw columns, if the log has
+    /// them, by the batch's.
     fn append(&mut self, batch: &LogBatch<'_>) -> Result<ByteSize> {
-        let parsed = self
-            .parsed
+        let raw = self
+            .raw
+            .0
             .get_mut()
             .expect("no scan panics while it holds the image lock");
-        if let Some(index) = &mut parsed.index {
-            let keys: Vec<ColumnKey> = parsed.cols.keys().cloned().collect();
-            let fields: Vec<FusedField<'_>> = keys
-                .iter()
-                .map(|(key, ty)| FusedField { key, ty: *ty })
-                .collect();
-            let delta = batch.columns(&fields)?;
-            let tail = lock_parsed(&batch.parsed).index.clone();
-            index.append(&tail.expect("the read above indexed the batch"));
-            for (key, col) in keys.iter().zip(delta.batch.into_columns()) {
-                let kept = parsed.cols.get_mut(key).expect("key listed from the map");
-                Arc::make_mut(kept).append(Arc::unwrap_or_clone(col));
-            }
+        if let Some(raw) = raw {
+            let (tail, _) = batch.raw.read(batch.lines)?;
+            Arc::make_mut(raw).append(RawColumns::clone(&tail));
         }
         let added = ByteSize::from_bytes(batch.lines.iter().map(|l| l.len() as u64 + 1).sum());
         Arc::make_mut(&mut self.lines).extend_from_slice(batch.lines);
@@ -165,25 +119,23 @@ impl LogImage {
     }
 }
 
-/// One batch of lines on its way into a base log: a batch-sized image with
-/// the same lazily filled token index and `(field, cast) → column` cache a
-/// `LogImage` has, plus the object rows unfused scans read.
-/// [`HvStore::append_log`] extends the log's index and kept columns from it
-/// and every view's delta plan scans it, so the batch is tokenized once and
-/// each field of it read at most once, whoever asks first. It borrows the
+/// One batch of lines on its way into a base log: a batch-sized image, with
+/// the raw columns a `LogImage` keeps, lexed by whoever asks first.
+/// [`HvStore::append_log`] extends the log's columns from them and every
+/// view's delta plan scans them, so the batch is lexed once. It borrows the
 /// lines and dies with the batch.
 #[derive(Debug)]
 pub struct LogBatch<'a> {
     lines: &'a [String],
-    parsed: Mutex<ParsedColumns>,
+    raw: RawSlot,
 }
 
 impl<'a> LogBatch<'a> {
-    /// An image of `lines` with nothing parsed yet.
+    /// An image of `lines` with nothing lexed yet.
     pub fn new(lines: &'a [String]) -> Self {
         LogBatch {
             lines,
-            parsed: Mutex::default(),
+            raw: RawSlot::default(),
         }
     }
 
@@ -195,7 +147,7 @@ impl<'a> LogBatch<'a> {
     /// The columns of `fields` over the batch's well-formed lines — what
     /// [`DataSource::log_columns`] answers for the whole log, at batch scale.
     pub fn columns(&self, fields: &[FusedField<'_>]) -> Result<LogColumns> {
-        let cols = cached_columns(self.lines, &self.parsed, fields)?;
+        let cols = self.raw.columns(self.lines, fields)?;
         miso_obs::count("maint.delta_cols_served", cols.cols_hit);
         miso_obs::count("maint.delta_cols_parsed", cols.cols_parsed);
         Ok(cols)
@@ -267,13 +219,13 @@ impl HvStore {
     }
 
     /// Registers a base log, sharing its lines with the caller's
-    /// [`LogFile`]. Its image starts with no index and no parsed columns,
-    /// whatever other store was built from the same file.
+    /// [`LogFile`]. Its image starts with no columns, whatever other store
+    /// was built from the same file.
     pub fn add_log(&mut self, log: LogFile) {
         let image = LogImage {
             lines: log.lines,
             size: log.size,
-            parsed: Mutex::default(),
+            raw: RawSlot::default(),
         };
         self.logs
             .insert(log.kind.table_name().to_string(), Arc::new(image));
@@ -291,11 +243,11 @@ impl HvStore {
         Arc::make_mut(image).append(batch)
     }
 
-    /// How many parsed columns the store keeps of `log` (diagnostic hook).
+    /// How many raw columns the store keeps of `log` — its distinct keys
+    /// once a fused scan has read it, 0 before (diagnostic hook).
     pub fn log_columns_kept(&self, log: &str) -> usize {
-        self.logs
-            .get(log)
-            .map_or(0, |image| lock_parsed(&image.parsed).cols.len())
+        let raw = self.logs.get(log).and_then(|image| image.raw.get());
+        raw.map_or(0, |raw| raw.width())
     }
 
     /// The on-disk size of a base log.
@@ -495,7 +447,7 @@ impl DataSource for HvStore {
             .logs
             .get(log)
             .ok_or_else(|| MisoError::Store(format!("HV has no log `{log}`")))?;
-        let cols = cached_columns(&image.lines, &image.parsed, fields)?;
+        let cols = image.raw.columns(&image.lines, fields)?;
         miso_obs::count("hv.log_cols_served", cols.cols_hit);
         miso_obs::count("hv.log_cols_parsed", cols.cols_parsed);
         Ok(cols)
@@ -506,6 +458,7 @@ impl DataSource for HvStore {
 mod tests {
     use super::*;
     use miso_data::logs::{Corpus, LogsConfig};
+    use miso_data::Column;
     use miso_lang::{compile, Catalog};
 
     fn store() -> HvStore {
