@@ -22,11 +22,15 @@
 //!   of the parent view it scans) and folds the result into live state
 //!   ([`miso_exec::AggState`], stored join build sides) in O(|delta|),
 //!   re-stamping the integrity checksum incrementally through
-//!   [`RowSetDigest`] (bit-identical to a full re-checksum). Everything
-//!   else — and every fallback ([`FullReason`]) — recomputes in full,
-//!   rebuilding the maintenance state as a side effect; a view over a
-//!   patched or rebuilt parent recomputes from the refreshed parent, and a
-//!   view whose parent is gone is dropped with it.
+//!   [`RowSetDigest`] (bit-identical to a full re-checksum). That state is
+//!   captured when the view is harvested: under a `Refresh` growth
+//!   schedule the HV run that produces a view keeps its fold inputs (the
+//!   join build sides, the aggregate's input) beside the harvest, and the
+//!   view enters the catalog warm (`HarvestFold`), so even its first
+//!   growth step folds. Everything else — and every fallback
+//!   ([`FullReason`]) — recomputes in full and recaptures the state from
+//!   that run; a view over a patched or rebuilt parent recomputes from the
+//!   refreshed parent, and a view whose parent is gone is dropped with it.
 //!
 //! Either way the system's query results always reflect the appended data
 //! (stale views are never silently served), and a delta-maintained view is
@@ -37,15 +41,19 @@
 use crate::split::Site;
 use crate::system::MultistoreSystem;
 use miso_common::guard::QueryGuard;
+use miso_common::ids::NodeId;
 use miso_common::{ByteSize, MisoError, Result, SimClock, SimDuration};
 use miso_data::checksum::RowSetDigest;
 use miso_data::logs::LogKind;
 use miso_data::{ColBatch, Delta, StoredView};
 use miso_dw::DwActivity;
-use miso_exec::engine::{execute_subset_guarded, DataSource, LogColumns, Retention};
+use miso_exec::engine::{
+    execute_subset_guarded, DataSource, Execution, LogColumns, LogLines, Retention,
+};
 use miso_exec::{AggState, FusedField};
 use miso_hv::LogBatch;
-use miso_views::{analyze_maintenance, FullReason, MaintPlan, ViewChange, ViewDef};
+use miso_plan::LogicalPlan;
+use miso_views::{analyze_maintenance, FullReason, MaintPlan, ViewCatalog, ViewChange, ViewDef};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -125,6 +133,146 @@ pub(crate) struct IvmViewState {
     agg: Option<AggState>,
 }
 
+impl IvmViewState {
+    /// The fold state of a view stored as `view`, taken from the run that
+    /// computed it: `output` answers the kept output of a node of the
+    /// view's defining plan `def_plan` — one of [`fold_inputs`]. The build
+    /// sides are shared, the aggregate's input is replayed into fresh
+    /// [`AggState`], and the digest is the view's own.
+    fn capture<'r>(
+        mplan: &MaintPlan,
+        def_plan: &LogicalPlan,
+        view: &ColBatch,
+        output: impl Fn(NodeId) -> Result<&'r Arc<ColBatch>>,
+    ) -> Result<IvmViewState> {
+        let mut builds = HashMap::new();
+        for b in mplan.builds() {
+            builds.insert(b.name.clone(), output(b.node)?.clone());
+        }
+        let agg = match mplan {
+            MaintPlan::Aggregate(da) => {
+                let input = output(def_plan.node(da.agg).inputs[0])?;
+                Some(AggState::build(input, &da.group_by, &da.aggs)?)
+            }
+            MaintPlan::Append(_) => None,
+        };
+        Ok(IvmViewState {
+            digest: RowSetDigest::from_batch(view),
+            builds,
+            agg,
+        })
+    }
+}
+
+/// The interior outputs of a view's defining plan its fold state is built
+/// from, which HV would pipeline away: the join build sides, then the
+/// aggregate's input.
+fn fold_inputs(mplan: &MaintPlan, def_plan: &LogicalPlan) -> Vec<NodeId> {
+    let agg_input = match mplan {
+        MaintPlan::Aggregate(da) => Some(def_plan.node(da.agg).inputs[0]),
+        MaintPlan::Append(_) => None,
+    };
+    mplan
+        .builds()
+        .iter()
+        .map(|b| b.node)
+        .chain(agg_input)
+        .collect()
+}
+
+/// How `view` changes when `log` grows, every state warm: appended to when
+/// its plan folds per record, rewritten when it folds into an aggregate or
+/// recomputes, unchanged when the log does not reach it — what
+/// `append_log` does to it, parents first, when no fallback fires.
+fn warm_change(catalog: &ViewCatalog, log: &str, view: &str) -> ViewChange {
+    let Some(def) = catalog.get(view).filter(|def| def.lineage.contains(log)) else {
+        return ViewChange::Unchanged;
+    };
+    match analyze_maintenance(&def.plan, log, &|v| warm_change(catalog, log, v)) {
+        Ok(MaintPlan::Append(_)) => ViewChange::Appended,
+        _ => ViewChange::Rewritten,
+    }
+}
+
+/// A view an HV run is about to harvest whose fold state the run can
+/// capture: its maintenance plan, and where the nodes of its defining plan
+/// sit in the query plan.
+pub(crate) struct HarvestFold {
+    /// The harvested node of the query plan.
+    pub(crate) node: NodeId,
+    mplan: MaintPlan,
+    /// The query-plan node of each defining-plan node, by defining-plan id.
+    nodes: Vec<NodeId>,
+    /// The query-plan nodes of the fold inputs ([`fold_inputs`]).
+    inputs: Vec<NodeId>,
+}
+
+impl HarvestFold {
+    /// The views among `harvest` — nodes of `plan` HV is about to harvest
+    /// — whose fold state a growth step would otherwise rebuild in full
+    /// over the log: new to the catalog, delta-maintainable when `log`
+    /// grows (parents as [`warm_change`] has them), and keeping more than
+    /// a digest (join build sides, aggregate state).
+    pub(crate) fn plan(
+        catalog: &ViewCatalog,
+        log: &str,
+        plan: &LogicalPlan,
+        harvest: &[NodeId],
+    ) -> Vec<HarvestFold> {
+        let fps = plan.fingerprints();
+        let known = |node: NodeId| {
+            let fp = fps.get(node.raw() as usize);
+            fp.is_none_or(|fp| catalog.contains(&fp.view_name()))
+        };
+        let mut folds = Vec::new();
+        for &node in harvest {
+            if plan.node(node).op.is_scan() || known(node) {
+                continue;
+            }
+            let def_plan = plan.subplan(node);
+            let of = |v: &str| warm_change(catalog, log, v);
+            let Ok(mplan) = analyze_maintenance(&def_plan, log, &of) else {
+                continue;
+            };
+            let inputs = fold_inputs(&mplan, &def_plan);
+            if inputs.is_empty() {
+                // Its whole state is the digest, re-seeded from the stored
+                // rows at the first growth step.
+                continue;
+            }
+            let nodes = plan.subplan_nodes(node);
+            let inputs = inputs.iter().map(|n| nodes[n.raw() as usize]).collect();
+            folds.push(HarvestFold {
+                node,
+                mplan,
+                nodes,
+                inputs,
+            });
+        }
+        folds
+    }
+
+    /// The query-plan nodes a run keeps for `folds`.
+    pub(crate) fn keep(folds: &[HarvestFold]) -> Vec<NodeId> {
+        folds
+            .iter()
+            .flat_map(|f| f.inputs.iter().copied())
+            .collect()
+    }
+
+    /// The state of the view harvested from this node, `def_plan` its
+    /// defining plan, out of the run that harvested it.
+    pub(crate) fn capture(
+        &self,
+        def_plan: &LogicalPlan,
+        view: &ColBatch,
+        run: &Execution,
+    ) -> Result<IvmViewState> {
+        let output = |n: NodeId| run.retained_batch(self.nodes[n.raw() as usize]);
+        IvmViewState::capture(&self.mplan, def_plan, view, output)
+    }
+}
+
 /// What one append batch hands every view it reaches.
 struct BatchDelta<'a> {
     /// The log that grew, its pre-append row count, and the batch's bytes.
@@ -178,8 +326,8 @@ impl DeltaSource<'_> {
 }
 
 impl DataSource for DeltaSource<'_> {
-    fn log_lines(&self, log: &str) -> Result<&[String]> {
-        Ok(self.batch_of(log)?.lines())
+    fn log_lines(&self, log: &str) -> Result<LogLines<'_>> {
+        Ok(self.batch_of(log)?.image())
     }
 
     fn log_columns(&self, log: &str, fields: &[FusedField<'_>]) -> Result<LogColumns> {
@@ -247,6 +395,7 @@ impl MultistoreSystem {
         let log = kind.table_name();
         let mut span = miso_obs::span("maint.batch");
         let batch = LogBatch::new(lines);
+        let base_rows = self.hv.log_rows(log).unwrap_or(0);
         let mut report = MaintenanceReport {
             appended: self.hv.append_log(log, &batch)?,
             ..Default::default()
@@ -269,7 +418,7 @@ impl MultistoreSystem {
             .collect();
         let mut delta = BatchDelta {
             log,
-            base_rows: self.hv.log_lines(log)?.len() as u64 - delta_rows,
+            base_rows,
             bytes: report.appended,
             batch: &batch,
             refreshed: HashMap::new(),
@@ -524,10 +673,8 @@ impl MultistoreSystem {
 
     /// Recomputes a view in full — in HV, over the grown corpus and the
     /// already refreshed views — charging its plan's stage costs. With a
-    /// maintenance plan it captures fresh state from the same run: the
-    /// content digest, the materialized join build sides, and the aggregate
-    /// fold state (replayed from the aggregate's input); without one any
-    /// state is dropped.
+    /// maintenance plan it captures fresh state from the same run
+    /// ([`MultistoreSystem::recompute`]); without one any state is dropped.
     fn rebuild(
         &mut self,
         def: &ViewDef,
@@ -536,24 +683,39 @@ impl MultistoreSystem {
     ) -> Result<SimDuration> {
         let name = &def.name;
         let site = self.holder(name);
-        // Interior outputs HV would pipeline away but the fold state is
-        // built from: the join build sides and the aggregate's input.
-        let fold = match mplan {
-            Some(MaintPlan::Aggregate(da)) => Some((da, def.plan.node(da.agg).inputs[0])),
-            _ => None,
-        };
-        let builds = mplan.map_or(&[][..], MaintPlan::builds);
-        let state_nodes: Vec<_> = builds
-            .iter()
-            .map(|b| b.node)
-            .chain(fold.map(|(_, input)| input))
-            .collect();
+        let (view, state, mut cost) = self.recompute(def, mplan)?;
+        self.ivm_state.remove(name);
+        if let Some(state) = state {
+            self.ivm_state.insert(name.clone(), state);
+        }
+        if site == Site::Dw {
+            let move_cost = self.stores().ship_cost(view.size);
+            cost += self.stretch_for_maintenance(move_cost, clock);
+        }
+        let (size, rows, checksum) = (view.size, view.batch.len() as u64, view.checksum);
+        self.shelf_mut(site).put(name, view);
+        self.catalog.set_checksum(name, checksum);
+        self.catalog.update_stats(name, size, rows);
+        clock.advance(cost);
+        Ok(cost)
+    }
+
+    /// Runs a view's defining plan in HV over the stores as they stand:
+    /// the view as it would be stored, its fold state when `mplan` is given
+    /// — captured from the same run, which keeps the fold inputs HV would
+    /// pipeline away — and the run's stage costs.
+    pub(crate) fn recompute(
+        &self,
+        def: &ViewDef,
+        mplan: Option<&MaintPlan>,
+    ) -> Result<(StoredView, Option<IvmViewState>, SimDuration)> {
+        let keep = mplan.map_or_else(Vec::new, |mplan| fold_inputs(mplan, &def.plan));
         let run = self.hv.execute_guarded(
             &def.plan,
             None,
             self.udf_registry(),
             QueryGuard::inert_ref(),
-            &state_nodes,
+            &keep,
         )?;
         let root = def.plan.root();
         let out = run
@@ -561,42 +723,22 @@ impl MultistoreSystem {
             .iter()
             .find(|m| m.node == root)
             .ok_or_else(|| MisoError::Execution("refresh produced no output".into()))?;
-        let digest = RowSetDigest::from_batch(&out.batch);
-        let checksum = digest.finish();
-        let view = StoredView {
-            schema: out.schema.clone(),
-            batch: out.batch.clone(),
-            size: out.size,
-            checksum,
+        let state = mplan
+            .map(|mplan| {
+                let output = |n: NodeId| run.execution.retained_batch(n);
+                IvmViewState::capture(mplan, &def.plan, &out.batch, output)
+            })
+            .transpose()?;
+        let view = match &state {
+            Some(state) => StoredView {
+                schema: out.schema.clone(),
+                batch: out.batch.clone(),
+                size: out.size,
+                checksum: state.digest.finish(),
+            },
+            None => out.stored(),
         };
-        self.ivm_state.remove(name);
-        if mplan.is_some() {
-            let mut state = IvmViewState {
-                digest,
-                builds: HashMap::new(),
-                agg: None,
-            };
-            for b in builds {
-                let build = run.execution.retained_batch(b.node)?.clone();
-                state.builds.insert(b.name.clone(), build);
-            }
-            if let Some((da, input)) = fold {
-                let input = run.execution.retained_batch(input)?;
-                state.agg = Some(AggState::build(input, &da.group_by, &da.aggs)?);
-            }
-            self.ivm_state.insert(name.clone(), state);
-        }
-        let mut cost = run.cost;
-        if site == Site::Dw {
-            let move_cost = self.stores().ship_cost(out.size);
-            cost += self.stretch_for_maintenance(move_cost, clock);
-        }
-        self.shelf_mut(site).put(name, view);
-        self.catalog.set_checksum(name, checksum);
-        self.catalog
-            .update_stats(name, out.size, out.batch.len() as u64);
-        clock.advance(cost);
-        Ok(cost)
+        Ok((view, state, run.cost))
     }
 
     fn stretch_for_maintenance(&mut self, raw: SimDuration, clock: &SimClock) -> SimDuration {
@@ -616,30 +758,26 @@ impl MultistoreSystem {
             return costs;
         };
         let log_name = growth.kind.table_name();
-        let Ok(lines) = self.hv.log_lines(log_name) else {
+        let (Some(rows), Some(log_bytes)) =
+            (self.hv.log_rows(log_name), self.hv.log_size(log_name))
+        else {
             return costs;
         };
-        let rows = lines.len() as u64;
         if rows == 0 {
             return costs;
         }
-        let log_bytes: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
+        let log_bytes = log_bytes.as_bytes();
         let delta_rows = growth.records_per_epoch as u64;
         let delta_bytes = ByteSize::from_bytes((log_bytes / rows).max(1) * delta_rows);
         // The delta-size policy `refresh_view` applies: past it, everything
         // rebuilds.
         let too_large = delta_rows as f64 > self.config.ivm_max_delta_frac * rows as f64;
-        // How each view would change, parents before children — as
-        // `append_log` walks them, with every state warm.
-        let mut change: HashMap<&str, ViewChange> = HashMap::new();
+        // Each parent changes as `append_log` changes it with every state
+        // warm.
+        let of = |v: &str| warm_change(&self.catalog, log_name, v);
         for def in self.catalog.derived_from(log_name) {
-            let of = |v: &str| change.get(v).copied().unwrap_or(ViewChange::Unchanged);
-            let mplan = if too_large {
-                None
-            } else {
-                analyze_maintenance(&def.plan, log_name, &of).ok()
-            };
-            let cost = if mplan.is_some() {
+            let folds = !too_large && analyze_maintenance(&def.plan, log_name, &of).is_ok();
+            let cost = if folds {
                 // Delta fold: scan |Δ| input bytes, write at most |Δ|-scale
                 // output.
                 self.hv
@@ -653,11 +791,6 @@ impl MultistoreSystem {
                     .cost_model
                     .stage_cost(log + scanned, def.size, def.rows)
             };
-            let grew = match mplan {
-                Some(MaintPlan::Append(_)) => ViewChange::Appended,
-                _ => ViewChange::Rewritten,
-            };
-            change.insert(&def.name, grew);
             costs.insert(def.name.clone(), cost.as_secs_f64());
         }
         costs
@@ -667,9 +800,9 @@ impl MultistoreSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::SystemConfig;
+    use crate::system::{GrowthConfig, SystemConfig};
     use crate::variants::Variant;
-    use miso_common::Budgets;
+    use miso_common::{pool, Budgets};
     use miso_data::logs::{generate_delta, Corpus, LogsConfig};
     use miso_exec::engine::execute;
     use miso_lang::compile;
@@ -979,6 +1112,123 @@ mod tests {
             }
         }
         assert!(with_builds > 0 && with_agg > 0, "{with_builds} {with_agg}");
+    }
+
+    /// The benchmark's growth schedule at a quarter of its scale (the
+    /// twitter log grows 2 % before each of 10 reorganizations,
+    /// `Refresh`), at one worker and eight. Every view the MS-MISO stream
+    /// harvests that folds into more than a digest holds, from its harvest
+    /// on, the state `rebuild` captures from a full run of its definition:
+    /// the same digest, build-side rows and aggregate output rows. No
+    /// growth step then rebuilds a view cold, and after every step each
+    /// folded view holds exactly the rows (by float bit pattern) and the
+    /// checksum of its definition run from scratch over the grown logs.
+    #[test]
+    fn harvest_captures_the_state_a_rebuild_captures() {
+        let base = LogsConfig::experiment();
+        let logs = LogsConfig {
+            users: base.users / 4,
+            venues: base.venues / 4,
+            tweets: base.tweets / 4,
+            checkins: base.checkins / 4,
+            landmarks: base.landmarks / 4,
+            seed: 7,
+        };
+        let corpus = Corpus::generate(&logs);
+        let size = corpus.total_size();
+        let budgets = Budgets::new(size.scale(2.0), size.scale(0.2), size.scale(0.02))
+            .with_discretization(ByteSize::from_kib(8));
+        let stream = miso_workload::compile_workload(&workload_catalog()).unwrap();
+        let growth = GrowthConfig {
+            kind: LogKind::Twitter,
+            records_per_epoch: logs.tweets / 50,
+            policy: MaintenancePolicy::Refresh,
+            logs: logs.clone(),
+        };
+        let rows = |batch: &ColBatch| format!("{:?}", batch.to_rows());
+        let threads = pool::threads();
+        for width in [1, 8] {
+            pool::set_threads(width);
+            let mut config = SystemConfig::paper_default(budgets);
+            config.growth = Some(growth.clone());
+            let (every, history_len) = (config.reorg_every, config.history_len);
+            let mut sys =
+                MultistoreSystem::new(&corpus, workload_catalog(), standard_udfs(), config);
+            let mut history: Vec<LogicalPlan> = Vec::new();
+            let (mut with_builds, mut with_agg, mut folded) = (0, 0, 0);
+            for (q, query) in stream.iter().enumerate() {
+                if q > 0 && q % every == 0 {
+                    let batch = (q / every) as u64;
+                    let delta = Delta::generated(&logs, LogKind::Twitter, batch, logs.tweets / 50);
+                    let report = sys
+                        .grow(&delta, MaintenancePolicy::Refresh, &mut SimClock::new())
+                        .unwrap();
+                    for d in &report.decisions {
+                        let what = format!("{} after batch {batch} ({width} threads)", d.view);
+                        assert_ne!(d.reason, Some(FullReason::StateCold), "{what}");
+                        if d.action != MaintAction::Delta {
+                            continue;
+                        }
+                        folded += 1;
+                        let def = sys.catalog.get(&d.view).expect("a folded view stays");
+                        let from_logs = sys.catalog.inlined(&def.plan).expect("parents stay");
+                        let run = sys
+                            .hv
+                            .execute(&from_logs, None, sys.udf_registry())
+                            .unwrap();
+                        let want = run.execution.root_batch().unwrap();
+                        let stored = Site::ALL.iter().find_map(|&s| sys.shelf(s).get(&d.view));
+                        let stored = stored.expect("a folded view is resident");
+                        assert_eq!(rows(&stored.batch), rows(want), "{what}: rows");
+                        let checksum = miso_data::checksum_batch(want);
+                        assert_eq!(stored.checksum, checksum, "{what}: stored stamp");
+                        assert_eq!(def.checksum, Some(checksum), "{what}: catalog stamp");
+                    }
+                    let window = &history[history.len().saturating_sub(history_len)..];
+                    sys.reorg_now(window, &mut SimClock::new()).unwrap();
+                }
+                let known: Vec<String> =
+                    sys.catalog.defs().iter().map(|d| d.name.clone()).collect();
+                sys.run_workload(Variant::MsMiso, std::slice::from_ref(query))
+                    .unwrap();
+                history.push(query.1.clone());
+                let of = |v: &str| warm_change(&sys.catalog, "twitter", v);
+                for def in sys.catalog.defs() {
+                    if known.contains(&def.name) {
+                        continue;
+                    }
+                    let what = format!("{} harvested by {} ({width} threads)", def.name, query.0);
+                    let Ok(mplan) = analyze_maintenance(&def.plan, "twitter", &of) else {
+                        continue;
+                    };
+                    if fold_inputs(&mplan, &def.plan).is_empty() {
+                        continue;
+                    }
+                    let state = sys.ivm_state.get(&def.name);
+                    let state = state.unwrap_or_else(|| panic!("{what}: no state captured"));
+                    let (view, rebuilt, _) = sys.recompute(def, Some(&mplan)).unwrap();
+                    let rebuilt = rebuilt.expect("a maintenance plan captures state");
+                    assert_eq!(state.digest, rebuilt.digest, "{what}: digest");
+                    assert_eq!(def.checksum, Some(view.checksum), "{what}: stamp");
+                    let mut names: Vec<_> = state.builds.keys().collect();
+                    names.sort();
+                    let mut want: Vec<_> = rebuilt.builds.keys().collect();
+                    want.sort();
+                    assert_eq!(names, want, "{what}: build sides");
+                    for (name, build) in &state.builds {
+                        let want = &rebuilt.builds[name];
+                        assert_eq!(rows(build), rows(want), "{what}: build side {name}");
+                    }
+                    let agg = |st: &IvmViewState| st.agg.as_ref().map(|a| rows(&a.output()));
+                    assert_eq!(agg(state), agg(&rebuilt), "{what}: aggregate state");
+                    with_builds += usize::from(!state.builds.is_empty());
+                    with_agg += usize::from(state.agg.is_some());
+                }
+            }
+            assert!(with_builds > 0 && with_agg > 0, "{with_builds} {with_agg}");
+            assert!(folded > 20, "{folded} folds");
+        }
+        pool::set_threads(threads);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use crate::audit::AuditConfig;
 use crate::etl::{rewrite_for_dw, run_etl, DEFAULT_ETL_OVERHEAD};
+use crate::maintenance::HarvestFold;
 use crate::metrics::{ExperimentResult, QueryFailure, QueryRecord, ReorgRecord, TtiBreakdown};
 use crate::reorg::{stage_name, JournalEntry, ReorgJournal, ReorgPlan, MAX_REORG_RECOVERIES};
 use crate::split::{self, HarvestCandidate, Site, Stores};
@@ -225,8 +226,9 @@ pub struct MultistoreSystem {
     /// High-water mark of guard-charged bytes across all queries so far.
     guard_peak_bytes: u64,
     /// Live incremental-maintenance state per view (digest, join build
-    /// sides, aggregate fold state). Populated lazily by Refresh-policy
-    /// maintenance; views without entries simply rebuild on first refresh.
+    /// sides, aggregate fold state). Captured when a view is harvested
+    /// under a `Refresh` growth schedule, and by every maintenance rebuild;
+    /// a view without an entry rebuilds at its first refresh.
     pub(crate) ivm_state: HashMap<String, crate::maintenance::IvmViewState>,
     /// The tuner every reorganization of this system runs — the stream
     /// driver's and the serving layer's alike — so its what-if memo lives
@@ -458,7 +460,7 @@ impl MultistoreSystem {
         for (i, (_, raw)) in queries.iter().enumerate() {
             let plan = split::place(self.stores(), raw, |_| true, true)?.0.plan;
             let run = self.hv.execute(&plan, None, &self.udfs)?;
-            self.harvest_views(&plan, &run, QueryId(i as u64));
+            self.harvest_views(&plan, &run, QueryId(i as u64), &[]);
         }
         // One-shot tune over the whole workload with uniform weights: the
         // chosen sets become the *static retention policy*.
@@ -843,8 +845,10 @@ impl MultistoreSystem {
         // fallible step — a query the guard kills mid-flight must not
         // half-publish catalog or view state.
         let mut hv_run: Option<miso_hv::HvRun> = None;
+        let mut folds = Vec::new();
         if !hv_set.is_empty() {
-            let run = self.hv_execute_retry(plan, Some(&hv_set), clock, &mut tti.hv_exe)?;
+            let run =
+                self.hv_execute_retry(plan, Some(&hv_set), clock, &mut tti.hv_exe, &mut folds)?;
             hv_time = run.cost;
             self.record_bg(DwActivity::Idle, hv_time, clock);
             tti.hv_exe += hv_time;
@@ -941,7 +945,7 @@ impl MultistoreSystem {
                     }
                 }
             }
-            self.harvest_views(plan, run, qid);
+            self.harvest_views(plan, run, qid, &folds);
         }
 
         for v in &planned.used_views {
@@ -1536,8 +1540,15 @@ impl MultistoreSystem {
     }
 
     /// Registers the materialized stage outputs of an HV run as
-    /// opportunistic views.
-    fn harvest_views(&mut self, plan: &LogicalPlan, run: &miso_hv::HvRun, qid: QueryId) {
+    /// opportunistic views, each with the fold state `folds` says the run
+    /// kept for it.
+    fn harvest_views(
+        &mut self,
+        plan: &LogicalPlan,
+        run: &miso_hv::HvRun,
+        qid: QueryId,
+        folds: &[HarvestFold],
+    ) {
         for (name, m) in split::harvestable(plan, run) {
             if self.catalog.contains(&name) {
                 // Same semantics already known; refresh HV residency if the
@@ -1552,7 +1563,16 @@ impl MultistoreSystem {
             }
             let cand = HarvestCandidate::of(plan, m, qid);
             debug_assert_eq!(cand.def.name, name, "fingerprint consistency");
+            // Capture keeps what the run computed: it is charged nothing,
+            // and a view it fails for warms up at its first refresh.
+            let state = folds
+                .iter()
+                .find(|fold| fold.node == m.node)
+                .and_then(|fold| fold.capture(&cand.def.plan, &m.batch, &run.execution).ok());
             self.install_harvest(cand);
+            if let Some(state) = state {
+                self.ivm_state.insert(name.clone(), state);
+            }
             self.lru_touch(&name);
         }
     }
@@ -1614,19 +1634,31 @@ impl MultistoreSystem {
     // ---- Failure handling -------------------------------------------------
 
     /// Runs an HV call under the retry policy; backoff waits are charged to
-    /// the clock and `bucket`.
+    /// the clock and `bucket`. Under a `Refresh` growth schedule the run
+    /// also keeps the fold inputs of the views it harvests that the growing
+    /// log reaches, and `folds` says which they are
+    /// ([`HarvestFold::plan`]).
     fn hv_execute_retry(
         &mut self,
         plan: &LogicalPlan,
         subset: Option<&HashSet<NodeId>>,
         clock: &mut SimClock,
         bucket: &mut SimDuration,
+        folds: &mut Vec<HarvestFold>,
     ) -> Result<miso_hv::HvRun> {
         let hv = &self.hv;
         let udfs = &self.udfs;
         let guard = &self.active_guard;
+        let catalog = &self.catalog;
+        let growing = self.config.growth.as_ref();
+        let growing = growing.filter(|g| g.policy == crate::MaintenancePolicy::Refresh);
         retry_store(&mut self.retry_rng, guard, clock, bucket, || {
-            hv.execute_guarded(plan, subset, udfs, guard, &[])
+            hv.execute_keeping(plan, subset, udfs, guard, |harvest| {
+                if let Some(growth) = growing {
+                    *folds = HarvestFold::plan(catalog, growth.kind.table_name(), plan, harvest);
+                }
+                HarvestFold::keep(folds)
+            })
         })
     }
 

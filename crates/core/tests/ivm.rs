@@ -19,7 +19,6 @@
 //! * a growth schedule threaded through `run_stream` grows the corpus
 //!   between epochs and surfaces per-batch maintenance reports.
 
-use miso_common::ids::NodeId;
 use miso_common::{pool, Budgets, ByteSize, SimClock};
 use miso_core::{
     AuditConfig, GrowthConfig, MaintAction, MaintenancePolicy, MultistoreSystem, SystemConfig,
@@ -30,10 +29,10 @@ use miso_data::logs::{Corpus, LogKind, LogsConfig};
 use miso_data::Delta;
 use miso_exec::engine::DataSource;
 use miso_lang::compile;
-use miso_plan::{LogicalPlan, Operator, PlanBuilder};
-use miso_views::{FullReason, ViewCatalog};
+use miso_plan::{LogicalPlan, Operator};
+use miso_views::FullReason;
 use miso_workload::{compile_workload, standard_udfs, workload_catalog};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 
 /// The pool width is process-global: every test here takes this lock.
@@ -343,29 +342,6 @@ fn growth_schedule_feeds_the_stream() {
     assert_eq!(baseline.hv.log_lines("twitter").unwrap().len(), cfg.tweets);
 }
 
-/// `plan` over base logs only: every `ScanView` replaced by the scanned
-/// view's own defining plan, all the way down. `None` when a scanned view
-/// is no longer in the catalog.
-fn inlined(plan: &LogicalPlan, catalog: &ViewCatalog) -> Option<LogicalPlan> {
-    fn copy(plan: &LogicalPlan, catalog: &ViewCatalog, b: &mut PlanBuilder) -> Option<NodeId> {
-        let mut copied: HashMap<NodeId, NodeId> = HashMap::new();
-        for node in plan.nodes() {
-            let id = match &node.op {
-                Operator::ScanView { view, .. } => copy(&catalog.get(view)?.plan, catalog, b)?,
-                op => {
-                    let inputs = node.inputs.iter().map(|i| copied[i]).collect();
-                    b.add(op.clone(), inputs).ok()?
-                }
-            };
-            copied.insert(node.id, id);
-        }
-        Some(copied[&plan.root()])
-    }
-    let mut b = PlanBuilder::new();
-    let root = copy(plan, catalog, &mut b)?;
-    b.finish(root).ok()
-}
-
 /// The 32-template MS-MISO stream under the benchmark's growth schedule
 /// (the twitter log grows 2 % before each of 10 reorganizations, `Refresh`):
 /// after every batch, every view in the catalog — whatever query harvested
@@ -432,7 +408,7 @@ fn every_view_equals_a_from_scratch_recompute_after_every_batch() {
                     if !first {
                         continue;
                     }
-                    let Some(from_logs) = inlined(&def.plan, &sys.catalog) else {
+                    let Some(from_logs) = sys.catalog.inlined(&def.plan) else {
                         // Only a view the log's growth cannot reach may
                         // outlive a view it scans.
                         assert!(!def.lineage.contains("twitter"), "{what}: orphan kept");

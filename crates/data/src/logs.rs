@@ -114,9 +114,10 @@ impl LogsConfig {
 pub struct LogFile {
     /// Which data set this is.
     pub kind: LogKind,
-    /// One JSON document per line. Shared: a clone of the file, and a store
-    /// the file is registered with, hold the same lines until one of them
-    /// changes its copy ([`Arc::make_mut`]).
+    /// One JSON document per line. Shared: a clone of the file holds the
+    /// same lines until one of them changes its copy ([`Arc::make_mut`]),
+    /// and a store the file is registered with keeps them as the first
+    /// segment of its log, which an append never writes.
     pub lines: Arc<Vec<String>>,
     /// Total size (sum of line lengths + newlines).
     pub size: ByteSize,

@@ -5,7 +5,9 @@ use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
 use miso_common::{ByteSize, MisoError, Result, SimDuration};
 use miso_data::{ColBatch, Row, Shelf, StoredView};
-use miso_exec::engine::{execute_subset_guarded, seed_batches, DataSource, Execution, Retention};
+use miso_exec::engine::{
+    execute_subset_guarded, seed_batches, DataSource, Execution, LogLines, Retention,
+};
 use miso_exec::UdfRegistry;
 use miso_plan::{LogicalPlan, Operator};
 use std::collections::{HashMap, HashSet};
@@ -168,7 +170,7 @@ impl DwStore {
 }
 
 impl DataSource for DwStore {
-    fn log_lines(&self, log: &str) -> Result<&[String]> {
+    fn log_lines(&self, log: &str) -> Result<LogLines<'_>> {
         Err(MisoError::Store(format!(
             "DW cannot scan raw log `{log}` (logs live in HV)"
         )))

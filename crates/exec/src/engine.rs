@@ -48,7 +48,7 @@ use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
 use miso_common::prehash::PrehashedMap;
 use miso_common::{pool, ByteSize, MisoError, Result};
-use miso_data::json::parse_json;
+use miso_data::json::{parse_json, RawColumns};
 use miso_data::{Cell, ColBatch, ColBuilder, Column, Nulls, Row, Slots, Value};
 use miso_plan::fingerprint::{fnv1a_hash_one, FnvHasher};
 use miso_plan::{AggExpr, AggFunc, Expr, LogicalPlan, Operator, PlanNode};
@@ -64,8 +64,8 @@ pub const MORSEL_SIZE: usize = 4096;
 
 /// Supplies leaf data: raw log lines and materialized view rows.
 pub trait DataSource {
-    /// The JSON lines of base log `log`.
-    fn log_lines(&self, log: &str) -> Result<&[String]>;
+    /// The JSON lines of base log `log`, as the source holds them.
+    fn log_lines(&self, log: &str) -> Result<LogLines<'_>>;
     /// Materialized view `view` in the form the source holds it. A scan
     /// shares the batch: it costs a refcount bump, copies nothing, and is
     /// charged to no guard (`exec.zero_copy_scans`).
@@ -77,13 +77,66 @@ pub trait DataSource {
     /// that keeps parsed columns hands those back shared and parses only
     /// what it is missing. Either way the result is the same batch.
     fn log_columns(&self, log: &str, fields: &[FusedField<'_>]) -> Result<LogColumns> {
-        let (batch, skipped_lines) = col::parse_log_columns(self.log_lines(log)?, fields)?;
+        let raw = self.log_lines(log)?.columnize()?;
         Ok(LogColumns {
-            batch,
-            skipped_lines,
+            batch: col::field_columns(&raw, fields),
+            skipped_lines: raw.skipped(),
             cols_hit: 0,
             cols_parsed: fields.len() as u64,
         })
+    }
+}
+
+/// A log's lines as a source holds them: runs of consecutive lines
+/// (segments), in log order. A store that appends keeps each batch as a
+/// segment of its own, so no append copies the lines before it.
+#[derive(Debug, Clone)]
+pub struct LogLines<'a> {
+    segments: Vec<&'a [String]>,
+}
+
+impl<'a> LogLines<'a> {
+    /// Lines held in one run.
+    pub fn one(lines: &'a [String]) -> Self {
+        LogLines {
+            segments: vec![lines],
+        }
+    }
+
+    /// The runs, in log order.
+    pub fn segments(&self) -> &[&'a [String]] {
+        &self.segments
+    }
+
+    /// How many lines the log has.
+    pub fn len(&self) -> usize {
+        self.segments.iter().map(|s| s.len()).sum()
+    }
+
+    /// Whether the log has no line.
+    pub fn is_empty(&self) -> bool {
+        self.segments.iter().all(|s| s.is_empty())
+    }
+
+    /// The lines, in log order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a String> + '_ {
+        self.segments.iter().flat_map(|s| s.iter())
+    }
+
+    /// The raw columns of the lines: each segment lexed ([`col::columnize`])
+    /// and the runs joined in order ([`RawColumns::concat`]) — the columns
+    /// one pass over the concatenated lines builds.
+    pub fn columnize(&self) -> Result<RawColumns> {
+        let runs = self.segments.iter().map(|lines| col::columnize(lines));
+        Ok(RawColumns::concat(runs.collect::<Result<_>>()?))
+    }
+}
+
+impl<'a> FromIterator<&'a [String]> for LogLines<'a> {
+    fn from_iter<I: IntoIterator<Item = &'a [String]>>(segments: I) -> Self {
+        LogLines {
+            segments: segments.into_iter().collect(),
+        }
     }
 }
 
@@ -142,10 +195,10 @@ impl MemSource {
 }
 
 impl DataSource for MemSource {
-    fn log_lines(&self, log: &str) -> Result<&[String]> {
+    fn log_lines(&self, log: &str) -> Result<LogLines<'_>> {
         self.logs
             .get(log)
-            .map(Vec::as_slice)
+            .map(|lines| LogLines::one(lines))
             .ok_or_else(|| MisoError::Store(format!("unknown log `{log}`")))
     }
 
@@ -583,17 +636,20 @@ fn scan_log(
     }
     let lines = source.log_lines(log)?;
     miso_obs::count("exec.col_fallback_rows", lines.len() as u64);
-    let parts = par_chunks(guard, lines, |_, chunk| {
-        let mut records = ColBuilder::new();
-        let mut skipped = 0u64;
-        for line in chunk {
-            match parse_json(line) {
-                Ok(record) => records.push_value(record),
-                Err(_) => skipped += 1,
+    let mut parts = Vec::new();
+    for segment in lines.segments() {
+        parts.extend(par_chunks(guard, segment, |_, chunk| {
+            let mut records = ColBuilder::new();
+            let mut skipped = 0u64;
+            for line in chunk {
+                match parse_json(line) {
+                    Ok(record) => records.push_value(record),
+                    Err(_) => skipped += 1,
+                }
             }
-        }
-        (records.finish(), skipped)
-    })?;
+            (records.finish(), skipped)
+        })?);
+    }
     let skipped = parts.iter().map(|(_, skipped)| skipped).sum();
     let records = Column::concat(parts.into_iter().map(|(records, _)| records).collect());
     let len = records.len();

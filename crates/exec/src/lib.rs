@@ -30,7 +30,8 @@ pub mod udf;
 
 pub use col::FusedField;
 pub use engine::{
-    execute_subset_guarded, DataSource, Execution, LogColumns, MemSource, Retention, MORSEL_SIZE,
+    execute_subset_guarded, DataSource, Execution, LogColumns, LogLines, MemSource, Retention,
+    MORSEL_SIZE,
 };
 pub use ivm::{AggApplied, AggState};
 pub use profile::OpProfile;

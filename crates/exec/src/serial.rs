@@ -41,7 +41,7 @@ pub fn execute_serial(
         let rows: Vec<Row> = match &node.op {
             Operator::ScanLog { log } => {
                 let mut rows = Vec::new();
-                for line in source.log_lines(log)? {
+                for line in source.log_lines(log)?.iter() {
                     match parse_json(line) {
                         Ok(v) => rows.push(Row::new(vec![v])),
                         Err(_) => skipped_lines += 1,

@@ -9,8 +9,10 @@ use miso_data::checksum::checksum_batch;
 use miso_data::json::RawColumns;
 use miso_data::logs::LogFile;
 use miso_data::{ColBatch, Row, Schema, Shelf, StoredView};
-use miso_exec::col::{columnize, field_columns};
-use miso_exec::engine::{execute_subset_guarded, DataSource, Execution, LogColumns, Retention};
+use miso_exec::col::field_columns;
+use miso_exec::engine::{
+    execute_subset_guarded, DataSource, Execution, LogColumns, LogLines, Retention,
+};
 use miso_exec::{FusedField, UdfRegistry};
 use miso_plan::estimate::MapStats;
 use miso_plan::split::mask;
@@ -18,27 +20,34 @@ use miso_plan::{LogicalPlan, Operator};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// One base log as HV holds it: the raw lines and, once a fused scan has
-/// read the log, every top-level field of them as a raw column
-/// ([`RawColumns`]), lexed once and kept.
+/// One base log as HV holds it: the raw lines, in segments — the registered
+/// file's lines, shared with the [`LogFile`], then one segment per appended
+/// batch — and, once a fused scan has read the log, every top-level field
+/// of them as a raw column ([`RawColumns`]), lexed once and kept.
 ///
 /// Three invariants make a column served from the image indistinguishable
 /// from a fresh parse:
 ///
-/// 1. **One pass.** The raw columns are what [`columnize`] builds over all
-///    of `lines` — the first fused scan builds them, charged to no guard —
+/// 1. **One pass.** The raw columns are what [`miso_exec::col::columnize`]
+///    builds over all of the lines — the first fused scan builds them,
+///    segment by segment, charged to no guard ([`LogLines::columnize`]) —
 ///    so a scan's columns are [`field_columns`] of them, exactly what
-///    [`miso_exec::col::parse_log_columns`] gives, with its skip count.
+///    [`miso_exec::col::parse_log_columns`] gives over the concatenated
+///    lines, with its skip count.
 /// 2. **Clones share.** [`HvStore`] holds images behind an `Arc`, so a
 ///    cloned store (an epoch snapshot, the serving oracle) reads and warms
 ///    the same columns as its original.
-/// 3. **Append extends.** [`HvStore::append_log`] copies the image first if
-///    another store shares it — and the lines, if whoever registered the
-///    log still holds them — then extends every raw column by the appended
-///    [`LogBatch`]'s own ([`RawColumns::append`]), which restores (1).
+/// 3. **Append adds a segment.** [`HvStore::append_log`] copies the image
+///    first if another store shares it — its segment list and a handle on
+///    its columns, never a line — then adds the appended [`LogBatch`]'s
+///    lines as a new segment and extends every raw column by the batch's
+///    own ([`RawColumns::append`]), which restores (1). No segment is ever
+///    written again, so the registered file's lines stay shared with
+///    whoever registered them.
 #[derive(Debug)]
 struct LogImage {
-    lines: Arc<Vec<String>>,
+    segments: Vec<Arc<Vec<String>>>,
+    rows: u64,
     size: ByteSize,
     raw: RawSlot,
 }
@@ -46,7 +55,8 @@ struct LogImage {
 impl Clone for LogImage {
     fn clone(&self) -> Self {
         LogImage {
-            lines: self.lines.clone(),
+            segments: self.segments.clone(),
+            rows: self.rows,
             size: self.size,
             raw: RawSlot(Mutex::new(self.raw.get())),
         }
@@ -72,11 +82,11 @@ impl RawSlot {
     /// The raw columns of `lines`, and whether this call lexed them. They
     /// are built with the lock released; a racing reader lexes the same
     /// lines, so either result will do.
-    fn read(&self, lines: &[String]) -> Result<(Arc<RawColumns>, bool)> {
+    fn read(&self, lines: &LogLines<'_>) -> Result<(Arc<RawColumns>, bool)> {
         if let Some(raw) = self.get() {
             return Ok((raw, false));
         }
-        let raw = Arc::new(columnize(lines)?);
+        let raw = Arc::new(lines.columnize()?);
         miso_obs::count("hv.log_lines_tokenized", lines.len() as u64);
         if miso_obs::enabled() {
             miso_obs::count("hv.log_col_bytes", raw.approx_bytes());
@@ -87,7 +97,7 @@ impl RawSlot {
     /// The columns of `fields` over `lines`: every one counted as parsed
     /// when this call lexed the lines, as served when they were lexed
     /// before.
-    fn columns(&self, lines: &[String], fields: &[FusedField<'_>]) -> Result<LogColumns> {
+    fn columns(&self, lines: &LogLines<'_>, fields: &[FusedField<'_>]) -> Result<LogColumns> {
         let (raw, lexed) = self.read(lines)?;
         let n = fields.len() as u64;
         Ok(LogColumns {
@@ -100,20 +110,29 @@ impl RawSlot {
 }
 
 impl LogImage {
-    /// Appends the batch's lines, extending the raw columns, if the log has
-    /// them, by the batch's.
+    /// The lines, segment by segment.
+    fn lines(&self) -> LogLines<'_> {
+        self.segments.iter().map(|s| s.as_slice()).collect()
+    }
+
+    /// Appends the batch's lines as a segment of their own, extending the
+    /// raw columns, if the log has them, by the batch's.
     fn append(&mut self, batch: &LogBatch<'_>) -> Result<ByteSize> {
+        if batch.lines.is_empty() {
+            return Ok(ByteSize::ZERO);
+        }
         let raw = self
             .raw
             .0
             .get_mut()
             .expect("no scan panics while it holds the image lock");
         if let Some(raw) = raw {
-            let (tail, _) = batch.raw.read(batch.lines)?;
+            let (tail, _) = batch.raw.read(&batch.image())?;
             Arc::make_mut(raw).append(RawColumns::clone(&tail));
         }
         let added = ByteSize::from_bytes(batch.lines.iter().map(|l| l.len() as u64 + 1).sum());
-        Arc::make_mut(&mut self.lines).extend_from_slice(batch.lines);
+        self.segments.push(Arc::new(batch.lines.to_vec()));
+        self.rows += batch.lines.len() as u64;
         self.size += added;
         Ok(added)
     }
@@ -144,10 +163,15 @@ impl<'a> LogBatch<'a> {
         self.lines
     }
 
+    /// The batch's lines as a source hands them out: one segment.
+    pub fn image(&self) -> LogLines<'a> {
+        LogLines::one(self.lines)
+    }
+
     /// The columns of `fields` over the batch's well-formed lines — what
     /// [`DataSource::log_columns`] answers for the whole log, at batch scale.
     pub fn columns(&self, fields: &[FusedField<'_>]) -> Result<LogColumns> {
-        let cols = self.raw.columns(self.lines, fields)?;
+        let cols = self.raw.columns(&self.image(), fields)?;
         miso_obs::count("maint.delta_cols_served", cols.cols_hit);
         miso_obs::count("maint.delta_cols_parsed", cols.cols_parsed);
         Ok(cols)
@@ -223,7 +247,8 @@ impl HvStore {
     /// was built from the same file.
     pub fn add_log(&mut self, log: LogFile) {
         let image = LogImage {
-            lines: log.lines,
+            rows: log.lines.len() as u64,
+            segments: vec![log.lines],
             size: log.size,
             raw: RawSlot::default(),
         };
@@ -232,7 +257,8 @@ impl HvStore {
     }
 
     /// Appends a batch of lines to a base log (HDFS-style append-only
-    /// growth), returning the appended byte count. Copy-on-write: stores
+    /// growth), returning the appended byte count. The batch becomes a
+    /// segment of its own: no line already in the log is copied. Stores
     /// cloned from this one, and the [`LogFile`] the log was registered
     /// from, keep the log as it was.
     pub fn append_log(&mut self, name: &str, batch: &LogBatch<'_>) -> Result<ByteSize> {
@@ -253,6 +279,11 @@ impl HvStore {
     /// The on-disk size of a base log.
     pub fn log_size(&self, name: &str) -> Option<ByteSize> {
         self.logs.get(name).map(|l| l.size)
+    }
+
+    /// How many lines a base log has.
+    pub fn log_rows(&self, name: &str) -> Option<u64> {
+        self.logs.get(name).map(|l| l.rows)
     }
 
     /// A view's stored size. The benchmark adapter calls this; program
@@ -276,11 +307,7 @@ impl HvStore {
     /// sizes come from the catalog).
     pub fn fill_stats(&self, stats: &mut MapStats) {
         for (name, log) in &self.logs {
-            stats.set_log(
-                name.clone(),
-                log.lines.len() as f64,
-                log.size.as_bytes() as f64,
-            );
+            stats.set_log(name.clone(), log.rows as f64, log.size.as_bytes() as f64);
         }
     }
 
@@ -318,6 +345,21 @@ impl HvStore {
         udfs: &UdfRegistry,
         guard: &QueryGuard,
         extra: &[NodeId],
+    ) -> Result<HvRun> {
+        self.execute_keeping(plan, subset, udfs, guard, |_| extra.to_vec())
+    }
+
+    /// [`HvStore::execute_guarded`], the extra outputs chosen from the
+    /// harvest: before anything runs, `extra` is told the nodes HV will
+    /// harvest, in `materialized` order, and names the interior outputs the
+    /// caller reads beside them (a harvested view's fold inputs).
+    pub fn execute_keeping(
+        &self,
+        plan: &LogicalPlan,
+        subset: Option<&HashSet<NodeId>>,
+        udfs: &UdfRegistry,
+        guard: &QueryGuard,
+        extra: impl FnOnce(&[NodeId]) -> Vec<NodeId>,
     ) -> Result<HvRun> {
         let mut obs = miso_obs::span("hv.execute");
         // Fault injection: one relaxed atomic load when chaos is disabled.
@@ -359,7 +401,7 @@ impl HvStore {
         // The retention set is the harvest: stage costs below read sizes of
         // stage outputs only and row counts (which survive release) of
         // everything else, so what is not kept here is never looked at.
-        let keep = [harvest.as_slice(), extra].concat();
+        let keep = [harvest.as_slice(), &extra(&harvest)].concat();
         let execution = execute_subset_guarded(
             plan,
             subset,
@@ -428,10 +470,10 @@ impl HvStore {
 }
 
 impl DataSource for HvStore {
-    fn log_lines(&self, log: &str) -> Result<&[String]> {
+    fn log_lines(&self, log: &str) -> Result<LogLines<'_>> {
         self.logs
             .get(log)
-            .map(|l| l.lines.as_slice())
+            .map(|l| l.lines())
             .ok_or_else(|| MisoError::Store(format!("HV has no log `{log}`")))
     }
 
@@ -447,7 +489,7 @@ impl DataSource for HvStore {
             .logs
             .get(log)
             .ok_or_else(|| MisoError::Store(format!("HV has no log `{log}`")))?;
-        let cols = image.raw.columns(&image.lines, fields)?;
+        let cols = image.raw.columns(&image.lines(), fields)?;
         miso_obs::count("hv.log_cols_served", cols.cols_hit);
         miso_obs::count("hv.log_cols_parsed", cols.cols_parsed);
         Ok(cols)
@@ -537,9 +579,11 @@ mod tests {
         assert!(!s.views.corrupt("v_missing"));
     }
 
-    /// A clone costs refcounts, not lines: it shares each log's storage and
-    /// parsed columns with its original until one of them appends, and the
-    /// append leaves the other scanning the log as it was.
+    /// A clone costs refcounts, not lines: it shares each log's segments
+    /// and parsed columns with its original. An append copies the appending
+    /// store's image — the segment list, never a line — so the other store
+    /// goes on scanning the log as it was, and both keep sharing every
+    /// segment they had.
     #[test]
     fn clone_shares_log_storage_and_append_is_copy_on_write() {
         let mut master = store();
@@ -572,11 +616,18 @@ mod tests {
             &snapshot.logs["twitter"]
         ));
         assert!(Arc::ptr_eq(
+            &master.logs["twitter"].segments[0],
+            &snapshot.logs["twitter"].segments[0]
+        ));
+        assert_eq!(master.logs["twitter"].segments.len(), 2);
+        assert_eq!(snapshot.logs["twitter"].segments.len(), 1);
+        assert!(Arc::ptr_eq(
             &master.logs["landmarks"],
             &snapshot.logs["landmarks"]
         ));
         assert_eq!(snapshot.log_lines("twitter").unwrap().len(), lines);
         assert_eq!(master.log_lines("twitter").unwrap().len(), lines + 2);
+        assert_eq!(master.log_rows("twitter"), Some(lines as u64 + 2));
         assert_eq!(
             rows_of(&snapshot),
             before,
@@ -584,9 +635,10 @@ mod tests {
         );
         let grown = rows_of(&master);
         assert_eq!(grown.len(), before.len() + 1, "atlantis is a new group");
-        // Sole owner again: the next append extends in place.
+        // Sole owner again: the next append adds a segment in place.
         drop(snapshot);
         let image = Arc::as_ptr(&master.logs["twitter"]);
+        let first = Arc::as_ptr(&master.logs["twitter"].segments[1]);
         master
             .append_log(
                 "twitter",
@@ -594,8 +646,109 @@ mod tests {
             )
             .unwrap();
         assert_eq!(Arc::as_ptr(&master.logs["twitter"]), image);
+        assert_eq!(master.logs["twitter"].segments.len(), 3);
+        assert_eq!(Arc::as_ptr(&master.logs["twitter"].segments[1]), first);
         assert_eq!(master.log_columns_kept("twitter"), kept);
         assert_eq!(rows_of(&master).len(), grown.len());
+    }
+
+    /// Appends never write the registered file's lines: they stay the
+    /// image's first segment, shared with the [`LogFile`] and unchanged,
+    /// and the image's size and row count are the file's plus the batches'.
+    #[test]
+    fn appends_share_the_registered_lines() {
+        let file = Corpus::generate(&LogsConfig::tiny()).twitter;
+        let original = file.lines.to_vec();
+        let mut s = HvStore::new();
+        s.add_log(file.clone());
+        let batch = vec![r#"{"tweet_id": 7}"#.to_string(), "torn".to_string()];
+        for _ in 0..2 {
+            s.append_log("twitter", &LogBatch::new(&batch)).unwrap();
+        }
+        let image = &s.logs["twitter"];
+        assert!(Arc::ptr_eq(&image.segments[0], &file.lines));
+        assert_eq!(*file.lines, original);
+        assert_eq!(image.segments.len(), 3);
+        let rows = original.len() as u64 + 4;
+        assert_eq!(s.log_rows("twitter"), Some(rows));
+        let added: u64 = batch.iter().map(|l| l.len() as u64 + 1).sum();
+        assert_eq!(
+            s.log_size("twitter"),
+            Some(file.size + ByteSize::from_bytes(2 * added))
+        );
+        let lines: Vec<&String> = s.log_lines("twitter").unwrap().iter().collect();
+        let want: Vec<&String> = original.iter().chain(&batch).chain(&batch).collect();
+        assert_eq!(lines, want);
+    }
+
+    /// A segmented log scans as the concatenated lines do in a
+    /// [`MemSource`] — fused and unfused, skip counts included — whether
+    /// its raw columns were built before the first append (and extended by
+    /// each batch) or are lexed afterwards, segment by segment.
+    #[test]
+    fn a_segmented_scan_equals_a_scan_of_the_concatenated_lines() {
+        use miso_exec::engine::execute;
+        use miso_exec::MemSource;
+        let file = Corpus::generate(&LogsConfig::tiny()).twitter;
+        let batches = [
+            vec![
+                r#"{"tweet_id": 1, "city": "atlantis", "followers": 50}"#.to_string(),
+                "torn line".to_string(),
+            ],
+            vec![r#"{"tweet_id": 2, "hashtags": ["x", 3], "lang": "xx"}"#.to_string()],
+        ];
+        let mut whole = MemSource::new();
+        let all = file.lines.iter().chain(batches.iter().flatten());
+        whole.add_log("twitter", all.cloned().collect());
+        let plans = [
+            plan("SELECT t.city AS city, COUNT(*) AS n FROM twitter t GROUP BY t.city"),
+            plan("SELECT t.tweet_id AS id, t.city AS c FROM twitter t WHERE t.followers > 10"),
+            plan("SELECT t.lang AS lang, t.hashtags AS tags FROM twitter t"),
+        ];
+        let fields = [
+            FusedField {
+                key: "city",
+                ty: None,
+            },
+            FusedField {
+                key: "hashtags",
+                ty: None,
+            },
+            FusedField {
+                key: "followers",
+                ty: Some(miso_data::DataType::Int),
+            },
+        ];
+        let udfs = UdfRegistry::new();
+        for warm_first in [true, false] {
+            let mut s = HvStore::new();
+            s.add_log(file.clone());
+            if warm_first {
+                s.execute(&plans[0], None, &udfs).unwrap();
+                assert!(s.log_columns_kept("twitter") > 0);
+            }
+            for batch in &batches {
+                s.append_log("twitter", &LogBatch::new(batch)).unwrap();
+            }
+            assert_eq!(s.logs["twitter"].segments.len(), 3);
+            let got = s.log_columns("twitter", &fields).unwrap();
+            let want = whole.log_columns("twitter", &fields).unwrap();
+            assert_eq!(got.batch, want.batch, "warm first: {warm_first}");
+            assert_eq!(got.skipped_lines, want.skipped_lines);
+            // Lexed once: by the warming scan, or by this first read.
+            let parsed = if warm_first { 0 } else { fields.len() as u64 };
+            assert_eq!(got.cols_parsed, parsed, "warm first: {warm_first}");
+            for p in &plans {
+                let want = execute(p, &whole, &udfs).unwrap();
+                let fused = s.execute(p, None, &udfs).unwrap().execution;
+                let unfused = execute(p, &s, &udfs).unwrap();
+                for got in [&fused, &unfused] {
+                    assert_eq!(got.root_rows().unwrap(), want.root_rows().unwrap());
+                    assert_eq!(got.skipped_lines, want.skipped_lines);
+                }
+                assert!(want.skipped_lines > 0, "the torn line is skipped");
+            }
+        }
     }
 
     /// A stored batch is shared — by scans, by clones of the store — until

@@ -172,10 +172,23 @@ impl LogicalPlan {
 
     /// Extracts the subtree rooted at `id` as a standalone plan.
     pub fn subplan(&self, id: NodeId) -> LogicalPlan {
+        self.rebuild(&self.subtree(id), &[], id)
+            .expect("a subtree of a valid plan is closed")
+    }
+
+    /// Where [`LogicalPlan::subplan`]`(id)`'s nodes sit in this plan: its
+    /// node `k` is this plan's `subplan_nodes(id)[k]`.
+    pub fn subplan_nodes(&self, id: NodeId) -> Vec<NodeId> {
+        let keep = self.subtree(id);
+        let kept = keep.iter().enumerate().filter(|&(_, &k)| k);
+        kept.map(|(i, _)| NodeId(i as u64)).collect()
+    }
+
+    /// Marks, by node index, `id` and every node below it.
+    fn subtree(&self, id: NodeId) -> Vec<bool> {
         let mut keep = self.strictly_below([id]);
         keep[id.raw() as usize] = true;
-        self.rebuild(&keep, &[], id)
-            .expect("a subtree of a valid plan is closed")
+        keep
     }
 
     /// Returns a new plan in which the subtree rooted at `target` is replaced
@@ -506,6 +519,42 @@ mod tests {
         let sub = p.subplan(filt_id);
         assert_eq!(sub.len(), 3);
         assert_eq!(sub.schema().names(), vec!["uid", "city"]);
+    }
+
+    /// `subplan_nodes` names each subplan node's origin, also for a subtree
+    /// whose nodes are not a prefix of the arena.
+    #[test]
+    fn subplan_nodes_map_back() {
+        let mut b = PlanBuilder::new();
+        let left = b
+            .add(Operator::ScanLog { log: "l".into() }, vec![])
+            .unwrap();
+        let right = b
+            .add(Operator::ScanLog { log: "r".into() }, vec![])
+            .unwrap();
+        let field = |key: &str| Expr::FieldGet {
+            input: Box::new(Expr::col(0)),
+            key: key.into(),
+        };
+        let project = |b: &mut PlanBuilder, input| {
+            let exprs = vec![("k".to_string(), field("k"))];
+            b.add(Operator::Project { exprs }, vec![input]).unwrap()
+        };
+        let pl = project(&mut b, left);
+        let pr = project(&mut b, right);
+        let join = b
+            .add(Operator::Join { on: vec![(0, 0)] }, vec![pl, pr])
+            .unwrap();
+        let p = b.finish(join).unwrap();
+        assert_eq!(p.subplan_nodes(pr), vec![right, pr]);
+        for id in [left, pl, pr, join] {
+            let sub = p.subplan(id);
+            let nodes = p.subplan_nodes(id);
+            assert_eq!(sub.len(), nodes.len());
+            for (k, &at) in nodes.iter().enumerate() {
+                assert_eq!(sub.nodes()[k].op, p.node(at).op, "{id} node {k}");
+            }
+        }
     }
 
     #[test]

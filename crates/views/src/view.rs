@@ -7,10 +7,10 @@
 //! that currently exists anywhere in the multistore system.
 
 use crate::containment::FilterView;
-use miso_common::ids::QueryId;
+use miso_common::ids::{NodeId, QueryId};
 use miso_common::ByteSize;
 use miso_data::{Checksum, Schema};
-use miso_plan::{Fingerprint, LogicalPlan};
+use miso_plan::{Fingerprint, LogicalPlan, Operator, PlanBuilder};
 use std::collections::{BTreeSet, HashMap};
 
 /// Metadata for one opportunistic view.
@@ -172,6 +172,29 @@ impl ViewCatalog {
     /// Look up a view by name.
     pub fn get(&self, name: &str) -> Option<&ViewDef> {
         self.views.get(name)
+    }
+
+    /// `plan` over base logs only: every `ScanView` replaced by the scanned
+    /// view's own defining plan, all the way down — what a from-scratch
+    /// recompute runs. `None` when a scanned view is not in the catalog.
+    pub fn inlined(&self, plan: &LogicalPlan) -> Option<LogicalPlan> {
+        fn copy(plan: &LogicalPlan, catalog: &ViewCatalog, b: &mut PlanBuilder) -> Option<NodeId> {
+            let mut copied: HashMap<NodeId, NodeId> = HashMap::new();
+            for node in plan.nodes() {
+                let id = match &node.op {
+                    Operator::ScanView { view, .. } => copy(&catalog.get(view)?.plan, catalog, b)?,
+                    op => {
+                        let inputs = node.inputs.iter().map(|i| copied[i]).collect();
+                        b.add(op.clone(), inputs).ok()?
+                    }
+                };
+                copied.insert(node.id, id);
+            }
+            Some(copied[&plan.root()])
+        }
+        let mut b = PlanBuilder::new();
+        let root = copy(plan, self, &mut b)?;
+        b.finish(root).ok()
     }
 
     /// Whether the catalog knows `name`.

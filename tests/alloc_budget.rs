@@ -14,8 +14,8 @@ use miso::common::{pool, MisoError, QueryGuard};
 use miso::data::{ColBatch, Column, DataType, Field, Row, Schema, Value};
 use miso::exec::col::parse_log_columns;
 use miso::exec::{
-    execute_subset_guarded, DataSource, FusedField, LogColumns, MemSource, Retention, Udf,
-    UdfRegistry,
+    execute_subset_guarded, DataSource, FusedField, LogColumns, LogLines, MemSource, Retention,
+    Udf, UdfRegistry,
 };
 use miso::plan::{BinOp, Expr, LogicalPlan, Operator, PlanBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -150,8 +150,8 @@ impl Image {
 }
 
 impl DataSource for Image {
-    fn log_lines(&self, _: &str) -> miso::common::Result<&[String]> {
-        Ok(&self.lines)
+    fn log_lines(&self, _: &str) -> miso::common::Result<LogLines<'_>> {
+        Ok(LogLines::one(&self.lines))
     }
 
     fn view_batch(&self, view: &str) -> miso::common::Result<Arc<ColBatch>> {

@@ -5,14 +5,18 @@
 //! it stands — views, split and all — has the row count **and checksum** of
 //! the raw plan run in HV over the grown logs with no views at all. Views
 //! harvested from rewritten plans scan only other views; they too must
-//! follow the log.
+//! follow the log. And no refresh rebuilds a view because its fold state
+//! is cold: the state is captured when the view is harvested.
 
 use miso::common::{Budgets, ByteSize, SimClock};
-use miso::core::{GrowthConfig, MaintenancePolicy, MultistoreSystem, SystemConfig, Variant};
+use miso::core::{
+    GrowthConfig, MaintAction, MaintenancePolicy, MultistoreSystem, SystemConfig, Variant,
+};
 use miso::data::checksum_rows;
 use miso::data::logs::{Corpus, LogKind, LogsConfig};
 use miso::data::Delta;
 use miso::plan::LogicalPlan;
+use miso::views::FullReason;
 use miso::workload::{compile_workload, standard_udfs, workload_catalog};
 use miso_serve::{EpochSnapshot, SnapExecutor};
 use std::collections::BTreeSet;
@@ -55,7 +59,7 @@ fn every_answer_under_growth_has_the_hv_only_checksum() {
     let stream = compile_workload(&workload_catalog()).expect("the standard workload compiles");
     let mut exec = SnapExecutor::new(standard_udfs());
     let mut history: Vec<LogicalPlan> = Vec::new();
-    let (mut from_views, mut over_views, mut batches) = (0, 0, 0);
+    let (mut from_views, mut over_views, mut batches, mut folds) = (0, 0, 0, 0);
     for (q, (label, raw)) in stream.iter().enumerate() {
         // The driver's own steps at a reorganization boundary.
         if q > 0 && q % every == 0 {
@@ -65,8 +69,19 @@ fn every_answer_under_growth_has_the_hv_only_checksum() {
                 (q / every) as u64,
                 growth.records_per_epoch,
             );
-            sys.grow(&delta, growth.policy, &mut SimClock::new())
+            let report = sys
+                .grow(&delta, growth.policy, &mut SimClock::new())
                 .expect("growth step applies");
+            // Fold state is captured when a view is harvested: no view
+            // waits for its first growth step to build it.
+            for d in &report.decisions {
+                assert_ne!(d.reason, Some(FullReason::StateCold), "{}: cold", d.view);
+            }
+            folds += report
+                .decisions
+                .iter()
+                .filter(|d| d.action == MaintAction::Delta)
+                .count();
             let window = &history[history.len().saturating_sub(history_len)..];
             sys.reorg_now(window, &mut SimClock::new())
                 .expect("reorganization runs");
@@ -108,4 +123,5 @@ fn every_answer_under_growth_has_the_hv_only_checksum() {
     assert_eq!(batches, 10, "ten growth steps in 32 queries");
     assert!(from_views > 8, "{from_views} answers read a view");
     assert!(over_views > 0, "no view over a view survived a boundary");
+    assert!(folds > 20, "{folds} delta folds");
 }
