@@ -15,22 +15,31 @@
 //!   log's kept columns from it, and every view derived from the log —
 //!   directly or through other views ([`ViewCatalog::derived_from`]) — is
 //!   refreshed against it in dependency order, so each field of the batch
-//!   is parsed once, whoever asks. A view the delta-maintenance analyzer
-//!   ([`miso_views::analyze_maintenance`]) accepts — filters, projections,
-//!   UDFs, joins with the delta on the probe side, a topmost aggregate of
-//!   any type — runs its delta plan lean over the batch (or over the Δrows
-//!   of the parent view it scans) and folds the result into live state
-//!   ([`miso_exec::AggState`], stored join build sides) in O(|delta|),
-//!   re-stamping the integrity checksum incrementally through
-//!   [`RowSetDigest`] (bit-identical to a full re-checksum). That state is
-//!   captured when the view is harvested: under a `Refresh` growth
-//!   schedule the HV run that produces a view keeps its fold inputs (the
-//!   join build sides, the aggregate's input) beside the harvest, and the
-//!   view enters the catalog warm (`HarvestFold`), so even its first
+//!   is parsed once, whoever asks. A planning pass first settles, parents
+//!   first and before any plan runs, what each view does: a view the
+//!   delta-maintenance analyzer ([`miso_views::analyze_maintenance`])
+//!   accepts — filters, projections, UDFs, joins with the delta on the
+//!   probe side, a topmost aggregate of any type — and whose state is warm
+//!   and verified folds; the rest rebuild, defer or drop. The folds then
+//!   run as **one HV job** (`FoldJob`): each delta plan runs lean over the
+//!   batch (or over the Δrows of the parent view it scans), a sub-plan an
+//!   earlier fold of the batch already ran is seeded from that run's
+//!   output instead of running again, and each result folds into live
+//!   state ([`miso_exec::AggState`], stored join build sides) in
+//!   O(|delta|), re-stamping the integrity checksum incrementally through
+//!   [`RowSetDigest`] (bit-identical to a full re-checksum). The job is
+//!   charged one start-up and one scan of the batch
+//!   ([`MaintenanceReport::job`]), and each folding view its marginal share
+//!   (`fold_share`, the rule the tuner prices a fold with too). Fold
+//!   state is captured when the view is harvested: under a `Refresh`
+//!   growth schedule the HV run that produces a view keeps its fold inputs
+//!   (the join build sides, the aggregate's input) beside the harvest, and
+//!   the view enters the catalog warm (`HarvestFold`), so even its first
 //!   growth step folds. Everything else — and every fallback
-//!   ([`FullReason`]) — recomputes in full and recaptures the state from
-//!   that run; a view over a patched or rebuilt parent recomputes from the
-//!   refreshed parent, and a view whose parent is gone is dropped with it.
+//!   ([`FullReason`]) — recomputes in full in an HV run of its own and
+//!   recaptures the state from that run; a view over a patched or rebuilt
+//!   parent recomputes from the refreshed parent, and a view whose parent
+//!   is gone is dropped with it.
 //!
 //! Either way the system's query results always reflect the appended data
 //! (stale views are never silently served), and a delta-maintained view is
@@ -50,13 +59,13 @@ use miso_dw::DwActivity;
 use miso_exec::engine::{
     execute_subset_guarded, DataSource, Execution, LogColumns, LogLines, Retention,
 };
-use miso_exec::{AggState, FusedField};
-use miso_hv::LogBatch;
-use miso_plan::LogicalPlan;
+use miso_exec::{AggState, FusedField, UdfRegistry};
+use miso_hv::{HvCostModel, LogBatch};
+use miso_plan::{Fingerprint, LogicalPlan, Operator};
+use miso_views::maint::BuildSide;
 use miso_views::{analyze_maintenance, FullReason, MaintPlan, ViewCatalog, ViewChange, ViewDef};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// How to treat views derived from a log that just grew.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +121,12 @@ pub struct MaintenanceReport {
     /// Per-view decisions, in maintenance order, each carrying the reason
     /// when the delta path was not taken.
     pub decisions: Vec<MaintDecision>,
-    /// Simulated maintenance time charged.
+    /// The fixed part of the batch's fold job — one start-up and one scan
+    /// of the batch, however many views fold — which no single view's
+    /// decision carries. Zero when no view folds.
+    pub job: SimDuration,
+    /// Simulated maintenance time charged: `job` plus every decision's
+    /// cost.
     pub cost: SimDuration,
 }
 
@@ -281,18 +295,18 @@ struct BatchDelta<'a> {
     bytes: ByteSize,
     /// The appended lines, each field parsed at most once for all views.
     batch: &'a LogBatch<'a>,
-    /// Views refreshed so far in this batch: the rows appended to them when
-    /// that is all that changed, `None` when patched or rebuilt.
-    refreshed: HashMap<String, Option<Arc<ColBatch>>>,
+    /// How each view the batch reaches changes, as the planning pass
+    /// settled it before any plan ran; a dropped view is absent.
+    changes: HashMap<String, ViewChange>,
+    /// The rows the fold job appended to each view it folded per record:
+    /// what a child's delta plan scans of that view.
+    appended: HashMap<String, Arc<ColBatch>>,
 }
 
 impl BatchDelta<'_> {
     fn change_of(&self, view: &str) -> ViewChange {
-        match self.refreshed.get(view) {
-            None => ViewChange::Unchanged,
-            Some(Some(_)) => ViewChange::Appended,
-            Some(None) => ViewChange::Rewritten,
-        }
+        let change = self.changes.get(view).copied();
+        change.unwrap_or(ViewChange::Unchanged)
     }
 }
 
@@ -308,7 +322,7 @@ struct DeltaSource<'a> {
 impl DeltaSource<'_> {
     /// A stored build side, or the Δrows of a parent appended to.
     fn pinned(&self, view: &str) -> Option<&Arc<ColBatch>> {
-        let delta_of = || self.delta.refreshed.get(view)?.as_ref();
+        let delta_of = || self.delta.appended.get(view);
         self.builds.get(view).or_else(delta_of)
     }
 
@@ -342,22 +356,195 @@ impl DataSource for DeltaSource<'_> {
     }
 }
 
-/// What refreshing one view did.
-struct Refreshed {
-    /// `None` exactly when the delta folded.
-    reason: Option<FullReason>,
-    cost: SimDuration,
-    /// The rows appended to the view, when nothing else about it changed.
-    appended: Option<Arc<ColBatch>>,
+/// What the planning pass settles for one view a batch reaches, before any
+/// plan runs.
+enum Settled {
+    /// Fold the batch into the view's warm, verified state, in the batch's
+    /// fold job.
+    Fold(MaintPlan, Box<IvmViewState>),
+    /// Recompute in full, in an HV run of its own, capturing fresh state
+    /// when the view has a maintenance plan.
+    Rebuild(FullReason, Option<MaintPlan>),
+    /// Quarantined: the reorg's repair path rebuilds it, nothing runs now.
+    Defer,
 }
 
-impl Refreshed {
-    fn full(cost: SimDuration, reason: FullReason) -> Refreshed {
-        Refreshed {
-            reason: Some(reason),
-            cost,
-            appended: None,
+impl Settled {
+    /// How the view has changed once this is done.
+    fn change(&self) -> ViewChange {
+        match self {
+            Settled::Fold(MaintPlan::Append(_), _) => ViewChange::Appended,
+            _ => ViewChange::Rewritten,
         }
+    }
+}
+
+/// What maintenance did to one view.
+#[derive(Clone)]
+enum Outcome {
+    /// Folded in the batch's job: the view's marginal share of it, any
+    /// move into DW included.
+    Folded(SimDuration),
+    /// Recomputed in full (or deferred), why, and at what cost.
+    Full(FullReason, SimDuration),
+    /// Dropped: by the policy, or — a fallback — because its inputs are
+    /// unavailable.
+    Dropped { fallback: bool },
+}
+
+/// The fixed part of a batch's fold job: one HV start-up and one scan of
+/// the batch's `bytes`, charged once however many views fold.
+fn fold_job_fixed(model: &HvCostModel, bytes: ByteSize) -> SimDuration {
+    model.stage_cost(bytes, ByteSize::ZERO, 0)
+}
+
+/// One view's marginal share of its batch's fold job: the read of its
+/// parent's Δrows (`parent_delta`; zero for a view over the log, whose
+/// batch the job scans once), its writes and the rows it produces — a
+/// stage without the start-up. `append_log` charges a fold this, and
+/// `maintenance_costs` prices one with it, so the tuner weighs what a
+/// growth step charges.
+fn fold_share(
+    model: &HvCostModel,
+    parent_delta: ByteSize,
+    written: ByteSize,
+    rows: u64,
+) -> SimDuration {
+    model.stage_cost(parent_delta, written, rows) - model.job_startup
+}
+
+/// Where one fold's delta plan stands against the outputs its job holds.
+struct Walk {
+    /// The nodes that run.
+    runs: HashSet<NodeId>,
+    /// The nodes seeded from a held output instead, with their
+    /// fingerprints.
+    seeds: Vec<(NodeId, Fingerprint)>,
+    /// Each node's fingerprint, by node index, when its output may be
+    /// shared: an operator (a scan's output is the source's already) with
+    /// no stored build side under it — those are the view's own, whatever
+    /// their synthetic names say.
+    shareable: Vec<Option<Fingerprint>>,
+}
+
+impl Walk {
+    /// Walks `plan` top-down from the root: a shareable node whose output
+    /// `held` answers is seeded, and nothing below it runs.
+    fn of(plan: &LogicalPlan, builds: &[BuildSide], held: impl Fn(&Fingerprint) -> bool) -> Walk {
+        let fps = plan.fingerprints();
+        let mut clean: Vec<bool> = Vec::with_capacity(plan.len());
+        let mut shareable = Vec::with_capacity(plan.len());
+        for node in plan.nodes() {
+            let build = match &node.op {
+                Operator::ScanView { view, .. } => builds.iter().any(|b| &b.name == view),
+                _ => false,
+            };
+            let ok = !build && node.inputs.iter().all(|i| clean[i.raw() as usize]);
+            clean.push(ok);
+            let fp = fps[node.id.raw() as usize];
+            shareable.push((ok && !node.inputs.is_empty()).then_some(fp));
+        }
+        let (mut runs, mut seeds, mut seen) = (HashSet::new(), Vec::new(), HashSet::new());
+        let mut stack = vec![plan.root()];
+        while let Some(id) = stack.pop() {
+            if !seen.insert(id) {
+                continue;
+            }
+            match shareable[id.raw() as usize] {
+                Some(fp) if held(&fp) => seeds.push((id, fp)),
+                _ => {
+                    runs.insert(id);
+                    stack.extend(plan.node(id).inputs.iter().copied());
+                }
+            }
+        }
+        Walk {
+            runs,
+            seeds,
+            shareable,
+        }
+    }
+
+    fn fingerprint(&self, id: NodeId) -> Option<Fingerprint> {
+        self.shareable[id.raw() as usize]
+    }
+}
+
+/// The folds of one batch as one job: their delta plans run in dependency
+/// order, and a sub-plan an earlier plan of the batch ran — the same
+/// fingerprint over the same batch and the same parents' Δrows — is seeded
+/// from that run's output instead of running again. A run keeps only the
+/// outputs a later fold seeds.
+struct FoldJob {
+    /// The outputs kept for later folds, by fingerprint.
+    shared: HashMap<Fingerprint, Arc<ColBatch>>,
+    /// By fold, the fingerprints later folds seed when every fold runs.
+    wanted: Vec<HashSet<Fingerprint>>,
+    /// Operators run, and operators seeded instead, so far.
+    ops: u64,
+    seeded: u64,
+}
+
+impl FoldJob {
+    /// The job for `plans` — each fold's delta plan and its stored build
+    /// sides, in the order they run.
+    fn plan(plans: &[(&LogicalPlan, &[BuildSide])]) -> FoldJob {
+        let mut made = HashSet::new();
+        let mut seeded = Vec::with_capacity(plans.len());
+        for (plan, builds) in plans {
+            let walk = Walk::of(plan, builds, |fp| made.contains(fp));
+            made.extend(walk.runs.iter().filter_map(|&id| walk.fingerprint(id)));
+            seeded.push(walk.seeds.into_iter().map(|(_, fp)| fp));
+        }
+        let mut wanted = vec![HashSet::new(); plans.len()];
+        let mut later = HashSet::new();
+        for (k, seeds) in seeded.into_iter().enumerate().rev() {
+            wanted[k] = later.clone();
+            later.extend(seeds);
+        }
+        FoldJob {
+            shared: HashMap::new(),
+            wanted,
+            ops: 0,
+            seeded: 0,
+        }
+    }
+
+    /// Runs fold `k`'s delta plan over `src`, seeded from what the job
+    /// holds; keeps what a later fold seeds. A fold whose earlier partner
+    /// failed runs that sub-plan itself.
+    fn run(
+        &mut self,
+        k: usize,
+        mplan: &MaintPlan,
+        src: &dyn DataSource,
+        udfs: &UdfRegistry,
+    ) -> Result<Execution> {
+        let plan = mplan.delta_plan();
+        let walk = Walk::of(plan, mplan.builds(), |fp| self.shared.contains_key(fp));
+        let wanted = |id: &NodeId| {
+            walk.fingerprint(*id)
+                .is_some_and(|fp| self.wanted[k].contains(&fp))
+        };
+        let keep: Vec<NodeId> = walk.runs.iter().copied().filter(wanted).collect();
+        let provided = walk.seeds.iter();
+        let provided = provided.map(|(id, fp)| (*id, self.shared[fp].clone()));
+        let exec = execute_subset_guarded(
+            plan,
+            Some(&walk.runs),
+            provided.collect(),
+            src,
+            udfs,
+            Retention::Only(&keep),
+            QueryGuard::inert_ref(),
+        )?;
+        for id in keep {
+            let fp = walk.fingerprint(id).expect("a kept node is shareable");
+            self.shared.insert(fp, exec.retained_batch(id)?.clone());
+        }
+        self.ops += walk.runs.len() as u64;
+        self.seeded += walk.seeds.len() as u64;
+        Ok(exec)
     }
 }
 
@@ -409,70 +596,62 @@ impl MultistoreSystem {
             self.ivm_state.retain(|name, _| catalog.contains(name));
         }
         // Parents before children: a view over a view takes its delta from
-        // what this pass just did to the parent.
+        // what this pass does to the parent.
         let affected: Vec<ViewDef> = self
             .catalog
             .derived_from(log)
             .into_iter()
             .cloned()
             .collect();
-        let mut delta = BatchDelta {
-            log,
-            base_rows,
-            bytes: report.appended,
-            batch: &batch,
-            refreshed: HashMap::new(),
+        let outcomes = match policy {
+            MaintenancePolicy::Invalidate => {
+                for def in &affected {
+                    self.drop_view(&def.name);
+                }
+                vec![Outcome::Dropped { fallback: false }; affected.len()]
+            }
+            MaintenancePolicy::Refresh => {
+                let mut delta = BatchDelta {
+                    log,
+                    base_rows,
+                    bytes: report.appended,
+                    batch: &batch,
+                    changes: HashMap::new(),
+                    appended: HashMap::new(),
+                };
+                let (outcomes, job) = self.refresh_all(&affected, &mut delta, clock);
+                report.job = job;
+                outcomes
+            }
         };
-        for def in affected {
-            let wall = Instant::now();
+        report.cost = report.job;
+        for (def, outcome) in affected.into_iter().zip(outcomes) {
             let mut view_span = miso_obs::span("maint.refresh");
-            let refreshed = match policy {
-                MaintenancePolicy::Invalidate => None,
-                // An error means the inputs are unavailable (a parent is
-                // gone, or lives only in DW): invalidate rather than serve
-                // stale rows.
-                MaintenancePolicy::Refresh => {
-                    let refreshed = self.refresh_view(&def, &delta, clock).ok();
-                    if refreshed.is_none() {
+            let name = def.name;
+            let (action, reason, cost) = match outcome {
+                Outcome::Folded(cost) => {
+                    miso_obs::count("maint.delta_applies", 1);
+                    report.delta_refreshed.push(name.clone());
+                    (MaintAction::Delta, None, cost)
+                }
+                Outcome::Full(why, cost) => {
+                    miso_obs::count("maint.full_refreshes", 1);
+                    miso_obs::count(why.counter(), 1);
+                    if why.is_fallback() {
                         miso_obs::count("maint.fallbacks", 1);
                     }
-                    refreshed
+                    report.recomputed.push(name.clone());
+                    (MaintAction::Full, Some(why), cost)
                 }
-            };
-            let name = def.name;
-            let (action, reason, cost) = match refreshed {
-                Some(done) => {
-                    delta.refreshed.insert(name.clone(), done.appended);
-                    report.cost += done.cost;
-                    let action = match &done.reason {
-                        None => {
-                            miso_obs::count("maint.delta_applies", 1);
-                            report.delta_refreshed.push(name.clone());
-                            MaintAction::Delta
-                        }
-                        Some(why) => {
-                            miso_obs::count("maint.full_refreshes", 1);
-                            miso_obs::count(why.counter(), 1);
-                            if why.is_fallback() {
-                                miso_obs::count("maint.fallbacks", 1);
-                            }
-                            report.recomputed.push(name.clone());
-                            MaintAction::Full
-                        }
-                    };
-                    (action, done.reason, done.cost)
-                }
-                None => {
-                    for site in Site::ALL {
-                        self.shelf_mut(site).take(&name);
+                Outcome::Dropped { fallback } => {
+                    if fallback {
+                        miso_obs::count("maint.fallbacks", 1);
                     }
-                    self.catalog.remove(&name);
-                    self.ivm_state.remove(&name);
                     report.invalidated.push(name.clone());
                     (MaintAction::Invalidated, None, SimDuration::ZERO)
                 }
             };
-            miso_obs::observe("ivm.refresh_ns", wall.elapsed().as_nanos() as u64);
+            report.cost += cost;
             if view_span.is_active() {
                 use miso_obs::FieldValue::{Str, U64};
                 view_span.push_field("view", Str(name.clone()));
@@ -501,16 +680,60 @@ impl MultistoreSystem {
         Ok(report)
     }
 
-    /// Refreshes one view against the batch: delta-fold when the view is
-    /// maintainable and its state is warm and verified, full recompute
-    /// (rebuilding state as a side effect) otherwise, with its
-    /// [`FullReason`]. An error leaves the view for the caller to drop.
-    fn refresh_view(
+    /// `Refresh` over `affected`, parents first: settles every view's
+    /// change before any plan runs, runs the folds as one job, then the
+    /// rebuilds in order. A view whose inputs are unavailable — a parent
+    /// gone, a run that fails — is dropped, and the views over it with it.
+    /// Returns each view's outcome and the job's fixed part.
+    fn refresh_all(
         &mut self,
-        def: &ViewDef,
-        delta: &BatchDelta<'_>,
+        affected: &[ViewDef],
+        delta: &mut BatchDelta<'_>,
         clock: &mut SimClock,
-    ) -> Result<Refreshed> {
+    ) -> (Vec<Outcome>, SimDuration) {
+        let mut outcomes = vec![Outcome::Dropped { fallback: true }; affected.len()];
+        let (mut folds, mut rebuilds) = (Vec::new(), Vec::new());
+        for (i, def) in affected.iter().enumerate() {
+            let Ok(settled) = self.settle_view(def, delta) else {
+                // Its children see the parent gone.
+                self.drop_view(&def.name);
+                continue;
+            };
+            delta.changes.insert(def.name.clone(), settled.change());
+            match settled {
+                Settled::Fold(mplan, state) => folds.push((i, mplan, state)),
+                Settled::Rebuild(reason, mplan) => rebuilds.push((i, reason, mplan)),
+                Settled::Defer => {
+                    outcomes[i] = Outcome::Full(FullReason::Quarantined, SimDuration::ZERO)
+                }
+            }
+        }
+        // A fold reads only the batch, its own build sides, views the log
+        // does not reach and its folded parents' Δrows — never what a
+        // rebuild writes — so the job runs first, and every rebuild then
+        // reads its parents refreshed.
+        let job = self.run_folds(affected, folds, delta, &mut outcomes, clock);
+        for (i, reason, mplan) in rebuilds {
+            let def = &affected[i];
+            let rebuilt = self.parents_present(def);
+            outcomes[i] = match rebuilt.and_then(|()| self.rebuild(def, mplan.as_ref(), clock)) {
+                Ok(cost) => Outcome::Full(reason, cost),
+                Err(_) => {
+                    self.drop_view(&def.name);
+                    Outcome::Dropped { fallback: true }
+                }
+            };
+        }
+        (outcomes, job)
+    }
+
+    /// Settles what the batch does to one view, its parents' changes as
+    /// the planning pass settled them. Every check is pure — no plan runs:
+    /// a quarantined view defers; a view the analyzer accepts folds when
+    /// its delta is small enough and its state warm and verified; every
+    /// other view rebuilds, with its [`FullReason`]. An error (a parent is
+    /// gone) leaves the view for the caller to drop.
+    fn settle_view(&mut self, def: &ViewDef, delta: &BatchDelta<'_>) -> Result<Settled> {
         let name = &def.name;
         if self.catalog.is_quarantined(name) {
             // A quarantined view has no store copies to refresh (they were
@@ -519,32 +742,23 @@ impl MultistoreSystem {
             // the already-grown base log. Deferring the rebuild there is
             // safe (nothing stale is servable) and costs nothing now.
             self.ivm_state.remove(name);
-            return Ok(Refreshed::full(SimDuration::ZERO, FullReason::Quarantined));
+            return Ok(Settled::Defer);
         }
-        for parent in def.plan.scanned_views() {
-            // A parent that was dropped, or that waits for repair, cannot
-            // say what this batch did to it.
-            if !self.catalog.contains(&parent) || self.catalog.is_quarantined(&parent) {
-                return Err(MisoError::Store(format!(
-                    "`{name}` scans `{parent}`, which is gone"
-                )));
-            }
-        }
+        self.parents_present(def)?;
         let mplan = match analyze_maintenance(&def.plan, delta.log, &|v| delta.change_of(v)) {
             Ok(mplan) => mplan,
-            Err(reason) => return Ok(Refreshed::full(self.rebuild(def, None, clock)?, reason)),
+            Err(reason) => return Ok(Settled::Rebuild(reason, None)),
         };
         // Delta-size policy: past the threshold a rebuild is at least as
         // cheap as folding (and resets any state drift), so prefer it.
         let delta_rows = delta.batch.lines().len() as u64;
         let base_rows = delta.base_rows;
         if delta_rows as f64 > self.config.ivm_max_delta_frac * base_rows as f64 {
-            let cost = self.rebuild(def, Some(&mplan), clock)?;
             let reason = FullReason::DeltaTooLarge {
                 delta_rows,
                 base_rows,
             };
-            return Ok(Refreshed::full(cost, reason));
+            return Ok(Settled::Rebuild(reason, Some(mplan)));
         }
         // State check: cold (never built) or stale (the stored view was
         // rebuilt out of band — the digest no longer matches the catalog
@@ -570,54 +784,115 @@ impl MultistoreSystem {
                 });
             }
         }
-        let Some(mut state) = state else {
-            let cost = self.rebuild(def, Some(&mplan), clock)?;
-            let reason = if stale {
-                FullReason::StateStale
-            } else {
-                FullReason::StateCold
-            };
-            return Ok(Refreshed::full(cost, reason));
-        };
-        let folded = self.fold_delta(def, &mplan, &mut state, delta, clock)?;
-        self.ivm_state.insert(name.clone(), state);
-        Ok(folded)
+        Ok(match state {
+            Some(state) => Settled::Fold(mplan, Box::new(state)),
+            None if stale => Settled::Rebuild(FullReason::StateStale, Some(mplan)),
+            None => Settled::Rebuild(FullReason::StateCold, Some(mplan)),
+        })
     }
 
-    /// Folds the batch into warm state: runs the delta plan — lean, fused,
-    /// columnar — over the batch image or the parent's Δrows (stored build
-    /// sides resolve the join probes), then either extends the stored
-    /// columns by the produced ones or patches the aggregate's changed
-    /// groups, re-stamping the content checksum incrementally in O(changed
-    /// rows). One delta-scale stage is charged.
-    fn fold_delta(
+    /// Errs when a view `def` scans is gone or waits for repair: such a
+    /// parent cannot say what this batch did to it.
+    fn parents_present(&self, def: &ViewDef) -> Result<()> {
+        for parent in def.plan.scanned_views() {
+            if !self.catalog.contains(&parent) || self.catalog.is_quarantined(&parent) {
+                return Err(MisoError::Store(format!(
+                    "`{}` scans `{parent}`, which is gone",
+                    def.name
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Drops a view from both stores, the catalog and the fold state.
+    fn drop_view(&mut self, name: &str) {
+        for site in Site::ALL {
+            self.shelf_mut(site).take(name);
+        }
+        self.catalog.remove(name);
+        self.ivm_state.remove(name);
+    }
+
+    /// Runs the batch's folds — each `(index into affected, plan, state)`,
+    /// parents first — as one job ([`FoldJob`]), recording each view's
+    /// outcome: its marginal share ([`fold_share`]) when it folds, a drop
+    /// when it fails. The job is charged once, its fixed part
+    /// ([`fold_job_fixed`]) plus every share, and that fixed part is
+    /// returned — zero when nothing folds.
+    fn run_folds(
+        &mut self,
+        affected: &[ViewDef],
+        folds: Vec<(usize, MaintPlan, Box<IvmViewState>)>,
+        delta: &mut BatchDelta<'_>,
+        outcomes: &mut [Outcome],
+        clock: &mut SimClock,
+    ) -> SimDuration {
+        if folds.is_empty() {
+            return SimDuration::ZERO;
+        }
+        let mut span = miso_obs::span("maint.fold_job");
+        let plans = folds.iter().map(|(_, m, _)| (m.delta_plan(), m.builds()));
+        let mut job = FoldJob::plan(&plans.collect::<Vec<_>>());
+        let fixed = fold_job_fixed(&self.hv.cost_model, delta.bytes);
+        let mut charged = fixed;
+        for (k, (i, mplan, state)) in folds.into_iter().enumerate() {
+            let def = &affected[i];
+            // A parent whose own fold failed is gone by now.
+            let folded = self
+                .parents_present(def)
+                .and_then(|()| {
+                    let src = DeltaSource {
+                        hv: &self.hv,
+                        delta,
+                        builds: &state.builds,
+                    };
+                    let exec = job.run(k, &mplan, &src, self.udf_registry())?;
+                    Ok(exec.root_batch()?.clone())
+                })
+                .and_then(|rows| self.apply_fold(def, &mplan, *state, rows, delta, clock));
+            outcomes[i] = match folded {
+                Ok(cost) => {
+                    charged += cost;
+                    Outcome::Folded(cost)
+                }
+                Err(_) => {
+                    self.drop_view(&def.name);
+                    Outcome::Dropped { fallback: true }
+                }
+            };
+        }
+        clock.advance(charged);
+        if span.is_active() {
+            use miso_obs::FieldValue::U64;
+            span.push_field("folds", U64(job.wanted.len() as u64));
+            span.push_field("ops", U64(job.ops));
+            span.push_field("seeded", U64(job.seeded));
+            span.push_field("cost_us", U64(charged.as_micros()));
+        }
+        fixed
+    }
+
+    /// Folds `new_rows` — what the view's delta plan produced over the
+    /// batch or its parent's Δrows — into its warm state: extends the
+    /// stored columns by them, or patches the aggregate's changed groups,
+    /// re-stamping the content checksum incrementally in O(changed rows).
+    /// Returns the view's share of the batch's job plus any move into DW.
+    fn apply_fold(
         &mut self,
         def: &ViewDef,
         mplan: &MaintPlan,
-        state: &mut IvmViewState,
-        delta: &BatchDelta<'_>,
-        clock: &mut SimClock,
-    ) -> Result<Refreshed> {
+        mut state: IvmViewState,
+        new_rows: Arc<ColBatch>,
+        delta: &mut BatchDelta<'_>,
+        clock: &SimClock,
+    ) -> Result<SimDuration> {
         let name = def.name.as_str();
-        let plan = mplan.delta_plan();
-        let src = DeltaSource {
-            hv: &self.hv,
-            delta,
-            builds: &state.builds,
-        };
-        let exec = execute_subset_guarded(
-            plan,
-            None,
-            HashMap::new(),
-            &src,
-            self.udf_registry(),
-            Retention::ROOT_ONLY,
-            QueryGuard::inert_ref(),
-        )?;
-        let new_rows = exec.root_batch()?.clone();
-        let scan_bytes = match &mplan.input().parent {
-            None => delta.bytes,
-            Some(parent) => bytes_of(src.view_batch(parent)?.as_ref()),
+        let parent_delta = match &mplan.input().parent {
+            None => ByteSize::ZERO,
+            Some(parent) => bytes_of(delta.appended.get(parent).ok_or_else(|| {
+                MisoError::Execution(format!("`{name}` folds `{parent}`, which has no Δrows"))
+            })?),
         };
         let site = self.holder(name);
         let mut stored = self
@@ -651,10 +926,8 @@ impl MultistoreSystem {
         stored.checksum = state.digest.finish();
         let (size, checksum) = (stored.size, stored.checksum);
         let row_count = stored.batch.len() as u64;
-        let mut cost = self
-            .hv
-            .cost_model
-            .stage_cost(scan_bytes, changed, new_rows.len() as u64);
+        let rows = new_rows.len() as u64;
+        let mut cost = fold_share(&self.hv.cost_model, parent_delta, changed, rows);
         if site == Site::Dw {
             let move_cost =
                 self.transfer_model().transfer_cost(changed) + self.dw.load_cost(changed);
@@ -663,12 +936,11 @@ impl MultistoreSystem {
         self.shelf_mut(site).put(name, stored);
         self.catalog.set_checksum(name, checksum);
         self.catalog.update_stats(name, size, row_count);
-        clock.advance(cost);
-        Ok(Refreshed {
-            reason: None,
-            cost,
-            appended: matches!(mplan, MaintPlan::Append(_)).then_some(new_rows),
-        })
+        self.ivm_state.insert(name.to_string(), state);
+        if matches!(mplan, MaintPlan::Append(_)) {
+            delta.appended.insert(name.to_string(), new_rows);
+        }
+        Ok(cost)
     }
 
     /// Recomputes a view in full — in HV, over the grown corpus and the
@@ -747,8 +1019,10 @@ impl MultistoreSystem {
 
     /// Estimated per-window upkeep cost (simulated seconds) of each catalog
     /// view under the configured growth schedule, for the tuner's
-    /// maintenance-aware benefit charging: delta-maintainable views cost a
-    /// delta-scale map stage, everything else a full recompute over what it
+    /// maintenance-aware benefit charging: a delta-maintainable view costs
+    /// its marginal share of a batch's fold job ([`fold_share`], what
+    /// `append_log` charges it — the job's start-up and batch scan go to no
+    /// single view), everything else a full recompute over what it
     /// scans — the grown base log, the views it is derived through. Empty
     /// when no growth is configured, which keeps the tuner's arithmetic
     /// untouched.
@@ -776,13 +1050,16 @@ impl MultistoreSystem {
         // warm.
         let of = |v: &str| warm_change(&self.catalog, log_name, v);
         for def in self.catalog.derived_from(log_name) {
-            let folds = !too_large && analyze_maintenance(&def.plan, log_name, &of).is_ok();
-            let cost = if folds {
-                // Delta fold: scan |Δ| input bytes, write at most |Δ|-scale
-                // output.
-                self.hv
-                    .cost_model
-                    .stage_cost(delta_bytes, delta_bytes, delta_rows)
+            let mplan = (!too_large).then(|| analyze_maintenance(&def.plan, log_name, &of));
+            let cost = if let Some(Ok(mplan)) = mplan {
+                // A fold's share of the batch's job: it writes at most
+                // |Δ|-scale output, and reads at most |Δ| of a parent's
+                // Δrows (the batch scan and the start-up are the job's).
+                let parent_delta = match mplan.input().parent {
+                    Some(_) => delta_bytes,
+                    None => ByteSize::ZERO,
+                };
+                fold_share(&self.hv.cost_model, parent_delta, delta_bytes, delta_rows)
             } else {
                 let scanned = self.catalog.total_size(&def.plan.scanned_views());
                 let scans_log = def.plan.base_logs().iter().any(|l| l == log_name);
@@ -805,6 +1082,7 @@ mod tests {
     use miso_common::{pool, Budgets};
     use miso_data::logs::{generate_delta, Corpus, LogsConfig};
     use miso_exec::engine::execute;
+    use miso_hv::HvCostModel;
     use miso_lang::compile;
     use miso_plan::LogicalPlan;
     use miso_workload::{standard_udfs, workload_catalog};
@@ -1120,9 +1398,11 @@ mod tests {
     /// harvests that folds into more than a digest holds, from its harvest
     /// on, the state `rebuild` captures from a full run of its definition:
     /// the same digest, build-side rows and aggregate output rows. No
-    /// growth step then rebuilds a view cold, and after every step each
-    /// folded view holds exactly the rows (by float bit pattern) and the
-    /// checksum of its definition run from scratch over the grown logs.
+    /// growth step then rebuilds a view cold; after every step — its folds
+    /// run as one job, sharing their common delta sub-plans — each folded
+    /// view holds exactly the rows (by float bit pattern) and the checksum
+    /// of its definition run from scratch over the grown logs, and the
+    /// step's charge is its job's fixed part plus every decision's cost.
     #[test]
     fn harvest_captures_the_state_a_rebuild_captures() {
         let base = LogsConfig::experiment();
@@ -1163,6 +1443,11 @@ mod tests {
                     let report = sys
                         .grow(&delta, MaintenancePolicy::Refresh, &mut SimClock::new())
                         .unwrap();
+                    assert_eq!(
+                        report.cost,
+                        charged(&report),
+                        "batch {batch}: the charge adds up"
+                    );
                     for d in &report.decisions {
                         let what = format!("{} after batch {batch} ({width} threads)", d.view);
                         assert_ne!(d.reason, Some(FullReason::StateCold), "{what}");
@@ -1229,6 +1514,136 @@ mod tests {
             assert!(folded > 20, "{folded} folds");
         }
         pool::set_threads(threads);
+    }
+
+    /// What a batch's charge should be: its fold job's fixed part — one
+    /// start-up and one scan of the batch when anything folds, nothing
+    /// otherwise — plus every decision's cost.
+    fn charged(report: &MaintenanceReport) -> SimDuration {
+        let folds = report
+            .decisions
+            .iter()
+            .any(|d| d.action == MaintAction::Delta);
+        let model = HvCostModel::paper_default();
+        let job = match folds {
+            true => fold_job_fixed(&model, report.appended),
+            false => SimDuration::ZERO,
+        };
+        assert_eq!(report.job, job, "the job's fixed part");
+        job + report.decisions.iter().map(|d| d.cost).sum::<SimDuration>()
+    }
+
+    /// The two derived-view queries: the second is answered from the first
+    /// one's filter view, so the aggregate view it leaves scans that view.
+    fn derived_views(sys: &mut MultistoreSystem) {
+        let catalog = workload_catalog();
+        let queries = [
+            "SELECT t.city AS c, COUNT(*) AS n FROM twitter t \
+             WHERE t.followers > 10 GROUP BY t.city",
+            "SELECT t.city AS c, MAX(t.followers) AS top FROM twitter t \
+             WHERE t.followers > 10 GROUP BY t.city",
+        ];
+        let queries = queries.map(|sql| (sql.to_string(), compile(sql, &catalog).unwrap()));
+        sys.run_workload(Variant::HvOp, &queries).unwrap();
+    }
+
+    /// The folds of a batch are one job: its start-up and batch scan are
+    /// charged once, in `report.job`, and each view's decision carries
+    /// its marginal share alone — a child folding its parent's Δrows pays
+    /// no start-up of its own — so `report.cost` is the job's part plus
+    /// every decision's.
+    #[test]
+    fn a_batch_charges_one_fold_job() {
+        let (mut sys, cfg) = system();
+        derived_views(&mut sys);
+        let mut clock = SimClock::new();
+        // The first batch warms the aggregates' fold state.
+        let delta = generate_delta(&cfg, LogKind::Twitter, 1, 80);
+        sys.append_log(
+            LogKind::Twitter,
+            &delta,
+            MaintenancePolicy::Refresh,
+            &mut clock,
+        )
+        .unwrap();
+        let delta = generate_delta(&cfg, LogKind::Twitter, 2, 80);
+        let before = clock.now();
+        let report = sys
+            .append_log(
+                LogKind::Twitter,
+                &delta,
+                MaintenancePolicy::Refresh,
+                &mut clock,
+            )
+            .unwrap();
+        assert_eq!(report.cost, charged(&report));
+        assert_eq!(
+            clock.now().duration_since(before),
+            report.cost,
+            "the clock moves by the charge"
+        );
+        let startup = sys.hv.cost_model.job_startup;
+        let mut children = 0;
+        for d in &report.decisions {
+            assert_eq!(d.action, MaintAction::Delta, "{}: {:?}", d.view, d.reason);
+            assert!(
+                d.cost < startup,
+                "{}: a fold's share carries no start-up",
+                d.view
+            );
+            let def = sys.catalog.get(&d.view).unwrap();
+            children += usize::from(!def.plan.scanned_views().is_empty());
+        }
+        assert!(report.decisions.len() >= 2 && children > 0, "{report:?}");
+    }
+
+    /// A batch in which nothing folds runs no fold job and charges none:
+    /// under `Invalidate` nothing at all, and when every view rebuilds,
+    /// exactly each rebuild's own HV run.
+    #[test]
+    fn a_batch_without_folds_charges_no_job() {
+        let (mut sys, cfg) = system();
+        derived_views(&mut sys);
+        sys.config.ivm_max_delta_frac = 0.0; // every view rebuilds
+        let mut clock = SimClock::new();
+        let delta = generate_delta(&cfg, LogKind::Twitter, 1, 80);
+        let report = sys
+            .append_log(
+                LogKind::Twitter,
+                &delta,
+                MaintenancePolicy::Refresh,
+                &mut clock,
+            )
+            .unwrap();
+        assert!(!report.decisions.is_empty());
+        assert_eq!(report.job, SimDuration::ZERO);
+        assert_eq!(report.cost, charged(&report));
+        for d in &report.decisions {
+            assert_eq!(d.action, MaintAction::Full, "{}", d.view);
+            let def = sys.catalog.get(&d.view).unwrap().clone();
+            let of = |v: &str| warm_change(&sys.catalog, "twitter", v);
+            let mplan = analyze_maintenance(&def.plan, "twitter", &of).ok();
+            let (view, _, mut run) = sys.recompute(&def, mplan.as_ref()).unwrap();
+            if sys.holder(&d.view) == Site::Dw {
+                run += sys.stores().ship_cost(view.size);
+            }
+            assert_eq!(d.cost, run, "{}: a rebuild is charged its own run", d.view);
+        }
+
+        let delta = generate_delta(&cfg, LogKind::Twitter, 2, 80);
+        let report = sys
+            .append_log(
+                LogKind::Twitter,
+                &delta,
+                MaintenancePolicy::Invalidate,
+                &mut clock,
+            )
+            .unwrap();
+        assert!(!report.decisions.is_empty());
+        assert_eq!(
+            (report.job, report.cost),
+            (SimDuration::ZERO, SimDuration::ZERO)
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ use miso_data::Delta;
 use miso_exec::engine::DataSource;
 use miso_lang::compile;
 use miso_plan::{LogicalPlan, Operator};
-use miso_views::FullReason;
+use miso_views::{analyze_maintenance, FullReason, MaintPlan, ViewChange};
 use miso_workload::{compile_workload, standard_udfs, workload_catalog};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
@@ -449,4 +449,102 @@ fn every_view_equals_a_from_scratch_recompute_after_every_batch() {
             "maintained views depend on the pool width"
         );
     }
+}
+
+/// How `view` changes when the twitter log grows and every fold state is
+/// warm: what a growth step's planning pass settles for it.
+fn warm_change(catalog: &miso_views::ViewCatalog, view: &str) -> ViewChange {
+    let Some(def) = catalog.get(view).filter(|d| d.lineage.contains("twitter")) else {
+        return ViewChange::Unchanged;
+    };
+    match analyze_maintenance(&def.plan, "twitter", &|v| warm_change(catalog, v)) {
+        Ok(MaintPlan::Append(_)) => ViewChange::Appended,
+        _ => ViewChange::Rewritten,
+    }
+}
+
+/// The folds of a batch run as one job, and a delta sub-plan two of them
+/// share runs once: over a batch where every view folds, the engine
+/// executes fewer operators (`exec.ops_executed`) than the folds' delta
+/// plans hold between them — one fewer at least for every operator a later
+/// plan repeats — and every folded view still holds its definition's rows
+/// run from scratch over the grown log. At one worker and eight.
+#[test]
+fn a_shared_delta_sub_plan_runs_once_per_batch() {
+    let _globals = globals_lock();
+    let cfg = LogsConfig::tiny();
+    let corpus = Corpus::generate(&cfg);
+    let before = pool::threads();
+    for threads in [1, 8] {
+        pool::set_threads(threads);
+        let mut sys = system_with(&corpus, SystemConfig::paper_default(budgets()));
+        let stream = compile_workload(&workload_catalog()).unwrap();
+        // Three templates whose HV runs harvest views along one chain: the
+        // delta plan of each is a prefix of the next one's.
+        sys.run_workload(Variant::HvOp, &stream[..3]).unwrap();
+        let mut clock = SimClock::new();
+        // The first batch warms every fold state.
+        let warm = Delta::generated(&cfg, LogKind::Twitter, 0, 60);
+        sys.grow(&warm, MaintenancePolicy::Refresh, &mut clock)
+            .unwrap();
+
+        miso_obs::init(miso_obs::ObsConfig::ring(16));
+        miso_obs::reset_metrics();
+        let delta = Delta::generated(&cfg, LogKind::Twitter, 1, 60);
+        let report = sys
+            .grow(&delta, MaintenancePolicy::Refresh, &mut clock)
+            .unwrap();
+        let ops = miso_obs::snapshot().counters["exec.ops_executed"];
+        miso_obs::init(miso_obs::ObsConfig::disabled());
+
+        let mut fps_seen = std::collections::HashMap::new();
+        let (mut held, mut repeated) = (0, 0);
+        for d in &report.decisions {
+            assert_eq!(d.action, MaintAction::Delta, "{}: {:?}", d.view, d.reason);
+            let def = sys.catalog.get(&d.view).unwrap();
+            let of = |v: &str| warm_change(&sys.catalog, v);
+            let plan = analyze_maintenance(&def.plan, "twitter", &of).unwrap();
+            let plan = plan.delta_plan();
+            let reach = plan.descendants(plan.root());
+            held += reach.len();
+            // A stored build side is the view's own, whatever its name.
+            let build = |id| match &plan.node(id).op {
+                Operator::ScanView { view, .. } => view.starts_with('§'),
+                _ => false,
+            };
+            for id in reach {
+                if plan.node(id).inputs.is_empty() || plan.descendants(id).into_iter().any(build) {
+                    continue;
+                }
+                let seen = fps_seen.entry(plan.fingerprint(id)).or_insert(0);
+                *seen += 1;
+                repeated += usize::from(*seen > 1);
+            }
+        }
+        assert!(
+            repeated > 0,
+            "no delta sub-plan repeats across the batch's folds"
+        );
+        assert!(
+            ops as usize <= held - repeated,
+            "{ops} operators ran of {held} held, {repeated} repeated"
+        );
+        for d in &report.decisions {
+            let def = sys.catalog.get(&d.view).unwrap();
+            let from_logs = sys.catalog.inlined(&def.plan).unwrap();
+            let run = sys.hv.execute(&from_logs, None, sys.udf_registry());
+            let want = run.unwrap().execution.root_rows().unwrap().to_vec();
+            let stored = sys
+                .hv
+                .view_rows(&d.view)
+                .or_else(|| sys.dw.view_rows_arc(&d.view));
+            assert_eq!(
+                *stored.expect("a folded view is resident"),
+                want,
+                "{}",
+                d.view
+            );
+        }
+    }
+    pool::set_threads(before);
 }
