@@ -80,17 +80,25 @@ impl Nulls {
         }
     }
 
+    /// Keeps slots `0..n` only, as [`Nulls::set`] would have built them
+    /// (no trailing all-valid words).
+    fn truncate(&mut self, n: usize) {
+        self.words.truncate(n.div_ceil(64));
+        if let (Some(last), false) = (self.words.get_mut(n / 64), n.is_multiple_of(64)) {
+            *last &= (1u64 << (n % 64)) - 1;
+        }
+        while self.words.last() == Some(&0) {
+            self.words.pop();
+        }
+    }
+
     /// The bitmap of slots `0..n`, as [`Nulls::set`] would have built it
     /// (no trailing all-valid words).
     fn head(&self, n: usize) -> Nulls {
-        let mut words = self.words[..n.div_ceil(64).min(self.words.len())].to_vec();
-        if let (Some(last), false) = (words.get_mut(n / 64), n.is_multiple_of(64)) {
-            *last &= (1u64 << (n % 64)) - 1;
-        }
-        while words.last() == Some(&0) {
-            words.pop();
-        }
-        Nulls { words }
+        let words = self.words[..n.div_ceil(64).min(self.words.len())].to_vec();
+        let mut head = Nulls { words };
+        head.truncate(n);
+        head
     }
 }
 
@@ -135,9 +143,22 @@ impl Strs {
 
     /// Appends a slot holding `s`.
     #[inline]
-    fn push(&mut self, s: &str) {
+    pub(crate) fn push(&mut self, s: &str) {
         self.bytes.push_str(s);
         self.ends.push(end_offset(self.bytes.len()));
+    }
+
+    /// Keeps the first `n` slots.
+    fn truncate(&mut self, n: usize) {
+        let end = if n == 0 { 0 } else { self.ends[n - 1] };
+        self.bytes.truncate(end as usize);
+        self.ends.truncate(n);
+    }
+
+    /// Room for `slots` more slots holding `bytes` more text.
+    fn reserve(&mut self, slots: usize, bytes: usize) {
+        self.ends.reserve(slots);
+        self.bytes.reserve(bytes);
     }
 
     /// Appends every slot of `other`: its text, and its offsets shifted by
@@ -199,9 +220,30 @@ impl StrLists {
     /// Appends a slot holding `items`.
     fn push<'a>(&mut self, items: impl IntoIterator<Item = &'a str>) {
         for item in items {
-            self.items.push(item);
+            self.push_item(item);
         }
+        self.close();
+    }
+
+    /// Appends an item to the slot being built, which [`StrLists::close`]
+    /// ends.
+    #[inline]
+    pub(crate) fn push_item(&mut self, item: &str) {
+        self.items.push(item);
+    }
+
+    /// Ends the slot being built: it holds the items pushed since the last
+    /// slot ended.
+    #[inline]
+    pub(crate) fn close(&mut self) {
         self.ends.push(item_offset(self.items.len()));
+    }
+
+    /// Keeps the first `n` slots, dropping any item pushed after them.
+    fn truncate(&mut self, n: usize) {
+        let end = if n == 0 { 0 } else { self.ends[n - 1] };
+        self.items.truncate(end as usize);
+        self.ends.truncate(n);
     }
 
     /// Appends every slot of `other`: its items, and its ends shifted by the
@@ -671,12 +713,11 @@ impl Column {
         if parts.len() == 1 {
             return parts.pop().expect("one part");
         }
-        let total: usize = parts.iter().map(Column::len).sum();
         let mut parts = parts.into_iter();
         let mut b = parts
             .next()
             .map_or_else(ColBuilder::new, ColBuilder::resume);
-        b.reserve(total - b.len());
+        b.reserve_parts(parts.as_slice());
         for part in parts {
             b.push_column(part);
         }
@@ -687,7 +728,7 @@ impl Column {
     /// `Column::concat(vec![self, part])` without copying the typed prefix.
     pub fn append(&mut self, part: Column) {
         let mut b = ColBuilder::resume(std::mem::replace(self, Column::Mixed(Vec::new())));
-        b.reserve(part.len());
+        b.reserve_parts(std::slice::from_ref(&part));
         b.push_column(part);
         *self = b.finish();
     }
@@ -767,6 +808,61 @@ impl ColBuilder {
             ColBuilder::Str(v, _) => v.ends.reserve(extra),
             ColBuilder::StrList(v, _) => v.ends.reserve(extra),
             ColBuilder::Mixed(v) => v.reserve(extra),
+        }
+    }
+
+    /// Reserves room for `parts` pushed after what the builder holds: their
+    /// slots, and — for a string or list builder — exactly their text and
+    /// items, so that pushing them moves no buffer.
+    fn reserve_parts(&mut self, parts: &[Column]) {
+        let slots = parts.iter().map(Column::len).sum();
+        let (mut items, mut text) = (0, 0);
+        for part in parts {
+            match part {
+                Column::Str(s, _) => text += s.bytes.len(),
+                Column::StrList(l, _) => {
+                    items += l.items.len();
+                    text += l.items.bytes.len();
+                }
+                _ => {}
+            }
+        }
+        match self {
+            ColBuilder::Str(v, _) => v.reserve(slots, text),
+            ColBuilder::StrList(v, _) => {
+                v.ends.reserve(slots);
+                v.items.reserve(items, text);
+            }
+            _ => self.reserve(slots),
+        }
+    }
+
+    /// Drops every slot pushed after the first `n`: the builder as it stood
+    /// then, provided no push since changed its variant.
+    pub(crate) fn truncate(&mut self, n: usize) {
+        match self {
+            ColBuilder::Unknown(len) => *len = (*len).min(n),
+            ColBuilder::Int(v, nulls) => {
+                v.truncate(n);
+                nulls.truncate(n);
+            }
+            ColBuilder::Float(v, nulls) => {
+                v.truncate(n);
+                nulls.truncate(n);
+            }
+            ColBuilder::Bool(v, nulls) => {
+                v.truncate(n);
+                nulls.truncate(n);
+            }
+            ColBuilder::Str(v, nulls) => {
+                v.truncate(n);
+                nulls.truncate(n);
+            }
+            ColBuilder::StrList(v, nulls) => {
+                v.truncate(n);
+                nulls.truncate(n);
+            }
+            ColBuilder::Mixed(v) => v.truncate(n),
         }
     }
 
@@ -1487,7 +1583,8 @@ mod tests {
     /// Extending a column in place gives exactly the column one builder
     /// pass over all the values gives — same variant, same null bitmap —
     /// wherever the sequence is cut: an all-NULL prefix takes its type from
-    /// the suffix, a clash degrades at the same value, `Mixed` stays `Mixed`.
+    /// the suffix, a clash degrades at the same value, `Mixed` stays `Mixed`;
+    /// and a builder truncated back to the cut is the prefix's builder.
     #[test]
     fn append_equals_one_pass_over_all_values() {
         fn build(values: &[Value]) -> Column {
@@ -1534,11 +1631,27 @@ mod tests {
             ],
             // A late clash: the prefix stays typed until it.
             vec![int(1), Value::Null, int(2), Value::Float(2.5), int(3)],
+            // NULLs over three bitmap words.
+            (0..150)
+                .map(|i| if i % 3 == 1 { Value::Null } else { int(i) })
+                .collect(),
             value_matrix(),
         ];
+        let builder = |values: &[Value]| {
+            let mut b = ColBuilder::new();
+            values.iter().for_each(|v| b.push_value(v.clone()));
+            b
+        };
         for values in &sequences {
             let whole = build(values);
             for cut in 0..=values.len() {
+                // Taken back to `cut` slots, a builder that kept its variant
+                // is the one that stopped there.
+                let (mut back, head) = (builder(values), builder(&values[..cut]));
+                if std::mem::discriminant(&back) == std::mem::discriminant(&head) {
+                    back.truncate(cut);
+                    assert_eq!(back.finish(), head.finish(), "truncated to {cut}");
+                }
                 let mut kept = build(&values[..cut]);
                 kept.append(build(&values[cut..]));
                 assert_eq!(kept, whole, "cut at {cut} of {values:?}");

@@ -12,18 +12,43 @@
 //! serde backend — the sanctioned offline crate set includes `serde` but not
 //! `serde_json`, and the stores only need `Value` round-trips.
 //!
-//! Beside it sits the fast path the columnar scan reads logs with: one walk
-//! over an object line's top-level members (`walk_flat_line`) that builds
-//! no tree, one lexer for a member's value, and [`RawColumns`], which keeps
-//! every member of every line of a log as a raw column in that one walk, so
-//! that no later read of the log lexes a line again. A number means the
-//! same on either path: both read it with one lexer.
+//! Beside it sits the fast path the columnar scan reads logs with, and
+//! [`RawColumns`], which keeps every member of every line of a log as a
+//! raw column in one pass, so that no later read of the log lexes a line
+//! again. The pass reads a line one of two ways:
+//!
+//! - **Layout-keyed.** A log's lines share a layout. When a line holds the
+//!   previous line's members — the same `"key":` bytes, in the same order —
+//!   each value is lexed straight into its key's column with one typed push
+//!   (a plain string's bytes with one `extend_from_slice`, an array of
+//!   plain strings item by item into a list slot), and no key is lexed,
+//!   compared by name or staged. A line that departs anywhere — another
+//!   key, another order, a member more or less, whitespace before a colon,
+//!   an escape, a value the column does not take as it stands — is taken
+//!   back (every column truncated to the rows before it) and read the
+//!   other way.
+//! - **By key.** One walk over the line's top-level members
+//!   (`walk_flat_line`) that builds no tree; each member is placed under
+//!   its key, the last duplicate winning. A line outside the walk's subset
+//!   (an escape in a key or a top-level string, a document that is no
+//!   object) is parsed by [`parse_json`].
+//!
+//! Both ways find where a string ends eight bytes at a time: one SWAR test
+//! per word marks every `"`, `\` and control byte exactly, and the first
+//! mark is found by its trailing zeros, never by a loop over the bytes
+//! before it. A string that holds a `\` or a control byte is outside the
+//! subset, so the first mark ends a plain string or declines it.
+//!
+//! The guarantee is the strict parser's grammar, byte for byte: where
+//! either way accepts a line, its columns are those [`parse_json`] gives
+//! the line's object, and every line it declines goes to [`parse_json`]. A
+//! number means the same on every path: all read it with one lexer.
 
 use crate::batch::{ColBuilder, Column};
 use crate::value::Value;
-use miso_common::{MisoError, Result};
+use miso_common::{pool, MisoError, Result};
 use std::fmt::Write;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Deepest container nesting a document may have: a scalar is depth 0, `[]`
 /// depth 1, `[[]]` depth 2. The parser recurses once per level, so without
@@ -535,41 +560,61 @@ impl FlatVal<'_> {
 
 /// A `"`-delimited run at `pos` with no escapes and no control bytes, and
 /// the offset just past its closing quote; multi-byte UTF-8 passes through
-/// untouched (its bytes are all >= 0x80).
+/// untouched (its bytes are all >= 0x80). The run is read eight bytes at a
+/// time: the first byte of a word that is a `"`, a `\\` or a control byte
+/// is where it stops, found by its mask's trailing zeros, never by looking
+/// at the bytes before it one by one.
 fn lex_simple_str(line: &str, pos: usize) -> Option<(&str, usize)> {
     let b = line.as_bytes();
     if b.get(pos) != Some(&b'"') {
         return None;
     }
     let start = pos + 1;
-    let mut i = start;
-    // Eight bytes at a time while none of them ends the run.
-    while let Some(word) = b.get(i..i + 8) {
-        if ends_simple_str(u64::from_le_bytes(word.try_into().expect("eight bytes"))) {
+    let mut at = start;
+    loop {
+        let stops = stop_bytes(word_at(b, at));
+        if stops != 0 {
+            at += (stops.trailing_zeros() / 8) as usize;
             break;
         }
-        i += 8;
+        at += 8;
     }
-    loop {
-        match b.get(i)? {
-            b'"' => break,
-            b'\\' => return None,
-            c if *c < 0x20 => return None,
-            _ => i += 1,
-        }
-    }
-    // `start..i` is bounded by ASCII quotes, so it is a char boundary.
-    Some((&line[start..i], i + 1))
+    // A stop past the end is the zero padding: an unterminated run.
+    (b.get(at) == Some(&b'"')).then(|| {
+        // `start..at` is bounded by ASCII quotes, so it is a char boundary.
+        (&line[start..at], at + 1)
+    })
 }
 
-/// Whether one of the eight bytes of `word` is a `"`, a `\\` or a control
-/// byte: the exact zero-byte and less-than tests on a word.
-fn ends_simple_str(word: u64) -> bool {
+/// The eight bytes of `b` from `at`, the first in the low byte; bytes past
+/// the end read as zero.
+#[inline]
+fn word_at(b: &[u8], at: usize) -> u64 {
+    match b.get(at..at + 8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("eight bytes")),
+        None => {
+            let mut word = [0u8; 8];
+            let tail = b.get(at..).unwrap_or_default();
+            word[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(word)
+        }
+    }
+}
+
+/// The high bit of every byte of `word` that stops a plain string: a `"`,
+/// a `\\` or a control byte (below 0x20). Each byte is tested on its own —
+/// no borrow crosses a byte — so the mask is exact.
+#[inline]
+fn stop_bytes(word: u64) -> u64 {
     const ONES: u64 = 0x0101_0101_0101_0101;
-    const HIGH: u64 = 0x8080_8080_8080_8080;
-    let zero = |x: u64| x.wrapping_sub(ONES) & !x & HIGH;
-    let control = word.wrapping_sub(ONES * 0x20) & !word & HIGH;
-    (zero(word ^ (ONES * u64::from(b'"'))) | zero(word ^ (ONES * u64::from(b'\\'))) | control) != 0
+    const LOW: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    // High bit set where the byte is at least `n`: its low seven bits plus
+    // `0x80 − n` carry into bit 7, or bit 7 is set already.
+    let at_least = |x: u64, n: u8| ((x & LOW) + ONES * u64::from(0x80 - n)) | x;
+    let nonzero = |x: u64| ((x & LOW) + LOW) | x;
+    let quote = nonzero(word ^ (ONES * u64::from(b'"')));
+    let backslash = nonzero(word ^ (ONES * u64::from(b'\\')));
+    !(quote & backslash & at_least(word, 0x20)) & !LOW
 }
 
 /// Moves `pos` past JSON whitespace.
@@ -760,83 +805,40 @@ pub struct RawColumns {
 }
 
 impl RawColumns {
-    /// One serial pass over `lines`: each is walked by `walk_flat_line`
-    /// and its members pushed straight into their columns; a line outside
-    /// the fast subset is parsed once by [`parse_json`], and dropped if
-    /// that fails too. A key first seen mid-run is NULL on every row before.
+    /// One serial pass over `lines`. A line that holds the previous line's
+    /// members — the same `"key":` bytes in the same order — has each value
+    /// lexed straight into its column (`Run::layout_line`); any other is
+    /// walked by `walk_flat_line` and its members placed by key, or, outside
+    /// the fast subset, parsed once by [`parse_json`], and dropped if that
+    /// fails too. A key first seen mid-run is NULL on every row before.
     pub fn lex(lines: &[String]) -> RawColumns {
-        let mut keys: Vec<String> = Vec::new();
-        let mut builders: Vec<ColBuilder> = Vec::new();
-        let (mut rows, mut skipped) = (0usize, 0u64);
-        // Per line: its members, the value under each key, and the key each
-        // member was found under — the next line's guess, nearly always
-        // right, since a log's lines share a layout.
-        let mut members: Vec<(&str, FlatVal<'_>)> = Vec::new();
-        let mut vals: Vec<FlatVal<'_>> = Vec::new();
-        let mut layout: Vec<usize> = Vec::new();
-        let mut items = Vec::new();
-        // The column of `key`, opened NULL on the rows so far if it is new.
-        let slot_of = |key: &str, keys: &mut Vec<String>, builders: &mut Vec<ColBuilder>, rows| {
-            keys.iter().position(|k| k == key).unwrap_or_else(|| {
-                keys.push(key.to_string());
-                builders.push(ColBuilder::Unknown(rows));
-                keys.len() - 1
-            })
-        };
+        let mut run = Run::default();
         for line in lines {
-            members.clear();
-            if walk_flat_line(line, |key, val| members.push((key, val))).is_some() {
-                vals.clear();
-                for (m, &(key, val)) in members.iter().enumerate() {
-                    let slot = match layout.get(m) {
-                        Some(&slot) if keys[slot] == key => slot,
-                        _ => {
-                            let slot = slot_of(key, &mut keys, &mut builders, rows);
-                            layout.resize(layout.len().max(m + 1), 0);
-                            layout[m] = slot;
-                            slot
-                        }
-                    };
-                    vals.resize(keys.len(), FlatVal::Null);
-                    vals[slot] = val;
-                }
-                vals.resize(keys.len(), FlatVal::Null);
-                for (b, &val) in builders.iter_mut().zip(&vals) {
-                    push_raw(b, val, &mut items);
-                }
-            } else if let Ok(doc) = parse_json(line) {
-                if let Value::Object(fields) = &doc {
-                    for (key, _) in fields {
-                        slot_of(key, &mut keys, &mut builders, rows);
-                    }
-                }
-                for (key, b) in keys.iter().zip(&mut builders) {
-                    b.push_value(doc.get_field(key).cloned().unwrap_or(Value::Null));
-                }
-            } else {
-                skipped += 1;
+            if !run.layout_line(line) && !run.any_line(line) {
+                run.skipped += 1;
                 continue;
             }
-            rows += 1;
+            run.rows += 1;
             // The first line names nearly every key: room for all the rows.
-            if rows == 1 {
-                for b in &mut builders {
+            if run.rows == 1 {
+                for b in &mut run.builders {
                     b.reserve(lines.len());
                 }
             }
         }
-        let cols = builders.into_iter().map(|b| Arc::new(b.finish())).collect();
+        let cols = run.builders.into_iter().map(|b| Arc::new(b.finish()));
         RawColumns {
-            keys,
-            cols,
-            rows,
-            skipped,
+            keys: run.keys,
+            cols: cols.collect(),
+            rows: run.rows,
+            skipped: run.skipped,
         }
     }
 
     /// Joins runs of consecutive lines, in order: the columns one pass over
     /// all of their lines keeps. Each key's parts are joined by
-    /// [`Column::concat`], a run that lacks the key giving NULLs.
+    /// [`Column::concat`], a run that lacks the key giving NULLs, one column
+    /// a task on the worker pool, the largest first.
     pub fn concat(runs: Vec<RawColumns>) -> RawColumns {
         let mut keys: Vec<String> = Vec::new();
         for key in runs.iter().flat_map(|run| &run.keys) {
@@ -856,13 +858,20 @@ impl RawColumns {
             rows += run.rows;
             skipped += run.skipped;
         }
-        let cols = parts
-            .into_iter()
-            .map(|parts| Arc::new(Column::concat(parts)))
-            .collect();
+        let mut order: Vec<usize> = (0..parts.len()).collect();
+        let size = |k: &usize| parts[*k].iter().map(Column::approx_bytes).sum::<u64>();
+        order.sort_by_cached_key(|k| std::cmp::Reverse(size(k)));
+        let parts: Vec<Mutex<Vec<Column>>> = parts.into_iter().map(Mutex::new).collect();
+        let mut joined = pool::run_batch(order.len(), |task| {
+            let k = order[task];
+            let parts = std::mem::take(&mut *parts[k].lock().expect("taking parts cannot panic"));
+            (k, Arc::new(Column::concat(parts)))
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
+        joined.sort_unstable_by_key(|&(k, _)| k);
         RawColumns {
             keys,
-            cols,
+            cols: joined.into_iter().map(|(_, col)| col).collect(),
             rows,
             skipped,
         }
@@ -904,6 +913,210 @@ impl RawColumns {
 /// `n` NULL slots: the column a builder makes of them.
 fn nulls(n: usize) -> Column {
     ColBuilder::Unknown(n).finish()
+}
+
+/// The state of one [`RawColumns::lex`] pass.
+#[derive(Default)]
+struct Run<'a> {
+    keys: Vec<String>,
+    builders: Vec<ColBuilder>,
+    rows: usize,
+    skipped: u64,
+    /// The members of the last line read by key, in line order: each as the
+    /// bytes `"key":` that open it, and its column. A log's lines share a
+    /// layout, so the next line nearly always holds these bytes where they
+    /// stood. Empty when that line had a key twice, or no member.
+    layout: Vec<(String, usize)>,
+    /// The columns `layout` lacks: NULL on a line that follows it.
+    absent: Vec<usize>,
+    /// A line's members and the value under each key, staged by
+    /// [`Run::any_line`]; `items` is the list lexer's scratch.
+    members: Vec<(&'a str, FlatVal<'a>)>,
+    vals: Vec<FlatVal<'a>>,
+    items: Vec<&'a str>,
+}
+
+impl<'a> Run<'a> {
+    /// Reads `line` when it follows the layout: each member's value lexed
+    /// and pushed at once into its column, with no key lexed, compared or
+    /// staged. False — with every column as it was — at the first byte that
+    /// departs from the layout or from the fast subset, or at a value the
+    /// column cannot take as it stands (a type clash, a first non-NULL).
+    fn layout_line(&mut self, line: &'a str) -> bool {
+        let b = line.as_bytes();
+        let Some(last) = self.layout.len().checked_sub(1) else {
+            return false;
+        };
+        let mut pos = 0;
+        skip_ws(b, &mut pos);
+        if b.get(pos) != Some(&b'{') {
+            return false;
+        }
+        pos += 1;
+        for (m, (open, slot)) in self.layout.iter().enumerate() {
+            skip_ws(b, &mut pos);
+            let follows = b[pos..].starts_with(open.as_bytes())
+                && {
+                    pos += open.len();
+                    skip_ws(b, &mut pos);
+                    push_member(&mut self.builders[*slot], line, &mut pos)
+                }
+                && {
+                    skip_ws(b, &mut pos);
+                    b.get(pos) == Some(if m == last { &b'}' } else { &b',' })
+                };
+            if !follows {
+                self.undo(m);
+                return false;
+            }
+            pos += 1;
+        }
+        skip_ws(b, &mut pos);
+        if pos != b.len() {
+            self.undo(last);
+            return false;
+        }
+        for &slot in &self.absent {
+            self.builders[slot].push_null();
+        }
+        true
+    }
+
+    /// Takes back what [`Run::layout_line`] pushed for members `0..=m`.
+    fn undo(&mut self, m: usize) {
+        for (_, slot) in &self.layout[..=m] {
+            self.builders[*slot].truncate(self.rows);
+        }
+    }
+
+    /// Reads any line: walked by `walk_flat_line` and its members placed
+    /// by key (the last duplicate wins), or parsed by [`parse_json`]. False
+    /// for a line neither accepts.
+    fn any_line(&mut self, line: &'a str) -> bool {
+        self.members.clear();
+        let members = &mut self.members;
+        if walk_flat_line(line, |key, val| members.push((key, val))).is_some() {
+            self.vals.clear();
+            let mut distinct = true;
+            for m in 0..self.members.len() {
+                let (key, val) = self.members[m];
+                let slot = match self.layout.get(m) {
+                    Some(&(_, slot)) if self.keys[slot] == key => slot,
+                    _ => self.slot_of(key),
+                };
+                self.vals.resize(self.keys.len(), FlatVal::Null);
+                distinct &= self.members[..m].iter().all(|&(k, _)| k != key);
+                self.vals[slot] = val;
+            }
+            self.vals.resize(self.keys.len(), FlatVal::Null);
+            for (b, &val) in self.builders.iter_mut().zip(&self.vals) {
+                push_raw(b, val, &mut self.items);
+            }
+            self.set_layout(distinct);
+        } else if let Ok(doc) = parse_json(line) {
+            if let Value::Object(fields) = &doc {
+                for (key, _) in fields {
+                    self.slot_of(key);
+                }
+            }
+            for (key, b) in self.keys.iter().zip(&mut self.builders) {
+                b.push_value(doc.get_field(key).cloned().unwrap_or(Value::Null));
+            }
+            // The layout stands, but a new key is absent from it.
+            self.set_absent();
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// The column of `key`, opened NULL on the rows so far if it is new.
+    fn slot_of(&mut self, key: &str) -> usize {
+        self.keys.iter().position(|k| k == key).unwrap_or_else(|| {
+            self.keys.push(key.to_string());
+            self.builders.push(ColBuilder::Unknown(self.rows));
+            self.keys.len() - 1
+        })
+    }
+
+    /// Makes the members just placed the layout — each key's `"key":` and
+    /// its column — when no key came twice; clears it otherwise.
+    fn set_layout(&mut self, distinct: bool) {
+        let n = if distinct { self.members.len() } else { 0 };
+        self.layout.resize_with(n, Default::default);
+        for ((open, slot), &(key, _)) in self.layout.iter_mut().zip(&self.members) {
+            open.clear();
+            open.push('"');
+            open.push_str(key);
+            open.push_str("\":");
+            *slot = self
+                .keys
+                .iter()
+                .position(|k| k == key)
+                .expect("each member was placed");
+        }
+        self.set_absent();
+    }
+
+    /// The columns the layout lacks.
+    fn set_absent(&mut self) {
+        self.absent.clear();
+        self.absent.extend(0..self.keys.len());
+        self.absent
+            .retain(|slot| self.layout.iter().all(|(_, s)| s != slot));
+    }
+}
+
+/// Lexes the value at `*pos` straight into `b`, its column, and moves
+/// `pos` past it: a `null` into any column, and otherwise a value of the
+/// column's kind — a plain string one `extend_from_slice` into a string
+/// column's text, an array of plain strings item by item into a list
+/// column, a number that keeps an integer or float column's type, a
+/// boolean — or any value into a column already `Mixed`. False, with `b`
+/// maybe holding part of the value, for anything else.
+fn push_member(b: &mut ColBuilder, line: &str, pos: &mut usize) -> bool {
+    let bytes = line.as_bytes();
+    let keyword = |kw: &[u8]| bytes[*pos..].starts_with(kw).then_some(*pos + kw.len());
+    let end = if bytes.get(*pos) == Some(&b'n') {
+        keyword(b"null").inspect(|_| b.push_null())
+    } else {
+        match b {
+            ColBuilder::Str(v, _) => lex_simple_str(line, *pos).map(|(s, end)| {
+                v.push(s);
+                end
+            }),
+            ColBuilder::StrList(v, _) => {
+                lex_str_items(line, *pos, |s| v.push_item(s)).inspect(|_| v.close())
+            }
+            ColBuilder::Int(v, _) => match lex_number(bytes, *pos) {
+                Some((FlatVal::Int(i), end)) => {
+                    v.push(i);
+                    Some(end)
+                }
+                _ => None,
+            },
+            ColBuilder::Float(v, _) => match lex_number(bytes, *pos) {
+                Some((FlatVal::Float(f), end)) => {
+                    v.push(f);
+                    Some(end)
+                }
+                _ => None,
+            },
+            ColBuilder::Bool(v, _) => {
+                let (x, end) = match bytes.get(*pos) {
+                    Some(b't') => (true, keyword(b"true")),
+                    _ => (false, keyword(b"false")),
+                };
+                end.inspect(|_| v.push(x))
+            }
+            ColBuilder::Mixed(v) => lex_value(line, *pos).map(|(val, end)| {
+                v.push(val.to_value());
+                end
+            }),
+            ColBuilder::Unknown(_) => None,
+        }
+    };
+    end.map(|end| *pos = end).is_some()
 }
 
 /// Pushes a fast-path value as is: a scalar onto its typed arm, an array of

@@ -26,6 +26,7 @@
 //! Zipf tables whose parameters are constants are built once per process.
 
 use crate::json::ObjectWriter;
+use miso_common::pool;
 use miso_common::rng::{DetRng, ZipfSampler};
 use miso_common::ByteSize;
 use std::fmt::Write;
@@ -157,17 +158,24 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// Generates the corpus deterministically from `cfg`.
+    /// Generates the corpus deterministically from `cfg`: the three logs
+    /// concurrently on the worker pool, each from a stream of its own, so
+    /// the bytes are those of any thread count.
     pub fn generate(cfg: &LogsConfig) -> Corpus {
         let root = DetRng::new(cfg.seed);
-        let twitter = generate_twitter_batch(cfg, root.fork(1), 0, cfg.tweets);
-        let foursquare = generate_foursquare_batch(cfg, root.fork(2), 0, cfg.checkins);
         let landmarks = cfg.landmarks.min(cfg.venues as usize);
-        let landmarks = generate_landmarks_batch(root.fork(3), 0, landmarks);
+        let mut logs = pool::run_batch(3, |log| match log {
+            0 => generate_twitter_batch(cfg, root.fork(1), 0, cfg.tweets),
+            1 => generate_foursquare_batch(cfg, root.fork(2), 0, cfg.checkins),
+            _ => generate_landmarks_batch(root.fork(3), 0, landmarks),
+        })
+        .unwrap_or_else(|e| panic!("{e}"))
+        .into_iter();
+        let mut next = |kind| LogFile::from_lines(kind, logs.next().expect("three logs"));
         Corpus {
-            twitter: LogFile::from_lines(LogKind::Twitter, twitter),
-            foursquare: LogFile::from_lines(LogKind::Foursquare, foursquare),
-            landmarks: LogFile::from_lines(LogKind::Landmarks, landmarks),
+            twitter: next(LogKind::Twitter),
+            foursquare: next(LogKind::Foursquare),
+            landmarks: next(LogKind::Landmarks),
         }
     }
 

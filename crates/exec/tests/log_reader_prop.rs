@@ -4,8 +4,13 @@
 //! each line whole ([`parse_json`]), takes the field and casts it would —
 //! every field, every cast, the same skip count — and so do the raw
 //! columns of the lines lexed in two runs and appended, and those of a log
-//! of several morsels at any pool width. Cases are seeded [`DetRng`]
-//! streams; a failing assert names the seed.
+//! of several morsels at any pool width. Compact tweets — the layout the
+//! lexer reads layout-keyed — that depart from a warm layout in one way
+//! each (a key's prefix or extension, an escaped key, whitespace at a
+//! colon, a value of another kind, rotated members, a member more or less,
+//! backslash runs ending at every offset mod 8) are checked the same way,
+//! across morsel boundaries too. Cases are seeded [`DetRng`] streams; a
+//! failing assert names the seed.
 
 use miso_common::pool;
 use miso_common::rng::DetRng;
@@ -339,4 +344,185 @@ fn assert_same_raw(a: &RawColumns, b: &RawColumns, keys: &[String], what: &str) 
         let (x, y) = (a.column(key), b.column(key));
         assert_eq!(format!("{x:?}"), format!("{y:?}"), "{what}: `{key}`");
     }
+}
+
+/// `members` as the generator writes them: no space after a colon or a
+/// comma — the layout the lexer's layout-keyed path reads.
+fn compact(members: &[(String, String)]) -> String {
+    let body: Vec<String> = members
+        .iter()
+        .map(|(k, v)| format!("\"{k}\":{v}"))
+        .collect();
+    format!("{{{}}}", body.join(","))
+}
+
+/// Values that replace a member's: another kind than the tweet's, or its
+/// kind in a form a typed column does not take as it stands.
+const OTHER_VALUES: [&str; 14] = [
+    r#""12""#,
+    r#""""#,
+    r#""esc\"aped""#,
+    "1.5",
+    "7",
+    "-0",
+    "1e3",
+    "null",
+    "true",
+    "false",
+    "[]",
+    "[1]",
+    r#"["x","y"]"#,
+    r#"{"a":1}"#,
+];
+
+/// How many kinds of departure [`deviate`] makes.
+const DEVIATIONS: u64 = 9;
+
+/// `line`, a generated tweet, departing from its own layout in one way,
+/// written compactly: a key that is a prefix or an extension of its own, a
+/// key escaped so that it decodes to its own, whitespace between a key and
+/// its colon (or after it), a value of another kind, the members rotated,
+/// one member more or one less, or a run of one to four backslashes
+/// closed by a quote, ending at any offset mod 8 of a string value.
+fn deviate(rng: &mut DetRng, line: &str, kind: u64) -> String {
+    let mut m = members(line).expect("a generated tweet");
+    assert_eq!(compact(&m), line, "the generator writes compact lines");
+    let at = rng.below(m.len() as u64) as usize;
+    let key = m[at].0.clone();
+    match kind {
+        0 => m[at].0 = key[..key.len() - 1].to_string(),
+        1 => m[at].0 = format!("{key}{}", rng.pick(&["_", "s", "é"])),
+        2 => {
+            let i = rng.below(key.len() as u64) as usize;
+            let escaped = format!("\\u{:04x}", key.as_bytes()[i]);
+            m[at].0 = format!("{}{escaped}{}", &key[..i], &key[i + 1..]);
+        }
+        3 => {
+            let sep = rng.pick(&[" :", "\t:", " : ", ":\n", ":  "]);
+            let body: Vec<String> = m
+                .iter()
+                .enumerate()
+                .map(|(i, (k, v))| match i == at {
+                    true => format!("\"{k}\"{sep}{v}"),
+                    false => format!("\"{k}\":{v}"),
+                })
+                .collect();
+            return format!("{{{}}}", body.join(","));
+        }
+        4 => m[at].1 = rng.pick(&OTHER_VALUES).to_string(),
+        5 => {
+            let by = 1 + rng.below(m.len() as u64 - 1) as usize;
+            m.rotate_left(by);
+        }
+        6 => {
+            let extra = match rng.below(2) {
+                0 => ("extra".to_string(), "1".to_string()),
+                _ => m[at].clone(),
+            };
+            m.insert(rng.below(m.len() as u64 + 1) as usize, extra);
+        }
+        7 => {
+            m.remove(at);
+        }
+        _ => {
+            let (j, k) = (rng.below(8) as usize, 1 + rng.below(4) as usize);
+            let tail = rng.pick(&["", "x\""]);
+            let text = format!("\"{}{}\"{tail}", "a".repeat(j), "\\".repeat(k));
+            let key = *rng.pick(&["city", "lang", "text", "hashtags"]);
+            let (k, v) = m
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .expect("a tweet has every string member");
+            *v = if k == "hashtags" {
+                format!("[\"a\",{text}]")
+            } else {
+                text
+            };
+        }
+    }
+    compact(&m)
+}
+
+/// The columns of `lines` under every key the strict parser finds (and one
+/// it does not) and every cast equal the strict path's, with its skip
+/// count; and so do the runs of `lines` cut every `run` lines, lexed one by
+/// one and joined.
+fn assert_parse_then_cast(lines: &[String], run: usize, what: &str) {
+    let mut keys = strict_keys(lines);
+    keys.push("absent".to_string());
+    let fields: Vec<FusedField<'_>> = keys
+        .iter()
+        .flat_map(|key| CASTS.map(|ty| FusedField { key, ty }))
+        .collect();
+    let (want, want_skipped) = parse_whole(lines, &fields);
+    let (got, skipped) = parse_log_columns(lines, &fields).expect("the lines parse");
+    assert_eq!(skipped, want_skipped, "{what}: {lines:?}");
+    for ((f, got), want) in fields.iter().zip(got.columns()).zip(&want) {
+        let same = **got == *want || format!("{got:?}") == format!("{want:?}");
+        assert!(same, "{what}, {f:?}: {got:?} vs {want:?} over {lines:?}");
+    }
+    let runs = RawColumns::concat(lines.chunks(run).map(RawColumns::lex).collect());
+    let one = RawColumns::lex(lines);
+    assert_same_raw(&runs, &one, &keys, &format!("{what}, runs of {run}"));
+}
+
+/// Compact tweets with departures from their layout interleaved, so that
+/// the layout is warm when each one comes: every column under every cast
+/// is the strict path's, lexed in one run or cut anywhere.
+#[test]
+fn layout_deviations_are_parse_then_cast() {
+    let corpus = Corpus::generate(&LogsConfig::tiny());
+    let tweets = &corpus.twitter.lines[..64];
+    let mut kinds = [0; DEVIATIONS as usize];
+    for seed in 0..CASES / 3 {
+        let mut rng = DetRng::new(0x1a10_0000 + seed);
+        let lines: Vec<String> = (0..4 + rng.below(12))
+            .map(|_| {
+                let line = rng.pick(tweets);
+                if rng.chance(0.3) {
+                    let kind = rng.below(DEVIATIONS);
+                    kinds[kind as usize] += 1;
+                    deviate(&mut rng, line, kind)
+                } else {
+                    line.clone()
+                }
+            })
+            .collect();
+        let run = 1 + rng.below(lines.len() as u64) as usize;
+        assert_parse_then_cast(&lines, run, &format!("seed {seed}"));
+    }
+    assert!(kinds.iter().all(|&n| n > 30), "{kinds:?}");
+}
+
+/// A log of two and a half morsels with a departure from the layout on
+/// each side of both morsel boundaries and one in every forty lines: the
+/// strict path's columns at pool widths 1 and 8.
+#[test]
+fn layout_deviations_across_morsels() {
+    let corpus = Corpus::generate(&LogsConfig::tiny());
+    let tweets = &corpus.twitter.lines;
+    let mut rng = DetRng::new(0x1a10_f00d);
+    let edges = [
+        MORSEL_SIZE - 1,
+        MORSEL_SIZE,
+        2 * MORSEL_SIZE - 1,
+        2 * MORSEL_SIZE,
+    ];
+    let lines: Vec<String> = (0..2 * MORSEL_SIZE + MORSEL_SIZE / 2)
+        .map(|i| {
+            let line = &tweets[i % tweets.len()];
+            if edges.contains(&i) || i % 40 == 17 {
+                let kind = rng.below(DEVIATIONS);
+                deviate(&mut rng, line, kind)
+            } else {
+                line.clone()
+            }
+        })
+        .collect();
+    let was = pool::threads();
+    for threads in [1, 8] {
+        pool::set_threads(threads);
+        assert_parse_then_cast(&lines, MORSEL_SIZE, &format!("{threads} threads"));
+    }
+    pool::set_threads(was);
 }

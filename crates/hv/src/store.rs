@@ -11,9 +11,10 @@ use miso_data::logs::LogFile;
 use miso_data::{ColBatch, Row, Schema, Shelf, StoredView};
 use miso_exec::col::field_columns;
 use miso_exec::engine::{
-    execute_subset_guarded, DataSource, Execution, LogColumns, LogLines, Retention,
+    execute_subset_guarded, DataSource, Execution, LogColumns, LogLines, Retention, MORSEL_SIZE,
 };
 use miso_exec::{FusedField, UdfRegistry};
+use miso_obs::FieldValue;
 use miso_plan::estimate::MapStats;
 use miso_plan::split::mask;
 use miso_plan::{LogicalPlan, Operator};
@@ -86,7 +87,17 @@ impl RawSlot {
         if let Some(raw) = self.get() {
             return Ok((raw, false));
         }
+        let mut span = miso_obs::span("hv.lex");
         let raw = Arc::new(lines.columnize()?);
+        if span.is_active() {
+            let segments = lines.segments().iter();
+            let bytes = lines.iter().map(|line| line.len() as u64).sum();
+            let runs = segments.map(|s| s.len().div_ceil(MORSEL_SIZE) as u64).sum();
+            span.push_field("lines", FieldValue::U64(lines.len() as u64));
+            span.push_field("bytes", FieldValue::U64(bytes));
+            span.push_field("runs", FieldValue::U64(runs));
+        }
+        drop(span);
         miso_obs::count("hv.log_lines_tokenized", lines.len() as u64);
         if miso_obs::enabled() {
             miso_obs::count("hv.log_col_bytes", raw.approx_bytes());
