@@ -35,10 +35,10 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 thread_local! {
     /// Whether the current thread is running a pool task — as a helper, or
     /// as the caller working on its own batch. A task that itself calls
-    /// [`run_batch`]/[`run_chunks`] (e.g. a serve worker running a vex query
-    /// that morsel-dispatches) runs that batch inline on the thread it is
-    /// on: the outer batch already owns the helpers. Results are
-    /// position-keyed, so inlining cannot change any output.
+    /// [`run_batch`]/[`run_chunks`] (e.g. one base run of a serving wave,
+    /// whose operators morsel-dispatch) runs that batch inline on the
+    /// thread it is on: the outer batch already owns the helpers. Results
+    /// are position-keyed, so inlining cannot change any output.
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 

@@ -3,14 +3,20 @@
 //!
 //! # Why discrete-event
 //!
-//! Store execution in this repo charges *simulated* time; wall-clock
-//! parallelism on the host contributes nothing to the measured figures (and
-//! the CI box may have a single core). The engine therefore simulates
-//! concurrency the same way the stores simulate cost: arrivals, dispatches,
-//! completions, reorg publishes, and drain kills are events on one totally
-//! ordered queue `(instant, sequence)`, and W worker slots bound how many
-//! queries occupy sim-time concurrently. Identical configs replay
-//! bit-identically on any host.
+//! Store execution in this repo charges *simulated* time, so host threads
+//! cannot change a measured figure (and the host may have a single core).
+//! The engine therefore simulates concurrency the same way the stores
+//! simulate cost: arrivals, dispatches, completions, reorg publishes, and
+//! drain kills are events on one totally ordered queue `(instant,
+//! sequence)`, and W worker slots bound how many queries occupy sim-time
+//! concurrently. Identical configs replay bit-identically on any host.
+//!
+//! Host threads do shorten the wall clock. A base run is a pure function of
+//! its snapshot and key, so the first dispatch of an epoch computes every
+//! template's fault-free run as one pool batch
+//! ([`SnapExecutor::prefetch`]), and the first delivery computes every
+//! template's oracle answer as another. The event loop itself stays on one
+//! thread and only reads the results.
 //!
 //! # Epoch lifecycle
 //!
@@ -41,7 +47,8 @@ use std::sync::Arc;
 
 use miso_common::ids::QueryId;
 use miso_common::{
-    CircuitBreaker, DetRng, QueryGuard, Retry, RetryPolicy, SimClock, SimDuration, SimInstant, Turn,
+    pool, CircuitBreaker, DetRng, QueryGuard, Retry, RetryPolicy, SimClock, SimDuration,
+    SimInstant, Turn,
 };
 use miso_core::{GuardConfig, MultistoreSystem, QueryFailure};
 use miso_data::Checksum;
@@ -155,7 +162,9 @@ pub struct ServeReport {
     pub failures: Vec<QueryFailure>,
     /// Per-tenant breakdown.
     pub tenants: BTreeMap<String, TenantReport>,
-    /// Distinct base runs actually executed (memo size).
+    /// Distinct base runs of the retained epochs that a dispatch read
+    /// (runs a prefetch computed and no dispatch asked for are not counted;
+    /// the `serve.base_runs_computed` counter counts those too).
     pub base_runs: usize,
 }
 
@@ -325,9 +334,13 @@ pub struct ServeEngine {
     breaker: CircuitBreaker,
     backoff_rng: DetRng,
     banned: BTreeSet<String>,
-    /// Per plan index: the serial answer's row count and checksum.
-    oracle: HashMap<usize, (u64, Checksum)>,
-    history: Vec<LogicalPlan>,
+    /// The epoch whose fault-free base runs have been prefetched.
+    prefetched: Option<u64>,
+    /// Per plan index: the serial answer's row count and checksum (empty
+    /// until the first delivery computes all of them).
+    oracle: Vec<(u64, Checksum)>,
+    /// Plan indices of the latest deliveries, at most `history_len`.
+    history: Vec<usize>,
     harvest: Vec<miso_core::HarvestCandidate>,
     harvest_seen: BTreeSet<String>,
     staged: Option<EpochSnapshot>,
@@ -388,7 +401,8 @@ impl ServeEngine {
             breaker,
             backoff_rng,
             banned: BTreeSet::new(),
-            oracle: HashMap::new(),
+            prefetched: None,
+            oracle: Vec::new(),
             history: Vec::new(),
             harvest: Vec::new(),
             harvest_seen: BTreeSet::new(),
@@ -597,6 +611,10 @@ impl ServeEngine {
             };
         }
 
+        if self.prefetched != Some(snap.epoch) {
+            self.prefetched = Some(snap.epoch);
+            self.exec.prefetch(&snap, &self.plans);
+        }
         let mut base = match self.exec.run(&snap, label, raw, &self.banned, false) {
             Ok(b) => b,
             Err(e) => loss!(e.kind(), e.to_string(), false),
@@ -736,7 +754,7 @@ impl ServeEngine {
                         self.harvest.push(cand.clone());
                     }
                 }
-                self.history.push(self.plans[inf.req.plan_idx].1.clone());
+                self.history.push(inf.req.plan_idx);
                 let window = self.master.config().history_len.max(1);
                 if self.history.len() > window {
                     let excess = self.history.len() - window;
@@ -772,25 +790,30 @@ impl ServeEngine {
     }
 
     fn oracle_for(&mut self, plan_idx: usize) -> (u64, Checksum) {
-        if let Some(hit) = self.oracle.get(&plan_idx) {
-            return *hit;
+        if self.oracle.is_empty() {
+            self.oracle = self.oracle_answers();
         }
-        // The oracle is the raw plan over base logs only — no views, no
-        // split, no faults: the answer any single serial client would get.
+        self.oracle[plan_idx]
+    }
+
+    /// Every template's oracle answer, as one pool batch. The oracle is the
+    /// raw plan over base logs only — no views, no split, no faults: the
+    /// answer any single serial client would get. Serving never appends to
+    /// a log, so the master's logs at the first delivery are the logs of
+    /// every epoch.
+    fn oracle_answers(&self) -> Vec<(u64, Checksum)> {
+        // An oracle failure would itself be a bug; make it impossible to
+        // confuse with a real match by using an empty sentinel.
+        let failed = (u64::MAX, Checksum(0));
+        let (hv, plans, udfs) = (&self.master.hv, &self.plans, &self.udfs);
         let was_on = miso_chaos::suspend();
-        let run = self
-            .master
-            .hv
-            .execute(&self.plans[plan_idx].1, None, &self.udfs);
+        let answers = pool::run_batch(plans.len(), |i| {
+            let run = hv.execute(&plans[i].1, None, udfs);
+            run.and_then(|r| miso_core::split::answer(Some(&r), None))
+                .unwrap_or(failed)
+        });
         miso_chaos::resume(was_on);
-        let entry = match run.and_then(|r| miso_core::split::answer(Some(&r), None)) {
-            Ok(pair) => pair,
-            // An oracle failure would itself be a bug; make it impossible to
-            // confuse with a real match by using an empty sentinel.
-            Err(_) => (u64::MAX, Checksum(0)),
-        };
-        self.oracle.insert(plan_idx, entry);
-        entry
+        answers.unwrap_or_else(|_| vec![failed; plans.len()])
     }
 
     // ---- Reorg / publish --------------------------------------------------
@@ -813,7 +836,9 @@ impl ServeEngine {
         }
         let delta = now.duration_since(self.master_clock.now());
         self.master_clock.advance(delta);
-        let window = self.history.clone();
+        let window: Vec<LogicalPlan> = (self.history.iter())
+            .map(|&i| self.plans[i].1.clone())
+            .collect();
         match self.master.reorg_now(&window, &mut self.master_clock) {
             Ok(rec) => {
                 self.staged = Some(EpochSnapshot::of(&self.master, self.epoch + 1));
@@ -914,7 +939,7 @@ impl ServeEngine {
             p99: pct(&self.latencies, 0.99),
             failures: self.failures,
             tenants: self.tenant_stats,
-            base_runs: self.exec.memo_len(),
+            base_runs: self.exec.runs_read(),
         }
     }
 }

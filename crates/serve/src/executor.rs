@@ -13,15 +13,19 @@
 //!   polls the fail points per dispatch and lays the resulting cost/kill
 //!   envelope over the cached base run.
 //! * **A memo.** A snapshot is immutable, so (plan, banned views, hv-only)
-//!   fixes the base run: 32 templates cost 32 real executions per epoch.
-//!   The plan is keyed by its fingerprint beside the caller's label, so two
-//!   templates that share a label never share a run.
+//!   fixes the base run: each key is computed once per epoch. The plan is
+//!   keyed by its fingerprint beside the caller's label, so two templates
+//!   that share a label never share a run.
+//! * **A wave.** Because a base run is a pure function of its key,
+//!   [`SnapExecutor::prefetch`] computes a whole workload's fault-free runs
+//!   as one pool batch, one query per task, instead of one at a time as
+//!   dispatches ask for them.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use miso_common::ids::QueryId;
-use miso_common::{ByteSize, QueryGuard, Result, SimDuration};
+use miso_common::{pool, ByteSize, QueryGuard, Result, SimDuration};
 use miso_core::split::{self, HarvestCandidate};
 use miso_data::Checksum;
 use miso_exec::UdfRegistry;
@@ -61,12 +65,25 @@ impl BaseRun {
     }
 }
 
-/// Memoizing snapshot executor. One per engine; not itself thread-safe —
-/// the engine's event loop serializes access.
+/// Memo key: (epoch, plan fingerprint, banned-views fingerprint, hv-only).
+type Key = (u64, u64, u64, bool);
+
+/// A memoized base run, and whether a dispatch has read it (a prefetched
+/// run may never be).
+#[derive(Debug)]
+struct Memo {
+    run: Arc<BaseRun>,
+    read: bool,
+}
+
+/// Memoizing snapshot executor. One per engine: its methods take
+/// `&mut self`, so the engine's event loop serializes access, and the tasks
+/// of a [`SnapExecutor::prefetch`] wave share only the snapshot and the
+/// UDFs.
 #[derive(Debug)]
 pub struct SnapExecutor {
     udfs: UdfRegistry,
-    memo: HashMap<(u64, u64, u64, bool), Arc<BaseRun>>,
+    memo: HashMap<Key, Memo>,
 }
 
 impl SnapExecutor {
@@ -78,15 +95,29 @@ impl SnapExecutor {
         }
     }
 
-    /// Memoized base runs computed so far (test/diagnostic hook).
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
+    /// Memoized base runs of the retained epochs that a [`SnapExecutor::run`]
+    /// has returned: what the engine reports as its base runs. A prefetched
+    /// run no dispatch asked for is not counted.
+    pub fn runs_read(&self) -> usize {
+        self.memo.values().filter(|m| m.read).count()
     }
 
     /// Drops base runs for epochs older than `epoch` (published snapshots
     /// that no in-flight query references any more).
     pub fn retire_before(&mut self, epoch: u64) {
         self.memo.retain(|(e, _, _, _), _| *e >= epoch);
+    }
+
+    fn key(
+        snap: &EpochSnapshot,
+        label: &str,
+        raw: &LogicalPlan,
+        banned: &BTreeSet<String>,
+        hv_only: bool,
+    ) -> Key {
+        let banned_fp = fnv1a_words(banned.iter().map(|n| fnv1a_str(n)));
+        let plan_fp = fnv1a_words([fnv1a_str(label), raw.fingerprint(raw.root()).0]);
+        (snap.epoch, plan_fp, banned_fp, hv_only)
     }
 
     /// The fault-free run of `raw` against `snap`, planned without `banned`
@@ -99,71 +130,105 @@ impl SnapExecutor {
         banned: &BTreeSet<String>,
         hv_only: bool,
     ) -> Result<Arc<BaseRun>> {
-        let banned_fp = fnv1a_words(banned.iter().map(|n| fnv1a_str(n)));
-        let plan_fp = fnv1a_words([fnv1a_str(label), raw.fingerprint(raw.root()).0]);
-        let key = (snap.epoch, plan_fp, banned_fp, hv_only);
-        if let Some(hit) = self.memo.get(&key) {
-            return Ok(hit.clone());
+        let key = Self::key(snap, label, raw, banned, hv_only);
+        if let Some(hit) = self.memo.get_mut(&key) {
+            hit.read = true;
+            return Ok(hit.run.clone());
         }
         // Base runs are fault-free by definition; the storm's RNG stream and
         // hit counters pass through untouched.
         let was_on = miso_chaos::suspend();
-        let computed = self.compute(snap, raw, banned, hv_only);
+        let computed = compute(&self.udfs, snap, raw, banned, hv_only);
         miso_chaos::resume(was_on);
+        miso_obs::count("serve.base_runs_computed", 1);
         let run = Arc::new(computed?);
-        self.memo.insert(key, run.clone());
+        let memo = Memo {
+            run: run.clone(),
+            read: true,
+        };
+        self.memo.insert(key, memo);
         Ok(run)
     }
 
-    fn compute(
-        &self,
-        snap: &EpochSnapshot,
-        raw: &LogicalPlan,
-        banned: &BTreeSet<String>,
-        hv_only: bool,
-    ) -> Result<BaseRun> {
-        let stores = snap.stores();
-        let usable = |name: &String| !banned.contains(name) && !snap.catalog.is_quarantined(name);
-        let (planned, _) = split::place(stores, raw, usable, hv_only)?;
-        let plan = &planned.plan;
-        // Unlimited budget: this guard only *measures* what a real per-query
-        // guard would charge, so the engine can replay the charge cheaply.
-        let meter = QueryGuard::new(None, 0);
-        let (hv_set, dw_set) = split::node_sets(&planned);
-        let (hv, dw) = (&snap.hv, &snap.dw);
-        let hv_run = if hv_set.is_empty() {
-            None
-        } else {
-            Some(hv.execute_guarded(plan, Some(&hv_set), &self.udfs, &meter, &[])?)
-        };
-        let cuts = match &hv_run {
-            Some(run) => split::cuts(stores, &planned, run)?,
-            None => Vec::new(),
-        };
-        let shipped = cuts.iter().map(|c| (c.node, c.batch.clone())).collect();
-        let dw_run = if dw_set.is_empty() {
-            None
-        } else {
-            Some(dw.execute_guarded(plan, Some(&dw_set), shipped, &self.udfs, &meter)?)
-        };
-        let (result_rows, checksum) = split::answer(hv_run.as_ref(), dw_run.as_ref())?;
-        let harvest = hv_run
-            .iter()
-            .flat_map(|run| split::harvestable(plan, run))
-            .filter(|(name, _)| !snap.catalog.contains(name))
-            .map(|(_, out)| HarvestCandidate::of(plan, out, QueryId(0)))
+    /// Computes and memoizes the fault-free run — no banned views, split
+    /// placement — of every template in `workload` that `snap`'s epoch has
+    /// not memoized yet, as one pool batch with chaos suspended once around
+    /// it. Each task is one query; the morsel batches it dispatches run
+    /// inline on its thread. A run that errors is not memoized, so the
+    /// dispatch that asks for it computes it again and meets the same
+    /// error. Banned-view re-plans and HV-only runs stay to [`Self::run`].
+    pub fn prefetch(&mut self, snap: &EpochSnapshot, workload: &[(String, LogicalPlan)]) {
+        let none = BTreeSet::new();
+        let todo: Vec<(Key, &LogicalPlan)> = (workload.iter())
+            .map(|(label, raw)| (Self::key(snap, label, raw, &none, false), raw))
+            .filter(|(key, _)| !self.memo.contains_key(key))
             .collect();
-        let used = planned.used_views.iter();
-        Ok(BaseRun {
-            hv_cost: hv_run.as_ref().map_or(SimDuration::ZERO, |run| run.cost),
-            cut_costs: cuts.iter().map(|c| c.ship_cost).collect(),
-            dw_cost: dw_run.as_ref().map_or(SimDuration::ZERO, |run| run.cost),
-            bytes_transferred: cuts.iter().map(|c| c.bytes).sum(),
-            charged_bytes: meter.peak(),
-            result_rows,
-            checksum,
-            used_views: used.map(|v| (v.clone(), hv.views.contains(v))).collect(),
-            harvest,
-        })
+        let udfs = &self.udfs;
+        let was_on = miso_chaos::suspend();
+        let runs = pool::run_batch(todo.len(), |i| compute(udfs, snap, todo[i].1, &none, false));
+        miso_chaos::resume(was_on);
+        miso_obs::count("serve.base_runs_computed", todo.len() as u64);
+        // A task that panicked leaves the whole wave unmemoized: every
+        // dispatch then computes its own run, as without a wave.
+        let Ok(runs) = runs else { return };
+        for ((key, _), run) in todo.into_iter().zip(runs) {
+            if let Ok(run) = run {
+                let run = Arc::new(run);
+                self.memo.insert(key, Memo { run, read: false });
+            }
+        }
     }
+}
+
+/// One fault-free walk of the split pipeline for `raw` over `snap`.
+fn compute(
+    udfs: &UdfRegistry,
+    snap: &EpochSnapshot,
+    raw: &LogicalPlan,
+    banned: &BTreeSet<String>,
+    hv_only: bool,
+) -> Result<BaseRun> {
+    let stores = snap.stores();
+    let usable = |name: &String| !banned.contains(name) && !snap.catalog.is_quarantined(name);
+    let (planned, _) = split::place(stores, raw, usable, hv_only)?;
+    let plan = &planned.plan;
+    // Unlimited budget: this guard only *measures* what a real per-query
+    // guard would charge, so the engine can replay the charge cheaply.
+    let meter = QueryGuard::new(None, 0);
+    let (hv_set, dw_set) = split::node_sets(&planned);
+    let (hv, dw) = (&snap.hv, &snap.dw);
+    let hv_run = if hv_set.is_empty() {
+        None
+    } else {
+        Some(hv.execute_guarded(plan, Some(&hv_set), udfs, &meter, &[])?)
+    };
+    let cuts = match &hv_run {
+        Some(run) => split::cuts(stores, &planned, run)?,
+        None => Vec::new(),
+    };
+    let shipped = cuts.iter().map(|c| (c.node, c.batch.clone())).collect();
+    let dw_run = if dw_set.is_empty() {
+        None
+    } else {
+        Some(dw.execute_guarded(plan, Some(&dw_set), shipped, udfs, &meter)?)
+    };
+    let (result_rows, checksum) = split::answer(hv_run.as_ref(), dw_run.as_ref())?;
+    let harvest = hv_run
+        .iter()
+        .flat_map(|run| split::harvestable(plan, run))
+        .filter(|(name, _)| !snap.catalog.contains(name))
+        .map(|(_, out)| HarvestCandidate::of(plan, out, QueryId(0)))
+        .collect();
+    let used = planned.used_views.iter();
+    Ok(BaseRun {
+        hv_cost: hv_run.as_ref().map_or(SimDuration::ZERO, |run| run.cost),
+        cut_costs: cuts.iter().map(|c| c.ship_cost).collect(),
+        dw_cost: dw_run.as_ref().map_or(SimDuration::ZERO, |run| run.cost),
+        bytes_transferred: cuts.iter().map(|c| c.bytes).sum(),
+        charged_bytes: meter.peak(),
+        result_rows,
+        checksum,
+        used_views: used.map(|v| (v.clone(), hv.views.contains(v))).collect(),
+        harvest,
+    })
 }

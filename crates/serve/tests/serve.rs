@@ -20,8 +20,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use miso_common::ids::QueryId;
-use miso_common::{Budgets, ByteSize, SimClock, SimDuration};
-use miso_core::{MultistoreSystem, SystemConfig, Variant};
+use miso_common::{pool, Budgets, ByteSize, SimClock, SimDuration};
+use miso_core::{GuardConfig, MultistoreSystem, SystemConfig, Variant};
 use miso_data::logs::{Corpus, LogsConfig};
 use miso_data::StoredView;
 use miso_dw::DwStore;
@@ -30,7 +30,7 @@ use miso_hv::HvStore;
 use miso_lang::compile;
 use miso_optimizer::TransferModel;
 use miso_plan::LogicalPlan;
-use miso_serve::{EpochSnapshot, ServeConfig, ServeEngine, SnapExecutor, SnapshotCell};
+use miso_serve::{BaseRun, EpochSnapshot, ServeConfig, ServeEngine, SnapExecutor, SnapshotCell};
 use miso_views::{ViewCatalog, ViewDef};
 
 /// Chaos state (plans, RNG, hit counters, the enabled flag toggled by
@@ -692,4 +692,178 @@ fn view_reads_honour_corruption_only() {
     let outcome = |r: &miso_serve::ServeReport| (r.delivered, r.killed, r.p50, r.p99);
     assert_eq!(outcome(&faulted), outcome(&clean), "{:?}", faulted.failures);
     assert_eq!(counter("store.retries"), 0);
+}
+
+/// Runs `f` at pool width `threads`, restoring the width after.
+fn at_width<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    let before = pool::threads();
+    pool::set_threads(threads);
+    let out = f();
+    pool::set_threads(before);
+    out
+}
+
+/// A base run's every field, harvest candidates by name.
+fn base_run_fields(run: &BaseRun) -> String {
+    let harvest: Vec<&String> = run.harvest.iter().map(|c| &c.def.name).collect();
+    format!(
+        "hv {:?} cuts {:?} dw {:?} bytes {:?} charged {} rows {} checksum {:?} views {:?} \
+         harvest {harvest:?}",
+        run.hv_cost,
+        run.cut_costs,
+        run.dw_cost,
+        run.bytes_transferred,
+        run.charged_bytes,
+        run.result_rows,
+        run.checksum,
+        run.used_views,
+    )
+}
+
+/// A wave computes what one dispatch at a time computes: on a cold and a
+/// warm design, at pool widths 1 and 8, every template's prefetched base
+/// run equals a fresh executor's serial run of the same key field by field,
+/// the wave computes each template exactly once, and the dispatches that
+/// read it compute nothing more.
+#[test]
+fn prefetched_runs_equal_serial_computes_at_every_width() {
+    let _chaos = chaos_guard();
+    miso_chaos::disable();
+    let corpus = Corpus::generate(&LogsConfig::tiny());
+    let workload = templates();
+    let none = BTreeSet::new();
+    let udfs = miso_workload::standard_udfs;
+    miso_obs::init(miso_obs::ObsConfig::ring(4096));
+    let computed = || {
+        let counters = miso_obs::snapshot().counters;
+        counters
+            .get("serve.base_runs_computed")
+            .copied()
+            .unwrap_or(0)
+    };
+    for (epoch, sys) in cold_and_warm(&corpus, &workload).iter().enumerate() {
+        let snap = EpochSnapshot::of(sys, epoch as u64);
+        for threads in [1, 8] {
+            let at = |label: &str| format!("{label} (epoch {epoch}, width {threads})");
+            miso_obs::reset_metrics();
+            let mut exec = SnapExecutor::new(udfs());
+            at_width(threads, || exec.prefetch(&snap, &workload));
+            assert_eq!(computed(), workload.len() as u64, "{}", at("wave"));
+            assert_eq!(exec.runs_read(), 0, "{}", at("nothing read yet"));
+            for (label, plan) in &workload {
+                let waved = exec.run(&snap, label, plan, &none, false).unwrap();
+                let serial = SnapExecutor::new(udfs())
+                    .run(&snap, label, plan, &none, false)
+                    .unwrap();
+                assert_eq!(
+                    base_run_fields(&waved),
+                    base_run_fields(&serial),
+                    "{}",
+                    at(label)
+                );
+            }
+            assert_eq!(exec.runs_read(), workload.len(), "{}", at("all read"));
+            // The serial reference runs computed one each; the reads none.
+            let serial = workload.len() as u64;
+            assert_eq!(
+                computed(),
+                workload.len() as u64 + serial,
+                "{}",
+                at("reads")
+            );
+        }
+    }
+    miso_obs::init(miso_obs::ObsConfig::disabled());
+}
+
+/// A guarded chaos storm with online reorgs serves the same report, every
+/// failure and tenant included, whether a wave runs on one thread or many.
+#[test]
+fn chaos_storm_report_is_identical_at_widths_1_and_8() {
+    let _chaos = chaos_guard();
+    let storm = || {
+        let spec = "seed=3;hv.execute=error@p0.2;hv.execute=stall@p0.05;\
+                    dw.execute=error@p0.2;transfer.ship=error@p0.2;transfer.ship=corrupt@p0.1;\
+                    dw.view_read=corrupt@p0.1;hv.view_read=corrupt@p0.1;reorg.step=crash@p0.1";
+        miso_chaos::install(miso_chaos::parse_spec(spec).expect("storm spec parses"));
+        let cfg = ServeConfig {
+            workers: 3,
+            sessions: 16,
+            tenants: 4,
+            queries_per_session: 3,
+            reorg_every: 6,
+            drain: SimDuration::from_secs(5),
+            guard: GuardConfig {
+                enabled: true,
+                deadline: Some(SimDuration::from_secs(3_000)),
+                max_inflight: 12,
+                ..GuardConfig::disabled()
+            },
+            ..sweep_config()
+        };
+        let report =
+            ServeEngine::new(cfg, tiny_system(100_000), queries(), UdfRegistry::new()).run();
+        miso_chaos::disable();
+        report
+    };
+    let one = at_width(1, storm);
+    let eight = at_width(8, storm);
+    assert!(one.killed > 0 && one.delivered > 0, "a storm: {one:?}");
+    assert!(one.reorgs > 0, "a storm that reorganizes: {one:?}");
+    assert_eq!(one.wrong_answers, 0);
+    assert_eq!(one.unclassified, 0);
+    assert_eq!(format!("{one:?}"), format!("{eight:?}"));
+}
+
+/// One query by one session reads one base run, however many templates
+/// the wave computed for its epoch.
+#[test]
+fn one_query_engine_reports_one_base_run() {
+    let _chaos = chaos_guard();
+    miso_chaos::disable();
+    let cfg = ServeConfig {
+        sessions: 1,
+        tenants: 1,
+        queries_per_session: 1,
+        ..ServeConfig::standard()
+    };
+    let report = ServeEngine::new(cfg, tiny_system(100_000), queries(), UdfRegistry::new()).run();
+    assert_eq!((report.submitted, report.delivered), (1, 1));
+    assert_eq!(report.wrong_answers, 0);
+    assert_eq!(report.base_runs, 1);
+}
+
+/// A template whose plan cannot run fails its wave task, is not memoized,
+/// and ends every dispatch that asks for it in the loss a serial run of the
+/// same key classifies; the template beside it is delivered correctly.
+#[test]
+fn a_failing_template_ends_in_the_same_classified_loss() {
+    let _chaos = chaos_guard();
+    miso_chaos::disable();
+    // A UDF template served with no UDFs registered.
+    let bad = templates()
+        .into_iter()
+        .find(|(label, _)| label == "A3v1")
+        .expect("A3v1 applies buzz_score");
+    let workload = vec![queries().remove(0), bad.clone()];
+    let sys = tiny_system(100_000);
+    let snap = EpochSnapshot::of(&sys, 0);
+    let err = SnapExecutor::new(UdfRegistry::new())
+        .run(&snap, &bad.0, &bad.1, &BTreeSet::new(), false)
+        .expect_err("the UDF is not registered");
+    // No reorgs, so no drain kills either.
+    let cfg = ServeConfig {
+        reorg_every: 0,
+        ..sweep_config()
+    };
+    let report = ServeEngine::new(cfg, sys, workload, UdfRegistry::new()).run();
+    assert!(report.killed > 0, "{report:?}");
+    assert!(report.delivered > 0, "{report:?}");
+    assert_eq!(report.wrong_answers, 0);
+    assert_eq!(report.unclassified, 0);
+    assert_eq!(report.failures.len() as u64, report.killed);
+    for f in &report.failures {
+        assert_eq!(f.label, bad.0);
+        assert_eq!((f.kind, f.message.clone()), (err.kind(), err.to_string()));
+    }
 }

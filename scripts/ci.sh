@@ -83,6 +83,15 @@ done
 CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
     --workload serve_warm --seed 7 --seconds 1 --trace 1 | tail -n 1 >"$golden/e2e-serve.json"
 grep -q '"correct": *true' "$golden/e2e-serve.json"
+# And timed: the path the benchmark gate measures computes each epoch's
+# base runs and the oracle's answers as pool batches, so it is checked here
+# too. Simulated time is the engine's event order: a wave that changed a
+# run's cost, or the order of dispatches, fails here.
+CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
+    --workload serve_warm --seed 7 --seconds 1 --trace 0 | tail -n 1 >"$golden/e2e-serve-timed.json"
+grep -q '"correct": *true' "$golden/e2e-serve-timed.json"
+grep -q '"sim_s": *{"value": *47769.919783,' "$golden/e2e-serve-timed.json" ||
+    { echo "ci: serve_warm sim_s is not 47769.919783"; exit 1; }
 # The traced steady stream replays each query step by step through the
 # adapter: `hv_execute`, the cuts taken with `output(cut)` as rows, and
 # `dw_execute` resumed from those rows — 192 queries and 63 reorg migrations
