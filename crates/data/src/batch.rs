@@ -1303,22 +1303,6 @@ impl ColBatch {
         Row::new(self.columns.iter().map(|c| c.value(i)).collect())
     }
 
-    /// Overwrites `row`, which has this batch's arity, with [`ColBatch::row`]
-    /// `i` in the row's own allocations: a string slot that receives a string
-    /// keeps its capacity, and any other slot is overwritten.
-    pub fn fill_row(&self, i: usize, row: &mut Row) {
-        assert_eq!(row.arity(), self.arity(), "filling a row of another arity");
-        for (slot, col) in row.values_mut().iter_mut().zip(&self.columns) {
-            match (slot, col.cell(i)) {
-                (Value::Str(s), Cell::Str(x)) => {
-                    s.clear();
-                    s.push_str(x);
-                }
-                (slot, cell) => *slot = cell.to_value(),
-            }
-        }
-    }
-
     /// Pivots back to rows, cloning cell payloads.
     pub fn to_rows(&self) -> Vec<Row> {
         (0..self.len).map(|i| self.row(i)).collect()

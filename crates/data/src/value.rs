@@ -311,7 +311,7 @@ impl Row {
     }
 
     /// All values, to overwrite in place (the arity is fixed).
-    pub(crate) fn values_mut(&mut self) -> &mut [Value] {
+    pub fn values_mut(&mut self) -> &mut [Value] {
         &mut self.values
     }
 

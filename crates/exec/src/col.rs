@@ -11,10 +11,12 @@
 //! **Typed arms**: a kernel reads the variant of the vectors it is handed
 //! once per morsel (`Typed`) and, when they are typed, works on their
 //! payloads — a comparison of Int/Float/Str/Bool vectors or literals writes
-//! a `Bool` column, AND/OR combine two `Bool` vectors, a filter selects off
-//! a `Bool` vector, and `array_contains` of a literal reads a list column's
-//! items in place. Everything else — a `Mixed` column, a NULL or container
-//! literal, a cross-type comparison, arithmetic — takes the per-cell arm.
+//! a `Bool` column, AND/OR combine two `Bool` vectors, and `array_contains`
+//! of a literal reads a list column's items in place. Everything else — a
+//! `Mixed` column, a NULL or container literal, a cross-type comparison,
+//! arithmetic — takes the per-cell arm. A filter does not build a `Bool`
+//! column at all where it can help it: its conjuncts narrow a selection
+//! vector one at a time (`Predicate`).
 //!
 //! **Semantics contract**: every path here must agree bit-for-bit with the
 //! scalar evaluator in [`crate::eval`]. A typed arm compares the [`Cell`]s
@@ -39,7 +41,7 @@ use crate::udf::UdfRegistry;
 use miso_common::guard::QueryGuard;
 use miso_common::{MisoError, Result};
 use miso_data::json::RawColumns;
-use miso_data::{Cell, ColBatch, ColBuilder, Column, DataType, Nulls, Slots, Strs, Value};
+use miso_data::{Cell, ColBatch, ColBuilder, Column, DataType, Nulls, Row, Slots, Strs, Value};
 use miso_plan::{BinOp, Expr, Operator, UnaryOp};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -500,11 +502,7 @@ pub(crate) fn eval_vec<'a>(
         Expr::Binary { op, left, right } => {
             let l = eval_vec(left, batch, start, n, mask)?;
             let r = eval_vec(right, batch, start, n, mask)?;
-            let comparison = matches!(
-                op,
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-            );
-            if let Some(col) = comparison
+            if let Some(col) = is_comparison(*op)
                 .then(|| compare_typed(*op, &l, &r, n, mask))
                 .flatten()
             {
@@ -572,6 +570,315 @@ pub(crate) fn select_true(pred: &VCol, start: usize, n: usize) -> Vec<u32> {
         ),
     }
     selected
+}
+
+/// A filter's predicate, planned once per batch: the conjuncts of its
+/// top-level `AND`s, each narrowing a morsel's selection vector in turn.
+/// A row is selected where every conjunct is `TRUE` — where their `AND` is —
+/// so the order they run in does not change the answer: comparisons of a
+/// column with a literal first, then `array_contains`, then `contains`, all
+/// typed kernels over the payload; any other conjunct last, through
+/// [`eval_vec`] at the rows still selected. Neither builds a `Bool` column.
+///
+/// Run apart, the conjuncts would change *where* an error arises, not what
+/// is selected. So they are used only when the predicate cannot fail (every
+/// column reference below the arity, every builtin resolved: `eval_vec`'s
+/// only errors); otherwise the whole predicate is evaluated as one
+/// expression, and fails exactly where the scalar evaluator does.
+pub(crate) struct Predicate<'e> {
+    whole: &'e Expr,
+    conjuncts: Option<Vec<Conjunct<'e>>>,
+}
+
+/// One conjunct, and the kernel that runs it when the column is typed.
+struct Conjunct<'e> {
+    expr: &'e Expr,
+    kernel: Option<Kernel<'e>>,
+}
+
+/// A conjunct a typed kernel can run over a column's payload, its kinds in
+/// the order they run.
+#[derive(Clone, Copy)]
+enum Kernel<'e> {
+    /// `$col op literal`, either side: holds where the slot's ordering
+    /// against the literal is `accept`ed (indexed by `Ordering as i8 + 1`).
+    Compare {
+        col: usize,
+        lit: &'e Value,
+        accept: [bool; 3],
+    },
+    /// `array_contains($col, 'needle')`.
+    ArrayContains { col: usize, needle: &'e str },
+    /// `contains($col, 'needle')`.
+    Contains { col: usize, needle: &'e str },
+}
+
+/// Rows a filter selected in one morsel, and how many candidate rows its
+/// conjuncts tested with a typed kernel and through [`eval_vec`].
+pub(crate) struct Selected {
+    pub(crate) rows: Vec<u32>,
+    pub(crate) kernel_rows: u64,
+    pub(crate) fallback_rows: u64,
+}
+
+impl<'e> Predicate<'e> {
+    /// `predicate` over a batch of `arity` columns.
+    pub(crate) fn new(predicate: &'e Expr, arity: usize) -> Predicate<'e> {
+        let conjuncts = cannot_fail(predicate, arity).then(|| {
+            let mut exprs = Vec::new();
+            split_and(predicate, &mut exprs);
+            let mut conjuncts: Vec<Conjunct> = exprs
+                .into_iter()
+                .map(|expr| Conjunct {
+                    expr,
+                    kernel: Kernel::of(expr),
+                })
+                .collect();
+            conjuncts.sort_by_key(|c| c.kernel.map_or(u8::MAX, Kernel::rank));
+            conjuncts
+        });
+        Predicate {
+            whole: predicate,
+            conjuncts,
+        }
+    }
+
+    /// The batch-global indexes in the morsel `[start, start + n)` where
+    /// the predicate is `TRUE`: [`eval_vec`] then [`select_true`], without
+    /// the `Bool` columns.
+    pub(crate) fn select(&self, batch: &ColBatch, start: usize, n: usize) -> Result<Selected> {
+        let Some(conjuncts) = &self.conjuncts else {
+            let pred = eval_vec(self.whole, batch, start, n, None)?;
+            return Ok(Selected {
+                rows: select_true(&pred, start, n),
+                kernel_rows: 0,
+                fallback_rows: n as u64,
+            });
+        };
+        let mut out = Selected {
+            rows: (start as u32..(start + n) as u32).collect(),
+            kernel_rows: 0,
+            fallback_rows: 0,
+        };
+        let sel = &mut out.rows;
+        for c in conjuncts {
+            if sel.is_empty() {
+                break;
+            }
+            let tested = sel.len() as u64;
+            if c.kernel.is_some_and(|k| k.narrow(batch, sel)) {
+                out.kernel_rows += tested;
+                continue;
+            }
+            out.fallback_rows += tested;
+            let mask: Vec<u32> = sel.iter().map(|&i| i - start as u32).collect();
+            let pred = eval_vec(c.expr, batch, start, n, Some(&mask))?;
+            match pred.typed() {
+                Some(Typed::Bool(b)) => keep(sel, |i| b.get(i - start) == Some(&true)),
+                _ => keep(sel, |i| matches!(pred.cell(i - start), Cell::Bool(true))),
+            }
+        }
+        Ok(out)
+    }
+}
+
+impl<'e> Kernel<'e> {
+    /// The kernel that runs conjunct `e`, when it has one of their shapes.
+    fn of(e: &'e Expr) -> Option<Kernel<'e>> {
+        match e {
+            Expr::Binary { op, left, right } if is_comparison(*op) => {
+                let (col, lit, lit_left) = match (left.as_ref(), right.as_ref()) {
+                    (Expr::Column(c), Expr::Literal(lit)) => (*c, lit, false),
+                    (Expr::Literal(lit), Expr::Column(c)) => (*c, lit, true),
+                    _ => return None,
+                };
+                // `cmp_cell` is a total order, so `lit op x` is `op` on
+                // `x.cmp_cell(lit)` reversed.
+                let accept = [Ordering::Less, Ordering::Equal, Ordering::Greater]
+                    .map(|ord| holds(*op, if lit_left { ord.reverse() } else { ord }));
+                Some(Kernel::Compare { col, lit, accept })
+            }
+            Expr::Func { name, args } => match (Builtin::resolve(name, args.len()), &args[..]) {
+                (Ok(b), [Expr::Column(col), Expr::Literal(Value::Str(needle))]) => match b {
+                    Builtin::ArrayContains => Some(Kernel::ArrayContains {
+                        col: *col,
+                        needle: needle.as_str(),
+                    }),
+                    Builtin::Contains => Some(Kernel::Contains {
+                        col: *col,
+                        needle: needle.as_str(),
+                    }),
+                    _ => None,
+                },
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// Where the kind runs among the conjuncts.
+    fn rank(self) -> u8 {
+        match self {
+            Kernel::Compare { .. } => 0,
+            Kernel::ArrayContains { .. } => 1,
+            Kernel::Contains { .. } => 2,
+        }
+    }
+
+    /// Keeps the rows of `sel` (batch-global) on which the conjunct is
+    /// `TRUE`, reading the column's payload with one null test per row;
+    /// `false`, leaving `sel` alone, when the column and literal are not a
+    /// pair the kernel reads — the conjunct then goes through [`eval_vec`].
+    /// A comparison compares the `Cell`s its payloads stand for, as
+    /// [`compare_typed`] does; a builtin is `Builtin::call`'s arm for a
+    /// string (list) and a string.
+    fn narrow(self, batch: &ColBatch, sel: &mut Vec<u32>) -> bool {
+        fn compare<P: Slots, L: Scalar + ?Sized>(
+            sel: &mut Vec<u32>,
+            v: &P,
+            nulls: &Nulls,
+            lit: &L,
+            accept: [bool; 3],
+        ) where
+            P::Slot: Scalar,
+        {
+            let lit = lit.cell();
+            keep(sel, |i| {
+                !nulls.is_null(i) && accept[(v.slot(i).cell().cmp_cell(&lit) as i8 + 1) as usize]
+            })
+        }
+        match self {
+            Kernel::Compare { col, lit, accept } => match (batch.col(col), lit) {
+                (Column::Int(v, nulls), Value::Int(x)) => compare(sel, v, nulls, x, accept),
+                (Column::Int(v, nulls), Value::Float(x)) => compare(sel, v, nulls, x, accept),
+                (Column::Float(v, nulls), Value::Int(x)) => compare(sel, v, nulls, x, accept),
+                (Column::Float(v, nulls), Value::Float(x)) => compare(sel, v, nulls, x, accept),
+                (Column::Str(v, nulls), Value::Str(x)) => {
+                    compare(sel, v, nulls, x.as_str(), accept)
+                }
+                (Column::Bool(v, nulls), Value::Bool(x)) => compare(sel, v, nulls, x, accept),
+                _ => return false,
+            },
+            Kernel::ArrayContains { col, needle } => match batch.col(col) {
+                Column::StrList(lists, nulls) => keep(sel, |i| {
+                    !nulls.is_null(i) && lists.get(i).iter().any(|item| item == needle)
+                }),
+                _ => return false,
+            },
+            Kernel::Contains { col, needle } => match batch.col(col) {
+                Column::Str(v, nulls) => {
+                    keep(sel, |i| !nulls.is_null(i) && v.get(i).contains(needle))
+                }
+                _ => return false,
+            },
+        }
+        true
+    }
+}
+
+/// Whether `op` compares.
+fn is_comparison(op: BinOp) -> bool {
+    matches!(
+        op,
+        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+    )
+}
+
+/// Appends the conjuncts of `e`'s top-level `AND`s to `out`, left to right.
+fn split_and<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+    match e {
+        Expr::Binary {
+            op: BinOp::And,
+            left,
+            right,
+        } => {
+            split_and(left, out);
+            split_and(right, out);
+        }
+        e => out.push(e),
+    }
+}
+
+/// Whether [`eval_vec`] of `e` over a batch of `arity` columns cannot fail,
+/// wherever it is evaluated: its only errors are a column out of range and
+/// a builtin that does not resolve.
+fn cannot_fail(e: &Expr, arity: usize) -> bool {
+    match e {
+        Expr::Column(i) => *i < arity,
+        Expr::Literal(_) => true,
+        Expr::Cast { input, .. } | Expr::Unary { input, .. } | Expr::FieldGet { input, .. } => {
+            cannot_fail(input, arity)
+        }
+        Expr::Binary { left, right, .. } => cannot_fail(left, arity) && cannot_fail(right, arity),
+        Expr::Func { name, args } => {
+            Builtin::resolve(name, args.len()).is_ok() && args.iter().all(|a| cannot_fail(a, arity))
+        }
+    }
+}
+
+/// Keeps the entries of `sel` that `keep` holds on, in order: each is
+/// written and the write position moves on only if it is kept, so the
+/// loop does not branch on the test.
+#[inline]
+fn keep(sel: &mut Vec<u32>, mut keep: impl FnMut(usize) -> bool) {
+    let mut kept = 0;
+    for k in 0..sel.len() {
+        let i = sel[k];
+        sel[kept] = i;
+        kept += usize::from(keep(i as usize));
+    }
+    sel.truncate(kept);
+}
+
+/// Refills one row in place from a batch's columns, each read on its typed
+/// payload, picked once per morsel: a string slot that receives a string
+/// keeps its capacity, and any other slot is overwritten. A list or `Mixed`
+/// column is read cell by cell.
+pub(crate) struct RowFill<'a> {
+    fields: Vec<std::result::Result<Typed<'a>, &'a Column>>,
+}
+
+impl<'a> RowFill<'a> {
+    pub(crate) fn new(batch: &'a ColBatch) -> RowFill<'a> {
+        let field = |c: &'a Arc<Column>| Typed::of(c, 0).ok_or(c.as_ref());
+        RowFill {
+            fields: batch.columns().iter().map(field).collect(),
+        }
+    }
+
+    /// Overwrites `row`, of the batch's arity, with the batch's row `i`.
+    pub(crate) fn fill(&self, i: usize, row: &mut Row) {
+        fn set<T: Copy>(slot: &mut Value, x: Option<&T>, wrap: fn(T) -> Value) {
+            *slot = x.map_or(Value::Null, |&x| wrap(x));
+        }
+        debug_assert_eq!(
+            row.arity(),
+            self.fields.len(),
+            "filling a row of another arity"
+        );
+        for (slot, field) in row.values_mut().iter_mut().zip(&self.fields) {
+            match field {
+                Ok(Typed::Int(v)) => set(slot, v.get(i), Value::Int),
+                Ok(Typed::Float(v)) => set(slot, v.get(i), Value::Float),
+                Ok(Typed::Bool(v)) => set(slot, v.get(i), Value::Bool),
+                Ok(Typed::Str(v)) => refill(slot, v.get(i).map_or(Cell::Null, Cell::Str)),
+                Err(col) => refill(slot, col.cell(i)),
+            }
+        }
+    }
+}
+
+/// Writes `cell` into `slot`, into the slot's own string when both are
+/// strings.
+#[inline]
+fn refill(slot: &mut Value, cell: Cell) {
+    match (slot, cell) {
+        (Value::Str(s), Cell::Str(x)) => {
+            s.clear();
+            s.push_str(x);
+        }
+        (slot, cell) => *slot = cell.to_value(),
+    }
 }
 
 /// One output column of a fused scan+project: a field to pull out of each
@@ -1290,6 +1597,237 @@ mod tests {
         // Morsel offset shifts the selection to batch-global indexes.
         let v = eval_vec(&lt, &b, 2, 2, None).unwrap();
         assert_eq!(select_true(&v, 2, 2), vec![2, 3]);
+    }
+
+    /// A batch over more than one morsel for the filter kernels, a NULL in
+    /// every column: `$0` Int with values a cast to `f64` rounds (2^53 + 1,
+    /// `i64::MAX`), `$1` Float with NaN, ±0.0, 2^53 and ∞, `$2` Str (one
+    /// slot "coffee shop" right before one "pizza", and "漢字" before "b"),
+    /// `$3` Bool, `$4` a list column with empty lists, `$5` `Mixed`, `$6` the
+    /// row's index.
+    fn filter_batch() -> Arc<ColBatch> {
+        let big = (1i64 << 53) + 1;
+        let (i, f, st) = (Value::Int, Value::Float, Value::str);
+        let list = |items: &[&str]| Value::Array(items.iter().map(|s| Value::str(*s)).collect());
+        let ints = [
+            i(0),
+            i(-4),
+            Value::Null,
+            i(big),
+            i(i64::MAX),
+            i(i64::MIN),
+            i(3),
+            i(1000),
+        ];
+        let floats = [
+            f(f64::NAN),
+            f(-0.0),
+            f(0.0),
+            Value::Null,
+            f((1i64 << 53) as f64),
+            f(-4.0),
+            f(0.5),
+            f(f64::INFINITY),
+            f(3.0),
+        ];
+        let strs = [
+            Value::Null,
+            st(""),
+            st("a"),
+            st("é"),
+            st("coffee shop"),
+            st("pizza"),
+            st("漢字"),
+            st("b"),
+        ];
+        let bools = [Value::Bool(true), Value::Bool(false), Value::Null];
+        let lists = [
+            Value::Null,
+            list(&[]),
+            list(&["pizza"]),
+            list(&["é", "pizza"]),
+            list(&["coffee"]),
+            list(&[""]),
+        ];
+        let mixed = [i(1), st("a"), f(0.5), Value::Null, Value::Bool(true)];
+        let at = |vals: &[Value], r: usize| vals[r % vals.len()].clone();
+        let rows: Vec<Row> = (0..crate::MORSEL_SIZE + 700)
+            .map(|r| {
+                Row::new(vec![
+                    at(&ints, r),
+                    at(&floats, r),
+                    at(&strs, r),
+                    at(&bools, r),
+                    at(&lists, r),
+                    at(&mixed, r),
+                    i(r as i64),
+                ])
+            })
+            .collect();
+        let b = ColBatch::from_rows(&rows).unwrap();
+        assert!(matches!(b.col(0), Column::Int(..)) && matches!(b.col(1), Column::Float(..)));
+        assert!(matches!(b.col(2), Column::Str(..)) && matches!(b.col(3), Column::Bool(..)));
+        assert!(matches!(b.col(4), Column::StrList(..)) && matches!(b.col(5), Column::Mixed(..)));
+        Arc::new(b)
+    }
+
+    /// Asserts that [`Predicate::select`] is [`eval_vec`] then
+    /// [`select_true`] on every morsel of `b`, and that the engine's filter
+    /// keeps those rows at pool widths 1 and 8; returns the rows the
+    /// conjuncts tested with a kernel and through the fallback.
+    fn assert_filter_parity(e: &Expr, b: &Arc<ColBatch>) -> (u64, u64) {
+        let predicate = Predicate::new(e, b.arity());
+        let (mut kernel, mut fallback, mut want) = (0, 0, Vec::new());
+        for start in (0..b.len()).step_by(crate::MORSEL_SIZE) {
+            let n = crate::MORSEL_SIZE.min(b.len() - start);
+            let pred = eval_vec(e, b, start, n, None).unwrap();
+            let rows = select_true(&pred, start, n);
+            let got = predicate.select(b, start, n).unwrap();
+            assert_eq!(got.rows, rows, "{e:?} from row {start}");
+            kernel += got.kernel_rows;
+            fallback += got.fallback_rows;
+            want.extend(rows.into_iter().map(i64::from));
+        }
+        let before = miso_common::pool::threads();
+        for t in [1, 8] {
+            miso_common::pool::set_threads(t);
+            let out = crate::engine::filter(QueryGuard::inert_ref(), b, e).unwrap();
+            let ids: Vec<i64> = (0..out.len())
+                .map(|r| out.col(6).cell(r).as_i64().unwrap())
+                .collect();
+            assert_eq!(ids, want, "{e:?} at {t} threads");
+        }
+        miso_common::pool::set_threads(before);
+        (kernel, fallback)
+    }
+
+    /// The filter's conjunct kernels select what evaluating the predicate
+    /// and selecting its `TRUE` rows does, across a morsel boundary: every
+    /// comparison of every typed column with every typed literal on either
+    /// side (NaN, ±0.0, integers a cast to `f64` rounds), `contains` and
+    /// `array_contains` with awkward needles, the pairs a kernel declines,
+    /// and conjuncts in every order and nesting.
+    #[test]
+    fn filter_kernels_select_what_eval_vec_selects() {
+        use miso_plan::Expr as E;
+        let b = filter_batch();
+        let n = b.len() as u64;
+        let big = (1i64 << 53) + 1;
+        let lits = [
+            Value::Int(0),
+            Value::Int(-4),
+            Value::Int(big),
+            Value::Int(3),
+            Value::Float(f64::NAN),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float((1i64 << 53) as f64),
+            Value::Float(0.5),
+            Value::str("a"),
+            Value::str("é"),
+            Value::str(""),
+            Value::Bool(true),
+            Value::Bool(false),
+        ];
+        let ops = [
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+        ];
+        // The pairs `compare_typed` reads on their payloads.
+        let typed = |col: usize, lit: &Value| {
+            matches!(
+                (col, lit),
+                (0 | 1, Value::Int(_) | Value::Float(_)) | (2, Value::Str(_)) | (3, Value::Bool(_))
+            )
+        };
+        for op in ops {
+            for col in 0..6 {
+                for lit in &lits {
+                    // A declined pair is the per-cell arm on both sides: an
+                    // equality and an ordering cover it.
+                    if !typed(col, lit) && !matches!(op, BinOp::Eq | BinOp::Lt) {
+                        continue;
+                    }
+                    for e in [
+                        bin(op, E::col(col), E::lit(lit.clone())),
+                        bin(op, E::lit(lit.clone()), E::col(col)),
+                    ] {
+                        let tested = assert_filter_parity(&e, &b);
+                        let want = if typed(col, lit) { (n, 0) } else { (0, n) };
+                        assert_eq!(tested, want, "{e:?}");
+                    }
+                }
+            }
+        }
+        // `contains`: an empty needle, a multi-byte one, one that ends a slot
+        // and ones that run across two slots of the text buffer.
+        for needle in ["", "é", "字", "漢字", "shop", "p", "shoppi", "字b", "nope"] {
+            for (col, kernel) in [(2, true), (0, false), (5, false), (4, false)] {
+                let e = func("contains", vec![E::col(col), E::lit(needle)]);
+                let tested = assert_filter_parity(&e, &b);
+                assert_eq!(tested, if kernel { (n, 0) } else { (0, n) }, "{e:?}");
+            }
+        }
+        let e = func("contains", vec![E::col(2), E::lit(1i64)]);
+        assert_eq!(assert_filter_parity(&e, &b), (0, n), "{e:?}");
+        // `array_contains` over empty and NULL lists.
+        for needle in ["pizza", "é", "", "coffee", "nope"] {
+            for (col, kernel) in [(4, true), (5, false), (2, false)] {
+                let e = func("array_contains", vec![E::col(col), E::lit(needle)]);
+                let tested = assert_filter_parity(&e, &b);
+                assert_eq!(tested, if kernel { (n, 0) } else { (0, n) }, "{e:?}");
+            }
+        }
+        // Every set of three conjuncts in every order, chained to the left
+        // and to the right, selects the same rows: a comparison, the two
+        // builtins, and conjuncts only the fallback runs — a bare `Bool`
+        // column (a reference no mask narrows), arithmetic, an OR.
+        let conjuncts = [
+            bin(BinOp::Gt, E::col(0), E::lit(-5i64)),
+            func("array_contains", vec![E::col(4), E::lit("pizza")]),
+            func("contains", vec![E::col(2), E::lit("a")]),
+            E::col(3),
+            bin(
+                BinOp::Gt,
+                bin(BinOp::Add, E::col(0), E::lit(1i64)),
+                E::lit(0i64),
+            ),
+            bin(BinOp::Or, E::col(3), bin(BinOp::Lt, E::col(1), E::lit(0.0))),
+        ];
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        let mut sets = 0;
+        for x in 0..conjuncts.len() {
+            for y in x + 1..conjuncts.len() {
+                for z in y + 1..conjuncts.len() {
+                    let set = [x, y, z];
+                    let mut answers = Vec::new();
+                    for order in orders {
+                        let parts = order.map(|k| conjuncts[set[k]].clone());
+                        let left = parts.clone().into_iter().reduce(Expr::and).unwrap();
+                        let right = parts.into_iter().rev().reduce(|r, l| l.and(r)).unwrap();
+                        for e in [left, right] {
+                            assert_filter_parity(&e, &b);
+                            let p = Predicate::new(&e, b.arity());
+                            answers.push(p.select(&b, 0, b.len()).unwrap().rows);
+                        }
+                    }
+                    assert!(answers.windows(2).all(|w| w[0] == w[1]), "{set:?}");
+                    sets += 1;
+                }
+            }
+        }
+        assert_eq!(sets, 20);
     }
 
     #[test]

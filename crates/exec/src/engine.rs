@@ -656,13 +656,22 @@ fn scan_log(
     Ok((ColBatch::from_columns(vec![records], len), skipped))
 }
 
-/// The rows `predicate` is `TRUE` on (SQL `WHERE`: NULL does not select).
-fn filter(guard: &QueryGuard, batch: &Arc<ColBatch>, predicate: &Expr) -> Result<Arc<ColBatch>> {
+/// The rows `predicate` is `TRUE` on (SQL `WHERE`: NULL does not select),
+/// each morsel's selected one conjunct at a time ([`col::Predicate`]).
+pub(crate) fn filter(
+    guard: &QueryGuard,
+    batch: &Arc<ColBatch>,
+    predicate: &Expr,
+) -> Result<Arc<ColBatch>> {
+    let predicate = col::Predicate::new(predicate, batch.arity());
     let parts = par_ranges(guard, batch.len(), |_, start, n| {
-        col::eval_vec(predicate, batch, start, n, None)
-            .map(|pred| col::select_true(&pred, start, n))
+        predicate.select(batch, start, n)
     })?;
-    let selected = concat(collect_ok(parts)?);
+    let parts = collect_ok(parts)?;
+    let tested = |rows: fn(&col::Selected) -> u64| parts.iter().map(rows).sum();
+    miso_obs::count("exec.filter_kernel_rows", tested(|p| p.kernel_rows));
+    miso_obs::count("exec.filter_fallback_rows", tested(|p| p.fallback_rows));
+    let selected = concat(parts.into_iter().map(|p| p.rows).collect());
     Ok(if selected.len() == batch.len() {
         Arc::clone(batch)
     } else {
@@ -740,17 +749,18 @@ fn sort(batch: &ColBatch, keys: &[(usize, bool)]) -> ColBatch {
 /// a UDF's function takes one and answers in them. A UDF that declared the
 /// fields it reads gets them as `batch` holds them (a fused scan read exactly
 /// those); any other gets its input row. Each morsel refills one input row
-/// in place ([`ColBatch::fill_row`]), so reading a row allocates nothing
-/// once its strings have grown to fit. The answers' values go straight into
-/// the output columns.
+/// in place from its columns' typed payloads ([`col::RowFill`]), so reading
+/// a row allocates nothing once its strings have grown to fit. The answers'
+/// values go straight into the output columns.
 fn udf(guard: &QueryGuard, udf: &Udf, batch: &ColBatch, declared: bool) -> Result<ColBatch> {
     let arity = udf.output.arity();
     let parts = par_ranges(guard, batch.len(), |_, start, n| -> Result<ColBatch> {
         let mut cols: Vec<ColBuilder> = (0..arity).map(|_| ColBuilder::new()).collect();
         let mut len = 0;
         let mut row = Row::new(vec![Value::Null; batch.arity()]);
+        let fill = col::RowFill::new(batch);
         for i in start..start + n {
-            batch.fill_row(i, &mut row);
+            fill.fill(i, &mut row);
             let out = if declared {
                 udf.apply_fields(&row)?
             } else {
@@ -2579,6 +2589,75 @@ mod tests {
         for id in [free_scan, fused_scan, undeclared, sort] {
             assert!(run.try_output(id).is_none(), "node {id}");
         }
+    }
+
+    /// A filter whose predicate can fail runs it whole, so it fails exactly
+    /// where the serial interpreter does, with its message: a right conjunct
+    /// that reads a column the rows lack, or calls an unknown builtin, fails
+    /// the filter when its left conjunct is NULL on every row (NULL does not
+    /// decide an AND), and is never reached when the left is FALSE on every
+    /// row — a literal, or a comparison a kernel would have run first.
+    #[test]
+    fn a_filter_fails_exactly_where_the_serial_interpreter_does() {
+        let n = MORSEL_SIZE + 300;
+        let rows: Vec<Row> = (0..n)
+            .map(|i| Row::new(vec![Value::Int(i as i64), Value::str(format!("s{i}"))]))
+            .collect();
+        let mut src = MemSource::new();
+        src.add_view("v", rows);
+        let nope = Expr::Func {
+            name: "nope".into(),
+            args: vec![Expr::col(0)],
+        };
+        let below = |x: i64| Expr::Binary {
+            op: miso_plan::BinOp::Lt,
+            left: Box::new(Expr::col(0)),
+            right: Box::new(Expr::lit(x)),
+        };
+        // The view declares a third column its rows do not have.
+        let schema = Schema::new(vec![
+            Field::new("i", DataType::Int),
+            Field::new("s", DataType::Str),
+            Field::new("ghost", DataType::Int),
+        ]);
+        let bad = [Expr::col(2).eq(Expr::lit(1i64)), nope];
+        let mut failures = 0;
+        for right in bad {
+            for (left, fails) in [
+                (Expr::lit(Value::Null), true),
+                (Expr::lit(false), false),
+                (below(-1), false),
+                (below(1), true),
+            ] {
+                let mut b = PlanBuilder::new();
+                let scan = Operator::ScanView {
+                    view: "v".into(),
+                    schema: schema.clone(),
+                };
+                let scan = b.add(scan, vec![]).unwrap();
+                let predicate = left.and(right.clone());
+                let what = format!("{predicate:?}");
+                let filter = b.add(Operator::Filter { predicate }, vec![scan]).unwrap();
+                let plan = b.finish(filter).unwrap();
+                let serial = crate::serial::execute_serial(&plan, &src, &UdfRegistry::new());
+                assert_eq!(serial.is_err(), fails, "{what}");
+                let before = pool::threads();
+                for t in [1, 8] {
+                    pool::set_threads(t);
+                    let run = execute(&plan, &src, &UdfRegistry::new());
+                    match (&run, &serial) {
+                        (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+                        (Ok(run), Ok(serial)) => {
+                            assert_eq!(run.root_rows().unwrap(), serial.root_rows().unwrap())
+                        }
+                        _ => panic!("{what} at {t} threads: {run:?} against {serial:?}"),
+                    }
+                }
+                pool::set_threads(before);
+                failures += usize::from(fails);
+            }
+        }
+        assert_eq!(failures, 4);
     }
 
     /// The UDF operator refills one input row per morsel. An echoing UDF

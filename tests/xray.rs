@@ -609,6 +609,35 @@ fn xray_shows_what_ran() {
     assert_eq!(per_width[0], per_width[1], "1 vs 8 threads");
 }
 
+/// Every filter of the 32 templates selects with typed kernels only: their
+/// HV sides (HV-ONLY runs each whole in HV) and their split DW sides
+/// (MS-BASIC splits each, tuning nothing) hand no candidate row to the
+/// per-expression fallback.
+#[test]
+fn every_workload_filter_runs_on_kernels() {
+    let _g = lock();
+    let corpus = tiny_corpus();
+    let workload = compile_workload(&workload_catalog()).unwrap();
+    assert_eq!(workload.len(), 32);
+    for variant in [Variant::HvOnly, Variant::MsBasic] {
+        let counters = observed(|| {
+            let result = fresh_system(&corpus)
+                .run_workload(variant, &workload)
+                .unwrap();
+            if variant == Variant::MsBasic {
+                assert!(
+                    result.records.iter().any(|r| r.dw_ops > 0),
+                    "no query split"
+                );
+            }
+            miso_obs::snapshot().counters
+        });
+        let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+        assert_eq!(count("exec.filter_fallback_rows"), 0, "{variant:?}");
+        assert!(count("exec.filter_kernel_rows") > 0, "{variant:?}");
+    }
+}
+
 /// A full run leaves the cost models bit-identical to `paper_default`:
 /// nothing a run measures is written back into a model.
 #[test]
