@@ -2,33 +2,24 @@
 //!
 //! This module is the expression half of miso-col: a morsel-at-a-time
 //! expression evaluator (`eval_vec`) that covers the whole [`Expr`] enum
-//! and produces [`Column`] vectors instead of per-row [`Value`]s, and the
-//! fused scan+project reader ([`columnize`], [`field_columns`]) that turns
-//! raw JSON log lines straight into typed column vectors. The operator
-//! bodies live in [`crate::engine`], which owns morsel dispatch, the guard
-//! seam and the accumulator machinery.
+//! and produces [`Column`] vectors instead of per-row [`Value`]s, a filter's
+//! conjunct kernels (`Predicate`), and the fused scan+project reader
+//! ([`columnize`], [`field_columns`]) that turns raw JSON log lines straight
+//! into typed column vectors. The operator bodies live in [`crate::engine`],
+//! which owns morsel dispatch, the guard seam and the accumulator machinery.
 //!
-//! **Typed arms**: a kernel reads the variant of the vectors it is handed
-//! once per morsel (`Typed`) and, when they are typed, works on their
-//! payloads — a comparison of Int/Float/Str/Bool vectors or literals writes
-//! a `Bool` column, AND/OR combine two `Bool` vectors, and `array_contains`
-//! of a literal reads a list column's items in place. Everything else — a
-//! `Mixed` column, a NULL or container literal, a cross-type comparison,
-//! arithmetic — takes the per-cell arm. A filter does not build a `Bool`
-//! column at all where it can help it: its conjuncts narrow a selection
-//! vector one at a time (`Predicate`).
-//!
-//! **Semantics contract**: every path here must agree bit-for-bit with the
-//! scalar evaluator in [`crate::eval`]. A typed arm compares the [`Cell`]s
-//! its payloads stand for (`Scalar`), so it is `Value::cmp` — `cmp_f64`,
-//! `3 = 3.0`, NULL in gives NULL out — by construction; the per-cell arm
-//! routes through the shared scalar kernels `eval_binary`/`eval_unary`/
-//! `cast`, and a builtin has one body, `Builtin::call`, which both
-//! evaluators call on borrowed cells. AND/OR reproduce the scalar
+//! **One per-cell evaluator**: each `Expr` kind has one arm in `eval_vec`,
+//! which computes every evaluated position with the scalar kernels the
+//! serial interpreter in [`crate::eval`] runs — `eval_binary`, `eval_unary`,
+//! `cast`, `logical_combine` and `Builtin::call` on borrowed cells — so the
+//! two agree bit for bit by construction. AND/OR reproduce the scalar
 //! short-circuit: the right side is evaluated only at positions where the
 //! left side did not decide, so a plan whose right branch would error
 //! serially — a bad column, an unknown builtin, a wrong argument count —
-//! errors columnar-ly in exactly the same cases.
+//! errors columnar-ly in exactly the same cases. The one typed predicate
+//! code is a filter's: its conjuncts narrow a selection vector one at a
+//! time, a comparison with a literal and `(array_)contains` reading the
+//! column's payload (`Predicate`).
 //!
 //! **A line is tokenized once**: [`columnize`] keeps every top-level field
 //! of a log's lines as a raw column ([`RawColumns`]) in one pass; every
@@ -36,13 +27,15 @@
 //! a cast of it — no line is lexed again.
 
 use crate::engine::par_chunks;
-use crate::eval::{cast, eval_binary, eval_unary, logical_combine, Builtin};
+use crate::eval::{
+    cast, eval_binary, eval_unary, logical_combine, logical_short_circuits, Builtin,
+};
 use crate::udf::UdfRegistry;
 use miso_common::guard::QueryGuard;
 use miso_common::{MisoError, Result};
 use miso_data::json::RawColumns;
 use miso_data::{Cell, ColBatch, ColBuilder, Column, DataType, Nulls, Row, Slots, Strs, Value};
-use miso_plan::{BinOp, Expr, Operator, UnaryOp};
+use miso_plan::{BinOp, Expr, Operator};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -69,40 +62,12 @@ impl VCol<'_> {
         }
     }
 
-    /// The underlying column vector, when there is one.
-    fn column(&self) -> Option<&Column> {
-        self.column_from().map(|(c, _)| c)
-    }
-
-    /// The underlying column vector and the slot position `0` reads.
-    fn column_from(&self) -> Option<(&Column, usize)> {
-        match self {
-            VCol::Ref(c, start) => Some((c, *start)),
-            VCol::Owned(c) => Some((c, 0)),
-            VCol::Const(_) => None,
-        }
-    }
-
-    /// The vector's typed payload, when it has one: a typed column or a
-    /// scalar literal other than NULL.
-    pub(crate) fn typed(&self) -> Option<Typed<'_>> {
-        match self {
-            VCol::Const(Value::Int(x)) => Some(Typed::Int(Side::Lit(x))),
-            VCol::Const(Value::Float(x)) => Some(Typed::Float(Side::Lit(x))),
-            VCol::Const(Value::Bool(x)) => Some(Typed::Bool(Side::Lit(x))),
-            VCol::Const(Value::Str(x)) => Some(Typed::Str(Side::Lit(x.as_str()))),
-            VCol::Const(_) => None,
-            VCol::Ref(c, start) => Typed::of(c, *start),
-            VCol::Owned(c) => Typed::of(c, 0),
-        }
-    }
-
     /// Materializes morsel-local positions `0..n` as an owned column — the
-    /// one a [`ColBuilder`] makes of those cells. A typed arm's output is
-    /// that column already, unless it came out all NULL.
+    /// one a [`ColBuilder`] makes of those cells, which a computed column
+    /// already is.
     pub(crate) fn into_column(self, n: usize) -> Column {
         match self {
-            VCol::Owned(c) if c.is_canonical() => c,
+            VCol::Owned(c) => c,
             v => {
                 let mut b = ColBuilder::new();
                 b.reserve(n);
@@ -115,57 +80,9 @@ impl VCol<'_> {
     }
 }
 
-/// One side of a typed kernel: position `j` reads a literal, or slot
-/// `start + j` of a typed column's payload `P`.
-pub(crate) enum Side<'a, P: Slots> {
-    Lit(&'a P::Slot),
-    Col(&'a P, &'a Nulls, usize),
-}
-
-// Borrows only, whatever `P` is.
-impl<P: Slots> Clone for Side<'_, P> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<P: Slots> Copy for Side<'_, P> {}
-
-impl<'a, P: Slots> Side<'a, P> {
-    /// The payload at position `j`; `None` where it is NULL.
-    #[inline]
-    pub(crate) fn get(&self, j: usize) -> Option<&'a P::Slot> {
-        match *self {
-            Side::Lit(x) => Some(x),
-            Side::Col(v, nulls, start) => (!nulls.is_null(start + j)).then(|| v.slot(start + j)),
-        }
-    }
-}
-
-/// A vector read on its payload, picked once per morsel from its variant.
-#[derive(Clone, Copy)]
-pub(crate) enum Typed<'a> {
-    Int(Side<'a, Vec<i64>>),
-    Float(Side<'a, Vec<f64>>),
-    Bool(Side<'a, Vec<bool>>),
-    Str(Side<'a, Strs>),
-}
-
-impl<'a> Typed<'a> {
-    /// Column `c` from slot `start` on, when it holds scalars.
-    pub(crate) fn of(c: &'a Column, start: usize) -> Option<Typed<'a>> {
-        Some(match c {
-            Column::Int(v, n) => Typed::Int(Side::Col(v, n, start)),
-            Column::Float(v, n) => Typed::Float(Side::Col(v, n, start)),
-            Column::Bool(v, n) => Typed::Bool(Side::Col(v, n, start)),
-            Column::Str(v, n) => Typed::Str(Side::Col(v, n, start)),
-            Column::StrList(..) | Column::Mixed(_) => return None,
-        })
-    }
-}
-
-/// A typed payload, as the [`Cell`] the per-cell arm would read — which is
-/// what makes a typed arm agree with it: both compare and hash cells.
+/// A typed payload, as the [`Cell`] it stands for — which is what makes a
+/// kernel over payloads agree with the per-cell evaluator: both compare and
+/// hash cells.
 pub(crate) trait Scalar {
     fn cell(&self) -> Cell<'_>;
 }
@@ -205,102 +122,20 @@ fn evaluated(n: usize, mask: Option<&[u32]>) -> impl Iterator<Item = usize> + '_
     all.into_iter().flatten().chain(some)
 }
 
-/// Visits positions `0..n` in order, each with whether it is evaluated:
-/// in `mask` (sorted ascending), or every one when there is no mask.
-fn walk_masked(n: usize, mask: Option<&[u32]>, mut visit: impl FnMut(usize, bool)) {
-    let mut sel = mask.map(|m| m.iter().map(|&j| j as usize).peekable());
-    for j in 0..n {
-        let evaluated = sel.as_mut().is_none_or(|s| s.next_if_eq(&j).is_some());
-        visit(j, evaluated);
-    }
-}
-
 /// Builds an owned column of length `n` from `at`, evaluated only at the
-/// masked positions; unmasked slots are NULL.
+/// masked positions (sorted ascending); unmasked slots are NULL.
 fn build_masked(n: usize, mask: Option<&[u32]>, mut at: impl FnMut(usize) -> Value) -> Column {
     let mut b = ColBuilder::new();
     b.reserve(n);
-    walk_masked(n, mask, |j, evaluated| {
-        if evaluated {
+    let mut sel = mask.map(|m| m.iter().map(|&j| j as usize).peekable());
+    for j in 0..n {
+        if sel.as_mut().is_none_or(|s| s.next_if_eq(&j).is_some()) {
             b.push_value(at(j))
         } else {
             b.push_null()
         }
-    });
+    }
     b.finish()
-}
-
-/// A `Bool` column of length `n` written straight from `at` (`None` is
-/// NULL) at the evaluated positions, NULL elsewhere. It stays `Bool` even
-/// where every slot came out NULL — [`VCol::into_column`] settles that.
-fn bool_masked(
-    n: usize,
-    mask: Option<&[u32]>,
-    mut at: impl FnMut(usize) -> Option<bool>,
-) -> Column {
-    let mut values = vec![false; n];
-    let mut nulls = Nulls::none();
-    walk_masked(n, mask, |j, evaluated| {
-        match evaluated.then(|| at(j)).flatten() {
-            Some(b) => values[j] = b,
-            None => nulls.set(j),
-        }
-    });
-    Column::Bool(values, nulls)
-}
-
-/// Mirror of [`crate::eval::logical_short_circuits`] on a borrowed cell.
-#[inline]
-fn cell_short_circuits(op: BinOp, c: &Cell) -> bool {
-    matches!(
-        (op, c),
-        (BinOp::And, Cell::Bool(false)) | (BinOp::Or, Cell::Bool(true))
-    )
-}
-
-/// AND/OR in three-valued logic on `Bool` payloads: the left value that
-/// decides alone (`decides`: false for AND, true for OR) is the result and
-/// `r` is not read; otherwise NULL on the left gives NULL unless the right
-/// decides. Agrees with `logical_combine` on bools and NULLs.
-#[inline]
-fn kleene(decides: bool, l: Option<bool>, r: impl FnOnce() -> Option<bool>) -> Option<bool> {
-    match l {
-        Some(a) if a == decides => Some(a),
-        Some(_) => r(),
-        None => r().filter(|&b| b == decides),
-    }
-}
-
-/// Binary kernel on cells — the per-cell arm: allocation-free arms for the
-/// typed pairs a `Mixed` column still holds (Int/Int, Str/Str), the shared
-/// scalar kernel for everything else. Must agree with `eval_binary` on the
-/// equivalent owned values — `Value::cmp` is `i64::cmp` on Int/Int and
-/// `str::cmp` on Str/Str, so the fast arms reproduce it exactly.
-#[inline]
-fn binary_cells(op: BinOp, l: Cell, r: Cell) -> Value {
-    match (l, r) {
-        (Cell::Null, _) | (_, Cell::Null) => Value::Null,
-        (Cell::Int(a), Cell::Int(b)) => match op {
-            BinOp::Eq => Value::Bool(a == b),
-            BinOp::Ne => Value::Bool(a != b),
-            BinOp::Lt => Value::Bool(a < b),
-            BinOp::Le => Value::Bool(a <= b),
-            BinOp::Gt => Value::Bool(a > b),
-            BinOp::Ge => Value::Bool(a >= b),
-            _ => eval_binary(op, Value::Int(a), Value::Int(b)),
-        },
-        (Cell::Str(a), Cell::Str(b)) => match op {
-            BinOp::Eq => Value::Bool(a == b),
-            BinOp::Ne => Value::Bool(a != b),
-            BinOp::Lt => Value::Bool(a < b),
-            BinOp::Le => Value::Bool(a <= b),
-            BinOp::Gt => Value::Bool(a > b),
-            BinOp::Ge => Value::Bool(a >= b),
-            // Arithmetic on strings is NULL either way; avoid the clones.
-            _ => Value::Null,
-        },
-        (l, r) => eval_binary(op, l.to_value(), r.to_value()),
-    }
 }
 
 /// Whether `ord` satisfies the comparison `op`.
@@ -317,97 +152,8 @@ fn holds(op: BinOp, ord: Ordering) -> bool {
     }
 }
 
-/// The typed arm of a comparison: Int/Float against Int/Float, Str against
-/// Str, Bool against Bool — the pairs `eval_binary` orders rather than calls
-/// incomparable — written into a `Bool` column; `None` for any other pair.
-fn compare_typed(op: BinOp, l: &VCol, r: &VCol, n: usize, mask: Option<&[u32]>) -> Option<Column> {
-    fn compare<A: Slots, B: Slots>(
-        op: BinOp,
-        l: Side<A>,
-        r: Side<B>,
-        n: usize,
-        mask: Option<&[u32]>,
-    ) -> Column
-    where
-        A::Slot: Scalar,
-        B::Slot: Scalar,
-    {
-        bool_masked(n, mask, |j| {
-            let ord = l.get(j)?.cell().cmp_cell(&r.get(j)?.cell());
-            Some(holds(op, ord))
-        })
-    }
-    use Typed::{Bool, Float, Int, Str};
-    Some(match (l.typed()?, r.typed()?) {
-        (Int(a), Int(b)) => compare(op, a, b, n, mask),
-        (Int(a), Float(b)) => compare(op, a, b, n, mask),
-        (Float(a), Int(b)) => compare(op, a, b, n, mask),
-        (Float(a), Float(b)) => compare(op, a, b, n, mask),
-        (Str(a), Str(b)) => compare(op, a, b, n, mask),
-        (Bool(a), Bool(b)) => compare(op, a, b, n, mask),
-        _ => return None,
-    })
-}
-
-/// The typed arm of `array_contains(list, literal)`: each slot of a list
-/// column asked in place whether an item equals the needle — which only a
-/// string literal can — written into a `Bool` column; `None` for any other
-/// pair of arguments.
-fn array_contains_typed(
-    list: &VCol,
-    needle: &VCol,
-    n: usize,
-    mask: Option<&[u32]>,
-) -> Option<Column> {
-    let (Column::StrList(lists, nulls), start) = list.column_from()? else {
-        return None;
-    };
-    let VCol::Const(needle) = needle else {
-        return None;
-    };
-    let needle = needle.as_str();
-    Some(bool_masked(n, mask, |j| {
-        let i = start + j;
-        (!nulls.is_null(i)).then(|| needle.is_some_and(|x| lists.get(i).iter().any(|s| s == x)))
-    }))
-}
-
-/// Unary kernel on cells; shares `eval_unary` for the value-dependent arms.
-#[inline]
-fn unary_cell(op: UnaryOp, c: Cell) -> Value {
-    match op {
-        UnaryOp::IsNull => Value::Bool(c.is_null()),
-        UnaryOp::IsNotNull => Value::Bool(!c.is_null()),
-        // Not/Neg on strings and containers are NULL; skip the clone.
-        _ => match c {
-            Cell::Str(_) | Cell::StrList(_) | Cell::Val(_) => Value::Null,
-            c => eval_unary(op, c.to_value()),
-        },
-    }
-}
-
-/// Cast kernel on cells; borrows string payloads so `CAST(str AS INT)`
-/// does not allocate, and routes every other shape through the shared
-/// scalar [`cast`].
-#[inline]
-fn cast_cell(c: Cell, ty: DataType) -> Value {
-    match (c, ty) {
-        (Cell::Null, _) => Value::Null,
-        (Cell::Str(s), DataType::Int) => s
-            .trim()
-            .parse::<i64>()
-            .map(Value::Int)
-            .unwrap_or(Value::Null),
-        (Cell::Str(s), DataType::Float) => s
-            .trim()
-            .parse::<f64>()
-            .map(Value::Float)
-            .unwrap_or(Value::Null),
-        (c, ty) => cast(c.to_value(), ty),
-    }
-}
-
-/// Evaluates `expr` over the morsel `[start, start + n)` of `batch`.
+/// Evaluates `expr` over the morsel `[start, start + n)` of `batch`, one
+/// cell at a time through the scalar kernels.
 ///
 /// `mask` (morsel-local positions, sorted ascending) restricts evaluation
 /// to a subset — used for the right side of AND/OR so short-circuited
@@ -443,56 +189,27 @@ pub(crate) fn eval_vec<'a>(
         Expr::Literal(v) => Ok(VCol::Const(v.clone())),
         Expr::Cast { input, ty } => {
             let v = eval_vec(input, batch, start, n, mask)?;
-            // Identity casts pass the vector through untouched: CAST to
-            // JSON is the identity, and casting a typed column to its own
-            // type changes nothing (NULL slots stay NULL either way).
-            let identity = *ty == DataType::Json
-                || v.column().is_some_and(|c| {
-                    matches!(
-                        (c, *ty),
-                        (Column::Int(..), DataType::Int)
-                            | (Column::Float(..), DataType::Float)
-                            | (Column::Bool(..), DataType::Bool)
-                            | (Column::Str(..), DataType::Str)
-                    )
-                });
-            if identity {
-                return Ok(v);
-            }
             Ok(VCol::Owned(build_masked(n, mask, |j| {
-                cast_cell(v.cell(j), *ty)
+                cast(v.cell(j).to_value(), *ty)
             })))
         }
         Expr::Unary { op, input } => {
             let v = eval_vec(input, batch, start, n, mask)?;
             Ok(VCol::Owned(build_masked(n, mask, |j| {
-                unary_cell(*op, v.cell(j))
+                eval_unary(*op, v.cell(j).to_value())
             })))
         }
         Expr::Binary { op, left, right } if matches!(op, BinOp::And | BinOp::Or) => {
-            let decides = *op == BinOp::Or;
             let l = eval_vec(left, batch, start, n, mask)?;
-            let lb = match l.typed() {
-                Some(Typed::Bool(lb)) => Some(lb),
-                _ => None,
-            };
             // Positions where the left side did not decide the result.
             let need: Vec<u32> = evaluated(n, mask)
-                .filter(|&j| match lb {
-                    Some(lb) => lb.get(j) != Some(&decides),
-                    None => !cell_short_circuits(*op, &l.cell(j)),
-                })
+                .filter(|&j| !logical_short_circuits(*op, &l.cell(j)))
                 .map(|j| j as u32)
                 .collect();
             let r = eval_vec(right, batch, start, n, Some(&need))?;
-            if let (Some(lb), Some(Typed::Bool(rb))) = (lb, r.typed()) {
-                return Ok(VCol::Owned(bool_masked(n, mask, |j| {
-                    kleene(decides, lb.get(j).copied(), || rb.get(j).copied())
-                })));
-            }
             Ok(VCol::Owned(build_masked(n, mask, |j| {
                 let lc = l.cell(j);
-                if cell_short_circuits(*op, &lc) {
+                if logical_short_circuits(*op, &lc) {
                     lc.to_value()
                 } else {
                     logical_combine(*op, lc.to_value(), r.cell(j).to_value())
@@ -502,14 +219,8 @@ pub(crate) fn eval_vec<'a>(
         Expr::Binary { op, left, right } => {
             let l = eval_vec(left, batch, start, n, mask)?;
             let r = eval_vec(right, batch, start, n, mask)?;
-            if let Some(col) = is_comparison(*op)
-                .then(|| compare_typed(*op, &l, &r, n, mask))
-                .flatten()
-            {
-                return Ok(VCol::Owned(col));
-            }
             Ok(VCol::Owned(build_masked(n, mask, |j| {
-                binary_cells(*op, l.cell(j), r.cell(j))
+                eval_binary(*op, l.cell(j).to_value(), r.cell(j).to_value())
             })))
         }
         Expr::FieldGet { input, key } => {
@@ -531,11 +242,6 @@ pub(crate) fn eval_vec<'a>(
                 Err(_) if masked_empty => return Ok(VCol::Const(Value::Null)),
                 Err(e) => return Err(e),
             };
-            if let (Builtin::ArrayContains, [list, needle]) = (builtin, &args[..]) {
-                if let Some(col) = array_contains_typed(list, needle, n, mask) {
-                    return Ok(VCol::Owned(col));
-                }
-            }
             let mut cells = Vec::with_capacity(args.len());
             Ok(VCol::Owned(build_masked(n, mask, |j| {
                 cells.clear();
@@ -548,7 +254,7 @@ pub(crate) fn eval_vec<'a>(
 
 /// Batch-global indexes (within the morsel `[start, start + n)`) where the
 /// predicate vector is `TRUE` — SQL WHERE semantics, so NULL and non-bool
-/// results do not select. A `Bool` vector is read on its payload.
+/// results do not select.
 pub(crate) fn select_true(pred: &VCol, start: usize, n: usize) -> Vec<u32> {
     // A constant FALSE/NULL predicate selects nothing without a scan.
     if let VCol::Const(v) = pred {
@@ -556,20 +262,10 @@ pub(crate) fn select_true(pred: &VCol, start: usize, n: usize) -> Vec<u32> {
             return Vec::new();
         }
     }
-    let global = |j: usize| (start + j) as u32;
-    // Room for every position: one allocation, however many are selected.
-    let mut selected = Vec::with_capacity(n);
-    match pred.typed() {
-        Some(Typed::Bool(b)) => {
-            selected.extend((0..n).filter(|&j| b.get(j) == Some(&true)).map(global))
-        }
-        _ => selected.extend(
-            (0..n)
-                .filter(|&j| matches!(pred.cell(j), Cell::Bool(true)))
-                .map(global),
-        ),
-    }
-    selected
+    (0..n)
+        .filter(|&j| matches!(pred.cell(j), Cell::Bool(true)))
+        .map(|j| (start + j) as u32)
+        .collect()
 }
 
 /// A filter's predicate, planned once per batch: the conjuncts of its
@@ -578,7 +274,7 @@ pub(crate) fn select_true(pred: &VCol, start: usize, n: usize) -> Vec<u32> {
 /// so the order they run in does not change the answer: comparisons of a
 /// column with a literal first, then `array_contains`, then `contains`, all
 /// typed kernels over the payload; any other conjunct last, through
-/// [`eval_vec`] at the rows still selected. Neither builds a `Bool` column.
+/// [`eval_vec`] at the rows still selected. The kernels build no `Bool` column.
 ///
 /// Run apart, the conjuncts would change *where* an error arises, not what
 /// is selected. So they are used only when the predicate cannot fail (every
@@ -673,10 +369,7 @@ impl<'e> Predicate<'e> {
             out.fallback_rows += tested;
             let mask: Vec<u32> = sel.iter().map(|&i| i - start as u32).collect();
             let pred = eval_vec(c.expr, batch, start, n, Some(&mask))?;
-            match pred.typed() {
-                Some(Typed::Bool(b)) => keep(sel, |i| b.get(i - start) == Some(&true)),
-                _ => keep(sel, |i| matches!(pred.cell(i - start), Cell::Bool(true))),
-            }
+            keep(sel, |i| matches!(pred.cell(i - start), Cell::Bool(true)));
         }
         Ok(out)
     }
@@ -729,9 +422,9 @@ impl<'e> Kernel<'e> {
     /// `TRUE`, reading the column's payload with one null test per row;
     /// `false`, leaving `sel` alone, when the column and literal are not a
     /// pair the kernel reads — the conjunct then goes through [`eval_vec`].
-    /// A comparison compares the `Cell`s its payloads stand for, as
-    /// [`compare_typed`] does; a builtin is `Builtin::call`'s arm for a
-    /// string (list) and a string.
+    /// A comparison orders the `Cell`s its payloads stand for, as
+    /// `eval_binary` orders the values; a builtin is `Builtin::call`'s arm
+    /// for a string (list) and a string.
     fn narrow(self, batch: &ColBatch, sel: &mut Vec<u32>) -> bool {
         fn compare<P: Slots, L: Scalar + ?Sized>(
             sel: &mut Vec<u32>,
@@ -840,7 +533,7 @@ pub(crate) struct RowFill<'a> {
 
 impl<'a> RowFill<'a> {
     pub(crate) fn new(batch: &'a ColBatch) -> RowFill<'a> {
-        let field = |c: &'a Arc<Column>| Typed::of(c, 0).ok_or(c.as_ref());
+        let field = |c: &'a Arc<Column>| Typed::of(c).ok_or(c.as_ref());
         RowFill {
             fields: batch.columns().iter().map(field).collect(),
         }
@@ -865,6 +558,48 @@ impl<'a> RowFill<'a> {
                 Err(col) => refill(slot, col.cell(i)),
             }
         }
+    }
+}
+
+/// One typed column's payload `P` and its NULLs.
+struct Side<'a, P: Slots>(&'a P, &'a Nulls);
+
+// Borrows only, whatever `P` is.
+impl<P: Slots> Clone for Side<'_, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P: Slots> Copy for Side<'_, P> {}
+
+impl<'a, P: Slots> Side<'a, P> {
+    /// The payload at slot `i`; `None` where it is NULL.
+    #[inline]
+    fn get(&self, i: usize) -> Option<&'a P::Slot> {
+        (!self.1.is_null(i)).then(|| self.0.slot(i))
+    }
+}
+
+/// A column read on its payload, picked once from its variant.
+#[derive(Clone, Copy)]
+enum Typed<'a> {
+    Int(Side<'a, Vec<i64>>),
+    Float(Side<'a, Vec<f64>>),
+    Bool(Side<'a, Vec<bool>>),
+    Str(Side<'a, Strs>),
+}
+
+impl<'a> Typed<'a> {
+    /// Column `c`, when it holds scalars.
+    fn of(c: &'a Column) -> Option<Typed<'a>> {
+        Some(match c {
+            Column::Int(v, n) => Typed::Int(Side(v, n)),
+            Column::Float(v, n) => Typed::Float(Side(v, n)),
+            Column::Bool(v, n) => Typed::Bool(Side(v, n)),
+            Column::Str(v, n) => Typed::Str(Side(v, n)),
+            Column::StrList(..) | Column::Mixed(_) => return None,
+        })
     }
 }
 
@@ -990,6 +725,7 @@ mod tests {
     use crate::eval::eval;
     use miso_data::json::{parse_flat_line, parse_json};
     use miso_data::Row;
+    use miso_plan::UnaryOp;
 
     fn bin(op: BinOp, l: Expr, r: Expr) -> Expr {
         Expr::Binary {
@@ -1015,7 +751,7 @@ mod tests {
 
     /// `$0` Int, `$1` Str, `$4` Float — each with a NULL; `$2` a `Mixed`
     /// column of scalars, `$3` a `Mixed` column of arrays, an object, a
-    /// string and a NULL. For the typed arms, each with a NULL too: `$5`
+    /// string and a NULL. For the typed pairs, each with a NULL too: `$5`
     /// Float with −0.0, NaN, 0.0 and a −4.0 that `$6` (Int) and `$0` equal,
     /// `$6` Int with 0s that `$5`'s zeros equal, `$7` Bool, `$8` Str (one
     /// of them not ASCII). `$9` Int holds `i64::MIN`, whose negation,
@@ -1140,9 +876,9 @@ mod tests {
         }
     }
 
-    /// `eval_vec` ≡ `eval`: the per-cell arm over the `Expr` enum, then
-    /// every typed arm — comparisons, AND / OR with a NULL on either side,
-    /// the filter's `Bool` selection.
+    /// `eval_vec` ≡ `eval` over the `Expr` enum, then every comparison of
+    /// every pair of operand kinds, AND / OR with a NULL on either side, and
+    /// the selection of the `TRUE` rows.
     #[test]
     fn scalar_parity_matrix() {
         use miso_plan::Expr as E;
@@ -1230,12 +966,12 @@ mod tests {
         assert_eq!(at(&rem(-1), 4), Value::Int(0));
         assert_eq!(at(&rem(0), 4), Value::Null);
         assert_eq!(at(&rem(-3), 1), Value::Int(2));
-        // The typed arms. Every comparison on every typed pair — Int/Int,
-        // Float/Float, Int/Float both ways, Str/Str, Bool/Bool; column
-        // against column, against a literal and a literal against a column;
-        // NaN, −0.0 and NULL among the operands — takes the typed arm and
-        // agrees with `eval`, alone and behind an AND / OR. The pairs the
-        // typed arm declines take the per-cell arm, and agree too.
+        // Every comparison on every typed pair — Int/Int, Float/Float,
+        // Int/Float both ways, Str/Str, Bool/Bool; column against column,
+        // against a literal and a literal against a column; NaN, −0.0 and
+        // NULL among the operands — agrees with `eval`, alone and behind an
+        // AND / OR. So do the pairs of other kinds: cross-type, `Mixed`,
+        // NULL literals, list columns.
         let (c, nan) = (E::col, f64::NAN);
         let typed = [
             (c(0), c(6)),
@@ -1262,7 +998,7 @@ mod tests {
             (E::lit(false), c(7)),
             (E::lit(nan), c(4)),
         ];
-        let declined = [
+        let other = [
             (c(0), c(1)),
             (c(7), c(0)),
             (c(5), E::lit(Value::Null)),
@@ -1284,19 +1020,14 @@ mod tests {
         let n = b.len();
         let mut predicates = Vec::new();
         for op in ops {
-            for (pairs, takes_typed) in [(&typed[..], true), (&declined[..], false)] {
-                for (l, r) in pairs {
-                    let (lv, rv) = (eval_vec(l, &b, 0, n, None), eval_vec(r, &b, 0, n, None));
-                    let arm = compare_typed(op, &lv.unwrap(), &rv.unwrap(), n, None);
-                    assert_eq!(arm.is_some(), takes_typed, "{op:?} on {l:?}, {r:?}");
-                    let e = bin(op, l.clone(), r.clone());
-                    assert_parity_guarded(&e);
-                    predicates.push(e);
-                }
+            for (l, r) in typed.iter().chain(&other) {
+                let e = bin(op, l.clone(), r.clone());
+                assert_parity_guarded(&e);
+                predicates.push(e);
             }
         }
-        // AND / OR of typed `Bool` vectors, a NULL on either side: a Bool
-        // column with a NULL, comparisons NULL where an operand is, literals.
+        // AND / OR of `Bool` vectors, a NULL on either side: a Bool column
+        // with a NULL, comparisons NULL where an operand is, literals.
         let bools = [
             c(7),
             c(5).eq(E::lit(0.0)),
@@ -1311,7 +1042,7 @@ mod tests {
                 assert_parity(&bin(BinOp::Or, l.clone(), r.clone()));
             }
         }
-        // The filter reads a `Bool` vector on its payload.
+        // The filter selects the rows that are `TRUE`.
         for e in predicates.iter().chain(&bools) {
             let v = eval_vec(e, &b, 0, n, None).unwrap();
             let rows = b.to_rows();
@@ -1505,31 +1236,24 @@ mod tests {
         );
     }
 
-    /// `array_contains` over a list column reads the items in place when the
-    /// needle is a literal, and agrees with `eval` whatever the needle — a
-    /// string present or absent, NULL, a number, an array, a column — alone,
-    /// behind a short-circuit, and from any morsel offset.
+    /// `array_contains` over a list column agrees with `eval` whatever the
+    /// needle — a string present or absent, NULL, a number, an array, a
+    /// column — alone, behind a short-circuit, and from any morsel offset.
     #[test]
     fn array_contains_reads_list_columns_in_place() {
         use miso_plan::Expr as E;
         let b = batch();
         let n = b.len();
         let needles = [
-            (E::lit("pizza"), true),
-            (E::lit("é"), true),
-            (E::lit("nope"), true),
-            (E::lit(Value::Null), true),
-            (E::lit(1i64), true),
-            (E::lit(Value::Array(vec![Value::str("pizza")])), true),
-            (E::col(1), false),
+            E::lit("pizza"),
+            E::lit("é"),
+            E::lit("nope"),
+            E::lit(Value::Null),
+            E::lit(1i64),
+            E::lit(Value::Array(vec![Value::str("pizza")])),
+            E::col(1),
         ];
-        for (needle, typed) in needles {
-            let (list, v) = (
-                eval_vec(&E::col(10), &b, 0, n, None),
-                eval_vec(&needle, &b, 0, n, None),
-            );
-            let arm = array_contains_typed(&list.unwrap(), &v.unwrap(), n, None);
-            assert_eq!(arm.is_some(), typed, "{needle:?}");
+        for needle in needles {
             let e = func("array_contains", vec![E::col(10), needle]);
             assert_parity_guarded(&e);
             for (start, n) in [(1, 3), (2, 3), (4, 1), (5, 0)] {
@@ -1737,7 +1461,7 @@ mod tests {
             BinOp::Gt,
             BinOp::Ge,
         ];
-        // The pairs `compare_typed` reads on their payloads.
+        // The pairs the comparison kernel reads on their payloads.
         let typed = |col: usize, lit: &Value| {
             matches!(
                 (col, lit),

@@ -74,7 +74,7 @@ pub(crate) fn eval_unary(op: UnaryOp, v: Value) -> Value {
 
 fn eval_logical(op: BinOp, left: &Expr, right: &Expr, row: &Row) -> Result<Value> {
     let l = eval(left, row)?;
-    if logical_short_circuits(op, &l) {
+    if logical_short_circuits(op, &Cell::of(&l)) {
         return Ok(l);
     }
     let r = eval(right, row)?;
@@ -83,10 +83,10 @@ fn eval_logical(op: BinOp, left: &Expr, right: &Expr, row: &Row) -> Result<Value
 
 /// `false AND _` / `true OR _` decide without the right side — the left
 /// value *is* the result.
-pub(crate) fn logical_short_circuits(op: BinOp, l: &Value) -> bool {
+pub(crate) fn logical_short_circuits(op: BinOp, l: &Cell) -> bool {
     matches!(
         (op, l),
-        (BinOp::And, Value::Bool(false)) | (BinOp::Or, Value::Bool(true))
+        (BinOp::And, Cell::Bool(false)) | (BinOp::Or, Cell::Bool(true))
     )
 }
 

@@ -138,7 +138,7 @@ fn lower_query(query: &Query, catalog: &Catalog, b: &mut PlanBuilder) -> Result<
             if let Some((l, r)) = as_equi_pair(conjunct, &scope, &right_scope, left_arity)? {
                 on_pairs.push((l, r));
             } else {
-                residue.push(resolve_expr(conjunct, &joined_scope, catalog)?);
+                residue.push(resolve_expr(conjunct, &joined_scope)?);
             }
         }
         if on_pairs.is_empty() {
@@ -155,7 +155,7 @@ fn lower_query(query: &Query, catalog: &Catalog, b: &mut PlanBuilder) -> Result<
 
     // 5. Residual WHERE above the joins.
     if let Some(w) = residual_where {
-        let pred = resolve_expr(&w, &scope, catalog)?;
+        let pred = resolve_expr(&w, &scope)?;
         node = b.add(Operator::Filter { predicate: pred }, vec![node])?;
     }
 
@@ -168,9 +168,9 @@ fn lower_query(query: &Query, catalog: &Catalog, b: &mut PlanBuilder) -> Result<
             .is_some_and(SqlExpr::contains_aggregate);
 
     let (node, out_names) = if has_agg {
-        lower_aggregation(query, catalog, b, node, &scope)?
+        lower_aggregation(query, b, node, &scope)?
     } else {
-        lower_plain_select(query, catalog, b, node, &scope)?
+        lower_plain_select(query, b, node, &scope)?
     };
     let mut node = node;
 
@@ -414,14 +414,14 @@ fn lower_table_ref(
                 .collect();
             let mut node = b.add(Operator::Project { exprs }, vec![scan])?;
             let scope = Scope::single(alias, fields);
-            node = apply_pushdown(alias, node, &scope, pushdown, catalog, b)?;
+            node = apply_pushdown(alias, node, &scope, pushdown, b)?;
             Ok((node, scope))
         }
         TableRef::Derived { query, alias } => {
             let sub_root = lower_query(query, catalog, b)?;
             let cols = derived_columns(query)?;
             let scope = Scope::single(alias, cols);
-            let node = apply_pushdown(alias, sub_root, &scope, pushdown, catalog, b)?;
+            let node = apply_pushdown(alias, sub_root, &scope, pushdown, b)?;
             Ok((node, scope))
         }
         TableRef::Apply { udf, input, alias } => {
@@ -450,7 +450,7 @@ fn lower_table_ref(
             )?;
             let cols = output.fields().iter().map(|f| f.name.clone()).collect();
             let scope = Scope::single(alias, cols);
-            let node = apply_pushdown(alias, node, &scope, pushdown, catalog, b)?;
+            let node = apply_pushdown(alias, node, &scope, pushdown, b)?;
             Ok((node, scope))
         }
     }
@@ -461,7 +461,6 @@ fn apply_pushdown(
     node: NodeId,
     scope: &Scope,
     pushdown: &HashMap<String, Vec<SqlExpr>>,
-    catalog: &Catalog,
     b: &mut PlanBuilder,
 ) -> Result<NodeId> {
     let Some(conjuncts) = pushdown.get(alias) else {
@@ -469,7 +468,7 @@ fn apply_pushdown(
     };
     let resolved: Vec<Expr> = conjuncts
         .iter()
-        .map(|c| resolve_expr(c, scope, catalog))
+        .map(|c| resolve_expr(c, scope))
         .collect::<Result<_>>()?;
     match Expr::conjoin(resolved) {
         Some(pred) => Ok(b.add(Operator::Filter { predicate: pred }, vec![node])?),
@@ -494,8 +493,7 @@ fn derived_columns(query: &Query) -> Result<Vec<String>> {
 }
 
 /// Resolves a surface expression against a scope.
-#[allow(clippy::only_used_in_recursion)] // kept for future catalog-aware resolution
-fn resolve_expr(e: &SqlExpr, scope: &Scope, catalog: &Catalog) -> Result<Expr> {
+fn resolve_expr(e: &SqlExpr, scope: &Scope) -> Result<Expr> {
     Ok(match e {
         SqlExpr::Column { qualifier, name } => {
             Expr::Column(scope.resolve(qualifier.as_deref(), name)?)
@@ -506,8 +504,8 @@ fn resolve_expr(e: &SqlExpr, scope: &Scope, catalog: &Catalog) -> Result<Expr> {
         SqlExpr::Bool(b) => Expr::lit(*b),
         SqlExpr::Null => Expr::Literal(miso_data::Value::Null),
         SqlExpr::Binary { op, left, right } => {
-            let l = resolve_expr(left, scope, catalog)?;
-            let r = resolve_expr(right, scope, catalog)?;
+            let l = resolve_expr(left, scope)?;
+            let r = resolve_expr(right, scope)?;
             match op {
                 SqlBinOp::Like => Expr::Func {
                     name: "contains".into(),
@@ -522,11 +520,11 @@ fn resolve_expr(e: &SqlExpr, scope: &Scope, catalog: &Catalog) -> Result<Expr> {
         }
         SqlExpr::Not(inner) => Expr::Unary {
             op: UnaryOp::Not,
-            input: Box::new(resolve_expr(inner, scope, catalog)?),
+            input: Box::new(resolve_expr(inner, scope)?),
         },
         SqlExpr::Neg(inner) => Expr::Unary {
             op: UnaryOp::Neg,
-            input: Box::new(resolve_expr(inner, scope, catalog)?),
+            input: Box::new(resolve_expr(inner, scope)?),
         },
         SqlExpr::IsNull { expr, negated } => Expr::Unary {
             op: if *negated {
@@ -534,9 +532,9 @@ fn resolve_expr(e: &SqlExpr, scope: &Scope, catalog: &Catalog) -> Result<Expr> {
             } else {
                 UnaryOp::IsNull
             },
-            input: Box::new(resolve_expr(expr, scope, catalog)?),
+            input: Box::new(resolve_expr(expr, scope)?),
         },
-        SqlExpr::Cast { expr, ty } => resolve_expr(expr, scope, catalog)?.cast(*ty),
+        SqlExpr::Cast { expr, ty } => resolve_expr(expr, scope)?.cast(*ty),
         SqlExpr::Call {
             name, args, star, ..
         } => {
@@ -554,7 +552,7 @@ fn resolve_expr(e: &SqlExpr, scope: &Scope, catalog: &Catalog) -> Result<Expr> {
                 name: name.clone(),
                 args: args
                     .iter()
-                    .map(|a| resolve_expr(a, scope, catalog))
+                    .map(|a| resolve_expr(a, scope))
                     .collect::<Result<_>>()?,
             }
         }
@@ -599,7 +597,6 @@ struct FoundAgg {
 
 fn lower_aggregation(
     query: &Query,
-    catalog: &Catalog,
     b: &mut PlanBuilder,
     input: NodeId,
     scope: &Scope,
@@ -698,14 +695,14 @@ fn lower_aggregation(
     // Pre-aggregation projection: group keys then aggregate args.
     let mut pre_exprs: Vec<(String, Expr)> = Vec::new();
     for (g, name) in query.group_by.iter().zip(&group_names) {
-        pre_exprs.push((name.clone(), resolve_expr(g, scope, catalog)?));
+        pre_exprs.push((name.clone(), resolve_expr(g, scope)?));
     }
     let n_groups = pre_exprs.len();
     let mut agg_inputs: Vec<Option<usize>> = Vec::new();
     for (i, agg) in aggs.iter().enumerate() {
         match &agg.arg {
             Some(arg) => {
-                pre_exprs.push((format!("a{i}"), resolve_expr(arg, scope, catalog)?));
+                pre_exprs.push((format!("a{i}"), resolve_expr(arg, scope)?));
                 agg_inputs.push(Some(pre_exprs.len() - 1));
             }
             None => agg_inputs.push(None),
@@ -739,7 +736,7 @@ fn lower_aggregation(
 
     // HAVING over the aggregate output.
     if let Some(h) = &query.having {
-        let pred = resolve_post_agg(h, query, &group_names, &aggs, catalog)?;
+        let pred = resolve_post_agg(h, query, &group_names, &aggs)?;
         node = b.add(Operator::Filter { predicate: pred }, vec![node])?;
     }
 
@@ -755,7 +752,7 @@ fn lower_aggregation(
                 _ => None,
             })
             .unwrap_or_else(|| format!("c{i}"));
-        let e = resolve_post_agg(&item.expr, query, &group_names, &aggs, catalog)?;
+        let e = resolve_post_agg(&item.expr, query, &group_names, &aggs)?;
         final_exprs.push((name.clone(), e));
         out_names.push(name);
     }
@@ -764,13 +761,11 @@ fn lower_aggregation(
 }
 
 /// Resolves an expression over the aggregate output (group cols, then aggs).
-#[allow(clippy::only_used_in_recursion)] // kept for future catalog-aware resolution
 fn resolve_post_agg(
     e: &SqlExpr,
     query: &Query,
     group_names: &[String],
     aggs: &[FoundAgg],
-    catalog: &Catalog,
 ) -> Result<Expr> {
     // Aggregate call → its output column.
     if let Some(idx) = aggs.iter().position(|a| a.surface == *e) {
@@ -807,8 +802,8 @@ fn resolve_post_agg(
         SqlExpr::Bool(b) => Ok(Expr::lit(*b)),
         SqlExpr::Null => Ok(Expr::Literal(miso_data::Value::Null)),
         SqlExpr::Binary { op, left, right } => {
-            let l = resolve_post_agg(left, query, group_names, aggs, catalog)?;
-            let r = resolve_post_agg(right, query, group_names, aggs, catalog)?;
+            let l = resolve_post_agg(left, query, group_names, aggs)?;
+            let r = resolve_post_agg(right, query, group_names, aggs)?;
             match op {
                 SqlBinOp::Like => Ok(Expr::Func {
                     name: "contains".into(),
@@ -823,11 +818,11 @@ fn resolve_post_agg(
         }
         SqlExpr::Not(inner) => Ok(Expr::Unary {
             op: UnaryOp::Not,
-            input: Box::new(resolve_post_agg(inner, query, group_names, aggs, catalog)?),
+            input: Box::new(resolve_post_agg(inner, query, group_names, aggs)?),
         }),
         SqlExpr::Neg(inner) => Ok(Expr::Unary {
             op: UnaryOp::Neg,
-            input: Box::new(resolve_post_agg(inner, query, group_names, aggs, catalog)?),
+            input: Box::new(resolve_post_agg(inner, query, group_names, aggs)?),
         }),
         SqlExpr::IsNull { expr, negated } => Ok(Expr::Unary {
             op: if *negated {
@@ -835,10 +830,10 @@ fn resolve_post_agg(
             } else {
                 UnaryOp::IsNull
             },
-            input: Box::new(resolve_post_agg(expr, query, group_names, aggs, catalog)?),
+            input: Box::new(resolve_post_agg(expr, query, group_names, aggs)?),
         }),
         SqlExpr::Cast { expr, ty } => {
-            Ok(resolve_post_agg(expr, query, group_names, aggs, catalog)?.cast(*ty))
+            Ok(resolve_post_agg(expr, query, group_names, aggs)?.cast(*ty))
         }
         SqlExpr::Call { name, args, .. } => {
             if is_aggregate_name(name) {
@@ -850,7 +845,7 @@ fn resolve_post_agg(
                 name: name.clone(),
                 args: args
                     .iter()
-                    .map(|a| resolve_post_agg(a, query, group_names, aggs, catalog))
+                    .map(|a| resolve_post_agg(a, query, group_names, aggs))
                     .collect::<Result<_>>()?,
             })
         }
@@ -859,7 +854,6 @@ fn resolve_post_agg(
 
 fn lower_plain_select(
     query: &Query,
-    catalog: &Catalog,
     b: &mut PlanBuilder,
     input: NodeId,
     scope: &Scope,
@@ -881,7 +875,7 @@ fn lower_plain_select(
         } else {
             name
         };
-        exprs.push((name.clone(), resolve_expr(&item.expr, scope, catalog)?));
+        exprs.push((name.clone(), resolve_expr(&item.expr, scope)?));
         out_names.push(name);
     }
     let node = b.add(Operator::Project { exprs }, vec![input])?;

@@ -116,6 +116,10 @@ done
 CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
     --workload stream_steady --seed 7 --seconds 1 --trace 0 | tail -n 1 >"$golden/e2e-steady-timed.json"
 grep -q '"correct": *true' "$golden/e2e-steady-timed.json"
+# Simulated time follows every plan, reorganization and migration of the
+# looped stream: one decided or costed differently fails here.
+grep -q '"sim_s": *{"value": *58767.115585,' "$golden/e2e-steady-timed.json" ||
+    { echo "ci: stream_steady sim_s is not 58767.115585"; exit 1; }
 # The cold stream, timed: every log is read for the first time, so the
 # fused reader's typed and list columns answer every query here.
 CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \

@@ -10,8 +10,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use miso::common::{pool, Budgets, ByteSize, SimDuration};
-use miso::core::{split, ExperimentResult, GuardConfig, MultistoreSystem, SystemConfig, Variant};
-use miso::data::logs::{Corpus, LogsConfig};
+use miso::core::{
+    split, ExperimentResult, GrowthConfig, GuardConfig, MaintAction, MaintenancePolicy,
+    MultistoreSystem, SystemConfig, Variant,
+};
+use miso::data::logs::{Corpus, LogKind, LogsConfig};
 use miso::data::{DataType, Field, Row, Schema, Value};
 use miso::dw::DwCostModel;
 use miso::exec::engine::execute;
@@ -610,25 +613,51 @@ fn xray_shows_what_ran() {
 }
 
 /// Every filter of the 32 templates selects with typed kernels only: their
-/// HV sides (HV-ONLY runs each whole in HV) and their split DW sides
-/// (MS-BASIC splits each, tuning nothing) hand no candidate row to the
-/// per-expression fallback.
+/// HV sides (HV-ONLY runs each whole in HV), their split DW sides (MS-BASIC
+/// splits each, tuning nothing), and — under MS-MISO while the twitter log
+/// grows at every reorganization (`Refresh`) — the view-rewritten plans with
+/// their compensating predicates and the folds' delta plans hand no
+/// candidate row to the per-expression fallback.
 #[test]
 fn every_workload_filter_runs_on_kernels() {
     let _g = lock();
     let corpus = tiny_corpus();
     let workload = compile_workload(&workload_catalog()).unwrap();
     assert_eq!(workload.len(), 32);
-    for variant in [Variant::HvOnly, Variant::MsBasic] {
+    let mut growing = config();
+    growing.growth = Some(GrowthConfig {
+        kind: LogKind::Twitter,
+        records_per_epoch: LogsConfig::tiny().tweets / 50,
+        policy: MaintenancePolicy::Refresh,
+        logs: LogsConfig::tiny(),
+    });
+    let runs = [
+        (Variant::HvOnly, config()),
+        (Variant::MsBasic, config()),
+        (Variant::MsMiso, growing),
+    ];
+    for (variant, config) in runs {
         let counters = observed(|| {
-            let result = fresh_system(&corpus)
+            let result = system(&corpus, config)
                 .run_workload(variant, &workload)
                 .unwrap();
-            if variant == Variant::MsBasic {
-                assert!(
+            match variant {
+                Variant::MsBasic => assert!(
                     result.records.iter().any(|r| r.dw_ops > 0),
                     "no query split"
-                );
+                ),
+                Variant::MsMiso => {
+                    assert!(
+                        result.records.iter().any(|r| !r.used_views.is_empty()),
+                        "no view answered"
+                    );
+                    let mut decisions = result.maintenance.iter().flat_map(|m| &m.decisions);
+                    assert!(
+                        decisions.any(|d| d.action == MaintAction::Delta),
+                        "no view folded"
+                    );
+                }
+                _ => {}
             }
             miso_obs::snapshot().counters
         });
