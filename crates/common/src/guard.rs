@@ -56,6 +56,8 @@ struct GuardInner {
     /// High-water mark of `used`. Because over-budget charges are refused
     /// before they are recorded, `peak <= budget` always holds.
     peak: AtomicU64,
+    /// High-water mark of `used` since the last [`QueryGuard::open_window`].
+    window: AtomicU64,
     /// Testing hook: trip the token after this many successful checks
     /// (0 = disabled). Mirrors the chaos registry's `OnHit` trigger and
     /// powers the cancel-at-every-operator sweep.
@@ -79,6 +81,7 @@ impl QueryGuard {
             budget,
             used: AtomicU64::new(0),
             peak: AtomicU64::new(0),
+            window: AtomicU64::new(0),
             cancel_after: AtomicU64::new(0),
         }))
     }
@@ -100,6 +103,7 @@ impl QueryGuard {
                 budget: 0,
                 used: AtomicU64::new(0),
                 peak: AtomicU64::new(0),
+                window: AtomicU64::new(0),
                 cancel_after: AtomicU64::new(0),
             }))
         })
@@ -233,6 +237,7 @@ impl QueryGuard {
             return Err(Self::tripped_error(MEMORY));
         }
         self.0.peak.fetch_max(now, Ordering::Relaxed);
+        self.0.window.fetch_max(now, Ordering::Relaxed);
         Ok(())
     }
 
@@ -258,6 +263,25 @@ impl QueryGuard {
     /// High-water mark of charged bytes.
     pub fn peak(&self) -> u64 {
         self.0.peak.load(Ordering::Relaxed)
+    }
+
+    /// Opens a measuring window at the current charge and returns that
+    /// charge: [`QueryGuard::window_peak`] then reads the high-water mark of
+    /// charged bytes since this call. One window at a time; the engine opens
+    /// one around an operator body whose scratch it records. 0 on the inert
+    /// guard, which charges nothing.
+    pub fn open_window(&self) -> u64 {
+        if !self.0.active {
+            return 0;
+        }
+        let used = self.used();
+        self.0.window.store(used, Ordering::Relaxed);
+        used
+    }
+
+    /// High-water mark of charged bytes since [`QueryGuard::open_window`].
+    pub fn window_peak(&self) -> u64 {
+        self.0.window.load(Ordering::Relaxed)
     }
 
     /// The configured byte budget (0 = unlimited).
@@ -333,6 +357,24 @@ mod tests {
         assert_eq!(g.peak(), 100, "peak is a high-water mark");
         g.release(50);
         assert_eq!(g.used(), 0, "release saturates at zero");
+    }
+
+    #[test]
+    fn a_window_reads_the_high_water_since_it_opened() {
+        let g = QueryGuard::new(None, 0);
+        g.try_charge(500).unwrap();
+        g.release(400);
+        assert_eq!(g.open_window(), 100);
+        g.try_charge(30).unwrap();
+        g.try_charge(20).unwrap();
+        g.release(50);
+        assert_eq!(
+            g.window_peak() - 100,
+            50,
+            "the window forgets the earlier 500"
+        );
+        assert_eq!(g.peak(), 500);
+        assert_eq!(QueryGuard::inert_ref().open_window(), 0);
     }
 
     #[test]

@@ -537,6 +537,7 @@ impl FoldJob {
             udfs,
             Retention::Only(&keep),
             QueryGuard::inert_ref(),
+            None,
         )?;
         for id in keep {
             let fp = walk.fingerprint(id).expect("a kept node is shareable");

@@ -1653,12 +1653,20 @@ impl MultistoreSystem {
         let growing = self.config.growth.as_ref();
         let growing = growing.filter(|g| g.policy == crate::MaintenancePolicy::Refresh);
         retry_store(&mut self.retry_rng, guard, clock, bucket, || {
-            hv.execute_keeping(plan, subset, udfs, guard, |harvest| {
-                if let Some(growth) = growing {
-                    *folds = HarvestFold::plan(catalog, growth.kind.table_name(), plan, harvest);
-                }
-                HarvestFold::keep(folds)
-            })
+            hv.execute_keeping(
+                plan,
+                subset,
+                udfs,
+                guard,
+                |harvest| {
+                    if let Some(growth) = growing {
+                        *folds =
+                            HarvestFold::plan(catalog, growth.kind.table_name(), plan, harvest);
+                    }
+                    HarvestFold::keep(folds)
+                },
+                None,
+            )
         })
     }
 
@@ -1677,7 +1685,7 @@ impl MultistoreSystem {
         let udfs = &self.udfs;
         let guard = &self.active_guard;
         retry_store(&mut self.retry_rng, guard, clock, bucket, || {
-            dw.execute_guarded(plan, subset, provided.clone(), udfs, guard)
+            dw.execute_guarded(plan, subset, provided.clone(), udfs, guard, None)
         })
     }
 

@@ -8,7 +8,8 @@ use miso_data::{ColBatch, Row, Shelf, StoredView};
 use miso_exec::engine::{
     execute_subset_guarded, seed_batches, DataSource, Execution, LogLines, Retention,
 };
-use miso_exec::UdfRegistry;
+use miso_exec::memo::{node_keys, MemoKey};
+use miso_exec::{SubplanMemo, UdfRegistry};
 use miso_plan::{LogicalPlan, Operator};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -75,7 +76,28 @@ impl DwStore {
         udfs: &UdfRegistry,
     ) -> Result<DwRun> {
         let provided = seed_batches(plan, provided)?;
-        self.execute_guarded(plan, subset, provided, udfs, QueryGuard::inert_ref())
+        self.execute_guarded(plan, subset, provided, udfs, QueryGuard::inert_ref(), None)
+    }
+
+    /// The sub-plan memo keys a [`DwStore::execute_guarded`] of `subset`
+    /// resumed from working sets for the `seeds` executes, by node index
+    /// ([`miso_exec::memo::node_keys`]): what a batch counts to plan its
+    /// memo.
+    pub fn memo_keys(
+        &self,
+        plan: &LogicalPlan,
+        subset: Option<&HashSet<NodeId>>,
+        seeds: &HashSet<NodeId>,
+        udfs: &UdfRegistry,
+    ) -> Vec<Option<MemoKey>> {
+        node_keys(
+            plan,
+            subset,
+            seeds,
+            Retention::ROOT_ONLY,
+            udfs,
+            self.store_name(),
+        )
     }
 
     /// [`DwStore::execute`] over `provided` batches — the working sets as HV
@@ -83,7 +105,9 @@ impl DwStore {
     /// guard at every morsel-dispatch boundary and charges materializations
     /// and join/aggregate scratch against its memory budget. Injected
     /// `stall` faults inflate the charged cost past any sane deadline;
-    /// `hog` faults inflate the query's charged bytes by their factor.
+    /// `hog` faults inflate the query's charged bytes by their factor. With a
+    /// `memo`, the run shares the sub-plans its cells hold with the other
+    /// runs of its batch ([`miso_exec::memo`]).
     pub fn execute_guarded(
         &self,
         plan: &LogicalPlan,
@@ -91,6 +115,7 @@ impl DwStore {
         provided: HashMap<NodeId, Arc<ColBatch>>,
         udfs: &UdfRegistry,
         guard: &QueryGuard,
+        memo: Option<&SubplanMemo>,
     ) -> Result<DwRun> {
         let mut obs = miso_obs::span("dw.execute");
         // Fault injection: one relaxed atomic load when chaos is disabled.
@@ -133,6 +158,7 @@ impl DwStore {
             udfs,
             Retention::ROOT_ONLY,
             guard,
+            memo,
         )?;
         // An injected memory hog balloons the executed nodes' output bytes.
         strike.spike(guard, || {
@@ -182,6 +208,10 @@ impl DataSource for DwStore {
             .or_else(|| self.temp.get(view))
             .map(|v| v.batch.clone())
             .ok_or_else(|| MisoError::Store(format!("DW has no view `{view}`")))
+    }
+
+    fn store_name(&self) -> &'static str {
+        "dw"
     }
 }
 

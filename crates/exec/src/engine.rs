@@ -42,6 +42,7 @@
 //! [`crate::serial`].
 
 use crate::col::{self, FusedField, Scalar, VCol};
+use crate::memo::{self, SubplanMemo};
 use crate::profile::{self, OpProfile};
 use crate::udf::{Udf, UdfRegistry};
 use miso_common::guard::QueryGuard;
@@ -84,6 +85,11 @@ pub trait DataSource {
             cols_hit: 0,
             cols_parsed: fields.len() as u64,
         })
+    }
+    /// The store this source is, as a sub-plan memo key names it: the same
+    /// sub-plan over two stores' sources is two keys ([`crate::memo`]).
+    fn store_name(&self) -> &'static str {
+        "mem"
     }
 }
 
@@ -232,6 +238,15 @@ impl Retention<'_> {
     /// Keep nothing but the root — what a store that harvests no
     /// intermediates (DW) asks for.
     pub const ROOT_ONLY: Retention<'static> = Retention::Only(&[]);
+
+    /// Whether node `id` of a plan rooted at `root` is kept. Keep-sets are a
+    /// handful of ids: a slice scan beats building a set.
+    pub fn keeps(&self, id: NodeId, root: NodeId) -> bool {
+        match self {
+            Retention::All => true,
+            Retention::Only(ids) => id == root || ids.contains(&id),
+        }
+    }
 }
 
 /// A node output a run still holds: the batch, and what callers that asked
@@ -403,6 +418,7 @@ pub fn execute_subset(
         udfs,
         Retention::All,
         QueryGuard::inert_ref(),
+        None,
     )
 }
 
@@ -433,6 +449,16 @@ pub fn seed_batches(
 /// `exec.*` counters are read off — the ledger charge for its output, and the
 /// release of each input this node was the last to read. `retain` decides
 /// that release, whether a log scan may fuse, and what survives to the end.
+///
+/// With a `memo`, a node whose key ([`memo::node_keys`]) has a cell is run
+/// once for every run sharing the memo: the first run to reach it runs the
+/// body inside the cell and records its output, record and scratch
+/// high-water; every later run *replays* the cell — takes the batch and the
+/// record, charges the ledger the same bytes and its guard a transient
+/// charge of the scratch — and counts `exec.ops_shared` instead of
+/// `exec.ops_executed`. Everything else (the release order, what is kept)
+/// is this run's own, so a replay is charged as if the node had run.
+#[allow(clippy::too_many_arguments)]
 pub fn execute_subset_guarded(
     plan: &LogicalPlan,
     subset: Option<&HashSet<NodeId>>,
@@ -441,15 +467,14 @@ pub fn execute_subset_guarded(
     udfs: &UdfRegistry,
     retain: Retention<'_>,
     guard: &QueryGuard,
+    memo: Option<&SubplanMemo>,
 ) -> Result<Execution> {
     let root = plan.root();
-    // Keep-sets are a handful of ids: a slice scan beats building a set.
-    let kept = |id: NodeId| match retain {
-        Retention::All => true,
-        Retention::Only(ids) => id == root || ids.contains(&id),
-    };
+    let kept = |id: NodeId| retain.keeps(id, root);
     let seeds: HashSet<NodeId> = provided.keys().copied().collect();
     let executes = |id: NodeId| subset.is_none_or(|s| s.contains(&id)) && !seeds.contains(&id);
+    let store = source.store_name();
+    let keys = memo.map(|_| memo::node_keys(plan, subset, &seeds, retain, udfs, store));
     let mut profiles: HashMap<NodeId, OpProfile> = HashMap::with_capacity(plan.len());
     profiles.extend(
         provided
@@ -481,57 +506,88 @@ pub fn execute_subset_guarded(
             op_span.push_field("node", miso_obs::FieldValue::U64(node.id.raw()));
         }
         let t0 = Instant::now();
-        let input = |i: usize| input_of(&batches, node, i);
-        // Whether input 0 is a log scan whose batch holds the columns this
-        // node reads.
-        let reads_fused = || {
-            let scan = profiles.get(&node.inputs[0]);
-            scan.is_some_and(|scan| scan.fused.is_some())
+        // This node's cell, held until its record is in: a run that reaches
+        // it meanwhile waits, then replays.
+        let key = keys.as_ref().and_then(|keys| keys[node.id.raw() as usize]);
+        let mut cell = memo.zip(key).and_then(|(memo, key)| memo.cell(key));
+        let replay = cell.as_mut().and_then(|slot| slot.read());
+        let replayed = replay.is_some();
+        let (batch, mut op, scratch) = match replay {
+            Some(record) => {
+                // The scratch the body charged, held for no longer than the
+                // body held it.
+                drop(TempCharge::new(guard, record.scratch)?);
+                memo.map(SubplanMemo::hit);
+                miso_obs::count("exec.ops_shared", 1);
+                let op = OpProfile {
+                    wall_ns: t0.elapsed().as_nanos() as u64,
+                    ..record.profile
+                };
+                (record.batch, op, None)
+            }
+            None => {
+                let window = cell.as_ref().map(|_| guard.open_window());
+                let input = |i: usize| input_of(&batches, node, i);
+                // Whether input 0 is a log scan whose batch holds the columns
+                // this node reads.
+                let reads_fused = || {
+                    let scan = profiles.get(&node.inputs[0]);
+                    scan.is_some_and(|scan| scan.fused.is_some())
+                };
+                let mut fused = None;
+                let batch = match &node.op {
+                    Operator::ScanLog { log } => {
+                        // A kept scan's own output is wanted: it may not fuse.
+                        let fields = (!kept(node.id))
+                            .then(|| fused_reader(plan, node.id, executes, udfs))
+                            .flatten();
+                        let (batch, skipped) =
+                            scan_log(source, guard, log, fields.as_deref(), &mut fused)?;
+                        skipped_lines += skipped;
+                        Arc::new(batch)
+                    }
+                    Operator::ScanView { view, .. } => {
+                        miso_obs::count("exec.zero_copy_scans", 1);
+                        source.view_batch(view)?
+                    }
+                    Operator::Filter { predicate } => filter(guard, input(0)?, predicate)?,
+                    // A fused scan already read this projection.
+                    Operator::Project { .. } if reads_fused() => Arc::clone(input(0)?),
+                    Operator::Project { exprs } => Arc::new(project(guard, input(0)?, exprs)?),
+                    Operator::Join { on } => Arc::new(join(guard, input(0)?, input(1)?, on)?),
+                    Operator::Aggregate { group_by, aggs } => {
+                        Arc::new(aggregate(guard, input(0)?, group_by, aggs)?)
+                    }
+                    Operator::Udf { name, .. } => {
+                        Arc::new(udf(guard, udfs.require(name)?, input(0)?, reads_fused())?)
+                    }
+                    Operator::Sort { keys } => Arc::new(sort(input(0)?, keys)),
+                    Operator::Limit { n } => limit(input(0)?, *n as usize),
+                };
+                let scratch = window.map(|start| guard.window_peak().saturating_sub(start));
+                let (morsels, par_rows) = profile::take_dispatch();
+                // Inputs ran (or were provided) before this node, so their
+                // records are in even if the batches themselves were released.
+                let inputs = node.inputs.iter().filter_map(|i| profiles.get(i));
+                let op = OpProfile {
+                    wall_ns: t0.elapsed().as_nanos() as u64,
+                    rows_in: inputs.map(|input| input.rows_out).sum(),
+                    rows_out: batch.len() as u64,
+                    morsels,
+                    par_rows,
+                    fused,
+                    bytes_out: None,
+                };
+                miso_obs::observe("exec.op_ns", op.wall_ns);
+                miso_obs::count("exec.ops_executed", 1);
+                miso_obs::count("exec.col_batches", op.rows_in.div_ceil(MORSEL_SIZE as u64));
+                (batch, op, scratch)
+            }
         };
-        let mut fused = None;
-        let batch = match &node.op {
-            Operator::ScanLog { log } => {
-                // A kept scan's own output is wanted: it may not fuse.
-                let fields = (!kept(node.id))
-                    .then(|| fused_reader(plan, node.id, executes, udfs))
-                    .flatten();
-                let (batch, skipped) = scan_log(source, guard, log, fields.as_deref(), &mut fused)?;
-                skipped_lines += skipped;
-                Arc::new(batch)
-            }
-            Operator::ScanView { view, .. } => {
-                miso_obs::count("exec.zero_copy_scans", 1);
-                source.view_batch(view)?
-            }
-            Operator::Filter { predicate } => filter(guard, input(0)?, predicate)?,
-            // A fused scan already read this projection.
-            Operator::Project { .. } if reads_fused() => Arc::clone(input(0)?),
-            Operator::Project { exprs } => Arc::new(project(guard, input(0)?, exprs)?),
-            Operator::Join { on } => Arc::new(join(guard, input(0)?, input(1)?, on)?),
-            Operator::Aggregate { group_by, aggs } => {
-                Arc::new(aggregate(guard, input(0)?, group_by, aggs)?)
-            }
-            Operator::Udf { name, .. } => {
-                Arc::new(udf(guard, udfs.require(name)?, input(0)?, reads_fused())?)
-            }
-            Operator::Sort { keys } => Arc::new(sort(input(0)?, keys)),
-            Operator::Limit { n } => limit(input(0)?, *n as usize),
-        };
-        let (morsels, par_rows) = profile::take_dispatch();
-        // Inputs ran (or were provided) before this node, so their records
-        // are in even if the batches themselves were released.
-        let inputs = node.inputs.iter().filter_map(|i| profiles.get(i));
-        let mut op = OpProfile {
-            wall_ns: t0.elapsed().as_nanos() as u64,
-            rows_in: inputs.map(|input| input.rows_out).sum(),
-            rows_out: batch.len() as u64,
-            morsels,
-            par_rows,
-            fused,
-            bytes_out: None,
-        };
-        miso_obs::observe("exec.op_ns", op.wall_ns);
         if op_span.is_active() {
+            if replayed {
+                op_span.push_field("shared", miso_obs::FieldValue::U64(1));
+            }
             if let Some((hit, parsed)) = op.fused {
                 op_span.push_field("cols_hit", miso_obs::FieldValue::U64(hit));
                 op_span.push_field("cols_parsed", miso_obs::FieldValue::U64(parsed));
@@ -539,13 +595,21 @@ pub fn execute_subset_guarded(
             op_span.push_field("rows_out", miso_obs::FieldValue::U64(op.rows_out));
             miso_obs::observe("exec.op_rows_out", op.rows_out);
         }
-        miso_obs::count("exec.ops_executed", 1);
-        miso_obs::count("exec.col_batches", op.rows_in.div_ceil(MORSEL_SIZE as u64));
         // Columns that are the source's own — a log's column image, a view
         // it shares — are not the query's to charge.
         if op.fused.is_none() && !matches!(node.op, Operator::ScanView { .. }) {
-            op.bytes_out = ledger.charge(node.id, &batch)?;
+            op.bytes_out = ledger.charge(node.id, &batch, op.bytes_out)?;
         }
+        // A body run inside a cell leaves its record there.
+        if let (Some(slot), Some(scratch)) = (cell.as_mut(), scratch) {
+            let batch = Arc::clone(&batch);
+            slot.fill(memo::Record {
+                batch,
+                profile: op,
+                scratch,
+            });
+        }
+        drop(cell);
         profiles.insert(node.id, op);
         batches.insert(node.id, batch);
         for input in &node.inputs {
@@ -588,7 +652,7 @@ fn input_of<'a>(
 /// active guard does not stop it: a fused scan materializes nothing of its
 /// own, so — like the zero-copy `ScanView` — it charges nothing, and its
 /// consumer charges its output.
-fn fused_reader<'a>(
+pub(crate) fn fused_reader<'a>(
     plan: &'a LogicalPlan,
     scan: NodeId,
     executes: impl Fn(NodeId) -> bool,
@@ -852,13 +916,14 @@ impl<'a> ChargeLedger<'a> {
     }
 
     /// Charges the output's approximate bytes — [`ColBatch::row_bytes`], what
-    /// its rows would sum to — to the guard on behalf of node `id` and
-    /// returns them; fails with `ResourceExhausted` when the budget is blown.
-    fn charge(&mut self, id: NodeId, output: &ColBatch) -> Result<Option<u64>> {
+    /// its rows would sum to, unless a run of the same node already `known`
+    /// them — to the guard on behalf of node `id` and returns them; fails
+    /// with `ResourceExhausted` when the budget is blown.
+    fn charge(&mut self, id: NodeId, output: &ColBatch, known: Option<u64>) -> Result<Option<u64>> {
         if !self.guard.is_active() {
             return Ok(None);
         }
-        let bytes = output.row_bytes();
+        let bytes = known.unwrap_or_else(|| output.row_bytes());
         self.guard.try_charge(bytes)?;
         *self.charged.entry(id).or_insert(0) += bytes;
         Ok(Some(bytes))
@@ -2184,6 +2249,7 @@ mod tests {
             udfs,
             Retention::Only(keep),
             QueryGuard::inert_ref(),
+            None,
         )
         .unwrap()
     }
@@ -2467,6 +2533,7 @@ mod tests {
                 &udfs,
                 Retention::Only(&keep),
                 QueryGuard::inert_ref(),
+                None,
             )
             .unwrap();
             assert_eq!(dw.root_rows().unwrap(), full.root_rows().unwrap());

@@ -404,6 +404,7 @@ pub(crate) mod tests {
             &UdfRegistry::new(),
             retain,
             QueryGuard::inert_ref(),
+            None,
         )
         .unwrap()
         .root_rows()

@@ -17,6 +17,8 @@
 //!   operator over column batches, keeping every node's output unless the
 //!   caller names the set it will read ([`Retention`]: HV keeps the stage
 //!   outputs that become opportunistic views, DW only the root);
+//! * [`memo`] — compute-once sub-plan outputs shared by the runs of one
+//!   batch (a serving wave), each replay charged as if the node had run;
 //! * [`serial`] — the original row-at-a-time interpreter, preserved as the
 //!   differential-testing oracle and benchmark baseline.
 
@@ -24,6 +26,7 @@ pub mod col;
 pub mod engine;
 pub mod eval;
 pub mod ivm;
+pub mod memo;
 pub mod profile;
 pub mod serial;
 pub mod udf;
@@ -34,6 +37,7 @@ pub use engine::{
     MORSEL_SIZE,
 };
 pub use ivm::{AggApplied, AggState};
+pub use memo::{MemoKey, SubplanMemo};
 pub use profile::OpProfile;
 pub use serial::execute_serial;
 pub use udf::{Udf, UdfRegistry};

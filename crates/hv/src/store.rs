@@ -13,7 +13,8 @@ use miso_exec::col::field_columns;
 use miso_exec::engine::{
     execute_subset_guarded, DataSource, Execution, LogColumns, LogLines, Retention, MORSEL_SIZE,
 };
-use miso_exec::{FusedField, UdfRegistry};
+use miso_exec::memo::{node_keys, MemoKey};
+use miso_exec::{FusedField, SubplanMemo, UdfRegistry};
 use miso_obs::FieldValue;
 use miso_plan::estimate::MapStats;
 use miso_plan::split::mask;
@@ -231,6 +232,22 @@ pub struct HvRun {
     pub materialized: Vec<MaterializedOutput>,
 }
 
+/// What an HV run of the `hv` side of `plan` harvests, in `materialized`
+/// order: the job outputs, then the map-phase by-products — a Filter's
+/// output is the map output spilled for the shuffle of its consuming job;
+/// Hadoop materializes these too, and [15] harvests them alongside job
+/// outputs.
+fn harvest(plan: &LogicalPlan, stages: &mut Stages, hv: &[u64]) -> Vec<NodeId> {
+    let outputs = stages.outputs(hv);
+    let spills = plan.nodes().iter().enumerate().filter(|&(i, n)| {
+        matches!(n.op, Operator::Filter { .. }) && mask::has(hv, i) && !mask::has(outputs, i)
+    });
+    mask::ones(outputs)
+        .chain(spills.map(|(i, _)| i))
+        .map(|i| NodeId(i as u64))
+        .collect()
+}
+
 /// The simulated Hive/Hadoop store.
 ///
 /// `Clone` is deliberate: the serving layer snapshots the whole store into an
@@ -334,6 +351,33 @@ impl HvStore {
         self.execute_guarded(plan, subset, udfs, QueryGuard::inert_ref(), &[])
     }
 
+    /// The sub-plan memo keys an [`HvStore::execute_keeping`] of `subset`
+    /// with no extra outputs executes, by node index
+    /// ([`miso_exec::memo::node_keys`]): what a batch counts to plan its
+    /// memo.
+    pub fn memo_keys(
+        &self,
+        plan: &LogicalPlan,
+        subset: Option<&HashSet<NodeId>>,
+        udfs: &UdfRegistry,
+    ) -> Vec<Option<MemoKey>> {
+        let mut hv = vec![0; mask::words(plan.len())];
+        for node in plan.nodes() {
+            if subset.is_none_or(|s| s.contains(&node.id)) {
+                mask::insert(&mut hv, node.id.raw() as usize);
+            }
+        }
+        let keep = harvest(plan, &mut Stages::of(plan), &hv);
+        node_keys(
+            plan,
+            subset,
+            &HashSet::new(),
+            Retention::Only(&keep),
+            udfs,
+            self.store_name(),
+        )
+    }
+
     /// [`HvStore::execute`] under a [`QueryGuard`], also keeping the outputs
     /// of the `extra` nodes. The engine checks the guard at every
     /// morsel-dispatch boundary and charges materializations against its
@@ -357,13 +401,16 @@ impl HvStore {
         guard: &QueryGuard,
         extra: &[NodeId],
     ) -> Result<HvRun> {
-        self.execute_keeping(plan, subset, udfs, guard, |_| extra.to_vec())
+        self.execute_keeping(plan, subset, udfs, guard, |_| extra.to_vec(), None)
     }
 
     /// [`HvStore::execute_guarded`], the extra outputs chosen from the
     /// harvest: before anything runs, `extra` is told the nodes HV will
     /// harvest, in `materialized` order, and names the interior outputs the
-    /// caller reads beside them (a harvested view's fold inputs).
+    /// caller reads beside them (a harvested view's fold inputs). With a
+    /// `memo`, the run shares the sub-plans its cells hold with the other
+    /// runs of its batch ([`miso_exec::memo`]); [`HvStore::memo_keys`] names
+    /// the keys such a run (with no extra outputs) will execute.
     pub fn execute_keeping(
         &self,
         plan: &LogicalPlan,
@@ -371,6 +418,7 @@ impl HvStore {
         udfs: &UdfRegistry,
         guard: &QueryGuard,
         extra: impl FnOnce(&[NodeId]) -> Vec<NodeId>,
+        memo: Option<&SubplanMemo>,
     ) -> Result<HvRun> {
         let mut obs = miso_obs::span("hv.execute");
         // Fault injection: one relaxed atomic load when chaos is disabled.
@@ -397,18 +445,7 @@ impl HvStore {
             read[i] = size.as_bytes() as f64;
         }
         let mut stages = Stages::of(plan);
-        // What HV harvests, in `materialized` order: the job outputs, then
-        // the map-phase by-products — a Filter's output is the map output
-        // spilled for the shuffle of its consuming job; Hadoop materializes
-        // these too, and [15] harvests them alongside job outputs.
-        let outputs = stages.outputs(&hv);
-        let spills = plan.nodes().iter().enumerate().filter(|&(i, n)| {
-            matches!(n.op, Operator::Filter { .. }) && mask::has(&hv, i) && !mask::has(outputs, i)
-        });
-        let harvest: Vec<NodeId> = mask::ones(outputs)
-            .chain(spills.map(|(i, _)| i))
-            .map(|i| NodeId(i as u64))
-            .collect();
+        let harvest = harvest(plan, &mut stages, &hv);
         // The retention set is the harvest: stage costs below read sizes of
         // stage outputs only and row counts (which survive release) of
         // everything else, so what is not kept here is never looked at.
@@ -421,6 +458,7 @@ impl HvStore {
             udfs,
             Retention::Only(&keep),
             guard,
+            memo,
         )?;
         let mut cost = SimDuration::ZERO;
         let mut stage_costs = Vec::new();
@@ -504,6 +542,10 @@ impl DataSource for HvStore {
         miso_obs::count("hv.log_cols_served", cols.cols_hit);
         miso_obs::count("hv.log_cols_parsed", cols.cols_parsed);
         Ok(cols)
+    }
+
+    fn store_name(&self) -> &'static str {
+        "hv"
     }
 }
 

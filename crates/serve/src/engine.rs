@@ -806,6 +806,10 @@ impl ServeEngine {
         // confuse with a real match by using an empty sentinel.
         let failed = (u64::MAX, Checksum(0));
         let (hv, plans, udfs) = (&self.master.hv, &self.plans, &self.udfs);
+        let mut span = miso_obs::span("serve.oracle");
+        if span.is_active() {
+            span.push_field("templates", miso_obs::FieldValue::U64(plans.len() as u64));
+        }
         let was_on = miso_chaos::suspend();
         let answers = pool::run_batch(plans.len(), |i| {
             let run = hv.execute(&plans[i].1, None, udfs);

@@ -15,11 +15,17 @@
 //! * **A memo.** A snapshot is immutable, so (plan, banned views, hv-only)
 //!   fixes the base run: each key is computed once per epoch. The plan is
 //!   keyed by its fingerprint beside the caller's label, so two templates
-//!   that share a label never share a run.
+//!   that share a label never share a *run* — they may share sub-plans
+//!   inside a wave (next point), each still charged as if it ran alone.
 //! * **A wave.** Because a base run is a pure function of its key,
 //!   [`SnapExecutor::prefetch`] computes a whole workload's fault-free runs
 //!   as one pool batch, one query per task, instead of one at a time as
-//!   dispatches ask for them.
+//!   dispatches ask for them. The wave places every template first, counts
+//!   the sub-plans the placed plans repeat, and runs them over one
+//!   [`SubplanMemo`]: a repeated sub-plan — in either store — runs once per
+//!   wave, and every other run replays it with the charges of running it,
+//!   so each base run equals a run of its own. The memo lives for the wave;
+//!   single dispatches ([`SnapExecutor::run`]) share nothing.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -28,7 +34,8 @@ use miso_common::ids::QueryId;
 use miso_common::{pool, ByteSize, QueryGuard, Result, SimDuration};
 use miso_core::split::{self, HarvestCandidate};
 use miso_data::Checksum;
-use miso_exec::UdfRegistry;
+use miso_exec::{MemoKey, SubplanMemo, UdfRegistry};
+use miso_optimizer::optimize::PlannedQuery;
 use miso_plan::fingerprint::{fnv1a_str, fnv1a_words};
 use miso_plan::LogicalPlan;
 
@@ -152,32 +159,83 @@ impl SnapExecutor {
 
     /// Computes and memoizes the fault-free run — no banned views, split
     /// placement — of every template in `workload` that `snap`'s epoch has
-    /// not memoized yet, as one pool batch with chaos suspended once around
-    /// it. Each task is one query; the morsel batches it dispatches run
+    /// not memoized yet, with chaos suspended once around it: the templates
+    /// are placed as one pool batch, a serial pass counts the sub-plan keys
+    /// of the placed plans (`planned_keys`) into a [`SubplanMemo`] with a
+    /// cell per repeated key, and the runs are a second pool batch over that
+    /// memo. Each task is one query; the morsel batches it dispatches run
     /// inline on its thread. A run that errors is not memoized, so the
-    /// dispatch that asks for it computes it again and meets the same
-    /// error. Banned-view re-plans and HV-only runs stay to [`Self::run`].
+    /// dispatch that asks for it computes it again, alone, and meets the
+    /// same error. Banned-view re-plans and HV-only runs stay to
+    /// [`Self::run`].
     pub fn prefetch(&mut self, snap: &EpochSnapshot, workload: &[(String, LogicalPlan)]) {
         let none = BTreeSet::new();
         let todo: Vec<(Key, &LogicalPlan)> = (workload.iter())
             .map(|(label, raw)| (Self::key(snap, label, raw, &none, false), raw))
             .filter(|(key, _)| !self.memo.contains_key(key))
             .collect();
+        let mut span = miso_obs::span("serve.prefetch");
         let udfs = &self.udfs;
         let was_on = miso_chaos::suspend();
-        let runs = pool::run_batch(todo.len(), |i| compute(udfs, snap, todo[i].1, &none, false));
+        let placed = pool::run_batch(todo.len(), |i| place(snap, todo[i].1, &none, false));
+        let runs = placed.and_then(|placed| {
+            let keys: Vec<Vec<MemoKey>> = (placed.iter())
+                .map(|p| {
+                    p.as_ref()
+                        .map_or_else(|_| Vec::new(), |p| planned_keys(udfs, snap, p))
+                })
+                .collect();
+            let memo = SubplanMemo::planned(keys.iter().flatten().copied());
+            let order = stagger(&keys, &memo);
+            let runs = pool::run_batch(order.len(), |j| match &placed[order[j]] {
+                Ok(planned) => run_placed(udfs, snap, planned, Some(&memo)),
+                Err(e) => Err(e.clone()),
+            });
+            if span.is_active() {
+                span.push_field("cells", miso_obs::FieldValue::U64(memo.cells() as u64));
+                span.push_field("hits", miso_obs::FieldValue::U64(memo.hits()));
+            }
+            Ok(order.into_iter().zip(runs?))
+        });
         miso_chaos::resume(was_on);
+        if span.is_active() {
+            span.push_field("epoch", miso_obs::FieldValue::U64(snap.epoch));
+            span.push_field("templates", miso_obs::FieldValue::U64(todo.len() as u64));
+        }
         miso_obs::count("serve.base_runs_computed", todo.len() as u64);
         // A task that panicked leaves the whole wave unmemoized: every
         // dispatch then computes its own run, as without a wave.
         let Ok(runs) = runs else { return };
-        for ((key, _), run) in todo.into_iter().zip(runs) {
+        for (i, run) in runs {
             if let Ok(run) = run {
                 let run = Arc::new(run);
-                self.memo.insert(key, Memo { run, read: false });
+                self.memo.insert(todo[i].0, Memo { run, read: false });
             }
         }
     }
+}
+
+/// The order a wave starts its runs in. Two runs that reach the same cell
+/// side by side wait for each other, and the templates of one analyst come
+/// in a row and share their first sub-plans; so the runs are grouped by the
+/// first cell each reads and the groups dealt out one run at a time. Any
+/// order computes the same runs.
+fn stagger(keys: &[Vec<MemoKey>], memo: &SubplanMemo) -> Vec<usize> {
+    let mut groups: Vec<(Option<MemoKey>, Vec<usize>)> = Vec::new();
+    for (i, keys) in keys.iter().enumerate() {
+        let lead = keys.iter().copied().find(|&key| memo.shares(key));
+        match groups
+            .iter_mut()
+            .find(|(first, _)| first.is_some() && *first == lead)
+        {
+            Some((_, runs)) => runs.push(i),
+            None => groups.push((lead, vec![i])),
+        }
+    }
+    let rounds = groups.iter().map(|(_, runs)| runs.len()).max().unwrap_or(0);
+    let dealt =
+        (0..rounds).flat_map(|round| groups.iter().filter_map(move |(_, runs)| runs.get(round)));
+    dealt.copied().collect()
 }
 
 /// One fault-free walk of the split pipeline for `raw` over `snap`.
@@ -188,29 +246,62 @@ fn compute(
     banned: &BTreeSet<String>,
     hv_only: bool,
 ) -> Result<BaseRun> {
-    let stores = snap.stores();
+    run_placed(udfs, snap, &place(snap, raw, banned, hv_only)?, None)
+}
+
+/// `raw` placed over `snap`, planned without `banned` views.
+fn place(
+    snap: &EpochSnapshot,
+    raw: &LogicalPlan,
+    banned: &BTreeSet<String>,
+    hv_only: bool,
+) -> Result<PlannedQuery> {
     let usable = |name: &String| !banned.contains(name) && !snap.catalog.is_quarantined(name);
-    let (planned, _) = split::place(stores, raw, usable, hv_only)?;
+    Ok(split::place(snap.stores(), raw, usable, hv_only)?.0)
+}
+
+/// The sub-plan memo keys a run of `planned` executes, HV side then DW
+/// side: what [`run_placed`] will ask a memo for.
+fn planned_keys(udfs: &UdfRegistry, snap: &EpochSnapshot, planned: &PlannedQuery) -> Vec<MemoKey> {
+    let plan = &planned.plan;
+    let (hv_set, dw_set) = split::node_sets(planned);
+    // The cuts HV ships in are the DW run's seeds.
+    let seeds = planned.split.cut_nodes(plan).into_iter().collect();
+    let hv = (!hv_set.is_empty()).then(|| snap.hv.memo_keys(plan, Some(&hv_set), udfs));
+    let dw = (!dw_set.is_empty()).then(|| snap.dw.memo_keys(plan, Some(&dw_set), &seeds, udfs));
+    hv.into_iter().chain(dw).flatten().flatten().collect()
+}
+
+/// The walk of `planned` over `snap`: its HV side, the cuts, its DW side,
+/// sharing the sub-plans `memo` holds.
+fn run_placed(
+    udfs: &UdfRegistry,
+    snap: &EpochSnapshot,
+    planned: &PlannedQuery,
+    memo: Option<&SubplanMemo>,
+) -> Result<BaseRun> {
+    let stores = snap.stores();
     let plan = &planned.plan;
     // Unlimited budget: this guard only *measures* what a real per-query
     // guard would charge, so the engine can replay the charge cheaply.
     let meter = QueryGuard::new(None, 0);
-    let (hv_set, dw_set) = split::node_sets(&planned);
+    let (hv_set, dw_set) = split::node_sets(planned);
     let (hv, dw) = (&snap.hv, &snap.dw);
     let hv_run = if hv_set.is_empty() {
         None
     } else {
-        Some(hv.execute_guarded(plan, Some(&hv_set), udfs, &meter, &[])?)
+        let none = |_: &[_]| Vec::new();
+        Some(hv.execute_keeping(plan, Some(&hv_set), udfs, &meter, none, memo)?)
     };
     let cuts = match &hv_run {
-        Some(run) => split::cuts(stores, &planned, run)?,
+        Some(run) => split::cuts(stores, planned, run)?,
         None => Vec::new(),
     };
     let shipped = cuts.iter().map(|c| (c.node, c.batch.clone())).collect();
     let dw_run = if dw_set.is_empty() {
         None
     } else {
-        Some(dw.execute_guarded(plan, Some(&dw_set), shipped, udfs, &meter)?)
+        Some(dw.execute_guarded(plan, Some(&dw_set), shipped, udfs, &meter, memo)?)
     };
     let (result_rows, checksum) = split::answer(hv_run.as_ref(), dw_run.as_ref())?;
     let harvest = hv_run

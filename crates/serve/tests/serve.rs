@@ -15,7 +15,7 @@
 //!   same costs, bytes, answer, views read and views harvested per query,
 //!   and the same HV-only degradation when DW is down.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -770,6 +770,102 @@ fn prefetched_runs_equal_serial_computes_at_every_width() {
                 workload.len() as u64 + serial,
                 "{}",
                 at("reads")
+            );
+        }
+    }
+    miso_obs::init(miso_obs::ObsConfig::disabled());
+}
+
+/// The memo keys of every node each template's fault-free run executes,
+/// placed as a wave places it, and the plan node each key stands for.
+fn planned_keys(snap: &EpochSnapshot, workload: &[(String, LogicalPlan)]) -> Vec<(u64, String)> {
+    let udfs = miso_workload::standard_udfs();
+    let usable = |name: &String| !snap.catalog.is_quarantined(name);
+    let mut keys = Vec::new();
+    for (_, raw) in workload {
+        let (planned, _) = miso_core::split::place(snap.stores(), raw, usable, false).unwrap();
+        let plan = &planned.plan;
+        let (hv_set, dw_set) = miso_core::split::node_sets(&planned);
+        let seeds = planned.split.cut_nodes(plan).into_iter().collect();
+        let hv = (!hv_set.is_empty()).then(|| snap.hv.memo_keys(plan, Some(&hv_set), &udfs));
+        let dw =
+            (!dw_set.is_empty()).then(|| snap.dw.memo_keys(plan, Some(&dw_set), &seeds, &udfs));
+        for side in hv.into_iter().chain(dw) {
+            let nodes = side.into_iter().zip(plan.nodes());
+            keys.extend(nodes.filter_map(|(key, node)| Some((key?, node.op.label()))));
+        }
+    }
+    keys
+}
+
+/// A sub-plan the templates repeat runs once per wave. On a cold and a warm
+/// design, at pool widths 1 and 8, the wave executes each distinct memo key
+/// once — the `buzz_score` UDF once per distinct key it heads — and replays
+/// every other occurrence, so its `exec.ops_executed` is what the templates'
+/// serial runs execute minus the repeats, the same at both widths.
+#[test]
+fn a_shared_node_runs_once_per_wave() {
+    let _chaos = chaos_guard();
+    miso_chaos::disable();
+    let corpus = Corpus::generate(&LogsConfig::tiny());
+    let workload = templates();
+    let none = BTreeSet::new();
+    let udfs = miso_workload::standard_udfs;
+    miso_obs::init(miso_obs::ObsConfig::ring(1 << 16));
+    let counter = |name: &str| {
+        let counters = miso_obs::snapshot().counters;
+        counters.get(name).copied().unwrap_or(0)
+    };
+    const BUZZ: &str = "Udf(buzz_score)";
+    for (epoch, sys) in cold_and_warm(&corpus, &workload).iter().enumerate() {
+        let snap = EpochSnapshot::of(sys, epoch as u64);
+        let keys = planned_keys(&snap, &workload);
+        let distinct: HashSet<u64> = keys.iter().map(|(key, _)| *key).collect();
+        let repeats = (keys.len() - distinct.len()) as u64;
+        let buzz: HashSet<u64> = (keys.iter())
+            .filter(|(_, op)| op == BUZZ)
+            .map(|(key, _)| *key)
+            .collect();
+        assert!(repeats > 0, "epoch {epoch}: the templates repeat sub-plans");
+        miso_obs::reset_metrics();
+        for (label, plan) in &workload {
+            SnapExecutor::new(udfs())
+                .run(&snap, label, plan, &none, false)
+                .unwrap();
+        }
+        let serial = counter("exec.ops_executed");
+        assert_eq!(
+            counter("exec.ops_shared"),
+            0,
+            "a single dispatch shares nothing"
+        );
+        for threads in [1, 8] {
+            let at = format!("epoch {epoch}, width {threads}");
+            let sink = Arc::new(miso_obs::RingSink::new(1 << 16));
+            miso_obs::set_sink(sink.clone());
+            miso_obs::reset_metrics();
+            at_width(threads, || {
+                SnapExecutor::new(udfs()).prefetch(&snap, &workload)
+            });
+            assert_eq!(counter("exec.ops_shared"), repeats, "{at}: replays");
+            assert_eq!(
+                counter("exec.ops_executed"),
+                serial - repeats,
+                "{at}: executed"
+            );
+            let ran_buzz = (sink.events().iter())
+                .filter(|e| e.kind == miso_obs::EventKind::SpanEnd && e.name == "exec.op")
+                .filter(|e| e.fields.iter().all(|(k, _)| *k != "shared"))
+                .filter(|e| {
+                    (e.fields.iter())
+                        .any(|(k, v)| *k == "op" && *v == miso_obs::FieldValue::Str(BUZZ.into()))
+                })
+                .count();
+            assert!(sink.recorded() <= sink.capacity(), "{at}: every event held");
+            assert_eq!(
+                ran_buzz,
+                buzz.len(),
+                "{at}: buzz_score once per distinct key"
             );
         }
     }

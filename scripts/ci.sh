@@ -83,6 +83,15 @@ done
 CARGO_TARGET_DIR="$root/target/miso-e2e" bash benchmark/run.sh \
     --workload serve_warm --seed 7 --seconds 1 --trace 1 | tail -n 1 >"$golden/e2e-serve.json"
 grep -q '"correct": *true' "$golden/e2e-serve.json"
+# Sharing a wave's repeated sub-plans charges every run as if it ran
+# alone: the stages HV runs, the bytes it materializes, the bytes DW scans
+# and the answers delivered are the seed-7 counts of a wave that shares
+# nothing. What sharing does move is the operators run: 893 unshared.
+for count in hv.stages_run=190 hv.bytes_materialized=11163225 dw.bytes_scanned=5822307 \
+    serve.delivered=1024 exec.ops_executed=770; do
+    grep -q "\"${count%=*}\": *{\"value\": *${count#*=}," "$golden/e2e-serve.json" ||
+        { echo "ci: serve_warm ${count%=*} is not ${count#*=}"; exit 1; }
+done
 # And timed: the path the benchmark gate measures computes each epoch's
 # base runs and the oracle's answers as pool batches, so it is checked here
 # too. Simulated time is the engine's event order: a wave that changed a

@@ -67,8 +67,17 @@ fn allocations(plan: &LogicalPlan, src: &dyn DataSource, udfs: &UdfRegistry) -> 
     let run = |_: ()| {
         let guard = QueryGuard::inert_ref();
         let none = HashMap::new();
-        execute_subset_guarded(plan, None, none, src, udfs, Retention::ROOT_ONLY, guard)
-            .expect("the plan runs")
+        execute_subset_guarded(
+            plan,
+            None,
+            none,
+            src,
+            udfs,
+            Retention::ROOT_ONLY,
+            guard,
+            None,
+        )
+        .expect("the plan runs")
     };
     // Warm lazily built state (thread-locals, the pool) outside the count.
     drop(run(()));

@@ -135,6 +135,7 @@ fn run_guarded(
         &UdfRegistry::new(),
         Retention::All,
         guard,
+        None,
     )
 }
 

@@ -55,6 +55,7 @@ fn assert_thread_invariant(plan: &LogicalPlan, src: &MemSource, udfs: &UdfRegist
             udfs,
             Retention::ROOT_ONLY,
             QueryGuard::inert_ref(),
+            None,
         )
         .expect("root-only run succeeds");
         let root = plan.root();
@@ -520,6 +521,7 @@ mod random_plans {
                 &udfs,
                 Retention::Only(&keep),
                 QueryGuard::inert_ref(),
+                None,
             )
             .unwrap_or_else(|e| panic!("{what}: {e}"));
             for node in plan.nodes() {

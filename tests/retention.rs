@@ -56,6 +56,7 @@ fn run_keeping(
         udfs,
         Retention::Only(keep),
         QueryGuard::inert_ref(),
+        None,
     )
 }
 
