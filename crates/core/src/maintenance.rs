@@ -21,10 +21,10 @@
 //!   accepts — filters, projections, UDFs, joins with the delta on the
 //!   probe side, a topmost aggregate of any type — and whose state is warm
 //!   and verified folds; the rest rebuild, defer or drop. The folds then
-//!   run as **one HV job** (`FoldJob`): each delta plan runs lean over the
-//!   batch (or over the Δrows of the parent view it scans), a sub-plan an
-//!   earlier fold of the batch already ran is seeded from that run's
-//!   output instead of running again, and each result folds into live
+//!   run as **one HV job**: each delta plan runs lean over the batch (or
+//!   over the Δrows of the parent view it scans), a sub-plan two folds of
+//!   the batch repeat runs once through a [`SubplanMemo`] planned over
+//!   every fold's delta plan, and each result folds into live
 //!   state ([`miso_exec::AggState`], stored join build sides) in
 //!   O(|delta|), re-stamping the integrity checksum incrementally through
 //!   [`RowSetDigest`] (bit-identical to a full re-checksum). The job is
@@ -59,10 +59,9 @@ use miso_dw::DwActivity;
 use miso_exec::engine::{
     execute_subset_guarded, DataSource, Execution, LogColumns, LogLines, Retention,
 };
-use miso_exec::{AggState, FusedField, UdfRegistry};
+use miso_exec::{memo, AggState, FusedField, SubplanMemo};
 use miso_hv::{HvCostModel, LogBatch};
-use miso_plan::{Fingerprint, LogicalPlan, Operator};
-use miso_views::maint::BuildSide;
+use miso_plan::LogicalPlan;
 use miso_views::{analyze_maintenance, FullReason, MaintPlan, ViewCatalog, ViewChange, ViewDef};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -413,142 +412,6 @@ fn fold_share(
     model.stage_cost(parent_delta, written, rows) - model.job_startup
 }
 
-/// Where one fold's delta plan stands against the outputs its job holds.
-struct Walk {
-    /// The nodes that run.
-    runs: HashSet<NodeId>,
-    /// The nodes seeded from a held output instead, with their
-    /// fingerprints.
-    seeds: Vec<(NodeId, Fingerprint)>,
-    /// Each node's fingerprint, by node index, when its output may be
-    /// shared: an operator (a scan's output is the source's already) with
-    /// no stored build side under it — those are the view's own, whatever
-    /// their synthetic names say.
-    shareable: Vec<Option<Fingerprint>>,
-}
-
-impl Walk {
-    /// Walks `plan` top-down from the root: a shareable node whose output
-    /// `held` answers is seeded, and nothing below it runs.
-    fn of(plan: &LogicalPlan, builds: &[BuildSide], held: impl Fn(&Fingerprint) -> bool) -> Walk {
-        let fps = plan.fingerprints();
-        let mut clean: Vec<bool> = Vec::with_capacity(plan.len());
-        let mut shareable = Vec::with_capacity(plan.len());
-        for node in plan.nodes() {
-            let build = match &node.op {
-                Operator::ScanView { view, .. } => builds.iter().any(|b| &b.name == view),
-                _ => false,
-            };
-            let ok = !build && node.inputs.iter().all(|i| clean[i.raw() as usize]);
-            clean.push(ok);
-            let fp = fps[node.id.raw() as usize];
-            shareable.push((ok && !node.inputs.is_empty()).then_some(fp));
-        }
-        let (mut runs, mut seeds, mut seen) = (HashSet::new(), Vec::new(), HashSet::new());
-        let mut stack = vec![plan.root()];
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            match shareable[id.raw() as usize] {
-                Some(fp) if held(&fp) => seeds.push((id, fp)),
-                _ => {
-                    runs.insert(id);
-                    stack.extend(plan.node(id).inputs.iter().copied());
-                }
-            }
-        }
-        Walk {
-            runs,
-            seeds,
-            shareable,
-        }
-    }
-
-    fn fingerprint(&self, id: NodeId) -> Option<Fingerprint> {
-        self.shareable[id.raw() as usize]
-    }
-}
-
-/// The folds of one batch as one job: their delta plans run in dependency
-/// order, and a sub-plan an earlier plan of the batch ran — the same
-/// fingerprint over the same batch and the same parents' Δrows — is seeded
-/// from that run's output instead of running again. A run keeps only the
-/// outputs a later fold seeds.
-struct FoldJob {
-    /// The outputs kept for later folds, by fingerprint.
-    shared: HashMap<Fingerprint, Arc<ColBatch>>,
-    /// By fold, the fingerprints later folds seed when every fold runs.
-    wanted: Vec<HashSet<Fingerprint>>,
-    /// Operators run, and operators seeded instead, so far.
-    ops: u64,
-    seeded: u64,
-}
-
-impl FoldJob {
-    /// The job for `plans` — each fold's delta plan and its stored build
-    /// sides, in the order they run.
-    fn plan(plans: &[(&LogicalPlan, &[BuildSide])]) -> FoldJob {
-        let mut made = HashSet::new();
-        let mut seeded = Vec::with_capacity(plans.len());
-        for (plan, builds) in plans {
-            let walk = Walk::of(plan, builds, |fp| made.contains(fp));
-            made.extend(walk.runs.iter().filter_map(|&id| walk.fingerprint(id)));
-            seeded.push(walk.seeds.into_iter().map(|(_, fp)| fp));
-        }
-        let mut wanted = vec![HashSet::new(); plans.len()];
-        let mut later = HashSet::new();
-        for (k, seeds) in seeded.into_iter().enumerate().rev() {
-            wanted[k] = later.clone();
-            later.extend(seeds);
-        }
-        FoldJob {
-            shared: HashMap::new(),
-            wanted,
-            ops: 0,
-            seeded: 0,
-        }
-    }
-
-    /// Runs fold `k`'s delta plan over `src`, seeded from what the job
-    /// holds; keeps what a later fold seeds. A fold whose earlier partner
-    /// failed runs that sub-plan itself.
-    fn run(
-        &mut self,
-        k: usize,
-        mplan: &MaintPlan,
-        src: &dyn DataSource,
-        udfs: &UdfRegistry,
-    ) -> Result<Execution> {
-        let plan = mplan.delta_plan();
-        let walk = Walk::of(plan, mplan.builds(), |fp| self.shared.contains_key(fp));
-        let wanted = |id: &NodeId| {
-            walk.fingerprint(*id)
-                .is_some_and(|fp| self.wanted[k].contains(&fp))
-        };
-        let keep: Vec<NodeId> = walk.runs.iter().copied().filter(wanted).collect();
-        let provided = walk.seeds.iter();
-        let provided = provided.map(|(id, fp)| (*id, self.shared[fp].clone()));
-        let exec = execute_subset_guarded(
-            plan,
-            Some(&walk.runs),
-            provided.collect(),
-            src,
-            udfs,
-            Retention::Only(&keep),
-            QueryGuard::inert_ref(),
-            None,
-        )?;
-        for id in keep {
-            let fp = walk.fingerprint(id).expect("a kept node is shareable");
-            self.shared.insert(fp, exec.retained_batch(id)?.clone());
-        }
-        self.ops += walk.runs.len() as u64;
-        self.seeded += walk.seeds.len() as u64;
-        Ok(exec)
-    }
-}
-
 fn bytes_of(batch: &ColBatch) -> ByteSize {
     ByteSize::from_bytes(batch.row_bytes())
 }
@@ -816,11 +679,13 @@ impl MultistoreSystem {
     }
 
     /// Runs the batch's folds — each `(index into affected, plan, state)`,
-    /// parents first — as one job ([`FoldJob`]), recording each view's
-    /// outcome: its marginal share ([`fold_share`]) when it folds, a drop
-    /// when it fails. The job is charged once, its fixed part
-    /// ([`fold_job_fixed`]) plus every share, and that fixed part is
-    /// returned — zero when nothing folds.
+    /// parents first — as one job, recording each view's outcome: its
+    /// marginal share ([`fold_share`]) when it folds, a drop when it fails.
+    /// A delta sub-plan two folds repeat — the same sub-plan over the same
+    /// batch and the same parents' Δrows — runs once, through a
+    /// [`SubplanMemo`] planned over every fold's delta plan. The job is
+    /// charged once, its fixed part ([`fold_job_fixed`]) plus every share,
+    /// and that fixed part is returned — zero when nothing folds.
     fn run_folds(
         &mut self,
         affected: &[ViewDef],
@@ -833,11 +698,25 @@ impl MultistoreSystem {
             return SimDuration::ZERO;
         }
         let mut span = miso_obs::span("maint.fold_job");
-        let plans = folds.iter().map(|(_, m, _)| (m.delta_plan(), m.builds()));
-        let mut job = FoldJob::plan(&plans.collect::<Vec<_>>());
+        let count = folds.len() as u64;
+        // Each fold's keys as its run below computes them.
+        let memo = {
+            let src = DeltaSource {
+                hv: &self.hv,
+                delta,
+                builds: &HashMap::new(),
+            };
+            let (seeds, udfs) = (HashSet::new(), self.udf_registry());
+            let keys = folds.iter().flat_map(|(_, mplan, _)| {
+                let plan = mplan.delta_plan();
+                let store = src.store_name();
+                memo::node_keys(plan, None, &seeds, Retention::ROOT_ONLY, udfs, store)
+            });
+            SubplanMemo::planned(keys.flatten())
+        };
         let fixed = fold_job_fixed(&self.hv.cost_model, delta.bytes);
         let mut charged = fixed;
-        for (k, (i, mplan, state)) in folds.into_iter().enumerate() {
+        for (i, mplan, state) in folds {
             let def = &affected[i];
             // A parent whose own fold failed is gone by now.
             let folded = self
@@ -848,7 +727,16 @@ impl MultistoreSystem {
                         delta,
                         builds: &state.builds,
                     };
-                    let exec = job.run(k, &mplan, &src, self.udf_registry())?;
+                    let exec = execute_subset_guarded(
+                        mplan.delta_plan(),
+                        None,
+                        HashMap::new(),
+                        &src,
+                        self.udf_registry(),
+                        Retention::ROOT_ONLY,
+                        QueryGuard::inert_ref(),
+                        Some(&memo),
+                    )?;
                     Ok(exec.root_batch()?.clone())
                 })
                 .and_then(|rows| self.apply_fold(def, &mplan, *state, rows, delta, clock));
@@ -866,9 +754,8 @@ impl MultistoreSystem {
         clock.advance(charged);
         if span.is_active() {
             use miso_obs::FieldValue::U64;
-            span.push_field("folds", U64(job.wanted.len() as u64));
-            span.push_field("ops", U64(job.ops));
-            span.push_field("seeded", U64(job.seeded));
+            span.push_field("folds", U64(count));
+            span.push_field("shared", U64(memo.hits()));
             span.push_field("cost_us", U64(charged.as_micros()));
         }
         fixed
@@ -1044,7 +931,7 @@ impl MultistoreSystem {
         let log_bytes = log_bytes.as_bytes();
         let delta_rows = growth.records_per_epoch as u64;
         let delta_bytes = ByteSize::from_bytes((log_bytes / rows).max(1) * delta_rows);
-        // The delta-size policy `refresh_view` applies: past it, everything
+        // The delta-size policy `settle_view` applies: past it, everything
         // rebuilds.
         let too_large = delta_rows as f64 > self.config.ivm_max_delta_frac * rows as f64;
         // Each parent changes as `append_log` changes it with every state

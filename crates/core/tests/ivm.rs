@@ -464,11 +464,12 @@ fn warm_change(catalog: &miso_views::ViewCatalog, view: &str) -> ViewChange {
 }
 
 /// The folds of a batch run as one job, and a delta sub-plan two of them
-/// share runs once: over a batch where every view folds, the engine
-/// executes fewer operators (`exec.ops_executed`) than the folds' delta
-/// plans hold between them — one fewer at least for every operator a later
-/// plan repeats — and every folded view still holds its definition's rows
-/// run from scratch over the grown log. At one worker and eight.
+/// share runs once: over a batch where every view folds, each operator a
+/// later plan repeats is replayed (`exec.ops_shared`) and every other node
+/// of the folds' delta plans — leaf scans included — runs
+/// (`exec.ops_executed`), and every folded view still holds its
+/// definition's rows run from scratch over the grown log. At one worker
+/// and eight.
 #[test]
 fn a_shared_delta_sub_plan_runs_once_per_batch() {
     let _globals = globals_lock();
@@ -494,7 +495,9 @@ fn a_shared_delta_sub_plan_runs_once_per_batch() {
         let report = sys
             .grow(&delta, MaintenancePolicy::Refresh, &mut clock)
             .unwrap();
-        let ops = miso_obs::snapshot().counters["exec.ops_executed"];
+        let counters = miso_obs::snapshot().counters;
+        let ops = counters["exec.ops_executed"];
+        let shared = counters.get("exec.ops_shared").copied().unwrap_or(0);
         miso_obs::init(miso_obs::ObsConfig::disabled());
 
         let mut fps_seen = std::collections::HashMap::new();
@@ -528,6 +531,12 @@ fn a_shared_delta_sub_plan_runs_once_per_batch() {
         assert!(
             ops as usize <= held - repeated,
             "{ops} operators ran of {held} held, {repeated} repeated"
+        );
+        assert_eq!(shared as usize, repeated, "every repeat is replayed");
+        assert_eq!(
+            ops as usize,
+            held - repeated,
+            "every node but the repeats runs"
         );
         for d in &report.decisions {
             let def = sys.catalog.get(&d.view).unwrap();

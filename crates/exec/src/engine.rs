@@ -537,10 +537,7 @@ pub fn execute_subset_guarded(
                 let mut fused = None;
                 let batch = match &node.op {
                     Operator::ScanLog { log } => {
-                        // A kept scan's own output is wanted: it may not fuse.
-                        let fields = (!kept(node.id))
-                            .then(|| fused_reader(plan, node.id, executes, udfs))
-                            .flatten();
+                        let fields = fused_scan(plan, node.id, executes, retain, udfs);
                         let (batch, skipped) =
                             scan_log(source, guard, log, fields.as_deref(), &mut fused)?;
                         skipped_lines += skipped;
@@ -645,19 +642,26 @@ fn input_of<'a>(
     })
 }
 
-/// Scan fusion: a log scan whose single consumer names the fields it reads of
+/// Scan fusion: an executed log scan that is not kept (a kept scan's own
+/// output is wanted) and whose single consumer names the fields it reads of
 /// each line — a SerDe-shaped projection, a UDF that declared them — takes
 /// those columns straight from the source ([`DataSource::log_columns`]) and
-/// never builds the JSON records. Returns the fields that consumer reads. An
-/// active guard does not stop it: a fused scan materializes nothing of its
-/// own, so — like the zero-copy `ScanView` — it charges nothing, and its
-/// consumer charges its output.
-pub(crate) fn fused_reader<'a>(
+/// never builds the JSON records. Returns the fields that consumer reads, or
+/// `None` when `scan` does not fuse. The driver fuses by this rule and
+/// [`memo::node_keys`] keys by it. An active guard does not stop it: a fused
+/// scan materializes nothing of its own, so — like the zero-copy `ScanView`
+/// — it charges nothing, and its consumer charges its output.
+pub(crate) fn fused_scan<'a>(
     plan: &'a LogicalPlan,
     scan: NodeId,
     executes: impl Fn(NodeId) -> bool,
+    retain: Retention<'_>,
     udfs: &'a UdfRegistry,
 ) -> Option<Vec<FusedField<'a>>> {
+    let log = matches!(plan.node(scan).op, Operator::ScanLog { .. });
+    if !log || !executes(scan) || retain.keeps(scan, plan.root()) {
+        return None;
+    }
     let mut readers = plan
         .nodes()
         .iter()

@@ -18,9 +18,10 @@
 //!   caller names the set it will read ([`Retention`]: HV keeps the stage
 //!   outputs that become opportunistic views, DW only the root);
 //! * [`memo`] — compute-once sub-plan outputs shared by the runs of one
-//!   batch (a serving wave), each replay charged as if the node had run;
+//!   batch (a serving wave's base runs, a growth batch's folds), each
+//!   replay charged as if the node had run;
 //! * [`serial`] — the original row-at-a-time interpreter, preserved as the
-//!   differential-testing oracle and benchmark baseline.
+//!   differential-testing oracle.
 
 pub mod col;
 pub mod engine;

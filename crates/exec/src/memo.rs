@@ -1,9 +1,10 @@
 //! Compute-once sub-plan outputs for a batch of runs (miso-share).
 //!
-//! Analytic queries over the same logs repeat each other's sub-plans. A
-//! [`SubplanMemo`] lets the runs of one batch — a serving wave's base runs —
-//! compute each repeated sub-plan once: it maps a node's [`MemoKey`] to a
-//! compute-once cell, and the engine's driver loop
+//! Analytic queries over the same logs repeat each other's sub-plans, and so
+//! do the delta plans of views one query harvested. A [`SubplanMemo`] lets
+//! the runs of one batch — a serving wave's base runs, a growth batch's
+//! view folds — compute each repeated sub-plan once: it maps a node's
+//! [`MemoKey`] to a compute-once cell, and the engine's driver loop
 //! ([`crate::execute_subset_guarded`]) runs the operator body of a keyed node
 //! inside its cell the first time and *replays* the cell every later time.
 //!
@@ -13,7 +14,7 @@
 //! body reached. The reader's own release order is its own, so its guard's
 //! peak, its stage costs, cuts, bytes and harvest all equal an unshared
 //! run's. The runs sharing one memo must therefore agree on whether they are
-//! guarded (the wave meters every run).
+//! guarded (the wave meters every run, a growth batch none).
 //!
 //! A key is a node's subtree fingerprint plus what its run decides about it
 //! from outside the subtree: the store whose source the leaves read, whether
@@ -33,7 +34,7 @@ use miso_data::ColBatch;
 use miso_plan::fingerprint::{fnv1a_str, fnv1a_words};
 use miso_plan::{LogicalPlan, Operator};
 
-use crate::engine::{fused_reader, Retention};
+use crate::engine::{fused_scan, Retention};
 use crate::{OpProfile, UdfRegistry};
 
 /// A node's memo key: see the module doc for what it covers.
@@ -84,13 +85,7 @@ pub fn node_keys(
             origin[i] = fnv1a_words([tag, fp]);
             continue;
         }
-        // The driver's fusion rule: input 0 is an executed log scan that is
-        // not kept and whose one reader names the fields it reads.
-        let scan = node.inputs[0];
-        let reads_fused = matches!(plan.node(scan).op, Operator::ScanLog { .. })
-            && executes(scan)
-            && !retain.keeps(scan, plan.root())
-            && fused_reader(plan, scan, executes, udfs).is_some();
+        let reads_fused = fused_scan(plan, node.inputs[0], executes, retain, udfs).is_some();
         let inputs = node.inputs.iter().map(|j| origin[j.raw() as usize]);
         let key = fnv1a_words([fp, store, reads_fused as u64].into_iter().chain(inputs));
         origin[i] = key;

@@ -45,15 +45,16 @@
 
 use miso_common::ids::NodeId;
 use miso_plan::expr::{AggExpr, Expr};
-use miso_plan::{LogicalPlan, Operator, PlanBuilder};
+use miso_plan::{Fingerprint, LogicalPlan, Operator, PlanBuilder};
 use std::collections::HashSet;
 
 /// Name of the synthetic `ScanView` leaf standing in for a join's stored
 /// build side in a delta plan. The `§` prefix keeps it disjoint from real
-/// view names (fingerprint strings), and the node id is the right input's
-/// id in the *defining* plan.
-pub fn build_side_name(node: NodeId) -> String {
-    format!("§ivm:{}", node.raw())
+/// view names (fingerprint strings); `view` is the *defining* plan's root
+/// fingerprint and `node` the right input's id in it, so no two views'
+/// build sides share a name — a sub-plan memo keys a view scan by it.
+pub fn build_side_name(view: Fingerprint, node: NodeId) -> String {
+    format!("§ivm:{view}:{}", node.raw())
 }
 
 /// A join build side the maintainer must snapshot: the right input's rows,
@@ -343,6 +344,7 @@ pub fn analyze_maintenance(
         }
         None => HashSet::new(),
     };
+    let view = plan.fingerprint(root);
     let mut b = PlanBuilder::new();
     let mut mapping = std::collections::HashMap::new();
     let mut builds: Vec<BuildSide> = Vec::new();
@@ -360,7 +362,7 @@ pub fn analyze_maintenance(
             Operator::Join { on } => {
                 let left = mapping[&node.inputs[0]];
                 let right = plan.node(node.inputs[1]);
-                let name = build_side_name(right.id);
+                let name = build_side_name(view, right.id);
                 if !builds.iter().any(|bs| bs.node == right.id) {
                     builds.push(BuildSide {
                         node: right.id,
