@@ -1,4 +1,5 @@
-//! Between-epoch integrity auditing: invariants plus checksum scrubbing.
+//! Integrity: read-time verification, quarantine and repair, and the
+//! between-epoch auditor (invariants plus checksum scrubbing).
 //!
 //! The auditor runs after each reorganization phase (when enabled via
 //! [`crate::SystemConfig::audit`]) and does two things:
@@ -25,7 +26,9 @@
 use crate::reorg::stage_name;
 use crate::split::Site;
 use crate::system::MultistoreSystem;
-use miso_common::{ByteSize, MisoError, Result, SimDuration};
+use miso_common::{ByteSize, MisoError, Result, SimClock, SimDuration};
+use miso_data::{Checksum, StoredView};
+use miso_dw::DwActivity;
 
 /// What to do when an invariant is violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,6 +199,117 @@ impl MultistoreSystem {
             }
         }
         report.cost = self.hv.dump_cost(report.scrubbed_bytes);
+    }
+
+    // ---- Read-time verification and repair -------------------------------
+
+    /// Polls the per-store `*.view_read` fail points for every view a plan
+    /// is about to serve — `corrupt` is the one kind a read honours — and,
+    /// when verify-on-read is enabled, checks each stored copy against its
+    /// materialization-time checksum. Corrupt copies are dropped from their
+    /// store and the view is quarantined in the catalog, never to be served
+    /// again until repaired. Returns the quarantined names; an empty list
+    /// means the plan is safe to run.
+    ///
+    /// With chaos disabled and verify-on-read off this is a store probe
+    /// per view — no checksum is recomputed on the query path.
+    pub(crate) fn verify_used_views(&mut self, used: &[String]) -> Vec<String> {
+        let mut quarantined = Vec::new();
+        for name in used {
+            let site = self.holder(name);
+            let read = match site {
+                Site::Hv => miso_chaos::strike("hv.view_read", "hv"),
+                Site::Dw => miso_chaos::strike("dw.view_read", "dw"),
+            };
+            if read.is_ok_and(|strike| strike.corrupt) {
+                self.shelf_mut(site).corrupt(name);
+            }
+            if !self.config.verify_on_read {
+                continue;
+            }
+            let Some(expected) = self.catalog.get(name).and_then(|d| d.checksum) else {
+                continue;
+            };
+            if self.fails_verify(name, expected) {
+                self.quarantine_view(name);
+                quarantined.push(name.clone());
+            }
+        }
+        quarantined
+    }
+
+    /// Drops every stored copy of a corrupt view and quarantines it in the
+    /// catalog (shared by read-time verification and the scrubber).
+    pub(crate) fn quarantine_view(&mut self, name: &str) {
+        miso_obs::count("integrity.checksum_failures", 1);
+        for site in Site::ALL {
+            self.shelf_mut(site).take(name);
+        }
+        if self.catalog.quarantine(name) {
+            miso_obs::count("integrity.quarantined", 1);
+        }
+    }
+
+    /// Verifies a view copy that just crossed a store boundary against its
+    /// materialization-time checksum. On mismatch the torn copy is dropped
+    /// (the counter ticks) and `false` comes back so the caller keeps the
+    /// surviving source in place. Views without a recorded checksum pass.
+    pub(crate) fn verify_moved_copy(&mut self, name: &str, site: Site) -> bool {
+        let Some(expected) = self.catalog.get(name).and_then(|d| d.checksum) else {
+            return true;
+        };
+        if self.shelf(site).verify(name, expected) == Some(false) {
+            miso_obs::count("integrity.checksum_failures", 1);
+            self.shelf_mut(site).take(name);
+            return false;
+        }
+        true
+    }
+
+    /// Whether a stored copy of `name`, in either store, no longer matches
+    /// `expected`. Reads every cell of each copy it checks.
+    pub(crate) fn fails_verify(&self, name: &str, expected: Checksum) -> bool {
+        Site::ALL
+            .iter()
+            .any(|&site| self.shelf(site).verify(name, expected) == Some(false))
+    }
+
+    /// Recomputes a quarantined view from its defining plan in HV and
+    /// restores the fresh copy there ([`Self::restore`]). The HV compute
+    /// cost is charged to the reorganization phase (`duration`) and the
+    /// simulated clock.
+    pub(crate) fn recompute_quarantined(
+        &mut self,
+        name: &str,
+        clock: &mut SimClock,
+        duration: &mut SimDuration,
+    ) -> Result<()> {
+        let def =
+            self.catalog.get(name).cloned().ok_or_else(|| {
+                MisoError::integrity(name, "quarantined view missing from catalog")
+            })?;
+        let run = self.hv.execute(&def.plan, None, &self.udfs)?;
+        let view = StoredView::new(def.schema.clone(), run.execution.root_batch()?.clone());
+        self.record_bg(DwActivity::Idle, run.cost, clock);
+        *duration += run.cost;
+        clock.advance(run.cost);
+        self.restore(Site::Hv, name, view);
+        Ok(())
+    }
+
+    /// Puts a fresh copy of a catalog view that no store held back on
+    /// `site`'s shelf: the catalog takes its checksum and stats, a
+    /// quarantine on it is lifted (counted as a repair), and it counts as
+    /// just used.
+    pub(crate) fn restore(&mut self, site: Site, name: &str, view: StoredView) {
+        self.catalog.set_checksum(name, view.checksum);
+        self.catalog
+            .update_stats(name, view.size, view.batch.len() as u64);
+        self.shelf_mut(site).put(name, view);
+        if self.catalog.clear_quarantine(name) {
+            miso_obs::count("integrity.repaired", 1);
+        }
+        self.lru_touch(name);
     }
 }
 

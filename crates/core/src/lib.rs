@@ -8,21 +8,24 @@
 //! pack HV, under the view storage budgets `B_h`, `B_d` and the per-phase
 //! transfer budget `B_t`.
 //!
-//! **The multistore system** (paper §3): [`system`] drives a query stream
-//! through the two stores — optimizing each query against the current
-//! design, executing split plans, migrating working sets, harvesting
-//! opportunistic views, and periodically invoking a tuner. [`split`] owns
-//! what each step of that pipeline decides (placement, cuts, ship cost,
-//! harvest rule, answer), so the stream driver and the serving layer's
-//! snapshot executor compose one definition of it. [`variants`]
-//! configures the system as each of the paper's eight evaluated variants
-//! (HV-ONLY, DW-ONLY, MS-BASIC, HV-OP, MS-LRU, MS-OFF, MS-MISO, MS-ORA);
+//! **The multistore system** (paper §3): [`system`] holds the two stores
+//! and the catalog and executes one query at a time — optimizing it
+//! against the current design, executing the split plan, migrating working
+//! sets, harvesting opportunistic views. [`split`] owns what each step of
+//! that pipeline decides (placement, cuts, ship cost, harvest rule,
+//! answer), so the stream driver and the serving layer's snapshot executor
+//! compose one definition of it. [`stream`] is the one driver of a query
+//! stream: a [`Stream`] takes a variant's prelude, growth steps,
+//! reorganizations and queries one step at a time, reading every decision
+//! from the policy table in [`variants`] — one row per evaluated variant
+//! (HV-ONLY, DW-ONLY, MS-BASIC, HV-OP, MS-LRU, MS-OFF, MS-MISO, MS-ORA).
+//! [`reorg`] applies a tuner's design through a crash-safe journal;
 //! [`metrics`] records the TTI breakdown (HV-EXE / DW-EXE / TRANSFER /
 //! TUNE / ETL) and per-query store utilization behind every figure.
 //!
-//! [`audit`] adds the between-epoch integrity auditor: catalog↔store
-//! invariants plus a budget-bounded checksum scrub feeding the
-//! quarantine/repair loop in [`system`].
+//! [`audit`] adds the integrity layer: read-time verification, the
+//! between-epoch auditor (catalog↔store invariants plus a budget-bounded
+//! checksum scrub) and the quarantine/repair loop.
 
 pub mod audit;
 pub mod etl;
@@ -31,6 +34,7 @@ pub mod maintenance;
 pub mod metrics;
 pub mod reorg;
 pub mod split;
+pub mod stream;
 pub mod system;
 pub mod tuner;
 pub mod variants;
@@ -41,6 +45,7 @@ pub use maintenance::{MaintAction, MaintDecision, MaintenancePolicy, Maintenance
 pub use metrics::{ExperimentResult, QueryFailure, QueryRecord, TtiBreakdown};
 pub use reorg::{JournalEntry, ReorgJournal, ReorgPlan};
 pub use split::{HarvestCandidate, Site, Stores};
+pub use stream::{Step, StepKind, Stream};
 pub use system::{GrowthConfig, GuardConfig, MultistoreSystem, SystemConfig};
 pub use tuner::{MisoTuner, NewDesign, TunerConfig, WhatIfStats, WHATIF_MEMO_CAP};
-pub use variants::Variant;
+pub use variants::{Placement, Policy, Prelude, Retention, Tuning, Variant};

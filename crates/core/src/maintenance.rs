@@ -819,7 +819,7 @@ impl MultistoreSystem {
         if site == Site::Dw {
             let move_cost =
                 self.transfer_model().transfer_cost(changed) + self.dw.load_cost(changed);
-            cost += self.stretch_for_maintenance(move_cost, clock);
+            cost += self.stretch(move_cost, DwActivity::ViewTransfer, clock);
         }
         self.shelf_mut(site).put(name, stored);
         self.catalog.set_checksum(name, checksum);
@@ -850,7 +850,7 @@ impl MultistoreSystem {
         }
         if site == Site::Dw {
             let move_cost = self.stores().ship_cost(view.size);
-            cost += self.stretch_for_maintenance(move_cost, clock);
+            cost += self.stretch(move_cost, DwActivity::ViewTransfer, clock);
         }
         let (size, rows, checksum) = (view.size, view.batch.len() as u64, view.checksum);
         self.shelf_mut(site).put(name, view);
@@ -899,10 +899,6 @@ impl MultistoreSystem {
             None => out.stored(),
         };
         Ok((view, state, run.cost))
-    }
-
-    fn stretch_for_maintenance(&mut self, raw: SimDuration, clock: &SimClock) -> SimDuration {
-        self.stretch(raw, DwActivity::ViewTransfer, clock)
     }
 
     /// Estimated per-window upkeep cost (simulated seconds) of each catalog

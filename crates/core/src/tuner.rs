@@ -68,7 +68,7 @@ impl TunerConfig {
 }
 
 /// The tuner's output: the new multistore design `M_new = ⟨V_h, V_d⟩`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NewDesign {
     /// Views that should reside in HV.
     pub hv: BTreeSet<String>,

@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors: an ambiguous or dangling link fails)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+echo "==> non-test Rust lines per crate (information only, gates nothing)"
+bash scripts/lines.sh
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -277,3 +277,38 @@ fn etl_retries_transient_failures_transparently() {
         "retries only touch ETL"
     );
 }
+
+/// MS-OFF's planning pass is not part of the run, so it runs with injection
+/// suspended: a transient HV fault lands on the charged pass, which retries
+/// it like every other variant does, and the answers are a fault-free
+/// run's.
+#[test]
+fn ms_off_retries_a_transient_hv_fault() {
+    let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = ChaosGuard;
+    miso::chaos::disable();
+
+    let corpus = tiny_corpus();
+    let queries = stream();
+    let clean = system(&corpus)
+        .run_workload(Variant::MsOff, &queries)
+        .unwrap();
+
+    miso::chaos::install(FaultPlan::seeded(5).with_rule(FaultRule::new(
+        "hv.execute",
+        FaultKind::Error,
+        Trigger::UpTo(1),
+    )));
+    let faulted = system(&corpus)
+        .run_workload(Variant::MsOff, &queries)
+        .expect("one transient HV fault must be retried, not fatal");
+    let hits = miso::chaos::hit_count("hv.execute");
+    miso::chaos::disable();
+
+    assert!(hits >= 1, "the HV fail point was never exercised");
+    assert_eq!(result_rows(&clean), result_rows(&faulted));
+    assert!(
+        faulted.tti.hv_exe > clean.tti.hv_exe,
+        "the retry's backoff is charged to the run"
+    );
+}

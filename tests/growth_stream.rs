@@ -10,7 +10,8 @@
 
 use miso::common::{Budgets, ByteSize, SimClock};
 use miso::core::{
-    GrowthConfig, MaintAction, MaintenancePolicy, MultistoreSystem, SystemConfig, Variant,
+    GrowthConfig, MaintAction, MaintenancePolicy, MultistoreSystem, StepKind, Stream, SystemConfig,
+    Variant,
 };
 use miso::data::checksum_rows;
 use miso::data::logs::{Corpus, LogKind, LogsConfig};
@@ -124,4 +125,69 @@ fn every_answer_under_growth_has_the_hv_only_checksum() {
     assert!(from_views > 8, "{from_views} answers read a view");
     assert!(over_views > 0, "no view over a view survived a boundary");
     assert!(folds > 20, "{folds} delta folds");
+}
+
+/// MS-OFF takes the same growth steps: at every step of its stream, the
+/// next query planned on the design as it stands — the static design's
+/// views, maintained through each append — has the HV-only checksum over
+/// the logs as they have grown.
+#[test]
+fn ms_off_under_growth_answers_with_the_hv_only_checksum() {
+    let logs = logs();
+    let corpus = Corpus::generate(&logs);
+    let mut config = SystemConfig::paper_default(budgets(&corpus));
+    config.growth = Some(GrowthConfig {
+        kind: LogKind::Twitter,
+        records_per_epoch: logs.tweets / 50,
+        policy: MaintenancePolicy::Refresh,
+        logs: logs.clone(),
+    });
+    let mut sys = MultistoreSystem::new(&corpus, workload_catalog(), standard_udfs(), config);
+    let queries = compile_workload(&workload_catalog()).expect("the standard workload compiles");
+    let mut exec = SnapExecutor::new(standard_udfs());
+    let mut stream = Stream::new(&mut sys, Variant::MsOff, &queries).expect("MS-OFF starts");
+    let (mut next, mut grown, mut from_views) = (0, 0, 0);
+    // The executor memoizes runs by epoch: one epoch per step.
+    for epoch in 0.. {
+        let Some(step) = stream.step().expect("the step runs") else {
+            break;
+        };
+        match step.kind {
+            StepKind::Query => next += 1,
+            StepKind::Growth => grown += 1,
+            _ => {}
+        }
+        let sys = stream.system();
+        // The planning pass leaves no view behind, in the stores or the
+        // catalog: a growth step maintains only views that exist.
+        for name in sys.catalog.names() {
+            assert!(sys.resident(&name), "`{name}` resident nowhere");
+        }
+        let Some((label, raw)) = queries.get(next) else {
+            continue;
+        };
+        let snap = EpochSnapshot {
+            epoch,
+            hv: sys.hv.clone(),
+            dw: sys.dw.clone(),
+            catalog: sys.catalog.clone(),
+            transfer: sys.transfer_model().clone(),
+        };
+        let run = exec
+            .run(&snap, label, raw, &BTreeSet::new(), false)
+            .expect("the planned split runs");
+        let oracle = sys
+            .hv
+            .execute(raw, None, sys.udf_registry())
+            .expect("HV-only run of the raw plan");
+        let want = oracle.execution.root_rows().expect("oracle root");
+        assert_eq!(run.result_rows, want.len() as u64, "{label}: rows");
+        assert_eq!(run.checksum, checksum_rows(want), "{label}: checksum");
+        from_views += usize::from(!run.used_views.is_empty());
+    }
+    let result = stream.finish();
+    assert_eq!(grown, 10, "ten growth steps in 32 queries");
+    assert_eq!(result.maintenance.len(), 10);
+    assert_eq!(result.records.len(), queries.len());
+    assert!(from_views > 0, "no answer read a view");
 }

@@ -509,6 +509,27 @@ fn zero_inflight_sheds_everything_at_admission() {
     }
 }
 
+/// Every variant passes admission, DW-ONLY and MS-OFF too: in drain mode
+/// each sheds every query, after its prelude.
+#[test]
+fn every_variant_sheds_everything_in_drain_mode() {
+    let corpus = tiny_corpus();
+    let queries = stream();
+    for variant in Variant::ALL {
+        let drain = GuardConfig {
+            enabled: true,
+            max_inflight: 0,
+            ..GuardConfig::disabled()
+        };
+        let result = system_with_guard(&corpus, drain)
+            .run_workload(variant, &queries)
+            .unwrap();
+        assert!(result.records.is_empty(), "{variant} answered a query");
+        assert_eq!(result.failures.len(), queries.len(), "{variant}");
+        assert!(result.failures.iter().all(|f| f.shed), "{variant}");
+    }
+}
+
 /// Deadlines generous enough for the whole stream change nothing: same
 /// rows as guards-off, zero failures — the guard layer only ever *removes*
 /// queries, it never perturbs the ones it admits.
