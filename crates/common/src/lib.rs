@@ -16,7 +16,9 @@
 //! * [`retry`] — exponential backoff + jitter and per-store circuit
 //!   breakers over simulated time.
 //! * [`mod@env`] — the one grammar of the boolean `MISO_*` environment flags.
-//! * [`prehash`] — hash maps keyed by digests, which need no SipHash.
+//! * [`prehash`] — FNV-1a/64, the one stable digest behind fingerprints,
+//!   checksums and key hashes, and hash maps keyed by digests, which need no
+//!   SipHash.
 //! * [`pool`] — the miso-par scoped worker pool (`MISO_THREADS`) with a
 //!   deterministic-ordering batch primitive for the tuner's what-if probes.
 //! * [`guard`] — the per-query lifecycle guard: deadline,

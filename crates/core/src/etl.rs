@@ -191,7 +191,8 @@ fn full_extraction_plan(log: &str, catalog: &Catalog) -> Result<LogicalPlan> {
     b.finish(proj)
 }
 
-/// The cataloged fields of a log, sorted by name.
+/// The cataloged fields of a log, in the order of its ETL table's columns
+/// (the order the table is laid out in, not by name).
 fn catalog_fields(log: &str, catalog: &Catalog) -> Result<Vec<(String, DataType)>> {
     // The lang catalog doesn't expose iteration; probe the known field set
     // via the standard schemas. To stay decoupled we reconstruct from the

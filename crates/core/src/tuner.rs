@@ -20,14 +20,14 @@
 
 use crate::knapsack::{m_knapsack, PackItem};
 use miso_common::pool;
-use miso_common::prehash::PrehashedMap;
+use miso_common::prehash::{fnv1a_str, fnv1a_words, PrehashedMap};
 use miso_common::{Budgets, ByteSize};
 use miso_dw::DwCostModel;
 use miso_hv::HvCostModel;
 use miso_optimizer::cost::TransferModel;
 use miso_optimizer::optimize::{what_if_cost, what_if_plan_cost, Design, OptimizerEnv};
 use miso_plan::estimate::{MapStats, SizeEstimate};
-use miso_plan::fingerprint::{fingerprint_plan, fnv1a_str, fnv1a_words, parse_view_fingerprint};
+use miso_plan::fingerprint::parse_view_fingerprint;
 use miso_plan::LogicalPlan;
 use miso_views::containment::FilterView;
 use miso_views::rewrite::{rewrite_over, Rewrite};
@@ -356,7 +356,7 @@ impl<'a> Prober<'a> {
         let key_of = |plan: &&LogicalPlan| {
             let logs = plan.base_logs();
             fnv1a_words(
-                [models_version, fingerprint_plan(plan).0]
+                [models_version, plan.fingerprint(plan.root()).0]
                     .into_iter()
                     .chain(logs.iter().flat_map(|log| {
                         let [present, rows, bytes] = stat_words(env.stats.log_stats(log));

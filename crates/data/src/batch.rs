@@ -1446,6 +1446,38 @@ mod tests {
         h.finish()
     }
 
+    /// The FNV streams join and group keys hash to: `Value`'s and `Cell`'s
+    /// `Hash` through the shared FNV hasher, pinned so that neither the
+    /// hasher nor the encodings moves unnoticed.
+    #[test]
+    fn fnv_key_hashes_are_pinned() {
+        use miso_common::prehash::fnv1a_hash_one;
+        let list = Value::Array(vec![Value::str("a"), Value::str("bc")]);
+        let pins = [
+            (Value::Null, 0xaf72_e84c_8601_b7df),
+            (Value::Bool(true), 0x3b88_5a07_b4e8_8e77),
+            (Value::Int(3), 0x3fc7_ddf5_4dae_8fdd),
+            (Value::Float(2.5), 0x40a9_5df5_4dba_f601),
+            (Value::Float(f64::NAN), 0x50c5_edf5_4e95_8e60),
+            (Value::Float(-0.0), 0x417e_ddf5_4dc6_15e5),
+            (Value::str("miso"), 0x0a21_6bef_9cc7_70fb),
+            (list.clone(), 0xe651_ccb6_b097_f931),
+        ];
+        for (v, pin) in &pins {
+            assert_eq!(fnv1a_hash_one(v), *pin, "{v:?}");
+            assert_eq!(fnv1a_hash_one(&Cell::of(v)), *pin, "cell of {v:?}");
+        }
+        let batch = ColBatch::from_rows(&[Row::new(vec![list])]).unwrap();
+        let cell = batch.cell(0, 0);
+        assert!(matches!(cell, Cell::StrList(_)), "{cell:?}");
+        assert_eq!(fnv1a_hash_one(&cell), 0xe651_ccb6_b097_f931);
+        // Values that compare equal hash equal.
+        let eq = |a: Value, b: Value| assert_eq!(fnv1a_hash_one(&a), fnv1a_hash_one(&b));
+        eq(Value::Int(3), Value::Float(3.0));
+        eq(Value::Float(0.0), Value::Float(-0.0));
+        eq(Value::Float(f64::NAN), Value::Float(-f64::NAN));
+    }
+
     /// rows → ColBatch → rows is identity for every Value variant,
     /// including NULLs, in homogeneous and deliberately clashing columns.
     #[test]

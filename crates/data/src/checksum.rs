@@ -3,10 +3,11 @@
 //! A [`Checksum`] digests the *multiset* of rows in a materialized view —
 //! order-insensitive, because a recomputed view is semantically the same
 //! set of tuples even when the execution engine emits them in a different
-//! order. Each row is digested with the same FNV-1a/64 tagged pre-order
-//! encoding the plan fingerprints use (stable across processes and
-//! platforms), and the per-row digests are combined with a commutative
-//! wrapping sum before a final mix that binds the row count.
+//! order. Each row is digested with [`Fnv`] over a tagged pre-order value
+//! encoding ([`digest_value`], which the plan fingerprints fold their
+//! literals through too), stable across processes and platforms, and the
+//! per-row digests are combined with a commutative wrapping sum before a
+//! final mix that binds the row count.
 //!
 //! The checksum is computed once at materialization time — from the cells
 //! of the batch that was materialized ([`checksum_batch`]) — carried next to
@@ -18,44 +19,8 @@
 use crate::batch::{ColBatch, Column, Nulls, Slots};
 use crate::value::{Row, Value};
 use miso_common::pool;
+use miso_common::prehash::Fnv;
 use std::sync::Arc;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-/// Incremental FNV-1a/64 (same constants as the plan fingerprints).
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(FNV_PRIME);
-    }
-
-    fn bytes(&mut self, bs: &[u8]) {
-        for &b in bs {
-            self.byte(b);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// A 64-bit content digest of a row multiset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -81,11 +46,7 @@ pub fn checksum_row(row: &Row) -> u64 {
 /// per-row digests), row-count-binding (the count is mixed into the final
 /// digest, so dropped duplicates are detected).
 pub fn checksum_rows(rows: &[Row]) -> Checksum {
-    let mut acc: u64 = 0;
-    for row in rows {
-        acc = acc.wrapping_add(checksum_row(row));
-    }
-    finish_digest(acc, rows.len() as u64)
+    RowSetDigest::from_rows(rows).finish()
 }
 
 /// Rows per task of [`batch_sum`]: large enough that a task outweighs waking
@@ -94,7 +55,7 @@ const DIGEST_MORSEL: usize = 8192;
 
 /// [`checksum_rows`] of the batch's rows, bit for bit, read from its cells.
 pub fn checksum_batch(batch: &ColBatch) -> Checksum {
-    finish_digest(batch_sum(batch), batch.len() as u64)
+    RowSetDigest::from_batch(batch).finish()
 }
 
 /// The wrapping sum of the batch's row digests. Each morsel keeps one FNV
@@ -158,13 +119,6 @@ fn digest_column(col: &Column, start: usize, rows: &mut [Fnv]) {
             }
         }
     }
-}
-
-fn finish_digest(sum: u64, count: u64) -> Checksum {
-    let mut h = Fnv::new();
-    h.u64(sum);
-    h.u64(count);
-    Checksum(h.finish())
 }
 
 /// The incremental state behind [`checksum_rows`]: the commutative wrapping
@@ -250,7 +204,10 @@ impl RowSetDigest {
     /// The checksum of the current multiset — bit-identical to
     /// [`checksum_rows`] over the same rows.
     pub fn finish(&self) -> Checksum {
-        finish_digest(self.sum, self.count)
+        let mut h = Fnv::new();
+        h.u64(self.sum);
+        h.u64(self.count);
+        Checksum(h.finish())
     }
 }
 
@@ -294,18 +251,11 @@ fn digest_int(i: i64, h: &mut Fnv) {
     h.u64(i as u64);
 }
 
+/// A float as `Value`'s equality sees it: signed zero collapses, and NaN
+/// (which equals itself under the total order) gets one bit pattern.
 fn digest_float(f: f64, h: &mut Fnv) {
     h.byte(3);
-    // Normalize like Value's Hash: signed zero collapses, and NaN (which
-    // equals itself under the total order) gets one bit pattern.
-    let bits = if f == 0.0 {
-        0
-    } else if f.is_nan() {
-        f64::NAN.to_bits()
-    } else {
-        f.to_bits()
-    };
-    h.u64(bits);
+    h.u64(Value::float_bits(f));
 }
 
 fn digest_str(s: &str, h: &mut Fnv) {
@@ -319,7 +269,11 @@ fn digest_array_head(len: usize, h: &mut Fnv) {
     h.u64(len as u64);
 }
 
-fn digest_value(v: &Value, h: &mut Fnv) {
+/// Folds `v`'s tagged pre-order encoding into `h`: what a row's cells
+/// contribute to its checksum, and what a literal contributes to a plan
+/// fingerprint. Values that compare equal under `Value::eq` within one type
+/// encode equal (±0.0 and every NaN included).
+pub fn digest_value(v: &Value, h: &mut Fnv) {
     match v {
         Value::Null => h.byte(0),
         Value::Bool(b) => digest_bool(*b, h),

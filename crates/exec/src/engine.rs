@@ -47,14 +47,13 @@ use crate::profile::{self, OpProfile};
 use crate::udf::{Udf, UdfRegistry};
 use miso_common::guard::QueryGuard;
 use miso_common::ids::NodeId;
-use miso_common::prehash::PrehashedMap;
+use miso_common::prehash::{fnv1a_hash_one, Fnv, PrehashedMap};
 use miso_common::{pool, ByteSize, MisoError, Result};
 use miso_data::json::{parse_json, RawColumns};
 use miso_data::{Cell, ColBatch, ColBuilder, Column, Nulls, Row, Slots, Value};
-use miso_plan::fingerprint::{fnv1a_hash_one, FnvHasher};
 use miso_plan::{AggExpr, AggFunc, Expr, LogicalPlan, Operator, PlanNode};
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -1019,7 +1018,7 @@ impl JoinKey for CellKey<'_> {
             let key = self.batch.cell(i, c);
             return (!key.is_null()).then(|| fnv1a_hash_one(&key));
         }
-        let mut h = FnvHasher::default();
+        let mut h = Fnv::new();
         for &c in &self.cols {
             let key = self.batch.cell(i, c);
             if key.is_null() {
@@ -1481,7 +1480,7 @@ fn group_slots(
     }
     (start..start + n)
         .map(|i| {
-            let mut h = FnvHasher::default();
+            let mut h = Fnv::new();
             for &g in group_by {
                 batch.cell(i, g).hash(&mut h);
             }
@@ -1567,7 +1566,7 @@ fn aggregate(
 /// The hash a group key's cells stream to (FNV-1a over `Value`'s `Hash`):
 /// what [`group_slots`] computes from the columns it reads.
 pub(crate) fn key_hash(key: &[Value]) -> u64 {
-    let mut h = FnvHasher::default();
+    let mut h = Fnv::new();
     for v in key {
         v.hash(&mut h);
     }

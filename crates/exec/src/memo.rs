@@ -30,8 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use miso_common::ids::NodeId;
+use miso_common::prehash::{fnv1a_str, fnv1a_words};
 use miso_data::ColBatch;
-use miso_plan::fingerprint::{fnv1a_str, fnv1a_words};
 use miso_plan::{LogicalPlan, Operator};
 
 use crate::engine::{fused_scan, Retention};

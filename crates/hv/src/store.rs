@@ -20,6 +20,7 @@ use miso_plan::estimate::MapStats;
 use miso_plan::split::mask;
 use miso_plan::{LogicalPlan, Operator};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One base log as HV holds it: the raw lines, in segments — the registered
@@ -248,16 +249,36 @@ fn harvest(plan: &LogicalPlan, stages: &mut Stages, hv: &[u64]) -> Vec<NodeId> {
         .collect()
 }
 
+/// A process-unique number that a clone does not inherit: every `Stamp`,
+/// made by `default` or `clone`, holds a number no other one has held.
+#[derive(Debug)]
+struct Stamp(u64);
+
+impl Default for Stamp {
+    fn default() -> Stamp {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Stamp(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for Stamp {
+    fn clone(&self) -> Stamp {
+        Stamp::default()
+    }
+}
+
 /// The simulated Hive/Hadoop store.
 ///
 /// `Clone` is deliberate: the serving layer snapshots the whole store into an
 /// immutable epoch image, so reorganization can stage changes off to the side
 /// and publish atomically. Logs and view batches are `Arc`-shared, so a clone
 /// costs one refcount bump per log and per view, whatever their sizes; a log
-/// is copied only when one of two stores sharing it appends to it.
+/// is copied only when one of two stores sharing it appends to it. Each
+/// clone is an image of its own, with its own [`HvStore::image`].
 #[derive(Debug, Default, Clone)]
 pub struct HvStore {
     logs: HashMap<String, Arc<LogImage>>,
+    image: Stamp,
     /// The materialized views HV holds, each as it was materialized.
     pub views: Shelf,
     /// Cost model (public so experiments can recalibrate).
@@ -268,6 +289,14 @@ impl HvStore {
     /// An empty store with the default cost model.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A process-unique number naming this store value: no other store,
+    /// and no clone of this one, has it. Mutation keeps the number, so it
+    /// names content only for a store nothing mutates, as an epoch
+    /// snapshot's.
+    pub fn image(&self) -> u64 {
+        self.image.0
     }
 
     /// Registers a base log, sharing its lines with the caller's

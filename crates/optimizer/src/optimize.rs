@@ -259,7 +259,6 @@ mod tests {
     use miso_common::ids::NodeId;
     use miso_lang::{compile, Catalog};
     use miso_plan::estimate::MapStats;
-    use miso_plan::fingerprint::fingerprint_subtree;
     use std::collections::BTreeSet;
 
     fn stats() -> MapStats {
@@ -326,7 +325,7 @@ mod tests {
             .find(|n| matches!(n.op, Operator::Filter { .. }))
             .unwrap()
             .id;
-        let vname = fingerprint_subtree(&p, filt).view_name();
+        let vname = p.fingerprint(filt).view_name();
         let mut s2 = stats();
         s2.set_view(vname.clone(), 3_000.0, 3_000.0 * 40.0);
         let design = Design {
@@ -352,7 +351,7 @@ mod tests {
             .find(|n| matches!(n.op, Operator::Filter { .. }))
             .unwrap()
             .id;
-        let vname = fingerprint_subtree(&p, filt).view_name();
+        let vname = p.fingerprint(filt).view_name();
         let rewrite =
             miso_views::rewrite_with_views(&p, &[vname.clone()].into_iter().collect()).plan();
         let design_hv = Design {
@@ -417,7 +416,7 @@ mod tests {
             .find(|n| matches!(n.op, Operator::Filter { .. }))
             .unwrap()
             .id;
-        let vname = fingerprint_subtree(&p, filt).view_name();
+        let vname = p.fingerprint(filt).view_name();
         let mut s2 = s.clone();
         s2.set_view(vname.clone(), 3_000.0, 3_000.0 * 40.0);
 

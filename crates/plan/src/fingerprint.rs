@@ -17,8 +17,11 @@
 //!   `x < 5` ≡ `5 > x`;
 //! * everything else is structural.
 //!
-//! The digest is FNV-1a/64 folded over a tagged pre-order encoding — stable
-//! across processes and platforms, which keeps view names reproducible.
+//! The digest is FNV-1a/64 ([`Fnv`]) folded over a tagged pre-order
+//! encoding — stable across processes and platforms, which keeps view names
+//! reproducible. A literal folds in as a checksum folds a cell
+//! ([`digest_value`]), so literals that compare equal (±0.0, any NaN)
+//! fingerprint equal.
 //!
 //! A [`LogicalPlan`] digests its arena once, when it is built, and carries
 //! the result (`Digests`) to every plan derived from it whose nodes keep
@@ -27,9 +30,9 @@
 use crate::expr::{AggExpr, BinOp, Expr};
 use crate::op::Operator;
 use crate::plan::{LogicalPlan, PlanNode};
-use miso_common::ids::NodeId;
-use miso_data::{Schema, Value};
-use std::collections::HashMap;
+use miso_common::prehash::Fnv;
+use miso_data::checksum::digest_value;
+use miso_data::Schema;
 use std::fmt;
 
 /// A 64-bit semantic digest of a sub-plan.
@@ -60,100 +63,6 @@ pub fn parse_view_fingerprint(name: &str) -> Option<u64> {
         return None;
     }
     u64::from_str_radix(hex, 16).ok()
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-/// FNV-1a/64 over a stream of `u64` words — the workspace's standard cheap
-/// stable digest, exposed so caches can build composite keys from
-/// fingerprints (e.g. the tuner's `(plan, view-set)` what-if cache).
-pub fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = Fnv::new();
-    for w in words {
-        h.u64(w);
-    }
-    h.finish()
-}
-
-/// FNV-1a/64 of a string (length-prefixed, like every other digest here).
-pub fn fnv1a_str(s: &str) -> u64 {
-    let mut h = Fnv::new();
-    h.str(s);
-    h.finish()
-}
-
-/// An FNV-1a/64 [`std::hash::Hasher`].
-///
-/// Feeding a type's `Hash` impl through this hasher yields a digest that is
-/// *consistent with its `Eq`* (the `Hash` contract) yet — unlike
-/// `RandomState` — deterministic across processes and free of per-map seed
-/// state. The execution engine hashes join and group-by keys
-/// (`miso_data::Value` tuples) this way: equal keys always collide, unequal
-/// keys are disambiguated by an explicit equality check at the probe site,
-/// so the u64 can be precomputed once per row and reused.
-#[derive(Clone, Copy)]
-pub struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(FNV_OFFSET)
-    }
-}
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-}
-
-/// FNV-1a/64 digest of any `Hash` value via [`FnvHasher`] — equal values
-/// hash equal, and the result is stable within a build of the workspace.
-pub fn fnv1a_hash_one<T: std::hash::Hash + ?Sized>(v: &T) -> u64 {
-    let mut h = FnvHasher::default();
-    v.hash(&mut h);
-    std::hash::Hasher::finish(&h)
-}
-
-/// Incremental FNV-1a/64.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(FNV_PRIME);
-    }
-
-    fn bytes(&mut self, bs: &[u8]) {
-        for &b in bs {
-            self.byte(b);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
 }
 
 /// What a plan's arena digests to: each node's fingerprint and each
@@ -210,22 +119,6 @@ pub(crate) fn digest_arena(nodes: &[PlanNode]) -> Digests {
 /// ([`LogicalPlan::fingerprints`]).
 pub fn fingerprint_nodes(plan: &LogicalPlan) -> Vec<Fingerprint> {
     digest_arena(plan.nodes()).fps
-}
-
-/// The plan's fingerprints keyed by node id.
-pub fn fingerprint_all(plan: &LogicalPlan) -> HashMap<NodeId, Fingerprint> {
-    let fps = plan.fingerprints().iter().copied();
-    plan.nodes().iter().map(|n| n.id).zip(fps).collect()
-}
-
-/// Fingerprint of the subtree rooted at `id`.
-pub fn fingerprint_subtree(plan: &LogicalPlan, id: NodeId) -> Fingerprint {
-    plan.fingerprint(id)
-}
-
-/// Fingerprint of a whole plan.
-pub fn fingerprint_plan(plan: &LogicalPlan) -> Fingerprint {
-    plan.fingerprint(plan.root())
 }
 
 /// One node's digest from its inputs' fingerprints and, for a filter, its
@@ -426,50 +319,13 @@ fn flatten_assoc(e: &Expr, op: BinOp) -> Vec<u64> {
     }
 }
 
-fn digest_value(v: &Value, h: &mut Fnv) {
-    match v {
-        Value::Null => h.byte(0),
-        Value::Bool(b) => {
-            h.byte(1);
-            h.byte(*b as u8);
-        }
-        Value::Int(i) => {
-            h.byte(2);
-            h.u64(*i as u64);
-        }
-        Value::Float(f) => {
-            h.byte(3);
-            // Normalize like Value's Hash: ints and equal floats must match.
-            h.u64(if *f == 0.0 { 0 } else { f.to_bits() });
-        }
-        Value::Str(s) => {
-            h.byte(4);
-            h.str(s);
-        }
-        Value::Array(items) => {
-            h.byte(5);
-            h.u64(items.len() as u64);
-            for item in items {
-                digest_value(item, h);
-            }
-        }
-        Value::Object(fields) => {
-            h.byte(6);
-            h.u64(fields.len() as u64);
-            for (k, val) in fields {
-                h.str(k);
-                digest_value(val, h);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::op::Operator;
     use crate::plan::PlanBuilder;
-    use miso_data::DataType;
+    use miso_common::ids::NodeId;
+    use miso_data::{DataType, Value};
 
     fn scan_filter(pred: Expr) -> LogicalPlan {
         let mut b = PlanBuilder::new();
@@ -498,46 +354,37 @@ mod tests {
         b.finish(f).unwrap()
     }
 
+    fn float_literal(f: f64) -> LogicalPlan {
+        scan_filter(Expr::col(0).eq(Expr::Literal(Value::Float(f))))
+    }
+
     #[test]
-    fn fnv_hasher_is_eq_consistent_and_stable() {
-        use miso_data::Value;
-        // Int/Float that compare equal must hash equal (Value's contract,
-        // preserved through any Hasher).
-        assert_eq!(
-            fnv1a_hash_one(&Value::Int(3)),
-            fnv1a_hash_one(&Value::Float(3.0))
-        );
-        assert_eq!(
-            fnv1a_hash_one(&Value::Float(0.0)),
-            fnv1a_hash_one(&Value::Float(-0.0))
-        );
-        assert_ne!(
-            fnv1a_hash_one(&Value::str("a")),
-            fnv1a_hash_one(&Value::str("b"))
-        );
-        // Deterministic: two hashers agree (no per-instance seed).
-        assert_eq!(fnv1a_hash_one("key"), fnv1a_hash_one("key"));
-        // Raw byte stream matches the module's own FNV fold.
-        use std::hash::Hasher as _;
-        let mut h = FnvHasher::default();
-        h.write(b"abc");
-        let mut f = Fnv::new();
-        f.bytes(b"abc");
-        assert_eq!(h.finish(), f.finish());
+    fn literals_that_compare_equal_fingerprint_equal() {
+        // A literal digests as a checksum digests the cell: every NaN is one
+        // value, whatever its payload, as under `Value::eq`.
+        let quiet = f64::NAN;
+        let payload = f64::from_bits(quiet.to_bits() | 0xdead);
+        assert!(payload.is_nan() && payload.to_bits() != quiet.to_bits());
+        let (a, b) = (float_literal(quiet), float_literal(payload));
+        assert_eq!(a.fingerprint(a.root()), b.fingerprint(b.root()));
+        let (pos, neg) = (float_literal(0.0), float_literal(-0.0));
+        assert_eq!(pos.fingerprint(pos.root()), neg.fingerprint(neg.root()));
+        let one = float_literal(1.0);
+        assert_ne!(one.fingerprint(one.root()), pos.fingerprint(pos.root()));
     }
 
     #[test]
     fn identical_plans_identical_fingerprints() {
         let p1 = scan_filter(Expr::col(0).eq(Expr::lit(1i64)));
         let p2 = scan_filter(Expr::col(0).eq(Expr::lit(1i64)));
-        assert_eq!(fingerprint_plan(&p1), fingerprint_plan(&p2));
+        assert_eq!(p1.fingerprint(p1.root()), p2.fingerprint(p2.root()));
     }
 
     #[test]
     fn different_predicates_differ() {
         let p1 = scan_filter(Expr::col(0).eq(Expr::lit(1i64)));
         let p2 = scan_filter(Expr::col(0).eq(Expr::lit(2i64)));
-        assert_ne!(fingerprint_plan(&p1), fingerprint_plan(&p2));
+        assert_ne!(p1.fingerprint(p1.root()), p2.fingerprint(p2.root()));
     }
 
     #[test]
@@ -546,7 +393,7 @@ mod tests {
         let b = Expr::col(1).eq(Expr::lit(2i64));
         let p1 = scan_filter(a.clone().and(b.clone()));
         let p2 = scan_filter(b.and(a));
-        assert_eq!(fingerprint_plan(&p1), fingerprint_plan(&p2));
+        assert_eq!(p1.fingerprint(p1.root()), p2.fingerprint(p2.root()));
     }
 
     #[test]
@@ -610,19 +457,18 @@ mod tests {
     #[test]
     fn subtree_fingerprints_are_consistent_with_extraction() {
         let p = scan_filter(Expr::col(0).eq(Expr::lit(7i64)));
-        let fps = fingerprint_all(&p);
         let proj_id = NodeId(1);
         let sub = p.subplan(proj_id);
-        assert_eq!(fps[&proj_id], fingerprint_plan(&sub));
+        assert_eq!(p.fingerprint(proj_id), sub.fingerprint(sub.root()));
     }
 
     #[test]
     fn view_names_are_stable() {
         let p = scan_filter(Expr::col(0).eq(Expr::lit(1i64)));
-        let name = fingerprint_plan(&p).view_name();
+        let name = p.fingerprint(p.root()).view_name();
         assert!(name.starts_with("v_"));
         assert_eq!(name.len(), 2 + 16);
-        assert_eq!(name, fingerprint_plan(&p).view_name());
+        assert_eq!(name, p.fingerprint(p.root()).view_name());
     }
 
     #[test]
@@ -630,11 +476,11 @@ mod tests {
         // Compositionality: replacing a subtree with its view leaves the
         // enclosing plan's fingerprint unchanged.
         let p = scan_filter(Expr::col(0).eq(Expr::lit(9i64)));
-        let before = fingerprint_plan(&p);
-        let sub_fp = fingerprint_subtree(&p, NodeId(2));
+        let before = p.fingerprint(p.root());
+        let sub_fp = p.fingerprint(NodeId(2));
         let rewritten = p.replace_with_view(NodeId(2), &sub_fp.view_name()).unwrap();
-        assert_eq!(fingerprint_plan(&rewritten), before);
-        assert_eq!(fingerprint_subtree(&rewritten, NodeId(0)), sub_fp);
+        assert_eq!(rewritten.fingerprint(rewritten.root()), before);
+        assert_eq!(rewritten.fingerprint(NodeId(0)), sub_fp);
     }
 
     #[test]
@@ -650,7 +496,7 @@ mod tests {
             )
             .unwrap();
         let p = b.finish(sv).unwrap();
-        let fp1 = fingerprint_plan(&p);
+        let fp1 = p.fingerprint(p.root());
         assert_ne!(fp1.0, 0);
         assert_eq!(parse_view_fingerprint("etl_twitter"), None);
         assert_eq!(parse_view_fingerprint("v_00000000000000ff"), Some(255));
@@ -669,10 +515,10 @@ mod tests {
         // of the same semantics regardless of which query produced the view.
         let p1 = scan_filter(Expr::col(0).eq(Expr::lit(1i64)));
         let p2 = scan_filter(Expr::col(0).eq(Expr::lit(1i64)));
-        let fp1 = fingerprint_subtree(&p1, NodeId(1));
+        let fp1 = p1.fingerprint(NodeId(1));
         let r1 = p1.replace_with_view(NodeId(1), &fp1.view_name()).unwrap();
-        let fp2 = fingerprint_subtree(&p2, NodeId(1));
+        let fp2 = p2.fingerprint(NodeId(1));
         let r2 = p2.replace_with_view(NodeId(1), &fp2.view_name()).unwrap();
-        assert_eq!(fingerprint_plan(&r1), fingerprint_plan(&r2));
+        assert_eq!(r1.fingerprint(r1.root()), r2.fingerprint(r2.root()));
     }
 }

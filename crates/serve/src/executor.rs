@@ -13,10 +13,12 @@
 //!   polls the fail points per dispatch and lays the resulting cost/kill
 //!   envelope over the cached base run.
 //! * **A memo.** A snapshot is immutable, so (plan, banned views, hv-only)
-//!   fixes the base run: each key is computed once per epoch. The plan is
-//!   keyed by its fingerprint beside the caller's label, so two templates
-//!   that share a label never share a *run* — they may share sub-plans
-//!   inside a wave (next point), each still charged as if it ran alone.
+//!   fixes the base run: each key is computed once per snapshot. The memo
+//!   keys on the snapshot's id, not its epoch number, which two images
+//!   taken around a growth step can share. The plan is keyed by its
+//!   fingerprint beside the caller's label, so two templates that share a
+//!   label never share a *run* — they may share sub-plans inside a wave
+//!   (next point), each still charged as if it ran alone.
 //! * **A wave.** Because a base run is a pure function of its key,
 //!   [`SnapExecutor::prefetch`] computes a whole workload's fault-free runs
 //!   as one pool batch, one query per task, instead of one at a time as
@@ -31,12 +33,12 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use miso_common::ids::QueryId;
+use miso_common::prehash::{fnv1a_str, fnv1a_words};
 use miso_common::{pool, ByteSize, QueryGuard, Result, SimDuration};
 use miso_core::split::{self, HarvestCandidate};
 use miso_data::Checksum;
 use miso_exec::{MemoKey, SubplanMemo, UdfRegistry};
 use miso_optimizer::optimize::PlannedQuery;
-use miso_plan::fingerprint::{fnv1a_str, fnv1a_words};
 use miso_plan::LogicalPlan;
 
 use crate::snapshot::EpochSnapshot;
@@ -72,8 +74,9 @@ impl BaseRun {
     }
 }
 
-/// Memo key: (epoch, plan fingerprint, banned-views fingerprint, hv-only).
-type Key = (u64, u64, u64, bool);
+/// Memo key: (epoch, snapshot id, plan fingerprint, banned-views
+/// fingerprint, hv-only). The epoch is there to retire by.
+type Key = (u64, u64, u64, u64, bool);
 
 /// A memoized base run, and whether a dispatch has read it (a prefetched
 /// run may never be).
@@ -112,7 +115,7 @@ impl SnapExecutor {
     /// Drops base runs for epochs older than `epoch` (published snapshots
     /// that no in-flight query references any more).
     pub fn retire_before(&mut self, epoch: u64) {
-        self.memo.retain(|(e, _, _, _), _| *e >= epoch);
+        self.memo.retain(|(e, ..), _| *e >= epoch);
     }
 
     fn key(
@@ -124,7 +127,7 @@ impl SnapExecutor {
     ) -> Key {
         let banned_fp = fnv1a_words(banned.iter().map(|n| fnv1a_str(n)));
         let plan_fp = fnv1a_words([fnv1a_str(label), raw.fingerprint(raw.root()).0]);
-        (snap.epoch, plan_fp, banned_fp, hv_only)
+        (snap.epoch, snap.id(), plan_fp, banned_fp, hv_only)
     }
 
     /// The fault-free run of `raw` against `snap`, planned without `banned`

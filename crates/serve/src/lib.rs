@@ -9,7 +9,7 @@
 //!   observe (or cause) a half-updated design.
 //! * **Read-only split execution** ([`executor`]) — the optimizer → HV →
 //!   ship → DW pipeline of `miso_core::split`, composed over a snapshot and
-//!   memoized per epoch so repeated workload templates cost one real
+//!   memoized per snapshot so repeated workload templates cost one real
 //!   execution each.
 //! * **Fair admission** ([`scheduler`]) — priority lanes and per-tenant
 //!   quotas in front of the guard layer's admission/overload breaker: a hog

@@ -53,6 +53,14 @@ impl EpochSnapshot {
         }
     }
 
+    /// A process-unique id of this image. Two snapshots taken under one
+    /// epoch number — around a growth step, say — never share it: it is the
+    /// HV store's [`HvStore::image`], and every snapshot holds a clone of
+    /// its master's store, which a clone stamps afresh.
+    pub fn id(&self) -> u64 {
+        self.hv.image()
+    }
+
     /// This image's stores, borrowed for the [`miso_core::split`] functions.
     pub fn stores(&self) -> Stores<'_> {
         Stores {

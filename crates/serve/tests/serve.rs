@@ -520,6 +520,50 @@ fn growth_publishes_new_epoch_old_snapshots_keep_old_answers() {
 
 /// A `tiny` system over the standard 32-template workload (its catalog and
 /// UDFs), and the templates.
+/// Two images taken under one epoch number around a growth step are two
+/// snapshots: one executor asked the same query on each answers each over
+/// its own corpus, not the first image's memoized run.
+#[test]
+fn same_epoch_snapshots_around_growth_keep_their_own_answers() {
+    use miso_core::MaintenancePolicy;
+    use miso_data::logs::LogKind;
+    use miso_data::Delta;
+
+    let _chaos = chaos_guard();
+    let mut sys = tiny_system(100_000);
+    let c = miso_lang::Catalog::standard();
+    let count_all = compile(
+        "SELECT t.tweet_id AS id FROM twitter t WHERE t.tweet_id >= 0",
+        &c,
+    )
+    .unwrap();
+    let none = BTreeSet::new();
+    let mut exec = SnapExecutor::new(UdfRegistry::new());
+    let before = EpochSnapshot::of(&sys, 0);
+    let old = exec
+        .run(&before, "count_all", &count_all, &none, false)
+        .unwrap();
+
+    let delta = Delta::generated(&LogsConfig::tiny(), LogKind::Twitter, 0, 150);
+    (sys.grow(&delta, MaintenancePolicy::Refresh, &mut SimClock::new())).unwrap();
+    let after = EpochSnapshot::of(&sys, 0);
+    assert_ne!(before.id(), after.id());
+    let grown = exec
+        .run(&after, "count_all", &count_all, &none, false)
+        .unwrap();
+    let fresh = SnapExecutor::new(UdfRegistry::new())
+        .run(&after, "count_all", &count_all, &none, false)
+        .unwrap();
+    assert_eq!(grown.result_rows, old.result_rows + 150);
+    assert_eq!(grown.checksum, fresh.checksum);
+    assert_ne!(grown.checksum, old.checksum);
+    // The first image is still memoized under its own id.
+    let again = exec
+        .run(&before, "count_all", &count_all, &none, false)
+        .unwrap();
+    assert!(Arc::ptr_eq(&again, &old));
+}
+
 fn workload_system(corpus: &Corpus) -> MultistoreSystem {
     let kib = ByteSize::from_kib(100_000);
     let budgets = Budgets::new(kib, kib, kib).with_discretization(ByteSize::from_kib(16));

@@ -184,7 +184,6 @@ mod tests {
     use super::*;
     use miso_common::ids::NodeId;
     use miso_data::DataType;
-    use miso_plan::fingerprint::{fingerprint_plan, fingerprint_subtree};
     use miso_plan::{AggExpr, AggFunc, Expr, PlanBuilder};
 
     /// scan → project(uid) → filter(uid = k) → aggregate(count)
@@ -230,7 +229,7 @@ mod tests {
     }
 
     fn name_of(plan: &LogicalPlan, id: NodeId) -> String {
-        fingerprint_subtree(plan, id).view_name()
+        plan.fingerprint(id).view_name()
     }
 
     #[test]
@@ -276,7 +275,7 @@ mod tests {
     #[test]
     fn whole_plan_match_collapses_to_single_scan() {
         let p = plan(3);
-        let root_view = fingerprint_plan(&p).view_name();
+        let root_view = p.fingerprint(p.root()).view_name();
         let available: HashSet<String> = [root_view.clone()].into_iter().collect();
         let rw = rewrite_with_views(&p, &available);
         assert_eq!(rw.plan().len(), 1);
@@ -290,7 +289,7 @@ mod tests {
     #[test]
     fn rewrite_is_idempotent_over_scan_views() {
         let p = plan(4);
-        let root_view = fingerprint_plan(&p).view_name();
+        let root_view = p.fingerprint(p.root()).view_name();
         let available: HashSet<String> = [root_view].into_iter().collect();
         let rw1 = rewrite_with_views(&p, &available);
         let rw2 = rewrite_with_views(&rw1.plan(), &available);

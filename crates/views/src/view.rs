@@ -46,7 +46,7 @@ pub struct ViewDef {
 impl ViewDef {
     /// Builds a definition from a defining plan, deriving name/fingerprint.
     pub fn from_plan(plan: LogicalPlan, size: ByteSize, rows: u64, created_by: QueryId) -> Self {
-        let fingerprint = miso_plan::fingerprint::fingerprint_plan(&plan);
+        let fingerprint = plan.fingerprint(plan.root());
         let schema = plan.schema().clone();
         let name = fingerprint.view_name();
         ViewDef {

@@ -420,7 +420,6 @@ pub fn compile_workload(catalog: &Catalog) -> Result<Vec<(String, LogicalPlan)>>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use miso_plan::fingerprint::fingerprint_all;
     use std::collections::HashSet;
 
     #[test]
@@ -470,8 +469,8 @@ mod tests {
                 let (_, a) = &plans[analyst * 4 + version];
                 let (_, b) = &plans[analyst * 4 + version + 1];
                 total_pairs += 1;
-                let fps_a: HashSet<u64> = fingerprint_all(a).values().map(|f| f.0).collect();
-                let fps_b: HashSet<u64> = fingerprint_all(b).values().map(|f| f.0).collect();
+                let fps_a: HashSet<u64> = a.fingerprints().iter().map(|f| f.0).collect();
+                let fps_b: HashSet<u64> = b.fingerprints().iter().map(|f| f.0).collect();
                 // Shared non-leaf subexpression (leaves trivially collide).
                 let shared_nontrivial = fps_a.intersection(&fps_b).count() > 2;
                 if shared_nontrivial {
@@ -504,7 +503,7 @@ mod tests {
             .find(|n| matches!(n.op, miso_plan::Operator::Aggregate { .. }))
             .unwrap()
             .id;
-        let agg_fp = miso_plan::fingerprint::fingerprint_subtree(v1, agg);
+        let agg_fp = v1.fingerprint(agg);
         let available: HashSet<String> = [agg_fp.view_name()].into_iter().collect();
         let rewrite = miso_views::rewrite_with_views(v2, &available);
         assert_eq!(

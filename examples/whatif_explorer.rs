@@ -17,7 +17,6 @@ use miso::lang::compile;
 use miso::optimizer::cost::{estimate_split_cost, TransferModel};
 use miso::optimizer::optimize::{optimize, Design, OptimizerEnv};
 use miso::plan::estimate::{estimate_plan, MapStats};
-use miso::plan::fingerprint::fingerprint_subtree;
 use miso::plan::split::enumerate_splits;
 use miso::plan::Operator;
 use miso::workload::workload_catalog;
@@ -87,7 +86,7 @@ fn main() {
         .find(|n| matches!(n.op, Operator::Join { .. }))
         .unwrap()
         .id;
-    let join_view = fingerprint_subtree(&plan, join_node).view_name();
+    let join_view = plan.fingerprint(join_node).view_name();
     // Pretend the view was materialized with these statistics.
     stats.set_view(join_view.clone(), 2_000.0, 2_000.0 * 60.0);
 

@@ -7,7 +7,6 @@ use miso::exec::engine::execute;
 use miso::exec::MemSource;
 use miso::hv::HvStore;
 use miso::lang::compile;
-use miso::plan::fingerprint::fingerprint_all;
 use miso::views::rewrite_with_views;
 use miso::workload::{authored_queries, standard_udfs, workload_catalog};
 use std::collections::HashSet;
@@ -64,13 +63,12 @@ fn view_rewrites_preserve_results_for_every_workload_query() {
     for spec in authored_queries().into_iter().step_by(3) {
         let plan = compile(&spec.sql, &catalog).unwrap();
         let baseline = execute(&plan, &src, &udfs).unwrap();
-        let fps = fingerprint_all(&plan);
         for node in plan.nodes() {
             if node.op.is_scan() || node.id == plan.root() {
                 continue;
             }
             // Materialize this subtree's output as a view.
-            let name = fps[&node.id].view_name();
+            let name = plan.fingerprint(node.id).view_name();
             let mut view_src = mem_source(&corpus);
             view_src.add_batch(
                 name.clone(),

@@ -20,7 +20,7 @@ use miso::lang::{compile, Catalog};
 use miso::optimizer::cost::TransferModel;
 use miso::optimizer::optimize::{what_if_cost, Design, OptimizerEnv};
 use miso::plan::estimate::MapStats;
-use miso::plan::fingerprint::{expr_digest, fingerprint_all};
+use miso::plan::fingerprint::expr_digest;
 use miso::plan::{LogicalPlan, Operator};
 use miso::views::{rewrite_with_catalog, ViewCatalog, ViewDef};
 use miso::workload::{compile_workload, standard_udfs, workload_catalog};
@@ -404,7 +404,7 @@ fn filter_view_summary_matches_recomputation() {
         assert_eq!(form.name, def.name);
         assert_eq!(
             form.input_fp,
-            fingerprint_all(&def.plan)[&root.inputs[0]].0,
+            def.plan.fingerprint(root.inputs[0]).0,
             "{}",
             def.name
         );

@@ -6,13 +6,13 @@
 //! all happen inside it; a corrupted copy is then scrubbed, quarantined and
 //! repaired by a second pass of the stream.
 
+use miso::common::prehash::fnv1a_str;
 use miso::common::{Budgets, ByteSize, SimClock};
 use miso::core::{
     AuditConfig, GrowthConfig, MaintenancePolicy, MultistoreSystem, SystemConfig, Variant,
 };
 use miso::data::logs::{generate_delta, Corpus, LogKind, LogsConfig};
 use miso::lang::compile;
-use miso::plan::fingerprint::fnv1a_str;
 use miso::workload::{compile_workload, standard_udfs, workload_catalog};
 
 /// `LogsConfig::experiment()` scaled down to a tier-1 budget.
