@@ -274,10 +274,10 @@ impl MultistoreSystem {
             .any(|&site| self.shelf(site).verify(name, expected) == Some(false))
     }
 
-    /// Recomputes a quarantined view from its defining plan in HV and
-    /// restores the fresh copy there ([`Self::restore`]). The HV compute
-    /// cost is charged to the reorganization phase (`duration`) and the
-    /// simulated clock.
+    /// Recomputes a quarantined view from its defining plan in HV
+    /// ([`Self::recompute`]) and restores the fresh copy there
+    /// ([`Self::restore`]). The HV compute cost is charged to the
+    /// reorganization phase (`duration`) and the simulated clock.
     pub(crate) fn recompute_quarantined(
         &mut self,
         name: &str,
@@ -288,11 +288,10 @@ impl MultistoreSystem {
             self.catalog.get(name).cloned().ok_or_else(|| {
                 MisoError::integrity(name, "quarantined view missing from catalog")
             })?;
-        let run = self.hv.execute(&def.plan, None, &self.udfs)?;
-        let view = StoredView::new(def.schema.clone(), run.execution.root_batch()?.clone());
-        self.record_bg(DwActivity::Idle, run.cost, clock);
-        *duration += run.cost;
-        clock.advance(run.cost);
+        let (view, _, cost) = self.recompute(&def, None)?;
+        self.record_bg(DwActivity::Idle, cost, clock);
+        *duration += cost;
+        clock.advance(cost);
         self.restore(Site::Hv, name, view);
         Ok(())
     }

@@ -16,14 +16,16 @@
 //! `rows → ColBatch → rows` is an identity (see the round-trip tests and
 //! the generated matrices of `tests/batch_prop.rs`).
 //!
-//! Reads go through [`Cell`], a borrowed scalar view that reproduces
-//! `Value`'s cross-type equality, ordering and hashing (Int/Float compare
-//! numerically, NaN is self-equal and sorts last, ±0.0 coincide) without
-//! materializing a `Value`. The engine's columnar operators consume cells
-//! for the generic path and reach into the typed payloads ([`Slots`]) for
-//! the fast paths.
+//! Reads go through [`Cell`], a borrowed scalar view and the one home of
+//! the scalar semantics — cross-type equality, ordering, hashing, numeric
+//! reading and byte charge (Int/Float compare exactly, NaN is self-equal
+//! and sorts last, ±0.0 coincide). `Value`'s impls read through
+//! [`Cell::of`], so no `Value` is materialized to compare a slot and no
+//! second copy of the rules exists. The engine's columnar operators
+//! consume cells for the generic path and reach into the typed payloads
+//! ([`Slots`]) for the fast paths.
 
-use crate::value::{cmp_f64, Row, Value};
+use crate::value::{Row, Value};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -341,11 +343,13 @@ pub enum Column {
     Mixed(Vec<Value>),
 }
 
-/// A borrowed scalar view of one slot. `Val` only ever carries the
-/// container types (`Array`/`Object`); scalar `Value`s in a `Mixed` column
-/// are unwrapped into the typed variants so every consumer handles one
-/// shape per type. `StrList` is a list column's slot — an array of strings
-/// that a `Mixed` column would carry as `Val` — and behaves as that array.
+/// A borrowed scalar view of one slot, and the one definition of how
+/// values order, compare, hash and size: `Value`'s impls go through
+/// [`Cell::of`]. `Val` only ever carries the container types
+/// (`Array`/`Object`) — `Cell::of` is its only constructor, and it unwraps
+/// scalars into the typed variants so every consumer handles one shape per
+/// type. `StrList` is a list column's slot — an array of strings that a
+/// `Mixed` column would carry as `Val` — and behaves as that array.
 #[derive(Clone, Copy, Debug)]
 pub enum Cell<'a> {
     Null,
@@ -355,6 +359,36 @@ pub enum Cell<'a> {
     Str(&'a str),
     StrList(StrList<'a>),
     Val(&'a Value),
+}
+
+/// Total order on floats: ordinary order, with NaN greater than everything
+/// and equal to itself.
+#[inline]
+fn cmp_f64(a: f64, b: f64) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (true, true) => Ordering::Equal,
+        (true, false) => Ordering::Greater,
+        (false, true) => Ordering::Less,
+        (false, false) => a.partial_cmp(&b).expect("non-NaN floats compare"),
+    }
+}
+
+/// Exact order of an Int against a Float, so that numeric equality stays
+/// transitive past 2^53, where `i as f64` rounds. NaN is above every Int;
+/// a float at or past 2^63 is above every Int and one below −2^63 below
+/// every Int; any other float meets the Int at its integer part, and a tie
+/// goes by the sign of its fraction.
+#[inline]
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() || f >= TWO_63 {
+        Ordering::Less
+    } else if f < -TWO_63 {
+        Ordering::Greater
+    } else {
+        let whole = f.trunc();
+        i.cmp(&(whole as i64)).then_with(|| cmp_f64(whole, f))
+    }
 }
 
 /// `Vec<Value>`'s lexicographic order over two item sequences.
@@ -373,6 +407,12 @@ fn cmp_items<'x, 'y>(
             },
         }
     }
+}
+
+/// An object's fields as one item sequence — each key, then its value —
+/// whose [`cmp_items`] order is `Vec<(String, Value)>`'s.
+fn field_cells(fields: &[(String, Value)]) -> impl Iterator<Item = Cell<'_>> {
+    fields.iter().flat_map(|(k, v)| [Cell::Str(k), Cell::of(v)])
 }
 
 impl<'a> Cell<'a> {
@@ -408,47 +448,51 @@ impl<'a> Cell<'a> {
         }
     }
 
-    /// Mirror of [`Value::as_i64`]: Int only, no float coercion.
+    /// Integer view: Int only, no float coercion — lossy casts are
+    /// explicit in the expression layer.
     #[inline]
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Cell::Int(i) => Some(*i),
-            Cell::Val(v) => v.as_i64(),
             _ => None,
         }
     }
 
-    /// Mirror of [`Value::as_f64`].
+    /// Numeric view, if this is an Int or Float.
     #[inline]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Cell::Int(i) => Some(*i as f64),
             Cell::Float(f) => Some(*f),
-            Cell::Val(v) => v.as_f64(),
             _ => None,
         }
     }
 
+    /// The rank that orders cells of different types.
     fn type_rank(&self) -> u8 {
         match self {
             Cell::Null => 0,
             Cell::Bool(_) => 1,
             Cell::Int(_) | Cell::Float(_) => 2,
             Cell::Str(_) => 3,
-            Cell::StrList(_) => 4,
-            Cell::Val(v) => v.type_rank(),
+            Cell::StrList(_) | Cell::Val(Value::Array(_)) => 4,
+            Cell::Val(_) => 5,
         }
     }
 
-    /// Total order identical to `Value::cmp` on the equivalent owned values.
+    /// The total order on values: numbers compare exactly across Int and
+    /// Float, NaN sorts last among numbers and equals itself, arrays and
+    /// objects compare as `Vec<Value>` and `Vec<(String, Value)>` do, and
+    /// different types by rank: null < bool < number < string < array <
+    /// object.
     #[inline]
     pub fn cmp_cell(&self, other: &Cell<'_>) -> Ordering {
         match (self, other) {
             (Cell::Null, Cell::Null) => Ordering::Equal,
             (Cell::Bool(a), Cell::Bool(b)) => a.cmp(b),
             (Cell::Int(a), Cell::Int(b)) => a.cmp(b),
-            (Cell::Int(a), Cell::Float(b)) => cmp_f64(*a as f64, *b),
-            (Cell::Float(a), Cell::Int(b)) => cmp_f64(*a, *b as f64),
+            (Cell::Int(a), Cell::Float(b)) => cmp_int_float(*a, *b),
+            (Cell::Float(a), Cell::Int(b)) => cmp_int_float(*b, *a).reverse(),
             (Cell::Float(a), Cell::Float(b)) => cmp_f64(*a, *b),
             (Cell::Str(a), Cell::Str(b)) => a.cmp(b),
             (Cell::StrList(a), Cell::StrList(b)) => a.iter().cmp(b.iter()),
@@ -458,44 +502,61 @@ impl<'a> Cell<'a> {
             (Cell::Val(Value::Array(a)), Cell::StrList(b)) => {
                 cmp_items(a.iter().map(Cell::of), b.iter().map(Cell::Str))
             }
-            (Cell::Val(a), Cell::Val(b)) => a.cmp(b),
+            (Cell::Val(Value::Array(a)), Cell::Val(Value::Array(b))) => {
+                cmp_items(a.iter().map(Cell::of), b.iter().map(Cell::of))
+            }
+            (Cell::Val(Value::Object(a)), Cell::Val(Value::Object(b))) => {
+                cmp_items(field_cells(a), field_cells(b))
+            }
             (a, b) => a.type_rank().cmp(&b.type_rank()),
         }
     }
 
-    /// Total order identical to `Value::cmp` on the equivalent owned value.
+    /// [`Cell::cmp_cell`] against an owned value.
     #[inline]
     pub fn cmp_value(&self, other: &Value) -> Ordering {
         self.cmp_cell(&Cell::of(other))
     }
 
-    /// Equality identical to `Value::eq` on the equivalent owned value.
+    /// Equality against an owned value.
     #[inline]
     pub fn eq_value(&self, other: &Value) -> bool {
         self.cmp_value(other) == Ordering::Equal
     }
 
-    /// Footprint charge, matching [`Value::approx_bytes`].
+    /// Footprint charge: what the simulated stores charge for a value.
     pub fn approx_bytes(&self) -> u64 {
         match self {
             Cell::Null | Cell::Bool(_) => 1,
             Cell::Int(_) | Cell::Float(_) => 8,
             Cell::Str(s) => 4 + s.len() as u64,
             Cell::StrList(l) => 4 + l.iter().map(|s| 4 + s.len() as u64).sum::<u64>(),
-            Cell::Val(v) => v.approx_bytes(),
+            Cell::Val(Value::Array(items)) => {
+                4 + items
+                    .iter()
+                    .map(|v| Cell::of(v).approx_bytes())
+                    .sum::<u64>()
+            }
+            Cell::Val(Value::Object(fields)) => {
+                4 + fields
+                    .iter()
+                    .map(|(k, v)| 2 + k.len() as u64 + Cell::of(v).approx_bytes())
+                    .sum::<u64>()
+            }
+            Cell::Val(v) => unreachable!("Cell::of unwraps scalar {v:?}"),
         }
     }
 }
 
-/// Equality identical to `Value::eq` on the equivalent owned values.
 impl PartialEq for Cell<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp_cell(other) == Ordering::Equal
     }
 }
 
-/// Hash stream identical to `Value::hash` on the equivalent owned value,
-/// so cells can probe maps keyed by `Value` group/join keys.
+/// The hash stream join and group keys hash to; an array or object writes
+/// what `Vec<Value>` / `Vec<(String, Value)>` would: its length, then each
+/// item's stream.
 impl Hash for Cell<'_> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
@@ -504,6 +565,9 @@ impl Hash for Cell<'_> {
                 1u8.hash(state);
                 b.hash(state);
             }
+            // An Int hashes as the float nearest it, so an Int and the Float
+            // equal to it hash alike; Ints past 2^53 that round to one float
+            // share a hash, and equality tells them apart.
             Cell::Int(i) => {
                 2u8.hash(state);
                 Value::float_bits(*i as f64).hash(state);
@@ -516,13 +580,25 @@ impl Hash for Cell<'_> {
                 3u8.hash(state);
                 s.hash(state);
             }
-            // `Vec<Value>`'s stream: its length, then each item's.
             Cell::StrList(l) => {
                 4u8.hash(state);
                 state.write_usize(l.len());
                 l.iter().for_each(|s| Cell::Str(s).hash(state));
             }
-            Cell::Val(v) => v.hash(state),
+            Cell::Val(Value::Array(items)) => {
+                4u8.hash(state);
+                state.write_usize(items.len());
+                items.iter().for_each(|v| Cell::of(v).hash(state));
+            }
+            Cell::Val(Value::Object(fields)) => {
+                5u8.hash(state);
+                state.write_usize(fields.len());
+                for (k, v) in fields {
+                    k.hash(state);
+                    Cell::of(v).hash(state);
+                }
+            }
+            Cell::Val(v) => unreachable!("Cell::of unwraps scalar {v:?}"),
         }
     }
 }
@@ -1416,7 +1492,7 @@ mod tests {
     use std::collections::hash_map::DefaultHasher;
 
     fn value_matrix() -> Vec<Value> {
-        vec![
+        let mut matrix = vec![
             Value::Null,
             Value::Bool(true),
             Value::Bool(false),
@@ -1437,7 +1513,16 @@ mod tests {
             Value::Array(vec![Value::str("a"), Value::Int(1)]),
             Value::Array(vec![Value::str("b")]),
             Value::object(vec![("k".into(), Value::str("v"))]),
-        ]
+            Value::Float(f64::NEG_INFINITY),
+        ];
+        // Where `i as f64` rounds: Ints at the edges of the exact floats and
+        // of `i64`, and the floats at them, half off them and next to them.
+        for edge in [1i64 << 53, -(1i64 << 53), (1 << 53) + 1, i64::MIN, i64::MAX] {
+            let f = edge as f64;
+            matrix.push(Value::Int(edge));
+            matrix.extend([f, f + 0.5, f - 0.5, f.next_up(), f.next_down()].map(Value::Float));
+        }
+        matrix
     }
 
     fn hash_of<T: Hash>(v: &T) -> u64 {
@@ -1476,6 +1561,62 @@ mod tests {
         eq(Value::Int(3), Value::Float(3.0));
         eq(Value::Float(0.0), Value::Float(-0.0));
         eq(Value::Float(f64::NAN), Value::Float(-f64::NAN));
+    }
+
+    /// The order is total across the matrix, numbers where `i as f64`
+    /// rounds included: for every triple, `cmp` is antisymmetric and
+    /// transitive (so equality is), and values that are equal hash alike.
+    #[test]
+    fn value_order_is_total_and_equal_values_hash_alike() {
+        use miso_common::prehash::fnv1a_hash_one;
+        let matrix = value_matrix();
+        for a in &matrix {
+            for b in &matrix {
+                let ab = a.cmp(b);
+                assert_eq!(ab, b.cmp(a).reverse(), "antisymmetry: {a:?} vs {b:?}");
+                if ab.is_eq() {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?}");
+                    assert_eq!(fnv1a_hash_one(a), fnv1a_hash_one(b), "{a:?} == {b:?}");
+                }
+                for c in &matrix {
+                    if a == b && b == c {
+                        assert_eq!(a, c, "transitivity: {a:?} == {b:?} == {c:?}");
+                    }
+                    if ab == b.cmp(c) {
+                        assert_eq!(a.cmp(c), ab, "transitivity: {a:?}, {b:?}, {c:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// An Int meets a Float exactly: past 2^53 and at the ends of `i64`,
+    /// with a fraction breaking a tie of integer parts, NaN above all.
+    #[test]
+    fn int_float_order_is_exact() {
+        use Ordering::*;
+        let (i, f) = (Value::Int, Value::Float);
+        let two_53 = 1i64 << 53;
+        let two_63 = -(i64::MIN as f64);
+        for (a, b, want) in [
+            (i(two_53 + 1), f(two_53 as f64), Greater),
+            (i(two_53), f(two_53 as f64), Equal),
+            (i(two_53 - 1), f(two_53 as f64), Less),
+            (i(i64::MAX), f(two_63), Less),
+            (i(i64::MAX), f(two_63.next_down()), Greater),
+            (i(i64::MIN), f(-two_63), Equal),
+            (i(i64::MIN), f((-two_63).next_down()), Greater),
+            (i(i64::MAX), f(f64::INFINITY), Less),
+            (i(i64::MIN), f(f64::NEG_INFINITY), Greater),
+            (i(i64::MAX), f(f64::NAN), Less),
+            (i(2), f(2.5), Less),
+            (i(-2), f(-2.5), Greater),
+            (i(0), f(-0.5), Greater),
+            (i(0), f(-0.0), Equal),
+        ] {
+            assert_eq!(a.cmp(&b), want, "{a:?} vs {b:?}");
+            assert_eq!(b.cmp(&a), want.reverse(), "{b:?} vs {a:?}");
+        }
     }
 
     /// rows → ColBatch → rows is identity for every Value variant,

@@ -11,7 +11,12 @@
 //!    object);
 //! 3. **Size accounting** so the simulated stores can charge bytes for
 //!    materialized intermediates.
+//!
+//! All three are defined once, on the borrowed view [`Cell`] that every
+//! columnar operator reads; `Value`'s impls and accessors read through
+//! [`Cell::of`], so an owned value and a column slot cannot disagree.
 
+use crate::batch::Cell;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -71,22 +76,14 @@ impl Value {
         matches!(self, Value::Bool(true))
     }
 
-    /// Numeric view, if this is an Int or Float.
+    /// Numeric view, if this is an Int or Float ([`Cell::as_f64`]).
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
+        Cell::of(self).as_f64()
     }
 
-    /// Integer view, if this is an Int (no float coercion — lossy casts are
-    /// explicit in the expression layer).
+    /// Integer view, if this is an Int ([`Cell::as_i64`]).
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
+        Cell::of(self).as_i64()
     }
 
     /// String view, if this is a Str.
@@ -108,38 +105,14 @@ impl Value {
         }
     }
 
-    /// A rank used to order values of different types.
-    pub(crate) fn type_rank(&self) -> u8 {
-        match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) | Value::Float(_) => 2,
-            Value::Str(_) => 3,
-            Value::Array(_) => 4,
-            Value::Object(_) => 5,
-        }
-    }
-
-    /// Approximate in-memory/storage footprint in bytes.
+    /// Approximate in-memory/storage footprint in bytes
+    /// ([`Cell::approx_bytes`]).
     ///
     /// This is what the simulated stores charge for materialized
     /// intermediates; it intentionally approximates a compact serialized form
     /// rather than Rust's in-memory layout.
     pub fn approx_bytes(&self) -> u64 {
-        match self {
-            Value::Null => 1,
-            Value::Bool(_) => 1,
-            Value::Int(_) => 8,
-            Value::Float(_) => 8,
-            Value::Str(s) => 4 + s.len() as u64,
-            Value::Array(items) => 4 + items.iter().map(Value::approx_bytes).sum::<u64>(),
-            Value::Object(fields) => {
-                4 + fields
-                    .iter()
-                    .map(|(k, v)| 2 + k.len() as u64 + v.approx_bytes())
-                    .sum::<u64>()
-            }
-        }
+        Cell::of(self).approx_bytes()
     }
 
     /// Canonical NaN-normalized bits for float hashing/equality.
@@ -170,70 +143,19 @@ impl PartialOrd for Value {
     }
 }
 
+/// [`Cell::cmp_cell`]'s total order.
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            // Numbers compare numerically across Int/Float; NaN sorts last
-            // among numbers and equals itself.
-            (Int(a), Int(b)) => a.cmp(b),
-            (Int(a), Float(b)) => cmp_f64(*a as f64, *b),
-            (Float(a), Int(b)) => cmp_f64(*a, *b as f64),
-            (Float(a), Float(b)) => cmp_f64(*a, *b),
-            (Str(a), Str(b)) => a.cmp(b),
-            (Array(a), Array(b)) => a.cmp(b),
-            (Object(a), Object(b)) => a.cmp(b),
-            (a, b) => a.type_rank().cmp(&b.type_rank()),
-        }
+        Cell::of(self).cmp_cell(&Cell::of(other))
     }
 }
 
-/// Total order on floats: ordinary order, with NaN greater than everything
-/// and equal to itself.
-#[inline]
-pub(crate) fn cmp_f64(a: f64, b: f64) -> Ordering {
-    match (a.is_nan(), b.is_nan()) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
-        (false, false) => a.partial_cmp(&b).expect("non-NaN floats compare"),
-    }
-}
-
+/// [`Cell`]'s hash stream, so a cell probes a map keyed by values.
 impl Hash for Value {
+    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
-        match self {
-            Value::Null => 0u8.hash(state),
-            Value::Bool(b) => {
-                1u8.hash(state);
-                b.hash(state);
-            }
-            // Int and Float that represent the same number must hash equally
-            // because they compare equal: hash the canonical f64 bits when the
-            // int is exactly representable, else the int itself.
-            Value::Int(i) => {
-                2u8.hash(state);
-                Value::float_bits(*i as f64).hash(state);
-            }
-            Value::Float(f) => {
-                2u8.hash(state);
-                Value::float_bits(*f).hash(state);
-            }
-            Value::Str(s) => {
-                3u8.hash(state);
-                s.hash(state);
-            }
-            Value::Array(items) => {
-                4u8.hash(state);
-                items.hash(state);
-            }
-            Value::Object(fields) => {
-                5u8.hash(state);
-                fields.hash(state);
-            }
-        }
+        Cell::of(self).hash(state)
     }
 }
 

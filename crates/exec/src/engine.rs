@@ -1203,69 +1203,16 @@ impl Acc {
         }
     }
 
-    pub(crate) fn update(&mut self, v: Option<&Value>) {
-        match self {
-            Acc::Count(n) => {
-                // COUNT(*) gets None (count all); COUNT(expr) skips NULLs.
-                match v {
-                    None => *n += 1,
-                    Some(val) if !val.is_null() => *n += 1,
-                    _ => {}
-                }
+    /// Folds one input cell in: `None` is a `COUNT(*)` row, counted
+    /// whatever it holds; every other aggregate skips NULL. A value is
+    /// cloned only when the accumulator retains it.
+    pub(crate) fn update(&mut self, c: Option<&Cell<'_>>) {
+        let Some(c) = c else {
+            if let Acc::Count(n) = self {
+                *n += 1;
             }
-            Acc::CountDistinct(set) => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        set.insert(val.clone());
-                    }
-                }
-            }
-            Acc::SumInt(acc, seen) => {
-                if let Some(val) = v {
-                    if let Some(i) = val.as_i64() {
-                        *acc += i128::from(i);
-                        *seen = true;
-                    } else if let Some(f) = val.as_f64() {
-                        // Mixed input: fall back via float path; keep integer
-                        // accumulation best-effort.
-                        *acc += i128::from(f as i64);
-                        *seen = true;
-                    }
-                }
-            }
-            Acc::SumFloat(acc, seen) => {
-                if let Some(f) = v.and_then(|val| val.as_f64()) {
-                    *acc += f;
-                    *seen = true;
-                }
-            }
-            Acc::Min(cur) => {
-                if let Some(val) = v {
-                    if !val.is_null() && cur.as_ref().is_none_or(|c| val < c) {
-                        *cur = Some(val.clone());
-                    }
-                }
-            }
-            Acc::Max(cur) => {
-                if let Some(val) = v {
-                    if !val.is_null() && cur.as_ref().is_none_or(|c| val > c) {
-                        *cur = Some(val.clone());
-                    }
-                }
-            }
-            Acc::Avg { sum, n } => {
-                if let Some(f) = v.and_then(|val| val.as_f64()) {
-                    *sum += f;
-                    *n += 1;
-                }
-            }
-        }
-    }
-
-    /// [`Acc::update`] on a borrowed columnar cell — branch-for-branch the
-    /// same semantics ([`Cell`]'s accessors mirror [`Value`]'s), cloning a
-    /// value only when an accumulator actually retains it.
-    pub(crate) fn update_cell(&mut self, c: &Cell<'_>) {
+            return;
+        };
         match self {
             Acc::Count(n) => {
                 if !c.is_null() {
@@ -1282,6 +1229,8 @@ impl Acc {
                     *acc += i128::from(i);
                     *seen = true;
                 } else if let Some(f) = c.as_f64() {
+                    // Mixed input: fall back via float path; keep integer
+                    // accumulation best-effort.
                     *acc += i128::from(f as i64);
                     *seen = true;
                 }
@@ -1507,10 +1456,7 @@ fn group_slots(
 fn fold_input(accs: &mut [Acc], width: usize, a: usize, slots: &[u32], input: Option<&VCol>) {
     for (j, &s) in slots.iter().enumerate() {
         let acc = &mut accs[s as usize * width + a];
-        match input {
-            Some(input) => acc.update_cell(&input.cell(j)),
-            None => acc.update(None),
-        }
+        acc.update(input.map(|input| input.cell(j)).as_ref());
     }
 }
 
@@ -3085,5 +3031,40 @@ mod tests {
             }
             pool::set_threads(before);
         }
+    }
+
+    /// An Int key past 2^53 is not the Float its `as f64` rounds to:
+    /// `2^53 + 1` is a group of its own while `Int(2^53)` and `Float(2^53)`
+    /// share one, in the serial reference and in the engine, where the two
+    /// equal keys fall into the second morsel and `2^53 + 1` into the first.
+    #[test]
+    fn int_float_group_keys_past_2_pow_53_are_serial() {
+        let big = 1i64 << 53;
+        let mut keys = vec![Value::Int(big + 1)];
+        keys.resize(MORSEL_SIZE, Value::Int(0));
+        keys.extend([Value::Int(big), Value::Float(big as f64)]);
+        let mut src = MemSource::new();
+        src.add_view("v", keys.into_iter().map(|k| Row::new(vec![k])).collect());
+        let mut b = PlanBuilder::new();
+        let scan = view_scan(&mut b, "v", vec![Field::new("k", DataType::Float)]);
+        let agg = Operator::Aggregate {
+            group_by: vec![0],
+            aggs: vec![AggExpr::new(AggFunc::Count, None, "n")],
+        };
+        let agg = b.add(agg, vec![scan]).unwrap();
+        let plan = b.finish(agg).unwrap();
+        let udfs = UdfRegistry::new();
+        let bits = crate::ivm::tests::bits;
+        let group = |k: i64, n: usize| Row::new(vec![Value::Int(k), Value::Int(n as i64)]);
+        let want = bits(&[group(big + 1, 1), group(0, MORSEL_SIZE - 1), group(big, 2)]);
+        let serial = crate::serial::execute_serial(&plan, &src, &udfs).unwrap();
+        assert_eq!(bits(serial.root_rows().unwrap()), want, "serial");
+        let before = pool::threads();
+        for t in [1, 8] {
+            pool::set_threads(t);
+            let run = execute(&plan, &src, &udfs).unwrap();
+            assert_eq!(bits(run.root_rows().unwrap()), want, "{t} threads");
+        }
+        pool::set_threads(before);
     }
 }

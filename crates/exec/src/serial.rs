@@ -15,7 +15,7 @@ use crate::udf::UdfRegistry;
 use miso_common::ids::NodeId;
 use miso_common::{MisoError, Result};
 use miso_data::json::parse_json;
-use miso_data::{Row, Value};
+use miso_data::{Cell, Row, Value};
 use miso_plan::{AggFunc, Expr, LogicalPlan, Operator};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -182,10 +182,7 @@ fn aggregate_serial(
         };
         for (acc, agg) in accs.iter_mut().zip(aggs) {
             match &agg.input {
-                Some(e) => {
-                    let v = eval(e, row)?;
-                    acc.update(Some(&v));
-                }
+                Some(e) => acc.update(Some(&Cell::of(&eval(e, row)?))),
                 None => acc.update(None),
             }
         }
