@@ -21,9 +21,15 @@
 //! between, in the canonical form [`crate::json::to_json`] gives the parsed
 //! record: members in ascending key order, floats in shortest round-trip
 //! digits. A record's values are drawn first, in a fixed order, and written
-//! after; that order is part of the bytes a seed yields, and so of every
-//! figure and simulated time (`generated_bytes_are_pinned` holds both). The
-//! Zipf tables whose parameters are constants are built once per process.
+//! after; the draw order is the contract of the bytes a seed yields, and so
+//! of every figure and simulated time (`generated_bytes_are_pinned` holds
+//! both). The twitter log, the largest, is made in two phases: one
+//! sequential pass draws every tweet's values into a [`TweetDraw`], and the
+//! lines are then formatted from those draws in fixed-size morsels on the
+//! worker pool. Formatting is a pure function of a morsel's draws and its
+//! first tweet id, so neither the pool's width nor the morsel size enters
+//! the bytes. The Zipf tables whose parameters are constants are built once
+//! per process.
 
 use crate::json::ObjectWriter;
 use miso_common::pool;
@@ -158,24 +164,36 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// Generates the corpus deterministically from `cfg`: the three logs
-    /// concurrently on the worker pool, each from a stream of its own, so
-    /// the bytes are those of any thread count.
+    /// Generates the corpus deterministically from `cfg`, each log from a
+    /// stream of its own, in two pool batches: first the twitter draws
+    /// ([`twitter_draws`]) beside the whole foursquare and landmarks logs,
+    /// then the twitter lines, formatted from the draws a morsel per task.
+    /// The second batch is dispatched from the top, not from inside the
+    /// first, where it would get no helpers. The bytes are those of any
+    /// thread count: the draws are one sequential pass, and each morsel's
+    /// lines a pure function of its draws and its first tweet id.
     pub fn generate(cfg: &LogsConfig) -> Corpus {
         let root = DetRng::new(cfg.seed);
         let landmarks = cfg.landmarks.min(cfg.venues as usize);
-        let mut logs = pool::run_batch(3, |log| match log {
-            0 => generate_twitter_batch(cfg, root.fork(1), 0, cfg.tweets),
-            1 => generate_foursquare_batch(cfg, root.fork(2), 0, cfg.checkins),
-            _ => generate_landmarks_batch(root.fork(3), 0, landmarks),
-        })
-        .unwrap_or_else(|e| panic!("{e}"))
-        .into_iter();
-        let mut next = |kind| LogFile::from_lines(kind, logs.next().expect("three logs"));
+        let [(draws, _), (_, foursquare), (_, landmarks)]: [_; 3] =
+            pool::run_batch(3, |log| match log {
+                0 => (twitter_draws(cfg), Vec::new()),
+                1 => (
+                    Vec::new(),
+                    generate_foursquare_batch(cfg, root.fork(2), 0, cfg.checkins),
+                ),
+                _ => (
+                    Vec::new(),
+                    generate_landmarks_batch(root.fork(3), 0, landmarks),
+                ),
+            })
+            .unwrap_or_else(|e| panic!("{e}"))
+            .try_into()
+            .expect("three logs");
         Corpus {
-            twitter: next(LogKind::Twitter),
-            foursquare: next(LogKind::Foursquare),
-            landmarks: next(LogKind::Landmarks),
+            twitter: LogFile::from_lines(LogKind::Twitter, twitter_lines(&draws, 0)),
+            foursquare: LogFile::from_lines(LogKind::Foursquare, foursquare),
+            landmarks: LogFile::from_lines(LogKind::Landmarks, landmarks),
         }
     }
 
@@ -204,9 +222,10 @@ pub fn generate_delta(cfg: &LogsConfig, kind: LogKind, batch: u64, count: usize)
     let root = DetRng::new(cfg.seed ^ 0xDE17A);
     let skip = batch as usize * count;
     match kind {
-        LogKind::Twitter => {
-            generate_twitter_batch(cfg, root.fork(batch * 4 + 1), cfg.tweets + skip, count)
-        }
+        LogKind::Twitter => twitter_lines(
+            &draw_tweets(cfg, root.fork(batch * 4 + 1), count),
+            cfg.tweets + skip,
+        ),
         LogKind::Foursquare => {
             generate_foursquare_batch(cfg, root.fork(batch * 4 + 2), cfg.checkins + skip, count)
         }
@@ -282,56 +301,148 @@ static RETWEETS: LazyLock<ZipfSampler> = LazyLock::new(|| ZipfSampler::new(1000,
 static FOLLOWERS: LazyLock<ZipfSampler> = LazyLock::new(|| ZipfSampler::new(100_000, 1.2));
 static LIKES: LazyLock<ZipfSampler> = LazyLock::new(|| ZipfSampler::new(200, 1.4));
 
-fn generate_twitter_batch(
-    cfg: &LogsConfig,
-    mut rng: DetRng,
-    id_offset: usize,
-    count: usize,
-) -> Vec<String> {
+/// Hashtags and prose words a tweet draws at most.
+const MAX_TAGS: usize = 3;
+const MAX_WORDS: usize = 14;
+
+// A vocabulary index is drawn into a `u8`.
+const _: () =
+    assert!(TOPICS.len() <= 256 && WORDS.len() <= 256 && LANGS.len() <= 256 && CITIES.len() <= 256);
+
+/// Tweets per format morsel. A morsel's lines depend on its draws and its
+/// first tweet id only, so the size moves no byte; a growth batch (2 % of
+/// the base log at the benchmark's scales) is one morsel and runs inline.
+const TWEET_MORSEL: usize = 2048;
+
+/// One tweet's drawn values, everything its line is written from except its
+/// id: indices into the constant vocabularies, and the numbers at the width
+/// they are drawn at.
+#[derive(Debug)]
+pub struct TweetDraw {
+    user: usize,
+    ts: u64,
+    retweets: usize,
+    followers: usize,
+    sentiment: f64,
+    tags: [u8; MAX_TAGS],
+    n_tags: u8,
+    words: [u8; MAX_WORDS],
+    n_words: u8,
+    mention: Option<u8>,
+    lang: u8,
+    city: u8,
+}
+
+/// The draw phase of the base twitter log: the values of its `cfg.tweets`
+/// records, in id order. [`Corpus::generate`] formats its lines from these;
+/// it is public so the phase can be timed apart (`examples/corpus_gen.rs`).
+pub fn twitter_draws(cfg: &LogsConfig) -> Vec<TweetDraw> {
+    draw_tweets(cfg, DetRng::new(cfg.seed).fork(1), cfg.tweets)
+}
+
+/// An index into `table`, drawn as [`DetRng::pick`] draws an item.
+fn pick_index(rng: &mut DetRng, table: &[&str]) -> u8 {
+    rng.below(table.len() as u64) as u8
+}
+
+/// Draws `count` tweets from `rng`. The order of the draws is the bytes'
+/// contract.
+fn draw_tweets(cfg: &LogsConfig, mut rng: DetRng, count: usize) -> Vec<TweetDraw> {
     let users = ZipfSampler::new(cfg.users as usize, 0.35);
-    let mut lines = Vec::with_capacity(count);
-    let (mut line, mut text, mut tags) = (String::new(), String::new(), Vec::new());
-    for i in id_offset..id_offset + count {
-        let user = users.sample(&mut rng);
-        tags.clear();
-        for _ in 0..rng.range_inclusive(0, 3) {
-            tags.push(*rng.pick(TOPICS));
+    (0..count)
+        .map(|_| {
+            let user = users.sample(&mut rng);
+            let mut tags = [0; MAX_TAGS];
+            let n_tags = rng.range_inclusive(0, MAX_TAGS as u64) as u8;
+            for tag in &mut tags[..n_tags as usize] {
+                *tag = pick_index(&mut rng, TOPICS);
+            }
+            let mut words = [0; MAX_WORDS];
+            let n_words = rng.range_inclusive(4, MAX_WORDS as u64) as u8;
+            for word in &mut words[..n_words as usize] {
+                *word = pick_index(&mut rng, WORDS);
+            }
+            // Tweets often mention the topic in prose too, so text-search
+            // predicates (`contains(t.text, 'coffee')`) have real selectivity.
+            let mention = rng.chance(0.35).then(|| pick_index(&mut rng, TOPICS));
+            // Field initialisers run in the order written: keep it the draw
+            // order.
+            TweetDraw {
+                user,
+                tags,
+                n_tags,
+                words,
+                n_words,
+                mention,
+                ts: rng.below(TIME_SPAN_SECS),
+                retweets: RETWEETS.sample(&mut rng),
+                followers: FOLLOWERS.sample(&mut rng),
+                lang: pick_index(&mut rng, LANGS),
+                city: pick_index(&mut rng, CITIES),
+                sentiment: (rng.f64() * 2.0 - 1.0 + rng.f64() * 0.2).clamp(-1.0, 1.0),
+            }
+        })
+        .collect()
+}
+
+/// The lines of `draws`, the first with tweet id `first_id`: one
+/// [`format_tweets`] per morsel on the pool, split into lines in morsel
+/// order. The lines are allocated here, on the dispatching thread, not by
+/// the helpers: with glibc a block lives in the malloc arena of the thread
+/// that allocated it, and with half the twitter log in a helper's arena the
+/// benchmark's timed `stream_growth` queries read 3–8 % slower in three of
+/// four pair sets on 2 cores, and level with one arena
+/// (`MALLOC_ARENA_MAX=1`).
+fn twitter_lines(draws: &[TweetDraw], first_id: usize) -> Vec<String> {
+    let morsels = pool::run_chunks(draws, TWEET_MORSEL, |m, morsel| {
+        format_tweets(morsel, first_id + m * TWEET_MORSEL)
+    })
+    .unwrap_or_else(|e| panic!("{e}"));
+    let mut lines = Vec::with_capacity(draws.len());
+    for (text, ends) in &morsels {
+        let mut start = 0;
+        for &end in ends {
+            lines.push(text[start..end].to_owned());
+            start = end;
         }
+    }
+    lines
+}
+
+/// The format phase: the lines of `draws`, the first with tweet id
+/// `first_id`, as one text and the end of each line in it. A pure function
+/// of its arguments.
+fn format_tweets(draws: &[TweetDraw], first_id: usize) -> (String, Vec<usize>) {
+    let mut ends = Vec::with_capacity(draws.len());
+    let (mut lines, mut text) = (String::new(), String::new());
+    for (id, draw) in (first_id..).zip(draws) {
         text.clear();
-        for w in 0..rng.range_inclusive(4, 14) {
+        for (w, &word) in draw.words[..draw.n_words as usize].iter().enumerate() {
             if w > 0 {
                 text.push(' ');
             }
-            text.push_str(rng.pick(WORDS) as &str);
+            text.push_str(WORDS[word as usize]);
         }
-        // Tweets often mention the topic in prose too, so text-search
-        // predicates (`contains(t.text, 'coffee')`) have real selectivity.
-        if rng.chance(0.35) {
+        if let Some(topic) = draw.mention {
             text.push(' ');
-            text.push_str(rng.pick(TOPICS) as &str);
+            text.push_str(TOPICS[topic as usize]);
         }
-        let ts = rng.below(TIME_SPAN_SECS);
-        let retweets = RETWEETS.sample(&mut rng);
-        let followers = FOLLOWERS.sample(&mut rng);
-        let lang = *rng.pick(LANGS);
-        let city = *rng.pick(CITIES);
-        let sentiment = (rng.f64() * 2.0 - 1.0 + rng.f64() * 0.2).clamp(-1.0, 1.0);
-        line.clear();
-        let mut record = ObjectWriter::new(&mut line);
-        record.str("city", city);
-        record.int("followers", followers as i64);
-        record.strs("hashtags", &tags);
-        record.str("lang", lang);
-        record.int("retweets", retweets as i64);
-        record.float("sentiment", sentiment);
+        let tags = draw.tags.map(|tag| TOPICS[tag as usize]);
+        let mut record = ObjectWriter::new(&mut lines);
+        record.str("city", CITIES[draw.city as usize]);
+        record.int("followers", draw.followers as i64);
+        record.strs("hashtags", &tags[..draw.n_tags as usize]);
+        record.str("lang", LANGS[draw.lang as usize]);
+        record.int("retweets", draw.retweets as i64);
+        record.float("sentiment", draw.sentiment);
         record.str("text", &text);
-        record.int("ts", ts as i64);
-        record.int("tweet_id", i as i64);
-        record.int("user_id", user as i64);
+        record.int("ts", draw.ts as i64);
+        record.int("tweet_id", id as i64);
+        record.int("user_id", draw.user as i64);
         record.finish();
-        lines.push(line.clone());
+        ends.push(lines.len());
     }
-    lines
+    (lines, ends)
 }
 
 fn generate_foursquare_batch(
@@ -511,6 +622,53 @@ mod tests {
                 }
             }
             assert_eq!(h.finish(), pin, "{} tweets at seed {seed:#x}", cfg.tweets);
+        }
+    }
+
+    #[test]
+    fn generation_is_width_and_morsel_independent() {
+        // Tweet counts on both sides of the morsel seams, each generated at
+        // three pool widths: the base logs and three twitter and foursquare
+        // growth batches of the same size must not move by a byte.
+        let before = pool::threads();
+        let m = TWEET_MORSEL;
+        for tweets in [0, 1, m - 1, m, m + 1, 3 * m + 17] {
+            let cfg = LogsConfig {
+                tweets,
+                ..LogsConfig::tiny()
+            };
+            let mut reference: Option<Vec<Vec<String>>> = None;
+            for t in [1, 2, 8] {
+                pool::set_threads(t);
+                let corpus = Corpus::generate(&cfg);
+                let mut logs: Vec<Vec<String>> = corpus.files().map(|f| f.lines.to_vec()).into();
+                for kind in [LogKind::Twitter, LogKind::Foursquare] {
+                    for batch in 0..3 {
+                        logs.push(generate_delta(&cfg, kind, batch, tweets));
+                    }
+                }
+                match &reference {
+                    None => reference = Some(logs),
+                    Some(want) => {
+                        for (i, (got, want)) in logs.iter().zip(want).enumerate() {
+                            assert!(got == want, "{tweets} tweets, log {i}: width {t} ≠ width 1");
+                        }
+                    }
+                }
+            }
+            pool::set_threads(before);
+            // A morsel that starts at the wrong id shows as the first line
+            // whose id is not its position.
+            let twitter = &reference.expect("three widths")[0];
+            assert_eq!(twitter.len(), tweets);
+            for (k, line) in twitter.iter().enumerate() {
+                let id = parse_json(line)
+                    .unwrap()
+                    .get_field("tweet_id")
+                    .unwrap()
+                    .as_i64();
+                assert_eq!(id, Some(k as i64), "line {k} (morsel {})", k / m);
+            }
         }
     }
 

@@ -518,8 +518,60 @@ fn growth_publishes_new_epoch_old_snapshots_keep_old_answers() {
     }
 }
 
-/// A `tiny` system over the standard 32-template workload (its catalog and
-/// UDFs), and the templates.
+/// Retirement is by epoch number alone: two images taken under one epoch
+/// around a growth step are memoized apart, kept together while their epoch
+/// is retained, and dropped together when it is retired, after which the
+/// grown image's run is computed afresh.
+#[test]
+fn same_epoch_snapshots_around_growth_retire_together() {
+    use miso_core::MaintenancePolicy;
+    use miso_data::logs::LogKind;
+    use miso_data::Delta;
+
+    let _chaos = chaos_guard();
+    let mut sys = tiny_system(100_000);
+    let c = miso_lang::Catalog::standard();
+    let count_all = compile(
+        "SELECT t.tweet_id AS id FROM twitter t WHERE t.tweet_id >= 0",
+        &c,
+    )
+    .unwrap();
+    let none = BTreeSet::new();
+    let epoch = 3;
+    let mut exec = SnapExecutor::new(UdfRegistry::new());
+    let before = EpochSnapshot::of(&sys, epoch);
+    let old = exec
+        .run(&before, "count_all", &count_all, &none, false)
+        .unwrap();
+    let delta = Delta::generated(&LogsConfig::tiny(), LogKind::Twitter, 0, 150);
+    (sys.grow(&delta, MaintenancePolicy::Refresh, &mut SimClock::new())).unwrap();
+    let after = EpochSnapshot::of(&sys, epoch);
+    let grown = exec
+        .run(&after, "count_all", &count_all, &none, false)
+        .unwrap();
+    assert_eq!(exec.runs_read(), 2);
+
+    exec.retire_before(epoch);
+    assert_eq!(
+        exec.runs_read(),
+        2,
+        "retiring older epochs keeps both images"
+    );
+    let kept = exec
+        .run(&after, "count_all", &count_all, &none, false)
+        .unwrap();
+    assert!(Arc::ptr_eq(&kept, &grown));
+
+    exec.retire_before(epoch + 1);
+    assert_eq!(exec.runs_read(), 0, "retiring the epoch drops both images");
+    let recomputed = exec
+        .run(&after, "count_all", &count_all, &none, false)
+        .unwrap();
+    assert!(!Arc::ptr_eq(&recomputed, &grown));
+    assert_eq!(recomputed.result_rows, old.result_rows + 150);
+    assert_eq!(recomputed.checksum, grown.checksum);
+}
+
 /// Two images taken under one epoch number around a growth step are two
 /// snapshots: one executor asked the same query on each answers each over
 /// its own corpus, not the first image's memoized run.
@@ -564,6 +616,8 @@ fn same_epoch_snapshots_around_growth_keep_their_own_answers() {
     assert!(Arc::ptr_eq(&again, &old));
 }
 
+/// A `tiny` system over the standard 32-template workload (its catalog and
+/// UDFs), and the templates.
 fn workload_system(corpus: &Corpus) -> MultistoreSystem {
     let kib = ByteSize::from_kib(100_000);
     let budgets = Budgets::new(kib, kib, kib).with_discretization(ByteSize::from_kib(16));
