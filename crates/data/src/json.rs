@@ -37,7 +37,8 @@
 //! per word marks every `"`, `\` and control byte exactly, and the first
 //! mark is found by its trailing zeros, never by a loop over the bytes
 //! before it. A string that holds a `\` or a control byte is outside the
-//! subset, so the first mark ends a plain string or declines it.
+//! subset, so the first mark ends a plain string or declines it. The
+//! writer escapes exactly the bytes that test marks, found the same way.
 //!
 //! The guarantee is the strict parser's grammar, byte for byte: where
 //! either way accepts a line, its columns are those [`parse_json`] gives
@@ -122,8 +123,21 @@ fn write_bool(b: bool, out: &mut String) {
     out.push_str(if b { "true" } else { "false" });
 }
 
+/// An integer in decimal, its digits written back to front into a stack
+/// buffer, at least one: the text `Display` gives, without its formatting
+/// machinery. `unsigned_abs` takes `i64::MIN` whole.
 fn write_int(i: i64, out: &mut String) {
-    let _ = write!(out, "{i}");
+    let mut buf = [0u8; 20];
+    let (mut at, mut n) = (buf.len(), i.unsigned_abs());
+    while at == buf.len() || n > 0 {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 /// A float in its shortest round-trip digits, with `.0` appended when they
@@ -140,37 +154,45 @@ fn write_float(f: f64, out: &mut String) {
     }
 }
 
-/// A quoted string. Only ASCII bytes are escaped, so the text between them
-/// is copied in runs.
+/// A quoted string. The bytes that need an escape are the ones that stop
+/// the reader's plain strings ([`stop_bytes`]: `"`, `\\` and control
+/// bytes), all ASCII; the runs between them, multi-byte UTF-8 included, are
+/// found eight bytes at a time and copied whole, so a string with no such
+/// byte is one scan and one copy.
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escaped = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..0x20 => "",
-            _ => continue,
-        };
-        out.push_str(&s[run..i]);
-        if escaped.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
-        } else {
-            out.push_str(escaped);
+    loop {
+        // `run` follows an ASCII byte and `stop` is one, or the end: both
+        // are char boundaries.
+        let stop = next_stop(s.as_bytes(), run);
+        out.push_str(&s[run..stop]);
+        match s.as_bytes().get(stop) {
+            None => break,
+            Some(b'"') => out.push_str("\\\""),
+            Some(b'\\') => out.push_str("\\\\"),
+            Some(b'\n') => out.push_str("\\n"),
+            Some(b'\r') => out.push_str("\\r"),
+            Some(b'\t') => out.push_str("\\t"),
+            Some(c) => out.push_str(&format!("\\u{c:04x}")),
         }
-        run = i + 1;
+        run = stop + 1;
     }
-    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Whether `s` holds no byte [`write_string`] escapes.
+fn is_plain(s: &str) -> bool {
+    next_stop(s.as_bytes(), 0) == s.len()
 }
 
 /// Writes one JSON object member by member, straight to text, with no
 /// [`Value`] in between: the bytes [`to_json`] gives the object of the same
 /// members. Members must come in strictly ascending key order, the order
-/// [`Value::object`] sorts them into (a debug build asserts it).
+/// [`Value::object`] sorts them into. Keys, and the words of
+/// [`ObjectWriter::words`], are `'static` constants, copied as they stand
+/// with no escape scan: each must be [`is_plain`], and the generators' are
+/// lowercase names and vocabulary. A debug build asserts both rules.
 pub(crate) struct ObjectWriter<'a> {
     out: &'a mut String,
     last: Option<&'static str>,
@@ -188,9 +210,11 @@ impl<'a> ObjectWriter<'a> {
             debug_assert!(last < key, "member `{key}` written after `{last}`");
             self.out.push(',');
         }
+        debug_assert!(is_plain(key), "key {key:?} needs an escape");
         self.last = Some(key);
-        write_string(key, self.out);
-        self.out.push(':');
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
         self.out
     }
 
@@ -221,6 +245,21 @@ impl<'a> ObjectWriter<'a> {
             write_string(item, out);
         }
         out.push(']');
+    }
+
+    /// A string of `words` joined by single spaces, written in place: the
+    /// bytes [`ObjectWriter::str`] gives the joined text.
+    pub(crate) fn words(&mut self, key: &'static str, words: impl Iterator<Item = &'static str>) {
+        let out = self.key(key);
+        out.push('"');
+        let mut sep = "";
+        for word in words {
+            debug_assert!(is_plain(word), "word {word:?} needs an escape");
+            out.push_str(sep);
+            out.push_str(word);
+            sep = " ";
+        }
+        out.push('"');
     }
 
     /// Closes the object.
@@ -570,20 +609,26 @@ fn lex_simple_str(line: &str, pos: usize) -> Option<(&str, usize)> {
         return None;
     }
     let start = pos + 1;
-    let mut at = start;
-    loop {
-        let stops = stop_bytes(word_at(b, at));
-        if stops != 0 {
-            at += (stops.trailing_zeros() / 8) as usize;
-            break;
-        }
-        at += 8;
-    }
-    // A stop past the end is the zero padding: an unterminated run.
+    let at = next_stop(b, start);
+    // A stop at the end: an unterminated run.
     (b.get(at) == Some(&b'"')).then(|| {
         // `start..at` is bounded by ASCII quotes, so it is a char boundary.
         (&line[start..at], at + 1)
     })
+}
+
+/// The offset of the first byte of `b` at or after `at` that
+/// [`stop_bytes`] marks, or `b.len()` when there is none.
+#[inline]
+fn next_stop(b: &[u8], mut at: usize) -> usize {
+    loop {
+        let stops = stop_bytes(word_at(b, at));
+        if stops != 0 {
+            // Past the end the zero padding reads as control bytes.
+            return (at + (stops.trailing_zeros() / 8) as usize).min(b.len());
+        }
+        at += 8;
+    }
 }
 
 /// The eight bytes of `b` from `at`, the first in the low byte; bytes past
@@ -1663,6 +1708,84 @@ mod tests {
         let mut w = ObjectWriter::new(&mut out);
         w.int("b", 1);
         w.int("a", 2);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "key \"a\\\"b\" needs an escape")]
+    fn object_writer_rejects_keys_that_need_an_escape() {
+        let mut out = String::new();
+        ObjectWriter::new(&mut out).int("a\"b", 1);
+    }
+
+    #[test]
+    fn written_integers_are_display() {
+        let mut ints = vec![0, 1, -1, i64::MIN, i64::MAX];
+        for k in 1..=18 {
+            let p = 10i64.pow(k);
+            ints.extend([p - 1, p, p + 1].into_iter().flat_map(|i| [i, -i]));
+        }
+        for i in ints {
+            assert_eq!(to_json(&Value::Int(i)), i.to_string());
+            let mut out = String::new();
+            let mut w = ObjectWriter::new(&mut out);
+            w.int("i", i);
+            w.finish();
+            assert_eq!(out, format!("{{\"i\":{i}}}"));
+        }
+    }
+
+    #[test]
+    fn every_ascii_byte_round_trips_in_any_position() {
+        for b in 0..0x80u8 {
+            let c = char::from(b);
+            let mut strings = vec![
+                format!("{c}é好 plain"),
+                format!("日本{c}語"),
+                format!("plain text é{c}"),
+            ];
+            // Every offset in and across the eight-byte words of the scan.
+            let plain = "abcdefghijklmnopq";
+            strings.extend((0..=plain.len()).map(|at| {
+                let mut s = plain.to_string();
+                s.insert(at, c);
+                s
+            }));
+            for s in strings {
+                let text = to_json(&Value::Str(s.clone()));
+                assert_eq!(
+                    parse_json(&text).unwrap(),
+                    Value::Str(s.clone()),
+                    "{b:#04x}"
+                );
+                let mut out = String::new();
+                let mut w = ObjectWriter::new(&mut out);
+                w.str("s", &s);
+                w.finish();
+                let value = Value::object(vec![("s".into(), Value::Str(s))]);
+                assert_eq!(out, to_json(&value), "{b:#04x}");
+            }
+        }
+    }
+
+    #[test]
+    fn object_writer_words_are_the_joined_str() {
+        for words in [&[][..], &["coffee"], &["日本", "x", "latte art"]] {
+            let mut out = String::new();
+            let mut w = ObjectWriter::new(&mut out);
+            w.words("t", words.iter().copied());
+            w.finish();
+            let value = Value::object(vec![("t".into(), Value::str(words.join(" ")))]);
+            assert_eq!(out, to_json(&value));
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "word \"a\\nb\" needs an escape")]
+    fn object_writer_rejects_words_that_need_an_escape() {
+        let mut out = String::new();
+        ObjectWriter::new(&mut out).words("t", ["x", "a\nb"].into_iter());
     }
 
     #[test]

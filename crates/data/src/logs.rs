@@ -29,7 +29,9 @@
 //! worker pool. Formatting is a pure function of a morsel's draws and its
 //! first tweet id, so neither the pool's width nor the morsel size enters
 //! the bytes. The Zipf tables whose parameters are constants are built once
-//! per process.
+//! per process. Keys and vocabulary words are constants, copied into a line
+//! as they stand; a tweet's text is its words written straight into the
+//! line ([`crate::json`]'s `ObjectWriter` has the rules that make it safe).
 
 use crate::json::ObjectWriter;
 use miso_common::pool;
@@ -388,11 +390,10 @@ fn draw_tweets(cfg: &LogsConfig, mut rng: DetRng, count: usize) -> Vec<TweetDraw
 /// The lines of `draws`, the first with tweet id `first_id`: one
 /// [`format_tweets`] per morsel on the pool, split into lines in morsel
 /// order. The lines are allocated here, on the dispatching thread, not by
-/// the helpers: with glibc a block lives in the malloc arena of the thread
-/// that allocated it, and with half the twitter log in a helper's arena the
-/// benchmark's timed `stream_growth` queries read 3–8 % slower in three of
-/// four pair sets on 2 cores, and level with one arena
-/// (`MALLOC_ARENA_MAX=1`).
+/// the helpers (with glibc a block lives in the malloc arena of the thread
+/// that allocated it): with half the twitter log in a helper's arena, the
+/// benchmark's scaled `wall_s` on `stream_growth` read 3–8 % higher in
+/// three of four pair sets on 2 cores, and level at width 1.
 fn twitter_lines(draws: &[TweetDraw], first_id: usize) -> Vec<String> {
     let morsels = pool::run_chunks(draws, TWEET_MORSEL, |m, morsel| {
         format_tweets(morsel, first_id + m * TWEET_MORSEL)
@@ -414,19 +415,12 @@ fn twitter_lines(draws: &[TweetDraw], first_id: usize) -> Vec<String> {
 /// of its arguments.
 fn format_tweets(draws: &[TweetDraw], first_id: usize) -> (String, Vec<usize>) {
     let mut ends = Vec::with_capacity(draws.len());
-    let (mut lines, mut text) = (String::new(), String::new());
+    let mut lines = String::new();
     for (id, draw) in (first_id..).zip(draws) {
-        text.clear();
-        for (w, &word) in draw.words[..draw.n_words as usize].iter().enumerate() {
-            if w > 0 {
-                text.push(' ');
-            }
-            text.push_str(WORDS[word as usize]);
-        }
-        if let Some(topic) = draw.mention {
-            text.push(' ');
-            text.push_str(TOPICS[topic as usize]);
-        }
+        let words = draw.words[..draw.n_words as usize]
+            .iter()
+            .map(|&w| WORDS[w as usize]);
+        let text = words.chain(draw.mention.map(|topic| TOPICS[topic as usize]));
         let tags = draw.tags.map(|tag| TOPICS[tag as usize]);
         let mut record = ObjectWriter::new(&mut lines);
         record.str("city", CITIES[draw.city as usize]);
@@ -435,7 +429,7 @@ fn format_tweets(draws: &[TweetDraw], first_id: usize) -> (String, Vec<usize>) {
         record.str("lang", LANGS[draw.lang as usize]);
         record.int("retweets", draw.retweets as i64);
         record.float("sentiment", draw.sentiment);
-        record.str("text", &text);
+        record.words("text", text);
         record.int("ts", draw.ts as i64);
         record.int("tweet_id", id as i64);
         record.int("user_id", draw.user as i64);

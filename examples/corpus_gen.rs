@@ -12,10 +12,13 @@
 //! Prints the best and median milliseconds of each over nine runs.
 //! `MISO_THREADS` sets the width. With `--check` it first asserts that the
 //! corpus generated at width 1 is, byte for byte, the corpus generated at
-//! the pool's width.
+//! the pool's width, and that every line of it, and of one growth batch
+//! per log at 2 % of the log's size, is the canonical form of its record:
+//! `to_json(&parse_json(line)?) == line`.
 
 use miso::common::pool;
-use miso::data::logs::{twitter_draws, Corpus, LogsConfig};
+use miso::data::json::{parse_json, to_json};
+use miso::data::logs::{generate_delta, twitter_draws, Corpus, LogsConfig};
 use std::time::Instant;
 
 const RUNS: usize = 9;
@@ -51,6 +54,19 @@ fn main() {
             );
         }
         println!("check: width 1 and width {width} generate the same lines");
+        // The writer's fast paths, release-built (no debug assertion runs
+        // here): each line must be what `to_json` prints for its parse.
+        let mut lines = 0;
+        for file in wide.files() {
+            let count = (file.len() / 50).max(1);
+            let delta = generate_delta(&cfg, file.kind, 0, count);
+            for line in file.lines.iter().chain(&delta) {
+                let parsed = parse_json(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+                assert!(to_json(&parsed) == *line, "not canonical: {line}");
+                lines += 1;
+            }
+        }
+        println!("check: {lines} lines, growth batches included, are in canonical form");
     }
     let corpus = Corpus::generate(&cfg);
     println!(

@@ -22,7 +22,7 @@ cargo build --release
 echo "==> cargo test -q (default-members: every crate of the workspace)"
 cargo test -q
 
-echo "==> corpus_gen --scale 0.05 --check (the generation probe runs, and width 1 generates the pool width's bytes)"
+echo "==> corpus_gen --scale 0.05 --check (the generation probe runs, width 1 generates the pool width's bytes, and every line is canonical JSON)"
 cargo run --release -q --example corpus_gen -- --scale 0.05 --check
 
 echo "==> cargo test --release -q -p miso-common (the pool's one unsafe block, exercised with optimisations on)"
